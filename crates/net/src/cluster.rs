@@ -44,8 +44,9 @@ pub struct ClusterConfig {
     /// coordinator at site 0 with a Paxos Commit leader/acceptor and
     /// adds `2f` remote acceptor sites at `N+1 ..= N+2f` (where `N` is
     /// the participant count), tolerating `f` acceptor fail-stops.
-    /// `kind` is ignored in that case. Only the socket backend hosts
-    /// acceptors; the in-process backends reject the shape.
+    /// `kind` is ignored in that case. Every kernel-hosted backend
+    /// (reactor, multi-reactor, socket) runs the shape; only the
+    /// threaded backend rejects it.
     pub paxos_f: Option<usize>,
 }
 
@@ -148,7 +149,7 @@ impl Cluster {
     fn spawn_inner(config: &ClusterConfig, sink: Option<Arc<dyn TraceSink>>) -> Cluster {
         assert!(
             config.paxos_f.is_none(),
-            "the threaded backend hosts no paxos acceptors; use the socket backend"
+            "the threaded backend hosts no paxos acceptors; use a reactor or the socket backend"
         );
         let t0 = std::time::Instant::now();
         let obs_for = |proto: ProtoLabel| {

@@ -1,0 +1,1369 @@
+//! The site-hosting kernel: the one turn discipline every event-loop
+//! backend runs (DESIGN.md, "Runtime architecture").
+//!
+//! The engines are sans-IO, so hosting them is the same job whatever
+//! carries their messages. A [`Kernel`] owns a set of sites (any mix of
+//! the four [`SiteTask`] kinds), the timer wheel, the client reply
+//! table, the admission door and the latency histogram, and runs one
+//! **turn**: recover due sites, fire due timers, drain envelopes into
+//! the engines, then per site flush the data WAL and force the open
+//! group-commit batch through the kernel's [`FsyncDomain`] — one
+//! coalesced force round per turn — and only then externalize what the
+//! batch withheld (the site's sends *and* its ACTA events); collect the
+//! coordinator's log, answer clients, snapshot metrics.
+//!
+//! What differs between backends is only where an envelope goes when
+//! its site lives elsewhere and how the loop sleeps: the [`Transport`]
+//! trait. The reactor is this kernel over in-process mailboxes, the
+//! multi-reactor is N of those, the socket node is this kernel over
+//! framed TCP under epoll. The kernel is generic over the transport, so
+//! the send path is statically dispatched.
+//!
+//! Everything protocol-visible is shared with the threaded backend —
+//! the engines, the [`NetDelays`] backoff schedule, the emission points
+//! in [`crate::actor`] — so a trace line is formatted identically
+//! whichever backend produced it. The kernel is the only host that
+//! switches the engines' opt-in timer-cancellation tracking on,
+//! draining retired tokens into wheel cancels instead of letting dead
+//! timers fire.
+
+use crate::actor::{
+    apply_enforcements, decide_vote, observe_acta, observe_crash, observe_gc, observe_recover,
+    observe_recv, observe_retry, observe_send, protocol_outcomes, NetDelays, NetLog, NetObs,
+    SharedHistory,
+};
+use crate::admission::AdmissionController;
+use crate::cluster::{ClusterReport, SiteSummary};
+use crate::envelope::Envelope;
+use crate::reactor::{InflightGauge, ReactorConfig, ReactorReport, ReactorStats, SnapshotCadence};
+use crate::timer::{TimerId, TimerWheel};
+use acp_acta::ActaEvent;
+use acp_core::{
+    Action, Coordinator, GatewayParticipant, LegacyStore, Participant, PaxosConfig, PaxosNode,
+    TimerPurpose,
+};
+use acp_engine::SiteEngine;
+use acp_obs::{
+    Counter, LatencyHistogram, MetricsRegistry, MetricsTimeline, ProtoLabel, ProtocolEvent,
+    TraceSink,
+};
+use acp_types::{Message, Outcome, Payload, SiteId, TxnId, Vote};
+use acp_wal::{FileLog, FsyncDomain, GroupCommitLog, GroupCommitStats};
+use crossbeam::channel::{Receiver, Sender};
+use std::collections::{BTreeMap, VecDeque};
+use std::io;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// The coordinator's site id on every backend.
+pub(crate) const COORDINATOR: SiteId = SiteId(0);
+
+/// An envelope with the site it is addressed to.
+pub(crate) type Mail = (SiteId, Envelope);
+
+/// How long an idle kernel sleeps when nothing has a deadline.
+const IDLE_SLEEP: Duration = Duration::from_millis(50);
+
+/// What a backend adds to the kernel: where envelopes for sites hosted
+/// elsewhere go, and how the loop waits for more input.
+pub(crate) trait Transport {
+    /// Route an envelope addressed to `to`: give it back when this
+    /// kernel hosts it (the kernel queues it for dispatch), otherwise
+    /// hand it to whoever does (or drop it) and return `None`.
+    fn route(&mut self, now: Instant, to: SiteId, envelope: Envelope) -> Option<Envelope>;
+
+    /// Which slice of a sliced destination a message belongs to. Sends
+    /// a batch withheld coalesce per (slice, destination), so one
+    /// envelope never spans two owners. Unsliced transports have one.
+    fn slice_of(&self, _msg: &Message) -> usize {
+        0
+    }
+
+    /// Begin-of-turn pump; returns whether it did any work.
+    fn begin_turn(&mut self, _now: Instant) -> bool {
+        false
+    }
+
+    /// End-of-turn pump, after the turn's sends were routed.
+    fn end_turn(&mut self, _now: Instant) {}
+
+    /// Block until input arrives or `timeout` passes, pushing what
+    /// arrived for hosted sites onto `ready`. `rx` is the kernel's
+    /// client injector. Returns `false` once no input can ever arrive.
+    fn wait(&mut self, timeout: Duration, rx: &Receiver<Mail>, ready: &mut VecDeque<Mail>) -> bool;
+
+    /// The transport's own next deadline, folded into the loop's sleep.
+    fn next_deadline(&self) -> Option<Instant> {
+        None
+    }
+
+    /// A hosted site fail-stopped.
+    fn site_crashed(&mut self, _now: Instant) {}
+
+    /// Shutdown: push out what is still owed to other hosts.
+    fn drain(&mut self) {}
+}
+
+// ---------------------------------------------------------------------------
+// Site state
+
+/// Per-site engine(s); mirrors the three thread bodies in `actor.rs`,
+/// plus the Paxos Commit node.
+enum SiteTask {
+    Coord {
+        engine: Coordinator<NetLog>,
+    },
+    /// One member of a replicated Paxos Commit coordinator: the leader
+    /// at site 0 (takes client commits) or a dedicated acceptor.
+    Paxos {
+        engine: PaxosNode<NetLog>,
+    },
+    Part {
+        engine: Participant<NetLog>,
+        storage: SiteEngine<FileLog>,
+        forced_intents: BTreeMap<TxnId, Vote>,
+        poisoned: BTreeMap<TxnId, bool>,
+    },
+    Gateway {
+        engine: GatewayParticipant<FileLog>,
+    },
+}
+
+/// One input to a site's protocol engine.
+#[derive(Clone, Copy)]
+enum Input<'a> {
+    Message(&'a Message),
+    Timer(u64),
+    Recover,
+    Commit(TxnId, &'a [SiteId]),
+}
+
+/// Feed `$input` to `$engine`; `$commit` is what a client commit does.
+macro_rules! feed {
+    ($engine:expr, $input:expr, |$txn:ident, $parts:ident| $commit:expr) => {
+        match $input {
+            Input::Message(m) => $engine.on_message(m.from, &m.payload),
+            Input::Timer(token) => $engine.on_timer(token),
+            Input::Recover => $engine.recover(),
+            Input::Commit($txn, $parts) => $commit,
+        }
+    };
+}
+
+impl SiteTask {
+    /// Feed one input to the engine. Returns its actions and the timer
+    /// tokens it retired (run the actions first: an action may arm the
+    /// very token a later cancel retires). `lazy` stages a prepared
+    /// write set without forcing the data log — sound only on a host
+    /// that withholds the vote until `finish_turns` flushed it.
+    fn step(&mut self, input: Input<'_>, lazy: bool) -> (Vec<Action>, Vec<u64>) {
+        match self {
+            SiteTask::Coord { engine } => {
+                let actions = feed!(engine, input, |t, ps| engine.begin_commit(t, ps));
+                (actions, engine.take_cancelled_timers())
+            }
+            SiteTask::Paxos { engine } => {
+                let actions = feed!(engine, input, |t, ps| engine.begin_commit(t, ps));
+                (actions, engine.take_cancelled_timers())
+            }
+            SiteTask::Part {
+                engine,
+                storage,
+                forced_intents,
+                poisoned,
+            } => {
+                if let Input::Message(Message {
+                    payload: Payload::Prepare { txn },
+                    ..
+                }) = input
+                {
+                    let forced = forced_intents.get(txn).copied();
+                    let poisoned = poisoned.get(txn).copied().unwrap_or(false);
+                    engine.set_intent(*txn, decide_vote(storage, *txn, forced, poisoned, lazy));
+                }
+                let actions = feed!(engine, input, |_t, _ps| Vec::new());
+                if matches!(input, Input::Recover) {
+                    let outcomes = protocol_outcomes(engine);
+                    storage.recover(&outcomes).expect("storage recovery");
+                }
+                (actions, engine.take_cancelled_timers())
+            }
+            SiteTask::Gateway { engine } => {
+                (feed!(engine, input, |_t, _ps| Vec::new()), Vec::new())
+            }
+        }
+    }
+
+    /// Fail-stop: volatile engine state and unflushed records are lost.
+    fn crash(&mut self) {
+        match self {
+            SiteTask::Coord { engine } => engine.crash(),
+            SiteTask::Paxos { engine } => engine.crash(),
+            SiteTask::Part {
+                engine, storage, ..
+            } => {
+                engine.crash();
+                storage.crash();
+            }
+            SiteTask::Gateway { engine } => engine.crash(),
+        }
+    }
+
+    /// The protocol log behind the group-commit layer (gateways log
+    /// straight to the file: no group layer).
+    fn log_mut(&mut self) -> Option<&mut NetLog> {
+        match self {
+            SiteTask::Coord { engine } => Some(engine.log_mut()),
+            SiteTask::Paxos { engine } => Some(engine.log_mut()),
+            SiteTask::Part { engine, .. } => Some(engine.log_mut()),
+            SiteTask::Gateway { .. } => None,
+        }
+    }
+
+    /// Commit-taking engines' view of `txn`: the decision memo and
+    /// whether it is in flight. `None` on sites that take no commits.
+    fn commit_state(&self, txn: TxnId) -> Option<(Option<Outcome>, bool)> {
+        match self {
+            SiteTask::Coord { engine } => Some((engine.decided(txn), engine.in_flight(txn))),
+            SiteTask::Paxos { engine } => Some((engine.decided(txn), engine.in_flight(txn))),
+            SiteTask::Part { .. } | SiteTask::Gateway { .. } => None,
+        }
+    }
+}
+
+/// Host-side per-site bookkeeping (everything that is not the engine).
+struct SiteHost {
+    site: SiteId,
+    obs: Option<NetObs>,
+    down_until: Option<Instant>,
+    last_decision_us: Option<u64>,
+    /// Withhold sends and ACTA events until the batch forces (group
+    /// commit on): nothing a site did is externalized before the
+    /// records it rests on are durable, and a crash takes both along.
+    defer_sends: bool,
+    deferred_sends: Vec<Message>,
+    deferred_acta: Vec<ActaEvent>,
+    /// Engine timer token → wheel entry, for cancellation.
+    timer_ids: BTreeMap<u64, TimerId>,
+    /// When the currently-open batch was first observed non-empty.
+    batch_opened: Option<Instant>,
+    /// Suppress crash/recover *observability* (ACTA events + trace
+    /// lines) for this engine. Set on every coordinator slice except
+    /// slice 0: the N slices are one logical site 0, and a broadcast
+    /// crash must read as ONE site crash in the history, not N. The
+    /// engines themselves still crash and recover normally.
+    quiet: bool,
+}
+
+impl SiteHost {
+    fn is_down(&self, now: Instant) -> bool {
+        self.down_until.is_some_and(|t| now < t)
+    }
+}
+
+struct SiteState {
+    host: SiteHost,
+    task: SiteTask,
+}
+
+/// Loop-wide mutable context threaded through dispatch.
+struct Ctx<T> {
+    wheel: TimerWheel<(SiteId, u64, TimerPurpose)>,
+    /// Envelopes for hosted sites, ready for dispatch this turn.
+    ready: VecDeque<Mail>,
+    history: SharedHistory,
+    delays: NetDelays,
+    /// Where each in-flight commit's decision goes, and when the
+    /// commit was admitted (for the latency histogram).
+    replies: BTreeMap<TxnId, (Sender<Outcome>, Instant)>,
+    /// Admission-to-delivery latency of this kernel's commits.
+    latency: LatencyHistogram,
+    /// Cluster-wide in-flight commit gauge (shared across shards).
+    inflight: Arc<InflightGauge>,
+    stats: ReactorStats,
+    /// The turn's start. Deadlines that must not shrink when a turn
+    /// runs long (engine timers) read the clock afresh instead.
+    now: Instant,
+    /// One coalesced force round per turn.
+    domain: FsyncDomain,
+    transport: T,
+}
+
+impl<T: Transport> Ctx<T> {
+    fn route(&mut self, to: SiteId, envelope: Envelope) {
+        if let Some(mine) = self.transport.route(self.now, to, envelope) {
+            self.ready.push_back((to, mine));
+        }
+    }
+}
+
+/// Execute engine actions for one site; returns storage enforcements.
+fn run_site_actions<T: Transport>(
+    host: &mut SiteHost,
+    ctx: &mut Ctx<T>,
+    actions: Vec<Action>,
+) -> Vec<(TxnId, Outcome)> {
+    let mut enforcements = Vec::new();
+    for a in actions {
+        match a {
+            Action::Send { to, payload } => {
+                let msg = Message::new(host.site, to, payload);
+                if host.defer_sends {
+                    host.deferred_sends.push(msg);
+                } else {
+                    if let Some(obs) = &host.obs {
+                        observe_send(obs, host.site, &msg);
+                    }
+                    ctx.route(to, Envelope::Protocol(msg));
+                }
+            }
+            Action::SetTimer {
+                token,
+                purpose,
+                attempt,
+            } => {
+                if let Some(obs) = &host.obs {
+                    observe_retry(obs, host.site, purpose, attempt);
+                }
+                // Jittered backoff: retries from different sites (or
+                // different timers on one site) spread out instead of
+                // thundering in lockstep after an outage heals. The
+                // salt is deterministic, so a run is reproducible; the
+                // clock is read here, not at the turn's start, so a
+                // long turn cannot eat into the delay.
+                let salt = (u64::from(host.site.raw()) << 32) ^ token;
+                let fire_at = Instant::now() + ctx.delays.delay_jittered(purpose, attempt, salt);
+                let id = ctx.wheel.arm(fire_at, (host.site, token, purpose));
+                host.timer_ids.insert(token, id);
+            }
+            Action::Acta(e) => {
+                if let Some(obs) = &host.obs {
+                    observe_acta(obs, host.site, &e, &mut host.last_decision_us);
+                }
+                if host.defer_sends {
+                    host.deferred_acta.push(e);
+                } else {
+                    ctx.history.lock().push(e);
+                }
+            }
+            Action::Enforce { txn, outcome } => enforcements.push((txn, outcome)),
+            Action::Gc {
+                released_up_to,
+                records_released,
+            } => {
+                if let Some(obs) = &host.obs {
+                    observe_gc(
+                        obs,
+                        host.site,
+                        released_up_to,
+                        records_released,
+                        host.last_decision_us,
+                    );
+                }
+            }
+        }
+    }
+    enforcements
+}
+
+/// Cancel wheel entries for engine timers retired since the last call.
+fn drain_cancellations<T>(host: &mut SiteHost, ctx: &mut Ctx<T>, retired: Vec<u64>) {
+    for token in retired {
+        if let Some(id) = host.timer_ids.remove(&token) {
+            if ctx.wheel.cancel(id) {
+                ctx.stats.timers_cancelled += 1;
+            }
+        }
+    }
+}
+
+/// Feed one input to a site and carry out what its engine asks for.
+fn drive<T: Transport>(st: &mut SiteState, ctx: &mut Ctx<T>, input: Input<'_>) {
+    let SiteState { host, task } = st;
+    let (actions, retired) = task.step(input, host.defer_sends);
+    let enforcements = run_site_actions(host, ctx, actions);
+    if let SiteTask::Part { storage, .. } = task {
+        apply_enforcements(storage, enforcements);
+    }
+    drain_cancellations(host, ctx, retired);
+}
+
+fn protocol_message<T: Transport>(st: &mut SiteState, ctx: &mut Ctx<T>, msg: &Message) {
+    if let Some(obs) = &st.host.obs {
+        observe_recv(obs, st.host.site, msg);
+    }
+    drive(st, ctx, Input::Message(msg));
+}
+
+/// Externalize what a site withheld (after its batch forced): publish
+/// its ACTA events, then emit its sends, coalescing same-destination
+/// messages into one [`Envelope::ProtocolBatch`] exactly like the
+/// threaded backend.
+///
+/// Batches are keyed by *(slice, destination)*, not destination alone:
+/// messages to a sliced coordinator route by transaction id, so two
+/// acks to site 0 may belong to different slices and must not share an
+/// envelope. With one slice the key degenerates to the destination and
+/// the grouping (and therefore the trace) is identical everywhere.
+fn flush_sends<T: Transport>(host: &mut SiteHost, ctx: &mut Ctx<T>) {
+    if !host.deferred_acta.is_empty() {
+        let mut history = ctx.history.lock();
+        for e in host.deferred_acta.drain(..) {
+            history.push(e);
+        }
+    }
+    if host.deferred_sends.is_empty() {
+        return;
+    }
+    let mut by_dest: BTreeMap<(usize, SiteId), Vec<Message>> = BTreeMap::new();
+    for msg in std::mem::take(&mut host.deferred_sends) {
+        if let Some(obs) = &host.obs {
+            observe_send(obs, host.site, &msg);
+        }
+        let key = (ctx.transport.slice_of(&msg), msg.to);
+        by_dest.entry(key).or_default().push(msg);
+    }
+    for ((_, to), mut msgs) in by_dest {
+        let envelope = if msgs.len() == 1 {
+            Envelope::Protocol(msgs.pop().expect("one message"))
+        } else {
+            Envelope::ProtocolBatch(msgs)
+        };
+        ctx.route(to, envelope);
+    }
+}
+
+/// Force a site's open batch — as a member of the kernel's fsync
+/// domain, so the turn's forces across all member sites count as one
+/// coalesced force round — and externalize what it withheld.
+/// `adaptive` marks the fast path for the stats split.
+fn force_site_batch<T: Transport>(
+    host: &mut SiteHost,
+    log: &mut NetLog,
+    ctx: &mut Ctx<T>,
+    adaptive: bool,
+) {
+    match ctx.domain.force_member(log) {
+        Ok(_) => {
+            for b in log.take_closed() {
+                if b.occupancy >= 2 {
+                    if let Some(obs) = &host.obs {
+                        obs.sink.record(&ProtocolEvent::BatchCommit {
+                            at_us: obs.now_us(),
+                            site: host.site.raw(),
+                            proto: obs.proto,
+                            occupancy: b.occupancy,
+                        });
+                    }
+                }
+            }
+            host.batch_opened = None;
+            if adaptive {
+                ctx.stats.adaptive_forces += 1;
+            } else {
+                ctx.stats.window_forces += 1;
+            }
+        }
+        // Force failed: the sends' records never became durable, so
+        // externalizing them would be unsound. Omission failure.
+        Err(_) => host.deferred_sends.clear(),
+    }
+    flush_sends(host, ctx);
+}
+
+fn crash_volatile<T>(host: &mut SiteHost, ctx: &mut Ctx<T>) {
+    ctx.stats.timers_cancelled += ctx.wheel.cancel_where(|(s, _, _)| *s == host.site) as u64;
+    host.timer_ids.clear();
+    host.deferred_sends.clear();
+    host.deferred_acta.clear();
+    host.batch_opened = None;
+}
+
+// ---------------------------------------------------------------------------
+// Building a kernel
+
+/// What whoever spawns a kernel hands it: the cluster shape and the
+/// cluster-wide handles its sites report into.
+pub(crate) struct HostEnv {
+    /// Cluster shape and loop tuning.
+    pub config: ReactorConfig,
+    /// Override the coordinator's protocol-table shard count (`None`
+    /// keeps [`acp_core::TABLE_SHARDS`]).
+    pub table_shards: Option<usize>,
+    /// Client injector.
+    pub rx: Receiver<Mail>,
+    /// Cluster-wide ACTA history.
+    pub history: SharedHistory,
+    /// Cluster-wide in-flight commit gauge.
+    pub inflight: Arc<InflightGauge>,
+    /// Trace sink for the hosted sites.
+    pub sink: Option<Arc<dyn TraceSink>>,
+    /// Registry snapshotted into a timeline on the config's cadence.
+    pub snapshots: Option<(Arc<MetricsRegistry>, Arc<MetricsTimeline>)>,
+    /// Epoch for trace timestamps and the timer wheel.
+    pub t0: Instant,
+}
+
+/// Open an existing WAL (restart) or create a fresh one (first boot).
+/// Returns the log and whether it predated this process.
+fn open_or_create(path: PathBuf) -> io::Result<(FileLog, bool)> {
+    if path.exists() {
+        Ok((FileLog::open(path).map_err(io::Error::other)?, true))
+    } else {
+        Ok((FileLog::create(path).map_err(io::Error::other)?, false))
+    }
+}
+
+/// A set of hosted sites and the loop that turns them.
+pub(crate) struct Kernel<T> {
+    sites: Vec<SiteState>,
+    /// Site id → index into `sites`.
+    owned: BTreeMap<SiteId, usize>,
+    /// Index of the hosted coordinator (slice) or Paxos leader, if any.
+    coord: Option<usize>,
+    /// Sites whose protocol log predates this process: `run` restarts
+    /// them before accepting work.
+    restarted: Vec<usize>,
+    ctx: Ctx<T>,
+    /// Client injector (and, on a reactor, other shards' mail).
+    rx: Receiver<Mail>,
+    /// Loop tuning: commit window, admission bounds.
+    config: ReactorConfig,
+    snapshots: Option<(Arc<MetricsRegistry>, Arc<MetricsTimeline>)>,
+    cadence: SnapshotCadence,
+    running: bool,
+}
+
+impl<T: Transport> Kernel<T> {
+    /// Build the engines of the `hosted` sites (in turn order) over
+    /// their WALs in `dir`: a protocol log already there is **reopened
+    /// and replayed** (restart semantics), otherwise created fresh.
+    /// `slice` is which slice of the coordinator this kernel hosts (0
+    /// when it is not sliced): it names the slice's WAL, and only slice
+    /// 0 narrates the coordinator's crash and recovery.
+    pub(crate) fn build(
+        env: HostEnv,
+        hosted: &[SiteId],
+        dir: &Path,
+        slice: usize,
+        transport: T,
+    ) -> io::Result<Kernel<T>> {
+        let (config, t0) = (&env.config, env.t0);
+        let cc = &config.cluster;
+        let roster = cc.paxos_acceptor_sites();
+        let protocol_log = |name: String| -> io::Result<(NetLog, bool)> {
+            let (log, existed) = open_or_create(dir.join(name))?;
+            let log = if cc.group_commit {
+                GroupCommitLog::deferred(log)
+            } else {
+                GroupCommitLog::passthrough(log)
+            };
+            Ok((log, existed))
+        };
+
+        let mut sites = Vec::new();
+        let mut owned = BTreeMap::new();
+        let mut restarted = Vec::new();
+        for &site in hosted {
+            let n = site.raw();
+            // Site 0's log is per coordinator slice, everyone else's per site.
+            let wal = |kind: &str| match n {
+                0 => format!("coord-{slice}.wal"),
+                _ => format!("{kind}-{n}.wal"),
+            };
+            let (task, label, existed) = if roster.contains(&site) {
+                // A member of the replicated coordinator. Each keeps
+                // its own WAL, so a killed process recovers from it.
+                let (log, existed) = protocol_log(wal("paxos"))?;
+                let mut engine = PaxosNode::new(site, PaxosConfig::new(roster.clone()), log);
+                engine.set_track_cancellations(true);
+                (SiteTask::Paxos { engine }, ProtoLabel::Paxos, existed)
+            } else if site == COORDINATOR {
+                let (log, existed) = protocol_log(wal("coord"))?;
+                let mut engine = Coordinator::new(COORDINATOR, cc.kind, log);
+                if let Some(shards) = env.table_shards {
+                    engine.set_table_shards(shards);
+                }
+                for (i, &p) in cc.participant_protocols.iter().enumerate() {
+                    engine.register_site(SiteId::new(i as u32 + 1), p);
+                }
+                engine.set_track_cancellations(true);
+                engine.auto_gc = false; // once per turn instead: `gc_turns`
+                let label = ProtoLabel::of_coordinator(cc.kind);
+                (SiteTask::Coord { engine }, label, existed)
+            } else {
+                let idx = n as usize - 1;
+                let proto = *cc
+                    .participant_protocols
+                    .get(idx)
+                    .unwrap_or_else(|| panic!("hosted site {n} not in cluster"));
+                if cc.gateways.contains(&idx) {
+                    let (log, existed) = open_or_create(dir.join(wal("gw")))?;
+                    let engine = GatewayParticipant::new(site, proto, log, LegacyStore::new());
+                    (SiteTask::Gateway { engine }, ProtoLabel::Gateway, existed)
+                } else {
+                    let (log, existed) = protocol_log(wal("part"))?;
+                    let mut engine = Participant::new(site, proto, log);
+                    engine.set_track_cancellations(true);
+                    let (data, _) = open_or_create(dir.join(wal("data")))?;
+                    let task = SiteTask::Part {
+                        engine,
+                        storage: SiteEngine::new(data),
+                        forced_intents: BTreeMap::new(),
+                        poisoned: BTreeMap::new(),
+                    };
+                    (task, ProtoLabel::of_participant(proto), existed)
+                }
+            };
+            let host = SiteHost {
+                site,
+                obs: env.sink.as_ref().map(|s| NetObs {
+                    sink: Arc::clone(s),
+                    t0,
+                    proto: label,
+                }),
+                down_until: None,
+                last_decision_us: None,
+                defer_sends: cc.group_commit && !matches!(task, SiteTask::Gateway { .. }),
+                deferred_sends: Vec::new(),
+                deferred_acta: Vec::new(),
+                timer_ids: BTreeMap::new(),
+                batch_opened: None,
+                quiet: site == COORDINATOR && slice != 0,
+            };
+            if existed {
+                restarted.push(sites.len());
+            }
+            owned.insert(site, sites.len());
+            sites.push(SiteState { host, task });
+        }
+
+        Ok(Kernel {
+            coord: owned.get(&COORDINATOR).copied(),
+            sites,
+            owned,
+            restarted,
+            ctx: Ctx {
+                wheel: TimerWheel::new(t0),
+                ready: VecDeque::new(),
+                history: env.history,
+                delays: cc.delays,
+                replies: BTreeMap::new(),
+                latency: LatencyHistogram::new(),
+                inflight: env.inflight,
+                stats: ReactorStats::default(),
+                now: t0,
+                domain: FsyncDomain::new(),
+                transport,
+            },
+            rx: env.rx,
+            snapshots: env.snapshots,
+            cadence: SnapshotCadence::new(
+                config.snapshot_every_ticks,
+                config.snapshot_every_commits,
+            ),
+            config: env.config,
+            running: true,
+        })
+    }
+
+    // -----------------------------------------------------------------------
+    // The loop
+
+    /// Run until shutdown; returns the final report and the transport
+    /// (whose own counters the backend folds in).
+    pub(crate) fn run(mut self) -> (ReactorReport, T) {
+        // Restarted sites replay their WAL and run the paper's restart
+        // procedure before the loop accepts work. The outage was the
+        // process's, so there is no ACTA crash to pair a recovery with.
+        self.ctx.now = Instant::now();
+        for i in std::mem::take(&mut self.restarted) {
+            self.recover_site(i, false);
+        }
+        loop {
+            self.turn();
+            if !self.running {
+                break;
+            }
+            if !self.ctx.ready.is_empty() {
+                continue; // flushed sends are ready: next turn immediately
+            }
+            let timeout = self.next_timeout();
+            let Kernel { ctx, rx, .. } = &mut self;
+            if !ctx.transport.wait(timeout, rx, &mut ctx.ready) {
+                break;
+            }
+        }
+        self.ctx.now = Instant::now();
+        self.finish_turns();
+        self.gc_turns();
+        self.deliver();
+        self.ctx.transport.drain();
+        self.report()
+    }
+
+    /// One non-blocking turn; returns whether it did any work.
+    fn turn(&mut self) -> bool {
+        self.ctx.now = Instant::now();
+        let mut worked = self.process_recoveries();
+        worked |= self.fire_timers();
+        worked |= self.ctx.transport.begin_turn(self.ctx.now);
+        worked |= self.drain_envelopes();
+        self.finish_turns();
+        self.gc_turns();
+        self.deliver();
+        self.ctx.transport.end_turn(self.ctx.now);
+        if worked {
+            self.ctx.stats.ticks += 1;
+            self.maybe_snapshot();
+        }
+        worked
+    }
+
+    /// Bring site `i` back up. `narrate` pairs the recovery with an
+    /// earlier ACTA crash in the history.
+    fn recover_site(&mut self, i: usize, narrate: bool) {
+        let st = &mut self.sites[i];
+        if !st.host.quiet {
+            if narrate {
+                let site = st.host.site;
+                self.ctx.history.lock().push(ActaEvent::Recover { site });
+            }
+            if let Some(obs) = &st.host.obs {
+                observe_recover(obs, st.host.site);
+            }
+        }
+        drive(st, &mut self.ctx, Input::Recover);
+    }
+
+    /// Sites whose outage ended come back up and run recovery.
+    fn process_recoveries(&mut self) -> bool {
+        let now = self.ctx.now;
+        let mut worked = false;
+        for i in 0..self.sites.len() {
+            if self.sites[i].host.down_until.is_some_and(|t| now >= t) {
+                self.sites[i].host.down_until = None;
+                worked = true;
+                self.recover_site(i, true);
+            }
+        }
+        worked
+    }
+
+    /// Advance the wheel; feed due tokens to their engines.
+    fn fire_timers(&mut self) -> bool {
+        let due = self.ctx.wheel.advance(self.ctx.now);
+        if due.is_empty() {
+            return false;
+        }
+        for (id, (site, token, _purpose)) in due {
+            let Some(&i) = self.owned.get(&site) else {
+                continue;
+            };
+            let st = &mut self.sites[i];
+            st.host.timer_ids.retain(|_, v| *v != id);
+            if st.host.is_down(self.ctx.now) {
+                continue; // crash swept its timers; belt and braces
+            }
+            self.ctx.stats.timers_fired += 1;
+            drive(st, &mut self.ctx, Input::Timer(token));
+        }
+        true
+    }
+
+    /// Drain the ready queue and the client injector until both are
+    /// (momentarily) empty.
+    fn drain_envelopes(&mut self) -> bool {
+        let mut worked = false;
+        while self.running {
+            let next = self.ctx.ready.pop_front();
+            let Some((site, env)) = next.or_else(|| self.rx.try_recv().ok()) else {
+                break;
+            };
+            worked = true;
+            self.dispatch(site, env);
+        }
+        worked
+    }
+
+    fn dispatch(&mut self, site: SiteId, envelope: Envelope) {
+        let now = self.ctx.now;
+        self.ctx.stats.envelopes += 1;
+        if matches!(envelope, Envelope::Shutdown) {
+            self.running = false;
+            return;
+        }
+        let Some(&i) = self.owned.get(&site) else {
+            // A client verb for a site hosted elsewhere: the transport
+            // forwards it, or drops it if nobody hosts the site.
+            drop(self.ctx.transport.route(now, site, envelope));
+            return;
+        };
+        let st = &mut self.sites[i];
+        match envelope {
+            Envelope::Shutdown => unreachable!("handled above"),
+            Envelope::Crash { down_for } => {
+                if st.host.down_until.is_none() {
+                    if !st.host.quiet {
+                        self.ctx.history.lock().push(ActaEvent::Crash { site });
+                        if let Some(obs) = &st.host.obs {
+                            observe_crash(obs, site);
+                        }
+                    }
+                    st.task.crash();
+                    crash_volatile(&mut st.host, &mut self.ctx);
+                    st.host.down_until = Some(now + down_for);
+                    if Some(i) == self.coord {
+                        // A fail-stopped coordinator answers nobody:
+                        // its clients see a disconnect, never an answer
+                        // from the engine's decision memo, which may
+                        // remember a commit whose record this crash
+                        // just discarded.
+                        self.ctx.inflight.dec_by(self.ctx.replies.len() as u64);
+                        self.ctx.replies.clear();
+                    }
+                    self.ctx.transport.site_crashed(now);
+                }
+            }
+            _ if st.host.is_down(now) => {} // omission: dropped
+            Envelope::Apply { txn, key, value } => match &mut st.task {
+                SiteTask::Part {
+                    storage, poisoned, ..
+                } => {
+                    storage.begin(txn);
+                    if storage.put(txn, &key, &value).is_err() {
+                        poisoned.insert(txn, true);
+                    }
+                }
+                SiteTask::Gateway { engine } => engine.stage_write(txn, &key, &value),
+                SiteTask::Coord { .. } | SiteTask::Paxos { .. } => {}
+            },
+            Envelope::SetIntent { txn, vote } => {
+                if let SiteTask::Part { forced_intents, .. } = &mut st.task {
+                    forced_intents.insert(txn, vote);
+                }
+            }
+            Envelope::Commit {
+                txn,
+                participants,
+                reply,
+            } => {
+                let Some((decided, in_flight)) = st.task.commit_state(txn) else {
+                    return;
+                };
+                // Same misuse guards as the threaded coordinator: decided
+                // duplicates answer from the memo; in-flight duplicates and
+                // empty participant lists drop the reply channel.
+                if let Some(outcome) = decided {
+                    let _ = reply.send(outcome);
+                } else if participants.is_empty() || in_flight {
+                    drop(reply);
+                } else if let Some(over) = self.config.admission.and_then(|bounds| {
+                    let adm = AdmissionController::new(bounds);
+                    let inflight = self.ctx.inflight.current();
+                    let queue = self.ctx.ready.len() + self.rx.len();
+                    (!adm.admit(inflight, queue)).then_some((inflight, bounds.max_inflight))
+                }) {
+                    // Refused at the door: count it, narrate it, and
+                    // fail the client fast — the dropped reply channel
+                    // reads as a shed on the generator side (its recv
+                    // disconnects immediately), never a silent stall.
+                    self.ctx.stats.admission_sheds += 1;
+                    if let Some(obs) = &st.host.obs {
+                        obs.sink.record(&ProtocolEvent::AdmissionShed {
+                            at_us: obs.now_us(),
+                            site: site.raw(),
+                            proto: obs.proto,
+                            txn: Some(txn.raw()),
+                            inflight: over.0,
+                            limit: over.1,
+                        });
+                    }
+                    drop(reply);
+                } else {
+                    self.ctx.replies.insert(txn, (reply, now));
+                    self.ctx.inflight.inc();
+                    self.ctx.stats.max_inflight =
+                        self.ctx.stats.max_inflight.max(self.ctx.replies.len());
+                    drive(st, &mut self.ctx, Input::Commit(txn, &participants));
+                }
+            }
+            Envelope::Protocol(msg) => protocol_message(st, &mut self.ctx, &msg),
+            Envelope::ProtocolBatch(msgs) => {
+                for msg in &msgs {
+                    protocol_message(st, &mut self.ctx, msg);
+                }
+            }
+        }
+    }
+
+    /// End-of-turn group-commit step: decide, per site with an open
+    /// batch (or withheld sends), whether to force now or hold the
+    /// window open for more records.
+    fn finish_turns(&mut self) {
+        let now = self.ctx.now;
+        let window = self.config.commit_window;
+        let shutting_down = !self.running;
+        let idle = self.ctx.ready.is_empty() && self.rx.is_empty();
+        for SiteState { host, task } in &mut self.sites {
+            // Lazily-staged write sets (`prepare_lazy`) become durable
+            // here, before any Yes vote can leave with the turn's send
+            // flush below — one data-log fsync per site per turn
+            // instead of one per prepared transaction.
+            if host.defer_sends {
+                if let SiteTask::Part { storage, .. } = task {
+                    storage.flush_log().expect("data log flush");
+                }
+            }
+            let Some(log) = task.log_mut() else { continue };
+            if !log.batching() {
+                continue;
+            }
+            let occupancy = log.open_occupancy();
+            if occupancy == 0 {
+                // Nothing staged: whatever was withheld has no
+                // durability dependency left — externalize it now.
+                host.batch_opened = None;
+                flush_sends(host, &mut self.ctx);
+                continue;
+            }
+            let opened = *host.batch_opened.get_or_insert(now);
+            let window_over = window.is_zero() || now >= opened + window || shutting_down;
+            let adaptive = !window_over && self.config.adaptive_window && occupancy == 1 && idle;
+            if window_over || adaptive {
+                force_site_batch(host, log, &mut self.ctx, adaptive);
+            }
+        }
+        // Turn boundary: the forces above were one coalesced round of
+        // this kernel's fsync domain.
+        self.ctx.domain.end_round();
+    }
+
+    /// End-of-turn log GC. The threaded host lets the coordinator
+    /// engine truncate after every finished transaction (`auto_gc`),
+    /// which is fine when each site owns a thread — but a truncation
+    /// rewrites the whole retained suffix, so a per-decision cadence is
+    /// O(n²) I/O once thousands of transactions share this one thread.
+    /// The kernel runs one collection per turn, after the batch
+    /// forced, covering every transaction the turn finished.
+    fn gc_turns(&mut self) {
+        let Some(SiteState { host, task }) = self.coord.map(|i| &mut self.sites[i]) else {
+            return;
+        };
+        let SiteTask::Coord { engine } = task else {
+            return;
+        };
+        let released = engine.collect_garbage();
+        if released > 0 {
+            if let Some(obs) = &host.obs {
+                observe_gc(
+                    obs,
+                    host.site,
+                    acp_wal::StableLog::low_water_mark(engine.log()).0,
+                    released as u64,
+                    host.last_decision_us,
+                );
+            }
+        }
+    }
+
+    /// Send decisions to waiting clients (only after the coordinator's
+    /// batch forced — `finish_turns` runs first).
+    fn deliver(&mut self) {
+        let Some(SiteState { host, task }) = self.coord.map(|i| &mut self.sites[i]) else {
+            return;
+        };
+        // Decisions may not be externalized while their commit record is
+        // still in an open batch.
+        if host.defer_sends && task.log_mut().is_some_and(|log| log.open_occupancy() > 0) {
+            return;
+        }
+        let replies = &mut self.ctx.replies;
+        let decided: Vec<(TxnId, Outcome)> = replies
+            .keys()
+            .filter_map(|&txn| Some((txn, task.commit_state(txn)?.0?)))
+            .collect();
+        let delivered = decided.len() as u64;
+        for (txn, outcome) in decided {
+            if let Some((reply, admitted)) = replies.remove(&txn) {
+                let _ = reply.send(outcome);
+                let waited = self.ctx.now.saturating_duration_since(admitted).as_micros();
+                self.ctx
+                    .latency
+                    .record(u64::try_from(waited).unwrap_or(u64::MAX));
+            }
+        }
+        self.ctx.stats.decisions_delivered += delivered;
+        self.ctx.inflight.dec_by(delivered);
+        self.cadence.on_commits(delivered);
+    }
+
+    fn maybe_snapshot(&mut self) {
+        let take = self.cadence.on_tick(self.ctx.stats.ticks);
+        let (true, Some((registry, timeline))) = (take, &self.snapshots) else {
+            return;
+        };
+        // Snapshots carry the coordinator slice's trace clock and label.
+        let Some(SiteState { host, task }) = self.coord.map(|i| &self.sites[i]) else {
+            return;
+        };
+        let Some(obs) = &host.obs else { return };
+        if let SiteTask::Coord { engine } = task {
+            // Sample the slice's protocol-table balance into the
+            // registry's high-water mark before copying the grid.
+            let peak = engine.table_peak_shard_occupancy() as u64;
+            registry.set_max(obs.proto, Counter::TablePeakShardOccupancy, peak);
+        }
+        timeline.push(registry.snapshot(obs.now_us()));
+    }
+
+    /// How long the loop may sleep: bounded by the next engine timer,
+    /// the earliest recovery point, any open batch's window expiry and
+    /// the transport's own deadline.
+    fn next_timeout(&self) -> Duration {
+        let per_site = self.sites.iter().flat_map(|st| {
+            let window_end = st.host.batch_opened.map(|t| t + self.config.commit_window);
+            [st.host.down_until, window_end]
+        });
+        per_site
+            .chain([
+                self.ctx.wheel.next_deadline(),
+                self.ctx.transport.next_deadline(),
+            ])
+            .flatten()
+            .min()
+            .map_or(IDLE_SLEEP, |d| d.saturating_duration_since(self.ctx.now))
+    }
+
+    /// Collect final state into the backend-independent report shape.
+    fn report(self) -> (ReactorReport, T) {
+        let mut sites = Vec::new();
+        let mut coordinator_table_size = 0;
+        let mut group_commit = GroupCommitStats::default();
+        let mut logical_forces = 0;
+        let mut physical_syncs = 0;
+        for SiteState { host, mut task } in self.sites {
+            let site = host.site;
+            if let Some(log) = task.log_mut() {
+                group_commit.merge(&log.group_stats());
+                logical_forces += acp_wal::StableLog::stats(log).forces;
+                let inner = acp_wal::StableLog::stats(log.inner());
+                physical_syncs += inner.forces + inner.flushes;
+            }
+            let (enforced, log_pinned, committed) = match task {
+                SiteTask::Coord { engine } => {
+                    coordinator_table_size = engine.protocol_table_size();
+                    (BTreeMap::new(), engine.log_pinned(), BTreeMap::new())
+                }
+                SiteTask::Paxos { engine } => {
+                    if site == COORDINATOR {
+                        coordinator_table_size = engine.protocol_table_size();
+                    }
+                    (BTreeMap::new(), engine.log_pinned(), BTreeMap::new())
+                }
+                SiteTask::Part {
+                    engine, storage, ..
+                } => {
+                    let committed = storage.store().iter();
+                    (
+                        engine.enforced_all().clone(),
+                        engine.log_pinned(),
+                        committed.map(|(k, v)| (k.to_vec(), v.to_vec())).collect(),
+                    )
+                }
+                SiteTask::Gateway { engine } => {
+                    let committed = engine.legacy().entries().into_iter().collect();
+                    (BTreeMap::new(), Vec::new(), committed)
+                }
+            };
+            sites.push(SiteSummary {
+                site,
+                enforced,
+                log_pinned,
+                committed,
+            });
+        }
+        let history = self.ctx.history.lock().clone();
+        let report = ReactorReport {
+            cluster: ClusterReport {
+                history,
+                coordinator_table_size,
+                sites,
+                group_commit,
+                logical_forces,
+                physical_syncs,
+            },
+            stats: self.ctx.stats,
+            fsync: self.ctx.domain.stats(),
+            latency: self.ctx.latency.snapshot(),
+        };
+        (report, self.ctx.transport)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use acp_acta::{check_atomicity, History};
+    use acp_types::{CoordinatorKind, ProtocolKind, SelectionPolicy};
+    use acp_wal::tempdir::TempDir;
+    use crossbeam::channel::{bounded, unbounded, TryRecvError};
+    use parking_lot::Mutex;
+
+    /// The in-memory transport: every site is hosted here, nothing
+    /// blocks, and `begin_turn` can stall to age the turn the way a
+    /// descheduled host would.
+    struct Loopback {
+        stall: Duration,
+    }
+
+    impl Transport for Loopback {
+        fn route(&mut self, _now: Instant, _to: SiteId, envelope: Envelope) -> Option<Envelope> {
+            Some(envelope)
+        }
+
+        fn begin_turn(&mut self, _now: Instant) -> bool {
+            std::thread::sleep(self.stall);
+            false
+        }
+
+        fn wait(&mut self, _: Duration, _: &Receiver<Mail>, _: &mut VecDeque<Mail>) -> bool {
+            true
+        }
+    }
+
+    /// A kernel hosting the benchmark's cluster — PrAny over PrN, PrA,
+    /// PrC with group commit on — stepped by hand.
+    struct Rig {
+        kernel: Kernel<Loopback>,
+        tx: Sender<Mail>,
+        history: SharedHistory,
+        inflight: Arc<InflightGauge>,
+        _dir: TempDir,
+    }
+
+    const PARTS: [SiteId; 3] = [SiteId(1), SiteId(2), SiteId(3)];
+    const SECS_60: Duration = Duration::from_secs(60);
+
+    /// Delays under which no timer fires unless a test shortens one.
+    fn glacial() -> NetDelays {
+        NetDelays {
+            vote_timeout: SECS_60,
+            ack_resend: SECS_60,
+            inquiry_retry: SECS_60,
+            apply_retry: SECS_60,
+            paxos_completion: SECS_60,
+        }
+    }
+
+    fn rig(delays: NetDelays) -> Rig {
+        let mut config = ReactorConfig::new(
+            CoordinatorKind::PrAny(SelectionPolicy::PaperStrict),
+            &[ProtocolKind::PrN, ProtocolKind::PrA, ProtocolKind::PrC],
+        );
+        config.cluster.group_commit = true;
+        config.cluster.delays = delays;
+        let dir = TempDir::new("kernel").expect("tempdir");
+        let (tx, rx) = unbounded();
+        let history: SharedHistory = Arc::new(Mutex::new(History::new()));
+        let inflight = Arc::new(InflightGauge::new());
+        let env = HostEnv {
+            config,
+            table_shards: None,
+            rx,
+            history: Arc::clone(&history),
+            inflight: Arc::clone(&inflight),
+            sink: None,
+            snapshots: None,
+            t0: Instant::now(),
+        };
+        let hosted = [COORDINATOR, PARTS[0], PARTS[1], PARTS[2]];
+        let stall = Duration::ZERO;
+        let kernel =
+            Kernel::build(env, &hosted, dir.path(), 0, Loopback { stall }).expect("kernel");
+        Rig {
+            kernel,
+            tx,
+            history,
+            inflight,
+            _dir: dir,
+        }
+    }
+
+    impl Rig {
+        fn send(&self, to: SiteId, envelope: Envelope) {
+            assert!(self.tx.send((to, envelope)).is_ok(), "injector closed");
+        }
+
+        /// Stage one write per participant and ask for the commit.
+        fn submit(&self, txn: TxnId) -> Receiver<Outcome> {
+            for p in PARTS {
+                let (key, value) = (b"k".to_vec(), b"v".to_vec());
+                self.send(p, Envelope::Apply { txn, key, value });
+            }
+            let (reply, outcome) = bounded(1);
+            let participants = PARTS.to_vec();
+            self.send(
+                COORDINATOR,
+                Envelope::Commit {
+                    txn,
+                    participants,
+                    reply,
+                },
+            );
+            outcome
+        }
+
+        /// Turn until all three votes are queued for the coordinator:
+        /// every participant is prepared, nothing is decided.
+        fn turn_until_votes_are_queued(&mut self) {
+            let is_vote = |(to, env): &Mail| {
+                let vote = |m: &Message| matches!(m.payload, Payload::Vote { .. });
+                *to == COORDINATOR && matches!(env, Envelope::Protocol(m) if vote(m))
+            };
+            for _ in 0..8 {
+                let ready = &self.kernel.ctx.ready;
+                if ready.iter().filter(|m| is_vote(m)).count() == 3 {
+                    return;
+                }
+                self.kernel.turn();
+            }
+            panic!("the participants never voted");
+        }
+    }
+
+    /// benchmarks/README.md "Known issues" #1: a coordinator crash
+    /// dispatched in the turn that decided commit discards the staged
+    /// commit record. Nobody may hear of that commit — not the client,
+    /// not the history — and recovery's abort must stand alone.
+    #[test]
+    fn coordinator_crash_in_the_deciding_turn_acknowledges_nothing() {
+        let mut r = rig(glacial());
+        let txn = TxnId::new(1);
+        let outcome = r.submit(txn);
+        r.turn_until_votes_are_queued();
+        assert_eq!(r.inflight.current(), 1);
+
+        // The queued votes dispatch first (deciding commit), then the
+        // crash from the injector — one turn.
+        let down_for = Duration::from_millis(5);
+        r.send(COORDINATOR, Envelope::Crash { down_for });
+        r.kernel.turn();
+        assert_eq!(
+            outcome.try_recv(),
+            Err(TryRecvError::Disconnected),
+            "a fail-stopped coordinator's client sees a disconnect"
+        );
+        assert_eq!(r.inflight.current(), 0);
+
+        // Recovery finds an initiation record without a decision and
+        // aborts; let that reach every participant.
+        std::thread::sleep(2 * down_for);
+        for _ in 0..8 {
+            r.kernel.turn();
+        }
+        let history = r.history.lock().clone();
+        assert_eq!(check_atomicity(&history), Vec::new());
+        let commits = |e: &&ActaEvent| {
+            let commit = Outcome::Commit;
+            matches!(e, ActaEvent::Decide { outcome, .. } | ActaEvent::Enforce { outcome, .. } if *outcome == commit)
+        };
+        assert_eq!(history.events().iter().filter(commits).count(), 0);
+        let aborted = |e: &&ActaEvent| matches!(e, ActaEvent::Enforce { .. });
+        assert!(
+            history.events().iter().any(|e| aborted(&e)),
+            "the abort was enforced"
+        );
+    }
+
+    /// Known issues #2: a timer armed late in a long turn must still
+    /// run its full delay from the moment it was armed.
+    #[test]
+    fn timers_run_their_full_delay_from_the_arming_not_the_turn_start() {
+        let vote_timeout = Duration::from_millis(20);
+        let mut r = rig(NetDelays {
+            vote_timeout,
+            ..glacial()
+        });
+        let stall = Duration::from_millis(15);
+        r.kernel.ctx.transport.stall = stall;
+        let _outcome = r.submit(TxnId::new(1));
+        let turn_start = Instant::now();
+        r.kernel.turn();
+        // The turn armed one timer: the coordinator's vote timeout.
+        let deadline = r.kernel.ctx.wheel.next_deadline().expect("armed");
+        assert!(
+            deadline >= turn_start + stall + vote_timeout,
+            "vote timeout fires {:?} after a turn that stalled {stall:?} first",
+            deadline - turn_start
+        );
+    }
+
+    /// Retries are jittered per (site, timer) on every backend, while a
+    /// first arming stays exact — so clean traces cannot tell.
+    #[test]
+    fn retry_timers_are_jittered_per_site_and_first_armings_are_exact() {
+        let inquiry_retry = Duration::from_millis(40);
+        let delays = NetDelays {
+            inquiry_retry,
+            ..glacial()
+        };
+        let mut r = rig(delays);
+        let _outcome = r.submit(TxnId::new(1));
+        let before = Instant::now();
+        r.turn_until_votes_are_queued();
+        let after = Instant::now();
+        // The votes are lost: three prepared participants stay in doubt
+        // and start inquiring, each off its own timer.
+        r.kernel.ctx.ready.clear();
+        let first = r.kernel.ctx.wheel.next_deadline().expect("armed");
+        let tick = crate::timer::WHEEL_TICK;
+        assert!(
+            first >= before + inquiry_retry && first <= after + inquiry_retry + tick,
+            "attempt 0 is armed at exactly the base delay"
+        );
+
+        // Let all three fire; each re-arms at attempt 1.
+        std::thread::sleep(
+            (after + inquiry_retry + tick).saturating_duration_since(Instant::now()),
+        );
+        let before = Instant::now();
+        while r.kernel.ctx.stats.timers_fired < 3 {
+            r.kernel.turn();
+        }
+        let after = Instant::now();
+        let expected: Vec<Duration> = r.kernel.sites[1..]
+            .iter()
+            .map(|st| {
+                let token = *st.host.timer_ids.keys().next().expect("inquiry timer");
+                let salt = (u64::from(st.host.site.raw()) << 32) ^ token;
+                delays.delay_jittered(TimerPurpose::InquiryRetry, 1, salt)
+            })
+            .collect();
+        assert!(
+            expected
+                .iter()
+                .any(|d| *d != delays.delay(TimerPurpose::InquiryRetry, 1)),
+            "the sites' retry delays are spread: {expected:?}"
+        );
+        // Read the re-armed deadlines off the wheel by advancing it a
+        // tick at a time.
+        let mut fired_at = BTreeMap::new();
+        let mut at = before;
+        while fired_at.len() < 3 {
+            at += tick;
+            for (_, (site, _, _)) in r.kernel.ctx.wheel.advance(at) {
+                fired_at.insert(site, at);
+            }
+        }
+        for (site, want) in PARTS.iter().zip(expected) {
+            let at = fired_at[site];
+            assert!(
+                at >= before + want && at <= after + want + 2 * tick,
+                "site {site}: attempt 1 fires {:?} after its arming, jittered delay {want:?}",
+                at - after
+            );
+        }
+    }
+}

@@ -17,31 +17,37 @@
 //! * the **threaded** backend ([`Cluster`]) — one OS thread and one
 //!   crossbeam mailbox per site,
 //! * the **reactor** backend ([`ReactorCluster`]) — a single-threaded
-//!   event loop ([`reactor`]) that owns every site, fires timers off a
-//!   hashed [`timer::TimerWheel`], batches each site's forced writes
-//!   into one fsync per tick, and sustains thousands of concurrent
-//!   in-flight transactions (experiment E13),
+//!   event loop that owns every site, fires timers off a hashed
+//!   [`timer::TimerWheel`], batches each site's forced writes into one
+//!   fsync per turn, and sustains thousands of concurrent in-flight
+//!   transactions (experiment E13),
 //! * the **multi-reactor** backend ([`MultiReactorCluster`]) — N
 //!   reactor shards ([`multi_reactor`]) connected by lock-free
 //!   mailboxes: the coordinator sliced by transaction id, participants
 //!   partitioned by site id, one fsync domain and timer wheel per
 //!   shard (experiment E14), and
-//! * the **socket** backend ([`wire`], Unix only) — the reactor loop
-//!   per OS process, hosting a subset of sites, with length-prefixed
+//! * the **socket** backend ([`wire`], Unix only) — the same loop per
+//!   OS process, hosting a subset of sites, with length-prefixed
 //!   CRC-framed TCP between processes driven by a vendored epoll shim:
 //!   real `kill -9` failure domains, real WAL-only recovery
 //!   (experiment E15).
 //!
-//! All drive the identical engines and emit byte-identical trace
-//! lines through the shared emission points in [`actor`].
+//! The last three are one site-hosting kernel (the private `host`
+//! module: the turn discipline, all four site kinds, timers, replies,
+//! admission) instantiated over three transports, and their handles
+//! share one client facade ([`ClientHandle`]). All four backends drive
+//! the identical engines and emit byte-identical trace lines through
+//! the shared emission points in [`actor`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod actor;
 pub mod admission;
+pub mod client;
 pub mod cluster;
 pub mod envelope;
+pub(crate) mod host;
 pub mod multi_reactor;
 pub mod reactor;
 pub mod timer;
@@ -50,6 +56,7 @@ pub mod wire;
 
 pub use actor::{NetDelays, NetObs};
 pub use admission::{AdmissionConfig, AdmissionController};
+pub use client::ClientHandle;
 pub use cluster::{Cluster, ClusterConfig, ClusterReport, SiteSummary};
 pub use envelope::Envelope;
 pub use multi_reactor::{

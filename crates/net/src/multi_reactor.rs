@@ -50,26 +50,26 @@
 //! [`InflightGauge`](crate::reactor::InflightGauge).
 
 use crate::actor::SharedHistory;
+use crate::client::{deref_to_client, ClientHandle};
 use crate::cluster::{ClusterReport, SiteSummary};
-use crate::envelope::Envelope;
+use crate::host::{HostEnv, Mail};
 use crate::reactor::{
     spawn_shard, InflightGauge, ReactorCluster, ReactorConfig, ReactorReport, ReactorStats,
-    ShardSpec,
 };
 use acp_acta::History;
 use acp_obs::{
     CountingSink, FanoutSink, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
     MetricsTimeline, TraceSink,
 };
-use acp_types::{Outcome, SiteId, TxnId, Vote};
+use acp_types::{SiteId, TxnId};
 use acp_wal::tempdir::TempDir;
 use acp_wal::{DomainStats, GroupCommitStats};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Multi-reactor parameters: the per-shard reactor configuration plus
 /// the partition shape.
@@ -155,19 +155,19 @@ pub struct MultiReactorReport {
 }
 
 /// A running multi-reactor cluster: same client API as
-/// [`ReactorCluster`], N event-loop threads behind it.
+/// [`ReactorCluster`] (the verbs are [`ClientHandle`]'s, routing each
+/// envelope to its owning reactor), N event-loop threads behind it.
 pub struct MultiReactorCluster {
-    txs: Vec<Sender<(SiteId, Envelope)>>,
+    client: ClientHandle,
     handles: Vec<JoinHandle<ReactorReport>>,
     history: SharedHistory,
     inflight: Arc<InflightGauge>,
     registries: Vec<Arc<MetricsRegistry>>,
     timelines: Vec<Arc<MetricsTimeline>>,
-    next_txn: u64,
-    n_sites: usize,
-    n_shards: usize,
     _dir: TempDir,
 }
+
+deref_to_client!(MultiReactorCluster);
 
 impl MultiReactorCluster {
     /// The coordinator's site id.
@@ -208,25 +208,19 @@ impl MultiReactorCluster {
         sink: Option<Arc<dyn TraceSink>>,
         observed: bool,
     ) -> MultiReactorCluster {
-        assert!(
-            config.reactor.cluster.paxos_f.is_none(),
-            "the reactor backends host no paxos acceptors; use the socket backend"
-        );
         let n = config.reactors.max(1);
         let t0 = Instant::now();
         let dir = TempDir::new("multi-reactor").expect("tempdir");
         let history: SharedHistory = Arc::new(Mutex::new(History::new()));
         let inflight = Arc::new(InflightGauge::new());
 
-        let channels: Vec<(Sender<(SiteId, Envelope)>, Receiver<(SiteId, Envelope)>)> =
-            (0..n).map(|_| unbounded()).collect();
-        let txs: Vec<_> = channels.iter().map(|(tx, _)| tx.clone()).collect();
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded::<Mail>()).unzip();
 
         let mut registries = Vec::new();
         let mut timelines = Vec::new();
         let mut handles = Vec::new();
-        for (shard, (_, rx)) in channels.into_iter().enumerate() {
-            let (shard_sink, registry, timeline) = if observed {
+        for (shard, rx) in rxs.into_iter().enumerate() {
+            let (shard_sink, snapshots) = if observed {
                 let registry = Arc::new(MetricsRegistry::new());
                 let timeline = Arc::new(MetricsTimeline::new());
                 let counting: Arc<dyn TraceSink> =
@@ -239,39 +233,30 @@ impl MultiReactorCluster {
                 };
                 registries.push(Arc::clone(&registry));
                 timelines.push(Arc::clone(&timeline));
-                (Some(shard_sink), Some(registry), Some(timeline))
+                (Some(shard_sink), Some((registry, timeline)))
             } else {
-                (sink.clone(), None, None)
+                (sink.clone(), None)
             };
-            handles.push(spawn_shard(
-                ShardSpec {
-                    shard,
-                    n_shards: n,
-                    config: config.reactor.clone(),
-                    rx,
-                    peers: txs.clone(),
-                    history: Arc::clone(&history),
-                    inflight: Arc::clone(&inflight),
-                    sink: shard_sink,
-                    registry,
-                    timeline,
-                    t0,
-                    table_shards: config.table_shards,
-                },
-                dir.path(),
-            ));
+            let env = HostEnv {
+                config: config.reactor.clone(),
+                table_shards: config.table_shards,
+                rx,
+                history: Arc::clone(&history),
+                inflight: Arc::clone(&inflight),
+                sink: shard_sink,
+                snapshots,
+                t0,
+            };
+            handles.push(spawn_shard(shard, txs.clone(), env, dir.path()));
         }
 
         MultiReactorCluster {
-            txs,
+            client: ClientHandle::new(txs, Box::new(|| ()), &config.reactor.cluster),
             handles,
             history,
             inflight,
             registries,
             timelines,
-            next_txn: 1,
-            n_sites: config.reactor.cluster.participant_protocols.len() + 1,
-            n_shards: n,
             _dir: dir,
         }
     }
@@ -279,7 +264,7 @@ impl MultiReactorCluster {
     /// Number of reactor threads.
     #[must_use]
     pub fn reactors(&self) -> usize {
-        self.n_shards
+        self.handles.len()
     }
 
     /// Commits currently awaiting a decision, cluster-wide.
@@ -288,100 +273,10 @@ impl MultiReactorCluster {
         self.inflight.current()
     }
 
-    /// Allocate a fresh transaction id.
-    pub fn next_txn(&mut self) -> TxnId {
-        let t = TxnId::new(self.next_txn);
-        self.next_txn += 1;
-        t
-    }
-
-    /// All participant site ids.
-    #[must_use]
-    pub fn participants(&self) -> Vec<SiteId> {
-        (1..self.n_sites as u32).map(SiteId::new).collect()
-    }
-
-    /// Route an envelope to its owning reactor.
-    fn send(&self, site: SiteId, envelope: Envelope) {
-        match envelope.owner_shard(site, self.n_shards) {
-            Some(s) => {
-                let _ = self.txs[s].send((site, envelope));
-            }
-            // Broadcast envelopes are rebuilt per shard by their
-            // dedicated entry points (crash / shutdown); an unroutable
-            // envelope reaching here is a bug.
-            None => unreachable!("broadcast envelope in send()"),
-        }
-    }
-
-    /// Write `key := value` under `txn` at `site`.
-    pub fn apply(&self, site: SiteId, txn: TxnId, key: &[u8], value: &[u8]) {
-        self.send(
-            site,
-            Envelope::Apply {
-                txn,
-                key: key.to_vec(),
-                value: value.to_vec(),
-            },
-        );
-    }
-
-    /// Override the vote `site` will cast for `txn`.
-    pub fn set_intent(&self, site: SiteId, txn: TxnId, vote: Vote) {
-        self.send(site, Envelope::SetIntent { txn, vote });
-    }
-
-    /// Crash a site for `down_for`. Crashing the coordinator crashes
-    /// every slice of it — the slices are one logical site, so one
-    /// crash is delivered to each shard (and the history records a
-    /// single crash/recovery, narrated by shard 0).
-    pub fn crash(&self, site: SiteId, down_for: Duration) {
-        match (Envelope::Crash { down_for }).owner_shard(site, self.n_shards) {
-            Some(s) => {
-                let _ = self.txs[s].send((site, Envelope::Crash { down_for }));
-            }
-            None => {
-                for tx in &self.txs {
-                    let _ = tx.send((site, Envelope::Crash { down_for }));
-                }
-            }
-        }
-    }
-
-    /// Commit `txn` across `participants`; wait for the decision.
-    pub fn commit(&self, txn: TxnId, participants: &[SiteId]) -> Option<Outcome> {
-        self.commit_async(txn, participants)
-            .recv_timeout(Duration::from_secs(20))
-            .ok()
-    }
-
-    /// Start commit processing on the owning shard; the returned
-    /// channel yields the decision when it is durable.
-    #[must_use]
-    pub fn commit_async(&self, txn: TxnId, participants: &[SiteId]) -> Receiver<Outcome> {
-        let (tx, rx) = bounded(1);
-        self.send(
-            Self::COORDINATOR,
-            Envelope::Commit {
-                txn,
-                participants: participants.to_vec(),
-                reply: tx,
-            },
-        );
-        rx
-    }
-
-    /// Let in-flight work settle for `d`.
-    pub fn settle(&self, d: Duration) {
-        std::thread::sleep(d);
-    }
-
     /// Stop every reactor and merge their final states.
     #[must_use]
     pub fn shutdown(self) -> MultiReactorReport {
-        for tx in &self.txs {
-            let _ = tx.send((Self::COORDINATOR, Envelope::Shutdown));
-        }
+        self.client.shutdown_all();
         let reports: Vec<ReactorReport> = self
             .handles
             .into_iter()

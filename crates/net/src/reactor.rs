@@ -6,51 +6,29 @@
 //! thread per site and one mailbox hop per message; fine for a handful
 //! of concurrent transactions, but thousands of in-flight commits turn
 //! into context-switch churn and per-turn fsyncs. The reactor instead
-//! owns *all* sites on one thread and runs a readiness loop:
+//! owns *all* sites on one thread: it is the site-hosting kernel
+//! ([`crate::host`] — the turn discipline lives there) over the
+//! in-process transport defined here, where a same-shard "send" is a
+//! `VecDeque::push_back` onto the kernel's ready queue and a
+//! cross-shard send is one push onto the owning reactor's mailbox.
 //!
-//! 1. advance a hashed [`TimerWheel`] and fire due engine timers,
-//! 2. drain the injector (client envelopes) and the local ready queue
-//!    (site-to-site messages — same-process, so a "send" is a
-//!    `VecDeque::push_back`),
-//! 3. per dirty site, force the open group-commit batch — **one fsync
-//!    per site per tick** no matter how many transactions progressed —
-//!    emit its trace event, then externalize the withheld sends,
-//! 4. deliver decisions to waiting clients and snapshot live metrics.
-//!
-//! Everything protocol-visible is shared with the threaded backend:
-//! the engines, the [`NetDelays`] backoff schedule, and the
-//! observability emission points in [`crate::actor`], so a trace line
-//! is formatted identically whichever backend produced it.
-//!
-//! Because the engines cannot see which host drives them, the engine
-//! state spaces — and with them the model checker's fingerprints and
-//! the committed golden traces — are untouched. The reactor is the only
-//! host that switches the engines' opt-in timer-cancellation tracking
-//! on, draining retired tokens into wheel cancels instead of letting
-//! dead timers fire.
+//! This module keeps what is the reactor's own: its configuration and
+//! loop counters, the snapshot cadence, the cluster-wide in-flight
+//! gauge, the transport, and the [`ReactorCluster`] handle.
 
-use crate::actor::{
-    apply_enforcements, decide_vote, deliver_decisions, observe_acta, observe_crash, observe_gc,
-    observe_recover, observe_recv, observe_retry, observe_send, protocol_outcomes, NetDelays,
-    NetLog, NetObs, SharedHistory,
-};
-use crate::admission::{AdmissionConfig, AdmissionController};
-use crate::cluster::{ClusterConfig, ClusterReport, SiteSummary};
+use crate::admission::AdmissionConfig;
+use crate::client::{deref_to_client, ClientHandle};
+use crate::cluster::{ClusterConfig, ClusterReport};
 use crate::envelope::Envelope;
-use crate::timer::{TimerId, TimerWheel};
-use acp_acta::{ActaEvent, History};
-use acp_core::{Action, Coordinator, GatewayParticipant, LegacyStore, Participant, TimerPurpose};
-use acp_engine::SiteEngine;
-use acp_obs::{
-    HistogramSnapshot, LatencyHistogram, MetricsRegistry, MetricsTimeline, ProtoLabel,
-    ProtocolEvent, TraceSink,
-};
-use acp_types::{Message, Outcome, Payload, SiteId, TxnId, Vote};
+use crate::host::{HostEnv, Kernel, Mail, Transport, COORDINATOR};
+use acp_acta::History;
+use acp_obs::{HistogramSnapshot, MetricsRegistry, MetricsTimeline, TraceSink};
+use acp_types::{Message, SiteId};
 use acp_wal::tempdir::TempDir;
-use acp_wal::{DomainStats, FileLog, FsyncDomain, GroupCommitLog, GroupCommitStats};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use acp_wal::DomainStats;
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -269,981 +247,124 @@ pub struct ReactorReport {
 }
 
 // ---------------------------------------------------------------------------
-// Site state
+// The in-process transport
 
-/// Per-site engine(s); mirrors the three thread bodies in `actor.rs`.
-enum SiteTask {
-    Coord {
-        engine: Coordinator<NetLog>,
-    },
-    Part {
-        engine: Participant<NetLog>,
-        storage: SiteEngine<FileLog>,
-        forced_intents: BTreeMap<TxnId, Vote>,
-        poisoned: BTreeMap<TxnId, bool>,
-    },
-    Gateway {
-        engine: GatewayParticipant<FileLog>,
-    },
-}
-
-/// Host-side per-site bookkeeping (everything that is not the engine).
-struct SiteHost {
-    site: SiteId,
-    obs: Option<NetObs>,
-    down_until: Option<Instant>,
-    last_decision_us: Option<u64>,
-    /// Withhold sends until the batch forces (group commit on).
-    defer_sends: bool,
-    deferred_sends: Vec<Message>,
-    /// Engine timer token → wheel entry, for cancellation.
-    timer_ids: BTreeMap<u64, TimerId>,
-    /// When the currently-open batch was first observed non-empty.
-    batch_opened: Option<Instant>,
-    /// Suppress crash/recover *observability* (ACTA events + trace
-    /// lines) for this engine. Set on every coordinator slice except
-    /// shard 0's: the N slices are one logical site 0, and a broadcast
-    /// crash must read as ONE site crash in the history, not N. The
-    /// engines themselves still crash and recover normally.
-    quiet: bool,
-}
-
-impl SiteHost {
-    fn is_down(&self, now: Instant) -> bool {
-        self.down_until.is_some_and(|t| now < t)
-    }
-}
-
-struct SiteState {
-    host: SiteHost,
-    task: SiteTask,
-}
-
-/// Loop-wide mutable context threaded through dispatch.
-struct Ctx {
-    wheel: TimerWheel<(SiteId, u64, TimerPurpose)>,
-    /// Site-to-site messages ready for delivery this tick (owned by
-    /// this shard).
-    local: VecDeque<(SiteId, Envelope)>,
-    history: SharedHistory,
-    delays: NetDelays,
-    replies: BTreeMap<TxnId, Sender<Outcome>>,
-    stats: ReactorStats,
-    now: Instant,
-    /// This reactor's shard index in an `n_shards`-way partition.
+/// Envelopes between sites of one process: this shard's own go back to
+/// the kernel's ready queue, everyone else's onto the owning reactor's
+/// mailbox — [`Envelope::owner_shard`] is the whole routing table.
+struct Mailboxes {
+    /// This reactor's shard index in a `peers.len()`-way partition.
     shard: usize,
-    n_shards: usize,
     /// Every reactor's injector (index = shard). `peers[shard]` is this
-    /// reactor's own injector and is never used — self-sends go through
-    /// `local`, which is what keeps the single-reactor hot path free of
+    /// reactor's own and is never used — self-sends stay on the ready
+    /// queue, which is what keeps the single-reactor hot path free of
     /// channel traffic.
-    peers: Vec<Sender<(SiteId, Envelope)>>,
-    /// Per-shard fsync domain: one coalesced force round per turn.
-    domain: FsyncDomain,
-    /// Cluster-wide in-flight commit gauge (shared across shards).
-    inflight: Arc<InflightGauge>,
-    /// When each in-flight commit was admitted, for the latency
-    /// histogram (keys mirror `replies`).
-    admitted_at: BTreeMap<TxnId, Instant>,
-    /// Admission-to-delivery latency of this shard's commits.
-    latency: LatencyHistogram,
+    peers: Vec<Sender<Mail>>,
+    /// Envelopes handed to another reactor's mailbox.
+    mailbox_sends: u64,
 }
 
-impl Ctx {
-    /// Hand an envelope to whichever reactor owns it: our own ready
-    /// queue, or a peer's lock-free mailbox.
-    fn route(&mut self, to: SiteId, envelope: Envelope) {
-        let owner = envelope.owner_shard(to, self.n_shards).unwrap_or(self.shard);
+impl Transport for Mailboxes {
+    fn route(&mut self, _now: Instant, to: SiteId, envelope: Envelope) -> Option<Envelope> {
+        let owner = envelope
+            .owner_shard(to, self.peers.len())
+            .unwrap_or(self.shard);
         if owner == self.shard {
-            self.local.push_back((to, envelope));
+            return Some(envelope);
+        }
+        self.mailbox_sends += 1;
+        let _ = self.peers[owner].send((to, envelope));
+        None
+    }
+
+    /// Only the coordinator is sliced (by transaction id); every other
+    /// destination has one owner.
+    fn slice_of(&self, msg: &Message) -> usize {
+        if msg.to == COORDINATOR {
+            acp_core::shard_of(msg.payload.txn(), self.peers.len())
         } else {
-            self.stats.mailbox_sends += 1;
-            let _ = self.peers[owner].send((to, envelope));
-        }
-    }
-}
-
-/// Execute engine actions for one site; returns storage enforcements.
-fn run_site_actions(host: &mut SiteHost, ctx: &mut Ctx, actions: Vec<Action>) -> Vec<(TxnId, Outcome)> {
-    let mut enforcements = Vec::new();
-    for a in actions {
-        match a {
-            Action::Send { to, payload } => {
-                let msg = Message::new(host.site, to, payload);
-                if host.defer_sends {
-                    host.deferred_sends.push(msg);
-                } else {
-                    if let Some(obs) = &host.obs {
-                        observe_send(obs, host.site, &msg);
-                    }
-                    ctx.route(to, Envelope::Protocol(msg));
-                }
-            }
-            Action::SetTimer {
-                token,
-                purpose,
-                attempt,
-            } => {
-                if let Some(obs) = &host.obs {
-                    observe_retry(obs, host.site, purpose, attempt);
-                }
-                let fire_at = ctx.now + ctx.delays.delay(purpose, attempt);
-                let id = ctx.wheel.arm(fire_at, (host.site, token, purpose));
-                host.timer_ids.insert(token, id);
-            }
-            Action::Acta(e) => {
-                if let Some(obs) = &host.obs {
-                    observe_acta(obs, host.site, &e, &mut host.last_decision_us);
-                }
-                ctx.history.lock().push(e);
-            }
-            Action::Enforce { txn, outcome } => enforcements.push((txn, outcome)),
-            Action::Gc {
-                released_up_to,
-                records_released,
-            } => {
-                if let Some(obs) = &host.obs {
-                    observe_gc(
-                        obs,
-                        host.site,
-                        released_up_to,
-                        records_released,
-                        host.last_decision_us,
-                    );
-                }
-            }
-        }
-    }
-    enforcements
-}
-
-/// Cancel wheel entries for engine timers retired since the last call.
-fn drain_cancellations(host: &mut SiteHost, ctx: &mut Ctx, retired: Vec<u64>) {
-    for token in retired {
-        if let Some(id) = host.timer_ids.remove(&token) {
-            if ctx.wheel.cancel(id) {
-                ctx.stats.timers_cancelled += 1;
-            }
-        }
-    }
-}
-
-/// Externalize a site's withheld sends (after its batch forced): emit
-/// their events, coalescing same-destination messages into one
-/// [`Envelope::ProtocolBatch`] exactly like the threaded backend.
-///
-/// Batches are keyed by *(owner shard, destination)*, not destination
-/// alone: messages to the coordinator route by transaction id, so two
-/// acks to site 0 may belong to different reactor slices and must not
-/// share an envelope. With one shard the key degenerates to the
-/// destination and the grouping (and therefore the trace) is identical
-/// to the single-reactor behavior.
-fn flush_sends(host: &mut SiteHost, ctx: &mut Ctx) {
-    if host.deferred_sends.is_empty() {
-        return;
-    }
-    let msgs = std::mem::take(&mut host.deferred_sends);
-    let mut by_dest: BTreeMap<(usize, SiteId), Vec<Message>> = BTreeMap::new();
-    for msg in msgs {
-        if let Some(obs) = &host.obs {
-            observe_send(obs, host.site, &msg);
-        }
-        let owner = if ctx.n_shards <= 1 {
             0
-        } else if msg.to.raw() == 0 {
-            acp_core::shard_of(msg.payload.txn(), ctx.n_shards)
-        } else {
-            (msg.to.raw() as usize - 1) % ctx.n_shards
-        };
-        by_dest.entry((owner, msg.to)).or_default().push(msg);
-    }
-    for ((_, to), mut msgs) in by_dest {
-        let envelope = if msgs.len() == 1 {
-            Envelope::Protocol(msgs.pop().expect("one message"))
-        } else {
-            Envelope::ProtocolBatch(msgs)
-        };
-        ctx.route(to, envelope);
-    }
-}
-
-/// Force a site's open batch — as a member of the shard's fsync
-/// domain, so the turn's forces across all member sites count as one
-/// coalesced force round — and externalize its sends. `adaptive` marks
-/// the fast path for the stats split.
-fn force_site_batch(host: &mut SiteHost, log: &mut NetLog, ctx: &mut Ctx, adaptive: bool) {
-    match ctx.domain.force_member(log) {
-        Ok(_) => {
-            for b in log.take_closed() {
-                if b.occupancy >= 2 {
-                    if let Some(obs) = &host.obs {
-                        obs.sink.record(&ProtocolEvent::BatchCommit {
-                            at_us: obs.now_us(),
-                            site: host.site.raw(),
-                            proto: obs.proto,
-                            occupancy: b.occupancy,
-                        });
-                    }
-                }
-            }
-            host.batch_opened = None;
-            if adaptive {
-                ctx.stats.adaptive_forces += 1;
-            } else {
-                ctx.stats.window_forces += 1;
-            }
-            flush_sends(host, ctx);
         }
-        // Force failed: the sends' records never became durable, so
-        // externalizing them would be unsound. Omission failure.
-        Err(_) => host.deferred_sends.clear(),
-    }
-}
-
-fn crash_volatile(host: &mut SiteHost, ctx: &mut Ctx) {
-    ctx.stats.timers_cancelled += ctx.wheel.cancel_where(|(s, _, _)| *s == host.site) as u64;
-    host.timer_ids.clear();
-    host.deferred_sends.clear();
-    host.batch_opened = None;
-}
-
-// ---------------------------------------------------------------------------
-// The reactor loop
-
-struct Reactor {
-    /// Sites owned by this shard. Index 0 is always this shard's
-    /// coordinator slice.
-    sites: Vec<SiteState>,
-    /// Site id → index into `sites` (identity on a single reactor,
-    /// sparse on a shard that owns a subset).
-    owned: BTreeMap<SiteId, usize>,
-    ctx: Ctx,
-    config: ReactorConfig,
-    admission: Option<AdmissionController>,
-    rx: Receiver<(SiteId, Envelope)>,
-    t0: Instant,
-    registry: Option<Arc<MetricsRegistry>>,
-    timeline: Option<Arc<MetricsTimeline>>,
-    cadence: SnapshotCadence,
-    running: bool,
-}
-
-impl Reactor {
-    fn site_index(&self, site: SiteId) -> Option<usize> {
-        self.owned.get(&site).copied()
     }
 
-    fn run(mut self) -> ReactorReport {
-        while self.running {
-            self.ctx.now = Instant::now();
-            let mut worked = false;
-            worked |= self.process_recoveries();
-            worked |= self.fire_timers();
-            worked |= self.drain_envelopes();
-            self.finish_turns();
-            self.gc_turns();
-            self.deliver();
-            if worked {
-                self.ctx.stats.ticks += 1;
-                self.maybe_snapshot();
-            }
-            if !self.ctx.local.is_empty() {
-                continue; // flushed sends are ready: next tick immediately
-            }
-            match self.rx.recv_timeout(self.next_timeout()) {
-                Ok((site, env)) => self.ctx.local.push_back((site, env)),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        self.finish_turns();
-        self.gc_turns();
-        self.deliver();
-        self.report()
-    }
-
-    /// Sites whose outage ended come back up and run recovery.
-    fn process_recoveries(&mut self) -> bool {
-        let now = self.ctx.now;
-        let mut worked = false;
-        for st in &mut self.sites {
-            let SiteState { host, task } = st;
-            let Some(t) = host.down_until else { continue };
-            if now < t {
-                continue;
-            }
-            host.down_until = None;
-            worked = true;
-            if !host.quiet {
-                self.ctx.history.lock().push(ActaEvent::Recover { site: host.site });
-                if let Some(obs) = &host.obs {
-                    observe_recover(obs, host.site);
-                }
-            }
-            match task {
-                SiteTask::Coord { engine } => {
-                    let actions = engine.recover();
-                    run_site_actions(host, &mut self.ctx, actions);
-                    drain_cancellations(host, &mut self.ctx, engine.take_cancelled_timers());
-                }
-                SiteTask::Part {
-                    engine, storage, ..
-                } => {
-                    let actions = engine.recover();
-                    let outcomes = protocol_outcomes(engine);
-                    storage.recover(&outcomes).expect("storage recovery");
-                    let enf = run_site_actions(host, &mut self.ctx, actions);
-                    apply_enforcements(storage, enf);
-                    drain_cancellations(host, &mut self.ctx, engine.take_cancelled_timers());
-                }
-                SiteTask::Gateway { engine } => {
-                    let actions = engine.recover();
-                    run_site_actions(host, &mut self.ctx, actions);
-                }
-            }
-        }
-        worked
-    }
-
-    /// Advance the wheel; feed due tokens to their engines.
-    fn fire_timers(&mut self) -> bool {
-        let due = self.ctx.wheel.advance(self.ctx.now);
-        if due.is_empty() {
-            return false;
-        }
-        for (id, (site, token, _purpose)) in due {
-            let Some(i) = self.site_index(site) else { continue };
-            let SiteState { host, task } = &mut self.sites[i];
-            host.timer_ids.retain(|_, v| *v != id);
-            if host.is_down(self.ctx.now) {
-                continue; // crash swept its timers; belt and braces
-            }
-            self.ctx.stats.timers_fired += 1;
-            match task {
-                SiteTask::Coord { engine } => {
-                    let actions = engine.on_timer(token);
-                    run_site_actions(host, &mut self.ctx, actions);
-                    drain_cancellations(host, &mut self.ctx, engine.take_cancelled_timers());
-                }
-                SiteTask::Part {
-                    engine, storage, ..
-                } => {
-                    let actions = engine.on_timer(token);
-                    let enf = run_site_actions(host, &mut self.ctx, actions);
-                    apply_enforcements(storage, enf);
-                    drain_cancellations(host, &mut self.ctx, engine.take_cancelled_timers());
-                }
-                SiteTask::Gateway { engine } => {
-                    let actions = engine.on_timer(token);
-                    run_site_actions(host, &mut self.ctx, actions);
-                }
-            }
+    fn wait(&mut self, timeout: Duration, rx: &Receiver<Mail>, ready: &mut VecDeque<Mail>) -> bool {
+        // Never shorter than 100 µs: a due deadline must not spin the loop.
+        match rx.recv_timeout(timeout.max(Duration::from_micros(100))) {
+            Ok(mail) => ready.push_back(mail),
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => return false,
         }
         true
-    }
-
-    /// Drain the local ready queue and the client injector until both
-    /// are (momentarily) empty.
-    fn drain_envelopes(&mut self) -> bool {
-        let mut worked = false;
-        loop {
-            let next = match self.ctx.local.pop_front() {
-                Some(x) => Some(x),
-                None => self.rx.try_recv().ok(),
-            };
-            let Some((site, env)) = next else { break };
-            worked = true;
-            self.dispatch(site, env);
-            if !self.running {
-                break;
-            }
-        }
-        worked
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn dispatch(&mut self, site: SiteId, envelope: Envelope) {
-        let now = self.ctx.now;
-        self.ctx.stats.envelopes += 1;
-        let Some(i) = self.site_index(site) else { return };
-        let SiteState { host, task } = &mut self.sites[i];
-        match envelope {
-            Envelope::Shutdown => self.running = false,
-            Envelope::Crash { down_for } => {
-                if host.down_until.is_none() {
-                    if !host.quiet {
-                        self.ctx.history.lock().push(ActaEvent::Crash { site });
-                        if let Some(obs) = &host.obs {
-                            observe_crash(obs, host.site);
-                        }
-                    }
-                    match task {
-                        SiteTask::Coord { engine } => engine.crash(),
-                        SiteTask::Part {
-                            engine, storage, ..
-                        } => {
-                            engine.crash();
-                            storage.crash();
-                        }
-                        SiteTask::Gateway { engine } => engine.crash(),
-                    }
-                    crash_volatile(host, &mut self.ctx);
-                    host.down_until = Some(now + down_for);
-                }
-            }
-            _ if host.is_down(now) => {} // omission: dropped
-            Envelope::Apply { txn, key, value } => match task {
-                SiteTask::Part {
-                    storage, poisoned, ..
-                } => {
-                    storage.begin(txn);
-                    if storage.put(txn, &key, &value).is_err() {
-                        poisoned.insert(txn, true);
-                    }
-                }
-                SiteTask::Gateway { engine } => engine.stage_write(txn, &key, &value),
-                SiteTask::Coord { .. } => {}
-            },
-            Envelope::SetIntent { txn, vote } => {
-                if let SiteTask::Part { forced_intents, .. } = task {
-                    forced_intents.insert(txn, vote);
-                }
-            }
-            Envelope::Commit {
-                txn,
-                participants,
-                reply,
-            } => {
-                let SiteTask::Coord { engine } = task else {
-                    return;
-                };
-                // Same misuse guards as the threaded coordinator: decided
-                // duplicates answer from the memo; in-flight duplicates and
-                // empty participant lists drop the reply channel.
-                if let Some(outcome) = engine.decided(txn) {
-                    let _ = reply.send(outcome);
-                } else if participants.is_empty() || engine.in_flight(txn) {
-                    drop(reply);
-                } else if let Some(over) = self.admission.as_ref().and_then(|adm| {
-                    let inflight = self.ctx.inflight.current();
-                    let queue = self.ctx.local.len() + self.rx.len();
-                    (!adm.admit(inflight, queue))
-                        .then_some((inflight, adm.config().max_inflight))
-                }) {
-                    // Refused at the door: count it, narrate it, and
-                    // fail the client fast — the dropped reply channel
-                    // reads as a shed on the generator side (its recv
-                    // disconnects immediately), never a silent stall.
-                    self.ctx.stats.admission_sheds += 1;
-                    if let Some(obs) = &host.obs {
-                        obs.sink.record(&ProtocolEvent::AdmissionShed {
-                            at_us: obs.now_us(),
-                            site: host.site.raw(),
-                            proto: obs.proto,
-                            txn: Some(txn.raw()),
-                            inflight: over.0,
-                            limit: over.1,
-                        });
-                    }
-                    drop(reply);
-                } else {
-                    self.ctx.replies.insert(txn, reply);
-                    self.ctx.admitted_at.insert(txn, now);
-                    self.ctx.inflight.inc();
-                    self.ctx.stats.max_inflight =
-                        self.ctx.stats.max_inflight.max(self.ctx.replies.len());
-                    let actions = engine.begin_commit(txn, &participants);
-                    run_site_actions(host, &mut self.ctx, actions);
-                    drain_cancellations(host, &mut self.ctx, engine.take_cancelled_timers());
-                }
-            }
-            Envelope::Protocol(msg) => {
-                Self::protocol_message(host, task, &mut self.ctx, msg);
-            }
-            Envelope::ProtocolBatch(msgs) => {
-                for msg in msgs {
-                    Self::protocol_message(host, task, &mut self.ctx, msg);
-                }
-            }
-        }
-    }
-
-    fn protocol_message(host: &mut SiteHost, task: &mut SiteTask, ctx: &mut Ctx, msg: Message) {
-        if let Some(obs) = &host.obs {
-            observe_recv(obs, host.site, &msg);
-        }
-        match task {
-            SiteTask::Coord { engine } => {
-                let actions = engine.on_message(msg.from, &msg.payload);
-                run_site_actions(host, ctx, actions);
-                drain_cancellations(host, ctx, engine.take_cancelled_timers());
-            }
-            SiteTask::Part {
-                engine,
-                storage,
-                forced_intents,
-                poisoned,
-            } => {
-                if let Payload::Prepare { txn } = msg.payload {
-                    // With deferred sends the data-log force rides the
-                    // tick's flush (`finish_turns`), which runs before
-                    // the Yes vote can leave this site.
-                    let vote = decide_vote(
-                        storage,
-                        txn,
-                        forced_intents.get(&txn).copied(),
-                        poisoned.get(&txn).copied().unwrap_or(false),
-                        host.defer_sends,
-                    );
-                    engine.set_intent(txn, vote);
-                }
-                let actions = engine.on_message(msg.from, &msg.payload);
-                let enf = run_site_actions(host, ctx, actions);
-                apply_enforcements(storage, enf);
-                drain_cancellations(host, ctx, engine.take_cancelled_timers());
-            }
-            SiteTask::Gateway { engine } => {
-                let actions = engine.on_message(msg.from, &msg.payload);
-                run_site_actions(host, ctx, actions);
-            }
-        }
-    }
-
-    /// End-of-tick group-commit step: decide, per site with an open
-    /// batch (or withheld sends), whether to force now or hold the
-    /// window open for more records.
-    fn finish_turns(&mut self) {
-        let now = self.ctx.now;
-        let window = self.config.commit_window;
-        let shutting_down = !self.running;
-        let idle = self.ctx.local.is_empty() && self.rx.is_empty();
-        for st in &mut self.sites {
-            let SiteState { host, task } = st;
-            // Lazily-staged write sets (`prepare_lazy`) become durable
-            // here, before any Yes vote can leave with the tick's send
-            // flush below — one data-log fsync per site per tick
-            // instead of one per prepared transaction.
-            if host.defer_sends {
-                if let SiteTask::Part { storage, .. } = task {
-                    storage.flush_log().expect("data log flush");
-                }
-            }
-            let log = match task {
-                SiteTask::Coord { engine } => engine.log_mut(),
-                SiteTask::Part { engine, .. } => engine.log_mut(),
-                SiteTask::Gateway { .. } => continue, // no group layer
-            };
-            if !log.batching() {
-                continue;
-            }
-            let occupancy = log.open_occupancy();
-            if occupancy == 0 {
-                // Nothing staged: any withheld sends have no durability
-                // dependency left — externalize them now.
-                host.batch_opened = None;
-                flush_sends(host, &mut self.ctx);
-                continue;
-            }
-            let opened = *host.batch_opened.get_or_insert(now);
-            let window_over = window.is_zero() || now >= opened + window || shutting_down;
-            let adaptive = !window_over && self.config.adaptive_window && occupancy == 1 && idle;
-            if window_over || adaptive {
-                force_site_batch(host, log, &mut self.ctx, adaptive);
-            }
-        }
-        // Turn boundary: the forces above were one coalesced round of
-        // this shard's fsync domain.
-        self.ctx.domain.end_round();
-    }
-
-    /// End-of-tick log GC. The threaded host lets the coordinator
-    /// engine truncate after every finished transaction (`auto_gc`),
-    /// which is fine when each site owns a thread — but a truncation
-    /// rewrites the whole retained suffix, so a per-decision cadence is
-    /// O(n²) I/O once thousands of transactions share this one thread.
-    /// The reactor runs one collection per tick, after the batch
-    /// forced, covering every transaction the tick finished.
-    fn gc_turns(&mut self) {
-        let SiteState { host, task } = &mut self.sites[0];
-        let SiteTask::Coord { engine } = task else {
-            return;
-        };
-        let released = engine.collect_garbage();
-        if released > 0 {
-            if let Some(obs) = &host.obs {
-                observe_gc(
-                    obs,
-                    host.site,
-                    acp_wal::StableLog::low_water_mark(engine.log()).0,
-                    released as u64,
-                    host.last_decision_us,
-                );
-            }
-        }
-    }
-
-    /// Send decisions to waiting clients (only after the coordinator's
-    /// batch forced — `finish_turns` runs first).
-    fn deliver(&mut self) {
-        let SiteState { host, task } = &mut self.sites[0];
-        let SiteTask::Coord { engine } = task else {
-            return;
-        };
-        // Decisions may not be externalized while their commit record is
-        // still in an open batch.
-        if host.defer_sends && engine.log().open_occupancy() > 0 {
-            return;
-        }
-        let done = deliver_decisions(engine, &mut self.ctx.replies);
-        let delivered = done.len() as u64;
-        for txn in done {
-            if let Some(admitted) = self.ctx.admitted_at.remove(&txn) {
-                let us = u64::try_from(
-                    self.ctx.now.saturating_duration_since(admitted).as_micros(),
-                )
-                .unwrap_or(u64::MAX);
-                self.ctx.latency.record(us);
-            }
-        }
-        self.ctx.stats.decisions_delivered += delivered;
-        self.ctx.inflight.dec_by(delivered);
-        self.cadence.on_commits(delivered);
-    }
-
-    fn maybe_snapshot(&mut self) {
-        let take = self.cadence.on_tick(self.ctx.stats.ticks);
-        let (Some(registry), Some(timeline)) = (&self.registry, &self.timeline) else {
-            return;
-        };
-        if take {
-            // Sample the coordinator slice's protocol-table balance into
-            // the registry's high-water mark before copying the grid.
-            if let SiteTask::Coord { engine } = &self.sites[0].task {
-                registry.set_max(
-                    ProtoLabel::of_coordinator(self.config.cluster.kind),
-                    acp_obs::Counter::TablePeakShardOccupancy,
-                    engine.table_peak_shard_occupancy() as u64,
-                );
-            }
-            let at_us = u64::try_from(self.t0.elapsed().as_micros()).unwrap_or(u64::MAX);
-            timeline.push(registry.snapshot(at_us));
-        }
-    }
-
-    /// How long the loop may sleep: bounded by the next timer deadline,
-    /// the earliest recovery point, and any open batch's window expiry.
-    fn next_timeout(&self) -> Duration {
-        let now = self.ctx.now;
-        let mut deadline: Option<Instant> = self.ctx.wheel.next_deadline();
-        let mut fold = |t: Instant| {
-            deadline = Some(deadline.map_or(t, |d| d.min(t)));
-        };
-        for st in &self.sites {
-            if let Some(t) = st.host.down_until {
-                fold(t);
-            }
-            if let Some(opened) = st.host.batch_opened {
-                fold(opened + self.config.commit_window);
-            }
-        }
-        deadline
-            .map_or(Duration::from_millis(50), |d| d.saturating_duration_since(now))
-            .max(Duration::from_micros(100))
-    }
-
-    /// Collect final state into the backend-independent report shape.
-    fn report(self) -> ReactorReport {
-        let mut sites = Vec::new();
-        let mut coordinator_table_size = 0;
-        let mut group_commit = GroupCommitStats::default();
-        let mut logical_forces = 0;
-        let mut physical_syncs = 0;
-        let mut absorb = |log: &NetLog| {
-            group_commit.merge(&log.group_stats());
-            logical_forces += acp_wal::StableLog::stats(log).forces;
-            let inner = acp_wal::StableLog::stats(log.inner());
-            physical_syncs += inner.forces + inner.flushes;
-        };
-        for st in self.sites {
-            let site = st.host.site;
-            match st.task {
-                SiteTask::Coord { engine } => {
-                    coordinator_table_size = engine.protocol_table_size();
-                    absorb(engine.log());
-                    sites.push(SiteSummary {
-                        site,
-                        enforced: BTreeMap::new(),
-                        log_pinned: engine.log_pinned(),
-                        committed: BTreeMap::new(),
-                    });
-                }
-                SiteTask::Part {
-                    engine, storage, ..
-                } => {
-                    absorb(engine.log());
-                    sites.push(SiteSummary {
-                        site,
-                        enforced: engine.enforced_all().clone(),
-                        log_pinned: engine.log_pinned(),
-                        committed: storage
-                            .store()
-                            .iter()
-                            .map(|(k, v)| (k.to_vec(), v.to_vec()))
-                            .collect(),
-                    });
-                }
-                SiteTask::Gateway { engine } => {
-                    let committed: BTreeMap<Vec<u8>, Vec<u8>> =
-                        engine.legacy().entries().into_iter().collect();
-                    sites.push(SiteSummary {
-                        site,
-                        enforced: BTreeMap::new(),
-                        log_pinned: Vec::new(),
-                        committed,
-                    });
-                }
-            }
-        }
-        let history = self.ctx.history.lock().clone();
-        ReactorReport {
-            cluster: ClusterReport {
-                history,
-                coordinator_table_size,
-                sites,
-                group_commit,
-                logical_forces,
-                physical_syncs,
-            },
-            stats: self.ctx.stats,
-            fsync: self.ctx.domain.stats(),
-            latency: self.ctx.latency.snapshot(),
-        }
     }
 }
 
 // ---------------------------------------------------------------------------
 // Shard spawning
 
-/// Everything needed to build and run one reactor shard. The
+/// Build one reactor shard's sites and start its event loop. The
 /// single-reactor [`ReactorCluster`] is the 1-shard special case;
-/// [`crate::multi_reactor::MultiReactorCluster`] builds N of these over
-/// one shared history, in-flight gauge and WAL directory.
-pub(crate) struct ShardSpec {
-    /// This shard's index.
-    pub shard: usize,
-    /// Total reactor count.
-    pub n_shards: usize,
-    /// Shared reactor configuration.
-    pub config: ReactorConfig,
-    /// This shard's injector: client envelopes and peer mail.
-    pub rx: Receiver<(SiteId, Envelope)>,
-    /// Every shard's injector, by shard index.
-    pub peers: Vec<Sender<(SiteId, Envelope)>>,
-    /// Cluster-wide ACTA history.
-    pub history: SharedHistory,
-    /// Cluster-wide in-flight commit gauge.
-    pub inflight: Arc<InflightGauge>,
-    /// Trace sink for this shard's sites (may differ per shard so each
-    /// shard can feed its own metrics registry).
-    pub sink: Option<Arc<dyn TraceSink>>,
-    /// Registry snapshotted into `timeline` on the snapshot cadence.
-    pub registry: Option<Arc<MetricsRegistry>>,
-    /// This shard's snapshot timeline.
-    pub timeline: Option<Arc<MetricsTimeline>>,
-    /// Shared epoch for trace timestamps.
-    pub t0: Instant,
-    /// Override the coordinator slice's protocol-table shard count
-    /// (None keeps [`acp_core::TABLE_SHARDS`]).
-    pub table_shards: Option<usize>,
-}
-
-/// Build one shard's sites and start its event loop. The shard owns
-/// its coordinator slice (always at local index 0) plus the
-/// participants and gateways with `(site − 1) mod n_shards == shard`.
-/// `dir` is the WAL directory, shared across shards: participant files
-/// are disambiguated by site, coordinator slices by shard.
-pub(crate) fn spawn_shard(spec: ShardSpec, dir: &Path) -> JoinHandle<ReactorReport> {
-    let ShardSpec {
+/// [`crate::multi_reactor::MultiReactorCluster`] spawns N of these over
+/// one shared history, in-flight gauge and WAL directory (`dir`: site
+/// files are disambiguated by site, coordinator slices by shard).
+///
+/// `peers` is every shard's injector by shard index, `env.rx` this
+/// shard's own. The shard owns its slice of site 0 (the coordinator, or
+/// the Paxos leader) plus the participants, gateways and Paxos
+/// acceptors with `(site − 1) mod n_shards == shard`.
+pub(crate) fn spawn_shard(
+    shard: usize,
+    peers: Vec<Sender<Mail>>,
+    env: HostEnv,
+    dir: &Path,
+) -> JoinHandle<ReactorReport> {
+    let cc = &env.config.cluster;
+    let last_site = (cc.participant_protocols.len() + 2 * cc.paxos_f.unwrap_or(0)) as u32;
+    let mine = |s: &u32| (s - 1) as usize % peers.len() == shard;
+    let hosted: Vec<SiteId> = std::iter::once(COORDINATOR)
+        .chain((1..=last_site).filter(mine).map(SiteId::new))
+        .collect();
+    let mailboxes = Mailboxes {
         shard,
-        n_shards,
-        config,
-        rx,
         peers,
-        history,
-        inflight,
-        sink,
-        registry,
-        timeline,
-        t0,
-        table_shards,
-    } = spec;
-    let obs_for = |proto: ProtoLabel| {
-        sink.as_ref().map(|s| NetObs {
-            sink: Arc::clone(s),
-            t0,
-            proto,
-        })
+        mailbox_sends: 0,
     };
-    let cc = &config.cluster;
-    let wrap = |log: FileLog| {
-        if cc.group_commit {
-            GroupCommitLog::deferred(log)
-        } else {
-            GroupCommitLog::passthrough(log)
-        }
-    };
-    let host_for = |site: SiteId, obs: Option<NetObs>, defer: bool, quiet: bool| SiteHost {
-        site,
-        obs,
-        down_until: None,
-        last_decision_us: None,
-        defer_sends: defer,
-        deferred_sends: Vec::new(),
-        timer_ids: BTreeMap::new(),
-        batch_opened: None,
-        quiet,
-    };
-
-    let mut sites = Vec::new();
-    let mut owned = BTreeMap::new();
-    {
-        let mut engine = Coordinator::new(
-            ReactorCluster::COORDINATOR,
-            cc.kind,
-            wrap(FileLog::create(dir.join(format!("coord-{shard}.wal"))).expect("wal")),
-        );
-        if let Some(n) = table_shards {
-            engine.set_table_shards(n);
-        }
-        for (i, &p) in cc.participant_protocols.iter().enumerate() {
-            engine.register_site(SiteId::new(i as u32 + 1), p);
-        }
-        engine.set_track_cancellations(true);
-        // Per-decision auto-GC rewrites the retained log suffix on
-        // every finish — O(n²) I/O once thousands of transactions
-        // are in flight on this one thread. The reactor defers GC
-        // like it defers fsyncs: once per tick (`gc_turns`).
-        engine.auto_gc = false;
-        let defer = cc.group_commit;
-        owned.insert(ReactorCluster::COORDINATOR, sites.len());
-        sites.push(SiteState {
-            host: host_for(
-                ReactorCluster::COORDINATOR,
-                obs_for(ProtoLabel::of_coordinator(cc.kind)),
-                defer,
-                // N slices are one logical site 0; only shard 0's slice
-                // narrates crash/recover.
-                shard != 0,
-            ),
-            task: SiteTask::Coord { engine },
-        });
-    }
-    for (i, &proto) in cc.participant_protocols.iter().enumerate() {
-        if i % n_shards != shard {
-            continue; // another reactor owns this site
-        }
-        let site = SiteId::new(i as u32 + 1);
-        if cc.gateways.contains(&i) {
-            let engine = GatewayParticipant::new(
-                site,
-                proto,
-                FileLog::create(dir.join(format!("gw-{}.wal", site.raw()))).expect("wal"),
-                LegacyStore::new(),
-            );
-            owned.insert(site, sites.len());
-            sites.push(SiteState {
-                host: host_for(site, obs_for(ProtoLabel::Gateway), false, false),
-                task: SiteTask::Gateway { engine },
-            });
-        } else {
-            let mut engine = Participant::new(
-                site,
-                proto,
-                wrap(FileLog::create(dir.join(format!("part-{}.wal", site.raw()))).expect("wal")),
-            );
-            engine.set_track_cancellations(true);
-            let storage = SiteEngine::new(
-                FileLog::create(dir.join(format!("data-{}.wal", site.raw()))).expect("wal"),
-            );
-            owned.insert(site, sites.len());
-            sites.push(SiteState {
-                host: host_for(
-                    site,
-                    obs_for(ProtoLabel::of_participant(proto)),
-                    cc.group_commit,
-                    false,
-                ),
-                task: SiteTask::Part {
-                    engine,
-                    storage,
-                    forced_intents: BTreeMap::new(),
-                    poisoned: BTreeMap::new(),
-                },
-            });
-        }
-    }
-
-    let delays = cc.delays;
-    let cadence = SnapshotCadence::new(config.snapshot_every_ticks, config.snapshot_every_commits);
-    let reactor = Reactor {
-        sites,
-        owned,
-        ctx: Ctx {
-            wheel: TimerWheel::new(t0),
-            local: VecDeque::new(),
-            history,
-            delays,
-            replies: BTreeMap::new(),
-            stats: ReactorStats::default(),
-            now: t0,
-            shard,
-            n_shards,
-            peers,
-            domain: FsyncDomain::new(),
-            inflight,
-            admitted_at: BTreeMap::new(),
-            latency: LatencyHistogram::new(),
-        },
-        admission: config.admission.map(AdmissionController::new),
-        config,
-        rx,
-        t0,
-        registry,
-        timeline,
-        cadence,
-        running: true,
-    };
-    std::thread::spawn(move || reactor.run())
+    let kernel = Kernel::build(env, &hosted, dir, shard, mailboxes).expect("wal");
+    std::thread::spawn(move || {
+        let (mut report, mailboxes) = kernel.run();
+        report.stats.mailbox_sends = mailboxes.mailbox_sends;
+        report
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Public handle
 
-/// A running reactor: same client API as [`crate::cluster::Cluster`],
-/// one background thread for the whole cluster.
+/// A running reactor: same client API as [`crate::cluster::Cluster`]
+/// (the verbs are [`ClientHandle`]'s), one background thread for the
+/// whole cluster.
 pub struct ReactorCluster {
-    tx: Sender<(SiteId, Envelope)>,
+    client: ClientHandle,
     handle: JoinHandle<ReactorReport>,
-    next_txn: u64,
-    n_sites: usize,
     _dir: TempDir,
 }
 
+deref_to_client!(ReactorCluster);
+
 impl ReactorCluster {
     /// The coordinator's site id.
-    pub const COORDINATOR: SiteId = SiteId(0);
+    pub const COORDINATOR: SiteId = COORDINATOR;
 
     /// Spawn a reactor cluster with tracing off.
     #[must_use]
     pub fn spawn(config: &ReactorConfig) -> ReactorCluster {
-        Self::spawn_inner(config, None, None, None)
+        Self::spawn_inner(config, None, None)
     }
 
     /// Spawn with a trace sink (same event vocabulary and formatting as
     /// the threaded backend).
     #[must_use]
     pub fn spawn_with_sink(config: &ReactorConfig, sink: Arc<dyn TraceSink>) -> ReactorCluster {
-        Self::spawn_inner(config, Some(sink), None, None)
+        Self::spawn_inner(config, Some(sink), None)
     }
 
     /// Spawn with a sink *and* a live metrics surface: the reactor
@@ -1257,119 +378,38 @@ impl ReactorCluster {
         registry: Arc<MetricsRegistry>,
         timeline: Arc<MetricsTimeline>,
     ) -> ReactorCluster {
-        Self::spawn_inner(config, Some(sink), Some(registry), Some(timeline))
+        Self::spawn_inner(config, Some(sink), Some((registry, timeline)))
     }
 
     fn spawn_inner(
         config: &ReactorConfig,
         sink: Option<Arc<dyn TraceSink>>,
-        registry: Option<Arc<MetricsRegistry>>,
-        timeline: Option<Arc<MetricsTimeline>>,
+        snapshots: Option<(Arc<MetricsRegistry>, Arc<MetricsTimeline>)>,
     ) -> ReactorCluster {
-        assert!(
-            config.cluster.paxos_f.is_none(),
-            "the reactor backends host no paxos acceptors; use the socket backend"
-        );
-        let t0 = Instant::now();
         let dir = TempDir::new("reactor").expect("tempdir");
         let (tx, rx) = unbounded();
-        let handle = spawn_shard(
-            ShardSpec {
-                shard: 0,
-                n_shards: 1,
-                config: config.clone(),
-                rx,
-                peers: vec![tx.clone()],
-                history: Arc::new(Mutex::new(History::new())),
-                inflight: Arc::new(InflightGauge::new()),
-                sink,
-                registry,
-                timeline,
-                t0,
-                table_shards: None,
-            },
-            dir.path(),
-        );
+        let env = HostEnv {
+            config: config.clone(),
+            table_shards: None,
+            rx,
+            history: Arc::new(Mutex::new(History::new())),
+            inflight: Arc::new(InflightGauge::new()),
+            sink,
+            snapshots,
+            t0: Instant::now(),
+        };
+        let handle = spawn_shard(0, vec![tx.clone()], env, dir.path());
         ReactorCluster {
-            tx,
+            client: ClientHandle::new(vec![tx], Box::new(|| ()), &config.cluster),
             handle,
-            next_txn: 1,
-            n_sites: config.cluster.participant_protocols.len() + 1,
             _dir: dir,
         }
-    }
-    /// Allocate a fresh transaction id.
-    pub fn next_txn(&mut self) -> TxnId {
-        let t = TxnId::new(self.next_txn);
-        self.next_txn += 1;
-        t
-    }
-
-    /// All participant site ids.
-    #[must_use]
-    pub fn participants(&self) -> Vec<SiteId> {
-        (1..self.n_sites as u32).map(SiteId::new).collect()
-    }
-
-    fn send(&self, site: SiteId, envelope: Envelope) {
-        let _ = self.tx.send((site, envelope));
-    }
-
-    /// Write `key := value` under `txn` at `site`.
-    pub fn apply(&self, site: SiteId, txn: TxnId, key: &[u8], value: &[u8]) {
-        self.send(
-            site,
-            Envelope::Apply {
-                txn,
-                key: key.to_vec(),
-                value: value.to_vec(),
-            },
-        );
-    }
-
-    /// Override the vote `site` will cast for `txn`.
-    pub fn set_intent(&self, site: SiteId, txn: TxnId, vote: Vote) {
-        self.send(site, Envelope::SetIntent { txn, vote });
-    }
-
-    /// Crash a site for `down_for`.
-    pub fn crash(&self, site: SiteId, down_for: Duration) {
-        self.send(site, Envelope::Crash { down_for });
-    }
-
-    /// Commit `txn` across `participants`; wait for the decision.
-    pub fn commit(&self, txn: TxnId, participants: &[SiteId]) -> Option<Outcome> {
-        self.commit_async(txn, participants)
-            .recv_timeout(Duration::from_secs(20))
-            .ok()
-    }
-
-    /// Start commit processing; the returned channel yields the
-    /// decision when it is durable. This is how a driver keeps
-    /// thousands of transactions in flight on one reactor.
-    #[must_use]
-    pub fn commit_async(&self, txn: TxnId, participants: &[SiteId]) -> Receiver<Outcome> {
-        let (tx, rx) = bounded(1);
-        self.send(
-            Self::COORDINATOR,
-            Envelope::Commit {
-                txn,
-                participants: participants.to_vec(),
-                reply: tx,
-            },
-        );
-        rx
-    }
-
-    /// Let in-flight work settle for `d`.
-    pub fn settle(&self, d: Duration) {
-        std::thread::sleep(d);
     }
 
     /// Stop the reactor and collect the final state.
     #[must_use]
     pub fn shutdown(self) -> ReactorReport {
-        self.send(Self::COORDINATOR, Envelope::Shutdown);
+        self.client.shutdown_all();
         self.handle.join().expect("reactor thread")
     }
 }

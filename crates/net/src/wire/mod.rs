@@ -22,7 +22,7 @@
 //!   the socket analogue of the WAL's fault layer.
 //! * `conn` — unidirectional connection state: dialing with capped
 //!   exponential backoff, bounded byte write queues, accept-only reads.
-//! * [`node`] — the event loop: the reactor's turn discipline driven
+//! * [`node`] — the site-hosting kernel over a TCP transport driven
 //!   by a vendored epoll shim, hosting a subset of sites per process;
 //!   [`SocketNode`] is the public handle, mirroring
 //!   [`crate::reactor::ReactorCluster`]'s client API.

@@ -1,16 +1,17 @@
 //! The socket node: one OS process hosting a subset of a cluster's
 //! sites, exchanging frames with its peers over real TCP.
 //!
-//! This is the reactor loop ([`crate::reactor`]) with the in-process
-//! ready queue split in two: envelopes addressed to a **hosted** site
-//! still ride the local `VecDeque`, envelopes addressed to a remote
-//! site are encoded into length-prefixed CRC frames
-//! ([`super::frame`]) and queued on a per-destination outbound
-//! connection ([`super::conn::OutConn`]). A vendored epoll shim drives
-//! socket readiness; the same hashed [`TimerWheel`] drives engine
-//! timers; both deadlines fold into one `epoll_wait` timeout, so the
-//! loop sleeps until *either* a frame arrives or a protocol timer is
-//! due.
+//! This is the site-hosting kernel ([`crate::host`]) — the same turn
+//! discipline the reactor runs — over a TCP transport: envelopes
+//! addressed to a **hosted** site stay on the kernel's ready queue,
+//! envelopes addressed to a remote site are encoded into
+//! length-prefixed CRC frames ([`super::frame`]) and queued on a
+//! per-destination outbound connection ([`super::conn::OutConn`]). A
+//! vendored epoll shim drives socket readiness; the kernel's hashed
+//! timer wheel drives engine timers; both deadlines fold into one
+//! `epoll_wait` timeout, so the loop sleeps until *either* a frame
+//! arrives or a protocol timer is due. The node is the kernel with no
+//! commit window, no admission door and no snapshot registry.
 //!
 //! The engines cannot tell the difference. They see the same
 //! [`Envelope`] dispatch, the same [`crate::actor`] emission points,
@@ -32,22 +33,16 @@
 use super::conn::{InConn, OutConn};
 use super::faults::{FaultAction, WireFaults};
 use super::frame::{encode_wire_frame, WireMsg};
-use crate::actor::{
-    apply_enforcements, decide_vote, deliver_decisions, observe_acta, observe_crash, observe_gc,
-    observe_recover, observe_recv, observe_retry, observe_send, protocol_outcomes, NetDelays,
-    NetLog, NetObs,
-};
-use crate::cluster::{ClusterConfig, ClusterReport, SiteSummary};
+use crate::client::{deref_to_client, ClientHandle};
+use crate::cluster::{ClusterConfig, ClusterReport};
 use crate::envelope::Envelope;
-use crate::reactor::ReactorStats;
-use crate::timer::{TimerId, TimerWheel};
-use acp_acta::{ActaEvent, History};
-use acp_core::{Action, Coordinator, Participant, PaxosConfig, PaxosNode, TimerPurpose};
-use acp_engine::SiteEngine;
-use acp_obs::{ProtoLabel, ProtocolEvent, TraceSink, WireMetrics, WireSnapshot};
-use acp_types::{Message, Outcome, Payload, SiteId, TxnId, Vote};
-use acp_wal::{DomainStats, FileLog, FsyncDomain, GroupCommitLog, GroupCommitStats};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crate::host::{HostEnv, Kernel, Mail, Transport, COORDINATOR};
+use crate::reactor::{InflightGauge, ReactorConfig, ReactorStats};
+use acp_acta::History;
+use acp_obs::{HistogramSnapshot, TraceSink, WireMetrics, WireSnapshot};
+use acp_types::SiteId;
+use acp_wal::DomainStats;
+use crossbeam::channel::{unbounded, Receiver};
 use epoll::{Epoll, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -62,7 +57,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Shared ACTA history handle (one per process; the demo merges
 /// per-process trace files instead).
-pub type SharedHistory = Arc<Mutex<History>>;
+pub use crate::actor::SharedHistory;
 
 /// A fresh, empty shared history. Multi-node tests in one process pass
 /// the same handle to several [`SocketNode::spawn_with`] calls so the
@@ -185,6 +180,9 @@ pub struct NodeReport {
     pub stats: ReactorStats,
     /// Fsync-domain coalescing counters.
     pub fsync: DomainStats,
+    /// Commit latency of every decision this node delivered,
+    /// admission-to-delivery in microseconds.
+    pub latency: HistogramSnapshot,
     /// Transport counters.
     pub wire: WireSnapshot,
 }
@@ -446,693 +444,117 @@ impl Wire {
         deadline
     }
 }
-
 // ---------------------------------------------------------------------------
-// Site state (mirrors crate::reactor, minus gateways)
+// The TCP transport
 
-enum Task {
-    Coord {
-        engine: Coordinator<NetLog>,
-    },
-    /// One member of a replicated Paxos Commit coordinator: the leader
-    /// at site 0 (takes client commits) or a remote acceptor.
-    Paxos {
-        engine: PaxosNode<NetLog>,
-    },
-    Part {
-        engine: Participant<NetLog>,
-        storage: SiteEngine<FileLog>,
-        forced_intents: BTreeMap<TxnId, Vote>,
-        poisoned: BTreeMap<TxnId, bool>,
-    },
-}
-
-struct Host {
-    site: SiteId,
-    obs: Option<NetObs>,
-    down_until: Option<Instant>,
-    last_decision_us: Option<u64>,
-    defer_sends: bool,
-    deferred_sends: Vec<Message>,
-    timer_ids: BTreeMap<u64, TimerId>,
-    /// This site's WAL existed at spawn: run the restart procedure
-    /// before the loop accepts work.
-    needs_recovery: bool,
-}
-
-impl Host {
-    fn is_down(&self, now: Instant) -> bool {
-        self.down_until.is_some_and(|t| now < t)
-    }
-}
-
-struct NodeSite {
-    host: Host,
-    task: Task,
-}
-
-/// Loop-wide mutable context threaded through dispatch.
-struct Ctx {
-    wheel: TimerWheel<(SiteId, u64, TimerPurpose)>,
-    /// Envelopes for hosted sites ready this tick.
-    local: VecDeque<(SiteId, Envelope)>,
-    history: SharedHistory,
-    delays: NetDelays,
-    replies: BTreeMap<TxnId, Sender<Outcome>>,
-    stats: ReactorStats,
-    now: Instant,
-    domain: FsyncDomain,
+/// The kernel's transport on a socket node: hosted sites are local,
+/// everyone else is a frame away. Owns every socket of the process —
+/// the outbound [`Wire`], the listener and its accepted connections —
+/// and the epoll instance they are registered with.
+struct Tcp {
+    wire: Wire,
     /// Sites this process hosts.
     hosted: BTreeSet<SiteId>,
-    wire: Wire,
-}
-
-impl Ctx {
-    /// Hand an envelope to its site: the local queue when hosted, the
-    /// wire otherwise.
-    fn route(&mut self, to: SiteId, envelope: Envelope) {
-        if self.hosted.contains(&to) {
-            self.local.push_back((to, envelope));
-        } else {
-            self.wire_route(to, envelope);
-        }
-    }
-
-    /// Encode and send an envelope to a remote site. Commit, Crash and
-    /// Shutdown never cross the wire: a commit's reply channel is
-    /// process-local, and crash/shutdown are *process* events in this
-    /// backend (you kill a node, not a site).
-    fn wire_route(&mut self, to: SiteId, envelope: Envelope) {
-        let msg = match envelope {
-            Envelope::Protocol(m) => WireMsg::Protocol(m),
-            Envelope::ProtocolBatch(ms) => WireMsg::ProtocolBatch(ms),
-            Envelope::Apply { txn, key, value } => WireMsg::Apply { to, txn, key, value },
-            Envelope::SetIntent { txn, vote } => WireMsg::SetIntent { to, txn, vote },
-            Envelope::Commit { .. } | Envelope::Crash { .. } | Envelope::Shutdown => return,
-        };
-        self.wire.send(self.now, to, msg);
-    }
-}
-
-/// Execute engine actions for one site; returns storage enforcements.
-fn run_site_actions(host: &mut Host, ctx: &mut Ctx, actions: Vec<Action>) -> Vec<(TxnId, Outcome)> {
-    let mut enforcements = Vec::new();
-    for a in actions {
-        match a {
-            Action::Send { to, payload } => {
-                let msg = Message::new(host.site, to, payload);
-                if host.defer_sends {
-                    host.deferred_sends.push(msg);
-                } else {
-                    if let Some(obs) = &host.obs {
-                        observe_send(obs, host.site, &msg);
-                    }
-                    ctx.route(to, Envelope::Protocol(msg));
-                }
-            }
-            Action::SetTimer {
-                token,
-                purpose,
-                attempt,
-            } => {
-                if let Some(obs) = &host.obs {
-                    observe_retry(obs, host.site, purpose, attempt);
-                }
-                // Jittered backoff: retries from different sites (or
-                // different timers on one site) spread out instead of
-                // thundering in lockstep after a partition heals. The
-                // salt is deterministic, so a run is reproducible.
-                let salt = (u64::from(host.site.raw()) << 32) ^ token;
-                let fire_at = ctx.now + ctx.delays.delay_jittered(purpose, attempt, salt);
-                let id = ctx.wheel.arm(fire_at, (host.site, token, purpose));
-                host.timer_ids.insert(token, id);
-            }
-            Action::Acta(e) => {
-                if let Some(obs) = &host.obs {
-                    observe_acta(obs, host.site, &e, &mut host.last_decision_us);
-                }
-                ctx.history.lock().push(e);
-            }
-            Action::Enforce { txn, outcome } => enforcements.push((txn, outcome)),
-            Action::Gc {
-                released_up_to,
-                records_released,
-            } => {
-                if let Some(obs) = &host.obs {
-                    observe_gc(
-                        obs,
-                        host.site,
-                        released_up_to,
-                        records_released,
-                        host.last_decision_us,
-                    );
-                }
-            }
-        }
-    }
-    enforcements
-}
-
-/// Cancel wheel entries for engine timers retired since the last call.
-fn drain_cancellations(host: &mut Host, ctx: &mut Ctx, retired: Vec<u64>) {
-    for token in retired {
-        if let Some(id) = host.timer_ids.remove(&token) {
-            if ctx.wheel.cancel(id) {
-                ctx.stats.timers_cancelled += 1;
-            }
-        }
-    }
-}
-
-/// Externalize withheld sends after the batch forced, coalescing
-/// same-destination messages into one [`Envelope::ProtocolBatch`] —
-/// which on the wire becomes one `ProtocolBatch` frame, preserving the
-/// reactor's envelope grouping (and therefore its trace) exactly.
-fn flush_sends(host: &mut Host, ctx: &mut Ctx) {
-    if host.deferred_sends.is_empty() {
-        return;
-    }
-    let msgs = std::mem::take(&mut host.deferred_sends);
-    let mut by_dest: BTreeMap<SiteId, Vec<Message>> = BTreeMap::new();
-    for msg in msgs {
-        if let Some(obs) = &host.obs {
-            observe_send(obs, host.site, &msg);
-        }
-        by_dest.entry(msg.to).or_default().push(msg);
-    }
-    for (to, mut msgs) in by_dest {
-        let envelope = if msgs.len() == 1 {
-            Envelope::Protocol(msgs.pop().expect("one message"))
-        } else {
-            Envelope::ProtocolBatch(msgs)
-        };
-        ctx.route(to, envelope);
-    }
-}
-
-/// Force a site's open batch as a member of the node's fsync domain,
-/// then externalize its sends. The socket node always forces at the
-/// end of the tick (the reactor's `commit_window = ZERO` behavior).
-fn force_site_batch(host: &mut Host, log: &mut NetLog, ctx: &mut Ctx) {
-    match ctx.domain.force_member(log) {
-        Ok(_) => {
-            for b in log.take_closed() {
-                if b.occupancy >= 2 {
-                    if let Some(obs) = &host.obs {
-                        obs.sink.record(&ProtocolEvent::BatchCommit {
-                            at_us: obs.now_us(),
-                            site: host.site.raw(),
-                            proto: obs.proto,
-                            occupancy: b.occupancy,
-                        });
-                    }
-                }
-            }
-            ctx.stats.window_forces += 1;
-            flush_sends(host, ctx);
-        }
-        // Force failed: the sends' records never became durable, so
-        // externalizing them would be unsound. Omission failure.
-        Err(_) => host.deferred_sends.clear(),
-    }
-}
-
-fn crash_volatile(host: &mut Host, ctx: &mut Ctx) {
-    ctx.stats.timers_cancelled += ctx.wheel.cancel_where(|(s, _, _)| *s == host.site) as u64;
-    host.timer_ids.clear();
-    host.deferred_sends.clear();
-}
-
-// ---------------------------------------------------------------------------
-// The node event loop
-
-struct Node {
-    sites: Vec<NodeSite>,
-    owned: BTreeMap<SiteId, usize>,
-    ctx: Ctx,
-    rx: Receiver<(SiteId, Envelope)>,
     listener: TcpListener,
     /// Read side of the waker pair; the handle writes a byte to
     /// interrupt `epoll_wait` after injecting an envelope.
     waker: UnixStream,
     inbound: BTreeMap<u64, InConn>,
     events: Vec<epoll::Event>,
-    running: bool,
 }
 
-impl Node {
-    fn run(mut self) -> NodeReport {
-        self.initial_recovery();
-        while self.running {
-            self.ctx.now = Instant::now();
-            let mut worked = false;
-            worked |= self.process_recoveries();
-            worked |= self.fire_timers();
-            worked |= self.ctx.wire.release_delayed(self.ctx.now);
-            worked |= self.drain_envelopes();
-            self.finish_turns();
-            self.gc_turns();
-            self.deliver();
-            self.ctx.wire.pump_dials(self.ctx.now);
-            self.ctx.wire.flush_all(self.ctx.now);
-            if worked {
-                self.ctx.stats.ticks += 1;
-            }
-            if !self.ctx.local.is_empty() {
-                continue; // flushed sends are ready: next tick immediately
-            }
-            self.poll();
+impl Transport for Tcp {
+    /// Hosted sites are the kernel's; the rest go over the wire —
+    /// except Commit, Crash and Shutdown, which never cross it: a
+    /// commit's reply channel is process-local, and crash/shutdown are
+    /// *process* events in this backend (you kill a node, not a site).
+    fn route(&mut self, now: Instant, to: SiteId, envelope: Envelope) -> Option<Envelope> {
+        if self.hosted.contains(&to) {
+            return Some(envelope);
         }
-        self.ctx.now = Instant::now();
-        self.finish_turns();
-        self.gc_turns();
-        self.deliver();
-        self.drain_outbound(Duration::from_millis(500));
-        self.report()
+        let msg = match envelope {
+            Envelope::Protocol(m) => WireMsg::Protocol(m),
+            Envelope::ProtocolBatch(ms) => WireMsg::ProtocolBatch(ms),
+            Envelope::Apply { txn, key, value } => WireMsg::Apply { to, txn, key, value },
+            Envelope::SetIntent { txn, vote } => WireMsg::SetIntent { to, txn, vote },
+            Envelope::Commit { .. } | Envelope::Crash { .. } | Envelope::Shutdown => return None,
+        };
+        self.wire.send(now, to, msg);
+        None
     }
 
-    /// Replay and restart every hosted site whose WAL predates this
-    /// process (the paper's restart procedure, §4.3 of the repo's
-    /// DESIGN notes): the protocol engine re-derives its state from the
-    /// log, participants re-acquire outcomes for in-doubt transactions,
-    /// and the data log replays committed writes.
-    fn initial_recovery(&mut self) {
-        self.ctx.now = Instant::now();
-        for st in &mut self.sites {
-            let NodeSite { host, task } = st;
-            if !host.needs_recovery {
-                continue;
-            }
-            host.needs_recovery = false;
-            if let Some(obs) = &host.obs {
-                observe_recover(obs, host.site);
-            }
-            match task {
-                Task::Coord { engine } => {
-                    let actions = engine.recover();
-                    run_site_actions(host, &mut self.ctx, actions);
-                    drain_cancellations(host, &mut self.ctx, engine.take_cancelled_timers());
-                }
-                Task::Paxos { engine } => {
-                    let actions = engine.recover();
-                    run_site_actions(host, &mut self.ctx, actions);
-                    drain_cancellations(host, &mut self.ctx, engine.take_cancelled_timers());
-                }
-                Task::Part {
-                    engine, storage, ..
-                } => {
-                    let actions = engine.recover();
-                    let outcomes = protocol_outcomes(engine);
-                    storage.recover(&outcomes).expect("storage recovery");
-                    let enf = run_site_actions(host, &mut self.ctx, actions);
-                    apply_enforcements(storage, enf);
-                    drain_cancellations(host, &mut self.ctx, engine.take_cancelled_timers());
-                }
-            }
-        }
+    fn begin_turn(&mut self, now: Instant) -> bool {
+        self.wire.release_delayed(now)
     }
 
-    /// Sites whose injected (in-process) outage ended come back up.
-    fn process_recoveries(&mut self) -> bool {
-        let now = self.ctx.now;
-        let mut worked = false;
-        for st in &mut self.sites {
-            let NodeSite { host, task } = st;
-            let Some(t) = host.down_until else { continue };
-            if now < t {
-                continue;
-            }
-            host.down_until = None;
-            worked = true;
-            self.ctx
-                .history
-                .lock()
-                .push(ActaEvent::Recover { site: host.site });
-            if let Some(obs) = &host.obs {
-                observe_recover(obs, host.site);
-            }
-            match task {
-                Task::Coord { engine } => {
-                    let actions = engine.recover();
-                    run_site_actions(host, &mut self.ctx, actions);
-                    drain_cancellations(host, &mut self.ctx, engine.take_cancelled_timers());
-                }
-                Task::Paxos { engine } => {
-                    let actions = engine.recover();
-                    run_site_actions(host, &mut self.ctx, actions);
-                    drain_cancellations(host, &mut self.ctx, engine.take_cancelled_timers());
-                }
-                Task::Part {
-                    engine, storage, ..
-                } => {
-                    let actions = engine.recover();
-                    let outcomes = protocol_outcomes(engine);
-                    storage.recover(&outcomes).expect("storage recovery");
-                    let enf = run_site_actions(host, &mut self.ctx, actions);
-                    apply_enforcements(storage, enf);
-                    drain_cancellations(host, &mut self.ctx, engine.take_cancelled_timers());
-                }
-            }
-        }
-        worked
+    fn end_turn(&mut self, now: Instant) {
+        self.wire.pump_dials(now);
+        self.wire.flush_all(now);
     }
 
-    /// Advance the wheel; feed due tokens to their engines.
-    fn fire_timers(&mut self) -> bool {
-        let due = self.ctx.wheel.advance(self.ctx.now);
-        if due.is_empty() {
-            return false;
-        }
-        for (id, (site, token, _purpose)) in due {
-            let Some(&i) = self.owned.get(&site) else {
-                continue;
-            };
-            let NodeSite { host, task } = &mut self.sites[i];
-            host.timer_ids.retain(|_, v| *v != id);
-            if host.is_down(self.ctx.now) {
-                continue;
-            }
-            self.ctx.stats.timers_fired += 1;
-            match task {
-                Task::Coord { engine } => {
-                    let actions = engine.on_timer(token);
-                    run_site_actions(host, &mut self.ctx, actions);
-                    drain_cancellations(host, &mut self.ctx, engine.take_cancelled_timers());
-                }
-                Task::Paxos { engine } => {
-                    let actions = engine.on_timer(token);
-                    run_site_actions(host, &mut self.ctx, actions);
-                    drain_cancellations(host, &mut self.ctx, engine.take_cancelled_timers());
-                }
-                Task::Part {
-                    engine, storage, ..
-                } => {
-                    let actions = engine.on_timer(token);
-                    let enf = run_site_actions(host, &mut self.ctx, actions);
-                    apply_enforcements(storage, enf);
-                    drain_cancellations(host, &mut self.ctx, engine.take_cancelled_timers());
-                }
-            }
-        }
+    /// Sleep until a socket is ready or the deadline. All loop
+    /// deadlines — engine timers, injected-outage recoveries, redial
+    /// backoffs, delayed-frame releases — arrive folded into `timeout`.
+    /// The client injector needs no watching: the handle pokes the
+    /// waker pipe after every send.
+    fn wait(&mut self, timeout: Duration, _: &Receiver<Mail>, ready: &mut VecDeque<Mail>) -> bool {
+        let timeout = timeout.clamp(Duration::from_millis(1), Duration::from_millis(50));
+        let ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+        self.poll_events(ms, ready);
         true
     }
 
-    /// Drain the local ready queue and the client injector.
-    fn drain_envelopes(&mut self) -> bool {
-        let mut worked = false;
+    fn next_deadline(&self) -> Option<Instant> {
+        self.wire.next_deadline()
+    }
+
+    /// In this backend a crash is a *process* event: the kernel resets
+    /// every TCP connection the process held, so sever them all (queues
+    /// included) and let backed-off redials heal the topology on
+    /// recovery.
+    fn site_crashed(&mut self, now: Instant) {
+        self.wire.sever(now);
+        for conn in std::mem::take(&mut self.inbound).into_values() {
+            let _ = self.wire.epoll.delete(conn.stream.as_raw_fd());
+        }
+    }
+
+    /// Best-effort flush of everything still owed to the network before
+    /// shutdown (final acks and decisions), for at most half a second.
+    fn drain(&mut self) {
+        let until = Instant::now() + Duration::from_millis(500);
+        let mut late_arrivals = VecDeque::new();
         loop {
-            let next = match self.ctx.local.pop_front() {
-                Some(x) => Some(x),
-                None => self.rx.try_recv().ok(),
-            };
-            let Some((site, env)) = next else { break };
-            worked = true;
-            self.dispatch(site, env);
-            if !self.running {
+            let now = Instant::now();
+            if now >= until {
                 break;
             }
-        }
-        worked
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn dispatch(&mut self, site: SiteId, envelope: Envelope) {
-        let now = self.ctx.now;
-        self.ctx.stats.envelopes += 1;
-        if matches!(envelope, Envelope::Shutdown) {
-            self.running = false;
-            return;
-        }
-        let Some(&i) = self.owned.get(&site) else {
-            // Client command for a remote site: over the wire.
-            self.ctx.wire_route(site, envelope);
-            return;
-        };
-        let NodeSite { host, task } = &mut self.sites[i];
-        let mut severed = false;
-        match envelope {
-            Envelope::Shutdown => unreachable!("handled above"),
-            Envelope::Crash { down_for } => {
-                if host.down_until.is_none() {
-                    self.ctx.history.lock().push(ActaEvent::Crash { site });
-                    if let Some(obs) = &host.obs {
-                        observe_crash(obs, host.site);
-                    }
-                    match task {
-                        Task::Coord { engine } => engine.crash(),
-                        Task::Paxos { engine } => engine.crash(),
-                        Task::Part {
-                            engine, storage, ..
-                        } => {
-                            engine.crash();
-                            storage.crash();
-                        }
-                    }
-                    crash_volatile(host, &mut self.ctx);
-                    host.down_until = Some(now + down_for);
-                    // In this backend a crash is a *process* event: the
-                    // kernel resets every TCP connection the process
-                    // held, so sever them all (queues included) and let
-                    // backed-off redials heal the topology on recovery.
-                    severed = true;
-                }
+            self.begin_turn(now);
+            self.end_turn(now);
+            if !self.wire.has_pending() {
+                break;
             }
-            _ if host.is_down(now) => {} // omission: dropped
-            Envelope::Apply { txn, key, value } => {
-                if let Task::Part {
-                    storage, poisoned, ..
-                } = task
-                {
-                    storage.begin(txn);
-                    if storage.put(txn, &key, &value).is_err() {
-                        poisoned.insert(txn, true);
-                    }
-                }
-            }
-            Envelope::SetIntent { txn, vote } => {
-                if let Task::Part { forced_intents, .. } = task {
-                    forced_intents.insert(txn, vote);
-                }
-            }
-            Envelope::Commit {
-                txn,
-                participants,
-                reply,
-            } => {
-                // Same misuse guards as the other backends; a commit
-                // lands on a classic coordinator or a Paxos leader.
-                let (decided, rejected) = match task {
-                    Task::Coord { engine } => (
-                        engine.decided(txn),
-                        participants.is_empty() || engine.in_flight(txn),
-                    ),
-                    Task::Paxos { engine } => (
-                        engine.decided(txn),
-                        participants.is_empty() || engine.in_flight(txn),
-                    ),
-                    Task::Part { .. } => return,
-                };
-                if let Some(outcome) = decided {
-                    let _ = reply.send(outcome);
-                } else if rejected {
-                    drop(reply);
-                } else {
-                    self.ctx.replies.insert(txn, reply);
-                    self.ctx.stats.max_inflight =
-                        self.ctx.stats.max_inflight.max(self.ctx.replies.len());
-                    let actions = match task {
-                        Task::Coord { engine } => engine.begin_commit(txn, &participants),
-                        Task::Paxos { engine } => engine.begin_commit(txn, &participants),
-                        Task::Part { .. } => unreachable!("guarded above"),
-                    };
-                    run_site_actions(host, &mut self.ctx, actions);
-                    let retired = match task {
-                        Task::Coord { engine } => engine.take_cancelled_timers(),
-                        Task::Paxos { engine } => engine.take_cancelled_timers(),
-                        Task::Part { .. } => unreachable!("guarded above"),
-                    };
-                    drain_cancellations(host, &mut self.ctx, retired);
-                }
-            }
-            Envelope::Protocol(msg) => Self::protocol_message(host, task, &mut self.ctx, msg),
-            Envelope::ProtocolBatch(msgs) => {
-                for msg in msgs {
-                    Self::protocol_message(host, task, &mut self.ctx, msg);
-                }
-            }
-        }
-        if severed {
-            self.ctx.wire.sever(now);
-            self.close_all_inbound();
+            self.poll_events(5, &mut late_arrivals);
         }
     }
+}
 
-    fn protocol_message(host: &mut Host, task: &mut Task, ctx: &mut Ctx, msg: Message) {
-        if let Some(obs) = &host.obs {
-            observe_recv(obs, host.site, &msg);
-        }
-        match task {
-            Task::Coord { engine } => {
-                let actions = engine.on_message(msg.from, &msg.payload);
-                run_site_actions(host, ctx, actions);
-                drain_cancellations(host, ctx, engine.take_cancelled_timers());
-            }
-            Task::Paxos { engine } => {
-                let actions = engine.on_message(msg.from, &msg.payload);
-                run_site_actions(host, ctx, actions);
-                drain_cancellations(host, ctx, engine.take_cancelled_timers());
-            }
-            Task::Part {
-                engine,
-                storage,
-                forced_intents,
-                poisoned,
-            } => {
-                if let Payload::Prepare { txn } = msg.payload {
-                    let vote = decide_vote(
-                        storage,
-                        txn,
-                        forced_intents.get(&txn).copied(),
-                        poisoned.get(&txn).copied().unwrap_or(false),
-                        host.defer_sends,
-                    );
-                    engine.set_intent(txn, vote);
-                }
-                let actions = engine.on_message(msg.from, &msg.payload);
-                let enf = run_site_actions(host, ctx, actions);
-                apply_enforcements(storage, enf);
-                drain_cancellations(host, ctx, engine.take_cancelled_timers());
-            }
-        }
-    }
-
-    /// End-of-tick group-commit step: force every open batch, then
-    /// externalize withheld sends (onto the local queue or the wire).
-    fn finish_turns(&mut self) {
-        for st in &mut self.sites {
-            let NodeSite { host, task } = st;
-            if host.defer_sends {
-                if let Task::Part { storage, .. } = task {
-                    storage.flush_log().expect("data log flush");
-                }
-            }
-            let log = match task {
-                Task::Coord { engine } => engine.log_mut(),
-                Task::Paxos { engine } => engine.log_mut(),
-                Task::Part { engine, .. } => engine.log_mut(),
-            };
-            if !log.batching() {
-                continue;
-            }
-            if log.open_occupancy() == 0 {
-                flush_sends(host, &mut self.ctx);
-                continue;
-            }
-            force_site_batch(host, log, &mut self.ctx);
-        }
-        self.ctx.domain.end_round();
-    }
-
-    /// One log collection per tick on the hosted coordinator (if any).
-    fn gc_turns(&mut self) {
-        let Some(&i) = self.owned.get(&SocketNode::COORDINATOR) else {
-            return;
-        };
-        let NodeSite { host, task } = &mut self.sites[i];
-        let Task::Coord { engine } = task else { return };
-        let released = engine.collect_garbage();
-        if released > 0 {
-            if let Some(obs) = &host.obs {
-                observe_gc(
-                    obs,
-                    host.site,
-                    acp_wal::StableLog::low_water_mark(engine.log()).0,
-                    released as u64,
-                    host.last_decision_us,
-                );
-            }
-        }
-    }
-
-    /// Send decisions to waiting (process-local) clients.
-    fn deliver(&mut self) {
-        let Some(&i) = self.owned.get(&SocketNode::COORDINATOR) else {
-            return;
-        };
-        let NodeSite { host, task } = &mut self.sites[i];
-        let before = self.ctx.replies.len();
-        match task {
-            Task::Coord { engine } => {
-                if host.defer_sends && engine.log().open_occupancy() > 0 {
-                    return;
-                }
-                deliver_decisions(engine, &mut self.ctx.replies);
-            }
-            Task::Paxos { engine } => {
-                if host.defer_sends && engine.log().open_occupancy() > 0 {
-                    return;
-                }
-                let decided: Vec<(TxnId, Outcome)> = self
-                    .ctx
-                    .replies
-                    .keys()
-                    .filter_map(|&txn| engine.decided(txn).map(|o| (txn, o)))
-                    .collect();
-                for (txn, outcome) in decided {
-                    if let Some(tx) = self.ctx.replies.remove(&txn) {
-                        let _ = tx.send(outcome);
-                    }
-                }
-            }
-            Task::Part { .. } => return,
-        }
-        let delivered = (before - self.ctx.replies.len()) as u64;
-        self.ctx.stats.decisions_delivered += delivered;
-    }
-
-    /// Sleep until a socket is ready or the next deadline. All loop
-    /// deadlines — engine timers, injected-outage recoveries, redial
-    /// backoffs, delayed-frame releases — fold into one epoll timeout.
-    fn poll(&mut self) {
-        let timeout = self.next_timeout();
-        let ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX).max(1);
-        self.poll_events(ms);
-    }
-
-    fn next_timeout(&self) -> Duration {
-        let now = self.ctx.now;
-        let mut deadline: Option<Instant> = self.ctx.wheel.next_deadline();
-        let mut fold = |t: Instant| {
-            deadline = Some(deadline.map_or(t, |d| d.min(t)));
-        };
-        for st in &self.sites {
-            if let Some(t) = st.host.down_until {
-                fold(t);
-            }
-        }
-        if let Some(t) = self.ctx.wire.next_deadline() {
-            fold(t);
-        }
-        deadline
-            .map_or(Duration::from_millis(50), |d| d.saturating_duration_since(now))
-            .clamp(Duration::from_millis(1), Duration::from_millis(50))
-    }
-
+impl Tcp {
     /// One `epoll_wait` plus event dispatch.
-    fn poll_events(&mut self, timeout_ms: i32) {
-        if self.ctx.wire.epoll.wait(&mut self.events, timeout_ms).is_err() {
+    fn poll_events(&mut self, timeout_ms: i32, ready: &mut VecDeque<Mail>) {
+        if self.wire.epoll.wait(&mut self.events, timeout_ms).is_err() {
             return;
         }
         let events = std::mem::take(&mut self.events);
-        self.ctx.now = Instant::now();
+        let now = Instant::now();
         for ev in &events {
             match ev.token {
                 TOKEN_LISTENER => self.accept_all(),
                 TOKEN_WAKER => self.drain_waker(),
-                token if self.ctx.wire.out_tokens.contains_key(&token) => {
-                    self.out_event(token, ev.events);
+                token if self.wire.out_tokens.contains_key(&token) => {
+                    self.out_event(now, token, ev.events);
                 }
-                token => self.in_event(token, ev.events),
+                token => self.in_event(token, ready),
             }
         }
         self.events = events;
@@ -1147,19 +569,19 @@ impl Node {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    let token = self.ctx.wire.next_token;
-                    self.ctx.wire.next_token += 1;
+                    let token = self.wire.next_token;
+                    self.wire.next_token += 1;
+                    let interest = EPOLLIN | EPOLLRDHUP;
                     if self
-                        .ctx
                         .wire
                         .epoll
-                        .add(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token)
+                        .add(stream.as_raw_fd(), interest, token)
                         .is_err()
                     {
                         continue;
                     }
                     self.inbound.insert(token, InConn::new(stream));
-                    self.ctx.wire.metrics.inc(&self.ctx.wire.metrics.accepts);
+                    self.wire.metrics.inc(&self.wire.metrics.accepts);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -1183,18 +605,17 @@ impl Node {
 
     /// Readiness on an outbound connection: writable drains the queue;
     /// readable on a conn we never expect data from means EOF/reset.
-    fn out_event(&mut self, token: u64, flags: u32) {
-        let now = self.ctx.now;
-        let Some(&to) = self.ctx.wire.out_tokens.get(&token) else {
+    fn out_event(&mut self, now: Instant, token: u64, flags: u32) {
+        let Some(&to) = self.wire.out_tokens.get(&token) else {
             return;
         };
         if flags & (EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0 {
-            self.ctx.wire.drop_out(now, to);
+            self.wire.drop_out(now, to);
             return;
         }
         if flags & EPOLLIN != 0 {
             let mut dead = false;
-            if let Some(conn) = self.ctx.wire.out.get_mut(&to) {
+            if let Some(conn) = self.wire.out.get_mut(&to) {
                 if let Some(stream) = conn.stream.as_mut() {
                     let mut buf = [0u8; 64];
                     match stream.read(&mut buf) {
@@ -1207,29 +628,29 @@ impl Node {
                 }
             }
             if dead {
-                self.ctx.wire.drop_out(now, to);
+                self.wire.drop_out(now, to);
                 return;
             }
         }
         if flags & EPOLLOUT != 0 {
-            self.ctx.wire.flush_conn(now, to);
+            self.wire.flush_conn(now, to);
         }
     }
 
     /// Readiness on an inbound connection: read bytes, reassemble
-    /// frames, turn each into an envelope on the local queue. A decode
+    /// frames, turn each into an envelope on the ready queue. A decode
     /// error (bad magic, bad CRC) drops the whole connection — unlike
     /// the WAL's torn-tail truncation there is no "rest of the stream"
     /// worth salvaging once framing is lost; the peer's bounded queue
     /// redelivers over a fresh connection.
-    fn in_event(&mut self, token: u64, _flags: u32) {
+    fn in_event(&mut self, token: u64, ready: &mut VecDeque<Mail>) {
         let mut msgs: Vec<WireMsg> = Vec::new();
         let mut close = false;
         {
             let Some(conn) = self.inbound.get_mut(&token) else {
                 return;
             };
-            let metrics = &self.ctx.wire.metrics;
+            let metrics = &self.wire.metrics;
             let mut buf = [0u8; 16 * 1024];
             'read: loop {
                 match conn.stream.read(&mut buf) {
@@ -1270,17 +691,19 @@ impl Node {
             }
         }
         for msg in msgs {
-            self.handle_wire_msg(msg);
+            self.handle_wire_msg(msg, ready);
         }
         if close {
-            self.close_inbound(token);
+            if let Some(conn) = self.inbound.remove(&token) {
+                let _ = self.wire.epoll.delete(conn.stream.as_raw_fd());
+            }
         }
     }
 
     /// Decode one wire message into a local envelope. Frames for sites
     /// this node does not host are dropped (stale routing — e.g. a
     /// frame that raced a topology change).
-    fn handle_wire_msg(&mut self, msg: WireMsg) {
+    fn handle_wire_msg(&mut self, msg: WireMsg, ready: &mut VecDeque<Mail>) {
         let (to, env) = match msg {
             WireMsg::Protocol(m) => (m.to, Envelope::Protocol(m)),
             WireMsg::ProtocolBatch(ms) => {
@@ -1295,111 +718,8 @@ impl Node {
             } => (to, Envelope::Apply { txn, key, value }),
             WireMsg::SetIntent { to, txn, vote } => (to, Envelope::SetIntent { txn, vote }),
         };
-        if self.ctx.hosted.contains(&to) {
-            self.ctx.local.push_back((to, env));
-        }
-    }
-
-    fn close_inbound(&mut self, token: u64) {
-        if let Some(conn) = self.inbound.remove(&token) {
-            let _ = self.ctx.wire.epoll.delete(conn.stream.as_raw_fd());
-        }
-    }
-
-    fn close_all_inbound(&mut self) {
-        let tokens: Vec<u64> = self.inbound.keys().copied().collect();
-        for t in tokens {
-            self.close_inbound(t);
-        }
-    }
-
-    /// Best-effort flush of everything still owed to the network before
-    /// shutdown (final acks and decisions), bounded by `deadline`.
-    fn drain_outbound(&mut self, deadline: Duration) {
-        let until = Instant::now() + deadline;
-        loop {
-            self.ctx.now = Instant::now();
-            if self.ctx.now >= until {
-                break;
-            }
-            self.ctx.wire.release_delayed(self.ctx.now);
-            self.ctx.wire.pump_dials(self.ctx.now);
-            self.ctx.wire.flush_all(self.ctx.now);
-            if !self.ctx.wire.has_pending() {
-                break;
-            }
-            self.poll_events(5);
-        }
-    }
-
-    /// Collect final state into the backend-independent report shape.
-    fn report(self) -> NodeReport {
-        let mut sites = Vec::new();
-        let mut coordinator_table_size = 0;
-        let mut group_commit = GroupCommitStats::default();
-        let mut logical_forces = 0;
-        let mut physical_syncs = 0;
-        let mut absorb = |log: &NetLog| {
-            group_commit.merge(&log.group_stats());
-            logical_forces += acp_wal::StableLog::stats(log).forces;
-            let inner = acp_wal::StableLog::stats(log.inner());
-            physical_syncs += inner.forces + inner.flushes;
-        };
-        for st in self.sites {
-            let site = st.host.site;
-            match st.task {
-                Task::Coord { engine } => {
-                    coordinator_table_size = engine.protocol_table_size();
-                    absorb(engine.log());
-                    sites.push(SiteSummary {
-                        site,
-                        enforced: BTreeMap::new(),
-                        log_pinned: engine.log_pinned(),
-                        committed: BTreeMap::new(),
-                    });
-                }
-                Task::Paxos { engine } => {
-                    if site == SocketNode::COORDINATOR {
-                        coordinator_table_size = engine.protocol_table_size();
-                    }
-                    absorb(engine.log());
-                    sites.push(SiteSummary {
-                        site,
-                        enforced: BTreeMap::new(),
-                        log_pinned: engine.log_pinned(),
-                        committed: BTreeMap::new(),
-                    });
-                }
-                Task::Part {
-                    engine, storage, ..
-                } => {
-                    absorb(engine.log());
-                    sites.push(SiteSummary {
-                        site,
-                        enforced: engine.enforced_all().clone(),
-                        log_pinned: engine.log_pinned(),
-                        committed: storage
-                            .store()
-                            .iter()
-                            .map(|(k, v)| (k.to_vec(), v.to_vec()))
-                            .collect(),
-                    });
-                }
-            }
-        }
-        let history = self.ctx.history.lock().clone();
-        NodeReport {
-            cluster: ClusterReport {
-                history,
-                coordinator_table_size,
-                sites,
-                group_commit,
-                logical_forces,
-                physical_syncs,
-            },
-            stats: self.ctx.stats,
-            fsync: self.ctx.domain.stats(),
-            wire: self.ctx.wire.metrics.snapshot(),
+        if self.hosted.contains(&to) {
+            ready.push_back((to, env));
         }
     }
 }
@@ -1420,33 +740,22 @@ fn t0_from_epoch(epoch_unix_us: Option<u64>) -> Instant {
     now.checked_sub(since_epoch).unwrap_or(now)
 }
 
-/// Open an existing WAL (restart) or create a fresh one (first boot).
-/// Returns the log and whether it predated this process.
-fn open_or_create(path: PathBuf) -> io::Result<(FileLog, bool)> {
-    if path.exists() {
-        Ok((FileLog::open(path).map_err(io::Error::other)?, true))
-    } else {
-        Ok((FileLog::create(path).map_err(io::Error::other)?, false))
-    }
-}
-
 /// A running socket node: the same client API as
-/// [`crate::reactor::ReactorCluster`], one background thread, real TCP
-/// underneath.
+/// [`crate::reactor::ReactorCluster`] (the verbs are
+/// [`ClientHandle`]'s; one for a site hosted elsewhere is routed over
+/// the wire), one background thread, real TCP underneath.
 pub struct SocketNode {
-    tx: Sender<(SiteId, Envelope)>,
-    /// Write side of the waker pair.
-    waker: UnixStream,
+    client: ClientHandle,
     handle: JoinHandle<NodeReport>,
     local_addr: SocketAddr,
-    next_txn: u64,
-    n_sites: usize,
     metrics: Arc<WireMetrics>,
 }
 
+deref_to_client!(SocketNode);
+
 impl SocketNode {
     /// The coordinator's site id.
-    pub const COORDINATOR: SiteId = SiteId(0);
+    pub const COORDINATOR: SiteId = COORDINATOR;
 
     /// Spawn a node with tracing off and a private history.
     pub fn spawn(config: NodeConfig) -> io::Result<SocketNode> {
@@ -1461,24 +770,10 @@ impl SocketNode {
         history: SharedHistory,
     ) -> io::Result<SocketNode> {
         assert!(
-            config.cluster.gateways.is_empty(),
-            "the socket backend hosts no gateways"
-        );
-        assert!(
             !config.hosted.is_empty(),
             "a node must host at least one site"
         );
-        let NodeConfig {
-            cluster: cc,
-            hosted,
-            listen,
-            peers,
-            wal_dir,
-            faults,
-            max_conn_queue_bytes,
-            epoch_unix_us,
-        } = config;
-        let listener = TcpListener::bind(listen)?;
+        let listener = TcpListener::bind(config.listen)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let (waker_node, waker_handle) = UnixStream::pair()?;
@@ -1487,135 +782,68 @@ impl SocketNode {
         let epoll = Epoll::new()?;
         epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
         epoll.add(waker_node.as_raw_fd(), EPOLLIN, TOKEN_WAKER)?;
-        let t0 = t0_from_epoch(epoch_unix_us);
+        let t0 = t0_from_epoch(config.epoch_unix_us);
         let metrics = Arc::new(WireMetrics::new());
 
-        let obs_for = |proto: ProtoLabel| {
-            sink.as_ref().map(|s| NetObs {
-                sink: Arc::clone(s),
-                t0,
-                proto,
-            })
-        };
-        let wrap = |log: FileLog| {
-            if cc.group_commit {
-                GroupCommitLog::deferred(log)
-            } else {
-                GroupCommitLog::passthrough(log)
-            }
-        };
-        let host_for = |site: SiteId, obs: Option<NetObs>, recovering: bool| Host {
-            site,
-            obs,
-            down_until: None,
-            last_decision_us: None,
-            defer_sends: cc.group_commit,
-            deferred_sends: Vec::new(),
-            timer_ids: BTreeMap::new(),
-            needs_recovery: recovering,
-        };
-
-        let mut sites = Vec::new();
-        let mut owned = BTreeMap::new();
-        let paxos_sites = cc.paxos_acceptor_sites();
-        for &site in &hosted {
-            if paxos_sites.contains(&site) {
-                // A member of the replicated coordinator: the leader at
-                // site 0 or a dedicated remote acceptor. Each keeps its
-                // own WAL, so a killed process recovers from its log.
-                let (log, existed) =
-                    open_or_create(wal_dir.join(format!("paxos-{}.wal", site.raw())))?;
-                let mut engine =
-                    PaxosNode::new(site, PaxosConfig::new(paxos_sites.clone()), wrap(log));
-                engine.set_track_cancellations(true);
-                owned.insert(site, sites.len());
-                sites.push(NodeSite {
-                    host: host_for(site, obs_for(ProtoLabel::Paxos), existed),
-                    task: Task::Paxos { engine },
-                });
-            } else if site == Self::COORDINATOR {
-                let (log, existed) = open_or_create(wal_dir.join("coord.wal"))?;
-                let mut engine = Coordinator::new(Self::COORDINATOR, cc.kind, wrap(log));
-                for (i, &p) in cc.participant_protocols.iter().enumerate() {
-                    engine.register_site(SiteId::new(i as u32 + 1), p);
-                }
-                engine.set_track_cancellations(true);
-                engine.auto_gc = false;
-                owned.insert(site, sites.len());
-                sites.push(NodeSite {
-                    host: host_for(site, obs_for(ProtoLabel::of_coordinator(cc.kind)), existed),
-                    task: Task::Coord { engine },
-                });
-            } else {
-                let idx = site.raw() as usize - 1;
-                let proto = *cc
-                    .participant_protocols
-                    .get(idx)
-                    .unwrap_or_else(|| panic!("hosted site {} not in cluster", site.raw()));
-                let (log, existed) =
-                    open_or_create(wal_dir.join(format!("part-{}.wal", site.raw())))?;
-                let mut engine = Participant::new(site, proto, wrap(log));
-                engine.set_track_cancellations(true);
-                let (data, _) = open_or_create(wal_dir.join(format!("data-{}.wal", site.raw())))?;
-                let storage = SiteEngine::new(data);
-                owned.insert(site, sites.len());
-                sites.push(NodeSite {
-                    host: host_for(site, obs_for(ProtoLabel::of_participant(proto)), existed),
-                    task: Task::Part {
-                        engine,
-                        storage,
-                        forced_intents: BTreeMap::new(),
-                        poisoned: BTreeMap::new(),
-                    },
-                });
-            }
-        }
-
         let (tx, rx) = unbounded();
-        let n_sites = cc.participant_protocols.len() + 1;
-        let node = Node {
-            sites,
-            owned,
-            ctx: Ctx {
-                wheel: TimerWheel::new(t0),
-                local: VecDeque::new(),
-                history,
-                delays: cc.delays,
-                replies: BTreeMap::new(),
-                stats: ReactorStats::default(),
-                now: t0,
-                domain: FsyncDomain::new(),
-                hosted: hosted.iter().copied().collect(),
-                wire: Wire {
-                    epoll,
-                    out: BTreeMap::new(),
-                    out_tokens: BTreeMap::new(),
-                    next_token: TOKEN_FIRST_CONN,
-                    peers,
-                    faults,
-                    t0,
-                    delayed: Vec::new(),
-                    metrics: Arc::clone(&metrics),
-                    max_queue: max_conn_queue_bytes,
-                },
+        let wake = move || drop((&waker_handle).write(&[1]));
+        let client = ClientHandle::new(vec![tx], Box::new(wake), &config.cluster);
+        let env = HostEnv {
+            // The kernel as the reactor runs it, minus the reactor's
+            // knobs: force at the end of every turn, admit everything.
+            config: ReactorConfig {
+                cluster: config.cluster,
+                commit_window: Duration::ZERO,
+                adaptive_window: false,
+                snapshot_every_ticks: 0,
+                snapshot_every_commits: 0,
+                admission: None,
             },
+            table_shards: None,
             rx,
+            history,
+            inflight: Arc::new(InflightGauge::new()),
+            sink,
+            snapshots: None,
+            t0,
+        };
+        let tcp = Tcp {
+            wire: Wire {
+                epoll,
+                out: BTreeMap::new(),
+                out_tokens: BTreeMap::new(),
+                next_token: TOKEN_FIRST_CONN,
+                peers: config.peers,
+                faults: config.faults,
+                t0,
+                delayed: Vec::new(),
+                metrics: Arc::clone(&metrics),
+                max_queue: config.max_conn_queue_bytes,
+            },
+            hosted: config.hosted.iter().copied().collect(),
             listener,
             waker: waker_node,
             inbound: BTreeMap::new(),
             events: Vec::with_capacity(64),
-            running: true,
         };
+        let kernel = Kernel::build(env, &config.hosted, &config.wal_dir, 0, tcp)?;
+        let wire_metrics = Arc::clone(&metrics);
         let handle = std::thread::Builder::new()
             .name("acp-socket-node".into())
-            .spawn(move || node.run())?;
+            .spawn(move || {
+                let (report, _tcp) = kernel.run();
+                NodeReport {
+                    cluster: report.cluster,
+                    stats: report.stats,
+                    fsync: report.fsync,
+                    latency: report.latency,
+                    wire: wire_metrics.snapshot(),
+                }
+            })?;
         Ok(SocketNode {
-            tx,
-            waker: waker_handle,
+            client,
             handle,
             local_addr,
-            next_txn: 1,
-            n_sites,
             metrics,
         })
     }
@@ -1633,88 +861,11 @@ impl SocketNode {
         self.metrics.snapshot()
     }
 
-    /// Allocate a fresh transaction id.
-    pub fn next_txn(&mut self) -> TxnId {
-        let t = TxnId::new(self.next_txn);
-        self.next_txn += 1;
-        t
-    }
-
-    /// Jump the allocator (restart demos give each coordinator
-    /// incarnation a disjoint id range).
-    pub fn set_next_txn(&mut self, next: u64) {
-        self.next_txn = next;
-    }
-
-    /// All participant site ids of the cluster (hosted here or not).
-    #[must_use]
-    pub fn participants(&self) -> Vec<SiteId> {
-        (1..self.n_sites as u32).map(SiteId::new).collect()
-    }
-
-    fn send(&self, site: SiteId, envelope: Envelope) {
-        let _ = self.tx.send((site, envelope));
-        let _ = (&self.waker).write(&[1]);
-    }
-
-    /// Write `key := value` under `txn` at `site` (routed over the wire
-    /// when `site` is remote).
-    pub fn apply(&self, site: SiteId, txn: TxnId, key: &[u8], value: &[u8]) {
-        self.send(
-            site,
-            Envelope::Apply {
-                txn,
-                key: key.to_vec(),
-                value: value.to_vec(),
-            },
-        );
-    }
-
-    /// Override the vote `site` will cast for `txn`.
-    pub fn set_intent(&self, site: SiteId, txn: TxnId, vote: Vote) {
-        self.send(site, Envelope::SetIntent { txn, vote });
-    }
-
-    /// Crash a hosted site for `down_for` (in-process fault injection;
-    /// the multi-process demo uses `kill -9` instead).
-    pub fn crash(&self, site: SiteId, down_for: Duration) {
-        self.send(site, Envelope::Crash { down_for });
-    }
-
-    /// Commit `txn` across `participants`; wait for the decision. Only
-    /// meaningful on the node hosting the coordinator.
-    pub fn commit(&self, txn: TxnId, participants: &[SiteId]) -> Option<Outcome> {
-        self.commit_async(txn, participants)
-            .recv_timeout(Duration::from_secs(20))
-            .ok()
-    }
-
-    /// Start commit processing; the returned channel yields the
-    /// decision once durable.
-    #[must_use]
-    pub fn commit_async(&self, txn: TxnId, participants: &[SiteId]) -> Receiver<Outcome> {
-        let (tx, rx) = bounded(1);
-        self.send(
-            Self::COORDINATOR,
-            Envelope::Commit {
-                txn,
-                participants: participants.to_vec(),
-                reply: tx,
-            },
-        );
-        rx
-    }
-
-    /// Let in-flight work settle for `d`.
-    pub fn settle(&self, d: Duration) {
-        std::thread::sleep(d);
-    }
-
     /// Stop the node (after a best-effort outbound drain) and collect
     /// its final state.
     #[must_use]
     pub fn shutdown(self) -> NodeReport {
-        self.send(Self::COORDINATOR, Envelope::Shutdown);
+        self.client.shutdown_all();
         self.handle.join().expect("socket node thread")
     }
 }

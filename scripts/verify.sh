@@ -13,6 +13,25 @@ cargo build --release --offline
 echo "== cargo test -q --offline"
 cargo test -q --offline
 
+echo "== one turn discipline: the kernel's functions are defined once"
+# reactor.rs and wire/node.rs used to be two copies of the site-hosting
+# kernel (crates/net/src/host.rs). A second definition of any of these
+# outside the threaded backend's actor.rs is that fork coming back.
+for f in run_site_actions flush_sends force_site_batch finish_turns crash_volatile; do
+  n="$(grep -rwE "fn $f" crates/net/src --include='*.rs' | grep -vc '^crates/net/src/actor.rs:' || true)"
+  [ "$n" = 1 ] || { echo "FAIL: 'fn $f' is defined $n times under crates/net/src (want 1)"; exit 1; }
+done
+
+echo "== benchmark package: offline build + perf suite --smoke"
+# benchmarks/ is its own workspace and is not edited alongside the
+# crates it drives, so an API break shows up only here; the smoke suite
+# also runs every workload's per-epoch correctness gate (atomicity,
+# committed values present, coordinator table drained) on the reactor
+# and on a pair of socket nodes.
+cargo build --release --offline --manifest-path benchmarks/Cargo.toml
+# Exits non-zero if any workload fails an operation or a gate.
+./benchmarks/target/release/perf suite --smoke | tail -1 | cut -c1-160
+
 # The WAL fuzz suite honours PROPTEST_CASES (its fixed-seed default is
 # 64 cases per property). Export a bigger value before calling this
 # script for a longer campaign, e.g. PROPTEST_CASES=4096

@@ -454,3 +454,40 @@ fn snapshot_cadence_composes_tick_and_commit_triggers() {
     }
     assert_eq!(fired, 100 / 5);
 }
+
+/// Paxos Commit routes cleanly under `owner_shard`: the leader at site
+/// 0 is sliced by transaction id like any coordinator (each slice is
+/// also acceptor 0 for its own transactions), the dedicated acceptors
+/// past the participants live on one shard each like any site. An
+/// f = 1 cluster over two reactors commits and stays atomic.
+#[test]
+fn paxos_commit_runs_sliced_across_reactors() {
+    let mut reactor = ReactorConfig::new(
+        CoordinatorKind::Single(ProtocolKind::PrN),
+        &[ProtocolKind::PrN, ProtocolKind::PrN],
+    );
+    reactor.cluster.paxos_f = Some(1);
+    reactor.cluster.delays = glacial();
+    let mut cluster = MultiReactorCluster::spawn(&MultiReactorConfig::new(reactor, 2));
+    let parts = cluster.participants();
+    const TXNS: usize = 8;
+    for i in 0..TXNS {
+        let txn = cluster.next_txn();
+        for &p in &parts {
+            cluster.apply(p, txn, format!("k{i}").as_bytes(), b"v");
+        }
+        assert_eq!(cluster.commit(txn, &parts), Some(Outcome::Commit), "txn {i}");
+    }
+    cluster.settle(Duration::from_millis(300));
+    let report = cluster.shutdown();
+    assert!(check_atomicity(&report.cluster.history).is_empty());
+    assert!(report.stats.mailbox_sends > 0, "the acceptors sit on both shards");
+    assert_eq!(report.stats.timers_fired, 0, "clean run fired a timer");
+    assert_eq!(report.cluster.coordinator_table_size, 0);
+    for s in &report.cluster.sites {
+        if parts.contains(&s.site) {
+            assert_eq!(s.committed.len(), TXNS, "site {}", s.site);
+        }
+        assert!(s.log_pinned.is_empty(), "site {} pins {:?}", s.site, s.log_pinned);
+    }
+}

@@ -481,3 +481,154 @@ fn metrics_timeline_streams_in_run_snapshots() {
         registry.snapshot(0).total(Counter::DecisionsReached)
     );
 }
+
+// ---------------------------------------------------------------------------
+// Every task kind on the reactor: the replicated coordinator
+
+/// PrN participants under a Paxos Commit coordinator tolerating `f`
+/// acceptor failures (`None` = the classic single coordinator).
+fn prn_reactor(participants: usize, paxos_f: Option<usize>) -> ReactorConfig {
+    let mut config = ReactorConfig::new(
+        CoordinatorKind::Single(ProtocolKind::PrN),
+        &vec![ProtocolKind::PrN; participants],
+    );
+    config.cluster.paxos_f = paxos_f;
+    config.cluster.delays = glacial();
+    config
+}
+
+/// The reactor hosts the Paxos leader and its 2f acceptors like any
+/// other site: an f = 1 cluster commits, lands the data, reclaims every
+/// log and stays atomic.
+#[test]
+fn reactor_hosts_a_paxos_commit_coordinator() {
+    let mut cluster = ReactorCluster::spawn(&prn_reactor(2, Some(1)));
+    let parts = cluster.participants();
+    assert_eq!(parts, vec![SiteId::new(1), SiteId::new(2)]);
+    for i in 0..4u32 {
+        let txn = cluster.next_txn();
+        for &p in &parts {
+            cluster.apply(p, txn, format!("k{i}").as_bytes(), b"v");
+        }
+        assert_eq!(cluster.commit(txn, &parts), Some(Outcome::Commit));
+    }
+    cluster.settle(Duration::from_millis(300));
+    let report = cluster.shutdown();
+    assert!(check_atomicity(&report.cluster.history).is_empty());
+    assert_eq!(report.cluster.sites.len(), 5, "leader, 2 participants, 2 acceptors");
+    for s in &report.cluster.sites {
+        if parts.contains(&s.site) {
+            assert_eq!(s.committed.len(), 4, "site {}", s.site);
+        }
+        assert!(s.log_pinned.is_empty(), "site {} pins {:?}", s.site, s.log_pinned);
+    }
+    assert_eq!(report.cluster.coordinator_table_size, 0);
+    assert_eq!(report.stats.timers_fired, 0, "clean run fired a timer");
+}
+
+/// 2PC is the f = 0 degeneracy of Paxos Commit, literally: with one
+/// acceptor co-located with the leader, a single transaction's trace is
+/// the PrN coordinator's. The participant's is byte-identical; the
+/// coordinator's differs only in its label, in the name of its decision
+/// record (one `paxos-accept` bundle instead of `commit`) and in noting
+/// the decision after forcing that record rather than before — so at
+/// site 0 those two fields are masked and the decision line is compared
+/// apart from the message-and-write sequence around it.
+#[test]
+fn paxos_f0_trace_is_the_prn_coordinator_trace() {
+    let trace = |paxos_f| {
+        let sink = Arc::new(VecSink::new());
+        let mut cluster =
+            ReactorCluster::spawn_with_sink(&prn_reactor(1, paxos_f), Arc::clone(&sink) as _);
+        let txn = cluster.next_txn();
+        let parts = cluster.participants();
+        cluster.apply(parts[0], txn, b"k", b"v");
+        assert_eq!(cluster.commit(txn, &parts), Some(Outcome::Commit));
+        cluster.settle(Duration::from_millis(300));
+        let _ = cluster.shutdown();
+        let mut by_site = masked_site_traces(&sink.snapshot());
+        let coordinator: Vec<String> = by_site.remove(&0).expect("site 0 traced");
+        let unlabelled = |line: &String| {
+            let mut map = parse_flat_json(line).expect("trace dialect");
+            map.remove("proto");
+            map.remove("record");
+            format!("{map:?}")
+        };
+        let (decisions, rest): (Vec<String>, Vec<String>) = coordinator
+            .iter()
+            .map(unlabelled)
+            .partition(|line| line.contains("decision_reached"));
+        (by_site, decisions, rest)
+    };
+    let (prn_sites, prn_decisions, prn_rest) = trace(None);
+    let (paxos_sites, paxos_decisions, paxos_rest) = trace(Some(0));
+    assert_eq!(prn_sites, paxos_sites, "the participant cannot tell the difference");
+    assert_eq!(prn_decisions.len(), 1);
+    assert_eq!(prn_decisions, paxos_decisions);
+    assert_eq!(prn_rest, paxos_rest, "same messages and log writes, in the same order");
+}
+
+// ---------------------------------------------------------------------------
+// Retry backoff
+
+/// Retry timers are jittered per (site, timer) on the reactor as on the
+/// socket node — the kernel arms both — while first armings stay exact.
+/// Two prepared participants stay in doubt (the third site is down, so
+/// the coordinator never gathers its votes) and inquire on their own
+/// timers. Both first inquiries leave in one turn, the base delay after
+/// the prepare; without jitter every later round would also leave in
+/// one turn, with it the sites drift apart by their jittered delays.
+#[test]
+fn retries_are_jittered_per_site_and_first_armings_exact() {
+    let base = Duration::from_millis(200);
+    let mut config = mixed_reactor();
+    config.cluster.delays = NetDelays {
+        inquiry_retry: base,
+        ..glacial()
+    };
+    let sink = Arc::new(VecSink::new());
+    let mut cluster = ReactorCluster::spawn_with_sink(&config, Arc::clone(&sink) as _);
+    let parts = cluster.participants();
+    let txn = cluster.next_txn();
+    cluster.crash(parts[2], Duration::from_secs(30));
+    for &p in &parts[..2] {
+        cluster.apply(p, txn, b"k", b"v");
+    }
+    let _pending = cluster.commit_async(txn, &parts);
+    cluster.settle(Duration::from_millis(900));
+    let _ = cluster.shutdown();
+
+    // Per site: when it voted, and when each retry round was scheduled.
+    let mut voted: BTreeMap<u32, u64> = BTreeMap::new();
+    let mut rounds: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
+    for ev in sink.snapshot() {
+        match ev {
+            ProtocolEvent::VoteCast { at_us, site, .. } => drop(voted.insert(site, at_us)),
+            ProtocolEvent::RetryScheduled { at_us, site, .. } => {
+                rounds.entry(site).or_default().push(at_us);
+            }
+            _ => {}
+        }
+    }
+    let us = |d: Duration| d.as_micros() as u64;
+    let slack = us(Duration::from_millis(15));
+    let (one, two) = (parts[0].raw(), parts[1].raw());
+    assert!(rounds[&one].len() >= 2 && rounds[&two].len() >= 2, "{rounds:?}");
+    for site in [one, two] {
+        let first = rounds[&site][0] - voted[&site];
+        assert!(
+            (us(base)..us(base) + slack).contains(&first),
+            "site {site}: the first inquiry leaves the base delay after the vote, not {first} us"
+        );
+    }
+    // Attempt 1 backs off to twice the base, give or take an eighth.
+    let second = |site| rounds[&site][1] - rounds[&site][0];
+    for site in [one, two] {
+        let band = us(base) * 7 / 4..us(base) * 9 / 4 + slack;
+        assert!(band.contains(&second(site)), "site {site}: {} us", second(site));
+    }
+    assert!(
+        second(one).abs_diff(second(two)) > slack,
+        "the two sites' retries must not stay in lockstep: {rounds:?}"
+    );
+}

@@ -357,3 +357,49 @@ fn bounded_write_queue_sheds_under_backpressure() {
     );
     let _ = coord.shutdown();
 }
+
+/// `reactor_gateway_commits_alongside_native_sites`, over the wire: the
+/// coordinator on one node, a native PrA participant and a PrC-speaking
+/// gateway on another. The socket node hosts gateways like any other
+/// site, so the legacy write lands with the native one.
+#[test]
+fn socket_gateway_commits_alongside_native_sites() {
+    let dir = TempDir::new("socket-gateway").expect("tempdir");
+    let peers = dir.path().join("peers");
+    let mut cluster = ClusterConfig::new(
+        CoordinatorKind::PrAny(SelectionPolicy::PaperStrict),
+        &[ProtocolKind::PrA, ProtocolKind::PrC],
+    );
+    cluster.gateways = vec![1];
+    let history = shared_history();
+    let mut coord = SocketNode::spawn_with(
+        node_config(&cluster, &[0], &peers, dir.path().join("a")),
+        None,
+        Arc::clone(&history),
+    )
+    .expect("coord node");
+    let sites = SocketNode::spawn_with(
+        node_config(&cluster, &[1, 2], &peers, dir.path().join("b")),
+        None,
+        Arc::clone(&history),
+    )
+    .expect("participant node");
+    let (a, b) = (coord.local_addr(), sites.local_addr());
+    write_peers(&peers, &[(0, a), (1, b), (2, b)]);
+
+    let parts = coord.participants();
+    let txn = coord.next_txn();
+    coord.apply(parts[0], txn, b"native", b"1");
+    coord.apply(parts[1], txn, b"legacy", b"2");
+    assert_eq!(coord.commit(txn, &parts), Some(Outcome::Commit));
+    coord.settle(Duration::from_millis(400));
+    let _ = coord.shutdown();
+    let report = sites.shutdown();
+    assert!(check_atomicity(&history.lock().clone()).is_empty());
+    let committed = |site: SiteId, key: &[u8]| {
+        let summary = report.cluster.sites.iter().find(|s| s.site == site);
+        summary.and_then(|s| s.committed.get(key).cloned())
+    };
+    assert_eq!(committed(parts[0], b"native"), Some(b"1".to_vec()));
+    assert_eq!(committed(parts[1], b"legacy"), Some(b"2".to_vec()));
+}
