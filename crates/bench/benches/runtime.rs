@@ -1,11 +1,11 @@
-//! E10 — end-to-end commit latency/throughput on the threaded actor
-//! runtime (real threads, channels and file-backed WALs). The
-//! per-protocol comparison shows the shape the paper's §1 motivates:
-//! commit processing is where the time goes, and the variants differ by
-//! their forced writes and message rounds.
+//! E10 — end-to-end commit latency on the reactor runtime (one event
+//! loop, wall-clock timers and file-backed WALs), one commit at a
+//! time. The per-protocol comparison shows the shape the paper's §1
+//! motivates: commit processing is where the time goes, and the
+//! variants differ by their forced writes and message rounds.
 
 use acp_engine::SiteEngine;
-use acp_net::{Cluster, ClusterConfig};
+use acp_net::{ReactorCluster, ReactorConfig};
 use acp_types::{CoordinatorKind, Outcome, ProtocolKind, SelectionPolicy, TxnId};
 use acp_wal::MemLog;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -32,8 +32,8 @@ fn bench_cluster(c: &mut Criterion) {
         ),
     ] {
         g.bench_function(BenchmarkId::new("commit_roundtrip", name), |b| {
-            let config = ClusterConfig::new(kind, &protos);
-            let mut cluster = Cluster::spawn(&config);
+            let config = ReactorConfig::new(kind, &protos);
+            let mut cluster = ReactorCluster::spawn(&config);
             let parts = cluster.participants();
             b.iter(|| {
                 let txn = cluster.next_txn();

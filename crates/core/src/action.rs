@@ -50,7 +50,7 @@ impl fmt::Display for TimerPurpose {
 
 /// An effect requested by a protocol engine.
 ///
-/// The host (simulator harness, model checker, threaded runtime)
+/// The host (simulator harness, model checker, real-time kernel)
 /// executes these in order. Log writes are *not* actions — engines own
 /// their stable log and append inline, so force-before-send orderings
 /// are enforced by construction; each log write additionally surfaces as

@@ -47,7 +47,7 @@
 //! All stable state lives in an owned [`acp_wal::StableLog`]; all other
 //! state is volatile and cleared by `crash()`. This is what lets the
 //! same code run under the simulator, the bounded model checker and the
-//! threaded runtime.
+//! real-time runtimes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,8 +1,7 @@
 //! The runtime-internal message vocabulary: everything a hosted site
-//! can be handed, across all four backends.
+//! can be handed, across all three backends.
 //!
-//! An [`Envelope`] is the unit every runtime moves — the threaded
-//! backend sends them over crossbeam channels, the reactor and
+//! An [`Envelope`] is the unit every runtime moves — the reactor and
 //! multi-reactor push them onto ready queues and mailboxes, and the
 //! socket backend re-encodes the subset that may leave the process as
 //! [`crate::wire::WireMsg`] frames. The variants split into three

@@ -19,23 +19,22 @@
 //! framed TCP under epoll. The kernel is generic over the transport, so
 //! the send path is statically dispatched.
 //!
-//! Everything protocol-visible is shared with the threaded backend —
-//! the engines, the [`NetDelays`] backoff schedule, the emission points
-//! in [`crate::actor`] — so a trace line is formatted identically
-//! whichever backend produced it. The kernel is the only host that
-//! switches the engines' opt-in timer-cancellation tracking on,
-//! draining retired tokens into wheel cancels instead of letting dead
-//! timers fire.
+//! Everything protocol-visible — the engines, the [`NetDelays`] backoff
+//! schedule, the emission points in [`crate::site`] — sits below the
+//! transport, so a trace line is formatted identically whichever
+//! backend produced it. The kernel switches the engines' opt-in
+//! timer-cancellation tracking on, draining retired tokens into wheel
+//! cancels instead of letting dead timers fire.
 
-use crate::actor::{
-    apply_enforcements, decide_vote, observe_acta, observe_crash, observe_gc, observe_recover,
-    observe_recv, observe_retry, observe_send, protocol_outcomes, NetDelays, NetLog, NetObs,
-    SharedHistory,
-};
 use crate::admission::AdmissionController;
 use crate::cluster::{ClusterReport, SiteSummary};
 use crate::envelope::Envelope;
 use crate::reactor::{InflightGauge, ReactorConfig, ReactorReport, ReactorStats, SnapshotCadence};
+use crate::site::{
+    apply_enforcements, decide_vote, observe_acta, observe_crash, observe_gc, observe_recover,
+    observe_recv, observe_retry, observe_send, protocol_outcomes, NetDelays, NetLog, NetObs,
+    SharedHistory,
+};
 use crate::timer::{TimerId, TimerWheel};
 use acp_acta::ActaEvent;
 use acp_core::{
@@ -108,8 +107,7 @@ pub(crate) trait Transport {
 // ---------------------------------------------------------------------------
 // Site state
 
-/// Per-site engine(s); mirrors the three thread bodies in `actor.rs`,
-/// plus the Paxos Commit node.
+/// Per-site engine(s), one variant per kind of site a cluster has.
 enum SiteTask {
     Coord {
         engine: Coordinator<NetLog>,
@@ -398,8 +396,7 @@ fn protocol_message<T: Transport>(st: &mut SiteState, ctx: &mut Ctx<T>, msg: &Me
 
 /// Externalize what a site withheld (after its batch forced): publish
 /// its ACTA events, then emit its sends, coalescing same-destination
-/// messages into one [`Envelope::ProtocolBatch`] exactly like the
-/// threaded backend.
+/// messages into one [`Envelope::ProtocolBatch`] (ack piggybacking).
 ///
 /// Batches are keyed by *(slice, destination)*, not destination alone:
 /// messages to a sliced coordinator route by transaction id, so two
@@ -696,6 +693,14 @@ impl<T: Transport> Kernel<T> {
             }
         }
         self.ctx.now = Instant::now();
+        // A site still inside its outage would report the empty volatile
+        // state its crash left behind: end the outage now, so the report
+        // shows what is durable.
+        for i in 0..self.sites.len() {
+            if self.sites[i].host.down_until.take().is_some() {
+                self.recover_site(i, true);
+            }
+        }
         self.finish_turns();
         self.gc_turns();
         self.deliver();
@@ -852,9 +857,10 @@ impl<T: Transport> Kernel<T> {
                 let Some((decided, in_flight)) = st.task.commit_state(txn) else {
                     return;
                 };
-                // Same misuse guards as the threaded coordinator: decided
-                // duplicates answer from the memo; in-flight duplicates and
-                // empty participant lists drop the reply channel.
+                // Guard client misuse instead of tripping the engine's
+                // asserts: decided duplicates answer from the memo;
+                // in-flight duplicates and empty participant lists drop
+                // the reply channel (the client's recv disconnects).
                 if let Some(outcome) = decided {
                     let _ = reply.send(outcome);
                 } else if participants.is_empty() || in_flight {
@@ -940,11 +946,11 @@ impl<T: Transport> Kernel<T> {
         self.ctx.domain.end_round();
     }
 
-    /// End-of-turn log GC. The threaded host lets the coordinator
-    /// engine truncate after every finished transaction (`auto_gc`),
-    /// which is fine when each site owns a thread — but a truncation
-    /// rewrites the whole retained suffix, so a per-decision cadence is
-    /// O(n²) I/O once thousands of transactions share this one thread.
+    /// End-of-turn log GC. Left to itself the coordinator engine
+    /// truncates after every finished transaction (`auto_gc`) — but a
+    /// truncation rewrites the whole retained suffix, so a per-decision
+    /// cadence is O(n²) I/O once thousands of transactions share this
+    /// one thread.
     /// The kernel runs one collection per turn, after the batch
     /// forced, covering every transaction the turn finished.
     fn gc_turns(&mut self) {
@@ -1274,6 +1280,37 @@ mod tests {
         assert!(
             history.events().iter().any(|e| aborted(&e)),
             "the abort was enforced"
+        );
+    }
+
+    /// A site still inside its outage when the cluster shuts down
+    /// reports what its logs hold, not the empty store its crash left
+    /// behind (benchmarks/README.md "Known issues", the last one).
+    #[test]
+    fn a_site_still_down_at_shutdown_reports_its_durable_store() {
+        let mut r = rig(glacial());
+        let outcome = r.submit(TxnId::new(1));
+        while r.kernel.turn() {}
+        assert_eq!(outcome.try_recv(), Ok(Outcome::Commit));
+
+        let down_for = SECS_60;
+        r.send(PARTS[1], Envelope::Crash { down_for });
+        r.send(COORDINATOR, Envelope::Shutdown);
+        let (report, _) = r.kernel.run();
+        for site in PARTS {
+            let summary = report.cluster.sites.iter().find(|s| s.site == site);
+            let committed = &summary.expect("hosted site").committed;
+            assert_eq!(
+                committed.get(b"k".as_slice()).map(Vec::as_slice),
+                Some(b"v".as_slice()),
+                "site {site}: the committed write is durable"
+            );
+        }
+        let events = report.cluster.history.events();
+        assert!(
+            matches!(events.last(), Some(ActaEvent::Recover { site }) if *site == PARTS[1]),
+            "the outage ends in the history too: {:?}",
+            events.last()
         );
     }
 

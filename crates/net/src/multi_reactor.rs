@@ -49,13 +49,13 @@
 //! reactors through the shared
 //! [`InflightGauge`](crate::reactor::InflightGauge).
 
-use crate::actor::SharedHistory;
 use crate::client::{deref_to_client, ClientHandle};
 use crate::cluster::{ClusterReport, SiteSummary};
 use crate::host::{HostEnv, Mail};
 use crate::reactor::{
     spawn_shard, InflightGauge, ReactorCluster, ReactorConfig, ReactorReport, ReactorStats,
 };
+use crate::site::SharedHistory;
 use acp_acta::History;
 use acp_obs::{
     CountingSink, FanoutSink, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,

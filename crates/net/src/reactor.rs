@@ -1,12 +1,12 @@
 //! The reactor runtime: a single-threaded event loop driving every
-//! site of a cluster over the same sans-IO engines as the threaded
-//! actors.
+//! site of a cluster over the sans-IO engines.
 //!
-//! The threaded backend ([`crate::cluster::Cluster`]) spends one OS
-//! thread per site and one mailbox hop per message; fine for a handful
-//! of concurrent transactions, but thousands of in-flight commits turn
-//! into context-switch churn and per-turn fsyncs. The reactor instead
-//! owns *all* sites on one thread: it is the site-hosting kernel
+//! A thread per site and a mailbox hop per message is fine for a
+//! handful of concurrent transactions, but thousands of in-flight
+//! commits turn into context-switch churn and per-turn fsyncs (the
+//! retired thread-per-site backend measured 26–46× slower at 512+
+//! concurrency: `BENCH_runtime.json`). The reactor instead owns *all*
+//! sites on one thread: it is the site-hosting kernel
 //! ([`crate::host`] — the turn discipline lives there) over the
 //! in-process transport defined here, where a same-shard "send" is a
 //! `VecDeque::push_back` onto the kernel's ready queue and a
@@ -40,8 +40,8 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Debug)]
 pub struct ReactorConfig {
     /// Cluster shape (coordinator kind, participant protocols,
-    /// gateways, delays, group commit) — identical meaning to the
-    /// threaded backend.
+    /// gateways, delays, group commit) — identical meaning on every
+    /// backend.
     pub cluster: ClusterConfig,
     /// How long a group-commit batch may stay open across ticks waiting
     /// for more records (`ZERO` = force at the end of every tick).
@@ -230,8 +230,8 @@ impl InflightGauge {
     }
 }
 
-/// What [`ReactorCluster::shutdown`] hands back: the same report shape
-/// as the threaded backend plus the reactor's own loop counters.
+/// What [`ReactorCluster::shutdown`] hands back: the report shape every
+/// backend shares plus the reactor's own loop counters.
 pub struct ReactorReport {
     /// The backend-independent cluster report.
     pub cluster: ClusterReport,
@@ -339,9 +339,8 @@ pub(crate) fn spawn_shard(
 // ---------------------------------------------------------------------------
 // Public handle
 
-/// A running reactor: same client API as [`crate::cluster::Cluster`]
-/// (the verbs are [`ClientHandle`]'s), one background thread for the
-/// whole cluster.
+/// A running reactor: the client verbs are [`ClientHandle`]'s, one
+/// background thread hosts the whole cluster.
 pub struct ReactorCluster {
     client: ClientHandle,
     handle: JoinHandle<ReactorReport>,
@@ -361,7 +360,7 @@ impl ReactorCluster {
     }
 
     /// Spawn with a trace sink (same event vocabulary and formatting as
-    /// the threaded backend).
+    /// every other backend and the simulator harness).
     #[must_use]
     pub fn spawn_with_sink(config: &ReactorConfig, sink: Arc<dyn TraceSink>) -> ReactorCluster {
         Self::spawn_inner(config, Some(sink), None)

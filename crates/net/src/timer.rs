@@ -1,8 +1,7 @@
-//! A hashed timer wheel for the reactor runtime.
+//! A hashed timer wheel for the site-hosting kernel.
 //!
-//! The threaded actors keep a per-site `BinaryHeap` of deadlines — fine
-//! for a handful of timers, but the reactor multiplexes every site's
-//! vote timeouts, ack re-sends and inquiry retries for thousands of
+//! A per-site heap of deadlines is fine for a handful of timers, but
+//! one event loop multiplexes every hosted site's vote timeouts, ack re-sends and inquiry retries for thousands of
 //! concurrent transactions on one thread, where arming and cancelling
 //! must be O(1). Classic solution (Varghese & Lauck): a circular array
 //! of slots at fixed tick granularity; a timer hashes to
@@ -26,8 +25,8 @@ pub struct TimerId(u64);
 /// their slot for a few laps.
 pub const WHEEL_SLOTS: usize = 512;
 
-/// Default tick granularity: 1 ms, matching the resolution the
-/// threaded runtime's delays are specified in.
+/// Default tick granularity: 1 ms, matching the resolution
+/// [`NetDelays`](crate::NetDelays) are specified in.
 pub const WHEEL_TICK: Duration = Duration::from_millis(1);
 
 #[derive(Clone, Debug)]

@@ -20,7 +20,7 @@
 //! ```
 //!
 //! with bounded exponential backoff — `min(base · 2^attempt, 5 s)`,
-//! the same shape as [`crate::actor::NetDelays::delay`] so transport
+//! the same shape as [`crate::site::NetDelays::delay`] so transport
 //! retries and protocol retries back off alike. The write queue is
 //! bounded in **bytes**; a frame that would overflow it is dropped and
 //! counted ([`acp_obs::WireMetrics::backpressure_drops`]) — an
@@ -42,11 +42,11 @@ use std::time::{Duration, Instant};
 pub(crate) const BACKOFF_BASE: Duration = Duration::from_millis(25);
 
 /// Backoff ceiling — matches the protocol-timer cap in
-/// [`crate::actor::NetDelays`].
+/// [`crate::site::NetDelays`].
 pub(crate) const MAX_BACKOFF: Duration = Duration::from_secs(5);
 
 /// Doublings beyond which the backoff stops growing (the cap bites
-/// long before this; mirrors the actor constant).
+/// long before this; mirrors the protocol-timer constant).
 const BACKOFF_SHIFT_CAP: u32 = 16;
 
 /// Bounded exponential backoff for dial attempt `attempt` (0-based).

@@ -1,9 +1,9 @@
 //! Real-socket wire backend: length-prefixed TCP frames under the
 //! sans-IO engines.
 //!
-//! The other three backends in this crate move [`crate::envelope::Envelope`]s
-//! between sites through process memory (threads and channels, or a
-//! reactor's ready queue). This module gives the same envelopes a
+//! The other two backends in this crate move [`crate::envelope::Envelope`]s
+//! between sites through process memory (a reactor's ready queue, or
+//! another reactor's mailbox). This module gives the same envelopes a
 //! physical representation — a CRC-framed byte stream over nonblocking
 //! TCP — so a cluster can span real OS processes whose only shared
 //! state is the network and their own WAL files. That is the paper's

@@ -14,7 +14,7 @@
 //! commit window, no admission door and no snapshot registry.
 //!
 //! The engines cannot tell the difference. They see the same
-//! [`Envelope`] dispatch, the same [`crate::actor`] emission points,
+//! [`Envelope`] dispatch, the same [`crate::site`] emission points,
 //! the same group-commit force-then-externalize turn discipline — so
 //! a single-transaction run over loopback sockets produces a trace
 //! byte-identical (after timestamp masking) to the in-process reactor,
@@ -57,7 +57,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Shared ACTA history handle (one per process; the demo merges
 /// per-process trace files instead).
-pub use crate::actor::SharedHistory;
+pub use crate::site::SharedHistory;
 
 /// A fresh, empty shared history. Multi-node tests in one process pass
 /// the same handle to several [`SocketNode::spawn_with`] calls so the

@@ -121,7 +121,7 @@ impl fmt::Display for ProtoLabel {
 ///
 /// Timestamps are raw microseconds: virtual [`SimTime`] micros under the
 /// deterministic simulator, elapsed-since-start micros under the
-/// threaded runtime (`acp-net`). Sites are raw [`SiteId`] values and
+/// real-time runtimes (`acp-net`). Sites are raw [`SiteId`] values and
 /// transactions raw [`TxnId`] values so this crate depends only on
 /// `acp-types`.
 ///

@@ -3,7 +3,7 @@
 //! A [`TraceSink`] receives every [`ProtocolEvent`] a host emits. Sinks
 //! take `&self` and are `Send + Sync`, so one `Arc<dyn TraceSink>` can
 //! be shared by the single-threaded simulator, a `parallel_map` sweep
-//! and the threaded actor runtime alike; implementations use interior
+//! and the real-time runtimes alike; implementations use interior
 //! mutability (a mutex around a buffer, or plain atomics).
 
 use crate::event::ProtocolEvent;

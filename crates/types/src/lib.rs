@@ -8,7 +8,7 @@
 //! The types here are deliberately free of any I/O or runtime concern so
 //! that the protocol engines in `acp-core` stay sans-IO: they can run
 //! under the deterministic simulator (`acp-sim`), the bounded model
-//! checker (`acp-check`) and the threaded runtime (`acp-net`) unchanged.
+//! checker (`acp-check`) and the real-time runtimes (`acp-net`) unchanged.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

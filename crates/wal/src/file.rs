@@ -1,4 +1,4 @@
-//! File-backed stable log for the threaded runtime.
+//! File-backed stable log for the real-time runtimes.
 //!
 //! Layout: a 16-byte header (`magic‖version‖low_water`) followed by
 //! framed records (see [`crate::encode`]). Appends accumulate in a
@@ -188,7 +188,7 @@ impl FileLog {
 
     /// Simulate a crash without dropping the value: buffered records are
     /// discarded and the durable image is re-read from disk. Returns the
-    /// number of records lost. (The threaded runtime instead drops the
+    /// number of records lost. (A restarted socket node instead drops the
     /// whole `FileLog` and re-`open`s.)
     pub fn simulate_crash(&mut self) -> Result<usize, WalError> {
         let lost = self.pending.len();

@@ -13,7 +13,7 @@
 //! * an in-memory stable log with crash semantics for the simulator
 //!   ([`mem::MemLog`]) — non-forced records buffered in volatile memory
 //!   are lost on a crash, forced records survive,
-//! * a file-backed stable log for the threaded runtime
+//! * a file-backed stable log for the real-time runtimes
 //!   ([`file::FileLog`]),
 //! * a fault-injecting stable log ([`fault::FaultyLog`]) that keeps the
 //!   `FileLog` byte image in memory and corrupts it on demand — torn

@@ -19,7 +19,7 @@ use std::sync::Arc;
 ///
 /// Timestamps come from the caller-provided `clock` (microseconds in
 /// whatever timebase the surrounding runtime uses — sim-time under the
-/// simulator, elapsed wall time under the threaded runtime).
+/// simulator, elapsed wall time under the real-time runtimes).
 pub struct ObservedLog<L: StableLog> {
     inner: L,
     sink: Arc<dyn TraceSink>,

@@ -1,5 +1,5 @@
 //! Minimal scoped temporary directory (avoids an external `tempfile`
-//! dependency). Used by file-log tests and the threaded runtime.
+//! dependency). Used by file-log tests and the real-time runtimes.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};

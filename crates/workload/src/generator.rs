@@ -5,8 +5,8 @@
 //! [`crate::arrival`]), *what* it touches (zipfian keys,
 //! [`crate::keyspace`]), and *where* it runs (how many partitions, and
 //! which). The output is pure data — a sorted `Vec<PlannedTxn>` — so
-//! the same plan can drive the threaded cluster, the reactor, the
-//! multi-reactor shards, or a closed-form model, and two backends fed
+//! the same plan can drive the reactor, the multi-reactor shards,
+//! a socket cluster, or a closed-form model, and two backends fed
 //! the same plan are comparable point by point.
 
 use crate::arrival::OpenLoopArrivals;

@@ -3,8 +3,9 @@
 //! ("advanced future database applications such as electronic commerce,
 //! multi-organizational workflows and web-based transactions").
 //!
-//! Three real OS threads play the sites, with file-backed write-ahead
-//! logs and the storage engine holding the actual reservations:
+//! One reactor event loop hosts the sites in real time, with
+//! file-backed write-ahead logs and the storage engine holding the
+//! actual reservations:
 //!
 //! * the airline runs **PrA** (site 1),
 //! * the hotel chain is a **legacy system with no commit protocol at
@@ -24,14 +25,14 @@ use presumed_any::prelude::*;
 use std::time::Duration;
 
 fn main() {
-    let mut config = ClusterConfig::new(
+    let mut config = ReactorConfig::new(
         CoordinatorKind::PrAny(SelectionPolicy::PaperStrict),
         &[ProtocolKind::PrA, ProtocolKind::PrC, ProtocolKind::PrN],
     );
     // The hotel (index 1) is a non-externalized legacy system behind a
     // gateway — the coordinator cannot tell the difference.
-    config.gateways = vec![1];
-    let mut cluster = Cluster::spawn(&config);
+    config.cluster.gateways = vec![1];
+    let mut cluster = ReactorCluster::spawn(&config);
     let sites = cluster.participants();
     let (airline, hotel, car) = (sites[0], sites[1], sites[2]);
 
@@ -48,7 +49,7 @@ fn main() {
     cluster.apply(airline, trip2, b"flight/AA124/seat", b"2A");
     cluster.apply(hotel, trip2, b"hotel/hilton/room2", b"0807");
     cluster.apply(car, trip2, b"car/suv", b"reserved");
-    cluster.commit_async(trip2, &sites);
+    let _pending = cluster.commit_async(trip2, &sites);
     cluster.crash(hotel, Duration::from_millis(250));
     println!("trip 2 ({trip2}): hotel site crashed mid-commit; waiting for recovery…");
     cluster.settle(Duration::from_millis(2_000));
@@ -63,7 +64,7 @@ fn main() {
     println!("trip 3 ({trip3}): {outcome3} (car rental declined)");
 
     cluster.settle(Duration::from_millis(500));
-    let report = cluster.shutdown();
+    let report = cluster.shutdown().cluster;
 
     // What happened to trip 2? Scan the history. With the hotel down
     // through the voting phase, the coordinator's timeout aborts it —

@@ -15,12 +15,21 @@ cargo test -q --offline
 
 echo "== one turn discipline: the kernel's functions are defined once"
 # reactor.rs and wire/node.rs used to be two copies of the site-hosting
-# kernel (crates/net/src/host.rs). A second definition of any of these
-# outside the threaded backend's actor.rs is that fork coming back.
+# kernel (crates/net/src/host.rs), and the thread-per-site backend a
+# third. A second definition of any of these is that fork coming back.
 for f in run_site_actions flush_sends force_site_batch finish_turns crash_volatile; do
-  n="$(grep -rwE "fn $f" crates/net/src --include='*.rs' | grep -vc '^crates/net/src/actor.rs:' || true)"
+  n="$(grep -rwE "fn $f" crates/net/src --include='*.rs' | wc -l)"
   [ "$n" = 1 ] || { echo "FAIL: 'fn $f' is defined $n times under crates/net/src (want 1)"; exit 1; }
 done
+# The thread-per-site backend is retired (BENCH_runtime.json is the
+# record the decision rests on): its turn loops and its handle stay gone.
+if grep -rnE 'fn (run_coordinator|run_participant|run_gateway)\b|struct Cluster\b' crates src tests examples --include='*.rs'; then
+  echo "FAIL: the threaded backend's loops or its Cluster handle reappeared"; exit 1
+fi
+# Non-test size of the runtime crate: per file, the lines before the
+# first #[cfg(test)] (the counting rule every PR's figure uses).
+find crates/net/src -name '*.rs' | sort \
+  | xargs awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print "crates/net/src non-test lines:", n }'
 
 echo "== benchmark package: offline build + perf suite --smoke"
 # benchmarks/ is its own workspace and is not edited alongside the
@@ -75,13 +84,6 @@ echo "== trace replay: ACTA predicates over the committed corpus"
 # regenerates Theorem 1 counterexample traces, which the ACTA
 # atomicity + safe-state checkers must flag. Exits non-zero itself.
 cargo run --release --offline -q -p acp-bench --bin replay | tail -6
-
-echo "== runtime smoke: reactor vs threaded backends (correctness slice)"
-# Small fixed workload on both runtime backends: every transaction
-# must commit, the reactor must genuinely multiplex (inflight > 1)
-# and must stream live metrics snapshots. The machine-timed campaign
-# (BENCH_runtime.json) is regenerated manually, not here.
-ACP_RUNTIME_SMOKE=1 cargo run --release --offline -q -p acp-bench --bin exp_runtime | tail -3
 
 echo "== multi-reactor smoke: sharded event loop (determinism + E14 slice)"
 # Small fixed workload at 1 and 2 reactors: every transaction must

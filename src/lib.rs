@@ -39,7 +39,7 @@
 //! | [`acta`] | `acp-acta` | executable ACTA correctness criteria |
 //! | [`engine`] | `acp-engine` | per-site transactional KV storage |
 //! | [`check`] | `acp-check` | bounded model checker |
-//! | [`net`] | `acp-net` | four runtimes: threaded actors, reactor, sharded multi-reactor, real TCP sockets |
+//! | [`net`] | `acp-net` | one site-hosting kernel, three runtimes: reactor, sharded multi-reactor, real TCP sockets |
 //! | [`workload`] | `acp-workload` | workload/population/failure generators |
 
 #![forbid(unsafe_code)]
@@ -69,7 +69,7 @@ pub mod prelude {
     };
     pub use acp_core::{select_mode, Action, CommitPlan, Coordinator, Participant};
     pub use acp_net::{
-        AdmissionConfig, AdmissionController, Cluster, ClusterConfig, MultiReactorCluster,
+        AdmissionConfig, AdmissionController, ClusterConfig, MultiReactorCluster,
         MultiReactorConfig, ReactorCluster, ReactorConfig,
     };
     #[cfg(unix)]

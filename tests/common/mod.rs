@@ -1,6 +1,9 @@
 #![allow(dead_code)] // each integration-test binary uses a different subset
 
-//! Shared helpers for the integration tests.
+//! Shared helpers for the integration tests: the simulator-harness
+//! helpers here, the real-time runtimes' in [`runtime`].
+
+pub mod runtime;
 
 use presumed_any::prelude::*;
 use presumed_any::sim::{Trace, TraceKind};

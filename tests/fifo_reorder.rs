@@ -123,22 +123,14 @@ fn fifo_control_is_fully_correct() {
 #[cfg(unix)]
 mod socket {
     use super::*;
+    use crate::common::runtime::sockets::write_peers;
     use presumed_any::net::wire::{
         shared_history, AddressBook, FaultRule, NodeConfig, SocketNode, WireFaults,
     };
     use presumed_any::obs::WireSnapshot;
     use presumed_any::wal::tempdir::TempDir;
-    use std::net::SocketAddr;
-    use std::path::Path;
     use std::sync::Arc;
     use std::time::Duration;
-
-    fn write_peers(path: &Path, entries: &[(u32, SocketAddr)]) {
-        let tmp = path.with_extension("tmp");
-        let body: String = entries.iter().map(|(s, a)| format!("{s} {a}\n")).collect();
-        std::fs::write(&tmp, body).expect("write peers");
-        std::fs::rename(&tmp, path).expect("rename peers");
-    }
 
     struct SocketRun {
         history: History,

@@ -1,7 +1,8 @@
-//! Group-commit batching, end to end: trace byte-identity for batches
-//! of one, exact agreement between the sim's batch accounting and the
-//! analytic model, crash-safety under windowed batching, and the
-//! threaded runtime's deferred batching + ack piggybacking.
+//! Group-commit batching under the simulator: trace byte-identity for
+//! batches of one, exact agreement between the sim's batch accounting
+//! and the analytic model, and crash-safety under windowed batching.
+//! The real-time runtimes' deferred batching + ack piggybacking is
+//! checked on every backend in `tests/runtime_backends.rs`.
 
 mod common;
 
@@ -9,7 +10,6 @@ use common::assert_fully_correct;
 use presumed_any::core::cost::{predict_batched, Population};
 use presumed_any::obs::json::event_to_json;
 use presumed_any::prelude::*;
-use std::time::Duration;
 
 fn prany() -> CoordinatorKind {
     CoordinatorKind::PrAny(SelectionPolicy::PaperStrict)
@@ -131,94 +131,4 @@ fn windowed_batching_preserves_crash_recovery() {
         // Batching accounting never exceeds what was actually forced.
         assert!(out.group_commit.batches <= out.group_commit.batched_appends);
     }
-}
-
-// ---------------------------------------------------------------------
-// Threaded runtime: deferred batching + ack piggybacking
-// ---------------------------------------------------------------------
-
-fn gc_cluster() -> ClusterConfig {
-    let mut config = ClusterConfig::new(prany(), &[ProtocolKind::PrA, ProtocolKind::PrC]);
-    config.group_commit = true;
-    config
-}
-
-#[test]
-fn group_commit_cluster_commits_atomically_under_concurrency() {
-    let mut cluster = Cluster::spawn(&gc_cluster());
-    let parts = cluster.participants();
-    let n = 12u32;
-    let txns: Vec<TxnId> = (0..n).map(|_| cluster.next_txn()).collect();
-    for (i, &txn) in txns.iter().enumerate() {
-        for &p in &parts {
-            cluster.apply(p, txn, format!("key-{i}").as_bytes(), b"v");
-        }
-    }
-    // Fire all commits at once so turns drain several transactions and
-    // their forces share batch fsyncs, with acks piggybacked.
-    for &txn in &txns {
-        cluster.commit_async(txn, &parts);
-    }
-    cluster.settle(Duration::from_millis(1_500));
-    let report = cluster.shutdown();
-
-    assert!(check_atomicity(&report.history).is_empty());
-    assert_eq!(report.coordinator_table_size, 0);
-    for s in report
-        .sites
-        .iter()
-        .filter(|s| s.site != Cluster::COORDINATOR)
-    {
-        assert_eq!(s.committed.len(), n as usize, "site {}", s.site);
-    }
-    // Deferred batching: every logical force was absorbed into a batch,
-    // and the physical syncs serving them never exceed the requests.
-    assert_eq!(report.group_commit.batched_appends, report.logical_forces);
-    assert!(report.group_commit.batches > 0);
-    assert!(
-        report.physical_syncs <= report.logical_forces,
-        "batching must not add syncs: {} > {}",
-        report.physical_syncs,
-        report.logical_forces
-    );
-}
-
-#[test]
-fn group_commit_cluster_survives_participant_crash() {
-    let mut cluster = Cluster::spawn(&gc_cluster());
-    let parts = cluster.participants();
-    let txn = cluster.next_txn();
-    for &p in &parts {
-        cluster.apply(p, txn, b"x", b"1");
-    }
-    cluster.commit_async(txn, &parts);
-    cluster.crash(parts[1], Duration::from_millis(300));
-    cluster.settle(Duration::from_millis(2_500));
-    let report = cluster.shutdown();
-    let v = check_atomicity(&report.history);
-    assert!(v.is_empty(), "{v:?}");
-    let datasets: Vec<_> = report
-        .sites
-        .iter()
-        .filter(|s| s.site != Cluster::COORDINATOR)
-        .map(|s| s.committed.clone())
-        .collect();
-    assert_eq!(datasets[0], datasets[1], "data diverged");
-}
-
-#[test]
-fn batching_disabled_reports_no_batches() {
-    let mut cluster = Cluster::spawn(&ClusterConfig::new(prany(), &POP));
-    let parts = cluster.participants();
-    let txn = cluster.next_txn();
-    for &p in &parts {
-        cluster.apply(p, txn, b"k", b"v");
-    }
-    assert_eq!(cluster.commit(txn, &parts), Some(Outcome::Commit));
-    let report = cluster.shutdown();
-    assert!(check_atomicity(&report.history).is_empty());
-    assert_eq!(report.group_commit.batches, 0);
-    assert_eq!(report.group_commit.batched_appends, 0);
-    // Passthrough: every logical force was its own physical sync.
-    assert_eq!(report.logical_forces, report.physical_syncs);
 }

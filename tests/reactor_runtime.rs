@@ -1,9 +1,16 @@
 //! End-to-end tests of the reactor runtime (experiment E13): one event
-//! loop driving every site over the same sans-IO engines as the
-//! threaded backend, with cross-backend trace and cost parity checks.
+//! loop driving every site over the sans-IO engines, with trace and
+//! cost parity checked against the simulator harness — the independent
+//! oracle at the head of the chain sim → reactor → multi-reactor/socket
+//! that `tests/multi_reactor.rs` and `tests/socket_wire.rs` continue
+//! byte for byte. Scenarios that hold on every backend live in
+//! `tests/runtime_backends.rs`.
 
+mod common;
+
+use common::runtime::{glacial, masked_site_traces};
 use presumed_any::net::{NetDelays, ReactorReport};
-use presumed_any::obs::{event_to_json, parse_flat_json, Counter, JsonValue};
+use presumed_any::obs::{parse_flat_json, Counter};
 use presumed_any::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -16,134 +23,76 @@ fn mixed_reactor() -> ReactorConfig {
     )
 }
 
-/// Delays so large that any timer firing in a clean run is a bug; the
-/// protocol must make progress purely on message flow.
-fn glacial() -> NetDelays {
-    NetDelays {
-        vote_timeout: Duration::from_secs(60),
-        ack_resend: Duration::from_secs(60),
-        inquiry_retry: Duration::from_secs(60),
-        apply_retry: Duration::from_secs(60),
-        paxos_completion: Duration::from_secs(60),
-    }
-}
-
-#[test]
-fn reactor_commit_applies_data_at_all_participants() {
-    let mut cluster = ReactorCluster::spawn(&mixed_reactor());
-    let parts = cluster.participants();
-    let txn = cluster.next_txn();
-    for &p in &parts {
-        cluster.apply(p, txn, b"balance", b"100");
-    }
-    let outcome = cluster.commit(txn, &parts).expect("decision");
-    assert_eq!(outcome, Outcome::Commit);
-    cluster.settle(Duration::from_millis(300));
-    let report = cluster.shutdown();
-    assert!(check_atomicity(&report.cluster.history).is_empty());
-    for s in &report.cluster.sites {
-        if s.site != ReactorCluster::COORDINATOR {
-            assert_eq!(
-                s.committed.get(b"balance".as_slice()).map(Vec::as_slice),
-                Some(b"100".as_slice()),
-                "site {}",
-                s.site
-            );
-        }
-    }
-    assert_eq!(report.cluster.coordinator_table_size, 0);
-}
-
-#[test]
-fn reactor_no_vote_aborts_the_whole_transaction() {
-    let mut cluster = ReactorCluster::spawn(&mixed_reactor());
-    let txn = cluster.next_txn();
-    let parts = cluster.participants();
-    for &p in &parts {
-        cluster.apply(p, txn, b"k", b"v");
-    }
-    cluster.set_intent(parts[0], txn, Vote::No);
-    let outcome = cluster.commit(txn, &parts).expect("decision");
-    assert_eq!(outcome, Outcome::Abort);
-    cluster.settle(Duration::from_millis(300));
-    let report = cluster.shutdown();
-    assert!(check_atomicity(&report.cluster.history).is_empty());
-    for s in &report.cluster.sites {
-        assert!(s.committed.is_empty(), "no data may commit at {}", s.site);
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Cross-backend trace parity
-
-/// Per-site event lines with the wall-clock fields (`at_us`,
-/// `since_decision_us`) masked out. Per-site subsequences are totally
-/// ordered in both backends; the global interleaving across sites is
-/// scheduling noise and is not compared.
-fn masked_site_traces(events: &[ProtocolEvent]) -> BTreeMap<u64, Vec<String>> {
-    let mut by_site: BTreeMap<u64, Vec<String>> = BTreeMap::new();
-    for ev in events {
-        let mut map = parse_flat_json(&event_to_json(ev)).expect("trace dialect");
-        map.remove("at_us");
-        map.remove("since_decision_us");
-        let site = map["site"].as_u64().expect("site field");
-        let line = map
-            .iter()
-            .map(|(k, v)| match v {
-                JsonValue::Num(n) => format!("\"{k}\":{n}"),
-                JsonValue::Str(s) => format!("\"{k}\":{s:?}"),
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        by_site.entry(site).or_default().push(format!("{{{line}}}"));
-    }
-    by_site
-}
+// Trace parity with the simulator harness
 
 /// One clean transaction over a single participant (a total causal
-/// order, so even thread scheduling cannot reorder events) must produce
-/// the same trace, byte for byte modulo timestamps, on both backends.
+/// order, so scheduling cannot reorder a site's events) must produce on
+/// the reactor the trace the simulator harness produces — which formats
+/// its events with its own code, not the kernel's emission points. Per
+/// site the lines are equal as multisets, and byte-identical in order
+/// once the two kinds of line whose position is the host's choice are
+/// set aside. A lazy write: the simulator notes a handler's sends when
+/// it drains them, after everything else the handler did, the kernel
+/// where the engine asked for each — so a lazy write the engine made
+/// after a send trades places with it (a forced write never follows a
+/// send it must precede). A log GC: per finished transaction there,
+/// once per turn here.
 #[test]
 fn clean_trace_is_byte_identical_across_backends() {
     let kind = CoordinatorKind::PrAny(SelectionPolicy::PaperStrict);
-    let protos = [ProtocolKind::PrA];
+    for proto in [ProtocolKind::PrN, ProtocolKind::PrA, ProtocolKind::PrC] {
+        let sim = {
+            let mut scenario = Scenario::new(kind, &[proto]);
+            scenario.add_txn(TxnId::new(1), SimTime::from_millis(1));
+            let outcome = run_scenario(&scenario);
+            assert_eq!(outcome.decided[&TxnId::new(1)], Outcome::Commit);
+            masked_site_traces(&outcome.events)
+        };
 
-    let threaded = {
-        let sink = Arc::new(VecSink::new());
-        let mut cluster =
-            Cluster::spawn_with_sink(&ClusterConfig::new(kind, &protos), Arc::clone(&sink) as _);
-        let txn = cluster.next_txn();
-        let parts = cluster.participants();
-        cluster.apply(parts[0], txn, b"k", b"v");
-        assert_eq!(cluster.commit(txn, &parts), Some(Outcome::Commit));
-        cluster.settle(Duration::from_millis(300));
-        let _ = cluster.shutdown();
-        masked_site_traces(&sink.snapshot())
-    };
+        let reactor = {
+            let sink = Arc::new(VecSink::new());
+            let mut config = ReactorConfig::new(kind, &[proto]);
+            config.cluster.delays = glacial();
+            let mut cluster = ReactorCluster::spawn_with_sink(&config, Arc::clone(&sink) as _);
+            let txn = cluster.next_txn();
+            let parts = cluster.participants();
+            cluster.apply(parts[0], txn, b"k", b"v");
+            assert_eq!(cluster.commit(txn, &parts), Some(Outcome::Commit));
+            cluster.settle(Duration::from_millis(300));
+            let _ = cluster.shutdown();
+            masked_site_traces(&sink.snapshot())
+        };
 
-    let reactor = {
-        let sink = Arc::new(VecSink::new());
-        let mut cluster =
-            ReactorCluster::spawn_with_sink(&ReactorConfig::new(kind, &protos), Arc::clone(&sink) as _);
-        let txn = cluster.next_txn();
-        let parts = cluster.participants();
-        cluster.apply(parts[0], txn, b"k", b"v");
-        assert_eq!(cluster.commit(txn, &parts), Some(Outcome::Commit));
-        cluster.settle(Duration::from_millis(300));
-        let _ = cluster.shutdown();
-        masked_site_traces(&sink.snapshot())
-    };
-
-    assert_eq!(
-        threaded.keys().collect::<Vec<_>>(),
-        reactor.keys().collect::<Vec<_>>(),
-        "same sites traced"
-    );
-    for (site, lines) in &threaded {
         assert_eq!(
-            lines, &reactor[site],
-            "site {site}: trace diverged between backends"
+            sim.keys().collect::<Vec<_>>(),
+            reactor.keys().collect::<Vec<_>>(),
+            "{proto}: same sites traced"
         );
+        let sorted = |lines: &[String]| {
+            let mut lines = lines.to_vec();
+            lines.sort();
+            lines
+        };
+        let engine_ordered = |lines: &[String]| -> Vec<String> {
+            let host_placed = |line: &&String| {
+                let tag = &parse_flat_json(line).expect("trace dialect")["type"];
+                matches!(tag.as_str(), Some("non_forced_write" | "log_gc"))
+            };
+            lines.iter().filter(|l| !host_placed(l)).cloned().collect()
+        };
+        for (site, lines) in &sim {
+            assert_eq!(
+                sorted(lines),
+                sorted(&reactor[site]),
+                "{proto}, site {site}: the reactor emitted different events than the harness"
+            );
+            assert_eq!(
+                engine_ordered(lines),
+                engine_ordered(&reactor[site]),
+                "{proto}, site {site}: event order diverged from the harness"
+            );
+        }
     }
 }
 
@@ -184,32 +133,29 @@ fn adaptive_window_keeps_single_txn_traces_identical() {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-backend cost parity (satellite of the sharded-table change: the
-// sharded coordinator path must count exactly what the threaded,
-// mutex-per-table path counts)
+// Cost parity with the simulator harness
 
+/// Ten sequential commits count the same on the reactor as under the
+/// simulator harness, cell for cell of the `ProtoLabel × Counter` grid:
+/// the kernel (sharded protocol table, one GC per turn, wall-clock
+/// timers) costs exactly what the reference host costs.
 #[test]
 fn cost_counters_match_across_backends() {
     let kind = CoordinatorKind::PrAny(SelectionPolicy::PaperStrict);
     let protos = [ProtocolKind::PrN, ProtocolKind::PrA, ProtocolKind::PrC];
     const TXNS: u64 = 10;
 
-    let threaded = {
+    let sim = {
         let registry = Arc::new(MetricsRegistry::new());
         let sink = Arc::new(CountingSink::new(Arc::clone(&registry)));
-        let mut config = ClusterConfig::new(kind, &protos);
-        config.delays = glacial();
-        let mut cluster = Cluster::spawn_with_sink(&config, sink as _);
-        let parts = cluster.participants();
-        for i in 0..TXNS {
-            let txn = cluster.next_txn();
-            for &p in &parts {
-                cluster.apply(p, txn, format!("k{i}").as_bytes(), b"v");
-            }
-            assert_eq!(cluster.commit(txn, &parts), Some(Outcome::Commit));
+        let mut scenario = Scenario::new(kind, &protos);
+        for i in 1..=TXNS {
+            // One at a time, as the reactor's client below issues them.
+            scenario.add_txn(TxnId::new(i), SimTime::from_millis(20 * i));
         }
-        cluster.settle(Duration::from_millis(300));
-        let _ = cluster.shutdown();
+        let outcome = run_scenario_with_sink(&scenario, sink as _);
+        assert!(outcome.decided.values().all(|o| *o == Outcome::Commit));
+        assert_eq!(outcome.decided.len() as u64, TXNS);
         registry
     };
 
@@ -235,12 +181,12 @@ fn cost_counters_match_across_backends() {
     for proto in ProtoLabel::ALL {
         for counter in Counter::ALL {
             if counter == Counter::GcLatencyUsSum {
-                continue; // wall-clock latency: backend-dependent by nature
+                continue; // simulated vs wall-clock microseconds
             }
             assert_eq!(
-                threaded.get(proto, counter),
+                sim.get(proto, counter),
                 reactor.get(proto, counter),
-                "{proto:?}/{counter:?} diverged between backends"
+                "{proto:?}/{counter:?}: the reactor counted differently than the harness"
             );
         }
     }
@@ -358,76 +304,6 @@ fn crash_with_pending_timers_fires_nothing_stale() {
         report.stats
     );
     assert!(check_atomicity(&report.cluster.history).is_empty());
-}
-
-#[test]
-fn reactor_participant_crash_during_commit_still_atomic() {
-    let mut cluster = ReactorCluster::spawn(&mixed_reactor());
-    let parts = cluster.participants();
-    let txn = cluster.next_txn();
-    for &p in &parts {
-        cluster.apply(p, txn, b"x", b"1");
-    }
-    let _ = cluster.commit_async(txn, &parts);
-    cluster.crash(parts[2], Duration::from_millis(300));
-    cluster.settle(Duration::from_millis(2_500));
-    let report = cluster.shutdown();
-    let v = check_atomicity(&report.cluster.history);
-    assert!(v.is_empty(), "{v:?}");
-    let datasets: Vec<_> = report
-        .cluster
-        .sites
-        .iter()
-        .filter(|s| s.site != ReactorCluster::COORDINATOR)
-        .map(|s| s.committed.clone())
-        .collect();
-    for d in &datasets[1..] {
-        assert_eq!(&datasets[0], d, "data diverged");
-    }
-}
-
-#[test]
-fn reactor_coordinator_crash_mid_flight_converges() {
-    let mut cluster = ReactorCluster::spawn(&mixed_reactor());
-    let parts = cluster.participants();
-    let txn = cluster.next_txn();
-    for &p in &parts {
-        cluster.apply(p, txn, b"k", b"v");
-    }
-    let _ = cluster.commit_async(txn, &parts);
-    cluster.crash(ReactorCluster::COORDINATOR, Duration::from_millis(200));
-    cluster.settle(Duration::from_secs(3));
-    let report = cluster.shutdown();
-    let v = check_atomicity(&report.cluster.history);
-    assert!(v.is_empty(), "{v:?}");
-}
-
-#[test]
-fn reactor_gateway_commits_alongside_native_sites() {
-    let mut config = ReactorConfig::new(
-        CoordinatorKind::PrAny(SelectionPolicy::PaperStrict),
-        &[ProtocolKind::PrA, ProtocolKind::PrC],
-    );
-    config.cluster.gateways = vec![1];
-    let mut cluster = ReactorCluster::spawn(&config);
-    let parts = cluster.participants();
-    let txn = cluster.next_txn();
-    cluster.apply(parts[0], txn, b"native", b"1");
-    cluster.apply(parts[1], txn, b"legacy", b"2");
-    assert_eq!(cluster.commit(txn, &parts), Some(Outcome::Commit));
-    cluster.settle(Duration::from_millis(400));
-    let report = cluster.shutdown();
-    assert!(check_atomicity(&report.cluster.history).is_empty());
-    let gw = report
-        .cluster
-        .sites
-        .iter()
-        .find(|s| s.site == parts[1])
-        .expect("gateway site");
-    assert_eq!(
-        gw.committed.get(b"legacy".as_slice()).map(Vec::as_slice),
-        Some(b"2".as_slice())
-    );
 }
 
 // ---------------------------------------------------------------------------

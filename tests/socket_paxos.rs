@@ -9,15 +9,13 @@
 //! and re-drives the decision from the replicated bundle.
 #![cfg(unix)]
 
-use presumed_any::net::wire::{
-    shared_history, AddressBook, FaultRule, NodeConfig, SocketNode, WireFaults,
-};
+mod common;
+
+use common::runtime::sockets::spawn_nodes;
+use presumed_any::net::wire::FaultRule;
 use presumed_any::net::NetDelays;
 use presumed_any::prelude::*;
 use presumed_any::wal::tempdir::TempDir;
-use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Paxos-shaped cluster: `n` PrN participants, `2f` remote acceptors
@@ -39,55 +37,6 @@ fn paxos_cluster(n: usize, f: usize) -> ClusterConfig {
     cluster
 }
 
-/// Atomically (re)write the rendezvous file nodes re-read at each dial.
-fn write_peers(path: &Path, entries: &[(u32, SocketAddr)]) {
-    let tmp = path.with_extension("tmp");
-    let body: String = entries.iter().map(|(s, a)| format!("{s} {a}\n")).collect();
-    std::fs::write(&tmp, body).expect("write peers");
-    std::fs::rename(&tmp, path).expect("rename peers");
-}
-
-fn node_config(
-    cluster: &ClusterConfig,
-    hosted: &[u32],
-    peers: &Path,
-    wal_dir: PathBuf,
-) -> NodeConfig {
-    std::fs::create_dir_all(&wal_dir).expect("wal dir");
-    NodeConfig::new(
-        cluster.clone(),
-        hosted.iter().map(|&s| SiteId::new(s)).collect(),
-        AddressBook::File(peers.to_path_buf()),
-        wal_dir,
-    )
-}
-
-/// One node per failure domain: the leader alone, each participant
-/// alone, the remote acceptors alone. Returns the spawned nodes in
-/// `hosted` order together with the rendezvous entries written.
-fn spawn_ring(
-    cluster: &ClusterConfig,
-    dir: &TempDir,
-    hostings: &[&[u32]],
-    faults: impl Fn(usize) -> WireFaults,
-) -> (Vec<SocketNode>, presumed_any::net::wire::SharedHistory) {
-    let peers = dir.path().join("peers");
-    let history = shared_history();
-    let mut nodes = Vec::new();
-    let mut entries = Vec::new();
-    for (i, hosted) in hostings.iter().enumerate() {
-        let mut config = node_config(cluster, hosted, &peers, dir.path().join(format!("n{i}")));
-        config.faults = faults(i);
-        let node = SocketNode::spawn_with(config, None, Arc::clone(&history)).expect("spawn node");
-        for &s in *hosted {
-            entries.push((s, node.local_addr()));
-        }
-        nodes.push(node);
-    }
-    write_peers(&peers, &entries);
-    (nodes, history)
-}
-
 /// Sanity: a 2f + 1 = 3 acceptor cluster split over four processes
 /// commits cleanly, lands the data at every participant, and the
 /// merged history satisfies the ACTA atomicity predicate.
@@ -95,12 +44,11 @@ fn spawn_ring(
 fn paxos_cluster_commits_cleanly_over_sockets() {
     let cluster = paxos_cluster(2, 1);
     let dir = TempDir::new("socket-paxos-clean").expect("tempdir");
-    let (mut nodes, history) = spawn_ring(
-        &cluster,
-        &dir,
-        &[&[0], &[1, 2], &[3], &[4]],
-        |_| WireFaults::none(),
-    );
+    // One node per failure domain: the leader alone, the participants,
+    // each remote acceptor alone.
+    let hostings: [&[u32]; 4] = [&[0], &[1, 2], &[3], &[4]];
+    let none = |_| WireFaults::none();
+    let (mut nodes, history) = spawn_nodes(&cluster, dir.path(), &hostings, None, none);
     let parts = nodes[0].participants();
     assert_eq!(parts, vec![SiteId::new(1), SiteId::new(2)]);
 
@@ -158,8 +106,8 @@ fn leader_kill_after_decision_blocks_the_f0_cluster() {
             WireFaults::none()
         }
     };
-    let (mut nodes, history) =
-        spawn_ring(&cluster, &dir, &[&[0], &[1], &[2]], drop_decisions);
+    let hostings: [&[u32]; 3] = [&[0], &[1], &[2]];
+    let (mut nodes, history) = spawn_nodes(&cluster, dir.path(), &hostings, None, drop_decisions);
     let parts = nodes[0].participants();
 
     let txn = nodes[0].next_txn();
@@ -209,12 +157,8 @@ fn leader_kill_after_decision_fails_over_and_commits_under_f1() {
             WireFaults::none()
         }
     };
-    let (mut nodes, history) = spawn_ring(
-        &cluster,
-        &dir,
-        &[&[0], &[1], &[2], &[3, 4]],
-        drop_decisions,
-    );
+    let hostings: [&[u32]; 4] = [&[0], &[1], &[2], &[3, 4]];
+    let (mut nodes, history) = spawn_nodes(&cluster, dir.path(), &hostings, None, drop_decisions);
     let parts = nodes[0].participants();
 
     let txn = nodes[0].next_txn();
@@ -271,12 +215,8 @@ fn acceptor_minority_partition_does_not_block_commit() {
             .partition(SiteId::new(2), window.0, window.1),
         _ => WireFaults::none(),
     };
-    let (mut nodes, history) = spawn_ring(
-        &cluster,
-        &dir,
-        &[&[0], &[1], &[2], &[3]],
-        faults,
-    );
+    let hostings: [&[u32]; 4] = [&[0], &[1], &[2], &[3]];
+    let (mut nodes, history) = spawn_nodes(&cluster, dir.path(), &hostings, None, faults);
     let parts = nodes[0].participants();
 
     let t1 = nodes[0].next_txn();

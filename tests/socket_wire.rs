@@ -4,74 +4,16 @@
 //! recovery, reconnect churn, and backpressure shedding.
 #![cfg(unix)]
 
-use presumed_any::net::wire::{shared_history, AddressBook, NodeConfig, SocketNode, WireFaults};
-use presumed_any::net::NetDelays;
-use presumed_any::obs::{event_to_json, parse_flat_json, JsonValue};
+mod common;
+
+use common::runtime::sockets::{node_config, write_peers};
+use common::runtime::{glacial, masked_site_traces};
+use presumed_any::net::wire::shared_history;
 use presumed_any::prelude::*;
 use presumed_any::wal::tempdir::TempDir;
-use std::collections::BTreeMap;
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Delays so large that any timer firing in a clean run is a bug; the
-/// protocol must make progress purely on message flow.
-fn glacial() -> NetDelays {
-    NetDelays {
-        vote_timeout: Duration::from_secs(60),
-        ack_resend: Duration::from_secs(60),
-        inquiry_retry: Duration::from_secs(60),
-        apply_retry: Duration::from_secs(60),
-        paxos_completion: Duration::from_secs(60),
-    }
-}
-
-/// Atomically (re)write the rendezvous file nodes re-read at each dial.
-fn write_peers(path: &Path, entries: &[(u32, SocketAddr)]) {
-    let tmp = path.with_extension("tmp");
-    let body: String = entries.iter().map(|(s, a)| format!("{s} {a}\n")).collect();
-    std::fs::write(&tmp, body).expect("write peers");
-    std::fs::rename(&tmp, path).expect("rename peers");
-}
-
-fn node_config(
-    cluster: &ClusterConfig,
-    hosted: &[u32],
-    peers: &Path,
-    wal_dir: PathBuf,
-) -> NodeConfig {
-    std::fs::create_dir_all(&wal_dir).expect("wal dir");
-    NodeConfig::new(
-        cluster.clone(),
-        hosted.iter().map(|&s| SiteId::new(s)).collect(),
-        AddressBook::File(peers.to_path_buf()),
-        wal_dir,
-    )
-}
-
-/// Per-site event lines with the wall-clock fields (`at_us`,
-/// `since_decision_us`) masked out — same comparison the reactor and
-/// multi-reactor parity tests use.
-fn masked_site_traces(events: &[ProtocolEvent]) -> BTreeMap<u64, Vec<String>> {
-    let mut by_site: BTreeMap<u64, Vec<String>> = BTreeMap::new();
-    for ev in events {
-        let mut map = parse_flat_json(&event_to_json(ev)).expect("trace dialect");
-        map.remove("at_us");
-        map.remove("since_decision_us");
-        let site = map["site"].as_u64().expect("site field");
-        let line = map
-            .iter()
-            .map(|(k, v)| match v {
-                JsonValue::Num(n) => format!("\"{k}\":{n}"),
-                JsonValue::Str(s) => format!("\"{k}\":{s:?}"),
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        by_site.entry(site).or_default().push(format!("{{{line}}}"));
-    }
-    by_site
-}
 
 /// One clean transaction where the coordinator and the participant are
 /// separate socket nodes must produce, per site, the same trace byte
@@ -356,50 +298,4 @@ fn bounded_write_queue_sheds_under_backpressure() {
         "wire drops must surface exactly once into the metrics grid"
     );
     let _ = coord.shutdown();
-}
-
-/// `reactor_gateway_commits_alongside_native_sites`, over the wire: the
-/// coordinator on one node, a native PrA participant and a PrC-speaking
-/// gateway on another. The socket node hosts gateways like any other
-/// site, so the legacy write lands with the native one.
-#[test]
-fn socket_gateway_commits_alongside_native_sites() {
-    let dir = TempDir::new("socket-gateway").expect("tempdir");
-    let peers = dir.path().join("peers");
-    let mut cluster = ClusterConfig::new(
-        CoordinatorKind::PrAny(SelectionPolicy::PaperStrict),
-        &[ProtocolKind::PrA, ProtocolKind::PrC],
-    );
-    cluster.gateways = vec![1];
-    let history = shared_history();
-    let mut coord = SocketNode::spawn_with(
-        node_config(&cluster, &[0], &peers, dir.path().join("a")),
-        None,
-        Arc::clone(&history),
-    )
-    .expect("coord node");
-    let sites = SocketNode::spawn_with(
-        node_config(&cluster, &[1, 2], &peers, dir.path().join("b")),
-        None,
-        Arc::clone(&history),
-    )
-    .expect("participant node");
-    let (a, b) = (coord.local_addr(), sites.local_addr());
-    write_peers(&peers, &[(0, a), (1, b), (2, b)]);
-
-    let parts = coord.participants();
-    let txn = coord.next_txn();
-    coord.apply(parts[0], txn, b"native", b"1");
-    coord.apply(parts[1], txn, b"legacy", b"2");
-    assert_eq!(coord.commit(txn, &parts), Some(Outcome::Commit));
-    coord.settle(Duration::from_millis(400));
-    let _ = coord.shutdown();
-    let report = sites.shutdown();
-    assert!(check_atomicity(&history.lock().clone()).is_empty());
-    let committed = |site: SiteId, key: &[u8]| {
-        let summary = report.cluster.sites.iter().find(|s| s.site == site);
-        summary.and_then(|s| s.committed.get(key).cloned())
-    };
-    assert_eq!(committed(parts[0], b"native"), Some(b"1".to_vec()));
-    assert_eq!(committed(parts[1], b"legacy"), Some(b"2".to_vec()));
 }

@@ -4,45 +4,13 @@
 //! observable at the client), and the generator's plans drive 1 and N
 //! reactors to identical outcomes and protocol costs.
 
-use presumed_any::net::NetDelays;
-use presumed_any::obs::{event_to_json, parse_flat_json, Counter, JsonValue};
+mod common;
+
+use common::runtime::{glacial, masked_site_traces};
+use presumed_any::obs::Counter;
 use presumed_any::prelude::*;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Delays so large that any timer firing in a clean run is a bug.
-fn glacial() -> NetDelays {
-    NetDelays {
-        vote_timeout: Duration::from_secs(60),
-        ack_resend: Duration::from_secs(60),
-        inquiry_retry: Duration::from_secs(60),
-        apply_retry: Duration::from_secs(60),
-        paxos_completion: Duration::from_secs(60),
-    }
-}
-
-/// Per-site event lines with wall-clock fields masked (the projection
-/// the runtime-parity tests compare).
-fn masked_site_traces(events: &[ProtocolEvent]) -> BTreeMap<u64, Vec<String>> {
-    let mut by_site: BTreeMap<u64, Vec<String>> = BTreeMap::new();
-    for ev in events {
-        let mut map = parse_flat_json(&event_to_json(ev)).expect("trace dialect");
-        map.remove("at_us");
-        map.remove("since_decision_us");
-        let site = map["site"].as_u64().expect("site field");
-        let line = map
-            .iter()
-            .map(|(k, v)| match v {
-                JsonValue::Num(n) => format!("\"{k}\":{n}"),
-                JsonValue::Str(s) => format!("\"{k}\":{s:?}"),
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        by_site.entry(site).or_default().push(format!("{{{line}}}"));
-    }
-    by_site
-}
 
 // ---------------------------------------------------------------------------
 // Acceptance: clean single-transaction traces are admission-invariant
