@@ -2,9 +2,9 @@
 //! recovery-scan speed for both log implementations.
 
 use acp_types::{LogPayload, Outcome, SiteId, TxnId};
-use acp_wal::encode::{decode_payload, encode_payload};
+use acp_wal::encode::{decode_payload, encode_frame_into, encode_payload};
 use acp_wal::tempdir::TempDir;
-use acp_wal::{FileLog, MemLog, StableLog};
+use acp_wal::{FileLog, Lsn, MemLog, StableLog};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -29,6 +29,16 @@ fn bench_codec(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(encoded.len() as u64));
     g.bench_function("encode_payload", |b| {
         b.iter(|| encode_payload(black_box(&p)))
+    });
+    // What a log's append does: frame the record at the end of a
+    // write buffer it already owns.
+    let mut buffer = Vec::new();
+    g.bench_function("encode_frame_into", |b| {
+        b.iter(|| {
+            buffer.clear();
+            encode_frame_into(&mut buffer, Lsn(41), true, black_box(&p));
+            black_box(buffer.len())
+        })
     });
     g.bench_function("decode_payload", |b| {
         b.iter(|| decode_payload(black_box(&encoded)).expect("decode"))

@@ -59,6 +59,10 @@ pub(crate) struct TxnState {
     /// Whether any log record was written for this transaction (decides
     /// whether an end record is due at completion).
     pub(crate) logged_any: bool,
+    /// The transaction's most recently armed timer: the vote timeout
+    /// while voting, the ack re-send once decided — what eager
+    /// retirement cancels without scanning every armed timer.
+    pub(crate) timer: Option<u64>,
 }
 
 /// The coordinator engine. See module docs.
@@ -117,7 +121,7 @@ pub struct Coordinator<L: StableLog> {
     /// When set, timers made obsolete by protocol progress (a vote
     /// timeout once the decision is fixed, ack re-sends once the
     /// transaction finishes) are retired eagerly and their tokens
-    /// buffered for [`Coordinator::take_cancelled_timers`]. Off by
+    /// buffered for [`Coordinator::drain_cancelled_timers`]. Off by
     /// default: the simulator and model checker keep the historical
     /// lazy-expiry behaviour (stale tokens are ignored when they fire),
     /// so their state spaces and traces are untouched.
@@ -250,7 +254,7 @@ impl<L: StableLog> Coordinator<L> {
     /// Enable (or disable) eager timer retirement: with tracking on,
     /// timers that protocol progress makes obsolete are removed from
     /// the engine's live set immediately and surfaced through
-    /// [`Coordinator::take_cancelled_timers`], so hosts with a real
+    /// [`Coordinator::drain_cancelled_timers`], so hosts with a real
     /// timer wheel (the reactor) can cancel the wheel entries instead
     /// of letting them fire into a no-op. Default off — see the field
     /// docs for why the simulator and checker stay on lazy expiry.
@@ -259,25 +263,20 @@ impl<L: StableLog> Coordinator<L> {
     }
 
     /// Drain the timer tokens retired since the last call (empty unless
-    /// [`Coordinator::set_track_cancellations`] enabled tracking).
-    pub fn take_cancelled_timers(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.cancelled)
+    /// [`Coordinator::set_track_cancellations`] enabled tracking). The
+    /// buffer keeps its capacity.
+    pub fn drain_cancelled_timers(&mut self) -> std::vec::Drain<'_, u64> {
+        self.cancelled.drain(..)
     }
 
-    /// Retire live timers of `txn` matching `pred`, recording their
-    /// tokens for the host. No-op unless tracking is enabled.
-    fn retire_timers(&mut self, txn: TxnId, pred: impl Fn(TimerPurpose) -> bool) {
+    /// Retire a transaction's live timer (`token`, from its table
+    /// entry), recording it for the host. No-op unless tracking is
+    /// enabled, or when the timer already fired.
+    fn retire_timer(&mut self, token: Option<u64>) {
         if !self.track_cancellations {
             return;
         }
-        let tokens: Vec<u64> = self
-            .timers
-            .iter()
-            .filter(|(_, (t, p))| *t == txn && pred(*p))
-            .map(|(tok, _)| *tok)
-            .collect();
-        for tok in tokens {
-            self.timers.remove(&tok);
+        if let Some(tok) = token.filter(|tok| self.timers.remove(tok).is_some()) {
             self.cancelled.push(tok);
         }
     }
@@ -421,6 +420,11 @@ impl<L: StableLog> Coordinator<L> {
         let token = self.next_token;
         self.next_token += 1;
         self.timers.insert(token, (txn, purpose));
+        self.table.with_mut(txn, |state| {
+            if let Some(state) = state {
+                state.timer = Some(token);
+            }
+        });
         out.push(Action::SetTimer {
             token,
             purpose,
@@ -435,13 +439,20 @@ impl<L: StableLog> Coordinator<L> {
     /// requires one, and send the prepare-to-commit requests (the voting
     /// phase of Figure 1).
     pub fn begin_commit(&mut self, txn: TxnId, sites: &[SiteId]) -> Vec<Action> {
+        let mut out = Vec::new();
+        self.begin_commit_into(txn, sites, &mut out);
+        out
+    }
+
+    /// [`Coordinator::begin_commit`], appending the actions to `out` —
+    /// the entry point for hosts that reuse one action buffer.
+    pub fn begin_commit_into(&mut self, txn: TxnId, sites: &[SiteId], out: &mut Vec<Action>) {
         assert!(
             !self.table.contains(txn),
             "transaction {txn} already in the protocol table"
         );
         let participants = self.entries(sites);
         let plan = CommitPlan::derive(self.kind, &participants);
-        let mut out = Vec::new();
 
         let mut logged_any = false;
         if plan.write_initiation {
@@ -453,14 +464,13 @@ impl<L: StableLog> Coordinator<L> {
                     mode: plan.mode,
                 },
                 true,
-                &mut out,
+                out,
             );
             logged_any = true;
         }
 
         for p in &participants {
-            let to = p.site;
-            self.send(txn, to, Payload::Prepare { txn }, &mut out);
+            self.send(txn, p.site, Payload::Prepare { txn }, out);
         }
         self.table.insert(
             txn,
@@ -471,45 +481,51 @@ impl<L: StableLog> Coordinator<L> {
                     votes: BTreeMap::new(),
                 },
                 logged_any,
+                timer: None,
             },
         );
-        self.arm_timer(txn, TimerPurpose::VoteTimeout, 0, &mut out);
-        out
+        self.arm_timer(txn, TimerPurpose::VoteTimeout, 0, out);
     }
 
     /// Fix the outcome and run the decision phase. Called when all votes
     /// are in, when a "No" vote arrives, or on vote timeout.
     fn decide(&mut self, txn: TxnId, outcome: Outcome, out: &mut Vec<Action>) {
-        // Copy what the decision needs out of the shard and release its
-        // lock before appending/sending — nothing below may re-enter the
-        // table while a shard is held.
-        let (plan, participants, excluded, mut logged_any) = self.table.with(txn, |state| {
-            let state = state.expect("decide on tabled txn");
-            // Recipients: everyone except unilateral aborters (voted
-            // "No") and read-only voters, both of which dropped out of
-            // phase two. Participants whose vote has not arrived are
-            // *included*: they may be prepared, so the decision (and its
-            // acknowledgment bookkeeping) must reach them.
-            let excluded: BTreeSet<SiteId> = match &state.phase {
-                Phase::Voting { votes } => votes
-                    .iter()
-                    .filter(|(_, v)| matches!(v, Vote::No | Vote::ReadOnly))
-                    .map(|(s, _)| *s)
-                    .collect(),
-                Phase::Deciding { .. } => unreachable!("decide called twice"),
+        // Move the entry into its deciding phase and borrow what the
+        // decision needs — the participant list and the votes — out of
+        // the shard, releasing its lock before appending/sending:
+        // nothing below may re-enter the table while a shard is held.
+        // The list goes back with the acknowledgment set at the end.
+        let (plan, participants, votes, vote_timer, mut logged_any) =
+            self.table.with_mut(txn, |state| {
+                let state = state.expect("decide on tabled txn");
+                let deciding = Phase::Deciding {
+                    outcome,
+                    pending: BTreeSet::new(),
+                    resends: 0,
+                };
+                let Phase::Voting { votes } = std::mem::replace(&mut state.phase, deciding) else {
+                    unreachable!("decide called twice")
+                };
+                let participants = std::mem::take(&mut state.participants);
+                (
+                    state.plan,
+                    participants,
+                    votes,
+                    state.timer.take(),
+                    state.logged_any,
+                )
+            });
+        // Recipients: everyone except unilateral aborters (voted "No")
+        // and read-only voters, both of which dropped out of phase two.
+        // Participants whose vote has not arrived are *included*: they
+        // may be prepared, so the decision (and its acknowledgment
+        // bookkeeping) must reach them.
+        let recipients = || {
+            let dropped_out = |p: &&ParticipantEntry| {
+                matches!(votes.get(&p.site), Some(Vote::No | Vote::ReadOnly))
             };
-            (
-                state.plan.clone(),
-                state.participants.clone(),
-                excluded,
-                state.logged_any,
-            )
-        });
-        let recipients: Vec<ParticipantEntry> = participants
-            .iter()
-            .filter(|p| !excluded.contains(&p.site))
-            .copied()
-            .collect();
+            participants.iter().filter(move |p| !dropped_out(p))
+        };
 
         self.decisions.insert(txn, outcome);
         out.push(Action::Acta(ActaEvent::Decide {
@@ -518,13 +534,13 @@ impl<L: StableLog> Coordinator<L> {
             outcome,
         }));
         // The decision supersedes the vote-collection timeout.
-        self.retire_timers(txn, |p| p == TimerPurpose::VoteTimeout);
+        self.retire_timer(vote_timer);
 
         // Decision record — skipped entirely when there is nobody left in
         // phase two (the read-only optimization: an all-read-only
         // transaction commits with no decision record and no decision
         // messages).
-        if !recipients.is_empty() {
+        if recipients().next().is_some() {
             if let Some(forced) = plan.decision_record(outcome) {
                 let rec_participants = if plan.write_initiation {
                     Vec::new()
@@ -543,27 +559,24 @@ impl<L: StableLog> Coordinator<L> {
                 );
                 logged_any = true;
             }
-            for p in &recipients {
-                let to = p.site;
-                self.send(txn, to, Payload::Decision { txn, outcome }, out);
+            for p in recipients() {
+                self.send(txn, p.site, Payload::Decision { txn, outcome }, out);
             }
         }
 
-        let pending: BTreeSet<SiteId> = plan
-            .expected_ackers(outcome, &recipients)
-            .into_iter()
-            .collect();
-
+        // Inserted one by one: collecting a set sorts through a
+        // temporary `Vec` first.
+        let mut pending = BTreeSet::new();
+        for p in recipients().filter(|p| plan.awaits_ack(outcome, p)) {
+            pending.insert(p.site);
+        }
         let finished = pending.is_empty();
         self.table.with_mut(txn, |state| {
             let state = state.expect("tabled");
+            state.participants = participants;
             state.logged_any = logged_any;
-            if !finished {
-                state.phase = Phase::Deciding {
-                    outcome,
-                    pending,
-                    resends: 0,
-                };
+            if let Phase::Deciding { pending: slot, .. } = &mut state.phase {
+                *slot = pending;
             }
         });
         if finished {
@@ -580,7 +593,7 @@ impl<L: StableLog> Coordinator<L> {
         let state = self.table.remove(txn).expect("finish on tabled txn");
         // Any still-armed timer for a finished transaction (the ack
         // re-send, typically) is dead weight from here on.
-        self.retire_timers(txn, |_| true);
+        self.retire_timer(state.timer);
         if state.logged_any {
             self.append(txn, LogPayload::End { txn }, false, out);
         }
@@ -623,11 +636,17 @@ impl<L: StableLog> Coordinator<L> {
     /// Handle an incoming message.
     pub fn on_message(&mut self, from: SiteId, payload: &Payload) -> Vec<Action> {
         let mut out = Vec::new();
+        self.on_message_into(from, payload, &mut out);
+        out
+    }
+
+    /// [`Coordinator::on_message`], appending the actions to `out`.
+    pub fn on_message_into(&mut self, from: SiteId, payload: &Payload, out: &mut Vec<Action>) {
         match payload {
-            Payload::Vote { txn, vote } => self.on_vote(from, *txn, *vote, &mut out),
-            Payload::Ack { txn } => self.on_ack(from, *txn, &mut out),
+            Payload::Vote { txn, vote } => self.on_vote(from, *txn, *vote, out),
+            Payload::Ack { txn } => self.on_ack(from, *txn, out),
             Payload::Inquiry { txn, protocol } => {
-                self.on_inquiry(from, *txn, *protocol, &mut out);
+                self.on_inquiry(from, *txn, *protocol, out);
             }
             // Coordinator-side protocol ignores everything else (§2) —
             // including the Paxos Commit vocabulary, which only the
@@ -642,7 +661,6 @@ impl<L: StableLog> Coordinator<L> {
             | Payload::Phase2b { .. }
             | Payload::PaxosForget { .. } => {}
         }
-        out
     }
 
     fn on_vote(&mut self, from: SiteId, txn: TxnId, vote: Vote, out: &mut Vec<Action>) {
@@ -768,8 +786,7 @@ impl<L: StableLog> Coordinator<L> {
                 (p.presumption(), true)
             }
             InquiryRule::ConsultLog => {
-                let records = self.log.records().expect("records");
-                let summaries = acp_wal::scan::analyze(&records);
+                let summaries = acp_wal::scan::analyze_log(&self.log).expect("records");
                 match summaries.get(&txn).and_then(|s| s.decision) {
                     Some(o) => (o, false),
                     // Never decided (or the records were reclaimed after
@@ -797,8 +814,14 @@ impl<L: StableLog> Coordinator<L> {
     /// Timer callback.
     pub fn on_timer(&mut self, token: u64) -> Vec<Action> {
         let mut out = Vec::new();
+        self.on_timer_into(token, &mut out);
+        out
+    }
+
+    /// [`Coordinator::on_timer`], appending the actions to `out`.
+    pub fn on_timer_into(&mut self, token: u64, out: &mut Vec<Action>) {
         let Some((txn, purpose)) = self.timers.remove(&token) else {
-            return out;
+            return;
         };
         match purpose {
             TimerPurpose::VoteTimeout => {
@@ -814,7 +837,7 @@ impl<L: StableLog> Coordinator<L> {
                 if voting {
                     // §4.2: failures are detected by timeouts — missing
                     // votes abort the transaction.
-                    self.decide(txn, Outcome::Abort, &mut out);
+                    self.decide(txn, Outcome::Abort, out);
                 }
             }
             TimerPurpose::AckResend => {
@@ -834,10 +857,10 @@ impl<L: StableLog> Coordinator<L> {
                 });
                 if let Some((attempts, outcome, targets)) = resend {
                     for to in targets {
-                        self.send(txn, to, Payload::Decision { txn, outcome }, &mut out);
+                        self.send(txn, to, Payload::Decision { txn, outcome }, out);
                     }
                     if attempts < MAX_DECISION_RESENDS {
-                        self.arm_timer(txn, TimerPurpose::AckResend, attempts, &mut out);
+                        self.arm_timer(txn, TimerPurpose::AckResend, attempts, out);
                     }
                 }
             }
@@ -846,7 +869,6 @@ impl<L: StableLog> Coordinator<L> {
             | TimerPurpose::ApplyRetry
             | TimerPurpose::PaxosCompletion => {}
         }
-        out
     }
 
     /// The site fail-stops: the protocol table, timers and unflushed log
@@ -857,7 +879,7 @@ impl<L: StableLog> Coordinator<L> {
         self.timers.clear();
         self.cancelled.clear();
         self.log.lose_unflushed().expect("log crash");
-        self.gc = GcTracker::from_records(&self.log.records().expect("records"));
+        self.gc = GcTracker::from_log(&self.log).expect("records");
     }
 
     /// Garbage-collect the releasable log prefix. Returns the number of

@@ -10,7 +10,7 @@
 //! differences between the protocols are the ones the paper describes.
 
 use crate::coordinator::select::select_mode;
-use acp_types::{CommitMode, CoordinatorKind, Outcome, ParticipantEntry, ProtocolKind, SiteId};
+use acp_types::{CommitMode, CoordinatorKind, Outcome, ParticipantEntry, ProtocolKind};
 
 /// Who must acknowledge a decision.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -45,7 +45,7 @@ pub enum InquiryRule {
 }
 
 /// The complete policy for committing one transaction.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CommitPlan {
     /// The mode recorded in the initiation record and the protocol
     /// table.
@@ -170,22 +170,14 @@ impl CommitPlan {
         }
     }
 
-    /// Given the decision recipients, the set whose acknowledgment must
-    /// arrive before the coordinator may forget the transaction.
+    /// Must decision recipient `p` acknowledge `outcome` before the
+    /// coordinator may forget the transaction?
     #[must_use]
-    pub fn expected_ackers(
-        &self,
-        outcome: Outcome,
-        recipients: &[ParticipantEntry],
-    ) -> Vec<SiteId> {
+    pub fn awaits_ack(&self, outcome: Outcome, p: &ParticipantEntry) -> bool {
         match self.ack_rule(outcome) {
-            AckRule::None => Vec::new(),
-            AckRule::AllRecipients => recipients.iter().map(|p| p.site).collect(),
-            AckRule::ByParticipantProtocol => recipients
-                .iter()
-                .filter(|p| p.protocol.acks(outcome))
-                .map(|p| p.site)
-                .collect(),
+            AckRule::None => false,
+            AckRule::AllRecipients => true,
+            AckRule::ByParticipantProtocol => p.protocol.acks(outcome),
         }
     }
 }
@@ -194,6 +186,19 @@ impl CommitPlan {
 mod tests {
     use super::*;
     use acp_types::{SelectionPolicy, SiteId};
+
+    impl CommitPlan {
+        /// Of the decision recipients, those whose acknowledgment must
+        /// arrive before the coordinator may forget the transaction.
+        fn expected_ackers(
+            &self,
+            outcome: Outcome,
+            recipients: &[ParticipantEntry],
+        ) -> Vec<SiteId> {
+            let awaited = recipients.iter().filter(|p| self.awaits_ack(outcome, p));
+            awaited.map(|p| p.site).collect()
+        }
+    }
 
     fn pop(protos: &[ProtocolKind]) -> Vec<ParticipantEntry> {
         protos

@@ -40,23 +40,27 @@ impl<L: StableLog> Coordinator<L> {
     /// still owed and answer future inquiries from the rebuilt state.
     pub fn recover(&mut self) -> Vec<Action> {
         let mut out = Vec::new();
-        let records = self.log.records().expect("records");
-        self.gc = acp_wal::GcTracker::from_records(&records);
-        let summaries = acp_wal::scan::analyze(&records);
+        self.recover_into(&mut out);
+        out
+    }
+
+    /// [`Coordinator::recover`], appending the actions to `out`.
+    pub fn recover_into(&mut self, out: &mut Vec<Action>) {
+        self.gc = acp_wal::GcTracker::from_log(&self.log).expect("records");
+        let summaries = acp_wal::scan::analyze_log(&self.log).expect("records");
 
         for (txn, summary) in summaries {
             if summary.ended || !summary.coordinator_open() {
                 continue;
             }
-            self.recover_txn(txn, &summary, &mut out);
+            self.recover_txn(txn, summary, out);
         }
-        out
     }
 
-    fn recover_txn(&mut self, txn: TxnId, summary: &TxnLogSummary, out: &mut Vec<Action>) {
-        let (participants, plan, outcome) = match &summary.initiation {
+    fn recover_txn(&mut self, txn: TxnId, summary: TxnLogSummary, out: &mut Vec<Action>) {
+        let (participants, plan, outcome) = match summary.initiation {
             Some((mode, participants)) => {
-                let plan = self.plan_for_mode(*mode, participants);
+                let plan = self.plan_for_mode(mode, &participants);
                 // Initiation without a commit record ⇒ either no decision
                 // was made before the failure or abort was decided; both
                 // resolve to abort. A commit record fixes commit.
@@ -64,13 +68,13 @@ impl<L: StableLog> Coordinator<L> {
                     Some(o) => o,
                     None => Outcome::Abort,
                 };
-                (participants.clone(), plan, outcome)
+                (participants, plan, outcome)
             }
             None => {
                 // Decision record without initiation: PrN/PrA (or a
                 // C2PC coordinator over such a base). The participant
                 // list was recorded in the decision record.
-                let participants = summary.decision_participants.clone();
+                let participants = summary.decision_participants;
                 let plan = CommitPlan::derive(self.kind, &participants);
                 let outcome = summary
                     .decision
@@ -92,10 +96,8 @@ impl<L: StableLog> Coordinator<L> {
         // Who is re-notified = exactly who still owes an acknowledgment
         // (footnote 4: PrA participants are not re-sent aborts, PrC
         // participants are not re-sent commits).
-        let pending: BTreeSet<SiteId> = plan
-            .expected_ackers(outcome, &participants)
-            .into_iter()
-            .collect();
+        let awaited = participants.iter().filter(|p| plan.awaits_ack(outcome, p));
+        let pending: BTreeSet<SiteId> = awaited.map(|p| p.site).collect();
 
         if pending.is_empty() {
             // Nothing owed (e.g. a committed PrC transaction): close out
@@ -131,6 +133,7 @@ impl<L: StableLog> Coordinator<L> {
                     resends: 0,
                 },
                 logged_any: true,
+                timer: None,
             },
         );
         self.arm_timer(txn, TimerPurpose::AckResend, 0, out);

@@ -259,8 +259,7 @@ impl<L: StableLog> GatewayParticipant<L> {
 
     /// Handle a prepare request: take the reservation, force the redo
     /// information, vote.
-    fn on_prepare(&mut self, coordinator: SiteId, txn: TxnId) -> Vec<Action> {
-        let mut out = Vec::new();
+    fn on_prepare(&mut self, coordinator: SiteId, txn: TxnId, out: &mut Vec<Action>) {
         let Some(state) = self.txns.get(&txn) else {
             // No staged writes: read-only from the gateway's view.
             self.send(
@@ -270,9 +269,9 @@ impl<L: StableLog> GatewayParticipant<L> {
                     txn,
                     vote: Vote::ReadOnly,
                 },
-                &mut out,
+                out,
             );
-            return out;
+            return;
         };
         match &state.phase {
             GatewayPhase::Collecting => {}
@@ -284,11 +283,11 @@ impl<L: StableLog> GatewayParticipant<L> {
                         txn,
                         vote: Vote::Yes,
                     },
-                    &mut out,
+                    out,
                 );
-                return out;
+                return;
             }
-            GatewayPhase::Applying { .. } => return out,
+            GatewayPhase::Applying { .. } => return,
         }
         // Exclusive right reservation: refuse if any written key is
         // reserved by another transaction.
@@ -311,13 +310,13 @@ impl<L: StableLog> GatewayParticipant<L> {
                     txn,
                     vote: Vote::No,
                 },
-                &mut out,
+                out,
             );
             out.push(Action::Acta(ActaEvent::ForgetPart {
                 participant: self.site,
                 txn,
             }));
-            return out;
+            return;
         }
         // Reserve, force redo info + prepared record, vote Yes.
         let writes = state.writes.clone();
@@ -334,15 +333,10 @@ impl<L: StableLog> GatewayParticipant<L> {
                     after: Some(value.clone()),
                 },
                 false,
-                &mut out,
+                out,
             );
         }
-        self.append(
-            txn,
-            LogPayload::Prepared { txn, coordinator },
-            true,
-            &mut out,
-        );
+        self.append(txn, LogPayload::Prepared { txn, coordinator }, true, out);
         out.push(Action::Acta(ActaEvent::Prepared {
             participant: self.site,
             txn,
@@ -358,10 +352,9 @@ impl<L: StableLog> GatewayParticipant<L> {
                 txn,
                 vote: Vote::Yes,
             },
-            &mut out,
+            out,
         );
-        self.arm_timer(txn, TimerPurpose::InquiryRetry, 0, &mut out);
-        out
+        self.arm_timer(txn, TimerPurpose::InquiryRetry, 0, out);
     }
 
     /// Try to push a committed transaction's writes into the legacy
@@ -398,28 +391,22 @@ impl<L: StableLog> GatewayParticipant<L> {
         }));
     }
 
-    fn on_decision(&mut self, from: SiteId, txn: TxnId, outcome: Outcome) -> Vec<Action> {
-        let mut out = Vec::new();
+    fn on_decision(&mut self, from: SiteId, txn: TxnId, outcome: Outcome, out: &mut Vec<Action>) {
         let Some(state) = self.txns.get_mut(&txn) else {
             // Footnote 5: no memory ⇒ already enforced; just acknowledge.
             if self.declared.acks(outcome) {
-                self.send(txn, from, Payload::Ack { txn }, &mut out);
+                self.send(txn, from, Payload::Ack { txn }, out);
             }
-            return out;
+            return;
         };
         let GatewayPhase::SimulatedPrepared { coordinator, .. } = state.phase else {
-            return out;
+            return;
         };
         // Durable decision record: forced exactly when the declared
         // dialect acknowledges (the ack promises stability — same rule
         // as a native participant).
         let force = self.declared.forces_decision(outcome);
-        self.append(
-            txn,
-            LogPayload::PartDecision { txn, outcome },
-            force,
-            &mut out,
-        );
+        self.append(txn, LogPayload::PartDecision { txn, outcome }, force, out);
         self.enforced.insert(txn, outcome);
         out.push(Action::Enforce { txn, outcome });
         out.push(Action::Acta(ActaEvent::Enforce {
@@ -428,7 +415,7 @@ impl<L: StableLog> GatewayParticipant<L> {
             outcome,
         }));
         if self.declared.acks(outcome) {
-            self.send(txn, coordinator, Payload::Ack { txn }, &mut out);
+            self.send(txn, coordinator, Payload::Ack { txn }, out);
         }
         match outcome {
             Outcome::Commit => {
@@ -436,29 +423,35 @@ impl<L: StableLog> GatewayParticipant<L> {
                 // application happens (and retries) asynchronously.
                 self.txns.get_mut(&txn).expect("present").phase =
                     GatewayPhase::Applying { next_write: 0 };
-                self.try_apply(txn, &mut out);
+                self.try_apply(txn, out);
             }
             Outcome::Abort => {
                 let state = self.txns.remove(&txn).expect("present");
                 for (k, _) in &state.writes {
                     self.reservations.remove(k);
                 }
-                self.append(txn, LogPayload::PartEnd { txn }, false, &mut out);
+                self.append(txn, LogPayload::PartEnd { txn }, false, out);
                 out.push(Action::Acta(ActaEvent::ForgetPart {
                     participant: self.site,
                     txn,
                 }));
             }
         }
-        out
     }
 
     /// Route an incoming message.
     pub fn on_message(&mut self, from: SiteId, payload: &Payload) -> Vec<Action> {
+        let mut out = Vec::new();
+        self.on_message_into(from, payload, &mut out);
+        out
+    }
+
+    /// [`GatewayParticipant::on_message`], appending the actions to `out`.
+    pub fn on_message_into(&mut self, from: SiteId, payload: &Payload, out: &mut Vec<Action>) {
         match payload {
-            Payload::Prepare { txn } => self.on_prepare(from, *txn),
+            Payload::Prepare { txn } => self.on_prepare(from, *txn, out),
             Payload::Decision { txn, outcome } | Payload::InquiryResponse { txn, outcome } => {
-                self.on_decision(from, *txn, *outcome)
+                self.on_decision(from, *txn, *outcome, out);
             }
             Payload::Vote { .. }
             | Payload::Ack { .. }
@@ -468,7 +461,7 @@ impl<L: StableLog> GatewayParticipant<L> {
             | Payload::Phase1b { .. }
             | Payload::Phase2a { .. }
             | Payload::Phase2b { .. }
-            | Payload::PaxosForget { .. } => Vec::new(),
+            | Payload::PaxosForget { .. } => {}
         }
     }
 
@@ -476,8 +469,14 @@ impl<L: StableLog> GatewayParticipant<L> {
     /// retries while applying.
     pub fn on_timer(&mut self, token: u64) -> Vec<Action> {
         let mut out = Vec::new();
+        self.on_timer_into(token, &mut out);
+        out
+    }
+
+    /// [`GatewayParticipant::on_timer`], appending the actions to `out`.
+    pub fn on_timer_into(&mut self, token: u64, out: &mut Vec<Action>) {
         let Some(txn) = self.timers.remove(&token) else {
-            return out;
+            return;
         };
         match self.txns.get_mut(&txn).map(|t| &mut t.phase) {
             Some(GatewayPhase::SimulatedPrepared {
@@ -493,20 +492,14 @@ impl<L: StableLog> GatewayParticipant<L> {
                     protocol: self.declared,
                 }));
                 let protocol = self.declared;
-                self.send(
-                    txn,
-                    coordinator,
-                    Payload::Inquiry { txn, protocol },
-                    &mut out,
-                );
+                self.send(txn, coordinator, Payload::Inquiry { txn, protocol }, out);
                 if attempts < crate::participant::MAX_INQUIRY_RETRIES {
-                    self.arm_timer(txn, TimerPurpose::InquiryRetry, attempts, &mut out);
+                    self.arm_timer(txn, TimerPurpose::InquiryRetry, attempts, out);
                 }
             }
-            Some(GatewayPhase::Applying { .. }) => self.try_apply(txn, &mut out),
+            Some(GatewayPhase::Applying { .. }) => self.try_apply(txn, out),
             _ => {}
         }
-        out
     }
 
     /// Gateway crash: volatile state lost; the legacy system is a
@@ -516,16 +509,21 @@ impl<L: StableLog> GatewayParticipant<L> {
         self.reservations.clear();
         self.timers.clear();
         self.log.lose_unflushed().expect("log crash");
-        self.gc = GcTracker::from_records(&self.log.records().expect("records"));
+        self.gc = GcTracker::from_log(&self.log).expect("records");
     }
 
     /// Recovery: rebuild simulated-prepared and applying transactions
     /// from the redo log.
     pub fn recover(&mut self) -> Vec<Action> {
         let mut out = Vec::new();
-        let records = self.log.records().expect("records");
-        self.gc = GcTracker::from_records(&records);
-        let summaries = acp_wal::scan::analyze(&records);
+        self.recover_into(&mut out);
+        out
+    }
+
+    /// [`GatewayParticipant::recover`], appending the actions to `out`.
+    pub fn recover_into(&mut self, out: &mut Vec<Action>) {
+        self.gc = GcTracker::from_log(&self.log).expect("records");
+        let summaries = acp_wal::scan::analyze_log(&self.log).expect("records");
         for (txn, s) in summaries {
             if s.part_ended {
                 continue;
@@ -556,13 +554,8 @@ impl<L: StableLog> GatewayParticipant<L> {
                     protocol: self.declared,
                 }));
                 let protocol = self.declared;
-                self.send(
-                    txn,
-                    coordinator,
-                    Payload::Inquiry { txn, protocol },
-                    &mut out,
-                );
-                self.arm_timer(txn, TimerPurpose::InquiryRetry, 1, &mut out);
+                self.send(txn, coordinator, Payload::Inquiry { txn, protocol }, out);
+                self.arm_timer(txn, TimerPurpose::InquiryRetry, 1, out);
             } else if let Some(outcome) = s.part_decision {
                 self.enforced.entry(txn).or_insert(outcome);
                 if outcome == Outcome::Commit {
@@ -578,9 +571,9 @@ impl<L: StableLog> GatewayParticipant<L> {
                             writes,
                         },
                     );
-                    self.try_apply(txn, &mut out);
+                    self.try_apply(txn, out);
                 } else {
-                    self.append(txn, LogPayload::PartEnd { txn }, false, &mut out);
+                    self.append(txn, LogPayload::PartEnd { txn }, false, out);
                     out.push(Action::Acta(ActaEvent::ForgetPart {
                         participant: self.site,
                         txn,
@@ -588,7 +581,6 @@ impl<L: StableLog> GatewayParticipant<L> {
                 }
             }
         }
-        out
     }
 }
 

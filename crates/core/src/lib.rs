@@ -44,6 +44,12 @@
 //! Engines are pure state machines: each input (a message, a timer, a
 //! commit request, recovery) returns a list of [`Action`]s — messages to
 //! send, local enforcements, timers to arm, and ACTA events to record.
+//! Every input has two entry points of one shape: `begin_commit_into` /
+//! `on_message_into` / `on_timer_into` / `recover_into(input, &mut
+//! Vec<Action>)` append to a buffer the host reuses (the real-time
+//! kernel's turn), and the `Vec`-returning methods are wrappers over
+//! them for hosts that want an owned list per step (the simulator, the
+//! model checker, tests).
 //! All stable state lives in an owned [`acp_wal::StableLog`]; all other
 //! state is volatile and cleared by `crash()`. This is what lets the
 //! same code run under the simulator, the bounded model checker and the

@@ -40,6 +40,31 @@ enum PartState {
     },
 }
 
+/// A prepared transaction's table entry: its protocol state, and the
+/// token of its live inquiry timer so the decision can retire it
+/// without scanning every armed timer. The token is host bookkeeping
+/// (`timers` already carries it), so fingerprints read only `state`.
+#[derive(Clone, Debug)]
+struct ActiveTxn {
+    state: PartState,
+    inquiry_timer: Option<u64>,
+}
+
+impl ActiveTxn {
+    /// A newly (re-)prepared entry; the arming that follows sets its
+    /// timer.
+    fn prepared(coordinator: SiteId, inquiries_sent: u32) -> Self {
+        let state = PartState::Prepared {
+            coordinator,
+            inquiries_sent,
+        };
+        ActiveTxn {
+            state,
+            inquiry_timer: None,
+        }
+    }
+}
+
 /// A participant site's commit-protocol engine.
 ///
 /// # Example
@@ -66,7 +91,7 @@ pub struct Participant<L: StableLog> {
     protocol: ProtocolKind,
     log: L,
     /// Volatile protocol state (cleared on crash).
-    active: BTreeMap<TxnId, PartState>,
+    active: BTreeMap<TxnId, ActiveTxn>,
     /// How this site will vote per transaction (application intent).
     /// Defaults to `Yes`. Conceptually part of the application, not the
     /// protocol, so it survives crashes.
@@ -112,29 +137,26 @@ impl<L: StableLog> Participant<L> {
 
     /// Enable (or disable) eager retirement of inquiry timers once the
     /// decision is learned; retired tokens surface through
-    /// [`Participant::take_cancelled_timers`]. Default off.
+    /// [`Participant::drain_cancelled_timers`]. Default off.
     pub fn set_track_cancellations(&mut self, on: bool) {
         self.track_cancellations = on;
     }
 
     /// Drain the timer tokens retired since the last call (empty unless
-    /// [`Participant::set_track_cancellations`] enabled tracking).
-    pub fn take_cancelled_timers(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.cancelled)
+    /// [`Participant::set_track_cancellations`] enabled tracking). The
+    /// buffer keeps its capacity.
+    pub fn drain_cancelled_timers(&mut self) -> std::vec::Drain<'_, u64> {
+        self.cancelled.drain(..)
     }
 
-    fn retire_timers(&mut self, txn: TxnId) {
+    /// Retire a decided transaction's live inquiry timer, recording it
+    /// for the host. No-op unless tracking is enabled, or when the timer
+    /// already fired.
+    fn retire_timer(&mut self, token: Option<u64>) {
         if !self.track_cancellations {
             return;
         }
-        let tokens: Vec<u64> = self
-            .timers
-            .iter()
-            .filter(|(_, t)| **t == txn)
-            .map(|(tok, _)| *tok)
-            .collect();
-        for tok in tokens {
-            self.timers.remove(&tok);
+        if let Some(tok) = token.filter(|tok| self.timers.remove(tok).is_some()) {
             self.cancelled.push(tok);
         }
     }
@@ -171,7 +193,7 @@ impl<L: StableLog> Participant<L> {
     /// Is the participant in doubt about `txn` (prepared, no decision)?
     #[must_use]
     pub fn in_doubt(&self, txn: TxnId) -> bool {
-        matches!(self.active.get(&txn), Some(PartState::Prepared { .. }))
+        self.active.contains_key(&txn)
     }
 
     /// Transactions currently in doubt.
@@ -212,7 +234,7 @@ impl<L: StableLog> Participant<L> {
     pub fn fingerprint(&self) -> String {
         let mut s = format!("part:{:?};", self.protocol);
         for (txn, st) in &self.active {
-            s.push_str(&format!("{txn}={st:?};"));
+            s.push_str(&format!("{txn}={:?};", st.state));
         }
         s.push('|');
         for (txn, o) in &self.enforced {
@@ -237,7 +259,7 @@ impl<L: StableLog> Participant<L> {
         self.protocol.hash(h);
         for (txn, st) in &self.active {
             txn.hash(h);
-            st.hash(h);
+            st.state.hash(h);
         }
         0xB1u8.hash(h);
         for (txn, o) in &self.enforced {
@@ -283,6 +305,9 @@ impl<L: StableLog> Participant<L> {
         let token = self.next_token;
         self.next_token += 1;
         self.timers.insert(token, txn);
+        if let Some(st) = self.active.get_mut(&txn) {
+            st.inquiry_timer = Some(token);
+        }
         out.push(Action::SetTimer {
             token,
             purpose: TimerPurpose::InquiryRetry,
@@ -295,55 +320,35 @@ impl<L: StableLog> Participant<L> {
     /// Handle a `Prepare` request from the coordinator.
     pub fn on_prepare(&mut self, coordinator: SiteId, txn: TxnId) -> Vec<Action> {
         let mut out = Vec::new();
+        self.prepare(coordinator, txn, &mut out);
+        out
+    }
+
+    fn prepare(&mut self, coordinator: SiteId, txn: TxnId, out: &mut Vec<Action>) {
         if self.enforced.contains_key(&txn) {
             // Already terminated here (e.g. duplicate prepare after a
             // slow network). Nothing sensible to vote; stay silent — the
             // coordinator's vote timeout covers it.
-            return out;
+            return;
         }
-        if let Some(PartState::Prepared { coordinator: c, .. }) = self.active.get(&txn) {
+        if let Some(st) = self.active.get(&txn) {
             // Duplicate prepare while prepared: re-vote Yes.
-            let c = *c;
-            self.send(
-                txn,
-                c,
-                Payload::Vote {
-                    txn,
-                    vote: Vote::Yes,
-                },
-                &mut out,
-            );
-            return out;
+            let PartState::Prepared { coordinator: c, .. } = st.state;
+            let vote = Vote::Yes;
+            self.send(txn, c, Payload::Vote { txn, vote }, out);
+            return;
         }
-        match self.intents.get(&txn).copied().unwrap_or(Vote::Yes) {
+        let vote = self.intents.get(&txn).copied().unwrap_or(Vote::Yes);
+        match vote {
             Vote::Yes => {
-                self.append(
-                    txn,
-                    LogPayload::Prepared { txn, coordinator },
-                    true,
-                    &mut out,
-                );
+                self.append(txn, LogPayload::Prepared { txn, coordinator }, true, out);
                 out.push(Action::Acta(ActaEvent::Prepared {
                     participant: self.site,
                     txn,
                 }));
-                self.active.insert(
-                    txn,
-                    PartState::Prepared {
-                        coordinator,
-                        inquiries_sent: 0,
-                    },
-                );
-                self.send(
-                    txn,
-                    coordinator,
-                    Payload::Vote {
-                        txn,
-                        vote: Vote::Yes,
-                    },
-                    &mut out,
-                );
-                self.arm_inquiry_timer(txn, 0, &mut out);
+                self.active.insert(txn, ActiveTxn::prepared(coordinator, 0));
+                self.send(txn, coordinator, Payload::Vote { txn, vote }, out);
+                self.arm_inquiry_timer(txn, 0, out);
             }
             Vote::No => {
                 // Unilateral abort: no stable trace, no second phase.
@@ -352,15 +357,7 @@ impl<L: StableLog> Participant<L> {
                     txn,
                     outcome: Outcome::Abort,
                 });
-                self.send(
-                    txn,
-                    coordinator,
-                    Payload::Vote {
-                        txn,
-                        vote: Vote::No,
-                    },
-                    &mut out,
-                );
+                self.send(txn, coordinator, Payload::Vote { txn, vote }, out);
                 out.push(Action::Acta(ActaEvent::ForgetPart {
                     participant: self.site,
                     txn,
@@ -368,72 +365,68 @@ impl<L: StableLog> Participant<L> {
             }
             Vote::ReadOnly => {
                 // Read-only optimization: vote and drop out of phase two.
-                self.send(
-                    txn,
-                    coordinator,
-                    Payload::Vote {
-                        txn,
-                        vote: Vote::ReadOnly,
-                    },
-                    &mut out,
-                );
+                self.send(txn, coordinator, Payload::Vote { txn, vote }, out);
                 out.push(Action::Acta(ActaEvent::ForgetPart {
                     participant: self.site,
                     txn,
                 }));
             }
         }
-        out
     }
 
     /// Handle a final decision (or an inquiry response, which carries the
     /// same information).
     pub fn on_decision(&mut self, txn: TxnId, outcome: Outcome) -> Vec<Action> {
         let mut out = Vec::new();
-        match self.active.remove(&txn) {
-            Some(PartState::Prepared { coordinator, .. }) => {
-                // The decision resolves the in-doubt state; any pending
-                // inquiry retry for this transaction is obsolete.
-                self.retire_timers(txn);
-                let force = self.protocol.forces_decision(outcome);
-                self.append(
-                    txn,
-                    LogPayload::PartDecision { txn, outcome },
-                    force,
-                    &mut out,
-                );
-                self.enforced.insert(txn, outcome);
-                out.push(Action::Enforce { txn, outcome });
-                out.push(Action::Acta(ActaEvent::Enforce {
-                    participant: self.site,
-                    txn,
-                    outcome,
-                }));
-                if self.protocol.acks(outcome) {
-                    self.send(txn, coordinator, Payload::Ack { txn }, &mut out);
-                }
-                self.append(txn, LogPayload::PartEnd { txn }, false, &mut out);
-                out.push(Action::Acta(ActaEvent::ForgetPart {
-                    participant: self.site,
-                    txn,
-                }));
-            }
-            None => {
-                // No memory of the transaction. The footnote-5 ack needs
-                // the sender's address, which only `on_message` has — it
-                // handles that case before calling here; a direct caller
-                // hitting this branch simply gets no actions.
-            }
-        }
+        self.decision(txn, outcome, &mut out);
         out
+    }
+
+    fn decision(&mut self, txn: TxnId, outcome: Outcome, out: &mut Vec<Action>) {
+        // No memory of the transaction: the footnote-5 ack needs the
+        // sender's address, which only `on_message` has — it handles
+        // that case before calling here; a direct caller simply gets no
+        // actions.
+        let Some(st) = self.active.remove(&txn) else {
+            return;
+        };
+        let PartState::Prepared { coordinator, .. } = st.state;
+        // The decision resolves the in-doubt state; any pending
+        // inquiry retry for this transaction is obsolete.
+        self.retire_timer(st.inquiry_timer);
+        let force = self.protocol.forces_decision(outcome);
+        self.append(txn, LogPayload::PartDecision { txn, outcome }, force, out);
+        self.enforced.insert(txn, outcome);
+        out.push(Action::Enforce { txn, outcome });
+        out.push(Action::Acta(ActaEvent::Enforce {
+            participant: self.site,
+            txn,
+            outcome,
+        }));
+        if self.protocol.acks(outcome) {
+            self.send(txn, coordinator, Payload::Ack { txn }, out);
+        }
+        self.append(txn, LogPayload::PartEnd { txn }, false, out);
+        out.push(Action::Acta(ActaEvent::ForgetPart {
+            participant: self.site,
+            txn,
+        }));
     }
 
     /// Route any incoming message to the right handler.
     pub fn on_message(&mut self, from: SiteId, payload: &Payload) -> Vec<Action> {
+        let mut out = Vec::new();
+        self.on_message_into(from, payload, &mut out);
+        out
+    }
+
+    /// [`Participant::on_message`], appending the actions to `out` — the
+    /// entry point for hosts that reuse one action buffer.
+    pub fn on_message_into(&mut self, from: SiteId, payload: &Payload, out: &mut Vec<Action>) {
         match payload {
-            Payload::Prepare { txn } => self.on_prepare(from, *txn),
+            Payload::Prepare { txn } => self.prepare(from, *txn, out),
             Payload::Decision { txn, outcome } | Payload::InquiryResponse { txn, outcome } => {
-                if self.active.contains_key(txn) {
+                if let Some(st) = self.active.get_mut(txn) {
                     // The decision's sender is the coordinator of record
                     // from here on: under Paxos Commit a failover leader
                     // (not the coordinator logged in the prepared
@@ -441,22 +434,19 @@ impl<L: StableLog> Participant<L> {
                     // reach the site that is still collecting acks. For
                     // the classic protocols sender and logged
                     // coordinator coincide, so this is a no-op.
-                    if let Some(PartState::Prepared { coordinator, .. }) =
-                        self.active.get_mut(txn)
-                    {
-                        *coordinator = from;
-                    }
-                    self.on_decision(*txn, *outcome)
-                } else {
+                    let PartState::Prepared { coordinator, .. } = &mut st.state;
+                    *coordinator = from;
+                    self.decision(*txn, *outcome, out);
+                } else if self.protocol.acks(*outcome)
+                    && matches!(payload, Payload::Decision { .. })
+                {
                     // No memory (already enforced & forgotten, or never
                     // prepared): footnote 5 — just acknowledge.
-                    let mut out = Vec::new();
-                    if self.protocol.acks(*outcome) && matches!(payload, Payload::Decision { .. }) {
-                        self.send(*txn, from, Payload::Ack { txn: *txn }, &mut out);
-                    }
-                    out
+                    self.send(*txn, from, Payload::Ack { txn: *txn }, out);
                 }
             }
+            // Coordinator/acceptor-side messages; a participant ignores
+            // them (§2: violations are ignored).
             Payload::Vote { .. }
             | Payload::Ack { .. }
             | Payload::Inquiry { .. }
@@ -465,45 +455,42 @@ impl<L: StableLog> Participant<L> {
             | Payload::Phase1b { .. }
             | Payload::Phase2a { .. }
             | Payload::Phase2b { .. }
-            | Payload::PaxosForget { .. } => {
-                // Coordinator/acceptor-side messages; a participant
-                // ignores them (§2: violations are ignored).
-                Vec::new()
-            }
+            | Payload::PaxosForget { .. } => {}
         }
     }
 
     /// Timer callback.
     pub fn on_timer(&mut self, token: u64) -> Vec<Action> {
         let mut out = Vec::new();
+        self.on_timer_into(token, &mut out);
+        out
+    }
+
+    /// [`Participant::on_timer`], appending the actions to `out`.
+    pub fn on_timer_into(&mut self, token: u64, out: &mut Vec<Action>) {
         let Some(txn) = self.timers.remove(&token) else {
-            return out;
+            return;
         };
-        if let Some(PartState::Prepared {
+        let Some(st) = self.active.get_mut(&txn) else {
+            return;
+        };
+        let PartState::Prepared {
             coordinator,
             inquiries_sent,
-        }) = self.active.get_mut(&txn)
-        {
-            let coordinator = *coordinator;
-            *inquiries_sent += 1;
-            let attempts = *inquiries_sent;
-            out.push(Action::Acta(ActaEvent::Inquire {
-                participant: self.site,
-                txn,
-                protocol: self.protocol,
-            }));
-            let protocol = self.protocol;
-            self.send(
-                txn,
-                coordinator,
-                Payload::Inquiry { txn, protocol },
-                &mut out,
-            );
-            if attempts < MAX_INQUIRY_RETRIES {
-                self.arm_inquiry_timer(txn, attempts, &mut out);
-            }
+        } = &mut st.state;
+        let coordinator = *coordinator;
+        *inquiries_sent += 1;
+        let attempts = *inquiries_sent;
+        let protocol = self.protocol;
+        out.push(Action::Acta(ActaEvent::Inquire {
+            participant: self.site,
+            txn,
+            protocol,
+        }));
+        self.send(txn, coordinator, Payload::Inquiry { txn, protocol }, out);
+        if attempts < MAX_INQUIRY_RETRIES {
+            self.arm_inquiry_timer(txn, attempts, out);
         }
-        out
     }
 
     /// The site fail-stops: volatile state and unflushed log records are
@@ -514,7 +501,7 @@ impl<L: StableLog> Participant<L> {
         self.cancelled.clear();
         self.log.lose_unflushed().expect("log crash");
         // Rebuild GC view from what actually survived.
-        self.gc = GcTracker::from_records(&self.log.records().expect("records"));
+        self.gc = GcTracker::from_log(&self.log).expect("records");
     }
 
     /// Restart: analyze the log; re-enter the prepared state for
@@ -523,49 +510,42 @@ impl<L: StableLog> Participant<L> {
     /// was lost.
     pub fn recover(&mut self) -> Vec<Action> {
         let mut out = Vec::new();
-        let records = self.log.records().expect("records");
-        self.gc = GcTracker::from_records(&records);
-        let summaries = acp_wal::scan::analyze(&records);
+        self.recover_into(&mut out);
+        out
+    }
+
+    /// [`Participant::recover`], appending the actions to `out`.
+    pub fn recover_into(&mut self, out: &mut Vec<Action>) {
+        self.gc = GcTracker::from_log(&self.log).expect("records");
+        let summaries = acp_wal::scan::analyze_log(&self.log).expect("records");
         for (txn, s) in summaries {
             if s.part_ended {
                 continue;
             }
             if s.in_doubt() {
                 let coordinator = s.prepared.expect("in_doubt implies prepared");
-                self.active.insert(
-                    txn,
-                    PartState::Prepared {
-                        coordinator,
-                        inquiries_sent: 1,
-                    },
-                );
+                self.active.insert(txn, ActiveTxn::prepared(coordinator, 1));
+                let protocol = self.protocol;
                 out.push(Action::Acta(ActaEvent::Inquire {
                     participant: self.site,
                     txn,
-                    protocol: self.protocol,
+                    protocol,
                 }));
-                let protocol = self.protocol;
-                self.send(
-                    txn,
-                    coordinator,
-                    Payload::Inquiry { txn, protocol },
-                    &mut out,
-                );
-                self.arm_inquiry_timer(txn, 1, &mut out);
+                self.send(txn, coordinator, Payload::Inquiry { txn, protocol }, out);
+                self.arm_inquiry_timer(txn, 1, out);
             } else if let Some(outcome) = s.part_decision {
                 // Decision durable but end record lost in the crash: the
                 // data engine re-enforces via redo; protocol-wise, close
                 // out. A lost ack is re-triggered by the coordinator's
                 // decision re-send (we will answer per footnote 5).
                 self.enforced.entry(txn).or_insert(outcome);
-                self.append(txn, LogPayload::PartEnd { txn }, false, &mut out);
+                self.append(txn, LogPayload::PartEnd { txn }, false, out);
                 out.push(Action::Acta(ActaEvent::ForgetPart {
                     participant: self.site,
                     txn,
                 }));
             }
         }
-        out
     }
 
     /// Garbage-collect the releasable log prefix. Returns the number of

@@ -309,9 +309,10 @@ impl<L: StableLog> PaxosNode<L> {
         self.track_cancellations = on;
     }
 
-    /// Drain timer tokens retired since the last call.
-    pub fn take_cancelled_timers(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.cancelled)
+    /// Drain timer tokens retired since the last call. The buffer
+    /// keeps its capacity.
+    pub fn drain_cancelled_timers(&mut self) -> std::vec::Drain<'_, u64> {
+        self.cancelled.drain(..)
     }
 
     /// Canonical rendering of the semantic state (txn table, stable
@@ -394,16 +395,16 @@ impl<L: StableLog> PaxosNode<L> {
         if !self.track_cancellations {
             return;
         }
-        let tokens: Vec<u64> = self
-            .timers
-            .iter()
-            .filter(|(_, (t, p))| *t == txn && pred(*p))
-            .map(|(tok, _)| *tok)
-            .collect();
-        for tok in tokens {
-            self.timers.remove(&tok);
-            self.cancelled.push(tok);
-        }
+        // A node keeps up to three kinds of timer per transaction, so
+        // this scans; retired tokens go straight to the host's buffer.
+        let cancelled = &mut self.cancelled;
+        self.timers.retain(|tok, (t, p)| {
+            let retired = *t == txn && pred(*p);
+            if retired {
+                cancelled.push(*tok);
+            }
+            !retired
+        });
     }
 
     /// Arm the completion watchdog with the per-transaction attempt
@@ -454,6 +455,19 @@ impl<L: StableLog> PaxosNode<L> {
     /// the roster to the remote acceptors and send the prepare requests.
     /// No log write — the leader's durability *is* its acceptor bundle.
     pub fn begin_commit(&mut self, txn: TxnId, participants: &[SiteId]) -> Vec<Action> {
+        let mut out = Vec::new();
+        self.begin_commit_into(txn, participants, &mut out);
+        out
+    }
+
+    /// [`PaxosNode::begin_commit`], appending the actions to `out` — the
+    /// entry point for hosts that reuse one action buffer.
+    pub fn begin_commit_into(
+        &mut self,
+        txn: TxnId,
+        participants: &[SiteId],
+        out: &mut Vec<Action>,
+    ) {
         assert_eq!(
             self.site,
             self.config.leader(),
@@ -463,7 +477,6 @@ impl<L: StableLog> PaxosNode<L> {
             !self.txns.contains_key(&txn),
             "transaction {txn} already begun"
         );
-        let mut out = Vec::new();
         self.costs.entry(txn).or_default();
         for a in self.config.acceptors.clone() {
             if a != self.site {
@@ -474,20 +487,19 @@ impl<L: StableLog> PaxosNode<L> {
                         txn,
                         participants: participants.to_vec(),
                     },
-                    &mut out,
+                    out,
                 );
             }
         }
         for &p in participants {
-            self.send(txn, p, Payload::Prepare { txn }, &mut out);
+            self.send(txn, p, Payload::Prepare { txn }, out);
         }
         let mut st = PaxosTxn::fresh(participants.to_vec(), 0);
         st.role = Role::Voting {
             votes: BTreeMap::new(),
         };
         self.txns.insert(txn, st);
-        self.arm_timer(txn, TimerPurpose::VoteTimeout, 0, &mut out);
-        out
+        self.arm_timer(txn, TimerPurpose::VoteTimeout, 0, out);
     }
 
     /// Client-requested abort: if still collecting votes, propose the
@@ -510,45 +522,56 @@ impl<L: StableLog> PaxosNode<L> {
     /// Handle an incoming message.
     pub fn on_message(&mut self, from: SiteId, payload: &Payload) -> Vec<Action> {
         let mut out = Vec::new();
+        self.on_message_into(from, payload, &mut out);
+        out
+    }
+
+    /// [`PaxosNode::on_message`], appending the actions to `out`.
+    pub fn on_message_into(&mut self, from: SiteId, payload: &Payload, out: &mut Vec<Action>) {
         match payload {
-            Payload::Vote { txn, vote } => self.on_vote(from, *txn, *vote, &mut out),
-            Payload::Ack { txn } => self.on_ack(from, *txn, &mut out),
-            Payload::Inquiry { txn, .. } => self.on_inquiry(from, *txn, &mut out),
+            Payload::Vote { txn, vote } => self.on_vote(from, *txn, *vote, out),
+            Payload::Ack { txn } => self.on_ack(from, *txn, out),
+            Payload::Inquiry { txn, .. } => self.on_inquiry(from, *txn, out),
             Payload::PaxosBegin { txn, participants } => {
-                self.on_begin(*txn, participants, &mut out);
+                self.on_begin(*txn, participants, out);
             }
-            Payload::Phase1a { txn, ballot } => self.on_phase1a(from, *txn, *ballot, &mut out),
+            Payload::Phase1a { txn, ballot } => self.on_phase1a(from, *txn, *ballot, out),
             Payload::Phase1b {
                 txn,
                 ballot,
                 forgotten,
                 participants,
                 accepted,
-            } => self.on_phase1b(from, *txn, *ballot, *forgotten, participants, accepted, &mut out),
+            } => self.on_phase1b(from, *txn, *ballot, *forgotten, participants, accepted, out),
             Payload::Phase2a {
                 txn,
                 ballot,
                 instances,
-            } => self.on_phase2a(from, *txn, *ballot, instances, &mut out),
+            } => self.on_phase2a(from, *txn, *ballot, instances, out),
             Payload::Phase2b {
                 txn,
                 ballot,
                 instances: _,
-            } => self.on_phase2b(from, *txn, *ballot, &mut out),
-            Payload::PaxosForget { txn } => self.on_forget(*txn, &mut out),
+            } => self.on_phase2b(from, *txn, *ballot, out),
+            Payload::PaxosForget { txn } => self.on_forget(*txn, out),
             // Participant-side vocabulary: not ours.
             Payload::Prepare { .. }
             | Payload::Decision { .. }
             | Payload::InquiryResponse { .. } => {}
         }
-        out
     }
 
     /// Timer callback.
     pub fn on_timer(&mut self, token: u64) -> Vec<Action> {
         let mut out = Vec::new();
+        self.on_timer_into(token, &mut out);
+        out
+    }
+
+    /// [`PaxosNode::on_timer`], appending the actions to `out`.
+    pub fn on_timer_into(&mut self, token: u64, out: &mut Vec<Action>) {
         let Some((txn, purpose)) = self.timers.remove(&token) else {
-            return out;
+            return;
         };
         match purpose {
             TimerPurpose::VoteTimeout => {
@@ -558,7 +581,7 @@ impl<L: StableLog> PaxosNode<L> {
                 ) {
                     // §4.2: failures are detected by timeouts — the
                     // missing votes become Aborted instances.
-                    self.propose_from_votes(txn, &mut out);
+                    self.propose_from_votes(txn, out);
                 }
             }
             TimerPurpose::AckResend => {
@@ -577,17 +600,16 @@ impl<L: StableLog> PaxosNode<L> {
                 });
                 if let Some((attempts, outcome, targets)) = resend {
                     for to in targets {
-                        self.send(txn, to, Payload::Decision { txn, outcome }, &mut out);
+                        self.send(txn, to, Payload::Decision { txn, outcome }, out);
                     }
                     if attempts < MAX_DECISION_RESENDS {
-                        self.arm_timer(txn, TimerPurpose::AckResend, attempts, &mut out);
+                        self.arm_timer(txn, TimerPurpose::AckResend, attempts, out);
                     }
                 }
             }
-            TimerPurpose::PaxosCompletion => self.on_watchdog(txn, &mut out),
+            TimerPurpose::PaxosCompletion => self.on_watchdog(txn, out),
             TimerPurpose::InquiryRetry | TimerPurpose::ApplyRetry => {}
         }
-        out
     }
 
     // -- leader ---------------------------------------------------------
@@ -1175,7 +1197,7 @@ impl<L: StableLog> PaxosNode<L> {
         self.timers.clear();
         self.cancelled.clear();
         self.log.lose_unflushed().expect("log crash");
-        self.gc = GcTracker::from_records(&self.log.records().expect("records"));
+        self.gc = GcTracker::from_log(&self.log).expect("records");
     }
 
     /// Rebuild acceptor state from the log's `paxos-accept` records and
@@ -1183,8 +1205,13 @@ impl<L: StableLog> PaxosNode<L> {
     /// recovery is just failover with ourselves as a candidate.
     pub fn recover(&mut self) -> Vec<Action> {
         let mut out = Vec::new();
-        let records = self.log.records().expect("records");
-        let summaries = acp_wal::scan::analyze(&records);
+        self.recover_into(&mut out);
+        out
+    }
+
+    /// [`PaxosNode::recover`], appending the actions to `out`.
+    pub fn recover_into(&mut self, out: &mut Vec<Action>) {
+        let summaries = acp_wal::scan::analyze_log(&self.log).expect("records");
         let rank = self.config.rank(self.site).map_or(0, |r| r as u32);
         for (txn, s) in &summaries {
             if s.ended {
@@ -1224,9 +1251,8 @@ impl<L: StableLog> PaxosNode<L> {
             };
             self.txns.insert(*txn, st);
             self.costs.entry(*txn).or_default();
-            self.arm_watchdog(*txn, &mut out);
+            self.arm_watchdog(*txn, out);
         }
-        out
     }
 }
 

@@ -20,10 +20,21 @@ pub enum LockMode {
     Exclusive,
 }
 
+/// Who holds a key. An exclusive lock has exactly one holder, kept
+/// inline; only shared locks need a set.
 #[derive(Clone, Debug)]
-struct LockState {
-    mode: LockMode,
-    holders: BTreeSet<TxnId>,
+enum LockState {
+    Exclusive(TxnId),
+    Shared(BTreeSet<TxnId>),
+}
+
+impl LockState {
+    fn held_by(&self, txn: TxnId) -> bool {
+        match self {
+            LockState::Exclusive(holder) => *holder == txn,
+            LockState::Shared(holders) => holders.contains(&txn),
+        }
+    }
 }
 
 /// A per-site lock table.
@@ -42,63 +53,59 @@ impl LockTable {
     /// Acquire (or upgrade) a lock. Idempotent for locks already held in
     /// a sufficient mode. Fails immediately on conflict.
     pub fn acquire(&mut self, txn: TxnId, key: &[u8], mode: LockMode) -> Result<(), EngineError> {
-        match self.locks.get_mut(key) {
-            None => {
-                self.locks.insert(
-                    key.to_vec(),
-                    LockState {
-                        mode,
-                        holders: BTreeSet::from([txn]),
-                    },
-                );
-                Ok(())
+        let Some(state) = self.locks.get_mut(key) else {
+            let state = match mode {
+                LockMode::Exclusive => LockState::Exclusive(txn),
+                LockMode::Shared => LockState::Shared(BTreeSet::from([txn])),
+            };
+            self.locks.insert(key.to_vec(), state);
+            return Ok(());
+        };
+        let holder = match (&mut *state, mode) {
+            // Re-acquire in same or weaker mode.
+            (LockState::Exclusive(holder), _) if *holder == txn => return Ok(()),
+            (LockState::Exclusive(holder), _) => *holder,
+            (LockState::Shared(holders), LockMode::Shared) => {
+                holders.insert(txn);
+                return Ok(());
             }
-            Some(state) => {
-                let sole_holder = state.holders.len() == 1 && state.holders.contains(&txn);
-                match (state.mode, mode) {
-                    // Re-acquire in same or weaker mode.
-                    (LockMode::Exclusive, _) if sole_holder => Ok(()),
-                    (LockMode::Shared, LockMode::Shared) => {
-                        state.holders.insert(txn);
-                        Ok(())
-                    }
-                    // Upgrade shared → exclusive, only as sole holder.
-                    (LockMode::Shared, LockMode::Exclusive) if sole_holder => {
-                        state.mode = LockMode::Exclusive;
-                        Ok(())
-                    }
-                    _ => {
-                        let holder = *state
-                            .holders
-                            .iter()
-                            .find(|h| **h != txn)
-                            .expect("conflict implies another holder");
-                        Err(EngineError::LockConflict {
-                            requester: txn,
-                            holder,
-                            key: key.to_vec(),
-                        })
+            // Upgrade shared → exclusive, only as sole holder.
+            (LockState::Shared(holders), LockMode::Exclusive) => {
+                match holders.iter().find(|h| **h != txn) {
+                    Some(other) => *other,
+                    None => {
+                        *state = LockState::Exclusive(txn);
+                        return Ok(());
                     }
                 }
             }
-        }
+        };
+        Err(EngineError::LockConflict {
+            requester: txn,
+            holder,
+            key: key.to_vec(),
+        })
     }
 
-    /// Release every lock `txn` holds (called at commit/abort — the
-    /// shrinking phase happens all at once, as strict 2PL requires).
-    pub fn release_all(&mut self, txn: TxnId) {
-        self.locks.retain(|_, state| {
-            state.holders.remove(&txn);
-            !state.holders.is_empty()
-        });
+    /// Release `txn`'s lock on `key`, if it holds one. A transaction
+    /// terminates by releasing each key it touched (called at
+    /// commit/abort — the shrinking phase happens all at once, as
+    /// strict 2PL requires), so the cost is its own keys, not the table.
+    pub fn release(&mut self, txn: TxnId, key: &[u8]) {
+        let free = match self.locks.get_mut(key) {
+            Some(LockState::Exclusive(holder)) => *holder == txn,
+            Some(LockState::Shared(holders)) => holders.remove(&txn) && holders.is_empty(),
+            None => false,
+        };
+        if free {
+            self.locks.remove(key);
+        }
     }
 
     /// Does `txn` hold a lock on `key`?
     #[must_use]
     pub fn holds(&self, txn: TxnId, key: &[u8]) -> bool {
-        self.locks
-            .get(key)
-            .is_some_and(|s| s.holders.contains(&txn))
+        self.locks.get(key).is_some_and(|s| s.held_by(txn))
     }
 
     /// Number of locked keys.
@@ -156,7 +163,8 @@ mod tests {
         let mut lt = LockTable::new();
         lt.acquire(t(1), b"k", LockMode::Exclusive).unwrap();
         lt.acquire(t(1), b"j", LockMode::Shared).unwrap();
-        lt.release_all(t(1));
+        lt.release(t(1), b"k");
+        lt.release(t(1), b"j");
         assert_eq!(lt.locked_keys(), 0);
         lt.acquire(t(2), b"k", LockMode::Exclusive).unwrap();
     }
@@ -166,7 +174,9 @@ mod tests {
         let mut lt = LockTable::new();
         lt.acquire(t(1), b"k", LockMode::Shared).unwrap();
         lt.acquire(t(2), b"k", LockMode::Shared).unwrap();
-        lt.release_all(t(1));
+        lt.release(t(1), b"k");
+        lt.release(t(1), b"k"); // releasing twice (a key read and written) is harmless
+        lt.release(t(3), b"k"); // and so is releasing what one never held
         assert!(lt.holds(t(2), b"k"));
         assert!(!lt.holds(t(1), b"k"));
     }

@@ -56,7 +56,8 @@ impl<L: StableLog> SiteEngine<L> {
             return Err(EngineError::WrongPhase { txn, op: "get" });
         }
         self.locks.acquire(txn, key, LockMode::Shared)?;
-        let ctx = self.txns.get(&txn).expect("checked above");
+        let ctx = self.txns.get_mut(&txn).expect("checked above");
+        ctx.reads.push(key.to_vec());
         Ok(match ctx.own_view(key) {
             Some(w) => w.after.clone(),
             None => self.store.get(key).map(<[u8]>::to_vec),
@@ -123,26 +124,20 @@ impl<L: StableLog> SiteEngine<L> {
         if ctx.phase != TxnPhase::Active {
             return Err(EngineError::WrongPhase { txn, op: "prepare" });
         }
-        let writes: Vec<UpdateImage> = ctx
-            .writes
-            .iter()
-            .map(|(k, w)| (k.clone(), w.before.clone(), w.after.clone()))
-            .collect();
-        if !writes.is_empty() {
+        if !ctx.writes.is_empty() {
             self.first_lsn
                 .entry(txn)
                 .or_insert_with(|| self.log.next_lsn());
         }
-        for (key, before, after) in writes {
-            self.log.append(
-                LogPayload::Update {
-                    txn,
-                    key,
-                    before,
-                    after,
-                },
-                false,
-            )?;
+        for (key, w) in &ctx.writes {
+            let (key, before, after) = (key.clone(), w.before.clone(), w.after.clone());
+            let update = LogPayload::Update {
+                txn,
+                key,
+                before,
+                after,
+            };
+            self.log.append(update, false)?;
         }
         Ok(())
     }
@@ -163,24 +158,30 @@ impl<L: StableLog> SiteEngine<L> {
         let Some(ctx) = self.txns.remove(&txn) else {
             return Ok(());
         };
-        if outcome == Outcome::Commit {
-            for (key, w) in &ctx.writes {
-                self.store.apply(key, w.after.as_deref());
-            }
-            // Redo marker: which prepared write sets won. Non-forced —
-            // if it is lost, the transaction is back in doubt and the
-            // protocol layer re-resolves it after recovery.
-            if ctx.phase == TxnPhase::Prepared && !ctx.writes.is_empty() {
-                self.log
-                    .append(LogPayload::PartDecision { txn, outcome }, false)?;
-            }
-        } else if ctx.phase == TxnPhase::Prepared && !ctx.writes.is_empty() {
+        // Redo marker: which prepared write sets won (or lost).
+        // Non-forced — if it is lost, the transaction is back in doubt
+        // and the protocol layer re-resolves it after recovery.
+        if ctx.phase == TxnPhase::Prepared && !ctx.writes.is_empty() {
             self.log
                 .append(LogPayload::PartDecision { txn, outcome }, false)?;
         }
         self.first_lsn.remove(&txn);
-        self.locks.release_all(txn);
+        self.release_locks(txn, &ctx);
+        if outcome == Outcome::Commit {
+            // The context is done with its write set: the store takes
+            // the buffers over.
+            for (key, w) in ctx.writes {
+                self.store.install(key, w.after);
+            }
+        }
         Ok(())
+    }
+
+    /// Release every lock `txn` holds: each is on a key it wrote or read.
+    fn release_locks(&mut self, txn: TxnId, ctx: &TxnContext) {
+        for key in ctx.writes.keys().chain(&ctx.reads) {
+            self.locks.release(txn, key);
+        }
     }
 
     /// Unilateral abort of an *active* (not prepared) transaction.
@@ -192,9 +193,9 @@ impl<L: StableLog> SiteEngine<L> {
                 op: "unilateral abort",
             }),
             Some(_) => {
-                self.txns.remove(&txn);
+                let ctx = self.txns.remove(&txn).expect("just seen");
                 self.first_lsn.remove(&txn);
-                self.locks.release_all(txn);
+                self.release_locks(txn, &ctx);
                 Ok(())
             }
         }
@@ -288,16 +289,15 @@ impl<L: StableLog> SiteEngine<L> {
         &mut self,
         outcomes: &BTreeMap<TxnId, RecoveredOutcome>,
     ) -> Result<(), EngineError> {
-        let records = self.log.records()?;
-
-        // Start from the latest checkpoint, if any.
-        let checkpoint = acp_wal::scan::latest_checkpoint(&records);
-        if let Some((_, entries)) = checkpoint {
-            for (k, v) in entries {
-                self.store.apply(k, Some(v));
+        // Start from the latest checkpoint, if any. The log is read in
+        // place, twice: once to find that checkpoint, once to load it
+        // and gather what follows — never cloned as a whole.
+        let mut checkpoint_lsn = None;
+        self.log.for_each_record(&mut |rec| {
+            if matches!(rec.payload, LogPayload::Checkpoint { .. }) {
+                checkpoint_lsn = Some(rec.lsn);
             }
-        }
-        let checkpoint_lsn = checkpoint.map(|(l, _)| l);
+        })?;
 
         // Gather per-txn updates (in log order, with positions) and
         // marker positions. Markers before the checkpoint are already
@@ -306,30 +306,33 @@ impl<L: StableLog> SiteEngine<L> {
         let mut updates: BTreeMap<TxnId, Vec<UpdateImage>> = BTreeMap::new();
         let mut first_positions: BTreeMap<TxnId, Lsn> = BTreeMap::new();
         let mut markers: Vec<(Lsn, TxnId, Outcome)> = Vec::new();
-        for rec in &records {
-            match &rec.payload {
-                LogPayload::Update {
-                    txn,
-                    key,
-                    before,
-                    after,
-                } => {
-                    first_positions.entry(*txn).or_insert(rec.lsn);
-                    updates.entry(*txn).or_default().push((
-                        key.clone(),
-                        before.clone(),
-                        after.clone(),
-                    ));
+        let store = &mut self.store;
+        self.log.for_each_record(&mut |rec| match &rec.payload {
+            LogPayload::Checkpoint { entries } if Some(rec.lsn) == checkpoint_lsn => {
+                for (k, v) in entries {
+                    store.apply(k, Some(v));
                 }
-                LogPayload::PartDecision { txn, outcome } => {
-                    // Pre-checkpoint markers stay in the list so phase 2
-                    // knows the transaction is resolved; phase 1 skips
-                    // redoing them (the snapshot already reflects them).
-                    markers.push((rec.lsn, *txn, *outcome));
-                }
-                _ => {}
             }
-        }
+            LogPayload::Update {
+                txn,
+                key,
+                before,
+                after,
+            } => {
+                first_positions.entry(*txn).or_insert(rec.lsn);
+                updates
+                    .entry(*txn)
+                    .or_default()
+                    .push((key.clone(), before.clone(), after.clone()));
+            }
+            LogPayload::PartDecision { txn, outcome } => {
+                // Pre-checkpoint markers stay in the list so phase 2
+                // knows the transaction is resolved; phase 1 skips
+                // redoing them (the snapshot already reflects them).
+                markers.push((rec.lsn, *txn, *outcome));
+            }
+            _ => {}
+        })?;
 
         // Phase 1: redo committed transactions in commit order. Commits
         // whose marker precedes the checkpoint are already in the

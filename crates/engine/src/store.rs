@@ -36,6 +36,19 @@ impl KvStore {
         }
     }
 
+    /// [`KvStore::apply`] for a write the caller is done with: the
+    /// store takes over the buffers instead of copying them.
+    pub fn install(&mut self, key: Vec<u8>, value: Option<Vec<u8>>) {
+        match value {
+            Some(v) => {
+                self.map.insert(key, v);
+            }
+            None => {
+                self.map.remove(&key);
+            }
+        }
+    }
+
     /// Number of live keys.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -33,6 +33,9 @@ pub struct TxnContext {
     /// Buffered writes, keyed by key. Later writes to the same key keep
     /// the original before image.
     pub writes: BTreeMap<Vec<u8>, BufferedWrite>,
+    /// Keys read under a shared lock. With the write set, every key
+    /// this transaction may hold a lock on — what termination releases.
+    pub reads: Vec<Vec<u8>>,
 }
 
 impl TxnContext {
@@ -43,6 +46,7 @@ impl TxnContext {
             id,
             phase: TxnPhase::Active,
             writes: BTreeMap::new(),
+            reads: Vec::new(),
         }
     }
 

@@ -31,9 +31,8 @@ use crate::cluster::{ClusterReport, SiteSummary};
 use crate::envelope::Envelope;
 use crate::reactor::{InflightGauge, ReactorConfig, ReactorReport, ReactorStats, SnapshotCadence};
 use crate::site::{
-    apply_enforcements, decide_vote, observe_acta, observe_crash, observe_gc, observe_recover,
-    observe_recv, observe_retry, observe_send, protocol_outcomes, NetDelays, NetLog, NetObs,
-    SharedHistory,
+    decide_vote, observe_acta, observe_crash, observe_gc, observe_recover, observe_recv,
+    observe_retry, observe_send, protocol_outcomes, NetDelays, NetLog, NetObs, SharedHistory,
 };
 use crate::timer::{TimerId, TimerWheel};
 use acp_acta::ActaEvent;
@@ -137,33 +136,47 @@ enum Input<'a> {
     Commit(TxnId, &'a [SiteId]),
 }
 
-/// Feed `$input` to `$engine`; `$commit` is what a client commit does.
+/// Feed `$input` to `$engine`, appending its actions to `$out`. A
+/// client commit is for the commit-taking engines, which see it first.
 macro_rules! feed {
-    ($engine:expr, $input:expr, |$txn:ident, $parts:ident| $commit:expr) => {
+    ($engine:expr, $input:expr, $out:expr) => {
         match $input {
-            Input::Message(m) => $engine.on_message(m.from, &m.payload),
-            Input::Timer(token) => $engine.on_timer(token),
-            Input::Recover => $engine.recover(),
-            Input::Commit($txn, $parts) => $commit,
+            Input::Message(m) => $engine.on_message_into(m.from, &m.payload, $out),
+            Input::Timer(token) => $engine.on_timer_into(token, $out),
+            Input::Recover => $engine.recover_into($out),
+            Input::Commit(..) => {}
         }
     };
 }
 
 impl SiteTask {
-    /// Feed one input to the engine. Returns its actions and the timer
-    /// tokens it retired (run the actions first: an action may arm the
-    /// very token a later cancel retires). `lazy` stages a prepared
-    /// write set without forcing the data log — sound only on a host
-    /// that withholds the vote until `finish_turns` flushed it.
-    fn step(&mut self, input: Input<'_>, lazy: bool) -> (Vec<Action>, Vec<u64>) {
+    /// Feed one input to the engine, appending its actions to `out` and
+    /// the timer tokens it retired to `retired` (run the actions first:
+    /// an action may arm the very token a later cancel retires). `lazy`
+    /// stages a prepared write set without forcing the data log — sound
+    /// only on a host that withholds the vote until `finish_turns`
+    /// flushed it.
+    fn step(
+        &mut self,
+        input: Input<'_>,
+        lazy: bool,
+        out: &mut Vec<Action>,
+        retired: &mut Vec<u64>,
+    ) {
         match self {
             SiteTask::Coord { engine } => {
-                let actions = feed!(engine, input, |t, ps| engine.begin_commit(t, ps));
-                (actions, engine.take_cancelled_timers())
+                match input {
+                    Input::Commit(txn, sites) => engine.begin_commit_into(txn, sites, out),
+                    _ => feed!(engine, input, out),
+                }
+                retired.extend(engine.drain_cancelled_timers());
             }
             SiteTask::Paxos { engine } => {
-                let actions = feed!(engine, input, |t, ps| engine.begin_commit(t, ps));
-                (actions, engine.take_cancelled_timers())
+                match input {
+                    Input::Commit(txn, sites) => engine.begin_commit_into(txn, sites, out),
+                    _ => feed!(engine, input, out),
+                }
+                retired.extend(engine.drain_cancelled_timers());
             }
             SiteTask::Part {
                 engine,
@@ -180,16 +193,14 @@ impl SiteTask {
                     let poisoned = poisoned.get(txn).copied().unwrap_or(false);
                     engine.set_intent(*txn, decide_vote(storage, *txn, forced, poisoned, lazy));
                 }
-                let actions = feed!(engine, input, |_t, _ps| Vec::new());
+                feed!(engine, input, out);
                 if matches!(input, Input::Recover) {
                     let outcomes = protocol_outcomes(engine);
                     storage.recover(&outcomes).expect("storage recovery");
                 }
-                (actions, engine.take_cancelled_timers())
+                retired.extend(engine.drain_cancelled_timers());
             }
-            SiteTask::Gateway { engine } => {
-                (feed!(engine, input, |_t, _ps| Vec::new()), Vec::new())
-            }
+            SiteTask::Gateway { engine } => feed!(engine, input, out),
         }
     }
 
@@ -285,6 +296,11 @@ struct Ctx<T> {
     now: Instant,
     /// One coalesced force round per turn.
     domain: FsyncDomain,
+    /// The turn's scratch, reused by every engine step so a steady
+    /// turn does not allocate for them: the actions of the step being
+    /// carried out, and the timer tokens it retired.
+    actions: Vec<Action>,
+    retired: Vec<u64>,
     transport: T,
 }
 
@@ -296,14 +312,15 @@ impl<T: Transport> Ctx<T> {
     }
 }
 
-/// Execute engine actions for one site; returns storage enforcements.
+/// Execute (and drain) engine actions for one site, enforcing
+/// decisions on its `storage` as they are met.
 fn run_site_actions<T: Transport>(
     host: &mut SiteHost,
+    mut storage: Option<&mut SiteEngine<FileLog>>,
     ctx: &mut Ctx<T>,
-    actions: Vec<Action>,
-) -> Vec<(TxnId, Outcome)> {
-    let mut enforcements = Vec::new();
-    for a in actions {
+    actions: &mut Vec<Action>,
+) {
+    for a in actions.drain(..) {
         match a {
             Action::Send { to, payload } => {
                 let msg = Message::new(host.site, to, payload);
@@ -345,7 +362,11 @@ fn run_site_actions<T: Transport>(
                     ctx.history.lock().push(e);
                 }
             }
-            Action::Enforce { txn, outcome } => enforcements.push((txn, outcome)),
+            Action::Enforce { txn, outcome } => {
+                if let Some(storage) = &mut storage {
+                    storage.resolve(txn, outcome).expect("resolve");
+                }
+            }
             Action::Gc {
                 released_up_to,
                 records_released,
@@ -362,29 +383,30 @@ fn run_site_actions<T: Transport>(
             }
         }
     }
-    enforcements
 }
 
-/// Cancel wheel entries for engine timers retired since the last call.
-fn drain_cancellations<T>(host: &mut SiteHost, ctx: &mut Ctx<T>, retired: Vec<u64>) {
-    for token in retired {
+/// Feed one input to a site and carry out what its engine asks for,
+/// then cancel the wheel entries of the timers it retired.
+fn drive<T: Transport>(st: &mut SiteState, ctx: &mut Ctx<T>, input: Input<'_>) {
+    let SiteState { host, task } = st;
+    let (mut actions, mut retired) = (
+        std::mem::take(&mut ctx.actions),
+        std::mem::take(&mut ctx.retired),
+    );
+    task.step(input, host.defer_sends, &mut actions, &mut retired);
+    let storage = match task {
+        SiteTask::Part { storage, .. } => Some(storage),
+        _ => None,
+    };
+    run_site_actions(host, storage, ctx, &mut actions);
+    for token in retired.drain(..) {
         if let Some(id) = host.timer_ids.remove(&token) {
             if ctx.wheel.cancel(id) {
                 ctx.stats.timers_cancelled += 1;
             }
         }
     }
-}
-
-/// Feed one input to a site and carry out what its engine asks for.
-fn drive<T: Transport>(st: &mut SiteState, ctx: &mut Ctx<T>, input: Input<'_>) {
-    let SiteState { host, task } = st;
-    let (actions, retired) = task.step(input, host.defer_sends);
-    let enforcements = run_site_actions(host, ctx, actions);
-    if let SiteTask::Part { storage, .. } = task {
-        apply_enforcements(storage, enforcements);
-    }
-    drain_cancellations(host, ctx, retired);
+    (ctx.actions, ctx.retired) = (actions, retired);
 }
 
 fn protocol_message<T: Transport>(st: &mut SiteState, ctx: &mut Ctx<T>, msg: &Message) {
@@ -410,22 +432,24 @@ fn flush_sends<T: Transport>(host: &mut SiteHost, ctx: &mut Ctx<T>) {
             history.push(e);
         }
     }
-    if host.deferred_sends.is_empty() {
-        return;
-    }
-    let mut by_dest: BTreeMap<(usize, SiteId), Vec<Message>> = BTreeMap::new();
-    for msg in std::mem::take(&mut host.deferred_sends) {
-        if let Some(obs) = &host.obs {
-            observe_send(obs, host.site, &msg);
+    let sends = &mut host.deferred_sends;
+    if let Some(obs) = &host.obs {
+        for msg in sends.iter() {
+            observe_send(obs, host.site, msg);
         }
-        let key = (ctx.transport.slice_of(&msg), msg.to);
-        by_dest.entry(key).or_default().push(msg);
     }
-    for ((_, to), mut msgs) in by_dest {
-        let envelope = if msgs.len() == 1 {
-            Envelope::Protocol(msgs.pop().expect("one message"))
+    // Group in place: a stable sort keeps each destination's messages
+    // in send order, and the withheld buffer keeps its capacity.
+    let key = |t: &T, msg: &Message| (t.slice_of(msg), msg.to);
+    sends.sort_by_key(|msg| key(&ctx.transport, msg));
+    while let Some(first) = sends.first() {
+        let (group, to) = (key(&ctx.transport, first), first.to);
+        let same = |msg: &&Message| key(&ctx.transport, msg) == group;
+        let n = sends.iter().take_while(same).count();
+        let envelope = if n == 1 {
+            Envelope::Protocol(sends.remove(0))
         } else {
-            Envelope::ProtocolBatch(msgs)
+            Envelope::ProtocolBatch(sends.drain(..n).collect())
         };
         ctx.route(to, envelope);
     }
@@ -462,9 +486,14 @@ fn force_site_batch<T: Transport>(
                 ctx.stats.window_forces += 1;
             }
         }
-        // Force failed: the sends' records never became durable, so
-        // externalizing them would be unsound. Omission failure.
-        Err(_) => host.deferred_sends.clear(),
+        // Force failed: the records the withheld sends and ACTA events
+        // rest on never became durable, so externalizing either would
+        // be unsound. Omission failure.
+        Err(_) => {
+            host.deferred_sends.clear();
+            host.deferred_acta.clear();
+            ctx.stats.failed_forces += 1;
+        }
     }
     flush_sends(host, ctx);
 }
@@ -652,6 +681,8 @@ impl<T: Transport> Kernel<T> {
                 stats: ReactorStats::default(),
                 now: t0,
                 domain: FsyncDomain::new(),
+                actions: Vec::new(),
+                retired: Vec::new(),
                 transport,
             },
             rx: env.rx,
@@ -762,12 +793,12 @@ impl<T: Transport> Kernel<T> {
         if due.is_empty() {
             return false;
         }
-        for (id, (site, token, _purpose)) in due {
+        for (_id, (site, token, _purpose)) in due {
             let Some(&i) = self.owned.get(&site) else {
                 continue;
             };
             let st = &mut self.sites[i];
-            st.host.timer_ids.retain(|_, v| *v != id);
+            st.host.timer_ids.remove(&token);
             if st.host.is_down(self.ctx.now) {
                 continue; // crash swept its timers; belt and braces
             }
@@ -985,21 +1016,18 @@ impl<T: Transport> Kernel<T> {
         if host.defer_sends && task.log_mut().is_some_and(|log| log.open_occupancy() > 0) {
             return;
         }
-        let replies = &mut self.ctx.replies;
-        let decided: Vec<(TxnId, Outcome)> = replies
-            .keys()
-            .filter_map(|&txn| Some((txn, task.commit_state(txn)?.0?)))
-            .collect();
-        let delivered = decided.len() as u64;
-        for (txn, outcome) in decided {
-            if let Some((reply, admitted)) = replies.remove(&txn) {
-                let _ = reply.send(outcome);
-                let waited = self.ctx.now.saturating_duration_since(admitted).as_micros();
-                self.ctx
-                    .latency
-                    .record(u64::try_from(waited).unwrap_or(u64::MAX));
-            }
-        }
+        let (now, latency) = (self.ctx.now, &mut self.ctx.latency);
+        let mut delivered = 0;
+        self.ctx.replies.retain(|&txn, (reply, admitted)| {
+            let Some((Some(outcome), _)) = task.commit_state(txn) else {
+                return true;
+            };
+            let _ = reply.send(outcome);
+            let waited = now.saturating_duration_since(*admitted).as_micros();
+            latency.record(u64::try_from(waited).unwrap_or(u64::MAX));
+            delivered += 1;
+            false
+        });
         self.ctx.stats.decisions_delivered += delivered;
         self.ctx.inflight.dec_by(delivered);
         self.cadence.on_commits(delivered);
@@ -1281,6 +1309,36 @@ mod tests {
             history.events().iter().any(|e| aborted(&e)),
             "the abort was enforced"
         );
+    }
+
+    /// A batch whose force fails takes what it withheld along: the
+    /// sends *and* the ACTA events rest on records that never became
+    /// durable, so neither may reach a peer or the history.
+    #[test]
+    fn a_failed_force_externalizes_neither_sends_nor_acta_events() {
+        let mut r = rig(glacial());
+        let _outcome = r.submit(TxnId::new(1));
+        // Dispatch the client's envelopes without ending the turn: the
+        // coordinator staged its initiation record and withholds the
+        // three prepares and the record's `LogWrite`.
+        r.kernel.ctx.now = Instant::now();
+        assert!(r.kernel.drain_envelopes());
+        let SiteState { host, task } = &mut r.kernel.sites[0];
+        assert_eq!(host.deferred_sends.len(), 3);
+        assert!(!host.deferred_acta.is_empty());
+
+        let log = task.log_mut().expect("the coordinator's log");
+        log.inner_mut().revoke_writes().expect("reopen read-only");
+        force_site_batch(host, log, &mut r.kernel.ctx, false);
+
+        assert!(host.deferred_sends.is_empty() && host.deferred_acta.is_empty());
+        assert!(r.kernel.ctx.ready.is_empty(), "no prepare left the site");
+        assert!(
+            r.history.lock().events().is_empty(),
+            "the history never heard of the lost record"
+        );
+        assert_eq!(r.kernel.ctx.stats.failed_forces, 1);
+        assert_eq!(r.kernel.ctx.stats.window_forces, 0);
     }
 
     /// A site still inside its outage when the cluster shuts down

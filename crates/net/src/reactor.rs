@@ -101,6 +101,9 @@ pub struct ReactorStats {
     pub adaptive_forces: u64,
     /// Batches forced because their window expired or the tick ended.
     pub window_forces: u64,
+    /// Batch forces that failed: the site's withheld sends and ACTA
+    /// events were dropped, never externalized.
+    pub failed_forces: u64,
     /// Most client commits simultaneously awaiting a decision *on this
     /// reactor*. The aggregate across a multi-reactor cluster is the
     /// shared [`InflightGauge`]'s peak, not the sum of these (shard
@@ -127,6 +130,7 @@ impl ReactorStats {
         self.timers_cancelled += other.timers_cancelled;
         self.adaptive_forces += other.adaptive_forces;
         self.window_forces += other.window_forces;
+        self.failed_forces += other.failed_forces;
         self.max_inflight = self.max_inflight.max(other.max_inflight);
         self.decisions_delivered += other.decisions_delivered;
         self.mailbox_sends += other.mailbox_sends;

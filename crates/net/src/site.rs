@@ -9,8 +9,8 @@ use acp_core::{Participant, TimerPurpose};
 use acp_engine::{RecoveredOutcome, SiteEngine};
 use acp_obs::{ProtoLabel, ProtocolEvent, TraceSink};
 use acp_types::{Message, Outcome, Payload, SiteId, TxnId, Vote};
-use acp_wal::scan::analyze;
-use acp_wal::{FileLog, GroupCommitLog, StableLog};
+use acp_wal::scan::analyze_log;
+use acp_wal::{FileLog, GroupCommitLog};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -356,18 +356,11 @@ pub(crate) fn vote_name(vote: Vote) -> &'static str {
     }
 }
 
-pub(crate) fn apply_enforcements(storage: &mut SiteEngine<FileLog>, enf: Vec<(TxnId, Outcome)>) {
-    for (txn, outcome) in enf {
-        storage.resolve(txn, outcome).expect("resolve");
-    }
-}
-
 /// Derive the storage-recovery outcome map from the participant's
 /// protocol log.
 pub(crate) fn protocol_outcomes(engine: &Participant<NetLog>) -> BTreeMap<TxnId, RecoveredOutcome> {
     let mut outcomes = BTreeMap::new();
-    let records = engine.log().records().expect("records");
-    for (txn, s) in analyze(&records) {
+    for (txn, s) in analyze_log(engine.log()).expect("records") {
         if let Some(o) = s.part_decision {
             outcomes.insert(txn, RecoveredOutcome::Decided(o));
         } else if s.in_doubt() {

@@ -19,6 +19,15 @@
 //! The CRC covers `length‖lsn‖forced‖payload`. A scan treats a record
 //! that fails magic/CRC validation at the *tail* of the log as a torn
 //! write (truncated, not an error) and corruption elsewhere as fatal.
+//!
+//! ## One encoder
+//!
+//! [`encode_payload_into`] and [`encode_frame_into`] are the encoder:
+//! they write into a buffer the caller owns, so a log appends a record
+//! to its write buffer without allocating. [`encode_payload`],
+//! [`encode_frame`] and [`encoded_len`] are wrappers over them for
+//! callers that want an owned `Vec` or only the size (tests, fuzzers,
+//! probes); the logs themselves never call the allocating two.
 
 use crate::crc::crc32;
 use crate::error::WalError;
@@ -47,32 +56,55 @@ const TAG_PAXOS_ACCEPT: u8 = 0x09;
 // on-disk records, so there is exactly one binary dialect in the
 // system.
 
+/// Where encoded bytes go: a buffer, or a counter that only measures
+/// them ([`encoded_len`]) — so there is one encoder and its size can
+/// never disagree with its output.
+pub trait Sink {
+    /// Append `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// Counts the bytes an encoder would write.
+struct Measure(usize);
+
+impl Sink for Measure {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
 /// Append one byte.
-pub fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
+pub fn put_u8(out: &mut impl Sink, v: u8) {
+    out.put(&[v]);
 }
 
 /// Append a little-endian `u32`.
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+pub fn put_u32(out: &mut impl Sink, v: u32) {
+    out.put(&v.to_le_bytes());
 }
 
 /// Append a little-endian `u64`.
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+pub fn put_u64(out: &mut impl Sink, v: u64) {
+    out.put(&v.to_le_bytes());
 }
 
 /// Append a length-prefixed (u32) byte string.
-pub fn put_bytes(out: &mut Vec<u8>, v: &[u8]) {
+pub fn put_bytes(out: &mut impl Sink, v: &[u8]) {
     put_u32(
         out,
         u32::try_from(v.len()).expect("payload byte string too long"),
     );
-    out.extend_from_slice(v);
+    out.put(v);
 }
 
 /// Append an optional byte string: presence byte, then the string.
-pub fn put_opt_bytes(out: &mut Vec<u8>, v: Option<&[u8]>) {
+pub fn put_opt_bytes(out: &mut impl Sink, v: Option<&[u8]>) {
     match v {
         None => put_u8(out, 0),
         Some(b) => {
@@ -220,26 +252,24 @@ fn outcome_from_tag(t: u8, r: &Reader<'_>) -> Result<Outcome, WalError> {
 // payload codec
 // ---------------------------------------------------------------------
 
-/// Encode a payload into bytes.
-#[must_use]
-pub fn encode_payload(p: &LogPayload) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32);
+/// Encode a payload onto the end of `out`.
+pub fn encode_payload_into(out: &mut impl Sink, p: &LogPayload) {
     match p {
         LogPayload::Initiation {
             txn,
             participants,
             mode,
         } => {
-            put_u8(&mut out, TAG_INITIATION);
-            put_u64(&mut out, txn.raw());
-            put_u8(&mut out, mode_tag(*mode));
+            put_u8(out, TAG_INITIATION);
+            put_u64(out, txn.raw());
+            put_u8(out, mode_tag(*mode));
             put_u32(
-                &mut out,
+                out,
                 u32::try_from(participants.len()).expect("too many participants"),
             );
             for e in participants {
-                put_u32(&mut out, e.site.raw());
-                put_u8(&mut out, protocol_tag(e.protocol));
+                put_u32(out, e.site.raw());
+                put_u8(out, protocol_tag(e.protocol));
             }
         }
         LogPayload::CoordDecision {
@@ -247,52 +277,52 @@ pub fn encode_payload(p: &LogPayload) -> Vec<u8> {
             outcome,
             participants,
         } => {
-            put_u8(&mut out, TAG_COORD_DECISION);
-            put_u64(&mut out, txn.raw());
-            put_u8(&mut out, outcome_tag(*outcome));
+            put_u8(out, TAG_COORD_DECISION);
+            put_u64(out, txn.raw());
+            put_u8(out, outcome_tag(*outcome));
             put_u32(
-                &mut out,
+                out,
                 u32::try_from(participants.len()).expect("too many participants"),
             );
             for e in participants {
-                put_u32(&mut out, e.site.raw());
-                put_u8(&mut out, protocol_tag(e.protocol));
+                put_u32(out, e.site.raw());
+                put_u8(out, protocol_tag(e.protocol));
             }
         }
         LogPayload::End { txn } => {
-            put_u8(&mut out, TAG_END);
-            put_u64(&mut out, txn.raw());
+            put_u8(out, TAG_END);
+            put_u64(out, txn.raw());
         }
         LogPayload::PaxosAccept {
             txn,
             ballot,
             instances,
         } => {
-            put_u8(&mut out, TAG_PAXOS_ACCEPT);
-            put_u64(&mut out, txn.raw());
-            put_u64(&mut out, *ballot);
+            put_u8(out, TAG_PAXOS_ACCEPT);
+            put_u64(out, txn.raw());
+            put_u64(out, *ballot);
             put_u32(
-                &mut out,
+                out,
                 u32::try_from(instances.len()).expect("too many instances"),
             );
             for (site, prepared) in instances {
-                put_u32(&mut out, site.raw());
-                put_u8(&mut out, u8::from(*prepared));
+                put_u32(out, site.raw());
+                put_u8(out, u8::from(*prepared));
             }
         }
         LogPayload::Prepared { txn, coordinator } => {
-            put_u8(&mut out, TAG_PREPARED);
-            put_u64(&mut out, txn.raw());
-            put_u32(&mut out, coordinator.raw());
+            put_u8(out, TAG_PREPARED);
+            put_u64(out, txn.raw());
+            put_u32(out, coordinator.raw());
         }
         LogPayload::PartDecision { txn, outcome } => {
-            put_u8(&mut out, TAG_PART_DECISION);
-            put_u64(&mut out, txn.raw());
-            put_u8(&mut out, outcome_tag(*outcome));
+            put_u8(out, TAG_PART_DECISION);
+            put_u64(out, txn.raw());
+            put_u8(out, outcome_tag(*outcome));
         }
         LogPayload::PartEnd { txn } => {
-            put_u8(&mut out, TAG_PART_END);
-            put_u64(&mut out, txn.raw());
+            put_u8(out, TAG_PART_END);
+            put_u64(out, txn.raw());
         }
         LogPayload::Update {
             txn,
@@ -300,25 +330,40 @@ pub fn encode_payload(p: &LogPayload) -> Vec<u8> {
             before,
             after,
         } => {
-            put_u8(&mut out, TAG_UPDATE);
-            put_u64(&mut out, txn.raw());
-            put_bytes(&mut out, key);
-            put_opt_bytes(&mut out, before.as_deref());
-            put_opt_bytes(&mut out, after.as_deref());
+            put_u8(out, TAG_UPDATE);
+            put_u64(out, txn.raw());
+            put_bytes(out, key);
+            put_opt_bytes(out, before.as_deref());
+            put_opt_bytes(out, after.as_deref());
         }
         LogPayload::Checkpoint { entries } => {
-            put_u8(&mut out, TAG_CHECKPOINT);
+            put_u8(out, TAG_CHECKPOINT);
             put_u32(
-                &mut out,
+                out,
                 u32::try_from(entries.len()).expect("checkpoint too large"),
             );
             for (k, v) in entries {
-                put_bytes(&mut out, k);
-                put_bytes(&mut out, v);
+                put_bytes(out, k);
+                put_bytes(out, v);
             }
         }
     }
+}
+
+/// Encode a payload into bytes.
+#[must_use]
+pub fn encode_payload(p: &LogPayload) -> Vec<u8> {
+    let mut out = Vec::with_capacity(encoded_len(p));
+    encode_payload_into(&mut out, p);
     out
+}
+
+/// `encode_payload(p).len()`, without encoding anything.
+#[must_use]
+pub fn encoded_len(p: &LogPayload) -> usize {
+    let mut n = Measure(0);
+    encode_payload_into(&mut n, p);
+    n.0
 }
 
 /// Decode a payload from bytes produced by [`encode_payload`].
@@ -436,22 +481,39 @@ pub fn decode_payload(buf: &[u8]) -> Result<LogPayload, WalError> {
 // record framing
 // ---------------------------------------------------------------------
 
-/// Encode a full framed record (see module docs for the layout).
+/// Bytes a frame adds around its payload: magic, length, lsn, forced
+/// flag and CRC.
+const FRAME_OVERHEAD: usize = 4 + 4 + 8 + 1 + 4;
+
+/// `encode_frame(record).len()` for a record carrying `payload`,
+/// without encoding anything.
+#[must_use]
+pub fn frame_len(payload: &LogPayload) -> usize {
+    FRAME_OVERHEAD + encoded_len(payload)
+}
+
+/// Encode a full framed record (see module docs for the layout) onto
+/// the end of `out`: the length is back-patched once the payload is
+/// written and the CRC taken over the bytes just appended.
+pub fn encode_frame_into(out: &mut Vec<u8>, lsn: Lsn, forced: bool, payload: &LogPayload) {
+    put_u32(out, MAGIC);
+    let body = out.len();
+    put_u32(out, 0);
+    put_u64(out, lsn.raw());
+    put_u8(out, u8::from(forced));
+    let start = out.len();
+    encode_payload_into(out, payload);
+    let len = u32::try_from(out.len() - start).expect("payload too long");
+    out[body..body + 4].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&out[body..]);
+    put_u32(out, crc);
+}
+
+/// Encode a full framed record into bytes.
 #[must_use]
 pub fn encode_frame(record: &LogRecord) -> Vec<u8> {
-    let payload = encode_payload(&record.payload);
-    let len = u32::try_from(payload.len()).expect("payload too long");
-    let mut body = Vec::with_capacity(payload.len() + 13);
-    put_u32(&mut body, len);
-    put_u64(&mut body, record.lsn.raw());
-    put_u8(&mut body, u8::from(record.forced));
-    body.extend_from_slice(&payload);
-    let crc = crc32(&body);
-
-    let mut out = Vec::with_capacity(body.len() + 8);
-    put_u32(&mut out, MAGIC);
-    out.extend_from_slice(&body);
-    put_u32(&mut out, crc);
+    let mut out = Vec::with_capacity(frame_len(&record.payload));
+    encode_frame_into(&mut out, record.lsn, record.forced, &record.payload);
     out
 }
 

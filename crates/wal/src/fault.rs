@@ -23,7 +23,7 @@
 //! arbitrary combinations of these faults the scan never accepts a
 //! corrupted record.
 
-use crate::encode::{decode_frame, encode_frame, FrameOutcome};
+use crate::encode::{decode_frame, encode_frame_into, FrameOutcome};
 use crate::error::WalError;
 use crate::file::{decode_header, encode_header, HEADER_LEN};
 use crate::record::{LogRecord, Lsn, WalStats};
@@ -283,13 +283,12 @@ impl StableLog for FaultyLog {
         let lsn = self.next;
         self.next = self.next.next();
         self.stats.appends += 1;
-        let rec = LogRecord {
+        encode_frame_into(&mut self.buffer, lsn, force, &payload);
+        self.pending.push(LogRecord {
             lsn,
             forced: force,
             payload,
-        };
-        self.buffer.extend_from_slice(&encode_frame(&rec));
-        self.pending.push(rec);
+        });
         if force {
             self.stats.forces += 1;
             self.write_out()?;
@@ -332,15 +331,10 @@ impl StableLog for FaultyLog {
         // build the post-GC image first, commit in-memory state only
         // after the "swap" — an injected failure above must leave the
         // log untouched.
-        let retained: Vec<LogRecord> = self
-            .durable
-            .iter()
-            .filter(|r| r.lsn >= lsn)
-            .cloned()
-            .collect();
+        let cut = self.durable.partition_point(|r| r.lsn < lsn);
         let mut new_image = encode_header(lsn).to_vec();
-        for rec in &retained {
-            new_image.extend_from_slice(&encode_frame(rec));
+        for rec in &self.durable[cut..] {
+            encode_frame_into(&mut new_image, rec.lsn, rec.forced, &rec.payload);
         }
         if !self.durable_gc_rename {
             // The rename happened but the directory entry was never
@@ -353,9 +347,9 @@ impl StableLog for FaultyLog {
         } else {
             self.pre_gc_image = None;
         }
-        self.stats.truncated += (self.durable.len() - retained.len()) as u64;
+        self.stats.truncated += cut as u64;
         self.image = new_image;
-        self.durable = retained;
+        self.durable.drain(..cut);
         self.low_water = lsn;
         Ok(())
     }

@@ -10,7 +10,7 @@
 //! retained suffix into a sibling file and renames it into place, so
 //! reclaimed bytes are physically returned.
 
-use crate::encode::{decode_frame, encode_frame, FrameOutcome};
+use crate::encode::{decode_frame, encode_frame_into, frame_len, FrameOutcome};
 use crate::error::WalError;
 use crate::record::{LogRecord, Lsn, WalStats};
 use crate::StableLog;
@@ -202,6 +202,14 @@ impl FileLog {
         Ok(lost)
     }
 
+    /// Fault injection: swap the file for a read-only handle, so every
+    /// later write fails the way a dead device's would. Hosts' tests use
+    /// this to drive their force-error paths over a real `FileLog`.
+    pub fn revoke_writes(&mut self) -> Result<(), WalError> {
+        self.file = File::open(&self.path)?;
+        Ok(())
+    }
+
     fn write_out(&mut self) -> Result<(), WalError> {
         if self.buffer.is_empty() {
             return Ok(());
@@ -220,13 +228,12 @@ impl StableLog for FileLog {
         let lsn = self.next;
         self.next = self.next.next();
         self.stats.appends += 1;
-        let rec = LogRecord {
+        encode_frame_into(&mut self.buffer, lsn, force, &payload);
+        self.pending.push(LogRecord {
             lsn,
             forced: force,
             payload,
-        };
-        self.buffer.extend_from_slice(&encode_frame(&rec));
-        self.pending.push(rec);
+        });
         if force {
             self.stats.forces += 1;
             self.write_out()?;
@@ -243,6 +250,11 @@ impl StableLog for FileLog {
         Ok(self.durable.clone())
     }
 
+    fn for_each_record(&self, f: &mut dyn FnMut(&LogRecord)) -> Result<(), WalError> {
+        self.durable.iter().for_each(f);
+        Ok(())
+    }
+
     fn truncate_prefix(&mut self, lsn: Lsn) -> Result<(), WalError> {
         let high = self.durable.last().map_or(self.low_water, |r| r.lsn.next());
         if lsn < self.low_water || lsn > high {
@@ -256,13 +268,14 @@ impl StableLog for FileLog {
         // in-memory mutation is staged until the swap is durable: an I/O
         // error anywhere below must leave the log exactly as it was, or
         // memory and disk diverge and `records()` serves ghosts.
-        let retained: Vec<LogRecord> = self
-            .durable
-            .iter()
-            .filter(|r| r.lsn >= lsn)
-            .cloned()
-            .collect();
-        let dropped = (self.durable.len() - retained.len()) as u64;
+        let cut = self.durable.partition_point(|r| r.lsn < lsn);
+        let retained = &self.durable[cut..];
+        let frames: usize = retained.iter().map(|r| frame_len(&r.payload)).sum();
+        let mut image = Vec::with_capacity(HEADER_LEN as usize + frames);
+        image.extend_from_slice(&encode_header(lsn));
+        for rec in retained {
+            encode_frame_into(&mut image, rec.lsn, rec.forced, &rec.payload);
+        }
 
         let tmp_path = self.path.with_extension("rewrite");
         let mut tmp = OpenOptions::new()
@@ -271,10 +284,7 @@ impl StableLog for FileLog {
             .create(true)
             .truncate(true)
             .open(&tmp_path)?;
-        tmp.write_all(&encode_header(lsn))?;
-        for rec in &retained {
-            tmp.write_all(&encode_frame(rec))?;
-        }
+        tmp.write_all(&image)?;
         tmp.sync_data()?;
         std::fs::rename(&tmp_path, &self.path)?;
         // The rename is only crash-durable once the directory entry is
@@ -285,8 +295,8 @@ impl StableLog for FileLog {
 
         // Commit: disk now holds the post-GC image.
         self.file = tmp;
-        self.durable = retained;
-        self.stats.truncated += dropped;
+        self.durable.drain(..cut);
+        self.stats.truncated += cut as u64;
         self.low_water = lsn;
         Ok(())
     }
@@ -379,6 +389,16 @@ mod tests {
         assert_eq!(log.simulate_crash().unwrap(), 1);
         assert_eq!(log.records().unwrap().len(), 1);
         assert_eq!(log.next_lsn(), Lsn(1));
+    }
+
+    #[test]
+    fn revoked_writes_fail_the_force_and_keep_the_record_pending() {
+        let dir = TempDir::new("filelog-revoked").unwrap();
+        let mut log = FileLog::create(dir.path().join("wal")).unwrap();
+        log.append(end(1), true).unwrap();
+        log.revoke_writes().unwrap();
+        assert!(matches!(log.append(end(2), true), Err(WalError::Io(_))));
+        assert_eq!(log.records().unwrap().len(), 1, "never reported durable");
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! is operationally correct only if this prefix keeps advancing. The
 //! Theorem 2 experiment shows C2PC pinning it forever.
 
+use crate::error::WalError;
 use crate::record::{LogRecord, Lsn};
+use crate::StableLog;
 use acp_types::{LogPayload, TxnId};
 use std::collections::BTreeMap;
 
@@ -43,6 +45,14 @@ impl GcTracker {
             t.note(r.lsn, &r.payload);
         }
         t
+    }
+
+    /// [`GcTracker::from_records`] over a log's durable records, read
+    /// in place (no clone of the log).
+    pub fn from_log<L: StableLog + ?Sized>(log: &L) -> Result<Self, WalError> {
+        let mut t = Self::new();
+        log.for_each_record(&mut |r| t.note(r.lsn, &r.payload))?;
+        Ok(t)
     }
 
     /// Observe an appended record.

@@ -247,9 +247,9 @@ impl<L: StableLog> GroupCommitLog<L> {
     }
 
     /// Drain the batches closed since the last call (for trace-event
-    /// emission).
-    pub fn take_closed(&mut self) -> Vec<ClosedBatch> {
-        std::mem::take(&mut self.closed)
+    /// emission). The buffer keeps its capacity.
+    pub fn take_closed(&mut self) -> std::vec::Drain<'_, ClosedBatch> {
+        self.closed.drain(..)
     }
 
     /// Occupancy of the currently open batch (0 when none is open).
@@ -668,7 +668,7 @@ mod tests {
         assert_eq!(s.max_occupancy, 3);
         // Durability was never deferred: all four records are durable.
         assert_eq!(log.records().unwrap().len(), 4);
-        let closed = log.take_closed();
+        let closed: Vec<_> = log.take_closed().collect();
         assert_eq!(closed.len(), 2);
         assert_eq!(closed[0], ClosedBatch { opened_at_us: 1_000, occupancy: 3 });
         assert_eq!(closed[1], ClosedBatch { opened_at_us: 1_200, occupancy: 1 });

@@ -7,16 +7,12 @@
 //! paper's proofs assume ("a force-write ensures that a log record is
 //! written into a stable storage that survives system failures").
 
-use crate::encode::encode_payload;
+use crate::encode::frame_len;
 use crate::error::WalError;
 use crate::record::{LogRecord, Lsn, WalStats};
 use crate::StableLog;
 use acp_types::LogPayload;
 use std::collections::VecDeque;
-
-/// Per-record framing overhead used for byte accounting (magic + length
-/// + lsn + forced + crc), matching [`crate::encode::encode_frame`].
-const FRAME_OVERHEAD: u64 = 21;
 
 /// An in-memory log with durable and volatile (buffered) regions.
 #[derive(Clone, Debug, Default)]
@@ -66,7 +62,7 @@ impl MemLog {
     pub fn retained_bytes(&self) -> u64 {
         self.durable
             .iter()
-            .map(|r| encode_payload(&r.payload).len() as u64 + FRAME_OVERHEAD)
+            .map(|r| frame_len(&r.payload) as u64)
             .sum()
     }
 
@@ -84,7 +80,7 @@ impl MemLog {
 
     fn make_durable(&mut self) {
         for rec in self.buffered.drain(..) {
-            self.stats.durable_bytes += encode_payload(&rec.payload).len() as u64 + FRAME_OVERHEAD;
+            self.stats.durable_bytes += frame_len(&rec.payload) as u64;
             self.durable.push_back(rec);
         }
     }

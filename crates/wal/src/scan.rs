@@ -5,15 +5,14 @@
 //! record without an initiation record …"); participant and engine
 //! recovery need the same view. [`analyze`] builds it in one pass.
 
+use crate::error::WalError;
 use crate::record::LogRecord;
+use crate::StableLog;
 use acp_types::{CommitMode, LogPayload, Outcome, ParticipantEntry, SiteId, TxnId};
 use std::collections::BTreeMap;
 
 /// A data update image: `(key, before, after)`.
 pub type UpdateImage = (Vec<u8>, Option<Vec<u8>>, Option<Vec<u8>>);
-
-/// A checkpoint snapshot entry list, as stored in the record.
-pub type CheckpointEntries = [(Vec<u8>, Vec<u8>)];
 
 /// Everything one log says about one transaction.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -71,57 +70,57 @@ impl TxnLogSummary {
 /// for the reproducible simulator and the model checker).
 #[must_use]
 pub fn analyze(records: &[LogRecord]) -> BTreeMap<TxnId, TxnLogSummary> {
-    let mut map: BTreeMap<TxnId, TxnLogSummary> = BTreeMap::new();
-    for rec in records {
-        // Checkpoints belong to no transaction; see [`latest_checkpoint`].
-        if matches!(rec.payload, LogPayload::Checkpoint { .. }) {
-            continue;
-        }
-        let entry = map.entry(rec.payload.txn()).or_default();
-        match &rec.payload {
-            LogPayload::Initiation {
-                participants, mode, ..
-            } => {
-                entry.initiation = Some((*mode, participants.clone()));
-            }
-            LogPayload::CoordDecision {
-                outcome,
-                participants,
-                ..
-            } => {
-                entry.decision = Some(*outcome);
-                entry.decision_participants = participants.clone();
-            }
-            LogPayload::End { .. } => entry.ended = true,
-            LogPayload::PaxosAccept {
-                ballot, instances, ..
-            } => entry.paxos_accepts.push((*ballot, instances.clone())),
-            LogPayload::Prepared { coordinator, .. } => entry.prepared = Some(*coordinator),
-            LogPayload::PartDecision { outcome, .. } => entry.part_decision = Some(*outcome),
-            LogPayload::PartEnd { .. } => entry.part_ended = true,
-            LogPayload::Update {
-                key, before, after, ..
-            } => {
-                entry
-                    .updates
-                    .push((key.clone(), before.clone(), after.clone()));
-            }
-            LogPayload::Checkpoint { .. } => unreachable!("filtered above"),
-        }
-    }
+    let mut map = BTreeMap::new();
+    records.iter().for_each(|rec| note(&mut map, rec));
     map
 }
 
-/// The position and contents of the latest checkpoint in a scanned
-/// log, if any.
-#[must_use]
-pub fn latest_checkpoint(
-    records: &[LogRecord],
-) -> Option<(crate::record::Lsn, &CheckpointEntries)> {
-    records.iter().rev().find_map(|r| match &r.payload {
-        LogPayload::Checkpoint { entries } => Some((r.lsn, entries.as_slice())),
-        _ => None,
-    })
+/// [`analyze`] over a log's durable records, read in place through
+/// [`StableLog::for_each_record`] — what recovery uses, so a restart
+/// does not clone the log to classify it.
+pub fn analyze_log<L: StableLog + ?Sized>(
+    log: &L,
+) -> Result<BTreeMap<TxnId, TxnLogSummary>, WalError> {
+    let mut map = BTreeMap::new();
+    log.for_each_record(&mut |rec| note(&mut map, rec))?;
+    Ok(map)
+}
+
+fn note(map: &mut BTreeMap<TxnId, TxnLogSummary>, rec: &LogRecord) {
+    if matches!(rec.payload, LogPayload::Checkpoint { .. }) {
+        return;
+    }
+    let entry = map.entry(rec.payload.txn()).or_default();
+    match &rec.payload {
+        LogPayload::Initiation {
+            participants, mode, ..
+        } => {
+            entry.initiation = Some((*mode, participants.clone()));
+        }
+        LogPayload::CoordDecision {
+            outcome,
+            participants,
+            ..
+        } => {
+            entry.decision = Some(*outcome);
+            entry.decision_participants = participants.clone();
+        }
+        LogPayload::End { .. } => entry.ended = true,
+        LogPayload::PaxosAccept {
+            ballot, instances, ..
+        } => entry.paxos_accepts.push((*ballot, instances.clone())),
+        LogPayload::Prepared { coordinator, .. } => entry.prepared = Some(*coordinator),
+        LogPayload::PartDecision { outcome, .. } => entry.part_decision = Some(*outcome),
+        LogPayload::PartEnd { .. } => entry.part_ended = true,
+        LogPayload::Update {
+            key, before, after, ..
+        } => {
+            entry
+                .updates
+                .push((key.clone(), before.clone(), after.clone()));
+        }
+        LogPayload::Checkpoint { .. } => unreachable!("filtered above"),
+    }
 }
 
 #[cfg(test)]

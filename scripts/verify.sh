@@ -31,6 +31,22 @@ fi
 find crates/net/src -name '*.rs' | sort \
   | xargs awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print "crates/net/src non-test lines:", n }'
 
+echo "== one encoder: the logs and the runtime encode in place"
+# encode_frame/encode_payload are allocating wrappers over the _into
+# forms, kept for tests, fuzzers and probes. A call from the logs or
+# from the runtime is the per-record allocation creeping back onto the
+# commit path (non-test lines only: up to the first #[cfg(test)]).
+if find crates/wal/src/file.rs crates/wal/src/fault.rs crates/wal/src/mem.rs crates/net/src -name '*.rs' \
+  | xargs awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
+               !test && /encode_(frame|payload)\(/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+               END { exit !hit }'; then
+  echo "FAIL: an allocating encoder wrapper is called on the hot path"; exit 1
+fi
+# The in-place encoder's bytes are the on-disk format: arbitrary
+# payloads against the wrappers, and a scripted FileLog against a
+# committed golden image.
+cargo test -q --offline -p acp-wal --test bytes_contract
+
 echo "== benchmark package: offline build + perf suite --smoke"
 # benchmarks/ is its own workspace and is not edited alongside the
 # crates it drives, so an API break shows up only here; the smoke suite
@@ -38,8 +54,12 @@ echo "== benchmark package: offline build + perf suite --smoke"
 # committed values present, coordinator table drained) on the reactor
 # and on a pair of socket nodes.
 cargo build --release --offline --manifest-path benchmarks/Cargo.toml
-# Exits non-zero if any workload fails an operation or a gate.
-./benchmarks/target/release/perf suite --smoke | tail -1 | cut -c1-160
+# Exits non-zero if any workload fails an operation or a gate. The
+# allocation counts repeat to ~1 %, so a regression of the commit
+# path's allocation discipline is visible here, in the tier-1 log.
+smoke="$(./benchmarks/target/release/perf suite --smoke)"
+echo "$smoke" | grep ' allocs_per_txn '
+echo "$smoke" | tail -1 | cut -c1-160
 
 # The WAL fuzz suite honours PROPTEST_CASES (its fixed-seed default is
 # 64 cases per property). Export a bigger value before calling this

@@ -1,0 +1,186 @@
+//! The commit path's allocation budget, as a tier-1 fact.
+//!
+//! A steady-state turn may allocate only for state that outlives it:
+//! protocol-table, lock, store and log-mirror entries (DESIGN.md,
+//! "Runtime architecture", allocation discipline). These two cases pin
+//! that with this binary's own counting allocator — per thread, like
+//! the benchmark's (`benchmarks/src/alloc.rs`), so the driver's staging
+//! and reply channels stay out of the runtime's figure.
+
+mod common;
+
+use common::runtime::glacial;
+use presumed_any::prelude::*;
+use presumed_any::types::Payload;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::time::Duration;
+
+/// Allocations (and reallocations) by the threads the tests did not
+/// start themselves on: the reactor's.
+static RUNTIME_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    // Const-initialised and without destructors, so reading them inside
+    // the allocator neither allocates nor sees a destroyed value.
+    /// Is this a test's own (driver) thread?
+    static DRIVER: Cell<bool> = const { Cell::new(false) };
+    /// Allocations by this thread.
+    static MINE: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count() {
+    let _ = MINE.try_with(|n| n.set(n.get() + 1));
+    if !DRIVER.try_with(Cell::get).unwrap_or(false) {
+        RUNTIME_ALLOCS.fetch_add(1, Relaxed);
+    }
+}
+
+// SAFETY: every method forwards the caller's layout and pointer to
+// `System` unchanged and returns its result unchanged; `count` touches
+// an atomic and two destructor-less thread-locals, so it neither
+// allocates nor panics.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const KIND: CoordinatorKind = CoordinatorKind::PrAny(SelectionPolicy::PaperStrict);
+const PROTOCOLS: [ProtocolKind; 3] = [ProtocolKind::PrN, ProtocolKind::PrA, ProtocolKind::PrC];
+const BURST: u64 = 64;
+const WARM_UP: u64 = 20;
+const MEASURED: u64 = 20;
+
+/// The `reactor_burst64` load: bursts of 64 PrAny commits over PrN, PrA
+/// and PrC on one reactor, group commit on, timers that never fire.
+#[test]
+fn a_reactor_commit_allocates_within_its_budget() {
+    DRIVER.with(|d| d.set(true));
+    let mut config = ReactorConfig::new(KIND, &PROTOCOLS);
+    config.cluster.group_commit = true;
+    config.cluster.delays = glacial();
+    let mut cluster = ReactorCluster::spawn(&config);
+    let sites = cluster.participants();
+
+    let burst = |cluster: &mut ReactorCluster| {
+        let txns: Vec<TxnId> = (0..BURST).map(|_| cluster.next_txn()).collect();
+        for &txn in &txns {
+            for &site in &sites {
+                let key = format!("account/{:016x}/{site}", txn.raw());
+                cluster.apply(site, txn, key.as_bytes(), b"balance=100");
+            }
+        }
+        let replies: Vec<_> = txns
+            .iter()
+            .map(|&txn| cluster.commit_async(txn, &sites))
+            .collect();
+        for reply in replies {
+            let outcome = reply.recv_timeout(Duration::from_secs(20));
+            assert_eq!(outcome, Ok(Outcome::Commit));
+        }
+    };
+    for _ in 0..WARM_UP {
+        burst(&mut cluster);
+    }
+    let before = RUNTIME_ALLOCS.load(Relaxed);
+    for _ in 0..MEASURED {
+        burst(&mut cluster);
+    }
+    let per_txn = (RUNTIME_ALLOCS.load(Relaxed) - before) as f64 / (MEASURED * BURST) as f64;
+    let report = cluster.shutdown();
+    assert_eq!(
+        report.stats.decisions_delivered,
+        (WARM_UP + MEASURED) * BURST
+    );
+    println!("reactor: {per_txn:.1} runtime-thread allocations per transaction");
+    assert!(
+        per_txn <= 64.0,
+        "{per_txn:.1} allocations per transaction on the reactor thread (budget 64)"
+    );
+}
+
+/// The engines alone, on `MemLog`, through the `_into` entry points
+/// with one reused action buffer: what is left is table and log
+/// entries.
+#[test]
+fn a_steady_engine_step_allocates_only_for_table_and_log_entries() {
+    DRIVER.with(|d| d.set(true)); // keep this thread out of the reactor's count
+    let sites: Vec<SiteId> = (1..=3).map(SiteId::new).collect();
+    let mut coordinator = Coordinator::new(SiteId::new(0), KIND, MemLog::new());
+    for (site, proto) in sites.iter().zip(PROTOCOLS) {
+        coordinator.register_site(*site, proto);
+    }
+    coordinator.auto_gc = false; // as the kernel hosts it: once per turn
+    let mut participants: Vec<Participant<MemLog>> = sites
+        .iter()
+        .zip(PROTOCOLS)
+        .map(|(site, proto)| Participant::new(*site, proto, MemLog::new()))
+        .collect();
+
+    let mut actions: Vec<Action> = Vec::new();
+    let mut queue: VecDeque<(SiteId, SiteId, Payload)> = VecDeque::new();
+    let mut run = |txn: TxnId| {
+        let absorb = |from: SiteId, actions: &mut Vec<Action>, queue: &mut VecDeque<_>| {
+            for action in actions.drain(..) {
+                if let Action::Send { to, payload } = action {
+                    queue.push_back((from, to, payload));
+                }
+            }
+        };
+        coordinator.begin_commit_into(txn, &sites, &mut actions);
+        absorb(SiteId::new(0), &mut actions, &mut queue);
+        while let Some((from, to, payload)) = queue.pop_front() {
+            match to.raw() {
+                0 => coordinator.on_message_into(from, &payload, &mut actions),
+                p => participants[p as usize - 1].on_message_into(from, &payload, &mut actions),
+            }
+            absorb(to, &mut actions, &mut queue);
+        }
+        if txn.raw().is_multiple_of(BURST) {
+            coordinator.collect_garbage();
+        }
+        assert_eq!(coordinator.decided(txn), Some(Outcome::Commit));
+    };
+
+    let measured = MEASURED * BURST;
+    for i in 0..WARM_UP * BURST {
+        run(TxnId::new(i + 1));
+    }
+    let before = MINE.get();
+    for i in 0..measured {
+        run(TxnId::new(WARM_UP * BURST + i + 1));
+    }
+    let per_txn = (MINE.get() - before) as f64 / measured as f64;
+    println!("engines: {per_txn:.1} allocations per transaction");
+    assert!(
+        per_txn <= 14.0,
+        "{per_txn:.1} allocations per transaction in the engines (budget 14)"
+    );
+}
