@@ -382,19 +382,18 @@ fn read_message(r: &mut Reader<'_>) -> Result<Message, WalError> {
     Ok(Message::new(from, to, payload))
 }
 
-/// Encode one message body (no frame header).
-fn encode_body(msg: &WireMsg) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
+/// Encode one message body (no frame header) onto the end of `out`.
+fn encode_body_into(out: &mut Vec<u8>, msg: &WireMsg) {
     match msg {
         WireMsg::Protocol(m) => {
-            put_u8(&mut out, TAG_PROTOCOL);
-            put_message(&mut out, m);
+            put_u8(out, TAG_PROTOCOL);
+            put_message(out, m);
         }
         WireMsg::ProtocolBatch(ms) => {
-            put_u8(&mut out, TAG_PROTOCOL_BATCH);
-            put_u32(&mut out, u32::try_from(ms.len()).expect("batch size"));
+            put_u8(out, TAG_PROTOCOL_BATCH);
+            put_u32(out, u32::try_from(ms.len()).expect("batch size"));
             for m in ms {
-                put_message(&mut out, m);
+                put_message(out, m);
             }
         }
         WireMsg::Apply {
@@ -403,20 +402,19 @@ fn encode_body(msg: &WireMsg) -> Vec<u8> {
             key,
             value,
         } => {
-            put_u8(&mut out, TAG_APPLY);
-            put_u32(&mut out, to.raw());
-            put_u64(&mut out, txn.raw());
-            put_bytes(&mut out, key);
-            put_bytes(&mut out, value);
+            put_u8(out, TAG_APPLY);
+            put_u32(out, to.raw());
+            put_u64(out, txn.raw());
+            put_bytes(out, key);
+            put_bytes(out, value);
         }
         WireMsg::SetIntent { to, txn, vote } => {
-            put_u8(&mut out, TAG_SET_INTENT);
-            put_u32(&mut out, to.raw());
-            put_u64(&mut out, txn.raw());
-            put_vote(&mut out, *vote);
+            put_u8(out, TAG_SET_INTENT);
+            put_u32(out, to.raw());
+            put_u64(out, txn.raw());
+            put_vote(out, *vote);
         }
     }
-    out
 }
 
 fn decode_body(buf: &[u8]) -> Result<WireMsg, WalError> {
@@ -460,18 +458,41 @@ fn decode_body(buf: &[u8]) -> Result<WireMsg, WalError> {
     Ok(msg)
 }
 
-/// Encode one complete frame, ready to write to a socket.
+/// Append one complete frame to `out`, a connection's out-buffer: all
+/// written in place, the length patched once the body is known.
+pub fn encode_wire_frame_into(out: &mut Vec<u8>, seq: u64, msg: &WireMsg) {
+    let start = out.len();
+    put_u32(out, WIRE_MAGIC);
+    put_u32(out, 0); // body length, patched below
+    put_u64(out, seq);
+    encode_body_into(out, msg);
+    let len = u32::try_from(out.len() - start - HEADER_LEN).expect("body size");
+    out[start + 4..start + 8].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&out[start + 4..]);
+    put_u32(out, crc);
+}
+
+/// Encode one complete frame into a buffer of its own.
 #[must_use]
 pub fn encode_wire_frame(seq: u64, msg: &WireMsg) -> Vec<u8> {
-    let body = encode_body(msg);
-    let mut out = Vec::with_capacity(HEADER_LEN + body.len() + CRC_LEN);
-    put_u32(&mut out, WIRE_MAGIC);
-    put_u32(&mut out, u32::try_from(body.len()).expect("body size"));
-    put_u64(&mut out, seq);
-    out.extend_from_slice(&body);
-    let crc = crc32(&out[4..]);
-    put_u32(&mut out, crc);
+    let mut out = Vec::with_capacity(64);
+    encode_wire_frame_into(&mut out, seq, msg);
     out
+}
+
+/// The last frame boundary at or before `limit` in `buf`, a run of
+/// frames starting at a boundary (the header's length delimits each).
+pub(crate) fn frame_boundary(buf: &[u8], limit: usize) -> usize {
+    let mut at = 0;
+    while at + HEADER_LEN <= limit {
+        let len = u32::from_le_bytes(buf[at + 4..at + 8].try_into().expect("4 bytes"));
+        let end = at + HEADER_LEN + len as usize + CRC_LEN;
+        if end > limit {
+            break;
+        }
+        at = end;
+    }
+    at
 }
 
 /// Streaming frame decoder: feed it arbitrary byte chunks, pull whole
@@ -480,6 +501,9 @@ pub fn encode_wire_frame(seq: u64, msg: &WireMsg) -> Vec<u8> {
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
+    /// Bytes of `buf` already handed out as frames; dropped once per
+    /// [`feed`](Self::feed), not once per frame.
+    pos: usize,
 }
 
 impl FrameDecoder {
@@ -491,30 +515,33 @@ impl FrameDecoder {
 
     /// Append bytes read from the socket.
     pub fn feed(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.pos);
+        self.pos = 0;
         self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes buffered but not yet consumed by a complete frame.
     #[must_use]
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.pos
     }
 
     /// Pull the next complete frame: `Ok(Some((seq, msg)))` when one is
     /// ready, `Ok(None)` when more bytes are needed, `Err` when the
     /// stream is corrupt (drop the connection — framing is lost).
     pub fn next_frame(&mut self) -> Result<Option<(u64, WireMsg)>, WalError> {
-        if self.buf.len() < HEADER_LEN {
+        let buf = &self.buf[self.pos..];
+        if buf.len() < HEADER_LEN {
             return Ok(None);
         }
-        let magic = u32::from_le_bytes(self.buf[0..4].try_into().expect("4 bytes"));
+        let magic = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes"));
         if magic != WIRE_MAGIC {
             return Err(WalError::Corrupt {
                 offset: 0,
                 detail: format!("wire frame: bad magic {magic:#010x}"),
             });
         }
-        let len = u32::from_le_bytes(self.buf[4..8].try_into().expect("4 bytes"));
+        let len = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
         if len > MAX_FRAME_BODY {
             return Err(WalError::Corrupt {
                 offset: 4,
@@ -522,13 +549,12 @@ impl FrameDecoder {
             });
         }
         let total = HEADER_LEN + len as usize + CRC_LEN;
-        if self.buf.len() < total {
+        if buf.len() < total {
             return Ok(None);
         }
-        let crc_stored = u32::from_le_bytes(
-            self.buf[total - CRC_LEN..total].try_into().expect("4 bytes"),
-        );
-        let crc_actual = crc32(&self.buf[4..total - CRC_LEN]);
+        let crc_stored =
+            u32::from_le_bytes(buf[total - CRC_LEN..total].try_into().expect("4 bytes"));
+        let crc_actual = crc32(&buf[4..total - CRC_LEN]);
         if crc_stored != crc_actual {
             return Err(WalError::Corrupt {
                 offset: 0,
@@ -537,9 +563,9 @@ impl FrameDecoder {
                 ),
             });
         }
-        let seq = u64::from_le_bytes(self.buf[8..16].try_into().expect("8 bytes"));
-        let msg = decode_body(&self.buf[HEADER_LEN..total - CRC_LEN])?;
-        self.buf.drain(..total);
+        let seq = u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes"));
+        let msg = decode_body(&buf[HEADER_LEN..total - CRC_LEN])?;
+        self.pos += total;
         Ok(Some((seq, msg)))
     }
 }

@@ -21,7 +21,7 @@
 //! * [`faults`] — sender-side frame drop/delay rules ([`WireFaults`]),
 //!   the socket analogue of the WAL's fault layer.
 //! * `conn` — unidirectional connection state: dialing with capped
-//!   exponential backoff, bounded byte write queues, accept-only reads.
+//!   exponential backoff, one bounded out-buffer each, accept-only reads.
 //! * [`node`] — the site-hosting kernel over a TCP transport driven
 //!   by a vendored epoll shim, hosting a subset of sites per process;
 //!   [`SocketNode`] is the public handle, mirroring

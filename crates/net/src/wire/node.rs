@@ -4,14 +4,16 @@
 //! This is the site-hosting kernel ([`crate::host`]) — the same turn
 //! discipline the reactor runs — over a TCP transport: envelopes
 //! addressed to a **hosted** site stay on the kernel's ready queue,
-//! envelopes addressed to a remote site are encoded into
-//! length-prefixed CRC frames ([`super::frame`]) and queued on a
-//! per-destination outbound connection ([`super::conn::OutConn`]). A
-//! vendored epoll shim drives socket readiness; the kernel's hashed
-//! timer wheel drives engine timers; both deadlines fold into one
-//! `epoll_wait` timeout, so the loop sleeps until *either* a frame
-//! arrives or a protocol timer is due. The node is the kernel with no
-//! commit window, no admission door and no snapshot registry.
+//! envelopes addressed to a remote site are encoded as
+//! length-prefixed CRC frames ([`super::frame`]) straight into the
+//! out-buffer of a per-destination outbound connection
+//! ([`super::conn::OutConn`]), which the end of the turn hands to the
+//! socket in one `write`. A vendored epoll shim drives socket
+//! readiness; the kernel's hashed timer wheel drives engine timers;
+//! both deadlines fold into one `epoll_wait` timeout, so the loop
+//! sleeps until *either* a frame arrives or a protocol timer is due.
+//! The node is the kernel with no commit window, no admission door and
+//! no snapshot registry.
 //!
 //! The engines cannot tell the difference. They see the same
 //! [`Envelope`] dispatch, the same [`crate::site`] emission points,
@@ -32,7 +34,7 @@
 
 use super::conn::{InConn, OutConn};
 use super::faults::{FaultAction, WireFaults};
-use super::frame::{encode_wire_frame, WireMsg};
+use super::frame::{encode_wire_frame_into, WireMsg};
 use crate::client::{deref_to_client, ClientHandle};
 use crate::cluster::{ClusterConfig, ClusterReport};
 use crate::envelope::Envelope;
@@ -51,6 +53,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -139,8 +142,8 @@ pub struct NodeConfig {
     pub wal_dir: PathBuf,
     /// Outbound frame fault injection (drop/delay at frame boundary).
     pub faults: WireFaults,
-    /// Per-connection write-queue bound in bytes; frames past it are
-    /// shed ([`WireMetrics::backpressure_drops`]).
+    /// Per-connection bound on bytes buffered but not yet written;
+    /// frames past it are shed ([`WireMetrics::backpressure_drops`]).
     pub max_conn_queue_bytes: usize,
     /// Shared unix-microsecond epoch for trace timestamps, so events
     /// from different processes merge onto one time axis. `None` uses
@@ -190,82 +193,39 @@ pub struct NodeReport {
 // ---------------------------------------------------------------------------
 // Outbound transport
 
-/// All outbound socket state: per-destination connections, the fault
-/// plan, and frames held back by a delay fault.
-struct Wire {
+/// What an outbound connection's socket lifecycle touches — kept apart
+/// from the connection map, so the map is walked in place.
+struct Sockets {
     epoll: Epoll,
-    out: BTreeMap<SiteId, OutConn>,
     /// epoll token → destination site, for event dispatch.
     out_tokens: BTreeMap<u64, SiteId>,
     next_token: u64,
     peers: AddressBook,
-    faults: WireFaults,
-    /// Node spawn instant: partition windows are measured from here.
-    t0: Instant,
-    /// Frames under an active delay fault: released (re-enqueued) once
-    /// their instant passes — by then later frames have overtaken them.
-    delayed: Vec<(Instant, SiteId, Vec<u8>)>,
     metrics: Arc<WireMetrics>,
     max_queue: usize,
 }
 
-impl Wire {
-    /// Frame and queue one message; faults are consulted *after* the
-    /// sequence number is assigned, so a dropped frame leaves a gap and
-    /// a delayed frame regresses the receiver's sequence watermark.
-    fn send(&mut self, now: Instant, to: SiteId, msg: WireMsg) {
-        let conn = self.out.entry(to).or_insert_with(|| OutConn::new());
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        let frame = encode_wire_frame(seq, &msg);
-        if !self.faults.is_empty() {
-            // Partition windows first: a severed link drops everything,
-            // regardless of what the per-kind rules would say.
-            if self
-                .faults
-                .partitioned(now.saturating_duration_since(self.t0), to)
-            {
-                self.metrics.inc(&self.metrics.fault_drops);
-                return;
-            }
-            match self.faults.decide(to, &msg) {
-                Some(FaultAction::Drop) => {
-                    self.metrics.inc(&self.metrics.fault_drops);
-                    return;
-                }
-                Some(FaultAction::Delay(d)) => {
-                    self.metrics.inc(&self.metrics.fault_delays);
-                    self.delayed.push((now + d, to, frame));
-                    return;
-                }
-                None => {}
-            }
-        }
-        self.enqueue(now, to, frame);
-    }
-
-    fn enqueue(&mut self, now: Instant, to: SiteId, frame: Vec<u8>) {
-        let max = self.max_queue;
-        let conn = self.out.entry(to).or_insert_with(|| OutConn::new());
-        if conn.queued_bytes + frame.len() > max {
+impl Sockets {
+    /// Keep or shed the frame just appended at `conn.buf[start..]`:
+    /// past the bound on unwritten bytes it is taken back off, leaving
+    /// the buffer as it was.
+    fn admit(&mut self, now: Instant, to: SiteId, conn: &mut OutConn, start: usize) {
+        if conn.pending() > self.max_queue {
+            conn.buf.truncate(start);
             self.metrics.inc(&self.metrics.backpressure_drops);
             return;
         }
-        conn.queued_bytes += frame.len();
-        conn.queue.push_back(frame);
         self.metrics.inc(&self.metrics.frames_sent);
         if conn.stream.is_none() && conn.retry_at.is_none() {
-            self.dial(now, to);
+            self.dial(now, to, conn);
         }
     }
 
     /// One dial attempt. Success registers the socket with epoll;
     /// failure (or an unknown address) schedules a backed-off retry.
-    fn dial(&mut self, now: Instant, to: SiteId) {
+    fn dial(&mut self, now: Instant, to: SiteId, conn: &mut OutConn) {
         self.metrics.inc(&self.metrics.dials);
-        let addr = self.peers.lookup(to);
-        let conn = self.out.get_mut(&to).expect("dialing a known conn");
-        let Some(addr) = addr else {
+        let Some(addr) = self.peers.lookup(to) else {
             conn.to_backoff(now);
             return;
         };
@@ -298,15 +258,9 @@ impl Wire {
         }
     }
 
-    /// Write a connection's queue; toggle `EPOLLOUT` interest to match
-    /// whether bytes remain; disconnect on error.
-    fn flush_conn(&mut self, now: Instant, to: SiteId) {
-        let Some(conn) = self.out.get_mut(&to) else {
-            return;
-        };
-        if conn.stream.is_none() {
-            return;
-        }
+    /// Write what a connection owes; toggle `EPOLLOUT` interest to
+    /// match whether bytes remain; disconnect on error.
+    fn flush(&mut self, now: Instant, conn: &mut OutConn) {
         match conn.try_flush(&self.metrics) {
             Ok(pending) => {
                 if pending != conn.want_writable {
@@ -318,18 +272,12 @@ impl Wire {
                     }
                 }
             }
-            Err(_) => self.drop_out(now, to),
+            Err(_) => self.lose(now, conn),
         }
     }
 
-    /// Lose an established connection: deregister, keep the queue,
-    /// schedule a redial. Frames already queued retransmit on the next
-    /// connection (possible duplicate delivery is safe — the protocol
-    /// messages are idempotent at the engines).
-    fn drop_out(&mut self, now: Instant, to: SiteId) {
-        let Some(conn) = self.out.get_mut(&to) else {
-            return;
-        };
+    /// Deregister and drop a connection's socket, if it has one.
+    fn close(&mut self, conn: &mut OutConn) {
         if let Some(stream) = conn.stream.take() {
             let _ = self.epoll.delete(stream.as_raw_fd());
             self.metrics.inc(&self.metrics.disconnects);
@@ -337,10 +285,71 @@ impl Wire {
         if let Some(token) = conn.token.take() {
             self.out_tokens.remove(&token);
         }
-        conn.to_backoff(now);
     }
 
-    /// Re-enqueue delay-faulted frames whose hold expired.
+    /// Lose an established connection: deregister, keep what is owed
+    /// (it retransmits on the next connection), schedule a redial.
+    fn lose(&mut self, now: Instant, conn: &mut OutConn) {
+        self.close(conn);
+        conn.to_backoff(now);
+    }
+}
+
+/// All outbound state: per-destination connections, the fault plan,
+/// and frames held back by a delay fault.
+struct Wire {
+    out: BTreeMap<SiteId, OutConn>,
+    sockets: Sockets,
+    faults: WireFaults,
+    /// Node spawn instant: partition windows are measured from here.
+    t0: Instant,
+    /// Frames under an active delay fault: released (appended to their
+    /// connection's buffer) once their instant passes — by then later
+    /// frames have overtaken them.
+    delayed: Vec<(Instant, SiteId, Vec<u8>)>,
+}
+
+impl Wire {
+    /// Frame one message into its connection's out-buffer; faults are
+    /// consulted *after* the sequence number is assigned, so a dropped
+    /// frame leaves a gap and a delayed frame regresses the receiver's
+    /// sequence watermark.
+    fn send(&mut self, now: Instant, to: SiteId, msg: WireMsg) {
+        let conn = self.out.entry(to).or_insert_with(OutConn::new);
+        let seq = conn.next_seq;
+        conn.next_seq += 1;
+        if !self.faults.is_empty() {
+            let metrics = &self.sockets.metrics;
+            // Partition windows first: a severed link drops everything,
+            // regardless of what the per-kind rules would say.
+            if self
+                .faults
+                .partitioned(now.saturating_duration_since(self.t0), to)
+            {
+                metrics.inc(&metrics.fault_drops);
+                return;
+            }
+            match self.faults.decide(to, &msg) {
+                Some(FaultAction::Drop) => {
+                    metrics.inc(&metrics.fault_drops);
+                    return;
+                }
+                Some(FaultAction::Delay(d)) => {
+                    metrics.inc(&metrics.fault_delays);
+                    let mut frame = Vec::new();
+                    encode_wire_frame_into(&mut frame, seq, &msg);
+                    self.delayed.push((now + d, to, frame));
+                    return;
+                }
+                None => {}
+            }
+        }
+        let start = conn.buf.len();
+        encode_wire_frame_into(&mut conn.buf, seq, &msg);
+        self.sockets.admit(now, to, conn, start);
+    }
+
+    /// Append delay-faulted frames whose hold expired.
     fn release_delayed(&mut self, now: Instant) -> bool {
         if self.delayed.is_empty() {
             return false;
@@ -350,7 +359,10 @@ impl Wire {
         while i < self.delayed.len() {
             if self.delayed[i].0 <= now {
                 let (_, to, frame) = self.delayed.remove(i);
-                self.enqueue(now, to, frame);
+                let conn = self.out.entry(to).or_insert_with(OutConn::new);
+                let start = conn.buf.len();
+                conn.buf.extend_from_slice(&frame);
+                self.sockets.admit(now, to, conn, start);
                 worked = true;
             } else {
                 i += 1;
@@ -359,59 +371,37 @@ impl Wire {
         worked
     }
 
-    /// Redial connections whose backoff elapsed and whose queue is
-    /// non-empty (an empty queue has nothing to say; the next send
-    /// dials).
+    /// Redial connections whose backoff elapsed and that still owe
+    /// bytes (an empty buffer has nothing to say; the next send dials).
     fn pump_dials(&mut self, now: Instant) {
-        let due: Vec<SiteId> = self
-            .out
-            .iter()
-            .filter(|(_, c)| {
-                c.stream.is_none()
-                    && !c.queue.is_empty()
-                    && c.retry_at.map_or(false, |t| t <= now)
-            })
-            .map(|(s, _)| *s)
-            .collect();
-        for to in due {
-            if let Some(c) = self.out.get_mut(&to) {
-                c.retry_at = None;
+        for (to, conn) in &mut self.out {
+            if conn.stream.is_none()
+                && conn.pending() > 0
+                && conn.retry_at.is_some_and(|t| t <= now)
+            {
+                conn.retry_at = None;
+                self.sockets.dial(now, *to, conn);
             }
-            self.dial(now, to);
         }
     }
 
-    /// Flush every established connection with queued frames.
+    /// Flush every established connection that owes bytes.
     fn flush_all(&mut self, now: Instant) {
-        let targets: Vec<SiteId> = self
-            .out
-            .iter()
-            .filter(|(_, c)| c.stream.is_some() && !c.queue.is_empty())
-            .map(|(s, _)| *s)
-            .collect();
-        for to in targets {
-            self.flush_conn(now, to);
+        for conn in self.out.values_mut() {
+            if conn.stream.is_some() && conn.pending() > 0 {
+                self.sockets.flush(now, conn);
+            }
         }
     }
 
-    /// Process-crash semantics: drop every connection *and* its queued
-    /// frames and delayed holds — volatile state dies with the process.
+    /// Process-crash semantics: drop every connection *and* its
+    /// buffered frames and delayed holds — volatile state dies with the
+    /// process.
     fn sever(&mut self, now: Instant) {
-        let sites: Vec<SiteId> = self.out.keys().copied().collect();
-        for to in sites {
-            let Some(conn) = self.out.get_mut(&to) else {
-                continue;
-            };
-            if let Some(stream) = conn.stream.take() {
-                let _ = self.epoll.delete(stream.as_raw_fd());
-                self.metrics.inc(&self.metrics.disconnects);
-            }
-            if let Some(token) = conn.token.take() {
-                self.out_tokens.remove(&token);
-            }
-            conn.queue.clear();
-            conn.queued_bytes = 0;
-            conn.write_pos = 0;
+        for conn in self.out.values_mut() {
+            self.sockets.close(conn);
+            conn.buf.clear();
+            conn.written = 0;
             conn.want_writable = false;
             conn.attempt = 0;
             conn.retry_at = Some(now + super::conn::BACKOFF_BASE);
@@ -421,29 +411,80 @@ impl Wire {
 
     /// Any frames still owed to the network?
     fn has_pending(&self) -> bool {
-        !self.delayed.is_empty() || self.out.values().any(|c| !c.queue.is_empty())
+        !self.delayed.is_empty() || self.out.values().any(|c| c.pending() > 0)
     }
 
     /// Earliest transport deadline: a due redial or a delayed-frame
     /// release.
     fn next_deadline(&self) -> Option<Instant> {
-        let mut deadline: Option<Instant> = None;
-        let mut fold = |t: Instant| {
-            deadline = Some(deadline.map_or(t, |d| d.min(t)));
-        };
-        for c in self.out.values() {
-            if c.stream.is_none() && !c.queue.is_empty() {
-                if let Some(t) = c.retry_at {
-                    fold(t);
-                }
-            }
-        }
-        for (t, _, _) in &self.delayed {
-            fold(*t);
-        }
-        deadline
+        let redials = self
+            .out
+            .values()
+            .filter(|c| c.stream.is_none() && c.pending() > 0)
+            .filter_map(|c| c.retry_at);
+        redials.chain(self.delayed.iter().map(|(t, _, _)| *t)).min()
     }
 }
+
+// ---------------------------------------------------------------------------
+// The waker
+
+/// One end of the in-process waker: a socket pair the node sleeps on in
+/// `epoll_wait`, and a flag both ends share so that a burst of client
+/// envelopes costs **one byte per sleep**, not one per envelope.
+///
+/// No wake-up is lost. A sender pushes its envelope onto the injector
+/// *first*, then [`ring`](Self::ring)s. If its swap read `false` it
+/// writes a byte, and the (level-triggered) node's next `epoll_wait`
+/// returns. If it read `true`, a ringer set the flag and the node has
+/// not cleared it since; that ringer's byte, written after the set, is
+/// either unread — the node will wake — or was read by a
+/// [`drain`](Self::drain), which clears the flag *after* reading. Either
+/// way a clear follows this sender's push, and a turn follows every
+/// clear and drains the injector to empty: the envelope is seen.
+/// (Clearing *before* reading loses it: a byte written in between is
+/// consumed with the flag left set, and later senders stay silent to a
+/// sleeping node.) A byte between read and clear costs a spurious wake.
+struct Waker {
+    pipe: UnixStream,
+    /// A byte is in the pipe, or its writer is about to put it there.
+    rung: Arc<AtomicBool>,
+}
+
+impl Waker {
+    /// The node's end and the client handle's.
+    fn pair() -> io::Result<(Waker, Waker)> {
+        let (node, handle) = UnixStream::pair()?;
+        node.set_nonblocking(true)?;
+        handle.set_nonblocking(true)?;
+        let rung = Arc::new(AtomicBool::new(false));
+        let node = Waker { pipe: node, rung: Arc::clone(&rung) };
+        Ok((node, Waker { pipe: handle, rung }))
+    }
+
+    /// Sender side, after the push: wake the node unless it is due to.
+    fn ring(&self) {
+        if !self.rung.swap(true, SeqCst) {
+            let _ = (&self.pipe).write(&[1]);
+        }
+    }
+
+    /// Node side, before the turn: empty the pipe, *then* clear the
+    /// flag (a swap: it synchronizes with the ringers that found it set).
+    fn drain(&self) {
+        let mut buf = [0u8; 64];
+        loop {
+            match (&self.pipe).read(&mut buf) {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+        self.rung.swap(false, SeqCst);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The TCP transport
 
@@ -456,9 +497,9 @@ struct Tcp {
     /// Sites this process hosts.
     hosted: BTreeSet<SiteId>,
     listener: TcpListener,
-    /// Read side of the waker pair; the handle writes a byte to
+    /// The node's end of the waker; the handle rings the other to
     /// interrupt `epoll_wait` after injecting an envelope.
-    waker: UnixStream,
+    waker: Waker,
     inbound: BTreeMap<u64, InConn>,
     events: Vec<epoll::Event>,
 }
@@ -495,12 +536,10 @@ impl Transport for Tcp {
     /// Sleep until a socket is ready or the deadline. All loop
     /// deadlines — engine timers, injected-outage recoveries, redial
     /// backoffs, delayed-frame releases — arrive folded into `timeout`.
-    /// The client injector needs no watching: the handle pokes the
-    /// waker pipe after every send.
+    /// The client injector needs no watching: the handle rings the
+    /// waker after a send.
     fn wait(&mut self, timeout: Duration, _: &Receiver<Mail>, ready: &mut VecDeque<Mail>) -> bool {
-        let timeout = timeout.clamp(Duration::from_millis(1), Duration::from_millis(50));
-        let ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
-        self.poll_events(ms, ready);
+        self.poll_events(poll_ms(timeout), ready);
         true
     }
 
@@ -509,13 +548,13 @@ impl Transport for Tcp {
     }
 
     /// In this backend a crash is a *process* event: the kernel resets
-    /// every TCP connection the process held, so sever them all (queues
+    /// every TCP connection the process held, so sever them all (buffers
     /// included) and let backed-off redials heal the topology on
     /// recovery.
     fn site_crashed(&mut self, now: Instant) {
         self.wire.sever(now);
         for conn in std::mem::take(&mut self.inbound).into_values() {
-            let _ = self.wire.epoll.delete(conn.stream.as_raw_fd());
+            let _ = self.wire.sockets.epoll.delete(conn.stream.as_raw_fd());
         }
     }
 
@@ -539,10 +578,18 @@ impl Transport for Tcp {
     }
 }
 
+/// A loop timeout as `epoll_wait` milliseconds: a deadline already due
+/// polls without sleeping, a sub-millisecond wait rounds *up* (never
+/// wake early and spin), an idle loop looks around every 50 ms.
+fn poll_ms(timeout: Duration) -> i32 {
+    timeout.as_nanos().div_ceil(1_000_000).min(50) as i32
+}
+
 impl Tcp {
     /// One `epoll_wait` plus event dispatch.
     fn poll_events(&mut self, timeout_ms: i32, ready: &mut VecDeque<Mail>) {
-        if self.wire.epoll.wait(&mut self.events, timeout_ms).is_err() {
+        let sockets = &self.wire.sockets;
+        if sockets.epoll.wait(&mut self.events, timeout_ms).is_err() {
             return;
         }
         let events = std::mem::take(&mut self.events);
@@ -550,8 +597,8 @@ impl Tcp {
         for ev in &events {
             match ev.token {
                 TOKEN_LISTENER => self.accept_all(),
-                TOKEN_WAKER => self.drain_waker(),
-                token if self.wire.out_tokens.contains_key(&token) => {
+                TOKEN_WAKER => self.waker.drain(),
+                token if self.wire.sockets.out_tokens.contains_key(&token) => {
                     self.out_event(now, token, ev.events);
                 }
                 token => self.in_event(token, ready),
@@ -569,19 +616,15 @@ impl Tcp {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    let token = self.wire.next_token;
-                    self.wire.next_token += 1;
+                    let sockets = &mut self.wire.sockets;
+                    let token = sockets.next_token;
+                    sockets.next_token += 1;
                     let interest = EPOLLIN | EPOLLRDHUP;
-                    if self
-                        .wire
-                        .epoll
-                        .add(stream.as_raw_fd(), interest, token)
-                        .is_err()
-                    {
+                    if sockets.epoll.add(stream.as_raw_fd(), interest, token).is_err() {
                         continue;
                     }
                     self.inbound.insert(token, InConn::new(stream));
-                    self.wire.metrics.inc(&self.wire.metrics.accepts);
+                    sockets.metrics.inc(&sockets.metrics.accepts);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -590,137 +633,102 @@ impl Tcp {
         }
     }
 
-    /// Drain the waker pipe (its only job is interrupting `epoll_wait`).
-    fn drain_waker(&mut self) {
-        let mut buf = [0u8; 64];
-        loop {
-            match (&self.waker).read(&mut buf) {
-                Ok(0) => break,
-                Ok(_) => {}
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => break,
-            }
-        }
-    }
-
-    /// Readiness on an outbound connection: writable drains the queue;
-    /// readable on a conn we never expect data from means EOF/reset.
+    /// Readiness on an outbound connection: writable flushes what is
+    /// owed; readable on a conn we never expect data from means
+    /// EOF/reset.
     fn out_event(&mut self, now: Instant, token: u64, flags: u32) {
-        let Some(&to) = self.wire.out_tokens.get(&token) else {
+        let Wire { out, sockets, .. } = &mut self.wire;
+        let Some(conn) = sockets.out_tokens.get(&token).and_then(|to| out.get_mut(to)) else {
             return;
         };
-        if flags & (EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0 {
-            self.wire.drop_out(now, to);
-            return;
-        }
-        if flags & EPOLLIN != 0 {
-            let mut dead = false;
-            if let Some(conn) = self.wire.out.get_mut(&to) {
-                if let Some(stream) = conn.stream.as_mut() {
-                    let mut buf = [0u8; 64];
-                    match stream.read(&mut buf) {
-                        Ok(0) => dead = true,
-                        Ok(_) => {} // peers never write to us; ignore
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(_) => dead = true,
-                    }
+        let mut dead = flags & (EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0;
+        if !dead && flags & EPOLLIN != 0 {
+            // Peers never write to us: bytes are ignored, EOF is death.
+            dead = match conn.stream.as_mut().map(|s| s.read(&mut [0u8; 64])) {
+                None | Some(Ok(1..)) => false,
+                Some(Ok(0)) => true,
+                Some(Err(e)) => {
+                    !matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted)
                 }
-            }
-            if dead {
-                self.wire.drop_out(now, to);
-                return;
-            }
+            };
         }
-        if flags & EPOLLOUT != 0 {
-            self.wire.flush_conn(now, to);
+        if dead {
+            sockets.lose(now, conn);
+        } else if flags & EPOLLOUT != 0 {
+            sockets.flush(now, conn);
         }
     }
 
     /// Readiness on an inbound connection: read bytes, reassemble
-    /// frames, turn each into an envelope on the ready queue. A decode
-    /// error (bad magic, bad CRC) drops the whole connection — unlike
-    /// the WAL's torn-tail truncation there is no "rest of the stream"
-    /// worth salvaging once framing is lost; the peer's bounded queue
-    /// redelivers over a fresh connection.
+    /// frames, put each straight on the ready queue as an envelope. A
+    /// decode error (bad magic, bad CRC) drops the whole connection —
+    /// unlike the WAL's torn-tail truncation there is no "rest of the
+    /// stream" worth salvaging once framing is lost; the peer's bounded
+    /// out-buffer redelivers over a fresh connection.
     fn in_event(&mut self, token: u64, ready: &mut VecDeque<Mail>) {
-        let mut msgs: Vec<WireMsg> = Vec::new();
-        let mut close = false;
-        {
-            let Some(conn) = self.inbound.get_mut(&token) else {
-                return;
-            };
-            let metrics = &self.wire.metrics;
-            let mut buf = [0u8; 16 * 1024];
-            'read: loop {
-                match conn.stream.read(&mut buf) {
-                    Ok(0) => {
-                        close = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        metrics.add(&metrics.bytes_recv, n as u64);
-                        conn.decoder.feed(&buf[..n]);
-                        loop {
-                            match conn.decoder.next_frame() {
-                                Ok(Some((seq, msg))) => {
-                                    metrics.inc(&metrics.frames_recv);
-                                    if conn.last_seq.map_or(false, |p| seq <= p) {
-                                        metrics.inc(&metrics.seq_regressions);
-                                    } else {
-                                        conn.last_seq = Some(seq);
-                                    }
-                                    msgs.push(msg);
+        let Some(conn) = self.inbound.get_mut(&token) else {
+            return;
+        };
+        let metrics = &self.wire.sockets.metrics;
+        let mut buf = [0u8; 16 * 1024];
+        let close = 'read: loop {
+            match conn.stream.read(&mut buf) {
+                Ok(0) => break true,
+                Ok(n) => {
+                    metrics.add(&metrics.bytes_recv, n as u64);
+                    conn.decoder.feed(&buf[..n]);
+                    loop {
+                        match conn.decoder.next_frame() {
+                            Ok(Some((seq, msg))) => {
+                                metrics.inc(&metrics.frames_recv);
+                                if conn.last_seq.is_some_and(|p| seq <= p) {
+                                    metrics.inc(&metrics.seq_regressions);
+                                } else {
+                                    conn.last_seq = Some(seq);
                                 }
-                                Ok(None) => break,
-                                Err(_) => {
-                                    metrics.inc(&metrics.decode_errors);
-                                    close = true;
-                                    break 'read;
-                                }
+                                deliver(&self.hosted, msg, ready);
+                            }
+                            Ok(None) => break,
+                            Err(_) => {
+                                metrics.inc(&metrics.decode_errors);
+                                break 'read true;
                             }
                         }
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        close = true;
-                        break;
-                    }
                 }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break false,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => break true,
             }
-        }
-        for msg in msgs {
-            self.handle_wire_msg(msg, ready);
-        }
+        };
         if close {
             if let Some(conn) = self.inbound.remove(&token) {
-                let _ = self.wire.epoll.delete(conn.stream.as_raw_fd());
+                let _ = self.wire.sockets.epoll.delete(conn.stream.as_raw_fd());
             }
         }
     }
+}
 
-    /// Decode one wire message into a local envelope. Frames for sites
-    /// this node does not host are dropped (stale routing — e.g. a
-    /// frame that raced a topology change).
-    fn handle_wire_msg(&mut self, msg: WireMsg, ready: &mut VecDeque<Mail>) {
-        let (to, env) = match msg {
-            WireMsg::Protocol(m) => (m.to, Envelope::Protocol(m)),
-            WireMsg::ProtocolBatch(ms) => {
-                let Some(to) = ms.first().map(|m| m.to) else { return };
-                (to, Envelope::ProtocolBatch(ms))
-            }
-            WireMsg::Apply {
-                to,
-                txn,
-                key,
-                value,
-            } => (to, Envelope::Apply { txn, key, value }),
-            WireMsg::SetIntent { to, txn, vote } => (to, Envelope::SetIntent { txn, vote }),
-        };
-        if self.hosted.contains(&to) {
-            ready.push_back((to, env));
+/// Turn one wire message into an envelope on the ready queue. Frames
+/// for sites this node does not host are dropped (stale routing — e.g.
+/// a frame that raced a topology change).
+fn deliver(hosted: &BTreeSet<SiteId>, msg: WireMsg, ready: &mut VecDeque<Mail>) {
+    let (to, env) = match msg {
+        WireMsg::Protocol(m) => (m.to, Envelope::Protocol(m)),
+        WireMsg::ProtocolBatch(ms) => {
+            let Some(to) = ms.first().map(|m| m.to) else { return };
+            (to, Envelope::ProtocolBatch(ms))
         }
+        WireMsg::Apply {
+            to,
+            txn,
+            key,
+            value,
+        } => (to, Envelope::Apply { txn, key, value }),
+        WireMsg::SetIntent { to, txn, vote } => (to, Envelope::SetIntent { txn, vote }),
+    };
+    if hosted.contains(&to) {
+        ready.push_back((to, env));
     }
 }
 
@@ -776,17 +784,15 @@ impl SocketNode {
         let listener = TcpListener::bind(config.listen)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let (waker_node, waker_handle) = UnixStream::pair()?;
-        waker_node.set_nonblocking(true)?;
-        waker_handle.set_nonblocking(true)?;
+        let (waker_node, waker_handle) = Waker::pair()?;
         let epoll = Epoll::new()?;
         epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
-        epoll.add(waker_node.as_raw_fd(), EPOLLIN, TOKEN_WAKER)?;
+        epoll.add(waker_node.pipe.as_raw_fd(), EPOLLIN, TOKEN_WAKER)?;
         let t0 = t0_from_epoch(config.epoch_unix_us);
         let metrics = Arc::new(WireMetrics::new());
 
         let (tx, rx) = unbounded();
-        let wake = move || drop((&waker_handle).write(&[1]));
+        let wake = move || waker_handle.ring();
         let client = ClientHandle::new(vec![tx], Box::new(wake), &config.cluster);
         let env = HostEnv {
             // The kernel as the reactor runs it, minus the reactor's
@@ -809,16 +815,18 @@ impl SocketNode {
         };
         let tcp = Tcp {
             wire: Wire {
-                epoll,
                 out: BTreeMap::new(),
-                out_tokens: BTreeMap::new(),
-                next_token: TOKEN_FIRST_CONN,
-                peers: config.peers,
+                sockets: Sockets {
+                    epoll,
+                    out_tokens: BTreeMap::new(),
+                    next_token: TOKEN_FIRST_CONN,
+                    peers: config.peers,
+                    metrics: Arc::clone(&metrics),
+                    max_queue: config.max_conn_queue_bytes,
+                },
                 faults: config.faults,
                 t0,
                 delayed: Vec::new(),
-                metrics: Arc::clone(&metrics),
-                max_queue: config.max_conn_queue_bytes,
             },
             hosted: config.hosted.iter().copied().collect(),
             listener,
@@ -867,5 +875,100 @@ impl SocketNode {
     pub fn shutdown(self) -> NodeReport {
         self.client.shutdown_all();
         self.handle.join().expect("socket node thread")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use acp_types::TxnId;
+
+    #[test]
+    fn poll_ms_never_wakes_early_and_never_sleeps_on_a_due_deadline() {
+        let ms = |nanos| poll_ms(Duration::from_nanos(nanos));
+        assert_eq!(ms(0), 0, "a due deadline polls, it does not sleep");
+        assert_eq!(ms(1), 1, "a sub-millisecond wait rounds up");
+        assert_eq!(ms(999_999), 1);
+        assert_eq!(ms(1_000_000), 1);
+        assert_eq!(ms(1_000_001), 2);
+        assert_eq!(ms(49_500_000), 50);
+        assert_eq!(poll_ms(Duration::from_secs(60)), 50, "the idle ceiling");
+        assert_eq!(poll_ms(Duration::MAX), 50);
+    }
+
+    /// Bytes waiting on the node's end of the waker.
+    fn waiting(node: &Waker) -> usize {
+        let mut buf = [0u8; 512];
+        match (&node.pipe).read(&mut buf) {
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => 0,
+            Err(e) => panic!("waker read: {e}"),
+        }
+    }
+
+    #[test]
+    fn a_burst_of_sends_to_a_busy_node_writes_one_waker_byte() {
+        let (node, handle) = Waker::pair().expect("socket pair");
+        for _ in 0..256 {
+            handle.ring();
+        }
+        assert_eq!(waiting(&node), 1, "256 rings while the node is busy");
+        // The node wakes, drains and runs its turn; the next burst
+        // costs one byte again.
+        handle.ring();
+        node.drain();
+        assert_eq!(waiting(&node), 0);
+        for _ in 0..256 {
+            handle.ring();
+        }
+        assert_eq!(waiting(&node), 1);
+    }
+
+    #[test]
+    fn an_overflowing_frame_is_taken_back_off_the_buffer() {
+        let to = SiteId::new(1);
+        let metrics = Arc::new(WireMetrics::new());
+        let mut wire = Wire {
+            out: BTreeMap::new(),
+            sockets: Sockets {
+                epoll: Epoll::new().expect("epoll"),
+                out_tokens: BTreeMap::new(),
+                next_token: TOKEN_FIRST_CONN,
+                // Nobody to dial: the connection goes straight to backoff
+                // and the buffer only fills.
+                peers: AddressBook::Static(BTreeMap::new()),
+                metrics: Arc::clone(&metrics),
+                max_queue: 256,
+            },
+            faults: WireFaults::none(),
+            t0: Instant::now(),
+            delayed: Vec::new(),
+        };
+        let apply = |i: u64| WireMsg::Apply {
+            to,
+            txn: TxnId::new(i),
+            key: format!("key-{i}").into_bytes(),
+            value: vec![0u8; 64],
+        };
+        let now = Instant::now();
+        let mut before = Vec::new();
+        let mut sent = 0;
+        while metrics.snapshot().backpressure_drops == 0 {
+            before = wire.out.get(&to).map_or(Vec::new(), |c| c.buf.clone());
+            wire.send(now, to, apply(sent));
+            sent += 1;
+        }
+        let conn = &wire.out[&to];
+        assert_eq!(conn.buf, before, "the shed frame left no byte behind");
+        let frame = super::super::frame::encode_wire_frame(0, &apply(0)).len();
+        assert!(conn.buf.len() <= 256 && conn.buf.len() + frame > 256);
+        assert_eq!(conn.next_seq, sent, "a shed frame still took its number");
+        assert_eq!(metrics.snapshot().frames_sent, sent - 1);
+        // The buffer is still a run of whole frames, so later ones fit
+        // behind it once it drains.
+        assert_eq!(
+            super::super::frame::frame_boundary(&conn.buf, conn.buf.len()),
+            conn.buf.len()
+        );
     }
 }

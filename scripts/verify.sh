@@ -46,6 +46,18 @@ fi
 # payloads against the wrappers, and a scripted FileLog against a
 # committed golden image.
 cargo test -q --offline -p acp-wal --test bytes_contract
+# The same rule on the wire: encode_wire_frame is the allocating wrapper
+# over encode_wire_frame_into, kept for the benchmark probe and tests; a
+# connection encodes into its own out-buffer.
+if awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
+        !test && /encode_wire_frame\(/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+        END { exit !hit }' crates/net/src/wire/node.rs crates/net/src/wire/conn.rs; then
+  echo "FAIL: the socket transport calls the allocating frame encoder"; exit 1
+fi
+# The in-place encoder's bytes are the wire format: arbitrary messages
+# against the wrapper, golden frames from before the encoder moved, and
+# the streaming decoder under every cut of the byte stream.
+cargo test -q --offline -p acp-net --test wire_bytes_contract
 
 echo "== benchmark package: offline build + perf suite --smoke"
 # benchmarks/ is its own workspace and is not edited alongside the
@@ -56,9 +68,11 @@ echo "== benchmark package: offline build + perf suite --smoke"
 cargo build --release --offline --manifest-path benchmarks/Cargo.toml
 # Exits non-zero if any workload fails an operation or a gate. The
 # allocation counts repeat to ~1 %, so a regression of the commit
-# path's allocation discipline is visible here, in the tier-1 log.
+# path's allocation discipline is visible here, in the tier-1 log;
+# socket_burst64's CPU per commit (noisier, a seconds-long smoke) is
+# printed beside them as the wire's figure.
 smoke="$(./benchmarks/target/release/perf suite --smoke)"
-echo "$smoke" | grep ' allocs_per_txn '
+echo "$smoke" | grep -E ' allocs_per_txn |^socket_burst64 cpu_us_per_txn '
 echo "$smoke" | tail -1 | cut -c1-160
 
 # The WAL fuzz suite honours PROPTEST_CASES (its fixed-seed default is

@@ -2,25 +2,29 @@
 //!
 //! A steady-state turn may allocate only for state that outlives it:
 //! protocol-table, lock, store and log-mirror entries (DESIGN.md,
-//! "Runtime architecture", allocation discipline). These two cases pin
-//! that with this binary's own counting allocator — per thread, like
-//! the benchmark's (`benchmarks/src/alloc.rs`), so the driver's staging
-//! and reply channels stay out of the runtime's figure.
+//! "Runtime architecture", allocation discipline). These cases pin that
+//! with this binary's own counting allocator — per thread, like the
+//! benchmark's (`benchmarks/src/alloc.rs`), so the driver's staging and
+//! reply channels stay out of the runtime's figure.
 
 mod common;
 
-use common::runtime::glacial;
+use common::runtime::{glacial, Backend, Running};
 use presumed_any::prelude::*;
 use presumed_any::types::Payload;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Allocations (and reallocations) by the threads the tests did not
 /// start themselves on: the reactor's.
 static RUNTIME_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// One runtime under the counter at a time.
+static ONE_RUNTIME: Mutex<()> = Mutex::new(());
 
 thread_local! {
     // Const-initialised and without destructors, so reading them inside
@@ -78,18 +82,19 @@ const BURST: u64 = 64;
 const WARM_UP: u64 = 20;
 const MEASURED: u64 = 20;
 
-/// The `reactor_burst64` load: bursts of 64 PrAny commits over PrN, PrA
-/// and PrC on one reactor, group commit on, timers that never fire.
-#[test]
-fn a_reactor_commit_allocates_within_its_budget() {
+/// The benchmark's burst load — bursts of 64 PrAny commits over PrN,
+/// PrA and PrC, group commit on, timers that never fire — on
+/// `backend`: allocations per transaction by the threads hosting it.
+fn runtime_allocs_per_txn(backend: Backend) -> f64 {
+    let _alone = ONE_RUNTIME.lock().unwrap_or_else(|e| e.into_inner());
     DRIVER.with(|d| d.set(true));
-    let mut config = ReactorConfig::new(KIND, &PROTOCOLS);
-    config.cluster.group_commit = true;
-    config.cluster.delays = glacial();
-    let mut cluster = ReactorCluster::spawn(&config);
+    let mut config = ClusterConfig::new(KIND, &PROTOCOLS);
+    config.group_commit = true;
+    config.delays = glacial();
+    let mut cluster = backend.spawn(&config, None);
     let sites = cluster.participants();
 
-    let burst = |cluster: &mut ReactorCluster| {
+    let burst = |cluster: &mut Running| {
         let txns: Vec<TxnId> = (0..BURST).map(|_| cluster.next_txn()).collect();
         for &txn in &txns {
             for &site in &sites {
@@ -115,14 +120,32 @@ fn a_reactor_commit_allocates_within_its_budget() {
     }
     let per_txn = (RUNTIME_ALLOCS.load(Relaxed) - before) as f64 / (MEASURED * BURST) as f64;
     let report = cluster.shutdown();
-    assert_eq!(
-        report.stats.decisions_delivered,
-        (WARM_UP + MEASURED) * BURST
-    );
+    assert!(check_atomicity(&report.history).is_empty());
+    per_txn
+}
+
+/// The `reactor_burst64` load on one reactor.
+#[test]
+fn a_reactor_commit_allocates_within_its_budget() {
+    let per_txn = runtime_allocs_per_txn(Backend::Reactor);
     println!("reactor: {per_txn:.1} runtime-thread allocations per transaction");
     assert!(
         per_txn <= 64.0,
         "{per_txn:.1} allocations per transaction on the reactor thread (budget 64)"
+    );
+}
+
+/// The `socket_burst64` load on two socket nodes: the wire adds frames
+/// decoded into envelopes, and nothing per frame sent — frames are
+/// encoded into their connection's out-buffer.
+#[cfg(unix)]
+#[test]
+fn a_socket_pair_commit_allocates_within_its_budget() {
+    let per_txn = runtime_allocs_per_txn(Backend::SocketPair);
+    println!("socket pair: {per_txn:.1} node-thread allocations per transaction");
+    assert!(
+        per_txn <= 48.0,
+        "{per_txn:.1} allocations per transaction on the node threads (budget 48)"
     );
 }
 

@@ -299,3 +299,62 @@ fn bounded_write_queue_sheds_under_backpressure() {
     );
     let _ = coord.shutdown();
 }
+
+/// The waker rings once per sleep, not once per envelope — and still
+/// once per sleep. One at a time, every commit finds the node asleep
+/// and must wake it (a send that rang nothing would wait out the 50 ms
+/// idle timeout); then two client threads race each other and the
+/// node's sleeps, and every commit must still get its answer.
+#[test]
+fn the_waker_wakes_a_sleeping_node_and_loses_no_wake_up_under_a_race() {
+    const SEQUENTIAL: u64 = 200;
+    const PER_THREAD: u64 = 5_000;
+    let mut config = ClusterConfig::new(
+        CoordinatorKind::PrAny(SelectionPolicy::PaperStrict),
+        &[ProtocolKind::PrN, ProtocolKind::PrA, ProtocolKind::PrC],
+    );
+    config.group_commit = true;
+    config.delays = glacial();
+    let mut cluster = common::runtime::Backend::SocketPair.spawn(&config, None);
+    let sites = cluster.participants();
+    let send = |cluster: &common::runtime::Running, txn: TxnId| {
+        let key = txn.raw().to_le_bytes();
+        cluster.apply(sites[txn.raw() as usize % 3], txn, &key, b"v");
+        cluster.commit_async(txn, &sites)
+    };
+
+    let started = std::time::Instant::now();
+    for _ in 0..SEQUENTIAL {
+        let txn = cluster.next_txn();
+        let outcome = send(&cluster, txn).recv_timeout(Duration::from_secs(20));
+        assert_eq!(outcome, Ok(Outcome::Commit));
+    }
+    let elapsed = started.elapsed();
+    // About 2 ms each when the node is woken, about 25 ms when it
+    // has to time out.
+    assert!(
+        elapsed < Duration::from_millis(12) * SEQUENTIAL as u32,
+        "{SEQUENTIAL} commits took {elapsed:?}: sends are waiting for the idle timeout"
+    );
+
+    let txns: Vec<TxnId> = (0..2 * PER_THREAD).map(|_| cluster.next_txn()).collect();
+    std::thread::scope(|scope| {
+        for mine in txns.chunks(PER_THREAD as usize) {
+            let (cluster, send) = (&cluster, &send);
+            scope.spawn(move || {
+                // Windows of 8 keep both threads alternating between
+                // sending and waiting, so sends land on a node that is
+                // awake, asleep and in between.
+                for window in mine.chunks(8) {
+                    let replies: Vec<_> = window.iter().map(|&txn| send(cluster, txn)).collect();
+                    for reply in replies {
+                        let outcome = reply.recv_timeout(Duration::from_secs(20));
+                        assert_eq!(outcome, Ok(Outcome::Commit));
+                    }
+                }
+            });
+        }
+    });
+    let report = cluster.shutdown();
+    assert!(check_atomicity(&report.history).is_empty());
+}
