@@ -5,10 +5,9 @@
 //! every point — only wall-clock moves. Speedup is bounded by the
 //! host's core count; recorded numbers live in `BENCH_checker.json`.
 
+use acp_check::explore::initial_state;
 use acp_check::{check, CheckConfig, CheckState};
-use acp_core::{Coordinator, Participant};
-use acp_types::{CoordinatorKind, ProtocolKind, SelectionPolicy, SiteId, TxnId};
-use acp_wal::MemLog;
+use acp_types::{CoordinatorKind, ProtocolKind, SelectionPolicy};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -74,21 +73,8 @@ fn bench_scaling(c: &mut Criterion) {
 /// flight — representative of what the exploration fingerprints tens of
 /// thousands of times per run.
 fn sample_state() -> CheckState {
-    let coord_site = SiteId::new(0);
     let kind = CoordinatorKind::PrAny(SelectionPolicy::PaperStrict);
-    let mut coord = Coordinator::new(coord_site, kind, MemLog::new());
-    let mut parts = std::collections::BTreeMap::new();
-    let mut sites = Vec::new();
-    for (i, proto) in [ProtocolKind::PrA, ProtocolKind::PrC].into_iter().enumerate() {
-        let site = SiteId::new(i as u32 + 1);
-        coord.register_site(site, proto);
-        parts.insert(site, Participant::new(site, proto, MemLog::new()));
-        sites.push(site);
-    }
-    let mut state = CheckState::new(coord, parts, 1, 1, 2);
-    let actions = state.coord.begin_commit(TxnId::new(1), &sites);
-    state.absorb(coord_site, actions);
-    state
+    initial_state(&CheckConfig::new(kind, &POP))
 }
 
 /// The fingerprint rewrite, old path vs. new: the checker used to

@@ -46,7 +46,7 @@ mod run {
     use acp_bench::trace_check::{check_merged, load_merged, Ev};
     use acp_bench::{row, sep};
     use acp_core::cost::predict_paxos;
-    use acp_core::paxos::sim::{run_paxos_scenario, PaxosScenario};
+    use acp_core::harness::{run_scenario, Scenario};
     use acp_net::wire::{
         shared_history, AddressBook, FaultRule, NodeConfig, SocketNode, WireFaults,
     };
@@ -232,13 +232,13 @@ mod run {
         let mut mismatches = 0u64;
         for f in 0..=2usize {
             for n in 1..=3usize {
-                let mut s = PaxosScenario::new(n, f);
+                let mut s = Scenario::paxos(n, f);
                 s.add_txn(txn, SimTime::from_millis(1));
-                let out = run_paxos_scenario(&s);
+                let out = run_scenario(&s);
                 let decided = out.decided.get(&txn) == Some(&Outcome::Commit)
                     && out.in_doubt.is_empty();
                 let model = predict_paxos(n, f, Outcome::Commit);
-                let leader = out.leader_costs[&txn];
+                let leader = out.coordinator_costs[&txn];
                 let acc = sum(out.acceptor_costs.values());
                 let parts = sum(out.participant_costs.values());
                 let messages = out.total_costs(txn).messages();

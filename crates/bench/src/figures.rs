@@ -243,7 +243,7 @@ pub fn overload_panel_events() -> Vec<ProtocolEvent> {
         .count() as u64;
     let door = AdmissionController::new(AdmissionConfig::bounded(OVERLOAD_LIMIT));
     assert!(
-        !door.admit(inflight, 0),
+        !door.admit(inflight),
         "overload panel: the controller would have admitted T4 \
          (inflight {inflight} under bound {OVERLOAD_LIMIT})"
     );

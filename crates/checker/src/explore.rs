@@ -25,14 +25,15 @@
 //!    next frontier. Duplicate fingerprints that race within a level
 //!    are therefore resolved in a scheduling-independent order.
 //!
-//! `threads = 1` runs the identical code path inline, so the serial
-//! report is the definition of correct, and BFS order means reported
-//! counterexample trails are shortest witnesses.
+//! `threads = 1` runs the same expansion and the same merge inline (one
+//! state per chunk, merged as it goes — see `expand_level`), so the
+//! serial report is the definition of correct, and BFS order means
+//! reported counterexample trails are shortest witnesses.
 
 use crate::report::{CheckReport, Counterexample};
 use crate::state::{ArmedTimer, CheckState, COORD};
-use acp_acta::check_atomicity;
-use acp_core::{Coordinator, Participant};
+use acp_acta::{check_atomicity, ActaEvent, AtomicityViolation, History};
+use acp_core::{AnyEngine, Participant};
 use acp_types::{CoordinatorKind, ProtocolKind, SiteId, TxnId, Vote};
 use acp_wal::MemLog;
 use crossbeam::deque::{Injector, Steal};
@@ -44,10 +45,18 @@ use std::sync::RwLock;
 pub struct CheckConfig {
     /// The coordinator under test.
     pub kind: CoordinatorKind,
+    /// Replicated-coordinator shape (the meaning `Scenario::paxos_f`
+    /// has): `Some(f)` puts a Paxos Commit leader at site 0 and `2f`
+    /// remote acceptors at sites `N+1..=N+2f`; `kind` is ignored.
+    pub paxos_f: Option<usize>,
     /// Participant protocols (sites 1..=n).
     pub participant_protocols: Vec<ProtocolKind>,
     /// Per-participant votes (same order); missing entries vote `Yes`.
     pub votes: Vec<Vote>,
+    /// How many **permanent** kills may occur (any coordinator-side
+    /// site, any point): fail-stop with no recovery, the failure Paxos
+    /// Commit exists for and 2PC cannot survive.
+    pub kills: u8,
     /// How many crash+recover events may occur (any site, any point).
     pub crashes: u8,
     /// How many messages may be dropped.
@@ -77,14 +86,35 @@ impl CheckConfig {
     pub fn new(kind: CoordinatorKind, participant_protocols: &[ProtocolKind]) -> Self {
         CheckConfig {
             kind,
+            paxos_f: None,
             participant_protocols: participant_protocols.to_vec(),
             votes: Vec::new(),
+            kills: 0,
             crashes: 1,
             drops: 1,
             timer_fires: 2,
             max_states: 2_000_000,
             threads: 0,
             paranoid_fingerprints: false,
+        }
+    }
+
+    /// The default bounded configuration of a Paxos Commit cluster of
+    /// `n_participants` PrN participants under tolerance `f`: one
+    /// permanent kill, no crash+recover, no drops, two timer firings —
+    /// the leader-failover envelope (one completion watchdog, one
+    /// decision resend).
+    #[must_use]
+    pub fn paxos(n_participants: usize, f: usize) -> Self {
+        CheckConfig {
+            paxos_f: Some(f),
+            kills: 1,
+            crashes: 0,
+            drops: 0,
+            ..Self::new(
+                CoordinatorKind::Single(ProtocolKind::PrN),
+                &vec![ProtocolKind::PrN; n_participants],
+            )
         }
     }
 
@@ -109,29 +139,38 @@ impl CheckConfig {
 /// The transaction every exploration runs.
 const TXN: TxnId = TxnId(1);
 
-fn initial_state(config: &CheckConfig) -> CheckState {
-    let mut coord = Coordinator::new(COORD, config.kind, MemLog::new());
+/// The state every exploration starts from: commit processing begun,
+/// prepares (and the Paxos roster announcement) in flight.
+#[must_use]
+pub fn initial_state(config: &CheckConfig) -> CheckState {
+    let protocols = &config.participant_protocols;
+    let coords = AnyEngine::coordinator_side(config.kind, protocols, config.paxos_f, MemLog::new);
     let mut parts = std::collections::BTreeMap::new();
-    let mut sites = Vec::new();
-    for (i, &proto) in config.participant_protocols.iter().enumerate() {
+    for (i, &proto) in protocols.iter().enumerate() {
         let site = SiteId::new(i as u32 + 1);
-        coord.register_site(site, proto);
         let mut p = Participant::new(site, proto, MemLog::new());
         if let Some(&v) = config.votes.get(i) {
             p.set_intent(TXN, v);
         }
-        parts.insert(site, p);
-        sites.push(site);
+        parts.insert(site, AnyEngine::Part(p));
     }
-    let mut state = CheckState::new(coord, parts, config.crashes, config.drops, config.timer_fires);
-    let actions = state.coord.begin_commit(TXN, &sites);
-    state.absorb(COORD, actions);
+    let sites: Vec<SiteId> = parts.keys().copied().collect();
+    let mut state = CheckState::new(
+        coords.into_iter().map(|e| (e.site(), e)).collect(),
+        parts,
+        config.kills,
+        config.crashes,
+        config.drops,
+        config.timer_fires,
+    );
+    state.step(COORD, |e, out| e.begin_commit_into(TXN, &sites, out));
     state.trail.push("begin commit");
     state
 }
 
-/// All successor states of `state`.
-fn successors(state: &CheckState) -> Vec<CheckState> {
+/// All successor states of `state`. With `quiescent_timers`, a timer
+/// fires only when nothing is in flight.
+fn successors(state: &CheckState, quiescent_timers: bool) -> Vec<CheckState> {
     let mut next = Vec::new();
 
     // 1. Deliver the head message of any link.
@@ -140,15 +179,7 @@ fn successors(state: &CheckState) -> Vec<CheckState> {
         let msg = s.in_flight.remove(idx);
         s.trail
             .push(format!("deliver {}", CheckState::describe_message(&msg)));
-        let actions = if msg.to == COORD {
-            s.coord.on_message(msg.from, &msg.payload)
-        } else {
-            s.parts
-                .get_mut(&msg.to)
-                .expect("site")
-                .on_message(msg.from, &msg.payload)
-        };
-        s.absorb(msg.to, actions);
+        s.step(msg.to, |e, out| e.on_message_into(msg.from, &msg.payload, out));
         next.push(s);
     }
 
@@ -164,54 +195,100 @@ fn successors(state: &CheckState) -> Vec<CheckState> {
         }
     }
 
-    // 3. Crash + recover any site. Messages in flight *to* the site are
-    //    lost (they would have arrived while it was down) — every subset
-    //    could be lost in general; losing all of them composes with
-    //    move 2 for partial-loss interleavings.
-    if state.crashes_left > 0 {
-        let sites: Vec<SiteId> = std::iter::once(COORD)
-            .chain(state.parts.keys().copied())
-            .collect();
-        for site in sites {
+    // 3. KILL any live coordinator-side site: permanent fail-stop. The
+    //    site never acts again; this is the move 2PC cannot survive.
+    if state.kills_left > 0 {
+        for &site in state.coords.keys().filter(|s| !state.dead.contains(s)) {
             let mut s = state.clone();
-            s.crashes_left -= 1;
-            s.in_flight.retain(|m| m.to != site);
-            s.clear_timers(site);
-            s.trail.push(format!("CRASH+RECOVER {site}"));
-            s.history.push(acp_acta::ActaEvent::Crash { site });
-            let actions = if site == COORD {
-                s.coord.crash();
-                s.coord.recover()
-            } else {
-                let p = s.parts.get_mut(&site).expect("site");
-                p.crash();
-                p.recover()
-            };
-            s.history.push(acp_acta::ActaEvent::Recover { site });
-            s.absorb(site, actions);
+            s.kills_left -= 1;
+            s.dead.insert(site);
+            s.take_down(site);
+            s.trail.push(format!("KILL {site}"));
             next.push(s);
         }
     }
 
-    // 4. Fire any armed timer.
-    if state.timers_left > 0 {
+    // 4. Crash + recover any live site.
+    if state.crashes_left > 0 {
+        let sites = state.coords.keys().chain(state.parts.keys());
+        for &site in sites.filter(|s| !state.dead.contains(s)) {
+            let mut s = state.clone();
+            s.crashes_left -= 1;
+            s.take_down(site);
+            s.trail.push(format!("CRASH+RECOVER {site}"));
+            s.history.push(ActaEvent::Recover { site });
+            s.step(site, |e, out| e.recover_into(out));
+            next.push(s);
+        }
+    }
+
+    // 5. Fire any armed timer (a killed site has none: they died with
+    //    it). Under a replicated coordinator, only when the network is
+    //    quiescent: timeout bases (80ms+) dwarf message latency (200us)
+    //    by construction, so a timer firing while the message it waits
+    //    for is still in flight is not a realizable schedule, and
+    //    excluding those races is what keeps the cluster's interleaving
+    //    space within exhaustive reach. Drops, kills and crashes all
+    //    *create* quiescent states, so every interesting timeout
+    //    schedule (lost vote, dead leader, lost decision) is still
+    //    explored.
+    if state.timers_left > 0 && (!quiescent_timers || state.in_flight.is_empty()) {
         let timers: Vec<ArmedTimer> = state.timers.iter().cloned().collect();
         for t in timers {
             let mut s = state.clone();
             s.timers.remove(&t);
             s.timers_left -= 1;
             s.trail.push(format!("timer {} at {}", t.purpose, t.site));
-            let actions = if t.site == COORD {
-                s.coord.on_timer(t.token)
-            } else {
-                s.parts.get_mut(&t.site).expect("site").on_timer(t.token)
-            };
-            s.absorb(t.site, actions);
+            s.step(t.site, |e, out| e.on_timer_into(t.token, out));
             next.push(s);
         }
     }
 
     next
+}
+
+/// Definition 2 for a *replicated* coordinator.
+///
+/// [`acp_acta::check_safe_state`] assumes the single-coordinator world: every
+/// inquiry in the history is implicitly addressed to the one
+/// coordinator, so an unanswered post-forget inquiry is a violation.
+/// In a cluster, a participant may address its inquiry to a **dead**
+/// replica — `Inquire` events carry no target — and silence from a
+/// corpse is a liveness concern, not a presumption error. What
+/// Definition 2 pins down here is the part that can actually go wrong:
+/// any response any replica *does* give (post-forget responses are by
+/// presumption) must match the cluster's decided outcome. Divergent
+/// `Decide`s across replicas are the atomicity checker's business.
+fn replicated_safe_state(history: &History) -> Vec<AtomicityViolation> {
+    let decided = history.events().iter().find_map(|e| match e {
+        ActaEvent::Decide { txn, outcome, .. } if *txn == TXN => Some(*outcome),
+        _ => None,
+    });
+    let Some(decided) = decided else {
+        return Vec::new();
+    };
+    let mut violations = Vec::new();
+    for e in history.events() {
+        if let ActaEvent::Respond {
+            coordinator,
+            txn,
+            participant,
+            outcome,
+            ..
+        } = e
+        {
+            if *txn == TXN && *outcome != decided {
+                violations.push(AtomicityViolation {
+                    txn: *txn,
+                    detail: format!(
+                        "safe-state: {coordinator} answered {participant}'s inquiry \
+                         with {outcome}, but the cluster decided {decided}"
+                    ),
+                });
+            }
+        }
+    }
+    violations
 }
 
 /// Shard count for the concurrent `seen` set. Power of two, sized so
@@ -325,8 +402,9 @@ fn process_chunk(
     idx: usize,
     chunk: &[CheckState],
     seen: &SeenSet,
-    paranoid: bool,
+    config: &CheckConfig,
 ) -> ChunkOutcome {
+    let replicated = config.paxos_f.is_some();
     let mut out = ChunkOutcome {
         idx,
         counterexamples: Vec::new(),
@@ -338,7 +416,21 @@ fn process_chunk(
     for state in chunk {
         // Invariant check at every state (not only terminal ones): a
         // violation may be transient if later moves "fix" the history.
-        let violations = check_atomicity(&state.history);
+        let mut violations = check_atomicity(&state.history);
+        if violations.is_empty() && state.is_terminal() {
+            out.terminal_states += 1;
+            // Live-site residency: a killed site holds its table
+            // forever by construction, which is not a leak.
+            let live = state.coords.iter().filter(|(s, _)| !state.dead.contains(s));
+            let table = live.map(|(_, e)| e.protocol_table_size()).max().unwrap_or(0);
+            out.max_terminal_table = out.max_terminal_table.max(table);
+            if table == 0 {
+                out.fully_forgotten += 1;
+            }
+            if replicated {
+                violations = replicated_safe_state(&state.history);
+            }
+        }
         if !violations.is_empty() {
             let trail = state.trail.to_vec();
             let history = state.history.to_string();
@@ -355,18 +447,9 @@ fn process_chunk(
             continue;
         }
 
-        if state.is_terminal() {
-            out.terminal_states += 1;
-            let table = state.coord.protocol_table_size();
-            out.max_terminal_table = out.max_terminal_table.max(table);
-            if table == 0 {
-                out.fully_forgotten += 1;
-            }
-        }
-
-        for mut s in successors(state) {
+        for mut s in successors(state, replicated) {
             s.seal();
-            let canonical = if paranoid {
+            let canonical = if config.paranoid_fingerprints {
                 Some(s.canonical_state())
             } else {
                 None
@@ -422,13 +505,11 @@ pub fn check(config: &CheckConfig) -> CheckReport {
         }
         report.states_explored += frontier.len();
 
-        let outcomes = expand_level(&frontier, &seen, threads, paranoid);
-
         // Serial merge in chunk-index order: the only writes to `seen`
         // and the only place the next frontier is assembled, so both
         // are independent of worker scheduling.
         let mut next = Vec::new();
-        for out in outcomes {
+        expand_level(&frontier, &seen, threads, config, |out| {
             report.terminal_states += out.terminal_states;
             report.terminal_states_fully_forgotten += out.fully_forgotten;
             report.max_terminal_table = report.max_terminal_table.max(out.max_terminal_table);
@@ -438,7 +519,7 @@ pub fn check(config: &CheckConfig) -> CheckReport {
                     next.push(state);
                 }
             }
-        }
+        });
 
         if report.truncated {
             break;
@@ -450,20 +531,27 @@ pub fn check(config: &CheckConfig) -> CheckReport {
     report
 }
 
-/// Expand every state in `frontier`, returning per-chunk outcomes
-/// sorted by chunk index.
+/// Expand every state in `frontier`, handing the per-chunk outcomes to
+/// `merge` in chunk-index order.
+///
+/// Inline, a chunk is one state and is merged before the next is
+/// expanded. That is the same result as merging after the whole level —
+/// a successor the pre-filter now rejects early is one the merge would
+/// have rejected as a duplicate of an earlier chunk's — and a duplicate
+/// is freed while its memory is still warm instead of being held, with
+/// every other within-level duplicate, until the level ends.
 fn expand_level(
     frontier: &[CheckState],
     seen: &SeenSet,
     threads: usize,
-    paranoid: bool,
-) -> Vec<ChunkOutcome> {
+    config: &CheckConfig,
+    mut merge: impl FnMut(ChunkOutcome),
+) {
     if threads <= 1 || frontier.len() < MIN_PARALLEL_FRONTIER {
-        return frontier
-            .chunks(chunk_size(frontier.len().max(1), threads.max(1)))
-            .enumerate()
-            .map(|(i, c)| process_chunk(i, c, seen, paranoid))
-            .collect();
+        for (i, c) in frontier.chunks(1).enumerate() {
+            merge(process_chunk(i, c, seen, config));
+        }
+        return;
     }
 
     let injector: Injector<(usize, &[CheckState])> = Injector::new();
@@ -486,7 +574,7 @@ fn expand_level(
                     loop {
                         match injector.steal() {
                             Steal::Success((i, chunk)) => {
-                                outs.push(process_chunk(i, chunk, seen, paranoid));
+                                outs.push(process_chunk(i, chunk, seen, config));
                             }
                             Steal::Empty => break,
                             Steal::Retry => {}
@@ -502,7 +590,7 @@ fn expand_level(
             .collect()
     });
     outcomes.sort_unstable_by_key(|o| o.idx);
-    outcomes
+    outcomes.into_iter().for_each(merge);
 }
 
 #[cfg(test)]
@@ -572,6 +660,99 @@ mod tests {
         // Panics inside check() if any two distinct states collide.
         let report = check(&config);
         assert!(report.states_explored > 1000);
+
+        // The replicated state (acceptors, dead set, kill budget) too.
+        let mut config = CheckConfig::paxos(2, 1);
+        config.votes = vec![Vote::Yes, Vote::No];
+        config.timer_fires = 1;
+        config.paranoid_fingerprints = true;
+        assert_eq!(check(&config).states_explored, 616);
+    }
+
+    // ---- Paxos Commit through the same explorer ----
+
+    /// Exactly the size the exploration had when it was a separate
+    /// serial loop (states / terminal / fully forgotten).
+    fn assert_pinned(report: &CheckReport, states: usize, terminal: usize, forgotten: usize) {
+        let counts = (
+            report.states_explored,
+            report.terminal_states,
+            report.terminal_states_fully_forgotten,
+        );
+        assert_eq!(counts, (states, terminal, forgotten), "{report}");
+        assert_eq!(report.max_terminal_table, 1, "{report}");
+    }
+
+    #[test]
+    fn f1_survives_a_leader_kill_without_violations() {
+        // One participant, three acceptors, one permanent kill anywhere,
+        // two timer firings: every interleaving — including kill-the-
+        // leader-after-phase2a followed by a watchdog failover — must
+        // keep the history atomic and the terminal states safe.
+        let config = CheckConfig::paxos(1, 1);
+        let report = check(&config);
+        assert!(!report.truncated, "{report}");
+        assert!(report.clean(), "{report}");
+        assert!(report.terminal_states > 0);
+        // Some branch completes fully (kill spent on a non-critical
+        // acceptor, or not at all... the budget is optional).
+        assert!(report.terminal_states_fully_forgotten > 0, "{report}");
+        assert_pinned(&report, 383, 98, 96);
+    }
+
+    #[test]
+    fn f1_with_two_participants_and_a_no_voter_stays_clean() {
+        let mut config = CheckConfig::paxos(2, 1);
+        config.votes = vec![Vote::Yes, Vote::No];
+        config.timer_fires = 1;
+        let report = check(&config);
+        assert!(!report.truncated, "{report}");
+        assert!(report.clean(), "{report}");
+        assert!(report.terminal_states > 0);
+        assert_pinned(&report, 616, 53, 48);
+    }
+
+    #[test]
+    fn f1_with_crash_recover_and_drops_stays_clean() {
+        let mut config = CheckConfig::paxos(1, 1);
+        config.kills = 1;
+        config.crashes = 1;
+        config.drops = 1;
+        config.timer_fires = 2;
+        config.max_states = 8_000_000;
+        let report = check(&config);
+        assert!(!report.truncated, "{report}");
+        assert!(report.clean(), "{report}");
+        assert_pinned(&report, 129_384, 11_878, 6_039);
+    }
+
+    #[test]
+    fn f0_verdicts_match_the_classic_prn_exploration() {
+        // With one acceptor, the Paxos exploration must agree with the
+        // classic checker on PrN — clean, complete, and with
+        // fully-forgotten terminal states on both sides.
+        let mut paxos_cfg = CheckConfig::paxos(2, 0);
+        paxos_cfg.kills = 0;
+        paxos_cfg.crashes = 1;
+        paxos_cfg.drops = 1;
+        paxos_cfg.timer_fires = 2;
+        let paxos = check(&paxos_cfg);
+
+        let classic_cfg = CheckConfig::new(
+            CoordinatorKind::Single(ProtocolKind::PrN),
+            &[ProtocolKind::PrN, ProtocolKind::PrN],
+        );
+        let classic = check(&classic_cfg);
+
+        assert!(!paxos.truncated && !classic.truncated);
+        assert_eq!(paxos.clean(), classic.clean(), "paxos={paxos} classic={classic}");
+        assert!(paxos.clean());
+        assert!(paxos.terminal_states > 0 && classic.terminal_states > 0);
+        assert_eq!(
+            paxos.terminal_states_fully_forgotten > 0,
+            classic.terminal_states_fully_forgotten > 0
+        );
+        assert_pinned(&paxos, 1934, 271, 154);
     }
 
     #[test]

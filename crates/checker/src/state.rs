@@ -1,7 +1,7 @@
 //! Explorable system states.
 
 use acp_acta::History;
-use acp_core::{Action, Coordinator, Participant, TimerPurpose};
+use acp_core::{Action, AnyEngine, TimerPurpose};
 use acp_types::{Message, Payload, SiteId, TxnId};
 use acp_wal::MemLog;
 use std::collections::hash_map::DefaultHasher;
@@ -10,7 +10,8 @@ use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// The coordinator's site in every checked configuration.
+/// The coordinator's (or Paxos Commit leader's) site in every checked
+/// configuration.
 pub const COORD: SiteId = SiteId(0);
 
 /// An armed timer at a site.
@@ -96,16 +97,22 @@ impl std::fmt::Debug for Trail {
 
 /// One complete system state of the bounded exploration.
 pub struct CheckState {
-    /// The coordinator engine.
-    pub coord: Coordinator<MemLog>,
+    /// The coordinator-side engines: the one coordinator at [`COORD`],
+    /// or the Paxos Commit leader there plus its remote acceptors.
+    pub coords: BTreeMap<SiteId, AnyEngine<MemLog>>,
     /// The participant engines.
-    pub parts: BTreeMap<SiteId, Participant<MemLog>>,
+    pub parts: BTreeMap<SiteId, AnyEngine<MemLog>>,
+    /// Permanently killed sites: they receive nothing and fire nothing,
+    /// forever. What they accepted survives only as replicas elsewhere.
+    pub dead: BTreeSet<SiteId>,
     /// Messages handed to the network, not yet delivered or dropped.
     /// Per-link FIFO: only the *oldest* message on each (from, to) link
     /// is deliverable/droppable, matching the simulator's FIFO links.
     pub in_flight: Vec<Message>,
     /// Armed (not yet fired) volatile timers.
     pub timers: BTreeSet<ArmedTimer>,
+    /// Remaining permanent-kill budget.
+    pub kills_left: u8,
     /// Remaining crash/recover budget.
     pub crashes_left: u8,
     /// Remaining message-drop budget.
@@ -124,10 +131,12 @@ pub struct CheckState {
 impl Clone for CheckState {
     fn clone(&self) -> Self {
         CheckState {
-            coord: self.coord.clone(),
+            coords: self.coords.clone(),
             parts: self.parts.clone(),
+            dead: self.dead.clone(),
             in_flight: self.in_flight.clone(),
             timers: self.timers.clone(),
+            kills_left: self.kills_left,
             crashes_left: self.crashes_left,
             drops_left: self.drops_left,
             timers_left: self.timers_left,
@@ -145,17 +154,20 @@ impl CheckState {
     /// history, full failure budgets.
     #[must_use]
     pub fn new(
-        coord: Coordinator<MemLog>,
-        parts: BTreeMap<SiteId, Participant<MemLog>>,
+        coords: BTreeMap<SiteId, AnyEngine<MemLog>>,
+        parts: BTreeMap<SiteId, AnyEngine<MemLog>>,
+        kills: u8,
         crashes: u8,
         drops: u8,
         timer_fires: u8,
     ) -> Self {
         CheckState {
-            coord,
+            coords,
             parts,
+            dead: BTreeSet::new(),
             in_flight: Vec::new(),
             timers: BTreeSet::new(),
+            kills_left: kills,
             crashes_left: crashes,
             drops_left: drops,
             timers_left: timer_fires,
@@ -165,12 +177,29 @@ impl CheckState {
         }
     }
 
-    /// Absorb a batch of engine actions at `site` into the state.
-    pub fn absorb(&mut self, site: SiteId, actions: Vec<Action>) {
+    /// Feed one input to the engine at `site` and absorb what it emits.
+    pub fn step(
+        &mut self,
+        site: SiteId,
+        input: impl FnOnce(&mut AnyEngine<MemLog>, &mut Vec<Action>),
+    ) {
+        let engine = self.coords.get_mut(&site).or_else(|| self.parts.get_mut(&site));
+        let mut actions = Vec::new();
+        input(engine.expect("site"), &mut actions);
+        self.absorb(site, actions);
+    }
+
+    /// Absorb a batch of engine actions at `site` into the state. Sends
+    /// addressed to a killed site are discarded outright — nothing can
+    /// ever deliver them, and keeping them would only inflate the state
+    /// space.
+    fn absorb(&mut self, site: SiteId, actions: Vec<Action>) {
         for a in actions {
             match a {
                 Action::Send { to, payload } => {
-                    self.in_flight.push(Message::new(site, to, payload));
+                    if !self.dead.contains(&to) {
+                        self.in_flight.push(Message::new(site, to, payload));
+                    }
                 }
                 Action::SetTimer { token, purpose, .. } => {
                     // The checker explores timer firings nondeterministically,
@@ -209,9 +238,15 @@ impl CheckState {
         idxs
     }
 
-    /// Drop all timers belonging to `site` (its volatile state died).
-    pub fn clear_timers(&mut self, site: SiteId) {
+    /// `site` goes down (crash or kill): its volatile state dies —
+    /// armed timers with it — and messages in flight *to* it are lost
+    /// (they would have arrived while it was down; losing all of them
+    /// composes with the drop move for partial-loss interleavings).
+    pub fn take_down(&mut self, site: SiteId) {
+        self.in_flight.retain(|m| m.to != site);
         self.timers.retain(|t| t.site != site);
+        self.history.push(acp_acta::ActaEvent::Crash { site });
+        self.step(site, |e, _| e.crash());
     }
 
     /// Compute and cache the fingerprint. Must be called exactly when a
@@ -243,11 +278,11 @@ impl CheckState {
     /// the exploration.
     fn compute_fingerprint(&self) -> u64 {
         let mut h = DefaultHasher::new();
-        self.coord.hash_state(&mut h);
-        for (site, p) in &self.parts {
+        for (site, e) in self.coords.iter().chain(&self.parts) {
             site.hash(&mut h);
-            p.hash_state(&mut h);
+            e.hash_state(&mut h);
         }
+        self.dead.hash(&mut h);
         // In-flight messages: order only matters per link (FIFO), so
         // hash each link's queue separately in a canonical link order.
         let mut links: Vec<(SiteId, SiteId)> = self.in_flight.iter().map(|m| (m.from, m.to)).collect();
@@ -264,7 +299,8 @@ impl CheckState {
         for t in &self.timers {
             (t.site, t.token).hash(&mut h);
         }
-        (self.crashes_left, self.drops_left, self.timers_left).hash(&mut h);
+        let budgets = (self.kills_left, self.crashes_left, self.drops_left, self.timers_left);
+        budgets.hash(&mut h);
         h.finish()
     }
 
@@ -275,11 +311,11 @@ impl CheckState {
     /// states.
     #[must_use]
     pub fn canonical_state(&self) -> String {
-        let mut s = self.coord.fingerprint();
-        for (site, p) in &self.parts {
-            let _ = write!(s, "#{site}:{}", p.fingerprint());
+        let mut s = String::new();
+        for (site, e) in self.coords.iter().chain(&self.parts) {
+            let _ = write!(s, "#{site}:{}", e.fingerprint());
         }
-        s.push('#');
+        let _ = write!(s, "#dead{:?}#", self.dead);
         let mut links: Vec<(SiteId, SiteId)> = self.in_flight.iter().map(|m| (m.from, m.to)).collect();
         links.sort_unstable();
         links.dedup();
@@ -298,8 +334,8 @@ impl CheckState {
         }
         let _ = write!(
             s,
-            "#c{}d{}t{}",
-            self.crashes_left, self.drops_left, self.timers_left
+            "#k{}c{}d{}t{}",
+            self.kills_left, self.crashes_left, self.drops_left, self.timers_left
         );
         s
     }

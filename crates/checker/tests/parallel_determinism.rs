@@ -37,6 +37,10 @@ fn assert_identical(a: &CheckReport, b: &CheckReport, what: &str) {
 
 fn run_all_thread_counts(kind: CoordinatorKind, what: &str) {
     let base = CheckConfig::new(kind, &[ProtocolKind::PrA, ProtocolKind::PrC]);
+    config_at_all_thread_counts(&base, what);
+}
+
+fn config_at_all_thread_counts(base: &CheckConfig, what: &str) {
     let serial = check(&base.clone().with_threads(1));
     for threads in [4, 7] {
         let parallel = check(&base.clone().with_threads(threads));
@@ -65,6 +69,17 @@ fn prany_report_is_thread_count_independent() {
         CoordinatorKind::PrAny(SelectionPolicy::PaperStrict),
         "PrAny/PaperStrict",
     );
+}
+
+/// A replicated coordinator goes through the same explorer: kills, the
+/// dead set and the quiescent-timer rule must not depend on scheduling
+/// either. One crash+recover on top of the default leader-failover
+/// envelope makes levels wide enough (25 512 states) to fan out.
+#[test]
+fn paxos_report_is_thread_count_independent() {
+    let mut base = CheckConfig::paxos(2, 1);
+    base.crashes = 1;
+    config_at_all_thread_counts(&base, "Paxos n=2 f=1");
 }
 
 /// The default (auto) thread count must also match — this is what the

@@ -3,13 +3,19 @@
 //! garbage-collection state to the correctness checkers.
 //!
 //! This is the main entry point for experiments, integration tests and
-//! examples: describe a [`Scenario`] (coordinator kind, participant
-//! protocols, transactions with votes, network model, failure
-//! schedule), call [`run_scenario`], and inspect the
+//! examples: describe a [`Scenario`] (coordinator kind or Paxos Commit
+//! tolerance, participant protocols, transactions with votes, network
+//! model, failure schedule), call [`run_scenario`], and inspect the
 //! [`ScenarioOutcome`].
+//!
+//! Every site is a [`SiteProc`] over an [`AnyEngine`], so one harness
+//! serves all engine kinds. Failures come in three forms: **crashes**
+//! (`failures`: fail-stop with a later recovery that replays the WAL),
+//! **kills** (permanent fail-stop — the headline leader-`kill -9`
+//! case) and **partitions** (a link drops everything for a window).
 
 use crate::action::{Action, TimerPurpose};
-use crate::coordinator::Coordinator;
+use crate::engine::AnyEngine;
 use crate::participant::Participant;
 use acp_acta::{ActaEvent, FinalState, History};
 use acp_obs::{FanoutSink, NullSink, ProtoLabel, ProtocolEvent, TraceSink, VecSink};
@@ -146,6 +152,11 @@ pub struct TxnSpec {
 pub struct Scenario {
     /// The coordinator variant under test (always at site 0).
     pub kind: CoordinatorKind,
+    /// Replicated-coordinator shape, as in `acp_net::ClusterConfig`:
+    /// `Some(f)` replaces the coordinator at site 0 with a Paxos Commit
+    /// leader and adds `2f` remote acceptors at sites `N+1..=N+2f`;
+    /// `kind` is ignored. `Some(0)` is 2PC/PrN by another name.
+    pub paxos_f: Option<usize>,
     /// Participant protocols; site ids are assigned 1..=n in order.
     pub participant_protocols: Vec<ProtocolKind>,
     /// The workload.
@@ -156,6 +167,13 @@ pub struct Scenario {
     pub seed: u64,
     /// Planned crashes/recoveries.
     pub failures: FailureSchedule,
+    /// Permanent fail-stops `(site, at)`: the site never recovers (the
+    /// leader `kill -9` Paxos Commit exists to survive).
+    pub kills: Vec<(SiteId, SimTime)>,
+    /// Link severances `(a, b, from, until)`: both directions between
+    /// `a` and `b` drop messages sent in `[from, until)`, then the link
+    /// heals.
+    pub partitions: Vec<(SiteId, SiteId, SimTime, SimTime)>,
     /// Timer configuration.
     pub delays: TimerDelays,
     /// Safety valve for the event loop.
@@ -180,14 +198,29 @@ impl Scenario {
     pub fn new(kind: CoordinatorKind, participant_protocols: &[ProtocolKind]) -> Self {
         Scenario {
             kind,
+            paxos_f: None,
             participant_protocols: participant_protocols.to_vec(),
             txns: Vec::new(),
             network: NetworkConfig::reliable(SimTime::from_micros(200)),
             seed: 0,
             failures: FailureSchedule::none(),
+            kills: Vec::new(),
+            partitions: Vec::new(),
             delays: TimerDelays::default(),
             max_events: 1_000_000,
             batch_window: None,
+        }
+    }
+
+    /// A Paxos Commit scenario: `n_participants` PrN participants under
+    /// a replicated coordinator of tolerance `f`, otherwise as
+    /// [`Scenario::new`].
+    #[must_use]
+    pub fn paxos(n_participants: usize, f: usize) -> Self {
+        let protocols = vec![ProtocolKind::PrN; n_participants];
+        Scenario {
+            paxos_f: Some(f),
+            ..Self::new(CoordinatorKind::Single(ProtocolKind::PrN), &protocols)
         }
     }
 
@@ -237,8 +270,16 @@ pub struct ScenarioOutcome {
     pub final_state: FinalState,
     /// Outcomes enforced per (site, txn).
     pub enforced: BTreeMap<(SiteId, TxnId), Outcome>,
-    /// Decisions the coordinator made.
+    /// The decision per transaction (under Paxos Commit, the first
+    /// found over the acceptors; the atomicity checker separately
+    /// asserts they never disagree).
     pub decided: BTreeMap<TxnId, Outcome>,
+    /// Decisions per deciding site (coordinator, leader or failover
+    /// candidate).
+    pub decided_by_site: BTreeMap<(SiteId, TxnId), Outcome>,
+    /// Transactions a participant still holds prepared and unresolved
+    /// at quiescence — the blocked survivors 2PC is famous for.
+    pub in_doubt: Vec<(SiteId, TxnId)>,
     /// Coordinator protocol-table size at the end of the run.
     pub coordinator_table_size: usize,
     /// Records retained in the coordinator's log at the end of the run.
@@ -249,6 +290,14 @@ pub struct ScenarioOutcome {
     pub coordinator_costs: BTreeMap<TxnId, CostCounters>,
     /// Per-transaction, per-participant costs.
     pub participant_costs: BTreeMap<(SiteId, TxnId), CostCounters>,
+    /// Per-transaction costs at each remote Paxos acceptor (empty
+    /// without `paxos_f`; the leader's are `coordinator_costs`).
+    pub acceptor_costs: BTreeMap<(SiteId, TxnId), CostCounters>,
+    /// Protocol-table size at each remote acceptor at the end of the
+    /// run.
+    pub acceptor_table_sizes: BTreeMap<SiteId, usize>,
+    /// Log records retained at each remote acceptor.
+    pub acceptor_log_retained: BTreeMap<SiteId, usize>,
     /// Events the simulator processed.
     pub events_processed: u64,
     /// Aggregate group-commit accounting across every site's log:
@@ -272,7 +321,7 @@ impl ScenarioOutcome {
             .get(&txn)
             .copied()
             .unwrap_or_default();
-        for ((_, t), c) in &self.participant_costs {
+        for ((_, t), c) in self.participant_costs.iter().chain(&self.acceptor_costs) {
             if *t == txn {
                 total += *c;
             }
@@ -281,10 +330,13 @@ impl ScenarioOutcome {
     }
 }
 
-/// A site process: either the coordinator or a participant, wrapping the
-/// sans-IO engine and translating its actions into simulator effects.
+/// A site process: one sans-IO engine of any kind, its actions
+/// translated into simulator effects.
 pub struct SiteProc {
-    inner: Inner,
+    engine: AnyEngine<HarnessLog>,
+    /// Site 0 only: transactions to start (drained into
+    /// `pending_starts` by `on_start`), with optional client-abort times.
+    starts: Vec<(SimTime, TxnId, Vec<SiteId>, Option<SimTime>)>,
     history: Rc<RefCell<History>>,
     delays: TimerDelays,
     /// Observability sink; protocol-level events (log writes, votes,
@@ -311,16 +363,6 @@ pub struct SiteProc {
 /// batch window).
 pub type HarnessLog = GroupCommitLog<MemLog>;
 
-enum Inner {
-    Coord {
-        engine: Coordinator<HarnessLog>,
-        /// Transactions to start (drained into `pending_starts` by
-        /// `on_start`), with optional client-abort times.
-        starts: Vec<(SimTime, TxnId, Vec<SiteId>, Option<SimTime>)>,
-    },
-    Part(Participant<HarnessLog>),
-}
-
 enum HarnessTimer {
     Engine(u64),
     Start(u64),
@@ -328,32 +370,16 @@ enum HarnessTimer {
 }
 
 impl SiteProc {
-    /// Access the coordinator engine (panics on participant sites).
+    /// The engine this site runs.
     #[must_use]
-    pub fn coordinator(&self) -> &Coordinator<HarnessLog> {
-        match &self.inner {
-            Inner::Coord { engine, .. } => engine,
-            Inner::Part(_) => panic!("not a coordinator site"),
-        }
-    }
-
-    /// Access the participant engine (panics on the coordinator site).
-    #[must_use]
-    pub fn participant(&self) -> &Participant<HarnessLog> {
-        match &self.inner {
-            Inner::Part(p) => p,
-            Inner::Coord { .. } => panic!("not a participant site"),
-        }
+    pub fn engine(&self) -> &AnyEngine<HarnessLog> {
+        &self.engine
     }
 
     /// Advance the site log's group-commit clock to the current sim
     /// time (expires the open batch window, if any).
     fn tick_log(&mut self, now: SimTime) {
-        let now_us = now.as_micros();
-        match &mut self.inner {
-            Inner::Coord { engine, .. } => engine.log_mut().tick(now_us),
-            Inner::Part(p) => p.log_mut().tick(now_us),
-        }
+        self.engine.log_mut().tick(now.as_micros());
     }
 
     /// Emit a [`ProtocolEvent::BatchCommit`] for every batch window
@@ -361,15 +387,8 @@ impl SiteProc {
     /// are indistinguishable from unbatched forces, which keeps clean
     /// single-transaction traces byte-identical under batching.
     fn emit_closed_batches(&mut self) {
-        let site = match &self.inner {
-            Inner::Coord { engine, .. } => engine.site().raw(),
-            Inner::Part(p) => p.site().raw(),
-        };
-        let closed = match &mut self.inner {
-            Inner::Coord { engine, .. } => engine.log_mut().take_closed(),
-            Inner::Part(p) => p.log_mut().take_closed(),
-        };
-        for b in closed {
+        let site = self.engine.site().raw();
+        for b in self.engine.log_mut().take_closed() {
             if b.occupancy >= 2 {
                 self.sink.record(&ProtocolEvent::BatchCommit {
                     at_us: b.opened_at_us,
@@ -384,19 +403,9 @@ impl SiteProc {
     /// End-of-run: seal the still-open batch window, emit its event,
     /// and return this site's accumulated group-commit accounting.
     fn finish_batches(&mut self) -> GroupCommitStats {
-        match &mut self.inner {
-            Inner::Coord { engine, .. } => {
-                let _ = engine.log_mut().commit_batch();
-            }
-            Inner::Part(p) => {
-                let _ = p.log_mut().commit_batch();
-            }
-        }
+        let _ = self.engine.log_mut().commit_batch();
         self.emit_closed_batches();
-        match &self.inner {
-            Inner::Coord { engine, .. } => engine.log().group_stats(),
-            Inner::Part(p) => p.log().group_stats(),
-        }
+        self.engine.log().group_stats()
     }
 
     fn handle_actions(&mut self, actions: Vec<Action>, ctx: &mut Context) {
@@ -592,35 +601,31 @@ fn note_for(event: &ActaEvent) -> (String, String) {
 
 impl Process for SiteProc {
     fn on_start(&mut self, ctx: &mut Context) {
-        if let Inner::Coord { starts, .. } = &mut self.inner {
-            let starts = std::mem::take(starts);
-            for (at, txn, participants, abort_at) in starts {
-                let start_key = self.next_token;
-                self.next_token += 1;
-                self.pending_starts
-                    .insert(start_key, (at, txn, participants));
-                let harness_token = self.next_token;
+        for (at, txn, participants, abort_at) in std::mem::take(&mut self.starts) {
+            let start_key = self.next_token;
+            self.next_token += 1;
+            self.pending_starts
+                .insert(start_key, (at, txn, participants));
+            let harness_token = self.next_token;
+            self.next_token += 1;
+            self.timer_map
+                .insert(harness_token, HarnessTimer::Start(start_key));
+            ctx.set_timer(at, harness_token);
+            if let Some(abort_at) = abort_at {
+                let abort_token = self.next_token;
                 self.next_token += 1;
                 self.timer_map
-                    .insert(harness_token, HarnessTimer::Start(start_key));
-                ctx.set_timer(at, harness_token);
-                if let Some(abort_at) = abort_at {
-                    let abort_token = self.next_token;
-                    self.next_token += 1;
-                    self.timer_map
-                        .insert(abort_token, HarnessTimer::ClientAbort(txn));
-                    ctx.set_timer(abort_at, abort_token);
-                }
+                    .insert(abort_token, HarnessTimer::ClientAbort(txn));
+                ctx.set_timer(abort_at, abort_token);
             }
         }
     }
 
     fn on_message(&mut self, msg: &Message, ctx: &mut Context) {
         self.tick_log(ctx.now);
-        let actions = match &mut self.inner {
-            Inner::Coord { engine, .. } => engine.on_message(msg.from, &msg.payload),
-            Inner::Part(p) => p.on_message(msg.from, &msg.payload),
-        };
+        let mut actions = Vec::new();
+        self.engine
+            .on_message_into(msg.from, &msg.payload, &mut actions);
         self.handle_actions(actions, ctx);
         self.emit_closed_batches();
     }
@@ -630,25 +635,20 @@ impl Process for SiteProc {
         let Some(entry) = self.timer_map.remove(&token) else {
             return;
         };
-        let actions = match entry {
-            HarnessTimer::Engine(engine_token) => match &mut self.inner {
-                Inner::Coord { engine, .. } => engine.on_timer(engine_token),
-                Inner::Part(p) => p.on_timer(engine_token),
-            },
+        let mut actions = Vec::new();
+        match entry {
+            HarnessTimer::Engine(engine_token) => {
+                self.engine.on_timer_into(engine_token, &mut actions);
+            }
             HarnessTimer::Start(start_key) => {
                 let Some((_, txn, participants)) = self.pending_starts.remove(&start_key) else {
                     return;
                 };
-                match &mut self.inner {
-                    Inner::Coord { engine, .. } => engine.begin_commit(txn, &participants),
-                    Inner::Part(_) => unreachable!("starts only live on the coordinator"),
-                }
+                self.engine
+                    .begin_commit_into(txn, &participants, &mut actions);
             }
-            HarnessTimer::ClientAbort(txn) => match &mut self.inner {
-                Inner::Coord { engine, .. } => engine.abort_request(txn),
-                Inner::Part(_) => unreachable!("client aborts only live on the coordinator"),
-            },
-        };
+            HarnessTimer::ClientAbort(txn) => actions = self.engine.abort_request(txn),
+        }
         self.handle_actions(actions, ctx);
         self.emit_closed_batches();
     }
@@ -657,28 +657,16 @@ impl Process for SiteProc {
         // Harness timer bookkeeping is volatile (pending_starts is not —
         // it models the clients).
         self.timer_map.clear();
-        match &mut self.inner {
-            Inner::Coord { engine, .. } => {
-                self.history.borrow_mut().push(ActaEvent::Crash {
-                    site: engine.site(),
-                });
-                engine.crash();
-            }
-            Inner::Part(p) => {
-                self.history
-                    .borrow_mut()
-                    .push(ActaEvent::Crash { site: p.site() });
-                p.crash();
-            }
-        }
+        let site = self.engine.site();
+        self.history.borrow_mut().push(ActaEvent::Crash { site });
+        self.engine.crash();
     }
 
     fn on_recover(&mut self, ctx: &mut Context) {
         self.tick_log(ctx.now);
-        let (site, actions) = match &mut self.inner {
-            Inner::Coord { engine, .. } => (engine.site(), engine.recover()),
-            Inner::Part(p) => (p.site(), p.recover()),
-        };
+        let mut actions = Vec::new();
+        self.engine.recover_into(&mut actions);
+        let site = self.engine.site();
         self.history.borrow_mut().push(ActaEvent::Recover { site });
         self.handle_actions(actions, ctx);
         self.emit_closed_batches();
@@ -725,38 +713,48 @@ pub fn run_scenario_with_sink(scenario: &Scenario, sink: Arc<dyn TraceSink>) -> 
     ]));
     let mut world: World<SiteProc> = World::new(scenario.network, scenario.seed);
     world.set_sink(Arc::clone(&sink));
-
-    // Coordinator at site 0.
-    let coord_site = scenario.coordinator_site();
-    let coord_label = ProtoLabel::of_coordinator(scenario.kind);
-    world.set_label(coord_site, coord_label);
+    let site_proc = |engine, proto, starts| SiteProc {
+        engine,
+        starts,
+        history: Rc::clone(&history),
+        delays: scenario.delays,
+        sink: Arc::clone(&sink),
+        proto,
+        last_decision: None,
+        timer_map: BTreeMap::new(),
+        pending_starts: BTreeMap::new(),
+        next_token: 0,
+    };
     let make_log = || match scenario.batch_window {
         None => GroupCommitLog::passthrough(MemLog::new()),
         Some(w) => GroupCommitLog::windowed(MemLog::new(), w),
     };
-    let mut engine = Coordinator::new(coord_site, scenario.kind, make_log());
-    for (i, &p) in scenario.participant_protocols.iter().enumerate() {
-        engine.register_site(SiteId::new(i as u32 + 1), p);
-    }
-    let starts: Vec<(SimTime, TxnId, Vec<SiteId>, Option<SimTime>)> = scenario
+
+    // The coordinator side: site 0 (which takes the client requests)
+    // and, under Paxos Commit, the remote acceptors.
+    let coord_site = scenario.coordinator_site();
+    let coord_label = match scenario.paxos_f {
+        Some(_) => ProtoLabel::Paxos,
+        None => ProtoLabel::of_coordinator(scenario.kind),
+    };
+    let mut starts: Vec<(SimTime, TxnId, Vec<SiteId>, Option<SimTime>)> = scenario
         .txns
         .iter()
         .map(|t| (t.start_at, t.txn, t.participants.clone(), t.abort_at))
         .collect();
-    world.add(
-        coord_site,
-        SiteProc {
-            inner: Inner::Coord { engine, starts },
-            history: Rc::clone(&history),
-            delays: scenario.delays,
-            sink: Arc::clone(&sink),
-            proto: coord_label,
-            last_decision: None,
-            timer_map: BTreeMap::new(),
-            pending_starts: BTreeMap::new(),
-            next_token: 0,
-        },
-    );
+    let mut coord_side = Vec::new();
+    for engine in AnyEngine::coordinator_side(
+        scenario.kind,
+        &scenario.participant_protocols,
+        scenario.paxos_f,
+        make_log,
+    ) {
+        let site = engine.site();
+        world.set_label(site, coord_label);
+        // Site 0 comes first and takes every start; the rest get none.
+        world.add(site, site_proc(engine, coord_label, std::mem::take(&mut starts)));
+        coord_side.push(site);
+    }
 
     // Participants at sites 1..=n.
     for (i, &p) in scenario.participant_protocols.iter().enumerate() {
@@ -769,33 +767,42 @@ pub fn run_scenario_with_sink(scenario: &Scenario, sink: Arc<dyn TraceSink>) -> 
                 engine.set_intent(spec.txn, vote);
             }
         }
-        world.add(
-            site,
-            SiteProc {
-                inner: Inner::Part(engine),
-                history: Rc::clone(&history),
-                delays: scenario.delays,
-                sink: Arc::clone(&sink),
-                proto: label,
-                last_decision: None,
-                timer_map: BTreeMap::new(),
-                pending_starts: BTreeMap::new(),
-                next_token: 0,
-            },
-        );
+        world.add(site, site_proc(AnyEngine::Part(engine), label, Vec::new()));
     }
 
     scenario.failures.apply(&mut world);
+    for &(site, at) in &scenario.kills {
+        world.schedule_crash(site, at);
+    }
     world.start();
+
+    // Partitions are applied by stepping the world to each breakpoint:
+    // sever at `from`, heal at `until`. The network drops at send time,
+    // so messages already in flight when the link severs still arrive —
+    // matching the socket layer, where severing closes the listener, not
+    // the kernel buffers.
+    let mut breakpoints: Vec<(SimTime, bool, SiteId, SiteId)> = Vec::new();
+    for &(a, b, from, until) in &scenario.partitions {
+        assert!(until > from, "a partition window must be non-empty");
+        breakpoints.push((from, true, a, b));
+        breakpoints.push((until, false, a, b));
+    }
+    breakpoints.sort_by_key(|&(at, sever, _, _)| (at, !sever));
+    for (at, sever, a, b) in breakpoints {
+        world.run_until(at);
+        if sever {
+            world.network_mut().partition(a, b);
+        } else {
+            world.network_mut().heal(a, b);
+        }
+    }
     world.run_until_quiescent(scenario.max_events);
 
     // Seal any still-open batch windows (their events land after every
     // protocol event, which is when the batch would have been forced)
     // and aggregate the per-site group-commit accounting.
     let mut group_commit = GroupCommitStats::default();
-    let mut all_sites = vec![coord_site];
-    all_sites.extend(scenario.participant_sites());
-    for site in all_sites {
+    for site in coord_side.iter().copied().chain(scenario.participant_sites()) {
         let stats = world.process_mut(site).finish_batches();
         group_commit.merge(&stats);
     }
@@ -803,34 +810,54 @@ pub fn run_scenario_with_sink(scenario: &Scenario, sink: Arc<dyn TraceSink>) -> 
     // ---- collect ----
     let mut final_state = FinalState::default();
     let mut enforced = BTreeMap::new();
+    let mut in_doubt = Vec::new();
     let mut decided = BTreeMap::new();
+    let mut decided_by_site = BTreeMap::new();
     let mut coordinator_costs = BTreeMap::new();
     let mut participant_costs = BTreeMap::new();
+    let mut acceptor_costs = BTreeMap::new();
+    let mut acceptor_table_sizes = BTreeMap::new();
+    let mut acceptor_log_retained = BTreeMap::new();
 
-    let coord = world.process(coord_site).coordinator();
-    for txn in coord.protocol_table_txns() {
-        final_state.protocol_table.push((coord_site, txn));
-    }
-    for txn in coord.log_pinned() {
-        final_state.log_pinned.push((coord_site, txn));
-    }
-    for spec in &scenario.txns {
-        if let Some(o) = coord.decided(spec.txn) {
-            decided.insert(spec.txn, o);
+    for &site in &coord_side {
+        let engine = world.process(site).engine();
+        for txn in engine.protocol_table_txns() {
+            final_state.protocol_table.push((site, txn));
         }
-        coordinator_costs.insert(spec.txn, coord.costs(spec.txn));
+        for txn in engine.log_pinned() {
+            final_state.log_pinned.push((site, txn));
+        }
+        for spec in &scenario.txns {
+            if let Some(o) = engine.decided(spec.txn) {
+                decided.entry(spec.txn).or_insert(o);
+                decided_by_site.insert((site, spec.txn), o);
+            }
+            if site == coord_site {
+                coordinator_costs.insert(spec.txn, engine.costs(spec.txn));
+            } else {
+                acceptor_costs.insert((site, spec.txn), engine.costs(spec.txn));
+            }
+        }
+        if site != coord_site {
+            acceptor_table_sizes.insert(site, engine.protocol_table_size());
+            acceptor_log_retained.insert(site, engine.log().inner().retained());
+        }
     }
+    let coord = world.process(coord_site).engine();
     let coordinator_table_size = coord.protocol_table_size();
     let coordinator_log_retained = coord.log().inner().retained();
     let coordinator_log_retained_bytes = coord.log().inner().retained_bytes();
 
     for site in scenario.participant_sites() {
-        let p = world.process(site).participant();
+        let p = world.process(site).engine().as_participant().expect("participant site");
         for txn in p.log_pinned() {
             final_state.log_pinned.push((site, txn));
         }
         for (&txn, &o) in p.enforced_all() {
             enforced.insert((site, txn), o);
+        }
+        for txn in p.in_doubt_txns() {
+            in_doubt.push((site, txn));
         }
         for spec in &scenario.txns {
             participant_costs.insert((site, spec.txn), p.costs(spec.txn));
@@ -843,12 +870,17 @@ pub fn run_scenario_with_sink(scenario: &Scenario, sink: Arc<dyn TraceSink>) -> 
         trace: world.trace().clone(),
         final_state,
         enforced,
+        in_doubt,
         decided,
+        decided_by_site,
         coordinator_table_size,
         coordinator_log_retained,
         coordinator_log_retained_bytes,
         coordinator_costs,
         participant_costs,
+        acceptor_costs,
+        acceptor_table_sizes,
+        acceptor_log_retained,
         events_processed: world.events_processed(),
         events: recorder.take(),
         group_commit,
@@ -1089,5 +1121,270 @@ mod tests {
             check_operational(&out.history, &out.final_state)
         );
         assert_eq!(out.coordinator_table_size, 0);
+    }
+
+    // ---- Paxos Commit through the same harness ----
+
+    use crate::cost::predict_paxos;
+    use acp_acta::check_safe_state;
+
+    fn ms(n: u64) -> SimTime {
+        SimTime::from_millis(n)
+    }
+
+    fn sum<'a>(costs: impl Iterator<Item = &'a CostCounters>) -> CostCounters {
+        costs.fold(CostCounters::default(), |mut a, c| {
+            a += *c;
+            a
+        })
+    }
+
+    fn assert_clean(outcome: &ScenarioOutcome) {
+        let v = check_atomicity(&outcome.history);
+        assert!(v.is_empty(), "atomicity violations: {v:?}");
+        for &(site, txn) in outcome.decided_by_site.keys() {
+            let v = check_safe_state(&outcome.history, site, txn);
+            assert!(v.is_empty(), "safe-state violations at {site}: {v:?}");
+        }
+    }
+
+    #[test]
+    fn paxos_clean_commit_matches_the_analytic_model() {
+        for n in 1..=3usize {
+            let mut s = Scenario::paxos(n, 1);
+            s.add_txn(TxnId::new(1), ms(1));
+            let out = run_scenario(&s);
+            assert_eq!(out.decided[&TxnId::new(1)], Outcome::Commit);
+            assert!(out.in_doubt.is_empty());
+            assert_clean(&out);
+
+            let model = predict_paxos(n, 1, Outcome::Commit);
+            let leader = out.coordinator_costs[&TxnId::new(1)];
+            assert_eq!(leader.forced_writes, model.leader_forces, "n={n}");
+            assert_eq!(leader.log_records, model.leader_records, "n={n}");
+            let acc = sum(out.acceptor_costs.values());
+            assert_eq!(acc.forced_writes, model.acceptor_forces, "n={n}");
+            assert_eq!(acc.log_records, model.acceptor_records, "n={n}");
+            let parts = sum(out.participant_costs.values());
+            assert_eq!(parts.forced_writes, model.part_forces, "n={n}");
+            assert_eq!(parts.log_records, model.part_records, "n={n}");
+            assert_eq!(out.total_costs(TxnId::new(1)).messages(), model.messages);
+
+            // Fully reclaimed everywhere at quiescence.
+            assert_eq!(out.coordinator_table_size, 0);
+            assert_eq!(out.coordinator_log_retained, 0);
+            assert_eq!(out.acceptor_table_sizes.len(), 2);
+            assert!(out.acceptor_table_sizes.values().all(|&s| s == 0));
+            assert!(out.acceptor_log_retained.values().all(|&r| r == 0));
+        }
+    }
+
+    /// The headline schedule, once under each tolerance.
+    ///
+    /// The adversary severs the leader from both participants just
+    /// after the votes are on the wire, then `kill -9`s the leader. The
+    /// leader decides commit and logs it durably, but no participant
+    /// ever hears: under 2PC (`f = 0`) both participants are stuck
+    /// in-doubt forever. With `f = 1` the accepted Prepared bundles
+    /// survive on the acceptor quorum and acceptor rank 1 re-drives the
+    /// *same* commit.
+    fn headline(f: usize) -> ScenarioOutcome {
+        let t = TxnId::new(9);
+        let mut s = Scenario::paxos(2, f);
+        s.add_txn(t, ms(1));
+        let leader = s.coordinator_site();
+        for p in s.participant_sites() {
+            s.partitions
+                .push((leader, p, SimTime::from_micros(1300), ms(10_000)));
+        }
+        s.kills.push((leader, ms(2)));
+        run_scenario(&s)
+    }
+
+    #[test]
+    fn paxos_headline_leader_kill_blocks_2pc() {
+        let out = headline(0);
+        let t = TxnId::new(9);
+        // The coordinator decided and durably logged commit...
+        assert_eq!(out.decided.get(&t), Some(&Outcome::Commit));
+        // ...but died before any participant heard: both are stuck
+        // in-doubt, with nothing enforced, for the rest of time.
+        assert!(out.enforced.is_empty());
+        let mut stuck = out.in_doubt.clone();
+        stuck.sort();
+        assert_eq!(stuck, vec![(SiteId::new(1), t), (SiteId::new(2), t)]);
+    }
+
+    #[test]
+    fn paxos_headline_leader_kill_commits_under_f1() {
+        let out = headline(1);
+        let t = TxnId::new(9);
+        assert_eq!(out.decided.get(&t), Some(&Outcome::Commit));
+        // Acceptor rank 1 (site 3) completed the failover.
+        assert_eq!(
+            out.decided_by_site.get(&(SiteId::new(3), t)),
+            Some(&Outcome::Commit)
+        );
+        // Both participants enforced commit; nobody is in doubt.
+        assert_eq!(out.enforced.get(&(SiteId::new(1), t)), Some(&Outcome::Commit));
+        assert_eq!(out.enforced.get(&(SiteId::new(2), t)), Some(&Outcome::Commit));
+        assert!(out.in_doubt.is_empty());
+        // The survivors' protocol tables and logs are fully reclaimed.
+        assert_eq!(out.acceptor_table_sizes[&SiteId::new(3)], 0);
+        assert_eq!(out.acceptor_table_sizes[&SiteId::new(4)], 0);
+        assert_eq!(out.acceptor_log_retained[&SiteId::new(3)], 0);
+        assert_eq!(out.acceptor_log_retained[&SiteId::new(4)], 0);
+        assert_clean(&out);
+    }
+
+    #[test]
+    fn paxos_acceptor_minority_partition_does_not_block_commit() {
+        // Sever one acceptor of three from everyone for the whole run:
+        // the quorum {leader, rank 1} still decides.
+        let t = TxnId::new(3);
+        let mut s = Scenario::paxos(2, 1);
+        s.add_txn(t, ms(1));
+        let minority = SiteId::new(4);
+        for site in [SiteId::new(0), SiteId::new(1), SiteId::new(2), SiteId::new(3)] {
+            s.partitions
+                .push((minority, site, SimTime::from_micros(500), ms(5_000)));
+        }
+        let out = run_scenario(&s);
+        assert_eq!(out.decided.get(&t), Some(&Outcome::Commit));
+        assert!(out.in_doubt.is_empty());
+        assert_clean(&out);
+        // The partitioned acceptor never learned of the transaction.
+        assert_eq!(out.acceptor_table_sizes[&minority], 0);
+    }
+
+    #[test]
+    fn paxos_leader_crash_and_recovery_redrives_the_decision() {
+        // f = 0: no failover possible, but the forced bundle means the
+        // recovered leader re-decides the same outcome from its WAL.
+        let t = TxnId::new(5);
+        let mut s = Scenario::paxos(2, 0);
+        s.add_txn(t, ms(1));
+        // Crash after the decision is logged (1.4ms) but before the
+        // participant acks arrive (1.8ms); recover well after.
+        s.failures =
+            FailureSchedule::single(s.coordinator_site(), SimTime::from_micros(1700), ms(50));
+        let out = run_scenario(&s);
+        assert_eq!(out.decided.get(&t), Some(&Outcome::Commit));
+        assert_eq!(out.enforced.get(&(SiteId::new(1), t)), Some(&Outcome::Commit));
+        assert_eq!(out.enforced.get(&(SiteId::new(2), t)), Some(&Outcome::Commit));
+        assert!(out.in_doubt.is_empty());
+        assert_eq!(out.coordinator_table_size, 0);
+        assert_eq!(out.coordinator_log_retained, 0);
+        assert_clean(&out);
+    }
+
+    #[test]
+    fn paxos_lossy_sweep_stays_atomic_and_reclaims() {
+        for seed in 0..6u64 {
+            let mut s = Scenario::paxos(2, 1);
+            s.network = NetworkConfig::lossy(0.10);
+            s.seed = seed;
+            s.add_txn(TxnId::new(1), ms(1));
+            s.add_txn(TxnId::new(2), ms(2));
+            let out = run_scenario(&s);
+            assert_clean(&out);
+            assert!(out.in_doubt.is_empty(), "seed {seed}: {:?}", out.in_doubt);
+            for txn in [TxnId::new(1), TxnId::new(2)] {
+                assert!(out.decided.contains_key(&txn), "seed {seed}: {txn} undecided");
+            }
+            assert!(
+                out.coordinator_table_size == 0
+                    && out.acceptor_table_sizes.values().all(|&n| n == 0),
+                "seed {seed}: tables not reclaimed: {} {:?}",
+                out.coordinator_table_size,
+                out.acceptor_table_sizes
+            );
+        }
+    }
+
+    /// With one acceptor, Paxos Commit *is* 2PC. Decisions, enforcement
+    /// and every cost counter must match PrN on a shared schedule
+    /// corpus. (The all-ReadOnly corner is excluded by design: Paxos
+    /// still runs consensus so a failover candidate can never
+    /// contradict the leader — see the `paxos` module docs.)
+    #[test]
+    fn paxos_f0_degenerates_to_prn_on_a_shared_corpus() {
+        // (n, no-voter, client-abort-at)
+        let corpus: [(usize, Option<u32>, Option<SimTime>); 5] = [
+            (1, None, None),
+            (2, None, None),
+            (3, None, None),
+            (2, Some(1), None),
+            (2, None, Some(SimTime::from_micros(1300))),
+        ];
+        for (i, &(n, no_voter, abort_at)) in corpus.iter().enumerate() {
+            let t = TxnId::new(1 + i as u64);
+            let run = |paxos_f| {
+                let mut s = Scenario::paxos(n, 0);
+                s.paxos_f = paxos_f;
+                let spec = s.add_txn(t, ms(1));
+                if let Some(site) = no_voter {
+                    spec.votes.insert(SiteId::new(site), Vote::No);
+                }
+                spec.abort_at = abort_at;
+                run_scenario(&s)
+            };
+            let paxos = run(Some(0));
+            let prn = run(None);
+
+            assert_eq!(paxos.decided, prn.decided, "case {i}");
+            assert_eq!(paxos.enforced, prn.enforced, "case {i}");
+            assert_eq!(
+                paxos.coordinator_costs[&t], prn.coordinator_costs[&t],
+                "case {i}: coordinator costs diverge"
+            );
+            assert_eq!(
+                paxos.participant_costs, prn.participant_costs,
+                "case {i}: participant costs diverge"
+            );
+            assert_eq!(paxos.coordinator_table_size, prn.coordinator_table_size, "case {i}");
+            assert_eq!(
+                paxos.coordinator_log_retained, prn.coordinator_log_retained,
+                "case {i}"
+            );
+        }
+    }
+
+    /// What the shared harness gives Paxos scenarios that their own
+    /// harness never had: the typed event stream, labelled per site,
+    /// and with it PrAny's no-retries-on-a-clean-run property — up to
+    /// the completion watchdog, whose *first* arming at acceptor rank
+    /// `r` carries `attempt = r` (the engine staggers failover by rank
+    /// through the backoff), so it reads as a retry here exactly as it
+    /// does on the real-time kernel.
+    #[test]
+    fn paxos_scenarios_emit_the_typed_event_stream() {
+        let retries = |f| {
+            let mut s = Scenario::paxos(2, f);
+            s.add_txn(TxnId::new(1), ms(1));
+            let out = run_scenario(&s);
+            assert!(!out.events.is_empty());
+            for site in std::iter::once(0).chain(3..3 + 2 * f as u32) {
+                let mut of_site = out.events.iter().filter(|e| e.site() == site).peekable();
+                assert!(of_site.peek().is_some(), "acceptor S{site} emitted nothing");
+                assert!(of_site.all(|e| e.proto() == ProtoLabel::Paxos), "S{site}");
+            }
+            let retries = out.events.iter().filter_map(|e| match e {
+                ProtocolEvent::RetryScheduled {
+                    site,
+                    purpose,
+                    attempt,
+                    ..
+                } => Some((*site, *purpose, *attempt)),
+                _ => None,
+            });
+            retries.collect::<Vec<_>>()
+        };
+        assert_eq!(retries(0), vec![], "2PC by another name: no retries");
+        assert_eq!(
+            retries(1),
+            vec![(3, "paxos-completion", 1), (4, "paxos-completion", 2)],
+            "a loss-free run re-sends nothing: only the rank stagger shows"
+        );
     }
 }

@@ -35,9 +35,16 @@
 //!   messages) per protocol × outcome × participant population, checked
 //!   against measured executions in experiment E8; extended with
 //!   [`cost::predict_paxos`] for the Paxos Commit rows of the table.
-//! * [`harness`] — glue that runs the engines inside the deterministic
-//!   simulator (`acp-sim`) and produces ACTA histories (`acp-acta`),
-//!   execution traces and final GC states for the correctness checkers.
+//! * [`engine::AnyEngine`] — the one dispatch point over engine kinds:
+//!   a closed enum of coordinator / Paxos node / participant whose
+//!   methods forward to the engines' own. Hosts that run whole clusters
+//!   (the harness below, the `acp-check` explorer) are written once
+//!   against it.
+//! * [`harness`] — the one glue that runs the engines, of any kind,
+//!   inside the deterministic simulator (`acp-sim`) and produces ACTA
+//!   histories (`acp-acta`), typed event streams, execution traces and
+//!   final GC states for the correctness checkers; `Scenario::paxos_f`
+//!   selects a Paxos Commit cluster.
 //!
 //! ## Engine model
 //!
@@ -61,6 +68,7 @@
 pub mod action;
 pub mod coordinator;
 pub mod cost;
+pub mod engine;
 pub mod gateway;
 pub mod harness;
 pub mod participant;
@@ -71,6 +79,7 @@ pub use coordinator::plan::CommitPlan;
 pub use coordinator::select::select_mode;
 pub use coordinator::table::{shard_of, ShardedTable, TABLE_SHARDS};
 pub use coordinator::Coordinator;
+pub use engine::AnyEngine;
 pub use gateway::{GatewayParticipant, LegacyStore};
 pub use participant::Participant;
 pub use paxos::{PaxosConfig, PaxosNode};

@@ -54,8 +54,6 @@
 //! participant acknowledged the decision, so a forgotten transaction is
 //! complete everywhere that matters.
 
-pub mod sim;
-
 use crate::action::{Action, TimerPurpose};
 use crate::coordinator::MAX_DECISION_RESENDS;
 
@@ -94,6 +92,16 @@ impl PaxosConfig {
             acceptors.len()
         );
         PaxosConfig { acceptors }
+    }
+
+    /// The layout every whole-cluster host uses: the leader at site 0,
+    /// `n_participants` participants at sites `1..=N`, and the `2f`
+    /// remote acceptors at sites `N+1..=N+2f`.
+    #[must_use]
+    pub fn for_cluster(n_participants: usize, f: usize) -> Self {
+        let n = n_participants as u32;
+        let remote = (n + 1..=n + 2 * f as u32).map(SiteId::new);
+        PaxosConfig::new(std::iter::once(SiteId::new(0)).chain(remote).collect())
     }
 
     /// The tolerated failure count `f`.
@@ -265,6 +273,12 @@ impl<L: StableLog> PaxosNode<L> {
     #[must_use]
     pub fn protocol_table_size(&self) -> usize {
         self.txns.len()
+    }
+
+    /// Transactions with live state on this node, in id order.
+    #[must_use]
+    pub fn protocol_table_txns(&self) -> Vec<TxnId> {
+        self.txns.keys().copied().collect()
     }
 
     /// Is `txn` currently live on this node?

@@ -15,12 +15,11 @@
 //! level and pushes the excess back to the generator's retry policy,
 //! which is the component with enough context to back off.
 //!
-//! An [`AdmissionController`] is a pure predicate over two observable
-//! load signals — the cluster-wide
-//! [`InflightGauge`](crate::reactor::InflightGauge) reading and the
-//! host's pending-envelope backlog — so the same controller drives the
-//! reactor, the multi-reactor shards, and the deterministic overload
-//! model the figure pipeline replays. A refusal is always *counted*
+//! An [`AdmissionController`] is a pure predicate over one observable
+//! load signal — the cluster-wide
+//! [`InflightGauge`](crate::reactor::InflightGauge) reading — so the
+//! same controller drives the reactor, the multi-reactor shards, and
+//! the deterministic overload model the figure pipeline replays. A refusal is always *counted*
 //! (`ReactorStats::admission_sheds`, the `admission_shed` grid counter
 //! and an [`AdmissionShed`](acp_obs::ProtocolEvent::AdmissionShed)
 //! trace event) and *observable* by the client: the reply channel is
@@ -35,21 +34,13 @@ pub struct AdmissionConfig {
     /// the overload cliff into a plateau: set it near the knee of the
     /// goodput curve.
     pub max_inflight: u64,
-    /// Also refuse while the host's pending-envelope backlog (ready
-    /// queue plus injector) is at or above this depth — a second line
-    /// of defense against bursts that arrive faster than decisions
-    /// retire. `usize::MAX` disables the queue-depth bound.
-    pub max_queue: usize,
 }
 
 impl AdmissionConfig {
-    /// Bound only the in-flight population (no queue-depth shedding).
+    /// Bound the in-flight population.
     #[must_use]
     pub fn bounded(max_inflight: u64) -> AdmissionConfig {
-        AdmissionConfig {
-            max_inflight,
-            max_queue: usize::MAX,
-        }
+        AdmissionConfig { max_inflight }
     }
 }
 
@@ -76,10 +67,10 @@ impl AdmissionController {
     }
 
     /// Should a new transaction be admitted given `inflight` commits
-    /// outstanding and `queue_depth` envelopes pending on the host?
+    /// outstanding?
     #[must_use]
-    pub fn admit(&self, inflight: u64, queue_depth: usize) -> bool {
-        inflight < self.config.max_inflight && queue_depth < self.config.max_queue
+    pub fn admit(&self, inflight: u64) -> bool {
+        inflight < self.config.max_inflight
     }
 }
 
@@ -88,33 +79,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn admits_below_both_bounds_only() {
-        let c = AdmissionController::new(AdmissionConfig {
-            max_inflight: 4,
-            max_queue: 10,
-        });
-        assert!(c.admit(0, 0));
-        assert!(c.admit(3, 9));
-        assert!(!c.admit(4, 0), "in-flight at the bound is refused");
-        assert!(!c.admit(0, 10), "queue at the bound is refused");
-        assert!(!c.admit(7, 12));
-    }
-
-    #[test]
-    fn bounded_disables_the_queue_bound() {
-        let c = AdmissionController::new(AdmissionConfig::bounded(2));
-        assert!(c.admit(1, usize::MAX - 1));
-        assert!(!c.admit(2, 0));
+    fn admits_below_the_bound_only() {
+        let c = AdmissionController::new(AdmissionConfig::bounded(4));
+        assert!(c.admit(0));
+        assert!(c.admit(3));
+        assert!(!c.admit(4), "in-flight at the bound is refused");
+        assert!(!c.admit(7));
     }
 
     #[test]
     fn an_idle_cluster_always_admits() {
         // The byte-identity guarantee: a single clean transaction sees
-        // zero in-flight and an empty queue, so any bound >= 1 admits
-        // it and the trace is untouched.
+        // zero in-flight, so any bound >= 1 admits it and the trace is
+        // untouched.
         for limit in 1..10 {
             let c = AdmissionController::new(AdmissionConfig::bounded(limit));
-            assert!(c.admit(0, 0));
+            assert!(c.admit(0));
         }
     }
 }

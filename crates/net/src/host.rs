@@ -899,8 +899,7 @@ impl<T: Transport> Kernel<T> {
                 } else if let Some(over) = self.config.admission.and_then(|bounds| {
                     let adm = AdmissionController::new(bounds);
                     let inflight = self.ctx.inflight.current();
-                    let queue = self.ctx.ready.len() + self.rx.len();
-                    (!adm.admit(inflight, queue)).then_some((inflight, bounds.max_inflight))
+                    (!adm.admit(inflight)).then_some((inflight, bounds.max_inflight))
                 }) {
                     // Refused at the door: count it, narrate it, and
                     // fail the client fast — the dropped reply channel
