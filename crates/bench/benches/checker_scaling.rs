@@ -3,7 +3,8 @@
 //! failure bounds and at the deeper `crashes = 2` bound whose frontier
 //! is wide enough to feed every worker. The report is identical at
 //! every point — only wall-clock moves. Speedup is bounded by the
-//! host's core count; recorded numbers live in `BENCH_checker.json`.
+//! host's core count; recorded numbers live in
+//! `results/frozen/BENCH_checker.json`.
 
 use acp_check::explore::initial_state;
 use acp_check::{check, CheckConfig, CheckState};

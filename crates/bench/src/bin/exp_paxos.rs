@@ -34,8 +34,10 @@
 //! predicates ([`trace_check::check_merged`]), with seeded corruptions
 //! proving the predicates have teeth.
 //!
-//! `ACP_PAXOS_SMOKE=1` runs a shortened load (for `scripts/verify.sh`);
-//! the full run also writes `BENCH_paxos.json`.
+//! Pass/fail is the cost grid, the blocked/unblocked verdicts, the
+//! predicates and the recovery evidence — nothing here is timed. The
+//! one longer reload ever recorded is frozen in
+//! `results/frozen/BENCH_paxos.json`.
 //!
 //! ```sh
 //! cargo run --release -p acp-bench --bin exp_paxos
@@ -555,16 +557,15 @@ mod run {
         if args.get(1).map(String::as_str) == Some("node") {
             child_main(&args[2..]);
         }
-        let smoke = std::env::var_os("ACP_PAXOS_SMOKE").is_some();
-        let load = if smoke { 4u64 } else { 24 };
+        // Transactions pushed through the restarted leader, per campaign.
+        let load = 4u64;
         let exe = std::env::current_exe().expect("own path");
 
         println!(
             "E16 — Paxos Commit: a non-blocking replicated coordinator over {N_PARTS} PrN \
              participants\n"
         );
-        let analytic_mismatches = analytic_grid();
-        let mut failures = analytic_mismatches;
+        let mut failures = analytic_grid();
 
         println!(
             "\nPart B — coordinator-kill matrix over OS processes: decide commit, drop the\n\
@@ -675,47 +676,6 @@ mod run {
                 c.torn,
                 c.violations.len()
             );
-        }
-
-        if smoke {
-            println!("\nsmoke mode: skipping BENCH_paxos.json");
-        } else {
-            let mut j = String::from("{\n");
-            let _ = writeln!(j, "  \"bench\": \"paxos\",");
-            let _ = writeln!(
-                j,
-                "  \"config\": {{\"participants\": {N_PARTS}, \"grid\": \"n=1..3 x f=0..2\", \
-                 \"kill_matrix_f\": [0, 1], \"reload_txns\": {load}}},"
-            );
-            let _ = writeln!(j, "  \"campaigns\": [");
-            for (i, c) in campaigns.iter().enumerate() {
-                let _ = writeln!(
-                    j,
-                    "    {{\"f\": {}, \"blocked_while_dead\": {}, \"failover_decider\": {}, \
-                     \"enforced_after_restart\": {}, \"leader_recovered\": {}, \
-                     \"reload\": [{}, {}, {}], \"violations\": {}}}{}",
-                    c.f,
-                    c.enforced_while_dead.is_empty(),
-                    c.failover_decider.map_or_else(|| "null".to_string(), |s| s.to_string()),
-                    c.enforced_final.len(),
-                    c.leader_recovered,
-                    c.clean.0,
-                    c.clean.1,
-                    c.clean.2,
-                    c.violations.len(),
-                    if i + 1 < campaigns.len() { "," } else { "" }
-                );
-            }
-            let _ = writeln!(j, "  ],");
-            let _ = writeln!(
-                j,
-                "  \"acceptance\": {{\"analytic_mismatches\": {analytic_mismatches}, \
-                 \"pass\": {}}}\n}}",
-                failures == 0
-            );
-            let bench_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_paxos.json");
-            std::fs::write(&bench_path, &j).expect("write BENCH_paxos.json");
-            println!("\nwrote {}", bench_path.display());
         }
 
         if failures > 0 {

@@ -3,8 +3,11 @@
 //! Experiment harness: one `exp_*` binary per experiment of the
 //! reproduction plan (regenerating the paper's figures and theorems as
 //! tables/traces on stdout) plus Criterion benchmark groups for the
-//! performance-shaped claims. See DESIGN.md for the experiment index
-//! and EXPERIMENTS.md for recorded results.
+//! performance-shaped claims. Each binary has one mode and a
+//! deterministic pass/fail; a number timed by the wall clock comes
+//! from the repo benchmark (`benchmarks/`, `perf run`) or is frozen
+//! under `results/frozen/`. See DESIGN.md for the experiment index and
+//! EXPERIMENTS.md for recorded results.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -18,11 +18,10 @@
 //!   files all belong to that reactor.
 //!
 //! Each shard owns its own timer wheel, engines and a per-shard
-//! [`acp_wal::FsyncDomain`] — the single-threaded analogue of the
-//! [`acp_wal::SharedGroupLog`] leader election, electing the turn's
-//! first forcing site as the round leader — so every shard is one
-//! coalesced force domain: one force round per turn no matter how many
-//! transactions progressed on it.
+//! [`acp_wal::FsyncDomain`] — a turn-ordered leader election: the
+//! turn's first forcing site leads the round, the rest follow — so
+//! every shard is one coalesced force domain: one force round per turn
+//! no matter how many transactions progressed on it.
 //!
 //! Routing is [`Envelope::owner_shard`]: anything addressed to a
 //! participant goes to its owning shard; anything addressed to the

@@ -5,9 +5,9 @@
 //! handful of concurrent transactions, but thousands of in-flight
 //! commits turn into context-switch churn and per-turn fsyncs (the
 //! retired thread-per-site backend measured 26–46× slower at 512+
-//! concurrency: `BENCH_runtime.json`). The reactor instead owns *all*
-//! sites on one thread: it is the site-hosting kernel
-//! ([`crate::host`] — the turn discipline lives there) over the
+//! concurrency: `results/frozen/BENCH_runtime.json`). The reactor
+//! instead owns *all* sites on one thread: it is the site-hosting
+//! kernel ([`crate::host`] — the turn discipline lives there) over the
 //! in-process transport defined here, where a same-shard "send" is a
 //! `VecDeque::push_back` onto the kernel's ready queue and a
 //! cross-shard send is one push onto the owning reactor's mailbox.

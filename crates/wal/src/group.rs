@@ -9,35 +9,30 @@
 //! physical force makes the whole batch durable, so the per-transaction
 //! fsync cost drops by the batch occupancy.
 //!
-//! Two hosts with very different concurrency models need this, so the
-//! module has two entry points:
+//! The module is one wrapper and one election:
 //!
 //! * [`GroupCommitLog`] — a single-owner wrapper for event-loop hosts
-//!   (the deterministic simulator, `acp-net`'s one-thread-per-site
-//!   actors). Batches are delimited by a *batch window* of host time
+//!   (the deterministic simulator and the site-hosting kernel behind
+//!   the reactor, multi-reactor and socket runtimes). Batches are
+//!   delimited by a *batch window* of host time
 //!   ([`GroupCommitLog::windowed`], deterministic accounting for the
 //!   sim) or by explicit turn boundaries ([`GroupCommitLog::deferred`]
 //!   plus [`GroupCommitLog::commit_batch`], real fsync deferral for the
-//!   actor loop). [`GroupCommitLog::passthrough`] disables batching
-//!   entirely and is bit-for-bit today's unbatched behavior — a batch
-//!   of one degenerates to exactly one force, which is why clean
+//!   kernel's turn). [`GroupCommitLog::passthrough`] disables batching
+//!   entirely and is bit-for-bit the unbatched behavior — a batch of
+//!   one degenerates to exactly one force, which is why clean
 //!   single-transaction traces stay byte-identical.
-//! * [`SharedGroupLog`] — a `Send + Sync` handle for threaded hosts
-//!   where concurrent transactions share one commit log. Appends stage
-//!   their record and join the open batch; the first staged appender
-//!   becomes the *leader*, holds the batch open for the configured
-//!   window so followers can pile in, then performs the single force.
-//!   Followers observe completion through a sequence/epoch handshake
-//!   (`seq` / `durable_seq` under a mutex+condvar).
+//! * [`FsyncDomain`] — a turn-ordered leader election over the deferred
+//!   logs of the sites one event-loop thread hosts: the first member to
+//!   force in a turn leads the round, the rest follow, and the round is
+//!   sealed at the turn boundary.
 
 use crate::error::WalError;
 use crate::record::{LogRecord, Lsn, WalStats};
 use crate::StableLog;
 use acp_types::LogPayload;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
-/// Batching effectiveness counters, shared by both host shapes.
+/// Batching effectiveness counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GroupCommitStats {
     /// Physical batch forces performed (fsync-equivalents under
@@ -103,7 +98,7 @@ enum Mode {
         /// simultaneous forces (same sim instant).
         window_us: u64,
     },
-    /// Real deferral for single-threaded actor hosts: forced appends
+    /// Real deferral for event-loop hosts: forced appends
     /// are staged unforced and one [`GroupCommitLog::commit_batch`]
     /// flush — one fsync — makes the whole turn durable. The host MUST
     /// commit the batch before externalizing any message that depends
@@ -141,7 +136,7 @@ impl<L: StableLog> GroupCommitLog<L> {
         Self::with_mode(inner, Mode::Windowed { window_us })
     }
 
-    /// Turn-deferred batching for single-threaded actor hosts.
+    /// Turn-deferred batching for event-loop hosts.
     pub fn deferred(inner: L) -> Self {
         Self::with_mode(inner, Mode::Deferred)
     }
@@ -376,28 +371,26 @@ impl DomainStats {
     }
 }
 
-/// A per-shard fsync domain: the single-owner analogue of
-/// [`SharedGroupLog`]'s leader election for event-loop hosts where one
-/// reactor thread owns several sites, each with its own deferred
-/// [`GroupCommitLog`].
+/// A per-shard fsync domain: a turn-ordered leader election for
+/// event-loop hosts where one reactor thread owns several sites, each
+/// with its own deferred [`GroupCommitLog`].
 ///
 /// At the end of a reactor turn every member site with staged records
 /// commits its batch **through the domain**
 /// ([`FsyncDomain::force_member`]). The first member in the round is
-/// the *leader* — exactly as the first staged appender is in
-/// [`SharedGroupLog`], just elected by turn order instead of by lock
-/// acquisition, because shard single-threadedness already serializes
-/// the members. Remaining members are followers whose forces ride the
-/// same round. [`FsyncDomain::end_round`] seals the round at the turn
-/// boundary.
+/// the *leader*, elected by turn order — no lock is needed, because
+/// shard single-threadedness already serializes the members. Remaining
+/// members are followers whose forces ride the same round.
+/// [`FsyncDomain::end_round`] seals the round at the turn boundary.
 ///
 /// The domain is an *accounting* layer over the member logs' real
 /// deferral: each member's `commit_batch` still performs its own
 /// physical flush (members keep independent WAL files so per-site crash
 /// and recovery semantics are untouched), and the round structure
 /// records what a shared commit device would have coalesced — one
-/// leader force per shard turn. E14 reports one `DomainStats` per
-/// shard to prove each shard is one coalesced force domain.
+/// leader force per shard turn. The runtimes report one `DomainStats`
+/// per shard (`tests/multi_reactor.rs` pins that each shard is one
+/// coalesced force domain).
 #[derive(Debug, Default)]
 pub struct FsyncDomain {
     stats: DomainStats,
@@ -459,169 +452,6 @@ impl FsyncDomain {
     #[must_use]
     pub fn stats(&self) -> DomainStats {
         self.stats
-    }
-}
-
-// ---------------------------------------------------------------------
-// Threaded leader/follower handshake.
-// ---------------------------------------------------------------------
-
-struct SharedState<L: StableLog> {
-    inner: L,
-    /// Sequence number of the most recent staged append.
-    seq: u64,
-    /// Sequence through which staged appends are durable.
-    durable_seq: u64,
-    /// A leader is currently holding the batch open / forcing it.
-    leader_active: bool,
-    stats: GroupCommitStats,
-}
-
-struct Shared<L: StableLog> {
-    state: Mutex<SharedState<L>>,
-    cond: Condvar,
-    window: Duration,
-}
-
-/// A cloneable, thread-safe group-commit handle: concurrent
-/// transactions on different threads share one commit log and their
-/// forced appends coalesce into leader-forced batches.
-pub struct SharedGroupLog<L: StableLog> {
-    shared: Arc<Shared<L>>,
-}
-
-impl<L: StableLog> Clone for SharedGroupLog<L> {
-    fn clone(&self) -> Self {
-        SharedGroupLog {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-impl<L: StableLog> SharedGroupLog<L> {
-    /// Wrap `inner` with the given batch window. The window is what
-    /// creates batches: a leader holds its batch open for `window` so
-    /// concurrent appenders can stage and join (the condvar wait
-    /// releases the lock). A zero window degenerates to one force per
-    /// append — staging requires the same lock the leader's force
-    /// holds, so nothing can join an instantaneous batch.
-    pub fn new(inner: L, window: Duration) -> Self {
-        SharedGroupLog {
-            shared: Arc::new(Shared {
-                state: Mutex::new(SharedState {
-                    inner,
-                    seq: 0,
-                    durable_seq: 0,
-                    leader_active: false,
-                    stats: GroupCommitStats::default(),
-                }),
-                cond: Condvar::new(),
-                window,
-            }),
-        }
-    }
-
-    /// Forced append through the batched path. Durable on return — the
-    /// calling transaction either led a batch force or was a follower
-    /// whose sequence the leader's force covered.
-    pub fn append_forced_batched(&self, payload: LogPayload) -> Result<Lsn, WalError> {
-        let sh = &*self.shared;
-        let mut st = sh.state.lock().expect("group log poisoned");
-        // Stage unforced: the batch force below makes it durable.
-        let lsn = st.inner.append(payload, false)?;
-        st.seq += 1;
-        let my_seq = st.seq;
-        loop {
-            if st.durable_seq >= my_seq {
-                // A leader's force already covered us.
-                return Ok(lsn);
-            }
-            if !st.leader_active {
-                break;
-            }
-            st = sh.cond.wait(st).expect("group log poisoned");
-        }
-        // Become the leader: hold the batch open for the window so
-        // concurrent appenders can join (they stage under the mutex
-        // while we wait — wait_timeout releases it).
-        st.leader_active = true;
-        if !sh.window.is_zero() {
-            let deadline = Instant::now() + sh.window;
-            loop {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, _) = sh
-                    .cond
-                    .wait_timeout(st, deadline - now)
-                    .expect("group log poisoned");
-                st = guard;
-            }
-        }
-        let cut = st.seq;
-        match st.inner.flush() {
-            Ok(()) => {
-                let occupancy = cut - st.durable_seq;
-                st.durable_seq = cut;
-                st.leader_active = false;
-                st.stats.absorb(occupancy);
-                sh.cond.notify_all();
-                Ok(lsn)
-            }
-            Err(e) => {
-                // Leave durable_seq honest; followers will retry the
-                // force as new leaders (or surface the error themselves).
-                st.leader_active = false;
-                sh.cond.notify_all();
-                Err(e)
-            }
-        }
-    }
-
-    /// Unbatched forced append (baseline path for comparisons): same
-    /// lock, same inner log, but every call pays its own force.
-    pub fn append_forced_direct(&self, payload: LogPayload) -> Result<Lsn, WalError> {
-        let mut st = self.shared.state.lock().expect("group log poisoned");
-        let lsn = st.inner.append(payload, true)?;
-        st.seq += 1;
-        st.durable_seq = st.seq;
-        Ok(lsn)
-    }
-
-    /// Batching counters.
-    pub fn group_stats(&self) -> GroupCommitStats {
-        self.shared.state.lock().expect("group log poisoned").stats
-    }
-
-    /// Inner-log statistics (flushes = physical syncs of the batched
-    /// path).
-    pub fn wal_stats(&self) -> WalStats {
-        self.shared
-            .state
-            .lock()
-            .expect("group log poisoned")
-            .inner
-            .stats()
-    }
-
-    /// Durable records of the inner log.
-    pub fn records(&self) -> Result<Vec<LogRecord>, WalError> {
-        self.shared
-            .state
-            .lock()
-            .expect("group log poisoned")
-            .inner
-            .records()
-    }
-
-    /// Unwrap the inner log. Fails (returns `self` back) while other
-    /// handles exist.
-    pub fn try_into_inner(self) -> Result<L, SharedGroupLog<L>> {
-        match Arc::try_unwrap(self.shared) {
-            Ok(sh) => Ok(sh.state.into_inner().expect("group log poisoned").inner),
-            Err(arc) => Err(SharedGroupLog { shared: arc }),
-        }
     }
 }
 
@@ -785,51 +615,5 @@ mod tests {
         assert_eq!(a.records, 10);
         assert_eq!(a.max_members, 3);
         assert_eq!(a.solo_rounds, 2);
-    }
-
-    #[test]
-    fn shared_handshake_makes_every_append_durable() {
-        let log = SharedGroupLog::new(MemLog::new(), Duration::from_micros(200));
-        let threads: Vec<_> = (0..8)
-            .map(|t| {
-                let h = log.clone();
-                std::thread::spawn(move || {
-                    for i in 0..16 {
-                        h.append_forced_batched(end(t * 100 + i)).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(log.records().unwrap().len(), 8 * 16);
-        let s = log.group_stats();
-        assert_eq!(s.batched_appends, 8 * 16);
-        assert!(s.batches >= 1 && s.batches <= 8 * 16);
-        assert_eq!(log.wal_stats().flushes, s.batches, "one flush per batch");
-    }
-
-    #[test]
-    fn shared_single_thread_degenerates_to_batches_of_one() {
-        let log = SharedGroupLog::new(MemLog::new(), Duration::ZERO);
-        for i in 0..4 {
-            log.append_forced_batched(end(i)).unwrap();
-        }
-        let s = log.group_stats();
-        assert_eq!(s.batches, 4);
-        assert_eq!(s.max_occupancy, 1);
-        assert_eq!(log.records().unwrap().len(), 4);
-    }
-
-    #[test]
-    fn shared_direct_path_counts_no_batches() {
-        let log = SharedGroupLog::new(MemLog::new(), Duration::ZERO);
-        for i in 0..4 {
-            log.append_forced_direct(end(i)).unwrap();
-        }
-        assert_eq!(log.group_stats().batches, 0);
-        assert_eq!(log.wal_stats().forces, 4);
-        assert_eq!(log.records().unwrap().len(), 4);
     }
 }

@@ -20,8 +20,8 @@
 //!   writes, partial fsyncs, bit flips — so recovery can be fuzzed,
 //! * a group-commit layer ([`group`]) that batches concurrent
 //!   transactions' forced writes into a single physical force —
-//!   [`group::GroupCommitLog`] for single-owner event-loop hosts,
-//!   [`group::SharedGroupLog`] for threads sharing one commit log,
+//!   [`group::GroupCommitLog`] wraps one site's log,
+//!   [`group::FsyncDomain`] coalesces the sites one thread hosts,
 //! * log-analysis scanning ([`scan`]) used by the recovery procedures of
 //!   §4.2, and
 //! * garbage-collection tracking ([`gc::GcTracker`]) — the observable
@@ -49,9 +49,7 @@ pub use error::WalError;
 pub use fault::{Fault, FaultyLog, RecoveryReport};
 pub use file::FileLog;
 pub use gc::GcTracker;
-pub use group::{
-    ClosedBatch, DomainStats, FsyncDomain, GroupCommitLog, GroupCommitStats, SharedGroupLog,
-};
+pub use group::{ClosedBatch, DomainStats, FsyncDomain, GroupCommitLog, GroupCommitStats};
 pub use mem::MemLog;
 pub use observe::ObservedLog;
 pub use record::{LogRecord, Lsn, WalStats};

@@ -3,18 +3,16 @@
 //! Workload, population and failure-schedule generation for the
 //! experiments: which sites run which protocol (the multidatabase
 //! population of §1), what the transactions look like (size, abort
-//! rate, read-only fraction), when sites fail — and, for the overload
-//! campaign (experiment E17), the open-loop extreme-traffic engine:
-//! Poisson arrivals ([`arrival`]), zipfian key populations
+//! rate, read-only fraction), when sites fail — and the open-loop
+//! extreme-traffic engine the repo benchmark and the admission tests
+//! drive: Poisson arrivals ([`arrival`]), zipfian key populations
 //! ([`keyspace`]), multi-partition shapes fused into one reproducible
-//! plan ([`generator`]), retry policies with deterministic jitter
-//! ([`retry`]), and per-transaction lifecycle accounting
-//! ([`lifecycle`]).
+//! plan ([`generator`]), and retry policies with deterministic jitter
+//! ([`retry`]).
 //!
 //! Everything is generated from a seeded RNG so every experiment run is
 //! reproducible from its configuration alone. The crate stays sans-IO:
-//! it emits schedules and accounts outcomes; driving a runtime with
-//! them is the experiment binary's job.
+//! it emits schedules; driving a runtime with them is the caller's job.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,7 +21,6 @@ pub mod arrival;
 pub mod failure;
 pub mod generator;
 pub mod keyspace;
-pub mod lifecycle;
 pub mod mix;
 pub mod population;
 pub mod retry;
@@ -32,7 +29,6 @@ pub use arrival::OpenLoopArrivals;
 pub use failure::FailurePlan;
 pub use generator::{OpenLoopPlan, PlannedTxn, TxnShape};
 pub use keyspace::ZipfKeyspace;
-pub use lifecycle::{AttemptOutcome, LifecycleLedger};
 pub use mix::{TxnMix, TxnPlan};
 pub use population::PopulationMix;
 pub use retry::RetryPolicy;

@@ -85,8 +85,8 @@ pub mod prelude {
     };
     pub use acp_wal::{FileLog, MemLog, StableLog};
     pub use acp_workload::{
-        AttemptOutcome, FailurePlan, LifecycleLedger, OpenLoopArrivals, OpenLoopPlan, PlannedTxn,
-        PopulationMix, RetryPolicy, TxnMix, TxnPlan, TxnShape, ZipfKeyspace,
+        FailurePlan, OpenLoopArrivals, OpenLoopPlan, PlannedTxn, PopulationMix, RetryPolicy,
+        TxnMix, TxnPlan, TxnShape, ZipfKeyspace,
     };
 }
 

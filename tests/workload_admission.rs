@@ -1,16 +1,18 @@
 //! End-to-end tests for the open-loop workload engine and admission
-//! control (experiment E17): clean runs are admission-invariant byte
-//! for byte, forced overflow sheds loudly (counted, narrated, and
-//! observable at the client), and the generator's plans drive 1 and N
-//! reactors to identical outcomes and protocol costs.
+//! control: clean runs are admission-invariant byte for byte, forced
+//! overflow sheds loudly (counted, narrated, and observable at the
+//! client) and every shed id is resubmitted to a decision, and the
+//! generator's plans drive 1 and N reactors to identical outcomes and
+//! protocol costs.
 
 mod common;
 
 use common::runtime::{glacial, masked_site_traces};
+use presumed_any::net::NetDelays;
 use presumed_any::obs::Counter;
 use presumed_any::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // Acceptance: clean single-transaction traces are admission-invariant
@@ -52,59 +54,139 @@ fn single_txn_trace_byte_identical_with_admission_enabled() {
 // ---------------------------------------------------------------------------
 // Acceptance: forced overflow sheds loudly
 
-/// Saturate a tiny admission bound with a burst of commits while the
-/// only participant is down (votes can't arrive, so admitted work
-/// stays in flight): the excess must be refused at the door — counted
-/// in the reactor stats, mirrored into the metrics grid, and observed
-/// by each shed client as an immediately failed reply, never a stall.
+/// Saturate a tiny admission bound with a burst of commits while one
+/// participant is down (its votes can't arrive, so admitted work stays
+/// in flight): the excess must be refused at the door — counted in the
+/// reactor stats, mirrored into the metrics grid, and observed by each
+/// shed client as an immediately failed reply, never a stall.
+///
+/// Then the cycle a shed makes mandatory: a shed commit never entered
+/// the protocol, but its staged writes still hold their locks, so once
+/// the site is back each shed id is resubmitted — same id, nothing
+/// re-staged — and must be admitted and decided. Outcomes may be commit
+/// or abort (a vote timeout is legitimate); what is asserted is that
+/// decisions arrive, that a commit carries the write staged before the
+/// shed, and that the door's bound held for the whole run.
 #[test]
 fn forced_overflow_sheds_are_counted_and_observable() {
+    const BOUND: usize = 2;
+    const BURST: usize = 6;
+    // The burst must land while the site is down: the admitted pair's
+    // Prepare is then lost and the pair stays parked for the whole vote
+    // timeout. The window leaves a slow host room.
+    const DOWN_FOR: Duration = Duration::from_millis(1500);
+
     let registry = Arc::new(MetricsRegistry::new());
     let sink = Arc::new(CountingSink::new(Arc::clone(&registry)));
     let mut config = ReactorConfig::new(
         CoordinatorKind::PrAny(SelectionPolicy::PaperStrict),
-        &[ProtocolKind::PrA],
+        &[ProtocolKind::PrA, ProtocolKind::PrC],
     );
-    config.cluster.delays = glacial();
-    config.admission = Some(AdmissionConfig::bounded(2));
+    // Only the vote timer may fire: it is what decides the commits
+    // parked behind the down site, and it is far longer than the burst.
+    config.cluster.delays = NetDelays {
+        vote_timeout: Duration::from_secs(1),
+        ..glacial()
+    };
+    config.admission = Some(AdmissionConfig::bounded(BOUND as u64));
     let mut cluster = ReactorCluster::spawn_with_sink(&config, sink as _);
     let parts = cluster.participants();
+    let (down, up) = (parts[0], parts[1]);
 
-    // Take the participant down so admitted commits park in flight
-    // awaiting votes that cannot arrive within the test.
-    cluster.crash(parts[0], Duration::from_secs(30));
+    // Every transaction stages one write at the site that stays up.
+    let txns: Vec<TxnId> = (0..BURST).map(|_| cluster.next_txn()).collect();
+    let key = |txn: TxnId| format!("key-{}", txn.raw()).into_bytes();
+    for &txn in &txns {
+        cluster.apply(up, txn, &key(txn), b"staged");
+    }
+
+    // Take a participant down so admitted commits park in flight
+    // awaiting a vote that cannot arrive before the vote timeout.
+    let crashed_at = Instant::now();
+    cluster.crash(down, DOWN_FOR);
     cluster.settle(Duration::from_millis(50));
 
-    const BURST: usize = 6;
-    let pending: Vec<_> = (0..BURST)
-        .map(|_| {
-            let txn = cluster.next_txn();
-            (txn, cluster.commit_async(txn, &parts))
-        })
+    let pending: Vec<_> = txns
+        .iter()
+        .map(|&txn| (txn, cluster.commit_async(txn, &parts)))
         .collect();
 
     // The first two occupy the bound; the other four disconnect fast.
     let mut shed_observed = 0;
-    for (txn, rx) in &pending[2..] {
+    for (txn, rx) in &pending[BOUND..] {
         assert!(
             rx.recv_timeout(Duration::from_secs(5)).is_err(),
             "txn {txn}: shed client must see a failed reply"
         );
         shed_observed += 1;
     }
-    assert_eq!(shed_observed, BURST - 2);
+    assert_eq!(shed_observed, BURST - BOUND);
+    assert_eq!(
+        registry.snapshot(0).total(Counter::AdmissionShed),
+        (BURST - BOUND) as u64,
+        "sheds are mirrored into the metrics grid"
+    );
 
+    // The admitted pair is decided (by its vote timeout at the latest),
+    // which reopens the door.
+    let mut decided: Vec<(TxnId, Outcome)> = Vec::new();
+    for (txn, rx) in &pending[..BOUND] {
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("txn {txn}: admitted, never decided"));
+        decided.push((*txn, outcome));
+    }
+
+    // Resubmit the shed ids once the site is back, a door's worth at a
+    // time: same id, no second `apply`.
+    std::thread::sleep(DOWN_FOR.saturating_sub(crashed_at.elapsed()));
+    for wave in txns[BOUND..].chunks(BOUND) {
+        let resubmitted: Vec<_> = wave
+            .iter()
+            .map(|&txn| (txn, cluster.commit_async(txn, &parts)))
+            .collect();
+        for (txn, rx) in resubmitted {
+            let outcome = rx
+                .recv_timeout(Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("txn {txn}: resubmitted, never decided"));
+            decided.push((txn, outcome));
+        }
+    }
+    assert_eq!(decided.len(), BURST, "every transaction reached a decision");
+
+    cluster.settle(Duration::from_millis(300));
     let report = cluster.shutdown();
     assert_eq!(
         report.stats.admission_sheds,
-        (BURST - 2) as u64,
-        "every overflow commit is counted as a shed"
+        (BURST - BOUND) as u64,
+        "every overflow commit is counted as a shed, and no resubmission was"
     );
     assert_eq!(
         registry.snapshot(0).total(Counter::AdmissionShed),
-        (BURST - 2) as u64,
+        (BURST - BOUND) as u64,
         "sheds are mirrored into the metrics grid"
     );
+    assert!(
+        report.stats.max_inflight <= BOUND,
+        "the door let {} commits in flight past a bound of {BOUND}",
+        report.stats.max_inflight
+    );
+    assert!(check_atomicity(&report.cluster.history).is_empty());
+    assert_eq!(report.cluster.coordinator_table_size, 0);
+    let store = &report
+        .cluster
+        .sites
+        .iter()
+        .find(|s| s.site == up)
+        .expect("summary of the live participant")
+        .committed;
+    for (txn, outcome) in decided {
+        assert_eq!(
+            store.get(&key(txn)).map(Vec::as_slice),
+            (outcome == Outcome::Commit).then_some(b"staged".as_slice()),
+            "txn {txn} decided {outcome:?}: its write was staged once, before the shed"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
