@@ -45,28 +45,23 @@
 
 #[cfg(unix)]
 mod run {
+    use acp_bench::procnode::{
+        epoch_us, flag_value, merged_mutations, parse_done, read_prefixed, serve, write_peers,
+        Node,
+    };
     use acp_bench::trace_check::{check_merged, load_merged, Ev};
     use acp_bench::{row, sep};
     use acp_core::cost::predict_paxos;
     use acp_core::harness::{run_scenario, Scenario};
-    use acp_net::wire::{
-        shared_history, AddressBook, FaultRule, NodeConfig, SocketNode, WireFaults,
-    };
+    use acp_net::wire::{FaultRule, WireFaults};
     use acp_net::NetDelays;
-    use acp_obs::{JsonLinesSink, JsonValue, TraceSink};
     use acp_sim::SimTime;
-    use acp_types::{
-        CoordinatorKind, CostCounters, Outcome, ProtocolKind, SiteId, TxnId, Vote,
-    };
+    use acp_types::{CoordinatorKind, CostCounters, Outcome, ProtocolKind, SiteId, TxnId};
     use acp_wal::tempdir::TempDir;
     use std::collections::BTreeSet;
-    use std::fmt::Write as _;
-    use std::io::{BufRead, BufReader, Write as _};
-    use std::net::SocketAddr;
     use std::path::{Path, PathBuf};
-    use std::process::{exit, Child, ChildStdin, ChildStdout, Command, Stdio};
-    use std::sync::Arc;
-    use std::time::{Duration, SystemTime, UNIX_EPOCH};
+    use std::process::exit;
+    use std::time::Duration;
 
     /// Participants in the multi-process campaigns (sites 1 and 2; the
     /// remote acceptors, when `f = 1`, sit at sites 3 and 4).
@@ -92,119 +87,36 @@ mod run {
         c
     }
 
-    /// Println + flush: children talk to the parent through a pipe, where
-    /// stdout is block-buffered and an unflushed line deadlocks the run.
-    fn say(line: &str) {
-        let mut out = std::io::stdout();
-        let _ = writeln!(out, "{line}");
-        let _ = out.flush();
-    }
-
-    // ---------------------------------------------------------------- child
-
-    /// `exp_paxos node --hosted 0 --paxos-f 1 --peers F --wal D --trace T
-    /// --epoch-us E [--drop-decisions]`
-    ///
-    /// Spawns the node, announces `LISTEN addr=…`, then serves parent
-    /// commands on stdin: `go <first-txn> <count>` runs a load slice
-    /// (leader only), `quit` (or EOF) shuts down gracefully and prints
-    /// the final `REPORT wire=…` line. `--drop-decisions` installs the
-    /// campaign's wire fault: every decision frame from this node to a
-    /// participant site is silently dropped.
+    /// The child half: the shared node harness plus this campaign's two
+    /// flags — `--paxos-f F` (the cluster's tolerance) and
+    /// `--drop-decisions`, the campaign's wire fault: every decision
+    /// frame from this node to a participant site is silently dropped.
     fn child_main(args: &[String]) -> ! {
-        let get = |flag: &str| -> String {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
-                .unwrap_or_else(|| panic!("missing {flag}"))
-                .clone()
-        };
-        let hosted: Vec<SiteId> = get("--hosted")
-            .split(',')
-            .map(|s| SiteId::new(s.parse().expect("site id")))
-            .collect();
-        let f: usize = get("--paxos-f").parse().expect("paxos f");
-        let wal_dir = PathBuf::from(get("--wal"));
-        std::fs::create_dir_all(&wal_dir).expect("wal dir");
-        let trace = std::fs::OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(get("--trace"))
-            .expect("open trace file");
-        let sink: Arc<dyn TraceSink> = Arc::new(JsonLinesSink::new(trace));
-        let mut config = NodeConfig::new(
-            cluster(f),
-            hosted,
-            AddressBook::File(PathBuf::from(get("--peers"))),
-            wal_dir,
-        );
-        config.epoch_unix_us = Some(get("--epoch-us").parse().expect("epoch"));
+        let f: usize = flag_value(args, "--paxos-f").parse().expect("paxos f");
+        let mut faults = WireFaults::none();
         if args.iter().any(|a| a == "--drop-decisions") {
-            let mut faults = WireFaults::none();
             for p in 1..=N_PARTS as u32 {
                 faults = faults.rule(FaultRule::drop_all(SiteId::new(p), "decision"));
             }
-            config.faults = faults;
         }
-        let mut node =
-            SocketNode::spawn_with(config, Some(sink), shared_history()).expect("spawn node");
-        say(&format!("LISTEN addr={}", node.local_addr()));
-
-        let stdin = std::io::stdin();
-        for line in stdin.lock().lines() {
-            let line = line.unwrap_or_default();
-            let words: Vec<&str> = line.split_whitespace().collect();
-            match words.as_slice() {
-                ["go", first, count] => child_load(
-                    &mut node,
-                    first.parse().expect("first txn"),
-                    count.parse().expect("txn count"),
-                ),
-                ["quit"] => break,
-                [] => {}
-                other => say(&format!("ERROR unknown command {other:?}")),
-            }
-        }
-        let report = node.shutdown();
-        say(&format!("REPORT wire={}", report.wire.to_json()));
-        exit(0)
+        serve(args, cluster(f), faults)
     }
 
-    /// One load slice at the leader: `count` transactions starting at id
-    /// `first`, one write per participant each, every fifth vetoed by a
-    /// rotating participant so both decision paths cross the wire.
-    fn child_load(node: &mut SocketNode, first: u64, count: u64) {
-        node.set_next_txn(first);
-        let parts = node.participants();
-        let (mut committed, mut aborted, mut timeouts) = (0u64, 0u64, 0u64);
-        for _ in 0..count {
-            let txn = node.next_txn();
-            for &p in &parts {
-                node.apply(p, txn, format!("k{}", txn.raw()).as_bytes(), b"v");
-            }
-            if txn.raw() % 5 == 0 {
-                let victim = parts[(txn.raw() as usize / 5) % parts.len()];
-                node.set_intent(victim, txn, Vote::No);
-            }
-            let outcome = node.commit(txn, &parts);
-            match outcome {
-                Some(Outcome::Commit) => committed += 1,
-                Some(Outcome::Abort) => aborted += 1,
-                None => timeouts += 1,
-            }
-            say(&format!(
-                "TXN {} {}",
-                txn.raw(),
-                match outcome {
-                    Some(Outcome::Commit) => "commit",
-                    Some(Outcome::Abort) => "abort",
-                    None => "timeout",
-                }
-            ));
+    /// [`Node::spawn`] with this campaign's child flags.
+    fn spawn(
+        exe: &Path,
+        dir: &Path,
+        name: &str,
+        sites: &[u32],
+        f: usize,
+        epoch_us: u64,
+        drop_decisions: bool,
+    ) -> Node {
+        let mut extra = vec!["--paxos-f".to_string(), f.to_string()];
+        if drop_decisions {
+            extra.push("--drop-decisions".into());
         }
-        say(&format!(
-            "DONE committed={committed} aborted={aborted} timeouts={timeouts}"
-        ));
+        Node::spawn(exe, dir, name, sites, epoch_us, &extra)
     }
 
     // ------------------------------------------------- part A: cost model
@@ -274,122 +186,6 @@ mod run {
 
     // ---------------------------------------------- part B: kill campaigns
 
-    /// A spawned child node and the plumbing to talk to it.
-    struct Node {
-        child: Child,
-        stdin: ChildStdin,
-        out: BufReader<ChildStdout>,
-        addr: SocketAddr,
-        /// Sites this child hosts (address-book entries to point at it).
-        sites: Vec<u32>,
-    }
-
-    impl Node {
-        #[allow(clippy::too_many_arguments)]
-        fn spawn(
-            exe: &Path,
-            dir: &Path,
-            name: &str,
-            sites: &[u32],
-            f: usize,
-            epoch_us: u64,
-            drop_decisions: bool,
-        ) -> Node {
-            let hosted: Vec<String> = sites.iter().map(u32::to_string).collect();
-            let mut args = vec![
-                "node".to_string(),
-                "--hosted".into(),
-                hosted.join(","),
-                "--paxos-f".into(),
-                f.to_string(),
-                "--peers".into(),
-                dir.join("peers").display().to_string(),
-                "--wal".into(),
-                dir.join(format!("wal-{name}")).display().to_string(),
-                "--trace".into(),
-                dir.join(format!("trace-{name}.jsonl")).display().to_string(),
-                "--epoch-us".into(),
-                epoch_us.to_string(),
-            ];
-            if drop_decisions {
-                args.push("--drop-decisions".into());
-            }
-            let mut child = Command::new(exe)
-                .args(&args)
-                .stdin(Stdio::piped())
-                .stdout(Stdio::piped())
-                .spawn()
-                .expect("spawn child node");
-            let stdin = child.stdin.take().expect("child stdin");
-            let mut out = BufReader::new(child.stdout.take().expect("child stdout"));
-            let addr = read_prefixed(&mut out, "LISTEN addr=")
-                .expect("child LISTEN line")
-                .parse()
-                .expect("listen addr");
-            Node { child, stdin, out, addr, sites: sites.to_vec() }
-        }
-
-        fn send(&mut self, cmd: &str) {
-            let _ = writeln!(self.stdin, "{cmd}");
-            let _ = self.stdin.flush();
-        }
-
-        /// SIGKILL — the paper's site failure: volatile state gone, only
-        /// the forced WAL records survive.
-        fn kill9(&mut self) {
-            self.child.kill().expect("kill -9 child");
-            let _ = self.child.wait();
-        }
-
-        fn quit(mut self) -> String {
-            self.send("quit");
-            let report = read_prefixed(&mut self.out, "REPORT ").unwrap_or_default();
-            let _ = self.child.wait();
-            report
-        }
-    }
-
-    /// Read child stdout lines until one starts with `prefix`; returns the
-    /// remainder of that line, or `None` on EOF (the child died).
-    fn read_prefixed(out: &mut BufReader<ChildStdout>, prefix: &str) -> Option<String> {
-        loop {
-            let mut line = String::new();
-            if out.read_line(&mut line).ok()? == 0 {
-                return None;
-            }
-            if let Some(rest) = line.trim_end().strip_prefix(prefix) {
-                return Some(rest.to_string());
-            }
-        }
-    }
-
-    /// Parse a child's `DONE committed=X aborted=Y timeouts=Z` line.
-    fn parse_done(rest: &str) -> (u64, u64, u64) {
-        let field = |name: &str| {
-            rest.split_whitespace()
-                .find_map(|w| w.strip_prefix(&format!("{name}=")))
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0)
-        };
-        (field("committed"), field("aborted"), field("timeouts"))
-    }
-
-    /// Rewrite the rendezvous file atomically (write-then-rename); dial
-    /// retries re-read it, so a restarted leader on a fresh port becomes
-    /// reachable without connection-level coordination.
-    fn write_peers(dir: &Path, nodes: &[&Node]) {
-        let path = dir.join("peers");
-        let tmp = dir.join("peers.tmp");
-        let mut body = String::new();
-        for n in nodes {
-            for &s in &n.sites {
-                let _ = writeln!(body, "{s} {}", n.addr);
-            }
-        }
-        std::fs::write(&tmp, body).expect("write peers");
-        std::fs::rename(&tmp, &path).expect("rename peers");
-    }
-
     /// Sites whose trace shows a forced enforcement record
     /// (`part-commit` / `part-abort`) for `txn`.
     fn enforced_sites(events: &[Ev], txn: u64) -> BTreeSet<u64> {
@@ -402,31 +198,6 @@ mod run {
             })
             .map(Ev::site)
             .collect()
-    }
-
-    /// Seeded corruptions of the merged trace: each must be flagged by
-    /// [`check_merged`], proving the cross-process predicates can fail.
-    fn merged_mutations(clean: &[Ev]) -> Vec<(&'static str, Vec<Ev>)> {
-        let mut out = Vec::new();
-        let mut m = clean.to_vec();
-        if let Some(e) = m.iter_mut().find(|e| {
-            e.ty() == "force_write"
-                && (e.str("record") == "part-commit" || e.str("record") == "part-abort")
-        }) {
-            let flipped =
-                if e.str("record") == "part-commit" { "part-abort" } else { "part-commit" };
-            e.0.insert("record".into(), JsonValue::Str(flipped.into()));
-            out.push(("participant enforces against the decision", m));
-        }
-        let mut m = clean.to_vec();
-        if let Some(i) = m
-            .iter()
-            .position(|e| e.ty() == "force_write" && e.str("record") == "prepared")
-        {
-            m.remove(i);
-            out.push(("yes vote without forced prepared", m));
-        }
-        out
     }
 
     /// Everything the parent learned from one `f`-campaign.
@@ -453,20 +224,17 @@ mod run {
     fn campaign(exe: &Path, f: usize, load: u64) -> Campaign {
         let tmp = TempDir::new(&format!("exp-paxos-f{f}")).expect("tempdir");
         let dir = tmp.path().to_path_buf();
-        let epoch_us = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .expect("clock")
-            .as_micros() as u64;
+        let epoch_us = epoch_us();
         let kill_txn = 1u64;
         let mut failures = 0u64;
 
         // One process per failure domain. Only the doomed first leader
         // incarnation carries the decision-dropping wire fault.
-        let mut leader = Node::spawn(exe, &dir, "leader", &[0], f, epoch_us, true);
-        let p1 = Node::spawn(exe, &dir, "part-1", &[1], f, epoch_us, false);
-        let p2 = Node::spawn(exe, &dir, "part-2", &[2], f, epoch_us, false);
+        let mut leader = spawn(exe, &dir, "leader", &[0], f, epoch_us, true);
+        let p1 = spawn(exe, &dir, "part-1", &[1], f, epoch_us, false);
+        let p2 = spawn(exe, &dir, "part-2", &[2], f, epoch_us, false);
         let acceptors =
-            (f > 0).then(|| Node::spawn(exe, &dir, "acceptors", &[3, 4], f, epoch_us, false));
+            (f > 0).then(|| spawn(exe, &dir, "acceptors", &[3, 4], f, epoch_us, false));
         let mut members: Vec<&Node> = vec![&leader, &p1, &p2];
         if let Some(a) = &acceptors {
             members.push(a);
@@ -498,7 +266,7 @@ mod run {
         // fresh port; republish the address book. For f = 0 this is the
         // only way out: recovery re-reads the decision and the
         // participants' inquiry retries finally get an answer.
-        let mut leader = Node::spawn(exe, &dir, "leader", &[0], f, epoch_us, false);
+        let mut leader = spawn(exe, &dir, "leader", &[0], f, epoch_us, false);
         let mut members: Vec<&Node> = vec![&leader, &p1, &p2];
         if let Some(a) = &acceptors {
             members.push(a);

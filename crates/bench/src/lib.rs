@@ -17,6 +17,8 @@ use acp_sim::SimTime;
 use acp_types::{CoordinatorKind, Outcome, ProtocolKind, SiteId, TxnId};
 
 pub mod figures;
+#[cfg(unix)]
+pub mod procnode;
 pub mod trace_check;
 
 /// Standard single-transaction scenario used across experiments:

@@ -210,19 +210,6 @@ impl<L: StableLog> Coordinator<L> {
         self.table.len()
     }
 
-    /// Re-shard the (empty) protocol table to `n_shards` locks. Hosts
-    /// that partition coordinator work — the multi-reactor runtime —
-    /// call this at spawn so table sharding can be sized to the
-    /// partition. Panics if the table already holds transactions:
-    /// re-sharding would silently reassign their lock ownership.
-    pub fn set_table_shards(&mut self, n_shards: usize) {
-        assert!(
-            self.table.is_empty(),
-            "cannot re-shard a non-empty protocol table"
-        );
-        self.table = ShardedTable::with_shards(n_shards);
-    }
-
     /// Per-shard occupancy of the protocol table (lock-free sample).
     #[must_use]
     pub fn table_shard_occupancy(&self) -> Vec<usize> {

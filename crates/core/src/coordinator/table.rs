@@ -12,9 +12,9 @@
 //! keyed by `txn.raw() % shard_count` — the same recipe as the model
 //! checker's sharded seen-set, and the same recipe the multi-reactor
 //! runtime uses to partition coordinator work across event loops
-//! ([`shard_of`] is the single definition of that ownership map). The
-//! shard count is configurable ([`ShardedTable::with_shards`]);
-//! [`ShardedTable::new`] keeps the historical [`TABLE_SHARDS`] spread.
+//! ([`shard_of`] is the single definition of that ownership map).
+//! Every host builds its table with [`ShardedTable::new`], the
+//! [`TABLE_SHARDS`] spread; [`ShardedTable::with_shards`] is for tests.
 //! Each shard is a `Mutex<BTreeMap<..>>`; cached atomic lengths — one
 //! global, one per shard — make size and occupancy probes lock-free.
 //! All access is closure-scoped ([`ShardedTable::with`] /

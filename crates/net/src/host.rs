@@ -514,9 +514,6 @@ fn crash_volatile<T>(host: &mut SiteHost, ctx: &mut Ctx<T>) {
 pub(crate) struct HostEnv {
     /// Cluster shape and loop tuning.
     pub config: ReactorConfig,
-    /// Override the coordinator's protocol-table shard count (`None`
-    /// keeps [`acp_core::TABLE_SHARDS`]).
-    pub table_shards: Option<usize>,
     /// Client injector.
     pub rx: Receiver<Mail>,
     /// Cluster-wide ACTA history.
@@ -608,9 +605,6 @@ impl<T: Transport> Kernel<T> {
             } else if site == COORDINATOR {
                 let (log, existed) = protocol_log(wal("coord"))?;
                 let mut engine = Coordinator::new(COORDINATOR, cc.kind, log);
-                if let Some(shards) = env.table_shards {
-                    engine.set_table_shards(shards);
-                }
                 for (i, &p) in cc.participant_protocols.iter().enumerate() {
                     engine.register_site(SiteId::new(i as u32 + 1), p);
                 }
@@ -1203,7 +1197,6 @@ mod tests {
         let inflight = Arc::new(InflightGauge::new());
         let env = HostEnv {
             config,
-            table_shards: None,
             rx,
             history: Arc::clone(&history),
             inflight: Arc::clone(&inflight),

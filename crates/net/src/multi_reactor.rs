@@ -81,11 +81,6 @@ pub struct MultiReactorConfig {
     /// Number of reactor threads (≥ 1). `1` is exactly the
     /// single-reactor runtime.
     pub reactors: usize,
-    /// Override each coordinator slice's protocol-table shard count
-    /// (`None` keeps [`acp_core::TABLE_SHARDS`]). Slices see a sparse
-    /// transaction-id subsequence, so hosts can size table sharding to
-    /// the expected per-slice load.
-    pub table_shards: Option<usize>,
 }
 
 impl MultiReactorConfig {
@@ -95,7 +90,6 @@ impl MultiReactorConfig {
         MultiReactorConfig {
             reactor,
             reactors: reactors.max(1),
-            table_shards: None,
         }
     }
 }
@@ -238,7 +232,6 @@ impl MultiReactorCluster {
             };
             let env = HostEnv {
                 config: config.reactor.clone(),
-                table_shards: config.table_shards,
                 rx,
                 history: Arc::clone(&history),
                 inflight: Arc::clone(&inflight),

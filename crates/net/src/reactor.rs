@@ -393,7 +393,6 @@ impl ReactorCluster {
         let (tx, rx) = unbounded();
         let env = HostEnv {
             config: config.clone(),
-            table_shards: None,
             rx,
             history: Arc::new(Mutex::new(History::new())),
             inflight: Arc::new(InflightGauge::new()),

@@ -805,7 +805,6 @@ impl SocketNode {
                 snapshot_every_commits: 0,
                 admission: None,
             },
-            table_shards: None,
             rx,
             history,
             inflight: Arc::new(InflightGauge::new()),

@@ -28,10 +28,9 @@
 //!
 //! Emission points live in the hosts, not the engines: the scenario
 //! harness (`acp-core::harness`), the deterministic simulator's world
-//! loop (`acp-sim`), the real-time kernel (`acp-net`) and the WAL
-//! wrapper (`acp-wal::observe::ObservedLog`) all feed the same sink
-//! trait, so one experiment can trace the simulator and a real-time
-//! cluster with identical tooling.
+//! loop (`acp-sim`) and the real-time kernel (`acp-net`) all feed the
+//! same sink trait, so one experiment can trace the simulator and a
+//! real-time cluster with identical tooling.
 //!
 //! This crate depends only on `acp-types`; timestamps are raw
 //! microseconds (virtual sim-time or elapsed wall-time) so no runtime

@@ -26,46 +26,15 @@ fn table() -> &'static [u32; 256] {
     })
 }
 
-/// A streaming CRC-32 hasher.
-#[derive(Clone, Debug)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Crc32 {
-    /// Start a fresh checksum.
-    #[must_use]
-    pub fn new() -> Self {
-        Crc32 { state: 0xFFFF_FFFF }
-    }
-
-    /// Feed bytes into the checksum.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let t = table();
-        for &b in bytes {
-            self.state = t[((self.state ^ u32::from(b)) & 0xFF) as usize] ^ (self.state >> 8);
-        }
-    }
-
-    /// Finish and return the checksum value.
-    #[must_use]
-    pub fn finalize(self) -> u32 {
-        self.state ^ 0xFFFF_FFFF
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// One-shot CRC-32 of a byte slice.
+/// CRC-32 of a byte slice.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut h = Crc32::new();
-    h.update(bytes);
-    h.finalize()
+    let t = table();
+    let mut state = 0xFFFF_FFFF_u32;
+    for &b in bytes {
+        state = t[((state ^ u32::from(b)) & 0xFF) as usize] ^ (state >> 8);
+    }
+    state ^ 0xFFFF_FFFF
 }
 
 #[cfg(test)]
@@ -83,15 +52,6 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
-    }
-
-    #[test]
-    fn streaming_equals_oneshot() {
-        let data = b"hello, write-ahead world";
-        let mut h = Crc32::new();
-        h.update(&data[..5]);
-        h.update(&data[5..]);
-        assert_eq!(h.finalize(), crc32(data));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! presence byte. Deliberately simple and versionable — tag values are
 //! part of the on-disk format and must never be reused.
 //!
-//! ## Record framing (used by [`crate::file::FileLog`])
+//! ## Record framing (used by [`crate::framed::FramedLog`])
 //!
 //! ```text
 //! +-------+--------+---------+--------+-----------+--------+

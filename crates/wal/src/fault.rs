@@ -1,56 +1,43 @@
-//! Fault-injecting stable log: the hostile-storage counterpart of
-//! [`crate::mem::MemLog`].
+//! The faulty store: the hostile-storage counterpart of
+//! [`crate::file::Disk`]. [`FaultyImage`] holds the *exact byte image* a
+//! [`crate::file::FileLog`] has on disk, in memory, so tests can damage
+//! it deterministically; [`FaultyLog`] is the one [`FramedLog`] over it,
+//! so the append path, GC staging and recovery scan under every fault
+//! are the code the runtimes commit through.
 //!
-//! [`FaultyLog`] maintains the *exact byte image* a [`crate::file::FileLog`]
-//! would have on disk — 16-byte header followed by CRC32-framed records —
-//! but keeps it in memory so tests can corrupt it deterministically. Three
-//! fault classes from the paper's §2 failure model are injectable:
-//!
-//! * **torn writes** ([`Fault::TornTail`]) — a crash mid-`write` leaves a
-//!   truncated final record on disk;
-//! * **partial fsyncs** ([`Fault::PartialFsync`]) — `fsync` reports
-//!   success but only a prefix of the forced batch reached the platter
-//!   (lying-disk / dropped-write omission failure);
-//! * **bit corruption** ([`Fault::BitFlip`]) — a byte at a configurable
-//!   offset is XOR-damaged while the site is down.
-//!
-//! Faults queue via [`FaultyLog::inject`] and take effect at the next
-//! crash (torn tails, bit flips) or the next force/flush (partial
-//! fsyncs). [`FaultyLog::crash_and_recover`] then re-runs exactly the
-//! scan [`crate::file::FileLog::open`] performs: decode frames until the
-//! first torn/corrupt one, keep the longest valid prefix, truncate the
-//! rest. The proptest fuzzer in `tests/fuzz_wal.rs` proves that under
-//! arbitrary combinations of these faults the scan never accepts a
-//! corrupted record.
+//! [`Fault`]s queue via [`FaultyLog::inject`] and fire at the next crash
+//! (torn tails, bit flips) or the next force/flush (partial fsyncs,
+//! reported errors); [`FramedLog::recover`] then scans the damaged image
+//! as it would a file. The proptest fuzzer in `tests/fuzz_wal.rs` proves
+//! that under arbitrary combinations of the paper's §2 faults the scan
+//! never accepts a corrupted record.
 
-use crate::encode::{decode_frame, encode_frame_into, FrameOutcome};
 use crate::error::WalError;
-use crate::file::{decode_header, encode_header, HEADER_LEN};
-use crate::record::{LogRecord, Lsn, WalStats};
-use crate::StableLog;
-use acp_types::LogPayload;
+use crate::framed::{encode_header, FramedLog, Store, HEADER_LEN};
+use crate::record::Lsn;
 use std::collections::VecDeque;
+
+pub use crate::framed::RecoveryReport;
 
 /// A storage fault to inject into a [`FaultyLog`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fault {
-    /// Truncate `bytes` off the end of the durable image at the next
-    /// crash — a write torn mid-record. Clamped so the header survives
-    /// (a torn record never damages previously-synced sectors).
+    /// **Torn write**: truncate `bytes` off the end of the durable image
+    /// at the next crash. Clamped so the header survives (a torn record
+    /// never damages previously-synced sectors).
     TornTail {
         /// Number of tail bytes lost.
         bytes: u64,
     },
-    /// At the next force/flush, silently drop the last `drop_bytes` of
-    /// the batch being written: the fsync returns success but the tail
-    /// of the batch never becomes durable. The divergence is only
-    /// observable after the next crash, exactly like real lying disks.
+    /// **Lying disk**: the next force/flush silently drops the last
+    /// `drop_bytes` of its batch — the fsync returns success, and the
+    /// loss is observable only after the next crash.
     PartialFsync {
         /// Number of batch-tail bytes that never reach stable storage.
         drop_bytes: u64,
     },
-    /// XOR the durable byte at `offset` (from the start of the image,
-    /// header included) with `mask` at the next crash. A zero mask or an
+    /// **Bit corruption**: XOR the durable byte at `offset` (header
+    /// included) with `mask` at the next crash. A zero mask or an
     /// out-of-range offset is a no-op.
     BitFlip {
         /// Absolute byte offset into the image.
@@ -58,179 +45,100 @@ pub enum Fault {
         /// XOR mask; at least one set bit to have any effect.
         mask: u8,
     },
+    /// **Short write**: the next force/flush fails (`ENOSPC`, `EIO`)
+    /// after `after_bytes` of its batch reached the image.
+    WriteError {
+        /// Leading bytes of the batch that were written before the error.
+        after_bytes: u64,
+    },
+    /// **Failed fsync**: the next force/flush writes its whole batch,
+    /// then reports an error — the page state is unknown to the caller.
+    SyncError,
 }
 
-/// What a crash-plus-recovery observed: how much data the injected
-/// faults destroyed and what survived the re-scan.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Records buffered in volatile memory that the crash discarded.
-    pub lost_buffered: usize,
-    /// Durable records the fault damage destroyed (believed durable
-    /// before the crash, absent after the re-scan).
-    pub lost_durable: usize,
-    /// Bytes truncated off the image by the re-scan (torn/corrupt tail).
-    pub truncated_bytes: u64,
-    /// Records that survived recovery.
-    pub survivors: usize,
-}
-
-/// An in-memory stable log that stores the [`crate::file::FileLog`] byte
-/// image and supports deterministic storage-fault injection.
-#[derive(Clone, Debug)]
-pub struct FaultyLog {
-    /// Durable byte image: header + framed records, as FileLog would
-    /// have them on disk after the last successful sync.
+/// The [`crate::file::FileLog`] byte image in memory, with
+/// deterministic storage-fault injection.
+#[derive(Clone, Debug, Default)]
+pub struct FaultyImage {
+    /// Header + framed records, as a file holds them after a sync.
     image: Vec<u8>,
-    /// Encoded frames appended but not yet forced/flushed.
-    buffer: Vec<u8>,
-    /// Decoded view of `image`'s records (what `records()` serves).
-    durable: Vec<LogRecord>,
-    /// Records represented in `buffer`.
-    pending: Vec<LogRecord>,
     /// Faults waiting for their trigger point.
     queued: VecDeque<Fault>,
-    low_water: Lsn,
-    next: Lsn,
-    stats: WalStats,
     faults_applied: u64,
-    /// Model the parent-directory fsync after GC's `rename(tmp, path)`.
-    /// `true` (the default) matches the fixed [`crate::file::FileLog`]:
-    /// the post-GC image is crash-durable the moment `truncate_prefix`
-    /// returns. `false` models the pre-fix bug: the rename lives only in
-    /// the dentry cache, and a crash resurrects the pre-GC file.
-    durable_gc_rename: bool,
-    /// The pre-GC image that a crash would resurrect while the GC rename
-    /// is still volatile (`durable_gc_rename == false`).
+    /// Un-model the parent-directory fsync after GC's `rename(tmp,
+    /// path)` that [`crate::file::Disk`] makes: the pre-fix bug, where
+    /// the rename lives only in the dentry cache.
+    volatile_gc_rename: bool,
+    /// The pre-GC image a crash resurrects while the rename is volatile.
     pre_gc_image: Option<Vec<u8>>,
-    /// When set, the next `truncate_prefix` fails with an injected I/O
-    /// error *before* the image swap — the hostile-storage analogue of
-    /// an `EIO` mid-rewrite.
+    /// The next `replace` fails before the swap — an `EIO` mid-rewrite.
     fail_next_gc_rewrite: bool,
 }
 
-impl Default for FaultyLog {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl FaultyLog {
-    /// An empty log with a fresh header and no queued faults.
-    #[must_use]
-    pub fn new() -> Self {
-        FaultyLog {
-            image: encode_header(Lsn::ZERO).to_vec(),
-            buffer: Vec::new(),
-            durable: Vec::new(),
-            pending: Vec::new(),
-            queued: VecDeque::new(),
-            low_water: Lsn::ZERO,
-            next: Lsn::ZERO,
-            stats: WalStats::default(),
-            faults_applied: 0,
-            durable_gc_rename: true,
-            pre_gc_image: None,
-            fail_next_gc_rewrite: false,
-        }
-    }
-
-    /// Model (or un-model) the missing parent-directory fsync after GC's
-    /// rename. With `false`, a `truncate_prefix` followed by a crash
-    /// resurrects the pre-GC image — the exact bug the directory sync in
-    /// [`crate::file::FileLog::truncate_prefix`] exists to prevent.
-    pub fn set_durable_gc_rename(&mut self, durable: bool) {
-        self.durable_gc_rename = durable;
-    }
-
-    /// Make the next `truncate_prefix` fail with an injected I/O error
-    /// before any state changes, so tests can prove the error path
-    /// leaves memory and (simulated) disk consistent.
-    pub fn fail_next_gc_rewrite(&mut self) {
-        self.fail_next_gc_rewrite = true;
-    }
-
-    /// Queue a fault. Torn tails and bit flips fire at the next
-    /// [`FaultyLog::crash_and_recover`]; partial fsyncs fire at the next
-    /// force/flush.
-    pub fn inject(&mut self, fault: Fault) {
-        self.queued.push_back(fault);
-    }
-
-    /// Number of faults that have actually fired so far.
-    #[must_use]
-    pub fn faults_applied(&self) -> u64 {
-        self.faults_applied
-    }
-
-    /// The durable byte image (exactly what a `FileLog` file would
-    /// contain). Tests use this to cross-check against real file damage.
-    #[must_use]
-    pub fn image(&self) -> &[u8] {
-        &self.image
-    }
-
-    fn take_partial_fsync(&mut self) -> u64 {
-        let mut drop_total = 0;
-        let mut rest = VecDeque::new();
-        for f in self.queued.drain(..) {
-            match f {
-                Fault::PartialFsync { drop_bytes } => {
-                    drop_total += drop_bytes;
-                    self.faults_applied += 1;
+impl Store for FaultyImage {
+    fn append_sync(&mut self, bytes: &[u8]) -> Result<(), WalError> {
+        // Every queued write-out fault fires on this batch.
+        let mut keep = bytes.len() as u64;
+        let mut error = None;
+        let queued = self.queued.len();
+        self.queued.retain(|f| {
+            match *f {
+                // The *caller* believes the whole batch is durable: the
+                // sync "succeeds". Only the image — what a post-crash
+                // scan will see — is short.
+                Fault::PartialFsync { drop_bytes } => keep = keep.saturating_sub(drop_bytes),
+                Fault::WriteError { after_bytes } => {
+                    keep = keep.min(after_bytes);
+                    error = Some("injected write error");
                 }
-                other => rest.push_back(other),
+                Fault::SyncError => error = error.or(Some("injected sync error")),
+                Fault::TornTail { .. } | Fault::BitFlip { .. } => return true,
             }
+            false
+        });
+        self.faults_applied += (queued - self.queued.len()) as u64;
+        self.image.extend_from_slice(&bytes[..keep as usize]);
+        match error {
+            Some(what) => Err(WalError::Io(std::io::Error::other(what))),
+            None => Ok(()),
         }
-        self.queued = rest;
-        drop_total
     }
 
-    fn write_out(&mut self) -> Result<(), WalError> {
-        if self.buffer.is_empty() {
-            return Ok(());
+    fn replace(&mut self, image: &[u8]) -> Result<(), WalError> {
+        if std::mem::take(&mut self.fail_next_gc_rewrite) {
+            let what = "injected gc rewrite failure";
+            return Err(WalError::Io(std::io::Error::other(what)));
         }
-        let drop_bytes = self.take_partial_fsync();
-        let keep = self.buffer.len().saturating_sub(
-            usize::try_from(drop_bytes).unwrap_or(usize::MAX),
-        );
-        // The *caller* believes the whole batch is durable: bookkeeping
-        // proceeds as if the sync succeeded. Only the image — what a
-        // post-crash scan will see — is short.
-        self.image.extend_from_slice(&self.buffer[..keep]);
-        self.stats.durable_bytes += self.buffer.len() as u64;
-        self.buffer.clear();
-        self.durable.append(&mut self.pending);
+        let old = std::mem::replace(&mut self.image, image.to_vec());
+        if self.volatile_gc_rename {
+            // The directory entry was never synced: remember the file a
+            // crash brings back — the oldest un-synced image, which is
+            // what the directory still durably points at.
+            self.pre_gc_image.get_or_insert(old);
+        } else {
+            self.pre_gc_image = None;
+        }
         Ok(())
     }
 
-    /// Crash the site: lose the volatile buffer, fire every queued torn
-    /// tail and bit flip against the image, then recover by re-scanning
-    /// for the longest valid record prefix (the same scan
-    /// [`crate::file::FileLog::open`] runs). Errors only if the header
-    /// itself was corrupted — recoverable damage is reported, not raised.
-    pub fn crash_and_recover(&mut self) -> Result<RecoveryReport, WalError> {
-        let lost_buffered = self.pending.len();
-        self.stats.lost_on_crash += lost_buffered as u64;
-        self.buffer.clear();
-        self.pending.clear();
+    fn cut(&mut self, len: u64) -> Result<(), WalError> {
+        self.image.truncate(len as usize);
+        Ok(())
+    }
 
-        // A GC rename that was never made durable by a directory sync is
-        // undone by the crash: the directory still points at the pre-GC
-        // file, so the scan below runs against it — resurrecting every
-        // record GC believed reclaimed, *and* losing everything appended
-        // to the post-rename file since.
+    fn restart(&mut self) -> Result<Vec<u8>, WalError> {
+        // A GC rename never made durable is undone by the crash: recovery
+        // scans the pre-GC file — resurrecting every record GC believed
+        // reclaimed *and* losing everything appended since.
         if let Some(old) = self.pre_gc_image.take() {
             self.image = old;
         }
-
         for f in self.queued.drain(..) {
             match f {
                 Fault::TornTail { bytes } => {
                     let floor = HEADER_LEN.min(self.image.len() as u64);
                     let new_len = (self.image.len() as u64).saturating_sub(bytes).max(floor);
                     self.image.truncate(new_len as usize);
-                    self.faults_applied += 1;
                 }
                 Fault::BitFlip { offset, mask } => {
                     if let Ok(off) = usize::try_from(offset) {
@@ -238,136 +146,70 @@ impl FaultyLog {
                             self.image[off] ^= mask;
                         }
                     }
-                    self.faults_applied += 1;
                 }
-                // A partial fsync queued but never triggered by a
-                // force/flush has nothing to damage: the batch it would
-                // have shortened was already lost with the buffer.
-                Fault::PartialFsync { .. } => {
-                    self.faults_applied += 1;
-                }
+                // Never triggered by a force/flush: the batch it would
+                // have hit was lost with the buffer.
+                Fault::PartialFsync { .. } | Fault::WriteError { .. } | Fault::SyncError => {}
             }
+            self.faults_applied += 1;
         }
-
-        let believed = self.durable.len();
-        self.low_water = decode_header(&self.image)?;
-        let mut survivors = Vec::new();
-        let mut offset = HEADER_LEN as usize;
-        while offset < self.image.len() {
-            match decode_frame(&self.image[offset..], offset as u64)? {
-                FrameOutcome::Record(rec, consumed) => {
-                    survivors.push(rec);
-                    offset += consumed;
-                }
-                FrameOutcome::Torn => break,
-            }
-        }
-        let truncated_bytes = (self.image.len() - offset) as u64;
-        self.image.truncate(offset);
-        self.durable = survivors;
-        self.next = self
-            .durable
-            .last()
-            .map_or(self.low_water, |r| r.lsn.next());
-        Ok(RecoveryReport {
-            lost_buffered,
-            lost_durable: believed.saturating_sub(self.durable.len()),
-            truncated_bytes,
-            survivors: self.durable.len(),
-        })
+        Ok(self.image.clone())
     }
 }
 
-impl StableLog for FaultyLog {
-    fn append(&mut self, payload: LogPayload, force: bool) -> Result<Lsn, WalError> {
-        let lsn = self.next;
-        self.next = self.next.next();
-        self.stats.appends += 1;
-        encode_frame_into(&mut self.buffer, lsn, force, &payload);
-        self.pending.push(LogRecord {
-            lsn,
-            forced: force,
-            payload,
-        });
-        if force {
-            self.stats.forces += 1;
-            self.write_out()?;
-        }
-        Ok(lsn)
+/// The production log on a medium that misbehaves on cue.
+pub type FaultyLog = FramedLog<FaultyImage>;
+
+impl Default for FaultyLog {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl FramedLog<FaultyImage> {
+    /// An empty log with a fresh header and no queued faults.
+    #[must_use]
+    pub fn new() -> Self {
+        let image = encode_header(Lsn::ZERO).to_vec();
+        FramedLog::empty(FaultyImage {
+            image,
+            ..FaultyImage::default()
+        })
     }
 
-    fn flush(&mut self) -> Result<(), WalError> {
-        self.stats.flushes += 1;
-        self.write_out()
+    /// With `false`, a `truncate_prefix` followed by a crash resurrects
+    /// the pre-GC image — the bug the directory sync in
+    /// [`crate::file::Disk`]'s `replace` exists to prevent.
+    pub fn set_durable_gc_rename(&mut self, durable: bool) {
+        self.store.volatile_gc_rename = !durable;
     }
 
-    fn records(&self) -> Result<Vec<LogRecord>, WalError> {
-        Ok(self.durable.clone())
+    /// Make the next `truncate_prefix` fail with an injected I/O error
+    /// before any state changes.
+    pub fn fail_next_gc_rewrite(&mut self) {
+        self.store.fail_next_gc_rewrite = true;
     }
 
-    fn for_each_record(&self, f: &mut dyn FnMut(&LogRecord)) -> Result<(), WalError> {
-        for r in &self.durable {
-            f(r);
-        }
-        Ok(())
+    /// Queue a fault for its trigger point (see [`Fault`]).
+    pub fn inject(&mut self, fault: Fault) {
+        self.store.queued.push_back(fault);
     }
 
-    fn truncate_prefix(&mut self, lsn: Lsn) -> Result<(), WalError> {
-        let high = self.durable.last().map_or(self.low_water, |r| r.lsn.next());
-        if lsn < self.low_water || lsn > high {
-            return Err(WalError::BadTruncate {
-                requested: lsn.raw(),
-                low: self.low_water.raw(),
-                high: high.raw(),
-            });
-        }
-        if self.fail_next_gc_rewrite {
-            self.fail_next_gc_rewrite = false;
-            return Err(WalError::Io(std::io::Error::other(
-                "injected gc rewrite failure",
-            )));
-        }
-        // Stage the rewrite the way FileLog's truncate rewrites the file:
-        // build the post-GC image first, commit in-memory state only
-        // after the "swap" — an injected failure above must leave the
-        // log untouched.
-        let cut = self.durable.partition_point(|r| r.lsn < lsn);
-        let mut new_image = encode_header(lsn).to_vec();
-        for rec in &self.durable[cut..] {
-            encode_frame_into(&mut new_image, rec.lsn, rec.forced, &rec.payload);
-        }
-        if !self.durable_gc_rename {
-            // The rename happened but the directory entry was never
-            // synced: remember the file a crash would bring back. Only
-            // the oldest un-synced image matters — that is what the
-            // directory still durably points at.
-            if self.pre_gc_image.is_none() {
-                self.pre_gc_image = Some(self.image.clone());
-            }
-        } else {
-            self.pre_gc_image = None;
-        }
-        self.stats.truncated += cut as u64;
-        self.image = new_image;
-        self.durable.drain(..cut);
-        self.low_water = lsn;
-        Ok(())
+    /// Number of faults that have actually fired so far.
+    #[must_use]
+    pub fn faults_applied(&self) -> u64 {
+        self.store.faults_applied
     }
 
-    fn low_water_mark(&self) -> Lsn {
-        self.low_water
+    /// The durable byte image: exactly what a `FileLog` file contains.
+    #[must_use]
+    pub fn image(&self) -> &[u8] {
+        &self.store.image
     }
 
-    fn next_lsn(&self) -> Lsn {
-        self.next
-    }
-
-    fn stats(&self) -> WalStats {
-        self.stats
-    }
-
-    fn lose_unflushed(&mut self) -> Result<usize, WalError> {
-        Ok(self.crash_and_recover()?.lost_buffered)
+    /// [`FramedLog::recover`], as the fuzzers and campaigns call it.
+    pub fn crash_and_recover(&mut self) -> Result<RecoveryReport, WalError> {
+        self.recover()
     }
 }
 
@@ -376,42 +218,51 @@ mod tests {
     use super::*;
     use crate::file::FileLog;
     use crate::tempdir::TempDir;
-    use acp_types::TxnId;
+    use crate::StableLog;
+    use acp_types::{LogPayload, TxnId};
     use std::io::Write;
 
     fn end(t: u64) -> LogPayload {
         LogPayload::End { txn: TxnId::new(t) }
     }
 
+    /// The same script through both stores: a real file and the image.
+    fn on_both(tag: &str, script: fn(&mut dyn StableLog)) -> (TempDir, FileLog, FaultyLog) {
+        let dir = TempDir::new(tag).unwrap();
+        let mut file = FileLog::create(dir.path().join("wal")).unwrap();
+        let mut faulty = FaultyLog::new();
+        script(&mut file);
+        script(&mut faulty);
+        (dir, file, faulty)
+    }
+
+    fn forced(n: u64) -> impl Iterator<Item = (LogPayload, bool)> {
+        (0..n).map(|i| (end(i), true))
+    }
+
     #[test]
     fn image_matches_file_log_bytes() {
-        let dir = TempDir::new("faulty-fidelity").unwrap();
-        let path = dir.path().join("wal");
-        let mut file = FileLog::create(&path).unwrap();
-        let mut faulty = FaultyLog::new();
-        for i in 0..6 {
-            file.append(end(i), i % 2 == 0).unwrap();
-            faulty.append(end(i), i % 2 == 0).unwrap();
-        }
-        file.flush().unwrap();
-        faulty.flush().unwrap();
-        let on_disk = std::fs::read(&path).unwrap();
+        let (_dir, file, faulty) = on_both("faulty-fidelity", |log| {
+            for i in 0..6 {
+                log.append(end(i), i % 2 == 0).unwrap();
+            }
+            log.flush().unwrap();
+        });
+        let on_disk = std::fs::read(file.path()).unwrap();
         assert_eq!(faulty.image(), &on_disk[..], "byte image diverged from FileLog");
     }
 
     #[test]
     fn torn_tail_matches_real_file_truncation() {
-        // Apply the same damage to a FaultyLog image and a real FileLog
-        // file; both recoveries must keep exactly the same records.
+        // Apply the same damage to the image and to a real file; both
+        // recoveries must keep exactly the same records.
         for cut in [1u64, 5, 13, 21, 40] {
-            let dir = TempDir::new("faulty-torn").unwrap();
-            let path = dir.path().join("wal");
-            let mut file = FileLog::create(&path).unwrap();
-            let mut faulty = FaultyLog::new();
-            for i in 0..4 {
-                file.append(end(i), true).unwrap();
-                faulty.append(end(i), true).unwrap();
-            }
+            let (_dir, file, mut faulty) = on_both("faulty-torn", |log| {
+                for (payload, force) in forced(4) {
+                    log.append(payload, force).unwrap();
+                }
+            });
+            let path = file.path().to_owned();
             drop(file);
             let len = std::fs::metadata(&path).unwrap().len();
             let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
@@ -435,14 +286,12 @@ mod tests {
         // Flip the same byte in both images; surviving prefixes agree.
         let offsets = [16u64, 20, 24, 33, 45, 60, 70];
         for &off in &offsets {
-            let dir = TempDir::new("faulty-flip").unwrap();
-            let path = dir.path().join("wal");
-            let mut file = FileLog::create(&path).unwrap();
-            let mut faulty = FaultyLog::new();
-            for i in 0..3 {
-                file.append(end(i), true).unwrap();
-                faulty.append(end(i), true).unwrap();
-            }
+            let (_dir, file, mut faulty) = on_both("faulty-flip", |log| {
+                for (payload, force) in forced(3) {
+                    log.append(payload, force).unwrap();
+                }
+            });
+            let path = file.path().to_owned();
             drop(file);
             let mut bytes = std::fs::read(&path).unwrap();
             if (off as usize) < bytes.len() {
@@ -464,6 +313,99 @@ mod tests {
                 "offset={off} diverged from FileLog recovery"
             );
         }
+    }
+
+    #[test]
+    fn gc_mid_script_leaves_the_same_bytes_and_survivors() {
+        // Appends, a GC in the middle, more appends: same bytes. Then
+        // the same tear under both stores and a `recover` through each
+        // store's own handle: same report, same survivors — and the
+        // next append lands right behind the cut on both.
+        let (_dir, mut file, mut faulty) = on_both("faulty-gc-mid", |log| {
+            for (payload, force) in forced(5) {
+                log.append(payload, force).unwrap();
+            }
+            log.append(end(5), false).unwrap();
+            log.truncate_prefix(Lsn(3)).unwrap();
+            log.append(end(6), true).unwrap();
+            log.append(end(7), false).unwrap();
+            log.flush().unwrap();
+            log.append(end(8), false).unwrap(); // never flushed
+        });
+        let on_disk = std::fs::read(file.path()).unwrap();
+        assert_eq!(faulty.image(), &on_disk[..]);
+
+        let f = std::fs::OpenOptions::new().write(true).open(file.path()).unwrap();
+        f.set_len(on_disk.len() as u64 - 7).unwrap();
+        drop(f);
+        faulty.inject(Fault::TornTail { bytes: 7 });
+        let report = faulty.recover().unwrap();
+        assert_eq!(file.recover().unwrap(), report);
+        assert_eq!((report.lost_buffered, report.lost_durable, report.survivors), (1, 1, 4));
+        assert_eq!(file.records().unwrap(), faulty.records().unwrap());
+        assert_eq!(file.low_water_mark(), Lsn(3));
+
+        assert_eq!(file.append(end(9), true).unwrap(), Lsn(7));
+        assert_eq!(faulty.append(end(9), true).unwrap(), Lsn(7));
+        let on_disk = std::fs::read(file.path()).unwrap();
+        assert_eq!(faulty.image(), &on_disk[..]);
+        let reopened = FileLog::open(file.path()).unwrap();
+        assert_eq!(reopened.records().unwrap(), file.records().unwrap());
+    }
+
+    /// The invariant a write-out error must not break, whatever the
+    /// caller does next: nothing `records()` reports durable is missing
+    /// after recovery, and no LSN is on the medium twice.
+    #[test]
+    fn a_retried_write_out_reports_nothing_durable_that_recovery_drops() {
+        for fault in [Fault::WriteError { after_bytes: 5 }, Fault::SyncError] {
+            let mut log = FaultyLog::new();
+            log.append(end(1), true).unwrap();
+            log.inject(fault);
+            assert!(matches!(log.append(end(2), true), Err(WalError::Io(_))));
+            // The device is "back": a caller that retries and assumes
+            // durable would do exactly this.
+            let _ = log.append(end(3), true);
+            let _ = log.flush();
+
+            let reported = log.records().unwrap();
+            log.recover().unwrap();
+            let recovered = log.records().unwrap();
+            for rec in &reported {
+                assert!(recovered.contains(rec), "{fault:?}: {rec} reported durable, then lost");
+            }
+            assert!(
+                recovered.windows(2).all(|w| w[0].lsn < w[1].lsn),
+                "{fault:?}: duplicate lsn in {recovered:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn after_a_failed_write_out_the_log_refuses_until_recover() {
+        let mut log = FaultyLog::new();
+        log.append(end(1), true).unwrap();
+        log.inject(Fault::SyncError);
+        assert!(matches!(log.append(end(2), true), Err(WalError::Io(_))));
+        assert_eq!(log.faults_applied(), 1);
+        let image = log.image().to_vec();
+
+        // Lazy appends still buffer; every force, flush and GC fails
+        // without touching the medium.
+        log.append(end(3), false).unwrap();
+        assert!(matches!(log.append(end(4), true), Err(WalError::Io(_))));
+        assert!(matches!(log.flush(), Err(WalError::Io(_))));
+        assert!(matches!(log.truncate_prefix(Lsn(1)), Err(WalError::Io(_))));
+        assert_eq!(log.records().unwrap().len(), 1, "nothing more reported durable");
+        assert_eq!(log.image(), &image[..]);
+
+        // The failed sync's bytes did reach the image: recovery finds
+        // record 2, drops the three buffered since, and writes go on.
+        let report = log.recover().unwrap();
+        assert_eq!((report.lost_buffered, report.survivors), (3, 2));
+        assert_eq!(log.append(end(5), true).unwrap(), Lsn(2));
+        log.truncate_prefix(Lsn(1)).unwrap();
+        assert_eq!(log.recover().unwrap().survivors, 2);
     }
 
     #[test]
@@ -571,16 +513,13 @@ mod tests {
         // With the directory sync (the fix, and the default), a crash
         // right after truncate_prefix must see exactly the post-GC
         // image: same records a real FileLog reopen yields.
-        let dir = TempDir::new("faulty-gc-crash").unwrap();
-        let path = dir.path().join("wal");
-        let mut file = FileLog::create(&path).unwrap();
-        let mut faulty = FaultyLog::new();
-        for i in 0..8 {
-            file.append(end(i), true).unwrap();
-            faulty.append(end(i), true).unwrap();
-        }
-        file.truncate_prefix(Lsn(5)).unwrap();
-        faulty.truncate_prefix(Lsn(5)).unwrap();
+        let (_dir, file, mut faulty) = on_both("faulty-gc-crash", |log| {
+            for (payload, force) in forced(8) {
+                log.append(payload, force).unwrap();
+            }
+            log.truncate_prefix(Lsn(5)).unwrap();
+        });
+        let path = file.path().to_owned();
 
         let report = faulty.crash_and_recover().unwrap();
         assert_eq!(report.survivors, 3);

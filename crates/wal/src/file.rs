@@ -1,38 +1,14 @@
-//! File-backed stable log for the real-time runtimes.
-//!
-//! Layout: a 16-byte header (`magic‖version‖low_water`) followed by
-//! framed records (see [`crate::encode`]). Appends accumulate in a
-//! process-memory buffer; a force (or flush) writes the buffer and
-//! `sync_data`s the file. A crash before the flush therefore loses the
-//! buffered records — matching [`crate::mem::MemLog`]'s semantics.
-//!
-//! Garbage collection ([`StableLog::truncate_prefix`]) rewrites the
-//! retained suffix into a sibling file and renames it into place, so
-//! reclaimed bytes are physically returned.
+//! The file store: a [`FramedLog`] persisted to a single file, for the
+//! real-time runtimes. [`Disk`] is the medium and nothing else — the
+//! file handle, and the `.rewrite` sibling + `rename` + parent-directory
+//! fsync that make GC's image swap atomic and crash-durable.
 
-use crate::encode::{decode_frame, encode_frame_into, frame_len, FrameOutcome};
 use crate::error::WalError;
-use crate::record::{LogRecord, Lsn, WalStats};
-use crate::StableLog;
-use acp_types::LogPayload;
+use crate::framed::{encode_header, FramedLog, Store};
+use crate::record::Lsn;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-
-/// Header magic: "WALH".
-const HEADER_MAGIC: u32 = 0x5741_4C48;
-/// On-disk format version.
-const VERSION: u32 = 1;
-/// Header length in bytes.
-pub(crate) const HEADER_LEN: u64 = 16;
-
-pub(crate) fn encode_header(low_water: Lsn) -> [u8; 16] {
-    let mut h = [0u8; 16];
-    h[0..4].copy_from_slice(&HEADER_MAGIC.to_le_bytes());
-    h[4..8].copy_from_slice(&VERSION.to_le_bytes());
-    h[8..16].copy_from_slice(&low_water.raw().to_le_bytes());
-    h
-}
 
 /// Make a just-renamed (or just-created) directory entry durable by
 /// fsyncing the parent directory. `rename(2)` alone only updates the
@@ -54,267 +30,104 @@ fn sync_parent_dir(path: &Path) -> Result<(), WalError> {
 /// and silently discards whatever evidence a postmortem needed.
 fn remove_stale_rewrite(path: &Path) -> Result<(), WalError> {
     let rewrite = path.with_extension("rewrite");
-    match std::fs::metadata(&rewrite) {
-        Ok(m) if m.is_file() => {
-            std::fs::remove_file(&rewrite)?;
-            sync_parent_dir(path)?;
-            Ok(())
-        }
-        _ => Ok(()),
+    if std::fs::metadata(&rewrite).is_ok_and(|m| m.is_file()) {
+        std::fs::remove_file(&rewrite)?;
+        sync_parent_dir(path)?;
     }
+    Ok(())
 }
 
-pub(crate) fn decode_header(buf: &[u8]) -> Result<Lsn, WalError> {
-    if buf.len() < HEADER_LEN as usize {
-        return Err(WalError::Corrupt {
-            offset: 0,
-            detail: "short header".into(),
-        });
-    }
-    let magic = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes"));
-    if magic != HEADER_MAGIC {
-        return Err(WalError::Corrupt {
-            offset: 0,
-            detail: "bad header magic".into(),
-        });
-    }
-    let version = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
-    if version != VERSION {
-        return Err(WalError::Corrupt {
-            offset: 4,
-            detail: format!("unsupported wal version {version}"),
-        });
-    }
-    Ok(Lsn(u64::from_le_bytes(
-        buf[8..16].try_into().expect("8 bytes"),
-    )))
+/// A new (or emptied) file holding exactly `image`, synced, positioned
+/// at its end.
+fn write_new(path: &Path, image: &[u8]) -> Result<File, WalError> {
+    let mut file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(path)?;
+    file.write_all(image)?;
+    file.sync_data()?;
+    Ok(file)
 }
 
-/// A stable log persisted to a single file.
+/// A single file as a log's medium.
 #[derive(Debug)]
-pub struct FileLog {
+pub struct Disk {
     path: PathBuf,
+    /// Positioned at the end of the image between calls.
     file: File,
-    /// Encoded frames not yet written+synced; lost if the process dies.
-    buffer: Vec<u8>,
-    /// Decoded view of everything durable (kept in memory for cheap
-    /// `records()`; rebuilt on open).
-    durable: Vec<LogRecord>,
-    /// Records represented in `buffer`.
-    pending: Vec<LogRecord>,
-    low_water: Lsn,
-    next: Lsn,
-    stats: WalStats,
 }
 
-impl FileLog {
-    /// Create a new, empty log file (truncating any existing file).
-    pub fn create(path: impl Into<PathBuf>) -> Result<FileLog, WalError> {
-        let path = path.into();
-        remove_stale_rewrite(&path)?;
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)?;
-        file.write_all(&encode_header(Lsn::ZERO))?;
-        file.sync_data()?;
-        sync_parent_dir(&path)?;
-        Ok(FileLog {
-            path,
-            file,
-            buffer: Vec::new(),
-            durable: Vec::new(),
-            pending: Vec::new(),
-            low_water: Lsn::ZERO,
-            next: Lsn::ZERO,
-            stats: WalStats::default(),
-        })
-    }
-
-    /// Open an existing log file, replaying its durable records.
-    ///
-    /// A torn record at the tail (from a crash mid-write) is truncated
-    /// away; everything before it is recovered.
-    pub fn open(path: impl Into<PathBuf>) -> Result<FileLog, WalError> {
-        let path = path.into();
-        remove_stale_rewrite(&path)?;
-        let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
+impl Store for Disk {
+    fn restart(&mut self) -> Result<Vec<u8>, WalError> {
+        remove_stale_rewrite(&self.path)?;
         let mut image = Vec::new();
-        file.read_to_end(&mut image)?;
-        let low_water = decode_header(&image)?;
-
-        let mut durable = Vec::new();
-        let mut offset = HEADER_LEN as usize;
-        while offset < image.len() {
-            match decode_frame(&image[offset..], offset as u64)? {
-                FrameOutcome::Record(rec, consumed) => {
-                    durable.push(rec);
-                    offset += consumed;
-                }
-                FrameOutcome::Torn => break,
-            }
-        }
-        // Physically drop the torn tail so future appends start clean.
-        if (offset as u64) < image.len() as u64 {
-            file.set_len(offset as u64)?;
-            file.sync_data()?;
-        }
-        file.seek(SeekFrom::End(0))?;
-
-        let next = durable.last().map_or(low_water, |r| r.lsn.next());
-        let durable_bytes = offset as u64 - HEADER_LEN;
-        Ok(FileLog {
-            path,
-            file,
-            buffer: Vec::new(),
-            durable,
-            pending: Vec::new(),
-            low_water,
-            next,
-            stats: WalStats {
-                durable_bytes,
-                ..WalStats::default()
-            },
-        })
+        self.file.seek(SeekFrom::Start(0))?;
+        self.file.read_to_end(&mut image)?;
+        Ok(image)
     }
 
-    /// The file path backing this log.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Simulate a crash without dropping the value: buffered records are
-    /// discarded and the durable image is re-read from disk. Returns the
-    /// number of records lost. (A restarted socket node instead drops the
-    /// whole `FileLog` and re-`open`s.)
-    pub fn simulate_crash(&mut self) -> Result<usize, WalError> {
-        let lost = self.pending.len();
-        self.stats.lost_on_crash += lost as u64;
-        self.buffer.clear();
-        self.pending.clear();
-        let reopened = FileLog::open(self.path.clone())?;
-        self.durable = reopened.durable;
-        self.low_water = reopened.low_water;
-        self.next = reopened.next;
-        Ok(lost)
-    }
-
-    /// Fault injection: swap the file for a read-only handle, so every
-    /// later write fails the way a dead device's would. Hosts' tests use
-    /// this to drive their force-error paths over a real `FileLog`.
-    pub fn revoke_writes(&mut self) -> Result<(), WalError> {
-        self.file = File::open(&self.path)?;
-        Ok(())
-    }
-
-    fn write_out(&mut self) -> Result<(), WalError> {
-        if self.buffer.is_empty() {
-            return Ok(());
-        }
-        self.file.write_all(&self.buffer)?;
+    fn append_sync(&mut self, bytes: &[u8]) -> Result<(), WalError> {
+        self.file.write_all(bytes)?;
         self.file.sync_data()?;
-        self.stats.durable_bytes += self.buffer.len() as u64;
-        self.buffer.clear();
-        self.durable.append(&mut self.pending);
-        Ok(())
-    }
-}
-
-impl StableLog for FileLog {
-    fn append(&mut self, payload: LogPayload, force: bool) -> Result<Lsn, WalError> {
-        let lsn = self.next;
-        self.next = self.next.next();
-        self.stats.appends += 1;
-        encode_frame_into(&mut self.buffer, lsn, force, &payload);
-        self.pending.push(LogRecord {
-            lsn,
-            forced: force,
-            payload,
-        });
-        if force {
-            self.stats.forces += 1;
-            self.write_out()?;
-        }
-        Ok(lsn)
-    }
-
-    fn flush(&mut self) -> Result<(), WalError> {
-        self.stats.flushes += 1;
-        self.write_out()
-    }
-
-    fn records(&self) -> Result<Vec<LogRecord>, WalError> {
-        Ok(self.durable.clone())
-    }
-
-    fn for_each_record(&self, f: &mut dyn FnMut(&LogRecord)) -> Result<(), WalError> {
-        self.durable.iter().for_each(f);
         Ok(())
     }
 
-    fn truncate_prefix(&mut self, lsn: Lsn) -> Result<(), WalError> {
-        let high = self.durable.last().map_or(self.low_water, |r| r.lsn.next());
-        if lsn < self.low_water || lsn > high {
-            return Err(WalError::BadTruncate {
-                requested: lsn.raw(),
-                low: self.low_water.raw(),
-                high: high.raw(),
-            });
-        }
-        // Rewrite the retained suffix to a sibling file, then swap. All
-        // in-memory mutation is staged until the swap is durable: an I/O
-        // error anywhere below must leave the log exactly as it was, or
-        // memory and disk diverge and `records()` serves ghosts.
-        let cut = self.durable.partition_point(|r| r.lsn < lsn);
-        let retained = &self.durable[cut..];
-        let frames: usize = retained.iter().map(|r| frame_len(&r.payload)).sum();
-        let mut image = Vec::with_capacity(HEADER_LEN as usize + frames);
-        image.extend_from_slice(&encode_header(lsn));
-        for rec in retained {
-            encode_frame_into(&mut image, rec.lsn, rec.forced, &rec.payload);
-        }
-
+    fn replace(&mut self, image: &[u8]) -> Result<(), WalError> {
+        // Write the image to a sibling file, then swap.
         let tmp_path = self.path.with_extension("rewrite");
-        let mut tmp = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp_path)?;
-        tmp.write_all(&image)?;
-        tmp.sync_data()?;
+        let tmp = write_new(&tmp_path, image)?;
         std::fs::rename(&tmp_path, &self.path)?;
         // The rename is only crash-durable once the directory entry is
         // synced; without this the pre-GC file can reappear after a
         // crash, resurrecting records above the low-water mark.
         sync_parent_dir(&self.path)?;
-        tmp.seek(SeekFrom::End(0))?;
-
-        // Commit: disk now holds the post-GC image.
         self.file = tmp;
-        self.durable.drain(..cut);
-        self.stats.truncated += cut as u64;
-        self.low_water = lsn;
         Ok(())
     }
 
-    fn low_water_mark(&self) -> Lsn {
-        self.low_water
+    fn cut(&mut self, len: u64) -> Result<(), WalError> {
+        self.file.set_len(len)?;
+        self.file.sync_data()?;
+        self.file.seek(SeekFrom::Start(len))?;
+        Ok(())
+    }
+}
+
+/// A stable log persisted to a single file.
+pub type FileLog = FramedLog<Disk>;
+
+impl FramedLog<Disk> {
+    /// Create a new, empty log file (truncating any existing file).
+    pub fn create(path: impl Into<PathBuf>) -> Result<FileLog, WalError> {
+        let path = path.into();
+        remove_stale_rewrite(&path)?;
+        let file = write_new(&path, &encode_header(Lsn::ZERO))?;
+        sync_parent_dir(&path)?;
+        Ok(FramedLog::empty(Disk { path, file }))
     }
 
-    fn next_lsn(&self) -> Lsn {
-        self.next
+    /// Open an existing log file, replaying its durable records. A torn
+    /// record at the tail (from a crash mid-write) is truncated away.
+    pub fn open(path: impl Into<PathBuf>) -> Result<FileLog, WalError> {
+        let path = path.into();
+        let file = OpenOptions::new().read(true).write(true).open(&path)?;
+        FramedLog::recovered(Disk { path, file })
     }
 
-    fn stats(&self) -> WalStats {
-        self.stats
+    /// The file path backing this log.
+    #[must_use]
+    pub fn path(&self) -> &Path {
+        &self.store.path
     }
 
-    fn lose_unflushed(&mut self) -> Result<usize, WalError> {
-        self.simulate_crash()
+    /// Fault injection: swap the file for a read-only handle, so every
+    /// later write fails the way a dead device's would (hosts' tests
+    /// drive their force-error paths over a real `FileLog` with it).
+    pub fn revoke_writes(&mut self) -> Result<(), WalError> {
+        self.store.file = File::open(&self.store.path)?;
+        Ok(())
     }
 }
 
@@ -322,7 +135,8 @@ impl StableLog for FileLog {
 mod tests {
     use super::*;
     use crate::tempdir::TempDir;
-    use acp_types::TxnId;
+    use crate::StableLog;
+    use acp_types::{LogPayload, TxnId};
 
     fn end(t: u64) -> LogPayload {
         LogPayload::End { txn: TxnId::new(t) }
@@ -381,12 +195,12 @@ mod tests {
     }
 
     #[test]
-    fn simulate_crash_loses_pending() {
+    fn recover_loses_pending() {
         let dir = TempDir::new("filelog").unwrap();
         let mut log = FileLog::create(dir.path().join("wal")).unwrap();
         log.append(end(1), true).unwrap();
         log.append(end(2), false).unwrap();
-        assert_eq!(log.simulate_crash().unwrap(), 1);
+        assert_eq!(log.recover().unwrap().lost_buffered, 1);
         assert_eq!(log.records().unwrap().len(), 1);
         assert_eq!(log.next_lsn(), Lsn(1));
     }

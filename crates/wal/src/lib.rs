@@ -10,14 +10,15 @@
 //!
 //! * a binary record codec with CRC32 framing and torn-write detection
 //!   ([`encode`], [`crc`]),
-//! * an in-memory stable log with crash semantics for the simulator
-//!   ([`mem::MemLog`]) — non-forced records buffered in volatile memory
-//!   are lost on a crash, forced records survive,
-//! * a file-backed stable log for the real-time runtimes
-//!   ([`file::FileLog`]),
-//! * a fault-injecting stable log ([`fault::FaultyLog`]) that keeps the
-//!   `FileLog` byte image in memory and corrupts it on demand — torn
-//!   writes, partial fsyncs, bit flips — so recovery can be fuzzed,
+//! * **one framed stable log** ([`framed::FramedLog`]) — header, append
+//!   buffer, write-out, GC staging and recovery scan written once — over
+//!   a [`Store`]: a file ([`file::FileLog`]) for the real-time runtimes,
+//!   or the same byte image in memory, damaged on cue
+//!   ([`fault::FaultyLog`]: torn writes, partial fsyncs, bit flips,
+//!   write and sync errors), so what is fuzzed is what commits,
+//! * [`mem::MemLog`], the record-level reference model the simulator
+//!   and the checker clone and hash: non-forced records buffered in
+//!   volatile memory are lost on a crash, forced records survive,
 //! * a group-commit layer ([`group`]) that batches concurrent
 //!   transactions' forced writes into a single physical force —
 //!   [`group::GroupCommitLog`] wraps one site's log,
@@ -37,21 +38,21 @@ pub mod encode;
 pub mod error;
 pub mod fault;
 pub mod file;
+pub mod framed;
 pub mod gc;
 pub mod group;
 pub mod mem;
-pub mod observe;
 pub mod record;
 pub mod scan;
 pub mod tempdir;
 
 pub use error::WalError;
-pub use fault::{Fault, FaultyLog, RecoveryReport};
-pub use file::FileLog;
+pub use fault::{Fault, FaultyImage, FaultyLog};
+pub use file::{Disk, FileLog};
+pub use framed::{FramedLog, RecoveryReport, Store};
 pub use gc::GcTracker;
 pub use group::{ClosedBatch, DomainStats, FsyncDomain, GroupCommitLog, GroupCommitStats};
 pub use mem::MemLog;
-pub use observe::ObservedLog;
 pub use record::{LogRecord, Lsn, WalStats};
 
 use acp_types::LogPayload;
@@ -147,6 +148,12 @@ mod trait_tests {
     fn file_log_satisfies_contract() {
         let dir = tempdir::TempDir::new("wal-contract").unwrap();
         let mut log = FileLog::create(dir.path().join("wal")).unwrap();
+        contract(&mut log);
+    }
+
+    #[test]
+    fn faulty_log_satisfies_contract() {
+        let mut log = FaultyLog::new();
         contract(&mut log);
     }
 }

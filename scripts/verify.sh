@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: offline release build, every workspace test,
-# the structural guards (one kernel, one harness, one encoder, one
-# instrument), the benchmark's smoke suite, and a regeneration of every
+# the structural guards (one kernel, one harness, one log, one encoder,
+# one instrument), the benchmark's smoke suite, and a regeneration of every
 # committed result with a diff against it. No step's pass/fail depends
 # on a wall-clock rate; the perf figures printed are information.
 #
@@ -52,12 +52,28 @@ if grep -rnE 'struct (PaxosProc|PaxosState|PaxosScenario|PaxosCheckConfig)\b|fn 
 fi
 nontest_lines crates/core/src crates/checker/src
 
+echo "== one log: FileLog and FaultyLog are one FramedLog over two stores"
+# file.rs and fault.rs used to be two copies of the log (append,
+# write-out, GC staging, recovery scan), so every injected storage fault
+# ran under the copy. They are now stores under crates/wal/src/framed.rs;
+# a struct of either name — or of the ObservedLog wrapper nothing used —
+# is that fork coming back, and so is a second recovery scan.
+if grep -rnE 'struct (FileLog|FaultyLog|ObservedLog)\b' crates --include='*.rs'; then
+  echo "FAIL: FileLog, FaultyLog or ObservedLog is a struct again (they are aliases of FramedLog<S>)"; exit 1
+fi
+scans="$(find crates/wal/src -name '*.rs' | sort \
+  | xargs awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
+               !test && /decode_frame\(/ && !/fn decode_frame\(/ { print FILENAME ":" FNR ": " $0 }')"
+[ "$(echo "$scans" | grep -c .)" = 1 ] \
+  || { echo "$scans"; echo "FAIL: want exactly one decode_frame( call in non-test crates/wal/src (FramedLog's recovery scan)"; exit 1; }
+nontest_lines crates/wal/src
+
 echo "== one encoder: the logs and the runtime encode in place"
 # encode_frame/encode_payload are allocating wrappers over the _into
 # forms, kept for tests, fuzzers and probes. A call from the logs or
 # from the runtime is the per-record allocation creeping back onto the
 # commit path (non-test lines only: up to the first #[cfg(test)]).
-if find crates/wal/src/file.rs crates/wal/src/fault.rs crates/wal/src/mem.rs crates/net/src -name '*.rs' \
+if find crates/wal/src/framed.rs crates/wal/src/file.rs crates/wal/src/fault.rs crates/wal/src/mem.rs crates/net/src -name '*.rs' \
   | xargs awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
                !test && /encode_(frame|payload)\(/ { print FILENAME ":" FNR ": " $0; hit = 1 }
                END { exit !hit }'; then
