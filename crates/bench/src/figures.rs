@@ -12,7 +12,6 @@
 
 use crate::{one_txn_scenario, parallel_map, site_label};
 use acp_core::harness::{run_scenario, Scenario};
-use acp_net::{AdmissionConfig, AdmissionController};
 use acp_obs::{
     event_to_json, parse_flat_json, render_ascii, render_mermaid, MetricsRegistry, ProtocolEvent,
 };
@@ -161,26 +160,26 @@ fn txn_spans(events: &[ProtocolEvent]) -> BTreeMap<u64, (u64, Option<u64>)> {
 ///   **T3** — a *new* transaction id, because an abort decision
 ///   released T2's locks and the protocol is finished with it.
 /// * **T4** — arrives while T2 is still in flight. With the panel's
-///   admission bound of one, the door model
-///   ([`AdmissionController`]) refuses it: an `admission_shed` event
-///   carries the in-flight census and the bound, and the panel shows
-///   no protocol work for T4 before the shed (no forces, no votes, no
-///   messages — that is the whole point of shedding at the door). The
-///   workload layer retries the shed attempt with the *same* id after
-///   a backoff, and the resubmitted T4 commits.
+///   admission bound of one, the door (admit while in flight <
+///   [`acp_net::ReactorConfig::max_inflight`]) refuses it: an
+///   `admission_shed` event carries the in-flight census and the
+///   bound, and the panel shows no protocol work for T4 before the
+///   shed (no forces, no votes, no messages — that is the whole point
+///   of shedding at the door). The workload layer retries the shed
+///   attempt with the *same* id after a backoff, and the resubmitted
+///   T4 commits.
 ///
-/// The shed/retry bookkeeping events are synthesized by the same
-/// [`AdmissionController`] predicate and
-/// [`RetryPolicy`] arithmetic the live runtime uses, against the
-/// in-flight census computed from the simulator's own event stream —
-/// the panel asserts the controller really would shed at that instant
-/// before writing the event.
+/// The shed/retry bookkeeping events are synthesized by the same door
+/// comparison and [`RetryPolicy`] arithmetic the live runtime uses,
+/// against the in-flight census computed from the simulator's own
+/// event stream — the panel asserts the door really would shed at that
+/// instant before writing the event.
 ///
 /// # Panics
 /// If the schedule drifts from the mechanics it documents (wrong
-/// outcomes, an in-flight census the controller would admit): the
-/// panel is a committed artifact, so drift must fail regeneration
-/// loudly rather than commit a lie.
+/// outcomes, an in-flight census the door would admit): the panel is a
+/// committed artifact, so drift must fail regeneration loudly rather
+/// than commit a lie.
 #[must_use]
 pub fn overload_panel_events() -> Vec<ProtocolEvent> {
     let kind = CoordinatorKind::PrAny(SelectionPolicy::PaperStrict);
@@ -241,10 +240,9 @@ pub fn overload_panel_events() -> Vec<ProtocolEvent> {
         .values()
         .filter(|(first, decided)| *first <= shed_at && decided.map_or(true, |d| d > shed_at))
         .count() as u64;
-    let door = AdmissionController::new(AdmissionConfig::bounded(OVERLOAD_LIMIT));
     assert!(
-        !door.admit(inflight),
-        "overload panel: the controller would have admitted T4 \
+        inflight >= OVERLOAD_LIMIT,
+        "overload panel: the door would have admitted T4 \
          (inflight {inflight} under bound {OVERLOAD_LIMIT})"
     );
 

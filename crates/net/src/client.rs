@@ -1,11 +1,10 @@
-//! The client facade the event-loop backends share.
+//! The client facade the two hosts share.
 //!
-//! [`ReactorCluster`](crate::ReactorCluster),
-//! [`MultiReactorCluster`](crate::MultiReactorCluster) and
-//! [`SocketNode`](crate::wire::SocketNode) all drive their loops the
-//! same way — push an addressed [`Envelope`] onto the owning loop's
-//! injector — so the verbs live here once and the three handles deref
-//! to a [`ClientHandle`].
+//! [`ReactorCluster`](crate::ReactorCluster) and
+//! [`SocketNode`](crate::wire::SocketNode) drive their loops the same
+//! way — push an addressed [`Envelope`] onto the owning loop's
+//! injector — so the verbs live here once and both handles deref to a
+//! [`ClientHandle`].
 
 use crate::cluster::ClusterConfig;
 use crate::envelope::Envelope;

@@ -1,9 +1,8 @@
 //! The runtime-internal message vocabulary: everything a hosted site
-//! can be handed, across all three backends.
+//! can be handed, on both hosts.
 //!
-//! An [`Envelope`] is the unit every runtime moves — the reactor and
-//! multi-reactor push them onto ready queues and mailboxes, and the
-//! socket backend re-encodes the subset that may leave the process as
+//! An [`Envelope`] is the unit every runtime moves — the reactor pushes
+//! them onto ready queues and shard mailboxes, and the socket backend re-encodes the subset that may leave the process as
 //! [`crate::wire::WireMsg`] frames. The variants split into three
 //! kinds with different reach:
 //!
@@ -20,7 +19,7 @@
 //!   hosted site severs that node's connections instead of sending
 //!   anything).
 //!
-//! [`Envelope::owner_shard`] is the multi-reactor's routing table; see
+//! [`Envelope::owner_shard`] is the reactor's routing table; see
 //! its docs for the slicing rules.
 
 use acp_core::shard_of;
@@ -78,7 +77,7 @@ impl Envelope {
     /// to `to` in an `n_shards`-way partition, or `None` for envelopes
     /// that must be broadcast to every shard.
     ///
-    /// This is the multi-reactor's whole routing table:
+    /// This is the reactor's whole routing table:
     ///
     /// * participants and gateways live on one shard each —
     ///   `(site − 1) mod n_shards` — so anything addressed to them has

@@ -14,10 +14,10 @@
 //!
 //! What differs between backends is only where an envelope goes when
 //! its site lives elsewhere and how the loop sleeps: the [`Transport`]
-//! trait. The reactor is this kernel over in-process mailboxes, the
-//! multi-reactor is N of those, the socket node is this kernel over
-//! framed TCP under epoll. The kernel is generic over the transport, so
-//! the send path is statically dispatched.
+//! trait. The reactor is N of these kernels over in-process mailboxes,
+//! the socket node is one over framed TCP under epoll. The kernel is
+//! generic over the transport, so the send path is statically
+//! dispatched.
 //!
 //! Everything protocol-visible — the engines, the [`NetDelays`] backoff
 //! schedule, the emission points in [`crate::site`] — sits below the
@@ -26,10 +26,9 @@
 //! timer-cancellation tracking on, draining retired tokens into wheel
 //! cancels instead of letting dead timers fire.
 
-use crate::admission::AdmissionController;
-use crate::cluster::{ClusterReport, SiteSummary};
+use crate::cluster::SiteSummary;
 use crate::envelope::Envelope;
-use crate::reactor::{InflightGauge, ReactorConfig, ReactorReport, ReactorStats, SnapshotCadence};
+use crate::reactor::{InflightGauge, ReactorConfig, ReactorStats, SnapshotCadence};
 use crate::site::{
     decide_vote, observe_acta, observe_crash, observe_gc, observe_recover, observe_recv,
     observe_retry, observe_send, protocol_outcomes, NetDelays, NetLog, NetObs, SharedHistory,
@@ -42,11 +41,11 @@ use acp_core::{
 };
 use acp_engine::SiteEngine;
 use acp_obs::{
-    Counter, LatencyHistogram, MetricsRegistry, MetricsTimeline, ProtoLabel, ProtocolEvent,
-    TraceSink,
+    Counter, HistogramSnapshot, LatencyHistogram, MetricsRegistry, MetricsTimeline, ProtoLabel,
+    ProtocolEvent, TraceSink,
 };
 use acp_types::{Message, Outcome, Payload, SiteId, TxnId, Vote};
-use acp_wal::{FileLog, FsyncDomain, GroupCommitLog, GroupCommitStats};
+use acp_wal::{DomainStats, FileLog, FsyncDomain, GroupCommitLog, GroupCommitStats};
 use crossbeam::channel::{Receiver, Sender};
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
@@ -255,8 +254,6 @@ struct SiteHost {
     deferred_acta: Vec<ActaEvent>,
     /// Engine timer token → wheel entry, for cancellation.
     timer_ids: BTreeMap<u64, TimerId>,
-    /// When the currently-open batch was first observed non-empty.
-    batch_opened: Option<Instant>,
     /// Suppress crash/recover *observability* (ACTA events + trace
     /// lines) for this engine. Set on every coordinator slice except
     /// slice 0: the N slices are one logical site 0, and a broadcast
@@ -458,13 +455,7 @@ fn flush_sends<T: Transport>(host: &mut SiteHost, ctx: &mut Ctx<T>) {
 /// Force a site's open batch — as a member of the kernel's fsync
 /// domain, so the turn's forces across all member sites count as one
 /// coalesced force round — and externalize what it withheld.
-/// `adaptive` marks the fast path for the stats split.
-fn force_site_batch<T: Transport>(
-    host: &mut SiteHost,
-    log: &mut NetLog,
-    ctx: &mut Ctx<T>,
-    adaptive: bool,
-) {
+fn force_site_batch<T: Transport>(host: &mut SiteHost, log: &mut NetLog, ctx: &mut Ctx<T>) {
     match ctx.domain.force_member(log) {
         Ok(_) => {
             for b in log.take_closed() {
@@ -479,12 +470,7 @@ fn force_site_batch<T: Transport>(
                     }
                 }
             }
-            host.batch_opened = None;
-            if adaptive {
-                ctx.stats.adaptive_forces += 1;
-            } else {
-                ctx.stats.window_forces += 1;
-            }
+            ctx.stats.window_forces += 1;
         }
         // Force failed: the records the withheld sends and ACTA events
         // rest on never became durable, so externalizing either would
@@ -503,7 +489,6 @@ fn crash_volatile<T>(host: &mut SiteHost, ctx: &mut Ctx<T>) {
     host.timer_ids.clear();
     host.deferred_sends.clear();
     host.deferred_acta.clear();
-    host.batch_opened = None;
 }
 
 // ---------------------------------------------------------------------------
@@ -512,7 +497,7 @@ fn crash_volatile<T>(host: &mut SiteHost, ctx: &mut Ctx<T>) {
 /// What whoever spawns a kernel hands it: the cluster shape and the
 /// cluster-wide handles its sites report into.
 pub(crate) struct HostEnv {
-    /// Cluster shape and loop tuning.
+    /// Cluster shape, admission bound, snapshot cadence.
     pub config: ReactorConfig,
     /// Client injector.
     pub rx: Receiver<Mail>,
@@ -526,6 +511,20 @@ pub(crate) struct HostEnv {
     pub snapshots: Option<(Arc<MetricsRegistry>, Arc<MetricsTimeline>)>,
     /// Epoch for trace timestamps and the timer wheel.
     pub t0: Instant,
+}
+
+/// What a kernel hands back at shutdown: its hosted sites' final state
+/// and its loop counters. The history is cluster-wide, so whoever
+/// spawned the kernels reads it once, after all of them stopped.
+pub(crate) struct KernelReport {
+    pub sites: Vec<SiteSummary>,
+    pub coordinator_table_size: usize,
+    pub group_commit: GroupCommitStats,
+    pub logical_forces: u64,
+    pub physical_syncs: u64,
+    pub stats: ReactorStats,
+    pub fsync: DomainStats,
+    pub latency: HistogramSnapshot,
 }
 
 /// Open an existing WAL (restart) or create a fresh one (first boot).
@@ -551,8 +550,8 @@ pub(crate) struct Kernel<T> {
     ctx: Ctx<T>,
     /// Client injector (and, on a reactor, other shards' mail).
     rx: Receiver<Mail>,
-    /// Loop tuning: commit window, admission bounds.
-    config: ReactorConfig,
+    /// The admission bound ([`ReactorConfig::max_inflight`]).
+    max_inflight: Option<u64>,
     snapshots: Option<(Arc<MetricsRegistry>, Arc<MetricsTimeline>)>,
     cadence: SnapshotCadence,
     running: bool,
@@ -649,7 +648,6 @@ impl<T: Transport> Kernel<T> {
                 deferred_sends: Vec::new(),
                 deferred_acta: Vec::new(),
                 timer_ids: BTreeMap::new(),
-                batch_opened: None,
                 quiet: site == COORDINATOR && slice != 0,
             };
             if existed {
@@ -681,11 +679,8 @@ impl<T: Transport> Kernel<T> {
             },
             rx: env.rx,
             snapshots: env.snapshots,
-            cadence: SnapshotCadence::new(
-                config.snapshot_every_ticks,
-                config.snapshot_every_commits,
-            ),
-            config: env.config,
+            cadence: SnapshotCadence::new(config.snapshot_every_commits),
+            max_inflight: config.max_inflight,
             running: true,
         })
     }
@@ -695,7 +690,7 @@ impl<T: Transport> Kernel<T> {
 
     /// Run until shutdown; returns the final report and the transport
     /// (whose own counters the backend folds in).
-    pub(crate) fn run(mut self) -> (ReactorReport, T) {
+    pub(crate) fn run(mut self) -> (KernelReport, T) {
         // Restarted sites replay their WAL and run the paper's restart
         // procedure before the loop accepts work. The outage was the
         // process's, so there is no ACTA crash to pair a recovery with.
@@ -890,11 +885,11 @@ impl<T: Transport> Kernel<T> {
                     let _ = reply.send(outcome);
                 } else if participants.is_empty() || in_flight {
                     drop(reply);
-                } else if let Some(over) = self.config.admission.and_then(|bounds| {
-                    let adm = AdmissionController::new(bounds);
-                    let inflight = self.ctx.inflight.current();
-                    (!adm.admit(inflight)).then_some((inflight, bounds.max_inflight))
-                }) {
+                } else if let Some((inflight, limit)) = self
+                    .max_inflight
+                    .map(|limit| (self.ctx.inflight.current(), limit))
+                    .filter(|(inflight, limit)| inflight >= limit)
+                {
                     // Refused at the door: count it, narrate it, and
                     // fail the client fast — the dropped reply channel
                     // reads as a shed on the generator side (its recv
@@ -906,8 +901,8 @@ impl<T: Transport> Kernel<T> {
                             site: site.raw(),
                             proto: obs.proto,
                             txn: Some(txn.raw()),
-                            inflight: over.0,
-                            limit: over.1,
+                            inflight,
+                            limit,
                         });
                     }
                     drop(reply);
@@ -928,14 +923,9 @@ impl<T: Transport> Kernel<T> {
         }
     }
 
-    /// End-of-turn group-commit step: decide, per site with an open
-    /// batch (or withheld sends), whether to force now or hold the
-    /// window open for more records.
+    /// End-of-turn group-commit step: every site with an open batch
+    /// forces it, every site with withheld sends externalizes them.
     fn finish_turns(&mut self) {
-        let now = self.ctx.now;
-        let window = self.config.commit_window;
-        let shutting_down = !self.running;
-        let idle = self.ctx.ready.is_empty() && self.rx.is_empty();
         for SiteState { host, task } in &mut self.sites {
             // Lazily-staged write sets (`prepare_lazy`) become durable
             // here, before any Yes vote can leave with the turn's send
@@ -950,19 +940,12 @@ impl<T: Transport> Kernel<T> {
             if !log.batching() {
                 continue;
             }
-            let occupancy = log.open_occupancy();
-            if occupancy == 0 {
+            if log.open_occupancy() == 0 {
                 // Nothing staged: whatever was withheld has no
                 // durability dependency left — externalize it now.
-                host.batch_opened = None;
                 flush_sends(host, &mut self.ctx);
-                continue;
-            }
-            let opened = *host.batch_opened.get_or_insert(now);
-            let window_over = window.is_zero() || now >= opened + window || shutting_down;
-            let adaptive = !window_over && self.config.adaptive_window && occupancy == 1 && idle;
-            if window_over || adaptive {
-                force_site_batch(host, log, &mut self.ctx, adaptive);
+            } else {
+                force_site_batch(host, log, &mut self.ctx);
             }
         }
         // Turn boundary: the forces above were one coalesced round of
@@ -1027,8 +1010,7 @@ impl<T: Transport> Kernel<T> {
     }
 
     fn maybe_snapshot(&mut self) {
-        let take = self.cadence.on_tick(self.ctx.stats.ticks);
-        let (true, Some((registry, timeline))) = (take, &self.snapshots) else {
+        let (true, Some((registry, timeline))) = (self.cadence.due(), &self.snapshots) else {
             return;
         };
         // Snapshots carry the coordinator slice's trace clock and label.
@@ -1046,14 +1028,10 @@ impl<T: Transport> Kernel<T> {
     }
 
     /// How long the loop may sleep: bounded by the next engine timer,
-    /// the earliest recovery point, any open batch's window expiry and
-    /// the transport's own deadline.
+    /// the earliest recovery point and the transport's own deadline.
     fn next_timeout(&self) -> Duration {
-        let per_site = self.sites.iter().flat_map(|st| {
-            let window_end = st.host.batch_opened.map(|t| t + self.config.commit_window);
-            [st.host.down_until, window_end]
-        });
-        per_site
+        let recoveries = self.sites.iter().map(|st| st.host.down_until);
+        recoveries
             .chain([
                 self.ctx.wheel.next_deadline(),
                 self.ctx.transport.next_deadline(),
@@ -1063,8 +1041,8 @@ impl<T: Transport> Kernel<T> {
             .map_or(IDLE_SLEEP, |d| d.saturating_duration_since(self.ctx.now))
     }
 
-    /// Collect final state into the backend-independent report shape.
-    fn report(self) -> (ReactorReport, T) {
+    /// Collect the hosted sites' final state and the loop counters.
+    fn report(self) -> (KernelReport, T) {
         let mut sites = Vec::new();
         let mut coordinator_table_size = 0;
         let mut group_commit = GroupCommitStats::default();
@@ -1111,16 +1089,12 @@ impl<T: Transport> Kernel<T> {
                 committed,
             });
         }
-        let history = self.ctx.history.lock().clone();
-        let report = ReactorReport {
-            cluster: ClusterReport {
-                history,
-                coordinator_table_size,
-                sites,
-                group_commit,
-                logical_forces,
-                physical_syncs,
-            },
+        let report = KernelReport {
+            sites,
+            coordinator_table_size,
+            group_commit,
+            logical_forces,
+            physical_syncs,
             stats: self.ctx.stats,
             fsync: self.ctx.domain.stats(),
             latency: self.ctx.latency.snapshot(),
@@ -1133,6 +1107,7 @@ impl<T: Transport> Kernel<T> {
 mod tests {
     use super::*;
     use acp_acta::{check_atomicity, History};
+    use acp_obs::VecSink;
     use acp_types::{CoordinatorKind, ProtocolKind, SelectionPolicy};
     use acp_wal::tempdir::TempDir;
     use crossbeam::channel::{bounded, unbounded, TryRecvError};
@@ -1161,12 +1136,13 @@ mod tests {
     }
 
     /// A kernel hosting the benchmark's cluster — PrAny over PrN, PrA,
-    /// PrC with group commit on — stepped by hand.
+    /// PrC with group commit on — stepped by hand, tracing into `sink`.
     struct Rig {
         kernel: Kernel<Loopback>,
         tx: Sender<Mail>,
         history: SharedHistory,
         inflight: Arc<InflightGauge>,
+        sink: Arc<VecSink>,
         _dir: TempDir,
     }
 
@@ -1195,12 +1171,13 @@ mod tests {
         let (tx, rx) = unbounded();
         let history: SharedHistory = Arc::new(Mutex::new(History::new()));
         let inflight = Arc::new(InflightGauge::new());
+        let sink = Arc::new(VecSink::new());
         let env = HostEnv {
             config,
             rx,
             history: Arc::clone(&history),
             inflight: Arc::clone(&inflight),
-            sink: None,
+            sink: Some(Arc::clone(&sink) as _),
             snapshots: None,
             t0: Instant::now(),
         };
@@ -1213,6 +1190,7 @@ mod tests {
             tx,
             history,
             inflight,
+            sink,
             _dir: dir,
         }
     }
@@ -1321,8 +1299,10 @@ mod tests {
 
         let log = task.log_mut().expect("the coordinator's log");
         log.inner_mut().revoke_writes().expect("reopen read-only");
-        force_site_batch(host, log, &mut r.kernel.ctx, false);
+        // The turn's end forces the batch, as a real turn does.
+        r.kernel.finish_turns();
 
+        let host = &r.kernel.sites[0].host;
         assert!(host.deferred_sends.is_empty() && host.deferred_acta.is_empty());
         assert!(r.kernel.ctx.ready.is_empty(), "no prepare left the site");
         assert!(
@@ -1331,6 +1311,13 @@ mod tests {
         );
         assert_eq!(r.kernel.ctx.stats.failed_forces, 1);
         assert_eq!(r.kernel.ctx.stats.window_forces, 0);
+        // Nothing is due before the vote timeout the coordinator armed:
+        // a refused force must not leave the loop polling without sleep.
+        let timeout = r.kernel.next_timeout();
+        assert!(
+            timeout >= glacial().vote_timeout,
+            "the loop would sleep {timeout:?}, not until the vote timeout"
+        );
     }
 
     /// A site still inside its outage when the cluster shuts down
@@ -1348,7 +1335,7 @@ mod tests {
         r.send(COORDINATOR, Envelope::Shutdown);
         let (report, _) = r.kernel.run();
         for site in PARTS {
-            let summary = report.cluster.sites.iter().find(|s| s.site == site);
+            let summary = report.sites.iter().find(|s| s.site == site);
             let committed = &summary.expect("hosted site").committed;
             assert_eq!(
                 committed.get(b"k".as_slice()).map(Vec::as_slice),
@@ -1356,7 +1343,8 @@ mod tests {
                 "site {site}: the committed write is durable"
             );
         }
-        let events = report.cluster.history.events();
+        let history = r.history.lock();
+        let events = history.events();
         assert!(
             matches!(events.last(), Some(ActaEvent::Recover { site }) if *site == PARTS[1]),
             "the outage ends in the history too: {:?}",
@@ -1388,7 +1376,8 @@ mod tests {
     }
 
     /// Retries are jittered per (site, timer) on every backend, while a
-    /// first arming stays exact — so clean traces cannot tell.
+    /// first arming stays exact — so clean traces cannot tell — and
+    /// every retry is narrated as a `RetryScheduled` event.
     #[test]
     fn retry_timers_are_jittered_per_site_and_first_armings_are_exact() {
         let inquiry_retry = Duration::from_millis(40);
@@ -1428,12 +1417,29 @@ mod tests {
                 delays.delay_jittered(TimerPurpose::InquiryRetry, 1, salt)
             })
             .collect();
+        let distinct = |(i, a): (usize, &Duration)| expected[i + 1..].iter().all(|b| a != b);
         assert!(
-            expected
-                .iter()
-                .any(|d| *d != delays.delay(TimerPurpose::InquiryRetry, 1)),
-            "the sites' retry delays are spread: {expected:?}"
+            expected.iter().enumerate().all(distinct),
+            "the sites' retry delays are pairwise distinct: {expected:?}"
         );
+        let mut retries: Vec<(u32, &str, u32)> = r
+            .sink
+            .snapshot()
+            .into_iter()
+            .filter_map(|e| match e {
+                ProtocolEvent::RetryScheduled {
+                    site,
+                    purpose,
+                    attempt,
+                    ..
+                } => Some((site, purpose, attempt)),
+                _ => None,
+            })
+            .collect();
+        retries.sort_unstable();
+        let inquiry = TimerPurpose::InquiryRetry.name();
+        let want: Vec<_> = PARTS.iter().map(|p| (p.raw(), inquiry, 1)).collect();
+        assert_eq!(retries, want, "one attempt-1 inquiry retry per participant");
         // Read the re-armed deadlines off the wheel by advancing it a
         // tick at a time.
         let mut fired_at = BTreeMap::new();

@@ -9,26 +9,23 @@
 //!
 //! There is **one** site-hosting kernel (the private `host` module: the
 //! turn discipline, all four site kinds, timers, client replies,
-//! admission, one fsync domain) and three backends that instantiate it
-//! over a transport:
+//! admission, one fsync domain) and two hosts that run it over a
+//! transport:
 //!
-//! * the **reactor** backend ([`ReactorCluster`]) — a single-threaded
-//!   event loop that owns every site, fires timers off a hashed
-//!   [`timer::TimerWheel`], batches each site's forced writes into one
-//!   fsync per turn, and sustains thousands of concurrent in-flight
-//!   transactions,
-//! * the **multi-reactor** backend ([`MultiReactorCluster`]) — N
-//!   reactor shards ([`multi_reactor`]) connected by lock-free
-//!   mailboxes: the coordinator sliced by transaction id, participants
-//!   partitioned by site id, one fsync domain and timer wheel per
-//!   shard (experiment E14), and
-//! * the **socket** backend ([`wire`], Unix only) — the same loop per
-//!   OS process, hosting a subset of sites, with length-prefixed
-//!   CRC-framed TCP between processes driven by a vendored epoll shim:
-//!   real `kill -9` failure domains, real WAL-only recovery
-//!   (experiment E15).
+//! * the **reactor** ([`ReactorCluster`], [`reactor`]) — N event-loop
+//!   threads in one process (one by default), each hosting a shard of
+//!   the sites, connected by lock-free mailboxes: the coordinator
+//!   sliced by transaction id, participants partitioned by site id,
+//!   one hashed [`timer::TimerWheel`] and one fsync domain per shard,
+//!   thousands of concurrent in-flight transactions (experiments E13,
+//!   E14), and
+//! * the **socket node** ([`SocketNode`], [`wire`], Unix only) — the
+//!   same kernel per OS process, hosting a subset of sites, with
+//!   length-prefixed CRC-framed TCP between processes driven by a
+//!   vendored epoll shim: real `kill -9` failure domains, real WAL-only
+//!   recovery (experiment E15).
 //!
-//! Their handles share one client facade ([`ClientHandle`]: `apply`,
+//! Both share one client facade ([`ClientHandle`]: `apply`,
 //! `set_intent`, `crash`, `commit`, `commit_async`), one configuration
 //! shape ([`ClusterConfig`]) and one shutdown report
 //! ([`ClusterReport`]), and they emit byte-identical trace lines
@@ -39,27 +36,21 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod client;
 pub mod cluster;
 pub mod envelope;
 pub(crate) mod host;
-pub mod multi_reactor;
 pub mod reactor;
 pub mod site;
 pub mod timer;
 #[cfg(unix)]
 pub mod wire;
 
-pub use admission::{AdmissionConfig, AdmissionController};
 pub use client::ClientHandle;
 pub use cluster::{ClusterConfig, ClusterReport, SiteSummary};
 pub use envelope::Envelope;
-pub use multi_reactor::{
-    MultiReactorCluster, MultiReactorConfig, MultiReactorReport, ShardSummary,
-};
 pub use reactor::{
-    InflightGauge, ReactorCluster, ReactorConfig, ReactorReport, ReactorStats, SnapshotCadence,
+    InflightGauge, ReactorCluster, ReactorConfig, ReactorReport, ReactorStats, ShardSummary,
 };
 pub use site::{NetDelays, NetObs};
 pub use timer::{TimerId, TimerWheel};

@@ -1,85 +1,117 @@
-//! The reactor runtime: a single-threaded event loop driving every
-//! site of a cluster over the sans-IO engines.
+//! The in-process host: the site-hosting kernel ([`crate::host`] — the
+//! turn discipline lives there) on `reactors` event-loop threads, over
+//! the in-process transport defined here.
 //!
 //! A thread per site and a mailbox hop per message is fine for a
 //! handful of concurrent transactions, but thousands of in-flight
 //! commits turn into context-switch churn and per-turn fsyncs (the
 //! retired thread-per-site backend measured 26–46× slower at 512+
-//! concurrency: `results/frozen/BENCH_runtime.json`). The reactor
-//! instead owns *all* sites on one thread: it is the site-hosting
-//! kernel ([`crate::host`] — the turn discipline lives there) over the
-//! in-process transport defined here, where a same-shard "send" is a
-//! `VecDeque::push_back` onto the kernel's ready queue and a
-//! cross-shard send is one push onto the owning reactor's mailbox.
+//! concurrency: `results/frozen/BENCH_runtime.json`). A reactor
+//! instead owns a whole shard of sites on one thread; one reactor (the
+//! default) hosts the whole cluster. The partition:
 //!
-//! This module keeps what is the reactor's own: its configuration and
-//! loop counters, the snapshot cadence, the cluster-wide in-flight
-//! gauge, the transport, and the [`ReactorCluster`] handle.
+//! * **Coordinator by transaction-id shard.** Coordinator state is
+//!   per-transaction, so the one logical coordinator (site 0) is
+//!   *sliced*: shard `s` runs a full coordinator engine, with its own
+//!   WAL (`coord-s.wal`), for exactly the transactions with
+//!   [`acp_core::shard_of`]`(t, N) == s`.
+//! * **Participants and gateways by site id.** Site `p` lives entirely
+//!   on shard `(p − 1) mod N`: its engine, storage, timers and WALs.
+//!
+//! Each shard owns its own timer wheel, engines and
+//! [`acp_wal::FsyncDomain`], so every shard is one coalesced force
+//! domain: one force round per turn however many transactions
+//! progressed on it. Routing is [`Envelope::owner_shard`]: a same-shard
+//! "send" is a `VecDeque::push_back` onto the kernel's ready queue, a
+//! cross-shard send one lock-free channel push
+//! ([`ReactorStats::mailbox_sends`]) — so one reactor never touches a
+//! channel between its own sites.
+//!
+//! Crash semantics survive the partition because sites are never
+//! split: a participant crash drops its staged records and withheld
+//! sends on its one owning shard. A coordinator crash broadcasts to
+//! every slice, each drops its own staged batch, and only shard 0's
+//! slice narrates the crash and recovery, so the history reads as one
+//! site failing.
+//!
+//! Observability: [`ReactorCluster::spawn_observed`] gives each shard
+//! its own [`MetricsRegistry`] and [`MetricsTimeline`];
+//! [`ReactorCluster::shutdown`] merges the timelines with
+//! [`MetricsTimeline::merged`]. In-flight commits aggregate across
+//! shards through the shared [`InflightGauge`].
 
-use crate::admission::AdmissionConfig;
 use crate::client::{deref_to_client, ClientHandle};
-use crate::cluster::{ClusterConfig, ClusterReport};
+use crate::cluster::{ClusterConfig, ClusterReport, SiteSummary};
 use crate::envelope::Envelope;
-use crate::host::{HostEnv, Kernel, Mail, Transport, COORDINATOR};
+use crate::host::{HostEnv, Kernel, KernelReport, Mail, Transport, COORDINATOR};
+use crate::site::SharedHistory;
 use acp_acta::History;
-use acp_obs::{HistogramSnapshot, MetricsRegistry, MetricsTimeline, TraceSink};
-use acp_types::{Message, SiteId};
+use acp_obs::{
+    CountingSink, FanoutSink, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, MetricsTimeline,
+    TraceSink,
+};
+use acp_types::{Message, SiteId, TxnId};
 use acp_wal::tempdir::TempDir;
-use acp_wal::DomainStats;
+use acp_wal::{DomainStats, GroupCommitStats};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Reactor parameters: the shared cluster shape plus the knobs that
-/// only make sense for a tick loop.
+/// Reactor parameters: the shared cluster shape plus what only an
+/// in-process host has.
 #[derive(Clone, Debug)]
 pub struct ReactorConfig {
     /// Cluster shape (coordinator kind, participant protocols,
     /// gateways, delays, group commit) — identical meaning on every
     /// backend.
     pub cluster: ClusterConfig,
-    /// How long a group-commit batch may stay open across ticks waiting
-    /// for more records (`ZERO` = force at the end of every tick).
-    /// Only meaningful with `cluster.group_commit` on.
-    pub commit_window: Duration,
-    /// Adaptive window: a batch holding a *single* forced record with
-    /// no other work pending forces immediately instead of waiting out
-    /// `commit_window` — single-transaction latency stays flat and the
-    /// trace stays byte-identical to the unwindowed run.
-    pub adaptive_window: bool,
-    /// Snapshot the metrics registry into the timeline every this many
-    /// working ticks (0 = off). Needs [`ReactorCluster::spawn_observed`].
-    pub snapshot_every_ticks: u64,
-    /// Also snapshot after this many delivered decisions (0 = off).
+    /// Reactor threads (≥ 1), each one shard of the partition above.
+    pub reactors: usize,
+    /// Snapshot each shard's metrics registry into its timeline after
+    /// this many delivered decisions (0 = off). Needs
+    /// [`ReactorCluster::spawn_observed`].
     pub snapshot_every_commits: u64,
-    /// Admission bounds (`None` = admit everything, the historical
-    /// behavior). A refused commit is a counted, observable shed — see
-    /// [`crate::admission`]. Clean single-transaction runs are
-    /// admission-invariant: an idle cluster admits under any bound, so
-    /// enabling this does not perturb committed traces.
-    pub admission: Option<AdmissionConfig>,
+    /// Admit a client commit only while fewer than this many are in
+    /// flight cluster-wide (`None` = admit everything). The engines run
+    /// no-wait 2PL, so past the saturation knee extra offered load
+    /// turns into abort/retry storms and goodput falls as load rises;
+    /// a bound near the knee turns that cliff into a plateau. Refused
+    /// commits are *shed*, not queued: queuing an open-loop stream past
+    /// saturation only moves the collapse into the queue, while
+    /// shedding pushes the excess back to the generator's retry policy,
+    /// the component with enough context to back off. A shed is
+    /// counted ([`ReactorStats::admission_sheds`], the `admission_shed`
+    /// grid counter, an `AdmissionShed` trace event) and observable: the
+    /// client's reply channel disconnects. An idle cluster admits under
+    /// any bound ≥ 1, so clean single-transaction traces are unchanged.
+    pub max_inflight: Option<u64>,
 }
 
 impl ReactorConfig {
-    /// Defaults mirroring [`ClusterConfig::new`]: no batching window,
-    /// adaptive on, snapshots off.
+    /// One reactor over [`ClusterConfig::new`]'s defaults, snapshots
+    /// off, no admission bound.
     #[must_use]
     pub fn new(
         kind: acp_types::CoordinatorKind,
         participant_protocols: &[acp_types::ProtocolKind],
     ) -> Self {
+        ClusterConfig::new(kind, participant_protocols).into()
+    }
+}
+
+impl From<ClusterConfig> for ReactorConfig {
+    /// One reactor over `cluster`, snapshots off, no admission bound.
+    fn from(cluster: ClusterConfig) -> Self {
         ReactorConfig {
-            cluster: ClusterConfig::new(kind, participant_protocols),
-            commit_window: Duration::ZERO,
-            adaptive_window: true,
-            snapshot_every_ticks: 0,
+            cluster,
+            reactors: 1,
             snapshot_every_commits: 0,
-            admission: None,
+            max_inflight: None,
         }
     }
 }
@@ -97,25 +129,26 @@ pub struct ReactorStats {
     /// Wheel timers cancelled before firing (engine retirements plus
     /// crash sweeps).
     pub timers_cancelled: u64,
-    /// Batches forced by the adaptive single-record fast path.
+    /// Always 0 since PR 25, which deleted the adaptive single-record
+    /// force path; kept because `benchmarks/src/run.rs` reads it.
     pub adaptive_forces: u64,
-    /// Batches forced because their window expired or the tick ended.
+    /// Batches forced at the end of a turn.
     pub window_forces: u64,
     /// Batch forces that failed: the site's withheld sends and ACTA
     /// events were dropped, never externalized.
     pub failed_forces: u64,
     /// Most client commits simultaneously awaiting a decision *on this
-    /// reactor*. The aggregate across a multi-reactor cluster is the
-    /// shared [`InflightGauge`]'s peak, not the sum of these (shard
+    /// reactor*. The aggregate across shards is
+    /// [`ReactorReport::max_inflight`], not the max of these (shard
     /// peaks need not coincide in time).
     pub max_inflight: usize,
     /// Decisions delivered to waiting clients.
     pub decisions_delivered: u64,
     /// Envelopes handed to another reactor's mailbox (cross-shard
-    /// routing; always 0 on a single-reactor cluster).
+    /// routing; always 0 on one reactor).
     pub mailbox_sends: u64,
-    /// Client commits refused at the door by the admission controller
-    /// (always 0 with `admission: None`).
+    /// Client commits refused at the door (always 0 with
+    /// `max_inflight: None`).
     pub admission_sheds: u64,
 }
 
@@ -138,64 +171,39 @@ impl ReactorStats {
     }
 }
 
-/// Deterministic composition of the two snapshot triggers.
-///
-/// The reactor can snapshot its metrics registry every
-/// `snapshot_every_ticks` working ticks, every
-/// `snapshot_every_commits` delivered decisions, or both. The two
-/// triggers compose with a pinned tie-break so merged multi-reactor
-/// timelines have a stable per-reactor snapshot sequence:
-///
-/// 1. Both triggers are evaluated once per working tick, tick trigger
-///    first (the tick count is the loop's own clock; commits are
-///    events within it).
-/// 2. When both fire on the same tick, exactly **one** snapshot is
-///    taken — the triggers coalesce, they never double-snapshot.
-/// 3. The pending-commit counter resets **only when the commit trigger
-///    itself fired**. A tick-triggered snapshot does not absorb
-///    pending commits, so the commit cadence is independent of the
-///    tick cadence: M delivered commits always produce
-///    `⌊M / snapshot_every_commits⌋` commit-trigger firings no matter
-///    how the tick trigger interleaves.
+/// The snapshot trigger: a count of delivered decisions, evaluated
+/// once per working turn. It fires (one snapshot) once the count
+/// reaches `every` and then starts over, so M decisions delivered one
+/// per turn make `⌊M / every⌋` snapshots; `every == 0` never fires.
 #[derive(Clone, Copy, Debug)]
-pub struct SnapshotCadence {
-    every_ticks: u64,
-    every_commits: u64,
-    commits_pending: u64,
+pub(crate) struct SnapshotCadence {
+    every: u64,
+    pending: u64,
 }
 
 impl SnapshotCadence {
-    /// A cadence from the two trigger periods (0 disables a trigger).
-    #[must_use]
-    pub fn new(every_ticks: u64, every_commits: u64) -> Self {
-        SnapshotCadence {
-            every_ticks,
-            every_commits,
-            commits_pending: 0,
-        }
+    pub(crate) fn new(every: u64) -> Self {
+        SnapshotCadence { every, pending: 0 }
     }
 
-    /// Record `n` delivered decisions toward the commit trigger.
-    pub fn on_commits(&mut self, n: u64) {
-        self.commits_pending += n;
+    /// Record `n` delivered decisions.
+    pub(crate) fn on_commits(&mut self, n: u64) {
+        self.pending += n;
     }
 
-    /// Evaluate both triggers at the end of working tick number
-    /// `ticks`. Returns whether to take (one) snapshot now.
-    pub fn on_tick(&mut self, ticks: u64) -> bool {
-        let by_ticks = self.every_ticks > 0 && ticks % self.every_ticks == 0;
-        let by_commits = self.every_commits > 0 && self.commits_pending >= self.every_commits;
-        if by_commits {
-            self.commits_pending = 0;
+    /// End of a working turn: whether to take a snapshot now.
+    pub(crate) fn due(&mut self) -> bool {
+        let due = self.every > 0 && self.pending >= self.every;
+        if due {
+            self.pending = 0;
         }
-        by_ticks || by_commits
+        due
     }
 }
 
 /// Client commits currently awaiting a decision, shared by every
-/// reactor of a cluster: the `in_flight` aggregate the multi-reactor
-/// report exposes. Lock-free — one relaxed `fetch_add`/`fetch_sub` per
-/// commit plus a `fetch_max` to keep the high-water mark.
+/// reactor of a cluster. Lock-free — one relaxed `fetch_add`/`fetch_sub`
+/// per commit plus a `fetch_max` to keep the high-water mark.
 #[derive(Debug, Default)]
 pub struct InflightGauge {
     cur: AtomicU64,
@@ -234,20 +242,57 @@ impl InflightGauge {
     }
 }
 
-/// What [`ReactorCluster::shutdown`] hands back: the report shape every
-/// backend shares plus the reactor's own loop counters.
-pub struct ReactorReport {
-    /// The backend-independent cluster report.
-    pub cluster: ClusterReport,
-    /// Reactor loop counters.
+/// One shard's slice of the final report.
+#[derive(Clone, Copy, Debug)]
+pub struct ShardSummary {
+    /// Shard index.
+    pub shard: usize,
+    /// The shard's loop counters.
     pub stats: ReactorStats,
-    /// This reactor's fsync-domain coalescing counters (all zero when
-    /// group commit is off — passthrough logs never stage a batch).
+    /// The shard's fsync-domain coalescing counters — the per-shard
+    /// force accounting proving each shard is one coalesced force
+    /// domain.
     pub fsync: DomainStats,
-    /// Commit latency of every decision this reactor delivered,
-    /// admission-to-delivery in microseconds. Merge per-shard
-    /// snapshots bucket-wise for the cluster-wide tail.
+    /// The shard's group-commit counters.
+    pub group_commit: GroupCommitStats,
+    /// Coordinator-slice protocol-table size at shutdown.
+    pub coordinator_table_size: usize,
+    /// Forced appends the shard's protocols requested.
+    pub logical_forces: u64,
+    /// Physical syncs the shard's WAL files performed.
+    pub physical_syncs: u64,
+}
+
+/// What [`ReactorCluster::shutdown`] hands back: the report shape every
+/// backend shares, merged over the shards, plus the reactors' own
+/// counters.
+pub struct ReactorReport {
+    /// The backend-independent cluster report: one history, one
+    /// coordinator summary (slices merged — table sizes summed, pinned
+    /// logs concatenated), every participant exactly once.
+    pub cluster: ClusterReport,
+    /// Loop counters, merged with [`ReactorStats::merge`].
+    pub stats: ReactorStats,
+    /// Fsync-domain coalescing counters, summed over the shards (all
+    /// zero when group commit is off — passthrough logs never stage a
+    /// batch).
+    pub fsync: DomainStats,
+    /// Commit latency of every delivered decision, admission to
+    /// delivery in microseconds: the shards' histograms merged
+    /// bucket-wise.
     pub latency: HistogramSnapshot,
+    /// Per-shard breakdowns, by shard index.
+    pub per_shard: Vec<ShardSummary>,
+    /// Most client commits simultaneously in flight across the whole
+    /// cluster (the shared gauge's peak).
+    pub max_inflight: u64,
+    /// Every shard's metrics snapshots in one deterministic order,
+    /// tagged with their shard index. Empty unless spawned with
+    /// [`ReactorCluster::spawn_observed`].
+    pub timeline: Vec<(usize, MetricsSnapshot)>,
+    /// Each shard's metrics registry (empty unless observed). Protocol
+    /// cost totals for the whole cluster are per-cell sums over these.
+    pub registries: Vec<Arc<MetricsRegistry>>,
 }
 
 // ---------------------------------------------------------------------------
@@ -261,8 +306,8 @@ struct Mailboxes {
     shard: usize,
     /// Every reactor's injector (index = shard). `peers[shard]` is this
     /// reactor's own and is never used — self-sends stay on the ready
-    /// queue, which is what keeps the single-reactor hot path free of
-    /// channel traffic.
+    /// queue, which is what keeps a single reactor free of channel
+    /// traffic.
     peers: Vec<Sender<Mail>>,
     /// Envelopes handed to another reactor's mailbox.
     mailbox_sends: u64,
@@ -302,25 +347,20 @@ impl Transport for Mailboxes {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Shard spawning
-
-/// Build one reactor shard's sites and start its event loop. The
-/// single-reactor [`ReactorCluster`] is the 1-shard special case;
-/// [`crate::multi_reactor::MultiReactorCluster`] spawns N of these over
-/// one shared history, in-flight gauge and WAL directory (`dir`: site
+/// Build one reactor shard's sites and start its event loop. All shards
+/// share one history, in-flight gauge and WAL directory (`dir`: site
 /// files are disambiguated by site, coordinator slices by shard).
 ///
 /// `peers` is every shard's injector by shard index, `env.rx` this
 /// shard's own. The shard owns its slice of site 0 (the coordinator, or
 /// the Paxos leader) plus the participants, gateways and Paxos
 /// acceptors with `(site − 1) mod n_shards == shard`.
-pub(crate) fn spawn_shard(
+fn spawn_shard(
     shard: usize,
     peers: Vec<Sender<Mail>>,
     env: HostEnv,
     dir: &Path,
-) -> JoinHandle<ReactorReport> {
+) -> JoinHandle<KernelReport> {
     let cc = &env.config.cluster;
     let last_site = (cc.participant_protocols.len() + 2 * cc.paxos_f.unwrap_or(0)) as u32;
     let mine = |s: &u32| (s - 1) as usize % peers.len() == shard;
@@ -343,11 +383,16 @@ pub(crate) fn spawn_shard(
 // ---------------------------------------------------------------------------
 // Public handle
 
-/// A running reactor: the client verbs are [`ClientHandle`]'s, one
-/// background thread hosts the whole cluster.
+/// A running reactor cluster: the client verbs are [`ClientHandle`]'s
+/// (routing each envelope to its owning reactor), `reactors` event-loop
+/// threads behind it.
 pub struct ReactorCluster {
     client: ClientHandle,
-    handle: JoinHandle<ReactorReport>,
+    handles: Vec<JoinHandle<KernelReport>>,
+    history: SharedHistory,
+    inflight: Arc<InflightGauge>,
+    registries: Vec<Arc<MetricsRegistry>>,
+    timelines: Vec<Arc<MetricsTimeline>>,
     _dir: TempDir,
 }
 
@@ -357,61 +402,191 @@ impl ReactorCluster {
     /// The coordinator's site id.
     pub const COORDINATOR: SiteId = COORDINATOR;
 
-    /// Spawn a reactor cluster with tracing off.
+    /// Spawn with tracing and metrics off.
     #[must_use]
     pub fn spawn(config: &ReactorConfig) -> ReactorCluster {
-        Self::spawn_inner(config, None, None)
+        Self::spawn_inner(config, None, false)
     }
 
-    /// Spawn with a trace sink (same event vocabulary and formatting as
-    /// every other backend and the simulator harness).
+    /// Spawn with a trace sink shared by every shard (same event
+    /// vocabulary and formatting as every other backend and the
+    /// simulator harness; events carry site ids, so per-site
+    /// projections stay deterministic however shards interleave).
     #[must_use]
     pub fn spawn_with_sink(config: &ReactorConfig, sink: Arc<dyn TraceSink>) -> ReactorCluster {
-        Self::spawn_inner(config, Some(sink), None)
+        Self::spawn_inner(config, Some(sink), false)
     }
 
-    /// Spawn with a sink *and* a live metrics surface: the reactor
-    /// snapshots `registry` into `timeline` per the config's snapshot
-    /// cadence (the caller is responsible for feeding the registry,
-    /// typically by including a `CountingSink` in `sink`).
+    /// Spawn with a live metrics surface: each shard gets its own
+    /// [`MetricsRegistry`] fed by a [`CountingSink`] (fanned out with
+    /// `sink`, if given) and snapshots it into its own
+    /// [`MetricsTimeline`] every `snapshot_every_commits` decisions.
     #[must_use]
     pub fn spawn_observed(
         config: &ReactorConfig,
-        sink: Arc<dyn TraceSink>,
-        registry: Arc<MetricsRegistry>,
-        timeline: Arc<MetricsTimeline>,
+        sink: Option<Arc<dyn TraceSink>>,
     ) -> ReactorCluster {
-        Self::spawn_inner(config, Some(sink), Some((registry, timeline)))
+        Self::spawn_inner(config, sink, true)
     }
 
     fn spawn_inner(
         config: &ReactorConfig,
         sink: Option<Arc<dyn TraceSink>>,
-        snapshots: Option<(Arc<MetricsRegistry>, Arc<MetricsTimeline>)>,
+        observed: bool,
     ) -> ReactorCluster {
+        let n = config.reactors.max(1);
+        let t0 = Instant::now();
         let dir = TempDir::new("reactor").expect("tempdir");
-        let (tx, rx) = unbounded();
-        let env = HostEnv {
-            config: config.clone(),
-            rx,
-            history: Arc::new(Mutex::new(History::new())),
-            inflight: Arc::new(InflightGauge::new()),
-            sink,
-            snapshots,
-            t0: Instant::now(),
-        };
-        let handle = spawn_shard(0, vec![tx.clone()], env, dir.path());
+        let history: SharedHistory = Arc::new(Mutex::new(History::new()));
+        let inflight = Arc::new(InflightGauge::new());
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded::<Mail>()).unzip();
+
+        let mut registries = Vec::new();
+        let mut timelines = Vec::new();
+        let mut handles = Vec::new();
+        for (shard, rx) in rxs.into_iter().enumerate() {
+            let (shard_sink, snapshots) = if observed {
+                let registry = Arc::new(MetricsRegistry::new());
+                let timeline = Arc::new(MetricsTimeline::new());
+                let counting: Arc<dyn TraceSink> =
+                    Arc::new(CountingSink::new(Arc::clone(&registry)));
+                let shard_sink: Arc<dyn TraceSink> = match &sink {
+                    Some(user) => Arc::new(FanoutSink::new(vec![Arc::clone(user), counting])),
+                    None => counting,
+                };
+                registries.push(Arc::clone(&registry));
+                timelines.push(Arc::clone(&timeline));
+                (Some(shard_sink), Some((registry, timeline)))
+            } else {
+                (sink.clone(), None)
+            };
+            let env = HostEnv {
+                config: config.clone(),
+                rx,
+                history: Arc::clone(&history),
+                inflight: Arc::clone(&inflight),
+                sink: shard_sink,
+                snapshots,
+                t0,
+            };
+            handles.push(spawn_shard(shard, txs.clone(), env, dir.path()));
+        }
+
         ReactorCluster {
-            client: ClientHandle::new(vec![tx], Box::new(|| ()), &config.cluster),
-            handle,
+            client: ClientHandle::new(txs, Box::new(|| ()), &config.cluster),
+            handles,
+            history,
+            inflight,
+            registries,
+            timelines,
             _dir: dir,
         }
     }
 
-    /// Stop the reactor and collect the final state.
+    /// Stop every reactor and merge their final states.
     #[must_use]
     pub fn shutdown(self) -> ReactorReport {
         self.client.shutdown_all();
-        self.handle.join().expect("reactor thread")
+        let reports: Vec<KernelReport> = self
+            .handles
+            .into_iter()
+            .map(|h| h.join().expect("reactor thread"))
+            .collect();
+
+        let mut stats = ReactorStats::default();
+        let mut fsync = DomainStats::default();
+        let mut latency = HistogramSnapshot::new();
+        let mut group_commit = GroupCommitStats::default();
+        let (mut logical_forces, mut physical_syncs, mut coordinator_table_size) = (0, 0, 0);
+        let mut coord_pinned: Vec<TxnId> = Vec::new();
+        let mut participant_sites: BTreeMap<u32, SiteSummary> = BTreeMap::new();
+        let mut per_shard = Vec::with_capacity(reports.len());
+        for (shard, r) in reports.into_iter().enumerate() {
+            stats.merge(&r.stats);
+            fsync.merge(&r.fsync);
+            latency.merge(&r.latency);
+            group_commit.merge(&r.group_commit);
+            logical_forces += r.logical_forces;
+            physical_syncs += r.physical_syncs;
+            coordinator_table_size += r.coordinator_table_size;
+            per_shard.push(ShardSummary {
+                shard,
+                stats: r.stats,
+                fsync: r.fsync,
+                group_commit: r.group_commit,
+                coordinator_table_size: r.coordinator_table_size,
+                logical_forces: r.logical_forces,
+                physical_syncs: r.physical_syncs,
+            });
+            for summary in r.sites {
+                if summary.site == COORDINATOR {
+                    coord_pinned.extend(summary.log_pinned);
+                } else {
+                    participant_sites.insert(summary.site.raw(), summary);
+                }
+            }
+        }
+        coord_pinned.sort_unstable();
+        let coordinator = SiteSummary {
+            site: COORDINATOR,
+            enforced: BTreeMap::new(),
+            log_pinned: coord_pinned,
+            committed: BTreeMap::new(),
+        };
+        let sites = std::iter::once(coordinator)
+            .chain(participant_sites.into_values())
+            .collect();
+
+        // The history is shared: clone it once, after every shard has
+        // stopped pushing.
+        let history = self.history.lock().clone();
+        let timelines: Vec<&MetricsTimeline> = self.timelines.iter().map(Arc::as_ref).collect();
+        ReactorReport {
+            cluster: ClusterReport {
+                history,
+                coordinator_table_size,
+                sites,
+                group_commit,
+                logical_forces,
+                physical_syncs,
+            },
+            stats,
+            fsync,
+            latency,
+            per_shard,
+            max_inflight: self.inflight.peak(),
+            timeline: MetricsTimeline::merged(&timelines),
+            registries: self.registries,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::SnapshotCadence;
+
+    #[test]
+    fn the_snapshot_trigger_fires_once_per_every_delivered_decisions() {
+        // One decision per turn: M decisions make ⌊M / every⌋ snapshots.
+        let mut cadence = SnapshotCadence::new(5);
+        let fired = (0..100)
+            .filter(|_| {
+                cadence.on_commits(1);
+                cadence.due()
+            })
+            .count();
+        assert_eq!(fired, 100 / 5);
+
+        // A turn past the threshold takes one snapshot and starts over.
+        cadence.on_commits(12);
+        assert!(cadence.due());
+        assert!(!cadence.due(), "the count was consumed");
+        cadence.on_commits(4);
+        assert!(!cadence.due());
+
+        // Period 0 is off.
+        let mut off = SnapshotCadence::new(0);
+        off.on_commits(1_000);
+        assert!(!off.due());
     }
 }

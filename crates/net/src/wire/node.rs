@@ -12,8 +12,8 @@
 //! readiness; the kernel's hashed timer wheel drives engine timers;
 //! both deadlines fold into one `epoll_wait` timeout, so the loop
 //! sleeps until *either* a frame arrives or a protocol timer is due.
-//! The node is the kernel with no commit window, no admission door and
-//! no snapshot registry.
+//! The node is the kernel with no admission door and no snapshot
+//! registry.
 //!
 //! The engines cannot tell the difference. They see the same
 //! [`Envelope`] dispatch, the same [`crate::site`] emission points,
@@ -39,7 +39,7 @@ use crate::client::{deref_to_client, ClientHandle};
 use crate::cluster::{ClusterConfig, ClusterReport};
 use crate::envelope::Envelope;
 use crate::host::{HostEnv, Kernel, Mail, Transport, COORDINATOR};
-use crate::reactor::{InflightGauge, ReactorConfig, ReactorStats};
+use crate::reactor::{InflightGauge, ReactorStats};
 use acp_acta::History;
 use acp_obs::{HistogramSnapshot, TraceSink, WireMetrics, WireSnapshot};
 use acp_types::SiteId;
@@ -795,18 +795,9 @@ impl SocketNode {
         let wake = move || waker_handle.ring();
         let client = ClientHandle::new(vec![tx], Box::new(wake), &config.cluster);
         let env = HostEnv {
-            // The kernel as the reactor runs it, minus the reactor's
-            // knobs: force at the end of every turn, admit everything.
-            config: ReactorConfig {
-                cluster: config.cluster,
-                commit_window: Duration::ZERO,
-                adaptive_window: false,
-                snapshot_every_ticks: 0,
-                snapshot_every_commits: 0,
-                admission: None,
-            },
+            config: config.cluster.into(),
             rx,
-            history,
+            history: Arc::clone(&history),
             inflight: Arc::new(InflightGauge::new()),
             sink,
             snapshots: None,
@@ -839,8 +830,16 @@ impl SocketNode {
             .name("acp-socket-node".into())
             .spawn(move || {
                 let (report, _tcp) = kernel.run();
+                let history = history.lock().clone();
                 NodeReport {
-                    cluster: report.cluster,
+                    cluster: ClusterReport {
+                        history,
+                        coordinator_table_size: report.coordinator_table_size,
+                        sites: report.sites,
+                        group_commit: report.group_commit,
+                        logical_forces: report.logical_forces,
+                        physical_syncs: report.physical_syncs,
+                    },
                     stats: report.stats,
                     fsync: report.fsync,
                     latency: report.latency,

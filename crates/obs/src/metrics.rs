@@ -422,7 +422,7 @@ impl MetricsTimeline {
     /// broken by timeline index, then by push order within a timeline —
     /// so N reactors whose clocks coincide always interleave the same
     /// way, and re-merging the same timelines is byte-identical. This is
-    /// the multi-reactor report's metrics surface: per-shard registries
+    /// the N-shard reactor report's metrics surface: per-shard registries
     /// snapshot independently, one merged timeline comes out.
     #[must_use]
     pub fn merged(timelines: &[&MetricsTimeline]) -> Vec<(usize, MetricsSnapshot)> {

@@ -13,7 +13,7 @@
 //!
 //! * [`GroupCommitLog`] — a single-owner wrapper for event-loop hosts
 //!   (the deterministic simulator and the site-hosting kernel behind
-//!   the reactor, multi-reactor and socket runtimes). Batches are
+//!   the reactor, at one shard or N, and the socket node). Batches are
 //!   delimited by a *batch window* of host time
 //!   ([`GroupCommitLog::windowed`], deterministic accounting for the
 //!   sim) or by explicit turn boundaries ([`GroupCommitLog::deferred`]

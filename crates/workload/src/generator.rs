@@ -5,7 +5,7 @@
 //! [`crate::arrival`]), *what* it touches (zipfian keys,
 //! [`crate::keyspace`]), and *where* it runs (how many partitions, and
 //! which). The output is pure data — a sorted `Vec<PlannedTxn>` — so
-//! the same plan can drive the reactor, the multi-reactor shards,
+//! the same plan can drive the reactor at one shard or N,
 //! a socket cluster, or a closed-form model, and two backends fed
 //! the same plan are comparable point by point.
 

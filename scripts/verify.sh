@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: offline release build, every workspace test,
-# the structural guards (one kernel, one harness, one log, one encoder,
-# one instrument), the benchmark's smoke suite, and a regeneration of every
+# the structural guards (one kernel, one in-process host, one harness,
+# one log, one encoder, one instrument), the benchmark's smoke suite, and a regeneration of every
 # committed result with a diff against it. No step's pass/fail depends
 # on a wall-clock rate; the perf figures printed are information.
 #
@@ -40,6 +40,15 @@ done
 # stay gone.
 if grep -rnE 'fn (run_coordinator|run_participant|run_gateway)\b|struct Cluster\b' crates src tests examples --include='*.rs'; then
   echo "FAIL: the threaded backend's loops or its Cluster handle reappeared"; exit 1
+fi
+
+echo "== one in-process host: ReactorCluster { reactors }, configured only by what callers set"
+# multi_reactor.rs was a second public handle over the same shards, and
+# the admission wrapper, the commit window, the adaptive force path and
+# the tick snapshot trigger were knobs and state nothing set (PR 25).
+# Any of these names is that copy or an unset knob coming back.
+if grep -rnE 'struct (MultiReactorCluster|MultiReactorConfig|MultiReactorReport|AdmissionController|AdmissionConfig)\b|\b(commit_window|adaptive_window|snapshot_every_ticks|batch_opened)\b' crates src tests examples --include='*.rs'; then
+  echo "FAIL: a second in-process host handle, the admission wrapper or an unset knob reappeared"; exit 1
 fi
 nontest_lines crates/net/src
 

@@ -39,7 +39,7 @@
 //! | [`acta`] | `acp-acta` | executable ACTA correctness criteria |
 //! | [`engine`] | `acp-engine` | per-site transactional KV storage |
 //! | [`check`] | `acp-check` | bounded model checker |
-//! | [`net`] | `acp-net` | one site-hosting kernel, three runtimes: reactor, sharded multi-reactor, real TCP sockets |
+//! | [`net`] | `acp-net` | one site-hosting kernel, two hosts: the in-process reactor (N shards), real TCP sockets |
 //! | [`workload`] | `acp-workload` | workload/population/failure generators |
 
 #![forbid(unsafe_code)]
@@ -68,12 +68,9 @@ pub mod prelude {
         run_scenario, run_scenario_with_sink, Scenario, ScenarioOutcome, TimerDelays, TxnSpec,
     };
     pub use acp_core::{select_mode, Action, CommitPlan, Coordinator, Participant};
-    pub use acp_net::{
-        AdmissionConfig, AdmissionController, ClusterConfig, MultiReactorCluster,
-        MultiReactorConfig, ReactorCluster, ReactorConfig,
-    };
     #[cfg(unix)]
     pub use acp_net::{AddressBook, NodeConfig, SocketNode, WireFaults};
+    pub use acp_net::{ClusterConfig, ReactorCluster, ReactorConfig};
     pub use acp_obs::{
         CountingSink, MetricsRegistry, MetricsTimeline, ProtoLabel, ProtocolEvent, TraceSink,
         VecSink,

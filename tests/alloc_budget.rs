@@ -127,7 +127,7 @@ fn runtime_allocs_per_txn(backend: Backend) -> f64 {
 /// The `reactor_burst64` load on one reactor.
 #[test]
 fn a_reactor_commit_allocates_within_its_budget() {
-    let per_txn = runtime_allocs_per_txn(Backend::Reactor);
+    let per_txn = runtime_allocs_per_txn(Backend::Reactor(1));
     println!("reactor: {per_txn:.1} runtime-thread allocations per transaction");
     assert!(
         per_txn <= 64.0,

@@ -2,7 +2,7 @@
 //! the trace projection the parity tests compare, timer-silent delays,
 //! socket-node spawning, and one handle over every backend.
 
-use presumed_any::net::{ClientHandle, ClusterReport, NetDelays};
+use presumed_any::net::{ClientHandle, ClusterReport, NetDelays, ShardSummary};
 use presumed_any::obs::{event_to_json, parse_flat_json, JsonValue};
 use presumed_any::prelude::*;
 #[cfg(unix)]
@@ -117,10 +117,8 @@ pub mod sockets {
 /// A host of the site kernel, as a test input.
 #[derive(Clone, Copy, Debug)]
 pub enum Backend {
-    /// [`ReactorCluster`]: every site on one event loop.
-    Reactor,
-    /// [`MultiReactorCluster`] over this many reactors.
-    MultiReactor(usize),
+    /// [`ReactorCluster`] over this many reactors.
+    Reactor(usize),
     /// Two [`SocketNode`]s over loopback TCP: the coordinator on one,
     /// every other site on the other.
     #[cfg(unix)]
@@ -130,26 +128,21 @@ pub enum Backend {
 impl Backend {
     /// Every kernel host the backend-generic suite runs a scenario on.
     pub const ALL: &'static [Backend] = &[
-        Backend::Reactor,
-        Backend::MultiReactor(2),
+        Backend::Reactor(1),
+        Backend::Reactor(2),
         #[cfg(unix)]
         Backend::SocketPair,
     ];
 
     /// Spawn `config`'s cluster on this backend, tracing into `sink`.
     pub fn spawn(self, config: &ClusterConfig, sink: Option<Arc<dyn TraceSink>>) -> Running {
-        let mut reactor = ReactorConfig::new(config.kind, &config.participant_protocols);
-        reactor.cluster = config.clone();
         match (self, sink) {
-            (Backend::Reactor, None) => Running::Reactor(ReactorCluster::spawn(&reactor)),
-            (Backend::Reactor, Some(sink)) => {
-                Running::Reactor(ReactorCluster::spawn_with_sink(&reactor, sink))
-            }
-            (Backend::MultiReactor(n), sink) => {
-                let config = MultiReactorConfig::new(reactor, n);
-                Running::Multi(match sink {
-                    None => MultiReactorCluster::spawn(&config),
-                    Some(sink) => MultiReactorCluster::spawn_with_sink(&config, sink),
+            (Backend::Reactor(reactors), sink) => {
+                let mut reactor = ReactorConfig::from(config.clone());
+                reactor.reactors = reactors;
+                Running::Reactor(match sink {
+                    None => ReactorCluster::spawn(&reactor),
+                    Some(sink) => ReactorCluster::spawn_with_sink(&reactor, sink),
                 })
             }
             #[cfg(unix)]
@@ -178,7 +171,6 @@ impl Backend {
 /// yields the [`ClusterReport`] every backend shares.
 pub enum Running {
     Reactor(ReactorCluster),
-    Multi(MultiReactorCluster),
     #[cfg(unix)]
     Sockets {
         coord: SocketNode,
@@ -193,7 +185,6 @@ impl Deref for Running {
     fn deref(&self) -> &ClientHandle {
         match self {
             Running::Reactor(c) => c,
-            Running::Multi(c) => c,
             #[cfg(unix)]
             Running::Sockets { coord, .. } => coord,
         }
@@ -204,7 +195,6 @@ impl DerefMut for Running {
     fn deref_mut(&mut self) -> &mut ClientHandle {
         match self {
             Running::Reactor(c) => c,
-            Running::Multi(c) => c,
             #[cfg(unix)]
             Running::Sockets { coord, .. } => coord,
         }
@@ -230,9 +220,17 @@ impl Running {
 
     /// Stop every loop and collect the cluster-wide final state.
     pub fn shutdown(self) -> ClusterReport {
+        self.shutdown_per_shard().0
+    }
+
+    /// [`shutdown`](Self::shutdown), plus the reactor's per-shard
+    /// breakdown (empty on the socket pair).
+    pub fn shutdown_per_shard(self) -> (ClusterReport, Vec<ShardSummary>) {
         match self {
-            Running::Reactor(c) => c.shutdown().cluster,
-            Running::Multi(c) => c.shutdown().cluster,
+            Running::Reactor(c) => {
+                let report = c.shutdown();
+                (report.cluster, report.per_shard)
+            }
             #[cfg(unix)]
             Running::Sockets {
                 coord,
@@ -244,14 +242,15 @@ impl Running {
                 let mut group_commit = a.group_commit;
                 group_commit.merge(&b.group_commit);
                 let history = history.lock().clone();
-                ClusterReport {
+                let report = ClusterReport {
                     history,
                     coordinator_table_size: a.coordinator_table_size,
                     sites: a.sites.into_iter().chain(b.sites).collect(),
                     group_commit,
                     logical_forces: a.logical_forces + b.logical_forces,
                     physical_syncs: a.physical_syncs + b.physical_syncs,
-                }
+                };
+                (report, Vec::new())
             }
         }
     }

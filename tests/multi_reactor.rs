@@ -1,53 +1,24 @@
-//! End-to-end tests of the sharded multi-reactor runtime (experiment
-//! E14): N event-loop threads over the same sans-IO engines, with
-//! 1-vs-N determinism, trace parity, cost parity, crash semantics and
+//! End-to-end tests of the reactor at N shards (experiment E14): N
+//! event-loop threads over the same sans-IO engines, with 1-vs-N
+//! determinism, trace parity, cost parity, crash semantics and
 //! fsync-domain coalescing checks.
 
 mod common;
 
 use common::runtime::{glacial, masked_site_traces};
-use presumed_any::net::SnapshotCadence;
 use presumed_any::obs::Counter;
 use presumed_any::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn mixed_multi(reactors: usize) -> MultiReactorConfig {
-    MultiReactorConfig::new(
-        ReactorConfig::new(
-            CoordinatorKind::PrAny(SelectionPolicy::PaperStrict),
-            &[ProtocolKind::PrN, ProtocolKind::PrA, ProtocolKind::PrC],
-        ),
-        reactors,
-    )
-}
-
-#[test]
-fn multi_reactor_commit_applies_data_at_all_participants() {
-    let mut cluster = MultiReactorCluster::spawn(&mixed_multi(3));
-    assert_eq!(cluster.reactors(), 3);
-    let parts = cluster.participants();
-    let txn = cluster.next_txn();
-    for &p in &parts {
-        cluster.apply(p, txn, b"balance", b"100");
-    }
-    assert_eq!(cluster.commit(txn, &parts), Some(Outcome::Commit));
-    cluster.settle(Duration::from_millis(300));
-    let report = cluster.shutdown();
-    assert!(check_atomicity(&report.cluster.history).is_empty());
-    for s in &report.cluster.sites {
-        if s.site != MultiReactorCluster::COORDINATOR {
-            assert_eq!(
-                s.committed.get(b"balance".as_slice()).map(Vec::as_slice),
-                Some(b"100".as_slice()),
-                "site {}",
-                s.site
-            );
-        }
-    }
-    assert_eq!(report.cluster.coordinator_table_size, 0);
-    assert_eq!(report.per_shard.len(), 3);
+fn mixed_multi(reactors: usize) -> ReactorConfig {
+    let mut config = ReactorConfig::new(
+        CoordinatorKind::PrAny(SelectionPolicy::PaperStrict),
+        &[ProtocolKind::PrN, ProtocolKind::PrA, ProtocolKind::PrC],
+    );
+    config.reactors = reactors;
+    config
 }
 
 // ---------------------------------------------------------------------------
@@ -80,8 +51,9 @@ fn single_txn_traces_byte_identical_at_any_reactor_count() {
 
     for n in [1usize, 2, 4] {
         let sink = Arc::new(VecSink::new());
-        let config = MultiReactorConfig::new(ReactorConfig::new(kind, &protos), n);
-        let mut cluster = MultiReactorCluster::spawn_with_sink(&config, Arc::clone(&sink) as _);
+        let mut config = ReactorConfig::new(kind, &protos);
+        config.reactors = n;
+        let mut cluster = ReactorCluster::spawn_with_sink(&config, Arc::clone(&sink) as _);
         let txn = cluster.next_txn();
         let parts = cluster.participants();
         cluster.apply(parts[0], txn, b"k", b"v");
@@ -119,9 +91,9 @@ fn stress_outcomes_and_cost_counters_identical_1_vs_n_reactors() {
         let registry = Arc::new(MetricsRegistry::new());
         let sink = Arc::new(CountingSink::new(Arc::clone(&registry)));
         let mut config = mixed_multi(n);
-        config.reactor.cluster.delays = glacial();
-        config.reactor.cluster.group_commit = true;
-        let mut cluster = MultiReactorCluster::spawn_with_sink(&config, sink as _);
+        config.cluster.delays = glacial();
+        config.cluster.group_commit = true;
+        let mut cluster = ReactorCluster::spawn_with_sink(&config, sink as _);
         let parts = cluster.participants();
         let mut pending = Vec::new();
         for i in 0..TXNS {
@@ -197,52 +169,20 @@ fn stress_outcomes_and_cost_counters_identical_1_vs_n_reactors() {
 // ---------------------------------------------------------------------------
 // Crash semantics across the partition
 
-/// A participant crash is owned by exactly one shard: its staged
-/// records and withheld sends drop together there, and the cluster
-/// still reaches an atomic outcome.
-#[test]
-fn participant_crash_on_its_owning_shard_still_atomic() {
-    let mut cluster = MultiReactorCluster::spawn(&mixed_multi(2));
-    let parts = cluster.participants();
-    let txn = cluster.next_txn();
-    for &p in &parts {
-        cluster.apply(p, txn, b"x", b"1");
-    }
-    let _ = cluster.commit_async(txn, &parts);
-    // Site 2 lives on shard (2 − 1) mod 2 = 1; the coordinator slice
-    // for txn 1 lives on shard 1 mod 2 = 1 as well — the crash and the
-    // decision race on one shard while shard 0's sites keep running.
-    cluster.crash(parts[1], Duration::from_millis(300));
-    cluster.settle(Duration::from_millis(2_500));
-    let report = cluster.shutdown();
-    let v = check_atomicity(&report.cluster.history);
-    assert!(v.is_empty(), "{v:?}");
-    let datasets: Vec<_> = report
-        .cluster
-        .sites
-        .iter()
-        .filter(|s| s.site != MultiReactorCluster::COORDINATOR)
-        .map(|s| s.committed.clone())
-        .collect();
-    for d in &datasets[1..] {
-        assert_eq!(&datasets[0], d, "data diverged");
-    }
-}
-
 /// Crashing the coordinator crashes every slice of it, but the N
 /// slices are one logical site: the trace must record exactly one
 /// crash and one recovery, and the cluster must converge.
 #[test]
 fn coordinator_crash_broadcasts_to_all_slices_as_one_logical_crash() {
     let sink = Arc::new(VecSink::new());
-    let mut cluster = MultiReactorCluster::spawn_with_sink(&mixed_multi(2), Arc::clone(&sink) as _);
+    let mut cluster = ReactorCluster::spawn_with_sink(&mixed_multi(2), Arc::clone(&sink) as _);
     let parts = cluster.participants();
     let txn = cluster.next_txn();
     for &p in &parts {
         cluster.apply(p, txn, b"k", b"v");
     }
     let _ = cluster.commit_async(txn, &parts);
-    cluster.crash(MultiReactorCluster::COORDINATOR, Duration::from_millis(200));
+    cluster.crash(ReactorCluster::COORDINATOR, Duration::from_millis(200));
     cluster.settle(Duration::from_secs(3));
     let report = cluster.shutdown();
     let v = check_atomicity(&report.cluster.history);
@@ -273,9 +213,9 @@ fn coordinator_crash_broadcasts_to_all_slices_as_one_logical_crash() {
 #[test]
 fn each_shard_is_one_coalesced_fsync_domain() {
     let mut config = mixed_multi(2);
-    config.reactor.cluster.delays = glacial();
-    config.reactor.cluster.group_commit = true;
-    let mut cluster = MultiReactorCluster::spawn(&config);
+    config.cluster.delays = glacial();
+    config.cluster.group_commit = true;
+    let mut cluster = ReactorCluster::spawn(&config);
     let parts = cluster.participants();
     const N: usize = 128;
     let mut pending = Vec::with_capacity(N);
@@ -336,16 +276,16 @@ fn each_shard_is_one_coalesced_fsync_domain() {
 }
 
 // ---------------------------------------------------------------------------
-// Observability: merged timelines and cadence composition
+// Observability: merged timelines
 
 /// Per-reactor metrics timelines merge into one deterministic
 /// sequence, tagged by shard, time-ordered within each shard.
 #[test]
 fn observed_cluster_merges_per_reactor_timelines() {
     let mut config = mixed_multi(2);
-    config.reactor.cluster.delays = glacial();
-    config.reactor.snapshot_every_commits = 1;
-    let mut cluster = MultiReactorCluster::spawn_observed(&config, None);
+    config.cluster.delays = glacial();
+    config.snapshot_every_commits = 1;
+    let mut cluster = ReactorCluster::spawn_observed(&config, None);
     let parts = cluster.participants();
     const TXNS: u64 = 6;
     for i in 0..TXNS {
@@ -382,46 +322,6 @@ fn observed_cluster_merges_per_reactor_timelines() {
     assert_eq!(decisions, TXNS);
 }
 
-/// Satellite pin: the two snapshot triggers compose deterministically.
-/// Tick trigger first, both firing coalesce into one snapshot, and the
-/// pending-commit counter resets only when the commit trigger itself
-/// fired — M delivered commits always produce ⌊M / every_commits⌋
-/// commit firings no matter how tick snapshots interleave.
-#[test]
-fn snapshot_cadence_composes_tick_and_commit_triggers() {
-    // Both triggers fire on the same tick: exactly one snapshot, and
-    // the commit counter is consumed.
-    let mut c = SnapshotCadence::new(2, 3);
-    c.on_commits(3);
-    assert!(c.on_tick(2), "tick multiple + commit threshold → snapshot");
-    assert!(!c.on_tick(3), "both triggers consumed");
-
-    // A tick-triggered snapshot must NOT absorb pending commits: the
-    // commit cadence stays independent of the tick cadence.
-    c.on_commits(2);
-    assert!(c.on_tick(4), "tick trigger fires with 2 commits pending");
-    c.on_commits(1);
-    assert!(c.on_tick(5), "3rd commit still fires the commit trigger");
-    assert!(!c.on_tick(7), "commit counter was reset by its own firing");
-
-    // Disabled triggers (period 0) never fire.
-    let mut off = SnapshotCadence::new(0, 0);
-    off.on_commits(1_000);
-    assert!(!off.on_tick(1_000));
-
-    // Commit-only cadence: M commits → ⌊M / every⌋ firings regardless
-    // of which ticks they land on.
-    let mut commit_only = SnapshotCadence::new(0, 5);
-    let mut fired = 0;
-    for tick in 1..=100u64 {
-        commit_only.on_commits(1);
-        if commit_only.on_tick(tick) {
-            fired += 1;
-        }
-    }
-    assert_eq!(fired, 100 / 5);
-}
-
 /// Paxos Commit routes cleanly under `owner_shard`: the leader at site
 /// 0 is sliced by transaction id like any coordinator (each slice is
 /// also acceptor 0 for its own transactions), the dedicated acceptors
@@ -435,7 +335,8 @@ fn paxos_commit_runs_sliced_across_reactors() {
     );
     reactor.cluster.paxos_f = Some(1);
     reactor.cluster.delays = glacial();
-    let mut cluster = MultiReactorCluster::spawn(&MultiReactorConfig::new(reactor, 2));
+    reactor.reactors = 2;
+    let mut cluster = ReactorCluster::spawn(&reactor);
     let parts = cluster.participants();
     const TXNS: usize = 8;
     for i in 0..TXNS {

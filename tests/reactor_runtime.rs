@@ -1,18 +1,19 @@
 //! End-to-end tests of the reactor runtime (experiment E13): one event
 //! loop driving every site over the sans-IO engines, with trace and
 //! cost parity checked against the simulator harness — the independent
-//! oracle at the head of the chain sim → reactor → multi-reactor/socket
+//! oracle at the head of the chain sim → reactor → N reactors/socket
 //! that `tests/multi_reactor.rs` and `tests/socket_wire.rs` continue
 //! byte for byte. Scenarios that hold on every backend live in
-//! `tests/runtime_backends.rs`.
+//! `tests/runtime_backends.rs`; the retry jitter is pinned on the
+//! stepped kernel (`crates/net/src/host.rs`'s tests), not the wall
+//! clock.
 
 mod common;
 
 use common::runtime::{glacial, masked_site_traces};
-use presumed_any::net::{NetDelays, ReactorReport};
+use presumed_any::net::ReactorReport;
 use presumed_any::obs::{parse_flat_json, Counter};
 use presumed_any::prelude::*;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -94,42 +95,6 @@ fn clean_trace_is_byte_identical_across_backends() {
             );
         }
     }
-}
-
-/// The adaptive group-commit window must not change a single
-/// transaction's trace: a batch of one forces immediately, so the
-/// windowed run is indistinguishable from the unwindowed one.
-#[test]
-fn adaptive_window_keeps_single_txn_traces_identical() {
-    let kind = CoordinatorKind::PrAny(SelectionPolicy::PaperStrict);
-    let protos = [ProtocolKind::PrA];
-    let run = |window: Duration| {
-        let sink = Arc::new(VecSink::new());
-        let mut config = ReactorConfig::new(kind, &protos);
-        config.cluster.group_commit = true;
-        config.commit_window = window;
-        config.adaptive_window = true;
-        let mut cluster = ReactorCluster::spawn_with_sink(&config, Arc::clone(&sink) as _);
-        let txn = cluster.next_txn();
-        let parts = cluster.participants();
-        cluster.apply(parts[0], txn, b"k", b"v");
-        assert_eq!(cluster.commit(txn, &parts), Some(Outcome::Commit));
-        cluster.settle(Duration::from_millis(300));
-        let report = cluster.shutdown();
-        (masked_site_traces(&sink.snapshot()), report)
-    };
-
-    let (unwindowed, _) = run(Duration::ZERO);
-    let (windowed, report) = run(Duration::from_millis(20));
-    assert_eq!(
-        unwindowed, windowed,
-        "adaptive window changed a single-transaction trace"
-    );
-    assert!(
-        report.stats.adaptive_forces > 0,
-        "single-record batches should take the adaptive fast path, got {:?}",
-        report.stats
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -311,18 +276,10 @@ fn crash_with_pending_timers_fires_nothing_stale() {
 
 #[test]
 fn metrics_timeline_streams_in_run_snapshots() {
-    let registry = Arc::new(MetricsRegistry::new());
-    let timeline = Arc::new(MetricsTimeline::new());
-    let sink = Arc::new(CountingSink::new(Arc::clone(&registry)));
     let mut config = mixed_reactor();
     config.cluster.delays = glacial();
     config.snapshot_every_commits = 1;
-    let mut cluster = ReactorCluster::spawn_observed(
-        &config,
-        sink as _,
-        Arc::clone(&registry),
-        Arc::clone(&timeline),
-    );
+    let mut cluster = ReactorCluster::spawn_observed(&config, None);
     let parts = cluster.participants();
     const TXNS: u64 = 5;
     for i in 0..TXNS {
@@ -336,7 +293,7 @@ fn metrics_timeline_streams_in_run_snapshots() {
     let report: ReactorReport = cluster.shutdown();
     assert_eq!(report.stats.decisions_delivered, TXNS);
 
-    let snaps = timeline.snapshots();
+    let snaps: Vec<_> = report.timeline.into_iter().map(|(_, snap)| snap).collect();
     assert!(
         snaps.len() >= 2,
         "expected in-run snapshots, got {}",
@@ -354,7 +311,7 @@ fn metrics_timeline_streams_in_run_snapshots() {
     let last = snaps.last().expect("non-empty");
     assert_eq!(
         last.total(Counter::DecisionsReached),
-        registry.snapshot(0).total(Counter::DecisionsReached)
+        report.registries[0].snapshot(0).total(Counter::DecisionsReached)
     );
 }
 
@@ -442,69 +399,4 @@ fn paxos_f0_trace_is_the_prn_coordinator_trace() {
     assert_eq!(prn_decisions.len(), 1);
     assert_eq!(prn_decisions, paxos_decisions);
     assert_eq!(prn_rest, paxos_rest, "same messages and log writes, in the same order");
-}
-
-// ---------------------------------------------------------------------------
-// Retry backoff
-
-/// Retry timers are jittered per (site, timer) on the reactor as on the
-/// socket node — the kernel arms both — while first armings stay exact.
-/// Two prepared participants stay in doubt (the third site is down, so
-/// the coordinator never gathers its votes) and inquire on their own
-/// timers. Both first inquiries leave in one turn, the base delay after
-/// the prepare; without jitter every later round would also leave in
-/// one turn, with it the sites drift apart by their jittered delays.
-#[test]
-fn retries_are_jittered_per_site_and_first_armings_exact() {
-    let base = Duration::from_millis(200);
-    let mut config = mixed_reactor();
-    config.cluster.delays = NetDelays {
-        inquiry_retry: base,
-        ..glacial()
-    };
-    let sink = Arc::new(VecSink::new());
-    let mut cluster = ReactorCluster::spawn_with_sink(&config, Arc::clone(&sink) as _);
-    let parts = cluster.participants();
-    let txn = cluster.next_txn();
-    cluster.crash(parts[2], Duration::from_secs(30));
-    for &p in &parts[..2] {
-        cluster.apply(p, txn, b"k", b"v");
-    }
-    let _pending = cluster.commit_async(txn, &parts);
-    cluster.settle(Duration::from_millis(900));
-    let _ = cluster.shutdown();
-
-    // Per site: when it voted, and when each retry round was scheduled.
-    let mut voted: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut rounds: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-    for ev in sink.snapshot() {
-        match ev {
-            ProtocolEvent::VoteCast { at_us, site, .. } => drop(voted.insert(site, at_us)),
-            ProtocolEvent::RetryScheduled { at_us, site, .. } => {
-                rounds.entry(site).or_default().push(at_us);
-            }
-            _ => {}
-        }
-    }
-    let us = |d: Duration| d.as_micros() as u64;
-    let slack = us(Duration::from_millis(15));
-    let (one, two) = (parts[0].raw(), parts[1].raw());
-    assert!(rounds[&one].len() >= 2 && rounds[&two].len() >= 2, "{rounds:?}");
-    for site in [one, two] {
-        let first = rounds[&site][0] - voted[&site];
-        assert!(
-            (us(base)..us(base) + slack).contains(&first),
-            "site {site}: the first inquiry leaves the base delay after the vote, not {first} us"
-        );
-    }
-    // Attempt 1 backs off to twice the base, give or take an eighth.
-    let second = |site| rounds[&site][1] - rounds[&site][0];
-    for site in [one, two] {
-        let band = us(base) * 7 / 4..us(base) * 9 / 4 + slack;
-        assert!(band.contains(&second(site)), "site {site}: {} us", second(site));
-    }
-    assert!(
-        second(one).abs_diff(second(two)) > slack,
-        "the two sites' retries must not stay in lockstep: {rounds:?}"
-    );
 }

@@ -1,8 +1,8 @@
 //! The backend-generic runtime suite: every scenario runs on every host
-//! of the site kernel — the reactor, two reactors, and a pair of socket
+//! of the site kernel — one reactor, two reactors, and a pair of socket
 //! nodes over loopback TCP — through one handle
 //! ([`common::runtime::Running`]): real event loops, real file-backed
-//! WALs, real (wall-clock) timeouts. The three hosts share every client
+//! WALs, real (wall-clock) timeouts. The hosts share every client
 //! verb ([`ClientHandle`](presumed_any::net::ClientHandle)) and one
 //! report shape, so a scenario is written once. None below needs
 //! skipping on any backend; one that did would say so by name, with the
@@ -79,12 +79,15 @@ fn commit_applies_data_at_all_participants() {
         }
         assert_eq!(cluster.commit(txn, &parts), Some(Outcome::Commit));
         cluster.settle(Duration::from_millis(300));
-        let report = cluster.shutdown();
+        let (report, per_shard) = cluster.shutdown_per_shard();
         assert_atomic(&report);
         for &p in &parts {
             assert_eq!(committed(&report, p, b"balance"), Some(b"100".as_slice()));
         }
         assert_eq!(report.coordinator_table_size, 0);
+        if let Backend::Reactor(n) = backend {
+            assert_eq!(per_shard.len(), n, "one summary per reactor shard");
+        }
     });
 }
 

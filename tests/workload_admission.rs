@@ -26,10 +26,10 @@ fn single_txn_trace_byte_identical_with_admission_enabled() {
     let kind = CoordinatorKind::PrAny(SelectionPolicy::PaperStrict);
     let protos = [ProtocolKind::PrA];
 
-    let run = |admission: Option<AdmissionConfig>| {
+    let run = |max_inflight: Option<u64>| {
         let sink = Arc::new(VecSink::new());
         let mut config = ReactorConfig::new(kind, &protos);
-        config.admission = admission;
+        config.max_inflight = max_inflight;
         let mut cluster = ReactorCluster::spawn_with_sink(&config, Arc::clone(&sink) as _);
         let txn = cluster.next_txn();
         let parts = cluster.participants();
@@ -43,7 +43,7 @@ fn single_txn_trace_byte_identical_with_admission_enabled() {
 
     let baseline = run(None);
     for bound in [1, 4, 1024] {
-        let gated = run(Some(AdmissionConfig::bounded(bound)));
+        let gated = run(Some(bound));
         assert_eq!(
             baseline, gated,
             "bound {bound}: admission perturbed a clean single-txn trace"
@@ -88,7 +88,7 @@ fn forced_overflow_sheds_are_counted_and_observable() {
         vote_timeout: Duration::from_secs(1),
         ..glacial()
     };
-    config.admission = Some(AdmissionConfig::bounded(BOUND as u64));
+    config.max_inflight = Some(BOUND as u64);
     let mut cluster = ReactorCluster::spawn_with_sink(&config, sink as _);
     let parts = cluster.participants();
     let (down, up) = (parts[0], parts[1]);
@@ -216,16 +216,14 @@ fn generator_plan_drives_1_vs_n_reactors_identically() {
     let run = |n: usize| {
         let registry = Arc::new(MetricsRegistry::new());
         let sink = Arc::new(CountingSink::new(Arc::clone(&registry)));
-        let mut config = MultiReactorConfig::new(
-            ReactorConfig::new(
-                CoordinatorKind::PrAny(SelectionPolicy::PaperStrict),
-                &[ProtocolKind::PrN, ProtocolKind::PrA, ProtocolKind::PrC],
-            ),
-            n,
+        let mut config = ReactorConfig::new(
+            CoordinatorKind::PrAny(SelectionPolicy::PaperStrict),
+            &[ProtocolKind::PrN, ProtocolKind::PrA, ProtocolKind::PrC],
         );
-        config.reactor.cluster.delays = glacial();
-        config.reactor.admission = Some(AdmissionConfig::bounded(64));
-        let mut cluster = MultiReactorCluster::spawn_with_sink(&config, sink as _);
+        config.reactors = n;
+        config.cluster.delays = glacial();
+        config.max_inflight = Some(64);
+        let mut cluster = ReactorCluster::spawn_with_sink(&config, sink as _);
         let sites = cluster.participants();
         let txns = plan.generate(&sites);
         let mut outcomes = Vec::with_capacity(txns.len());
@@ -281,19 +279,17 @@ fn generator_plan_drives_1_vs_n_reactors_identically() {
 // Satellite: commit-latency histogram is populated and merged
 
 /// The reactor's per-transaction commit latencies land in the report's
-/// histogram, and the multi-reactor report merges every shard's
-/// histogram (count equals total delivered decisions).
+/// histogram, merged over every shard's (count equals total delivered
+/// decisions).
 #[test]
 fn latency_histograms_cover_every_delivered_decision() {
-    let mut config = MultiReactorConfig::new(
-        ReactorConfig::new(
-            CoordinatorKind::PrAny(SelectionPolicy::PaperStrict),
-            &[ProtocolKind::PrA, ProtocolKind::PrC],
-        ),
-        2,
+    let mut config = ReactorConfig::new(
+        CoordinatorKind::PrAny(SelectionPolicy::PaperStrict),
+        &[ProtocolKind::PrA, ProtocolKind::PrC],
     );
-    config.reactor.cluster.delays = glacial();
-    let mut cluster = MultiReactorCluster::spawn(&config);
+    config.reactors = 2;
+    config.cluster.delays = glacial();
+    let mut cluster = ReactorCluster::spawn(&config);
     let parts = cluster.participants();
     const TXNS: u64 = 16;
     let mut pending = Vec::new();
