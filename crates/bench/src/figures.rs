@@ -238,7 +238,7 @@ pub fn overload_panel_events() -> Vec<ProtocolEvent> {
     // transactions already begun but not yet decided.
     let inflight = spans
         .values()
-        .filter(|(first, decided)| *first <= shed_at && decided.map_or(true, |d| d > shed_at))
+        .filter(|(first, decided)| *first <= shed_at && decided.is_none_or(|d| d > shed_at))
         .count() as u64;
     assert!(
         inflight >= OVERLOAD_LIMIT,

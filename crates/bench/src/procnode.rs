@@ -118,7 +118,7 @@ fn child_load(node: &mut SocketNode, first: u64, count: u64) {
         for &p in &parts {
             node.apply(p, txn, format!("k{}", txn.raw()).as_bytes(), b"v");
         }
-        if txn.raw() % 5 == 0 {
+        if txn.raw().is_multiple_of(5) {
             let victim = parts[(txn.raw() as usize / 5) % parts.len()];
             node.set_intent(victim, txn, Vote::No);
         }

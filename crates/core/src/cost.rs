@@ -197,22 +197,16 @@ impl BatchedPrediction {
     /// workspace's cost arithmetic is float-free).
     #[must_use]
     pub fn forces_per_txn_x1000(&self, n_txns: u64) -> u64 {
-        if n_txns == 0 {
-            0
-        } else {
-            self.physical_forces * 1000 / n_txns
-        }
+        (self.physical_forces * 1000).checked_div(n_txns).unwrap_or(0)
     }
 
     /// Amortization factor ×1000: logical forces per physical force.
     /// 1000 means no saving; `batch × 1000` is the ideal.
     #[must_use]
     pub fn amortization_x1000(&self) -> u64 {
-        if self.physical_forces == 0 {
-            0
-        } else {
-            self.logical_forces * 1000 / self.physical_forces
-        }
+        (self.logical_forces * 1000)
+            .checked_div(self.physical_forces)
+            .unwrap_or(0)
     }
 }
 

@@ -1,15 +1,20 @@
 //! The one dispatch point over engine kinds.
 //!
-//! [`Coordinator`], [`PaxosNode`] and [`Participant`] are three sans-IO
-//! state machines with the same inputs. A host that runs whole
-//! clusters — the simulator harness, the bounded explorer — holds each
-//! site as an [`AnyEngine`] and is written once; this file is the only
-//! `match` on the kind outside the real-time kernel (whose `SiteTask`
-//! arms also own per-kind data engines and locks). Every method
-//! forwards to the engine's inherent method of the same name.
+//! [`Coordinator`], [`PaxosNode`], [`Participant`] and
+//! [`GatewayParticipant`] are four sans-IO state machines with the same
+//! inputs. Every host of whole clusters — the simulator harness, the
+//! bounded explorer and the real-time kernel behind every event-loop
+//! backend — holds each site as an [`AnyEngine`] and is written once:
+//! this file is the only place an input is dispatched over the kind. A
+//! host matches one arm only to reach a verb that kind alone has (a
+//! gateway's staged write, the coordinator's once-per-turn GC). Every
+//! method forwards to the engine's inherent method of the same name;
+//! what a kind lacks (a participant's commit verbs, a gateway's timer
+//! retirement) is a no-op or, for commit requests, a panic.
 
 use crate::action::Action;
 use crate::coordinator::Coordinator;
+use crate::gateway::GatewayParticipant;
 use crate::participant::Participant;
 use crate::paxos::{PaxosConfig, PaxosNode};
 use acp_types::{CoordinatorKind, CostCounters, Outcome, Payload, ProtocolKind, SiteId, TxnId};
@@ -24,6 +29,8 @@ pub enum AnyEngine<L: StableLog> {
     Paxos(PaxosNode<L>),
     /// A participant.
     Part(Participant<L>),
+    /// A gateway simulating a prepared state for a legacy system.
+    Gateway(GatewayParticipant<L>),
 }
 
 /// Forward one expression to whichever engine `$any` holds.
@@ -33,6 +40,19 @@ macro_rules! each {
             AnyEngine::Coord($e) => $body,
             AnyEngine::Paxos($e) => $body,
             AnyEngine::Part($e) => $body,
+            AnyEngine::Gateway($e) => $body,
+        }
+    };
+}
+
+/// Forward to a coordinator-side engine; `$other` on a participant or
+/// gateway, which takes no commit requests and keeps no protocol table.
+macro_rules! coordinator_side {
+    ($any:expr, $e:ident => $body:expr, $other:expr) => {
+        match $any {
+            AnyEngine::Coord($e) => $body,
+            AnyEngine::Paxos($e) => $body,
+            AnyEngine::Part(_) | AnyEngine::Gateway(_) => $other,
         }
     };
 }
@@ -90,23 +110,18 @@ impl<L: StableLog> AnyEngine<L> {
     /// Start commit processing for `txn`.
     ///
     /// # Panics
-    /// On a participant: commit requests go to a coordinator-side site.
+    /// On a participant or gateway: commit requests go to a
+    /// coordinator-side site.
     pub fn begin_commit_into(&mut self, txn: TxnId, sites: &[SiteId], out: &mut Vec<Action>) {
-        match self {
-            AnyEngine::Coord(e) => e.begin_commit_into(txn, sites, out),
-            AnyEngine::Paxos(e) => e.begin_commit_into(txn, sites, out),
-            AnyEngine::Part(_) => panic!("begin_commit on a participant site"),
-        }
+        coordinator_side!(self, e => e.begin_commit_into(txn, sites, out),
+            panic!("begin_commit on a participant site"))
     }
 
     /// Client-requested abort of `txn` (same panic as
     /// [`begin_commit_into`](Self::begin_commit_into)).
     pub fn abort_request(&mut self, txn: TxnId) -> Vec<Action> {
-        match self {
-            AnyEngine::Coord(e) => e.abort_request(txn),
-            AnyEngine::Paxos(e) => e.abort_request(txn),
-            AnyEngine::Part(_) => panic!("abort_request on a participant site"),
-        }
+        coordinator_side!(self, e => e.abort_request(txn),
+            panic!("abort_request on a participant site"))
     }
 
     /// Borrow the stable log.
@@ -132,36 +147,51 @@ impl<L: StableLog> AnyEngine<L> {
         each!(self, e => e.log_pinned())
     }
 
+    /// Enable eager timer retirement, for a host with a real timer
+    /// wheel (a gateway retires none: its stale timers fire as no-ops).
+    pub fn set_track_cancellations(&mut self, on: bool) {
+        match self {
+            AnyEngine::Coord(e) => e.set_track_cancellations(on),
+            AnyEngine::Paxos(e) => e.set_track_cancellations(on),
+            AnyEngine::Part(e) => e.set_track_cancellations(on),
+            AnyEngine::Gateway(_) => {}
+        }
+    }
+
+    /// Move the timer tokens retired since the last call onto `retired`.
+    pub fn drain_cancelled_timers_into(&mut self, retired: &mut Vec<u64>) {
+        match self {
+            AnyEngine::Coord(e) => retired.extend(e.drain_cancelled_timers()),
+            AnyEngine::Paxos(e) => retired.extend(e.drain_cancelled_timers()),
+            AnyEngine::Part(e) => retired.extend(e.drain_cancelled_timers()),
+            AnyEngine::Gateway(_) => {}
+        }
+    }
+
     /// Transactions in the protocol table (a participant has none: the
     /// table is the coordinator side's memory of who still owes an ack).
     #[must_use]
     pub fn protocol_table_txns(&self) -> Vec<TxnId> {
-        match self {
-            AnyEngine::Coord(e) => e.protocol_table_txns(),
-            AnyEngine::Paxos(e) => e.protocol_table_txns(),
-            AnyEngine::Part(_) => Vec::new(),
-        }
+        coordinator_side!(self, e => e.protocol_table_txns(), Vec::new())
     }
 
     /// Size of the protocol table, without collecting it.
     #[must_use]
     pub fn protocol_table_size(&self) -> usize {
-        match self {
-            AnyEngine::Coord(e) => e.protocol_table_size(),
-            AnyEngine::Paxos(e) => e.protocol_table_size(),
-            AnyEngine::Part(_) => 0,
-        }
+        coordinator_side!(self, e => e.protocol_table_size(), 0)
     }
 
     /// The decision this site made for `txn` (participants decide
     /// nothing — what they enforce is on [`Participant::enforced`]).
     #[must_use]
     pub fn decided(&self, txn: TxnId) -> Option<Outcome> {
-        match self {
-            AnyEngine::Coord(e) => e.decided(txn),
-            AnyEngine::Paxos(e) => e.decided(txn),
-            AnyEngine::Part(_) => None,
-        }
+        coordinator_side!(self, e => e.decided(txn), None)
+    }
+
+    /// Is `txn` begun and not yet decided at this site?
+    #[must_use]
+    pub fn in_flight(&self, txn: TxnId) -> bool {
+        coordinator_side!(self, e => e.in_flight(txn), false)
     }
 
     /// The participant engine, if this site is one (its enforced

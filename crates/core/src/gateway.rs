@@ -36,7 +36,7 @@ use std::collections::BTreeMap;
 /// no prepare state, and intermittent availability. A separate failure
 /// domain from the gateway (it does not lose state when the gateway
 /// crashes).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Hash)]
 pub struct LegacyStore {
     data: BTreeMap<Vec<u8>, Vec<u8>>,
     available: bool,
@@ -93,7 +93,7 @@ impl LegacyStore {
 pub struct Unavailable;
 
 /// Per-transaction gateway state.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 enum GatewayPhase {
     /// Buffering writes; nothing stable yet.
     Collecting,
@@ -108,7 +108,7 @@ enum GatewayPhase {
     Applying { next_write: usize },
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 struct GatewayTxn {
     phase: GatewayPhase,
     writes: Vec<(Vec<u8>, Vec<u8>)>,
@@ -198,6 +198,73 @@ impl<L: StableLog> GatewayParticipant<L> {
     #[must_use]
     pub fn enforced(&self, txn: TxnId) -> Option<Outcome> {
         self.enforced.get(&txn).copied()
+    }
+
+    /// All enforced outcomes (for atomicity assertions).
+    #[must_use]
+    pub fn enforced_all(&self) -> &BTreeMap<TxnId, Outcome> {
+        &self.enforced
+    }
+
+    /// This site's id.
+    #[must_use]
+    pub fn site(&self) -> SiteId {
+        self.site
+    }
+
+    /// Borrow the gateway's redo log.
+    #[must_use]
+    pub fn log(&self) -> &L {
+        &self.log
+    }
+
+    /// Mutable access to the redo log (group-commit ticks only —
+    /// protocol records must go through the gateway).
+    pub fn log_mut(&mut self) -> &mut L {
+        &mut self.log
+    }
+
+    /// Per-transaction costs measured at this site.
+    #[must_use]
+    pub fn costs(&self, txn: TxnId) -> CostCounters {
+        self.costs.get(&txn).copied().unwrap_or_default()
+    }
+
+    /// Transactions still pinning the redo log.
+    #[must_use]
+    pub fn log_pinned(&self) -> Vec<TxnId> {
+        self.gc.pinned()
+    }
+
+    /// Canonical semantic-state rendering for the model checker (see
+    /// `Participant::fingerprint`): transactions with their phase and
+    /// writes, reservations, enforced outcomes, redo log, armed timers
+    /// and the legacy system.
+    #[must_use]
+    pub fn fingerprint(&self) -> String {
+        let records = self.log.records().expect("records");
+        let log: Vec<String> = records.iter().map(|r| r.payload.to_string()).collect();
+        format!(
+            "gw:{:?};{:?}|{:?}|{:?}|{}|{:?}|{:?}",
+            self.declared,
+            self.txns,
+            self.reservations,
+            self.enforced,
+            log.join(";"),
+            self.timers,
+            self.legacy
+        )
+    }
+
+    /// Hash the same semantic state as [`GatewayParticipant::fingerprint`]
+    /// directly into `h` (the model checker's hot path).
+    pub fn hash_state<H: std::hash::Hasher>(&self, h: &mut H) {
+        use std::hash::Hash;
+        (self.declared, &self.txns, &self.reservations, &self.enforced).hash(h);
+        self.log
+            .for_each_record(&mut |rec| rec.payload.hash(h))
+            .expect("records");
+        (0xC1u8, &self.timers, &self.legacy).hash(h);
     }
 
     /// Transactions whose writes are still awaiting application to the
@@ -626,6 +693,36 @@ mod tests {
         assert_eq!(kinds, vec!["update", "prepared"]);
         // Nothing applied to the legacy system yet.
         assert_eq!(g.legacy().read(b"k"), None);
+    }
+
+    fn state_hash(g: &GatewayParticipant<MemLog>) -> u64 {
+        use std::hash::Hasher;
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        g.hash_state(&mut h);
+        h.finish()
+    }
+
+    /// The explorer's dedup key: two gateways fed the same inputs agree
+    /// on it, and a collecting transaction is told apart from the same
+    /// transaction in its simulated prepared state.
+    #[test]
+    fn hash_state_and_fingerprint_separate_collecting_from_simulated_prepared() {
+        let (mut a, mut b) = (gateway(ProtocolKind::PrA), gateway(ProtocolKind::PrA));
+        for g in [&mut a, &mut b] {
+            g.stage_write(t(), b"k", b"v");
+        }
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(state_hash(&a), state_hash(&b));
+        let collecting = (a.fingerprint(), state_hash(&a));
+
+        a.on_message(coord(), &Payload::Prepare { txn: t() });
+        assert!(a.fingerprint().contains("SimulatedPrepared"));
+        assert_ne!(a.fingerprint(), collecting.0);
+        assert_ne!(state_hash(&a), collecting.1);
+
+        b.on_message(coord(), &Payload::Prepare { txn: t() });
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(state_hash(&a), state_hash(&b));
     }
 
     #[test]

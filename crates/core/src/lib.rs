@@ -36,10 +36,10 @@
 //!   against measured executions in experiment E8; extended with
 //!   [`cost::predict_paxos`] for the Paxos Commit rows of the table.
 //! * [`engine::AnyEngine`] — the one dispatch point over engine kinds:
-//!   a closed enum of coordinator / Paxos node / participant whose
-//!   methods forward to the engines' own. Hosts that run whole clusters
-//!   (the harness below, the `acp-check` explorer) are written once
-//!   against it.
+//!   a closed enum of coordinator / Paxos node / participant / gateway
+//!   whose methods forward to the engines' own. Hosts that run whole
+//!   clusters (the harness below, the `acp-check` explorer, the
+//!   `acp-net` kernel) are written once against it.
 //! * [`harness`] — the one glue that runs the engines, of any kind,
 //!   inside the deterministic simulator (`acp-sim`) and produces ACTA
 //!   histories (`acp-acta`), typed event streams, execution traces and

@@ -1145,12 +1145,12 @@ impl<L: StableLog> PaxosNode<L> {
                 let mut best: Option<(u64, bool)> = None;
                 for acc in promises.values() {
                     for &(s, b, v) in acc {
-                        if s == p && best.map_or(true, |(bb, _)| b > bb) {
+                        if s == p && best.is_none_or(|(bb, _)| b > bb) {
                             best = Some((b, v));
                         }
                     }
                 }
-                (p, best.map_or(false, |(_, v)| v))
+                (p, best.is_some_and(|(_, v)| v))
             })
             .collect();
         let st = self.txns.remove(&txn).expect("resolve on live txn");

@@ -20,9 +20,9 @@ pub struct ClusterConfig {
     pub gateways: Vec<usize>,
     /// Timer delays.
     pub delays: NetDelays,
-    /// Group-commit batching: when `true`, coordinator and participant
-    /// protocol logs defer forced appends within a turn and make them
-    /// durable with one fsync before any message is externalized, and
+    /// Group-commit batching: when `true`, every site's protocol log
+    /// defers forced appends within a turn and makes them durable with
+    /// one fsync before any message is externalized, and
     /// same-destination sends from one turn travel as a single
     /// [`Envelope::ProtocolBatch`](crate::Envelope::ProtocolBatch).
     /// When `false` (the default) every forced append is its own
@@ -49,20 +49,6 @@ impl ClusterConfig {
             paxos_f: None,
         }
     }
-
-    /// The Paxos acceptor roster implied by `paxos_f`: site 0 (the
-    /// initial leader) plus the `2f` dedicated acceptor sites past the
-    /// participants. Empty when the cluster runs a classic coordinator.
-    #[must_use]
-    pub fn paxos_acceptor_sites(&self) -> Vec<SiteId> {
-        let Some(f) = self.paxos_f else {
-            return Vec::new();
-        };
-        let n = self.participant_protocols.len() as u32;
-        std::iter::once(SiteId::new(0))
-            .chain((n + 1..=n + 2 * f as u32).map(SiteId::new))
-            .collect()
-    }
 }
 
 /// End-of-run summary for one site.
@@ -70,11 +56,12 @@ impl ClusterConfig {
 pub struct SiteSummary {
     /// The site.
     pub site: SiteId,
-    /// Outcomes enforced at the site (participants only).
+    /// Outcomes enforced at the site (participants and gateways).
     pub enforced: BTreeMap<TxnId, Outcome>,
     /// Transactions still pinning the site's protocol log.
     pub log_pinned: Vec<TxnId>,
-    /// Committed key-value pairs (participants only).
+    /// Committed key-value pairs (participants; a gateway's legacy
+    /// system).
     pub committed: BTreeMap<Vec<u8>, Vec<u8>>,
 }
 
@@ -86,11 +73,12 @@ pub struct ClusterReport {
     pub coordinator_table_size: usize,
     /// Per-site summaries.
     pub sites: Vec<SiteSummary>,
-    /// Group-commit batching counters summed over the coordinator and
-    /// every native participant (all zero when batching is off).
+    /// Group-commit batching counters summed over every site —
+    /// coordinator, Paxos members, participants and gateways (all zero
+    /// when batching is off).
     pub group_commit: GroupCommitStats,
     /// Forced appends the protocol engines requested (logical forces),
-    /// summed over the coordinator and every native participant.
+    /// summed over every site.
     pub logical_forces: u64,
     /// Physical syncs the protocol logs performed, summed likewise:
     /// batch forces plus unbatched/lazy flushes.

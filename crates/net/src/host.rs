@@ -2,14 +2,16 @@
 //! backend runs (DESIGN.md, "Runtime architecture").
 //!
 //! The engines are sans-IO, so hosting them is the same job whatever
-//! carries their messages. A [`Kernel`] owns a set of sites (any mix of
-//! the four [`SiteTask`] kinds), the timer wheel, the client reply
-//! table, the admission door and the latency histogram, and runs one
-//! **turn**: recover due sites, fire due timers, drain envelopes into
-//! the engines, then per site flush the data WAL and force the open
-//! group-commit batch through the kernel's [`FsyncDomain`] — one
-//! coalesced force round per turn — and only then externalize what the
-//! batch withheld (the site's sends *and* its ACTA events); collect the
+//! carries their messages. A [`Kernel`] owns a set of sites — each an
+//! [`AnyEngine`] over a [`NetLog`] (coordinator, Paxos member,
+//! participant or gateway), a native participant also its data side —
+//! the timer wheel, the client reply table, the admission door and the
+//! latency histogram, and runs one **turn**: recover due sites, fire
+//! due timers, drain envelopes into the engines, then per site flush
+//! the data WAL and force the open group-commit batch through the
+//! kernel's [`FsyncDomain`] — one coalesced force round per turn, every
+//! kind of site alike — and only then externalize what the batch
+//! withheld (the site's sends *and* its ACTA events); collect the
 //! coordinator's log, answer clients, snapshot metrics.
 //!
 //! What differs between backends is only where an envelope goes when
@@ -36,8 +38,8 @@ use crate::site::{
 use crate::timer::{TimerId, TimerWheel};
 use acp_acta::ActaEvent;
 use acp_core::{
-    Action, Coordinator, GatewayParticipant, LegacyStore, Participant, PaxosConfig, PaxosNode,
-    TimerPurpose,
+    Action, AnyEngine, Coordinator, GatewayParticipant, LegacyStore, Participant, PaxosConfig,
+    PaxosNode, TimerPurpose,
 };
 use acp_engine::SiteEngine;
 use acp_obs::{
@@ -47,7 +49,7 @@ use acp_obs::{
 use acp_types::{Message, Outcome, Payload, SiteId, TxnId, Vote};
 use acp_wal::{DomainStats, FileLog, FsyncDomain, GroupCommitLog, GroupCommitStats};
 use crossbeam::channel::{Receiver, Sender};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -105,25 +107,13 @@ pub(crate) trait Transport {
 // ---------------------------------------------------------------------------
 // Site state
 
-/// Per-site engine(s), one variant per kind of site a cluster has.
-enum SiteTask {
-    Coord {
-        engine: Coordinator<NetLog>,
-    },
-    /// One member of a replicated Paxos Commit coordinator: the leader
-    /// at site 0 (takes client commits) or a dedicated acceptor.
-    Paxos {
-        engine: PaxosNode<NetLog>,
-    },
-    Part {
-        engine: Participant<NetLog>,
-        storage: SiteEngine<FileLog>,
-        forced_intents: BTreeMap<TxnId, Vote>,
-        poisoned: BTreeMap<TxnId, bool>,
-    },
-    Gateway {
-        engine: GatewayParticipant<FileLog>,
-    },
+/// A native participant's data side: the storage engine its votes and
+/// enforcement act on, the client's vote overrides and its lock-conflict
+/// marks. A gateway keeps its data (the legacy system) in its engine.
+struct DataSide {
+    storage: SiteEngine<FileLog>,
+    forced_intents: BTreeMap<TxnId, Vote>,
+    poisoned: BTreeSet<TxnId>,
 }
 
 /// One input to a site's protocol engine.
@@ -135,121 +125,15 @@ enum Input<'a> {
     Commit(TxnId, &'a [SiteId]),
 }
 
-/// Feed `$input` to `$engine`, appending its actions to `$out`. A
-/// client commit is for the commit-taking engines, which see it first.
-macro_rules! feed {
-    ($engine:expr, $input:expr, $out:expr) => {
-        match $input {
-            Input::Message(m) => $engine.on_message_into(m.from, &m.payload, $out),
-            Input::Timer(token) => $engine.on_timer_into(token, $out),
-            Input::Recover => $engine.recover_into($out),
-            Input::Commit(..) => {}
-        }
-    };
-}
-
-impl SiteTask {
-    /// Feed one input to the engine, appending its actions to `out` and
-    /// the timer tokens it retired to `retired` (run the actions first:
-    /// an action may arm the very token a later cancel retires). `lazy`
-    /// stages a prepared write set without forcing the data log — sound
-    /// only on a host that withholds the vote until `finish_turns`
-    /// flushed it.
-    fn step(
-        &mut self,
-        input: Input<'_>,
-        lazy: bool,
-        out: &mut Vec<Action>,
-        retired: &mut Vec<u64>,
-    ) {
-        match self {
-            SiteTask::Coord { engine } => {
-                match input {
-                    Input::Commit(txn, sites) => engine.begin_commit_into(txn, sites, out),
-                    _ => feed!(engine, input, out),
-                }
-                retired.extend(engine.drain_cancelled_timers());
-            }
-            SiteTask::Paxos { engine } => {
-                match input {
-                    Input::Commit(txn, sites) => engine.begin_commit_into(txn, sites, out),
-                    _ => feed!(engine, input, out),
-                }
-                retired.extend(engine.drain_cancelled_timers());
-            }
-            SiteTask::Part {
-                engine,
-                storage,
-                forced_intents,
-                poisoned,
-            } => {
-                if let Input::Message(Message {
-                    payload: Payload::Prepare { txn },
-                    ..
-                }) = input
-                {
-                    let forced = forced_intents.get(txn).copied();
-                    let poisoned = poisoned.get(txn).copied().unwrap_or(false);
-                    engine.set_intent(*txn, decide_vote(storage, *txn, forced, poisoned, lazy));
-                }
-                feed!(engine, input, out);
-                if matches!(input, Input::Recover) {
-                    let outcomes = protocol_outcomes(engine);
-                    storage.recover(&outcomes).expect("storage recovery");
-                }
-                retired.extend(engine.drain_cancelled_timers());
-            }
-            SiteTask::Gateway { engine } => feed!(engine, input, out),
-        }
-    }
-
-    /// Fail-stop: volatile engine state and unflushed records are lost.
-    fn crash(&mut self) {
-        match self {
-            SiteTask::Coord { engine } => engine.crash(),
-            SiteTask::Paxos { engine } => engine.crash(),
-            SiteTask::Part {
-                engine, storage, ..
-            } => {
-                engine.crash();
-                storage.crash();
-            }
-            SiteTask::Gateway { engine } => engine.crash(),
-        }
-    }
-
-    /// The protocol log behind the group-commit layer (gateways log
-    /// straight to the file: no group layer).
-    fn log_mut(&mut self) -> Option<&mut NetLog> {
-        match self {
-            SiteTask::Coord { engine } => Some(engine.log_mut()),
-            SiteTask::Paxos { engine } => Some(engine.log_mut()),
-            SiteTask::Part { engine, .. } => Some(engine.log_mut()),
-            SiteTask::Gateway { .. } => None,
-        }
-    }
-
-    /// Commit-taking engines' view of `txn`: the decision memo and
-    /// whether it is in flight. `None` on sites that take no commits.
-    fn commit_state(&self, txn: TxnId) -> Option<(Option<Outcome>, bool)> {
-        match self {
-            SiteTask::Coord { engine } => Some((engine.decided(txn), engine.in_flight(txn))),
-            SiteTask::Paxos { engine } => Some((engine.decided(txn), engine.in_flight(txn))),
-            SiteTask::Part { .. } | SiteTask::Gateway { .. } => None,
-        }
-    }
-}
-
 /// Host-side per-site bookkeeping (everything that is not the engine).
 struct SiteHost {
     site: SiteId,
     obs: Option<NetObs>,
     down_until: Option<Instant>,
     last_decision_us: Option<u64>,
-    /// Withhold sends and ACTA events until the batch forces (group
-    /// commit on): nothing a site did is externalized before the
-    /// records it rests on are durable, and a crash takes both along.
-    defer_sends: bool,
+    /// Sends and ACTA events withheld until the batch forces (while the
+    /// site's log batches): nothing a site did is externalized before
+    /// the records it rests on are durable, and a crash takes both along.
     deferred_sends: Vec<Message>,
     deferred_acta: Vec<ActaEvent>,
     /// Engine timer token → wheel entry, for cancellation.
@@ -270,7 +154,9 @@ impl SiteHost {
 
 struct SiteState {
     host: SiteHost,
-    task: SiteTask,
+    engine: AnyEngine<NetLog>,
+    /// `Some` exactly on a native participant.
+    data: Option<DataSide>,
 }
 
 /// Loop-wide mutable context threaded through dispatch.
@@ -310,9 +196,11 @@ impl<T: Transport> Ctx<T> {
 }
 
 /// Execute (and drain) engine actions for one site, enforcing
-/// decisions on its `storage` as they are met.
+/// decisions on its `storage` as they are met. `defer` withholds sends
+/// and ACTA events until the site's batch forces.
 fn run_site_actions<T: Transport>(
     host: &mut SiteHost,
+    defer: bool,
     mut storage: Option<&mut SiteEngine<FileLog>>,
     ctx: &mut Ctx<T>,
     actions: &mut Vec<Action>,
@@ -321,7 +209,7 @@ fn run_site_actions<T: Transport>(
         match a {
             Action::Send { to, payload } => {
                 let msg = Message::new(host.site, to, payload);
-                if host.defer_sends {
+                if defer {
                     host.deferred_sends.push(msg);
                 } else {
                     if let Some(obs) = &host.obs {
@@ -353,7 +241,7 @@ fn run_site_actions<T: Transport>(
                 if let Some(obs) = &host.obs {
                     observe_acta(obs, host.site, &e, &mut host.last_decision_us);
                 }
-                if host.defer_sends {
+                if defer {
                     host.deferred_acta.push(e);
                 } else {
                     ctx.history.lock().push(e);
@@ -383,19 +271,43 @@ fn run_site_actions<T: Transport>(
 }
 
 /// Feed one input to a site and carry out what its engine asks for,
-/// then cancel the wheel entries of the timers it retired.
+/// then cancel the wheel entries of the timers it retired (the actions
+/// run first: one may arm the very token a later cancel retires).
+///
+/// A native participant votes what its data side decides. While its
+/// log batches, the write set is staged without forcing the data log:
+/// `finish_turns` flushes it before the withheld vote can leave.
 fn drive<T: Transport>(st: &mut SiteState, ctx: &mut Ctx<T>, input: Input<'_>) {
-    let SiteState { host, task } = st;
+    let SiteState { host, engine, data } = st;
     let (mut actions, mut retired) = (
         std::mem::take(&mut ctx.actions),
         std::mem::take(&mut ctx.retired),
     );
-    task.step(input, host.defer_sends, &mut actions, &mut retired);
-    let storage = match task {
-        SiteTask::Part { storage, .. } => Some(storage),
-        _ => None,
-    };
-    run_site_actions(host, storage, ctx, &mut actions);
+    let defer = engine.log().batching();
+    match input {
+        Input::Message(msg) => {
+            if let (Payload::Prepare { txn }, Some(d), AnyEngine::Part(p)) =
+                (&msg.payload, data.as_mut(), &mut *engine)
+            {
+                let (forced, poisoned) = (d.forced_intents.get(txn), d.poisoned.contains(txn));
+                let vote = decide_vote(&mut d.storage, *txn, forced.copied(), poisoned, defer);
+                p.set_intent(*txn, vote);
+            }
+            engine.on_message_into(msg.from, &msg.payload, &mut actions);
+        }
+        Input::Timer(token) => engine.on_timer_into(token, &mut actions),
+        Input::Recover => {
+            engine.recover_into(&mut actions);
+            if let Some(d) = data.as_mut() {
+                let outcomes = protocol_outcomes(engine.log());
+                d.storage.recover(&outcomes).expect("storage recovery");
+            }
+        }
+        Input::Commit(txn, sites) => engine.begin_commit_into(txn, sites, &mut actions),
+    }
+    engine.drain_cancelled_timers_into(&mut retired);
+    let storage = data.as_mut().map(|d| &mut d.storage);
+    run_site_actions(host, defer, storage, ctx, &mut actions);
     for token in retired.drain(..) {
         if let Some(id) = host.timer_ids.remove(&token) {
             if ctx.wheel.cancel(id) {
@@ -573,7 +485,8 @@ impl<T: Transport> Kernel<T> {
     ) -> io::Result<Kernel<T>> {
         let (config, t0) = (&env.config, env.t0);
         let cc = &config.cluster;
-        let roster = cc.paxos_acceptor_sites();
+        let n_parts = cc.participant_protocols.len();
+        let paxos = cc.paxos_f.map(|f| PaxosConfig::for_cluster(n_parts, f));
         let protocol_log = |name: String| -> io::Result<(NetLog, bool)> {
             let (log, existed) = open_or_create(dir.join(name))?;
             let log = if cc.group_commit {
@@ -594,47 +507,53 @@ impl<T: Transport> Kernel<T> {
                 0 => format!("coord-{slice}.wal"),
                 _ => format!("{kind}-{n}.wal"),
             };
-            let (task, label, existed) = if roster.contains(&site) {
-                // A member of the replicated coordinator. Each keeps
-                // its own WAL, so a killed process recovers from it.
-                let (log, existed) = protocol_log(wal("paxos"))?;
-                let mut engine = PaxosNode::new(site, PaxosConfig::new(roster.clone()), log);
-                engine.set_track_cancellations(true);
-                (SiteTask::Paxos { engine }, ProtoLabel::Paxos, existed)
-            } else if site == COORDINATOR {
-                let (log, existed) = protocol_log(wal("coord"))?;
-                let mut engine = Coordinator::new(COORDINATOR, cc.kind, log);
-                for (i, &p) in cc.participant_protocols.iter().enumerate() {
-                    engine.register_site(SiteId::new(i as u32 + 1), p);
+            let mut data = None;
+            let (mut engine, label, existed) = match &paxos {
+                // A member of the replicated coordinator. Each keeps its
+                // own WAL, so a killed process recovers from it.
+                Some(pc) if pc.acceptors.contains(&site) => {
+                    let (log, existed) = protocol_log(wal("paxos"))?;
+                    let engine = PaxosNode::new(site, pc.clone(), log);
+                    (AnyEngine::Paxos(engine), ProtoLabel::Paxos, existed)
                 }
-                engine.set_track_cancellations(true);
-                engine.auto_gc = false; // once per turn instead: `gc_turns`
-                let label = ProtoLabel::of_coordinator(cc.kind);
-                (SiteTask::Coord { engine }, label, existed)
-            } else {
-                let idx = n as usize - 1;
-                let proto = *cc
-                    .participant_protocols
-                    .get(idx)
-                    .unwrap_or_else(|| panic!("hosted site {n} not in cluster"));
-                if cc.gateways.contains(&idx) {
-                    let (log, existed) = open_or_create(dir.join(wal("gw")))?;
-                    let engine = GatewayParticipant::new(site, proto, log, LegacyStore::new());
-                    (SiteTask::Gateway { engine }, ProtoLabel::Gateway, existed)
-                } else {
-                    let (log, existed) = protocol_log(wal("part"))?;
-                    let mut engine = Participant::new(site, proto, log);
-                    engine.set_track_cancellations(true);
-                    let (data, _) = open_or_create(dir.join(wal("data")))?;
-                    let task = SiteTask::Part {
-                        engine,
-                        storage: SiteEngine::new(data),
-                        forced_intents: BTreeMap::new(),
-                        poisoned: BTreeMap::new(),
-                    };
-                    (task, ProtoLabel::of_participant(proto), existed)
+                _ if site == COORDINATOR => {
+                    let (log, existed) = protocol_log(wal("coord"))?;
+                    let mut engine = Coordinator::new(COORDINATOR, cc.kind, log);
+                    for (i, &p) in cc.participant_protocols.iter().enumerate() {
+                        engine.register_site(SiteId::new(i as u32 + 1), p);
+                    }
+                    engine.auto_gc = false; // once per turn instead: `gc_turns`
+                    let label = ProtoLabel::of_coordinator(cc.kind);
+                    (AnyEngine::Coord(engine), label, existed)
+                }
+                _ => {
+                    let idx = n as usize - 1;
+                    let proto = *cc
+                        .participant_protocols
+                        .get(idx)
+                        .unwrap_or_else(|| panic!("hosted site {n} not in cluster"));
+                    if cc.gateways.contains(&idx) {
+                        let (log, existed) = protocol_log(wal("gw"))?;
+                        let engine = GatewayParticipant::new(site, proto, log, LegacyStore::new());
+                        (AnyEngine::Gateway(engine), ProtoLabel::Gateway, existed)
+                    } else {
+                        let (log, existed) = protocol_log(wal("part"))?;
+                        let (data_log, _) = open_or_create(dir.join(wal("data")))?;
+                        data = Some(DataSide {
+                            storage: SiteEngine::new(data_log),
+                            forced_intents: BTreeMap::new(),
+                            poisoned: BTreeSet::new(),
+                        });
+                        let engine = Participant::new(site, proto, log);
+                        (
+                            AnyEngine::Part(engine),
+                            ProtoLabel::of_participant(proto),
+                            existed,
+                        )
+                    }
                 }
             };
+            engine.set_track_cancellations(true);
             let host = SiteHost {
                 site,
                 obs: env.sink.as_ref().map(|s| NetObs {
@@ -644,7 +563,6 @@ impl<T: Transport> Kernel<T> {
                 }),
                 down_until: None,
                 last_decision_us: None,
-                defer_sends: cc.group_commit && !matches!(task, SiteTask::Gateway { .. }),
                 deferred_sends: Vec::new(),
                 deferred_acta: Vec::new(),
                 timer_ids: BTreeMap::new(),
@@ -654,7 +572,7 @@ impl<T: Transport> Kernel<T> {
                 restarted.push(sites.len());
             }
             owned.insert(site, sites.len());
-            sites.push(SiteState { host, task });
+            sites.push(SiteState { host, engine, data });
         }
 
         Ok(Kernel {
@@ -836,7 +754,10 @@ impl<T: Transport> Kernel<T> {
                             observe_crash(obs, site);
                         }
                     }
-                    st.task.crash();
+                    st.engine.crash();
+                    if let Some(d) = &mut st.data {
+                        d.storage.crash();
+                    }
                     crash_volatile(&mut st.host, &mut self.ctx);
                     st.host.down_until = Some(now + down_for);
                     if Some(i) == self.coord {
@@ -852,38 +773,36 @@ impl<T: Transport> Kernel<T> {
                 }
             }
             _ if st.host.is_down(now) => {} // omission: dropped
-            Envelope::Apply { txn, key, value } => match &mut st.task {
-                SiteTask::Part {
-                    storage, poisoned, ..
-                } => {
-                    storage.begin(txn);
-                    if storage.put(txn, &key, &value).is_err() {
-                        poisoned.insert(txn, true);
+            Envelope::Apply { txn, key, value } => match (&mut st.data, &mut st.engine) {
+                (Some(d), _) => {
+                    d.storage.begin(txn);
+                    if d.storage.put(txn, &key, &value).is_err() {
+                        d.poisoned.insert(txn);
                     }
                 }
-                SiteTask::Gateway { engine } => engine.stage_write(txn, &key, &value),
-                SiteTask::Coord { .. } | SiteTask::Paxos { .. } => {}
+                (None, AnyEngine::Gateway(g)) => g.stage_write(txn, &key, &value),
+                (None, _) => {}
             },
             Envelope::SetIntent { txn, vote } => {
-                if let SiteTask::Part { forced_intents, .. } = &mut st.task {
-                    forced_intents.insert(txn, vote);
+                if let Some(d) = &mut st.data {
+                    d.forced_intents.insert(txn, vote);
                 }
             }
+            // Only the hosted coordinator (slice) or Paxos leader takes
+            // commits.
+            Envelope::Commit { .. } if Some(i) != self.coord => {}
             Envelope::Commit {
                 txn,
                 participants,
                 reply,
             } => {
-                let Some((decided, in_flight)) = st.task.commit_state(txn) else {
-                    return;
-                };
                 // Guard client misuse instead of tripping the engine's
                 // asserts: decided duplicates answer from the memo;
                 // in-flight duplicates and empty participant lists drop
                 // the reply channel (the client's recv disconnects).
-                if let Some(outcome) = decided {
+                if let Some(outcome) = st.engine.decided(txn) {
                     let _ = reply.send(outcome);
-                } else if participants.is_empty() || in_flight {
+                } else if participants.is_empty() || st.engine.in_flight(txn) {
                     drop(reply);
                 } else if let Some((inflight, limit)) = self
                     .max_inflight
@@ -926,19 +845,17 @@ impl<T: Transport> Kernel<T> {
     /// End-of-turn group-commit step: every site with an open batch
     /// forces it, every site with withheld sends externalizes them.
     fn finish_turns(&mut self) {
-        for SiteState { host, task } in &mut self.sites {
+        for SiteState { host, engine, data } in &mut self.sites {
+            let log = engine.log_mut();
+            if !log.batching() {
+                continue;
+            }
             // Lazily-staged write sets (`prepare_lazy`) become durable
             // here, before any Yes vote can leave with the turn's send
             // flush below — one data-log fsync per site per turn
             // instead of one per prepared transaction.
-            if host.defer_sends {
-                if let SiteTask::Part { storage, .. } = task {
-                    storage.flush_log().expect("data log flush");
-                }
-            }
-            let Some(log) = task.log_mut() else { continue };
-            if !log.batching() {
-                continue;
+            if let Some(d) = data {
+                d.storage.flush_log().expect("data log flush");
             }
             if log.open_occupancy() == 0 {
                 // Nothing staged: whatever was withheld has no
@@ -961,10 +878,10 @@ impl<T: Transport> Kernel<T> {
     /// The kernel runs one collection per turn, after the batch
     /// forced, covering every transaction the turn finished.
     fn gc_turns(&mut self) {
-        let Some(SiteState { host, task }) = self.coord.map(|i| &mut self.sites[i]) else {
+        let Some(SiteState { host, engine, .. }) = self.coord.map(|i| &mut self.sites[i]) else {
             return;
         };
-        let SiteTask::Coord { engine } = task else {
+        let AnyEngine::Coord(engine) = engine else {
             return;
         };
         let released = engine.collect_garbage();
@@ -984,18 +901,18 @@ impl<T: Transport> Kernel<T> {
     /// Send decisions to waiting clients (only after the coordinator's
     /// batch forced — `finish_turns` runs first).
     fn deliver(&mut self) {
-        let Some(SiteState { host, task }) = self.coord.map(|i| &mut self.sites[i]) else {
+        let Some(SiteState { engine, .. }) = self.coord.map(|i| &self.sites[i]) else {
             return;
         };
         // Decisions may not be externalized while their commit record is
         // still in an open batch.
-        if host.defer_sends && task.log_mut().is_some_and(|log| log.open_occupancy() > 0) {
+        if engine.log().open_occupancy() > 0 {
             return;
         }
         let (now, latency) = (self.ctx.now, &mut self.ctx.latency);
         let mut delivered = 0;
         self.ctx.replies.retain(|&txn, (reply, admitted)| {
-            let Some((Some(outcome), _)) = task.commit_state(txn) else {
+            let Some(outcome) = engine.decided(txn) else {
                 return true;
             };
             let _ = reply.send(outcome);
@@ -1014,11 +931,11 @@ impl<T: Transport> Kernel<T> {
             return;
         };
         // Snapshots carry the coordinator slice's trace clock and label.
-        let Some(SiteState { host, task }) = self.coord.map(|i| &self.sites[i]) else {
+        let Some(SiteState { host, engine, .. }) = self.coord.map(|i| &self.sites[i]) else {
             return;
         };
         let Some(obs) = &host.obs else { return };
-        if let SiteTask::Coord { engine } = task {
+        if let AnyEngine::Coord(engine) = engine {
             // Sample the slice's protocol-table balance into the
             // registry's high-water mark before copying the grid.
             let peak = engine.table_peak_shard_occupancy() as u64;
@@ -1048,39 +965,28 @@ impl<T: Transport> Kernel<T> {
         let mut group_commit = GroupCommitStats::default();
         let mut logical_forces = 0;
         let mut physical_syncs = 0;
-        for SiteState { host, mut task } in self.sites {
+        for SiteState { host, engine, data } in self.sites {
             let site = host.site;
-            if let Some(log) = task.log_mut() {
-                group_commit.merge(&log.group_stats());
-                logical_forces += acp_wal::StableLog::stats(log).forces;
-                let inner = acp_wal::StableLog::stats(log.inner());
-                physical_syncs += inner.forces + inner.flushes;
+            let log = engine.log();
+            group_commit.merge(&log.group_stats());
+            logical_forces += acp_wal::StableLog::stats(log).forces;
+            let inner = acp_wal::StableLog::stats(log.inner());
+            physical_syncs += inner.forces + inner.flushes;
+            if site == COORDINATOR {
+                coordinator_table_size = engine.protocol_table_size();
             }
-            let (enforced, log_pinned, committed) = match task {
-                SiteTask::Coord { engine } => {
-                    coordinator_table_size = engine.protocol_table_size();
-                    (BTreeMap::new(), engine.log_pinned(), BTreeMap::new())
+            let log_pinned = engine.log_pinned();
+            let (enforced, committed) = match (engine, data) {
+                (AnyEngine::Part(p), Some(d)) => {
+                    let committed = d.storage.store().iter();
+                    let committed = committed.map(|(k, v)| (k.to_vec(), v.to_vec()));
+                    (p.enforced_all().clone(), committed.collect())
                 }
-                SiteTask::Paxos { engine } => {
-                    if site == COORDINATOR {
-                        coordinator_table_size = engine.protocol_table_size();
-                    }
-                    (BTreeMap::new(), engine.log_pinned(), BTreeMap::new())
+                (AnyEngine::Gateway(g), _) => {
+                    let committed = g.legacy().entries().into_iter().collect();
+                    (g.enforced_all().clone(), committed)
                 }
-                SiteTask::Part {
-                    engine, storage, ..
-                } => {
-                    let committed = storage.store().iter();
-                    (
-                        engine.enforced_all().clone(),
-                        engine.log_pinned(),
-                        committed.map(|(k, v)| (k.to_vec(), v.to_vec())).collect(),
-                    )
-                }
-                SiteTask::Gateway { engine } => {
-                    let committed = engine.legacy().entries().into_iter().collect();
-                    (BTreeMap::new(), Vec::new(), committed)
-                }
+                _ => (BTreeMap::new(), BTreeMap::new()),
             };
             sites.push(SiteSummary {
                 site,
@@ -1106,6 +1012,7 @@ impl<T: Transport> Kernel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::ClusterConfig;
     use acp_acta::{check_atomicity, History};
     use acp_obs::VecSink;
     use acp_types::{CoordinatorKind, ProtocolKind, SelectionPolicy};
@@ -1135,15 +1042,17 @@ mod tests {
         }
     }
 
-    /// A kernel hosting the benchmark's cluster — PrAny over PrN, PrA,
-    /// PrC with group commit on — stepped by hand, tracing into `sink`.
+    /// A kernel hosting a whole cluster with group commit on, stepped by
+    /// hand, tracing into `sink`.
     struct Rig {
         kernel: Kernel<Loopback>,
+        /// The cluster's participant sites (native or gateway).
+        parts: Vec<SiteId>,
         tx: Sender<Mail>,
         history: SharedHistory,
         inflight: Arc<InflightGauge>,
         sink: Arc<VecSink>,
-        _dir: TempDir,
+        dir: TempDir,
     }
 
     const PARTS: [SiteId; 3] = [SiteId(1), SiteId(2), SiteId(3)];
@@ -1160,13 +1069,26 @@ mod tests {
         }
     }
 
-    fn rig(delays: NetDelays) -> Rig {
-        let mut config = ReactorConfig::new(
+    fn prany(protocols: &[ProtocolKind]) -> ClusterConfig {
+        ClusterConfig::new(
             CoordinatorKind::PrAny(SelectionPolicy::PaperStrict),
-            &[ProtocolKind::PrN, ProtocolKind::PrA, ProtocolKind::PrC],
-        );
+            protocols,
+        )
+    }
+
+    /// The benchmark's cluster: PrAny over PrN, PrA, PrC.
+    fn rig(delays: NetDelays) -> Rig {
+        let mut cluster = prany(&[ProtocolKind::PrN, ProtocolKind::PrA, ProtocolKind::PrC]);
+        cluster.delays = delays;
+        rig_over(cluster)
+    }
+
+    /// The coordinator and every participant of `cluster`.
+    fn rig_over(cluster: ClusterConfig) -> Rig {
+        let mut config = ReactorConfig::from(cluster);
         config.cluster.group_commit = true;
-        config.cluster.delays = delays;
+        let n = config.cluster.participant_protocols.len() as u32;
+        let parts: Vec<SiteId> = (1..=n).map(SiteId::new).collect();
         let dir = TempDir::new("kernel").expect("tempdir");
         let (tx, rx) = unbounded();
         let history: SharedHistory = Arc::new(Mutex::new(History::new()));
@@ -1181,17 +1103,18 @@ mod tests {
             snapshots: None,
             t0: Instant::now(),
         };
-        let hosted = [COORDINATOR, PARTS[0], PARTS[1], PARTS[2]];
+        let hosted: Vec<SiteId> = std::iter::once(COORDINATOR).chain(parts.clone()).collect();
         let stall = Duration::ZERO;
         let kernel =
             Kernel::build(env, &hosted, dir.path(), 0, Loopback { stall }).expect("kernel");
         Rig {
             kernel,
+            parts,
             tx,
             history,
             inflight,
             sink,
-            _dir: dir,
+            dir,
         }
     }
 
@@ -1202,12 +1125,12 @@ mod tests {
 
         /// Stage one write per participant and ask for the commit.
         fn submit(&self, txn: TxnId) -> Receiver<Outcome> {
-            for p in PARTS {
+            for &p in &self.parts {
                 let (key, value) = (b"k".to_vec(), b"v".to_vec());
                 self.send(p, Envelope::Apply { txn, key, value });
             }
             let (reply, outcome) = bounded(1);
-            let participants = PARTS.to_vec();
+            let participants = self.parts.clone();
             self.send(
                 COORDINATOR,
                 Envelope::Commit {
@@ -1219,21 +1142,71 @@ mod tests {
             outcome
         }
 
-        /// Turn until all three votes are queued for the coordinator:
-        /// every participant is prepared, nothing is decided.
-        fn turn_until_votes_are_queued(&mut self) {
-            let is_vote = |(to, env): &Mail| {
+        /// The votes queued for the coordinator.
+        fn queued_votes(&self) -> usize {
+            let is_vote = |(to, env): &&Mail| {
                 let vote = |m: &Message| matches!(m.payload, Payload::Vote { .. });
                 *to == COORDINATOR && matches!(env, Envelope::Protocol(m) if vote(m))
             };
+            self.kernel.ctx.ready.iter().filter(is_vote).count()
+        }
+
+        /// Turn until every participant's vote is queued for the
+        /// coordinator: all are prepared, nothing is decided.
+        fn turn_until_votes_are_queued(&mut self) {
             for _ in 0..8 {
-                let ready = &self.kernel.ctx.ready;
-                if ready.iter().filter(|m| is_vote(m)).count() == 3 {
+                if self.queued_votes() == self.parts.len() {
                     return;
                 }
                 self.kernel.turn();
             }
             panic!("the participants never voted");
+        }
+
+        /// Turn until the coordinator's prepares are queued, then
+        /// dispatch them without ending the turn: every participant has
+        /// staged its prepared record and withholds its vote.
+        fn dispatch_prepares(&mut self) {
+            let prepare = |m: &Message| matches!(m.payload, Payload::Prepare { .. });
+            let is_prepare = |(_, env): &Mail| matches!(env, Envelope::Protocol(m) if prepare(m));
+            while !self.kernel.ctx.ready.iter().any(is_prepare) {
+                assert!(
+                    self.kernel.turn(),
+                    "the coordinator never sent its prepares"
+                );
+            }
+            self.kernel.ctx.now = Instant::now();
+            assert!(self.kernel.drain_envelopes());
+        }
+
+        /// The records durable in `site`'s WAL file, read back from disk.
+        fn durable_kinds(&self, wal: &str) -> Vec<&'static str> {
+            let log = acp_wal::FileLog::open(self.dir.path().join(wal)).expect("wal");
+            let records = acp_wal::StableLog::records(&log).expect("records");
+            records.iter().map(|r| r.payload.kind_name()).collect()
+        }
+
+        /// The sites whose votes were externalized (traced as cast).
+        fn votes_cast(&self) -> Vec<u32> {
+            let cast = |e: ProtocolEvent| match e {
+                ProtocolEvent::VoteCast { site, .. } => Some(site),
+                _ => None,
+            };
+            self.sink.snapshot().into_iter().filter_map(cast).collect()
+        }
+
+        /// The participants whose prepared state the history has heard of.
+        fn prepared_in_history(&self) -> Vec<SiteId> {
+            let prepared = |e: &ActaEvent| match e {
+                ActaEvent::Prepared { participant, .. } => Some(*participant),
+                _ => None,
+            };
+            self.history
+                .lock()
+                .events()
+                .iter()
+                .filter_map(prepared)
+                .collect()
         }
     }
 
@@ -1293,12 +1266,15 @@ mod tests {
         // three prepares and the record's `LogWrite`.
         r.kernel.ctx.now = Instant::now();
         assert!(r.kernel.drain_envelopes());
-        let SiteState { host, task } = &mut r.kernel.sites[0];
+        let SiteState { host, engine, .. } = &mut r.kernel.sites[0];
         assert_eq!(host.deferred_sends.len(), 3);
         assert!(!host.deferred_acta.is_empty());
 
-        let log = task.log_mut().expect("the coordinator's log");
-        log.inner_mut().revoke_writes().expect("reopen read-only");
+        engine
+            .log_mut()
+            .inner_mut()
+            .revoke_writes()
+            .expect("reopen read-only");
         // The turn's end forces the batch, as a real turn does.
         r.kernel.finish_turns();
 
@@ -1458,5 +1434,104 @@ mod tests {
                 at - after
             );
         }
+    }
+
+    /// PrAny over a native PrA participant (site 1) and a PrA-dialect
+    /// gateway (site 2), with no timer due.
+    fn gateway_rig() -> Rig {
+        let mut cluster = prany(&[ProtocolKind::PrA, ProtocolKind::PrA]);
+        cluster.gateways = vec![1];
+        cluster.delays = glacial();
+        rig_over(cluster)
+    }
+
+    const GATEWAY: SiteId = SiteId(2);
+
+    /// Under group commit a gateway is a site like any other: its forced
+    /// prepared record joins the turn's force round beside the native
+    /// participant's, and its Yes vote leaves only with the flush that
+    /// follows the force.
+    #[test]
+    fn a_gateway_prepares_in_the_turns_force_round_and_votes_after_it() {
+        let mut r = gateway_rig();
+        let _outcome = r.submit(TxnId::new(1));
+        r.dispatch_prepares();
+        let before = r.kernel.ctx.domain.stats();
+        // Both sites staged their prepared record and withhold the vote
+        // and the ACTA events that rest on it.
+        assert_eq!(
+            r.votes_cast(),
+            Vec::<u32>::new(),
+            "no vote left before the force"
+        );
+        assert_eq!(r.prepared_in_history(), Vec::new());
+        for site in [PARTS[0], GATEWAY] {
+            let host = &r.kernel.sites[r.kernel.owned[&site]].host;
+            let vote = |m: &Message| {
+                matches!(
+                    m.payload,
+                    Payload::Vote {
+                        vote: Vote::Yes,
+                        ..
+                    }
+                )
+            };
+            assert!(
+                matches!(host.deferred_sends.as_slice(), [m] if vote(m)),
+                "site {site} withholds its Yes vote: {:?}",
+                host.deferred_sends
+            );
+        }
+        let nothing: [&str; 0] = [];
+        assert_eq!(
+            r.durable_kinds("gw-2.wal"),
+            nothing,
+            "redo and prepared records staged"
+        );
+
+        r.kernel.finish_turns();
+        let after = r.kernel.ctx.domain.stats();
+        assert_eq!(after.rounds - before.rounds, 1, "one coalesced force round");
+        assert_eq!(after.leader_flushes - before.leader_flushes, 1);
+        assert_eq!(
+            after.follower_flushes - before.follower_flushes,
+            1,
+            "two members"
+        );
+        assert_eq!(after.records - before.records, 2, "both prepared records");
+        assert_eq!(r.durable_kinds("gw-2.wal"), ["update", "prepared"]);
+        let mut cast = r.votes_cast();
+        cast.sort_unstable();
+        assert_eq!(cast, [1, 2], "both votes leave with the turn's flush");
+        assert_eq!(r.queued_votes(), 2);
+        assert_eq!(r.prepared_in_history(), [PARTS[0], GATEWAY]);
+    }
+
+    /// A gateway crash before the turn forces loses the staged prepared
+    /// record and the Yes vote that rests on it together: the
+    /// coordinator never hears a vote the gateway's log cannot back.
+    #[test]
+    fn a_gateway_crash_before_the_force_drops_its_prepared_record_and_vote_together() {
+        let mut r = gateway_rig();
+        let _outcome = r.submit(TxnId::new(1));
+        r.dispatch_prepares();
+        r.kernel
+            .dispatch(GATEWAY, Envelope::Crash { down_for: SECS_60 });
+        r.kernel.finish_turns();
+
+        let nothing: [&str; 0] = [];
+        assert_eq!(
+            r.durable_kinds("gw-2.wal"),
+            nothing,
+            "the staged records are gone"
+        );
+        assert_eq!(r.votes_cast(), [1], "only the native site's vote left");
+        assert_eq!(r.queued_votes(), 1);
+        assert_eq!(r.prepared_in_history(), [PARTS[0]]);
+        assert_eq!(
+            r.kernel.ctx.domain.stats().solo_rounds,
+            1,
+            "the native site forced alone"
+        );
     }
 }

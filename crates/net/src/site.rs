@@ -5,7 +5,7 @@
 //! glue between a participant's protocol engine and its storage engine.
 
 use acp_acta::{ActaEvent, History};
-use acp_core::{Participant, TimerPurpose};
+use acp_core::TimerPurpose;
 use acp_engine::{RecoveredOutcome, SiteEngine};
 use acp_obs::{ProtoLabel, ProtocolEvent, TraceSink};
 use acp_types::{Message, Outcome, Payload, SiteId, TxnId, Vote};
@@ -356,11 +356,11 @@ pub(crate) fn vote_name(vote: Vote) -> &'static str {
     }
 }
 
-/// Derive the storage-recovery outcome map from the participant's
+/// Derive the storage-recovery outcome map from a participant's
 /// protocol log.
-pub(crate) fn protocol_outcomes(engine: &Participant<NetLog>) -> BTreeMap<TxnId, RecoveredOutcome> {
+pub(crate) fn protocol_outcomes(log: &NetLog) -> BTreeMap<TxnId, RecoveredOutcome> {
     let mut outcomes = BTreeMap::new();
-    for (txn, s) in analyze_log(engine.log()).expect("records") {
+    for (txn, s) in analyze_log(log).expect("records") {
         if let Some(o) = s.part_decision {
             outcomes.insert(txn, RecoveredOutcome::Decided(o));
         } else if s.in_doubt() {

@@ -81,7 +81,7 @@ impl<K> TimerWheel<K> {
         // Round up: a timer never fires before its deadline.
         let nanos = at.saturating_duration_since(self.t0).as_nanos();
         let per = self.tick.as_nanos();
-        ((nanos + per - 1) / per) as u64
+        nanos.div_ceil(per) as u64
     }
 
     /// Arm a timer to fire at `fire_at` (clamped to the next tick if in

@@ -152,7 +152,7 @@ impl<S: Write> OutConn<S> {
     /// Tear down the socket (dial failure or write error): keep what is
     /// owed, restart the partly written frame from its first byte,
     /// schedule the next dial with backoff.
-    pub(crate) fn to_backoff(&mut self, now: Instant) {
+    pub(crate) fn back_off(&mut self, now: Instant) {
         self.stream = None;
         self.token = None;
         self.compact();
@@ -273,7 +273,7 @@ mod tests {
     fn sixty_four_frames_leave_in_one_write() {
         let metrics = WireMetrics::new();
         let (mut conn, frames) = owing(64, Pipe::with_room(usize::MAX));
-        assert_eq!(conn.try_flush(&metrics).expect("alive"), false);
+        assert!(!conn.try_flush(&metrics).expect("alive"));
         let pipe = conn.stream.as_ref().expect("still connected");
         assert_eq!(pipe.calls, 1);
         assert_eq!(pipe.got, frames.concat());
@@ -287,18 +287,18 @@ mod tests {
         // The socket takes frames 0 and 1 and five bytes of frame 2.
         let room = 2 * encode_wire_frame(0, &apply(0)).len() + 5;
         let (mut conn, frames) = owing(8, Pipe::with_room(room));
-        assert_eq!(conn.try_flush(&metrics).expect("alive"), true);
+        assert!(conn.try_flush(&metrics).expect("alive"));
         let calls = conn.stream.as_ref().expect("connected").calls;
         assert_eq!(calls, 2, "one short write, one WouldBlock");
         assert_eq!(conn.pending(), frames.concat().len() - room);
 
         let first = conn.stream.take().expect("first connection").got;
-        conn.to_backoff(Instant::now());
+        conn.back_off(Instant::now());
         assert_eq!(conn.written, 0);
         assert_eq!(conn.buf, frames[2..].concat(), "resume at frame 2, byte 0");
 
         conn.stream = Some(Pipe::with_room(usize::MAX));
-        assert_eq!(conn.try_flush(&metrics).expect("alive"), false);
+        assert!(!conn.try_flush(&metrics).expect("alive"));
         let second = conn.stream.take().expect("second connection").got;
 
         // Each connection has its own decoder: the first ends inside a

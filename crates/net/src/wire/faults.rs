@@ -74,7 +74,7 @@ impl FaultRule {
     }
 
     fn matches(&self, to: SiteId, msg: &WireMsg) -> bool {
-        self.to.map_or(true, |t| t == to) && self.kind.map_or(true, |k| k == msg.kind_name())
+        self.to.is_none_or(|t| t == to) && self.kind.is_none_or(|k| k == msg.kind_name())
     }
 }
 

@@ -226,14 +226,14 @@ impl Sockets {
     fn dial(&mut self, now: Instant, to: SiteId, conn: &mut OutConn) {
         self.metrics.inc(&self.metrics.dials);
         let Some(addr) = self.peers.lookup(to) else {
-            conn.to_backoff(now);
+            conn.back_off(now);
             return;
         };
         match TcpStream::connect_timeout(&addr, DIAL_TIMEOUT) {
             Ok(stream) => {
                 let _ = stream.set_nodelay(true);
                 if stream.set_nonblocking(true).is_err() {
-                    conn.to_backoff(now);
+                    conn.back_off(now);
                     return;
                 }
                 let token = self.next_token;
@@ -243,7 +243,7 @@ impl Sockets {
                     .add(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token)
                     .is_err()
                 {
-                    conn.to_backoff(now);
+                    conn.back_off(now);
                     return;
                 }
                 conn.stream = Some(stream);
@@ -254,7 +254,7 @@ impl Sockets {
                 self.out_tokens.insert(token, to);
                 self.metrics.inc(&self.metrics.connects);
             }
-            Err(_) => conn.to_backoff(now),
+            Err(_) => conn.back_off(now),
         }
     }
 
@@ -291,7 +291,7 @@ impl Sockets {
     /// (it retransmits on the next connection), schedule a redial.
     fn lose(&mut self, now: Instant, conn: &mut OutConn) {
         self.close(conn);
-        conn.to_backoff(now);
+        conn.back_off(now);
     }
 }
 

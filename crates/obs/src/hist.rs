@@ -227,6 +227,6 @@ mod tests {
         // True p99 is 9900; the bucket upper bound may overshoot by
         // at most 2× and never undershoots below the true value's
         // bucket lower bound.
-        assert!(p99 >= 9900 / 2 && p99 <= 9900 * 2, "p99 estimate {p99}");
+        assert!((9900 / 2..=9900 * 2).contains(&p99), "p99 estimate {p99}");
     }
 }

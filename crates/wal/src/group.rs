@@ -50,11 +50,9 @@ impl GroupCommitStats {
     /// the rest of the workspace's cost arithmetic).
     #[must_use]
     pub fn occupancy_x1000(&self) -> u64 {
-        if self.batches == 0 {
-            0
-        } else {
-            self.batched_appends * 1000 / self.batches
-        }
+        (self.batched_appends * 1000)
+            .checked_div(self.batches)
+            .unwrap_or(0)
     }
 
     fn absorb(&mut self, occupancy: u64) {

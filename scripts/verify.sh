@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verification: offline release build, every workspace test,
-# the structural guards (one kernel, one in-process host, one harness,
-# one log, one encoder, one instrument), the benchmark's smoke suite, and a regeneration of every
-# committed result with a diff against it. No step's pass/fail depends
+# Tier-1 verification: offline release build, every workspace test, a
+# warning-free clippy run, the structural guards (one kernel, one
+# in-process host, one engine enum, one harness, one log, one encoder,
+# one instrument), the benchmark's smoke suite, and a regeneration of
+# every committed result with a diff against it. No step's pass/fail depends
 # on a wall-clock rate; the perf figures printed are information.
 #
 # Usage: scripts/verify.sh
@@ -27,6 +28,9 @@ echo "== cargo test -q --offline --workspace --release"
 # contracts of the WAL and the wire.
 cargo test -q --offline --workspace --release
 
+echo "== cargo clippy --workspace --all-targets --offline (warnings denied)"
+cargo clippy -q --workspace --all-targets --offline -- -D warnings
+
 echo "== one turn discipline: the kernel's functions are defined once"
 # reactor.rs and wire/node.rs used to be two copies of the site-hosting
 # kernel (crates/net/src/host.rs), and the thread-per-site backend a
@@ -50,7 +54,30 @@ echo "== one in-process host: ReactorCluster { reactors }, configured only by wh
 if grep -rnE 'struct (MultiReactorCluster|MultiReactorConfig|MultiReactorReport|AdmissionController|AdmissionConfig)\b|\b(commit_window|adaptive_window|snapshot_every_ticks|batch_opened)\b' crates src tests examples --include='*.rs'; then
   echo "FAIL: a second in-process host handle, the admission wrapper or an unset knob reappeared"; exit 1
 fi
+
+echo "== one engine enum: the kernel hosts every site as an acp_core::AnyEngine"
+# The kernel used to keep its own four-arm SiteTask enum and feed! macro,
+# the last engine-dispatch fork beside AnyEngine, and ran the gateway on a
+# bare FileLog outside the turn's group-commit force. Any of these under
+# crates/net/src is that fork coming back. Each pattern first meets a
+# line it must catch (its negative control), so a guard that can no
+# longer match fails here instead of passing vacuously.
+fork_guards=(
+  'macro_rules! feed\b'                     'macro_rules! feed {'
+  'enum SiteTask\b'                         'enum SiteTask {'
+  'SiteTask::(Coord|Paxos|Part|Gateway)\b'  'SiteTask::Gateway { engine } => engine.crash(),'
+  'GatewayParticipant<FileLog>'             'engine: GatewayParticipant<FileLog>,'
+)
+for ((i = 0; i < ${#fork_guards[@]}; i += 2)); do
+  pattern="${fork_guards[i]}" control="${fork_guards[i + 1]}"
+  echo "$control" | grep -qE "$pattern" \
+    || { echo "FAIL: the guard '$pattern' misses its control line '$control'"; exit 1; }
+  if grep -rnE "$pattern" crates/net/src --include='*.rs'; then
+    echo "FAIL: '$pattern' under crates/net/src: a kind dispatch beside acp_core::AnyEngine"; exit 1
+  fi
+done
 nontest_lines crates/net/src
+nontest_lines crates/core/src
 
 echo "== one harness, one explorer: the Paxos forks stay folded"
 # paxos/sim.rs and checker/paxos.rs used to be copies of harness.rs and

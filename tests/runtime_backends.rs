@@ -267,10 +267,24 @@ fn group_commit_cluster() -> ClusterConfig {
     config
 }
 
+/// The group-commit cluster with site 2 (PrC dialect) a gateway.
+fn group_commit_gateway_cluster() -> ClusterConfig {
+    let mut config = group_commit_cluster();
+    config.gateways = vec![1];
+    config
+}
+
 #[test]
 fn group_commit_commits_atomically_under_concurrency() {
+    for config in [group_commit_cluster(), group_commit_gateway_cluster()] {
+        eprintln!("-- gateways {:?}", config.gateways);
+        group_commit_commits_atomically_on_every_backend(&config);
+    }
+}
+
+fn group_commit_commits_atomically_on_every_backend(config: &ClusterConfig) {
     on_every_backend(|backend| {
-        let mut cluster = backend.spawn(&group_commit_cluster(), None);
+        let mut cluster = backend.spawn(config, None);
         let parts = cluster.participants();
         let txns: Vec<TxnId> = (0..12).map(|_| cluster.next_txn()).collect();
         for (i, &txn) in txns.iter().enumerate() {
@@ -293,9 +307,9 @@ fn group_commit_commits_atomically_under_concurrency() {
         for s in participants(&report) {
             assert_eq!(s.committed.len(), txns.len(), "site {}", s.site);
         }
-        // Deferred batching: every logical force was absorbed into a
-        // batch, and the physical syncs serving them never exceed the
-        // requests.
+        // Deferred batching: every logical force — a gateway's too — was
+        // absorbed into a batch, and the physical syncs serving them
+        // never exceed the requests.
         assert_eq!(report.group_commit.batched_appends, report.logical_forces);
         assert!(report.group_commit.batches > 0);
         assert!(
@@ -379,6 +393,10 @@ fn gateway_commits_alongside_native_sites() {
             Some(b"2".as_slice()),
             "the legacy system received the committed write"
         );
+        // The gateway reports what its engine enforced, like any site.
+        let gateway = report.sites.iter().find(|s| s.site == parts[1]);
+        let enforced = &gateway.expect("gateway in report").enforced;
+        assert_eq!(enforced.get(&txn), Some(&Outcome::Commit), "{enforced:?}");
     });
 }
 
