@@ -6,9 +6,10 @@
 //! single-transaction commit runs under the simulator harness and its
 //! measured counters — forced writes and log records at the leader,
 //! the `2f` remote acceptors and the `n` participants, plus total
-//! coordination messages — must match [`predict_paxos`]'s closed-form
-//! E8 numbers *exactly*. `f = 0` is the degenerate row: Paxos Commit
-//! collapses to plain 2PC/PrN costs.
+//! coordination messages — must match
+//! [`acp_core::cost::predict_paxos`]'s closed-form E8 numbers
+//! *exactly*. `f = 0` is the degenerate row: Paxos Commit collapses to
+//! plain 2PC/PrN costs.
 //!
 //! **Part B (multi-process, real kill -9):** the coordinator-kill
 //! matrix over OS processes, one per failure domain, joined only by
@@ -31,8 +32,8 @@
 //! Each campaign then restarts the leader from its WALs and pushes a
 //! clean mixed load through it (commit and vetoed-abort paths), merges
 //! the per-process trace files and replays the cross-process ACTA
-//! predicates ([`trace_check::check_merged`]), with seeded corruptions
-//! proving the predicates have teeth.
+//! predicates ([`acp_bench::trace_check::check_merged`]), with seeded
+//! corruptions proving the predicates have teeth.
 //!
 //! Pass/fail is the cost grid, the blocked/unblocked verdicts, the
 //! predicates and the recovery evidence — nothing here is timed. The

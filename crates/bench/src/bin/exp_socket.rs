@@ -21,15 +21,15 @@
 //!    WAL recovery, a fresh (disjoint) transaction range afterwards.
 //!
 //! Afterwards the parent merges the trace files
-//! ([`trace_check::load_merged`] — torn tails from the kills are
-//! legitimate and skipped) and replays the cross-process ACTA
-//! predicates ([`trace_check::check_merged`]): decisions never
-//! contradict across coordinator incarnations, every participant
-//! enforcement agrees with the global decision, yes votes and acks
-//! follow their forced records. Two seeded corruptions prove the
-//! predicates have teeth. Recovery evidence (a `recovery_step` from
-//! both victims' sites) must appear, or the kills did not actually
-//! exercise the restart procedure.
+//! ([`acp_bench::trace_check::load_merged`] — torn tails from the
+//! kills are legitimate and skipped) and replays the cross-process
+//! ACTA predicates ([`acp_bench::trace_check::check_merged`]):
+//! decisions never contradict across coordinator incarnations, every
+//! participant enforcement agrees with the global decision, yes votes
+//! and acks follow their forced records. Two seeded corruptions prove
+//! the predicates have teeth. Recovery evidence (a `recovery_step`
+//! from both victims' sites) must appear, or the kills did not
+//! actually exercise the restart procedure.
 //!
 //! Pass/fail is the predicates, the mutation controls and the recovery
 //! evidence — nothing here is timed. The one longer run ever recorded

@@ -210,20 +210,6 @@ impl<L: StableLog> Coordinator<L> {
         self.table.len()
     }
 
-    /// Per-shard occupancy of the protocol table (lock-free sample).
-    #[must_use]
-    pub fn table_shard_occupancy(&self) -> Vec<usize> {
-        self.table.shard_occupancy()
-    }
-
-    /// Largest single-shard occupancy of the protocol table right now
-    /// (lock-free). Reactor hosts feed this into the metrics
-    /// registry's `table_peak_shard_occupancy` high-water mark.
-    #[must_use]
-    pub fn table_peak_shard_occupancy(&self) -> usize {
-        self.table.max_shard_len()
-    }
-
     /// Transactions currently in the protocol table.
     #[must_use]
     pub fn protocol_table_txns(&self) -> Vec<TxnId> {

@@ -5,7 +5,7 @@
 //! engine and drives a handful of transactions, but it is the hot-path
 //! contention point the reactor runtime must remove: one coordinator
 //! site drives thousands of concurrent transactions, and auxiliary
-//! readers (metrics snapshots, table-size probes) must not serialize
+//! readers (table-size probes) must not serialize
 //! against protocol progress.
 //!
 //! [`ShardedTable`] splits the map into independently locked shards
@@ -15,8 +15,8 @@
 //! ([`shard_of`] is the single definition of that ownership map).
 //! Every host builds its table with [`ShardedTable::new`], the
 //! [`TABLE_SHARDS`] spread; [`ShardedTable::with_shards`] is for tests.
-//! Each shard is a `Mutex<BTreeMap<..>>`; cached atomic lengths — one
-//! global, one per shard — make size and occupancy probes lock-free.
+//! Each shard is a `Mutex<BTreeMap<..>>`; a cached atomic length makes
+//! the size probe lock-free.
 //! All access is closure-scoped ([`ShardedTable::with`] /
 //! [`ShardedTable::with_mut`]) so a shard lock can never be held across
 //! a call back into the engine — the discipline that keeps the engine
@@ -52,9 +52,6 @@ pub fn shard_of(txn: TxnId, n_shards: usize) -> usize {
 pub struct ShardedTable<V> {
     shards: Vec<Mutex<BTreeMap<TxnId, V>>>,
     len: AtomicUsize,
-    /// Per-shard occupancy, maintained alongside `len` so hosts can
-    /// probe shard balance without touching a lock.
-    shard_lens: Vec<AtomicUsize>,
 }
 
 impl<V> Default for ShardedTable<V> {
@@ -79,7 +76,6 @@ impl<V> ShardedTable<V> {
         ShardedTable {
             shards: (0..n).map(|_| Mutex::new(BTreeMap::new())).collect(),
             len: AtomicUsize::new(0),
-            shard_lens: (0..n).map(|_| AtomicUsize::new(0)).collect(),
         }
     }
 
@@ -95,9 +91,8 @@ impl<V> ShardedTable<V> {
         shard_of(txn, self.shards.len())
     }
 
-    fn shard(&self, txn: TxnId) -> (usize, &Mutex<BTreeMap<TxnId, V>>) {
-        let i = self.shard_of(txn);
-        (i, &self.shards[i])
+    fn shard(&self, txn: TxnId) -> &Mutex<BTreeMap<TxnId, V>> {
+        &self.shards[self.shard_of(txn)]
     }
 
     fn lock(m: &Mutex<BTreeMap<TxnId, V>>) -> std::sync::MutexGuard<'_, BTreeMap<TxnId, V>> {
@@ -110,22 +105,18 @@ impl<V> ShardedTable<V> {
 
     /// Insert, returning the previous value if one existed.
     pub fn insert(&self, txn: TxnId, value: V) -> Option<V> {
-        let (i, shard) = self.shard(txn);
-        let prev = Self::lock(shard).insert(txn, value);
+        let prev = Self::lock(self.shard(txn)).insert(txn, value);
         if prev.is_none() {
             self.len.fetch_add(1, Ordering::Relaxed);
-            self.shard_lens[i].fetch_add(1, Ordering::Relaxed);
         }
         prev
     }
 
     /// Remove and return the entry.
     pub fn remove(&self, txn: TxnId) -> Option<V> {
-        let (i, shard) = self.shard(txn);
-        let prev = Self::lock(shard).remove(&txn);
+        let prev = Self::lock(self.shard(txn)).remove(&txn);
         if prev.is_some() {
             self.len.fetch_sub(1, Ordering::Relaxed);
-            self.shard_lens[i].fetch_sub(1, Ordering::Relaxed);
         }
         prev
     }
@@ -133,42 +124,13 @@ impl<V> ShardedTable<V> {
     /// Is `txn` present?
     #[must_use]
     pub fn contains(&self, txn: TxnId) -> bool {
-        Self::lock(self.shard(txn).1).contains_key(&txn)
+        Self::lock(self.shard(txn)).contains_key(&txn)
     }
 
     /// Number of entries (lock-free read of a cached counter).
     #[must_use]
     pub fn len(&self) -> usize {
         self.len.load(Ordering::Relaxed)
-    }
-
-    /// Occupancy of one shard (lock-free). Out-of-range probes read 0.
-    #[must_use]
-    pub fn shard_len(&self, shard: usize) -> usize {
-        self.shard_lens
-            .get(shard)
-            .map_or(0, |l| l.load(Ordering::Relaxed))
-    }
-
-    /// Per-shard occupancy snapshot (lock-free, one relaxed load per
-    /// shard). The multi-reactor's metrics surface samples this per
-    /// tick to report table balance.
-    #[must_use]
-    pub fn shard_occupancy(&self) -> Vec<usize> {
-        self.shard_lens
-            .iter()
-            .map(|l| l.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Largest single-shard occupancy (lock-free).
-    #[must_use]
-    pub fn max_shard_len(&self) -> usize {
-        self.shard_lens
-            .iter()
-            .map(|l| l.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0)
     }
 
     /// Is the table empty?
@@ -179,10 +141,9 @@ impl<V> ShardedTable<V> {
 
     /// Drop every entry.
     pub fn clear(&self) {
-        for (i, shard) in self.shards.iter().enumerate() {
+        for shard in &self.shards {
             let mut m = Self::lock(shard);
             self.len.fetch_sub(m.len(), Ordering::Relaxed);
-            self.shard_lens[i].fetch_sub(m.len(), Ordering::Relaxed);
             m.clear();
         }
     }
@@ -190,12 +151,12 @@ impl<V> ShardedTable<V> {
     /// Run `f` over the entry for `txn` (or `None`), holding only that
     /// shard's lock. `f` must not call back into the table.
     pub fn with<R>(&self, txn: TxnId, f: impl FnOnce(Option<&V>) -> R) -> R {
-        f(Self::lock(self.shard(txn).1).get(&txn))
+        f(Self::lock(self.shard(txn)).get(&txn))
     }
 
     /// Like [`ShardedTable::with`] with mutable access.
     pub fn with_mut<R>(&self, txn: TxnId, f: impl FnOnce(Option<&mut V>) -> R) -> R {
-        f(Self::lock(self.shard(txn).1).get_mut(&txn))
+        f(Self::lock(self.shard(txn)).get_mut(&txn))
     }
 
     /// Visit every entry in deterministic (shard, key) order, one shard
@@ -332,26 +293,26 @@ mod tests {
         }
     }
 
-    /// Satellite: per-shard occupancy counters are exact and lock-free.
+    /// The cached length is exact across inserts, removes and clear.
     #[test]
-    fn shard_occupancy_tracks_inserts_and_removes() {
+    fn len_tracks_inserts_and_removes() {
         let t: ShardedTable<u64> = ShardedTable::with_shards(4);
         for raw in 0..16u64 {
             t.insert(TxnId::new(raw), raw);
         }
-        // 16 txns round-robin over 4 shards: perfectly balanced.
-        assert_eq!(t.shard_occupancy(), vec![4, 4, 4, 4]);
-        assert_eq!(t.max_shard_len(), 4);
+        assert_eq!(t.len(), 16);
+        // A re-insert replaces; it does not count twice.
+        assert_eq!(t.insert(TxnId::new(0), 0), Some(0));
+        assert_eq!(t.len(), 16);
         // Remove everything owned by shard 2.
         for raw in (0..16u64).filter(|r| shard_of(TxnId::new(*r), 4) == 2) {
             t.remove(TxnId::new(raw));
         }
-        assert_eq!(t.shard_occupancy(), vec![4, 4, 0, 4]);
-        assert_eq!(t.shard_len(2), 0);
-        assert_eq!(t.shard_len(99), 0, "out-of-range probe reads 0");
+        assert_eq!(t.len(), 12);
+        assert_eq!(t.remove(TxnId::new(2)), None, "a second remove is a no-op");
         assert_eq!(t.len(), 12);
         t.clear();
-        assert_eq!(t.shard_occupancy(), vec![0, 0, 0, 0]);
+        assert_eq!(t.len(), 0);
     }
 
     /// The satellite's concurrent-access stress test: writer threads
@@ -408,7 +369,5 @@ mod tests {
             n += 1;
         });
         assert_eq!(n, expected, "cached len disagrees with a full walk");
-        // The per-shard counters agree with the global one.
-        assert_eq!(t.shard_occupancy().iter().sum::<usize>(), expected);
     }
 }

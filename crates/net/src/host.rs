@@ -5,14 +5,15 @@
 //! carries their messages. A [`Kernel`] owns a set of sites — each an
 //! [`AnyEngine`] over a [`NetLog`] (coordinator, Paxos member,
 //! participant or gateway), a native participant also its data side —
-//! the timer wheel, the client reply table, the admission door and the
-//! latency histogram, and runs one **turn**: recover due sites, fire
+//! the timer wheel, the client reply table and the admission door, and
+//! runs one **turn**: recover due sites, fire
 //! due timers, drain envelopes into the engines, then per site flush
 //! the data WAL and force the open group-commit batch through the
 //! kernel's [`FsyncDomain`] — one coalesced force round per turn, every
 //! kind of site alike — and only then externalize what the batch
 //! withheld (the site's sends *and* its ACTA events); collect the
-//! coordinator's log, answer clients, snapshot metrics.
+//! coordinator's log, answer clients. Protocol costs leave through the
+//! trace sink the kernel is handed; counting them is the sink's job.
 //!
 //! What differs between backends is only where an envelope goes when
 //! its site lives elsewhere and how the loop sleeps: the [`Transport`]
@@ -30,7 +31,7 @@
 
 use crate::cluster::SiteSummary;
 use crate::envelope::Envelope;
-use crate::reactor::{InflightGauge, ReactorConfig, ReactorStats, SnapshotCadence};
+use crate::reactor::{InflightGauge, ReactorConfig, ReactorStats};
 use crate::site::{
     decide_vote, observe_acta, observe_crash, observe_gc, observe_recover, observe_recv,
     observe_retry, observe_send, protocol_outcomes, NetDelays, NetLog, NetObs, SharedHistory,
@@ -42,10 +43,7 @@ use acp_core::{
     PaxosNode, TimerPurpose,
 };
 use acp_engine::SiteEngine;
-use acp_obs::{
-    Counter, HistogramSnapshot, LatencyHistogram, MetricsRegistry, MetricsTimeline, ProtoLabel,
-    ProtocolEvent, TraceSink,
-};
+use acp_obs::{ProtoLabel, ProtocolEvent, TraceSink};
 use acp_types::{Message, Outcome, Payload, SiteId, TxnId, Vote};
 use acp_wal::{DomainStats, FileLog, FsyncDomain, GroupCommitLog, GroupCommitStats};
 use crossbeam::channel::{Receiver, Sender};
@@ -166,11 +164,8 @@ struct Ctx<T> {
     ready: VecDeque<Mail>,
     history: SharedHistory,
     delays: NetDelays,
-    /// Where each in-flight commit's decision goes, and when the
-    /// commit was admitted (for the latency histogram).
-    replies: BTreeMap<TxnId, (Sender<Outcome>, Instant)>,
-    /// Admission-to-delivery latency of this kernel's commits.
-    latency: LatencyHistogram,
+    /// Where each in-flight commit's decision goes.
+    replies: BTreeMap<TxnId, Sender<Outcome>>,
     /// Cluster-wide in-flight commit gauge (shared across shards).
     inflight: Arc<InflightGauge>,
     stats: ReactorStats,
@@ -409,7 +404,7 @@ fn crash_volatile<T>(host: &mut SiteHost, ctx: &mut Ctx<T>) {
 /// What whoever spawns a kernel hands it: the cluster shape and the
 /// cluster-wide handles its sites report into.
 pub(crate) struct HostEnv {
-    /// Cluster shape, admission bound, snapshot cadence.
+    /// Cluster shape and admission bound.
     pub config: ReactorConfig,
     /// Client injector.
     pub rx: Receiver<Mail>,
@@ -419,8 +414,6 @@ pub(crate) struct HostEnv {
     pub inflight: Arc<InflightGauge>,
     /// Trace sink for the hosted sites.
     pub sink: Option<Arc<dyn TraceSink>>,
-    /// Registry snapshotted into a timeline on the config's cadence.
-    pub snapshots: Option<(Arc<MetricsRegistry>, Arc<MetricsTimeline>)>,
     /// Epoch for trace timestamps and the timer wheel.
     pub t0: Instant,
 }
@@ -436,7 +429,6 @@ pub(crate) struct KernelReport {
     pub physical_syncs: u64,
     pub stats: ReactorStats,
     pub fsync: DomainStats,
-    pub latency: HistogramSnapshot,
 }
 
 /// Open an existing WAL (restart) or create a fresh one (first boot).
@@ -464,8 +456,6 @@ pub(crate) struct Kernel<T> {
     rx: Receiver<Mail>,
     /// The admission bound ([`ReactorConfig::max_inflight`]).
     max_inflight: Option<u64>,
-    snapshots: Option<(Arc<MetricsRegistry>, Arc<MetricsTimeline>)>,
-    cadence: SnapshotCadence,
     running: bool,
 }
 
@@ -586,7 +576,6 @@ impl<T: Transport> Kernel<T> {
                 history: env.history,
                 delays: cc.delays,
                 replies: BTreeMap::new(),
-                latency: LatencyHistogram::new(),
                 inflight: env.inflight,
                 stats: ReactorStats::default(),
                 now: t0,
@@ -596,8 +585,6 @@ impl<T: Transport> Kernel<T> {
                 transport,
             },
             rx: env.rx,
-            snapshots: env.snapshots,
-            cadence: SnapshotCadence::new(config.snapshot_every_commits),
             max_inflight: config.max_inflight,
             running: true,
         })
@@ -659,7 +646,6 @@ impl<T: Transport> Kernel<T> {
         self.ctx.transport.end_turn(self.ctx.now);
         if worked {
             self.ctx.stats.ticks += 1;
-            self.maybe_snapshot();
         }
         worked
     }
@@ -826,7 +812,7 @@ impl<T: Transport> Kernel<T> {
                     }
                     drop(reply);
                 } else {
-                    self.ctx.replies.insert(txn, (reply, now));
+                    self.ctx.replies.insert(txn, reply);
                     self.ctx.inflight.inc();
                     self.ctx.stats.max_inflight =
                         self.ctx.stats.max_inflight.max(self.ctx.replies.len());
@@ -909,39 +895,17 @@ impl<T: Transport> Kernel<T> {
         if engine.log().open_occupancy() > 0 {
             return;
         }
-        let (now, latency) = (self.ctx.now, &mut self.ctx.latency);
         let mut delivered = 0;
-        self.ctx.replies.retain(|&txn, (reply, admitted)| {
+        self.ctx.replies.retain(|&txn, reply| {
             let Some(outcome) = engine.decided(txn) else {
                 return true;
             };
             let _ = reply.send(outcome);
-            let waited = now.saturating_duration_since(*admitted).as_micros();
-            latency.record(u64::try_from(waited).unwrap_or(u64::MAX));
             delivered += 1;
             false
         });
         self.ctx.stats.decisions_delivered += delivered;
         self.ctx.inflight.dec_by(delivered);
-        self.cadence.on_commits(delivered);
-    }
-
-    fn maybe_snapshot(&mut self) {
-        let (true, Some((registry, timeline))) = (self.cadence.due(), &self.snapshots) else {
-            return;
-        };
-        // Snapshots carry the coordinator slice's trace clock and label.
-        let Some(SiteState { host, engine, .. }) = self.coord.map(|i| &self.sites[i]) else {
-            return;
-        };
-        let Some(obs) = &host.obs else { return };
-        if let AnyEngine::Coord(engine) = engine {
-            // Sample the slice's protocol-table balance into the
-            // registry's high-water mark before copying the grid.
-            let peak = engine.table_peak_shard_occupancy() as u64;
-            registry.set_max(obs.proto, Counter::TablePeakShardOccupancy, peak);
-        }
-        timeline.push(registry.snapshot(obs.now_us()));
     }
 
     /// How long the loop may sleep: bounded by the next engine timer,
@@ -1003,7 +967,6 @@ impl<T: Transport> Kernel<T> {
             physical_syncs,
             stats: self.ctx.stats,
             fsync: self.ctx.domain.stats(),
-            latency: self.ctx.latency.snapshot(),
         };
         (report, self.ctx.transport)
     }
@@ -1100,7 +1063,6 @@ mod tests {
             history: Arc::clone(&history),
             inflight: Arc::clone(&inflight),
             sink: Some(Arc::clone(&sink) as _),
-            snapshots: None,
             t0: Instant::now(),
         };
         let hosted: Vec<SiteId> = std::iter::once(COORDINATOR).chain(parts.clone()).collect();

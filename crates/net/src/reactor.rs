@@ -1,6 +1,6 @@
-//! The in-process host: the site-hosting kernel ([`crate::host`] — the
-//! turn discipline lives there) on `reactors` event-loop threads, over
-//! the in-process transport defined here.
+//! The in-process host: the site-hosting kernel (`host.rs` — the turn
+//! discipline lives there) on `reactors` event-loop threads, over the
+//! in-process transport defined here.
 //!
 //! A thread per site and a mailbox hop per message is fine for a
 //! handful of concurrent transactions, but thousands of in-flight
@@ -34,11 +34,12 @@
 //! slice narrates the crash and recovery, so the history reads as one
 //! site failing.
 //!
-//! Observability: [`ReactorCluster::spawn_observed`] gives each shard
-//! its own [`MetricsRegistry`] and [`MetricsTimeline`];
-//! [`ReactorCluster::shutdown`] merges the timelines with
-//! [`MetricsTimeline::merged`]. In-flight commits aggregate across
-//! shards through the shared [`InflightGauge`].
+//! Observability: every shard traces into the one sink handed to
+//! [`ReactorCluster::spawn_with_sink`]. Protocol costs are counted by
+//! handing it an [`acp_obs::CountingSink`]: its registry's cells are
+//! atomics, so the shards share one registry and the caller reads it
+//! while the cluster runs. In-flight commits aggregate across shards
+//! through the shared [`InflightGauge`].
 
 use crate::client::{deref_to_client, ClientHandle};
 use crate::cluster::{ClusterConfig, ClusterReport, SiteSummary};
@@ -46,10 +47,7 @@ use crate::envelope::Envelope;
 use crate::host::{HostEnv, Kernel, KernelReport, Mail, Transport, COORDINATOR};
 use crate::site::SharedHistory;
 use acp_acta::History;
-use acp_obs::{
-    CountingSink, FanoutSink, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, MetricsTimeline,
-    TraceSink,
-};
+use acp_obs::TraceSink;
 use acp_types::{Message, SiteId, TxnId};
 use acp_wal::tempdir::TempDir;
 use acp_wal::{DomainStats, GroupCommitStats};
@@ -72,10 +70,6 @@ pub struct ReactorConfig {
     pub cluster: ClusterConfig,
     /// Reactor threads (≥ 1), each one shard of the partition above.
     pub reactors: usize,
-    /// Snapshot each shard's metrics registry into its timeline after
-    /// this many delivered decisions (0 = off). Needs
-    /// [`ReactorCluster::spawn_observed`].
-    pub snapshot_every_commits: u64,
     /// Admit a client commit only while fewer than this many are in
     /// flight cluster-wide (`None` = admit everything). The engines run
     /// no-wait 2PL, so past the saturation knee extra offered load
@@ -93,8 +87,8 @@ pub struct ReactorConfig {
 }
 
 impl ReactorConfig {
-    /// One reactor over [`ClusterConfig::new`]'s defaults, snapshots
-    /// off, no admission bound.
+    /// One reactor over [`ClusterConfig::new`]'s defaults, no admission
+    /// bound.
     #[must_use]
     pub fn new(
         kind: acp_types::CoordinatorKind,
@@ -105,12 +99,11 @@ impl ReactorConfig {
 }
 
 impl From<ClusterConfig> for ReactorConfig {
-    /// One reactor over `cluster`, snapshots off, no admission bound.
+    /// One reactor over `cluster`, no admission bound.
     fn from(cluster: ClusterConfig) -> Self {
         ReactorConfig {
             cluster,
             reactors: 1,
-            snapshot_every_commits: 0,
             max_inflight: None,
         }
     }
@@ -168,36 +161,6 @@ impl ReactorStats {
         self.decisions_delivered += other.decisions_delivered;
         self.mailbox_sends += other.mailbox_sends;
         self.admission_sheds += other.admission_sheds;
-    }
-}
-
-/// The snapshot trigger: a count of delivered decisions, evaluated
-/// once per working turn. It fires (one snapshot) once the count
-/// reaches `every` and then starts over, so M decisions delivered one
-/// per turn make `⌊M / every⌋` snapshots; `every == 0` never fires.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct SnapshotCadence {
-    every: u64,
-    pending: u64,
-}
-
-impl SnapshotCadence {
-    pub(crate) fn new(every: u64) -> Self {
-        SnapshotCadence { every, pending: 0 }
-    }
-
-    /// Record `n` delivered decisions.
-    pub(crate) fn on_commits(&mut self, n: u64) {
-        self.pending += n;
-    }
-
-    /// End of a working turn: whether to take a snapshot now.
-    pub(crate) fn due(&mut self) -> bool {
-        let due = self.every > 0 && self.pending >= self.every;
-        if due {
-            self.pending = 0;
-        }
-        due
     }
 }
 
@@ -277,22 +240,11 @@ pub struct ReactorReport {
     /// zero when group commit is off — passthrough logs never stage a
     /// batch).
     pub fsync: DomainStats,
-    /// Commit latency of every delivered decision, admission to
-    /// delivery in microseconds: the shards' histograms merged
-    /// bucket-wise.
-    pub latency: HistogramSnapshot,
     /// Per-shard breakdowns, by shard index.
     pub per_shard: Vec<ShardSummary>,
     /// Most client commits simultaneously in flight across the whole
     /// cluster (the shared gauge's peak).
     pub max_inflight: u64,
-    /// Every shard's metrics snapshots in one deterministic order,
-    /// tagged with their shard index. Empty unless spawned with
-    /// [`ReactorCluster::spawn_observed`].
-    pub timeline: Vec<(usize, MetricsSnapshot)>,
-    /// Each shard's metrics registry (empty unless observed). Protocol
-    /// cost totals for the whole cluster are per-cell sums over these.
-    pub registries: Vec<Arc<MetricsRegistry>>,
 }
 
 // ---------------------------------------------------------------------------
@@ -391,8 +343,6 @@ pub struct ReactorCluster {
     handles: Vec<JoinHandle<KernelReport>>,
     history: SharedHistory,
     inflight: Arc<InflightGauge>,
-    registries: Vec<Arc<MetricsRegistry>>,
-    timelines: Vec<Arc<MetricsTimeline>>,
     _dir: TempDir,
 }
 
@@ -405,35 +355,21 @@ impl ReactorCluster {
     /// Spawn with tracing and metrics off.
     #[must_use]
     pub fn spawn(config: &ReactorConfig) -> ReactorCluster {
-        Self::spawn_inner(config, None, false)
+        Self::spawn_inner(config, None)
     }
 
     /// Spawn with a trace sink shared by every shard (same event
     /// vocabulary and formatting as every other backend and the
     /// simulator harness; events carry site ids, so per-site
-    /// projections stay deterministic however shards interleave).
+    /// projections stay deterministic however shards interleave). A
+    /// [`acp_obs::CountingSink`] here is the cluster's metrics surface,
+    /// readable while it runs.
     #[must_use]
     pub fn spawn_with_sink(config: &ReactorConfig, sink: Arc<dyn TraceSink>) -> ReactorCluster {
-        Self::spawn_inner(config, Some(sink), false)
+        Self::spawn_inner(config, Some(sink))
     }
 
-    /// Spawn with a live metrics surface: each shard gets its own
-    /// [`MetricsRegistry`] fed by a [`CountingSink`] (fanned out with
-    /// `sink`, if given) and snapshots it into its own
-    /// [`MetricsTimeline`] every `snapshot_every_commits` decisions.
-    #[must_use]
-    pub fn spawn_observed(
-        config: &ReactorConfig,
-        sink: Option<Arc<dyn TraceSink>>,
-    ) -> ReactorCluster {
-        Self::spawn_inner(config, sink, true)
-    }
-
-    fn spawn_inner(
-        config: &ReactorConfig,
-        sink: Option<Arc<dyn TraceSink>>,
-        observed: bool,
-    ) -> ReactorCluster {
+    fn spawn_inner(config: &ReactorConfig, sink: Option<Arc<dyn TraceSink>>) -> ReactorCluster {
         let n = config.reactors.max(1);
         let t0 = Instant::now();
         let dir = TempDir::new("reactor").expect("tempdir");
@@ -441,32 +377,14 @@ impl ReactorCluster {
         let inflight = Arc::new(InflightGauge::new());
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded::<Mail>()).unzip();
 
-        let mut registries = Vec::new();
-        let mut timelines = Vec::new();
         let mut handles = Vec::new();
         for (shard, rx) in rxs.into_iter().enumerate() {
-            let (shard_sink, snapshots) = if observed {
-                let registry = Arc::new(MetricsRegistry::new());
-                let timeline = Arc::new(MetricsTimeline::new());
-                let counting: Arc<dyn TraceSink> =
-                    Arc::new(CountingSink::new(Arc::clone(&registry)));
-                let shard_sink: Arc<dyn TraceSink> = match &sink {
-                    Some(user) => Arc::new(FanoutSink::new(vec![Arc::clone(user), counting])),
-                    None => counting,
-                };
-                registries.push(Arc::clone(&registry));
-                timelines.push(Arc::clone(&timeline));
-                (Some(shard_sink), Some((registry, timeline)))
-            } else {
-                (sink.clone(), None)
-            };
             let env = HostEnv {
                 config: config.clone(),
                 rx,
                 history: Arc::clone(&history),
                 inflight: Arc::clone(&inflight),
-                sink: shard_sink,
-                snapshots,
+                sink: sink.clone(),
                 t0,
             };
             handles.push(spawn_shard(shard, txs.clone(), env, dir.path()));
@@ -477,8 +395,6 @@ impl ReactorCluster {
             handles,
             history,
             inflight,
-            registries,
-            timelines,
             _dir: dir,
         }
     }
@@ -495,7 +411,6 @@ impl ReactorCluster {
 
         let mut stats = ReactorStats::default();
         let mut fsync = DomainStats::default();
-        let mut latency = HistogramSnapshot::new();
         let mut group_commit = GroupCommitStats::default();
         let (mut logical_forces, mut physical_syncs, mut coordinator_table_size) = (0, 0, 0);
         let mut coord_pinned: Vec<TxnId> = Vec::new();
@@ -504,7 +419,6 @@ impl ReactorCluster {
         for (shard, r) in reports.into_iter().enumerate() {
             stats.merge(&r.stats);
             fsync.merge(&r.fsync);
-            latency.merge(&r.latency);
             group_commit.merge(&r.group_commit);
             logical_forces += r.logical_forces;
             physical_syncs += r.physical_syncs;
@@ -540,7 +454,6 @@ impl ReactorCluster {
         // The history is shared: clone it once, after every shard has
         // stopped pushing.
         let history = self.history.lock().clone();
-        let timelines: Vec<&MetricsTimeline> = self.timelines.iter().map(Arc::as_ref).collect();
         ReactorReport {
             cluster: ClusterReport {
                 history,
@@ -552,41 +465,8 @@ impl ReactorCluster {
             },
             stats,
             fsync,
-            latency,
             per_shard,
             max_inflight: self.inflight.peak(),
-            timeline: MetricsTimeline::merged(&timelines),
-            registries: self.registries,
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::SnapshotCadence;
-
-    #[test]
-    fn the_snapshot_trigger_fires_once_per_every_delivered_decisions() {
-        // One decision per turn: M decisions make ⌊M / every⌋ snapshots.
-        let mut cadence = SnapshotCadence::new(5);
-        let fired = (0..100)
-            .filter(|_| {
-                cadence.on_commits(1);
-                cadence.due()
-            })
-            .count();
-        assert_eq!(fired, 100 / 5);
-
-        // A turn past the threshold takes one snapshot and starts over.
-        cadence.on_commits(12);
-        assert!(cadence.due());
-        assert!(!cadence.due(), "the count was consumed");
-        cadence.on_commits(4);
-        assert!(!cadence.due());
-
-        // Period 0 is off.
-        let mut off = SnapshotCadence::new(0);
-        off.on_commits(1_000);
-        assert!(!off.due());
     }
 }

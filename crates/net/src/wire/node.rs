@@ -1,19 +1,18 @@
 //! The socket node: one OS process hosting a subset of a cluster's
 //! sites, exchanging frames with its peers over real TCP.
 //!
-//! This is the site-hosting kernel ([`crate::host`]) — the same turn
+//! This is the site-hosting kernel (`host.rs`) — the same turn
 //! discipline the reactor runs — over a TCP transport: envelopes
 //! addressed to a **hosted** site stay on the kernel's ready queue,
 //! envelopes addressed to a remote site are encoded as
 //! length-prefixed CRC frames ([`super::frame`]) straight into the
-//! out-buffer of a per-destination outbound connection
-//! ([`super::conn::OutConn`]), which the end of the turn hands to the
-//! socket in one `write`. A vendored epoll shim drives socket
+//! out-buffer of a per-destination outbound connection (`OutConn`),
+//! which the end of the turn hands to the socket in one `write`. A
+//! vendored epoll shim drives socket
 //! readiness; the kernel's hashed timer wheel drives engine timers;
 //! both deadlines fold into one `epoll_wait` timeout, so the loop
 //! sleeps until *either* a frame arrives or a protocol timer is due.
-//! The node is the kernel with no admission door and no snapshot
-//! registry.
+//! The node is the kernel with no admission door.
 //!
 //! The engines cannot tell the difference. They see the same
 //! [`Envelope`] dispatch, the same [`crate::site`] emission points,
@@ -41,7 +40,7 @@ use crate::envelope::Envelope;
 use crate::host::{HostEnv, Kernel, Mail, Transport, COORDINATOR};
 use crate::reactor::{InflightGauge, ReactorStats};
 use acp_acta::History;
-use acp_obs::{HistogramSnapshot, TraceSink, WireMetrics, WireSnapshot};
+use acp_obs::{TraceSink, WireMetrics, WireSnapshot};
 use acp_types::SiteId;
 use acp_wal::DomainStats;
 use crossbeam::channel::{unbounded, Receiver};
@@ -183,9 +182,6 @@ pub struct NodeReport {
     pub stats: ReactorStats,
     /// Fsync-domain coalescing counters.
     pub fsync: DomainStats,
-    /// Commit latency of every decision this node delivered,
-    /// admission-to-delivery in microseconds.
-    pub latency: HistogramSnapshot,
     /// Transport counters.
     pub wire: WireSnapshot,
 }
@@ -800,7 +796,6 @@ impl SocketNode {
             history: Arc::clone(&history),
             inflight: Arc::new(InflightGauge::new()),
             sink,
-            snapshots: None,
             t0,
         };
         let tcp = Tcp {
@@ -842,7 +837,6 @@ impl SocketNode {
                     },
                     stats: report.stats,
                     fsync: report.fsync,
-                    latency: report.latency,
                     wire: wire_metrics.snapshot(),
                 }
             })?;

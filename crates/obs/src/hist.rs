@@ -4,19 +4,16 @@
 //! p999 — not means: past the saturation knee the mean stays polite
 //! while the tail explodes. A [`LatencyHistogram`] is 64 atomic
 //! power-of-two buckets over microseconds, so recording is one
-//! `leading_zeros` and one relaxed `fetch_add` (safe on the reactor's
-//! hot path), resolution is a constant relative error (each bucket is
-//! at most 2× its predecessor), and the range covers a microsecond to
-//! centuries with no configuration.
+//! `leading_zeros` and one relaxed `fetch_add` (safe on a hot path),
+//! resolution is a constant relative error (each bucket is at most 2×
+//! its predecessor), and the range covers a microsecond to centuries
+//! with no configuration.
 //!
-//! Like the counter grid, histograms aggregate commutatively: a
-//! [`HistogramSnapshot`] is a plain value and [`HistogramSnapshot::merge`]
-//! adds bucket-wise, so per-reactor histograms merge into one cluster
-//! histogram exactly the way [`MetricsTimeline::merged`] combines
-//! per-reactor snapshot sequences — shard first, merge at report time,
-//! no cross-thread contention while running.
-//!
-//! [`MetricsTimeline::merged`]: crate::metrics::MetricsTimeline::merged
+//! Histograms aggregate commutatively: a [`HistogramSnapshot`] is a
+//! plain value and [`HistogramSnapshot::merge`] adds bucket-wise, so
+//! histograms recorded apart (one per thread, or per process) merge
+//! into one exactly, in any order, with no cross-thread contention
+//! while recording.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

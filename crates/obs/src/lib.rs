@@ -50,7 +50,7 @@ pub mod wire;
 pub use event::{ProtoLabel, ProtocolEvent};
 pub use hist::{HistogramSnapshot, LatencyHistogram};
 pub use json::{event_to_json, parse_flat_json, JsonValue};
-pub use metrics::{Counter, MetricsRegistry, MetricsSnapshot, MetricsTimeline};
+pub use metrics::{Counter, MetricsRegistry, MetricsSnapshot};
 pub use render::{render_ascii, render_mermaid};
 pub use sink::{CountingSink, FanoutSink, JsonLinesSink, NullSink, RingBufferSink, TraceSink, VecSink};
 pub use wire::{WireMetrics, WireSnapshot};

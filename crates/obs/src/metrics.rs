@@ -69,11 +69,9 @@ pub enum Counter {
     /// shared forces). `BatchOccupancy / BatchedForces` is the mean
     /// multi-transaction batch size.
     BatchOccupancy,
-    /// Peak occupancy observed in any single shard of the coordinator's
-    /// protocol table (a high-water mark fed with
-    /// [`MetricsRegistry::set_max`], not an accumulating sum). Reactor
-    /// hosts sample it per tick; the E14 report uses it to show table
-    /// load stays balanced across reactor shards.
+    /// Nothing writes this counter any more: it always reads 0. It
+    /// stays only because the frozen counter goldens under `results/`
+    /// print its column; the next PR that regenerates them deletes it.
     TablePeakShardOccupancy,
     /// Transactions refused at the door by the admission controller
     /// (bounded in-flight / mailbox-depth shedding) before any
@@ -195,9 +193,9 @@ impl MetricsRegistry {
     }
 
     /// Raise one counter to at least `v` (atomic `fetch_max`). For
-    /// high-water-mark counters like
-    /// [`Counter::TablePeakShardOccupancy`], where the registry cell
-    /// records the largest value ever observed rather than a sum.
+    /// high-water-mark counters like [`Counter::BackpressureDrops`],
+    /// where the registry cell records the largest value ever observed
+    /// rather than a sum.
     pub fn set_max(&self, proto: ProtoLabel, counter: Counter, v: u64) {
         self.cells[proto.index()][counter.index()].fetch_max(v, Ordering::Relaxed);
     }
@@ -367,81 +365,6 @@ impl MetricsRegistry {
     }
 }
 
-/// A shared, append-only sequence of [`MetricsSnapshot`]s: the live
-/// metrics surface. Long-running hosts (the reactor) push a snapshot
-/// every N ticks / M transactions; campaign binaries read the sequence
-/// afterwards (or concurrently) and stream cost curves — forces per
-/// committed transaction over time — instead of one exit aggregate.
-#[derive(Debug, Default)]
-pub struct MetricsTimeline {
-    snaps: std::sync::Mutex<Vec<MetricsSnapshot>>,
-}
-
-impl MetricsTimeline {
-    /// An empty timeline.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a snapshot.
-    pub fn push(&self, snap: MetricsSnapshot) {
-        self.snaps
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(snap);
-    }
-
-    /// Number of snapshots recorded so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.snaps
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
-    }
-
-    /// Is the timeline empty?
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Copy out every snapshot recorded so far, in push order.
-    #[must_use]
-    pub fn snapshots(&self) -> Vec<MetricsSnapshot> {
-        self.snaps
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
-    }
-
-    /// Merge several per-reactor timelines into one deterministic
-    /// sequence, each snapshot tagged with the index of the timeline it
-    /// came from. Order is total and stable: ascending `at_us`, ties
-    /// broken by timeline index, then by push order within a timeline —
-    /// so N reactors whose clocks coincide always interleave the same
-    /// way, and re-merging the same timelines is byte-identical. This is
-    /// the N-shard reactor report's metrics surface: per-shard registries
-    /// snapshot independently, one merged timeline comes out.
-    #[must_use]
-    pub fn merged(timelines: &[&MetricsTimeline]) -> Vec<(usize, MetricsSnapshot)> {
-        let mut all: Vec<(usize, usize, MetricsSnapshot)> = Vec::new();
-        for (ti, tl) in timelines.iter().enumerate() {
-            for (pi, snap) in tl.snapshots().into_iter().enumerate() {
-                all.push((ti, pi, snap));
-            }
-        }
-        all.sort_by(|a, b| {
-            a.2.at_us
-                .cmp(&b.2.at_us)
-                .then(a.0.cmp(&b.0))
-                .then(a.1.cmp(&b.1))
-        });
-        all.into_iter().map(|(ti, _, snap)| (ti, snap)).collect()
-    }
-}
-
 fn kind_counter(kind: &str) -> Option<Counter> {
     match kind {
         "prepare" => Some(Counter::Prepares),
@@ -583,42 +506,16 @@ mod tests {
         assert_eq!(s2.get(ProtoLabel::PrA, Counter::ForcedWrites), 2);
         assert_eq!(s2.total(Counter::ForcedWrites), 3);
         assert_eq!(s1.at_us, 100);
-
-        let tl = MetricsTimeline::new();
-        assert!(tl.is_empty());
-        tl.push(s1.clone());
-        tl.push(s2);
-        let snaps = tl.snapshots();
-        assert_eq!(tl.len(), 2);
-        assert_eq!(snaps[0], s1);
-        assert!(snaps[1].at_us > snaps[0].at_us);
     }
 
     #[test]
     fn set_max_is_a_high_water_mark() {
         let r = MetricsRegistry::new();
-        let c = Counter::TablePeakShardOccupancy;
+        let c = Counter::BackpressureDrops;
         r.set_max(ProtoLabel::PrAny, c, 3);
         r.set_max(ProtoLabel::PrAny, c, 7);
         r.set_max(ProtoLabel::PrAny, c, 5); // lower sample does not regress the peak
         assert_eq!(r.get(ProtoLabel::PrAny, c), 7);
-    }
-
-    #[test]
-    fn merged_timelines_order_by_time_then_timeline_then_push() {
-        let r = MetricsRegistry::new();
-        let a = MetricsTimeline::new();
-        let b = MetricsTimeline::new();
-        a.push(r.snapshot(100));
-        a.push(r.snapshot(300));
-        b.push(r.snapshot(100)); // at_us tie with a's first snapshot
-        b.push(r.snapshot(200));
-        let merged = MetricsTimeline::merged(&[&a, &b]);
-        let order: Vec<(usize, u64)> = merged.iter().map(|(ti, s)| (*ti, s.at_us)).collect();
-        // Tie at 100 µs resolves to timeline 0 first; the rest by time.
-        assert_eq!(order, vec![(0, 100), (1, 100), (1, 200), (0, 300)]);
-        // Re-merging is byte-identical (determinism).
-        assert_eq!(MetricsTimeline::merged(&[&a, &b]), merged);
     }
 
     #[test]

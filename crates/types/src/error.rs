@@ -5,8 +5,8 @@ use std::fmt;
 
 /// A message or event that violates the receiving engine's protocol.
 ///
-/// §2 defines U2PC coordinators as "handl[ing] any violations of
-/// [their] protocol with respect to messages by ignoring such messages";
+/// §2 defines U2PC coordinators as "handl\[ing\] any violations of
+/// \[their\] protocol with respect to messages by ignoring such messages";
 /// strict single-protocol engines instead surface violations so tests
 /// can assert on them. Either way, the violation itself is described by
 /// this type.

@@ -3,7 +3,7 @@
 //! ## Payload encoding
 //!
 //! Tag byte followed by fixed-width little-endian fields; variable-length
-//! byte strings are length-prefixed (u32). Option<Vec<u8>> images use a
+//! byte strings are length-prefixed (u32). `Option<Vec<u8>>` images use a
 //! presence byte. Deliberately simple and versionable — tag values are
 //! part of the on-disk format and must never be reused.
 //!

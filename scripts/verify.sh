@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: offline release build, every workspace test, a
 # warning-free clippy run, the structural guards (one kernel, one
-# in-process host, one engine enum, one harness, one log, one encoder,
-# one instrument), the benchmark's smoke suite, and a regeneration of
+# in-process host, one engine enum, one metrics path, one harness, one
+# log, one encoder, one instrument), warning-free rustdoc, the
+# benchmark's smoke suite, and a regeneration of
 # every committed result with a diff against it. No step's pass/fail depends
 # on a wall-clock rate; the perf figures printed are information.
 #
@@ -78,6 +79,34 @@ for ((i = 0; i < ${#fork_guards[@]}; i += 2)); do
 done
 nontest_lines crates/net/src
 nontest_lines crates/core/src
+
+echo "== one metrics path: a running cluster is counted by the caller's CountingSink"
+# The reactor used to keep a second, shutdown-only copy of its protocol
+# counters: spawn_observed gave each shard its own registry, a cadence
+# snapshotted them into per-shard MetricsTimelines, and the report merged
+# those after shutdown. The one registry behind the sink a caller hands
+# spawn_with_sink is shared by every shard and readable mid-run, so any
+# of these names is that copy coming back. As above, each pattern first
+# meets its control line.
+metrics_guards=(
+  '\bspawn_observed\b'          'pub fn spawn_observed('
+  '\bsnapshot_every_commits\b'  'config.snapshot_every_commits = 1;'
+  '\bSnapshotCadence\b'         'cadence: SnapshotCadence,'
+  '\bMetricsTimeline\b'         'pub struct MetricsTimeline {'
+  'fn maybe_snapshot\b'         'fn maybe_snapshot(&mut self) {'
+)
+for ((i = 0; i < ${#metrics_guards[@]}; i += 2)); do
+  pattern="${metrics_guards[i]}" control="${metrics_guards[i + 1]}"
+  echo "$control" | grep -qE "$pattern" \
+    || { echo "FAIL: the guard '$pattern' misses its control line '$control'"; exit 1; }
+  if grep -rnE "$pattern" crates src tests examples --include='*.rs'; then
+    echo "FAIL: '$pattern': a second metrics path beside the caller's CountingSink"; exit 1
+  fi
+done
+nontest_lines crates/net/src
+nontest_lines crates/obs/src
+nontest_lines crates/core/src
+nontest_lines crates/net/src crates/obs/src crates/core/src
 
 echo "== one harness, one explorer: the Paxos forks stay folded"
 # paxos/sim.rs and checker/paxos.rs used to be copies of harness.rs and
@@ -174,8 +203,8 @@ echo "$smoke" | tail -1 | cut -c1-160
 echo "== fuzz smoke: torn-write WAL suite (PROPTEST_CASES=${PROPTEST_CASES:-64})"
 PROPTEST_CASES="${PROPTEST_CASES:-64}" cargo test -q --offline --release --test fuzz_wal
 
-echo "== cargo doc --no-deps --offline (warnings denied)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q
+echo "== cargo doc --workspace --no-deps --offline (warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --offline
 
 echo "== figure drift: regenerate results/figures/ and diff"
 cargo run --release --offline -q -p acp-bench --bin exp_figures > /dev/null

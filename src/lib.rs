@@ -71,10 +71,7 @@ pub mod prelude {
     #[cfg(unix)]
     pub use acp_net::{AddressBook, NodeConfig, SocketNode, WireFaults};
     pub use acp_net::{ClusterConfig, ReactorCluster, ReactorConfig};
-    pub use acp_obs::{
-        CountingSink, MetricsRegistry, MetricsTimeline, ProtoLabel, ProtocolEvent, TraceSink,
-        VecSink,
-    };
+    pub use acp_obs::{CountingSink, MetricsRegistry, ProtoLabel, ProtocolEvent, TraceSink, VecSink};
     pub use acp_sim::{FailureSchedule, NetworkConfig, SimTime};
     pub use acp_types::{
         CommitMode, CoordinatorKind, CostCounters, Outcome, ProtocolKind, SelectionPolicy, SiteId,

@@ -11,7 +11,6 @@
 mod common;
 
 use common::runtime::{glacial, masked_site_traces};
-use presumed_any::net::ReactorReport;
 use presumed_any::obs::{parse_flat_json, Counter};
 use presumed_any::prelude::*;
 use std::sync::Arc;
@@ -269,50 +268,6 @@ fn crash_with_pending_timers_fires_nothing_stale() {
         report.stats
     );
     assert!(check_atomicity(&report.cluster.history).is_empty());
-}
-
-// ---------------------------------------------------------------------------
-// Live metrics surface
-
-#[test]
-fn metrics_timeline_streams_in_run_snapshots() {
-    let mut config = mixed_reactor();
-    config.cluster.delays = glacial();
-    config.snapshot_every_commits = 1;
-    let mut cluster = ReactorCluster::spawn_observed(&config, None);
-    let parts = cluster.participants();
-    const TXNS: u64 = 5;
-    for i in 0..TXNS {
-        let txn = cluster.next_txn();
-        for &p in &parts {
-            cluster.apply(p, txn, format!("k{i}").as_bytes(), b"v");
-        }
-        assert_eq!(cluster.commit(txn, &parts), Some(Outcome::Commit));
-    }
-    cluster.settle(Duration::from_millis(200));
-    let report: ReactorReport = cluster.shutdown();
-    assert_eq!(report.stats.decisions_delivered, TXNS);
-
-    let snaps: Vec<_> = report.timeline.into_iter().map(|(_, snap)| snap).collect();
-    assert!(
-        snaps.len() >= 2,
-        "expected in-run snapshots, got {}",
-        snaps.len()
-    );
-    // Snapshots are cumulative and time-ordered: decision and force
-    // counts never decrease, timestamps never run backwards.
-    for w in snaps.windows(2) {
-        assert!(w[0].at_us <= w[1].at_us);
-        assert!(w[0].total(Counter::DecisionsReached) <= w[1].total(Counter::DecisionsReached));
-        assert!(w[0].total(Counter::ForcedWrites) <= w[1].total(Counter::ForcedWrites));
-    }
-    // The forces-per-transaction curve is computable from the stream —
-    // the final point matches the registry's end state.
-    let last = snaps.last().expect("non-empty");
-    assert_eq!(
-        last.total(Counter::DecisionsReached),
-        report.registries[0].snapshot(0).total(Counter::DecisionsReached)
-    );
 }
 
 // ---------------------------------------------------------------------------
