@@ -1056,3 +1056,40 @@ mod pcp {
         assert_eq!(c.mode_for(&sites(2)), acp_types::CommitMode::PrC);
     }
 }
+
+mod gc {
+    use super::*;
+    use acp_wal::FaultyLog;
+
+    /// An in-place GC whose header write never reached the medium: the
+    /// crash rolls the low-water mark back over transactions that had
+    /// ended. Recovery finds their end records and acts for none of
+    /// them, as after a crash just before the GC.
+    #[test]
+    fn recovery_over_a_resurrected_gc_prefix_emits_nothing() {
+        let kind = CoordinatorKind::Single(ProtocolKind::PrN);
+        let mut c = Coordinator::new(SiteId::new(0), kind, FaultyLog::new());
+        for s in sites(2) {
+            c.register_site(s, ProtocolKind::PrN);
+        }
+        c.log_mut().set_durable_gc_rename(false);
+        for txn in (1..=3).map(TxnId::new) {
+            c.begin_commit(txn, &sites(2));
+            let vote = Vote::Yes;
+            for s in sites(2) {
+                c.on_message(s, &Payload::Vote { txn, vote });
+            }
+            for s in sites(2) {
+                c.on_message(s, &Payload::Ack { txn });
+            }
+        }
+        assert_eq!(c.log().low_water_mark(), acp_wal::Lsn(6), "auto GC ran");
+        assert_eq!(c.log().records().unwrap(), Vec::new());
+
+        c.crash();
+        assert_eq!(c.log().low_water_mark(), acp_wal::Lsn::ZERO);
+        assert_eq!(c.log().records().unwrap().len(), 6, "the prefix is back");
+        assert_eq!(c.recover(), Vec::new());
+        assert_eq!(c.protocol_table_size(), 0);
+    }
+}

@@ -13,7 +13,7 @@
 //! never accepts a corrupted record.
 
 use crate::error::WalError;
-use crate::framed::{encode_header, FramedLog, Store, HEADER_LEN};
+use crate::framed::{encode_header, FramedLog, Store, HEADER_LEN, LOW_WATER_AT};
 use crate::record::Lsn;
 use std::collections::VecDeque;
 
@@ -65,14 +65,30 @@ pub struct FaultyImage {
     /// Faults waiting for their trigger point.
     queued: VecDeque<Fault>,
     faults_applied: u64,
-    /// Un-model the parent-directory fsync after GC's `rename(tmp,
-    /// path)` that [`crate::file::Disk`] makes: the pre-fix bug, where
-    /// the rename lives only in the dentry cache.
+    /// Un-model the sync that makes GC's last write durable on
+    /// [`crate::file::Disk`]: the parent-directory fsync after a
+    /// compaction's `rename(tmp, path)` (the pre-fix bug, where the
+    /// rename lives only in the dentry cache), and the data sync after
+    /// the header's in-place low-water write.
     volatile_gc_rename: bool,
     /// The pre-GC image a crash resurrects while the rename is volatile.
     pre_gc_image: Option<Vec<u8>>,
-    /// The next `replace` fails before the swap — an `EIO` mid-rewrite.
+    /// The low-water field a crash restores while the header write is
+    /// volatile.
+    pre_gc_low_water: Option<[u8; 8]>,
+    /// The next `replace` or `set_low_water` fails before it touches the
+    /// image — an `EIO` from GC's write.
     fail_next_gc_rewrite: bool,
+}
+
+impl FaultyImage {
+    fn injected_gc_failure(&mut self) -> Result<(), WalError> {
+        if std::mem::take(&mut self.fail_next_gc_rewrite) {
+            let what = "injected gc write failure";
+            return Err(WalError::Io(std::io::Error::other(what)));
+        }
+        Ok(())
+    }
 }
 
 impl Store for FaultyImage {
@@ -105,11 +121,13 @@ impl Store for FaultyImage {
     }
 
     fn replace(&mut self, image: &[u8]) -> Result<(), WalError> {
-        if std::mem::take(&mut self.fail_next_gc_rewrite) {
-            let what = "injected gc rewrite failure";
-            return Err(WalError::Io(std::io::Error::other(what)));
+        self.injected_gc_failure()?;
+        let mut old = std::mem::replace(&mut self.image, image.to_vec());
+        // The old file durably holds the low-water mark of its last
+        // synced header write.
+        if let Some(field) = self.pre_gc_low_water.take() {
+            old[LOW_WATER_AT..HEADER_LEN as usize].copy_from_slice(&field);
         }
-        let old = std::mem::replace(&mut self.image, image.to_vec());
         if self.volatile_gc_rename {
             // The directory entry was never synced: remember the file a
             // crash brings back — the oldest un-synced image, which is
@@ -117,6 +135,19 @@ impl Store for FaultyImage {
             self.pre_gc_image.get_or_insert(old);
         } else {
             self.pre_gc_image = None;
+        }
+        Ok(())
+    }
+
+    fn set_low_water(&mut self, lsn: Lsn) -> Result<(), WalError> {
+        self.injected_gc_failure()?;
+        let field = &mut self.image[LOW_WATER_AT..HEADER_LEN as usize];
+        let old: [u8; 8] = (&*field).try_into().expect("8 bytes");
+        field.copy_from_slice(&lsn.raw().to_le_bytes());
+        if self.volatile_gc_rename {
+            self.pre_gc_low_water.get_or_insert(old);
+        } else {
+            self.pre_gc_low_water = None;
         }
         Ok(())
     }
@@ -129,9 +160,14 @@ impl Store for FaultyImage {
     fn restart(&mut self) -> Result<Vec<u8>, WalError> {
         // A GC rename never made durable is undone by the crash: recovery
         // scans the pre-GC file — resurrecting every record GC believed
-        // reclaimed *and* losing everything appended since.
+        // reclaimed *and* losing everything appended since. A header
+        // write never made durable only rolls the mark back: the frames
+        // it released are still in the image, and later appends stay.
+        let low_water = self.pre_gc_low_water.take();
         if let Some(old) = self.pre_gc_image.take() {
             self.image = old;
+        } else if let Some(field) = low_water {
+            self.image[LOW_WATER_AT..HEADER_LEN as usize].copy_from_slice(&field);
         }
         for f in self.queued.drain(..) {
             match f {
@@ -178,14 +214,17 @@ impl FramedLog<FaultyImage> {
     }
 
     /// With `false`, a `truncate_prefix` followed by a crash resurrects
-    /// the pre-GC image — the bug the directory sync in
-    /// [`crate::file::Disk`]'s `replace` exists to prevent.
+    /// the records it released: a compaction's whole pre-GC image — the
+    /// bug the directory sync in [`crate::file::Disk`]'s `replace`
+    /// exists to prevent — or, after a GC in place, the header's old
+    /// low-water mark, with everything appended since kept.
     pub fn set_durable_gc_rename(&mut self, durable: bool) {
         self.store.volatile_gc_rename = !durable;
     }
 
     /// Make the next `truncate_prefix` fail with an injected I/O error
-    /// before any state changes.
+    /// before any state changes, whether it would compact or move the
+    /// mark in place.
     pub fn fail_next_gc_rewrite(&mut self) {
         self.store.fail_next_gc_rewrite = true;
     }
@@ -469,19 +508,72 @@ mod tests {
         assert_eq!(report.survivors, 3);
     }
 
+    /// Forced records whose GC at [`ABOVE_FLOOR_CUT`] releases more dead
+    /// bytes than the live suffix and the reclaim floor: it compacts.
+    const ABOVE_FLOOR: u64 = 200;
+    const ABOVE_FLOOR_CUT: Lsn = Lsn(150);
+
+    fn forced_log(n: u64) -> FaultyLog {
+        let mut log = FaultyLog::new();
+        for (payload, force) in forced(n) {
+            log.append(payload, force).unwrap();
+        }
+        log
+    }
+
     #[test]
     fn truncate_prefix_rewrites_image_consistently() {
-        let mut log = FaultyLog::new();
-        for i in 0..8 {
-            log.append(end(i), true).unwrap();
-        }
+        let mut log = forced_log(ABOVE_FLOOR);
         let full = log.image().len();
-        log.truncate_prefix(Lsn(5)).unwrap();
+        log.truncate_prefix(ABOVE_FLOOR_CUT).unwrap();
         assert!(log.image().len() < full);
         // The rewritten image must itself recover cleanly.
         let report = log.crash_and_recover().unwrap();
-        assert_eq!(report.survivors, 3);
+        assert_eq!(report.survivors, 50);
+        assert_eq!(log.low_water_mark(), ABOVE_FLOOR_CUT);
+    }
+
+    #[test]
+    fn truncate_prefix_below_the_floor_rewrites_only_the_mark() {
+        let mut log = forced_log(8);
+        let before = log.image().to_vec();
+        log.truncate_prefix(Lsn(5)).unwrap();
+        assert_eq!(log.image()[8..16], 5u64.to_le_bytes());
+        assert_eq!(log.image()[16..], before[16..]);
+        let report = log.crash_and_recover().unwrap();
+        assert_eq!((report.survivors, report.lost_durable), (3, 0));
         assert_eq!(log.low_water_mark(), Lsn(5));
+    }
+
+    #[test]
+    fn a_flip_in_a_dead_frame_costs_no_live_record() {
+        // The same damage as `mid_log_bit_flip_truncates_to_longest_valid_prefix`,
+        // but in a frame below the mark: recovery resumes at the mark's
+        // frame, cuts nothing, and the damaged bytes stay dead until a
+        // compaction drops them.
+        let mut log = forced_log(8);
+        log.truncate_prefix(Lsn(5)).unwrap();
+        let live = log.records().unwrap();
+        let second_frame_start = HEADER_LEN + (log.image().len() as u64 - HEADER_LEN) / 8;
+        log.inject(Fault::BitFlip {
+            offset: second_frame_start + 10,
+            mask: 0x01,
+        });
+        // The second crash meets the same damage, still in place.
+        for _ in 0..2 {
+            let report = log.crash_and_recover().unwrap();
+            assert_eq!((report.lost_durable, report.truncated_bytes), (0, 0));
+            assert_eq!(log.records().unwrap(), live);
+            assert_eq!(log.next_lsn(), Lsn(8));
+        }
+
+        // With nothing live, the damaged frame and the dead ones behind
+        // it are cut, and the mark still names the next LSN.
+        log.truncate_prefix(Lsn(8)).unwrap();
+        let report = log.crash_and_recover().unwrap();
+        assert_eq!((report.survivors, report.lost_durable), (0, 0));
+        assert_eq!(log.image().len() as u64, second_frame_start);
+        assert_eq!((log.low_water_mark(), log.next_lsn()), (Lsn(8), Lsn(8)));
     }
 
     #[test]
@@ -491,71 +583,107 @@ mod tests {
         // crash then resurrects the pre-GC file — records above the
         // low-water mark come back, and post-GC appends are lost with
         // the orphaned post-rename inode.
-        let mut log = FaultyLog::new();
-        for i in 0..8 {
-            log.append(end(i), true).unwrap();
-        }
+        let mut log = forced_log(ABOVE_FLOOR);
+        log.set_durable_gc_rename(false);
+        log.truncate_prefix(ABOVE_FLOOR_CUT).unwrap();
+        assert_eq!(log.records().unwrap().len(), 50, "GC looks fine pre-crash");
+        log.append(end(1000), true).unwrap();
+
+        let report = log.crash_and_recover().unwrap();
+        // Resurrection: all pre-GC records are back, the appended
+        // record is gone, and the low-water mark rolled backwards.
+        assert_eq!(report.survivors, 200);
+        assert_eq!(log.low_water_mark(), Lsn::ZERO);
+        assert!(log
+            .records()
+            .unwrap()
+            .iter()
+            .all(|r| r.lsn < Lsn(ABOVE_FLOOR)));
+    }
+
+    #[test]
+    fn volatile_gc_header_resurrects_pre_gc_records_and_keeps_later_ones() {
+        // The in-place analogue: the header's new mark never reaches the
+        // medium. A crash rolls the mark back over frames that are still
+        // in the image, so the released records come back — the state of
+        // a crash just before the GC — while the record appended after
+        // it, synced on its own, stays.
+        let mut log = forced_log(8);
         log.set_durable_gc_rename(false);
         log.truncate_prefix(Lsn(5)).unwrap();
         assert_eq!(log.records().unwrap().len(), 3, "GC looks fine pre-crash");
         log.append(end(100), true).unwrap();
 
         let report = log.crash_and_recover().unwrap();
-        // Resurrection: all 8 pre-GC records are back, the appended
-        // record is gone, and the low-water mark rolled backwards.
-        assert_eq!(report.survivors, 8);
+        assert_eq!(report.survivors, 9);
         assert_eq!(log.low_water_mark(), Lsn::ZERO);
-        assert!(log.records().unwrap().iter().all(|r| r.lsn < Lsn(8)));
+        assert_eq!(log.records().unwrap().last().unwrap().payload, end(100));
     }
 
     #[test]
     fn durable_gc_rename_survives_crash() {
-        // With the directory sync (the fix, and the default), a crash
-        // right after truncate_prefix must see exactly the post-GC
-        // image: same records a real FileLog reopen yields.
-        let (_dir, file, mut faulty) = on_both("faulty-gc-crash", |log| {
+        // With the syncs (the fix, and the default), a crash right after
+        // truncate_prefix must see exactly the post-GC records, in place
+        // or compacted: the same records a real FileLog reopen yields.
+        fn in_place(log: &mut dyn StableLog) {
             for (payload, force) in forced(8) {
                 log.append(payload, force).unwrap();
             }
             log.truncate_prefix(Lsn(5)).unwrap();
-        });
-        let path = file.path().to_owned();
+        }
+        fn compacted(log: &mut dyn StableLog) {
+            for (payload, force) in forced(ABOVE_FLOOR) {
+                log.append(payload, force).unwrap();
+            }
+            log.truncate_prefix(ABOVE_FLOOR_CUT).unwrap();
+        }
+        let in_place = in_place as fn(&mut dyn StableLog);
+        let cases = [(in_place, Lsn(5), 3), (compacted, ABOVE_FLOOR_CUT, 50)];
+        for (script, low_water, survivors) in cases {
+            let (_dir, file, mut faulty) = on_both("faulty-gc-crash", script);
+            let path = file.path().to_owned();
 
-        let report = faulty.crash_and_recover().unwrap();
-        assert_eq!(report.survivors, 3);
-        assert_eq!(report.lost_durable, 0);
-        assert_eq!(faulty.low_water_mark(), Lsn(5));
+            let report = faulty.crash_and_recover().unwrap();
+            assert_eq!(report.survivors, survivors);
+            assert_eq!(report.lost_durable, 0);
+            assert_eq!(faulty.low_water_mark(), low_water);
 
-        drop(file);
-        let reopened = FileLog::open(&path).unwrap();
-        assert_eq!(
-            faulty.records().unwrap(),
-            reopened.records().unwrap(),
-            "post-GC crash recovery diverged from FileLog reopen"
-        );
-        assert_eq!(reopened.low_water_mark(), Lsn(5));
+            drop(file);
+            let reopened = FileLog::open(&path).unwrap();
+            assert_eq!(
+                faulty.records().unwrap(),
+                reopened.records().unwrap(),
+                "post-GC crash recovery diverged from FileLog reopen"
+            );
+            assert_eq!(reopened.low_water_mark(), low_water);
+        }
     }
 
     #[test]
     fn injected_gc_rewrite_failure_leaves_state_unchanged() {
-        let mut log = FaultyLog::new();
-        for i in 0..6 {
-            log.append(end(i), true).unwrap();
+        // Below the floor the failing write is the header's, above it
+        // the compaction's.
+        for (n, cut) in [(6, Lsn(4)), (ABOVE_FLOOR, ABOVE_FLOOR_CUT)] {
+            let mut log = forced_log(n);
+            let image_before = log.image().to_vec();
+            let stats_before = log.stats();
+            log.fail_next_gc_rewrite();
+            let err = log.truncate_prefix(cut).unwrap_err();
+            assert!(matches!(err, WalError::Io(_)));
+            assert_eq!(log.records().unwrap().len(), n as usize);
+            assert_eq!(log.low_water_mark(), Lsn::ZERO);
+            assert_eq!(
+                log.image(),
+                &image_before[..],
+                "image untouched by failed GC"
+            );
+            assert_eq!(log.stats().truncated, stats_before.truncated);
+            // The failure is one-shot: the retry succeeds and recovers clean.
+            log.truncate_prefix(cut).unwrap();
+            let report = log.crash_and_recover().unwrap();
+            assert_eq!(report.survivors as u64, n - cut.raw());
+            assert_eq!(log.low_water_mark(), cut);
         }
-        let image_before = log.image().to_vec();
-        let stats_before = log.stats();
-        log.fail_next_gc_rewrite();
-        let err = log.truncate_prefix(Lsn(4)).unwrap_err();
-        assert!(matches!(err, WalError::Io(_)));
-        assert_eq!(log.records().unwrap().len(), 6);
-        assert_eq!(log.low_water_mark(), Lsn::ZERO);
-        assert_eq!(log.image(), &image_before[..], "image untouched by failed GC");
-        assert_eq!(log.stats().truncated, stats_before.truncated);
-        // The failure is one-shot: the retry succeeds and recovers clean.
-        log.truncate_prefix(Lsn(4)).unwrap();
-        let report = log.crash_and_recover().unwrap();
-        assert_eq!(report.survivors, 2);
-        assert_eq!(log.low_water_mark(), Lsn(4));
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! The file store: a [`FramedLog`] persisted to a single file, for the
 //! real-time runtimes. [`Disk`] is the medium and nothing else — the
-//! file handle, and the `.rewrite` sibling + `rename` + parent-directory
-//! fsync that make GC's image swap atomic and crash-durable.
+//! file handle, the `pwrite` + `fdatasync` of the header's low-water
+//! field that is GC in place, and the `.rewrite` sibling + `rename` +
+//! parent-directory fsync that make a compaction's image swap atomic
+//! and crash-durable.
 
 use crate::error::WalError;
-use crate::framed::{encode_header, FramedLog, Store};
+use crate::framed::{encode_header, FramedLog, Store, LOW_WATER_AT};
 use crate::record::Lsn;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 /// Make a just-renamed (or just-created) directory entry durable by
@@ -51,7 +54,9 @@ fn write_new(path: &Path, image: &[u8]) -> Result<File, WalError> {
     Ok(file)
 }
 
-/// A single file as a log's medium.
+/// A single file as a log's medium. GC moves the header's low-water
+/// mark with one positioned write and a data sync; a compaction writes a
+/// sibling file and renames it over this one.
 #[derive(Debug)]
 pub struct Disk {
     path: PathBuf,
@@ -84,6 +89,14 @@ impl Store for Disk {
         // crash, resurrecting records above the low-water mark.
         sync_parent_dir(&self.path)?;
         self.file = tmp;
+        Ok(())
+    }
+
+    fn set_low_water(&mut self, lsn: Lsn) -> Result<(), WalError> {
+        // Positioned: the append cursor stays at the end of the image.
+        self.file
+            .write_all_at(&lsn.raw().to_le_bytes(), LOW_WATER_AT as u64)?;
+        self.file.sync_data()?;
         Ok(())
     }
 
@@ -215,25 +228,86 @@ mod tests {
         assert_eq!(log.records().unwrap().len(), 1, "never reported durable");
     }
 
+    /// Records whose GC at [`ABOVE_FLOOR_CUT`] releases more dead bytes
+    /// than the live suffix and the reclaim floor: it compacts.
+    const ABOVE_FLOOR: u64 = 200;
+    const ABOVE_FLOOR_CUT: Lsn = Lsn(150);
+
+    fn forced_ends(path: &Path, n: u64) -> FileLog {
+        let mut log = FileLog::create(path).unwrap();
+        for i in 0..n {
+            log.append(end(i), true).unwrap();
+        }
+        log
+    }
+
     #[test]
     fn truncate_physically_shrinks_file() {
         let dir = TempDir::new("filelog").unwrap();
         let path = dir.path().join("wal");
-        let mut log = FileLog::create(&path).unwrap();
-        for i in 0..20 {
-            log.append(end(i), true).unwrap();
-        }
+        let mut log = forced_ends(&path, ABOVE_FLOOR);
         let big = std::fs::metadata(&path).unwrap().len();
-        log.truncate_prefix(Lsn(15)).unwrap();
+        log.truncate_prefix(ABOVE_FLOOR_CUT).unwrap();
         let small = std::fs::metadata(&path).unwrap().len();
         assert!(small < big, "{small} !< {big}");
-        assert_eq!(log.records().unwrap().len(), 5);
+        assert_eq!(log.records().unwrap().len(), 50);
 
         // Low-water mark survives reopen.
         drop(log);
         let log = FileLog::open(&path).unwrap();
+        assert_eq!(log.low_water_mark(), ABOVE_FLOOR_CUT);
+        assert_eq!(log.next_lsn(), Lsn(ABOVE_FLOOR));
+    }
+
+    #[test]
+    fn truncate_below_the_floor_moves_only_the_header_mark() {
+        let dir = TempDir::new("filelog-inplace").unwrap();
+        let path = dir.path().join("wal");
+        let mut log = forced_ends(&path, 20);
+        let before = std::fs::read(&path).unwrap();
+        log.truncate_prefix(Lsn(15)).unwrap();
+        let after = std::fs::read(&path).unwrap();
+        assert_eq!(after.len(), before.len(), "no rewrite");
+        assert_eq!(
+            after[8..16],
+            15u64.to_le_bytes(),
+            "the header carries the mark"
+        );
+        assert_eq!(after[..8], before[..8]);
+        assert_eq!(after[16..], before[16..], "every frame stays where it was");
+
+        log.append(end(100), true).unwrap();
+        drop(log);
+        let log = FileLog::open(&path).unwrap();
         assert_eq!(log.low_water_mark(), Lsn(15));
-        assert_eq!(log.next_lsn(), Lsn(20));
+        let lsns: Vec<u64> = log.records().unwrap().iter().map(|r| r.lsn.raw()).collect();
+        assert_eq!(
+            lsns,
+            [15, 16, 17, 18, 19, 20],
+            "the post-GC records, no more"
+        );
+    }
+
+    #[test]
+    fn a_failed_header_write_leaves_memory_and_disk_as_they_were() {
+        let dir = TempDir::new("filelog-revoked-gc").unwrap();
+        let path = dir.path().join("wal");
+        let mut log = forced_ends(&path, 8);
+        let before_stats = log.stats();
+        log.revoke_writes().unwrap();
+
+        let err = log.truncate_prefix(Lsn(5)).unwrap_err();
+        assert!(
+            matches!(err, WalError::Io(_)),
+            "expected I/O error, got {err:?}"
+        );
+        assert_eq!(log.records().unwrap().len(), 8);
+        assert_eq!(log.low_water_mark(), Lsn::ZERO);
+        assert_eq!(log.stats(), before_stats);
+        drop(log);
+        let log = FileLog::open(&path).unwrap();
+        assert_eq!(log.records().unwrap().len(), 8);
+        assert_eq!(log.low_water_mark(), Lsn::ZERO);
     }
 
     #[test]
@@ -264,37 +338,37 @@ mod tests {
 
     #[test]
     fn failed_truncate_leaves_memory_and_disk_consistent() {
-        // Inject a rewrite failure by squatting a *directory* on the
+        // Inject a compaction failure by squatting a *directory* on the
         // `.rewrite` path: opening it as a file fails with EISDIR.
         // Before the fix, `durable`/`stats`/`low_water` were already
         // mutated by then, leaving memory claiming a GC that disk never
         // performed.
         let dir = TempDir::new("filelog-gcfail").unwrap();
         let path = dir.path().join("wal");
-        let mut log = FileLog::create(&path).unwrap();
-        for i in 0..8 {
-            log.append(end(i), true).unwrap();
-        }
+        let mut log = forced_ends(&path, ABOVE_FLOOR);
         let before_stats = log.stats();
         std::fs::create_dir(path.with_extension("rewrite")).unwrap();
 
-        let err = log.truncate_prefix(Lsn(5)).unwrap_err();
-        assert!(matches!(err, WalError::Io(_)), "expected I/O error, got {err:?}");
+        let err = log.truncate_prefix(ABOVE_FLOOR_CUT).unwrap_err();
+        assert!(
+            matches!(err, WalError::Io(_)),
+            "expected I/O error, got {err:?}"
+        );
         // Nothing moved: the failed GC is invisible.
-        assert_eq!(log.records().unwrap().len(), 8);
+        assert_eq!(log.records().unwrap().len(), 200);
         assert_eq!(log.low_water_mark(), Lsn::ZERO);
         assert_eq!(log.stats().truncated, before_stats.truncated);
         // The log keeps working, and disk agrees with memory on reopen.
-        log.append(end(100), true).unwrap();
+        log.append(end(1000), true).unwrap();
         drop(log);
         std::fs::remove_dir(path.with_extension("rewrite")).unwrap();
         let mut log = FileLog::open(&path).unwrap();
-        assert_eq!(log.records().unwrap().len(), 9);
+        assert_eq!(log.records().unwrap().len(), 201);
         assert_eq!(log.low_water_mark(), Lsn::ZERO);
         // With the obstruction gone the retried GC succeeds.
-        log.truncate_prefix(Lsn(5)).unwrap();
-        assert_eq!(log.records().unwrap().len(), 4);
-        assert_eq!(log.low_water_mark(), Lsn(5));
+        log.truncate_prefix(ABOVE_FLOOR_CUT).unwrap();
+        assert_eq!(log.records().unwrap().len(), 51);
+        assert_eq!(log.low_water_mark(), ABOVE_FLOOR_CUT);
     }
 
     #[test]

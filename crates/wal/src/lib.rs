@@ -11,8 +11,9 @@
 //! * a binary record codec with CRC32 framing and torn-write detection
 //!   ([`encode`], [`crc`]),
 //! * **one framed stable log** ([`framed::FramedLog`]) — header, append
-//!   buffer, write-out, GC staging and recovery scan written once — over
-//!   a [`Store`]: a file ([`file::FileLog`]) for the real-time runtimes,
+//!   buffer, write-out, GC (in place or by compaction) and recovery scan
+//!   written once — over a [`Store`]: a file ([`file::FileLog`]) for the
+//!   real-time runtimes,
 //!   or the same byte image in memory, damaged on cue
 //!   ([`fault::FaultyLog`]: torn writes, partial fsyncs, bit flips,
 //!   write and sync errors), so what is fuzzed is what commits,
@@ -93,7 +94,12 @@ pub trait StableLog {
     }
 
     /// Discard all records with LSN strictly below `lsn` (garbage
-    /// collection). `lsn` becomes the new low-water mark.
+    /// collection). `lsn` becomes the new low-water mark: neither
+    /// `records()` nor a recovery returns a discarded record again.
+    /// When the bytes leave the medium is the log's affair — a
+    /// [`FramedLog`] durably moves its header's mark in place and
+    /// rewrites the file only once the dead bytes outweigh the live
+    /// ones.
     fn truncate_prefix(&mut self, lsn: Lsn) -> Result<(), WalError>;
 
     /// The current low-water mark: the smallest LSN still retained.

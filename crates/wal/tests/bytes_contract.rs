@@ -189,10 +189,29 @@ fn script<L: StableLog>(log: &mut L, reopen: impl FnOnce(&mut L)) {
     log.flush().unwrap();
 }
 
-/// The file the script leaves, as written by the commit before the
-/// encoder moved in place: the header (low-water mark 2), then one
-/// frame per record at LSN 2..=7.
+/// The file the script leaves: the header (low-water mark 2, moved in
+/// place by the collection), the two frames below it that the
+/// collection released but left on the medium, then one frame per live
+/// record at LSN 2..=7.
 const GOLDEN: &str = "\
+    484c4157010000000200000000000000\
+    524c415709000000000000000000000001030b0a000000000000c3e71729\
+    524c41570d000000010000000000000000040807060504030201000000003867694d\
+    524c41571d000000020000000000000001010807060504030201030300000001\
+    0000000002000000010300000002a76371ea\
+    524c41573b000000030000000000000000070807060504030201250000006163\
+    636f756e74732f303030303030303030303030303034322f62616c616e63652f\
+    6575720001030000003130303b615a85\
+    524c41570e0000000400000000000000010208070605040302010000000000ae\
+    c8cf93\
+    524c4157090000000500000000000000000308070605040302014e9cdb1b\
+    524c41570a0000000600000000000000010508070605040302010095485e5a\
+    524c41570900000007000000000000000006080706050403020182b29854";
+
+/// The file the same script left when every collection rewrote the
+/// image (written by the commit before the encoder moved in place):
+/// the header, then the live frames only.
+const COMPACTED: &str = "\
     484c4157010000000200000000000000\
     524c41571d000000020000000000000001010807060504030201030300000001\
     0000000002000000010300000002a76371ea\
@@ -228,4 +247,57 @@ fn an_unfaulted_faulty_log_holds_the_same_image() {
         assert_eq!((report.lost_buffered, report.lost_durable), (0, 0));
     });
     assert_eq!(hex(log.image()), GOLDEN);
+}
+
+/// Collecting in place changed where frames live, not what a frame is:
+/// the live frames are the bytes the rewriting log left, behind the
+/// same header.
+#[test]
+fn the_record_format_is_the_compacted_images() {
+    let header = 2 * 16;
+    assert_eq!(GOLDEN[..header], COMPACTED[..header]);
+    assert!(GOLDEN.ends_with(&COMPACTED[header..]));
+}
+
+/// [`script`] behind 200 forced records, then a collection of those
+/// and the script's first two records: past the reclaim floor, so it
+/// compacts.
+fn script_past_the_floor<L: StableLog>(log: &mut L, reopen: impl FnOnce(&mut L)) {
+    for t in 0..200 {
+        let txn = TxnId::new(0x1000 + t);
+        log.append(LogPayload::End { txn }, true).unwrap();
+    }
+    script(log, |_| {});
+    log.truncate_prefix(Lsn(202)).unwrap();
+    reopen(log);
+}
+
+/// The golden header's magic and version, the log's low-water mark,
+/// then the frame of every live record.
+fn header_and_live_frames(log: &impl StableLog) -> String {
+    let low_water = log.low_water_mark().raw().to_le_bytes();
+    let records = log.records().unwrap();
+    let frames: String = records.iter().map(|r| hex(&encode_frame(r))).collect();
+    GOLDEN[..16].to_string() + &hex(&low_water) + &frames
+}
+
+#[test]
+fn a_collection_past_the_floor_leaves_header_and_live_frames() {
+    let dir = TempDir::new("bytes-contract-floor").unwrap();
+    let path = dir.path().join("wal");
+    let mut log = FileLog::create(&path).unwrap();
+    script_past_the_floor(&mut log, |log| *log = FileLog::open(&path).unwrap());
+    assert_eq!(log.records().unwrap().len(), 6, "LSN 202..=207");
+    assert_eq!(log.low_water_mark(), Lsn(202));
+    assert_eq!(
+        hex(&std::fs::read(&path).unwrap()),
+        header_and_live_frames(&log)
+    );
+
+    let mut faulty = FaultyLog::new();
+    script_past_the_floor(&mut faulty, |log| {
+        log.crash_and_recover().unwrap();
+    });
+    assert_eq!(hex(faulty.image()), header_and_live_frames(&faulty));
+    assert_eq!(faulty.records().unwrap(), log.records().unwrap());
 }

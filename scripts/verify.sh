@@ -131,6 +131,26 @@ scans="$(find crates/wal/src -name '*.rs' | sort \
                !test && /decode_frame\(/ && !/fn decode_frame\(/ { print FILENAME ":" FNR ": " $0 }')"
 [ "$(echo "$scans" | grep -c .)" = 1 ] \
   || { echo "$scans"; echo "FAIL: want exactly one decode_frame( call in non-test crates/wal/src (FramedLog's recovery scan)"; exit 1; }
+# GC moves the header's low-water mark in place or compacts the image,
+# and FramedLog::truncate_prefix alone decides which: a second caller of
+# either store write is a second GC path (every GC used to rewrite the
+# file). As above, each pattern first meets its control line; a call's
+# place is the file and the last `fn` line above it.
+gc_writes=(
+  '\.replace\('        'self.store.replace(&image)?;'
+  '\.set_low_water\('  'self.store.set_low_water(lsn)?;'
+)
+for ((i = 0; i < ${#gc_writes[@]}; i += 2)); do
+  pattern="${gc_writes[i]}" control="${gc_writes[i + 1]}"
+  echo "$control" | grep -qE "$pattern" \
+    || { echo "FAIL: the guard '$pattern' misses its control line '$control'"; exit 1; }
+  calls="$(find crates/wal/src -name '*.rs' | sort \
+    | PAT="$pattern" xargs awk 'FNR == 1 { test = 0; fn = "" } /^#\[cfg\(test\)\]/ { test = 1 }
+        match($0, /fn [a-z_][a-z_0-9]*[(<]/) { fn = substr($0, RSTART + 3, RLENGTH - 4) }
+        !test && $0 ~ ENVIRON["PAT"] { print FILENAME " " fn }')"
+  [ "$calls" = "crates/wal/src/framed.rs truncate_prefix" ] \
+    || { echo "$calls"; echo "FAIL: want exactly one non-test '$pattern' call in crates/wal/src, in framed.rs's truncate_prefix"; exit 1; }
+done
 nontest_lines crates/wal/src
 
 echo "== one encoder: the logs and the runtime encode in place"

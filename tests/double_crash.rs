@@ -186,40 +186,108 @@ mod gc_bytes {
     use presumed_any::wal::tempdir::TempDir;
     use presumed_any::wal::{FileLog, Lsn, StableLog};
     use std::fs;
+    use std::path::Path;
+
+    /// Forced records in the log the compaction sweeps collect, and the
+    /// low-water mark they collect to: the 196 released frames are more
+    /// than the reclaim floor, so `truncate_prefix` rewrites the file.
+    const RECORDS: u64 = 200;
+    const CUT: Lsn = Lsn(196);
 
     fn end(t: u64) -> LogPayload {
         LogPayload::End { txn: TxnId::new(t) }
     }
 
-    /// Byte images for the sweep: the pre-GC log (10 forced records)
-    /// and the complete rewrite sibling `truncate_prefix(Lsn(6))` would
-    /// have produced, captured by running a real GC on a scratch copy.
+    /// A file log at `path` holding `n` forced records.
+    fn write_log(path: &Path, n: u64) {
+        let mut log = FileLog::create(path).unwrap();
+        for i in 0..n {
+            log.append(end(i), true).unwrap();
+        }
+    }
+
+    /// Byte images for the sweep: the pre-GC log and the complete
+    /// rewrite sibling `truncate_prefix(CUT)` would have produced,
+    /// captured by running a real GC on a scratch copy.
     fn images(dir: &TempDir) -> (Vec<u8>, Vec<u8>) {
         let scratch = dir.path().join("scratch");
-        {
-            let mut log = FileLog::create(&scratch).unwrap();
-            for i in 0..10 {
-                log.append(end(i), true).unwrap();
-            }
-        }
+        write_log(&scratch, RECORDS);
         let pre_gc = fs::read(&scratch).unwrap();
         {
             let mut log = FileLog::open(&scratch).unwrap();
-            log.truncate_prefix(Lsn(6)).unwrap();
+            log.truncate_prefix(CUT).unwrap();
         }
         let rewrite = fs::read(&scratch).unwrap();
+        assert!(rewrite.len() < pre_gc.len(), "the GC compacted");
         (pre_gc, rewrite)
     }
 
-    /// First crash: inside `truncate_prefix`, after `k` bytes of the
-    /// `.rewrite` sibling reached disk but before the rename — the main
-    /// file still holds the pre-GC image. Recovery must scan the full
-    /// pre-GC log, clear the sibling, and be able to redo the GC.
+    /// The recovering site behind `log` logs `appends` forced records of
+    /// its own after the GC, then crashes: tear `j` bytes off what it
+    /// appended, every `step`-th count from one byte up to all of it.
+    /// The second restart must keep the GC's low-water mark, recover
+    /// exactly the records the GC retained plus every appended frame
+    /// the tear left whole, resume right after them, and accept appends.
+    fn append_then_tear(mut log: FileLog, path: &Path, appends: u64, step: usize, label: &str) {
+        let cut = log.low_water_mark();
+        let kept = log.records().unwrap().len();
+        // The file's length after the GC and after each append.
+        let mut ends = vec![fs::metadata(path).unwrap().len()];
+        for i in 0..appends {
+            log.append(end(1000 + i), true).unwrap();
+            ends.push(fs::metadata(path).unwrap().len());
+        }
+        drop(log);
+        let image = fs::read(path).unwrap();
+        let appended = image.len() - ends[0] as usize;
+        for j in (1..=appended).step_by(step) {
+            let torn = &image[..image.len() - j];
+            let torn_path = path.with_extension(format!("j{j}"));
+            fs::write(&torn_path, torn).unwrap();
+            let whole = ends[1..].iter().filter(|&&e| e <= torn.len() as u64).count();
+
+            // Second restart: the retained suffix and the whole frames,
+            // from the preserved low water on.
+            let mut log = FileLog::open(&torn_path).unwrap();
+            assert_eq!(
+                log.low_water_mark(),
+                cut,
+                "{label} j={j}: the GC must survive the second crash"
+            );
+            let recs = log.records().unwrap();
+            assert_eq!(
+                recs.len(),
+                kept + whole,
+                "{label} j={j}: torn frames dropped, whole ones kept"
+            );
+            for (i, r) in recs.iter().enumerate() {
+                let lsn = Lsn(cut.raw() + i as u64);
+                assert_eq!(
+                    r.lsn, lsn,
+                    "{label} j={j}: contiguous, nothing below the mark"
+                );
+            }
+            let resumed = Lsn(cut.raw() + recs.len() as u64);
+            assert_eq!(log.next_lsn(), resumed, "{label} j={j}");
+
+            // And the log keeps working: append, crash, reopen.
+            log.append(end(2000), true).unwrap();
+            drop(log);
+            let log = FileLog::open(&torn_path).unwrap();
+            let recs = log.records().unwrap();
+            assert_eq!(recs.last().unwrap().lsn, resumed, "{label} j={j}");
+            assert_eq!(log.next_lsn(), resumed.next(), "{label} j={j}");
+        }
+    }
+
+    /// First crash: inside a compacting `truncate_prefix`, after `k`
+    /// bytes of the `.rewrite` sibling reached disk but before the
+    /// rename — the main file still holds the pre-GC image. Recovery
+    /// must scan the full pre-GC log, clear the sibling, and be able to
+    /// redo the GC.
     ///
-    /// Second crash: during that recovery, tearing `j` bytes off
-    /// whatever the interrupted recovery had appended after its redone
-    /// GC. The second restart must recover the valid record prefix,
-    /// keep the redone low-water mark, and accept appends.
+    /// Second crash: during that recovery, tearing whatever the
+    /// interrupted recovery had appended after its redone GC.
     #[test]
     fn gc_crash_then_recovery_scan_crash_sweep() {
         let dir = TempDir::new("double-crash-gc").unwrap();
@@ -237,58 +305,30 @@ mod gc_bytes {
             // First restart: the interrupted GC never happened.
             let mut log = FileLog::open(&path).unwrap();
             assert!(!sibling.exists(), "k={k}: stale .rewrite must be cleared");
-            assert_eq!(log.records().unwrap().len(), 10, "k={k}: pre-GC log intact");
+            assert_eq!(
+                log.records().unwrap().len(),
+                RECORDS as usize,
+                "k={k}: pre-GC log intact"
+            );
             assert_eq!(log.low_water_mark(), Lsn::ZERO, "k={k}");
 
             // The recovery redoes the GC and logs its own progress...
-            log.truncate_prefix(Lsn(6)).unwrap();
+            log.truncate_prefix(CUT).unwrap();
             let after_gc = fs::metadata(&path).unwrap().len();
-            log.append(end(100), true).unwrap();
-            log.append(end(101), true).unwrap();
-            let full = fs::metadata(&path).unwrap().len();
-            drop(log);
-
-            // ...and crashes again: tear j bytes off the recovery's own
-            // appends, from one byte up to both records gone.
-            let max_tear = (full - after_gc) as usize;
-            for j in (1..=max_tear).step_by(5) {
-                let torn_path = dir.path().join(format!("wal-k{k}-j{j}"));
-                let torn = fs::read(&path).unwrap();
-                fs::write(&torn_path, &torn[..torn.len() - j]).unwrap();
-
-                // Second restart: valid prefix, preserved low water.
-                let mut log = FileLog::open(&torn_path).unwrap();
-                assert_eq!(
-                    log.low_water_mark(),
-                    Lsn(6),
-                    "k={k} j={j}: redone GC must survive the second crash"
-                );
-                let recs = log.records().unwrap();
-                assert!(
-                    recs.iter().all(|r| r.lsn >= Lsn(6)),
-                    "k={k} j={j}: no resurrected pre-GC records"
-                );
-                assert!(recs.len() >= 4, "k={k} j={j}: retained suffix survives");
-                for (i, r) in recs.iter().enumerate() {
-                    assert_eq!(r.lsn, Lsn(6 + i as u64), "k={k} j={j}: contiguous");
-                }
-
-                // And the log keeps working: append, crash, reopen.
-                let resumed = log.next_lsn();
-                log.append(end(200), true).unwrap();
-                drop(log);
-                let log = FileLog::open(&torn_path).unwrap();
-                let recs = log.records().unwrap();
-                assert_eq!(recs.last().unwrap().lsn, resumed, "k={k} j={j}");
-                assert_eq!(log.next_lsn(), resumed.next(), "k={k} j={j}");
-            }
+            assert_eq!(
+                after_gc,
+                rewrite.len() as u64,
+                "k={k}: the redone GC compacted"
+            );
+            // ...and crashes again.
+            append_then_tear(log, &path, 2, 5, &format!("k={k}"));
         }
     }
 
     /// First crash a moment later: after the rename swapped the rewrite
     /// into place (the GC is durable) but before the recovering site got
     /// any further. The second crash again tears the recovery's tail.
-    /// The GC must stick: low water 6, no pre-GC ghosts.
+    /// The GC must stick: no pre-GC ghosts.
     #[test]
     fn gc_crash_after_rename_then_recovery_crash() {
         let dir = TempDir::new("double-crash-gc-renamed").unwrap();
@@ -296,26 +336,55 @@ mod gc_bytes {
 
         let path = dir.path().join("wal");
         fs::write(&path, &rewrite).unwrap();
-        let mut log = FileLog::open(&path).unwrap();
-        assert_eq!(log.low_water_mark(), Lsn(6));
+        let log = FileLog::open(&path).unwrap();
+        assert_eq!(log.low_water_mark(), CUT);
         assert_eq!(log.records().unwrap().len(), 4);
+        assert_eq!(log.next_lsn(), Lsn(RECORDS));
 
-        let before = fs::metadata(&path).unwrap().len();
-        log.append(end(100), true).unwrap();
-        let full = fs::metadata(&path).unwrap().len();
-        drop(log);
+        // Every byte of the recovery's record torn, one at a time.
+        append_then_tear(log, &path, 1, 1, "renamed");
+    }
 
-        for j in 1..(full - before) as usize {
-            let torn_path = dir.path().join(format!("wal-j{j}"));
-            let torn = fs::read(&path).unwrap();
-            fs::write(&torn_path, &torn[..torn.len() - j]).unwrap();
+    /// Below the reclaim floor GC only rewrites the header's low-water
+    /// field in place. First crash: around that write, which either
+    /// never reached the disk or landed. Recovery must find the old
+    /// mark over the whole log or the new one over the retained
+    /// suffix, and redo the GC in the first case — in place again, the
+    /// file keeping its length. Second crash: during that recovery,
+    /// tearing what it appended.
+    #[test]
+    fn header_write_lost_or_landed_then_recovery_crash() {
+        let dir = TempDir::new("double-crash-gc-header").unwrap();
+        let (records, cut) = (10, Lsn(6));
+        let scratch = dir.path().join("scratch");
+        write_log(&scratch, records);
+        let pre_gc = fs::read(&scratch).unwrap();
 
-            let log = FileLog::open(&torn_path).unwrap();
-            assert_eq!(log.low_water_mark(), Lsn(6), "j={j}");
+        for landed in [false, true] {
+            let path = dir.path().join(format!("wal-landed-{landed}"));
+            let mut image = pre_gc.clone();
+            if landed {
+                image[8..16].copy_from_slice(&cut.raw().to_le_bytes());
+            }
+            fs::write(&path, &image).unwrap();
+
+            // First restart: the old mark over every record, or the new
+            // one over the retained suffix.
+            let mut log = FileLog::open(&path).unwrap();
+            let want = if landed { (cut, 4) } else { (Lsn::ZERO, 10) };
             let recs = log.records().unwrap();
-            assert_eq!(recs.len(), 4, "j={j}: torn recovery record dropped");
-            assert!(recs.iter().all(|r| r.lsn >= Lsn(6)), "j={j}");
-            assert_eq!(log.next_lsn(), Lsn(10), "j={j}");
+            assert_eq!((log.low_water_mark(), recs.len()), want, "landed={landed}");
+            assert_eq!(log.next_lsn(), Lsn(records), "landed={landed}");
+
+            // The recovery redoes a lost GC and logs its own progress...
+            if log.low_water_mark() < cut {
+                log.truncate_prefix(cut).unwrap();
+            }
+            let after_gc = fs::metadata(&path).unwrap().len();
+            assert_eq!(after_gc, pre_gc.len() as u64, "landed={landed}: in place");
+            // ...and crashes again.
+            assert_eq!(log.records().unwrap().len(), 4, "landed={landed}");
+            append_then_tear(log, &path, 2, 1, &format!("landed={landed}"));
         }
     }
 }

@@ -15,9 +15,10 @@
 //! The default case counts are a CI smoke slice; set `PROPTEST_CASES`
 //! (e.g. `PROPTEST_CASES=4096`) to run the full campaign.
 
+use acp_wal::encode::frame_len;
 use acp_wal::fault::{Fault, FaultyLog};
 use acp_wal::scan::analyze;
-use acp_wal::{GcTracker, LogRecord, StableLog};
+use acp_wal::{GcTracker, LogRecord, MemLog, StableLog};
 use presumed_any::prelude::*;
 use presumed_any::types::{LogPayload, ParticipantEntry};
 use proptest::prelude::*;
@@ -26,6 +27,11 @@ use proptest::prelude::*;
 /// `acp_wal::file`): the fuzzer corrupts the *record region*, whose
 /// integrity is what the CRC framing claims to protect.
 const HEADER_LEN: u64 = 16;
+
+/// Dead bytes a log may keep however small its live suffix before GC
+/// compacts it: `acp_wal::framed`'s `RECLAIM_FLOOR`, which a unit test
+/// there pins to this value.
+const RECLAIM_FLOOR: u64 = 4096;
 
 // ---------------------------------------------------------------------
 // generators
@@ -141,6 +147,61 @@ fn arb_faults() -> impl Strategy<Value = Vec<Fault>> {
         }),
     ];
     prop::collection::vec(fault, 1..5)
+}
+
+/// One step of the GC differential.
+#[derive(Clone, Debug)]
+enum Op {
+    /// An update of `txn` with a `key_len`-byte key, or its end record.
+    Append {
+        txn: u64,
+        end: bool,
+        key_len: usize,
+        force: bool,
+    },
+    Flush,
+    /// `truncate_prefix` to what the durable records release.
+    Gc,
+    /// A fault-free crash and recovery.
+    Crash,
+}
+
+/// Mostly appends, then collections, flushes and crashes. Long enough,
+/// with keys up to 200 bytes, that the dead bytes cross the reclaim
+/// floor and GC compacts as well as moving the mark.
+fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+    let op = (0u8..13, 0u64..6, any::<bool>(), 0usize..200, any::<bool>()).prop_map(
+        |(pick, txn, end, key_len, force)| match pick {
+            0..=7 => Op::Append {
+                txn,
+                end,
+                key_len,
+                force,
+            },
+            8 => Op::Flush,
+            9..=11 => Op::Gc,
+            _ => Op::Crash,
+        },
+    );
+    prop::collection::vec(op, 1..300)
+}
+
+fn payload(txn: u64, end: bool, key_len: usize) -> LogPayload {
+    let txn = TxnId::new(txn);
+    if end {
+        return LogPayload::End { txn };
+    }
+    LogPayload::Update {
+        txn,
+        key: vec![0x5A; key_len],
+        before: None,
+        after: Some(vec![0xAB; 3]),
+    }
+}
+
+/// The bytes of `records`' frames.
+fn frame_bytes(records: &[LogRecord]) -> u64 {
+    records.iter().map(|r| frame_len(&r.payload) as u64).sum()
 }
 
 /// Append everything, remembering what the writer believes is durable
@@ -274,6 +335,79 @@ proptest! {
         log.truncate_prefix(releasable).unwrap();
         let retained = log.records().unwrap();
         prop_assert!(retained.iter().all(|r| r.lsn >= releasable));
+    }
+
+    /// GC in place or by compaction is invisible at the record level:
+    /// the framed log agrees with the reference `MemLog` after every
+    /// fault-free crash, and its image never holds more than twice its
+    /// live frames plus the reclaim floor and the header.
+    #[test]
+    fn gc_differential_against_the_reference_log(ops in arb_ops()) {
+        let mut faulty = FaultyLog::new();
+        let mut reference = MemLog::new();
+        for op in ops {
+            match op {
+                Op::Append { txn, end, key_len, force } => {
+                    let p = payload(txn, end, key_len);
+                    let a = faulty.append(p.clone(), force).unwrap();
+                    prop_assert_eq!(a, reference.append(p, force).unwrap());
+                }
+                Op::Flush => {
+                    faulty.flush().unwrap();
+                    reference.flush().unwrap();
+                }
+                Op::Gc => {
+                    let records = reference.records().unwrap();
+                    let releasable = GcTracker::from_records(&records).releasable();
+                    if releasable > reference.low_water_mark() {
+                        faulty.truncate_prefix(releasable).unwrap();
+                        reference.truncate_prefix(releasable).unwrap();
+                    }
+                    let live = frame_bytes(&faulty.records().unwrap());
+                    let image = faulty.image().len() as u64;
+                    prop_assert!(
+                        image <= 2 * live + RECLAIM_FLOOR + HEADER_LEN,
+                        "image {} B over {} live B", image, live
+                    );
+                }
+                Op::Crash => {
+                    faulty.crash_and_recover().unwrap();
+                    reference.crash();
+                    prop_assert_eq!(faulty.records().unwrap(), reference.records().unwrap());
+                    prop_assert_eq!(faulty.low_water_mark(), reference.low_water_mark());
+                    prop_assert_eq!(faulty.next_lsn(), reference.next_lsn());
+                }
+            }
+        }
+    }
+
+    /// A bit flip among the frames an in-place GC left behind the mark
+    /// costs no live record: recovery skips the damaged dead bytes and
+    /// returns exactly the records the GC kept, nothing below the mark.
+    #[test]
+    fn a_flip_in_the_dead_region_loses_no_live_record(
+        appends in arb_appends(),
+        keep in 0usize..12,
+        at in any::<u64>(),
+        mask in 1u8..=255,
+    ) {
+        let mut log = FaultyLog::new();
+        let all = build(&mut log, &appends);
+        let cut = all.len() - keep.min(all.len() - 1);
+        let mark = all[cut - 1].lsn.next();
+        let image = log.image().len();
+        log.truncate_prefix(mark).unwrap();
+        prop_assert_eq!(log.image().len(), image, "in place");
+        let dead = frame_bytes(&all[..cut]);
+        let believed = log.records().unwrap();
+        let next = log.next_lsn();
+
+        log.inject(Fault::BitFlip { offset: HEADER_LEN + at % dead, mask });
+        let report = log.crash_and_recover().unwrap();
+        prop_assert_eq!(log.low_water_mark(), mark);
+        prop_assert_eq!(log.records().unwrap(), believed);
+        prop_assert_eq!(report.lost_durable, 0);
+        prop_assert_eq!(log.next_lsn(), next);
     }
 }
 
