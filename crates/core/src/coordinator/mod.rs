@@ -22,7 +22,7 @@ use acp_types::{
     CoordinatorKind, CostCounters, LogPayload, Outcome, ParticipantEntry, Payload, ProtocolKind,
     SiteId, TxnId, Vote,
 };
-use acp_wal::{GcTracker, StableLog};
+use acp_wal::{GcTracker, StableLog, WalError};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Maximum decision re-sends before the coordinator stops actively
@@ -574,15 +574,7 @@ impl<L: StableLog> Coordinator<L> {
             coordinator: self.site,
             txn,
         }));
-        if self.auto_gc {
-            let released = self.collect_garbage();
-            if released > 0 {
-                out.push(Action::Gc {
-                    released_up_to: self.log.low_water_mark().0,
-                    records_released: released as u64,
-                });
-            }
-        }
+        self.auto_collect(out);
     }
 
     /// Client-requested abort: if the transaction is still in its voting
@@ -857,18 +849,36 @@ impl<L: StableLog> Coordinator<L> {
 
     /// Garbage-collect the releasable log prefix. Returns the number of
     /// records reclaimed.
-    pub fn collect_garbage(&mut self) -> usize {
+    ///
+    /// A failed GC write is returned, not raised, and changes nothing:
+    /// the log keeps its records and mark, the tracker its view, and the
+    /// next call releases the same prefix. A failed flush is returned
+    /// too; the log then refuses writes until the site recovers.
+    pub fn collect_garbage(&mut self) -> Result<usize, WalError> {
         let releasable = self.gc.releasable();
-        if releasable > self.log.low_water_mark() {
-            // The releasable point may cover lazy records still in the
-            // volatile buffer; make them durable before truncating.
-            self.log.flush().expect("flush before gc");
-            let before = self.log.stats().truncated;
-            self.log.truncate_prefix(releasable).expect("truncate");
-            self.gc.reclaimed(releasable);
-            (self.log.stats().truncated - before) as usize
-        } else {
-            0
+        if releasable <= self.log.low_water_mark() {
+            return Ok(0);
+        }
+        // The releasable point may cover lazy records still in the
+        // volatile buffer; make them durable before truncating.
+        self.log.flush()?;
+        let before = self.log.stats().truncated;
+        self.log.truncate_prefix(releasable)?;
+        self.gc.reclaimed(releasable);
+        Ok((self.log.stats().truncated - before) as usize)
+    }
+
+    /// The engine's own collection after a transaction ends
+    /// (`auto_gc`): a failed one is left for the next to retry.
+    fn auto_collect(&mut self, out: &mut Vec<Action>) {
+        if !self.auto_gc {
+            return;
+        }
+        if let Ok(released @ 1..) = self.collect_garbage() {
+            out.push(Action::Gc {
+                released_up_to: self.log.low_water_mark().0,
+                records_released: released as u64,
+            });
         }
     }
 }

@@ -107,15 +107,7 @@ impl<L: StableLog> Coordinator<L> {
                 coordinator: self.site,
                 txn,
             }));
-            if self.auto_gc {
-                let released = self.collect_garbage();
-                if released > 0 {
-                    out.push(Action::Gc {
-                        released_up_to: self.log.low_water_mark().0,
-                        records_released: released as u64,
-                    });
-                }
-            }
+            self.auto_collect(out);
             return;
         }
 

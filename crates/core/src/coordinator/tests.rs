@@ -1092,4 +1092,46 @@ mod gc {
         assert_eq!(c.recover(), Vec::new());
         assert_eq!(c.protocol_table_size(), 0);
     }
+
+    /// A collection whose GC write fails is a value: the log keeps its
+    /// records and mark, the tracker its view, and the next call
+    /// releases the same prefix. Once on the in-place path (a header
+    /// write) and once past the reclaim floor (a compaction).
+    #[test]
+    fn a_failed_collection_changes_nothing_and_the_next_releases_the_same_prefix() {
+        let kind = CoordinatorKind::Single(ProtocolKind::PrN);
+        // A transaction leaves ≥ 64 B of frames, so the second case
+        // releases more than the floor.
+        for (txns, compacts) in [(3, false), (acp_wal::RECLAIM_FLOOR / 64, true)] {
+            let mut c = Coordinator::new(SiteId::new(0), kind, FaultyLog::new());
+            c.auto_gc = false;
+            for s in sites(2) {
+                c.register_site(s, ProtocolKind::PrN);
+            }
+            for txn in (1..=txns).map(TxnId::new) {
+                c.begin_commit(txn, &sites(2));
+                let vote = Vote::Yes;
+                for s in sites(2) {
+                    c.on_message(s, &Payload::Vote { txn, vote });
+                }
+                for s in sites(2) {
+                    c.on_message(s, &Payload::Ack { txn });
+                }
+            }
+            c.log_mut().flush().unwrap();
+            let records = c.log().records().unwrap();
+            let tracker = format!("{:?}", c.gc);
+            let image = c.log().image().len();
+
+            c.log_mut().fail_next_gc_rewrite();
+            assert!(c.collect_garbage().is_err(), "{txns} txns");
+            assert_eq!(c.log().records().unwrap(), records);
+            assert_eq!(c.log().low_water_mark(), acp_wal::Lsn::ZERO);
+            assert_eq!(format!("{:?}", c.gc), tracker);
+
+            assert_eq!(c.collect_garbage().unwrap(), records.len());
+            assert_eq!(c.log().low_water_mark(), c.log().next_lsn());
+            assert_eq!(c.log().image().len() < image, compacts, "{txns} txns");
+        }
+    }
 }

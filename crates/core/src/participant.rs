@@ -22,7 +22,7 @@
 use crate::action::{Action, TimerPurpose};
 use acp_acta::ActaEvent;
 use acp_types::{CostCounters, LogPayload, Outcome, Payload, ProtocolKind, SiteId, TxnId, Vote};
-use acp_wal::{GcTracker, StableLog};
+use acp_wal::{GcTracker, StableLog, WalError};
 use std::collections::BTreeMap;
 
 /// Maximum inquiry retries before the participant stops actively
@@ -548,28 +548,48 @@ impl<L: StableLog> Participant<L> {
         }
     }
 
-    /// Garbage-collect the releasable log prefix. Returns the number of
-    /// records reclaimed.
-    pub fn collect_garbage(&mut self) -> usize {
-        let releasable = self.gc.releasable();
-        if releasable > self.log.low_water_mark() {
-            // The releasable point may cover lazy records still in the
-            // volatile buffer; make them durable before truncating.
-            self.log.flush().expect("flush before gc");
-            let before = self.log.stats().truncated;
-            self.log.truncate_prefix(releasable).expect("truncate");
-            self.gc.reclaimed(releasable);
-            (self.log.stats().truncated - before) as usize
-        } else {
-            0
+    /// Records below the releasable point that the log still holds,
+    /// durable or buffered: what a collection could reclaim once the
+    /// buffered ones are forced.
+    #[must_use]
+    pub fn releasable_records(&self) -> u64 {
+        let (releasable, low) = (self.gc.releasable(), self.log.low_water_mark());
+        releasable.raw().saturating_sub(low.raw())
+    }
+
+    /// Garbage-collect the *durable* part of the releasable log prefix.
+    /// Returns the number of records reclaimed.
+    ///
+    /// Never flushes: a lazy record still in the volatile buffer (a
+    /// PrC `part-commit`, any `part-end`) stays there until the site's
+    /// next force, and its transaction is collected by the collection
+    /// after that. So a collection costs no sync of its own beyond the
+    /// log's GC write. A host that keeps a data log beside this one
+    /// makes that log's redo markers durable first: once these records
+    /// are gone, its recovery can learn a commit only from the marker.
+    ///
+    /// A failed GC write is returned, not raised, and changes nothing:
+    /// the log keeps its records and mark, the tracker its view, and the
+    /// next call releases the same prefix.
+    pub fn collect_garbage(&mut self) -> Result<usize, WalError> {
+        let mut durable_end = self.log.low_water_mark();
+        self.log
+            .for_each_record(&mut |r| durable_end = r.lsn.next())?;
+        let up_to = self.gc.releasable().min(durable_end);
+        if up_to <= self.log.low_water_mark() {
+            return Ok(0);
         }
+        let before = self.log.stats().truncated;
+        self.log.truncate_prefix(up_to)?;
+        self.gc.reclaimed(up_to);
+        Ok((self.log.stats().truncated - before) as usize)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acp_wal::MemLog;
+    use acp_wal::{Lsn, MemLog};
 
     fn participant(p: ProtocolKind) -> Participant<MemLog> {
         Participant::new(SiteId::new(1), p, MemLog::new())
@@ -823,9 +843,73 @@ mod tests {
             // force durability of the lazy tail via another txn's force
             let t2 = TxnId::new(8);
             p.on_prepare(coord(), t2);
-            p.collect_garbage()
+            p.collect_garbage().expect("gc")
         };
         assert_eq!(reclaimed, 3, "prepared+decision+end reclaimed");
+    }
+
+    /// A collection never flushes: it releases the durable part of the
+    /// releasable prefix, and a lazy `part-end` still buffered stays in
+    /// the log until the site's next force makes it durable, to be
+    /// released by the collection after that.
+    #[test]
+    fn a_collection_never_flushes_and_keeps_a_buffered_part_end() {
+        let mut p = participant(ProtocolKind::PrN);
+        p.on_prepare(coord(), t());
+        let outcome = Outcome::Commit;
+        p.on_message(coord(), &Payload::Decision { txn: t(), outcome });
+        assert_eq!(p.releasable_records(), 3, "prepared, commit, end");
+        let flushes = p.log().stats().flushes;
+
+        assert_eq!(p.collect_garbage().unwrap(), 2, "the forced two");
+        assert_eq!(p.log().stats().flushes, flushes, "no flush");
+        assert_eq!(p.log().low_water_mark(), Lsn(2));
+        assert_eq!(p.releasable_records(), 1, "the buffered end");
+        assert_eq!(p.collect_garbage().unwrap(), 0, "still buffered");
+
+        // The next transaction's forced prepared record carries the end
+        // to the medium; the next collection releases it.
+        p.on_prepare(coord(), TxnId::new(8));
+        assert_eq!(log_kinds(&p)[0], ("part-end".to_string(), false));
+        assert_eq!(p.collect_garbage().unwrap(), 1);
+        assert_eq!(p.log().stats().flushes, flushes, "still no flush");
+        assert_eq!(p.log().low_water_mark(), Lsn(3));
+    }
+
+    /// A collection whose GC write fails is a value: the log keeps its
+    /// records and mark, the tracker its view, and the next call
+    /// releases the same prefix. Once on the in-place path (a header
+    /// write) and once past the reclaim floor (a compaction).
+    #[test]
+    fn a_failed_collection_changes_nothing_and_the_next_releases_the_same_prefix() {
+        // A transaction leaves ≥ 64 B of frames, so the second case
+        // releases more than the floor.
+        for (txns, compacts) in [(3, false), (acp_wal::RECLAIM_FLOOR / 64, true)] {
+            let log = acp_wal::FaultyLog::new();
+            let mut p = Participant::new(SiteId::new(1), ProtocolKind::PrN, log);
+            let outcome = Outcome::Commit;
+            for txn in (1..=txns).map(TxnId::new) {
+                p.on_prepare(coord(), txn);
+                p.on_message(coord(), &Payload::Decision { txn, outcome });
+            }
+            // A pinned transaction whose forced record makes every end
+            // record before it durable.
+            p.on_prepare(coord(), TxnId::new(txns + 1));
+            let records = p.log().records().unwrap();
+            let tracker = format!("{:?}", p.gc);
+            let image = p.log().image().len();
+
+            p.log_mut().fail_next_gc_rewrite();
+            assert!(p.collect_garbage().is_err(), "{txns} txns");
+            assert_eq!(p.log().records().unwrap(), records);
+            assert_eq!(p.log().low_water_mark(), Lsn::ZERO);
+            assert_eq!(format!("{:?}", p.gc), tracker);
+
+            let released = p.collect_garbage().unwrap() as u64;
+            assert_eq!(released, 3 * txns);
+            assert_eq!(p.log().low_water_mark(), Lsn(3 * txns));
+            assert_eq!(p.log().image().len() < image, compacts, "{txns} txns");
+        }
     }
 
     #[test]

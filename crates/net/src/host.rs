@@ -12,8 +12,9 @@
 //! kernel's [`FsyncDomain`] — one coalesced force round per turn, every
 //! kind of site alike — and only then externalize what the batch
 //! withheld (the site's sends *and* its ACTA events); collect the
-//! coordinator's log, answer clients. Protocol costs leave through the
-//! trace sink the kernel is handed; counting them is the sink's job.
+//! coordinator's log and every native participant's, answer clients.
+//! Protocol costs leave through the trace sink the kernel is handed;
+//! counting them is the sink's job.
 //!
 //! What differs between backends is only where an envelope goes when
 //! its site lives elsewhere and how the loop sleeps: the [`Transport`]
@@ -61,6 +62,11 @@ pub(crate) type Mail = (SiteId, Envelope);
 
 /// How long an idle kernel sleeps when nothing has a deadline.
 const IDLE_SLEEP: Duration = Duration::from_millis(50);
+
+/// Releasable records a native participant's protocol log gathers
+/// before the kernel collects it: one header write (or, past the
+/// reclaim floor, one compaction) per this many, not per turn.
+const PART_GC_RECORDS: u64 = 128;
 
 /// What a backend adds to the kernel: where envelopes for sites hosted
 /// elsewhere go, and how the loop waits for more input.
@@ -856,30 +862,60 @@ impl<T: Transport> Kernel<T> {
         self.ctx.domain.end_round();
     }
 
-    /// End-of-turn log GC. Left to itself the coordinator engine
-    /// truncates after every finished transaction (`auto_gc`) — but
-    /// each truncation is a synced write to the log's header (and, once
-    /// enough is dead, a compaction), which a turn finishing thousands
-    /// of transactions would pay thousands of times.
-    /// The kernel runs one collection per turn, after the batch
-    /// forced, covering every transaction the turn finished.
+    /// End-of-turn log GC, after the batch forced.
+    ///
+    /// The coordinator's log is collected every turn that released
+    /// something. Left to itself its engine truncates after every
+    /// finished transaction (`auto_gc`), but each truncation is a synced
+    /// write to the log's header (and, once enough is dead, a
+    /// compaction), which a turn finishing thousands of transactions
+    /// would pay thousands of times; one collection covers them all.
+    ///
+    /// A native participant's protocol log is collected too, so every
+    /// site forgets (Definition 1), but only once [`PART_GC_RECORDS`]
+    /// of its records are releasable, and only their durable part:
+    /// the collection never flushes, so it adds no sync, and a lazy
+    /// `part-end` is collected after the site's next force. Its data
+    /// log is flushed first (a no-op under group commit, where
+    /// `finish_turns` already did): the data engine's recovery redoes a
+    /// commit from its own marker or else from the protocol log's
+    /// outcome, and collecting the protocol records while the marker is
+    /// still buffered would let a crash discard a committed write set.
+    /// Participant collections emit no trace event: the traced `forget`
+    /// phase and the `GcRuns` counter stay the coordinator's. A site
+    /// inside its outage is left alone. A failed collection is counted in
+    /// [`ReactorStats::failed_gcs`] and changes nothing; the next turn
+    /// tries again.
     fn gc_turns(&mut self) {
-        let Some(SiteState { host, engine, .. }) = self.coord.map(|i| &mut self.sites[i]) else {
-            return;
-        };
-        let AnyEngine::Coord(engine) = engine else {
-            return;
-        };
-        let released = engine.collect_garbage();
-        if released > 0 {
-            if let Some(obs) = &host.obs {
-                observe_gc(
-                    obs,
-                    host.site,
-                    acp_wal::StableLog::low_water_mark(engine.log()).0,
-                    released as u64,
-                    host.last_decision_us,
-                );
+        let now = self.ctx.now;
+        for SiteState { host, engine, data } in &mut self.sites {
+            match (engine, data) {
+                (AnyEngine::Coord(engine), _) => {
+                    match engine.collect_garbage() {
+                        Ok(0) => {}
+                        Ok(released) => {
+                            if let Some(obs) = &host.obs {
+                                observe_gc(
+                                    obs,
+                                    host.site,
+                                    acp_wal::StableLog::low_water_mark(engine.log()).0,
+                                    released as u64,
+                                    host.last_decision_us,
+                                );
+                            }
+                        }
+                        Err(_) => self.ctx.stats.failed_gcs += 1,
+                    }
+                }
+                (AnyEngine::Part(part), Some(d))
+                    if part.releasable_records() >= PART_GC_RECORDS && !host.is_down(now) =>
+                {
+                    let collected = d.storage.flush_log().is_ok() && part.collect_garbage().is_ok();
+                    if !collected {
+                        self.ctx.stats.failed_gcs += 1;
+                    }
+                }
+                _ => {}
             }
         }
     }
@@ -1005,8 +1041,8 @@ mod tests {
         }
     }
 
-    /// A kernel hosting a whole cluster with group commit on, stepped by
-    /// hand, tracing into `sink`.
+    /// A kernel hosting a whole cluster, stepped by hand, tracing into
+    /// `sink`.
     struct Rig {
         kernel: Kernel<Loopback>,
         /// The cluster's participant sites (native or gateway).
@@ -1032,11 +1068,14 @@ mod tests {
         }
     }
 
+    /// A PrAny cluster over `protocols`, with group commit on.
     fn prany(protocols: &[ProtocolKind]) -> ClusterConfig {
-        ClusterConfig::new(
+        let mut cluster = ClusterConfig::new(
             CoordinatorKind::PrAny(SelectionPolicy::PaperStrict),
             protocols,
-        )
+        );
+        cluster.group_commit = true;
+        cluster
     }
 
     /// The benchmark's cluster: PrAny over PrN, PrA, PrC.
@@ -1048,8 +1087,7 @@ mod tests {
 
     /// The coordinator and every participant of `cluster`.
     fn rig_over(cluster: ClusterConfig) -> Rig {
-        let mut config = ReactorConfig::from(cluster);
-        config.cluster.group_commit = true;
+        let config = ReactorConfig::from(cluster);
         let n = config.cluster.participant_protocols.len() as u32;
         let parts: Vec<SiteId> = (1..=n).map(SiteId::new).collect();
         let dir = TempDir::new("kernel").expect("tempdir");
@@ -1087,8 +1125,13 @@ mod tests {
 
         /// Stage one write per participant and ask for the commit.
         fn submit(&self, txn: TxnId) -> Receiver<Outcome> {
+            self.submit_write(txn, b"k")
+        }
+
+        /// [`Rig::submit`], writing `key`.
+        fn submit_write(&self, txn: TxnId, key: &[u8]) -> Receiver<Outcome> {
             for &p in &self.parts {
-                let (key, value) = (b"k".to_vec(), b"v".to_vec());
+                let (key, value) = (key.to_vec(), b"v".to_vec());
                 self.send(p, Envelope::Apply { txn, key, value });
             }
             let (reply, outcome) = bounded(1);
@@ -1309,10 +1352,114 @@ mod tests {
         let live: u64 = records.iter().map(frame).sum();
         let path = r.dir.path().join("coord-0.wal");
         let len = std::fs::metadata(&path).expect("coordinator wal").len();
-        // The wal's reclaim floor and header, pinned in its own tests.
-        assert!(len <= 2 * live + 4096 + 16, "{len} B on disk, {live} B live");
+        let bound = 2 * live + acp_wal::RECLAIM_FLOOR + 16;
+        assert!(len <= bound, "{len} B on disk, {live} B live");
         let reopened = acp_wal::FileLog::open(&path).expect("coordinator wal");
         assert_eq!(acp_wal::StableLog::records(&reopened).expect("records"), records);
+    }
+
+    /// Every site forgets, and no commit is lost to it. 400 commits one
+    /// at a time over PrN, PrA and PrC participants, with or without
+    /// group commit; a participant is crashed and recovered right after
+    /// every turn that collected its log, while the last commit's redo
+    /// marker would still be buffered had the collection not flushed
+    /// the data log first, and all three once more at the end. Then
+    /// each participant has collected (its mark moved), holds fewer
+    /// than [`PART_GC_RECORDS`] releasable durable records beside its
+    /// live ones, keeps its WAL file within twice its live frames plus
+    /// the reclaim floor and the header, and has every committed key.
+    fn participants_forget_and_lose_no_commit(group_commit: bool) {
+        const TXNS: u64 = 400;
+        let mut cluster = prany(&[ProtocolKind::PrN, ProtocolKind::PrA, ProtocolKind::PrC]);
+        cluster.delays = glacial();
+        cluster.group_commit = group_commit;
+        let mut r = rig_over(cluster);
+        fn part(r: &Rig, site: SiteId) -> &Participant<NetLog> {
+            match &r.kernel.sites[r.kernel.owned[&site]].engine {
+                AnyEngine::Part(p) => p,
+                _ => unreachable!("site {site} is a native participant"),
+            }
+        }
+        let mark = |r: &Rig, site| acp_wal::StableLog::low_water_mark(part(r, site).log());
+        let crash_and_recover = |r: &mut Rig, sites: &[SiteId]| {
+            let down_for = Duration::from_millis(1);
+            for &site in sites {
+                r.send(site, Envelope::Crash { down_for });
+            }
+            r.kernel.turn();
+            std::thread::sleep(2 * down_for);
+            while r.kernel.turn() {}
+            for site in sites {
+                let st = &r.kernel.sites[r.kernel.owned[site]];
+                assert!(st.host.down_until.is_none(), "site {site} is back");
+            }
+        };
+        let key = |t: u64| format!("k{t}").into_bytes();
+
+        let mut crashes = 0;
+        for t in 1..=TXNS {
+            let marks: Vec<_> = PARTS.iter().map(|&p| mark(&r, p)).collect();
+            let outcome = r.submit_write(TxnId::new(t), &key(t));
+            while r.kernel.turn() {}
+            assert_eq!(outcome.try_recv(), Ok(Outcome::Commit), "txn {t}");
+            let collected: Vec<SiteId> = PARTS
+                .iter()
+                .zip(marks)
+                .filter(|&(&p, before)| mark(&r, p) > before)
+                .map(|(&p, _)| p)
+                .collect();
+            crashes += collected.len();
+            crash_and_recover(&mut r, &collected);
+        }
+        assert!(crashes >= 3 * 4, "{crashes} crashes after a collection");
+        crash_and_recover(&mut r, &PARTS);
+
+        for site in PARTS {
+            let p = part(&r, site);
+            let low = acp_wal::StableLog::low_water_mark(p.log());
+            assert!(low > acp_wal::Lsn::ZERO, "site {site} collected");
+            let releasable = low.raw() + p.releasable_records();
+            let records = acp_wal::StableLog::records(p.log()).expect("records");
+            let live = records.iter().filter(|r| r.lsn.raw() >= releasable).count();
+            assert!(
+                records.len() <= PART_GC_RECORDS as usize + live,
+                "site {site}: {} records held, {live} live",
+                records.len()
+            );
+            let frame = |rec: &acp_wal::LogRecord| acp_wal::encode::frame_len(&rec.payload) as u64;
+            let live_bytes: u64 = records.iter().map(frame).sum();
+            let path = r.dir.path().join(format!("part-{}.wal", site.raw()));
+            let len = std::fs::metadata(&path).expect("participant wal").len();
+            let bound = 2 * live_bytes + acp_wal::RECLAIM_FLOOR + 16;
+            assert!(
+                len <= bound,
+                "site {site}: {len} B on disk, {live_bytes} B live"
+            );
+        }
+
+        r.send(COORDINATOR, Envelope::Shutdown);
+        let (report, _) = r.kernel.run();
+        for site in PARTS {
+            let summary = report.sites.iter().find(|s| s.site == site);
+            let committed = &summary.expect("hosted site").committed;
+            for t in 1..=TXNS {
+                assert_eq!(
+                    committed.get(&key(t)).map(Vec::as_slice),
+                    Some(b"v".as_slice()),
+                    "site {site}: txn {t}'s write is durable"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn participants_forget_and_lose_no_commit_under_group_commit() {
+        participants_forget_and_lose_no_commit(true);
+    }
+
+    #[test]
+    fn participants_forget_and_lose_no_commit_under_passthrough() {
+        participants_forget_and_lose_no_commit(false);
     }
 
     /// Known issues #2: a timer armed late in a long turn must still

@@ -130,6 +130,9 @@ pub struct ReactorStats {
     /// Batch forces that failed: the site's withheld sends and ACTA
     /// events were dropped, never externalized.
     pub failed_forces: u64,
+    /// End-of-turn log collections that failed (a data-log flush or a
+    /// GC write): nothing was released, and the next turn tries again.
+    pub failed_gcs: u64,
     /// Most client commits simultaneously awaiting a decision *on this
     /// reactor*. The aggregate across shards is
     /// [`ReactorReport::max_inflight`], not the max of these (shard
@@ -157,6 +160,7 @@ impl ReactorStats {
         self.adaptive_forces += other.adaptive_forces;
         self.window_forces += other.window_forces;
         self.failed_forces += other.failed_forces;
+        self.failed_gcs += other.failed_gcs;
         self.max_inflight = self.max_inflight.max(other.max_inflight);
         self.decisions_delivered += other.decisions_delivered;
         self.mailbox_sends += other.mailbox_sends;

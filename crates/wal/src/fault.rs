@@ -510,8 +510,10 @@ mod tests {
 
     /// Forced records whose GC at [`ABOVE_FLOOR_CUT`] releases more dead
     /// bytes than the live suffix and the reclaim floor: it compacts.
-    const ABOVE_FLOOR: u64 = 200;
-    const ABOVE_FLOOR_CUT: Lsn = Lsn(150);
+    /// An `end` frame is 30 bytes, so the cut releases nearly twice the
+    /// floor and keeps 50 records live.
+    const ABOVE_FLOOR_CUT: Lsn = Lsn(crate::RECLAIM_FLOOR / 16);
+    const ABOVE_FLOOR: u64 = ABOVE_FLOOR_CUT.0 + 50;
 
     fn forced_log(n: u64) -> FaultyLog {
         let mut log = FaultyLog::new();
@@ -592,7 +594,7 @@ mod tests {
         let report = log.crash_and_recover().unwrap();
         // Resurrection: all pre-GC records are back, the appended
         // record is gone, and the low-water mark rolled backwards.
-        assert_eq!(report.survivors, 200);
+        assert_eq!(report.survivors, ABOVE_FLOOR as usize);
         assert_eq!(log.low_water_mark(), Lsn::ZERO);
         assert!(log
             .records()

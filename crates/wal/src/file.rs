@@ -230,8 +230,10 @@ mod tests {
 
     /// Records whose GC at [`ABOVE_FLOOR_CUT`] releases more dead bytes
     /// than the live suffix and the reclaim floor: it compacts.
-    const ABOVE_FLOOR: u64 = 200;
-    const ABOVE_FLOOR_CUT: Lsn = Lsn(150);
+    /// An `end` frame is 30 bytes, so the cut releases nearly twice the
+    /// floor and keeps 50 records live.
+    const ABOVE_FLOOR_CUT: Lsn = Lsn(crate::RECLAIM_FLOOR / 16);
+    const ABOVE_FLOOR: u64 = ABOVE_FLOOR_CUT.0 + 50;
 
     fn forced_ends(path: &Path, n: u64) -> FileLog {
         let mut log = FileLog::create(path).unwrap();
@@ -355,7 +357,7 @@ mod tests {
             "expected I/O error, got {err:?}"
         );
         // Nothing moved: the failed GC is invisible.
-        assert_eq!(log.records().unwrap().len(), 200);
+        assert_eq!(log.records().unwrap().len(), ABOVE_FLOOR as usize);
         assert_eq!(log.low_water_mark(), Lsn::ZERO);
         assert_eq!(log.stats().truncated, before_stats.truncated);
         // The log keeps working, and disk agrees with memory on reopen.
@@ -363,7 +365,7 @@ mod tests {
         drop(log);
         std::fs::remove_dir(path.with_extension("rewrite")).unwrap();
         let mut log = FileLog::open(&path).unwrap();
-        assert_eq!(log.records().unwrap().len(), 201);
+        assert_eq!(log.records().unwrap().len(), ABOVE_FLOOR as usize + 1);
         assert_eq!(log.low_water_mark(), Lsn::ZERO);
         // With the obstruction gone the retried GC succeeds.
         log.truncate_prefix(ABOVE_FLOOR_CUT).unwrap();

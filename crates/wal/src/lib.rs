@@ -50,7 +50,7 @@ pub mod tempdir;
 pub use error::WalError;
 pub use fault::{Fault, FaultyImage, FaultyLog};
 pub use file::{Disk, FileLog};
-pub use framed::{FramedLog, RecoveryReport, Store};
+pub use framed::{FramedLog, RecoveryReport, Store, RECLAIM_FLOOR};
 pub use gc::GcTracker;
 pub use group::{ClosedBatch, DomainStats, FsyncDomain, GroupCommitLog, GroupCommitStats};
 pub use mem::MemLog;

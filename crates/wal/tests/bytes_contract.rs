@@ -259,16 +259,20 @@ fn the_record_format_is_the_compacted_images() {
     assert!(GOLDEN.ends_with(&COMPACTED[header..]));
 }
 
-/// [`script`] behind 200 forced records, then a collection of those
-/// and the script's first two records: past the reclaim floor, so it
-/// compacts.
+/// Forced `end` records (30 bytes a frame) in front of the script:
+/// nearly twice the reclaim floor.
+const BEHIND: u64 = acp_wal::RECLAIM_FLOOR / 16;
+
+/// [`script`] behind [`BEHIND`] forced records, then a collection of
+/// those and the script's first two records: past the reclaim floor, so
+/// it compacts.
 fn script_past_the_floor<L: StableLog>(log: &mut L, reopen: impl FnOnce(&mut L)) {
-    for t in 0..200 {
+    for t in 0..BEHIND {
         let txn = TxnId::new(0x1000 + t);
         log.append(LogPayload::End { txn }, true).unwrap();
     }
     script(log, |_| {});
-    log.truncate_prefix(Lsn(202)).unwrap();
+    log.truncate_prefix(Lsn(BEHIND + 2)).unwrap();
     reopen(log);
 }
 
@@ -287,8 +291,8 @@ fn a_collection_past_the_floor_leaves_header_and_live_frames() {
     let path = dir.path().join("wal");
     let mut log = FileLog::create(&path).unwrap();
     script_past_the_floor(&mut log, |log| *log = FileLog::open(&path).unwrap());
-    assert_eq!(log.records().unwrap().len(), 6, "LSN 202..=207");
-    assert_eq!(log.low_water_mark(), Lsn(202));
+    assert_eq!(log.records().unwrap().len(), 6, "the script's last six");
+    assert_eq!(log.low_water_mark(), Lsn(BEHIND + 2));
     assert_eq!(
         hex(&std::fs::read(&path).unwrap()),
         header_and_live_frames(&log)

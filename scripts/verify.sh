@@ -151,6 +151,29 @@ for ((i = 0; i < ${#gc_writes[@]}; i += 2)); do
   [ "$calls" = "crates/wal/src/framed.rs truncate_prefix" ] \
     || { echo "$calls"; echo "FAIL: want exactly one non-test '$pattern' call in crates/wal/src, in framed.rs's truncate_prefix"; exit 1; }
 done
+# The reclaim floor has one home, acp_wal::RECLAIM_FLOOR: a test that
+# spells its value out instead of reading the constant stops crossing
+# the floor, or bounds an image by a stale one, when the floor moves.
+floor='\b65_?536\b|\b64 ?\* ?1024\b'
+echo 'pub const RECLAIM_FLOOR: u64 = 65_536;' | grep -qE "$floor" \
+  || { echo "FAIL: the floor guard misses its control line"; exit 1; }
+literals="$(grep -rnE "$floor" crates tests src examples --include='*.rs' | cut -d: -f1 | sort -u)"
+[ "$literals" = "crates/wal/src/framed.rs" ] \
+  || { echo "$literals"; echo "FAIL: the reclaim floor's value is spelled out outside crates/wal/src/framed.rs (read acp_wal::RECLAIM_FLOOR)"; exit 1; }
+# Every site forgets, and the kernel is what collects: the coordinator's
+# log and each native participant's, both in gc_turns, which flushes the
+# participant's data log first. A second participant-collection call is
+# a collection that can skip that flush or the 128-record threshold.
+collect='[a-z_]+\.collect_garbage\('
+echo 'let collected = d.storage.flush_log().is_ok() && part.collect_garbage().is_ok();' \
+  | grep -qE "$collect" || { echo "FAIL: the collection guard misses its control line"; exit 1; }
+calls="$(PAT="$collect" awk '/^#\[cfg\(test\)\]/ { exit }
+    match($0, /fn [a-z_][a-z_0-9]*[(<]/) { fn = substr($0, RSTART + 3, RLENGTH - 4) }
+    match($0, ENVIRON["PAT"]) { print fn " " substr($0, RSTART, RLENGTH - 17) }' crates/net/src/host.rs)"
+[ "$calls" = "$(printf 'gc_turns engine\ngc_turns part')" ] \
+  || { echo "$calls"; echo "FAIL: want crates/net/src/host.rs's non-test collections in gc_turns only: the coordinator's (engine) and exactly one participant's (part)"; exit 1; }
+nontest_lines crates/net/src
+nontest_lines crates/core/src
 nontest_lines crates/wal/src
 
 echo "== one encoder: the logs and the runtime encode in place"

@@ -187,7 +187,7 @@ fn a_steady_engine_step_allocates_only_for_table_and_log_entries() {
             absorb(to, &mut actions, &mut queue);
         }
         if txn.raw().is_multiple_of(BURST) {
-            coordinator.collect_garbage();
+            coordinator.collect_garbage().expect("gc");
         }
         assert_eq!(coordinator.decided(txn), Some(Outcome::Commit));
     };

@@ -184,15 +184,16 @@ fn coordinator_and_participant_both_double_crash() {
 mod gc_bytes {
     use presumed_any::types::{LogPayload, TxnId};
     use presumed_any::wal::tempdir::TempDir;
-    use presumed_any::wal::{FileLog, Lsn, StableLog};
+    use presumed_any::wal::{FileLog, Lsn, StableLog, RECLAIM_FLOOR};
     use std::fs;
     use std::path::Path;
 
     /// Forced records in the log the compaction sweeps collect, and the
-    /// low-water mark they collect to: the 196 released frames are more
-    /// than the reclaim floor, so `truncate_prefix` rewrites the file.
-    const RECORDS: u64 = 200;
-    const CUT: Lsn = Lsn(196);
+    /// low-water mark they collect to: the released 30-byte frames come
+    /// to nearly twice the reclaim floor, so `truncate_prefix` rewrites
+    /// the file, keeping four.
+    const CUT: Lsn = Lsn(RECLAIM_FLOOR / 16);
+    const RECORDS: u64 = CUT.0 + 4;
 
     fn end(t: u64) -> LogPayload {
         LogPayload::End { txn: TxnId::new(t) }

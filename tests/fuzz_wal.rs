@@ -18,7 +18,7 @@
 use acp_wal::encode::frame_len;
 use acp_wal::fault::{Fault, FaultyLog};
 use acp_wal::scan::analyze;
-use acp_wal::{GcTracker, LogRecord, MemLog, StableLog};
+use acp_wal::{GcTracker, LogRecord, MemLog, StableLog, RECLAIM_FLOOR};
 use presumed_any::prelude::*;
 use presumed_any::types::{LogPayload, ParticipantEntry};
 use proptest::prelude::*;
@@ -27,11 +27,6 @@ use proptest::prelude::*;
 /// `acp_wal::file`): the fuzzer corrupts the *record region*, whose
 /// integrity is what the CRC framing claims to protect.
 const HEADER_LEN: u64 = 16;
-
-/// Dead bytes a log may keep however small its live suffix before GC
-/// compacts it: `acp_wal::framed`'s `RECLAIM_FLOOR`, which a unit test
-/// there pins to this value.
-const RECLAIM_FLOOR: u64 = 4096;
 
 // ---------------------------------------------------------------------
 // generators
@@ -167,10 +162,11 @@ enum Op {
 }
 
 /// Mostly appends, then collections, flushes and crashes. Long enough,
-/// with keys up to 200 bytes, that the dead bytes cross the reclaim
-/// floor and GC compacts as well as moving the mark.
+/// with keys up to a twentieth of the reclaim floor, that the dead
+/// bytes cross the floor and GC compacts as well as moving the mark.
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
-    let op = (0u8..13, 0u64..6, any::<bool>(), 0usize..200, any::<bool>()).prop_map(
+    let key_len = 0usize..(RECLAIM_FLOOR / 20) as usize;
+    let op = (0u8..13, 0u64..6, any::<bool>(), key_len, any::<bool>()).prop_map(
         |(pick, txn, end, key_len, force)| match pick {
             0..=7 => Op::Append {
                 txn,
