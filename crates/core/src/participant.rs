@@ -572,10 +572,7 @@ impl<L: StableLog> Participant<L> {
     /// the log keeps its records and mark, the tracker its view, and the
     /// next call releases the same prefix.
     pub fn collect_garbage(&mut self) -> Result<usize, WalError> {
-        let mut durable_end = self.log.low_water_mark();
-        self.log
-            .for_each_record(&mut |r| durable_end = r.lsn.next())?;
-        let up_to = self.gc.releasable().min(durable_end);
+        let up_to = self.gc.releasable().min(self.log.durable_end());
         if up_to <= self.log.low_water_mark() {
             return Ok(0);
         }

@@ -289,50 +289,37 @@ impl<L: StableLog> SiteEngine<L> {
         &mut self,
         outcomes: &BTreeMap<TxnId, RecoveredOutcome>,
     ) -> Result<(), EngineError> {
-        // Start from the latest checkpoint, if any. The log is read in
-        // place, twice: once to find that checkpoint, once to load it
-        // and gather what follows — never cloned as a whole.
-        let mut checkpoint_lsn = None;
-        self.log.for_each_record(&mut |rec| {
-            if matches!(rec.payload, LogPayload::Checkpoint { .. }) {
-                checkpoint_lsn = Some(rec.lsn);
-            }
-        })?;
-
-        // Gather per-txn updates (in log order, with positions) and
-        // marker positions. Markers before the checkpoint are already
-        // reflected in the snapshot and must not be redone (their
-        // updates may predate the snapshot's values).
+        // One pass over the log, read back whole: the latest checkpoint,
+        // per-txn updates (in log order, with positions) and marker
+        // positions. Markers before that checkpoint are already
+        // reflected in its snapshot and must not be redone (their
+        // updates may predate the snapshot's values); they stay in the
+        // list so phase 2 knows the transaction is resolved.
+        let mut checkpoint = None;
         let mut updates: BTreeMap<TxnId, Vec<UpdateImage>> = BTreeMap::new();
         let mut first_positions: BTreeMap<TxnId, Lsn> = BTreeMap::new();
         let mut markers: Vec<(Lsn, TxnId, Outcome)> = Vec::new();
-        let store = &mut self.store;
-        self.log.for_each_record(&mut |rec| match &rec.payload {
-            LogPayload::Checkpoint { entries } if Some(rec.lsn) == checkpoint_lsn => {
-                for (k, v) in entries {
-                    store.apply(k, Some(v));
+        for rec in self.log.records()? {
+            match rec.payload {
+                LogPayload::Checkpoint { entries } => checkpoint = Some((rec.lsn, entries)),
+                LogPayload::Update {
+                    txn,
+                    key,
+                    before,
+                    after,
+                } => {
+                    first_positions.entry(txn).or_insert(rec.lsn);
+                    updates.entry(txn).or_default().push((key, before, after));
                 }
+                LogPayload::PartDecision { txn, outcome } => markers.push((rec.lsn, txn, outcome)),
+                _ => {}
             }
-            LogPayload::Update {
-                txn,
-                key,
-                before,
-                after,
-            } => {
-                first_positions.entry(*txn).or_insert(rec.lsn);
-                updates
-                    .entry(*txn)
-                    .or_default()
-                    .push((key.clone(), before.clone(), after.clone()));
-            }
-            LogPayload::PartDecision { txn, outcome } => {
-                // Pre-checkpoint markers stay in the list so phase 2
-                // knows the transaction is resolved; phase 1 skips
-                // redoing them (the snapshot already reflects them).
-                markers.push((rec.lsn, *txn, *outcome));
-            }
-            _ => {}
-        })?;
+        }
+        // Start from the latest checkpoint, if any.
+        let checkpoint_lsn = checkpoint.as_ref().map(|&(lsn, _)| lsn);
+        for (key, value) in checkpoint.map(|(_, entries)| entries).unwrap_or_default() {
+            self.store.install(key, Some(value));
+        }
 
         // Phase 1: redo committed transactions in commit order. Commits
         // whose marker precedes the checkpoint are already in the

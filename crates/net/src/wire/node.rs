@@ -498,6 +498,9 @@ struct Tcp {
     waker: Waker,
     inbound: BTreeMap<u64, InConn>,
     events: Vec<epoll::Event>,
+    /// What `in_event` reads a socket into, 16 KiB: zeroed once, when
+    /// the node starts, and reused for every readiness event after.
+    read_buf: Box<[u8]>,
 }
 
 impl Transport for Tcp {
@@ -666,9 +669,9 @@ impl Tcp {
             return;
         };
         let metrics = &self.wire.sockets.metrics;
-        let mut buf = [0u8; 16 * 1024];
+        let buf = &mut self.read_buf;
         let close = 'read: loop {
-            match conn.stream.read(&mut buf) {
+            match conn.stream.read(buf) {
                 Ok(0) => break true,
                 Ok(n) => {
                     metrics.add(&metrics.bytes_recv, n as u64);
@@ -818,6 +821,7 @@ impl SocketNode {
             waker: waker_node,
             inbound: BTreeMap::new(),
             events: Vec::with_capacity(64),
+            read_buf: vec![0; 16 * 1024].into_boxed_slice(),
         };
         let kernel = Kernel::build(env, &config.hosted, &config.wal_dir, 0, tcp)?;
         let wire_metrics = Arc::clone(&metrics);

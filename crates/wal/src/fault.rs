@@ -8,9 +8,12 @@
 //! [`Fault`]s queue via [`FaultyLog::inject`] and fire at the next crash
 //! (torn tails, bit flips) or the next force/flush (partial fsyncs,
 //! reported errors); [`FramedLog::recover`] then scans the damaged image
-//! as it would a file. The proptest fuzzer in `tests/fuzz_wal.rs` proves
-//! that under arbitrary combinations of the paper's §2 faults the scan
-//! never accepts a corrupted record.
+//! as it would a file. Before the crash the log reads its records back
+//! from the image as written, the way a page cache returns a file's
+//! bytes, so a partial fsync's lie shows only after it. The proptest
+//! fuzzer in `tests/fuzz_wal.rs` proves that under arbitrary
+//! combinations of the paper's §2 faults the scan never accepts a
+//! corrupted record.
 
 use crate::error::WalError;
 use crate::framed::{encode_header, FramedLog, Store, HEADER_LEN, LOW_WATER_AT};
@@ -62,6 +65,11 @@ pub enum Fault {
 pub struct FaultyImage {
     /// Header + framed records, as a file holds them after a sync.
     image: Vec<u8>,
+    /// The image as written, where a lying sync
+    /// ([`Fault::PartialFsync`]) left `image` short: what a read returns
+    /// until the crash that exposes the lie, as a page cache serves it.
+    /// `None` while the two agree.
+    written: Option<Vec<u8>>,
     /// Faults waiting for their trigger point.
     queued: VecDeque<Fault>,
     faults_applied: u64,
@@ -93,8 +101,10 @@ impl FaultyImage {
 
 impl Store for FaultyImage {
     fn append_sync(&mut self, bytes: &[u8]) -> Result<(), WalError> {
-        // Every queued write-out fault fires on this batch.
+        // Every queued write-out fault fires on this batch. `written` of
+        // its bytes reach the page cache, `keep` of them the medium.
         let mut keep = bytes.len() as u64;
+        let mut written = keep;
         let mut error = None;
         let queued = self.queued.len();
         self.queued.retain(|f| {
@@ -105,6 +115,7 @@ impl Store for FaultyImage {
                 Fault::PartialFsync { drop_bytes } => keep = keep.saturating_sub(drop_bytes),
                 Fault::WriteError { after_bytes } => {
                     keep = keep.min(after_bytes);
+                    written = written.min(after_bytes);
                     error = Some("injected write error");
                 }
                 Fault::SyncError => error = error.or(Some("injected sync error")),
@@ -113,7 +124,13 @@ impl Store for FaultyImage {
             false
         });
         self.faults_applied += (queued - self.queued.len()) as u64;
+        if keep < written && self.written.is_none() {
+            self.written = Some(self.image.clone());
+        }
         self.image.extend_from_slice(&bytes[..keep as usize]);
+        if let Some(view) = &mut self.written {
+            view.extend_from_slice(&bytes[..written as usize]);
+        }
         match error {
             Some(what) => Err(WalError::Io(std::io::Error::other(what))),
             None => Ok(()),
@@ -122,6 +139,7 @@ impl Store for FaultyImage {
 
     fn replace(&mut self, image: &[u8]) -> Result<(), WalError> {
         self.injected_gc_failure()?;
+        self.written = None;
         let mut old = std::mem::replace(&mut self.image, image.to_vec());
         // The old file durably holds the low-water mark of its last
         // synced header write.
@@ -141,9 +159,13 @@ impl Store for FaultyImage {
 
     fn set_low_water(&mut self, lsn: Lsn) -> Result<(), WalError> {
         self.injected_gc_failure()?;
+        let mark = lsn.raw().to_le_bytes();
+        if let Some(view) = &mut self.written {
+            view[LOW_WATER_AT..HEADER_LEN as usize].copy_from_slice(&mark);
+        }
         let field = &mut self.image[LOW_WATER_AT..HEADER_LEN as usize];
         let old: [u8; 8] = (&*field).try_into().expect("8 bytes");
-        field.copy_from_slice(&lsn.raw().to_le_bytes());
+        field.copy_from_slice(&mark);
         if self.volatile_gc_rename {
             self.pre_gc_low_water.get_or_insert(old);
         } else {
@@ -157,12 +179,24 @@ impl Store for FaultyImage {
         Ok(())
     }
 
+    fn read_at(&self, at: u64, buf: &mut [u8]) -> Result<(), WalError> {
+        let view = self.written.as_ref().unwrap_or(&self.image);
+        let bytes = usize::try_from(at)
+            .ok()
+            .and_then(|at| view.get(at..at + buf.len()))
+            .ok_or_else(|| WalError::Io(std::io::ErrorKind::UnexpectedEof.into()))?;
+        buf.copy_from_slice(bytes);
+        Ok(())
+    }
+
     fn restart(&mut self) -> Result<Vec<u8>, WalError> {
         // A GC rename never made durable is undone by the crash: recovery
         // scans the pre-GC file — resurrecting every record GC believed
         // reclaimed *and* losing everything appended since. A header
         // write never made durable only rolls the mark back: the frames
         // it released are still in the image, and later appends stay.
+        // A lying sync's dropped bytes are gone from what is read now.
+        self.written = None;
         let low_water = self.pre_gc_low_water.take();
         if let Some(old) = self.pre_gc_image.take() {
             self.image = old;
@@ -445,6 +479,72 @@ mod tests {
         assert_eq!(log.append(end(5), true).unwrap(), Lsn(2));
         log.truncate_prefix(Lsn(1)).unwrap();
         assert_eq!(log.recover().unwrap().survivors, 2);
+    }
+
+    /// Before a crash the log reads its records back from the medium,
+    /// so for every kind of fault a pre-crash `records()` must list
+    /// exactly what the log reported durable: a lying sync's batch is
+    /// in it (its bytes were written; only the crash loses them), and a
+    /// failed write-out's batch is not (it was never reported). After
+    /// `recover`, the survivors and the report are the scan's.
+    #[test]
+    fn a_pre_crash_read_lists_what_the_log_reported_durable_under_every_fault() {
+        // Four 30-byte `end` frames at 16, 46, 76 and 106; the last two
+        // go out together, in the one batch a write-out fault hits.
+        let report = |lost_buffered, lost_durable, truncated_bytes, survivors| RecoveryReport {
+            lost_buffered,
+            lost_durable,
+            truncated_bytes,
+            survivors,
+        };
+        let cases = [
+            (Fault::TornTail { bytes: 5 }, 4, report(0, 1, 25, 3)),
+            (Fault::PartialFsync { drop_bytes: 4 }, 4, report(0, 1, 26, 3)),
+            (Fault::BitFlip { offset: 56, mask: 1 }, 4, report(0, 3, 90, 1)),
+            (Fault::WriteError { after_bytes: 5 }, 2, report(2, 0, 5, 2)),
+            (Fault::SyncError, 2, report(2, 0, 0, 4)),
+        ];
+        for (fault, reported, expected) in cases {
+            let mut log = forced_log(2);
+            log.inject(fault);
+            log.append(end(2), false).unwrap();
+            let forced = log.append(end(3), true);
+            assert_eq!(forced.is_ok(), reported == 4, "{fault:?}");
+            // (LSN, payload) of what a read returns, and of the first `n`
+            // records appended.
+            let read = |log: &FaultyLog| -> Vec<(u64, LogPayload)> {
+                let records = log.records().unwrap().into_iter();
+                records.map(|r| (r.lsn.raw(), r.payload)).collect()
+            };
+            let first =
+                |n: u64| -> Vec<(u64, LogPayload)> { (0..n).map(|i| (i, end(i))).collect() };
+            assert_eq!(read(&log), first(reported), "{fault:?}: before the crash");
+
+            assert_eq!(log.recover().unwrap(), expected, "{fault:?}");
+            let survivors = expected.survivors as u64;
+            assert_eq!(read(&log), first(survivors), "{fault:?}: after recovery");
+            assert_eq!(log.next_lsn(), Lsn(expected.survivors as u64));
+        }
+    }
+
+    /// A lying sync that drops whole frames leaves a hole the scan
+    /// cannot see as damage: the frames of a later batch land right
+    /// behind it, whole. The log's LSNs run on one by one, so a frame
+    /// behind the hole is not part of the valid prefix: recovery keeps
+    /// what precedes the hole and cuts the rest.
+    #[test]
+    fn a_frame_behind_a_hole_ends_the_valid_prefix() {
+        let mut log = forced_log(1);
+        log.inject(Fault::PartialFsync { drop_bytes: 30 });
+        log.append(end(1), true).unwrap(); // the whole frame never lands
+        log.append(end(2), true).unwrap(); // lands behind the hole
+        assert_eq!(log.records().unwrap().len(), 3, "all three reported durable");
+
+        let report = log.crash_and_recover().unwrap();
+        assert_eq!((report.survivors, report.lost_durable, report.truncated_bytes), (1, 2, 30));
+        assert_eq!(log.records().unwrap()[0].payload, end(0));
+        assert_eq!(log.append(end(9), true).unwrap(), Lsn(1));
+        assert_eq!(log.crash_and_recover().unwrap().survivors, 2);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The file store: a [`FramedLog`] persisted to a single file, for the
 //! real-time runtimes. [`Disk`] is the medium and nothing else — the
-//! file handle, the `pwrite` + `fdatasync` of the header's low-water
-//! field that is GC in place, and the `.rewrite` sibling + `rename` +
-//! parent-directory fsync that make a compaction's image swap atomic
-//! and crash-durable.
+//! file handle, the `pread` that reads live frames back (the file is
+//! the log's only copy of them), the `pwrite` + `fdatasync` of the
+//! header's low-water field that is GC in place, and the `.rewrite`
+//! sibling + `rename` + parent-directory fsync that make a compaction's
+//! image swap atomic and crash-durable.
 
 use crate::error::WalError;
 use crate::framed::{encode_header, FramedLog, Store, LOW_WATER_AT};
@@ -71,6 +72,12 @@ impl Store for Disk {
         self.file.seek(SeekFrom::Start(0))?;
         self.file.read_to_end(&mut image)?;
         Ok(image)
+    }
+
+    fn read_at(&self, at: u64, buf: &mut [u8]) -> Result<(), WalError> {
+        // Positioned: the append cursor stays at the end of the image.
+        self.file.read_exact_at(buf, at)?;
+        Ok(())
     }
 
     fn append_sync(&mut self, bytes: &[u8]) -> Result<(), WalError> {

@@ -1,34 +1,44 @@
 //! The one framed log: a 16-byte header (`magic‖version‖low_water`)
 //! followed by CRC32-framed records ([`crate::encode`]), on a [`Store`].
 //!
-//! Appends accumulate in a process-memory buffer; a force (or flush)
-//! hands the buffer to the store to append and sync, so a crash before
-//! the flush loses the buffered records — [`crate::mem::MemLog`]'s
-//! semantics. GC ([`StableLog::truncate_prefix`]) moves the header's
-//! low-water mark in place — one aligned 8-byte write and a sync — and
-//! leaves the released frames in the image as dead bytes. Once the dead
-//! bytes reach the live ones (and at least [`RECLAIM_FLOOR`], 64 KiB),
-//! the same call compacts instead: it stages the header and the
-//! retained suffix as a whole new image for the store to swap in
-//! atomically. So the image never exceeds twice its live frames plus
-//! the floor and the header, and the rewrite's cost is amortized over
-//! the collections that filled the floor. The floor is sized for the
-//! logs that are never empty: a participant always holds the next
-//! burst's `prepared` frames, which a compaction below a few KiB would
-//! copy about as often as it reclaimed anything. Recovery ([`FramedLog::recover`]) skips the
-//! frames below the low-water mark — resuming at the mark's frame if
-//! one of them is damaged, so dead bytes never cost a live record —
-//! keeps the longest valid prefix of live records, and cuts the torn or
-//! corrupt tail. A [`Store`] is only what
-//! the log asks of its medium — [`crate::file::Disk`] a file,
-//! [`crate::fault::FaultyImage`] the same bytes in memory with scripted
-//! damage — so every injected fault runs under the code that commits.
+//! The store is the only copy of the durable records. The log keeps its
+//! encode buffer, its counters and one frame offset per live record;
+//! [`StableLog::records`] and [`StableLog::for_each_record`] read the
+//! live frames back from the medium and decode them with the recovery
+//! scan, so what a caller reads is what a restart would find (less a
+//! lying sync's damage, which only a crash exposes).
+//!
+//! Appends are encoded at once into a process-memory buffer; a force
+//! (or flush) hands the buffer to the store to append and sync, so a
+//! crash before the flush loses the buffered records —
+//! [`crate::mem::MemLog`]'s semantics. GC
+//! ([`StableLog::truncate_prefix`]) sizes its cut from the offsets and
+//! moves the header's low-water mark in place — one aligned 8-byte
+//! write and a sync — leaving the released frames in the image as dead
+//! bytes. Once the dead bytes reach the live ones (and at least
+//! [`RECLAIM_FLOOR`], 64 KiB), the same call compacts instead: it reads
+//! the retained frames back and stages them behind a new header as a
+//! whole new image for the store to swap in atomically. So the image
+//! never exceeds twice its live frames plus the floor and the header,
+//! and the rewrite's cost is amortized over the collections that filled
+//! the floor. The floor is sized for the logs that are never empty: a
+//! participant always holds the next burst's `prepared` frames, which a
+//! compaction below a few KiB would copy about as often as it reclaimed
+//! anything. Recovery ([`FramedLog::recover`]) skips the frames below
+//! the low-water mark — resuming at the mark's frame if one of them is
+//! damaged, so dead bytes never cost a live record — keeps the longest
+//! valid prefix of live records, and cuts the torn or corrupt tail. A
+//! [`Store`] is only what the log asks of its medium —
+//! [`crate::file::Disk`] a file, [`crate::fault::FaultyImage`] the same
+//! bytes in memory with scripted damage — so every injected fault runs
+//! under the code that commits.
 
-use crate::encode::{decode_frame, encode_frame_into, frame_len, FrameOutcome};
+use crate::encode::{decode_frame, encode_frame_into, FrameOutcome};
 use crate::error::WalError;
 use crate::record::{LogRecord, Lsn, WalStats};
 use crate::StableLog;
 use acp_types::LogPayload;
+use std::collections::VecDeque;
 
 /// Header magic: "WALH".
 const HEADER_MAGIC: u32 = 0x5741_4C48;
@@ -70,9 +80,58 @@ fn decode_header(buf: &[u8]) -> Result<Lsn, WalError> {
     Ok(Lsn(u64::from_le_bytes(field.try_into().expect("8 bytes"))))
 }
 
-/// The bytes `records` take as frames.
-fn frame_bytes(records: &[LogRecord]) -> u64 {
-    records.iter().map(|r| frame_len(&r.payload) as u64).sum()
+/// The recovery scan over `bytes`, the part of an image that starts at
+/// image offset `base`. Frames below `low_water` are dead and skipped;
+/// before the first live frame a bad one may be dead bytes no record
+/// needs, so the scan resumes at the frame that carries the mark if one
+/// follows (CRC-checked, damaged bytes cannot pass for it). Each live
+/// record goes to `live` with its frame's image offset, for as long as
+/// the frames are whole and their LSNs run on from `low_water` one by
+/// one: a frame behind a hole (a lying sync dropped whole frames before
+/// it) ends the valid prefix as a torn one does. Returns where the
+/// valid frames end in `bytes` and the dead bytes before the first live
+/// frame.
+fn scan(
+    bytes: &[u8],
+    base: u64,
+    low_water: Lsn,
+    live: &mut dyn FnMut(LogRecord, u64),
+) -> Result<(usize, u64), WalError> {
+    let frame_at = |at: usize| decode_frame(&bytes[at..], base + at as u64);
+    // The LSN the next live frame must carry.
+    let mut expect = low_water;
+    let mut dead = 0;
+    let mut offset = 0;
+    while offset < bytes.len() {
+        let none_live = expect == low_water;
+        match frame_at(offset)? {
+            FrameOutcome::Record(rec, consumed) if none_live && rec.lsn < low_water => {
+                dead += consumed as u64;
+                offset += consumed;
+            }
+            FrameOutcome::Record(rec, consumed) if rec.lsn == expect => {
+                expect = expect.next();
+                live(rec, base + offset as u64);
+                offset += consumed;
+            }
+            FrameOutcome::Record(..) => break,
+            FrameOutcome::Torn if none_live => {
+                let carries_mark = |at: &usize| match frame_at(*at) {
+                    Ok(FrameOutcome::Record(rec, _)) => rec.lsn == low_water,
+                    _ => false,
+                };
+                match (offset + 1..bytes.len()).find(carries_mark) {
+                    Some(live_at) => {
+                        dead += (live_at - offset) as u64;
+                        offset = live_at;
+                    }
+                    None => break,
+                }
+            }
+            FrameOutcome::Torn => break,
+        }
+    }
+    Ok((offset, dead))
 }
 
 /// What a [`FramedLog`] asks of its medium: one byte image that
@@ -81,6 +140,10 @@ pub trait Store {
     /// What a restarted site finds: the whole durable image, header
     /// included, after whatever a crash does to it on this medium.
     fn restart(&mut self) -> Result<Vec<u8>, WalError>;
+    /// Fill `buf` with the image's bytes from offset `at` as they were
+    /// written — what a read returns before a crash, as a page cache
+    /// serves it. The log reads only bytes it wrote and synced.
+    fn read_at(&self, at: u64, buf: &mut [u8]) -> Result<(), WalError>;
     /// Append `bytes` and make them durable. After an error none, some
     /// or all of them may be in the image.
     fn append_sync(&mut self, bytes: &[u8]) -> Result<(), WalError>;
@@ -109,23 +172,26 @@ pub struct RecoveryReport {
     pub survivors: usize,
 }
 
-/// A stable log of framed records on a [`Store`].
+/// A stable log of framed records on a [`Store`], which holds the only
+/// copy of them.
 #[derive(Clone, Debug)]
 pub struct FramedLog<S> {
     pub(crate) store: S,
     /// Encoded frames not yet written+synced; lost if the process dies.
     buffer: Vec<u8>,
-    /// Decoded view of everything durable, for cheap `records()`.
-    durable: Vec<LogRecord>,
-    /// Records represented in `buffer`.
-    pending: Vec<LogRecord>,
+    /// The image offset of each live record's frame, in LSN order from
+    /// `low_water`: the durable ones, then the buffered ones at the
+    /// offsets their write-out will put them.
+    offsets: VecDeque<u64>,
+    /// How many records (the last of `offsets`) are in `buffer`.
+    buffered: usize,
     low_water: Lsn,
     next: Lsn,
-    /// Bytes of the image's frames at or above `low_water`: the
-    /// encoding of `durable`.
+    /// Bytes of the image's frames at or above `low_water`.
     frames: u64,
     /// Bytes of the image's frames below `low_water`: released, but on
-    /// the medium until a compaction rewrites the image.
+    /// the medium until a compaction rewrites the image. The live frames
+    /// start right behind them and the header.
     dead: u64,
     stats: WalStats,
     /// A write-out failed, so the image may end in part of its frames,
@@ -141,8 +207,8 @@ impl<S: Store> FramedLog<S> {
         FramedLog {
             store,
             buffer: Vec::new(),
-            durable: Vec::new(),
-            pending: Vec::new(),
+            offsets: VecDeque::new(),
+            buffered: 0,
             low_water: Lsn::ZERO,
             next: Lsn::ZERO,
             frames: 0,
@@ -165,73 +231,75 @@ impl<S: Store> FramedLog<S> {
     /// same store, after whatever its crash did. Errors only if the
     /// header is unreadable — recoverable damage is reported, not raised.
     pub fn recover(&mut self) -> Result<RecoveryReport, WalError> {
-        let lost_buffered = self.pending.len();
+        let lost_buffered = self.buffered;
         self.stats.lost_on_crash += lost_buffered as u64;
         self.buffer.clear();
-        self.pending.clear();
-        let believed = self.durable.len();
+        let believed = self.durable();
+        self.offsets.truncate(believed);
+        self.buffered = 0;
         let (_, truncated_bytes) = self.load()?;
         Ok(RecoveryReport {
             lost_buffered,
-            lost_durable: believed.saturating_sub(self.durable.len()),
+            lost_durable: believed.saturating_sub(self.offsets.len()),
             truncated_bytes,
-            survivors: self.durable.len(),
+            survivors: self.offsets.len(),
         })
     }
 
+    /// Records that are durable (the rest of `offsets` is buffered).
+    fn durable(&self) -> usize {
+        self.offsets.len() - self.buffered
+    }
+
+    /// Image offset of the first live frame.
+    fn live_start(&self) -> u64 {
+        HEADER_LEN + self.dead
+    }
+
+    /// Image offset one past the last durable frame.
+    fn frames_end(&self) -> u64 {
+        self.live_start() + self.frames
+    }
+
     /// Adopt the longest valid prefix of live records in the store's
-    /// image and cut the rest. Frames below the header's low-water mark
-    /// are dead and skipped; damage among them costs no live record,
-    /// because the scan resumes at the frame that carries the mark.
-    /// Returns the image bytes kept and the bytes cut.
+    /// image ([`scan`]) and cut the rest. Returns the image bytes kept
+    /// and the bytes cut.
     fn load(&mut self) -> Result<(u64, u64), WalError> {
         let image = self.store.restart()?;
         let low_water = decode_header(&image)?;
-        let frame_at = |at: usize| decode_frame(&image[at..], at as u64);
-        let mut survivors = Vec::new();
-        let mut dead = 0;
-        let mut offset = HEADER_LEN as usize;
-        while offset < image.len() {
-            match frame_at(offset)? {
-                FrameOutcome::Record(rec, consumed) => {
-                    if rec.lsn < low_water {
-                        dead += consumed as u64;
-                    } else {
-                        survivors.push(rec);
-                    }
-                    offset += consumed;
-                }
-                // Before the first live frame a bad one may be dead
-                // bytes no record needs: skip them if the live frames
-                // follow. CRC-checked, damaged bytes cannot pass for the
-                // frame that carries the mark.
-                FrameOutcome::Torn if survivors.is_empty() => {
-                    let carries_mark = |at: &usize| match frame_at(*at) {
-                        Ok(FrameOutcome::Record(rec, _)) => rec.lsn == low_water,
-                        _ => false,
-                    };
-                    match (offset + 1..image.len()).find(carries_mark) {
-                        Some(live_at) => {
-                            dead += (live_at - offset) as u64;
-                            offset = live_at;
-                        }
-                        None => break,
-                    }
-                }
-                FrameOutcome::Torn => break,
-            }
-        }
+        let mut offsets = VecDeque::new();
+        let frames = &image[HEADER_LEN as usize..];
+        let (valid, dead) = scan(frames, HEADER_LEN, low_water, &mut |_, at| {
+            offsets.push_back(at);
+        })?;
+        let end = HEADER_LEN + valid as u64;
         // Physically drop the torn tail so future appends start clean.
-        if offset < image.len() {
-            self.store.cut(offset as u64)?;
+        if valid < frames.len() {
+            self.store.cut(end)?;
         }
         self.low_water = low_water;
-        self.durable = survivors;
-        self.next = self.durable.last().map_or(self.low_water, |r| r.lsn.next());
-        self.frames = offset as u64 - HEADER_LEN - dead;
+        self.next = Lsn(low_water.raw() + offsets.len() as u64);
+        self.offsets = offsets;
+        self.frames = end - HEADER_LEN - dead;
         self.dead = dead;
         self.failed = false;
-        Ok((offset as u64, (image.len() - offset) as u64))
+        Ok((end, (frames.len() - valid) as u64))
+    }
+
+    /// Read the live frames back from the store and hand their records
+    /// to `visit` in order.
+    fn read_live(&self, visit: &mut dyn FnMut(LogRecord)) -> Result<(), WalError> {
+        let start = self.live_start();
+        let mut bytes = vec![0; self.frames as usize];
+        self.store.read_at(start, &mut bytes)?;
+        let (valid, _) = scan(&bytes, start, self.low_water, &mut |rec, _| visit(rec))?;
+        if valid < bytes.len() {
+            return Err(WalError::Corrupt {
+                offset: start + valid as u64,
+                detail: "a durable frame read back damaged".into(),
+            });
+        }
+        Ok(())
     }
 
     fn check_writable(&self) -> Result<(), WalError> {
@@ -254,7 +322,7 @@ impl<S: Store> FramedLog<S> {
         self.stats.durable_bytes += self.buffer.len() as u64;
         self.frames += self.buffer.len() as u64;
         self.buffer.clear();
-        self.durable.append(&mut self.pending);
+        self.buffered = 0;
         Ok(())
     }
 }
@@ -264,12 +332,10 @@ impl<S: Store> StableLog for FramedLog<S> {
         let lsn = self.next;
         self.next = self.next.next();
         self.stats.appends += 1;
+        self.offsets
+            .push_back(self.frames_end() + self.buffer.len() as u64);
+        self.buffered += 1;
         encode_frame_into(&mut self.buffer, lsn, force, &payload);
-        self.pending.push(LogRecord {
-            lsn,
-            forced: force,
-            payload,
-        });
         if force {
             self.stats.forces += 1;
             self.write_out()?;
@@ -283,16 +349,17 @@ impl<S: Store> StableLog for FramedLog<S> {
     }
 
     fn records(&self) -> Result<Vec<LogRecord>, WalError> {
-        Ok(self.durable.clone())
+        let mut records = Vec::with_capacity(self.durable());
+        self.read_live(&mut |rec| records.push(rec))?;
+        Ok(records)
     }
 
     fn for_each_record(&self, f: &mut dyn FnMut(&LogRecord)) -> Result<(), WalError> {
-        self.durable.iter().for_each(f);
-        Ok(())
+        self.read_live(&mut |rec| f(&rec))
     }
 
     fn truncate_prefix(&mut self, lsn: Lsn) -> Result<(), WalError> {
-        let high = self.durable.last().map_or(self.low_water, |r| r.lsn.next());
+        let high = self.durable_end();
         if lsn < self.low_water || lsn > high {
             return Err(WalError::BadTruncate {
                 requested: lsn.raw(),
@@ -301,36 +368,35 @@ impl<S: Store> StableLog for FramedLog<S> {
             });
         }
         self.check_writable()?;
-        let cut = self.durable.partition_point(|r| r.lsn < lsn);
-        // Measure the shorter side of the cut, derive the other.
-        debug_assert_eq!(self.frames, frame_bytes(&self.durable));
-        let (released, live) = if cut <= self.durable.len() - cut {
-            let released = frame_bytes(&self.durable[..cut]);
-            (released, self.frames - released)
-        } else {
-            let live = frame_bytes(&self.durable[cut..]);
-            (self.frames - live, live)
-        };
-        let dead = self.dead + released;
+        // The live LSNs run on from the mark one by one, so the cut is
+        // an index; the first buffered frame, if any, starts at the end
+        // of the durable ones.
+        let cut = (lsn.raw() - self.low_water.raw()) as usize;
+        let end = self.frames_end();
+        let at = self.offsets.get(cut).copied().unwrap_or(end);
+        let live = end - at;
+        let dead = self.dead + (at - self.live_start());
         // Memory changes only once the store's write is durable: an I/O
         // error must leave the log as it was.
-        if dead < live.max(RECLAIM_FLOOR) {
+        let shift = if dead < live.max(RECLAIM_FLOOR) {
             self.store.set_low_water(lsn)?;
             self.dead = dead;
+            0
         } else {
-            // Compact: the header and the retained suffix, swapped in.
-            let mut image = Vec::with_capacity((HEADER_LEN + live) as usize);
-            image.extend_from_slice(&encode_header(lsn));
-            for rec in &self.durable[cut..] {
-                encode_frame_into(&mut image, rec.lsn, rec.forced, &rec.payload);
-            }
+            // Compact: the header and the retained frames as written,
+            // read back and swapped in.
+            let mut image = vec![0; (HEADER_LEN + live) as usize];
+            image[..HEADER_LEN as usize].copy_from_slice(&encode_header(lsn));
+            self.store.read_at(at, &mut image[HEADER_LEN as usize..])?;
             self.store.replace(&image)?;
             self.dead = 0;
-        }
+            at - HEADER_LEN
+        };
         self.frames = live;
 
         // Commit: the medium now holds the post-GC mark.
-        self.durable.drain(..cut);
+        self.offsets.drain(..cut);
+        self.offsets.iter_mut().for_each(|at| *at -= shift);
         self.stats.truncated += cut as u64;
         self.low_water = lsn;
         Ok(())
@@ -342,6 +408,10 @@ impl<S: Store> StableLog for FramedLog<S> {
 
     fn next_lsn(&self) -> Lsn {
         self.next
+    }
+
+    fn durable_end(&self) -> Lsn {
+        Lsn(self.next.raw() - self.buffered as u64)
     }
 
     fn stats(&self) -> WalStats {
@@ -356,6 +426,7 @@ impl<S: Store> StableLog for FramedLog<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encode::frame_len;
     use acp_types::{Outcome, TxnId};
 
     /// A plain byte image that counts compactions.
@@ -367,6 +438,10 @@ mod tests {
     impl Store for Counting {
         fn restart(&mut self) -> Result<Vec<u8>, WalError> {
             Ok(self.image.clone())
+        }
+        fn read_at(&self, at: u64, buf: &mut [u8]) -> Result<(), WalError> {
+            buf.copy_from_slice(&self.image[at as usize..at as usize + buf.len()]);
+            Ok(())
         }
         fn append_sync(&mut self, bytes: &[u8]) -> Result<(), WalError> {
             self.image.extend_from_slice(bytes);

@@ -303,6 +303,10 @@ impl<L: StableLog> StableLog for GroupCommitLog<L> {
         self.inner.next_lsn()
     }
 
+    fn durable_end(&self) -> Lsn {
+        self.inner.durable_end()
+    }
+
     fn stats(&self) -> WalStats {
         // Report the *logical* force count: what the protocol asked
         // for, independent of physical batching. Physical syncs are in

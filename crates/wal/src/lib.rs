@@ -12,7 +12,9 @@
 //!   ([`encode`], [`crc`]),
 //! * **one framed stable log** ([`framed::FramedLog`]) — header, append
 //!   buffer, write-out, GC (in place or by compaction) and recovery scan
-//!   written once — over a [`Store`]: a file ([`file::FileLog`]) for the
+//!   written once — over a [`Store`], which holds the only copy of its
+//!   records (the log keeps one frame offset per live record and reads
+//!   the records back on demand): a file ([`file::FileLog`]) for the
 //!   real-time runtimes,
 //!   or the same byte image in memory, damaged on cue
 //!   ([`fault::FaultyLog`]: torn writes, partial fsyncs, bit flips,
@@ -68,6 +70,11 @@ use acp_types::LogPayload;
 ///   `flush`, the next forced append, or not at all if a crash
 ///   intervenes;
 /// * `records()` returns only durable records, in append order.
+///
+/// A [`FramedLog`] keeps no copy of its records: `records()` and
+/// `for_each_record` read the live region back from its store and
+/// decode it, so a caller that needs only where durability ends asks
+/// [`StableLog::durable_end`] instead.
 pub trait StableLog {
     /// Append a record. If `force` is true the record (and all earlier
     /// buffered records — the log is strictly ordered) is made durable
@@ -84,8 +91,9 @@ pub trait StableLog {
     /// Visit every durable record in append order without materializing
     /// a vector. Hot paths that only need to fold over the records (the
     /// model checker's state fingerprints) use this; the default
-    /// delegates to [`StableLog::records`], and in-memory logs override
-    /// it with direct iteration.
+    /// delegates to [`StableLog::records`], in-memory logs override it
+    /// with direct iteration, and a [`FramedLog`] decodes the region it
+    /// reads back one record at a time.
     fn for_each_record(&self, f: &mut dyn FnMut(&LogRecord)) -> Result<(), WalError> {
         for r in self.records()? {
             f(&r);
@@ -107,6 +115,11 @@ pub trait StableLog {
 
     /// The LSN the next appended record will receive.
     fn next_lsn(&self) -> Lsn;
+
+    /// The first LSN that is not yet durable: [`StableLog::next_lsn`]
+    /// less the records still buffered. Everything below it (and at or
+    /// above the low-water mark) is what [`StableLog::records`] returns.
+    fn durable_end(&self) -> Lsn;
 
     /// Cost/health statistics.
     fn stats(&self) -> WalStats;

@@ -145,6 +145,10 @@ impl StableLog for MemLog {
         self.next
     }
 
+    fn durable_end(&self) -> Lsn {
+        Lsn(self.next.raw() - self.buffered.len() as u64)
+    }
+
     fn stats(&self) -> WalStats {
         self.stats
     }

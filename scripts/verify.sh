@@ -131,6 +131,24 @@ scans="$(find crates/wal/src -name '*.rs' | sort \
                !test && /decode_frame\(/ && !/fn decode_frame\(/ { print FILENAME ":" FNR ": " $0 }')"
 [ "$(echo "$scans" | grep -c .)" = 1 ] \
   || { echo "$scans"; echo "FAIL: want exactly one decode_frame( call in non-test crates/wal/src (FramedLog's recovery scan)"; exit 1; }
+# The store is the only copy of a FramedLog's records: the log keeps its
+# encode buffer, its counters and one frame offset per live record. A
+# LogRecord-typed field in framed.rs (the `durable: Vec<LogRecord>`
+# mirror held ≈ 160 B per record for the life of a log nothing
+# collects) is a decoded copy coming back. The pattern first meets its
+# control line, and the fields read must include FramedLog's `offsets`.
+field='^ *(pub(\([a-z]+\))? )?[a-z_][a-z0-9_]*: .*\bLogRecord\b'
+echo '    durable: Vec<LogRecord>,' | grep -qE "$field" \
+  || { echo "FAIL: the guard '$field' misses its control line"; exit 1; }
+fields="$(awk '/^#\[cfg\(test\)\]/ { exit }
+    /^(pub(\([a-z]+\))? )?struct [A-Za-z]+.*\{$/ { body = 1; next }
+    body && /^\}/ { body = 0 }
+    body' crates/wal/src/framed.rs)"
+echo "$fields" | grep -qE '^ +offsets: ' \
+  || { echo "FAIL: the field guard reads no 'offsets' field in crates/wal/src/framed.rs's structs"; exit 1; }
+if echo "$fields" | grep -E "$field"; then
+  echo "FAIL: crates/wal/src/framed.rs declares a LogRecord-typed field (a decoded mirror beside the store)"; exit 1
+fi
 # GC moves the header's low-water mark in place or compacts the image,
 # and FramedLog::truncate_prefix alone decides which: a second caller of
 # either store write is a second GC path (every GC used to rewrite the

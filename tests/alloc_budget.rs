@@ -1,7 +1,7 @@
 //! The commit path's allocation budget, as a tier-1 fact.
 //!
 //! A steady-state turn may allocate only for state that outlives it:
-//! protocol-table, lock, store and log-mirror entries (DESIGN.md,
+//! protocol-table, lock and store entries and log offsets (DESIGN.md,
 //! "Runtime architecture", allocation discipline). These cases pin that
 //! with this binary's own counting allocator — per thread, like the
 //! benchmark's (`benchmarks/src/alloc.rs`), so the driver's staging and
