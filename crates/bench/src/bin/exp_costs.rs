@@ -1,6 +1,7 @@
 //! E8 — the cost table: analytic model vs. measured execution, per
 //! protocol × outcome, for homogeneous and mixed populations, plus the
-//! modeled critical-path latency.
+//! modeled critical-path latency. Exits non-zero if any cell's measured
+//! costs differ from the model's.
 //!
 //! ```sh
 //! cargo run --release -p acp-bench --bin exp_costs
@@ -12,7 +13,8 @@ use acp_types::{CoordinatorKind, Outcome, ProtocolKind, SelectionPolicy, TxnId};
 
 const T: TxnId = TxnId(1);
 
-fn entry(kind: CoordinatorKind, outcome: Outcome, pop: Population, widths: &[usize]) {
+/// Print one cell's row; returns whether measured and predicted agree.
+fn entry(kind: CoordinatorKind, outcome: Outcome, pop: Population, widths: &[usize]) -> bool {
     let protos: Vec<ProtocolKind> = pop.entries().iter().map(|e| e.protocol).collect();
     let out = run_one(kind, &protos, outcome == Outcome::Abort);
     assert_eq!(out.decided[&T], outcome);
@@ -40,6 +42,7 @@ fn entry(kind: CoordinatorKind, outcome: Outcome, pop: Population, widths: &[usi
             widths
         )
     );
+    ok
 }
 
 fn main() {
@@ -64,6 +67,7 @@ fn main() {
     );
     println!("{}", sep(&widths));
 
+    let mut mismatches = 0;
     for outcome in [Outcome::Commit, Outcome::Abort] {
         for (kind, pop) in [
             (
@@ -91,7 +95,9 @@ fn main() {
                 Population::new(1, 1, 0),
             ),
         ] {
-            entry(kind, outcome, pop, &widths);
+            if !entry(kind, outcome, pop, &widths) {
+                mismatches += 1;
+            }
         }
     }
 
@@ -151,5 +157,10 @@ fn main() {
                 &widths
             )
         );
+    }
+
+    if mismatches > 0 {
+        eprintln!("exp_costs: {mismatches} cell(s) differ from the cost model");
+        std::process::exit(1);
     }
 }

@@ -19,8 +19,8 @@ use table::ShardedTable;
 
 use acp_acta::ActaEvent;
 use acp_types::{
-    CoordinatorKind, CostCounters, LogPayload, Outcome, ParticipantEntry, Payload, ProtocolKind,
-    SiteId, TxnId, Vote,
+    CoordinatorKind, LogPayload, Outcome, ParticipantEntry, Payload, ProtocolKind, SiteId, TxnId,
+    Vote,
 };
 use acp_wal::{GcTracker, StableLog, WalError};
 use std::collections::{BTreeMap, BTreeSet};
@@ -131,8 +131,6 @@ pub struct Coordinator<L: StableLog> {
     /// Observational: decisions ever made (survives crash; used by tests
     /// and checkers, never consulted by the protocol itself).
     pub(crate) decisions: BTreeMap<TxnId, Outcome>,
-    /// Observational cost accounting per transaction.
-    pub(crate) costs: BTreeMap<TxnId, CostCounters>,
     /// Truncate the log automatically whenever the releasable prefix
     /// grows (on by default).
     pub auto_gc: bool,
@@ -153,7 +151,6 @@ impl<L: StableLog> Coordinator<L> {
             track_cancellations: false,
             cancelled: Vec::new(),
             decisions: BTreeMap::new(),
-            costs: BTreeMap::new(),
             auto_gc: true,
         }
     }
@@ -281,15 +278,9 @@ impl<L: StableLog> Coordinator<L> {
         &mut self.log
     }
 
-    /// Per-transaction costs measured at this site.
-    #[must_use]
-    pub fn costs(&self, txn: TxnId) -> CostCounters {
-        self.costs.get(&txn).copied().unwrap_or_default()
-    }
-
     /// A canonical rendering of the engine's *semantic* state (protocol
     /// table, stable log, PCP, armed timers), used by the model checker
-    /// to deduplicate explored states. Observational fields (costs,
+    /// to deduplicate explored states. Observational fields (the
     /// decision memos) are excluded on purpose — they never influence
     /// behaviour.
     #[must_use]
@@ -366,21 +357,12 @@ impl<L: StableLog> Coordinator<L> {
         self.log
             .append(payload, force)
             .expect("coordinator log append");
-        self.costs.entry(txn).or_default().count_log_write(force);
         out.push(Action::Acta(ActaEvent::LogWrite {
             site: self.site,
             txn,
             kind,
             forced: force,
         }));
-    }
-
-    pub(crate) fn send(&mut self, txn: TxnId, to: SiteId, payload: Payload, out: &mut Vec<Action>) {
-        self.costs
-            .entry(txn)
-            .or_default()
-            .count_message_kind(payload.kind_name());
-        out.push(Action::Send { to, payload });
     }
 
     pub(crate) fn arm_timer(
@@ -443,7 +425,7 @@ impl<L: StableLog> Coordinator<L> {
         }
 
         for p in &participants {
-            self.send(txn, p.site, Payload::Prepare { txn }, out);
+            out.push(Action::send(p.site, Payload::Prepare { txn }));
         }
         self.table.insert(
             txn,
@@ -533,7 +515,7 @@ impl<L: StableLog> Coordinator<L> {
                 logged_any = true;
             }
             for p in recipients() {
-                self.send(txn, p.site, Payload::Decision { txn, outcome }, out);
+                out.push(Action::send(p.site, Payload::Decision { txn, outcome }));
             }
         }
 
@@ -715,7 +697,7 @@ impl<L: StableLog> Coordinator<L> {
                     outcome,
                     by_presumption: false,
                 }));
-                self.send(txn, from, Payload::InquiryResponse { txn, outcome }, out);
+                out.push(Action::send(from, Payload::InquiryResponse { txn, outcome }));
                 return;
             }
             None => {}
@@ -728,7 +710,7 @@ impl<L: StableLog> Coordinator<L> {
             outcome,
             by_presumption,
         }));
-        self.send(txn, from, Payload::InquiryResponse { txn, outcome }, out);
+        out.push(Action::send(from, Payload::InquiryResponse { txn, outcome }));
     }
 
     /// Answer for a transaction with no protocol-table entry. Returns
@@ -822,7 +804,7 @@ impl<L: StableLog> Coordinator<L> {
                 });
                 if let Some((attempts, outcome, targets)) = resend {
                     for to in targets {
-                        self.send(txn, to, Payload::Decision { txn, outcome }, out);
+                        out.push(Action::send(to, Payload::Decision { txn, outcome }));
                     }
                     if attempts < MAX_DECISION_RESENDS {
                         self.arm_timer(txn, TimerPurpose::AckResend, attempts, out);

@@ -112,7 +112,7 @@ impl<L: StableLog> Coordinator<L> {
         }
 
         for &to in &pending {
-            self.send(txn, to, Payload::Decision { txn, outcome }, out);
+            out.push(Action::send(to, Payload::Decision { txn, outcome }));
         }
         self.table.insert(
             txn,

@@ -964,24 +964,32 @@ mod prany {
 mod cost_accounting {
     use super::*;
 
+    /// How many of the actions send a message of `kind`.
+    fn sent(actions: &[Action], kind: &str) -> usize {
+        sent_payloads(actions)
+            .iter()
+            .filter(|(_, m)| m.kind_name() == kind)
+            .count()
+    }
+
     #[test]
     fn prn_commit_costs() {
         let mut c = coordinator(
             CoordinatorKind::Single(ProtocolKind::PrN),
             &[ProtocolKind::PrN; 3],
         );
-        c.begin_commit(t(), &sites(3));
+        let mut actions = c.begin_commit(t(), &sites(3));
         for s in 1..=3 {
-            yes(&mut c, s);
+            actions.extend(yes(&mut c, s));
         }
         for s in 1..=3 {
-            ack(&mut c, s);
+            actions.extend(ack(&mut c, s));
         }
-        let costs = c.costs(t());
-        assert_eq!(costs.forced_writes, 1); // decision
-        assert_eq!(costs.log_records, 2); // + end
-        assert_eq!(costs.prepares, 3);
-        assert_eq!(costs.decisions, 3);
+        let log = c.log.stats();
+        assert_eq!(log.forces, 1); // decision
+        assert_eq!(log.appends, 2); // + end
+        assert_eq!(sent(&actions, "prepare"), 3);
+        assert_eq!(sent(&actions, "decision"), 3);
     }
 
     #[test]
@@ -990,14 +998,14 @@ mod cost_accounting {
             CoordinatorKind::PrAny(SelectionPolicy::PaperStrict),
             &[ProtocolKind::PrA, ProtocolKind::PrC],
         );
-        c.begin_commit(t(), &sites(2));
-        yes(&mut c, 1);
-        yes(&mut c, 2);
-        ack(&mut c, 1);
-        let costs = c.costs(t());
-        assert_eq!(costs.forced_writes, 2); // initiation + commit
-        assert_eq!(costs.log_records, 3); // + end
-        assert_eq!(costs.messages(), 2 + 2); // prepares + decisions (votes/acks counted at senders)
+        let mut actions = c.begin_commit(t(), &sites(2));
+        actions.extend(yes(&mut c, 1));
+        actions.extend(yes(&mut c, 2));
+        actions.extend(ack(&mut c, 1));
+        let log = c.log.stats();
+        assert_eq!(log.forces, 2); // initiation + commit
+        assert_eq!(log.appends, 3); // + end
+        assert_eq!(sent_payloads(&actions).len(), 2 + 2); // prepares + decisions (votes/acks are the participants')
     }
 }
 

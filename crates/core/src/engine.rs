@@ -17,7 +17,7 @@ use crate::coordinator::Coordinator;
 use crate::gateway::GatewayParticipant;
 use crate::participant::Participant;
 use crate::paxos::{PaxosConfig, PaxosNode};
-use acp_types::{CoordinatorKind, CostCounters, Outcome, Payload, ProtocolKind, SiteId, TxnId};
+use acp_types::{CoordinatorKind, Outcome, Payload, ProtocolKind, SiteId, TxnId};
 use acp_wal::StableLog;
 
 /// One site's protocol engine, whichever kind it is.
@@ -133,12 +133,6 @@ impl<L: StableLog> AnyEngine<L> {
     /// Mutable access to the stable log (group-commit ticks only).
     pub fn log_mut(&mut self) -> &mut L {
         each!(self, e => e.log_mut())
-    }
-
-    /// Per-transaction costs measured at this site.
-    #[must_use]
-    pub fn costs(&self, txn: TxnId) -> CostCounters {
-        each!(self, e => e.costs(txn))
     }
 
     /// Transactions still pinning the log.

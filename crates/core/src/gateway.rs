@@ -28,7 +28,7 @@
 
 use crate::action::{Action, TimerPurpose};
 use acp_acta::ActaEvent;
-use acp_types::{CostCounters, LogPayload, Outcome, Payload, ProtocolKind, SiteId, TxnId, Vote};
+use acp_types::{LogPayload, Outcome, Payload, ProtocolKind, SiteId, TxnId, Vote};
 use acp_wal::{GcTracker, StableLog};
 use std::collections::BTreeMap;
 
@@ -156,7 +156,6 @@ pub struct GatewayParticipant<L: StableLog> {
     gc: GcTracker,
     timers: BTreeMap<u64, TxnId>,
     next_token: u64,
-    costs: BTreeMap<TxnId, CostCounters>,
 }
 
 impl<L: StableLog> GatewayParticipant<L> {
@@ -173,7 +172,6 @@ impl<L: StableLog> GatewayParticipant<L> {
             gc: GcTracker::new(),
             timers: BTreeMap::new(),
             next_token: 0,
-            costs: BTreeMap::new(),
         }
     }
 
@@ -222,12 +220,6 @@ impl<L: StableLog> GatewayParticipant<L> {
     /// protocol records must go through the gateway).
     pub fn log_mut(&mut self) -> &mut L {
         &mut self.log
-    }
-
-    /// Per-transaction costs measured at this site.
-    #[must_use]
-    pub fn costs(&self, txn: TxnId) -> CostCounters {
-        self.costs.get(&txn).copied().unwrap_or_default()
     }
 
     /// Transactions still pinning the redo log.
@@ -296,21 +288,12 @@ impl<L: StableLog> GatewayParticipant<L> {
         let lsn = self.log.next_lsn();
         self.gc.note(lsn, &payload);
         self.log.append(payload, force).expect("gateway log append");
-        self.costs.entry(txn).or_default().count_log_write(force);
         out.push(Action::Acta(ActaEvent::LogWrite {
             site: self.site,
             txn,
             kind,
             forced: force,
         }));
-    }
-
-    fn send(&mut self, txn: TxnId, to: SiteId, payload: Payload, out: &mut Vec<Action>) {
-        self.costs
-            .entry(txn)
-            .or_default()
-            .count_message_kind(payload.kind_name());
-        out.push(Action::Send { to, payload });
     }
 
     fn arm_timer(&mut self, txn: TxnId, purpose: TimerPurpose, attempt: u32, out: &mut Vec<Action>) {
@@ -329,29 +312,25 @@ impl<L: StableLog> GatewayParticipant<L> {
     fn on_prepare(&mut self, coordinator: SiteId, txn: TxnId, out: &mut Vec<Action>) {
         let Some(state) = self.txns.get(&txn) else {
             // No staged writes: read-only from the gateway's view.
-            self.send(
-                txn,
+            out.push(Action::send(
                 coordinator,
                 Payload::Vote {
                     txn,
                     vote: Vote::ReadOnly,
                 },
-                out,
-            );
+            ));
             return;
         };
         match &state.phase {
             GatewayPhase::Collecting => {}
             GatewayPhase::SimulatedPrepared { .. } => {
-                self.send(
-                    txn,
+                out.push(Action::send(
                     coordinator,
                     Payload::Vote {
                         txn,
                         vote: Vote::Yes,
                     },
-                    out,
-                );
+                ));
                 return;
             }
             GatewayPhase::Applying { .. } => return,
@@ -370,15 +349,13 @@ impl<L: StableLog> GatewayParticipant<L> {
                 txn,
                 outcome: Outcome::Abort,
             });
-            self.send(
-                txn,
+            out.push(Action::send(
                 coordinator,
                 Payload::Vote {
                     txn,
                     vote: Vote::No,
                 },
-                out,
-            );
+            ));
             out.push(Action::Acta(ActaEvent::ForgetPart {
                 participant: self.site,
                 txn,
@@ -412,15 +389,13 @@ impl<L: StableLog> GatewayParticipant<L> {
             coordinator,
             inquiries_sent: 0,
         };
-        self.send(
-            txn,
+        out.push(Action::send(
             coordinator,
             Payload::Vote {
                 txn,
                 vote: Vote::Yes,
             },
-            out,
-        );
+        ));
         self.arm_timer(txn, TimerPurpose::InquiryRetry, 0, out);
     }
 
@@ -462,7 +437,7 @@ impl<L: StableLog> GatewayParticipant<L> {
         let Some(state) = self.txns.get_mut(&txn) else {
             // Footnote 5: no memory ⇒ already enforced; just acknowledge.
             if self.declared.acks(outcome) {
-                self.send(txn, from, Payload::Ack { txn }, out);
+                out.push(Action::send(from, Payload::Ack { txn }));
             }
             return;
         };
@@ -482,7 +457,7 @@ impl<L: StableLog> GatewayParticipant<L> {
             outcome,
         }));
         if self.declared.acks(outcome) {
-            self.send(txn, coordinator, Payload::Ack { txn }, out);
+            out.push(Action::send(coordinator, Payload::Ack { txn }));
         }
         match outcome {
             Outcome::Commit => {
@@ -559,7 +534,10 @@ impl<L: StableLog> GatewayParticipant<L> {
                     protocol: self.declared,
                 }));
                 let protocol = self.declared;
-                self.send(txn, coordinator, Payload::Inquiry { txn, protocol }, out);
+                out.push(Action::send(
+                    coordinator,
+                    Payload::Inquiry { txn, protocol },
+                ));
                 if attempts < crate::participant::MAX_INQUIRY_RETRIES {
                     self.arm_timer(txn, TimerPurpose::InquiryRetry, attempts, out);
                 }
@@ -621,7 +599,10 @@ impl<L: StableLog> GatewayParticipant<L> {
                     protocol: self.declared,
                 }));
                 let protocol = self.declared;
-                self.send(txn, coordinator, Payload::Inquiry { txn, protocol }, out);
+                out.push(Action::send(
+                    coordinator,
+                    Payload::Inquiry { txn, protocol },
+                ));
                 self.arm_timer(txn, TimerPurpose::InquiryRetry, 1, out);
             } else if let Some(outcome) = s.part_decision {
                 self.enforced.entry(txn).or_insert(outcome);

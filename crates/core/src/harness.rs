@@ -19,11 +19,11 @@ use crate::engine::AnyEngine;
 use crate::participant::Participant;
 use acp_acta::{ActaEvent, FinalState, History};
 use acp_obs::{FanoutSink, NullSink, ProtoLabel, ProtocolEvent, TraceSink, VecSink};
-use acp_sim::{Context, FailureSchedule, NetworkConfig, Process, SimTime, Trace, World};
+use acp_sim::{Context, FailureSchedule, NetworkConfig, Process, SimTime, Trace, TraceKind, World};
 use acp_types::{
     CoordinatorKind, CostCounters, Message, Outcome, Payload, ProtocolKind, SiteId, TxnId, Vote,
 };
-use acp_wal::{GroupCommitLog, GroupCommitStats, MemLog};
+use acp_wal::{GroupCommitLog, GroupCommitStats, MemLog, StableLog};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -808,6 +808,37 @@ pub fn run_scenario_with_sink(scenario: &Scenario, sink: Arc<dyn TraceSink>) -> 
     }
 
     // ---- collect ----
+    // Costs are observed, not self-reported: a message is charged to its
+    // sender when the network is handed it (the trace's sends), a log
+    // record to its writer when the history records it. Each site's log
+    // must agree with its `LogWrite` events on appends and on forces, so
+    // a record claimed forced but appended lazily fails the run.
+    let history = history.borrow().clone();
+    let mut costs: BTreeMap<(SiteId, TxnId), CostCounters> = BTreeMap::new();
+    for entry in world.trace().entries() {
+        if let TraceKind::Sent(m) = &entry.kind {
+            let kind = m.payload.kind_name();
+            costs.entry((m.from, m.payload.txn())).or_default().count_message_kind(kind);
+        }
+    }
+    let mut writes: BTreeMap<SiteId, CostCounters> = BTreeMap::new();
+    for event in history.events() {
+        if let ActaEvent::LogWrite { site, txn, forced, .. } = *event {
+            costs.entry((site, txn)).or_default().count_log_write(forced);
+            writes.entry(site).or_default().count_log_write(forced);
+        }
+    }
+    for site in coord_side.iter().copied().chain(scenario.participant_sites()) {
+        let log = world.process(site).engine().log().stats();
+        let w = writes.get(&site).copied().unwrap_or_default();
+        assert_eq!(
+            (w.log_records, w.forced_writes),
+            (log.appends, log.forces),
+            "{site}: its LogWrite events (records, forced) disagree with its log (appends, forces)"
+        );
+    }
+    let cost = |site, txn| costs.get(&(site, txn)).copied().unwrap_or_default();
+
     let mut final_state = FinalState::default();
     let mut enforced = BTreeMap::new();
     let mut in_doubt = Vec::new();
@@ -833,9 +864,9 @@ pub fn run_scenario_with_sink(scenario: &Scenario, sink: Arc<dyn TraceSink>) -> 
                 decided_by_site.insert((site, spec.txn), o);
             }
             if site == coord_site {
-                coordinator_costs.insert(spec.txn, engine.costs(spec.txn));
+                coordinator_costs.insert(spec.txn, cost(site, spec.txn));
             } else {
-                acceptor_costs.insert((site, spec.txn), engine.costs(spec.txn));
+                acceptor_costs.insert((site, spec.txn), cost(site, spec.txn));
             }
         }
         if site != coord_site {
@@ -860,11 +891,10 @@ pub fn run_scenario_with_sink(scenario: &Scenario, sink: Arc<dyn TraceSink>) -> 
             in_doubt.push((site, txn));
         }
         for spec in &scenario.txns {
-            participant_costs.insert((site, spec.txn), p.costs(spec.txn));
+            participant_costs.insert((site, spec.txn), cost(site, spec.txn));
         }
     }
 
-    let history = history.borrow().clone();
     ScenarioOutcome {
         history,
         trace: world.trace().clone(),

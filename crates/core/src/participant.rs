@@ -21,7 +21,7 @@
 
 use crate::action::{Action, TimerPurpose};
 use acp_acta::ActaEvent;
-use acp_types::{CostCounters, LogPayload, Outcome, Payload, ProtocolKind, SiteId, TxnId, Vote};
+use acp_types::{LogPayload, Outcome, Payload, ProtocolKind, SiteId, TxnId, Vote};
 use acp_wal::{GcTracker, StableLog, WalError};
 use std::collections::BTreeMap;
 
@@ -111,8 +111,6 @@ pub struct Participant<L: StableLog> {
     track_cancellations: bool,
     /// Retired timer tokens not yet drained by the host.
     cancelled: Vec<u64>,
-    /// Per-transaction cost accounting (observational).
-    costs: BTreeMap<TxnId, CostCounters>,
 }
 
 impl<L: StableLog> Participant<L> {
@@ -131,7 +129,6 @@ impl<L: StableLog> Participant<L> {
             next_token: 0,
             track_cancellations: false,
             cancelled: Vec::new(),
-            costs: BTreeMap::new(),
         }
     }
 
@@ -222,12 +219,6 @@ impl<L: StableLog> Participant<L> {
         &mut self.log
     }
 
-    /// Per-transaction costs measured at this site.
-    #[must_use]
-    pub fn costs(&self, txn: TxnId) -> CostCounters {
-        self.costs.get(&txn).copied().unwrap_or_default()
-    }
-
     /// Canonical semantic-state rendering for the model checker (see
     /// `Coordinator::fingerprint`).
     #[must_use]
@@ -284,21 +275,12 @@ impl<L: StableLog> Participant<L> {
         self.log
             .append(payload, force)
             .expect("participant log append");
-        self.costs.entry(txn).or_default().count_log_write(force);
         out.push(Action::Acta(ActaEvent::LogWrite {
             site: self.site,
             txn,
             kind,
             forced: force,
         }));
-    }
-
-    fn send(&mut self, txn: TxnId, to: SiteId, payload: Payload, out: &mut Vec<Action>) {
-        self.costs
-            .entry(txn)
-            .or_default()
-            .count_message_kind(payload.kind_name());
-        out.push(Action::Send { to, payload });
     }
 
     fn arm_inquiry_timer(&mut self, txn: TxnId, attempt: u32, out: &mut Vec<Action>) {
@@ -335,7 +317,7 @@ impl<L: StableLog> Participant<L> {
             // Duplicate prepare while prepared: re-vote Yes.
             let PartState::Prepared { coordinator: c, .. } = st.state;
             let vote = Vote::Yes;
-            self.send(txn, c, Payload::Vote { txn, vote }, out);
+            out.push(Action::send(c, Payload::Vote { txn, vote }));
             return;
         }
         let vote = self.intents.get(&txn).copied().unwrap_or(Vote::Yes);
@@ -347,7 +329,7 @@ impl<L: StableLog> Participant<L> {
                     txn,
                 }));
                 self.active.insert(txn, ActiveTxn::prepared(coordinator, 0));
-                self.send(txn, coordinator, Payload::Vote { txn, vote }, out);
+                out.push(Action::send(coordinator, Payload::Vote { txn, vote }));
                 self.arm_inquiry_timer(txn, 0, out);
             }
             Vote::No => {
@@ -357,7 +339,7 @@ impl<L: StableLog> Participant<L> {
                     txn,
                     outcome: Outcome::Abort,
                 });
-                self.send(txn, coordinator, Payload::Vote { txn, vote }, out);
+                out.push(Action::send(coordinator, Payload::Vote { txn, vote }));
                 out.push(Action::Acta(ActaEvent::ForgetPart {
                     participant: self.site,
                     txn,
@@ -365,7 +347,7 @@ impl<L: StableLog> Participant<L> {
             }
             Vote::ReadOnly => {
                 // Read-only optimization: vote and drop out of phase two.
-                self.send(txn, coordinator, Payload::Vote { txn, vote }, out);
+                out.push(Action::send(coordinator, Payload::Vote { txn, vote }));
                 out.push(Action::Acta(ActaEvent::ForgetPart {
                     participant: self.site,
                     txn,
@@ -404,7 +386,7 @@ impl<L: StableLog> Participant<L> {
             outcome,
         }));
         if self.protocol.acks(outcome) {
-            self.send(txn, coordinator, Payload::Ack { txn }, out);
+            out.push(Action::send(coordinator, Payload::Ack { txn }));
         }
         self.append(txn, LogPayload::PartEnd { txn }, false, out);
         out.push(Action::Acta(ActaEvent::ForgetPart {
@@ -442,7 +424,7 @@ impl<L: StableLog> Participant<L> {
                 {
                     // No memory (already enforced & forgotten, or never
                     // prepared): footnote 5 — just acknowledge.
-                    self.send(*txn, from, Payload::Ack { txn: *txn }, out);
+                    out.push(Action::send(from, Payload::Ack { txn: *txn }));
                 }
             }
             // Coordinator/acceptor-side messages; a participant ignores
@@ -487,7 +469,10 @@ impl<L: StableLog> Participant<L> {
             txn,
             protocol,
         }));
-        self.send(txn, coordinator, Payload::Inquiry { txn, protocol }, out);
+        out.push(Action::send(
+            coordinator,
+            Payload::Inquiry { txn, protocol },
+        ));
         if attempts < MAX_INQUIRY_RETRIES {
             self.arm_inquiry_timer(txn, attempts, out);
         }
@@ -531,7 +516,10 @@ impl<L: StableLog> Participant<L> {
                     txn,
                     protocol,
                 }));
-                self.send(txn, coordinator, Payload::Inquiry { txn, protocol }, out);
+                out.push(Action::send(
+                    coordinator,
+                    Payload::Inquiry { txn, protocol },
+                ));
                 self.arm_inquiry_timer(txn, 1, out);
             } else if let Some(outcome) = s.part_decision {
                 // Decision durable but end record lost in the crash: the
@@ -929,18 +917,19 @@ mod tests {
     #[test]
     fn costs_count_forces_and_messages() {
         let mut p = participant(ProtocolKind::PrN);
-        p.on_prepare(coord(), t());
-        p.on_message(
+        let mut actions = p.on_prepare(coord(), t());
+        actions.extend(p.on_message(
             coord(),
             &Payload::Decision {
                 txn: t(),
                 outcome: Outcome::Commit,
             },
-        );
-        let c = p.costs(t());
-        assert_eq!(c.forced_writes, 2); // prepared + commit
-        assert_eq!(c.log_records, 3); // + lazy end
-        assert_eq!(c.votes, 1);
-        assert_eq!(c.acks, 1);
+        ));
+        let log = p.log().stats();
+        assert_eq!(log.forces, 2); // prepared + commit
+        assert_eq!(log.appends, 3); // + lazy end
+        let sends = crate::action::sent_payloads(&actions);
+        let kinds: Vec<&str> = sends.iter().map(|(_, m)| m.kind_name()).collect();
+        assert_eq!(kinds, ["vote", "ack"]);
     }
 }

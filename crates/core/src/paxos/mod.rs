@@ -58,7 +58,7 @@ use crate::action::{Action, TimerPurpose};
 use crate::coordinator::MAX_DECISION_RESENDS;
 
 use acp_acta::ActaEvent;
-use acp_types::{CostCounters, LogPayload, Outcome, Payload, SiteId, TxnId, Vote};
+use acp_types::{LogPayload, Outcome, Payload, SiteId, TxnId, Vote};
 use acp_wal::{GcTracker, StableLog};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -230,8 +230,6 @@ pub struct PaxosNode<L: StableLog> {
     /// Observational: decisions ever made here (survives crash; used by
     /// tests and inquiry answering, never by the consensus itself).
     decisions: BTreeMap<TxnId, Outcome>,
-    /// Observational cost accounting per transaction.
-    costs: BTreeMap<TxnId, CostCounters>,
     /// Truncate the log automatically whenever the releasable prefix
     /// grows (on by default).
     pub auto_gc: bool,
@@ -252,7 +250,6 @@ impl<L: StableLog> PaxosNode<L> {
             track_cancellations: false,
             cancelled: Vec::new(),
             decisions: BTreeMap::new(),
-            costs: BTreeMap::new(),
             auto_gc: true,
         }
     }
@@ -291,12 +288,6 @@ impl<L: StableLog> PaxosNode<L> {
     #[must_use]
     pub fn decided(&self, txn: TxnId) -> Option<Outcome> {
         self.decisions.get(&txn).copied()
-    }
-
-    /// Per-transaction costs measured at this site.
-    #[must_use]
-    pub fn costs(&self, txn: TxnId) -> CostCounters {
-        self.costs.get(&txn).copied().unwrap_or_default()
     }
 
     /// Borrow the stable log.
@@ -377,21 +368,12 @@ impl<L: StableLog> PaxosNode<L> {
         let lsn = self.log.next_lsn();
         self.gc.note(lsn, &payload);
         self.log.append(payload, force).expect("paxos log append");
-        self.costs.entry(txn).or_default().count_log_write(force);
         out.push(Action::Acta(ActaEvent::LogWrite {
             site: self.site,
             txn,
             kind,
             forced: force,
         }));
-    }
-
-    fn send(&mut self, txn: TxnId, to: SiteId, payload: Payload, out: &mut Vec<Action>) {
-        self.costs
-            .entry(txn)
-            .or_default()
-            .count_message_kind(payload.kind_name());
-        out.push(Action::Send { to, payload });
     }
 
     fn arm_timer(&mut self, txn: TxnId, purpose: TimerPurpose, attempt: u32, out: &mut Vec<Action>) {
@@ -491,22 +473,19 @@ impl<L: StableLog> PaxosNode<L> {
             !self.txns.contains_key(&txn),
             "transaction {txn} already begun"
         );
-        self.costs.entry(txn).or_default();
-        for a in self.config.acceptors.clone() {
+        for &a in &self.config.acceptors {
             if a != self.site {
-                self.send(
-                    txn,
+                out.push(Action::send(
                     a,
                     Payload::PaxosBegin {
                         txn,
                         participants: participants.to_vec(),
                     },
-                    out,
-                );
+                ));
             }
         }
         for &p in participants {
-            self.send(txn, p, Payload::Prepare { txn }, out);
+            out.push(Action::send(p, Payload::Prepare { txn }));
         }
         let mut st = PaxosTxn::fresh(participants.to_vec(), 0);
         st.role = Role::Voting {
@@ -614,7 +593,7 @@ impl<L: StableLog> PaxosNode<L> {
                 });
                 if let Some((attempts, outcome, targets)) = resend {
                     for to in targets {
-                        self.send(txn, to, Payload::Decision { txn, outcome }, out);
+                        out.push(Action::send(to, Payload::Decision { txn, outcome }));
                     }
                     if attempts < MAX_DECISION_RESENDS {
                         self.arm_timer(txn, TimerPurpose::AckResend, attempts, out);
@@ -708,18 +687,16 @@ impl<L: StableLog> PaxosNode<L> {
             }
             complete.insert(self.site);
         }
-        for a in self.config.acceptors.clone() {
+        for &a in &self.config.acceptors {
             if a != self.site {
-                self.send(
-                    txn,
+                out.push(Action::send(
                     a,
                     Payload::Phase2a {
                         txn,
                         ballot,
                         instances: proposal.clone(),
                     },
-                    out,
-                );
+                ));
             }
         }
         let done = complete.len() >= self.config.quorum();
@@ -779,7 +756,7 @@ impl<L: StableLog> PaxosNode<L> {
             .filter(|s| !st.excluded.contains(s))
             .collect();
         for &r in &recipients {
-            self.send(txn, r, Payload::Decision { txn, outcome }, out);
+            out.push(Action::send(r, Payload::Decision { txn, outcome }));
         }
         let pending: BTreeSet<SiteId> = recipients.into_iter().collect();
         if pending.is_empty() {
@@ -823,9 +800,9 @@ impl<L: StableLog> PaxosNode<L> {
             coordinator: self.site,
             txn,
         }));
-        for a in self.config.acceptors.clone() {
+        for &a in &self.config.acceptors {
             if a != self.site {
-                self.send(txn, a, Payload::PaxosForget { txn }, out);
+                out.push(Action::send(a, Payload::PaxosForget { txn }));
             }
         }
         self.forgotten.insert(txn);
@@ -848,7 +825,6 @@ impl<L: StableLog> PaxosNode<L> {
             .config
             .rank(self.site)
             .expect("paxos-begin delivered to a non-acceptor") as u32;
-        self.costs.entry(txn).or_default();
         self.txns
             .insert(txn, PaxosTxn::fresh(participants.to_vec(), rank));
         self.arm_watchdog(txn, out);
@@ -872,7 +848,6 @@ impl<L: StableLog> PaxosNode<L> {
                 // itself carries the roster. Arm the watchdog so this
                 // acceptor can still drive completion later.
                 let rank = self.config.rank(self.site).map_or(0, |r| r as u32);
-                self.costs.entry(txn).or_default();
                 let st = PaxosTxn::fresh(instances.iter().map(|&(s, _)| s).collect(), rank);
                 self.txns.insert(txn, st);
                 self.arm_watchdog(txn, out);
@@ -901,16 +876,14 @@ impl<L: StableLog> PaxosNode<L> {
                 st.logged_any = true;
             }
             if from != self.site {
-                self.send(
-                    txn,
+                out.push(Action::send(
                     from,
                     Payload::Phase2b {
                         txn,
                         ballot,
                         instances: instances.to_vec(),
                     },
-                    out,
-                );
+                ));
             }
         }
         self.txns.insert(txn, st);
@@ -952,16 +925,14 @@ impl<L: StableLog> PaxosNode<L> {
                         .filter(|a| *a != self.site && !complete.contains(a))
                         .collect();
                     for to in targets {
-                        self.send(
-                            txn,
+                        out.push(Action::send(
                             to,
                             Payload::Phase2a {
                                 txn,
                                 ballot: 0,
                                 instances: proposal.clone(),
                             },
-                            out,
-                        );
+                        ));
                     }
                     self.arm_watchdog(txn, out);
                 } else {
@@ -1006,9 +977,9 @@ impl<L: StableLog> PaxosNode<L> {
         promises.insert(self.site, st.accepted_triples());
         st.role = Role::Phase1 { promises };
         self.txns.insert(txn, st);
-        for a in self.config.acceptors.clone() {
+        for &a in &self.config.acceptors {
             if a != self.site {
-                self.send(txn, a, Payload::Phase1a { txn, ballot }, out);
+                out.push(Action::send(a, Payload::Phase1a { txn, ballot }));
             }
         }
         self.arm_watchdog(txn, out);
@@ -1020,9 +991,7 @@ impl<L: StableLog> PaxosNode<L> {
             // Complete everywhere that matters (forget is only sent
             // after all participant acks): tell the candidate to stand
             // down.
-            self.costs.entry(txn).or_default();
-            self.send(
-                txn,
+            out.push(Action::send(
                 from,
                 Payload::Phase1b {
                     txn,
@@ -1031,8 +1000,7 @@ impl<L: StableLog> PaxosNode<L> {
                     participants: Vec::new(),
                     accepted: Vec::new(),
                 },
-                out,
-            );
+            ));
             return;
         }
         let mut st = match self.txns.remove(&txn) {
@@ -1041,7 +1009,6 @@ impl<L: StableLog> PaxosNode<L> {
                 // Genuinely unknown (never began here, or crashed away
                 // after GC): a fresh promise with no accepted values is
                 // always safe. No watchdog — we have no roster to drive.
-                self.costs.entry(txn).or_default();
                 PaxosTxn::fresh(Vec::new(), MAX_PAXOS_ATTEMPTS)
             }
         };
@@ -1065,8 +1032,7 @@ impl<L: StableLog> PaxosNode<L> {
         if ballot >= st.promised {
             let accepted = st.accepted_triples();
             let participants = st.participants.clone();
-            self.send(
-                txn,
+            out.push(Action::send(
                 from,
                 Payload::Phase1b {
                     txn,
@@ -1075,8 +1041,7 @@ impl<L: StableLog> PaxosNode<L> {
                     participants,
                     accepted,
                 },
-                out,
-            );
+            ));
         }
         self.txns.insert(txn, st);
     }
@@ -1197,7 +1162,7 @@ impl<L: StableLog> PaxosNode<L> {
                 outcome,
                 by_presumption,
             }));
-            self.send(txn, from, Payload::InquiryResponse { txn, outcome }, out);
+            out.push(Action::send(from, Payload::InquiryResponse { txn, outcome }));
         }
     }
 
@@ -1264,7 +1229,6 @@ impl<L: StableLog> PaxosNode<L> {
                 logged_any: true,
             };
             self.txns.insert(*txn, st);
-            self.costs.entry(*txn).or_default();
             self.arm_watchdog(*txn, out);
         }
     }

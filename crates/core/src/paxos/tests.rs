@@ -4,6 +4,7 @@
 //! in `sim::tests` and the integration suites.
 
 use super::*;
+use acp_types::CostCounters;
 use acp_wal::MemLog;
 use std::collections::VecDeque;
 
@@ -25,6 +26,8 @@ struct Net {
     dead: BTreeSet<SiteId>,
     to_parts: Vec<(SiteId, SiteId, Payload)>,
     timers: Vec<(SiteId, u64, TimerPurpose)>,
+    /// Every message a node has sent, to a node or a participant.
+    sent: Vec<(SiteId, Payload)>,
 }
 
 impl Net {
@@ -40,6 +43,7 @@ impl Net {
             dead: BTreeSet::new(),
             to_parts: Vec::new(),
             timers: Vec::new(),
+            sent: Vec::new(),
         }
     }
 
@@ -51,6 +55,7 @@ impl Net {
         for a in actions {
             match a {
                 Action::Send { to, payload } => {
+                    self.sent.push((from, payload.clone()));
                     if self.nodes.contains_key(&to) {
                         self.queue.push_back((from, to, payload));
                     } else {
@@ -111,6 +116,15 @@ impl Net {
     fn drain_to_parts(&mut self) -> Vec<(SiteId, SiteId, Payload)> {
         std::mem::take(&mut self.to_parts)
     }
+
+    /// The messages `site` has sent, tallied by kind.
+    fn sent_by(&self, site: SiteId) -> CostCounters {
+        let mut c = CostCounters::default();
+        for (_, p) in self.sent.iter().filter(|(from, _)| *from == site) {
+            c.count_message_kind(p.kind_name());
+        }
+        c
+    }
 }
 
 fn count_kind(msgs: &[(SiteId, SiteId, Payload)], kind: &str) -> usize {
@@ -160,9 +174,10 @@ fn f0_clean_commit_matches_prn_shape() {
 
     // PrN parity at the coordinator: one forced record (the bundle),
     // two records total (bundle + end), 2N messages sent from here.
-    let c = net.node(s(0)).costs(t());
-    assert_eq!(c.forced_writes, 1);
-    assert_eq!(c.log_records, 2);
+    let log = net.node(s(0)).log().stats();
+    assert_eq!(log.forces, 1);
+    assert_eq!(log.appends, 2);
+    let c = net.sent_by(s(0));
     assert_eq!(c.messages(), 4);
     assert_eq!(c.paxos, 0, "no paxos traffic at f = 0");
 }
@@ -217,15 +232,15 @@ fn f1_clean_commit_counts_match_the_analytic_model() {
         assert_eq!(net.node(site).protocol_table_size(), 0, "{site}");
         // Bundle + end on every acceptor log, then fully reclaimed.
         assert_eq!(net.node(site).log().retained(), 0, "{site}");
-        let c = net.node(site).costs(t());
-        assert_eq!(c.forced_writes, 1, "{site}: one bundled force");
-        assert_eq!(c.log_records, 2, "{site}: bundle + end");
+        let log = net.node(site).log().stats();
+        assert_eq!(log.forces, 1, "{site}: one bundled force");
+        assert_eq!(log.appends, 2, "{site}: bundle + end");
     }
 
     // Paxos-vocabulary messages across the cluster: 8f = 8.
-    let leader = net.node(s(0)).costs(t());
-    let acc3 = net.node(s(3)).costs(t());
-    let acc4 = net.node(s(4)).costs(t());
+    let leader = net.sent_by(s(0));
+    let acc3 = net.sent_by(s(3));
+    let acc4 = net.sent_by(s(4));
     assert_eq!(leader.paxos + acc3.paxos + acc4.paxos, 8);
     // Total cluster-side messages: begin 2 + prepare 2 + phase2a 2 +
     // phase2b 2 + decision 2 + forget 2 = 12 (votes and acks are

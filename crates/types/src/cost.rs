@@ -4,9 +4,13 @@
 //! consumes a substantial amount of a transaction's execution time".
 //! The costs that matter are forced log writes (synchronous stable-
 //! storage latency), total log records (log volume / GC pressure) and
-//! coordination messages. Every substrate increments these counters so
-//! the analytic cost model in `acp-core::cost` can be checked against
-//! measured executions (experiment E8).
+//! coordination messages. The scenario harness (`acp-core::harness`)
+//! fills these counters by observing a run, not by asking the engines:
+//! each message the network was handed is charged to its sender, each
+//! `LogWrite` event in the history to its writer, and every site's log
+//! must agree on its appends and forces. The analytic cost model in
+//! `acp-core::cost` is checked against those measured executions
+//! (experiment E8).
 
 use std::fmt;
 use std::ops::{Add, AddAssign};

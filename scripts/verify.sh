@@ -2,7 +2,7 @@
 # Tier-1 verification: offline release build, every workspace test, a
 # warning-free clippy run, the structural guards (one kernel, one
 # in-process host, one engine enum, one metrics path, one harness, one
-# log, one encoder, one instrument), warning-free rustdoc, the
+# log, observed costs, one encoder, one instrument), warning-free rustdoc, the
 # benchmark's smoke suite, and a regeneration of
 # every committed result with a diff against it. No step's pass/fail depends
 # on a wall-clock rate; the perf figures printed are information.
@@ -194,6 +194,34 @@ nontest_lines crates/net/src
 nontest_lines crates/core/src
 nontest_lines crates/wal/src
 
+echo "== costs are observed: the engines keep no cost map"
+# Each engine used to keep a per-transaction CostCounters map, bumped in
+# its own append/send helpers and read only by the harness, for ever.
+# The harness now charges the trace's sends and the history's LogWrite
+# events and checks them against every site's log. A CostCounters, a
+# costs field or accessor, or a count_* call in an engine's non-test
+# lines is the self-report coming back. As above, each pattern first
+# meets its control line.
+cost_src="$(awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
+    !test { print FILENAME ":" FNR ": " $0 }' \
+  crates/core/src/coordinator/mod.rs crates/core/src/participant.rs crates/core/src/gateway.rs \
+  crates/core/src/paxos/mod.rs crates/core/src/engine.rs)"
+cost_guards=(
+  '\bCostCounters\b'                    'use acp_types::{CostCounters, LogPayload, Outcome};'
+  '\bcosts: '                            '    pub(crate) costs: BTreeMap<TxnId, CostCounters>,'
+  '(fn |\.)costs\b'                      '        each!(self, e => e.costs(txn))'
+  '\.count_(log_write|message_kind)\(' '        self.costs.entry(txn).or_default().count_log_write(force);'
+)
+for ((i = 0; i < ${#cost_guards[@]}; i += 2)); do
+  pattern="${cost_guards[i]}" control="${cost_guards[i + 1]}"
+  echo "$control" | grep -qE "$pattern" \
+    || { echo "FAIL: the guard '$pattern' misses its control line '$control'"; exit 1; }
+  if echo "$cost_src" | grep -E "$pattern"; then
+    echo "FAIL: '$pattern' in an engine: a self-reported cost beside the harness's observation"; exit 1
+  fi
+done
+nontest_lines crates/core/src
+
 echo "== one encoder: the logs and the runtime encode in place"
 # encode_frame/encode_payload are allocating wrappers over the _into
 # forms, kept for tests, fuzzers and probes. A call from the logs or
@@ -281,6 +309,15 @@ cargo run --release --offline -q -p acp-bench --bin exp_faults > /dev/null
 git diff --exit-code -- results/exp_faults.txt \
   || { echo "FAIL: results/exp_faults.txt drifted from the fault campaign —"; \
        echo "      investigate, then commit the regenerated matrix"; exit 1; }
+
+echo "== cost table: regenerate results/exp_costs.txt and diff"
+# E8. exp_costs exits non-zero if any cell's measured costs (observed
+# in the trace and the history) differ from the analytic model; the
+# diff catches silent drift of the committed table.
+cargo run --release --offline -q -p acp-bench --bin exp_costs > results/exp_costs.txt
+git diff --exit-code -- results/exp_costs.txt \
+  || { echo "FAIL: results/exp_costs.txt drifted from the cost model —"; \
+       echo "      investigate, then commit the regenerated table"; exit 1; }
 
 echo "== group commit: sim accounting must match the analytic model"
 # The binary exits non-zero on any model mismatch and regenerates the

@@ -9,12 +9,11 @@
 
 mod common;
 
+use common::engines::{Engines, KIND, PROTOCOLS};
 use common::runtime::{glacial, Backend, Running};
 use presumed_any::prelude::*;
-use presumed_any::types::Payload;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -76,8 +75,6 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-const KIND: CoordinatorKind = CoordinatorKind::PrAny(SelectionPolicy::PaperStrict);
-const PROTOCOLS: [ProtocolKind; 3] = [ProtocolKind::PrN, ProtocolKind::PrA, ProtocolKind::PrC];
 const BURST: u64 = 64;
 const WARM_UP: u64 = 20;
 const MEASURED: u64 = 20;
@@ -155,41 +152,12 @@ fn a_socket_pair_commit_allocates_within_its_budget() {
 #[test]
 fn a_steady_engine_step_allocates_only_for_table_and_log_entries() {
     DRIVER.with(|d| d.set(true)); // keep this thread out of the reactor's count
-    let sites: Vec<SiteId> = (1..=3).map(SiteId::new).collect();
-    let mut coordinator = Coordinator::new(SiteId::new(0), KIND, MemLog::new());
-    for (site, proto) in sites.iter().zip(PROTOCOLS) {
-        coordinator.register_site(*site, proto);
-    }
-    coordinator.auto_gc = false; // as the kernel hosts it: once per turn
-    let mut participants: Vec<Participant<MemLog>> = sites
-        .iter()
-        .zip(PROTOCOLS)
-        .map(|(site, proto)| Participant::new(*site, proto, MemLog::new()))
-        .collect();
-
-    let mut actions: Vec<Action> = Vec::new();
-    let mut queue: VecDeque<(SiteId, SiteId, Payload)> = VecDeque::new();
+    let mut engines = Engines::prany();
     let mut run = |txn: TxnId| {
-        let absorb = |from: SiteId, actions: &mut Vec<Action>, queue: &mut VecDeque<_>| {
-            for action in actions.drain(..) {
-                if let Action::Send { to, payload } = action {
-                    queue.push_back((from, to, payload));
-                }
-            }
-        };
-        coordinator.begin_commit_into(txn, &sites, &mut actions);
-        absorb(SiteId::new(0), &mut actions, &mut queue);
-        while let Some((from, to, payload)) = queue.pop_front() {
-            match to.raw() {
-                0 => coordinator.on_message_into(from, &payload, &mut actions),
-                p => participants[p as usize - 1].on_message_into(from, &payload, &mut actions),
-            }
-            absorb(to, &mut actions, &mut queue);
-        }
+        engines.commit(txn);
         if txn.raw().is_multiple_of(BURST) {
-            coordinator.collect_garbage().expect("gc");
+            engines.coordinator.collect_garbage().expect("gc");
         }
-        assert_eq!(coordinator.decided(txn), Some(Outcome::Commit));
     };
 
     let measured = MEASURED * BURST;

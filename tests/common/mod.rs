@@ -1,8 +1,10 @@
 #![allow(dead_code)] // each integration-test binary uses a different subset
 
 //! Shared helpers for the integration tests: the simulator-harness
-//! helpers here, the real-time runtimes' in [`runtime`].
+//! helpers here, the hand-driven engines in [`engines`], the real-time
+//! runtimes' in [`runtime`].
 
+pub mod engines;
 pub mod runtime;
 
 use presumed_any::prelude::*;

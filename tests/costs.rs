@@ -4,12 +4,16 @@
 //! The analytic model (`acp_core::cost::predict`) and the measured
 //! execution must agree *record for record* in failure-free runs. This
 //! pins down every protocol's logging discipline — any accidental extra
-//! force would show up here.
+//! force would show up here. "Measured" means observed by the harness,
+//! not reported by the engines: messages are the sends in the run's
+//! trace, log records and forces the `LogWrite` events in its history,
+//! and every site's log must agree with those on appends and forces.
 
 mod common;
 
 use common::*;
 use presumed_any::prelude::*;
+use presumed_any::sim::TraceKind;
 
 const T: TxnId = TxnId(1);
 
@@ -190,4 +194,148 @@ fn e8_read_only_participants_reduce_measured_costs() {
     assert!(reduced.forced_writes < full.forced_writes);
     assert!(reduced.messages() < full.messages());
     assert!(reduced.log_records < full.log_records);
+}
+
+/// Every cost cell of a run, one line each: the coordinator's, each
+/// participant's and each remote acceptor's per transaction, then the
+/// transaction's total.
+fn cost_rows(out: &ScenarioOutcome) -> Vec<String> {
+    let mut rows = Vec::new();
+    for (t, c) in &out.coordinator_costs {
+        rows.push(format!("coordinator {t}: {c}"));
+    }
+    for ((s, t), c) in &out.participant_costs {
+        rows.push(format!("participant {s} {t}: {c}"));
+    }
+    for ((s, t), c) in &out.acceptor_costs {
+        rows.push(format!("acceptor {s} {t}: {c}"));
+    }
+    for t in out.coordinator_costs.keys() {
+        rows.push(format!("total {t}: {}", out.total_costs(*t)));
+    }
+    rows
+}
+
+/// Costs off the clean path, where E8 does not reach, pinned cell by
+/// cell: a crash that loses unflushed records and brings an inquiry, a
+/// decision lost on the wire, two transactions in flight at once, and
+/// a Paxos Commit failover. The figures are the tallies the engines
+/// kept of their own writes and sends before the harness observed them,
+/// so they show the observation agrees with the self-report off the
+/// clean path too.
+#[test]
+fn costs_off_the_clean_path_are_pinned() {
+    let prany = CoordinatorKind::PrAny(SelectionPolicy::PaperStrict);
+    let mixed = [ProtocolKind::PrN, ProtocolKind::PrA, ProtocolKind::PrC];
+
+    // The PrC participant crashes after it wrote the commit lazily and
+    // before anything flushed it: on restart it is in doubt, inquires,
+    // and the presumption answers.
+    let mut s = Scenario::new(prany, &mixed);
+    s.add_txn(T, SimTime::from_millis(1));
+    s.failures = FailureSchedule::single(
+        site(3),
+        SimTime::from_micros(1_700),
+        SimTime::from_millis(5),
+    );
+    let out = run_scenario(&s);
+    assert!(
+        sent_count(&out.trace, "inquiry") > 0 && sent_count(&out.trace, "inquiry-response") > 0
+    );
+    assert_fully_correct(&out);
+    assert_eq!(
+        cost_rows(&out),
+        [
+            "coordinator T1: forces=2 records=3 msgs=7 (prep=3 vote=0 dec=3 ack=0 inq=0 resp=1 paxos=0)",
+            "participant S1 T1: forces=2 records=3 msgs=2 (prep=0 vote=1 dec=0 ack=1 inq=0 resp=0 paxos=0)",
+            "participant S2 T1: forces=2 records=3 msgs=2 (prep=0 vote=1 dec=0 ack=1 inq=0 resp=0 paxos=0)",
+            "participant S3 T1: forces=1 records=5 msgs=2 (prep=0 vote=1 dec=0 ack=0 inq=1 resp=0 paxos=0)",
+            "total T1: forces=7 records=14 msgs=13 (prep=3 vote=3 dec=3 ack=2 inq=1 resp=1 paxos=0)",
+        ],
+        "participant crash after its prepared force"
+    );
+
+    // The decision to the PrN participant is dropped; the coordinator's
+    // ack timeout sends it again.
+    let mut s = Scenario::new(prany, &mixed);
+    s.add_txn(T, SimTime::from_millis(1));
+    s.partitions.push((
+        coord(),
+        site(1),
+        SimTime::from_micros(1_300),
+        SimTime::from_micros(1_500),
+    ));
+    let out = run_scenario(&s);
+    assert!(out
+        .trace
+        .entries()
+        .iter()
+        .any(|e| matches!(&e.kind, TraceKind::Dropped(m) if m.payload.kind_name() == "decision")));
+    assert_fully_correct(&out);
+    assert_eq!(
+        cost_rows(&out),
+        [
+            "coordinator T1: forces=2 records=3 msgs=7 (prep=3 vote=0 dec=4 ack=0 inq=0 resp=0 paxos=0)",
+            "participant S1 T1: forces=2 records=3 msgs=2 (prep=0 vote=1 dec=0 ack=1 inq=0 resp=0 paxos=0)",
+            "participant S2 T1: forces=2 records=3 msgs=2 (prep=0 vote=1 dec=0 ack=1 inq=0 resp=0 paxos=0)",
+            "participant S3 T1: forces=1 records=3 msgs=1 (prep=0 vote=1 dec=0 ack=0 inq=0 resp=0 paxos=0)",
+            "total T1: forces=7 records=12 msgs=12 (prep=3 vote=3 dec=4 ack=2 inq=0 resp=0 paxos=0)",
+        ],
+        "dropped decision"
+    );
+
+    // Two transactions in flight at once; the second aborts on a No.
+    let mut s = Scenario::new(prany, &mixed);
+    s.add_txn(T, SimTime::from_millis(1));
+    s.add_txn_with_vote(TxnId(2), SimTime::from_micros(1_100), site(2), Vote::No);
+    let out = run_scenario(&s);
+    assert_fully_correct(&out);
+    assert_eq!(
+        cost_rows(&out),
+        [
+            "coordinator T1: forces=2 records=3 msgs=6 (prep=3 vote=0 dec=3 ack=0 inq=0 resp=0 paxos=0)",
+            "coordinator T2: forces=1 records=2 msgs=5 (prep=3 vote=0 dec=2 ack=0 inq=0 resp=0 paxos=0)",
+            "participant S1 T1: forces=2 records=3 msgs=2 (prep=0 vote=1 dec=0 ack=1 inq=0 resp=0 paxos=0)",
+            "participant S1 T2: forces=2 records=3 msgs=2 (prep=0 vote=1 dec=0 ack=1 inq=0 resp=0 paxos=0)",
+            "participant S2 T1: forces=2 records=3 msgs=2 (prep=0 vote=1 dec=0 ack=1 inq=0 resp=0 paxos=0)",
+            "participant S2 T2: forces=0 records=0 msgs=1 (prep=0 vote=1 dec=0 ack=0 inq=0 resp=0 paxos=0)",
+            "participant S3 T1: forces=1 records=3 msgs=1 (prep=0 vote=1 dec=0 ack=0 inq=0 resp=0 paxos=0)",
+            "participant S3 T2: forces=2 records=3 msgs=2 (prep=0 vote=1 dec=0 ack=1 inq=0 resp=0 paxos=0)",
+            "total T1: forces=7 records=12 msgs=11 (prep=3 vote=3 dec=3 ack=2 inq=0 resp=0 paxos=0)",
+            "total T2: forces=5 records=8 msgs=10 (prep=3 vote=3 dec=2 ack=2 inq=0 resp=0 paxos=0)",
+        ],
+        "two interleaved transactions"
+    );
+
+    // Paxos Commit, f = 1: the leader is cut off from the participants
+    // and killed after deciding; acceptor rank 1 re-drives the commit.
+    let mut s = Scenario::paxos(2, 1);
+    s.add_txn(T, SimTime::from_millis(1));
+    for p in s.participant_sites() {
+        s.partitions.push((
+            coord(),
+            p,
+            SimTime::from_micros(1_300),
+            SimTime::from_millis(10_000),
+        ));
+    }
+    s.kills.push((coord(), SimTime::from_millis(2)));
+    let out = run_scenario(&s);
+    assert_eq!(
+        out.decided_by_site.get(&(site(3), T)),
+        Some(&Outcome::Commit)
+    );
+    assert!(check_atomicity(&out.history).is_empty());
+    assert_eq!(
+        cost_rows(&out),
+        [
+            "coordinator T1: forces=1 records=1 msgs=8 (prep=2 vote=0 dec=2 ack=0 inq=0 resp=0 paxos=4)",
+            "participant S1 T1: forces=2 records=3 msgs=4 (prep=0 vote=1 dec=0 ack=1 inq=2 resp=0 paxos=0)",
+            "participant S2 T1: forces=2 records=3 msgs=4 (prep=0 vote=1 dec=0 ack=1 inq=2 resp=0 paxos=0)",
+            "acceptor S3 T1: forces=3 records=4 msgs=9 (prep=0 vote=0 dec=2 ack=0 inq=0 resp=0 paxos=7)",
+            "acceptor S4 T1: forces=3 records=4 msgs=3 (prep=0 vote=0 dec=0 ack=0 inq=0 resp=0 paxos=3)",
+            "total T1: forces=11 records=15 msgs=28 (prep=2 vote=2 dec=4 ack=2 inq=4 resp=0 paxos=14)",
+        ],
+        "paxos f = 1, leader killed"
+    );
 }

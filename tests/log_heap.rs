@@ -1,14 +1,24 @@
-//! The data log's heap, as a tier-1 fact: a `FileLog` keeps no copy of
-//! its records. The file is the only one; the log holds its encode
-//! buffer, its counters and one frame offset (8 B) per live record, so
-//! a log the kernel never collects (a participant's data log) costs the
-//! heap about that per record and no more.
+//! What a commit leaves on the heap, as tier-1 facts.
+//!
+//! - The data log: a `FileLog` keeps no copy of its records. The file
+//!   is the only one; the log holds its encode buffer, its counters and
+//!   one frame offset (8 B) per live record, so a log the kernel never
+//!   collects (a participant's data log) costs the heap about that per
+//!   record and no more.
+//! - The engines (Definition 1, everything is eventually forgotten): a
+//!   coordinator and its participants whose logs are collected keep
+//!   only their decision memos per transaction — no protocol-table
+//!   entry, no log record and no per-transaction cost tally (costs are
+//!   observed by the harness, not kept by the engines).
 //!
 //! This binary's own allocator counts the live bytes of the thread
 //! that allocates them, like `tests/alloc_budget.rs` counts calls.
 
+mod common;
+
 use acp_wal::tempdir::TempDir;
 use acp_wal::{FileLog, StableLog};
+use common::engines::Engines;
 use presumed_any::prelude::*;
 use presumed_any::types::LogPayload;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -109,4 +119,53 @@ fn a_file_log_holds_at_most_one_offset_per_record_on_the_heap() {
     let records = log.records().unwrap();
     assert_eq!(records.len() as u64, BURST + RECORDS);
     assert_eq!(records.last().unwrap().payload, update(BURST + RECORDS - 1));
+}
+
+/// 10 000 PrAny commits over a PrN, a PrA and a PrC participant, the
+/// engines on `MemLog` as `tests/alloc_budget.rs` drives them, every log
+/// flushed and collected once per burst of 64 as the kernel does: what
+/// the heap keeps per transaction is the coordinator's `decisions` memo
+/// and each participant's `enforced` memo (≈ 84 B together). A
+/// per-transaction cost map in each of the four engines, the engines'
+/// own tally of their forces, records and messages, kept ≈ 600 B more.
+#[test]
+fn the_engines_keep_only_their_decision_memos_per_transaction() {
+    const BURST: u64 = 64;
+    const TXNS: u64 = 10_000;
+    // As the kernel hosts them: timers made obsolete are retired at
+    // once instead of left to fire, and every log is flushed and
+    // collected once per turn.
+    let mut engines = Engines::prany();
+    engines.coordinator.set_track_cancellations(true);
+    for p in &mut engines.participants {
+        p.set_track_cancellations(true);
+    }
+    let mut run = |txn: TxnId| {
+        engines.commit(txn);
+        if txn.raw().is_multiple_of(BURST) {
+            engines.coordinator.collect_garbage().expect("coordinator gc");
+            engines.coordinator.drain_cancelled_timers().for_each(drop);
+            for p in &mut engines.participants {
+                p.log_mut().flush().expect("flush");
+                p.collect_garbage().expect("participant gc");
+                p.drain_cancelled_timers().for_each(drop);
+            }
+        }
+    };
+
+    // A few bursts first, so every buffer and queue has its capacity.
+    for i in 1..=4 * BURST {
+        run(TxnId::new(i));
+    }
+    let before = live();
+    for i in 4 * BURST + 1..=4 * BURST + TXNS {
+        run(TxnId::new(i));
+    }
+    let per_txn = (live() - before) as f64 / TXNS as f64;
+    println!("engines: {per_txn:.1} live bytes per transaction");
+    assert!(
+        per_txn <= 200.0,
+        "the engines' heap grew {per_txn:.1} B per transaction (budget 200: the decision memos)"
+    );
+    assert_eq!(engines.coordinator.protocol_table_size(), 0);
 }
