@@ -344,25 +344,28 @@ impl<L: StableLog> Coordinator<L> {
             .collect()
     }
 
+    /// Append `payload` to the log and record the write. The log
+    /// encodes from the reference, so a caller may lend its own buffers
+    /// to the payload and take them back afterwards, whatever this
+    /// returns.
     pub(crate) fn append(
         &mut self,
         txn: TxnId,
-        payload: LogPayload,
+        payload: &LogPayload,
         force: bool,
         out: &mut Vec<Action>,
-    ) {
+    ) -> Result<(), WalError> {
         let kind = payload.kind_name();
         let lsn = self.log.next_lsn();
-        self.gc.note(lsn, &payload);
-        self.log
-            .append(payload, force)
-            .expect("coordinator log append");
+        self.gc.note(lsn, payload);
+        self.log.append_ref(payload, force)?;
         out.push(Action::Acta(ActaEvent::LogWrite {
             site: self.site,
             txn,
             kind,
             forced: force,
         }));
+        Ok(())
     }
 
     pub(crate) fn arm_timer(
@@ -409,24 +412,20 @@ impl<L: StableLog> Coordinator<L> {
         let participants = self.entries(sites);
         let plan = CommitPlan::derive(self.kind, &participants);
 
-        let mut logged_any = false;
-        if plan.write_initiation {
-            self.append(
-                txn,
-                LogPayload::Initiation {
-                    txn,
-                    participants: participants.clone(),
-                    mode: plan.mode,
-                },
-                true,
-                out,
-            );
-            logged_any = true;
-        }
-
-        for p in &participants {
-            out.push(Action::send(p.site, Payload::Prepare { txn }));
-        }
+        // The initiation record borrows the participant list for its
+        // append; the table entry gets the list back before a refused
+        // append panics.
+        let initiation = LogPayload::Initiation {
+            txn,
+            participants,
+            mode: plan.mode,
+        };
+        let appended = plan
+            .write_initiation
+            .then(|| self.append(txn, &initiation, true, out));
+        let LogPayload::Initiation { participants, .. } = initiation else {
+            unreachable!("built above")
+        };
         self.table.insert(
             txn,
             TxnState {
@@ -435,10 +434,17 @@ impl<L: StableLog> Coordinator<L> {
                 phase: Phase::Voting {
                     votes: BTreeMap::new(),
                 },
-                logged_any,
+                logged_any: plan.write_initiation,
                 timer: None,
             },
         );
+        appended
+            .transpose()
+            .expect("coordinator log append");
+
+        for &site in sites {
+            out.push(Action::send(site, Payload::Prepare { txn }));
+        }
         self.arm_timer(txn, TimerPurpose::VoteTimeout, 0, out);
     }
 
@@ -450,7 +456,7 @@ impl<L: StableLog> Coordinator<L> {
         // the shard, releasing its lock before appending/sending:
         // nothing below may re-enter the table while a shard is held.
         // The list goes back with the acknowledgment set at the end.
-        let (plan, participants, votes, vote_timer, mut logged_any) =
+        let (plan, mut participants, votes, vote_timer, mut logged_any) =
             self.table.with_mut(txn, |state| {
                 let state = state.expect("decide on tabled txn");
                 let deciding = Phase::Deciding {
@@ -470,17 +476,6 @@ impl<L: StableLog> Coordinator<L> {
                     state.logged_any,
                 )
             });
-        // Recipients: everyone except unilateral aborters (voted "No")
-        // and read-only voters, both of which dropped out of phase two.
-        // Participants whose vote has not arrived are *included*: they
-        // may be prepared, so the decision (and its acknowledgment
-        // bookkeeping) must reach them.
-        let recipients = || {
-            let dropped_out = |p: &&ParticipantEntry| {
-                matches!(votes.get(&p.site), Some(Vote::No | Vote::ReadOnly))
-            };
-            participants.iter().filter(move |p| !dropped_out(p))
-        };
 
         self.decisions.insert(txn, outcome);
         out.push(Action::Acta(ActaEvent::Decide {
@@ -495,26 +490,37 @@ impl<L: StableLog> Coordinator<L> {
         // phase two (the read-only optimization: an all-read-only
         // transaction commits with no decision record and no decision
         // messages).
-        if recipients().next().is_some() {
+        let mut appended = Ok(());
+        if recipients(&participants, &votes).next().is_some() {
             if let Some(forced) = plan.decision_record(outcome) {
-                let rec_participants = if plan.write_initiation {
+                // Without an initiation record the decision record lists
+                // the participants: the list is lent to it for the append.
+                let listed = if plan.write_initiation {
                     Vec::new()
                 } else {
-                    participants.clone()
+                    std::mem::take(&mut participants)
                 };
-                self.append(
+                let record = LogPayload::CoordDecision {
                     txn,
-                    LogPayload::CoordDecision {
-                        txn,
-                        outcome,
-                        participants: rec_participants,
-                    },
-                    forced,
-                    out,
-                );
+                    outcome,
+                    participants: listed,
+                };
+                appended = self.append(txn, &record, forced, out);
+                let LogPayload::CoordDecision {
+                    participants: listed,
+                    ..
+                } = record
+                else {
+                    unreachable!("built above")
+                };
+                if !plan.write_initiation {
+                    participants = listed;
+                }
                 logged_any = true;
             }
-            for p in recipients() {
+            // A refused append panics below, once the table has its
+            // list back, so these are never carried out.
+            for p in recipients(&participants, &votes) {
                 out.push(Action::send(p.site, Payload::Decision { txn, outcome }));
             }
         }
@@ -522,7 +528,7 @@ impl<L: StableLog> Coordinator<L> {
         // Inserted one by one: collecting a set sorts through a
         // temporary `Vec` first.
         let mut pending = BTreeSet::new();
-        for p in recipients().filter(|p| plan.awaits_ack(outcome, p)) {
+        for p in recipients(&participants, &votes).filter(|p| plan.awaits_ack(outcome, p)) {
             pending.insert(p.site);
         }
         let finished = pending.is_empty();
@@ -534,6 +540,7 @@ impl<L: StableLog> Coordinator<L> {
                 *slot = pending;
             }
         });
+        appended.expect("coordinator log append");
         if finished {
             self.finish(txn, out);
         } else {
@@ -550,7 +557,8 @@ impl<L: StableLog> Coordinator<L> {
         // re-send, typically) is dead weight from here on.
         self.retire_timer(state.timer);
         if state.logged_any {
-            self.append(txn, LogPayload::End { txn }, false, out);
+            self.append(txn, &LogPayload::End { txn }, false, out)
+                .expect("coordinator log append");
         }
         out.push(Action::Acta(ActaEvent::DeletePt {
             coordinator: self.site,
@@ -863,6 +871,20 @@ impl<L: StableLog> Coordinator<L> {
             });
         }
     }
+}
+
+/// Phase two's recipients: everyone except unilateral aborters (voted
+/// "No") and read-only voters, both of which dropped out of it.
+/// Participants whose vote has not arrived are *included*: they may be
+/// prepared, so the decision (and its acknowledgment bookkeeping) must
+/// reach them.
+fn recipients<'a>(
+    participants: &'a [ParticipantEntry],
+    votes: &'a BTreeMap<SiteId, Vote>,
+) -> impl Iterator<Item = &'a ParticipantEntry> {
+    participants
+        .iter()
+        .filter(|p| !matches!(votes.get(&p.site), Some(Vote::No | Vote::ReadOnly)))
 }
 
 #[cfg(test)]

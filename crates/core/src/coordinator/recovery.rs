@@ -102,7 +102,8 @@ impl<L: StableLog> Coordinator<L> {
         if pending.is_empty() {
             // Nothing owed (e.g. a committed PrC transaction): close out
             // with an end record so the log can be garbage collected.
-            self.append(txn, LogPayload::End { txn }, false, out);
+            self.append(txn, &LogPayload::End { txn }, false, out)
+                .expect("coordinator log append");
             out.push(Action::Acta(ActaEvent::DeletePt {
                 coordinator: self.site,
                 txn,

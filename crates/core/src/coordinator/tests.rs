@@ -1143,3 +1143,55 @@ mod gc {
         }
     }
 }
+
+/// The records that borrow the participant list give it back whatever
+/// the append returns: after a refused force the table entry still
+/// lists every participant.
+mod lending {
+    use super::*;
+    use acp_wal::{Fault, FaultyLog};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    fn refusing(kind: CoordinatorKind, protos: &[ProtocolKind]) -> Coordinator<FaultyLog> {
+        let mut c = Coordinator::new(SiteId::new(0), kind, FaultyLog::new());
+        for (i, &p) in protos.iter().enumerate() {
+            c.register_site(SiteId::new(i as u32 + 1), p);
+        }
+        c.log.inject(Fault::WriteError { after_bytes: 0 });
+        c
+    }
+
+    fn listed(c: &Coordinator<FaultyLog>) -> Vec<ParticipantEntry> {
+        c.table
+            .with(t(), |s| s.expect("tabled").participants.clone())
+    }
+
+    #[test]
+    fn a_refused_initiation_record_leaves_the_list_in_the_table() {
+        let kind = CoordinatorKind::PrAny(SelectionPolicy::PaperStrict);
+        let protos = [ProtocolKind::PrA, ProtocolKind::PrC];
+        let mut c = refusing(kind, &protos);
+        let refused = catch_unwind(AssertUnwindSafe(|| c.begin_commit(t(), &sites(2))));
+        assert!(refused.is_err(), "the initiation force was refused");
+        assert_eq!(c.log.faults_applied(), 1);
+        assert_eq!(listed(&c), c.entries(&sites(2)));
+    }
+
+    #[test]
+    fn a_refused_decision_record_leaves_the_list_in_the_table() {
+        // PrN writes no initiation record, so its forced decision
+        // record is the one that lists the participants.
+        let kind = CoordinatorKind::Single(ProtocolKind::PrN);
+        let mut c = refusing(kind, &[ProtocolKind::PrN; 2]);
+        c.begin_commit(t(), &sites(2));
+        let yes = Payload::Vote {
+            txn: t(),
+            vote: Vote::Yes,
+        };
+        c.on_message(SiteId::new(1), &yes);
+        let refused = catch_unwind(AssertUnwindSafe(|| c.on_message(SiteId::new(2), &yes)));
+        assert!(refused.is_err(), "the decision force was refused");
+        assert_eq!(c.log.faults_applied(), 1);
+        assert_eq!(listed(&c), c.entries(&sites(2)));
+    }
+}

@@ -272,14 +272,16 @@ impl<L: StableLog> GatewayParticipant<L> {
 
     /// Buffer a write for `txn` (the MDBS routes the operation through
     /// the gateway instead of the legacy interface — the "rerouting"
-    /// leaf of the taxonomy).
-    pub fn stage_write(&mut self, txn: TxnId, key: &[u8], value: &[u8]) {
+    /// leaf of the taxonomy). The gateway takes ownership of key and
+    /// value, as the storage engine's `put` does: a `Vec` passed in is
+    /// kept, not copied.
+    pub fn stage_write(&mut self, txn: TxnId, key: impl Into<Vec<u8>>, value: impl Into<Vec<u8>>) {
         let t = self.txns.entry(txn).or_insert(GatewayTxn {
             phase: GatewayPhase::Collecting,
             writes: Vec::new(),
         });
         if t.phase == GatewayPhase::Collecting {
-            t.writes.push((key.to_vec(), value.to_vec()));
+            t.writes.push((key.into(), value.into()));
         }
     }
 

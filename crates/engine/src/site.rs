@@ -58,29 +58,39 @@ impl<L: StableLog> SiteEngine<L> {
         self.locks.acquire(txn, key, LockMode::Shared)?;
         let ctx = self.txns.get_mut(&txn).expect("checked above");
         ctx.reads.push(key.to_vec());
-        Ok(match ctx.own_view(key) {
-            Some(w) => w.after.clone(),
-            None => self.store.get(key).map(<[u8]>::to_vec),
-        })
+        let value = match ctx.own_view(key) {
+            Some(w) => w.after.as_deref(),
+            None => self.store.get(key),
+        };
+        Ok(value.map(<[u8]>::to_vec))
     }
 
-    /// Transactional write (upsert).
-    pub fn put(&mut self, txn: TxnId, key: &[u8], value: &[u8]) -> Result<(), EngineError> {
-        self.write(txn, key, Some(value.to_vec()))
+    /// Transactional write (upsert). The engine takes ownership of key
+    /// and value: the write set holds these buffers, prepare lends them
+    /// to the log records it appends, and a commit hands them to the
+    /// store, so a `Vec` passed in is never copied. A borrowed slice is
+    /// copied once, here.
+    pub fn put(
+        &mut self,
+        txn: TxnId,
+        key: impl Into<Vec<u8>>,
+        value: impl Into<Vec<u8>>,
+    ) -> Result<(), EngineError> {
+        self.write(txn, key.into(), Some(value.into()))
     }
 
     /// Transactional delete.
-    pub fn delete(&mut self, txn: TxnId, key: &[u8]) -> Result<(), EngineError> {
-        self.write(txn, key, None)
+    pub fn delete(&mut self, txn: TxnId, key: impl Into<Vec<u8>>) -> Result<(), EngineError> {
+        self.write(txn, key.into(), None)
     }
 
-    fn write(&mut self, txn: TxnId, key: &[u8], after: Option<Vec<u8>>) -> Result<(), EngineError> {
+    fn write(&mut self, txn: TxnId, key: Vec<u8>, after: Option<Vec<u8>>) -> Result<(), EngineError> {
         let ctx = self.txns.get(&txn).ok_or(EngineError::UnknownTxn(txn))?;
         if ctx.phase != TxnPhase::Active {
             return Err(EngineError::WrongPhase { txn, op: "write" });
         }
-        self.locks.acquire(txn, key, LockMode::Exclusive)?;
-        let before = self.store.get(key).map(<[u8]>::to_vec);
+        self.locks.acquire(txn, &key, LockMode::Exclusive)?;
+        let before = self.store.get(&key).map(<[u8]>::to_vec);
         let ctx = self.txns.get_mut(&txn).expect("checked above");
         ctx.buffer_write(key, before, after);
         Ok(())
@@ -120,7 +130,7 @@ impl<L: StableLog> SiteEngine<L> {
     }
 
     fn stage_prepare(&mut self, txn: TxnId) -> Result<(), EngineError> {
-        let ctx = self.txns.get(&txn).ok_or(EngineError::UnknownTxn(txn))?;
+        let ctx = self.txns.get_mut(&txn).ok_or(EngineError::UnknownTxn(txn))?;
         if ctx.phase != TxnPhase::Active {
             return Err(EngineError::WrongPhase { txn, op: "prepare" });
         }
@@ -129,15 +139,24 @@ impl<L: StableLog> SiteEngine<L> {
                 .entry(txn)
                 .or_insert_with(|| self.log.next_lsn());
         }
-        for (key, w) in &ctx.writes {
-            let (key, before, after) = (key.clone(), w.before.clone(), w.after.clone());
+        // Each write lends its buffers to its update record for the
+        // append and takes them back, whatever the append returns.
+        for w in &mut ctx.writes {
             let update = LogPayload::Update {
                 txn,
-                key,
-                before,
-                after,
+                key: std::mem::take(&mut w.key),
+                before: w.before.take(),
+                after: w.after.take(),
             };
-            self.log.append(update, false)?;
+            let appended = self.log.append_ref(&update, false);
+            let LogPayload::Update {
+                key, before, after, ..
+            } = update
+            else {
+                unreachable!("built above")
+            };
+            (w.key, w.before, w.after) = (key, before, after);
+            appended?;
         }
         Ok(())
     }
@@ -170,8 +189,8 @@ impl<L: StableLog> SiteEngine<L> {
         if outcome == Outcome::Commit {
             // The context is done with its write set: the store takes
             // the buffers over.
-            for (key, w) in ctx.writes {
-                self.store.install(key, w.after);
+            for w in ctx.writes {
+                self.store.install(w.key, w.after);
             }
         }
         Ok(())
@@ -179,7 +198,7 @@ impl<L: StableLog> SiteEngine<L> {
 
     /// Release every lock `txn` holds: each is on a key it wrote or read.
     fn release_locks(&mut self, txn: TxnId, ctx: &TxnContext) {
-        for key in ctx.writes.keys().chain(&ctx.reads) {
+        for key in ctx.writes.iter().map(|w| &w.key).chain(&ctx.reads) {
             self.locks.release(txn, key);
         }
     }
@@ -331,15 +350,15 @@ impl<L: StableLog> SiteEngine<L> {
         for &(_, txn, outcome) in &markers {
             resolved.insert(txn, outcome);
         }
+        // The store takes the decoded images over: each write set is
+        // redone once, at its transaction's first commit marker.
         for &(lsn, txn, outcome) in &markers {
             if checkpoint_lsn.is_some_and(|c| lsn < c) {
                 continue; // reflected in the snapshot
             }
             if outcome == Outcome::Commit {
-                if let Some(ws) = updates.get(&txn) {
-                    for (key, _, after) in ws {
-                        self.store.apply(key, after.as_deref());
-                    }
+                for (key, _, after) in updates.remove(&txn).unwrap_or_default() {
+                    self.store.install(key, after);
                 }
             }
         }
@@ -350,18 +369,17 @@ impl<L: StableLog> SiteEngine<L> {
             }
             if let RecoveredOutcome::Decided(outcome) = ro {
                 resolved.insert(txn, outcome);
+                let Some(ws) = updates.remove(&txn) else {
+                    continue;
+                };
                 if outcome == Outcome::Commit {
-                    if let Some(ws) = updates.get(&txn) {
-                        for (key, _, after) in ws {
-                            self.store.apply(key, after.as_deref());
-                        }
+                    for (key, _, after) in ws {
+                        self.store.install(key, after);
                     }
                 }
                 // Re-write the redo marker lost in the crash.
-                if updates.contains_key(&txn) {
-                    self.log
-                        .append(LogPayload::PartDecision { txn, outcome }, false)?;
-                }
+                self.log
+                    .append(LogPayload::PartDecision { txn, outcome }, false)?;
             }
         }
 
@@ -370,12 +388,12 @@ impl<L: StableLog> SiteEngine<L> {
             if ro == RecoveredOutcome::InDoubt && !resolved.contains_key(&txn) {
                 let mut ctx = TxnContext::new(txn);
                 ctx.phase = TxnPhase::Prepared;
-                if let Some(ws) = updates.get(&txn) {
+                if let Some(ws) = updates.remove(&txn) {
                     for (key, before, after) in ws {
                         self.locks
-                            .acquire(txn, key, LockMode::Exclusive)
+                            .acquire(txn, &key, LockMode::Exclusive)
                             .expect("recovery lock acquisition cannot conflict");
-                        ctx.buffer_write(key, before.clone(), after.clone());
+                        ctx.buffer_write(key, before, after);
                     }
                     if let Some(&first) = first_positions.get(&txn) {
                         self.first_lsn.insert(txn, first);
@@ -574,6 +592,65 @@ mod tests {
         let mut e = engine();
         e.resolve(t(9), Outcome::Commit).unwrap();
         e.resolve(t(9), Outcome::Abort).unwrap();
+    }
+}
+
+#[cfg(test)]
+mod lending_tests {
+    use super::*;
+    use acp_wal::{Fault, FaultyLog};
+
+    fn t(n: u64) -> TxnId {
+        TxnId::new(n)
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// A data log's bytes after a commit of `a`, then a prepare that
+    /// writes `b` and rewrites `a` (a before image), as the engine
+    /// wrote them when prepare still copied each write into its record.
+    const PREPARED_IMAGE: &str = concat!(
+        "484c4157010000000000000000000000", // header
+        "524c4157150000000000000000000000000701000000000000000100000061000101000000311ccbcafe", // update(T1, a: none -> 1)
+        "524c41570a00000001000000000000000005010000000000000000d4eb3fb9", // part-commit(T1)
+        "524c41571a000000020000000000000000070200000000000000010000006101010000003101010000003397017572", // update(T2, a: 1 -> 3)
+        "524c41571500000003000000000000000007020000000000000001000000620001010000003297f54402", // update(T2, b: none -> 2)
+        "524c41570a00000004000000000000000005020000000000000000ab5a38be", // part-commit(T2)
+    );
+
+    #[test]
+    fn a_refused_prepare_gives_the_write_set_back() {
+        let mut e = SiteEngine::new(FaultyLog::new());
+        e.log.inject(Fault::WriteError { after_bytes: 0 });
+        e.begin(t(1));
+        e.put(t(1), b"b".to_vec(), b"2".to_vec()).unwrap();
+        e.put(t(1), b"a".to_vec(), b"1".to_vec()).unwrap();
+        assert!(e.prepare(t(1)).is_err(), "the force was refused");
+        assert_eq!(e.log.faults_applied(), 1);
+        assert_eq!(e.get(t(1), b"a").unwrap().as_deref(), Some(b"1".as_slice()));
+        assert_eq!(e.get(t(1), b"b").unwrap().as_deref(), Some(b"2".as_slice()));
+        e.abort_active(t(1)).unwrap();
+        assert_eq!(e.locked_keys(), 0);
+    }
+
+    #[test]
+    fn a_prepare_writes_each_image_once_and_as_before() {
+        let mut e = SiteEngine::new(FaultyLog::new());
+        e.begin(t(1));
+        e.put(t(1), b"a", b"1").unwrap();
+        e.prepare(t(1)).unwrap();
+        e.resolve(t(1), Outcome::Commit).unwrap();
+        e.begin(t(2));
+        e.put(t(2), b"b", b"2").unwrap();
+        e.put(t(2), b"a", b"3").unwrap();
+        e.prepare(t(2)).unwrap();
+        e.resolve(t(2), Outcome::Commit).unwrap();
+        e.flush_log().unwrap();
+        assert_eq!(hex(e.log().image()), PREPARED_IMAGE);
+        assert_eq!(e.committed_get(b"a"), Some(b"3".as_slice()));
+        assert_eq!(e.committed_get(b"b"), Some(b"2".as_slice()));
     }
 }
 

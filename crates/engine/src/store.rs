@@ -24,20 +24,8 @@ impl KvStore {
         self.map.get(key).map(Vec::as_slice)
     }
 
-    /// Apply a committed update: `Some(v)` upserts, `None` deletes.
-    pub fn apply(&mut self, key: &[u8], value: Option<&[u8]>) {
-        match value {
-            Some(v) => {
-                self.map.insert(key.to_vec(), v.to_vec());
-            }
-            None => {
-                self.map.remove(key);
-            }
-        }
-    }
-
-    /// [`KvStore::apply`] for a write the caller is done with: the
-    /// store takes over the buffers instead of copying them.
+    /// Install a committed update: `Some(v)` upserts, `None` deletes.
+    /// The store takes over the buffers; nothing is copied.
     pub fn install(&mut self, key: Vec<u8>, value: Option<Vec<u8>>) {
         match value {
             Some(v) => {
@@ -74,12 +62,12 @@ mod tests {
     #[test]
     fn upsert_and_delete() {
         let mut s = KvStore::new();
-        s.apply(b"a", Some(b"1"));
-        s.apply(b"b", Some(b"2"));
+        s.install(b"a".to_vec(), Some(b"1".to_vec()));
+        s.install(b"b".to_vec(), Some(b"2".to_vec()));
         assert_eq!(s.get(b"a"), Some(b"1".as_slice()));
-        s.apply(b"a", Some(b"9"));
+        s.install(b"a".to_vec(), Some(b"9".to_vec()));
         assert_eq!(s.get(b"a"), Some(b"9".as_slice()));
-        s.apply(b"a", None);
+        s.install(b"a".to_vec(), None);
         assert_eq!(s.get(b"a"), None);
         assert_eq!(s.len(), 1);
     }
@@ -87,8 +75,8 @@ mod tests {
     #[test]
     fn iteration_is_key_ordered() {
         let mut s = KvStore::new();
-        s.apply(b"c", Some(b"3"));
-        s.apply(b"a", Some(b"1"));
+        s.install(b"c".to_vec(), Some(b"3".to_vec()));
+        s.install(b"a".to_vec(), Some(b"1".to_vec()));
         let keys: Vec<&[u8]> = s.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec![b"a".as_slice(), b"c".as_slice()]);
     }

@@ -1,7 +1,6 @@
 //! Transaction contexts: buffered write sets and lifecycle phases.
 
 use acp_types::TxnId;
-use std::collections::BTreeMap;
 
 /// Lifecycle of a local subtransaction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -13,10 +12,13 @@ pub enum TxnPhase {
     Prepared,
 }
 
-/// A buffered update: before image (for audit/undo information in the
-/// log) and after image (the new value; `None` deletes).
+/// A buffered update of one key: before image (for audit/undo
+/// information in the log) and after image (the new value; `None`
+/// deletes).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BufferedWrite {
+    /// The key written.
+    pub key: Vec<u8>,
     /// Value before this transaction's first write to the key.
     pub before: Option<Vec<u8>>,
     /// Value after (None = delete).
@@ -30,9 +32,10 @@ pub struct TxnContext {
     pub id: TxnId,
     /// Current phase.
     pub phase: TxnPhase,
-    /// Buffered writes, keyed by key. Later writes to the same key keep
-    /// the original before image.
-    pub writes: BTreeMap<Vec<u8>, BufferedWrite>,
+    /// Buffered writes, one per key, in key order. Later writes to the
+    /// same key keep the original before image. A vector, not a map,
+    /// so that prepare can lend each write's buffers to its log record.
+    pub writes: Vec<BufferedWrite>,
     /// Keys read under a shared lock. With the write set, every key
     /// this transaction may hold a lock on — what termination releases.
     pub reads: Vec<Vec<u8>>,
@@ -45,19 +48,17 @@ impl TxnContext {
         TxnContext {
             id,
             phase: TxnPhase::Active,
-            writes: BTreeMap::new(),
+            writes: Vec::new(),
             reads: Vec::new(),
         }
     }
 
-    /// Buffer a write. `before` is the committed value at first touch.
-    pub fn buffer_write(&mut self, key: &[u8], before: Option<Vec<u8>>, after: Option<Vec<u8>>) {
-        match self.writes.get_mut(key) {
-            Some(w) => w.after = after, // keep original before image
-            None => {
-                self.writes
-                    .insert(key.to_vec(), BufferedWrite { before, after });
-            }
+    /// Buffer a write, taking over its buffers. `before` is the
+    /// committed value at first touch.
+    pub fn buffer_write(&mut self, key: Vec<u8>, before: Option<Vec<u8>>, after: Option<Vec<u8>>) {
+        match self.position(&key) {
+            Ok(i) => self.writes[i].after = after, // keep original before image
+            Err(i) => self.writes.insert(i, BufferedWrite { key, before, after }),
         }
     }
 
@@ -65,7 +66,12 @@ impl TxnContext {
     /// `None` (caller falls back to the store).
     #[must_use]
     pub fn own_view(&self, key: &[u8]) -> Option<&BufferedWrite> {
-        self.writes.get(key)
+        self.position(key).ok().map(|i| &self.writes[i])
+    }
+
+    /// Where `key`'s write is (`Ok`) or would go (`Err`).
+    fn position(&self, key: &[u8]) -> Result<usize, usize> {
+        self.writes.binary_search_by(|w| w.key.as_slice().cmp(key))
     }
 
     /// Is the write set empty (a read-only transaction)?
@@ -82,8 +88,8 @@ mod tests {
     #[test]
     fn rewrites_keep_first_before_image() {
         let mut t = TxnContext::new(TxnId::new(1));
-        t.buffer_write(b"k", Some(b"old".to_vec()), Some(b"v1".to_vec()));
-        t.buffer_write(b"k", Some(b"v1".to_vec()), Some(b"v2".to_vec()));
+        t.buffer_write(b"k".to_vec(), Some(b"old".to_vec()), Some(b"v1".to_vec()));
+        t.buffer_write(b"k".to_vec(), Some(b"v1".to_vec()), Some(b"v2".to_vec()));
         let w = t.own_view(b"k").unwrap();
         assert_eq!(w.before.as_deref(), Some(b"old".as_slice()));
         assert_eq!(w.after.as_deref(), Some(b"v2".as_slice()));
@@ -93,7 +99,7 @@ mod tests {
     fn read_only_detection() {
         let mut t = TxnContext::new(TxnId::new(1));
         assert!(t.is_read_only());
-        t.buffer_write(b"k", None, Some(b"v".to_vec()));
+        t.buffer_write(b"k".to_vec(), None, Some(b"v".to_vec()));
         assert!(!t.is_read_only());
     }
 }

@@ -48,7 +48,7 @@ use acp_obs::{ProtoLabel, ProtocolEvent, TraceSink};
 use acp_types::{Message, Outcome, Payload, SiteId, TxnId, Vote};
 use acp_wal::{DomainStats, FileLog, FsyncDomain, GroupCommitLog, GroupCommitStats};
 use crossbeam::channel::{Receiver, Sender};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -140,8 +140,10 @@ struct SiteHost {
     /// the records it rests on are durable, and a crash takes both along.
     deferred_sends: Vec<Message>,
     deferred_acta: Vec<ActaEvent>,
-    /// Engine timer token → wheel entry, for cancellation.
-    timer_ids: BTreeMap<u64, TimerId>,
+    /// Engine timer token → wheel entry, for cancellation. A hash map
+    /// keeps its capacity as timers come and go, so a steady turn
+    /// allocates nothing for it; nothing iterates it.
+    timer_ids: HashMap<u64, TimerId>,
     /// Suppress crash/recover *observability* (ACTA events + trace
     /// lines) for this engine. Set on every coordinator slice except
     /// slice 0: the N slices are one logical site 0, and a broadcast
@@ -561,7 +563,7 @@ impl<T: Transport> Kernel<T> {
                 last_decision_us: None,
                 deferred_sends: Vec::new(),
                 deferred_acta: Vec::new(),
-                timer_ids: BTreeMap::new(),
+                timer_ids: HashMap::new(),
                 quiet: site == COORDINATOR && slice != 0,
             };
             if existed {
@@ -765,14 +767,15 @@ impl<T: Transport> Kernel<T> {
                 }
             }
             _ if st.host.is_down(now) => {} // omission: dropped
+            // The envelope's buffers move into the write set.
             Envelope::Apply { txn, key, value } => match (&mut st.data, &mut st.engine) {
                 (Some(d), _) => {
                     d.storage.begin(txn);
-                    if d.storage.put(txn, &key, &value).is_err() {
+                    if d.storage.put(txn, key, value).is_err() {
                         d.poisoned.insert(txn);
                     }
                 }
-                (None, AnyEngine::Gateway(g)) => g.stage_write(txn, &key, &value),
+                (None, AnyEngine::Gateway(g)) => g.stage_write(txn, key, value),
                 (None, _) => {}
             },
             Envelope::SetIntent { txn, vote } => {

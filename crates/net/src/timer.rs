@@ -12,13 +12,19 @@
 //! `(SiteId, engine token, purpose)`) and deterministic: `advance`
 //! yields due timers ordered by (deadline tick, arm order), never by
 //! hash-slot accident.
+//!
+//! A [`TimerId`] carries the slot its entry sits in, so cancelling
+//! scans that one slot and the wheel keeps no per-timer index.
 
-use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-/// Handle returned by [`TimerWheel::arm`], used to cancel.
+/// Handle returned by [`TimerWheel::arm`], used to cancel: the timer's
+/// arm-order id and its slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct TimerId(u64);
+pub struct TimerId {
+    id: u64,
+    slot: u32,
+}
 
 /// Number of wheel slots. One lap at the default granularity covers
 /// ~512 ms; longer delays (backed-off retries cap at 5 s) park in
@@ -28,6 +34,11 @@ pub const WHEEL_SLOTS: usize = 512;
 /// Default tick granularity: 1 ms, matching the resolution
 /// [`NetDelays`](crate::NetDelays) are specified in.
 pub const WHEEL_TICK: Duration = Duration::from_millis(1);
+
+/// The slot a deadline tick hashes to.
+fn slot_of(tick: u64) -> u32 {
+    (tick % WHEEL_SLOTS as u64) as u32
+}
 
 #[derive(Clone, Debug)]
 struct Entry<K> {
@@ -40,8 +51,8 @@ struct Entry<K> {
 #[derive(Debug)]
 pub struct TimerWheel<K> {
     slots: Vec<Vec<Entry<K>>>,
-    /// id → slot index, so `cancel` is a lookup, not a wheel scan.
-    index: BTreeMap<u64, usize>,
+    /// Armed timers not yet fired or cancelled.
+    live: usize,
     tick: Duration,
     /// Wheel epoch: tick 0 is `t0`.
     t0: Instant,
@@ -57,7 +68,7 @@ impl<K> TimerWheel<K> {
     pub fn new(t0: Instant) -> Self {
         TimerWheel {
             slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            index: BTreeMap::new(),
+            live: 0,
             tick: WHEEL_TICK,
             t0,
             cursor: 0,
@@ -68,13 +79,13 @@ impl<K> TimerWheel<K> {
     /// Armed timers not yet fired or cancelled.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.live
     }
 
     /// Is the wheel empty?
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.live == 0
     }
 
     fn tick_of(&self, at: Instant) -> u64 {
@@ -90,24 +101,21 @@ impl<K> TimerWheel<K> {
         let fire_tick = self.tick_of(fire_at).max(self.cursor);
         let id = self.next_id;
         self.next_id += 1;
-        let slot = (fire_tick % WHEEL_SLOTS as u64) as usize;
-        self.slots[slot].push(Entry { id, fire_tick, key });
-        self.index.insert(id, slot);
-        TimerId(id)
+        let slot = slot_of(fire_tick);
+        self.slots[slot as usize].push(Entry { id, fire_tick, key });
+        self.live += 1;
+        TimerId { id, slot }
     }
 
     /// Cancel an armed timer. Returns `false` when the id already fired
     /// or was cancelled (cancellation is idempotent).
     pub fn cancel(&mut self, id: TimerId) -> bool {
-        let Some(slot) = self.index.remove(&id.0) else {
+        let bucket = &mut self.slots[id.slot as usize];
+        let Some(pos) = bucket.iter().position(|e| e.id == id.id) else {
             return false;
         };
-        let bucket = &mut self.slots[slot];
-        let pos = bucket
-            .iter()
-            .position(|e| e.id == id.0)
-            .expect("indexed entry present");
         bucket.swap_remove(pos);
+        self.live -= 1;
         true
     }
 
@@ -117,15 +125,10 @@ impl<K> TimerWheel<K> {
         let mut removed = 0;
         for slot in &mut self.slots {
             let before = slot.len();
-            slot.retain(|e| {
-                let hit = pred(&e.key);
-                if hit {
-                    self.index.remove(&e.id);
-                }
-                !hit
-            });
+            slot.retain(|e| !pred(&e.key));
             removed += before - slot.len();
         }
+        self.live -= removed;
         removed
     }
 
@@ -147,7 +150,7 @@ impl<K> TimerWheel<K> {
         let mut due: Vec<Entry<K>> = Vec::new();
         let span = (done - self.cursor + 1).min(WHEEL_SLOTS as u64);
         for step in 0..span {
-            let slot = ((self.cursor + step) % WHEEL_SLOTS as u64) as usize;
+            let slot = slot_of(self.cursor + step) as usize;
             let bucket = &mut self.slots[slot];
             let mut i = 0;
             while i < bucket.len() {
@@ -159,11 +162,14 @@ impl<K> TimerWheel<K> {
             }
         }
         self.cursor = done + 1;
-        for e in &due {
-            self.index.remove(&e.id);
-        }
+        self.live -= due.len();
         due.sort_by_key(|e| (e.fire_tick, e.id));
-        due.into_iter().map(|e| (TimerId(e.id), e.key)).collect()
+        due.into_iter()
+            .map(|e| {
+                let slot = slot_of(e.fire_tick);
+                (TimerId { id: e.id, slot }, e.key)
+            })
+            .collect()
     }
 
     /// Earliest pending deadline, if any (a full-wheel scan — O(slots +
@@ -229,6 +235,21 @@ mod tests {
         let due = wheel.advance(t0 + ms(20));
         assert_eq!(due, vec![(keep, 1u32)]);
         assert!(!wheel.cancel(keep), "already fired");
+    }
+
+    #[test]
+    fn a_cancel_removes_its_own_entry_from_a_shared_slot() {
+        let t0 = Instant::now();
+        let mut wheel = TimerWheel::new(t0);
+        // One lap apart: both hash to slot 5.
+        let near = wheel.arm(t0 + ms(5), "near");
+        let far = wheel.arm(t0 + ms(5 + WHEEL_SLOTS as u64), "far");
+        assert!(wheel.cancel(far));
+        assert_eq!(wheel.len(), 1);
+        let due = wheel.advance(t0 + ms(2 * WHEEL_SLOTS as u64));
+        assert_eq!(due, vec![(near, "near")]);
+        assert!(wheel.is_empty());
+        assert!(!wheel.cancel(near), "already fired");
     }
 
     #[test]

@@ -328,14 +328,14 @@ impl<S: Store> FramedLog<S> {
 }
 
 impl<S: Store> StableLog for FramedLog<S> {
-    fn append(&mut self, payload: LogPayload, force: bool) -> Result<Lsn, WalError> {
+    fn append_ref(&mut self, payload: &LogPayload, force: bool) -> Result<Lsn, WalError> {
         let lsn = self.next;
         self.next = self.next.next();
         self.stats.appends += 1;
         self.offsets
             .push_back(self.frames_end() + self.buffer.len() as u64);
         self.buffered += 1;
-        encode_frame_into(&mut self.buffer, lsn, force, &payload);
+        encode_frame_into(&mut self.buffer, lsn, force, payload);
         if force {
             self.stats.forces += 1;
             self.write_out()?;

@@ -192,16 +192,21 @@ impl<L: StableLog> GroupCommitLog<L> {
         }
     }
 
-    /// The batched forced-append path. In passthrough mode this is a
-    /// plain forced append; in windowed mode the force happens
-    /// immediately but joins the open accounting window; in deferred
-    /// mode the record is staged until [`GroupCommitLog::commit_batch`].
-    pub fn append_forced_batched(&mut self, payload: LogPayload) -> Result<Lsn, WalError> {
+    /// The batched forced-append path, around `append(inner, force)`,
+    /// which appends the record with the force the mode asks for. In
+    /// passthrough mode this is a plain forced append; in windowed mode
+    /// the force happens immediately but joins the open accounting
+    /// window; in deferred mode the record is staged until
+    /// [`GroupCommitLog::commit_batch`].
+    fn force_batched(
+        &mut self,
+        append: impl FnOnce(&mut L, bool) -> Result<Lsn, WalError>,
+    ) -> Result<Lsn, WalError> {
         self.logical_forces += 1;
         match self.mode {
-            Mode::Passthrough => self.inner.append(payload, true),
+            Mode::Passthrough => append(&mut self.inner, true),
             Mode::Windowed { window_us } => {
-                let lsn = self.inner.append(payload, true)?;
+                let lsn = append(&mut self.inner, true)?;
                 match &mut self.open {
                     Some((opened, occ)) if self.now_us <= opened.saturating_add(window_us) => {
                         *occ += 1;
@@ -214,7 +219,7 @@ impl<L: StableLog> GroupCommitLog<L> {
                 Ok(lsn)
             }
             Mode::Deferred => {
-                let lsn = self.inner.append(payload, false)?;
+                let lsn = append(&mut self.inner, false)?;
                 match &mut self.open {
                     Some((_, occ)) => *occ += 1,
                     None => self.open = Some((self.now_us, 1)),
@@ -266,9 +271,17 @@ impl<L: StableLog> GroupCommitLog<L> {
 }
 
 impl<L: StableLog> StableLog for GroupCommitLog<L> {
+    fn append_ref(&mut self, payload: &LogPayload, force: bool) -> Result<Lsn, WalError> {
+        if force {
+            self.force_batched(|log, force| log.append_ref(payload, force))
+        } else {
+            self.inner.append_ref(payload, false)
+        }
+    }
+
     fn append(&mut self, payload: LogPayload, force: bool) -> Result<Lsn, WalError> {
         if force {
-            self.append_forced_batched(payload)
+            self.force_batched(|log, force| log.append(payload, force))
         } else {
             self.inner.append(payload, false)
         }
@@ -486,12 +499,12 @@ mod tests {
     fn windowed_coalesces_forces_within_window() {
         let mut log = GroupCommitLog::windowed(MemLog::new(), 100);
         log.tick(1_000);
-        log.append_forced_batched(end(1)).unwrap();
-        log.append_forced_batched(end(2)).unwrap();
+        log.append(end(1), true).unwrap();
+        log.append(end(2), true).unwrap();
         log.tick(1_050); // still inside the window
-        log.append_forced_batched(end(3)).unwrap();
+        log.append(end(3), true).unwrap();
         log.tick(1_200); // window expired
-        log.append_forced_batched(end(4)).unwrap();
+        log.append(end(4), true).unwrap();
         log.commit_batch().unwrap();
 
         let s = log.group_stats();
@@ -510,10 +523,10 @@ mod tests {
     fn windowed_zero_window_coalesces_only_simultaneous_forces() {
         let mut log = GroupCommitLog::windowed(MemLog::new(), 0);
         log.tick(500);
-        log.append_forced_batched(end(1)).unwrap();
-        log.append_forced_batched(end(2)).unwrap();
+        log.append(end(1), true).unwrap();
+        log.append(end(2), true).unwrap();
         log.tick(501);
-        log.append_forced_batched(end(3)).unwrap();
+        log.append(end(3), true).unwrap();
         log.commit_batch().unwrap();
         let s = log.group_stats();
         assert_eq!(s.batches, 2);
@@ -525,7 +538,7 @@ mod tests {
         let mut log = GroupCommitLog::deferred(MemLog::new());
         let flushes_before = log.inner().stats().flushes;
         for i in 0..5 {
-            log.append_forced_batched(end(i)).unwrap();
+            log.append(end(i), true).unwrap();
         }
         // Nothing durable until the batch commits.
         assert_eq!(log.records().unwrap().len(), 0);
@@ -545,9 +558,9 @@ mod tests {
     #[test]
     fn deferred_uncommitted_batch_dies_with_a_crash() {
         let mut log = GroupCommitLog::deferred(MemLog::new());
-        log.append_forced_batched(end(1)).unwrap();
+        log.append(end(1), true).unwrap();
         log.commit_batch().unwrap();
-        log.append_forced_batched(end(2)).unwrap();
+        log.append(end(2), true).unwrap();
         let lost = log.lose_unflushed().unwrap();
         assert_eq!(lost, 1, "the staged record is lost");
         assert_eq!(log.records().unwrap().len(), 1);
@@ -562,9 +575,9 @@ mod tests {
         let mut idle = GroupCommitLog::deferred(MemLog::new());
 
         // Round 1: both active members force; the idle one stays out.
-        coord.append_forced_batched(end(1)).unwrap();
-        coord.append_forced_batched(end(2)).unwrap();
-        part.append_forced_batched(end(1)).unwrap();
+        coord.append(end(1), true).unwrap();
+        coord.append(end(2), true).unwrap();
+        part.append(end(1), true).unwrap();
         assert!(domain.force_member(&mut coord).unwrap().is_some());
         assert!(domain.round_open());
         assert!(domain.force_member(&mut part).unwrap().is_some());
@@ -573,7 +586,7 @@ mod tests {
         assert!(!domain.round_open());
 
         // Round 2: a lone member — the solo (no-coalescing) case.
-        part.append_forced_batched(end(2)).unwrap();
+        part.append(end(2), true).unwrap();
         domain.force_member(&mut part).unwrap();
         domain.end_round();
         // A memberless turn counts no round.

@@ -76,10 +76,20 @@ use acp_types::LogPayload;
 /// decode it, so a caller that needs only where durability ends asks
 /// [`StableLog::durable_end`] instead.
 pub trait StableLog {
-    /// Append a record. If `force` is true the record (and all earlier
-    /// buffered records — the log is strictly ordered) is made durable
-    /// before returning.
-    fn append(&mut self, payload: LogPayload, force: bool) -> Result<Lsn, WalError>;
+    /// Append a record, encoded from the caller's payload: the log
+    /// keeps no reference to it, so a caller may lend its own buffers
+    /// to the payload for the call and take them back afterwards,
+    /// whatever the result. If `force` is true the record (and all
+    /// earlier buffered records — the log is strictly ordered) is made
+    /// durable before returning.
+    fn append_ref(&mut self, payload: &LogPayload, force: bool) -> Result<Lsn, WalError>;
+
+    /// [`StableLog::append_ref`] for a payload built only to be logged:
+    /// the caller gives it up. A log that keeps decoded records (a
+    /// [`MemLog`]) overrides it to keep the payload without a copy.
+    fn append(&mut self, payload: LogPayload, force: bool) -> Result<Lsn, WalError> {
+        self.append_ref(&payload, force)
+    }
 
     /// Make all buffered records durable.
     fn flush(&mut self) -> Result<(), WalError>;

@@ -87,6 +87,10 @@ impl MemLog {
 }
 
 impl StableLog for MemLog {
+    fn append_ref(&mut self, payload: &LogPayload, force: bool) -> Result<Lsn, WalError> {
+        self.append(payload.clone(), force)
+    }
+
     fn append(&mut self, payload: LogPayload, force: bool) -> Result<Lsn, WalError> {
         let lsn = self.next;
         self.next = self.next.next();

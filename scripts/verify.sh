@@ -2,9 +2,9 @@
 # Tier-1 verification: offline release build, every workspace test, a
 # warning-free clippy run, the structural guards (one kernel, one
 # in-process host, one engine enum, one metrics path, one harness, one
-# log, observed costs, one encoder, one instrument), warning-free rustdoc, the
-# benchmark's smoke suite, and a regeneration of
-# every committed result with a diff against it. No step's pass/fail depends
+# log, observed costs, one copy per write, one encoder, one instrument),
+# warning-free rustdoc, the benchmark's smoke suite, and a regeneration
+# of every committed result with a diff against it. No step's pass/fail depends
 # on a wall-clock rate; the perf figures printed are information.
 #
 # Usage: scripts/verify.sh
@@ -222,6 +222,43 @@ for ((i = 0; i < ${#cost_guards[@]}; i += 2)); do
 done
 nontest_lines crates/core/src
 
+echo "== one copy per write: the client's buffers move, log records borrow them"
+# A write's key and value move from the Apply envelope into the write
+# set and on into the store; prepare lends them to their update
+# records, and the coordinator lends its participant list to the
+# initiation and decision records, because a log encodes from a
+# reference (StableLog::append_ref). A clone of a key, an image or a
+# participant list in these files' non-test lines is the copy coming
+# back (prepare used to clone all three into every update record). A
+# timer id carries its wheel slot, so the wheel keeps no per-timer
+# index: a BTreeMap in timer.rs is that node per timer coming back.
+# As above, each pattern first meets its control line.
+copy_src="$(awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
+    !test { print FILENAME ":" FNR ": " $0 }' \
+  crates/engine/src/site.rs crates/engine/src/txn.rs crates/core/src/coordinator/mod.rs)"
+copy_guards=(
+  '\b(key|before|after)\.clone\(\)'  'let (key, before, after) = (key.clone(), w.before.clone(), w.after.clone());'
+  '\bparticipants\.clone\(\)'        'participants: participants.clone(),'
+)
+for ((i = 0; i < ${#copy_guards[@]}; i += 2)); do
+  pattern="${copy_guards[i]}" control="${copy_guards[i + 1]}"
+  echo "$control" | grep -qE "$pattern" \
+    || { echo "FAIL: the guard '$pattern' misses its control line '$control'"; exit 1; }
+  if echo "$copy_src" | grep -E "$pattern"; then
+    echo "FAIL: '$pattern': a write's bytes or a participant list copied into a log record"; exit 1
+  fi
+done
+timer_index='\bBTreeMap\b'
+echo '    index: BTreeMap<u64, usize>,' | grep -qE "$timer_index" \
+  || { echo "FAIL: the guard '$timer_index' misses its control line"; exit 1; }
+if grep -nE "$timer_index" crates/net/src/timer.rs; then
+  echo "FAIL: crates/net/src/timer.rs holds a BTreeMap (a tree node per armed timer)"; exit 1
+fi
+nontest_lines crates/wal/src
+nontest_lines crates/engine/src
+nontest_lines crates/net/src
+nontest_lines crates/core/src
+
 echo "== one encoder: the logs and the runtime encode in place"
 # encode_frame/encode_payload are allocating wrappers over the _into
 # forms, kept for tests, fuzzers and probes. A call from the logs or
@@ -357,6 +394,21 @@ echo "== paxos campaign: replicated coordinator (cost grid + leader kill -9 matr
 # blocked/unblocked inversion, ACTA violation or missing recovery
 # evidence.
 cargo run --release --offline -q -p acp-bench --bin exp_paxos | tail -3
+
+echo "== E7: regenerate results/exp_theorem3.txt and results/metrics_e7.json and diff"
+# The 100-seed Theorem 3 campaigns are seeded and merged in seed order,
+# so both snapshots regenerate exactly (they went stale once, unseen,
+# for want of this step). The header's `(N threads)` names the host's
+# parallelism and is the one difference allowed; exp_theorem3 writes
+# results/metrics_e7.json itself.
+out="$(cargo run --release --offline -q -p acp-bench --bin exp_theorem3 100)"
+golden="$(cat results/exp_theorem3.txt)"
+threads='1s/ \([0-9]+ threads\)$//'
+diff <(echo "$out" | sed -E "$threads") <(echo "$golden" | sed -E "$threads") \
+  || { echo "FAIL: exp_theorem3 100 drifted from results/exp_theorem3.txt"; exit 1; }
+git diff --exit-code -- results/metrics_e7.json \
+  || { echo "FAIL: results/metrics_e7.json drifted from the E7 campaigns —"; \
+       echo "      investigate, then commit the regenerated file"; exit 1; }
 
 echo "== golden: exp_theorem1 (U2PC must violate, PrAny must not)"
 out="$(cargo run --release --offline -q -p acp-bench --bin exp_theorem1)"

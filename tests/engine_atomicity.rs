@@ -37,7 +37,7 @@ fn run_sequential(engine: &mut SiteEngine<MemLog>, txns: &[GenTxn]) -> Model {
         engine.begin(txn);
         for (k, v) in &t.writes {
             engine
-                .put(txn, &[*k], &[*v])
+                .put(txn, [*k], [*v])
                 .expect("no conflicts sequentially");
         }
         engine.prepare(txn).expect("prepare");
