@@ -854,7 +854,6 @@ impl<L: StableLog> Coordinator<L> {
         self.log.flush()?;
         let before = self.log.stats().truncated;
         self.log.truncate_prefix(releasable)?;
-        self.gc.reclaimed(releasable);
         Ok((self.log.stats().truncated - before) as usize)
     }
 

@@ -92,9 +92,11 @@ pub struct Participant<L: StableLog> {
     log: L,
     /// Volatile protocol state (cleared on crash).
     active: BTreeMap<TxnId, ActiveTxn>,
-    /// How this site will vote per transaction (application intent).
-    /// Defaults to `Yes`. Conceptually part of the application, not the
-    /// protocol, so it survives crashes.
+    /// How this site will vote per transaction (application intent),
+    /// set ahead by the harness, the explorer and tests. Defaults to
+    /// `Yes`. Conceptually part of the application, not the protocol, so
+    /// it survives crashes. The kernel passes each vote to
+    /// [`Participant::on_prepare_into`] and leaves this empty.
     intents: BTreeMap<TxnId, Vote>,
     /// Observational record of enforced outcomes (mirrors what the data
     /// engine would hold after redo; used by tests and the atomicity
@@ -170,9 +172,24 @@ impl<L: StableLog> Participant<L> {
         self.protocol
     }
 
-    /// Set how this participant will vote for `txn` (default `Yes`).
+    /// Set how this participant will vote for `txn` (default `Yes`) when
+    /// its prepare arrives through [`Participant::on_message_into`] or
+    /// [`Participant::on_prepare`]. Harness-only: the entry is kept for
+    /// the participant's life, so a long-lived host passes each vote to
+    /// [`Participant::on_prepare_into`] instead.
     pub fn set_intent(&mut self, txn: TxnId, vote: Vote) {
         self.intents.insert(txn, vote);
+    }
+
+    /// The votes set with [`Participant::set_intent`].
+    #[must_use]
+    pub fn intents(&self) -> &BTreeMap<TxnId, Vote> {
+        &self.intents
+    }
+
+    /// The vote set for `txn`, or `Yes`.
+    fn intent(&self, txn: TxnId) -> Vote {
+        self.intents.get(&txn).copied().unwrap_or(Vote::Yes)
     }
 
     /// The outcome this participant enforced for `txn`, if any.
@@ -299,14 +316,27 @@ impl<L: StableLog> Participant<L> {
 
     // -- protocol input handlers ---------------------------------------
 
-    /// Handle a `Prepare` request from the coordinator.
+    /// Handle a `Prepare` request from the coordinator, voting the
+    /// intent set for `txn`.
     pub fn on_prepare(&mut self, coordinator: SiteId, txn: TxnId) -> Vec<Action> {
         let mut out = Vec::new();
-        self.prepare(coordinator, txn, &mut out);
+        self.on_prepare_into(coordinator, txn, self.intent(txn), &mut out);
         out
     }
 
-    fn prepare(&mut self, coordinator: SiteId, txn: TxnId, out: &mut Vec<Action>) {
+    /// Handle a `Prepare` request from the coordinator, voting `vote`,
+    /// and append the actions to `out` — the entry point for hosts whose
+    /// data side decides each vote when the prepare arrives, so the
+    /// participant keeps none of them. A duplicate prepare is answered
+    /// from the participant's own state, whatever `vote` says: Yes while
+    /// prepared, nothing once ended.
+    pub fn on_prepare_into(
+        &mut self,
+        coordinator: SiteId,
+        txn: TxnId,
+        vote: Vote,
+        out: &mut Vec<Action>,
+    ) {
         if self.enforced.contains_key(&txn) {
             // Already terminated here (e.g. duplicate prepare after a
             // slow network). Nothing sensible to vote; stay silent — the
@@ -320,7 +350,6 @@ impl<L: StableLog> Participant<L> {
             out.push(Action::send(c, Payload::Vote { txn, vote }));
             return;
         }
-        let vote = self.intents.get(&txn).copied().unwrap_or(Vote::Yes);
         match vote {
             Vote::Yes => {
                 self.append(txn, LogPayload::Prepared { txn, coordinator }, true, out);
@@ -406,7 +435,7 @@ impl<L: StableLog> Participant<L> {
     /// entry point for hosts that reuse one action buffer.
     pub fn on_message_into(&mut self, from: SiteId, payload: &Payload, out: &mut Vec<Action>) {
         match payload {
-            Payload::Prepare { txn } => self.prepare(from, *txn, out),
+            Payload::Prepare { txn } => self.on_prepare_into(from, *txn, self.intent(*txn), out),
             Payload::Decision { txn, outcome } | Payload::InquiryResponse { txn, outcome } => {
                 if let Some(st) = self.active.get_mut(txn) {
                     // The decision's sender is the coordinator of record
@@ -566,7 +595,6 @@ impl<L: StableLog> Participant<L> {
         }
         let before = self.log.stats().truncated;
         self.log.truncate_prefix(up_to)?;
-        self.gc.reclaimed(up_to);
         Ok((self.log.stats().truncated - before) as usize)
     }
 }

@@ -438,7 +438,6 @@ impl<L: StableLog> PaxosNode<L> {
             self.log.flush().expect("flush before gc");
             let before = self.log.stats().truncated;
             self.log.truncate_prefix(releasable).expect("truncate");
-            self.gc.reclaimed(releasable);
             (self.log.stats().truncated - before) as usize
         } else {
             0

@@ -9,7 +9,7 @@
 
 use crate::error::EngineError;
 use acp_types::TxnId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
 
 /// Lock modes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -40,7 +40,13 @@ impl LockState {
 /// A per-site lock table.
 #[derive(Clone, Debug, Default)]
 pub struct LockTable {
-    locks: BTreeMap<Vec<u8>, LockState>,
+    /// Nothing iterates the table, and a hash map keeps its capacity as
+    /// keys are locked and freed.
+    locks: HashMap<Vec<u8>, LockState>,
+    /// Buffers of freed keys, for the next new lock to refill. It never
+    /// holds more than the peak number of locked keys, which the host's
+    /// admission bounds.
+    spare_keys: Vec<Vec<u8>>,
 }
 
 impl LockTable {
@@ -58,7 +64,10 @@ impl LockTable {
                 LockMode::Exclusive => LockState::Exclusive(txn),
                 LockMode::Shared => LockState::Shared(BTreeSet::from([txn])),
             };
-            self.locks.insert(key.to_vec(), state);
+            let mut owned = self.spare_keys.pop().unwrap_or_default();
+            owned.clear();
+            owned.extend_from_slice(key);
+            self.locks.insert(owned, state);
             return Ok(());
         };
         let holder = match (&mut *state, mode) {
@@ -98,7 +107,8 @@ impl LockTable {
             None => false,
         };
         if free {
-            self.locks.remove(key);
+            let (owned, _) = self.locks.remove_entry(key).expect("held above");
+            self.spare_keys.push(owned);
         }
     }
 
@@ -167,6 +177,71 @@ mod tests {
         lt.release(t(1), b"j");
         assert_eq!(lt.locked_keys(), 0);
         lt.acquire(t(2), b"k", LockMode::Exclusive).unwrap();
+    }
+
+    impl LockTable {
+        pub(crate) fn spare_keys(&self) -> Vec<&[u8]> {
+            self.spare_keys.iter().map(Vec::as_slice).collect()
+        }
+    }
+
+    /// A freed key's buffer is refilled by the next new lock, whatever
+    /// the new key's length, and the lock is on exactly that key.
+    #[test]
+    fn a_recycled_key_buffer_locks_exactly_its_new_key() {
+        let mut lt = LockTable::new();
+        lt.acquire(t(1), b"medium", LockMode::Exclusive).unwrap();
+        lt.release(t(1), b"medium");
+        assert_eq!(lt.spare_keys(), [b"medium".as_slice()]);
+
+        lt.acquire(t(2), b"a-much-longer-key", LockMode::Exclusive)
+            .unwrap();
+        assert!(lt.spare_keys().is_empty(), "the buffer was reused");
+        assert!(lt.holds(t(2), b"a-much-longer-key"));
+        assert!(!lt.holds(t(2), b"medium"));
+        lt.acquire(t(3), b"medium", LockMode::Exclusive).unwrap();
+        assert_eq!(lt.locked_keys(), 2);
+
+        lt.release(t(2), b"a-much-longer-key");
+        lt.acquire(t(4), b"k", LockMode::Shared).unwrap();
+        assert!(lt.holds(t(4), b"k"));
+        for stale in [b"a-much-longer-key".as_slice(), b"a", b"ka"] {
+            assert!(!lt.holds(t(4), stale));
+            lt.acquire(t(5), stale, LockMode::Exclusive).unwrap();
+        }
+    }
+
+    /// On a recycled buffer a conflict still names the holder and the
+    /// key, and a sole shared holder still upgrades.
+    #[test]
+    fn recycled_keys_conflict_and_upgrade_as_fresh_ones() {
+        let mut lt = LockTable::new();
+        let keys = [b"x".as_slice(), b"y"];
+        for key in keys {
+            lt.acquire(t(1), key, LockMode::Exclusive).unwrap();
+        }
+        for key in keys {
+            lt.release(t(1), key);
+        }
+        assert_eq!(lt.spare_keys().len(), 2);
+
+        lt.acquire(t(2), b"held", LockMode::Exclusive).unwrap();
+        match lt.acquire(t(3), b"held", LockMode::Shared) {
+            Err(EngineError::LockConflict {
+                requester,
+                holder,
+                key,
+            }) => {
+                assert_eq!((requester, holder), (t(3), t(2)));
+                assert_eq!(key, b"held");
+            }
+            other => panic!("no conflict: {other:?}"),
+        }
+
+        lt.acquire(t(4), b"read", LockMode::Shared).unwrap();
+        lt.acquire(t(4), b"read", LockMode::Exclusive).unwrap();
+        assert!(lt.acquire(t(5), b"read", LockMode::Shared).is_err());
+        assert!(lt.spare_keys().is_empty());
     }
 
     #[test]

@@ -7,7 +7,8 @@ use crate::txn::{TxnContext, TxnPhase};
 use acp_types::{LogPayload, Outcome, TxnId};
 use acp_wal::scan::UpdateImage;
 use acp_wal::{Lsn, StableLog};
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 
 /// What recovery (driven by the commit-protocol layer) knows about a
 /// transaction's fate.
@@ -25,10 +26,15 @@ pub enum RecoveredOutcome {
 pub struct SiteEngine<L: StableLog> {
     store: KvStore,
     locks: LockTable,
-    txns: BTreeMap<TxnId, TxnContext>,
-    /// First log position of each *live* (active or prepared)
-    /// transaction's update records — the checkpoint truncation barrier.
-    first_lsn: BTreeMap<TxnId, Lsn>,
+    /// The live (active or prepared) transactions. Nothing iterates it
+    /// in an order that shows, and a hash map keeps its capacity as
+    /// transactions come and go.
+    txns: HashMap<TxnId, TxnContext>,
+    /// Contexts of ended transactions, emptied with their capacity kept,
+    /// for [`SiteEngine::begin`] to reuse. It never holds more than the
+    /// peak number of live transactions, which the host's admission
+    /// bounds.
+    spare: Vec<TxnContext>,
     log: L,
 }
 
@@ -38,15 +44,26 @@ impl<L: StableLog> SiteEngine<L> {
         SiteEngine {
             store: KvStore::new(),
             locks: LockTable::new(),
-            txns: BTreeMap::new(),
-            first_lsn: BTreeMap::new(),
+            txns: HashMap::new(),
+            spare: Vec::new(),
             log,
         }
     }
 
-    /// Begin a local subtransaction.
+    /// Begin a local subtransaction, in an ended one's context if one is
+    /// spare.
     pub fn begin(&mut self, txn: TxnId) {
-        self.txns.entry(txn).or_insert_with(|| TxnContext::new(txn));
+        if let Entry::Vacant(slot) = self.txns.entry(txn) {
+            let mut ctx = self.spare.pop().unwrap_or_else(|| TxnContext::new(txn));
+            ctx.id = txn;
+            slot.insert(ctx);
+        }
+    }
+
+    /// Keep an ended transaction's context, emptied, for a later `begin`.
+    fn retire(&mut self, mut ctx: TxnContext) {
+        ctx.clear();
+        self.spare.push(ctx);
     }
 
     /// Transactional read: shared lock, own writes visible.
@@ -135,9 +152,7 @@ impl<L: StableLog> SiteEngine<L> {
             return Err(EngineError::WrongPhase { txn, op: "prepare" });
         }
         if !ctx.writes.is_empty() {
-            self.first_lsn
-                .entry(txn)
-                .or_insert_with(|| self.log.next_lsn());
+            ctx.first_lsn.get_or_insert_with(|| self.log.next_lsn());
         }
         // Each write lends its buffers to its update record for the
         // append and takes them back, whatever the append returns.
@@ -174,7 +189,7 @@ impl<L: StableLog> SiteEngine<L> {
     /// Idempotent for unknown transactions (already resolved and
     /// forgotten — footnote 5's engine-side counterpart).
     pub fn resolve(&mut self, txn: TxnId, outcome: Outcome) -> Result<(), EngineError> {
-        let Some(ctx) = self.txns.remove(&txn) else {
+        let Some(mut ctx) = self.txns.remove(&txn) else {
             return Ok(());
         };
         // Redo marker: which prepared write sets won (or lost).
@@ -184,15 +199,15 @@ impl<L: StableLog> SiteEngine<L> {
             self.log
                 .append(LogPayload::PartDecision { txn, outcome }, false)?;
         }
-        self.first_lsn.remove(&txn);
         self.release_locks(txn, &ctx);
         if outcome == Outcome::Commit {
             // The context is done with its write set: the store takes
             // the buffers over.
-            for w in ctx.writes {
+            for w in ctx.writes.drain(..) {
                 self.store.install(w.key, w.after);
             }
         }
+        self.retire(ctx);
         Ok(())
     }
 
@@ -213,8 +228,8 @@ impl<L: StableLog> SiteEngine<L> {
             }),
             Some(_) => {
                 let ctx = self.txns.remove(&txn).expect("just seen");
-                self.first_lsn.remove(&txn);
                 self.release_locks(txn, &ctx);
+                self.retire(ctx);
                 Ok(())
             }
         }
@@ -238,10 +253,10 @@ impl<L: StableLog> SiteEngine<L> {
         let checkpoint_lsn = self.log.next_lsn();
         self.log.append(LogPayload::Checkpoint { entries }, true)?;
         let barrier = self
-            .first_lsn
+            .txns
             .values()
+            .filter_map(|ctx| ctx.first_lsn)
             .min()
-            .copied()
             .unwrap_or(checkpoint_lsn)
             .min(checkpoint_lsn);
         let before = self.log.stats().truncated;
@@ -284,12 +299,13 @@ impl<L: StableLog> SiteEngine<L> {
     }
 
     /// Crash: volatile state (store cache, lock table, active
-    /// transactions) is lost; only the forced log survives.
+    /// transactions, spare contexts) is lost; only the forced log
+    /// survives.
     pub fn crash(&mut self) {
         self.store = KvStore::new();
         self.locks = LockTable::new();
-        self.txns.clear();
-        self.first_lsn.clear();
+        self.txns = HashMap::new();
+        self.spare = Vec::new();
         self.log.lose_unflushed().expect("log crash");
     }
 
@@ -395,9 +411,7 @@ impl<L: StableLog> SiteEngine<L> {
                             .expect("recovery lock acquisition cannot conflict");
                         ctx.buffer_write(key, before, after);
                     }
-                    if let Some(&first) = first_positions.get(&txn) {
-                        self.first_lsn.insert(txn, first);
-                    }
+                    ctx.first_lsn = first_positions.get(&txn).copied();
                 }
                 self.txns.insert(txn, ctx);
             }
@@ -592,6 +606,83 @@ mod tests {
         let mut e = engine();
         e.resolve(t(9), Outcome::Commit).unwrap();
         e.resolve(t(9), Outcome::Abort).unwrap();
+    }
+
+    /// A reused context starts empty: T2 begins in the context of T1,
+    /// which read `a` and aborted, and T2's commit releases only its own
+    /// `b`, not `a`, which T3 holds by then.
+    #[test]
+    fn a_reused_context_carries_nothing_of_its_last_transaction() {
+        let mut e = engine();
+        e.begin(t(1));
+        e.get(t(1), b"a").unwrap();
+        e.abort_active(t(1)).unwrap();
+        assert_eq!(e.spare.len(), 1);
+
+        e.begin(t(2));
+        assert!(e.spare.is_empty(), "T2 reuses T1's context");
+        let ctx = &e.txns[&t(2)];
+        assert_eq!(ctx.id, t(2));
+        assert_eq!(ctx.phase, TxnPhase::Active);
+        assert!(ctx.writes.is_empty() && ctx.reads.is_empty());
+        assert_eq!(ctx.first_lsn, None);
+        e.put(t(2), b"b", b"2").unwrap();
+        e.begin(t(3));
+        e.put(t(3), b"a", b"3").unwrap();
+        e.prepare(t(2)).unwrap();
+        e.resolve(t(2), Outcome::Commit).unwrap();
+
+        e.begin(t(4));
+        assert!(matches!(
+            e.get(t(4), b"a"),
+            Err(EngineError::LockConflict { holder, .. }) if holder == t(3)
+        ));
+        assert_eq!(e.get(t(4), b"b").unwrap().as_deref(), Some(b"2".as_slice()));
+        assert_eq!(e.locked_keys(), 2);
+    }
+
+    /// A reused context takes no log position along: a checkpoint after
+    /// the prepared T1 ended truncates past T1's records, though T2, in
+    /// T1's context, is live.
+    #[test]
+    fn a_reused_context_pins_no_log_position() {
+        let mut e = engine();
+        e.begin(t(1));
+        e.put(t(1), b"a", b"1").unwrap();
+        e.prepare(t(1)).unwrap();
+        e.resolve(t(1), Outcome::Commit).unwrap();
+        e.begin(t(2));
+        e.get(t(2), b"a").unwrap();
+        assert_eq!(e.txns[&t(2)].first_lsn, None);
+
+        let checkpoint = e.log().next_lsn();
+        e.checkpoint().unwrap();
+        assert_eq!(e.log().low_water_mark(), checkpoint);
+    }
+
+    /// The spare contexts are volatile state: a crash drops them with the
+    /// lock table's spare keys, and recovery starts from none.
+    #[test]
+    fn a_crash_drops_the_spare_contexts_and_keys() {
+        let mut e = engine();
+        for n in 1..=3 {
+            e.begin(t(n));
+            e.put(t(n), format!("k{n}"), b"v").unwrap();
+        }
+        for n in 1..=3 {
+            e.prepare(t(n)).unwrap();
+            e.resolve(t(n), Outcome::Commit).unwrap();
+        }
+        assert_eq!(e.spare.len(), 3);
+        assert_eq!(e.locks.spare_keys().len(), 3);
+
+        e.flush_log().unwrap();
+        e.crash();
+        assert!(e.spare.is_empty());
+        assert_eq!(e.locks.spare_keys().len(), 0);
+        e.recover(&BTreeMap::new()).unwrap();
+        assert!(e.spare.is_empty());
+        assert_eq!(e.committed_get(b"k3"), Some(b"v".as_slice()));
     }
 }
 

@@ -1,6 +1,7 @@
 //! Transaction contexts: buffered write sets and lifecycle phases.
 
 use acp_types::TxnId;
+use acp_wal::Lsn;
 
 /// Lifecycle of a local subtransaction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -39,6 +40,10 @@ pub struct TxnContext {
     /// Keys read under a shared lock. With the write set, every key
     /// this transaction may hold a lock on — what termination releases.
     pub reads: Vec<Vec<u8>>,
+    /// Log position of the first update record prepare appended for
+    /// this transaction: the checkpoint's truncation barrier while it
+    /// lives.
+    pub first_lsn: Option<Lsn>,
 }
 
 impl TxnContext {
@@ -50,7 +55,18 @@ impl TxnContext {
             phase: TxnPhase::Active,
             writes: Vec::new(),
             reads: Vec::new(),
+            first_lsn: None,
         }
+    }
+
+    /// Empty the context for reuse by another transaction: no write,
+    /// read, phase or log position of this one stays, and the write and
+    /// read sets keep their capacity.
+    pub fn clear(&mut self) {
+        self.phase = TxnPhase::Active;
+        self.writes.clear();
+        self.reads.clear();
+        self.first_lsn = None;
     }
 
     /// Buffer a write, taking over its buffers. `before` is the

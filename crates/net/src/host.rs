@@ -277,7 +277,8 @@ fn run_site_actions<T: Transport>(
 /// then cancel the wheel entries of the timers it retired (the actions
 /// run first: one may arm the very token a later cancel retires).
 ///
-/// A native participant votes what its data side decides. While its
+/// A native participant votes what its data side decides, handed to it
+/// with the prepare, so it keeps no vote of its own. While its
 /// log batches, the write set is staged without forcing the data log:
 /// `finish_turns` flushes it before the withheld vote can leave.
 fn drive<T: Transport>(st: &mut SiteState, ctx: &mut Ctx<T>, input: Input<'_>) {
@@ -288,16 +289,14 @@ fn drive<T: Transport>(st: &mut SiteState, ctx: &mut Ctx<T>, input: Input<'_>) {
     );
     let defer = engine.log().batching();
     match input {
-        Input::Message(msg) => {
-            if let (Payload::Prepare { txn }, Some(d), AnyEngine::Part(p)) =
-                (&msg.payload, data.as_mut(), &mut *engine)
-            {
+        Input::Message(msg) => match (&msg.payload, data.as_mut(), &mut *engine) {
+            (Payload::Prepare { txn }, Some(d), AnyEngine::Part(p)) => {
                 let (forced, poisoned) = (d.forced_intents.get(txn), d.poisoned.contains(txn));
                 let vote = decide_vote(&mut d.storage, *txn, forced.copied(), poisoned, defer);
-                p.set_intent(*txn, vote);
+                p.on_prepare_into(msg.from, *txn, vote, &mut actions);
             }
-            engine.on_message_into(msg.from, &msg.payload, &mut actions);
-        }
+            _ => engine.on_message_into(msg.from, &msg.payload, &mut actions),
+        },
         Input::Timer(token) => engine.on_timer_into(token, &mut actions),
         Input::Recover => {
             engine.recover_into(&mut actions);
@@ -1187,6 +1186,14 @@ mod tests {
             assert!(self.kernel.drain_envelopes());
         }
 
+        /// The native participant hosted as `site`.
+        fn participant(&self, site: SiteId) -> &Participant<NetLog> {
+            match &self.kernel.sites[self.kernel.owned[&site]].engine {
+                AnyEngine::Part(p) => p,
+                _ => unreachable!("site {site} is a native participant"),
+            }
+        }
+
         /// The records durable in `site`'s WAL file, read back from disk.
         fn durable_kinds(&self, wal: &str) -> Vec<&'static str> {
             let log = acp_wal::FileLog::open(self.dir.path().join(wal)).expect("wal");
@@ -1377,13 +1384,7 @@ mod tests {
         cluster.delays = glacial();
         cluster.group_commit = group_commit;
         let mut r = rig_over(cluster);
-        fn part(r: &Rig, site: SiteId) -> &Participant<NetLog> {
-            match &r.kernel.sites[r.kernel.owned[&site]].engine {
-                AnyEngine::Part(p) => p,
-                _ => unreachable!("site {site} is a native participant"),
-            }
-        }
-        let mark = |r: &Rig, site| acp_wal::StableLog::low_water_mark(part(r, site).log());
+        let mark = |r: &Rig, site| acp_wal::StableLog::low_water_mark(r.participant(site).log());
         let crash_and_recover = |r: &mut Rig, sites: &[SiteId]| {
             let down_for = Duration::from_millis(1);
             for &site in sites {
@@ -1418,7 +1419,7 @@ mod tests {
         crash_and_recover(&mut r, &PARTS);
 
         for site in PARTS {
-            let p = part(&r, site);
+            let p = r.participant(site);
             let low = acp_wal::StableLog::low_water_mark(p.log());
             assert!(low > acp_wal::Lsn::ZERO, "site {site} collected");
             let releasable = low.raw() + p.releasable_records();
@@ -1463,6 +1464,29 @@ mod tests {
     #[test]
     fn participants_forget_and_lose_no_commit_under_passthrough() {
         participants_forget_and_lose_no_commit(false);
+    }
+
+    /// A participant's data side decides each vote and hands it over
+    /// with the prepare, so after 1 000 commits the participant keeps
+    /// none of those votes, though it cast them all.
+    #[test]
+    fn a_kernel_participant_keeps_no_vote_per_finished_transaction() {
+        const TXNS: u64 = 1_000;
+        let mut r = rig(glacial());
+        for t in 1..=TXNS {
+            let outcome = r.submit_write(TxnId::new(t), format!("k{t}").as_bytes());
+            while r.kernel.turn() {}
+            assert_eq!(outcome.try_recv(), Ok(Outcome::Commit), "txn {t}");
+        }
+        for site in PARTS {
+            let p = r.participant(site);
+            assert_eq!(p.enforced_all().len() as u64, TXNS, "site {site}");
+            assert!(
+                p.intents().is_empty(),
+                "site {site} keeps {} votes",
+                p.intents().len()
+            );
+        }
     }
 
     /// Known issues #2: a timer armed late in a long turn must still

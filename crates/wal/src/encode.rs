@@ -483,7 +483,7 @@ pub fn decode_payload(buf: &[u8]) -> Result<LogPayload, WalError> {
 
 /// Bytes a frame adds around its payload: magic, length, lsn, forced
 /// flag and CRC.
-const FRAME_OVERHEAD: usize = 4 + 4 + 8 + 1 + 4;
+pub(crate) const FRAME_OVERHEAD: usize = 4 + 4 + 8 + 1 + 4;
 
 /// `encode_frame(record).len()` for a record carrying `payload`,
 /// without encoding anything.

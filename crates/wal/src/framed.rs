@@ -2,7 +2,8 @@
 //! followed by CRC32-framed records ([`crate::encode`]), on a [`Store`].
 //!
 //! The store is the only copy of the durable records. The log keeps its
-//! encode buffer, its counters and one frame offset per live record;
+//! encode buffer, its counters and one payload length (a `u32`) per live
+//! record, from which a frame's place in the image is summed;
 //! [`StableLog::records`] and [`StableLog::for_each_record`] read the
 //! live frames back from the medium and decode them with the recovery
 //! scan, so what a caller reads is what a restart would find (less a
@@ -12,7 +13,7 @@
 //! (or flush) hands the buffer to the store to append and sync, so a
 //! crash before the flush loses the buffered records —
 //! [`crate::mem::MemLog`]'s semantics. GC
-//! ([`StableLog::truncate_prefix`]) sizes its cut from the offsets and
+//! ([`StableLog::truncate_prefix`]) sizes its cut from the lengths and
 //! moves the header's low-water mark in place — one aligned 8-byte
 //! write and a sync — leaving the released frames in the image as dead
 //! bytes. Once the dead bytes reach the live ones (and at least
@@ -33,7 +34,7 @@
 //! bytes in memory with scripted damage — so every injected fault runs
 //! under the code that commits.
 
-use crate::encode::{decode_frame, encode_frame_into, FrameOutcome};
+use crate::encode::{decode_frame, encode_frame_into, FrameOutcome, FRAME_OVERHEAD};
 use crate::error::WalError;
 use crate::record::{LogRecord, Lsn, WalStats};
 use crate::StableLog;
@@ -85,7 +86,7 @@ fn decode_header(buf: &[u8]) -> Result<Lsn, WalError> {
 /// before the first live frame a bad one may be dead bytes no record
 /// needs, so the scan resumes at the frame that carries the mark if one
 /// follows (CRC-checked, damaged bytes cannot pass for it). Each live
-/// record goes to `live` with its frame's image offset, for as long as
+/// record goes to `live` with its frame's length, for as long as
 /// the frames are whole and their LSNs run on from `low_water` one by
 /// one: a frame behind a hole (a lying sync dropped whole frames before
 /// it) ends the valid prefix as a torn one does. Returns where the
@@ -95,7 +96,7 @@ fn scan(
     bytes: &[u8],
     base: u64,
     low_water: Lsn,
-    live: &mut dyn FnMut(LogRecord, u64),
+    live: &mut dyn FnMut(LogRecord, usize),
 ) -> Result<(usize, u64), WalError> {
     let frame_at = |at: usize| decode_frame(&bytes[at..], base + at as u64);
     // The LSN the next live frame must carry.
@@ -111,7 +112,7 @@ fn scan(
             }
             FrameOutcome::Record(rec, consumed) if rec.lsn == expect => {
                 expect = expect.next();
-                live(rec, base + offset as u64);
+                live(rec, consumed);
                 offset += consumed;
             }
             FrameOutcome::Record(..) => break,
@@ -179,11 +180,13 @@ pub struct FramedLog<S> {
     pub(crate) store: S,
     /// Encoded frames not yet written+synced; lost if the process dies.
     buffer: Vec<u8>,
-    /// The image offset of each live record's frame, in LSN order from
-    /// `low_water`: the durable ones, then the buffered ones at the
-    /// offsets their write-out will put them.
-    offsets: VecDeque<u64>,
-    /// How many records (the last of `offsets`) are in `buffer`.
+    /// The payload length of each live record's frame, in LSN order from
+    /// `low_water`: the durable ones, then the buffered ones. A frame is
+    /// its payload and `FRAME_OVERHEAD` bytes, and the live frames lie
+    /// end to end from `live_start`, so a cut sums the lengths it drains
+    /// and a compaction leaves them as they are.
+    lens: VecDeque<u32>,
+    /// How many records (the last of `lens`) are in `buffer`.
     buffered: usize,
     low_water: Lsn,
     next: Lsn,
@@ -207,7 +210,7 @@ impl<S: Store> FramedLog<S> {
         FramedLog {
             store,
             buffer: Vec::new(),
-            offsets: VecDeque::new(),
+            lens: VecDeque::new(),
             buffered: 0,
             low_water: Lsn::ZERO,
             next: Lsn::ZERO,
@@ -235,20 +238,20 @@ impl<S: Store> FramedLog<S> {
         self.stats.lost_on_crash += lost_buffered as u64;
         self.buffer.clear();
         let believed = self.durable();
-        self.offsets.truncate(believed);
+        self.lens.truncate(believed);
         self.buffered = 0;
         let (_, truncated_bytes) = self.load()?;
         Ok(RecoveryReport {
             lost_buffered,
-            lost_durable: believed.saturating_sub(self.offsets.len()),
+            lost_durable: believed.saturating_sub(self.lens.len()),
             truncated_bytes,
-            survivors: self.offsets.len(),
+            survivors: self.lens.len(),
         })
     }
 
-    /// Records that are durable (the rest of `offsets` is buffered).
+    /// Records that are durable (the rest of `lens` is buffered).
     fn durable(&self) -> usize {
-        self.offsets.len() - self.buffered
+        self.lens.len() - self.buffered
     }
 
     /// Image offset of the first live frame.
@@ -267,10 +270,10 @@ impl<S: Store> FramedLog<S> {
     fn load(&mut self) -> Result<(u64, u64), WalError> {
         let image = self.store.restart()?;
         let low_water = decode_header(&image)?;
-        let mut offsets = VecDeque::new();
+        let mut lens = VecDeque::new();
         let frames = &image[HEADER_LEN as usize..];
-        let (valid, dead) = scan(frames, HEADER_LEN, low_water, &mut |_, at| {
-            offsets.push_back(at);
+        let (valid, dead) = scan(frames, HEADER_LEN, low_water, &mut |_, len| {
+            lens.push_back(payload_len(len));
         })?;
         let end = HEADER_LEN + valid as u64;
         // Physically drop the torn tail so future appends start clean.
@@ -278,8 +281,8 @@ impl<S: Store> FramedLog<S> {
             self.store.cut(end)?;
         }
         self.low_water = low_water;
-        self.next = Lsn(low_water.raw() + offsets.len() as u64);
-        self.offsets = offsets;
+        self.next = Lsn(low_water.raw() + lens.len() as u64);
+        self.lens = lens;
         self.frames = end - HEADER_LEN - dead;
         self.dead = dead;
         self.failed = false;
@@ -327,15 +330,21 @@ impl<S: Store> FramedLog<S> {
     }
 }
 
+/// The payload length of a frame `len` bytes long. The encoder writes a
+/// payload's length as a `u32`, so it fits one.
+fn payload_len(len: usize) -> u32 {
+    u32::try_from(len - FRAME_OVERHEAD).expect("a frame's payload length is a u32")
+}
+
 impl<S: Store> StableLog for FramedLog<S> {
     fn append_ref(&mut self, payload: &LogPayload, force: bool) -> Result<Lsn, WalError> {
         let lsn = self.next;
         self.next = self.next.next();
         self.stats.appends += 1;
-        self.offsets
-            .push_back(self.frames_end() + self.buffer.len() as u64);
-        self.buffered += 1;
+        let start = self.buffer.len();
         encode_frame_into(&mut self.buffer, lsn, force, payload);
+        self.lens.push_back(payload_len(self.buffer.len() - start));
+        self.buffered += 1;
         if force {
             self.stats.forces += 1;
             self.write_out()?;
@@ -369,19 +378,19 @@ impl<S: Store> StableLog for FramedLog<S> {
         }
         self.check_writable()?;
         // The live LSNs run on from the mark one by one, so the cut is
-        // an index; the first buffered frame, if any, starts at the end
-        // of the durable ones.
+        // an index, and the frames it releases are durable ones.
         let cut = (lsn.raw() - self.low_water.raw()) as usize;
-        let end = self.frames_end();
-        let at = self.offsets.get(cut).copied().unwrap_or(end);
-        let live = end - at;
-        let dead = self.dead + (at - self.live_start());
+        let released: u64 = (self.lens.iter().take(cut))
+            .map(|&len| u64::from(len) + FRAME_OVERHEAD as u64)
+            .sum();
+        let at = self.live_start() + released;
+        let live = self.frames_end() - at;
+        let dead = self.dead + released;
         // Memory changes only once the store's write is durable: an I/O
         // error must leave the log as it was.
-        let shift = if dead < live.max(RECLAIM_FLOOR) {
+        if dead < live.max(RECLAIM_FLOOR) {
             self.store.set_low_water(lsn)?;
             self.dead = dead;
-            0
         } else {
             // Compact: the header and the retained frames as written,
             // read back and swapped in.
@@ -390,13 +399,11 @@ impl<S: Store> StableLog for FramedLog<S> {
             self.store.read_at(at, &mut image[HEADER_LEN as usize..])?;
             self.store.replace(&image)?;
             self.dead = 0;
-            at - HEADER_LEN
-        };
+        }
         self.frames = live;
 
         // Commit: the medium now holds the post-GC mark.
-        self.offsets.drain(..cut);
-        self.offsets.iter_mut().for_each(|at| *at -= shift);
+        self.lens.drain(..cut);
         self.stats.truncated += cut as u64;
         self.low_water = lsn;
         Ok(())

@@ -17,15 +17,13 @@ use crate::StableLog;
 use acp_types::{LogPayload, TxnId};
 use std::collections::BTreeMap;
 
-/// Tracks, per transaction, the first LSN it wrote and whether it has
-/// ended, and derives the releasable log prefix.
+/// Tracks the first LSN of each transaction that has not ended, and
+/// derives the releasable log prefix. An ended transaction leaves no
+/// entry.
 #[derive(Clone, Debug, Default)]
 pub struct GcTracker {
     /// First LSN per open (not yet ended) transaction.
     open: BTreeMap<TxnId, Lsn>,
-    /// First LSN per ended transaction that is still pinned by an older
-    /// open transaction.
-    ended: BTreeMap<TxnId, Lsn>,
     /// LSN one past the last record observed.
     tail: Lsn,
 }
@@ -61,8 +59,7 @@ impl GcTracker {
         let txn = payload.txn();
         match payload {
             LogPayload::End { .. } | LogPayload::PartEnd { .. } => {
-                let first = self.open.remove(&txn).unwrap_or(lsn);
-                self.ended.insert(txn, first);
+                self.open.remove(&txn);
             }
             // A checkpoint belongs to no transaction and never pins the
             // log (it is what makes the prefix before it reclaimable).
@@ -95,12 +92,6 @@ impl GcTracker {
     #[must_use]
     pub fn pinned_count(&self) -> usize {
         self.open.len()
-    }
-
-    /// Drop bookkeeping for ended transactions whose records are below
-    /// the given truncation point (call after `truncate_prefix`).
-    pub fn reclaimed(&mut self, up_to: Lsn) {
-        self.ended.retain(|_, &mut first| first >= up_to);
     }
 }
 

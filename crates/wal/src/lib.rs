@@ -13,7 +13,7 @@
 //! * **one framed stable log** ([`framed::FramedLog`]) — header, append
 //!   buffer, write-out, GC (in place or by compaction) and recovery scan
 //!   written once — over a [`Store`], which holds the only copy of its
-//!   records (the log keeps one frame offset per live record and reads
+//!   records (the log keeps one payload length per live record and reads
 //!   the records back on demand): a file ([`file::FileLog`]) for the
 //!   real-time runtimes,
 //!   or the same byte image in memory, damaged on cue

@@ -2,7 +2,8 @@
 # Tier-1 verification: offline release build, every workspace test, a
 # warning-free clippy run, the structural guards (one kernel, one
 # in-process host, one engine enum, one metrics path, one harness, one
-# log, observed costs, one copy per write, one encoder, one instrument),
+# log, observed costs, one copy per write, state leaves with its
+# transaction, one encoder, one instrument),
 # warning-free rustdoc, the benchmark's smoke suite, and a regeneration
 # of every committed result with a diff against it. No step's pass/fail depends
 # on a wall-clock rate; the perf figures printed are information.
@@ -132,11 +133,11 @@ scans="$(find crates/wal/src -name '*.rs' | sort \
 [ "$(echo "$scans" | grep -c .)" = 1 ] \
   || { echo "$scans"; echo "FAIL: want exactly one decode_frame( call in non-test crates/wal/src (FramedLog's recovery scan)"; exit 1; }
 # The store is the only copy of a FramedLog's records: the log keeps its
-# encode buffer, its counters and one frame offset per live record. A
+# encode buffer, its counters and one payload length per live record. A
 # LogRecord-typed field in framed.rs (the `durable: Vec<LogRecord>`
 # mirror held ≈ 160 B per record for the life of a log nothing
 # collects) is a decoded copy coming back. The pattern first meets its
-# control line, and the fields read must include FramedLog's `offsets`.
+# control line, and the fields read must include FramedLog's `lens`.
 field='^ *(pub(\([a-z]+\))? )?[a-z_][a-z0-9_]*: .*\bLogRecord\b'
 echo '    durable: Vec<LogRecord>,' | grep -qE "$field" \
   || { echo "FAIL: the guard '$field' misses its control line"; exit 1; }
@@ -144,8 +145,8 @@ fields="$(awk '/^#\[cfg\(test\)\]/ { exit }
     /^(pub(\([a-z]+\))? )?struct [A-Za-z]+.*\{$/ { body = 1; next }
     body && /^\}/ { body = 0 }
     body' crates/wal/src/framed.rs)"
-echo "$fields" | grep -qE '^ +offsets: ' \
-  || { echo "FAIL: the field guard reads no 'offsets' field in crates/wal/src/framed.rs's structs"; exit 1; }
+echo "$fields" | grep -qE '^ +lens: ' \
+  || { echo "FAIL: the field guard reads no 'lens' field in crates/wal/src/framed.rs's structs"; exit 1; }
 if echo "$fields" | grep -E "$field"; then
   echo "FAIL: crates/wal/src/framed.rs declares a LogRecord-typed field (a decoded mirror beside the store)"; exit 1
 fi
@@ -258,6 +259,39 @@ nontest_lines crates/wal/src
 nontest_lines crates/engine/src
 nontest_lines crates/net/src
 nontest_lines crates/core/src
+
+echo "== state leaves with its transaction: recycled or gone, not kept"
+# A steady turn allocates only for state that outlives it. The storage
+# engine used to copy every locked key into a new lock-table entry and
+# keep each live transaction's first log position in a map of its own;
+# it now refills freed key buffers and keeps the position in the
+# transaction's reused context. The kernel used to hand each vote to its
+# participant through set_intent, which kept every vote for ever; it now
+# passes the vote with the prepare. The GC tracker kept an `ended` map
+# nobody read, and FramedLog an absolute 8-byte offset per record where
+# a 4-byte length does. Each pattern below, in its file's non-test
+# lines, is one of those coming back; each first meets its control line.
+state_guards=(
+  crates/engine/src/lock.rs  'insert\(key\.to_vec\(\)'  '            self.locks.insert(key.to_vec(), state);'
+  crates/net/src             '\.set_intent\('           '                p.set_intent(*txn, vote);'
+  crates/wal/src/gc.rs       '\bended: [A-Z]'           '    ended: BTreeMap<TxnId, Lsn>,'
+  crates/engine/src/site.rs  '\bfirst_lsn: BTreeMap\b'  '    first_lsn: BTreeMap<TxnId, Lsn>,'
+  crates/wal/src/framed.rs   '\bVecDeque<u64>'          '    offsets: VecDeque<u64>,'
+)
+for ((i = 0; i < ${#state_guards[@]}; i += 3)); do
+  where="${state_guards[i]}" pattern="${state_guards[i + 1]}" control="${state_guards[i + 2]}"
+  echo "$control" | grep -qE "$pattern" \
+    || { echo "FAIL: the guard '$pattern' misses its control line '$control'"; exit 1; }
+  if find "$where" -name '*.rs' | sort \
+    | xargs awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { print FILENAME ":" FNR ": " $0 }' \
+    | grep -E "$pattern"; then
+    echo "FAIL: '$pattern' in $where: per-transaction state kept past its transaction"; exit 1
+  fi
+done
+nontest_lines crates/engine/src
+nontest_lines crates/core/src
+nontest_lines crates/wal/src
+nontest_lines crates/net/src
 
 echo "== one encoder: the logs and the runtime encode in place"
 # encode_frame/encode_payload are allocating wrappers over the _into

@@ -1,7 +1,7 @@
 //! The commit path's allocation budget, as a tier-1 fact.
 //!
 //! A steady-state turn may allocate only for state that outlives it:
-//! protocol-table, lock and store entries and log offsets (DESIGN.md,
+//! protocol-table and store entries and log record lengths (DESIGN.md,
 //! "Runtime architecture", allocation discipline). These cases pin that
 //! with this binary's own counting allocator — per thread, like the
 //! benchmark's (`benchmarks/src/alloc.rs`), so the driver's staging and
@@ -129,8 +129,8 @@ fn a_reactor_commit_allocates_within_its_budget() {
     let per_txn = runtime_allocs_per_txn(Backend::Reactor(1));
     println!("reactor: {per_txn:.1} runtime-thread allocations per transaction");
     assert!(
-        per_txn <= 24.0,
-        "{per_txn:.1} allocations per transaction on the reactor thread (budget 24)"
+        per_txn <= 12.0,
+        "{per_txn:.1} allocations per transaction on the reactor thread (budget 12)"
     );
 }
 
@@ -143,8 +143,8 @@ fn a_socket_pair_commit_allocates_within_its_budget() {
     let per_txn = runtime_allocs_per_txn(Backend::SocketPair);
     println!("socket pair: {per_txn:.1} node-thread allocations per transaction");
     assert!(
-        per_txn <= 30.0,
-        "{per_txn:.1} allocations per transaction on the node threads (budget 30)"
+        per_txn <= 18.0,
+        "{per_txn:.1} allocations per transaction on the node threads (budget 18)"
     );
 }
 
@@ -182,8 +182,9 @@ fn a_steady_engine_step_allocates_only_for_table_and_log_entries() {
 /// driven as the kernel drives it: owned `put`, `prepare_lazy`, one
 /// `flush_log` per burst, `resolve`. Each write's buffers move from the
 /// caller through the write set, are lent to its update record and end
-/// in the store, so what is left per write is the lock-table key and
-/// the write set's slot.
+/// in the store; an ended transaction's context and its freed lock-key
+/// buffers are reused by the next burst, so what is left per write is
+/// the store's share of a tree node for the new key.
 #[test]
 fn a_storage_engine_write_is_copied_at_most_once() {
     DRIVER.with(|d| d.set(true));
@@ -224,7 +225,7 @@ fn a_storage_engine_write_is_copied_at_most_once() {
     let per_write = (MINE.get() - before) as f64 / (MEASURED * BURST) as f64;
     println!("storage engine: {per_write:.2} allocations per write");
     assert!(
-        per_write <= 3.0,
-        "{per_write:.2} allocations per write in the storage engine (budget 3)"
+        per_write <= 1.0,
+        "{per_write:.2} allocations per write in the storage engine (budget 1)"
     );
 }

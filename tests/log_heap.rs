@@ -2,7 +2,7 @@
 //!
 //! - The data log: a `FileLog` keeps no copy of its records. The file
 //!   is the only one; the log holds its encode buffer, its counters and
-//!   one frame offset (8 B) per live record, so a log the kernel never
+//!   one payload length (4 B) per live record, so a log the kernel never
 //!   collects (a participant's data log) costs the heap about that per
 //!   record and no more.
 //! - The engines (Definition 1, everything is eventually forgotten): a
@@ -86,9 +86,9 @@ fn update(i: u64) -> LogPayload {
 
 /// 10 000 `Update` records appended and flushed a burst at a time, as
 /// the kernel writes a data log out once per turn: the log's live heap
-/// grows by at most one offset per record (the offsets' `VecDeque`
-/// doubles, so ≤ 16 B). A decoded copy of each record would cost a
-/// 96 B `LogRecord` plus its key and value.
+/// grows by at most one payload length per record (a `u32` in a
+/// `VecDeque` that doubles, so ≤ 8 B). A decoded copy of each record
+/// would cost a 96 B `LogRecord` plus its key and value.
 #[test]
 fn a_file_log_holds_at_most_one_offset_per_record_on_the_heap() {
     const RECORDS: u64 = 10_000;
@@ -111,8 +111,8 @@ fn a_file_log_holds_at_most_one_offset_per_record_on_the_heap() {
     log.flush().unwrap();
     let per_record = (live() - before) as f64 / RECORDS as f64;
     assert!(
-        per_record <= 16.0,
-        "the log's heap grew {per_record:.1} B per record (at most one 8 B offset, doubled)"
+        per_record <= 8.0,
+        "the log's heap grew {per_record:.1} B per record (at most one 4 B length, doubled)"
     );
 
     // Nothing is lost for it: the records read back from the file.

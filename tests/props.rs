@@ -205,7 +205,6 @@ proptest! {
         }
         let releasable = tracker.releasable();
         log.truncate_prefix(releasable).expect("truncate");
-        tracker.reclaimed(releasable);
         let rebuilt = GcTracker::from_records(&log.records().expect("records"));
         prop_assert_eq!(tracker.pinned(), rebuilt.pinned());
     }
