@@ -661,6 +661,18 @@ mod tests {
         let report = check(&config);
         assert!(report.states_explored > 1000);
 
+        // PrAny's table entries: votes arriving one by one, a read-only
+        // voter dropping out of phase two, and acks awaited. Its link
+        // queues `[decision, decision][ack]` and `[decision][vote, ack]`
+        // hash alike unless each queue is hashed behind its length.
+        let mut config = CheckConfig::new(
+            CoordinatorKind::PrAny(SelectionPolicy::PaperStrict),
+            &[ProtocolKind::PrA, ProtocolKind::PrC],
+        );
+        config.votes = vec![Vote::Yes, Vote::ReadOnly];
+        config.paranoid_fingerprints = true;
+        assert_eq!(check(&config).states_explored, 5_437);
+
         // The replicated state (acceptors, dead set, kill budget) too.
         let mut config = CheckConfig::paxos(2, 1);
         config.votes = vec![Vote::Yes, Vote::No];

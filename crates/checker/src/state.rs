@@ -284,16 +284,16 @@ impl CheckState {
         }
         self.dead.hash(&mut h);
         // In-flight messages: order only matters per link (FIFO), so
-        // hash each link's queue separately in a canonical link order.
+        // hash each link's queue separately in a canonical link order,
+        // each behind its length so no two queues' bytes run together.
         let mut links: Vec<(SiteId, SiteId)> = self.in_flight.iter().map(|m| (m.from, m.to)).collect();
         links.sort_unstable();
         links.dedup();
         for &(from, to) in &links {
-            (from, to).hash(&mut h);
-            for m in &self.in_flight {
-                if m.from == from && m.to == to {
-                    m.payload.hash(&mut h);
-                }
+            let on_link = |m: &&Message| m.from == from && m.to == to;
+            (from, to, self.in_flight.iter().filter(on_link).count()).hash(&mut h);
+            for m in self.in_flight.iter().filter(on_link) {
+                m.payload.hash(&mut h);
             }
         }
         for t in &self.timers {

@@ -11,11 +11,9 @@
 pub mod plan;
 pub mod recovery;
 pub mod select;
-pub mod table;
 
 use crate::action::{Action, TimerPurpose};
 use plan::{CommitPlan, InquiryRule};
-use table::ShardedTable;
 
 use acp_acta::ActaEvent;
 use acp_types::{
@@ -23,7 +21,7 @@ use acp_types::{
     Vote,
 };
 use acp_wal::{GcTracker, StableLog, WalError};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Maximum decision re-sends before the coordinator stops actively
 /// retrying (it keeps the table entry — C2PC's "remember forever" is
@@ -32,28 +30,39 @@ use std::collections::{BTreeMap, BTreeSet};
 pub const MAX_DECISION_RESENDS: u32 = 16;
 
 /// Volatile per-transaction coordinator state.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum Phase {
-    /// Collecting votes.
-    Voting {
-        /// Votes received so far.
-        votes: BTreeMap<SiteId, Vote>,
-    },
-    /// Decision made; awaiting acknowledgments.
+    /// Collecting votes (into the entry's slots).
+    Voting,
+    /// Decision made; awaiting the acknowledgments the slots flag.
     Deciding {
         /// The decision.
         outcome: Outcome,
-        /// Sites whose acknowledgment is still outstanding.
-        pending: BTreeSet<SiteId>,
         /// Re-send attempts so far.
         resends: u32,
     },
 }
 
+/// One participant site's place in a transaction: its vote while the
+/// coordinator collects them, and whether its acknowledgment is still
+/// awaited once decided.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Slot {
+    site: SiteId,
+    vote: Option<Vote>,
+    awaiting: bool,
+}
+
 /// A protocol-table entry.
 #[derive(Clone, Debug)]
 pub(crate) struct TxnState {
+    /// The participant list in the client's order, which the initiation
+    /// or decision record borrows for its append.
     pub(crate) participants: Vec<ParticipantEntry>,
+    /// One slot per distinct participant site, in ascending `SiteId`
+    /// order: the order resends, recovery's re-sends and the checker's
+    /// state rendering walk them in.
+    pub(crate) slots: Vec<Slot>,
     pub(crate) plan: CommitPlan,
     pub(crate) phase: Phase,
     /// Whether any log record was written for this transaction (decides
@@ -63,6 +72,85 @@ pub(crate) struct TxnState {
     /// while voting, the ack re-send once decided — what eager
     /// retirement cancels without scanning every armed timer.
     pub(crate) timer: Option<u64>,
+}
+
+impl TxnState {
+    pub(crate) fn new(
+        participants: Vec<ParticipantEntry>,
+        plan: CommitPlan,
+        phase: Phase,
+        logged_any: bool,
+    ) -> Self {
+        let mut slots: Vec<Slot> = participants
+            .iter()
+            .map(|p| Slot {
+                site: p.site,
+                vote: None,
+                awaiting: false,
+            })
+            .collect();
+        slots.sort_unstable_by_key(|s| s.site);
+        slots.dedup_by_key(|s| s.site);
+        TxnState {
+            participants,
+            slots,
+            plan,
+            phase,
+            logged_any,
+            timer: None,
+        }
+    }
+
+    fn slot(&self, site: SiteId) -> Option<&Slot> {
+        let i = self.slots.binary_search_by_key(&site, |s| s.site).ok()?;
+        Some(&self.slots[i])
+    }
+
+    fn slot_mut(&mut self, site: SiteId) -> Option<&mut Slot> {
+        let i = self.slots.binary_search_by_key(&site, |s| s.site).ok()?;
+        Some(&mut self.slots[i])
+    }
+
+    /// Is `site` in phase two? Everyone is except unilateral aborters
+    /// (voted "No") and read-only voters, both of which dropped out of
+    /// it. Participants whose vote has not arrived are *included*: they
+    /// may be prepared, so the decision (and its acknowledgment
+    /// bookkeeping) must reach them.
+    fn in_phase_two(&self, site: SiteId) -> bool {
+        let vote = self.slot(site).and_then(|s| s.vote);
+        !matches!(vote, Some(Vote::No | Vote::ReadOnly))
+    }
+
+    /// Phase two's recipients, in list order.
+    fn recipients(&self) -> impl Iterator<Item = &ParticipantEntry> {
+        self.participants
+            .iter()
+            .filter(|p| self.in_phase_two(p.site))
+    }
+
+    /// Flag every phase-two recipient whose acknowledgment the plan
+    /// awaits for `outcome`; returns whether any is awaited.
+    fn await_acks(&mut self, outcome: Outcome) -> bool {
+        let mut any = false;
+        for i in 0..self.participants.len() {
+            let p = self.participants[i];
+            if self.in_phase_two(p.site) && self.plan.awaits_ack(outcome, &p) {
+                self.slot_mut(p.site).expect("a slot per site").awaiting = true;
+                any = true;
+            }
+        }
+        any
+    }
+
+    /// The votes received, by ascending site.
+    fn votes(&self) -> impl Iterator<Item = (SiteId, Vote)> + '_ {
+        self.slots.iter().filter_map(|s| Some((s.site, s.vote?)))
+    }
+
+    /// The sites whose acknowledgment is awaited, ascending.
+    fn awaited(&self) -> impl Iterator<Item = SiteId> + '_ {
+        self.slots.iter().filter(|s| s.awaiting).map(|s| s.site)
+    }
 }
 
 /// The coordinator engine. See module docs.
@@ -111,10 +199,9 @@ pub struct Coordinator<L: StableLog> {
     /// crashes.
     pub(crate) pcp: BTreeMap<SiteId, ProtocolKind>,
     /// The volatile protocol table (cleared on crash, rebuilt by §4.2
-    /// log analysis), sharded by transaction id so one coordinator can
-    /// drive thousands of concurrent transactions without a single-map
-    /// contention point.
-    pub(crate) table: ShardedTable<TxnState>,
+    /// log analysis), in transaction order: the order the checker's
+    /// state rendering walks it in.
+    pub(crate) table: BTreeMap<TxnId, TxnState>,
     pub(crate) gc: GcTracker,
     pub(crate) timers: BTreeMap<u64, (TxnId, TimerPurpose)>,
     pub(crate) next_token: u64,
@@ -128,8 +215,11 @@ pub struct Coordinator<L: StableLog> {
     track_cancellations: bool,
     /// Retired timer tokens not yet drained by the host.
     cancelled: Vec<u64>,
-    /// Observational: decisions ever made (survives crash; used by tests
-    /// and checkers, never consulted by the protocol itself).
+    /// Every decision this coordinator made, by transaction. It
+    /// survives a crash, and recovery overwrites an entry with the
+    /// outcome it re-decides. The protocol never reads it, but hosts
+    /// answer clients from it ([`Coordinator::decided`]), and it gains
+    /// one entry per decided transaction and loses none.
     pub(crate) decisions: BTreeMap<TxnId, Outcome>,
     /// Truncate the log automatically whenever the releasable prefix
     /// grows (on by default).
@@ -144,7 +234,7 @@ impl<L: StableLog> Coordinator<L> {
             kind,
             log,
             pcp: BTreeMap::new(),
-            table: ShardedTable::new(),
+            table: BTreeMap::new(),
             gc: GcTracker::new(),
             timers: BTreeMap::new(),
             next_token: 0,
@@ -169,10 +259,7 @@ impl<L: StableLog> Coordinator<L> {
     /// participates in an in-flight transaction — the paper's model has
     /// sites leave the *environment*, not abscond mid-protocol.
     pub fn unregister_site(&mut self, site: SiteId) -> Result<(), acp_types::ProtocolViolation> {
-        if let Some(txn) = self
-            .table
-            .find(|_, state| state.participants.iter().any(|p| p.site == site))
-        {
+        if let Some((&txn, _)) = self.table.iter().find(|(_, st)| st.slot(site).is_some()) {
             return Err(acp_types::ProtocolViolation::new(
                 self.site,
                 Some(txn),
@@ -210,15 +297,15 @@ impl<L: StableLog> Coordinator<L> {
     /// Transactions currently in the protocol table.
     #[must_use]
     pub fn protocol_table_txns(&self) -> Vec<TxnId> {
-        self.table.keys_sorted()
+        self.table.keys().copied().collect()
     }
 
-    /// Is `txn` currently in the protocol table? O(shard) — use this
+    /// Is `txn` currently in the protocol table? O(log n) — use this
     /// instead of `protocol_table_txns().contains(..)`, which clones
     /// every key.
     #[must_use]
     pub fn in_flight(&self, txn: TxnId) -> bool {
-        self.table.contains(txn)
+        self.table.contains_key(&txn)
     }
 
     /// Enable (or disable) eager timer retirement: with tracking on,
@@ -251,14 +338,21 @@ impl<L: StableLog> Coordinator<L> {
         }
     }
 
+    /// Is `txn` tabled and still collecting votes?
+    fn voting(&self, txn: TxnId) -> bool {
+        matches!(self.table.get(&txn).map(|s| s.phase), Some(Phase::Voting))
+    }
+
     /// Transactions still pinning the log (no end record).
     #[must_use]
     pub fn log_pinned(&self) -> Vec<TxnId> {
         self.gc.pinned()
     }
 
-    /// The decision this coordinator made for `txn`, if any
-    /// (observational; survives crashes).
+    /// The decision this coordinator made for `txn`, if any. It
+    /// survives crashes, and after a recovery it is the outcome
+    /// recovery re-decided. The kernel answers a client's `Commit` from
+    /// it, so a decided duplicate gets the outcome, not a second run.
     #[must_use]
     pub fn decided(&self, txn: TxnId) -> Option<Outcome> {
         self.decisions.get(&txn).copied()
@@ -280,15 +374,24 @@ impl<L: StableLog> Coordinator<L> {
 
     /// A canonical rendering of the engine's *semantic* state (protocol
     /// table, stable log, PCP, armed timers), used by the model checker
-    /// to deduplicate explored states. Observational fields (the
-    /// decision memos) are excluded on purpose — they never influence
-    /// behaviour.
+    /// to deduplicate explored states. Per table entry it renders the
+    /// votes received while voting, and once decided the outcome, the
+    /// awaited sites and the resend count. The decision memo is left
+    /// out: the engine never reads it, and the checker's hosts answer
+    /// no client from it.
     #[must_use]
     pub fn fingerprint(&self) -> String {
         let mut s = format!("coord:{:?};", self.kind);
-        self.table.for_each(|txn, st| {
-            s.push_str(&format!("{txn}={:?}/{:?};", st.phase, st.plan.mode));
-        });
+        for (txn, st) in &self.table {
+            let phase = match st.phase {
+                Phase::Voting => format!("Voting{:?}", st.votes().collect::<Vec<_>>()),
+                Phase::Deciding { outcome, resends } => {
+                    let awaited: Vec<_> = st.awaited().collect();
+                    format!("Deciding({outcome:?}, {awaited:?}, {resends})")
+                }
+            };
+            s.push_str(&format!("{txn}={phase}/{:?};", st.plan.mode));
+        }
         s.push('|');
         for rec in self.log.records().expect("records") {
             s.push_str(&format!("{};", rec.payload));
@@ -307,11 +410,24 @@ impl<L: StableLog> Coordinator<L> {
     pub fn hash_state<H: std::hash::Hasher>(&self, h: &mut H) {
         use std::hash::Hash;
         self.kind.hash(h);
-        self.table.for_each(|txn, st| {
+        for (txn, st) in &self.table {
             txn.hash(h);
-            st.phase.hash(h);
+            match st.phase {
+                Phase::Voting => {
+                    0u8.hash(h);
+                    st.votes().count().hash(h);
+                    st.votes().for_each(|vote| vote.hash(h));
+                }
+                Phase::Deciding { outcome, resends } => {
+                    1u8.hash(h);
+                    outcome.hash(h);
+                    st.awaited().count().hash(h);
+                    st.awaited().for_each(|site| site.hash(h));
+                    resends.hash(h);
+                }
+            }
             st.plan.mode.hash(h);
-        });
+        }
         0xA1u8.hash(h); // section separator, mirrors the '|' in fingerprint()
         self.log
             .for_each_record(&mut |rec| rec.payload.hash(h))
@@ -378,11 +494,9 @@ impl<L: StableLog> Coordinator<L> {
         let token = self.next_token;
         self.next_token += 1;
         self.timers.insert(token, (txn, purpose));
-        self.table.with_mut(txn, |state| {
-            if let Some(state) = state {
-                state.timer = Some(token);
-            }
-        });
+        if let Some(state) = self.table.get_mut(&txn) {
+            state.timer = Some(token);
+        }
         out.push(Action::SetTimer {
             token,
             purpose,
@@ -406,7 +520,7 @@ impl<L: StableLog> Coordinator<L> {
     /// the entry point for hosts that reuse one action buffer.
     pub fn begin_commit_into(&mut self, txn: TxnId, sites: &[SiteId], out: &mut Vec<Action>) {
         assert!(
-            !self.table.contains(txn),
+            !self.table.contains_key(&txn),
             "transaction {txn} already in the protocol table"
         );
         let participants = self.entries(sites);
@@ -426,18 +540,8 @@ impl<L: StableLog> Coordinator<L> {
         let LogPayload::Initiation { participants, .. } = initiation else {
             unreachable!("built above")
         };
-        self.table.insert(
-            txn,
-            TxnState {
-                participants,
-                plan,
-                phase: Phase::Voting {
-                    votes: BTreeMap::new(),
-                },
-                logged_any: plan.write_initiation,
-                timer: None,
-            },
-        );
+        let state = TxnState::new(participants, plan, Phase::Voting, plan.write_initiation);
+        self.table.insert(txn, state);
         appended
             .transpose()
             .expect("coordinator log append");
@@ -451,31 +555,16 @@ impl<L: StableLog> Coordinator<L> {
     /// Fix the outcome and run the decision phase. Called when all votes
     /// are in, when a "No" vote arrives, or on vote timeout.
     fn decide(&mut self, txn: TxnId, outcome: Outcome, out: &mut Vec<Action>) {
-        // Move the entry into its deciding phase and borrow what the
-        // decision needs — the participant list and the votes — out of
-        // the shard, releasing its lock before appending/sending:
-        // nothing below may re-enter the table while a shard is held.
-        // The list goes back with the acknowledgment set at the end.
-        let (plan, mut participants, votes, vote_timer, mut logged_any) =
-            self.table.with_mut(txn, |state| {
-                let state = state.expect("decide on tabled txn");
-                let deciding = Phase::Deciding {
-                    outcome,
-                    pending: BTreeSet::new(),
-                    resends: 0,
-                };
-                let Phase::Voting { votes } = std::mem::replace(&mut state.phase, deciding) else {
-                    unreachable!("decide called twice")
-                };
-                let participants = std::mem::take(&mut state.participants);
-                (
-                    state.plan,
-                    participants,
-                    votes,
-                    state.timer.take(),
-                    state.logged_any,
-                )
-            });
+        let state = self.table.get_mut(&txn).expect("decide on tabled txn");
+        let Phase::Voting = state.phase else {
+            unreachable!("decide called twice")
+        };
+        state.phase = Phase::Deciding {
+            outcome,
+            resends: 0,
+        };
+        let (plan, vote_timer) = (state.plan, state.timer.take());
+        let any_recipient = state.recipients().next().is_some();
 
         self.decisions.insert(txn, outcome);
         out.push(Action::Acta(ActaEvent::Decide {
@@ -491,14 +580,17 @@ impl<L: StableLog> Coordinator<L> {
         // transaction commits with no decision record and no decision
         // messages).
         let mut appended = Ok(());
-        if recipients(&participants, &votes).next().is_some() {
+        if any_recipient {
             if let Some(forced) = plan.decision_record(outcome) {
                 // Without an initiation record the decision record lists
-                // the participants: the list is lent to it for the append.
+                // the participants: the list is lent to it for the append
+                // and goes back to the entry whatever the append returns.
+                let state = self.table.get_mut(&txn).expect("tabled");
+                state.logged_any = true;
                 let listed = if plan.write_initiation {
                     Vec::new()
                 } else {
-                    std::mem::take(&mut participants)
+                    std::mem::take(&mut state.participants)
                 };
                 let record = LogPayload::CoordDecision {
                     txn,
@@ -506,45 +598,24 @@ impl<L: StableLog> Coordinator<L> {
                     participants: listed,
                 };
                 appended = self.append(txn, &record, forced, out);
-                let LogPayload::CoordDecision {
-                    participants: listed,
-                    ..
-                } = record
-                else {
-                    unreachable!("built above")
-                };
-                if !plan.write_initiation {
-                    participants = listed;
+                if let LogPayload::CoordDecision { participants, .. } = record {
+                    if !plan.write_initiation {
+                        self.table.get_mut(&txn).expect("tabled").participants = participants;
+                    }
                 }
-                logged_any = true;
-            }
-            // A refused append panics below, once the table has its
-            // list back, so these are never carried out.
-            for p in recipients(&participants, &votes) {
-                out.push(Action::send(p.site, Payload::Decision { txn, outcome }));
             }
         }
-
-        // Inserted one by one: collecting a set sorts through a
-        // temporary `Vec` first.
-        let mut pending = BTreeSet::new();
-        for p in recipients(&participants, &votes).filter(|p| plan.awaits_ack(outcome, p)) {
-            pending.insert(p.site);
+        let state = self.table.get_mut(&txn).expect("tabled");
+        // A refused append panics below, so these are never carried out.
+        for p in state.recipients() {
+            out.push(Action::send(p.site, Payload::Decision { txn, outcome }));
         }
-        let finished = pending.is_empty();
-        self.table.with_mut(txn, |state| {
-            let state = state.expect("tabled");
-            state.participants = participants;
-            state.logged_any = logged_any;
-            if let Phase::Deciding { pending: slot, .. } = &mut state.phase {
-                *slot = pending;
-            }
-        });
+        let awaiting = state.await_acks(outcome);
         appended.expect("coordinator log append");
-        if finished {
-            self.finish(txn, out);
-        } else {
+        if awaiting {
             self.arm_timer(txn, TimerPurpose::AckResend, 0, out);
+        } else {
+            self.finish(txn, out);
         }
     }
 
@@ -552,7 +623,7 @@ impl<L: StableLog> Coordinator<L> {
     /// write the end record, delete the transaction from the protocol
     /// table (the `DeletePT` event of Definition 2) and garbage collect.
     pub(crate) fn finish(&mut self, txn: TxnId, out: &mut Vec<Action>) {
-        let state = self.table.remove(txn).expect("finish on tabled txn");
+        let state = self.table.remove(&txn).expect("finish on tabled txn");
         // Any still-armed timer for a finished transaction (the ack
         // re-send, typically) is dead weight from here on.
         self.retire_timer(state.timer);
@@ -573,16 +644,7 @@ impl<L: StableLog> Coordinator<L> {
     /// once a decision exists and for unknown transactions.
     pub fn abort_request(&mut self, txn: TxnId) -> Vec<Action> {
         let mut out = Vec::new();
-        let voting = self.table.with(txn, |s| {
-            matches!(
-                s,
-                Some(TxnState {
-                    phase: Phase::Voting { .. },
-                    ..
-                })
-            )
-        });
-        if voting {
+        if self.voting(txn) {
             self.decide(txn, Outcome::Abort, &mut out);
         }
         out
@@ -619,61 +681,49 @@ impl<L: StableLog> Coordinator<L> {
     }
 
     fn on_vote(&mut self, from: SiteId, txn: TxnId, vote: Vote, out: &mut Vec<Action>) {
-        // Record the vote under the shard lock; any decision it triggers
-        // runs after the lock is released (`decide` re-enters the table).
-        let verdict = self.table.with_mut(txn, |state| {
-            // A vote for a transaction no longer in the table (the
-            // coordinator decided and forgot while this vote was in
-            // flight). A "Yes" voter is prepared and blocked, but its
-            // own inquiry timer resolves that through the normal inquiry
-            // path — which, unlike answering here, uses the inquirer's
-            // protocol from the message itself. Ignore the vote.
-            let state = state?;
-            if !state.participants.iter().any(|p| p.site == from) {
-                return None; // not a participant of this transaction; ignore
-            }
-            match &mut state.phase {
-                Phase::Voting { votes } => {
-                    votes.insert(from, vote);
-                    if vote == Vote::No {
-                        Some(Outcome::Abort)
-                    } else if votes.len() == state.participants.len() {
-                        Some(Outcome::Commit)
-                    } else {
-                        None
-                    }
-                }
-                Phase::Deciding { .. } => {
-                    // Late vote after the decision (it raced the timeout
-                    // or a client abort). Nothing to do: the decision was
-                    // already sent to every phase-two recipient —
-                    // including participants whose vote had not arrived —
-                    // and the links are FIFO, so it is ordered behind
-                    // this vote's prepare. Loss is covered by the
-                    // ack-resend timer and by the participant's recovery
-                    // inquiry.
-                    None
-                }
-            }
-        });
-        if let Some(outcome) = verdict {
-            self.decide(txn, outcome, out);
+        // A vote for a transaction no longer in the table (the
+        // coordinator decided and forgot while this vote was in flight).
+        // A "Yes" voter is prepared and blocked, but its own inquiry
+        // timer resolves that through the normal inquiry path — which,
+        // unlike answering here, uses the inquirer's protocol from the
+        // message itself. Ignore the vote.
+        let Some(state) = self.table.get_mut(&txn) else {
+            return;
+        };
+        if let Phase::Deciding { .. } = state.phase {
+            // Late vote after the decision (it raced the timeout or a
+            // client abort). Nothing to do: the decision was already
+            // sent to every phase-two recipient — including
+            // participants whose vote had not arrived — and the links
+            // are FIFO, so it is ordered behind this vote's prepare.
+            // Loss is covered by the ack-resend timer and by the
+            // participant's recovery inquiry.
+            return;
+        }
+        let Some(slot) = state.slot_mut(from) else {
+            return; // not a participant of this transaction; ignore
+        };
+        slot.vote = Some(vote);
+        if vote == Vote::No {
+            self.decide(txn, Outcome::Abort, out);
+        } else if state.votes().count() == state.participants.len() {
+            self.decide(txn, Outcome::Commit, out);
         }
     }
 
     fn on_ack(&mut self, from: SiteId, txn: TxnId, out: &mut Vec<Action>) {
-        let finished = self.table.with_mut(txn, |state| {
-            // Duplicate or protocol-violating acks are ignored (§2), as
-            // are acks during the voting phase.
-            let Some(state) = state else { return false };
-            if let Phase::Deciding { pending, .. } = &mut state.phase {
-                pending.remove(&from);
-                pending.is_empty()
-            } else {
-                false
-            }
-        });
-        if finished {
+        // Duplicate or protocol-violating acks are ignored (§2), as are
+        // acks during the voting phase.
+        let Some(state) = self.table.get_mut(&txn) else {
+            return;
+        };
+        if let Phase::Voting = state.phase {
+            return;
+        }
+        if let Some(slot) = state.slot_mut(from) {
+            slot.awaiting = false;
+        }
+        if state.awaited().next().is_none() {
             self.finish(txn, out);
         }
     }
@@ -685,11 +735,9 @@ impl<L: StableLog> Coordinator<L> {
         protocol: ProtocolKind,
         out: &mut Vec<Action>,
     ) {
-        let tabled = self.table.with(txn, |state| {
-            state.map(|state| match &state.phase {
-                Phase::Voting { .. } => None,
-                Phase::Deciding { outcome, .. } => Some(*outcome),
-            })
+        let tabled = self.table.get(&txn).map(|state| match state.phase {
+            Phase::Voting => None,
+            Phase::Deciding { outcome, .. } => Some(outcome),
         });
         match tabled {
             Some(None) => {
@@ -780,43 +828,26 @@ impl<L: StableLog> Coordinator<L> {
         };
         match purpose {
             TimerPurpose::VoteTimeout => {
-                let voting = self.table.with(txn, |s| {
-                    matches!(
-                        s,
-                        Some(TxnState {
-                            phase: Phase::Voting { .. },
-                            ..
-                        })
-                    )
-                });
-                if voting {
+                if self.voting(txn) {
                     // §4.2: failures are detected by timeouts — missing
                     // votes abort the transaction.
                     self.decide(txn, Outcome::Abort, out);
                 }
             }
             TimerPurpose::AckResend => {
-                let resend = self.table.with_mut(txn, |state| {
-                    let state = state?;
-                    if let Phase::Deciding {
-                        outcome,
-                        pending,
-                        resends,
-                    } = &mut state.phase
-                    {
-                        *resends += 1;
-                        Some((*resends, *outcome, pending.iter().copied().collect::<Vec<_>>()))
-                    } else {
-                        None
-                    }
-                });
-                if let Some((attempts, outcome, targets)) = resend {
-                    for to in targets {
-                        out.push(Action::send(to, Payload::Decision { txn, outcome }));
-                    }
-                    if attempts < MAX_DECISION_RESENDS {
-                        self.arm_timer(txn, TimerPurpose::AckResend, attempts, out);
-                    }
+                let Some(state) = self.table.get_mut(&txn) else {
+                    return;
+                };
+                let Phase::Deciding { outcome, resends } = &mut state.phase else {
+                    return;
+                };
+                *resends += 1;
+                let (attempts, outcome) = (*resends, *outcome);
+                for to in state.awaited() {
+                    out.push(Action::send(to, Payload::Decision { txn, outcome }));
+                }
+                if attempts < MAX_DECISION_RESENDS {
+                    self.arm_timer(txn, TimerPurpose::AckResend, attempts, out);
                 }
             }
             // Participant/gateway/paxos-side purposes: not ours.
@@ -870,20 +901,6 @@ impl<L: StableLog> Coordinator<L> {
             });
         }
     }
-}
-
-/// Phase two's recipients: everyone except unilateral aborters (voted
-/// "No") and read-only voters, both of which dropped out of it.
-/// Participants whose vote has not arrived are *included*: they may be
-/// prepared, so the decision (and its acknowledgment bookkeeping) must
-/// reach them.
-fn recipients<'a>(
-    participants: &'a [ParticipantEntry],
-    votes: &'a BTreeMap<SiteId, Vote>,
-) -> impl Iterator<Item = &'a ParticipantEntry> {
-    participants
-        .iter()
-        .filter(|p| !matches!(votes.get(&p.site), Some(Vote::No | Vote::ReadOnly)))
 }
 
 #[cfg(test)]

@@ -28,11 +28,10 @@ use crate::coordinator::plan::CommitPlan;
 use crate::coordinator::{Coordinator, Phase, TxnState};
 use acp_acta::ActaEvent;
 use acp_types::{
-    CommitMode, CoordinatorKind, LogPayload, Outcome, ParticipantEntry, Payload, SiteId, TxnId,
+    CommitMode, CoordinatorKind, LogPayload, Outcome, ParticipantEntry, Payload, TxnId,
 };
 use acp_wal::scan::TxnLogSummary;
 use acp_wal::StableLog;
-use std::collections::BTreeSet;
 
 impl<L: StableLog> Coordinator<L> {
     /// Run the §4.2 recovery procedure: analyze the stable log, rebuild
@@ -96,10 +95,12 @@ impl<L: StableLog> Coordinator<L> {
         // Who is re-notified = exactly who still owes an acknowledgment
         // (footnote 4: PrA participants are not re-sent aborts, PrC
         // participants are not re-sent commits).
-        let awaited = participants.iter().filter(|p| plan.awaits_ack(outcome, p));
-        let pending: BTreeSet<SiteId> = awaited.map(|p| p.site).collect();
-
-        if pending.is_empty() {
+        let phase = Phase::Deciding {
+            outcome,
+            resends: 0,
+        };
+        let mut state = TxnState::new(participants, plan, phase, true);
+        if !state.await_acks(outcome) {
             // Nothing owed (e.g. a committed PrC transaction): close out
             // with an end record so the log can be garbage collected.
             self.append(txn, &LogPayload::End { txn }, false, out)
@@ -112,23 +113,10 @@ impl<L: StableLog> Coordinator<L> {
             return;
         }
 
-        for &to in &pending {
+        for to in state.awaited() {
             out.push(Action::send(to, Payload::Decision { txn, outcome }));
         }
-        self.table.insert(
-            txn,
-            TxnState {
-                participants,
-                plan,
-                phase: Phase::Deciding {
-                    outcome,
-                    pending,
-                    resends: 0,
-                },
-                logged_any: true,
-                timer: None,
-            },
-        );
+        self.table.insert(txn, state);
         self.arm_timer(txn, TimerPurpose::AckResend, 0, out);
     }
 

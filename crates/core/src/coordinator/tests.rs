@@ -1162,8 +1162,7 @@ mod lending {
     }
 
     fn listed(c: &Coordinator<FaultyLog>) -> Vec<ParticipantEntry> {
-        c.table
-            .with(t(), |s| s.expect("tabled").participants.clone())
+        c.table[&t()].participants.clone()
     }
 
     #[test]

@@ -77,9 +77,35 @@ pub mod paxos;
 pub use action::{Action, TimerPurpose};
 pub use coordinator::plan::CommitPlan;
 pub use coordinator::select::select_mode;
-pub use coordinator::table::{shard_of, ShardedTable, TABLE_SHARDS};
 pub use coordinator::Coordinator;
 pub use engine::AnyEngine;
 pub use gateway::{GatewayParticipant, LegacyStore};
 pub use participant::Participant;
 pub use paxos::{PaxosConfig, PaxosNode};
+
+use acp_types::TxnId;
+
+/// The shard owning `txn` when work is split `n_shards` ways:
+/// `txn.raw() % n_shards`. This is the one ownership map: the
+/// multi-reactor's envelope routing and coordinator partitioning both
+/// call it, so "which shard owns transaction t" has a single answer.
+#[must_use]
+pub fn shard_of(txn: TxnId, n_shards: usize) -> usize {
+    debug_assert!(n_shards > 0, "shard_of with zero shards");
+    (txn.raw() % n_shards.max(1) as u64) as usize
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Transaction `t` lives on shard `t mod n`, at every shard count.
+    #[test]
+    fn shard_of_is_the_txn_id_mod_the_shard_count() {
+        for n in 1..=8 {
+            for raw in 0..64u64 {
+                assert_eq!(shard_of(TxnId::new(raw), n), (raw % n as u64) as usize);
+            }
+        }
+    }
+}

@@ -114,6 +114,9 @@ pub(crate) trait Transport {
 /// A native participant's data side: the storage engine its votes and
 /// enforcement act on, the client's vote overrides and its lock-conflict
 /// marks. A gateway keeps its data (the legacy system) in its engine.
+/// An override or a mark is read by the transaction's prepare and
+/// leaves with it; a duplicate prepare is answered from the
+/// participant's own state.
 struct DataSide {
     storage: SiteEngine<FileLog>,
     forced_intents: BTreeMap<TxnId, Vote>,
@@ -291,8 +294,8 @@ fn drive<T: Transport>(st: &mut SiteState, ctx: &mut Ctx<T>, input: Input<'_>) {
     match input {
         Input::Message(msg) => match (&msg.payload, data.as_mut(), &mut *engine) {
             (Payload::Prepare { txn }, Some(d), AnyEngine::Part(p)) => {
-                let (forced, poisoned) = (d.forced_intents.get(txn), d.poisoned.contains(txn));
-                let vote = decide_vote(&mut d.storage, *txn, forced.copied(), poisoned, defer);
+                let (forced, poisoned) = (d.forced_intents.remove(txn), d.poisoned.remove(txn));
+                let vote = decide_vote(&mut d.storage, *txn, forced, poisoned, defer);
                 p.on_prepare_into(msg.from, *txn, vote, &mut actions);
             }
             _ => engine.on_message_into(msg.from, &msg.payload, &mut actions),
@@ -1269,6 +1272,41 @@ mod tests {
         );
     }
 
+    /// The same crash, then the client's `Commit` again once the
+    /// coordinator is back. The memo said commit when the site went
+    /// down; recovery re-decided abort over it, and the duplicate is
+    /// answered with that abort.
+    #[test]
+    fn a_duplicate_commit_after_a_deciding_turn_crash_gets_the_recovered_abort() {
+        let mut r = rig(glacial());
+        let txn = TxnId::new(1);
+        let _outcome = r.submit(txn);
+        r.turn_until_votes_are_queued();
+        let down_for = Duration::from_millis(5);
+        r.send(COORDINATOR, Envelope::Crash { down_for });
+        r.kernel.turn();
+        let memo = |r: &Rig| r.kernel.sites[0].engine.decided(txn);
+        assert_eq!(memo(&r), Some(Outcome::Commit), "decided before the crash");
+
+        std::thread::sleep(2 * down_for);
+        for _ in 0..8 {
+            r.kernel.turn();
+        }
+        assert_eq!(memo(&r), Some(Outcome::Abort), "recovery re-decided");
+        let (reply, outcome) = bounded(1);
+        let participants = r.parts.clone();
+        r.send(
+            COORDINATOR,
+            Envelope::Commit {
+                txn,
+                participants,
+                reply,
+            },
+        );
+        r.kernel.turn();
+        assert_eq!(outcome.try_recv(), Ok(Outcome::Abort));
+    }
+
     /// A batch whose force fails takes what it withheld along: the
     /// sends *and* the ACTA events rest on records that never became
     /// durable, so neither may reach a peer or the history.
@@ -1486,6 +1524,77 @@ mod tests {
                 "site {site} keeps {} votes",
                 p.intents().len()
             );
+        }
+    }
+
+    /// The data side drops a client's vote override and a lock-conflict
+    /// mark once the prepare that reads it has voted: 200 forced-No and
+    /// 200 lock-conflicted aborts leave neither behind, and a duplicate
+    /// prepare still gets the participant's own answer — silence once
+    /// it voted No, a re-sent Yes while it is prepared.
+    #[test]
+    fn a_data_side_keeps_no_override_or_conflict_mark_past_its_prepare() {
+        const TXNS: u64 = 200;
+        let mut r = rig(glacial());
+        let data = |r: &Rig, site: SiteId| {
+            let d = r.kernel.sites[r.kernel.owned[&site]].data.as_ref();
+            let d = d.expect("a native participant");
+            (d.forced_intents.len(), d.poisoned.len())
+        };
+        let duplicate_prepare = |r: &mut Rig, site: SiteId, txn: TxnId| {
+            let prepare = Message::new(COORDINATOR, site, Payload::Prepare { txn });
+            r.send(site, Envelope::Protocol(prepare));
+            r.kernel.turn();
+            r.queued_votes()
+        };
+        // T0 holds `hot` at S1 and never commits, so every later write
+        // of `hot` there conflicts.
+        let hot = TxnId::new(10_000);
+        let (key, value) = (b"hot".to_vec(), b"v".to_vec());
+        r.send(
+            PARTS[0],
+            Envelope::Apply {
+                txn: hot,
+                key,
+                value,
+            },
+        );
+        for t in 1..=2 * TXNS {
+            let txn = TxnId::new(t);
+            let outcome = if t <= TXNS {
+                r.send(
+                    PARTS[1],
+                    Envelope::SetIntent {
+                        txn,
+                        vote: Vote::No,
+                    },
+                );
+                r.submit_write(txn, format!("k{t}").as_bytes())
+            } else {
+                r.submit_write(txn, b"hot")
+            };
+            while r.kernel.turn() {}
+            assert_eq!(outcome.try_recv(), Ok(Outcome::Abort), "txn {t}");
+        }
+        for site in PARTS {
+            assert_eq!(data(&r, site), (0, 0), "site {site}: overrides, marks");
+        }
+        for (site, t) in [(PARTS[1], 1), (PARTS[0], TXNS + 1)] {
+            let queued = duplicate_prepare(&mut r, site, TxnId::new(t));
+            assert_eq!(queued, 0, "site {site} voted No on txn {t}: silence");
+        }
+
+        let txn = TxnId::new(3 * TXNS);
+        let _outcome = r.submit_write(txn, b"cold");
+        r.turn_until_votes_are_queued();
+        r.kernel.ctx.ready.clear(); // the votes are lost
+        for site in PARTS {
+            assert_eq!(
+                duplicate_prepare(&mut r, site, txn),
+                1,
+                "site {site}: Yes again"
+            );
+            r.kernel.ctx.ready.clear();
         }
     }
 

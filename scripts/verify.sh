@@ -3,7 +3,7 @@
 # warning-free clippy run, the structural guards (one kernel, one
 # in-process host, one engine enum, one metrics path, one harness, one
 # log, observed costs, one copy per write, state leaves with its
-# transaction, one encoder, one instrument),
+# transaction, one owner one table, one encoder, one instrument),
 # warning-free rustdoc, the benchmark's smoke suite, and a regeneration
 # of every committed result with a diff against it. No step's pass/fail depends
 # on a wall-clock rate; the perf figures printed are information.
@@ -292,6 +292,34 @@ nontest_lines crates/engine/src
 nontest_lines crates/core/src
 nontest_lines crates/wal/src
 nontest_lines crates/net/src
+
+echo "== one owner, one table: the coordinator's protocol table is a plain map"
+# The protocol table used to be 64 Mutex-guarded shards and an atomic
+# length, built for readers on other threads that no host has; every
+# host owns its coordinator. Each transaction's votes and awaited acks
+# were a map and a set of their own; they are slots beside its
+# participant list. Each pattern below, in the non-test lines of its
+# files, is one of those coming back; each first meets its control line.
+table_guards=(
+  crates/core/src                   '\bMutex\b'                 '    shards: Vec<Mutex<BTreeMap<TxnId, V>>>,'
+  crates/core/src                   '\bAtomic[A-Z]'             '    len: AtomicUsize,'
+  crates/core/src                   '\bShardedTable\b'          '    pub(crate) table: ShardedTable<TxnState>,'
+  crates/core/src/coordinator/mod.rs       'BTreeMap<SiteId, Vote>'  '        votes: BTreeMap<SiteId, Vote>,'
+  crates/core/src/coordinator/mod.rs       'BTreeSet<SiteId>'        '        pending: BTreeSet<SiteId>,'
+  crates/core/src/coordinator/recovery.rs  'BTreeMap<SiteId, Vote>'  '        votes: BTreeMap<SiteId, Vote>,'
+  crates/core/src/coordinator/recovery.rs  'BTreeSet<SiteId>'        '        let pending: BTreeSet<SiteId> = awaited.map(|p| p.site).collect();'
+)
+for ((i = 0; i < ${#table_guards[@]}; i += 3)); do
+  where="${table_guards[i]}" pattern="${table_guards[i + 1]}" control="${table_guards[i + 2]}"
+  echo "$control" | grep -qE "$pattern" \
+    || { echo "FAIL: the guard '$pattern' misses its control line '$control'"; exit 1; }
+  if find "$where" -name '*.rs' | sort \
+    | xargs awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { print FILENAME ":" FNR ": " $0 }' \
+    | grep -E "$pattern"; then
+    echo "FAIL: '$pattern' in $where: a second owner or a per-transaction collection in the protocol table"; exit 1
+  fi
+done
+nontest_lines crates/core/src
 
 echo "== one encoder: the logs and the runtime encode in place"
 # encode_frame/encode_payload are allocating wrappers over the _into

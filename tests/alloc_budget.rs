@@ -129,8 +129,8 @@ fn a_reactor_commit_allocates_within_its_budget() {
     let per_txn = runtime_allocs_per_txn(Backend::Reactor(1));
     println!("reactor: {per_txn:.1} runtime-thread allocations per transaction");
     assert!(
-        per_txn <= 12.0,
-        "{per_txn:.1} allocations per transaction on the reactor thread (budget 12)"
+        per_txn <= 11.0,
+        "{per_txn:.1} allocations per transaction on the reactor thread (budget 11)"
     );
 }
 

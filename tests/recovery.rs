@@ -169,3 +169,54 @@ fn message_loss_storms_converge() {
         assert_fully_correct(&out);
     }
 }
+
+/// The coordinator's first decision send follows the client's
+/// participant list; its ack re-sends and recovery's re-sends go to the
+/// sites still awaited, in ascending site order.
+#[test]
+fn decisions_follow_the_list_and_re_sends_ascend_by_site() {
+    use presumed_any::types::Payload;
+    let kind = CoordinatorKind::Single(ProtocolKind::PrN);
+    let mut c = Coordinator::new(coord(), kind, MemLog::new());
+    let list = [SiteId::new(3), SiteId::new(1), SiteId::new(2)];
+    for &site in &list {
+        c.register_site(site, ProtocolKind::PrN);
+    }
+    let decisions = |actions: &[Action]| -> Vec<u32> {
+        let to = |a: &Action| match a {
+            Action::Send {
+                to,
+                payload: Payload::Decision { .. },
+            } => Some(to.raw()),
+            _ => None,
+        };
+        actions.iter().filter_map(to).collect()
+    };
+
+    c.begin_commit(T, &list);
+    let yes = Payload::Vote {
+        txn: T,
+        vote: Vote::Yes,
+    };
+    let decided: Vec<Action> = list.iter().flat_map(|&s| c.on_message(s, &yes)).collect();
+    assert_eq!(
+        decisions(&decided),
+        [3, 1, 2],
+        "the first send follows the list"
+    );
+    let resend = decided.iter().find_map(|a| match a {
+        Action::SetTimer { token, .. } => Some(*token),
+        _ => None,
+    });
+
+    c.on_message(SiteId::new(1), &Payload::Ack { txn: T });
+    let resent = c.on_timer(resend.expect("the ack re-send timer"));
+    assert_eq!(decisions(&resent), [2, 3], "re-sent to the awaited sites");
+
+    c.crash();
+    assert_eq!(
+        decisions(&c.recover()),
+        [1, 2, 3],
+        "recovery re-sends to all"
+    );
+}
