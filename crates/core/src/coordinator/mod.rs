@@ -75,20 +75,22 @@ pub(crate) struct TxnState {
 }
 
 impl TxnState {
+    /// An entry over `participants`: one slot per distinct site, nothing
+    /// voted or awaited, built in `slots` (emptied, capacity kept).
     pub(crate) fn new(
         participants: Vec<ParticipantEntry>,
+        mut slots: Vec<Slot>,
         plan: CommitPlan,
         phase: Phase,
         logged_any: bool,
     ) -> Self {
-        let mut slots: Vec<Slot> = participants
-            .iter()
-            .map(|p| Slot {
-                site: p.site,
-                vote: None,
-                awaiting: false,
-            })
-            .collect();
+        let slot = |p: &ParticipantEntry| Slot {
+            site: p.site,
+            vote: None,
+            awaiting: false,
+        };
+        slots.clear();
+        slots.extend(participants.iter().map(slot));
         slots.sort_unstable_by_key(|s| s.site);
         slots.dedup_by_key(|s| s.site);
         TxnState {
@@ -153,6 +155,19 @@ impl TxnState {
     }
 }
 
+/// Emptied entries of finished transactions, their buffers' capacity
+/// kept for [`Coordinator::begin_commit_into`]: never more than were
+/// open at once. No state rendering or hash reads them, and a clone
+/// (the explorer's per-state copy) starts without.
+#[derive(Debug, Default)]
+pub(crate) struct Spare(pub(crate) Vec<TxnState>);
+
+impl Clone for Spare {
+    fn clone(&self) -> Self {
+        Spare::default()
+    }
+}
+
 /// The coordinator engine. See module docs.
 ///
 /// # Example
@@ -162,7 +177,9 @@ impl TxnState {
 /// sans-IO, so it can be driven from anything):
 ///
 /// ```
+/// use acp_acta::ActaEvent;
 /// use acp_core::coordinator::Coordinator;
+/// use acp_core::Action;
 /// use acp_types::{
 ///     CoordinatorKind, Outcome, Payload, ProtocolKind, SelectionPolicy, SiteId, TxnId, Vote,
 /// };
@@ -181,8 +198,9 @@ impl TxnState {
 /// assert!(!actions.is_empty()); // initiation force + prepares + vote timer
 ///
 /// c.on_message(SiteId::new(1), &Payload::Vote { txn, vote: Vote::Yes });
-/// c.on_message(SiteId::new(2), &Payload::Vote { txn, vote: Vote::Yes });
-/// assert_eq!(c.decided(txn), Some(Outcome::Commit));
+/// let actions = c.on_message(SiteId::new(2), &Payload::Vote { txn, vote: Vote::Yes });
+/// let decide = ActaEvent::Decide { coordinator: c.site(), txn, outcome: Outcome::Commit };
+/// assert!(actions.contains(&Action::Acta(decide)));
 ///
 /// // Only the PrA participant acknowledges commits; its ack completes
 /// // the protocol and the coordinator forgets the transaction.
@@ -215,12 +233,7 @@ pub struct Coordinator<L: StableLog> {
     track_cancellations: bool,
     /// Retired timer tokens not yet drained by the host.
     cancelled: Vec<u64>,
-    /// Every decision this coordinator made, by transaction. It
-    /// survives a crash, and recovery overwrites an entry with the
-    /// outcome it re-decides. The protocol never reads it, but hosts
-    /// answer clients from it ([`Coordinator::decided`]), and it gains
-    /// one entry per decided transaction and loses none.
-    pub(crate) decisions: BTreeMap<TxnId, Outcome>,
+    pub(crate) spare: Spare,
     /// Truncate the log automatically whenever the releasable prefix
     /// grows (on by default).
     pub auto_gc: bool,
@@ -240,7 +253,7 @@ impl<L: StableLog> Coordinator<L> {
             next_token: 0,
             track_cancellations: false,
             cancelled: Vec::new(),
-            decisions: BTreeMap::new(),
+            spare: Spare::default(),
             auto_gc: true,
         }
     }
@@ -349,15 +362,6 @@ impl<L: StableLog> Coordinator<L> {
         self.gc.pinned()
     }
 
-    /// The decision this coordinator made for `txn`, if any. It
-    /// survives crashes, and after a recovery it is the outcome
-    /// recovery re-decided. The kernel answers a client's `Commit` from
-    /// it, so a decided duplicate gets the outcome, not a second run.
-    #[must_use]
-    pub fn decided(&self, txn: TxnId) -> Option<Outcome> {
-        self.decisions.get(&txn).copied()
-    }
-
     /// Borrow the stable log.
     #[must_use]
     pub fn log(&self) -> &L {
@@ -376,9 +380,8 @@ impl<L: StableLog> Coordinator<L> {
     /// table, stable log, PCP, armed timers), used by the model checker
     /// to deduplicate explored states. Per table entry it renders the
     /// votes received while voting, and once decided the outcome, the
-    /// awaited sites and the resend count. The decision memo is left
-    /// out: the engine never reads it, and the checker's hosts answer
-    /// no client from it.
+    /// awaited sites and the resend count. The spare entries are left
+    /// out: they hold nothing of any transaction.
     #[must_use]
     pub fn fingerprint(&self) -> String {
         let mut s = format!("coord:{:?};", self.kind);
@@ -448,16 +451,13 @@ impl<L: StableLog> Coordinator<L> {
     // -- internals -----------------------------------------------------
 
     pub(crate) fn entries(&self, sites: &[SiteId]) -> Vec<ParticipantEntry> {
-        sites
-            .iter()
-            .map(|s| {
-                let p = *self
-                    .pcp
-                    .get(s)
-                    .unwrap_or_else(|| panic!("site {s} not registered in PCP"));
-                ParticipantEntry::new(*s, p)
-            })
-            .collect()
+        sites.iter().map(|&site| self.entry(site)).collect()
+    }
+
+    fn entry(&self, site: SiteId) -> ParticipantEntry {
+        let protocol = self.pcp.get(&site);
+        let protocol = protocol.unwrap_or_else(|| panic!("site {site} not registered in PCP"));
+        ParticipantEntry::new(site, *protocol)
     }
 
     /// Append `payload` to the log and record the write. The log
@@ -523,7 +523,10 @@ impl<L: StableLog> Coordinator<L> {
             !self.table.contains_key(&txn),
             "transaction {txn} already in the protocol table"
         );
-        let participants = self.entries(sites);
+        // A finished transaction's emptied entry lends its buffers.
+        let spare = self.spare.0.pop().map(|st| (st.participants, st.slots));
+        let (mut participants, slots) = spare.unwrap_or_default();
+        participants.extend(sites.iter().map(|&site| self.entry(site)));
         let plan = CommitPlan::derive(self.kind, &participants);
 
         // The initiation record borrows the participant list for its
@@ -540,7 +543,8 @@ impl<L: StableLog> Coordinator<L> {
         let LogPayload::Initiation { participants, .. } = initiation else {
             unreachable!("built above")
         };
-        let state = TxnState::new(participants, plan, Phase::Voting, plan.write_initiation);
+        let logged = plan.write_initiation;
+        let state = TxnState::new(participants, slots, plan, Phase::Voting, logged);
         self.table.insert(txn, state);
         appended
             .transpose()
@@ -566,7 +570,6 @@ impl<L: StableLog> Coordinator<L> {
         let (plan, vote_timer) = (state.plan, state.timer.take());
         let any_recipient = state.recipients().next().is_some();
 
-        self.decisions.insert(txn, outcome);
         out.push(Action::Acta(ActaEvent::Decide {
             coordinator: self.site,
             txn,
@@ -622,8 +625,9 @@ impl<L: StableLog> Coordinator<L> {
     /// All expected acknowledgments arrived (or none were expected):
     /// write the end record, delete the transaction from the protocol
     /// table (the `DeletePT` event of Definition 2) and garbage collect.
+    /// The entry is emptied onto the spare list.
     pub(crate) fn finish(&mut self, txn: TxnId, out: &mut Vec<Action>) {
-        let state = self.table.remove(&txn).expect("finish on tabled txn");
+        let mut state = self.table.remove(&txn).expect("finish on tabled txn");
         // Any still-armed timer for a finished transaction (the ack
         // re-send, typically) is dead weight from here on.
         self.retire_timer(state.timer);
@@ -631,6 +635,9 @@ impl<L: StableLog> Coordinator<L> {
             self.append(txn, &LogPayload::End { txn }, false, out)
                 .expect("coordinator log append");
         }
+        state.participants.clear();
+        state.slots.clear();
+        self.spare.0.push(state);
         out.push(Action::Acta(ActaEvent::DeletePt {
             coordinator: self.site,
             txn,
@@ -857,11 +864,12 @@ impl<L: StableLog> Coordinator<L> {
         }
     }
 
-    /// The site fail-stops: the protocol table, timers and unflushed log
-    /// records are lost; the PCP (stable configuration) and the forced
-    /// log survive.
+    /// The site fail-stops: the protocol table, its spare entries,
+    /// timers and unflushed log records are lost; the PCP (stable
+    /// configuration) and the forced log survive.
     pub fn crash(&mut self) {
         self.table.clear();
+        self.spare.0.clear();
         self.timers.clear();
         self.cancelled.clear();
         self.log.lose_unflushed().expect("log crash");

@@ -85,7 +85,6 @@ impl<L: StableLog> Coordinator<L> {
         // Re-initiating the decision phase is a (re-)decision for the
         // history; the atomicity checker verifies it repeats the
         // original outcome.
-        self.decisions.insert(txn, outcome);
         out.push(Action::Acta(ActaEvent::Decide {
             coordinator: self.site,
             txn,
@@ -99,7 +98,7 @@ impl<L: StableLog> Coordinator<L> {
             outcome,
             resends: 0,
         };
-        let mut state = TxnState::new(participants, plan, phase, true);
+        let mut state = TxnState::new(participants, Vec::new(), plan, phase, true);
         if !state.await_acks(outcome) {
             // Nothing owed (e.g. a committed PrC transaction): close out
             // with an end record so the log can be garbage collected.

@@ -22,15 +22,14 @@ fn t() -> TxnId {
     TxnId::new(1)
 }
 
+/// Deliver `v`, site `s`'s vote on `txn`.
+fn vote(c: &mut Coordinator<MemLog>, txn: TxnId, s: u32, v: Vote) -> Vec<Action> {
+    c.on_message(SiteId::new(s), &Payload::Vote { txn, vote: v })
+}
+
 /// Deliver a Yes vote from site `s`.
 fn yes(c: &mut Coordinator<MemLog>, s: u32) -> Vec<Action> {
-    c.on_message(
-        SiteId::new(s),
-        &Payload::Vote {
-            txn: t(),
-            vote: Vote::Yes,
-        },
-    )
+    vote(c, t(), s, Vote::Yes)
 }
 
 fn ack(c: &mut Coordinator<MemLog>, s: u32) -> Vec<Action> {
@@ -43,6 +42,27 @@ fn log_kinds(c: &Coordinator<MemLog>) -> Vec<(String, bool)> {
         .iter()
         .map(|r| (r.payload.kind_name().to_string(), r.forced))
         .collect()
+}
+
+/// The vote timeout an engine step armed.
+fn vote_timer(actions: &[Action]) -> u64 {
+    let armed = |a: &Action| match *a {
+        Action::SetTimer {
+            token,
+            purpose: TimerPurpose::VoteTimeout,
+            ..
+        } => Some(token),
+        _ => None,
+    };
+    actions.iter().find_map(armed).expect("a vote timeout")
+}
+
+/// The outcome an engine step decided, read off its `Decide` event.
+fn decision_in(actions: &[Action]) -> Option<Outcome> {
+    acta_events(actions).into_iter().find_map(|e| match e {
+        ActaEvent::Decide { outcome, .. } => Some(outcome),
+        _ => None,
+    })
 }
 
 fn decisions_sent(actions: &[Action]) -> Vec<(SiteId, Outcome)> {
@@ -99,13 +119,7 @@ mod prn {
         c.auto_gc = false;
         c.begin_commit(t(), &sites(2));
         yes(&mut c, 1);
-        let a = c.on_message(
-            SiteId::new(2),
-            &Payload::Vote {
-                txn: t(),
-                vote: Vote::No,
-            },
-        );
+        let a = vote(&mut c, t(), 2, Vote::No);
         assert_eq!(log_kinds(&c), vec![("abort".to_string(), true)]);
         // Abort goes only to the yes-voter; the No voter aborted itself.
         assert_eq!(decisions_sent(&a), vec![(SiteId::new(1), Outcome::Abort)]);
@@ -170,20 +184,10 @@ mod prn {
             &[ProtocolKind::PrN; 2],
         );
         let a = c.begin_commit(t(), &sites(2));
-        let token = a
-            .iter()
-            .find_map(|x| match x {
-                Action::SetTimer {
-                    token,
-                    purpose: TimerPurpose::VoteTimeout,
-                    ..
-                } => Some(*token),
-                _ => None,
-            })
-            .unwrap();
+        let token = vote_timer(&a);
         yes(&mut c, 1); // one vote arrives; the other never does
         let a = c.on_timer(token);
-        assert_eq!(c.decided(t()), Some(Outcome::Abort));
+        assert_eq!(decision_in(&a), Some(Outcome::Abort));
         // Both the yes-voter and the silent participant get the abort
         // (the silent one may be prepared with its vote lost in flight).
         assert_eq!(decisions_sent(&a).len(), 2);
@@ -253,13 +257,7 @@ mod pra {
         );
         c.begin_commit(t(), &sites(2));
         yes(&mut c, 1);
-        let a = c.on_message(
-            SiteId::new(2),
-            &Payload::Vote {
-                txn: t(),
-                vote: Vote::No,
-            },
-        );
+        let a = vote(&mut c, t(), 2, Vote::No);
         assert!(
             log_kinds(&c).is_empty(),
             "PrA coordinators never log aborts"
@@ -298,13 +296,7 @@ mod pra {
             &[ProtocolKind::PrA; 2],
         );
         c.begin_commit(t(), &sites(2));
-        c.on_message(
-            SiteId::new(1),
-            &Payload::Vote {
-                txn: t(),
-                vote: Vote::No,
-            },
-        );
+        vote(&mut c, t(), 1, Vote::No);
         c.crash();
         assert!(c.recover().is_empty());
     }
@@ -364,13 +356,7 @@ mod prc {
         let mut c = prc();
         c.begin_commit(t(), &sites(2));
         yes(&mut c, 1);
-        let a = c.on_message(
-            SiteId::new(2),
-            &Payload::Vote {
-                txn: t(),
-                vote: Vote::No,
-            },
-        );
+        let a = vote(&mut c, t(), 2, Vote::No);
         // No abort decision record — the initiation record carries the
         // abort across failures.
         assert_eq!(log_kinds(&c), vec![("initiation".to_string(), true)]);
@@ -407,7 +393,7 @@ mod prc {
         yes(&mut c, 1);
         c.crash();
         let a = c.recover();
-        assert_eq!(c.decided(t()), Some(Outcome::Abort));
+        assert_eq!(decision_in(&a), Some(Outcome::Abort));
         let resent = decisions_sent(&a);
         assert_eq!(resent.len(), 2);
         assert!(resent.iter().all(|(_, o)| *o == Outcome::Abort));
@@ -455,19 +441,9 @@ mod u2pc {
         );
         let a = c.begin_commit(t(), &sites(2));
         yes(&mut c, 1); // PrA participant is prepared
-        let token = a
-            .iter()
-            .find_map(|x| match x {
-                Action::SetTimer {
-                    token,
-                    purpose: TimerPurpose::VoteTimeout,
-                    ..
-                } => Some(*token),
-                _ => None,
-            })
-            .unwrap();
-        c.on_timer(token); // abort decided; decisions sent to both
-        assert_eq!(c.decided(t()), Some(Outcome::Abort));
+        let token = vote_timer(&a);
+        let a = c.on_timer(token); // abort decided; decisions sent to both
+        assert_eq!(decision_in(&a), Some(Outcome::Abort));
         // Only the PrC participant acks aborts; U2PC waits only for it.
         ack(&mut c, 2);
         assert_eq!(c.protocol_table_size(), 0, "forgotten after PrC ack only");
@@ -503,8 +479,8 @@ mod u2pc {
         );
         c.begin_commit(t(), &sites(2));
         yes(&mut c, 1);
-        yes(&mut c, 2);
-        assert_eq!(c.decided(t()), Some(Outcome::Commit));
+        let a = yes(&mut c, 2);
+        assert_eq!(decision_in(&a), Some(Outcome::Commit));
         ack(&mut c, 1); // PrA acks; PrC never acks commits
         assert_eq!(c.protocol_table_size(), 0, "forgotten after PrA ack only");
 
@@ -582,13 +558,7 @@ mod c2pc {
         );
         c.begin_commit(t(), &sites(2));
         yes(&mut c, 1);
-        c.on_message(
-            SiteId::new(2),
-            &Payload::Vote {
-                txn: t(),
-                vote: Vote::No,
-            },
-        );
+        vote(&mut c, t(), 2, Vote::No);
         // C2PC force-logs the abort (it must always remember).
         assert!(log_kinds(&c).iter().any(|(k, f)| k == "abort" && *f));
         // Only the PrA yes-voter gets the decision; it never acks aborts.
@@ -688,13 +658,7 @@ mod prany {
         let mut c = prany(&[ProtocolKind::PrA, ProtocolKind::PrC]);
         c.begin_commit(t(), &sites(2));
         yes(&mut c, 1);
-        c.on_message(
-            SiteId::new(2),
-            &Payload::Vote {
-                txn: t(),
-                vote: Vote::No,
-            },
-        );
+        vote(&mut c, t(), 2, Vote::No);
         // No abort decision record; the lazy end is the GC marker for
         // the initiation record.
         assert_eq!(
@@ -717,17 +681,7 @@ mod prany {
         let mut c = prany(&[ProtocolKind::PrA, ProtocolKind::PrC]);
         let a = c.begin_commit(t(), &sites(2));
         yes(&mut c, 1);
-        let token = a
-            .iter()
-            .find_map(|x| match x {
-                Action::SetTimer {
-                    token,
-                    purpose: TimerPurpose::VoteTimeout,
-                    ..
-                } => Some(*token),
-                _ => None,
-            })
-            .unwrap();
+        let token = vote_timer(&a);
         let a = c.on_timer(token);
         assert_eq!(decisions_sent(&a).len(), 2, "abort sent to both");
         assert_eq!(c.protocol_table_size(), 1, "awaiting the PrC ack only");
@@ -766,17 +720,7 @@ mod prany {
         let mut c = prany(&[ProtocolKind::PrA, ProtocolKind::PrC]);
         let a = c.begin_commit(t(), &sites(2));
         yes(&mut c, 1);
-        let token = a
-            .iter()
-            .find_map(|x| match x {
-                Action::SetTimer {
-                    token,
-                    purpose: TimerPurpose::VoteTimeout,
-                    ..
-                } => Some(*token),
-                _ => None,
-            })
-            .unwrap();
+        let token = vote_timer(&a);
         c.on_timer(token); // abort
         ack(&mut c, 2); // PrC acks; forgotten
         assert_eq!(c.protocol_table_size(), 0);
@@ -826,7 +770,7 @@ mod prany {
         let targets: Vec<u32> = resent.iter().map(|(s, _)| s.raw()).collect();
         assert_eq!(targets, vec![1, 3], "PrA participant (site 2) excluded");
         assert!(resent.iter().all(|(_, o)| *o == Outcome::Abort));
-        assert_eq!(c.decided(t()), Some(Outcome::Abort));
+        assert_eq!(decision_in(&a), Some(Outcome::Abort));
     }
 
     /// Homogeneous populations run the native protocol (§4.1).
@@ -844,22 +788,10 @@ mod prany {
     fn all_read_only_transaction_skips_phase_two() {
         let mut c = prany(&[ProtocolKind::PrA, ProtocolKind::PrC]);
         c.begin_commit(t(), &sites(2));
-        c.on_message(
-            SiteId::new(1),
-            &Payload::Vote {
-                txn: t(),
-                vote: Vote::ReadOnly,
-            },
-        );
-        let a = c.on_message(
-            SiteId::new(2),
-            &Payload::Vote {
-                txn: t(),
-                vote: Vote::ReadOnly,
-            },
-        );
+        vote(&mut c, t(), 1, Vote::ReadOnly);
+        let a = vote(&mut c, t(), 2, Vote::ReadOnly);
         assert!(decisions_sent(&a).is_empty(), "no decision messages");
-        assert_eq!(c.decided(t()), Some(Outcome::Commit));
+        assert_eq!(decision_in(&a), Some(Outcome::Commit));
         assert_eq!(c.protocol_table_size(), 0);
         // Initiation record still needs its end marker for GC.
         assert_eq!(log_kinds(&c).last().unwrap().0, "end");
@@ -873,13 +805,7 @@ mod prany {
     fn mixed_read_only_commit_notifies_update_participants_only() {
         let mut c = prany(&[ProtocolKind::PrA, ProtocolKind::PrC]);
         c.begin_commit(t(), &sites(2));
-        c.on_message(
-            SiteId::new(1),
-            &Payload::Vote {
-                txn: t(),
-                vote: Vote::ReadOnly,
-            },
-        );
+        vote(&mut c, t(), 1, Vote::ReadOnly);
         let a = yes(&mut c, 2);
         assert_eq!(decisions_sent(&a), vec![(SiteId::new(2), Outcome::Commit)]);
         // PrC participant doesn't ack commits ⇒ forgotten immediately.
@@ -896,17 +822,7 @@ mod prany {
         let mut c = prany(&[ProtocolKind::PrA, ProtocolKind::PrC]);
         let a = c.begin_commit(t(), &sites(2));
         yes(&mut c, 1);
-        let token = a
-            .iter()
-            .find_map(|x| match x {
-                Action::SetTimer {
-                    token,
-                    purpose: TimerPurpose::VoteTimeout,
-                    ..
-                } => Some(*token),
-                _ => None,
-            })
-            .unwrap();
+        let token = vote_timer(&a);
         c.on_timer(token); // abort; PrC (site 2) never voted
         ack(&mut c, 2); // site 2 acked per footnote 5 (it got the abort)
         assert_eq!(c.protocol_table_size(), 0);
@@ -934,20 +850,8 @@ mod prany {
         for i in 0..5 {
             let txn = TxnId::new(i);
             c.begin_commit(txn, &sites(2));
-            c.on_message(
-                SiteId::new(1),
-                &Payload::Vote {
-                    txn,
-                    vote: Vote::Yes,
-                },
-            );
-            c.on_message(
-                SiteId::new(2),
-                &Payload::Vote {
-                    txn,
-                    vote: Vote::Yes,
-                },
-            );
+            vote(&mut c, txn, 1, Vote::Yes);
+            vote(&mut c, txn, 2, Vote::Yes);
             c.on_message(SiteId::new(1), &Payload::Ack { txn });
         }
         assert!(c.log_pinned().is_empty());
@@ -1192,5 +1096,60 @@ mod lending {
         assert!(refused.is_err(), "the decision force was refused");
         assert_eq!(c.log.faults_applied(), 1);
         assert_eq!(listed(&c), c.entries(&sites(2)));
+    }
+}
+
+/// Definition 1 for the engine: a coordinator that forgot a transaction
+/// keeps nothing of it, not even the table entry it ran in.
+mod forgetting {
+    use super::*;
+
+    /// 2 000 PrAny transactions over PrN, PrA and PrC in bursts of
+    /// eight, every fifth aborted by a No vote, with a crash and a
+    /// recovery between one burst's decisions and its acks. After the
+    /// last ack the table is empty, the spare list holds no more entries
+    /// than were open at once, and a clone of the engine carries none.
+    #[test]
+    fn a_forgotten_transaction_leaves_only_a_bounded_spare_entry() {
+        let kind = CoordinatorKind::PrAny(SelectionPolicy::PaperStrict);
+        let protos = [ProtocolKind::PrN, ProtocolKind::PrA, ProtocolKind::PrC];
+        let mut c = coordinator(kind, &protos);
+        let mut peak = 0;
+        for burst in 0..250 {
+            let txns: Vec<TxnId> = (1..=8).map(|i| TxnId::new(burst * 8 + i)).collect();
+            for &txn in &txns {
+                c.begin_commit(txn, &sites(3));
+            }
+            peak = peak.max(c.protocol_table_size());
+            for &txn in &txns {
+                let no = txn.raw() % 5 == 0;
+                for s in 1..=3 {
+                    let v = if no && s == 2 { Vote::No } else { Vote::Yes };
+                    vote(&mut c, txn, s, v);
+                }
+            }
+            if burst == 125 {
+                c.crash();
+                assert!(c.spare.0.is_empty(), "a crash drops the spare entries");
+                c.recover();
+                assert_eq!(c.protocol_table_size(), 8, "every decision was re-tabled");
+            }
+            for &txn in &txns {
+                for s in 1..=3 {
+                    c.on_message(SiteId::new(s), &Payload::Ack { txn });
+                }
+            }
+            assert_eq!(c.protocol_table_size(), 0, "burst {burst}");
+        }
+        let spare = &c.spare.0;
+        let n = spare.len();
+        assert!((1..=peak).contains(&n), "{n} spare entries, {peak} open");
+        assert!(spare
+            .iter()
+            .all(|st| st.participants.is_empty() && st.slots.is_empty()));
+        assert!(
+            c.clone().spare.0.is_empty(),
+            "a clone carries no spare entry"
+        );
     }
 }

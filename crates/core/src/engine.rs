@@ -17,7 +17,7 @@ use crate::coordinator::Coordinator;
 use crate::gateway::GatewayParticipant;
 use crate::participant::Participant;
 use crate::paxos::{PaxosConfig, PaxosNode};
-use acp_types::{CoordinatorKind, Outcome, Payload, ProtocolKind, SiteId, TxnId};
+use acp_types::{CoordinatorKind, Payload, ProtocolKind, SiteId, TxnId};
 use acp_wal::StableLog;
 
 /// One site's protocol engine, whichever kind it is.
@@ -173,13 +173,6 @@ impl<L: StableLog> AnyEngine<L> {
     #[must_use]
     pub fn protocol_table_size(&self) -> usize {
         coordinator_side!(self, e => e.protocol_table_size(), 0)
-    }
-
-    /// The decision this site made for `txn` (participants decide
-    /// nothing — what they enforce is on [`Participant::enforced`]).
-    #[must_use]
-    pub fn decided(&self, txn: TxnId) -> Option<Outcome> {
-        coordinator_side!(self, e => e.decided(txn), None)
     }
 
     /// Is `txn` begun and not yet decided at this site?

@@ -912,12 +912,16 @@ mod tests {
 
         g.stage_write(t(), b"order", b"42");
 
-        // Message pump: route every Send action to its destination.
+        // Message pump: route every Send action to its destination, and
+        // note the decision.
         let mut queue: Vec<(SiteId, SiteId, Payload)> = Vec::new();
-        let push = |from: SiteId, actions: Vec<Action>, queue: &mut Vec<_>| {
+        let mut decided = None;
+        let mut push = |from: SiteId, actions: Vec<Action>, queue: &mut Vec<_>| {
             for a in actions {
-                if let Action::Send { to, payload } = a {
-                    queue.push((from, to, payload));
+                match a {
+                    Action::Send { to, payload } => queue.push((from, to, payload)),
+                    Action::Acta(ActaEvent::Decide { outcome, .. }) => decided = Some(outcome),
+                    _ => {}
                 }
             }
         };
@@ -935,7 +939,7 @@ mod tests {
             };
             push(to, actions, &mut queue);
         }
-        assert_eq!(c.decided(t()), Some(Outcome::Commit));
+        assert_eq!(decided, Some(Outcome::Commit));
         assert_eq!(g.enforced(t()), Some(Outcome::Commit));
         assert_eq!(p.enforced(t()), Some(Outcome::Commit));
         assert_eq!(g.legacy().read(b"order"), Some(b"42".as_slice()));

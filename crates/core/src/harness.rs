@@ -842,8 +842,16 @@ pub fn run_scenario_with_sink(scenario: &Scenario, sink: Arc<dyn TraceSink>) -> 
     let mut final_state = FinalState::default();
     let mut enforced = BTreeMap::new();
     let mut in_doubt = Vec::new();
-    let mut decided = BTreeMap::new();
+    // Per deciding site its last decision (recovery re-decides), per
+    // transaction the lowest deciding site's: the coordinator's first.
     let mut decided_by_site = BTreeMap::new();
+    for event in history.events() {
+        if let ActaEvent::Decide { coordinator, txn, outcome } = *event {
+            decided_by_site.insert((coordinator, txn), outcome);
+        }
+    }
+    let descending = decided_by_site.iter().rev();
+    let decided = descending.map(|(&(_, txn), &o)| (txn, o)).collect();
     let mut coordinator_costs = BTreeMap::new();
     let mut participant_costs = BTreeMap::new();
     let mut acceptor_costs = BTreeMap::new();
@@ -859,10 +867,6 @@ pub fn run_scenario_with_sink(scenario: &Scenario, sink: Arc<dyn TraceSink>) -> 
             final_state.log_pinned.push((site, txn));
         }
         for spec in &scenario.txns {
-            if let Some(o) = engine.decided(spec.txn) {
-                decided.entry(spec.txn).or_insert(o);
-                decided_by_site.insert((site, spec.txn), o);
-            }
             if site == coord_site {
                 coordinator_costs.insert(spec.txn, cost(site, spec.txn));
             } else {

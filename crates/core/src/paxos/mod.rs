@@ -227,8 +227,9 @@ pub struct PaxosNode<L: StableLog> {
     next_token: u64,
     track_cancellations: bool,
     cancelled: Vec<u64>,
-    /// Observational: decisions ever made here (survives crash; used by
-    /// tests and inquiry answering, never by the consensus itself).
+    /// Every decision this node concluded (survives a crash). Protocol
+    /// state, not a memo for hosts: `on_inquiry` answers a concluded,
+    /// forgotten transaction from it. One entry per decision, for ever.
     decisions: BTreeMap<TxnId, Outcome>,
     /// Truncate the log automatically whenever the releasable prefix
     /// grows (on by default).
@@ -284,7 +285,7 @@ impl<L: StableLog> PaxosNode<L> {
         self.txns.contains_key(&txn)
     }
 
-    /// The decision this node made for `txn`, if any (observational).
+    /// The decision this node concluded for `txn`, if any.
     #[must_use]
     pub fn decided(&self, txn: TxnId) -> Option<Outcome> {
         self.decisions.get(&txn).copied()

@@ -9,7 +9,7 @@
 
 use crate::error::EngineError;
 use acp_types::TxnId;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Lock modes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -20,19 +20,20 @@ pub enum LockMode {
     Exclusive,
 }
 
-/// Who holds a key. An exclusive lock has exactly one holder, kept
-/// inline; only shared locks need a set.
+/// Who holds a key. An exclusive lock's one holder and a shared lock's
+/// first are kept inline; only a shared lock's further readers need a
+/// list, so a key one transaction reads allocates nothing.
 #[derive(Clone, Debug)]
 enum LockState {
     Exclusive(TxnId),
-    Shared(BTreeSet<TxnId>),
+    Shared(TxnId, Vec<TxnId>),
 }
 
 impl LockState {
     fn held_by(&self, txn: TxnId) -> bool {
         match self {
             LockState::Exclusive(holder) => *holder == txn,
-            LockState::Shared(holders) => holders.contains(&txn),
+            LockState::Shared(first, others) => *first == txn || others.contains(&txn),
         }
     }
 }
@@ -62,7 +63,7 @@ impl LockTable {
         let Some(state) = self.locks.get_mut(key) else {
             let state = match mode {
                 LockMode::Exclusive => LockState::Exclusive(txn),
-                LockMode::Shared => LockState::Shared(BTreeSet::from([txn])),
+                LockMode::Shared => LockState::Shared(txn, Vec::new()),
             };
             let mut owned = self.spare_keys.pop().unwrap_or_default();
             owned.clear();
@@ -74,13 +75,16 @@ impl LockTable {
             // Re-acquire in same or weaker mode.
             (LockState::Exclusive(holder), _) if *holder == txn => return Ok(()),
             (LockState::Exclusive(holder), _) => *holder,
-            (LockState::Shared(holders), LockMode::Shared) => {
-                holders.insert(txn);
+            (LockState::Shared(first, others), LockMode::Shared) => {
+                if *first != txn && !others.contains(&txn) {
+                    others.push(txn);
+                }
                 return Ok(());
             }
             // Upgrade shared → exclusive, only as sole holder.
-            (LockState::Shared(holders), LockMode::Exclusive) => {
-                match holders.iter().find(|h| **h != txn) {
+            (LockState::Shared(first, others), LockMode::Exclusive) => {
+                let mut holders = std::iter::once(&*first).chain(&*others);
+                match holders.find(|h| **h != txn) {
                     Some(other) => *other,
                     None => {
                         *state = LockState::Exclusive(txn);
@@ -103,7 +107,18 @@ impl LockTable {
     pub fn release(&mut self, txn: TxnId, key: &[u8]) {
         let free = match self.locks.get_mut(key) {
             Some(LockState::Exclusive(holder)) => *holder == txn,
-            Some(LockState::Shared(holders)) => holders.remove(&txn) && holders.is_empty(),
+            // The first holder's place passes to another reader.
+            Some(LockState::Shared(first, others)) if *first == txn => match others.pop() {
+                Some(next) => {
+                    *first = next;
+                    false
+                }
+                None => true,
+            },
+            Some(LockState::Shared(_, others)) => {
+                others.retain(|h| *h != txn);
+                false
+            }
             None => false,
         };
         if free {

@@ -74,7 +74,7 @@ impl<L: StableLog> SiteEngine<L> {
         }
         self.locks.acquire(txn, key, LockMode::Shared)?;
         let ctx = self.txns.get_mut(&txn).expect("checked above");
-        ctx.reads.push(key.to_vec());
+        ctx.note_read(key);
         let value = match ctx.own_view(key) {
             Some(w) => w.after.as_deref(),
             None => self.store.get(key),

@@ -40,6 +40,9 @@ pub struct TxnContext {
     /// Keys read under a shared lock. With the write set, every key
     /// this transaction may hold a lock on — what termination releases.
     pub reads: Vec<Vec<u8>>,
+    /// Key buffers of reads by earlier transactions in this context,
+    /// for [`TxnContext::note_read`] to refill.
+    spare_reads: Vec<Vec<u8>>,
     /// Log position of the first update record prepare appended for
     /// this transaction: the checkpoint's truncation barrier while it
     /// lives.
@@ -55,18 +58,29 @@ impl TxnContext {
             phase: TxnPhase::Active,
             writes: Vec::new(),
             reads: Vec::new(),
+            spare_reads: Vec::new(),
             first_lsn: None,
         }
     }
 
     /// Empty the context for reuse by another transaction: no write,
-    /// read, phase or log position of this one stays, and the write and
-    /// read sets keep their capacity.
+    /// read, phase or log position of this one stays, the write and
+    /// read sets keep their capacity, and the read keys' buffers are
+    /// kept for later reads to refill.
     pub fn clear(&mut self) {
         self.phase = TxnPhase::Active;
         self.writes.clear();
-        self.reads.clear();
+        self.spare_reads.append(&mut self.reads);
         self.first_lsn = None;
+    }
+
+    /// Note a read of `key`, copied into a buffer an earlier read left
+    /// behind when there is one.
+    pub fn note_read(&mut self, key: &[u8]) {
+        let mut owned = self.spare_reads.pop().unwrap_or_default();
+        owned.clear();
+        owned.extend_from_slice(key);
+        self.reads.push(owned);
     }
 
     /// Buffer a write, taking over its buffers. `before` is the

@@ -12,7 +12,11 @@
 //! kernel's [`FsyncDomain`] — one coalesced force round per turn, every
 //! kind of site alike — and only then externalize what the batch
 //! withheld (the site's sends *and* its ACTA events); collect the
-//! coordinator's log and every native participant's, answer clients.
+//! coordinator's log and every native participant's; answer the
+//! clients whose decisions the turn externalized. A decision is
+//! externalized with its `Decide` event, when the kernel publishes it
+//! to the history: at once for a passthrough log, after the force for
+//! a batching one.
 //! Protocol costs leave through the trace sink the kernel is handed;
 //! counting them is the sink's job.
 //!
@@ -176,7 +180,18 @@ struct Ctx<T> {
     history: SharedHistory,
     delays: NetDelays,
     /// Where each in-flight commit's decision goes.
-    replies: BTreeMap<TxnId, Sender<Outcome>>,
+    replies: HashMap<TxnId, Sender<Outcome>>,
+    /// Every outcome this kernel externalized, by transaction: a
+    /// duplicate `Commit` is answered from it. It is client-protocol
+    /// state, kept exact (one entry per decided transaction, never
+    /// dropped) until a dropped `Commit` stops leaking its locks
+    /// (ROADMAP item 8(b)); a hash map keeps its capacity.
+    answers: HashMap<TxnId, Outcome>,
+    /// Transactions whose decisions this turn externalized: their
+    /// clients are answered at the turn's end, so a client that is
+    /// answered cannot keep the turn's drain going with its next
+    /// request.
+    to_answer: Vec<TxnId>,
     /// Cluster-wide in-flight commit gauge (shared across shards).
     inflight: Arc<InflightGauge>,
     stats: ReactorStats,
@@ -197,6 +212,20 @@ impl<T: Transport> Ctx<T> {
     fn route(&mut self, to: SiteId, envelope: Envelope) {
         if let Some(mine) = self.transport.route(self.now, to, envelope) {
             self.ready.push_back((to, mine));
+        }
+    }
+
+    /// Publish ACTA events to the history. A decision among them is
+    /// externalized here: from now on a duplicate of its `Commit` is
+    /// answered with it, and its client is at the turn's end.
+    fn publish(&mut self, events: impl IntoIterator<Item = ActaEvent>) {
+        let mut history = self.history.lock();
+        for e in events {
+            if let ActaEvent::Decide { txn, outcome, .. } = e {
+                self.answers.insert(txn, outcome);
+                self.to_answer.push(txn);
+            }
+            history.push(e);
         }
     }
 }
@@ -250,7 +279,7 @@ fn run_site_actions<T: Transport>(
                 if defer {
                     host.deferred_acta.push(e);
                 } else {
-                    ctx.history.lock().push(e);
+                    ctx.publish([e]);
                 }
             }
             Action::Enforce { txn, outcome } => {
@@ -341,10 +370,7 @@ fn protocol_message<T: Transport>(st: &mut SiteState, ctx: &mut Ctx<T>, msg: &Me
 /// the grouping (and therefore the trace) is identical everywhere.
 fn flush_sends<T: Transport>(host: &mut SiteHost, ctx: &mut Ctx<T>) {
     if !host.deferred_acta.is_empty() {
-        let mut history = ctx.history.lock();
-        for e in host.deferred_acta.drain(..) {
-            history.push(e);
-        }
+        ctx.publish(host.deferred_acta.drain(..));
     }
     let sends = &mut host.deferred_sends;
     if let Some(obs) = &host.obs {
@@ -585,7 +611,9 @@ impl<T: Transport> Kernel<T> {
                 ready: VecDeque::new(),
                 history: env.history,
                 delays: cc.delays,
-                replies: BTreeMap::new(),
+                replies: HashMap::new(),
+                answers: HashMap::new(),
+                to_answer: Vec::new(),
                 inflight: env.inflight,
                 stats: ReactorStats::default(),
                 now: t0,
@@ -758,10 +786,9 @@ impl<T: Transport> Kernel<T> {
                     st.host.down_until = Some(now + down_for);
                     if Some(i) == self.coord {
                         // A fail-stopped coordinator answers nobody:
-                        // its clients see a disconnect, never an answer
-                        // from the engine's decision memo, which may
-                        // remember a commit whose record this crash
-                        // just discarded.
+                        // its clients see a disconnect. A decision it
+                        // withheld went with the crash, and so did the
+                        // answer that would have left with it.
                         self.ctx.inflight.dec_by(self.ctx.replies.len() as u64);
                         self.ctx.replies.clear();
                     }
@@ -794,12 +821,17 @@ impl<T: Transport> Kernel<T> {
                 reply,
             } => {
                 // Guard client misuse instead of tripping the engine's
-                // asserts: decided duplicates answer from the memo;
-                // in-flight duplicates and empty participant lists drop
-                // the reply channel (the client's recv disconnects).
-                if let Some(outcome) = st.engine.decided(txn) {
+                // asserts: a duplicate of a commit whose outcome was
+                // externalized gets that outcome; one still in flight
+                // (awaited by a client or tabled) and an empty
+                // participant list drop the reply channel (the client's
+                // recv disconnects).
+                if let Some(&outcome) = self.ctx.answers.get(&txn) {
                     let _ = reply.send(outcome);
-                } else if participants.is_empty() || st.engine.in_flight(txn) {
+                } else if participants.is_empty()
+                    || self.ctx.replies.contains_key(&txn)
+                    || st.engine.in_flight(txn)
+                {
                     drop(reply);
                 } else if let Some((inflight, limit)) = self
                     .max_inflight
@@ -925,26 +957,22 @@ impl<T: Transport> Kernel<T> {
         }
     }
 
-    /// Send decisions to waiting clients (only after the coordinator's
-    /// batch forced — `finish_turns` runs first).
+    /// Answer the clients whose decisions this turn externalized (a
+    /// client whose coordinator crashed since was disconnected).
     fn deliver(&mut self) {
-        let Some(SiteState { engine, .. }) = self.coord.map(|i| &self.sites[i]) else {
-            return;
-        };
-        // Decisions may not be externalized while their commit record is
-        // still in an open batch.
-        if engine.log().open_occupancy() > 0 {
-            return;
-        }
+        let Ctx {
+            replies,
+            answers,
+            to_answer,
+            ..
+        } = &mut self.ctx;
         let mut delivered = 0;
-        self.ctx.replies.retain(|&txn, reply| {
-            let Some(outcome) = engine.decided(txn) else {
-                return true;
-            };
-            let _ = reply.send(outcome);
-            delivered += 1;
-            false
-        });
+        for txn in to_answer.drain(..) {
+            if let Some(reply) = replies.remove(&txn) {
+                let _ = reply.send(answers[&txn]);
+                delivered += 1;
+            }
+        }
         self.ctx.stats.decisions_delivered += delivered;
         self.ctx.inflight.dec_by(delivered);
     }
@@ -1273,9 +1301,10 @@ mod tests {
     }
 
     /// The same crash, then the client's `Commit` again once the
-    /// coordinator is back. The memo said commit when the site went
-    /// down; recovery re-decided abort over it, and the duplicate is
-    /// answered with that abort.
+    /// coordinator is back. The crash took the withheld commit decision
+    /// before the kernel externalized it; recovery re-decided abort,
+    /// the kernel externalized that, and the duplicate is answered with
+    /// it.
     #[test]
     fn a_duplicate_commit_after_a_deciding_turn_crash_gets_the_recovered_abort() {
         let mut r = rig(glacial());
@@ -1285,14 +1314,14 @@ mod tests {
         let down_for = Duration::from_millis(5);
         r.send(COORDINATOR, Envelope::Crash { down_for });
         r.kernel.turn();
-        let memo = |r: &Rig| r.kernel.sites[0].engine.decided(txn);
-        assert_eq!(memo(&r), Some(Outcome::Commit), "decided before the crash");
+        let answer = |r: &Rig| r.kernel.ctx.answers.get(&txn).copied();
+        assert_eq!(answer(&r), None, "nothing externalized before the crash");
 
         std::thread::sleep(2 * down_for);
         for _ in 0..8 {
             r.kernel.turn();
         }
-        assert_eq!(memo(&r), Some(Outcome::Abort), "recovery re-decided");
+        assert_eq!(answer(&r), Some(Outcome::Abort), "recovery re-decided");
         let (reply, outcome) = bounded(1);
         let participants = r.parts.clone();
         r.send(
@@ -1305,6 +1334,71 @@ mod tests {
         );
         r.kernel.turn();
         assert_eq!(outcome.try_recv(), Ok(Outcome::Abort));
+    }
+
+    /// A duplicate `Commit` dispatched in the turn that decided commit,
+    /// while the decision record waits in the open batch, then a
+    /// coordinator crash in that same turn. The crash discards the
+    /// record and recovery aborts, so the duplicate must not read the
+    /// commit: a transaction still in flight disconnects it.
+    #[test]
+    fn a_duplicate_commit_in_the_deciding_turn_never_reads_the_lost_commit() {
+        let mut r = rig(glacial());
+        let txn = TxnId::new(1);
+        let _outcome = r.submit(txn);
+        r.turn_until_votes_are_queued();
+        let (reply, duplicate) = bounded(1);
+        let participants = r.parts.clone();
+        r.send(
+            COORDINATOR,
+            Envelope::Commit {
+                txn,
+                participants,
+                reply,
+            },
+        );
+        let down_for = Duration::from_millis(5);
+        r.send(COORDINATOR, Envelope::Crash { down_for });
+        r.kernel.turn();
+        assert_eq!(
+            duplicate.try_recv(),
+            Err(TryRecvError::Disconnected),
+            "the duplicate read an answer the crash took back"
+        );
+
+        std::thread::sleep(2 * down_for);
+        for _ in 0..8 {
+            r.kernel.turn();
+        }
+        let history = r.history.lock().clone();
+        assert_eq!(check_atomicity(&history), Vec::new());
+        let commits = |e: &&ActaEvent| {
+            let commit = Outcome::Commit;
+            matches!(e, ActaEvent::Decide { outcome, .. } | ActaEvent::Enforce { outcome, .. } if *outcome == commit)
+        };
+        assert_eq!(history.events().iter().filter(commits).count(), 0);
+    }
+
+    /// Definition 1 for the kernel's client side: 2 000 commits in
+    /// bursts of 50, each answered, leave no reply waiting, nothing in
+    /// flight and an empty coordinator table; what stays is one
+    /// externalized outcome per transaction.
+    #[test]
+    fn answered_commits_leave_no_reply_behind() {
+        let mut r = rig(glacial());
+        for burst in 0..40 {
+            let replies: Vec<_> = (1..=50)
+                .map(|i| r.submit_write(TxnId::new(burst * 50 + i), &i.to_be_bytes()))
+                .collect();
+            while r.kernel.turn() {}
+            for reply in replies {
+                assert_eq!(reply.try_recv(), Ok(Outcome::Commit));
+            }
+        }
+        assert!(r.kernel.ctx.replies.is_empty());
+        assert_eq!(r.inflight.current(), 0);
+        assert_eq!(r.kernel.ctx.answers.len(), 2_000);
+        assert_eq!(r.kernel.sites[0].engine.protocol_table_size(), 0);
     }
 
     /// A batch whose force fails takes what it withheld along: the

@@ -298,8 +298,12 @@ echo "== one owner, one table: the coordinator's protocol table is a plain map"
 # length, built for readers on other threads that no host has; every
 # host owns its coordinator. Each transaction's votes and awaited acks
 # were a map and a set of their own; they are slots beside its
-# participant list. Each pattern below, in the non-test lines of its
-# files, is one of those coming back; each first meets its control line.
+# participant list. The coordinator also kept a memo of every decision
+# it made, which the kernel answered clients from, scanning every
+# outstanding reply against it each turn; the kernel now answers a
+# client when it publishes the transaction's Decide event. Each pattern
+# below, in the non-test lines of its files, is one of those coming
+# back; each first meets its control line.
 table_guards=(
   crates/core/src                   '\bMutex\b'                 '    shards: Vec<Mutex<BTreeMap<TxnId, V>>>,'
   crates/core/src                   '\bAtomic[A-Z]'             '    len: AtomicUsize,'
@@ -308,6 +312,9 @@ table_guards=(
   crates/core/src/coordinator/mod.rs       'BTreeSet<SiteId>'        '        pending: BTreeSet<SiteId>,'
   crates/core/src/coordinator/recovery.rs  'BTreeMap<SiteId, Vote>'  '        votes: BTreeMap<SiteId, Vote>,'
   crates/core/src/coordinator/recovery.rs  'BTreeSet<SiteId>'        '        let pending: BTreeSet<SiteId> = awaited.map(|p| p.site).collect();'
+  crates/core/src/coordinator       '\bdecisions:'              '    pub(crate) decisions: BTreeMap<TxnId, Outcome>,'
+  crates/core/src/coordinator       '\bfn decided\b'            '    pub fn decided(&self, txn: TxnId) -> Option<Outcome> {'
+  crates/net/src/host.rs            'replies\.retain\('         '        self.ctx.replies.retain(|&txn, reply| {'
 )
 for ((i = 0; i < ${#table_guards[@]}; i += 3)); do
   where="${table_guards[i]}" pattern="${table_guards[i + 1]}" control="${table_guards[i + 2]}"
@@ -316,7 +323,7 @@ for ((i = 0; i < ${#table_guards[@]}; i += 3)); do
   if find "$where" -name '*.rs' | sort \
     | xargs awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { print FILENAME ":" FNR ": " $0 }' \
     | grep -E "$pattern"; then
-    echo "FAIL: '$pattern' in $where: a second owner or a per-transaction collection in the protocol table"; exit 1
+    echo "FAIL: '$pattern' in $where: a second owner, a per-transaction collection or a decision memo beside the protocol table"; exit 1
   fi
 done
 nontest_lines crates/core/src

@@ -20,6 +20,8 @@ pub struct Engines {
     sites: Vec<SiteId>,
     actions: Vec<Action>,
     queue: VecDeque<(SiteId, SiteId, Payload)>,
+    /// The decision the coordinator's `Decide` event carried.
+    decided: Option<Outcome>,
 }
 
 impl Engines {
@@ -43,6 +45,7 @@ impl Engines {
             sites,
             actions: Vec::new(),
             queue: VecDeque::new(),
+            decided: None,
         }
     }
 
@@ -65,14 +68,17 @@ impl Engines {
             }
             self.absorb(to);
         }
-        assert_eq!(self.coordinator.decided(txn), Some(Outcome::Commit));
+        assert_eq!(self.decided.take(), Some(Outcome::Commit));
     }
 
-    /// Queue the sends among `from`'s actions; drop the rest.
+    /// Queue the sends among `from`'s actions and note a decision; drop
+    /// the rest.
     fn absorb(&mut self, from: SiteId) {
         for action in self.actions.drain(..) {
-            if let Action::Send { to, payload } = action {
-                self.queue.push_back((from, to, payload));
+            match action {
+                Action::Send { to, payload } => self.queue.push_back((from, to, payload)),
+                Action::Acta(ActaEvent::Decide { outcome, .. }) => self.decided = Some(outcome),
+                _ => {}
             }
         }
     }
