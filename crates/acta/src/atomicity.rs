@@ -45,7 +45,7 @@ pub fn check_atomicity(history: &History) -> Vec<AtomicityViolation> {
     let mut enforcement: BTreeMap<TxnId, BTreeMap<SiteId, Outcome>> = BTreeMap::new();
 
     for e in history.events() {
-        match e {
+        match &e {
             ActaEvent::Decide { txn, outcome, .. } => {
                 if let Some(prev) = decisions.insert(*txn, *outcome) {
                     if prev != *outcome {

@@ -8,7 +8,7 @@ use acp_types::{Outcome, ProtocolKind, SiteId, TxnId};
 use std::fmt;
 
 /// A significant event in a transaction's (or site's) history.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ActaEvent {
     // ----- coordinator events -----
     /// `Decide_C(Outcome_T)`: the coordinator fixes the transaction's

@@ -101,7 +101,7 @@ pub fn check_operational(history: &History, final_state: &FinalState) -> Vec<Ope
     let mut terminated: BTreeSet<TxnId> = BTreeSet::new();
     for e in history.events() {
         if let ActaEvent::Decide { txn, .. } = e {
-            terminated.insert(*txn);
+            terminated.insert(txn);
         }
     }
 
@@ -128,10 +128,10 @@ pub fn check_operational(history: &History, final_state: &FinalState) -> Vec<Ope
             ActaEvent::Enforce {
                 participant, txn, ..
             } => {
-                enforced.insert((*participant, *txn));
+                enforced.insert((participant, txn));
             }
             ActaEvent::ForgetPart { participant, txn } => {
-                forgotten.insert((*participant, *txn));
+                forgotten.insert((participant, txn));
             }
             _ => {}
         }

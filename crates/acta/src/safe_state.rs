@@ -56,7 +56,7 @@ pub fn check_safe_state(
 
     // The decided outcome (first decision; atomicity checking catches
     // contradictory re-decisions separately).
-    let decided = events.iter().find_map(|e| match e {
+    let decided = events.clone().find_map(|e| match &e {
         ActaEvent::Decide {
             coordinator: c,
             txn: t,
@@ -70,8 +70,8 @@ pub fn check_safe_state(
     };
 
     // Index of the forget (DeletePT) event, if the coordinator forgot.
-    let forget_idx = events.iter().position(|e| {
-        matches!(e, ActaEvent::DeletePt { coordinator: c, txn: t } if *c == coordinator && *t == txn)
+    let forget_idx = events.clone().position(|e| {
+        matches!(&e, ActaEvent::DeletePt { coordinator: c, txn: t } if *c == coordinator && *t == txn)
     });
     let Some(forget_idx) = forget_idx else {
         // Never forgotten ⇒ no post-forget inquiries to constrain.
@@ -81,12 +81,12 @@ pub fn check_safe_state(
     let mut violations = Vec::new();
 
     // Every inquiry after the forget must be answered with `decided`.
-    for (i, e) in events.iter().enumerate().skip(forget_idx + 1) {
+    for (i, e) in events.clone().enumerate().skip(forget_idx + 1) {
         let ActaEvent::Inquire {
             participant,
             txn: t,
             ..
-        } = e
+        } = &e
         else {
             continue;
         };
@@ -95,7 +95,7 @@ pub fn check_safe_state(
         }
         // Find the response to *this* inquiry: the first Respond to this
         // participant for this txn after the inquiry.
-        let response = events.iter().skip(i + 1).find_map(|e2| match e2 {
+        let response = events.clone().skip(i + 1).find_map(|e2| match &e2 {
             ActaEvent::Respond {
                 coordinator: c,
                 txn: t2,

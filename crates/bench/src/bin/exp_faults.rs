@@ -144,9 +144,8 @@ fn run_cell_seed(kind: CoordinatorKind, regime: Regime, seed: u64) -> CellStats 
     let stuck = out
         .history
         .events()
-        .iter()
         .filter_map(|e| match e {
-            acp_acta::ActaEvent::Prepared { participant, txn } => Some((*participant, *txn)),
+            acp_acta::ActaEvent::Prepared { participant, txn } => Some((participant, txn)),
             _ => None,
         })
         .filter(|key| !out.enforced.contains_key(key))

@@ -260,8 +260,8 @@ fn successors(state: &CheckState, quiescent_timers: bool) -> Vec<CheckState> {
 /// presumption) must match the cluster's decided outcome. Divergent
 /// `Decide`s across replicas are the atomicity checker's business.
 fn replicated_safe_state(history: &History) -> Vec<AtomicityViolation> {
-    let decided = history.events().iter().find_map(|e| match e {
-        ActaEvent::Decide { txn, outcome, .. } if *txn == TXN => Some(*outcome),
+    let decided = history.events().find_map(|e| match e {
+        ActaEvent::Decide { txn, outcome, .. } if txn == TXN => Some(outcome),
         _ => None,
     });
     let Some(decided) = decided else {
@@ -277,9 +277,9 @@ fn replicated_safe_state(history: &History) -> Vec<AtomicityViolation> {
             ..
         } = e
         {
-            if *txn == TXN && *outcome != decided {
+            if txn == TXN && outcome != decided {
                 violations.push(AtomicityViolation {
-                    txn: *txn,
+                    txn,
                     detail: format!(
                         "safe-state: {coordinator} answered {participant}'s inquiry \
                          with {outcome}, but the cluster decided {decided}"

@@ -124,7 +124,7 @@ pub fn acta_events(actions: &[Action]) -> Vec<ActaEvent> {
     actions
         .iter()
         .filter_map(|a| match a {
-            Action::Acta(e) => Some(e.clone()),
+            Action::Acta(e) => Some(*e),
             _ => None,
         })
         .collect()

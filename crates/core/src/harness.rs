@@ -823,7 +823,7 @@ pub fn run_scenario_with_sink(scenario: &Scenario, sink: Arc<dyn TraceSink>) -> 
     }
     let mut writes: BTreeMap<SiteId, CostCounters> = BTreeMap::new();
     for event in history.events() {
-        if let ActaEvent::LogWrite { site, txn, forced, .. } = *event {
+        if let ActaEvent::LogWrite { site, txn, forced, .. } = event {
             costs.entry((site, txn)).or_default().count_log_write(forced);
             writes.entry(site).or_default().count_log_write(forced);
         }
@@ -846,7 +846,7 @@ pub fn run_scenario_with_sink(scenario: &Scenario, sink: Arc<dyn TraceSink>) -> 
     // transaction the lowest deciding site's: the coordinator's first.
     let mut decided_by_site = BTreeMap::new();
     for event in history.events() {
-        if let ActaEvent::Decide { coordinator, txn, outcome } = *event {
+        if let ActaEvent::Decide { coordinator, txn, outcome } = event {
             decided_by_site.insert((coordinator, txn), outcome);
         }
     }
@@ -994,9 +994,8 @@ mod tests {
             let prepared: Vec<SiteId> = out
                 .history
                 .events()
-                .iter()
                 .filter_map(|e| match e {
-                    ActaEvent::Prepared { participant, .. } => Some(*participant),
+                    ActaEvent::Prepared { participant, .. } => Some(participant),
                     _ => None,
                 })
                 .collect();
@@ -1125,7 +1124,7 @@ mod tests {
         assert!(
             check_atomicity(&out.history).is_empty(),
             "{:?}",
-            out.history.events()
+            out.history
         );
         assert!(
             check_operational(&out.history, &out.final_state).is_empty(),

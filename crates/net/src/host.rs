@@ -795,7 +795,8 @@ impl<T: Transport> Kernel<T> {
                     self.ctx.transport.site_crashed(now);
                 }
             }
-            _ if st.host.is_down(now) => {} // omission: dropped
+            // Omission: dropped, and counted.
+            _ if st.host.is_down(now) => self.ctx.stats.dropped_while_down += 1,
             // The envelope's buffers move into the write set.
             Envelope::Apply { txn, key, value } => match (&mut st.data, &mut st.engine) {
                 (Some(d), _) => {
@@ -1243,16 +1244,11 @@ mod tests {
 
         /// The participants whose prepared state the history has heard of.
         fn prepared_in_history(&self) -> Vec<SiteId> {
-            let prepared = |e: &ActaEvent| match e {
-                ActaEvent::Prepared { participant, .. } => Some(*participant),
+            let prepared = |e: ActaEvent| match e {
+                ActaEvent::Prepared { participant, .. } => Some(participant),
                 _ => None,
             };
-            self.history
-                .lock()
-                .events()
-                .iter()
-                .filter_map(prepared)
-                .collect()
+            self.history.lock().events().filter_map(prepared).collect()
         }
     }
 
@@ -1288,14 +1284,14 @@ mod tests {
         }
         let history = r.history.lock().clone();
         assert_eq!(check_atomicity(&history), Vec::new());
-        let commits = |e: &&ActaEvent| {
+        let commits = |e: &ActaEvent| {
             let commit = Outcome::Commit;
             matches!(e, ActaEvent::Decide { outcome, .. } | ActaEvent::Enforce { outcome, .. } if *outcome == commit)
         };
-        assert_eq!(history.events().iter().filter(commits).count(), 0);
-        let aborted = |e: &&ActaEvent| matches!(e, ActaEvent::Enforce { .. });
+        assert_eq!(history.events().filter(commits).count(), 0);
+        let aborted = |e: &ActaEvent| matches!(e, ActaEvent::Enforce { .. });
         assert!(
-            history.events().iter().any(|e| aborted(&e)),
+            history.events().any(|e| aborted(&e)),
             "the abort was enforced"
         );
     }
@@ -1372,11 +1368,11 @@ mod tests {
         }
         let history = r.history.lock().clone();
         assert_eq!(check_atomicity(&history), Vec::new());
-        let commits = |e: &&ActaEvent| {
+        let commits = |e: &ActaEvent| {
             let commit = Outcome::Commit;
             matches!(e, ActaEvent::Decide { outcome, .. } | ActaEvent::Enforce { outcome, .. } if *outcome == commit)
         };
-        assert_eq!(history.events().iter().filter(commits).count(), 0);
+        assert_eq!(history.events().filter(commits).count(), 0);
     }
 
     /// Definition 1 for the kernel's client side: 2 000 commits in
@@ -1429,7 +1425,7 @@ mod tests {
         assert!(host.deferred_sends.is_empty() && host.deferred_acta.is_empty());
         assert!(r.kernel.ctx.ready.is_empty(), "no prepare left the site");
         assert!(
-            r.history.lock().events().is_empty(),
+            r.history.lock().is_empty(),
             "the history never heard of the lost record"
         );
         assert_eq!(r.kernel.ctx.stats.failed_forces, 1);
@@ -1467,12 +1463,60 @@ mod tests {
             );
         }
         let history = r.history.lock();
-        let events = history.events();
+        let last = history.events().last();
         assert!(
-            matches!(events.last(), Some(ActaEvent::Recover { site }) if *site == PARTS[1]),
-            "the outage ends in the history too: {:?}",
-            events.last()
+            matches!(last, Some(ActaEvent::Recover { site }) if site == PARTS[1]),
+            "the outage ends in the history too: {last:?}"
         );
+    }
+
+    /// A client's write that reaches a participant inside its outage is
+    /// dropped unread, and the kernel counts it. Once the participant is
+    /// back, it has no write set for the transaction, so it votes
+    /// read-only and the transaction commits without the write there.
+    /// This pins what the kernel does today; it changes nothing.
+    #[test]
+    fn an_apply_inside_an_outage_is_counted_and_the_commit_skips_its_write() {
+        let mut r = rig(glacial());
+        let (victim, txn) = (PARTS[0], TxnId::new(1));
+        let down_for = Duration::from_millis(5);
+        r.send(victim, Envelope::Crash { down_for });
+        r.kernel.turn();
+        for &p in &r.parts {
+            let (key, value) = (b"k".to_vec(), b"v".to_vec());
+            r.send(p, Envelope::Apply { txn, key, value });
+        }
+        r.kernel.turn();
+        assert_eq!(r.kernel.ctx.stats.dropped_while_down, 1);
+
+        std::thread::sleep(2 * down_for);
+        while r.kernel.turn() {}
+        let (reply, outcome) = bounded(1);
+        let participants = r.parts.clone();
+        r.send(
+            COORDINATOR,
+            Envelope::Commit {
+                txn,
+                participants,
+                reply,
+            },
+        );
+        while r.kernel.turn() {}
+        assert_eq!(outcome.try_recv(), Ok(Outcome::Commit));
+        assert_eq!(r.kernel.ctx.stats.dropped_while_down, 1);
+        let cast = |e: ProtocolEvent| match e {
+            ProtocolEvent::VoteCast { site, vote, .. } => Some((site, vote)),
+            _ => None,
+        };
+        let votes: Vec<_> = r.sink.snapshot().into_iter().filter_map(cast).collect();
+        assert!(votes.contains(&(victim.raw(), "read-only")), "{votes:?}");
+        for &site in &PARTS {
+            let d = r.kernel.sites[r.kernel.owned[&site]].data.as_ref();
+            let written = d.expect("a native participant").storage.store().get(b"k");
+            let expected = (site != victim).then_some(b"v".as_slice());
+            assert_eq!(written, expected, "site {site}");
+        }
+        assert_eq!(check_atomicity(&r.history.lock()), Vec::new());
     }
 
     /// Definition 1 on disk: 2 000 commits one at a time, so a

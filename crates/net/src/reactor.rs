@@ -146,6 +146,9 @@ pub struct ReactorStats {
     /// Client commits refused at the door (always 0 with
     /// `max_inflight: None`).
     pub admission_sheds: u64,
+    /// Envelopes addressed to a hosted site inside its outage, dropped
+    /// unread: the omission a crashed site's peers and clients see.
+    pub dropped_while_down: u64,
 }
 
 impl ReactorStats {
@@ -165,6 +168,7 @@ impl ReactorStats {
         self.decisions_delivered += other.decisions_delivered;
         self.mailbox_sends += other.mailbox_sends;
         self.admission_sheds += other.admission_sheds;
+        self.dropped_while_down += other.dropped_while_down;
     }
 }
 

@@ -294,11 +294,15 @@ pub enum SelectionPolicy {
     /// own protocol; *any* heterogeneous population runs PrAny.
     #[default]
     PaperStrict,
-    /// An optimization the paper's §2–§3 analysis permits: PrN+PrC mixes
-    /// run PrC (PrN participants ack everything, so the commit
-    /// presumption stays safe) and PrN+PrA mixes run PrA (symmetric
-    /// argument with the abort presumption). Only populations mixing PrA
-    /// with PrC fall back to full PrAny.
+    /// One step cheaper than the paper's rule: a population mixing only
+    /// PrN and PrA runs PrA (PrN participants acknowledge everything PrA
+    /// expects, and both protocols presume abort). Every heterogeneous
+    /// population that contains a PrC participant — PrN+PrC, PrA+PrC and
+    /// PrN+PrA+PrC alike — runs full PrAny, as under `PaperStrict`.
+    ///
+    /// Whether a plain-PrC coordinator would be safe for a PrN+PrC mix is
+    /// open (ROADMAP item 16): the explorer found no violation for it
+    /// within its default budgets, but `select_mode` does not take it.
     Optimized,
 }
 

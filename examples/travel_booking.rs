@@ -71,9 +71,9 @@ fn main() {
     // atomically; had the crash landed after the votes, it commits and
     // the hotel learns the outcome by recovery inquiry. Either way, no
     // site may disagree.
-    let trip2_decision = report.history.events().iter().find_map(|e| match e {
-        presumed_any::prelude::ActaEvent::Decide { txn, outcome, .. } if *txn == trip2 => {
-            Some(*outcome)
+    let trip2_decision = report.history.events().find_map(|e| match e {
+        presumed_any::prelude::ActaEvent::Decide { txn, outcome, .. } if txn == trip2 => {
+            Some(outcome)
         }
         _ => None,
     });

@@ -3,7 +3,8 @@
 # warning-free clippy run, the structural guards (one kernel, one
 # in-process host, one engine enum, one metrics path, one harness, one
 # log, observed costs, one copy per write, state leaves with its
-# transaction, one owner one table, one encoder, one instrument),
+# transaction, one owner one table, a byte-coded history, one encoder,
+# one instrument),
 # warning-free rustdoc, the benchmark's smoke suite, and a regeneration
 # of every committed result with a diff against it. No step's pass/fail depends
 # on a wall-clock rate; the perf figures printed are information.
@@ -327,6 +328,22 @@ for ((i = 0; i < ${#table_guards[@]}; i += 3)); do
   fi
 done
 nontest_lines crates/core/src
+
+echo "== a history event is bytes: the ACTA history is byte-coded"
+# Every runtime keeps its complete history for the judge. Its events
+# used to be 32-byte ActaEvent values in a doubling Vec, the largest
+# per-transaction holder on the heap; they are now encoded into one
+# byte buffer at about 3.5 bytes each and decoded by History::events.
+# A Vec<ActaEvent> field in the history's non-test lines is the old
+# layout coming back; the pattern first meets its control line.
+history_guard=':[[:space:]]*Vec<ActaEvent>'
+echo '    events: Vec<ActaEvent>,' | grep -qE "$history_guard" \
+  || { echo "FAIL: the guard '$history_guard' misses its control line"; exit 1; }
+if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/acta/src/history.rs \
+  | grep -E "$history_guard"; then
+  echo "FAIL: the history stores ActaEvent values again"; exit 1
+fi
+nontest_lines crates/acta/src
 
 echo "== one encoder: the logs and the runtime encode in place"
 # encode_frame/encode_payload are allocating wrappers over the _into

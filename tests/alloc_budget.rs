@@ -129,8 +129,8 @@ fn a_reactor_commit_allocates_within_its_budget() {
     let per_txn = runtime_allocs_per_txn(Backend::Reactor(1));
     println!("reactor: {per_txn:.1} runtime-thread allocations per transaction");
     assert!(
-        per_txn <= 8.8,
-        "{per_txn:.1} allocations per transaction on the reactor thread (budget 8.8)"
+        per_txn <= 7.8,
+        "{per_txn:.1} allocations per transaction on the reactor thread (budget 7.8)"
     );
 }
 
@@ -143,8 +143,8 @@ fn a_socket_pair_commit_allocates_within_its_budget() {
     let per_txn = runtime_allocs_per_txn(Backend::SocketPair);
     println!("socket pair: {per_txn:.1} node-thread allocations per transaction");
     assert!(
-        per_txn <= 15.7,
-        "{per_txn:.1} allocations per transaction on the node threads (budget 15.7)"
+        per_txn <= 14.7,
+        "{per_txn:.1} allocations per transaction on the node threads (budget 14.7)"
     );
 }
 

@@ -81,7 +81,7 @@ fn non_fifo_breaks_footnote_5_and_the_checkers_catch_it() {
         );
         // The history must show the inquiry answered by presumption —
         // the ACTA predicate pinpoints step 5 of the failure chain.
-        let by_presumption = out.history.events().iter().any(|e| {
+        let by_presumption = out.history.events().any(|e| {
             matches!(
                 e,
                 ActaEvent::Respond {
@@ -240,7 +240,7 @@ mod socket {
         // Step 5 of the footnote-5 chain: the forgotten coordinator
         // answers the in-doubt participant by PrC's presumption.
         assert!(
-            out.history.events().iter().any(|e| matches!(
+            out.history.events().any(|e| matches!(
                 e,
                 ActaEvent::Respond {
                     by_presumption: true,

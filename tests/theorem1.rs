@@ -130,7 +130,7 @@ fn the_wrong_answer_is_a_presumption_answer() {
     );
     crash_through_decision(&mut s, site(2));
     let out = run_scenario(&s);
-    let bad_response = out.history.events().iter().find(|e| {
+    let bad_response = out.history.events().find(|e| {
         matches!(
             e,
             ActaEvent::Respond {

@@ -170,7 +170,6 @@ fn safe_state_holds_at_every_forget_point() {
     let presumption_answers = out
         .history
         .events()
-        .iter()
         .filter(|e| {
             matches!(
                 e,
