@@ -7,7 +7,7 @@
 use acp_engine::SiteEngine;
 use acp_net::{ReactorCluster, ReactorConfig};
 use acp_types::{CoordinatorKind, Outcome, ProtocolKind, SelectionPolicy, TxnId};
-use acp_wal::MemLog;
+use acp_wal::{MemLog, StableLog};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -53,6 +53,8 @@ fn bench_storage_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("storage_engine");
     g.bench_function("txn_put_prepare_commit", |b| {
         let mut engine = SiteEngine::new(MemLog::new());
+        // The participant's log the redo is staged in.
+        let mut redo = MemLog::new();
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
@@ -61,7 +63,9 @@ fn bench_storage_engine(c: &mut Criterion) {
             engine
                 .put(txn, format!("k{}", i % 64).as_bytes(), b"v")
                 .expect("put");
-            engine.prepare(txn).expect("prepare");
+            engine
+                .prepare(txn, |u| redo.append_ref(u, true).map(drop))
+                .expect("prepare");
             engine.resolve(txn, Outcome::Commit).expect("resolve");
             black_box(&engine);
         });
@@ -71,7 +75,7 @@ fn bench_storage_engine(c: &mut Criterion) {
         let seed = TxnId::new(1);
         engine.begin(seed);
         engine.put(seed, b"k", b"v").expect("put");
-        engine.prepare(seed).expect("prepare");
+        engine.prepare(seed, |_| Ok(())).expect("prepare");
         engine.resolve(seed, Outcome::Commit).expect("resolve");
         let mut i = 1u64;
         b.iter(|| {

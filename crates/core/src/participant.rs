@@ -316,6 +316,19 @@ impl<L: StableLog> Participant<L> {
 
     // -- protocol input handlers ---------------------------------------
 
+    /// Stage a redo record (an `Update` of `txn`'s write set) in this
+    /// site's log, unforced, ahead of the prepared record that
+    /// [`Participant::on_prepare_into`] then forces: that force makes
+    /// both durable, so one force covers the redo and the vote, as the
+    /// gateway's prepare does. The GC tracker sees the record, so the
+    /// transaction pins the log from it on and is released with it.
+    pub fn stage_redo(&mut self, update: &LogPayload) -> Result<(), WalError> {
+        debug_assert!(matches!(update, LogPayload::Update { .. }));
+        let lsn = self.log.append_ref(update, false)?;
+        self.gc.note(lsn, update);
+        Ok(())
+    }
+
     /// Handle a `Prepare` request from the coordinator, voting the
     /// intent set for `txn`.
     pub fn on_prepare(&mut self, coordinator: SiteId, txn: TxnId) -> Vec<Action> {
@@ -561,6 +574,13 @@ impl<L: StableLog> Participant<L> {
                     participant: self.site,
                     txn,
                 }));
+            } else if !s.updates.is_empty() {
+                // Redo whose prepared record never became durable (a
+                // torn tail): the site never voted Yes. An end record
+                // releases it; nobody else ever heard of it.
+                let end = LogPayload::PartEnd { txn };
+                let lsn = self.log.append_ref(&end, false);
+                self.gc.note(lsn.expect("participant log append"), &end);
             }
         }
     }
@@ -581,9 +601,10 @@ impl<L: StableLog> Participant<L> {
     /// PrC `part-commit`, any `part-end`) stays there until the site's
     /// next force, and its transaction is collected by the collection
     /// after that. So a collection costs no sync of its own beyond the
-    /// log's GC write. A host that keeps a data log beside this one
-    /// makes that log's redo markers durable first: once these records
-    /// are gone, its recovery can learn a commit only from the marker.
+    /// log's GC write. A host whose storage engine staged redo here
+    /// ([`Participant::stage_redo`]) makes the values it installed
+    /// durable in its own store first: once these records are gone, the
+    /// store is the only copy of a committed transaction's values.
     ///
     /// A failed GC write is returned, not raised, and changes nothing:
     /// the log keeps its records and mark, the tracker its view, and the
@@ -923,6 +944,56 @@ mod tests {
             assert_eq!(p.log().low_water_mark(), Lsn(3 * txns));
             assert_eq!(p.log().image().len() < image, compacts, "{txns} txns");
         }
+    }
+
+    fn update(txn: TxnId) -> LogPayload {
+        LogPayload::Update {
+            txn,
+            key: b"k".to_vec(),
+            before: None,
+            after: Some(b"v".to_vec()),
+        }
+    }
+
+    /// Staged redo rides the prepared record's force, pins the log with
+    /// its transaction, and is released with it.
+    #[test]
+    fn staged_redo_rides_the_prepared_force_and_is_released_with_its_transaction() {
+        let mut p = participant(ProtocolKind::PrN);
+        p.stage_redo(&update(t())).unwrap();
+        assert_eq!(p.log_pinned(), [t()]);
+        p.on_prepare(coord(), t());
+        assert_eq!(
+            log_kinds(&p),
+            [
+                ("update".to_string(), false),
+                ("prepared".to_string(), true)
+            ]
+        );
+        assert_eq!(p.log().durable_end(), Lsn(2), "one force made both durable");
+        let outcome = Outcome::Commit;
+        p.on_message(coord(), &Payload::Decision { txn: t(), outcome });
+        p.on_prepare(coord(), TxnId::new(8));
+        assert_eq!(
+            p.collect_garbage().unwrap(),
+            4,
+            "update, prepared, commit, end"
+        );
+    }
+
+    /// Redo whose prepared record a torn tail took is closed at
+    /// recovery, so it pins nothing, and no inquiry is sent for it.
+    #[test]
+    fn recovery_closes_redo_that_never_got_its_prepared_record() {
+        let mut p = participant(ProtocolKind::PrA);
+        p.stage_redo(&update(t())).unwrap();
+        p.log_mut().flush().unwrap();
+        p.crash();
+        let actions = p.recover();
+        assert!(actions.is_empty(), "{actions:?}");
+        assert!(!p.in_doubt(t()));
+        assert!(p.log_pinned().is_empty());
+        assert_eq!(log_kinds(&p).last().unwrap().0, "part-end");
     }
 
     #[test]

@@ -15,19 +15,15 @@
 //!   transaction's write set until commit, so crash recovery never needs
 //!   to undo — only redo winners;
 //! * **write-ahead logging** ([`site`]): at *prepare*, the write set is
-//!   appended as update records with before/after images and forced —
-//!   exactly the durability point at which a participant may vote "Yes";
+//!   lent, as update records with before/after images, to the
+//!   participant's protocol log ahead of its prepared record, whose
+//!   force makes both durable — the point at which it may vote "Yes";
 //! * **redo recovery** ([`site::SiteEngine::recover`]): rebuilds the
-//!   store from the data log, applying committed transactions in commit
-//!   order, re-staging in-doubt (prepared) transactions and re-acquiring
-//!   their locks — "holding the locks of in-doubt transactions" is what
-//!   makes blocking visible.
-//!
-//! The engine keeps its own data log, separate from the commit
-//! protocol's log (a deliberate, documented deviation from the single
-//! shared log a monolithic DBMS would use: the write-ahead ordering —
-//! data forced before the prepared record — is preserved by the `Site`
-//! composition in `acp-net`).
+//!   store from its own log, a store file of checkpoints, and from the
+//!   committed write sets the protocol log still holds, re-staging
+//!   in-doubt (prepared) transactions and re-acquiring their locks —
+//!   "holding the locks of in-doubt transactions" is what makes
+//!   blocking visible.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,6 +36,6 @@ pub mod txn;
 
 pub use error::EngineError;
 pub use lock::{LockMode, LockTable};
-pub use site::{RecoveredOutcome, SiteEngine};
+pub use site::SiteEngine;
 pub use store::KvStore;
 pub use txn::{TxnContext, TxnPhase};

@@ -1,25 +1,18 @@
-//! The site engine: store + locks + transactions + WAL + recovery.
+//! The site engine: store + locks + transactions + store file + recovery.
+//! A write set's redo lives as long as its transaction, so it rides the
+//! participant's protocol log; committed values outlive every
+//! transaction, so they go to the engine's own log, the *store file*.
 
 use crate::error::EngineError;
 use crate::lock::{LockMode, LockTable};
 use crate::store::KvStore;
 use crate::txn::{TxnContext, TxnPhase};
 use acp_types::{LogPayload, Outcome, TxnId};
+use acp_wal::encode::frame_len;
 use acp_wal::scan::UpdateImage;
-use acp_wal::{Lsn, StableLog};
+use acp_wal::{StableLog, WalError, RECLAIM_FLOOR};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
-
-/// What recovery (driven by the commit-protocol layer) knows about a
-/// transaction's fate.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RecoveredOutcome {
-    /// Decision on record: enforce it.
-    Decided(Outcome),
-    /// Prepared but undecided: re-stage the write set, re-acquire locks,
-    /// block until the protocol layer resolves it.
-    InDoubt,
-}
 
 /// A transactional key-value engine for one site.
 #[derive(Clone, Debug)]
@@ -35,11 +28,21 @@ pub struct SiteEngine<L: StableLog> {
     /// peak number of live transactions, which the host's admission
     /// bounds.
     spare: Vec<TxnContext>,
+    /// The store file.
     log: L,
+    /// Copies of the values installed since the store file's last
+    /// record, for the next [`SiteEngine::checkpoint_installed`]. A
+    /// `Checkpoint` record owns its entries, so each is a copy, made
+    /// into buffers the last checkpoint left in `spare_entries`.
+    installed: Vec<(Vec<u8>, Vec<u8>)>,
+    spare_entries: Vec<(Vec<u8>, Vec<u8>)>,
+    /// Frame bytes of the store file's records since its last
+    /// whole-store checkpoint, that one included.
+    file_bytes: u64,
 }
 
 impl<L: StableLog> SiteEngine<L> {
-    /// A fresh engine over the given data log.
+    /// A fresh engine over the given store file.
     pub fn new(log: L) -> Self {
         SiteEngine {
             store: KvStore::new(),
@@ -47,6 +50,9 @@ impl<L: StableLog> SiteEngine<L> {
             txns: HashMap::new(),
             spare: Vec::new(),
             log,
+            installed: Vec::new(),
+            spare_entries: Vec::new(),
+            file_bytes: 0,
         }
     }
 
@@ -84,7 +90,7 @@ impl<L: StableLog> SiteEngine<L> {
 
     /// Transactional write (upsert). The engine takes ownership of key
     /// and value: the write set holds these buffers, prepare lends them
-    /// to the log records it appends, and a commit hands them to the
+    /// to the log records it stages, and a commit hands them to the
     /// store, so a `Vec` passed in is never copied. A borrowed slice is
     /// copied once, here.
     pub fn put(
@@ -123,68 +129,44 @@ impl<L: StableLog> SiteEngine<L> {
             .is_read_only())
     }
 
-    /// Prepare: append the write set to the data log with before/after
-    /// images and force it. After this returns, the site may vote "Yes";
-    /// the transaction can no longer be unilaterally aborted by the
-    /// engine.
-    pub fn prepare(&mut self, txn: TxnId) -> Result<(), EngineError> {
-        self.stage_prepare(txn)?;
-        self.log.flush()?; // one force for the whole write set
-        self.txns.get_mut(&txn).expect("checked").phase = TxnPhase::Prepared;
-        Ok(())
+    /// Prepare: lend each write of the write set, as an `Update` record
+    /// with its before and after images, to `stage`, which appends it to
+    /// the caller's log ahead of the caller's prepared record; then the
+    /// transaction is prepared, and the engine can no longer abort it
+    /// unilaterally. The caller makes the records durable (the prepared
+    /// record's force does) before it votes Yes, so one force covers the
+    /// redo and the vote.
+    ///
+    /// A refused append gives the buffers back and leaves the
+    /// transaction active.
+    pub fn prepare(
+        &mut self,
+        txn: TxnId,
+        stage: impl FnMut(&LogPayload) -> Result<(), WalError>,
+    ) -> Result<(), EngineError> {
+        stage_write_set(&mut self.txns, txn, stage)
     }
 
-    /// Like [`SiteEngine::prepare`], but leaves the write-set records
-    /// in the log's volatile buffer instead of forcing them — for hosts
-    /// that batch data-log durability across transactions (the reactor
-    /// flushes once per tick). The caller must call
-    /// [`SiteEngine::flush_log`] before externalizing a Yes vote whose
-    /// write set was staged this way, or the force rule is violated.
+    /// [`SiteEngine::prepare`] into this engine's own log, unforced.
+    /// Kept for the benchmark's engine probe, which measures staging
+    /// without a protocol log; recovery reads no redo from the store
+    /// file.
     pub fn prepare_lazy(&mut self, txn: TxnId) -> Result<(), EngineError> {
-        self.stage_prepare(txn)?;
-        self.txns.get_mut(&txn).expect("checked").phase = TxnPhase::Prepared;
-        Ok(())
+        let log = &mut self.log;
+        stage_write_set(&mut self.txns, txn, |update| {
+            log.append_ref(update, false).map(drop)
+        })
     }
 
-    fn stage_prepare(&mut self, txn: TxnId) -> Result<(), EngineError> {
-        let ctx = self.txns.get_mut(&txn).ok_or(EngineError::UnknownTxn(txn))?;
-        if ctx.phase != TxnPhase::Active {
-            return Err(EngineError::WrongPhase { txn, op: "prepare" });
-        }
-        if !ctx.writes.is_empty() {
-            ctx.first_lsn.get_or_insert_with(|| self.log.next_lsn());
-        }
-        // Each write lends its buffers to its update record for the
-        // append and takes them back, whatever the append returns.
-        for w in &mut ctx.writes {
-            let update = LogPayload::Update {
-                txn,
-                key: std::mem::take(&mut w.key),
-                before: w.before.take(),
-                after: w.after.take(),
-            };
-            let appended = self.log.append_ref(&update, false);
-            let LogPayload::Update {
-                key, before, after, ..
-            } = update
-            else {
-                unreachable!("built above")
-            };
-            (w.key, w.before, w.after) = (key, before, after);
-            appended?;
-        }
-        Ok(())
-    }
-
-    /// Flush the data log's volatile buffer (no-op when it is empty).
-    /// Pairs with [`SiteEngine::prepare_lazy`].
+    /// Flush this engine's own log. Kept for the benchmark's engine
+    /// probe, beside [`SiteEngine::prepare_lazy`].
     pub fn flush_log(&mut self) -> Result<(), EngineError> {
         self.log.flush()?;
         Ok(())
     }
 
-    /// Enforce the final outcome: apply (commit) or discard (abort) the
-    /// write set, log the redo marker, release locks.
+    /// Enforce the final outcome: install (commit) or discard (abort)
+    /// the write set, release locks.
     ///
     /// Idempotent for unknown transactions (already resolved and
     /// forgotten — footnote 5's engine-side counterpart).
@@ -192,23 +174,36 @@ impl<L: StableLog> SiteEngine<L> {
         let Some(mut ctx) = self.txns.remove(&txn) else {
             return Ok(());
         };
-        // Redo marker: which prepared write sets won (or lost).
-        // Non-forced — if it is lost, the transaction is back in doubt
-        // and the protocol layer re-resolves it after recovery.
-        if ctx.phase == TxnPhase::Prepared && !ctx.writes.is_empty() {
-            self.log
-                .append(LogPayload::PartDecision { txn, outcome }, false)?;
-        }
         self.release_locks(txn, &ctx);
         if outcome == Outcome::Commit {
             // The context is done with its write set: the store takes
             // the buffers over.
             for w in ctx.writes.drain(..) {
-                self.store.install(w.key, w.after);
+                self.install(w.key, w.after);
             }
         }
         self.retire(ctx);
         Ok(())
+    }
+
+    /// Install a committed value, noting it for the store file. Only a
+    /// commit decision installs, so the store file holds nothing a
+    /// transaction could still abort.
+    fn install(&mut self, key: Vec<u8>, value: Option<Vec<u8>>) {
+        match &value {
+            Some(v) => {
+                let (mut k, mut copy) = self.spare_entries.pop().unwrap_or_default();
+                k.clear();
+                k.extend_from_slice(&key);
+                copy.clear();
+                copy.extend_from_slice(v);
+                self.installed.push((k, copy));
+            }
+            // A delta entry cannot delete: count the file all dead, so
+            // the next checkpoint rewrites it whole.
+            None => self.file_bytes = u64::MAX,
+        }
+        self.store.install(key, value);
     }
 
     /// Release every lock `txn` holds: each is on a key it wrote or read.
@@ -235,35 +230,55 @@ impl<L: StableLog> SiteEngine<L> {
         }
     }
 
-    /// Write a checkpoint — a forced snapshot of the committed store —
-    /// and truncate the data log up to it (bounded by the oldest live
-    /// transaction's first update record, whose redo information must
-    /// survive until that transaction resolves). Returns the number of
-    /// log records reclaimed.
-    ///
-    /// This is the storage-engine counterpart of the protocol-side end
-    /// records: together they keep *both* logs of a site bounded, as
-    /// Definition 1's requirement 3 demands.
-    pub fn checkpoint(&mut self) -> Result<usize, EngineError> {
-        let entries: Vec<(Vec<u8>, Vec<u8>)> = self
-            .store
-            .iter()
-            .map(|(k, v)| (k.to_vec(), v.to_vec()))
-            .collect();
-        let checkpoint_lsn = self.log.next_lsn();
-        self.log.append(LogPayload::Checkpoint { entries }, true)?;
-        let barrier = self
-            .txns
-            .values()
-            .filter_map(|ctx| ctx.first_lsn)
-            .min()
-            .unwrap_or(checkpoint_lsn)
-            .min(checkpoint_lsn);
-        let before = self.log.stats().truncated;
-        if barrier > self.log.low_water_mark() {
-            self.log.truncate_prefix(barrier)?;
+    /// Make the values installed since the store file's last record
+    /// durable there, as one forced `Checkpoint` record (recovery reads
+    /// the records in order, later entries winning). A host calls this
+    /// before it collects the protocol log that holds the redo: after
+    /// the collection, the store file is the committed values' only
+    /// copy. Once the file's dead bytes pass max(live,
+    /// [`RECLAIM_FLOOR`]), it is rewritten as one whole-store
+    /// checkpoint. A refused write keeps its entries for the next call.
+    pub fn checkpoint_installed(&mut self) -> Result<(), EngineError> {
+        if !self.installed.is_empty() {
+            let entries = std::mem::take(&mut self.installed);
+            let delta = LogPayload::Checkpoint { entries };
+            let written = self.log.append_ref(&delta, true).map(|_| frame_len(&delta));
+            let LogPayload::Checkpoint { entries } = delta else {
+                unreachable!("built above")
+            };
+            self.installed = entries;
+            self.file_bytes = self.file_bytes.saturating_add(written? as u64);
+            self.spare_entries.append(&mut self.installed);
         }
-        Ok((self.log.stats().truncated - before) as usize)
+        let live = self.store_frame_len();
+        if self.file_bytes.saturating_sub(live) > live.max(RECLAIM_FLOOR) {
+            self.checkpoint()?;
+        }
+        Ok(())
+    }
+
+    /// The frame bytes of a checkpoint of the whole store: an empty
+    /// one's, and per entry two 4-byte lengths, its key and its value.
+    fn store_frame_len(&self) -> u64 {
+        let empty = frame_len(&LogPayload::Checkpoint { entries: vec![] });
+        (empty + 8 * self.store.len() + self.store.bytes()) as u64
+    }
+
+    /// Rewrite the store file as one forced checkpoint of the whole
+    /// store, releasing every record before it (the file compacts once
+    /// what is released passes its reclaim floor).
+    fn checkpoint(&mut self) -> Result<(), EngineError> {
+        let entries = self.store.iter();
+        let entries = entries.map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+        let whole = LogPayload::Checkpoint { entries };
+        let len = frame_len(&whole) as u64;
+        let at = self.log.append(whole, true)?;
+        if at > self.log.low_water_mark() {
+            self.log.truncate_prefix(at)?;
+        }
+        self.file_bytes = len;
+        self.spare_entries.append(&mut self.installed);
+        Ok(())
     }
 
     /// Committed value, outside any transaction (for assertions).
@@ -278,7 +293,7 @@ impl<L: StableLog> SiteEngine<L> {
         &self.store
     }
 
-    /// Borrow the data log.
+    /// Borrow the store file.
     #[must_use]
     pub fn log(&self) -> &L {
         &self.log
@@ -299,134 +314,177 @@ impl<L: StableLog> SiteEngine<L> {
     }
 
     /// Crash: volatile state (store cache, lock table, active
-    /// transactions, spare contexts) is lost; only the forced log
-    /// survives.
+    /// transactions, spare contexts and entries) is lost; only what the
+    /// logs made durable survives.
     pub fn crash(&mut self) {
         self.store = KvStore::new();
         self.locks = LockTable::new();
         self.txns = HashMap::new();
         self.spare = Vec::new();
+        self.installed = Vec::new();
+        self.spare_entries = Vec::new();
+        self.file_bytes = 0;
         self.log.lose_unflushed().expect("log crash");
     }
 
-    /// Redo recovery. `outcomes` gives, per transaction, what the commit
-    /// protocol layer knows from *its* log (decided or in doubt);
-    /// transactions absent from the map with updates but no redo marker
-    /// are treated as aborted (they never got a decision, and the
-    /// protocol log has no prepared record — they were never voted on,
-    /// or their fate is abort by presumption).
+    /// Redo recovery: load the store file's checkpoints in order, redo
+    /// the committed write sets the protocol log `redo` still holds in
+    /// the order of their decision records, and re-stage the prepared,
+    /// undecided ones under their exclusive locks. `redo` is read back
+    /// once and its images moved, not copied.
     ///
-    /// Rebuilds the store by applying committed transactions' write sets
-    /// in commit-marker order (for marker-less commits given via
-    /// `outcomes`, after all marked ones), then re-stages in-doubt
-    /// transactions and re-acquires their exclusive locks.
-    pub fn recover(
-        &mut self,
-        outcomes: &BTreeMap<TxnId, RecoveredOutcome>,
-    ) -> Result<(), EngineError> {
-        // One pass over the log, read back whole: the latest checkpoint,
-        // per-txn updates (in log order, with positions) and marker
-        // positions. Markers before that checkpoint are already
-        // reflected in its snapshot and must not be redone (their
-        // updates may predate the snapshot's values); they stay in the
-        // list so phase 2 knows the transaction is resolved.
-        let mut checkpoint = None;
-        let mut updates: BTreeMap<TxnId, Vec<UpdateImage>> = BTreeMap::new();
-        let mut first_positions: BTreeMap<TxnId, Lsn> = BTreeMap::new();
-        let mut markers: Vec<(Lsn, TxnId, Outcome)> = Vec::new();
+    /// A value reaches the store file only after its transaction's
+    /// commit decision ([`SiteEngine::resolve`]). So a transaction in
+    /// doubt in `redo` (a crash lost its lazy decision record) may
+    /// already have its values in the store file: its locks keep them
+    /// from readers, and the commit its inquiry learns installs them
+    /// again. Installing an after-image is idempotent.
+    pub fn recover<R: StableLog + ?Sized>(&mut self, redo: &R) -> Result<(), EngineError> {
         for rec in self.log.records()? {
+            self.file_bytes += frame_len(&rec.payload) as u64;
+            if let LogPayload::Checkpoint { entries } = rec.payload {
+                for (key, value) in entries {
+                    self.store.install(key, Some(value));
+                }
+            }
+        }
+        // Per transaction: its images in log order and whether its
+        // prepared record is there; and the decisions, in log order.
+        let mut staged: BTreeMap<TxnId, (Vec<UpdateImage>, bool)> = BTreeMap::new();
+        let mut decided = Vec::new();
+        for rec in redo.records()? {
             match rec.payload {
-                LogPayload::Checkpoint { entries } => checkpoint = Some((rec.lsn, entries)),
                 LogPayload::Update {
                     txn,
                     key,
                     before,
                     after,
-                } => {
-                    first_positions.entry(txn).or_insert(rec.lsn);
-                    updates.entry(txn).or_default().push((key, before, after));
-                }
-                LogPayload::PartDecision { txn, outcome } => markers.push((rec.lsn, txn, outcome)),
+                } => staged.entry(txn).or_default().0.push((key, before, after)),
+                LogPayload::Prepared { txn, .. } => staged.entry(txn).or_default().1 = true,
+                LogPayload::PartDecision { txn, outcome } => decided.push((txn, outcome)),
                 _ => {}
             }
         }
-        // Start from the latest checkpoint, if any.
-        let checkpoint_lsn = checkpoint.as_ref().map(|&(lsn, _)| lsn);
-        for (key, value) in checkpoint.map(|(_, entries)| entries).unwrap_or_default() {
-            self.store.install(key, Some(value));
-        }
-
-        // Phase 1: redo committed transactions in commit order. Commits
-        // whose marker precedes the checkpoint are already in the
-        // snapshot; redoing them anyway is harmless (their write sets
-        // cannot conflict with later-committed values under 2PL, and the
-        // snapshot already includes any later value — so skip them to
-        // keep replay minimal and provably ordered).
-        let mut resolved: BTreeMap<TxnId, Outcome> = BTreeMap::new();
-        for &(_, txn, outcome) in &markers {
-            resolved.insert(txn, outcome);
-        }
-        // The store takes the decoded images over: each write set is
-        // redone once, at its transaction's first commit marker.
-        for &(lsn, txn, outcome) in &markers {
-            if checkpoint_lsn.is_some_and(|c| lsn < c) {
-                continue; // reflected in the snapshot
-            }
+        for (txn, outcome) in decided {
+            let Some((images, _)) = staged.remove(&txn) else {
+                continue; // collected: the store file has its values
+            };
             if outcome == Outcome::Commit {
-                for (key, _, after) in updates.remove(&txn).unwrap_or_default() {
-                    self.store.install(key, after);
+                for (key, _, after) in images {
+                    self.install(key, after);
                 }
             }
         }
-        // Marker-less transactions whose fate the protocol layer knows.
-        for (&txn, &ro) in outcomes {
-            if resolved.contains_key(&txn) {
-                continue;
+        // A write set without its prepared record never voted Yes.
+        for (txn, (images, _)) in staged.into_iter().filter(|(_, (_, prepared))| *prepared) {
+            let mut ctx = TxnContext::new(txn);
+            ctx.phase = TxnPhase::Prepared;
+            for (key, before, after) in images {
+                self.locks
+                    .acquire(txn, &key, LockMode::Exclusive)
+                    .expect("recovery lock acquisition cannot conflict");
+                ctx.buffer_write(key, before, after);
             }
-            if let RecoveredOutcome::Decided(outcome) = ro {
-                resolved.insert(txn, outcome);
-                let Some(ws) = updates.remove(&txn) else {
-                    continue;
-                };
-                if outcome == Outcome::Commit {
-                    for (key, _, after) in ws {
-                        self.store.install(key, after);
-                    }
-                }
-                // Re-write the redo marker lost in the crash.
-                self.log
-                    .append(LogPayload::PartDecision { txn, outcome }, false)?;
-            }
-        }
-
-        // Phase 2: re-stage in-doubt transactions and re-lock their keys.
-        for (&txn, &ro) in outcomes {
-            if ro == RecoveredOutcome::InDoubt && !resolved.contains_key(&txn) {
-                let mut ctx = TxnContext::new(txn);
-                ctx.phase = TxnPhase::Prepared;
-                if let Some(ws) = updates.remove(&txn) {
-                    for (key, before, after) in ws {
-                        self.locks
-                            .acquire(txn, &key, LockMode::Exclusive)
-                            .expect("recovery lock acquisition cannot conflict");
-                        ctx.buffer_write(key, before, after);
-                    }
-                    ctx.first_lsn = first_positions.get(&txn).copied();
-                }
-                self.txns.insert(txn, ctx);
-            }
+            self.txns.insert(txn, ctx);
         }
         Ok(())
     }
 }
 
+/// The one staging path: lend each write of `txn`'s write set to
+/// `stage` as an `Update` record, taking the buffers back whatever the
+/// append returns, and mark the transaction prepared once all are in.
+fn stage_write_set(
+    txns: &mut HashMap<TxnId, TxnContext>,
+    txn: TxnId,
+    mut stage: impl FnMut(&LogPayload) -> Result<(), WalError>,
+) -> Result<(), EngineError> {
+    let ctx = txns.get_mut(&txn).ok_or(EngineError::UnknownTxn(txn))?;
+    if ctx.phase != TxnPhase::Active {
+        return Err(EngineError::WrongPhase { txn, op: "prepare" });
+    }
+    for w in &mut ctx.writes {
+        let update = LogPayload::Update {
+            txn,
+            key: std::mem::take(&mut w.key),
+            before: w.before.take(),
+            after: w.after.take(),
+        };
+        let staged = stage(&update);
+        let LogPayload::Update {
+            key, before, after, ..
+        } = update
+        else {
+            unreachable!("built above")
+        };
+        (w.key, w.before, w.after) = (key, before, after);
+        staged?;
+    }
+    ctx.phase = TxnPhase::Prepared;
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acp_types::SiteId;
     use acp_wal::MemLog;
+
+    /// A storage engine and the protocol log a participant keeps beside
+    /// it, written as a participant writes it: redo, then the forced
+    /// prepared record; a decision record, then resolve.
+    struct Site {
+        e: SiteEngine<MemLog>,
+        redo: MemLog,
+    }
+
+    impl Site {
+        fn new() -> Self {
+            Site {
+                e: SiteEngine::new(MemLog::new()),
+                redo: MemLog::new(),
+            }
+        }
+
+        fn prepare(&mut self, txn: TxnId) {
+            let redo = &mut self.redo;
+            self.e
+                .prepare(txn, |u| redo.append_ref(u, false).map(drop))
+                .unwrap();
+            let coordinator = SiteId::new(0);
+            let prepared = LogPayload::Prepared { txn, coordinator };
+            self.redo.append(prepared, true).unwrap();
+        }
+
+        /// Decide and enforce; `force` makes the decision record durable.
+        fn decide(&mut self, txn: TxnId, outcome: Outcome, force: bool) {
+            let decision = LogPayload::PartDecision { txn, outcome };
+            self.redo.append(decision, force).unwrap();
+            self.e.resolve(txn, outcome).unwrap();
+        }
+
+        fn commit(&mut self, txn: TxnId, key: &[u8], value: &[u8]) {
+            self.e.begin(txn);
+            self.e.put(txn, key, value).unwrap();
+            self.prepare(txn);
+            self.decide(txn, Outcome::Commit, true);
+        }
+
+        fn crash_and_recover(&mut self) {
+            self.e.crash();
+            self.redo.lose_unflushed().unwrap();
+            assert!(self.e.store().is_empty(), "volatile store lost");
+            self.e.recover(&self.redo).unwrap();
+        }
+    }
 
     fn engine() -> SiteEngine<MemLog> {
         SiteEngine::new(MemLog::new())
+    }
+
+    /// Prepare with no log to keep the redo in.
+    fn prepare(e: &mut SiteEngine<MemLog>, txn: TxnId) {
+        e.prepare(txn, |_| Ok(())).unwrap();
     }
 
     fn t(n: u64) -> TxnId {
@@ -447,13 +505,13 @@ mod tests {
         let mut e = engine();
         e.begin(t(1));
         e.put(t(1), b"k", b"v").unwrap();
-        e.prepare(t(1)).unwrap();
+        prepare(&mut e, t(1));
         e.resolve(t(1), Outcome::Commit).unwrap();
         assert_eq!(e.committed_get(b"k"), Some(b"v".as_slice()));
 
         e.begin(t(2));
         e.put(t(2), b"k", b"evil").unwrap();
-        e.prepare(t(2)).unwrap();
+        prepare(&mut e, t(2));
         e.resolve(t(2), Outcome::Abort).unwrap();
         assert_eq!(e.committed_get(b"k"), Some(b"v".as_slice()));
     }
@@ -463,7 +521,7 @@ mod tests {
         let mut e = engine();
         e.begin(t(1));
         e.put(t(1), b"k", b"v").unwrap();
-        e.prepare(t(1)).unwrap();
+        prepare(&mut e, t(1));
         // Another transaction cannot touch the key while T1 is in doubt —
         // the blocking behaviour that motivates all the GC/presumption
         // machinery.
@@ -481,7 +539,7 @@ mod tests {
         let mut e = engine();
         e.begin(t(1));
         e.put(t(1), b"k", b"v").unwrap();
-        e.prepare(t(1)).unwrap();
+        prepare(&mut e, t(1));
         assert!(matches!(
             e.put(t(1), b"j", b"x"),
             Err(EngineError::WrongPhase { .. })
@@ -513,92 +571,87 @@ mod tests {
         assert!(!e.is_read_only(t(1)).unwrap());
     }
 
+    /// The redo rides the protocol log, ahead of the prepared record,
+    /// and nothing reaches the store file on the commit path.
+    #[test]
+    fn prepare_lends_the_redo_to_the_callers_log_and_commit_writes_no_store_record() {
+        let mut s = Site::new();
+        s.commit(t(1), b"a", b"1");
+        let records = s.redo.all_records();
+        let kinds: Vec<_> = records.iter().map(|r| r.payload.kind_name()).collect();
+        assert_eq!(kinds, ["update", "prepared", "part-commit"]);
+        assert!(s.e.log().all_records().is_empty(), "no store record yet");
+    }
+
     #[test]
     fn crash_loses_everything_recovery_redoes_committed() {
-        let mut e = engine();
-        e.begin(t(1));
-        e.put(t(1), b"a", b"1").unwrap();
-        e.prepare(t(1)).unwrap();
-        e.resolve(t(1), Outcome::Commit).unwrap();
-        // Make the redo marker durable by forcing via another prepare.
-        e.begin(t(2));
-        e.put(t(2), b"b", b"2").unwrap();
-        e.prepare(t(2)).unwrap();
+        let mut s = Site::new();
+        s.commit(t(1), b"a", b"1");
+        s.e.begin(t(2));
+        s.e.put(t(2), b"b", b"2").unwrap();
+        s.prepare(t(2));
 
-        e.crash();
-        assert_eq!(e.committed_get(b"a"), None, "volatile store lost");
-
-        let mut outcomes = BTreeMap::new();
-        outcomes.insert(t(2), RecoveredOutcome::InDoubt);
-        e.recover(&outcomes).unwrap();
-        assert_eq!(
-            e.committed_get(b"a"),
-            Some(b"1".as_slice()),
-            "committed data redone"
-        );
-        assert!(e.is_prepared(t(2)), "prepared txn re-staged in doubt");
+        s.crash_and_recover();
+        assert_eq!(s.e.committed_get(b"a"), Some(b"1".as_slice()), "redone");
+        assert!(s.e.is_prepared(t(2)), "prepared txn re-staged in doubt");
         // Its keys are locked again.
-        e.begin(t(3));
-        assert!(e.get(t(3), b"b").is_err());
+        s.e.begin(t(3));
+        assert!(s.e.get(t(3), b"b").is_err());
 
         // The protocol layer later resolves T2.
-        e.resolve(t(2), Outcome::Commit).unwrap();
-        assert_eq!(e.committed_get(b"b"), Some(b"2".as_slice()));
+        s.e.resolve(t(2), Outcome::Commit).unwrap();
+        assert_eq!(s.e.committed_get(b"b"), Some(b"2".as_slice()));
+    }
+
+    /// The store file holds T1's value, and the crash lost T1's lazily
+    /// written decision record: T1 is in doubt again, holds its lock,
+    /// and its commit installs the same value once more.
+    #[test]
+    fn a_stored_value_whose_decision_was_lost_is_in_doubt_and_reinstalled() {
+        let mut s = Site::new();
+        s.e.begin(t(1));
+        s.e.put(t(1), b"a", b"1").unwrap();
+        s.prepare(t(1));
+        s.decide(t(1), Outcome::Commit, false);
+        s.e.checkpoint_installed().unwrap();
+
+        s.crash_and_recover();
+        assert_eq!(s.e.committed_get(b"a"), Some(b"1".as_slice()), "stored");
+        assert!(s.e.is_prepared(t(1)), "in doubt");
+        s.e.begin(t(2));
+        assert!(s.e.get(t(2), b"a").is_err(), "locked from readers");
+        s.e.abort_active(t(2)).unwrap();
+        s.e.resolve(t(1), Outcome::Commit).unwrap();
+        assert_eq!(s.e.committed_get(b"a"), Some(b"1".as_slice()));
+        assert_eq!(s.e.locked_keys(), 0);
     }
 
     #[test]
-    fn recovery_with_protocol_outcome_for_markerless_commit() {
-        let mut e = engine();
-        e.begin(t(1));
-        e.put(t(1), b"a", b"1").unwrap();
-        e.prepare(t(1)).unwrap();
-        e.resolve(t(1), Outcome::Commit).unwrap();
-        // Crash immediately: the (lazy) redo marker is lost.
-        e.crash();
-        let mut outcomes = BTreeMap::new();
-        outcomes.insert(t(1), RecoveredOutcome::Decided(Outcome::Commit));
-        e.recover(&outcomes).unwrap();
-        assert_eq!(e.committed_get(b"a"), Some(b"1".as_slice()));
+    fn a_write_set_without_its_prepared_record_is_not_restaged() {
+        let mut s = Site::new();
+        s.e.begin(t(1));
+        s.e.put(t(1), b"a", b"1").unwrap();
+        let redo = &mut s.redo;
+        s.e.prepare(t(1), |u| redo.append_ref(u, true).map(drop))
+            .unwrap();
+        s.crash_and_recover();
+        assert_eq!(s.e.committed_get(b"a"), None);
+        assert!(!s.e.is_prepared(t(1)));
+        assert_eq!(s.e.locked_keys(), 0);
     }
 
+    /// Commits of one key are redone in decision order.
     #[test]
-    fn recovery_treats_unknown_prepared_writes_as_aborted() {
-        let mut e = engine();
-        e.begin(t(1));
-        e.put(t(1), b"a", b"1").unwrap();
-        e.prepare(t(1)).unwrap();
-        e.crash();
-        // Protocol layer says nothing about T1 (e.g. abort by
-        // presumption already enforced and forgotten): not in doubt.
-        e.recover(&BTreeMap::new()).unwrap();
-        assert_eq!(e.committed_get(b"a"), None);
-        assert!(!e.is_prepared(t(1)));
-        assert_eq!(e.locked_keys(), 0);
-    }
-
-    #[test]
-    fn commit_order_wins_over_prepare_order() {
-        // T1 prepares first but T2 commits first on a disjoint key set;
-        // then T1 commits. Same-key conflicts are impossible under 2PL,
-        // but the marker ordering must still replay deterministically.
-        let mut e = engine();
-        e.begin(t(1));
-        e.put(t(1), b"a", b"t1").unwrap();
-        e.prepare(t(1)).unwrap();
-        e.begin(t(2));
-        e.put(t(2), b"b", b"t2").unwrap();
-        e.prepare(t(2)).unwrap();
-        e.resolve(t(2), Outcome::Commit).unwrap();
-        e.resolve(t(1), Outcome::Commit).unwrap();
-        // Force markers durable.
-        e.begin(t(3));
-        e.put(t(3), b"c", b"x").unwrap();
-        e.prepare(t(3)).unwrap();
-        e.crash();
-        e.recover(&BTreeMap::new()).unwrap();
-        assert_eq!(e.committed_get(b"a"), Some(b"t1".as_slice()));
-        assert_eq!(e.committed_get(b"b"), Some(b"t2".as_slice()));
-        assert_eq!(e.committed_get(b"c"), None);
+    fn redo_follows_the_decision_records() {
+        let mut s = Site::new();
+        s.commit(t(1), b"k", b"t1");
+        s.commit(t(2), b"k", b"t2");
+        s.e.begin(t(3));
+        s.e.put(t(3), b"k", b"t3").unwrap();
+        s.prepare(t(3));
+        s.decide(t(3), Outcome::Abort, true);
+        s.crash_and_recover();
+        assert_eq!(s.e.committed_get(b"k"), Some(b"t2".as_slice()));
     }
 
     #[test]
@@ -625,11 +678,10 @@ mod tests {
         assert_eq!(ctx.id, t(2));
         assert_eq!(ctx.phase, TxnPhase::Active);
         assert!(ctx.writes.is_empty() && ctx.reads.is_empty());
-        assert_eq!(ctx.first_lsn, None);
         e.put(t(2), b"b", b"2").unwrap();
         e.begin(t(3));
         e.put(t(3), b"a", b"3").unwrap();
-        e.prepare(t(2)).unwrap();
+        prepare(&mut e, t(2));
         e.resolve(t(2), Outcome::Commit).unwrap();
 
         e.begin(t(4));
@@ -641,48 +693,29 @@ mod tests {
         assert_eq!(e.locked_keys(), 2);
     }
 
-    /// A reused context takes no log position along: a checkpoint after
-    /// the prepared T1 ended truncates past T1's records, though T2, in
-    /// T1's context, is live.
-    #[test]
-    fn a_reused_context_pins_no_log_position() {
-        let mut e = engine();
-        e.begin(t(1));
-        e.put(t(1), b"a", b"1").unwrap();
-        e.prepare(t(1)).unwrap();
-        e.resolve(t(1), Outcome::Commit).unwrap();
-        e.begin(t(2));
-        e.get(t(2), b"a").unwrap();
-        assert_eq!(e.txns[&t(2)].first_lsn, None);
-
-        let checkpoint = e.log().next_lsn();
-        e.checkpoint().unwrap();
-        assert_eq!(e.log().low_water_mark(), checkpoint);
-    }
-
-    /// The spare contexts are volatile state: a crash drops them with the
-    /// lock table's spare keys, and recovery starts from none.
+    /// The spare contexts and entries are volatile state: a crash drops
+    /// them with the lock table's spare keys, and recovery starts from
+    /// none.
     #[test]
     fn a_crash_drops_the_spare_contexts_and_keys() {
-        let mut e = engine();
+        let mut s = Site::new();
         for n in 1..=3 {
-            e.begin(t(n));
-            e.put(t(n), format!("k{n}"), b"v").unwrap();
+            s.e.begin(t(n));
+            s.e.put(t(n), format!("k{n}"), b"v").unwrap();
         }
         for n in 1..=3 {
-            e.prepare(t(n)).unwrap();
-            e.resolve(t(n), Outcome::Commit).unwrap();
+            s.prepare(t(n));
+            s.decide(t(n), Outcome::Commit, true);
         }
-        assert_eq!(e.spare.len(), 3);
-        assert_eq!(e.locks.spare_keys().len(), 3);
+        s.e.checkpoint_installed().unwrap();
+        assert_eq!(s.e.spare.len(), 3);
+        assert_eq!(s.e.spare_entries.len(), 3);
+        assert_eq!(s.e.locks.spare_keys().len(), 3);
 
-        e.flush_log().unwrap();
-        e.crash();
-        assert!(e.spare.is_empty());
-        assert_eq!(e.locks.spare_keys().len(), 0);
-        e.recover(&BTreeMap::new()).unwrap();
-        assert!(e.spare.is_empty());
-        assert_eq!(e.committed_get(b"k3"), Some(b"v".as_slice()));
+        s.crash_and_recover();
+        assert!(s.e.spare.is_empty() && s.e.spare_entries.is_empty());
+        assert_eq!(s.e.locks.spare_keys().len(), 0);
+        assert_eq!(s.e.committed_get(b"k3"), Some(b"v".as_slice()));
     }
 }
 
@@ -699,27 +732,29 @@ mod lending_tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// A data log's bytes after a commit of `a`, then a prepare that
-    /// writes `b` and rewrites `a` (a before image), as the engine
-    /// wrote them when prepare still copied each write into its record.
+    /// The update records of a commit of `a`, then of a prepare that
+    /// writes `b` and rewrites `a` (a before image): the bodies the
+    /// engine wrote when prepare still copied each write into its
+    /// record, numbered without the decision markers it then wrote
+    /// between them.
     const PREPARED_IMAGE: &str = concat!(
         "484c4157010000000000000000000000", // header
         "524c4157150000000000000000000000000701000000000000000100000061000101000000311ccbcafe", // update(T1, a: none -> 1)
-        "524c41570a00000001000000000000000005010000000000000000d4eb3fb9", // part-commit(T1)
-        "524c41571a000000020000000000000000070200000000000000010000006101010000003101010000003397017572", // update(T2, a: 1 -> 3)
-        "524c41571500000003000000000000000007020000000000000001000000620001010000003297f54402", // update(T2, b: none -> 2)
-        "524c41570a00000004000000000000000005020000000000000000ab5a38be", // part-commit(T2)
+        "524c41571a00000001000000000000000007020000000000000001000000610101000000310101000000338e3fa6f9", // update(T2, a: 1 -> 3)
+        "524c4157150000000200000000000000000702000000000000000100000062000101000000329f16243e", // update(T2, b: none -> 2)
     );
 
     #[test]
     fn a_refused_prepare_gives_the_write_set_back() {
+        let mut redo = FaultyLog::new();
+        redo.inject(Fault::WriteError { after_bytes: 0 });
         let mut e = SiteEngine::new(FaultyLog::new());
-        e.log.inject(Fault::WriteError { after_bytes: 0 });
         e.begin(t(1));
         e.put(t(1), b"b".to_vec(), b"2".to_vec()).unwrap();
         e.put(t(1), b"a".to_vec(), b"1".to_vec()).unwrap();
-        assert!(e.prepare(t(1)).is_err(), "the force was refused");
-        assert_eq!(e.log.faults_applied(), 1);
+        let staged = e.prepare(t(1), |u| redo.append_ref(u, true).map(drop));
+        assert!(staged.is_err(), "the force was refused");
+        assert_eq!(redo.faults_applied(), 1);
         assert_eq!(e.get(t(1), b"a").unwrap().as_deref(), Some(b"1".as_slice()));
         assert_eq!(e.get(t(1), b"b").unwrap().as_deref(), Some(b"2".as_slice()));
         e.abort_active(t(1)).unwrap();
@@ -728,158 +763,148 @@ mod lending_tests {
 
     #[test]
     fn a_prepare_writes_each_image_once_and_as_before() {
+        let mut redo = FaultyLog::new();
         let mut e = SiteEngine::new(FaultyLog::new());
+        let mut stage = |e: &mut SiteEngine<FaultyLog>, txn| {
+            e.prepare(txn, |u| redo.append_ref(u, false).map(drop))
+                .unwrap();
+        };
         e.begin(t(1));
         e.put(t(1), b"a", b"1").unwrap();
-        e.prepare(t(1)).unwrap();
+        stage(&mut e, t(1));
         e.resolve(t(1), Outcome::Commit).unwrap();
         e.begin(t(2));
         e.put(t(2), b"b", b"2").unwrap();
         e.put(t(2), b"a", b"3").unwrap();
-        e.prepare(t(2)).unwrap();
+        stage(&mut e, t(2));
         e.resolve(t(2), Outcome::Commit).unwrap();
-        e.flush_log().unwrap();
-        assert_eq!(hex(e.log().image()), PREPARED_IMAGE);
+        redo.flush().unwrap();
+        assert_eq!(hex(redo.image()), PREPARED_IMAGE);
         assert_eq!(e.committed_get(b"a"), Some(b"3".as_slice()));
         assert_eq!(e.committed_get(b"b"), Some(b"2".as_slice()));
     }
 }
 
 #[cfg(test)]
-mod checkpoint_tests {
+mod store_file_tests {
     use super::*;
     use acp_wal::MemLog;
-    use std::collections::BTreeMap;
 
     fn t(n: u64) -> TxnId {
         TxnId::new(n)
     }
 
+    /// Commit `key = val` with no protocol log: the store file is all
+    /// that recovers it.
     fn commit_one(e: &mut SiteEngine<MemLog>, n: u64, key: &[u8], val: &[u8]) {
         e.begin(t(n));
         e.put(t(n), key, val).unwrap();
-        e.prepare(t(n)).unwrap();
+        e.prepare(t(n), |_| Ok(())).unwrap();
         e.resolve(t(n), Outcome::Commit).unwrap();
     }
 
-    #[test]
-    fn checkpoint_truncates_resolved_history() {
-        let mut e = SiteEngine::new(MemLog::new());
-        for i in 0..20 {
-            commit_one(&mut e, i, format!("k{i}").as_bytes(), b"v");
-        }
-        let before = e.log().retained();
-        let reclaimed = e.checkpoint().unwrap();
-        assert!(reclaimed > 0);
-        assert!(
-            e.log().retained() < before,
-            "{} !< {before}",
-            e.log().retained()
-        );
-    }
-
-    #[test]
-    fn recovery_from_checkpoint_alone_restores_store() {
-        let mut e = SiteEngine::new(MemLog::new());
-        for i in 0..10 {
-            commit_one(
-                &mut e,
-                i,
-                format!("k{i}").as_bytes(),
-                format!("v{i}").as_bytes(),
-            );
-        }
-        e.checkpoint().unwrap();
+    fn recovered(e: &mut SiteEngine<MemLog>) {
         e.crash();
-        e.recover(&BTreeMap::new()).unwrap();
-        for i in 0..10 {
-            assert_eq!(
-                e.committed_get(format!("k{i}").as_bytes()),
-                Some(format!("v{i}").as_bytes()),
-                "k{i}"
-            );
-        }
+        e.recover(&MemLog::new()).unwrap();
     }
 
+    /// Each call appends the values installed since the last as one
+    /// record, and later entries win.
     #[test]
-    fn post_checkpoint_commits_redo_on_top_of_snapshot() {
+    fn the_store_file_gets_one_delta_per_call_and_later_entries_win() {
         let mut e = SiteEngine::new(MemLog::new());
         commit_one(&mut e, 1, b"a", b"old");
-        e.checkpoint().unwrap();
-        commit_one(&mut e, 2, b"a", b"new");
-        commit_one(&mut e, 3, b"b", b"fresh");
-        // Force the tail durable, then crash.
-        e.begin(t(9));
-        e.put(t(9), b"x", b"y").unwrap();
-        e.prepare(t(9)).unwrap();
-        e.crash();
-        e.recover(&BTreeMap::new()).unwrap();
+        commit_one(&mut e, 2, b"b", b"1");
+        e.checkpoint_installed().unwrap();
+        e.checkpoint_installed().unwrap();
+        commit_one(&mut e, 3, b"a", b"new");
+        e.checkpoint_installed().unwrap();
+        let records = e.log().all_records();
+        let entries = |i: usize| match &records[i].payload {
+            LogPayload::Checkpoint { entries } => entries.len(),
+            other => panic!("{other:?}"),
+        };
+        assert_eq!((records.len(), entries(0), entries(1)), (2, 2, 1));
+        assert!(records.iter().all(|r| r.forced));
+        recovered(&mut e);
         assert_eq!(e.committed_get(b"a"), Some(b"new".as_slice()));
-        assert_eq!(e.committed_get(b"b"), Some(b"fresh".as_slice()));
-        assert_eq!(
-            e.committed_get(b"x"),
-            None,
-            "unresolved prepared txn not applied"
-        );
+        assert_eq!(e.committed_get(b"b"), Some(b"1".as_slice()));
+        assert_eq!(e.store().len(), 2);
     }
 
+    /// A delete cannot ride a delta: the next record is the whole store,
+    /// and what came before it is released.
     #[test]
-    fn live_transactions_block_truncation_past_their_records() {
+    fn a_delete_makes_the_next_record_the_whole_store() {
         let mut e = SiteEngine::new(MemLog::new());
-        // A prepared (in-doubt) transaction whose records must survive.
-        e.begin(t(1));
-        e.put(t(1), b"doubt", b"d").unwrap();
-        e.prepare(t(1)).unwrap();
-        // Plenty of resolved history after it.
-        for i in 2..12 {
-            commit_one(&mut e, i, format!("k{i}").as_bytes(), b"v");
+        commit_one(&mut e, 1, b"a", b"1");
+        commit_one(&mut e, 2, b"b", b"2");
+        e.checkpoint_installed().unwrap();
+        e.begin(t(3));
+        e.delete(t(3), b"a".to_vec()).unwrap();
+        e.prepare(t(3), |_| Ok(())).unwrap();
+        e.resolve(t(3), Outcome::Commit).unwrap();
+        e.checkpoint_installed().unwrap();
+        assert_eq!(e.log().records().unwrap().len(), 1);
+        recovered(&mut e);
+        assert_eq!(e.committed_get(b"a"), None);
+        assert_eq!(e.committed_get(b"b"), Some(b"2".as_slice()));
+    }
+
+    /// The engine's own figure for a whole-store checkpoint is the
+    /// codec's.
+    #[test]
+    fn the_store_frame_length_is_the_codecs() {
+        let mut e = SiteEngine::new(MemLog::new());
+        for i in 0..20u64 {
+            let value = vec![7; i as usize];
+            commit_one(&mut e, i, format!("key{i}").as_bytes(), &value);
         }
-        e.checkpoint().unwrap();
-        // The prepared txn's update record is still in the log.
-        let summaries = acp_wal::scan::analyze(&e.log().records().unwrap());
-        assert!(
-            summaries.get(&t(1)).is_some_and(|s| !s.updates.is_empty()),
-            "in-doubt write set must survive the checkpoint"
-        );
-        // And crash+recovery can still commit it.
-        e.crash();
-        let mut outcomes = BTreeMap::new();
-        outcomes.insert(t(1), RecoveredOutcome::InDoubt);
-        e.recover(&outcomes).unwrap();
-        e.resolve(t(1), Outcome::Commit).unwrap();
-        assert_eq!(e.committed_get(b"doubt"), Some(b"d".as_slice()));
+        let entries = e.store().iter().map(|(k, v)| (k.to_vec(), v.to_vec()));
+        let whole = LogPayload::Checkpoint {
+            entries: entries.collect(),
+        };
+        assert_eq!(e.store_frame_len(), frame_len(&whole) as u64);
     }
 
+    /// One key rewritten over and over: the file compacts by
+    /// supersession and stays within twice the store plus the floor,
+    /// and recovers the last value.
     #[test]
-    fn repeated_checkpoints_keep_log_bounded() {
+    fn rewrites_of_a_bounded_keyspace_keep_the_store_file_bounded() {
         let mut e = SiteEngine::new(MemLog::new());
+        let value = vec![1; 1000];
         let mut max_retained = 0;
-        for round in 0..10 {
-            for i in 0..20 {
-                commit_one(&mut e, round * 100 + i, format!("k{i}").as_bytes(), b"v");
-            }
-            e.checkpoint().unwrap();
-            max_retained = max_retained.max(e.log().retained());
+        for n in 0..2_000 {
+            commit_one(&mut e, n, format!("k{}", n % 8).as_bytes(), &value);
+            e.checkpoint_installed().unwrap();
+            let records = e.log().records().unwrap();
+            let bytes: u64 = records.iter().map(|r| frame_len(&r.payload) as u64).sum();
+            assert_eq!(bytes, e.file_bytes, "txn {n}");
+            max_retained = max_retained.max(bytes);
         }
-        // Bounded: never more than one round's records + snapshot.
-        assert!(max_retained < 70, "retained grew to {max_retained}");
-        e.crash();
-        e.recover(&BTreeMap::new()).unwrap();
-        assert_eq!(e.store().len(), 20);
+        assert!(e.log().stats().truncated > 0, "compacted");
+        assert!(max_retained <= 2 * e.store_frame_len() + RECLAIM_FLOOR);
+        recovered(&mut e);
+        assert_eq!(e.store().len(), 8);
+        assert_eq!(e.committed_get(b"k7"), Some(value.as_slice()));
     }
 
+    /// After warm-up, noting a commit for the store file and writing it
+    /// there refill buffers a checkpoint left behind.
     #[test]
-    fn pre_checkpoint_markers_are_not_redone_over_snapshot() {
-        // k committed as "v1", then "v2", checkpoint, crash. If recovery
-        // redid the pre-checkpoint commits over the snapshot in marker
-        // order it would still end at "v2" — but the skip keeps replay
-        // minimal; verify the end state either way.
+    fn a_delta_reuses_the_last_ones_buffers() {
         let mut e = SiteEngine::new(MemLog::new());
-        commit_one(&mut e, 1, b"k", b"v1");
-        commit_one(&mut e, 2, b"k", b"v2");
-        e.checkpoint().unwrap();
-        e.crash();
-        e.recover(&BTreeMap::new()).unwrap();
-        assert_eq!(e.committed_get(b"k"), Some(b"v2".as_slice()));
+        for n in 0..4 {
+            commit_one(&mut e, n, format!("k{n}").as_bytes(), b"v");
+        }
+        e.checkpoint_installed().unwrap();
+        let spare: Vec<*const u8> = e.spare_entries.iter().map(|(k, _)| k.as_ptr()).collect();
+        for n in 4..8 {
+            commit_one(&mut e, n, format!("k{n}").as_bytes(), b"v");
+        }
+        let mut reused: Vec<*const u8> = e.installed.iter().map(|(k, _)| k.as_ptr()).collect();
+        reused.reverse();
+        assert_eq!(reused, spare);
     }
 }

@@ -9,6 +9,8 @@ use std::collections::BTreeMap;
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KvStore {
     map: BTreeMap<Vec<u8>, Vec<u8>>,
+    /// Key and value bytes held, summed over the entries.
+    bytes: usize,
 }
 
 impl KvStore {
@@ -27,13 +29,14 @@ impl KvStore {
     /// Install a committed update: `Some(v)` upserts, `None` deletes.
     /// The store takes over the buffers; nothing is copied.
     pub fn install(&mut self, key: Vec<u8>, value: Option<Vec<u8>>) {
-        match value {
-            Some(v) => {
-                self.map.insert(key, v);
+        let held = key.len();
+        if let Some(v) = value {
+            self.bytes += held + v.len();
+            if let Some(old) = self.map.insert(key, v) {
+                self.bytes -= held + old.len();
             }
-            None => {
-                self.map.remove(&key);
-            }
+        } else if let Some(old) = self.map.remove(&key) {
+            self.bytes -= held + old.len();
         }
     }
 
@@ -41,6 +44,12 @@ impl KvStore {
     #[must_use]
     pub fn len(&self) -> usize {
         self.map.len()
+    }
+
+    /// Key and value bytes held, summed over the entries.
+    #[must_use]
+    pub fn bytes(&self) -> usize {
+        self.bytes
     }
 
     /// Is the store empty?
@@ -67,9 +76,11 @@ mod tests {
         assert_eq!(s.get(b"a"), Some(b"1".as_slice()));
         s.install(b"a".to_vec(), Some(b"9".to_vec()));
         assert_eq!(s.get(b"a"), Some(b"9".as_slice()));
+        assert_eq!(s.bytes(), 4);
         s.install(b"a".to_vec(), None);
         assert_eq!(s.get(b"a"), None);
         assert_eq!(s.len(), 1);
+        assert_eq!(s.bytes(), 2);
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! Transaction contexts: buffered write sets and lifecycle phases.
 
 use acp_types::TxnId;
-use acp_wal::Lsn;
 
 /// Lifecycle of a local subtransaction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TxnPhase {
     /// Executing reads and (buffered) writes.
     Active,
-    /// Write set forced to the log; the site has voted "Yes" and may no
-    /// longer unilaterally abort. Locks are pinned.
+    /// Write set staged in the log; the site may vote "Yes" once it is
+    /// durable and may no longer unilaterally abort. Locks are pinned.
     Prepared,
 }
 
@@ -43,10 +42,6 @@ pub struct TxnContext {
     /// Key buffers of reads by earlier transactions in this context,
     /// for [`TxnContext::note_read`] to refill.
     spare_reads: Vec<Vec<u8>>,
-    /// Log position of the first update record prepare appended for
-    /// this transaction: the checkpoint's truncation barrier while it
-    /// lives.
-    pub first_lsn: Option<Lsn>,
 }
 
 impl TxnContext {
@@ -59,19 +54,17 @@ impl TxnContext {
             writes: Vec::new(),
             reads: Vec::new(),
             spare_reads: Vec::new(),
-            first_lsn: None,
         }
     }
 
     /// Empty the context for reuse by another transaction: no write,
-    /// read, phase or log position of this one stays, the write and
+    /// read or phase of this one stays, the write and
     /// read sets keep their capacity, and the read keys' buffers are
     /// kept for later reads to refill.
     pub fn clear(&mut self) {
         self.phase = TxnPhase::Active;
         self.writes.clear();
         self.spare_reads.append(&mut self.reads);
-        self.first_lsn = None;
     }
 
     /// Note a read of `key`, copied into a buffer an earlier read left

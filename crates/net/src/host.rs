@@ -7,12 +7,12 @@
 //! participant or gateway), a native participant also its data side —
 //! the timer wheel, the client reply table and the admission door, and
 //! runs one **turn**: recover due sites, fire
-//! due timers, drain envelopes into the engines, then per site flush
-//! the data WAL and force the open group-commit batch through the
-//! kernel's [`FsyncDomain`] — one coalesced force round per turn, every
-//! kind of site alike — and only then externalize what the batch
-//! withheld (the site's sends *and* its ACTA events); collect the
-//! coordinator's log and every native participant's; answer the
+//! due timers, drain envelopes into the engines, then per site force
+//! the open group-commit batch through the kernel's [`FsyncDomain`] —
+//! one coalesced force round per turn, every kind of site alike — and
+//! only then externalize what the batch withheld (the site's sends
+//! *and* its ACTA events); collect the coordinator's log and every
+//! native participant's, the participant's store file first; answer the
 //! clients whose decisions the turn externalized. A decision is
 //! externalized with its `Decide` event, when the kernel publishes it
 //! to the history: at once for a passthrough log, after the force for
@@ -39,7 +39,7 @@ use crate::envelope::Envelope;
 use crate::reactor::{InflightGauge, ReactorConfig, ReactorStats};
 use crate::site::{
     decide_vote, observe_acta, observe_crash, observe_gc, observe_recover, observe_recv,
-    observe_retry, observe_send, protocol_outcomes, NetDelays, NetLog, NetObs, SharedHistory,
+    observe_retry, observe_send, NetDelays, NetLog, NetObs, SharedHistory,
 };
 use crate::timer::{TimerId, TimerWheel};
 use acp_acta::ActaEvent;
@@ -116,8 +116,10 @@ pub(crate) trait Transport {
 // Site state
 
 /// A native participant's data side: the storage engine its votes and
-/// enforcement act on, the client's vote overrides and its lock-conflict
-/// marks. A gateway keeps its data (the legacy system) in its engine.
+/// enforcement act on (over the site's store file, `data-<n>.wal`; the
+/// write sets' redo rides the participant's own log), the client's vote
+/// overrides and its lock-conflict marks. A gateway keeps its data (the
+/// legacy system) in its engine.
 /// An override or a mark is read by the transaction's prepare and
 /// leaves with it; a duplicate prepare is answered from the
 /// participant's own state.
@@ -310,9 +312,9 @@ fn run_site_actions<T: Transport>(
 /// run first: one may arm the very token a later cancel retires).
 ///
 /// A native participant votes what its data side decides, handed to it
-/// with the prepare, so it keeps no vote of its own. While its
-/// log batches, the write set is staged without forcing the data log:
-/// `finish_turns` flushes it before the withheld vote can leave.
+/// with the prepare, so it keeps no vote of its own; the write set's
+/// redo is staged in the participant's log ahead of the prepared record,
+/// so the force the vote waits for covers both.
 fn drive<T: Transport>(st: &mut SiteState, ctx: &mut Ctx<T>, input: Input<'_>) {
     let SiteState { host, engine, data } = st;
     let (mut actions, mut retired) = (
@@ -324,7 +326,7 @@ fn drive<T: Transport>(st: &mut SiteState, ctx: &mut Ctx<T>, input: Input<'_>) {
         Input::Message(msg) => match (&msg.payload, data.as_mut(), &mut *engine) {
             (Payload::Prepare { txn }, Some(d), AnyEngine::Part(p)) => {
                 let (forced, poisoned) = (d.forced_intents.remove(txn), d.poisoned.remove(txn));
-                let vote = decide_vote(&mut d.storage, *txn, forced, poisoned, defer);
+                let vote = decide_vote(&mut d.storage, p, *txn, forced, poisoned);
                 p.on_prepare_into(msg.from, *txn, vote, &mut actions);
             }
             _ => engine.on_message_into(msg.from, &msg.payload, &mut actions),
@@ -333,8 +335,7 @@ fn drive<T: Transport>(st: &mut SiteState, ctx: &mut Ctx<T>, input: Input<'_>) {
         Input::Recover => {
             engine.recover_into(&mut actions);
             if let Some(d) = data.as_mut() {
-                let outcomes = protocol_outcomes(engine.log());
-                d.storage.recover(&outcomes).expect("storage recovery");
+                d.storage.recover(engine.log()).expect("storage recovery");
             }
         }
         Input::Commit(txn, sites) => engine.begin_commit_into(txn, sites, &mut actions),
@@ -875,17 +876,10 @@ impl<T: Transport> Kernel<T> {
     /// End-of-turn group-commit step: every site with an open batch
     /// forces it, every site with withheld sends externalizes them.
     fn finish_turns(&mut self) {
-        for SiteState { host, engine, data } in &mut self.sites {
+        for SiteState { host, engine, .. } in &mut self.sites {
             let log = engine.log_mut();
             if !log.batching() {
                 continue;
-            }
-            // Lazily-staged write sets (`prepare_lazy`) become durable
-            // here, before any Yes vote can leave with the turn's send
-            // flush below — one data-log fsync per site per turn
-            // instead of one per prepared transaction.
-            if let Some(d) = data {
-                d.storage.flush_log().expect("data log flush");
             }
             if log.open_occupancy() == 0 {
                 // Nothing staged: whatever was withheld has no
@@ -912,13 +906,13 @@ impl<T: Transport> Kernel<T> {
     /// A native participant's protocol log is collected too, so every
     /// site forgets (Definition 1), but only once [`PART_GC_RECORDS`]
     /// of its records are releasable, and only their durable part:
-    /// the collection never flushes, so it adds no sync, and a lazy
-    /// `part-end` is collected after the site's next force. Its data
-    /// log is flushed first (a no-op under group commit, where
-    /// `finish_turns` already did): the data engine's recovery redoes a
-    /// commit from its own marker or else from the protocol log's
-    /// outcome, and collecting the protocol records while the marker is
-    /// still buffered would let a crash discard a committed write set.
+    /// the collection never flushes, and a lazy `part-end` is collected
+    /// after the site's next force. The store file comes first: the
+    /// values installed since its last record are appended and synced
+    /// there ([`SiteEngine::checkpoint_installed`]), one sync per
+    /// collection round, because the collection releases committed
+    /// transactions' redo, and then the store file is their only copy.
+    /// A failed store write skips the collection.
     /// Participant collections emit no trace event: the traced `forget`
     /// phase and the `GcRuns` counter stay the coordinator's. A site
     /// inside its outage is left alone. A failed collection is counted in
@@ -948,7 +942,8 @@ impl<T: Transport> Kernel<T> {
                 (AnyEngine::Part(part), Some(d))
                     if part.releasable_records() >= PART_GC_RECORDS && !host.is_down(now) =>
                 {
-                    let collected = d.storage.flush_log().is_ok() && part.collect_garbage().is_ok();
+                    let collected =
+                        d.storage.checkpoint_installed().is_ok() && part.collect_garbage().is_ok();
                     if !collected {
                         self.ctx.stats.failed_gcs += 1;
                     }
@@ -1079,6 +1074,7 @@ mod tests {
     /// `sink`.
     struct Rig {
         kernel: Kernel<Loopback>,
+        cluster: ClusterConfig,
         /// The cluster's participant sites (native or gateway).
         parts: Vec<SiteId>,
         tx: Sender<Mail>,
@@ -1121,7 +1117,7 @@ mod tests {
 
     /// The coordinator and every participant of `cluster`.
     fn rig_over(cluster: ClusterConfig) -> Rig {
-        let config = ReactorConfig::from(cluster);
+        let config = ReactorConfig::from(cluster.clone());
         let n = config.cluster.participant_protocols.len() as u32;
         let parts: Vec<SiteId> = (1..=n).map(SiteId::new).collect();
         let dir = TempDir::new("kernel").expect("tempdir");
@@ -1143,6 +1139,7 @@ mod tests {
             Kernel::build(env, &hosted, dir.path(), 0, Loopback { stall }).expect("kernel");
         Rig {
             kernel,
+            cluster,
             parts,
             tx,
             history,
@@ -1202,6 +1199,25 @@ mod tests {
             panic!("the participants never voted");
         }
 
+        /// Dispatch the queued envelopes, the client's first, one at a
+        /// time until a vote is next: on a passthrough log every
+        /// participant has forced its prepared record, and its vote
+        /// waits in the queue.
+        fn dispatch_until_a_vote_is_next(&mut self) {
+            let vote = |m: &Message| matches!(m.payload, Payload::Vote { .. });
+            self.kernel.ctx.now = Instant::now();
+            while let Some((site, envelope)) =
+                (self.kernel.ctx.ready.pop_front()).or_else(|| self.kernel.rx.try_recv().ok())
+            {
+                if matches!(&envelope, Envelope::Protocol(m) if vote(m)) {
+                    self.kernel.ctx.ready.push_front((site, envelope));
+                    return;
+                }
+                self.kernel.dispatch(site, envelope);
+            }
+            panic!("no participant voted");
+        }
+
         /// Turn until the coordinator's prepares are queued, then
         /// dispatch them without ending the turn: every participant has
         /// staged its prepared record and withholds its vote.
@@ -1224,6 +1240,57 @@ mod tests {
                 AnyEngine::Part(p) => p,
                 _ => unreachable!("site {site} is a native participant"),
             }
+        }
+
+        /// The native participant hosted as `site`, mutably.
+        fn participant_mut(&mut self, site: SiteId) -> &mut Participant<NetLog> {
+            match &mut self.kernel.sites[self.kernel.owned[&site]].engine {
+                AnyEngine::Part(p) => p,
+                _ => unreachable!("site {site} is a native participant"),
+            }
+        }
+
+        /// The storage engine of the native participant `site`.
+        fn storage(&self, site: SiteId) -> &SiteEngine<FileLog> {
+            let d = self.kernel.sites[self.kernel.owned[&site]].data.as_ref();
+            &d.expect("a native participant").storage
+        }
+
+        /// The keys `site`'s store file holds, read back from disk.
+        fn stored_keys(&self, site: SiteId) -> Vec<Vec<u8>> {
+            let path = self.dir.path().join(format!("data-{}.wal", site.raw()));
+            let log = acp_wal::FileLog::open(path).expect("store file");
+            let records = acp_wal::StableLog::records(&log).expect("records");
+            let entries = records.into_iter().flat_map(|r| match r.payload {
+                acp_types::LogPayload::Checkpoint { entries } => entries,
+                other => panic!("a store file holds checkpoints, not {other}"),
+            });
+            entries.map(|(key, _)| key).collect()
+        }
+
+        /// Kill `site` the way a process dies: what its logs buffered
+        /// goes with its engines, its files stay. Then start it again
+        /// from its files, as a restarted host does.
+        fn restart(&mut self, site: SiteId) {
+            let (_tx, rx) = unbounded();
+            let env = HostEnv {
+                config: ReactorConfig::from(self.cluster.clone()),
+                rx,
+                history: Arc::clone(&self.history),
+                inflight: Arc::new(InflightGauge::new()),
+                sink: Some(Arc::clone(&self.sink) as _),
+                t0: Instant::now(),
+            };
+            let stall = Duration::ZERO;
+            let dir = self.dir.path();
+            let mut fresh =
+                Kernel::build(env, &[site], dir, 0, Loopback { stall }).expect("kernel");
+            let i = self.kernel.owned[&site];
+            let mut dead = std::mem::replace(&mut self.kernel.sites[i], fresh.sites.remove(0));
+            self.history.lock().push(ActaEvent::Crash { site });
+            crash_volatile(&mut dead.host, &mut self.kernel.ctx);
+            drop(dead);
+            self.kernel.recover_site(i, true);
         }
 
         /// The records durable in `site`'s WAL file, read back from disk.
@@ -1547,13 +1614,14 @@ mod tests {
     /// Every site forgets, and no commit is lost to it. 400 commits one
     /// at a time over PrN, PrA and PrC participants, with or without
     /// group commit; a participant is crashed and recovered right after
-    /// every turn that collected its log, while the last commit's redo
-    /// marker would still be buffered had the collection not flushed
-    /// the data log first, and all three once more at the end. Then
-    /// each participant has collected (its mark moved), holds fewer
-    /// than [`PART_GC_RECORDS`] releasable durable records beside its
-    /// live ones, keeps its WAL file within twice its live frames plus
-    /// the reclaim floor and the header, and has every committed key.
+    /// every turn that collected its log, when the collected commits'
+    /// values are in its store file only, and all three once more at
+    /// the end. Then each participant has collected (its mark moved),
+    /// holds fewer than [`PART_GC_RECORDS`] releasable durable records
+    /// beside its live ones, keeps its WAL file within twice its live
+    /// frames plus the reclaim floor and the header and its store file
+    /// within twice a checkpoint of its store plus the floor, and has
+    /// every committed key.
     fn participants_forget_and_lose_no_commit(group_commit: bool) {
         const TXNS: u64 = 400;
         let mut cluster = prany(&[ProtocolKind::PrN, ProtocolKind::PrA, ProtocolKind::PrC]);
@@ -1615,6 +1683,18 @@ mod tests {
                 len <= bound,
                 "site {site}: {len} B on disk, {live_bytes} B live"
             );
+
+            let store = r.storage(site).store().iter();
+            let entries = store.map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+            let whole = acp_types::LogPayload::Checkpoint { entries };
+            let store_bytes = acp_wal::encode::frame_len(&whole) as u64;
+            let path = r.dir.path().join(format!("data-{}.wal", site.raw()));
+            let len = std::fs::metadata(&path).expect("store file").len();
+            let bound = 2 * store_bytes + acp_wal::RECLAIM_FLOOR;
+            assert!(
+                len <= bound,
+                "site {site}: store file {len} B, store {store_bytes} B"
+            );
         }
 
         r.send(COORDINATOR, Envelope::Shutdown);
@@ -1640,6 +1720,121 @@ mod tests {
     #[test]
     fn participants_forget_and_lose_no_commit_under_passthrough() {
         participants_forget_and_lose_no_commit(false);
+    }
+
+    /// A crash between a participant's two collection steps: its store
+    /// file's checkpoint is synced, its protocol log's collection is not
+    /// made (the log refuses the GC write and keeps every record), and
+    /// the process dies. The PrC participant wrote the last commit's
+    /// `part-commit` lazily, so the crash loses it while the store file
+    /// already holds the value. The site recovers the transaction in
+    /// doubt, with the value back under its lock, inquires, learns
+    /// commit and installs the value again. That is safe because a
+    /// value reaches the store file only after a commit decision. With
+    /// the two steps the other way round, the store file would not hold
+    /// the value when the collection is made.
+    #[test]
+    fn a_crash_between_the_store_sync_and_the_collection_loses_no_commit() {
+        let mut r = rig(glacial());
+        let prc = PARTS[2];
+        let key = |t: u64| format!("k{t}").into_bytes();
+        // A PrC commit leaves four records: redo, prepared, commit, end.
+        let mut t = 0;
+        while r.participant(prc).releasable_records() + 4 < PART_GC_RECORDS {
+            t += 1;
+            let outcome = r.submit_write(TxnId::new(t), &key(t));
+            while r.kernel.turn() {}
+            assert_eq!(outcome.try_recv(), Ok(Outcome::Commit), "txn {t}");
+        }
+        t += 1;
+        let txn = TxnId::new(t);
+        let outcome = r.submit_write(txn, &key(t));
+        r.turn_until_votes_are_queued();
+        let log = r.participant_mut(prc).log_mut().inner_mut();
+        log.revoke_writes().expect("read-only");
+        let failed = r.kernel.ctx.stats.failed_gcs;
+        while r.kernel.turn() {}
+        assert_eq!(outcome.try_recv(), Ok(Outcome::Commit));
+        assert!(r.kernel.ctx.stats.failed_gcs > failed, "collection refused");
+        assert!(
+            r.stored_keys(prc).contains(&key(t)),
+            "the store file holds the value before the collection"
+        );
+        let kinds = r.durable_kinds("part-3.wal");
+        assert_eq!(kinds[kinds.len() - 2..], ["update", "prepared"]);
+
+        r.restart(prc);
+        assert!(r.participant(prc).in_doubt(txn));
+        assert!(r.storage(prc).is_prepared(txn), "re-staged under its lock");
+        let stored = r.storage(prc).committed_get(&key(t));
+        assert_eq!(stored, Some(b"v".as_slice()), "and its value is back");
+        // The recovery's inquiry leaves with the next turn's flush.
+        r.kernel.turn();
+        while r.kernel.turn() {}
+        assert_eq!(r.participant(prc).enforced(txn), Some(Outcome::Commit));
+        assert_eq!(r.storage(prc).locked_keys(), 0);
+        for n in 1..=t {
+            let value = r.storage(prc).committed_get(&key(n));
+            assert_eq!(value, Some(b"v".as_slice()), "txn {n}");
+        }
+        let inquired = |e: ActaEvent| match e {
+            ActaEvent::Inquire { participant, .. } => participant == prc,
+            _ => false,
+        };
+        assert!(r.history.lock().events().any(inquired), "it inquired");
+        assert_eq!(check_atomicity(&r.history.lock()), Vec::new());
+    }
+
+    /// A crash after the prepared records' force and before any store
+    /// file write: every participant restarts from its protocol log
+    /// alone. The first commit is redone from its redo and decision
+    /// records (the PrC site's lazy ones rode the second prepared
+    /// record's force). The second transaction, prepared when the sites
+    /// died, is re-staged in doubt under its locks and commits once the
+    /// queued votes reach the coordinator. Without group commit the
+    /// prepared record is forced as it is appended, so the redo is
+    /// durable only because it is staged ahead of it.
+    #[test]
+    fn a_crash_between_the_prepared_force_and_the_next_store_write_loses_no_commit() {
+        let mut cluster = prany(&[ProtocolKind::PrN, ProtocolKind::PrA, ProtocolKind::PrC]);
+        cluster.delays = glacial();
+        cluster.group_commit = false;
+        let mut r = rig_over(cluster);
+        let first = r.submit_write(TxnId::new(1), b"k1");
+        while r.kernel.turn() {}
+        assert_eq!(first.try_recv(), Ok(Outcome::Commit));
+        let second = r.submit_write(TxnId::new(2), b"k2");
+        r.dispatch_until_a_vote_is_next();
+        assert_eq!(r.queued_votes(), 3);
+        for site in PARTS {
+            let n = site.raw();
+            assert!(
+                r.stored_keys(site).is_empty(),
+                "site {site}: no store write"
+            );
+            let kinds = r.durable_kinds(&format!("part-{n}.wal"));
+            assert_eq!(
+                kinds[kinds.len() - 2..],
+                ["update", "prepared"],
+                "site {site}"
+            );
+            r.restart(site);
+            let storage = r.storage(site);
+            assert!(storage.is_prepared(TxnId::new(2)), "site {site}: in doubt");
+            assert_eq!(storage.committed_get(b"k1"), Some(b"v".as_slice()));
+        }
+        while r.kernel.turn() {}
+        assert_eq!(second.try_recv(), Ok(Outcome::Commit));
+        for site in PARTS {
+            let storage = r.storage(site);
+            assert_eq!(
+                storage.committed_get(b"k2"),
+                Some(b"v".as_slice()),
+                "site {site}"
+            );
+            assert_eq!(storage.locked_keys(), 0);
+        }
+        assert_eq!(check_atomicity(&r.history.lock()), Vec::new());
     }
 
     /// A participant's data side decides each vote and hands it over

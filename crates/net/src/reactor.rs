@@ -130,8 +130,9 @@ pub struct ReactorStats {
     /// Batch forces that failed: the site's withheld sends and ACTA
     /// events were dropped, never externalized.
     pub failed_forces: u64,
-    /// End-of-turn log collections that failed (a data-log flush or a
-    /// GC write): nothing was released, and the next turn tries again.
+    /// End-of-turn log collections that failed (a participant's
+    /// store-file write, which comes first, or a GC write): nothing was
+    /// released, and the next turn tries again.
     pub failed_gcs: u64,
     /// Most client commits simultaneously awaiting a decision *on this
     /// reactor*. The aggregate across shards is

@@ -5,14 +5,12 @@
 //! glue between a participant's protocol engine and its storage engine.
 
 use acp_acta::{ActaEvent, History};
-use acp_core::TimerPurpose;
-use acp_engine::{RecoveredOutcome, SiteEngine};
+use acp_core::{Participant, TimerPurpose};
+use acp_engine::SiteEngine;
 use acp_obs::{ProtoLabel, ProtocolEvent, TraceSink};
 use acp_types::{Message, Outcome, Payload, SiteId, TxnId, Vote};
-use acp_wal::scan::analyze_log;
 use acp_wal::{FileLog, GroupCommitLog};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -295,32 +293,25 @@ pub(crate) fn observe_acta(
 
 /// The storage-engine-derived vote: forced intent wins; a poisoned
 /// (lock-conflicted) transaction votes No; a read-only one votes
-/// ReadOnly after releasing its locks; otherwise prepare (force the
-/// write set) and vote Yes — falling back to No if the force fails.
-/// `lazy` stages the write set without forcing the data log
-/// ([`SiteEngine::prepare_lazy`]) — only sound when the host also
-/// defers the vote send and flushes the data log first (the kernel's
-/// group-commit turn).
+/// ReadOnly after releasing its locks; otherwise prepare, staging the
+/// write set's redo in the participant's log ahead of the prepared
+/// record that its Yes vote forces, and vote Yes — falling back to No
+/// if the log refuses the redo.
 pub(crate) fn decide_vote(
     storage: &mut SiteEngine<FileLog>,
+    part: &mut Participant<NetLog>,
     txn: TxnId,
     forced: Option<Vote>,
     poisoned: bool,
-    lazy: bool,
 ) -> Vote {
-    let prepare = |storage: &mut SiteEngine<FileLog>, txn| {
-        if lazy {
-            storage.prepare_lazy(txn)
-        } else {
-            storage.prepare(txn)
-        }
-    };
+    let mut prepare =
+        |storage: &mut SiteEngine<FileLog>| storage.prepare(txn, |update| part.stage_redo(update));
     if let Some(v) = forced {
         // Test hook: make the engine state consistent with the vote.
         match v {
             Vote::Yes => {
                 storage.begin(txn);
-                let _ = prepare(storage, txn);
+                let _ = prepare(storage);
             }
             Vote::No => {
                 let _ = storage.abort_active(txn);
@@ -338,7 +329,7 @@ pub(crate) fn decide_vote(
         let _ = storage.abort_active(txn); // releases (shared) locks
         return Vote::ReadOnly;
     }
-    match prepare(storage, txn) {
+    match prepare(storage) {
         Ok(()) => Vote::Yes,
         Err(_) => {
             let _ = storage.abort_active(txn);
@@ -354,20 +345,6 @@ pub(crate) fn vote_name(vote: Vote) -> &'static str {
         Vote::No => "no",
         Vote::ReadOnly => "read-only",
     }
-}
-
-/// Derive the storage-recovery outcome map from a participant's
-/// protocol log.
-pub(crate) fn protocol_outcomes(log: &NetLog) -> BTreeMap<TxnId, RecoveredOutcome> {
-    let mut outcomes = BTreeMap::new();
-    for (txn, s) in analyze_log(log).expect("records") {
-        if let Some(o) = s.part_decision {
-            outcomes.insert(txn, RecoveredOutcome::Decided(o));
-        } else if s.in_doubt() {
-            outcomes.insert(txn, RecoveredOutcome::InDoubt);
-        }
-    }
-    outcomes
 }
 
 #[cfg(test)]

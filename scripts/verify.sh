@@ -3,8 +3,8 @@
 # warning-free clippy run, the structural guards (one kernel, one
 # in-process host, one engine enum, one metrics path, one harness, one
 # log, observed costs, one copy per write, state leaves with its
-# transaction, one owner one table, a byte-coded history, one encoder,
-# one instrument),
+# transaction, one force per prepare, one owner one table, a byte-coded
+# history, one encoder, one instrument),
 # warning-free rustdoc, the benchmark's smoke suite, and a regeneration
 # of every committed result with a diff against it. No step's pass/fail depends
 # on a wall-clock rate; the perf figures printed are information.
@@ -181,11 +181,11 @@ literals="$(grep -rnE "$floor" crates tests src examples --include='*.rs' | cut 
 [ "$literals" = "crates/wal/src/framed.rs" ] \
   || { echo "$literals"; echo "FAIL: the reclaim floor's value is spelled out outside crates/wal/src/framed.rs (read acp_wal::RECLAIM_FLOOR)"; exit 1; }
 # Every site forgets, and the kernel is what collects: the coordinator's
-# log and each native participant's, both in gc_turns, which flushes the
-# participant's data log first. A second participant-collection call is
-# a collection that can skip that flush or the 128-record threshold.
+# log and each native participant's, both in gc_turns, which writes the
+# participant's store file first. A second participant-collection call
+# is a collection that can skip that write or the 128-record threshold.
 collect='[a-z_]+\.collect_garbage\('
-echo 'let collected = d.storage.flush_log().is_ok() && part.collect_garbage().is_ok();' \
+echo 'd.storage.checkpoint_installed().is_ok() && part.collect_garbage().is_ok();' \
   | grep -qE "$collect" || { echo "FAIL: the collection guard misses its control line"; exit 1; }
 calls="$(PAT="$collect" awk '/^#\[cfg\(test\)\]/ { exit }
     match($0, /fn [a-z_][a-z_0-9]*[(<]/) { fn = substr($0, RSTART + 3, RLENGTH - 4) }
@@ -293,6 +293,32 @@ nontest_lines crates/engine/src
 nontest_lines crates/core/src
 nontest_lines crates/wal/src
 nontest_lines crates/net/src
+
+echo "== one force per prepare: a participant's redo rides its prepared record"
+# A native participant's write set used to be staged lazily in a second
+# file, data-<n>.wal, which the kernel flushed every turn before it
+# forced the protocol batch, with decision markers of its own and a
+# recovery that read outcomes across the two files. The redo is now
+# staged in the participant's log ahead of its prepared record, one
+# force covers both, and data-<n>.wal is a store file written only
+# before a collection. Any of these names under crates/net/src is the
+# second force path coming back. As above, each pattern first meets its
+# control line.
+force_guards=(
+  '\bflush_log\b'           'd.storage.flush_log().expect("data log flush");'
+  '\bprepare_lazy\b'        'storage.prepare_lazy(txn)'
+  '\bprotocol_outcomes\b'   'let outcomes = protocol_outcomes(engine.log());'
+  '\bPartDecision\b'        'self.log.append(LogPayload::PartDecision { txn, outcome }, false)?;'
+)
+for ((i = 0; i < ${#force_guards[@]}; i += 2)); do
+  pattern="${force_guards[i]}" control="${force_guards[i + 1]}"
+  echo "$control" | grep -qE "$pattern" \
+    || { echo "FAIL: the guard '$pattern' misses its control line '$control'"; exit 1; }
+  if grep -rnE "$pattern" crates/net/src --include='*.rs'; then
+    echo "FAIL: '$pattern' under crates/net/src: a second force path beside the prepared record's"; exit 1
+  fi
+done
+nontest_lines crates/net/src crates/engine/src
 
 echo "== one owner, one table: the coordinator's protocol table is a plain map"
 # The protocol table used to be 64 Mutex-guarded shards and an atomic

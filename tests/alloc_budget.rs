@@ -13,6 +13,7 @@ use common::engines::{Engines, KIND, PROTOCOLS};
 use common::runtime::{glacial, Backend, Running};
 use presumed_any::engine::SiteEngine;
 use presumed_any::prelude::*;
+use presumed_any::types::LogPayload;
 use presumed_any::wal::tempdir::TempDir;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -178,18 +179,22 @@ fn a_steady_engine_step_allocates_only_for_table_and_log_entries() {
     );
 }
 
-/// The storage engine over the log the kernel gives it, a `FileLog`,
-/// driven as the kernel drives it: owned `put`, `prepare_lazy`, one
-/// `flush_log` per burst, `resolve`. Each write's buffers move from the
-/// caller through the write set, are lent to its update record and end
-/// in the store; an ended transaction's context and its freed lock-key
-/// buffers are reused by the next burst, so what is left per write is
-/// the store's share of a tree node for the new key.
+/// The storage engine over the store file the kernel gives it, a
+/// `FileLog`, driven as the kernel drives it: owned `put`, `prepare`
+/// staging the redo in the participant's log (another `FileLog`, forced
+/// once per burst as the turn's force round does), `resolve`, and one
+/// store-file checkpoint per burst as a collection round writes it.
+/// Each write's buffers move from the caller through the write set, are
+/// lent to its update record and end in the store; an ended
+/// transaction's context, its freed lock-key buffers and the last
+/// checkpoint's entry buffers are reused by the next burst, so what is
+/// left per write is the store's share of a tree node for the new key.
 #[test]
 fn a_storage_engine_write_is_copied_at_most_once() {
     DRIVER.with(|d| d.set(true));
     let dir = TempDir::new("alloc-budget-engine").expect("tempdir");
     let mut engine = SiteEngine::new(FileLog::create(dir.path().join("data.wal")).expect("log"));
+    let mut redo = FileLog::create(dir.path().join("part.wal")).expect("log");
     let writes = |from: u64| -> Vec<(TxnId, Vec<u8>, Vec<u8>)> {
         (from..from + BURST)
             .map(|n| {
@@ -203,12 +208,14 @@ fn a_storage_engine_write_is_copied_at_most_once() {
         for (txn, key, value) in writes {
             engine.begin(txn);
             engine.put(txn, key, value).expect("put");
-            engine.prepare_lazy(txn).expect("prepare");
+            let stage = |update: &LogPayload| redo.append_ref(update, false).map(drop);
+            engine.prepare(txn, stage).expect("prepare");
         }
-        engine.flush_log().expect("flush");
+        redo.flush().expect("force");
         for txn in txns {
             engine.resolve(txn, Outcome::Commit).expect("resolve");
         }
+        engine.checkpoint_installed().expect("store file");
     };
     for round in 0..WARM_UP {
         burst(writes(1 + round * BURST));
@@ -250,7 +257,7 @@ fn a_storage_engine_read_allocates_only_its_value() {
             .put(loader, key.clone(), b"balance=100".to_vec())
             .expect("put");
     }
-    engine.prepare(loader).expect("prepare");
+    engine.prepare(loader, |_| Ok(())).expect("prepare");
     engine.resolve(loader, Outcome::Commit).expect("resolve");
     let mut burst = |round: u64| {
         let txns = (0..BURST).map(|i| TxnId::new(round * BURST + i + 1));
