@@ -1,5 +1,6 @@
 //! Engine outputs.
 
+use crate::harness::jitter_hash;
 use acp_acta::ActaEvent;
 use acp_types::{Outcome, Payload, SiteId, TxnId};
 use std::fmt;
@@ -40,7 +41,34 @@ impl TimerPurpose {
             TimerPurpose::PaxosCompletion => "paxos-completion",
         }
     }
+
+    /// The one retry schedule every host arms its timers by, in
+    /// microseconds (the harness's `TimerDelays`, the real-time
+    /// kernel's `NetDelays`): the `attempt`-th arming of a timer whose
+    /// first waits `base_us` waits `min(base_us << attempt, max_us)`,
+    /// never less than `base_us`. With a `salt` (site/timer identity), a
+    /// retry (`attempt > 0`) moves by a deterministic ±12.5% jitter
+    /// ([`jitter_hash`]), again never below `base_us`.
+    #[must_use]
+    pub fn retry_delay_us(self, base_us: u64, max_us: u64, attempt: u32, salt: Option<u64>) -> u64 {
+        let us = (base_us.saturating_mul(1 << attempt.min(BACKOFF_SHIFT_CAP)))
+            .min(max_us)
+            .max(base_us);
+        let span = us / 4; // total jitter window: d/4, centred on d
+        match salt {
+            Some(salt) if attempt > 0 && span > 0 => {
+                let offset = jitter_hash(salt, self as u64, u64::from(attempt)) % (span + 1);
+                (us - span / 2 + offset).max(base_us)
+            }
+            _ => us,
+        }
+    }
 }
+
+/// Doublings beyond which the exponential backoff stops growing (the
+/// shift is clamped so `base << shift` cannot overflow; the cap bites
+/// well before this in any sane configuration).
+const BACKOFF_SHIFT_CAP: u32 = 16;
 
 impl fmt::Display for TimerPurpose {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -796,8 +796,18 @@ impl<L: StableLog> Coordinator<L> {
                 (p.presumption(), true)
             }
             InquiryRule::ConsultLog => {
-                let summaries = acp_wal::scan::analyze_log(&self.log).expect("records");
-                match summaries.get(&txn).and_then(|s| s.decision) {
+                // Only this transaction's decision record is wanted, and
+                // under C2PC the log never shrinks (Theorem 2): look for
+                // it in place, summarizing nothing.
+                let mut decision = None;
+                let mut find = |rec: &acp_wal::LogRecord| match rec.payload {
+                    LogPayload::CoordDecision { txn: t, outcome, .. } if t == txn => {
+                        decision = Some(outcome);
+                    }
+                    _ => {}
+                };
+                self.log.for_each_record(&mut find).expect("records");
+                match decision {
                     Some(o) => (o, false),
                     // Never decided (or the records were reclaimed after
                     // every ack arrived — in which case nobody can be

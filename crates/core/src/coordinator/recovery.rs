@@ -45,9 +45,8 @@ impl<L: StableLog> Coordinator<L> {
 
     /// [`Coordinator::recover`], appending the actions to `out`.
     pub fn recover_into(&mut self, out: &mut Vec<Action>) {
-        self.gc = acp_wal::GcTracker::from_log(&self.log).expect("records");
-        let summaries = acp_wal::scan::analyze_log(&self.log).expect("records");
-
+        let (summaries, gc) = acp_wal::scan::analyze_log(&self.log).expect("records");
+        self.gc = gc;
         for (txn, summary) in summaries {
             if summary.ended || !summary.coordinator_open() {
                 continue;

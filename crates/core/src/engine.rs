@@ -102,9 +102,13 @@ impl<L: StableLog> AnyEngine<L> {
         each!(self, e => e.crash());
     }
 
-    /// Run the restart procedure over the stable log.
+    /// Run the restart procedure over the stable log (a host that
+    /// keeps a participant's storage engine matches the participant arm
+    /// instead, to redo from the analysis its recovery returns).
     pub fn recover_into(&mut self, out: &mut Vec<Action>) {
-        each!(self, e => e.recover_into(out));
+        each!(self, e => {
+            e.recover_into(out);
+        });
     }
 
     /// Start commit processing for `txn`.

@@ -522,30 +522,37 @@ impl<L: StableLog> GatewayParticipant<L> {
         let Some(txn) = self.timers.remove(&token) else {
             return;
         };
-        match self.txns.get_mut(&txn).map(|t| &mut t.phase) {
-            Some(GatewayPhase::SimulatedPrepared {
-                coordinator,
-                inquiries_sent,
-            }) => {
-                let coordinator = *coordinator;
-                *inquiries_sent += 1;
-                let attempts = *inquiries_sent;
-                out.push(Action::Acta(ActaEvent::Inquire {
-                    participant: self.site,
-                    txn,
-                    protocol: self.declared,
-                }));
-                let protocol = self.declared;
-                out.push(Action::send(
-                    coordinator,
-                    Payload::Inquiry { txn, protocol },
-                ));
-                if attempts < crate::participant::MAX_INQUIRY_RETRIES {
-                    self.arm_timer(txn, TimerPurpose::InquiryRetry, attempts, out);
-                }
-            }
+        match self.txns.get(&txn).map(|t| &t.phase) {
             Some(GatewayPhase::Applying { .. }) => self.try_apply(txn, out),
-            _ => {}
+            _ => self.inquire(txn, out),
+        }
+    }
+
+    /// Inquire at a simulated-prepared `txn`'s coordinator (nothing
+    /// otherwise) and arm the next retry while the budget lasts.
+    fn inquire(&mut self, txn: TxnId, out: &mut Vec<Action>) {
+        let Some(GatewayPhase::SimulatedPrepared {
+            coordinator,
+            inquiries_sent,
+        }) = self.txns.get_mut(&txn).map(|t| &mut t.phase)
+        else {
+            return;
+        };
+        let coordinator = *coordinator;
+        *inquiries_sent += 1;
+        let attempts = *inquiries_sent;
+        let protocol = self.declared;
+        out.push(Action::Acta(ActaEvent::Inquire {
+            participant: self.site,
+            txn,
+            protocol,
+        }));
+        out.push(Action::send(
+            coordinator,
+            Payload::Inquiry { txn, protocol },
+        ));
+        if attempts < crate::participant::MAX_INQUIRY_RETRIES {
+            self.arm_timer(txn, TimerPurpose::InquiryRetry, attempts, out);
         }
     }
 
@@ -569,18 +576,17 @@ impl<L: StableLog> GatewayParticipant<L> {
 
     /// [`GatewayParticipant::recover`], appending the actions to `out`.
     pub fn recover_into(&mut self, out: &mut Vec<Action>) {
-        self.gc = GcTracker::from_log(&self.log).expect("records");
-        let summaries = acp_wal::scan::analyze_log(&self.log).expect("records");
+        let (summaries, gc) = acp_wal::scan::analyze_log(&self.log).expect("records");
+        self.gc = gc;
         for (txn, s) in summaries {
             if s.part_ended {
                 continue;
             }
-            let writes: Vec<(Vec<u8>, Vec<u8>)> = s
-                .updates
-                .iter()
-                .filter_map(|(k, _, after)| after.clone().map(|v| (k.clone(), v)))
+            let in_doubt = s.in_doubt();
+            let writes: Vec<(Vec<u8>, Vec<u8>)> = (s.updates.into_iter())
+                .filter_map(|(k, _, after)| after.map(|v| (k, v)))
                 .collect();
-            if s.in_doubt() {
+            if in_doubt {
                 let coordinator = s.prepared.expect("in doubt implies prepared");
                 for (k, _) in &writes {
                     self.reservations.insert(k.clone(), txn);
@@ -590,23 +596,13 @@ impl<L: StableLog> GatewayParticipant<L> {
                     GatewayTxn {
                         phase: GatewayPhase::SimulatedPrepared {
                             coordinator,
-                            inquiries_sent: 1,
+                            inquiries_sent: 0,
                         },
                         writes,
                     },
                 );
-                out.push(Action::Acta(ActaEvent::Inquire {
-                    participant: self.site,
-                    txn,
-                    protocol: self.declared,
-                }));
-                let protocol = self.declared;
-                out.push(Action::send(
-                    coordinator,
-                    Payload::Inquiry { txn, protocol },
-                ));
-                self.arm_timer(txn, TimerPurpose::InquiryRetry, 1, out);
-            } else if let Some(outcome) = s.part_decision {
+                self.inquire(txn, out);
+            } else if let Some((outcome, _)) = s.part_decision {
                 self.enforced.entry(txn).or_insert(outcome);
                 if outcome == Outcome::Commit {
                     // Resume the redo application (idempotent: blind

@@ -66,11 +66,6 @@ impl Default for TimerDelays {
     }
 }
 
-/// Doublings beyond which the exponential backoff stops growing (the
-/// shift is clamped so `base << shift` cannot overflow; `max_backoff`
-/// caps the result well before this in any sane configuration).
-const BACKOFF_SHIFT_CAP: u32 = 16;
-
 impl TimerDelays {
     /// The base (attempt-0) delay for a purpose.
     #[must_use]
@@ -88,9 +83,7 @@ impl TimerDelays {
     /// `min(base << attempt, max_backoff)` (never below `base`).
     #[must_use]
     pub fn delay(&self, purpose: TimerPurpose, attempt: u32) -> SimTime {
-        let base = self.base(purpose);
-        let shifted = base.as_micros() << attempt.min(BACKOFF_SHIFT_CAP);
-        SimTime::from_micros(shifted.min(self.max_backoff.as_micros()).max(base.as_micros()))
+        self.schedule(purpose, attempt, None)
     }
 
     /// Like [`delay`](Self::delay), but retries (`attempt > 0`) are
@@ -102,18 +95,12 @@ impl TimerDelays {
     /// (no-retry) schedules stay byte-identical with jitter enabled.
     #[must_use]
     pub fn delay_jittered(&self, purpose: TimerPurpose, attempt: u32, salt: u64) -> SimTime {
-        let d = self.delay(purpose, attempt);
-        if attempt == 0 {
-            return d;
-        }
-        let us = d.as_micros();
-        let span = us / 4; // total jitter window: d/4, centred on d
-        if span == 0 {
-            return d;
-        }
-        let offset = jitter_hash(salt, purpose as u64, u64::from(attempt)) % (span + 1);
-        let jittered = us - span / 2 + offset;
-        SimTime::from_micros(jittered.max(self.base(purpose).as_micros()))
+        self.schedule(purpose, attempt, Some(salt))
+    }
+
+    fn schedule(&self, purpose: TimerPurpose, attempt: u32, salt: Option<u64>) -> SimTime {
+        let (base, max) = (self.base(purpose).as_micros(), self.max_backoff.as_micros());
+        SimTime::from_micros(purpose.retry_delay_us(base, max, attempt, salt))
     }
 }
 

@@ -22,6 +22,7 @@
 use crate::action::{Action, TimerPurpose};
 use acp_acta::ActaEvent;
 use acp_types::{LogPayload, Outcome, Payload, ProtocolKind, SiteId, TxnId, Vote};
+use acp_wal::scan::Summaries;
 use acp_wal::{GcTracker, StableLog, WalError};
 use std::collections::BTreeMap;
 
@@ -53,10 +54,10 @@ struct ActiveTxn {
 impl ActiveTxn {
     /// A newly (re-)prepared entry; the arming that follows sets its
     /// timer.
-    fn prepared(coordinator: SiteId, inquiries_sent: u32) -> Self {
+    fn prepared(coordinator: SiteId) -> Self {
         let state = PartState::Prepared {
             coordinator,
-            inquiries_sent,
+            inquiries_sent: 0,
         };
         ActiveTxn {
             state,
@@ -370,7 +371,7 @@ impl<L: StableLog> Participant<L> {
                     participant: self.site,
                     txn,
                 }));
-                self.active.insert(txn, ActiveTxn::prepared(coordinator, 0));
+                self.active.insert(txn, ActiveTxn::prepared(coordinator));
                 out.push(Action::send(coordinator, Payload::Vote { txn, vote }));
                 self.arm_inquiry_timer(txn, 0, out);
             }
@@ -492,9 +493,14 @@ impl<L: StableLog> Participant<L> {
 
     /// [`Participant::on_timer`], appending the actions to `out`.
     pub fn on_timer_into(&mut self, token: u64, out: &mut Vec<Action>) {
-        let Some(txn) = self.timers.remove(&token) else {
-            return;
-        };
+        if let Some(txn) = self.timers.remove(&token) {
+            self.inquire(txn, out);
+        }
+    }
+
+    /// Inquire at a prepared `txn`'s coordinator and arm the next retry
+    /// while the budget lasts.
+    fn inquire(&mut self, txn: TxnId, out: &mut Vec<Action>) {
         let Some(st) = self.active.get_mut(&txn) else {
             return;
         };
@@ -541,29 +547,22 @@ impl<L: StableLog> Participant<L> {
         out
     }
 
-    /// [`Participant::recover`], appending the actions to `out`.
-    pub fn recover_into(&mut self, out: &mut Vec<Action>) {
-        self.gc = GcTracker::from_log(&self.log).expect("records");
-        let summaries = acp_wal::scan::analyze_log(&self.log).expect("records");
-        for (txn, s) in summaries {
+    /// [`Participant::recover`], appending the actions to `out`. Returns
+    /// the log's analysis — the one read of the log a restart makes —
+    /// for a storage engine beside this participant to redo from
+    /// (`SiteEngine::recover`).
+    pub fn recover_into(&mut self, out: &mut Vec<Action>) -> Summaries {
+        let (summaries, gc) = acp_wal::scan::analyze_log(&self.log).expect("records");
+        self.gc = gc;
+        for (&txn, s) in &summaries {
             if s.part_ended {
                 continue;
             }
             if s.in_doubt() {
                 let coordinator = s.prepared.expect("in_doubt implies prepared");
-                self.active.insert(txn, ActiveTxn::prepared(coordinator, 1));
-                let protocol = self.protocol;
-                out.push(Action::Acta(ActaEvent::Inquire {
-                    participant: self.site,
-                    txn,
-                    protocol,
-                }));
-                out.push(Action::send(
-                    coordinator,
-                    Payload::Inquiry { txn, protocol },
-                ));
-                self.arm_inquiry_timer(txn, 1, out);
-            } else if let Some(outcome) = s.part_decision {
+                self.active.insert(txn, ActiveTxn::prepared(coordinator));
+                self.inquire(txn, out);
+            } else if let Some((outcome, _)) = s.part_decision {
                 // Decision durable but end record lost in the crash: the
                 // data engine re-enforces via redo; protocol-wise, close
                 // out. A lost ack is re-triggered by the coordinator's
@@ -583,6 +582,7 @@ impl<L: StableLog> Participant<L> {
                 self.gc.note(lsn.expect("participant log append"), &end);
             }
         }
+        summaries
     }
 
     /// Records below the releasable point that the log still holds,

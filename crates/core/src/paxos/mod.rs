@@ -1180,8 +1180,11 @@ impl<L: StableLog> PaxosNode<L> {
     }
 
     /// Rebuild acceptor state from the log's `paxos-accept` records and
-    /// re-arm the completion watchdog for every unresolved transaction —
-    /// recovery is just failover with ourselves as a candidate.
+    /// the GC tracker from the whole log — so an open transaction's
+    /// acceptance stays pinned, whether the node crashed or was built
+    /// afresh over a surviving log — and re-arm the completion watchdog
+    /// for every unresolved transaction: recovery is just failover with
+    /// ourselves as a candidate.
     pub fn recover(&mut self) -> Vec<Action> {
         let mut out = Vec::new();
         self.recover_into(&mut out);
@@ -1190,28 +1193,18 @@ impl<L: StableLog> PaxosNode<L> {
 
     /// [`PaxosNode::recover`], appending the actions to `out`.
     pub fn recover_into(&mut self, out: &mut Vec<Action>) {
-        let summaries = acp_wal::scan::analyze_log(&self.log).expect("records");
+        let (summaries, gc) = acp_wal::scan::analyze_log(&self.log).expect("records");
+        self.gc = gc;
         let rank = self.config.rank(self.site).map_or(0, |r| r as u32);
-        for (txn, s) in &summaries {
+        for (txn, s) in summaries {
             if s.ended {
-                self.forgotten.insert(*txn);
+                self.forgotten.insert(txn);
                 continue;
             }
-            if s.paxos_accepts.is_empty() {
+            let Some(logged_promise) = s.paxos_accepts.iter().map(|(b, _)| *b).max() else {
                 continue;
-            }
-            let logged_promise = s
-                .paxos_accepts
-                .iter()
-                .map(|(b, _)| *b)
-                .max()
-                .expect("non-empty");
-            let accepted = s
-                .paxos_accepts
-                .iter()
-                .rev()
-                .find(|(_, ins)| !ins.is_empty())
-                .cloned();
+            };
+            let accepted = (s.paxos_accepts.into_iter().rev()).find(|(_, ins)| !ins.is_empty());
             let participants: Vec<SiteId> = accepted
                 .as_ref()
                 .map(|(_, ins)| ins.iter().map(|&(s, _)| s).collect())
@@ -1228,8 +1221,8 @@ impl<L: StableLog> PaxosNode<L> {
                 attempts: rank,
                 logged_any: true,
             };
-            self.txns.insert(*txn, st);
-            self.arm_watchdog(*txn, out);
+            self.txns.insert(txn, st);
+            self.arm_watchdog(txn, out);
         }
     }
 }

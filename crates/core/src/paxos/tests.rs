@@ -85,6 +85,24 @@ impl Net {
         }
     }
 
+    /// The leader (site 0) begins `txn` over `parts`; pump.
+    fn begin(&mut self, txn: TxnId, parts: &[SiteId]) {
+        let actions = self.nodes.get_mut(&s(0)).unwrap().begin_commit(txn, parts);
+        self.dispatch(s(0), actions);
+        self.pump();
+    }
+
+    /// The leader begins `txn` over sites 1 and 2, both vote Yes, and
+    /// it decides commit; what it sent them is drained.
+    fn commit_yes(&mut self, txn: TxnId) {
+        self.begin(txn, &[s(1), s(2)]);
+        for p in [s(1), s(2)] {
+            self.inject(p, s(0), Payload::Vote { txn, vote: Vote::Yes });
+        }
+        assert_eq!(self.node(s(0)).decided(txn), Some(Outcome::Commit));
+        self.drain_to_parts();
+    }
+
     /// Inject a participant-side message into a node and pump.
     fn inject(&mut self, from: SiteId, to: SiteId, payload: Payload) {
         let actions = self
@@ -151,13 +169,7 @@ fn config_rejects_even_acceptor_counts() {
 fn f0_clean_commit_matches_prn_shape() {
     let config = PaxosConfig::new(vec![s(0)]);
     let mut net = Net::new(&config);
-    let actions = net
-        .nodes
-        .get_mut(&s(0))
-        .unwrap()
-        .begin_commit(t(), &[s(1), s(2)]);
-    net.dispatch(s(0), actions);
-    net.pump();
+    net.begin(t(), &[s(1), s(2)]);
     let msgs = net.drain_to_parts();
     assert_eq!(count_kind(&msgs, "prepare"), 2);
 
@@ -186,13 +198,7 @@ fn f0_clean_commit_matches_prn_shape() {
 fn f0_no_vote_aborts_and_excludes_the_no_voter() {
     let config = PaxosConfig::new(vec![s(0)]);
     let mut net = Net::new(&config);
-    let actions = net
-        .nodes
-        .get_mut(&s(0))
-        .unwrap()
-        .begin_commit(t(), &[s(1), s(2)]);
-    net.dispatch(s(0), actions);
-    net.pump();
+    net.begin(t(), &[s(1), s(2)]);
     net.drain_to_parts();
 
     net.inject(s(1), s(0), Payload::Vote { txn: t(), vote: Vote::No });
@@ -213,18 +219,7 @@ fn f0_no_vote_aborts_and_excludes_the_no_voter() {
 fn f1_clean_commit_counts_match_the_analytic_model() {
     let config = PaxosConfig::new(vec![s(0), s(3), s(4)]);
     let mut net = Net::new(&config);
-    let actions = net
-        .nodes
-        .get_mut(&s(0))
-        .unwrap()
-        .begin_commit(t(), &[s(1), s(2)]);
-    net.dispatch(s(0), actions);
-    net.pump();
-    net.drain_to_parts();
-
-    net.inject(s(1), s(0), Payload::Vote { txn: t(), vote: Vote::Yes });
-    net.inject(s(2), s(0), Payload::Vote { txn: t(), vote: Vote::Yes });
-    assert_eq!(net.node(s(0)).decided(t()), Some(Outcome::Commit));
+    net.commit_yes(t());
     net.inject(s(1), s(0), Payload::Ack { txn: t() });
     net.inject(s(2), s(0), Payload::Ack { txn: t() });
 
@@ -256,21 +251,10 @@ fn leader_kill_after_phase2a_fails_over_to_commit() {
     // quorum and acceptor 3's watchdog re-drives the commit.
     let config = PaxosConfig::new(vec![s(0), s(3), s(4)]);
     let mut net = Net::new(&config);
-    let actions = net
-        .nodes
-        .get_mut(&s(0))
-        .unwrap()
-        .begin_commit(t(), &[s(1), s(2)]);
-    net.dispatch(s(0), actions);
-    net.pump();
-    net.drain_to_parts();
-
     // Both votes arrive; the leader proposes and its phase 2a reaches
-    // the acceptors — then the leader dies before hearing phase 2b.
-    net.inject(s(1), s(0), Payload::Vote { txn: t(), vote: Vote::Yes });
-    net.inject(s(2), s(0), Payload::Vote { txn: t(), vote: Vote::Yes });
-    assert_eq!(net.node(s(0)).decided(t()), Some(Outcome::Commit));
-    net.drain_to_parts(); // the leader's decisions die with it below
+    // the acceptors — then the leader dies before hearing phase 2b (its
+    // decisions, drained, die with it).
+    net.commit_yes(t());
     net.dead.insert(s(0));
 
     // Acceptor 3's completion watchdog fires: phase 1 at ballot
@@ -298,13 +282,7 @@ fn leader_kill_before_phase2a_fails_over_to_abort() {
     // aborts every instance — the participants are released, not stuck.
     let config = PaxosConfig::new(vec![s(0), s(3), s(4)]);
     let mut net = Net::new(&config);
-    let actions = net
-        .nodes
-        .get_mut(&s(0))
-        .unwrap()
-        .begin_commit(t(), &[s(1), s(2)]);
-    net.dispatch(s(0), actions);
-    net.pump();
+    net.begin(t(), &[s(1), s(2)]);
     net.drain_to_parts();
     net.dead.insert(s(0));
 
@@ -389,13 +367,7 @@ fn forgotten_acceptor_answers_phase1a_with_forgotten() {
     let config = PaxosConfig::new(vec![s(0), s(3), s(4)]);
     let mut net = Net::new(&config);
     // Complete a transaction so site 0 has forgotten it.
-    let actions = net
-        .nodes
-        .get_mut(&s(0))
-        .unwrap()
-        .begin_commit(t(), &[s(1)]);
-    net.dispatch(s(0), actions);
-    net.pump();
+    net.begin(t(), &[s(1)]);
     net.inject(s(1), s(0), Payload::Vote { txn: t(), vote: Vote::Yes });
     net.inject(s(1), s(0), Payload::Ack { txn: t() });
     assert_eq!(net.node(s(0)).protocol_table_size(), 0);
@@ -422,17 +394,7 @@ fn forgotten_acceptor_answers_phase1a_with_forgotten() {
 fn crash_recovery_redrives_the_decision_from_the_bundle() {
     let config = PaxosConfig::new(vec![s(0)]);
     let mut net = Net::new(&config);
-    let actions = net
-        .nodes
-        .get_mut(&s(0))
-        .unwrap()
-        .begin_commit(t(), &[s(1), s(2)]);
-    net.dispatch(s(0), actions);
-    net.pump();
-    net.inject(s(1), s(0), Payload::Vote { txn: t(), vote: Vote::Yes });
-    net.inject(s(2), s(0), Payload::Vote { txn: t(), vote: Vote::Yes });
-    assert_eq!(net.node(s(0)).decided(t()), Some(Outcome::Commit));
-    net.drain_to_parts();
+    net.commit_yes(t());
 
     // Crash before any ack; the forced bundle survives, volatile state
     // does not. Recovery re-arms the watchdog, which re-runs phase 1
@@ -457,17 +419,48 @@ fn crash_recovery_redrives_the_decision_from_the_bundle() {
     assert_eq!(net.node(s(0)).log().retained(), 0, "log reclaimed");
 }
 
+/// A node reopened over the log a crash left — a fresh `PaxosNode` on
+/// the surviving records, as a host restarting from an existing log
+/// builds it — keeps its undone transaction's acceptance pinned: a
+/// later transaction's collection must not reclaim the `paxos-accept`
+/// record the acceptor voted with.
+#[test]
+fn a_reopened_acceptor_keeps_its_open_transactions_pinned() {
+    let config = PaxosConfig::new(vec![s(0)]);
+    let mut net = Net::new(&config);
+    net.commit_yes(t());
+
+    let mut survivors = net.node(s(0)).log().clone();
+    survivors.lose_unflushed().unwrap();
+    let mut reopened = PaxosNode::new(s(0), config.clone(), survivors);
+    let actions = reopened.recover();
+    assert_eq!(reopened.log_pinned(), vec![t()]);
+    net.timers.clear();
+    net.nodes.insert(s(0), reopened);
+    net.dispatch(s(0), actions);
+    net.pump();
+
+    // A second transaction runs to its acks and is collected.
+    let second = TxnId::new(8);
+    net.commit_yes(second);
+    for p in [s(1), s(2)] {
+        net.inject(p, s(0), Payload::Ack { txn: second });
+    }
+    assert!(!net.node(s(0)).in_flight(second));
+
+    let node = net.node(s(0));
+    assert_eq!(node.log_pinned(), vec![t()], "the first transaction is open");
+    let accept_kept = node.log().records().unwrap().iter().any(|r| {
+        matches!(r.payload, LogPayload::PaxosAccept { txn, .. } if txn == t())
+    });
+    assert!(accept_kept, "the open transaction's acceptance was collected");
+}
+
 #[test]
 fn inquiry_answers_follow_decision_then_presumption() {
     let config = PaxosConfig::new(vec![s(0)]);
     let mut net = Net::new(&config);
-    let actions = net
-        .nodes
-        .get_mut(&s(0))
-        .unwrap()
-        .begin_commit(t(), &[s(1), s(2)]);
-    net.dispatch(s(0), actions);
-    net.pump();
+    net.begin(t(), &[s(1), s(2)]);
 
     // Voting phase: silence (the participant retries).
     let acts = net.nodes.get_mut(&s(0)).unwrap().on_message(

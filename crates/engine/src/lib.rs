@@ -20,8 +20,9 @@
 //!   force makes both durable — the point at which it may vote "Yes";
 //! * **redo recovery** ([`site::SiteEngine::recover`]): rebuilds the
 //!   store from its own log, a store file of checkpoints, and from the
-//!   committed write sets the protocol log still holds, re-staging
-//!   in-doubt (prepared) transactions and re-acquiring their locks —
+//!   committed write sets the participant's analysis of its protocol
+//!   log still holds, re-staging in-doubt (prepared) transactions and
+//!   re-acquiring their locks —
 //!   "holding the locks of in-doubt transactions" is what makes
 //!   blocking visible.
 

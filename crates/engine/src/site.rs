@@ -9,10 +9,10 @@ use crate::store::KvStore;
 use crate::txn::{TxnContext, TxnPhase};
 use acp_types::{LogPayload, Outcome, TxnId};
 use acp_wal::encode::frame_len;
-use acp_wal::scan::UpdateImage;
+use acp_wal::scan::Summaries;
 use acp_wal::{StableLog, WalError, RECLAIM_FLOOR};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// A transactional key-value engine for one site.
 #[derive(Clone, Debug)]
@@ -328,18 +328,22 @@ impl<L: StableLog> SiteEngine<L> {
     }
 
     /// Redo recovery: load the store file's checkpoints in order, redo
-    /// the committed write sets the protocol log `redo` still holds in
-    /// the order of their decision records, and re-stage the prepared,
-    /// undecided ones under their exclusive locks. `redo` is read back
-    /// once and its images moved, not copied.
+    /// the committed write sets the participant's log still holds in the
+    /// order of their decision records, and re-stage the ones
+    /// [`TxnLogSummary::in_doubt`](acp_wal::scan::TxnLogSummary::in_doubt)
+    /// names under their exclusive locks. `protocol` is that log's
+    /// analysis, the one read of it a restart makes
+    /// (`Participant::recover_into` returns it); its images are moved,
+    /// not copied, and a write set without its prepared record never
+    /// voted Yes, so it is neither redone nor re-staged.
     ///
     /// A value reaches the store file only after its transaction's
     /// commit decision ([`SiteEngine::resolve`]). So a transaction in
-    /// doubt in `redo` (a crash lost its lazy decision record) may
+    /// doubt in `protocol` (a crash lost its lazy decision record) may
     /// already have its values in the store file: its locks keep them
     /// from readers, and the commit its inquiry learns installs them
     /// again. Installing an after-image is idempotent.
-    pub fn recover<R: StableLog + ?Sized>(&mut self, redo: &R) -> Result<(), EngineError> {
+    pub fn recover(&mut self, protocol: Summaries) -> Result<(), EngineError> {
         for rec in self.log.records()? {
             self.file_bytes += frame_len(&rec.payload) as u64;
             if let LogPayload::Checkpoint { entries } = rec.payload {
@@ -348,44 +352,25 @@ impl<L: StableLog> SiteEngine<L> {
                 }
             }
         }
-        // Per transaction: its images in log order and whether its
-        // prepared record is there; and the decisions, in log order.
-        let mut staged: BTreeMap<TxnId, (Vec<UpdateImage>, bool)> = BTreeMap::new();
-        let mut decided = Vec::new();
-        for rec in redo.records()? {
-            match rec.payload {
-                LogPayload::Update {
-                    txn,
-                    key,
-                    before,
-                    after,
-                } => staged.entry(txn).or_default().0.push((key, before, after)),
-                LogPayload::Prepared { txn, .. } => staged.entry(txn).or_default().1 = true,
-                LogPayload::PartDecision { txn, outcome } => decided.push((txn, outcome)),
-                _ => {}
-            }
-        }
-        for (txn, outcome) in decided {
-            let Some((images, _)) = staged.remove(&txn) else {
-                continue; // collected: the store file has its values
-            };
-            if outcome == Outcome::Commit {
-                for (key, _, after) in images {
-                    self.install(key, after);
+        let mut committed = Vec::new();
+        for (txn, s) in protocol {
+            if s.in_doubt() {
+                let mut ctx = TxnContext::new(txn);
+                ctx.phase = TxnPhase::Prepared;
+                for (key, before, after) in s.updates {
+                    self.locks
+                        .acquire(txn, &key, LockMode::Exclusive)
+                        .expect("recovery lock acquisition cannot conflict");
+                    ctx.buffer_write(key, before, after);
                 }
+                self.txns.insert(txn, ctx);
+            } else if let Some((Outcome::Commit, at)) = s.part_decision {
+                committed.push((at, s.updates));
             }
         }
-        // A write set without its prepared record never voted Yes.
-        for (txn, (images, _)) in staged.into_iter().filter(|(_, (_, prepared))| *prepared) {
-            let mut ctx = TxnContext::new(txn);
-            ctx.phase = TxnPhase::Prepared;
-            for (key, before, after) in images {
-                self.locks
-                    .acquire(txn, &key, LockMode::Exclusive)
-                    .expect("recovery lock acquisition cannot conflict");
-                ctx.buffer_write(key, before, after);
-            }
-            self.txns.insert(txn, ctx);
+        committed.sort_unstable_by_key(|&(at, _)| at);
+        for (key, _, after) in committed.into_iter().flat_map(|(_, images)| images) {
+            self.install(key, after);
         }
         Ok(())
     }
@@ -474,7 +459,8 @@ mod tests {
             self.e.crash();
             self.redo.lose_unflushed().unwrap();
             assert!(self.e.store().is_empty(), "volatile store lost");
-            self.e.recover(&self.redo).unwrap();
+            let (protocol, _) = acp_wal::scan::analyze_log(&self.redo).unwrap();
+            self.e.recover(protocol).unwrap();
         }
     }
 
@@ -805,7 +791,7 @@ mod store_file_tests {
 
     fn recovered(e: &mut SiteEngine<MemLog>) {
         e.crash();
-        e.recover(&MemLog::new()).unwrap();
+        e.recover(Summaries::new()).unwrap();
     }
 
     /// Each call appends the values installed since the last as one

@@ -332,12 +332,15 @@ fn drive<T: Transport>(st: &mut SiteState, ctx: &mut Ctx<T>, input: Input<'_>) {
             _ => engine.on_message_into(msg.from, &msg.payload, &mut actions),
         },
         Input::Timer(token) => engine.on_timer_into(token, &mut actions),
-        Input::Recover => {
-            engine.recover_into(&mut actions);
-            if let Some(d) = data.as_mut() {
-                d.storage.recover(engine.log()).expect("storage recovery");
+        // The participant's one read of its log on restart is what its
+        // storage engine redoes from.
+        Input::Recover => match (data.as_mut(), &mut *engine) {
+            (Some(d), AnyEngine::Part(p)) => {
+                let protocol = p.recover_into(&mut actions);
+                d.storage.recover(protocol).expect("storage recovery");
             }
-        }
+            _ => engine.recover_into(&mut actions),
+        },
         Input::Commit(txn, sites) => engine.begin_commit_into(txn, sites, &mut actions),
     }
     engine.drain_cancelled_timers_into(&mut retired);

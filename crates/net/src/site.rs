@@ -41,10 +41,6 @@ impl Default for NetDelays {
     }
 }
 
-/// Doublings beyond which the backoff stops growing (mirrors the
-/// simulator harness; `MAX_BACKOFF` caps the result long before this).
-const BACKOFF_SHIFT_CAP: u32 = 16;
-
 /// Upper bound on any backed-off delay.
 const MAX_BACKOFF: Duration = Duration::from_secs(5);
 
@@ -56,17 +52,7 @@ impl NetDelays {
     /// is backend-independent.
     #[must_use]
     pub fn delay(&self, p: TimerPurpose, attempt: u32) -> Duration {
-        let base = match p {
-            TimerPurpose::VoteTimeout => self.vote_timeout,
-            TimerPurpose::AckResend => self.ack_resend,
-            TimerPurpose::InquiryRetry => self.inquiry_retry,
-            TimerPurpose::ApplyRetry => self.apply_retry,
-            TimerPurpose::PaxosCompletion => self.paxos_completion,
-        };
-        // Bounded exponential backoff: min(base << attempt, MAX_BACKOFF).
-        base.saturating_mul(1u32 << attempt.min(BACKOFF_SHIFT_CAP).min(31))
-            .min(MAX_BACKOFF)
-            .max(base)
+        self.schedule(p, attempt, None)
     }
 
     /// Like [`delay`](Self::delay), but retries (`attempt > 0`) carry a
@@ -74,23 +60,24 @@ impl NetDelays {
     /// identity), so the synchronized inquiry-retry storm after a crash
     /// spreads out instead of arriving as one burst per backoff round.
     /// Attempt-0 armings are returned exactly — clean schedules are
-    /// unchanged by jitter. Mirrors the simulator harness's
-    /// `TimerDelays::delay_jittered`.
+    /// unchanged by jitter. The simulator harness's
+    /// `TimerDelays::delay_jittered` is the same schedule
+    /// ([`TimerPurpose::retry_delay_us`]) in simulated time.
     #[must_use]
     pub fn delay_jittered(&self, p: TimerPurpose, attempt: u32, salt: u64) -> Duration {
-        let d = self.delay(p, attempt);
-        if attempt == 0 {
-            return d;
-        }
-        let us = u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
-        let span = us / 4;
-        if span == 0 {
-            return d;
-        }
-        let offset = acp_core::harness::jitter_hash(salt, p as u64, u64::from(attempt)) % (span + 1);
-        let jittered = us - span / 2 + offset;
-        let base = u64::try_from(self.delay(p, 0).as_micros()).unwrap_or(u64::MAX);
-        Duration::from_micros(jittered.max(base))
+        self.schedule(p, attempt, Some(salt))
+    }
+
+    fn schedule(&self, p: TimerPurpose, attempt: u32, salt: Option<u64>) -> Duration {
+        let base = match p {
+            TimerPurpose::VoteTimeout => self.vote_timeout,
+            TimerPurpose::AckResend => self.ack_resend,
+            TimerPurpose::InquiryRetry => self.inquiry_retry,
+            TimerPurpose::ApplyRetry => self.apply_retry,
+            TimerPurpose::PaxosCompletion => self.paxos_completion,
+        };
+        let us = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
+        Duration::from_micros(p.retry_delay_us(us(base), us(MAX_BACKOFF), attempt, salt))
     }
 }
 

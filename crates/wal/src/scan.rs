@@ -3,16 +3,23 @@
 //! §4.2 defines coordinator recovery entirely in terms of which records
 //! a transaction has ("For each transaction that has a decision log
 //! record without an initiation record …"); participant and engine
-//! recovery need the same view. [`analyze`] builds it in one pass.
+//! recovery need the same view. [`analyze_log`] builds it, and the
+//! log's [`GcTracker`], in the one read of a log a restart makes.
 
 use crate::error::WalError;
-use crate::record::LogRecord;
+use crate::gc::GcTracker;
+use crate::record::{LogRecord, Lsn};
 use crate::StableLog;
 use acp_types::{CommitMode, LogPayload, Outcome, ParticipantEntry, SiteId, TxnId};
 use std::collections::BTreeMap;
 
 /// A data update image: `(key, before, after)`.
 pub type UpdateImage = (Vec<u8>, Option<Vec<u8>>, Option<Vec<u8>>);
+
+/// A log's summaries, one per transaction, in transaction order (a
+/// `BTreeMap`, so iteration is deterministic — important for the
+/// reproducible simulator and the model checker).
+pub type Summaries = BTreeMap<TxnId, TxnLogSummary>;
 
 /// Everything one log says about one transaction.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -31,8 +38,9 @@ pub struct TxnLogSummary {
     // ----- participant-side records -----
     /// The prepared record, if any, with the coordinator to inquire at.
     pub prepared: Option<SiteId>,
-    /// The participant decision record, if any.
-    pub part_decision: Option<Outcome>,
+    /// The first participant decision record, if any, and its LSN: a
+    /// storage engine redoes committed write sets in decision order.
+    pub part_decision: Option<(Outcome, Lsn)>,
     /// Whether a participant end record exists.
     pub part_ended: bool,
 
@@ -64,61 +72,58 @@ impl TxnLogSummary {
     }
 }
 
-/// Build per-transaction summaries from a scanned log.
-///
-/// Returns a `BTreeMap` so iteration order is deterministic (important
-/// for the reproducible simulator and the model checker).
+/// Build per-transaction summaries from records already read, copying
+/// what they hold (benchmark probes and tests; a restart reads its log
+/// with [`analyze_log`]).
 #[must_use]
-pub fn analyze(records: &[LogRecord]) -> BTreeMap<TxnId, TxnLogSummary> {
+pub fn analyze(records: &[LogRecord]) -> Summaries {
     let mut map = BTreeMap::new();
-    records.iter().for_each(|rec| note(&mut map, rec));
+    records.iter().for_each(|rec| note(&mut map, rec.clone()));
     map
 }
 
-/// [`analyze`] over a log's durable records, read in place through
-/// [`StableLog::for_each_record`] — what recovery uses, so a restart
-/// does not clone the log to classify it.
-pub fn analyze_log<L: StableLog + ?Sized>(
-    log: &L,
-) -> Result<BTreeMap<TxnId, TxnLogSummary>, WalError> {
-    let mut map = BTreeMap::new();
-    log.for_each_record(&mut |rec| note(&mut map, rec))?;
-    Ok(map)
+/// The one read of a log on restart: the summaries and the log's
+/// [`GcTracker`], built in one pass over its durable records. Each
+/// record is decoded once and its images, participant list and Paxos
+/// instances move into its summary.
+pub fn analyze_log<L: StableLog + ?Sized>(log: &L) -> Result<(Summaries, GcTracker), WalError> {
+    let (mut map, mut gc) = (BTreeMap::new(), GcTracker::new());
+    for rec in log.records()? {
+        gc.note(rec.lsn, &rec.payload);
+        note(&mut map, rec);
+    }
+    Ok((map, gc))
 }
 
-fn note(map: &mut BTreeMap<TxnId, TxnLogSummary>, rec: &LogRecord) {
+fn note(map: &mut Summaries, rec: LogRecord) {
     if matches!(rec.payload, LogPayload::Checkpoint { .. }) {
         return;
     }
     let entry = map.entry(rec.payload.txn()).or_default();
-    match &rec.payload {
+    match rec.payload {
         LogPayload::Initiation {
             participants, mode, ..
-        } => {
-            entry.initiation = Some((*mode, participants.clone()));
-        }
+        } => entry.initiation = Some((mode, participants)),
         LogPayload::CoordDecision {
             outcome,
             participants,
             ..
         } => {
-            entry.decision = Some(*outcome);
-            entry.decision_participants = participants.clone();
+            entry.decision = Some(outcome);
+            entry.decision_participants = participants;
         }
         LogPayload::End { .. } => entry.ended = true,
         LogPayload::PaxosAccept {
             ballot, instances, ..
-        } => entry.paxos_accepts.push((*ballot, instances.clone())),
-        LogPayload::Prepared { coordinator, .. } => entry.prepared = Some(*coordinator),
-        LogPayload::PartDecision { outcome, .. } => entry.part_decision = Some(*outcome),
+        } => entry.paxos_accepts.push((ballot, instances)),
+        LogPayload::Prepared { coordinator, .. } => entry.prepared = Some(coordinator),
+        LogPayload::PartDecision { outcome, .. } => {
+            entry.part_decision.get_or_insert((outcome, rec.lsn));
+        }
         LogPayload::PartEnd { .. } => entry.part_ended = true,
         LogPayload::Update {
             key, before, after, ..
-        } => {
-            entry
-                .updates
-                .push((key.clone(), before.clone(), after.clone()));
-        }
+        } => entry.updates.push((key, before, after)),
         LogPayload::Checkpoint { .. } => unreachable!("filtered above"),
     }
 }
@@ -126,7 +131,7 @@ fn note(map: &mut BTreeMap<TxnId, TxnLogSummary>, rec: &LogRecord) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::Lsn;
+    use crate::FaultyLog;
     use acp_types::ProtocolKind;
 
     fn rec(lsn: u64, payload: LogPayload) -> LogRecord {
@@ -194,7 +199,7 @@ mod tests {
         );
         let m = analyze(&[prepared, decided]);
         assert!(!m[&t].in_doubt());
-        assert_eq!(m[&t].part_decision, Some(Outcome::Abort));
+        assert_eq!(m[&t].part_decision, Some((Outcome::Abort, Lsn(1))));
     }
 
     #[test]
@@ -243,6 +248,31 @@ mod tests {
         assert_eq!(m.len(), 2);
         assert!(m[&TxnId::new(1)].ended);
         assert!(m[&TxnId::new(2)].in_doubt());
+    }
+
+    /// The restart's one read agrees with the borrowing analysis and
+    /// with a tracker rebuilt on its own, and keeps the first decision's
+    /// LSN.
+    #[test]
+    fn analyze_log_is_analyze_and_the_tracker_in_one_pass() {
+        let (t1, t2) = (TxnId::new(1), TxnId::new(2));
+        let coordinator = SiteId::new(0);
+        let mut log = FaultyLog::new();
+        for payload in [
+            LogPayload::Prepared { txn: t1, coordinator },
+            LogPayload::Prepared { txn: t2, coordinator },
+            LogPayload::PartDecision { txn: t2, outcome: Outcome::Commit },
+            LogPayload::PartDecision { txn: t2, outcome: Outcome::Commit },
+            LogPayload::PartEnd { txn: t2 },
+        ] {
+            log.append(payload, true).unwrap();
+        }
+        let (summaries, gc) = analyze_log(&log).unwrap();
+        assert_eq!(summaries, analyze(&log.records().unwrap()));
+        assert_eq!(summaries[&t2].part_decision, Some((Outcome::Commit, Lsn(2))));
+        let rebuilt = GcTracker::from_log(&log).unwrap();
+        assert_eq!((gc.pinned(), gc.releasable()), (rebuilt.pinned(), rebuilt.releasable()));
+        assert_eq!(gc.pinned(), vec![t1]);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 # warning-free clippy run, the structural guards (one kernel, one
 # in-process host, one engine enum, one metrics path, one harness, one
 # log, observed costs, one copy per write, state leaves with its
-# transaction, one force per prepare, one owner one table, a byte-coded
-# history, one encoder, one instrument),
+# transaction, one force per prepare, one read per restart, one owner
+# one table, a byte-coded history, one encoder, one instrument),
 # warning-free rustdoc, the benchmark's smoke suite, and a regeneration
 # of every committed result with a diff against it. No step's pass/fail depends
 # on a wall-clock rate; the perf figures printed are information.
@@ -231,13 +231,15 @@ echo "== one copy per write: the client's buffers move, log records borrow them"
 # initiation and decision records, because a log encodes from a
 # reference (StableLog::append_ref). A clone of a key, an image or a
 # participant list in these files' non-test lines is the copy coming
-# back (prepare used to clone all three into every update record). A
+# back (prepare used to clone all three into every update record, and
+# a restart's analysis cloned every record's images and lists). A
 # timer id carries its wheel slot, so the wheel keeps no per-timer
 # index: a BTreeMap in timer.rs is that node per timer coming back.
 # As above, each pattern first meets its control line.
 copy_src="$(awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
     !test { print FILENAME ":" FNR ": " $0 }' \
-  crates/engine/src/site.rs crates/engine/src/txn.rs crates/core/src/coordinator/mod.rs)"
+  crates/engine/src/site.rs crates/engine/src/txn.rs crates/core/src/coordinator/mod.rs \
+  crates/wal/src/scan.rs)"
 copy_guards=(
   '\b(key|before|after)\.clone\(\)'  'let (key, before, after) = (key.clone(), w.before.clone(), w.after.clone());'
   '\bparticipants\.clone\(\)'        'participants: participants.clone(),'
@@ -319,6 +321,56 @@ for ((i = 0; i < ${#force_guards[@]}; i += 2)); do
   fi
 done
 nontest_lines crates/net/src crates/engine/src
+
+echo "== one read per restart: each engine analyzes its log once"
+# A restart used to decode a native participant's log four times: the
+# crash's tracker rebuild, recover_into's own rebuild and its analysis,
+# and the storage engine's redo scan, which sorted the records again by
+# its own copy of the analysis's rules. Each engine's recover_into now
+# makes one scan::analyze_log call, which builds the GC tracker in the
+# same pass, and the storage engine redoes from the participant's
+# analysis. A StableLog parameter on the storage engine's fn recover, a
+# PartDecision match in crates/engine/src or a GcTracker::from_log call
+# in a recover_into under crates/core/src is a second read coming back.
+# As above, each pattern first meets its control line, and the body
+# extractor its control function.
+engine_src="$(find crates/engine/src -name '*.rs' | sort \
+  | xargs awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { print FILENAME ":" FNR ": " $0 }')"
+read_guards=(
+  'fn recover\b.*\bStableLog\b'  '    pub fn recover<R: StableLog + ?Sized>(&mut self, redo: &R) -> Result<(), EngineError> {'
+  '\bPartDecision\b'             '                LogPayload::PartDecision { txn, outcome } => decided.push((txn, outcome)),'
+)
+for ((i = 0; i < ${#read_guards[@]}; i += 2)); do
+  pattern="${read_guards[i]}" control="${read_guards[i + 1]}"
+  echo "$control" | grep -qE "$pattern" \
+    || { echo "FAIL: the guard '$pattern' misses its control line '$control'"; exit 1; }
+  if echo "$engine_src" | grep -E "$pattern"; then
+    echo "FAIL: '$pattern' in crates/engine/src: the storage engine reads the protocol log itself"; exit 1
+  fi
+done
+# The non-test bodies of the `fn recover_into` methods of the files
+# given (or of stdin), each up to its closing brace at method depth.
+recover_bodies() {
+  awk 'FNR == 1 { test = 0; body = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
+       !test && /fn recover_into\(/ { body = 1 }
+       body { print FILENAME ":" FNR ": " $0 }
+       body && /^    }$/ { body = 0 }' "$@"
+}
+control_fn='    pub fn recover_into(&mut self, out: &mut Vec<Action>) {
+        self.gc = GcTracker::from_log(&self.log).expect("records");
+        let summaries = acp_wal::scan::analyze_log(&self.log).expect("records");
+    }'
+echo "$control_fn" | recover_bodies | grep -q 'GcTracker::from_log' \
+  || { echo "FAIL: the recover_into body extractor misses its control function"; exit 1; }
+mapfile -t core_files < <(find crates/core/src -name '*.rs' | sort)
+bodies="$(recover_bodies "${core_files[@]}")"
+if echo "$bodies" | grep -E 'GcTracker::from_log'; then
+  echo "FAIL: a recover_into under crates/core/src rebuilds its GC tracker in a pass of its own"; exit 1
+fi
+reads="$(echo "$bodies" | grep -cE 'analyze_log\(' || true)"
+[ "$reads" = 4 ] \
+  || { echo "$bodies" | grep -E 'analyze_log\('; echo "FAIL: want one analyze_log call in each engine's recover_into (4), found $reads"; exit 1; }
+nontest_lines crates/wal/src crates/core/src crates/engine/src crates/net/src
 
 echo "== one owner, one table: the coordinator's protocol table is a plain map"
 # The protocol table used to be 64 Mutex-guarded shards and an atomic

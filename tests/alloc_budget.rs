@@ -13,7 +13,7 @@ use common::engines::{Engines, KIND, PROTOCOLS};
 use common::runtime::{glacial, Backend, Running};
 use presumed_any::engine::SiteEngine;
 use presumed_any::prelude::*;
-use presumed_any::types::LogPayload;
+use presumed_any::types::{LogPayload, Payload};
 use presumed_any::wal::tempdir::TempDir;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -285,5 +285,72 @@ fn a_storage_engine_read_allocates_only_its_value() {
     assert!(
         allocs <= reads + 2,
         "{allocs} allocations for {reads} reads in the storage engine (budget: each value, and two table resizes)"
+    );
+}
+
+/// A restart of a participant and its storage engine, composed as the
+/// kernel composes them — the write set's redo staged in the
+/// participant's `FileLog` ahead of its prepared record, decisions
+/// enforced on the engine, one store-file checkpoint — over a log that
+/// holds committed, aborted and in-doubt transactions and was never
+/// collected. Crash both, then count what the restart allocates: the
+/// participant's recovery and the engine's redo from it. A record's
+/// images are decoded once and moved into the summaries, the store and
+/// the re-staged write sets, so what is counted is about one allocation
+/// per image, per summary and per restored entry.
+#[test]
+fn a_restart_allocates_within_its_budget_per_retained_record() {
+    DRIVER.with(|d| d.set(true));
+    let dir = TempDir::new("alloc-budget-restart").expect("tempdir");
+    let coordinator = SiteId::new(0);
+    let log = FileLog::create(dir.path().join("part.wal")).expect("log");
+    let mut part = Participant::new(SiteId::new(1), ProtocolKind::PrN, log);
+    let mut engine = SiteEngine::new(FileLog::create(dir.path().join("data.wal")).expect("log"));
+    let enforce = |engine: &mut SiteEngine<FileLog>, actions: Vec<Action>| {
+        for a in actions {
+            if let Action::Enforce { txn, outcome } = a {
+                engine.resolve(txn, outcome).expect("resolve");
+            }
+        }
+    };
+    for n in 1..=4 * BURST {
+        let txn = TxnId::new(n);
+        engine.begin(txn);
+        for site in 0..2 {
+            let key = format!("account/{n:016x}/{site}").into_bytes();
+            engine.put(txn, key, b"balance=100".to_vec()).expect("put");
+        }
+        let stage = |update: &LogPayload| part.stage_redo(update);
+        engine.prepare(txn, stage).expect("prepare");
+        let actions = part.on_prepare(coordinator, txn);
+        enforce(&mut engine, actions);
+        // Every fourth transaction stays in doubt; of the rest, every
+        // third aborts.
+        if n % 4 != 0 {
+            let outcome = if n % 3 == 0 { Outcome::Abort } else { Outcome::Commit };
+            let actions = part.on_message(coordinator, &Payload::Decision { txn, outcome });
+            enforce(&mut engine, actions);
+        }
+        if n == 2 * BURST {
+            engine.checkpoint_installed().expect("store file");
+        }
+    }
+    part.log_mut().flush().expect("flush");
+    let retained = part.log().records().expect("records").len() as u64;
+    part.crash();
+    engine.crash();
+
+    let mut out = Vec::with_capacity(4 * BURST as usize);
+    let before = MINE.get();
+    let protocol = part.recover_into(&mut out);
+    engine.recover(protocol).expect("storage recovery");
+    let per_record = (MINE.get() - before) as f64 / retained as f64;
+
+    assert_eq!(part.in_doubt_txns().len() as u64, BURST);
+    assert_eq!(engine.locked_keys() as u64, 2 * BURST, "in-doubt writes re-staged");
+    println!("restart: {per_record:.2} allocations per retained record ({retained} records)");
+    assert!(
+        per_record <= 2.2,
+        "{per_record:.2} allocations per retained record in a restart (budget 2.2)"
     );
 }

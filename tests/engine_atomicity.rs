@@ -120,8 +120,8 @@ impl Site {
         self.part.crash();
         self.engine.crash();
         assert!(self.engine.store().is_empty(), "volatile store cleared");
-        drop(self.part.recover());
-        self.engine.recover(self.part.log()).expect("recover");
+        let protocol = self.part.recover_into(&mut Vec::new());
+        self.engine.recover(protocol).expect("recover");
         for txn in self.part.in_doubt_txns() {
             let outcome = self.decided[&txn];
             let actions = self
@@ -226,8 +226,8 @@ proptest! {
         site.decided.insert(doubt, outcome(doubt_commits));
         site.part.crash();
         site.engine.crash();
-        drop(site.part.recover());
-        site.engine.recover(site.part.log()).expect("recover");
+        let protocol = site.part.recover_into(&mut Vec::new());
+        site.engine.recover(protocol).expect("recover");
 
         prop_assert!(site.engine.is_prepared(doubt), "re-staged in doubt");
         // Its key is blocked for everyone else.
