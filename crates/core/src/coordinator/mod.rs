@@ -473,7 +473,7 @@ impl<L: StableLog> Coordinator<L> {
     ) -> Result<(), WalError> {
         let kind = payload.kind_name();
         let lsn = self.log.next_lsn();
-        self.gc.note(lsn, payload);
+        self.gc.note_pending(lsn, payload, self.log.durable_end());
         self.log.append_ref(payload, force)?;
         out.push(Action::Acta(ActaEvent::LogWrite {
             site: self.site,
@@ -886,38 +886,56 @@ impl<L: StableLog> Coordinator<L> {
         self.gc = GcTracker::from_log(&self.log).expect("records");
     }
 
-    /// Garbage-collect the releasable log prefix. Returns the number of
-    /// records reclaimed.
+    /// Records below the durable releasable point that the log still
+    /// holds: what [`Coordinator::collect_garbage`] would reclaim now.
+    #[must_use]
+    pub fn releasable_records(&self) -> u64 {
+        self.gc.releasable_records(&self.log)
+    }
+
+    /// Garbage-collect the *durable* part of the releasable log prefix
+    /// ([`GcTracker::collect`]). Returns the number of records reclaimed.
+    ///
+    /// Never flushes: a lazy `end` record still in the volatile buffer
+    /// rides the next force, and its transaction is collected by the
+    /// collection after that. Until then the transaction keeps its
+    /// first record pinned, so a crash cannot keep its decision record
+    /// and lose its initiation record. The participant's cut is looser
+    /// ([`Participant::collect_garbage`]).
     ///
     /// A failed GC write is returned, not raised, and changes nothing:
     /// the log keeps its records and mark, the tracker its view, and the
-    /// next call releases the same prefix. A failed flush is returned
-    /// too; the log then refuses writes until the site recovers.
+    /// next call releases the same prefix.
+    ///
+    /// [`Participant::collect_garbage`]: crate::Participant::collect_garbage
     pub fn collect_garbage(&mut self) -> Result<usize, WalError> {
-        let releasable = self.gc.releasable();
-        if releasable <= self.log.low_water_mark() {
-            return Ok(0);
-        }
-        // The releasable point may cover lazy records still in the
-        // volatile buffer; make them durable before truncating.
-        self.log.flush()?;
-        let before = self.log.stats().truncated;
-        self.log.truncate_prefix(releasable)?;
-        Ok((self.log.stats().truncated - before) as usize)
+        self.gc.collect(&mut self.log)
     }
 
-    /// The engine's own collection after a transaction ends
-    /// (`auto_gc`): a failed one is left for the next to retry.
+    /// The engine's own collection after a transaction ends (`auto_gc`).
     fn auto_collect(&mut self, out: &mut Vec<Action>) {
-        if !self.auto_gc {
-            return;
+        if self.auto_gc {
+            flush_and_collect(&self.gc, &mut self.log, out);
         }
-        if let Ok(released @ 1..) = self.collect_garbage() {
-            out.push(Action::Gc {
-                released_up_to: self.log.low_water_mark().0,
-                records_released: released as u64,
-            });
-        }
+    }
+}
+
+/// The per-transaction collection of a coordinator or Paxos member with
+/// `auto_gc` on: the one collection that flushes first. Its hosts (the
+/// simulator harness and the explorer) have no turns and no later force
+/// to wait for, so the transaction that just ended is collected now, as
+/// the paper's schedules show it; a host with turns collects with
+/// [`GcTracker::collect`] alone. A failed flush or GC write is left for
+/// the next call to retry.
+pub(crate) fn flush_and_collect<L: StableLog>(gc: &GcTracker, log: &mut L, out: &mut Vec<Action>) {
+    if gc.releasable() <= log.low_water_mark() || log.flush().is_err() {
+        return;
+    }
+    if let Ok(released @ 1..) = gc.collect(log) {
+        out.push(Action::Gc {
+            released_up_to: log.low_water_mark().0,
+            records_released: released as u64,
+        });
     }
 }
 

@@ -1046,6 +1046,104 @@ mod gc {
             assert_eq!(c.log().image().len() < image, compacts, "{txns} txns");
         }
     }
+
+    /// A PrAny coordinator over PrN, PrA and PrC whose log holds a
+    /// transaction split by a buffered end: T1 ends and its end becomes
+    /// durable with T4's initiation; T4, T5 and T6 are initiated; T4
+    /// and T5 decide and end, their `end` records still buffered; T6
+    /// never decides, so it pins the log between their records.
+    ///
+    /// `init(T1) dec(T1) end(T1) init(T4) init(T5) init(T6) dec(T4)
+    /// dec(T5) | end(T4) end(T5)`, durable below LSN 8.
+    fn buffered_ends_around_a_pinned_txn() -> Coordinator<MemLog> {
+        let kind = CoordinatorKind::PrAny(SelectionPolicy::PaperStrict);
+        let mut c = coordinator(kind, &[ProtocolKind::PrN, ProtocolKind::PrA, ProtocolKind::PrC]);
+        c.auto_gc = false;
+        let decide = |c: &mut Coordinator<MemLog>, txn: TxnId| {
+            for s in 1..=3 {
+                vote(c, txn, s, Vote::Yes);
+            }
+        };
+        let ack_all = |c: &mut Coordinator<MemLog>, txn: TxnId| {
+            for s in sites(3) {
+                c.on_message(s, &Payload::Ack { txn });
+            }
+        };
+        let txn = TxnId::new;
+        c.begin_commit(txn(1), &sites(3));
+        decide(&mut c, txn(1));
+        ack_all(&mut c, txn(1));
+        for t in [4, 5, 6] {
+            c.begin_commit(txn(t), &sites(3));
+        }
+        for t in [4, 5] {
+            decide(&mut c, txn(t));
+        }
+        for t in [4, 5] {
+            ack_all(&mut c, txn(t));
+        }
+        assert_eq!(c.log().durable_end(), acp_wal::Lsn(8));
+        assert_eq!(c.log().next_lsn(), acp_wal::Lsn(10));
+        assert_eq!(c.log_pinned(), vec![txn(6)]);
+        c
+    }
+
+    /// The collection stops below T4, whose end is buffered: it releases
+    /// T1 only. The crash then loses both ends, and recovery re-drives
+    /// T4 and T5 from their initiation and decision records: commit to
+    /// the PrN and PrA participants, whose acks close them.
+    #[test]
+    fn a_collection_never_splits_a_transaction_whose_end_is_buffered() {
+        let mut c = buffered_ends_around_a_pinned_txn();
+        assert_eq!(c.releasable_records(), 3);
+        assert_eq!(c.collect_garbage().unwrap(), 3, "T1's three records");
+        assert_eq!(c.log().low_water_mark(), acp_wal::Lsn(3));
+        c.crash();
+        let a = c.recover();
+        let mut resent: Vec<(u64, u32, bool)> = sent_payloads(&a)
+            .into_iter()
+            .filter_map(|(to, p)| match p {
+                Payload::Decision { txn, outcome } => {
+                    Some((txn.raw(), to.raw(), outcome == Outcome::Commit))
+                }
+                _ => None,
+            })
+            .collect();
+        resent.sort_unstable();
+        // T4 and T5 commit to PrN and PrA; T6 aborts to PrN and PrC.
+        let expect = [(4, 1, true), (4, 2, true), (5, 1, true), (5, 2, true)];
+        assert_eq!(resent, [&expect[..], &[(6, 1, false), (6, 3, false)]].concat());
+        for t in [4, 5] {
+            let txn = TxnId::new(t);
+            assert!(c.in_flight(txn), "T{t} re-driven");
+            for s in [1, 2] {
+                c.on_message(SiteId::new(s), &Payload::Ack { txn });
+            }
+            assert!(!c.in_flight(txn), "T{t} closed");
+        }
+        // Once the next force makes the ends durable, the next
+        // collection takes T4 and T5 and stops at T6.
+        c.log_mut().flush().unwrap();
+        c.collect_garbage().unwrap();
+        assert_eq!(c.log_pinned(), vec![TxnId::new(6)]);
+        let first = c.log().records().unwrap()[0].payload.txn();
+        assert_eq!(first, TxnId::new(6));
+    }
+
+    /// Negative control: the participant's cut (the releasable point
+    /// capped at the durable end) on the same log releases T4's and T5's
+    /// initiation records, and after the crash recovery finds their
+    /// decision records with no participant list and no initiation.
+    #[test]
+    #[should_panic(expected = "transaction with no participants")]
+    fn the_participants_cut_splits_it_and_recovery_panics() {
+        let mut c = buffered_ends_around_a_pinned_txn();
+        let cut = c.gc.releasable().min(c.log().durable_end());
+        assert_eq!(cut, acp_wal::Lsn(5), "below T6, above T4's and T5's initiations");
+        c.log_mut().truncate_prefix(cut).unwrap();
+        c.crash();
+        let _ = c.recover();
+    }
 }
 
 /// The records that borrow the participant list give it back whatever

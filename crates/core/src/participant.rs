@@ -606,6 +606,15 @@ impl<L: StableLog> Participant<L> {
     /// durable in its own store first: once these records are gone, the
     /// store is the only copy of a committed transaction's values.
     ///
+    /// The cut is the releasable point capped at the durable end, not
+    /// the coordinator's stricter [`GcTracker::releasable_at`]: a crash
+    /// that keeps a transaction's decision record above the cut and
+    /// loses its buffered `part-end` leaves a split transaction, and
+    /// [`Participant::recover_into`] closes it from its decision record
+    /// alone (its values are in the store file by then). The stricter
+    /// cut would only hold more records back: compactions then copy
+    /// ≈ 14 B more per commit on a burst load.
+    ///
     /// A failed GC write is returned, not raised, and changes nothing:
     /// the log keeps its records and mark, the tracker its view, and the
     /// next call releases the same prefix.

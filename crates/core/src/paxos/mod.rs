@@ -55,11 +55,11 @@
 //! complete everywhere that matters.
 
 use crate::action::{Action, TimerPurpose};
-use crate::coordinator::MAX_DECISION_RESENDS;
+use crate::coordinator::{flush_and_collect, MAX_DECISION_RESENDS};
 
 use acp_acta::ActaEvent;
 use acp_types::{LogPayload, Outcome, Payload, SiteId, TxnId, Vote};
-use acp_wal::{GcTracker, StableLog};
+use acp_wal::{GcTracker, StableLog, WalError};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Ballot numbers are `round * BALLOT_STRIDE + acceptor_rank`, so every
@@ -367,7 +367,7 @@ impl<L: StableLog> PaxosNode<L> {
     fn append(&mut self, txn: TxnId, payload: LogPayload, force: bool, out: &mut Vec<Action>) {
         let kind = payload.kind_name();
         let lsn = self.log.next_lsn();
-        self.gc.note(lsn, &payload);
+        self.gc.note_pending(lsn, &payload, self.log.durable_end());
         self.log.append(payload, force).expect("paxos log append");
         out.push(Action::Acta(ActaEvent::LogWrite {
             site: self.site,
@@ -419,30 +419,27 @@ impl<L: StableLog> PaxosNode<L> {
         self.arm_timer(txn, TimerPurpose::PaxosCompletion, attempt, out);
     }
 
-    fn maybe_gc(&mut self, out: &mut Vec<Action>) {
+    /// The engine's own collection after a transaction ends (`auto_gc`).
+    fn auto_collect(&mut self, out: &mut Vec<Action>) {
         if self.auto_gc {
-            let released = self.collect_garbage();
-            if released > 0 {
-                out.push(Action::Gc {
-                    released_up_to: self.log.low_water_mark().0,
-                    records_released: released as u64,
-                });
-            }
+            flush_and_collect(&self.gc, &mut self.log, out);
         }
     }
 
-    /// Garbage-collect the releasable log prefix. Returns the number of
-    /// records reclaimed.
-    pub fn collect_garbage(&mut self) -> usize {
-        let releasable = self.gc.releasable();
-        if releasable > self.log.low_water_mark() {
-            self.log.flush().expect("flush before gc");
-            let before = self.log.stats().truncated;
-            self.log.truncate_prefix(releasable).expect("truncate");
-            (self.log.stats().truncated - before) as usize
-        } else {
-            0
-        }
+    /// Records below the durable releasable point that the log still
+    /// holds: what [`PaxosNode::collect_garbage`] would reclaim now.
+    #[must_use]
+    pub fn releasable_records(&self) -> u64 {
+        self.gc.releasable_records(&self.log)
+    }
+
+    /// Garbage-collect the *durable* part of the releasable log prefix,
+    /// by the coordinator's rule ([`GcTracker::collect`]): no flush, and
+    /// a transaction whose `end` is still buffered keeps its first
+    /// record. Returns the number of records reclaimed; a failed GC
+    /// write is returned and changes nothing.
+    pub fn collect_garbage(&mut self) -> Result<usize, WalError> {
+        self.gc.collect(&mut self.log)
     }
 
     // -- protocol entry points ------------------------------------------
@@ -806,7 +803,7 @@ impl<L: StableLog> PaxosNode<L> {
             }
         }
         self.forgotten.insert(txn);
-        self.maybe_gc(out);
+        self.auto_collect(out);
     }
 
     // -- acceptor -------------------------------------------------------
@@ -898,7 +895,7 @@ impl<L: StableLog> PaxosNode<L> {
         if st.logged_any {
             self.append(txn, LogPayload::End { txn }, false, out);
         }
-        self.maybe_gc(out);
+        self.auto_collect(out);
     }
 
     // -- failover candidate ---------------------------------------------
@@ -1066,7 +1063,7 @@ impl<L: StableLog> PaxosNode<L> {
                 if st.logged_any {
                     self.append(txn, LogPayload::End { txn }, false, out);
                 }
-                self.maybe_gc(out);
+                self.auto_collect(out);
             }
             return;
         }

@@ -60,6 +60,13 @@ pub struct SiteSummary {
     pub enforced: BTreeMap<TxnId, Outcome>,
     /// Transactions still pinning the site's protocol log.
     pub log_pinned: Vec<TxnId>,
+    /// Releasable records the site's protocol log still holds: the
+    /// backlog the kernel's collection cadence measures against
+    /// [`GC_RECORDS`](crate::GC_RECORDS) — durable ones at the
+    /// coordinator and a Paxos member, durable or buffered at a native
+    /// participant, and 0 at a gateway, whose log is not collected. For
+    /// a coordinator sliced over N reactors, the largest slice's.
+    pub log_releasable: u64,
     /// Committed key-value pairs (participants; a gateway's legacy
     /// system).
     pub committed: BTreeMap<Vec<u8>, Vec<u8>>,

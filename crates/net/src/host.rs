@@ -67,10 +67,11 @@ pub(crate) type Mail = (SiteId, Envelope);
 /// How long an idle kernel sleeps when nothing has a deadline.
 const IDLE_SLEEP: Duration = Duration::from_millis(50);
 
-/// Releasable records a native participant's protocol log gathers
-/// before the kernel collects it: one header write (or, past the
-/// reclaim floor, one compaction) per this many, not per turn.
-const PART_GC_RECORDS: u64 = 128;
+/// Releasable records a protocol log gathers before the kernel collects
+/// it: one header write (or, past the reclaim floor, one compaction) per
+/// this many, not per turn. The one cadence for every collected log:
+/// the coordinator's, a Paxos member's and a native participant's.
+pub const GC_RECORDS: u64 = 128;
 
 /// What a backend adds to the kernel: where envelopes for sites hosted
 /// elsewhere go, and how the loop waits for more input.
@@ -289,20 +290,9 @@ fn run_site_actions<T: Transport>(
                     storage.resolve(txn, outcome).expect("resolve");
                 }
             }
-            Action::Gc {
-                released_up_to,
-                records_released,
-            } => {
-                if let Some(obs) = &host.obs {
-                    observe_gc(
-                        obs,
-                        host.site,
-                        released_up_to,
-                        records_released,
-                        host.last_decision_us,
-                    );
-                }
-            }
+            // Only an engine's own `auto_gc` collection emits this, and
+            // the kernel turns that off: it collects in `gc_turns`.
+            Action::Gc { .. } => {}
         }
     }
 }
@@ -543,7 +533,8 @@ impl<T: Transport> Kernel<T> {
                 // own WAL, so a killed process recovers from it.
                 Some(pc) if pc.acceptors.contains(&site) => {
                     let (log, existed) = protocol_log(wal("paxos"))?;
-                    let engine = PaxosNode::new(site, pc.clone(), log);
+                    let mut engine = PaxosNode::new(site, pc.clone(), log);
+                    engine.auto_gc = false; // by the kernel's cadence instead: `gc_turns`
                     (AnyEngine::Paxos(engine), ProtoLabel::Paxos, existed)
                 }
                 _ if site == COORDINATOR => {
@@ -552,7 +543,7 @@ impl<T: Transport> Kernel<T> {
                     for (i, &p) in cc.participant_protocols.iter().enumerate() {
                         engine.register_site(SiteId::new(i as u32 + 1), p);
                     }
-                    engine.auto_gc = false; // once per turn instead: `gc_turns`
+                    engine.auto_gc = false; // by the kernel's cadence instead: `gc_turns`
                     let label = ProtoLabel::of_coordinator(cc.kind);
                     (AnyEngine::Coord(engine), label, existed)
                 }
@@ -897,61 +888,66 @@ impl<T: Transport> Kernel<T> {
         self.ctx.domain.end_round();
     }
 
-    /// End-of-turn log GC, after the batch forced.
+    /// End-of-turn log GC, after the batch forced: one collection rule
+    /// and one cadence for every protocol log the kernel hosts.
     ///
-    /// The coordinator's log is collected every turn that released
-    /// something. Left to itself its engine truncates after every
-    /// finished transaction (`auto_gc`), but each truncation is a synced
-    /// write to the log's header (and, once enough is dead, a
-    /// compaction), which a turn finishing thousands of transactions
-    /// would pay thousands of times; one collection covers them all.
+    /// A log is collected once [`GC_RECORDS`] of its records are
+    /// releasable, and only their durable part: a collection never
+    /// flushes, so it costs no sync beyond its GC write (a synced header
+    /// write or, past the reclaim floor, a compaction), one per
+    /// [`GC_RECORDS`] records rather than one per turn. A lazy `end` or
+    /// `part-end` record rides the site's next force and is collected by
+    /// a collection after that. The coordinator and a Paxos member cut
+    /// below any transaction whose `end` is still buffered
+    /// ([`acp_wal::GcTracker::releasable_at`]), so a crash cannot split
+    /// one; a native participant closes a split transaction from its
+    /// decision record and cuts at the durable end
+    /// ([`Participant::collect_garbage`]).
     ///
-    /// A native participant's protocol log is collected too, so every
-    /// site forgets (Definition 1), but only once [`PART_GC_RECORDS`]
-    /// of its records are releasable, and only their durable part:
-    /// the collection never flushes, and a lazy `part-end` is collected
-    /// after the site's next force. The store file comes first: the
-    /// values installed since its last record are appended and synced
-    /// there ([`SiteEngine::checkpoint_installed`]), one sync per
-    /// collection round, because the collection releases committed
-    /// transactions' redo, and then the store file is their only copy.
-    /// A failed store write skips the collection.
-    /// Participant collections emit no trace event: the traced `forget`
-    /// phase and the `GcRuns` counter stay the coordinator's. A site
-    /// inside its outage is left alone. A failed collection is counted in
+    /// A native participant's store file comes first: the values
+    /// installed since its last record are appended and synced there
+    /// ([`SiteEngine::checkpoint_installed`]), one sync per collection
+    /// round, because the collection releases committed transactions'
+    /// redo, and then the store file is their only copy. A failed store
+    /// write skips the collection. Participant collections emit no trace
+    /// event: the traced `forget` phase and the `GcRuns` counter stay
+    /// the coordinator's (or the Paxos members'). A site inside its
+    /// outage is left alone. A failed collection is counted in
     /// [`ReactorStats::failed_gcs`] and changes nothing; the next turn
     /// tries again.
     fn gc_turns(&mut self) {
         let now = self.ctx.now;
         for SiteState { host, engine, data } in &mut self.sites {
-            match (engine, data) {
-                (AnyEngine::Coord(engine), _) => {
-                    match engine.collect_garbage() {
-                        Ok(0) => {}
-                        Ok(released) => {
-                            if let Some(obs) = &host.obs {
-                                observe_gc(
-                                    obs,
-                                    host.site,
-                                    acp_wal::StableLog::low_water_mark(engine.log()).0,
-                                    released as u64,
-                                    host.last_decision_us,
-                                );
-                            }
-                        }
-                        Err(_) => self.ctx.stats.failed_gcs += 1,
-                    }
+            if host.is_down(now) {
+                continue;
+            }
+            let released = match (&mut *engine, data) {
+                (AnyEngine::Coord(c), _) if c.releasable_records() >= GC_RECORDS => {
+                    c.collect_garbage()
                 }
-                (AnyEngine::Part(part), Some(d))
-                    if part.releasable_records() >= PART_GC_RECORDS && !host.is_down(now) =>
-                {
+                (AnyEngine::Paxos(p), _) if p.releasable_records() >= GC_RECORDS => {
+                    p.collect_garbage()
+                }
+                (AnyEngine::Part(part), Some(d)) if part.releasable_records() >= GC_RECORDS => {
                     let collected =
                         d.storage.checkpoint_installed().is_ok() && part.collect_garbage().is_ok();
                     if !collected {
                         self.ctx.stats.failed_gcs += 1;
                     }
+                    continue;
                 }
-                _ => {}
+                _ => continue,
+            };
+            match released {
+                Ok(0) => {}
+                Ok(released) => {
+                    if let Some(obs) = &host.obs {
+                        let low = acp_wal::StableLog::low_water_mark(engine.log()).0;
+                        let last = host.last_decision_us;
+                        observe_gc(obs, host.site, low, released as u64, last);
+                    }
+                }
+                Err(_) => self.ctx.stats.failed_gcs += 1,
             }
         }
     }
@@ -1008,6 +1004,12 @@ impl<T: Transport> Kernel<T> {
                 coordinator_table_size = engine.protocol_table_size();
             }
             let log_pinned = engine.log_pinned();
+            let log_releasable = match &engine {
+                AnyEngine::Coord(c) => c.releasable_records(),
+                AnyEngine::Paxos(p) => p.releasable_records(),
+                AnyEngine::Part(p) => p.releasable_records(),
+                AnyEngine::Gateway(_) => 0,
+            };
             let (enforced, committed) = match (engine, data) {
                 (AnyEngine::Part(p), Some(d)) => {
                     let committed = d.storage.store().iter();
@@ -1024,6 +1026,7 @@ impl<T: Transport> Kernel<T> {
                 site,
                 enforced,
                 log_pinned,
+                log_releasable,
                 committed,
             });
         }
@@ -1235,6 +1238,14 @@ mod tests {
             }
             self.kernel.ctx.now = Instant::now();
             assert!(self.kernel.drain_envelopes());
+        }
+
+        /// The coordinator hosted as site 0.
+        fn coordinator(&self) -> &Coordinator<NetLog> {
+            match &self.kernel.sites[self.kernel.owned[&COORDINATOR]].engine {
+                AnyEngine::Coord(c) => c,
+                _ => unreachable!("site 0 is a coordinator"),
+            }
         }
 
         /// The native participant hosted as `site`.
@@ -1590,7 +1601,7 @@ mod tests {
     }
 
     /// Definition 1 on disk: 2 000 commits one at a time, so a
-    /// coordinator GC in every turn that finishes one, leave
+    /// coordinator GC every [`GC_RECORDS`] durable records, leave
     /// `coord-0.wal` within twice its live frames plus the reclaim floor
     /// and the header, and reopening it yields exactly the records the
     /// log holds in memory.
@@ -1620,7 +1631,7 @@ mod tests {
     /// every turn that collected its log, when the collected commits'
     /// values are in its store file only, and all three once more at
     /// the end. Then each participant has collected (its mark moved),
-    /// holds fewer than [`PART_GC_RECORDS`] releasable durable records
+    /// holds fewer than [`GC_RECORDS`] releasable durable records
     /// beside its live ones, keeps its WAL file within twice its live
     /// frames plus the reclaim floor and the header and its store file
     /// within twice a checkpoint of its store plus the floor, and has
@@ -1673,7 +1684,7 @@ mod tests {
             let records = acp_wal::StableLog::records(p.log()).expect("records");
             let live = records.iter().filter(|r| r.lsn.raw() >= releasable).count();
             assert!(
-                records.len() <= PART_GC_RECORDS as usize + live,
+                records.len() <= GC_RECORDS as usize + live,
                 "site {site}: {} records held, {live} live",
                 records.len()
             );
@@ -1725,6 +1736,95 @@ mod tests {
         participants_forget_and_lose_no_commit(false);
     }
 
+    /// A coordinator crash with ended transactions' `end` records still
+    /// buffered. One-at-a-time commits run until the coordinator's log
+    /// has been collected once; then a batch commits together, and its
+    /// acks end its transactions in a turn that forces nothing. The crash
+    /// loses those ends (and only those: an end the next force covered
+    /// is durable), and recovery re-sends the decisions of exactly those
+    /// transactions; the PrN and PrA participants acknowledge. The table
+    /// empties, every committed value is present, and once the next
+    /// commit's force makes the new ends durable the log holds fewer
+    /// than [`GC_RECORDS`] releasable records and that commit's own.
+    #[test]
+    fn a_coordinator_crash_with_buffered_ends_redrives_exactly_those() {
+        let mut r = rig(glacial());
+        let key = |t: u64| format!("k{t}").into_bytes();
+        let low = |r: &Rig| acp_wal::StableLog::low_water_mark(r.coordinator().log());
+        let commit = |r: &mut Rig, txns: &[u64]| {
+            let outcomes: Vec<_> = txns
+                .iter()
+                .map(|&t| r.submit_write(TxnId::new(t), &key(t)))
+                .collect();
+            while r.kernel.turn() {}
+            for (t, outcome) in txns.iter().zip(outcomes) {
+                assert_eq!(outcome.try_recv(), Ok(Outcome::Commit), "txn {t}");
+            }
+        };
+        let mut t = 0;
+        while low(&r) == acp_wal::Lsn::ZERO {
+            t += 1;
+            commit(&mut r, &[t]);
+        }
+        let batch: Vec<u64> = (t + 1..=t + 6).collect();
+        commit(&mut r, &batch);
+        t += batch.len() as u64;
+        assert_eq!(r.coordinator().protocol_table_size(), 0);
+        // A coordinator's only lazy records are `end`s, so the log's
+        // buffered tail is its last `non_forced_write`s.
+        let log = r.coordinator().log() as &dyn acp_wal::StableLog;
+        let (next, durable) = (log.next_lsn(), log.durable_end());
+        let tail = next.raw() - durable.raw();
+        let lazy_ends = |e: ProtocolEvent| match e {
+            ProtocolEvent::NonForcedWrite { site: 0, record: "end", txn, .. } => txn,
+            _ => None,
+        };
+        let ends: Vec<u64> = r.sink.snapshot().into_iter().filter_map(lazy_ends).collect();
+        let buffered: BTreeSet<u64> = ends[ends.len() - tail as usize..].iter().copied().collect();
+        assert!(buffered.len() >= 2, "several buffered ends: {buffered:?}");
+        assert!(buffered.iter().all(|n| batch.contains(n)));
+
+        let mark = r.sink.snapshot().len();
+        let down_for = Duration::from_millis(1);
+        r.send(COORDINATOR, Envelope::Crash { down_for });
+        r.kernel.turn();
+        std::thread::sleep(2 * down_for);
+        while r.kernel.turn() {}
+        let after: Vec<ProtocolEvent> = r.sink.snapshot().split_off(mark);
+        let at_coordinator = |kind: &str, sites: &[u32]| -> BTreeSet<(u64, u32)> {
+            let seen = |e: &ProtocolEvent| match *e {
+                ProtocolEvent::MsgSend { site: 0, to, kind: k, txn, .. } if k == kind => {
+                    Some((txn?, to))
+                }
+                ProtocolEvent::MsgRecv { site: 0, from, kind: k, txn, .. } if k == kind => {
+                    Some((txn?, from))
+                }
+                _ => None,
+            };
+            let seen = after.iter().filter_map(seen);
+            seen.filter(|(_, s)| sites.contains(s)).collect()
+        };
+        let prn_and_pra: BTreeSet<(u64, u32)> =
+            buffered.iter().flat_map(|&n| [(n, 1), (n, 2)]).collect();
+        assert_eq!(at_coordinator("decision", &[1, 2, 3]), prn_and_pra, "re-sent");
+        assert_eq!(at_coordinator("ack", &[1, 2, 3]), prn_and_pra, "answered");
+        assert_eq!(r.coordinator().protocol_table_size(), 0);
+        for site in PARTS {
+            for n in 1..=t {
+                let value = r.storage(site).committed_get(&key(n));
+                assert_eq!(value, Some(b"v".as_slice()), "site {site}: txn {n}");
+            }
+        }
+
+        t += 1;
+        commit(&mut r, &[t]);
+        let c = r.coordinator();
+        assert!(c.log_pinned().is_empty());
+        assert!(c.releasable_records() < GC_RECORDS);
+        let held = acp_wal::StableLog::records(c.log()).expect("records").len() as u64;
+        assert_eq!(held, c.releasable_records() + 2, "and the last commit's two");
+    }
+
     /// A crash between a participant's two collection steps: its store
     /// file's checkpoint is synced, its protocol log's collection is not
     /// made (the log refuses the GC write and keeps every record), and
@@ -1743,7 +1843,7 @@ mod tests {
         let key = |t: u64| format!("k{t}").into_bytes();
         // A PrC commit leaves four records: redo, prepared, commit, end.
         let mut t = 0;
-        while r.participant(prc).releasable_records() + 4 < PART_GC_RECORDS {
+        while r.participant(prc).releasable_records() + 4 < GC_RECORDS {
             t += 1;
             let outcome = r.submit_write(TxnId::new(t), &key(t));
             while r.kernel.turn() {}

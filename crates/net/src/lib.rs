@@ -49,6 +49,7 @@ pub mod wire;
 pub use client::ClientHandle;
 pub use cluster::{ClusterConfig, ClusterReport, SiteSummary};
 pub use envelope::Envelope;
+pub use host::GC_RECORDS;
 pub use reactor::{
     InflightGauge, ReactorCluster, ReactorConfig, ReactorReport, ReactorStats, ShardSummary,
 };

@@ -423,6 +423,7 @@ impl ReactorCluster {
         let mut group_commit = GroupCommitStats::default();
         let (mut logical_forces, mut physical_syncs, mut coordinator_table_size) = (0, 0, 0);
         let mut coord_pinned: Vec<TxnId> = Vec::new();
+        let mut coord_releasable = 0;
         let mut participant_sites: BTreeMap<u32, SiteSummary> = BTreeMap::new();
         let mut per_shard = Vec::with_capacity(reports.len());
         for (shard, r) in reports.into_iter().enumerate() {
@@ -443,6 +444,7 @@ impl ReactorCluster {
             });
             for summary in r.sites {
                 if summary.site == COORDINATOR {
+                    coord_releasable = coord_releasable.max(summary.log_releasable);
                     coord_pinned.extend(summary.log_pinned);
                 } else {
                     participant_sites.insert(summary.site.raw(), summary);
@@ -454,6 +456,7 @@ impl ReactorCluster {
             site: COORDINATOR,
             enforced: BTreeMap::new(),
             log_pinned: coord_pinned,
+            log_releasable: coord_releasable,
             committed: BTreeMap::new(),
         };
         let sites = std::iter::once(coordinator)

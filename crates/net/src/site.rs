@@ -41,8 +41,9 @@ impl Default for NetDelays {
     }
 }
 
-/// Upper bound on any backed-off delay.
-const MAX_BACKOFF: Duration = Duration::from_secs(5);
+/// Upper bound on any backed-off delay: a protocol timer's and a
+/// socket node's redial.
+pub(crate) const MAX_BACKOFF: Duration = Duration::from_secs(5);
 
 impl NetDelays {
     /// The real-time delay for a timer purpose at a given retry

@@ -20,8 +20,8 @@
 //! ```
 //!
 //! with bounded exponential backoff — `min(base · 2^attempt, 5 s)`,
-//! the same shape as [`crate::site::NetDelays::delay`] so transport
-//! retries and protocol retries back off alike.
+//! the schedule [`crate::site::NetDelays::delay`] arms protocol timers
+//! by, so transport retries and protocol retries back off alike.
 //!
 //! What a connection owes its peer is **one out-buffer** of encoded
 //! frames back to back, with a cursor at the first byte the socket has
@@ -39,6 +39,8 @@
 //! delivery is tolerated by paper requirement, §2) — a torn one never.
 
 use super::frame::{frame_boundary, FrameDecoder};
+use crate::site::MAX_BACKOFF;
+use acp_core::TimerPurpose;
 use acp_obs::WireMetrics;
 use std::io::{self, Write};
 use std::net::TcpStream;
@@ -47,20 +49,16 @@ use std::time::{Duration, Instant};
 /// First retry delay after a failed dial or lost connection.
 pub(crate) const BACKOFF_BASE: Duration = Duration::from_millis(25);
 
-/// Backoff ceiling — matches the protocol-timer cap in
-/// [`crate::site::NetDelays`].
-pub(crate) const MAX_BACKOFF: Duration = Duration::from_secs(5);
-
-/// Doublings beyond which the backoff stops growing (the cap bites
-/// long before this; mirrors the protocol-timer constant).
-const BACKOFF_SHIFT_CAP: u32 = 16;
-
-/// Bounded exponential backoff for dial attempt `attempt` (0-based).
+/// Bounded exponential backoff for dial attempt `attempt` (0-based):
+/// the protocol timers' schedule ([`TimerPurpose::retry_delay_us`])
+/// from [`BACKOFF_BASE`] without jitter, so a dial names no purpose of
+/// its own (the schedule reads the purpose only to salt the jitter).
 #[must_use]
 pub(crate) fn backoff(attempt: u32) -> Duration {
-    BACKOFF_BASE
-        .saturating_mul(1u32 << attempt.min(BACKOFF_SHIFT_CAP).min(31))
-        .min(MAX_BACKOFF)
+    let us = |d: Duration| d.as_micros() as u64;
+    let unsalted = TimerPurpose::InquiryRetry;
+    let delay = unsalted.retry_delay_us(us(BACKOFF_BASE), us(MAX_BACKOFF), attempt, None);
+    Duration::from_micros(delay)
 }
 
 /// One outbound connection: the only sender-side state for a remote

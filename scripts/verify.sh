@@ -3,7 +3,8 @@
 # warning-free clippy run, the structural guards (one kernel, one
 # in-process host, one engine enum, one metrics path, one harness, one
 # log, observed costs, one copy per write, state leaves with its
-# transaction, one force per prepare, one read per restart, one owner
+# transaction, one force per prepare, one read per restart, one
+# collection rule and cadence, one owner
 # one table, a byte-coded history, one encoder, one instrument),
 # warning-free rustdoc, the benchmark's smoke suite, and a regeneration
 # of every committed result with a diff against it. No step's pass/fail depends
@@ -181,17 +182,46 @@ literals="$(grep -rnE "$floor" crates tests src examples --include='*.rs' | cut 
 [ "$literals" = "crates/wal/src/framed.rs" ] \
   || { echo "$literals"; echo "FAIL: the reclaim floor's value is spelled out outside crates/wal/src/framed.rs (read acp_wal::RECLAIM_FLOOR)"; exit 1; }
 # Every site forgets, and the kernel is what collects: the coordinator's
-# log and each native participant's, both in gc_turns, which writes the
-# participant's store file first. A second participant-collection call
-# is a collection that can skip that write or the 128-record threshold.
+# log, a Paxos member's and each native participant's, all in gc_turns,
+# which writes the participant's store file first. A second collection
+# call is a collection that can skip that write or the GC_RECORDS
+# cadence.
 collect='[a-z_]+\.collect_garbage\('
 echo 'd.storage.checkpoint_installed().is_ok() && part.collect_garbage().is_ok();' \
   | grep -qE "$collect" || { echo "FAIL: the collection guard misses its control line"; exit 1; }
 calls="$(PAT="$collect" awk '/^#\[cfg\(test\)\]/ { exit }
     match($0, /fn [a-z_][a-z_0-9]*[(<]/) { fn = substr($0, RSTART + 3, RLENGTH - 4) }
     match($0, ENVIRON["PAT"]) { print fn " " substr($0, RSTART, RLENGTH - 17) }' crates/net/src/host.rs)"
-[ "$calls" = "$(printf 'gc_turns engine\ngc_turns part')" ] \
-  || { echo "$calls"; echo "FAIL: want crates/net/src/host.rs's non-test collections in gc_turns only: the coordinator's (engine) and exactly one participant's (part)"; exit 1; }
+[ "$calls" = "$(printf 'gc_turns c\ngc_turns p\ngc_turns part')" ] \
+  || { echo "$calls"; echo "FAIL: want crates/net/src/host.rs's non-test collections in gc_turns only: the coordinator's (c), a Paxos member's (p) and exactly one participant's (part)"; exit 1; }
+# One collection rule: a collection never flushes. The engines' only
+# non-test flush is coordinator/mod.rs's flush_and_collect, the
+# per-transaction collection (`auto_gc`) of the coordinator and a Paxos
+# member under hosts without turns (the harness, the explorer), which
+# keeps results/ and the explored state spaces as they were. A flush in
+# any other engine function, collect_garbage above all, is a collection
+# paying a sync of its own again. As above, the pattern first meets its
+# control line; a call's place is the file and the last `fn` line above
+# it.
+flush='\.flush\(\)'
+echo '        self.log.flush()?;' | grep -qE "$flush" \
+  || { echo "FAIL: the flush guard misses its control line"; exit 1; }
+flushes="$(find crates/core/src -name '*.rs' ! -name tests.rs | sort \
+  | PAT="$flush" xargs awk 'FNR == 1 { test = 0; fn = "" } /^#\[cfg\(test\)\]/ { test = 1 }
+      match($0, /fn [a-z_][a-z_0-9]*[(<]/) { fn = substr($0, RSTART + 3, RLENGTH - 4) }
+      !test && $0 ~ ENVIRON["PAT"] { print FILENAME " " fn }')"
+[ "$flushes" = 'crates/core/src/coordinator/mod.rs flush_and_collect' ] \
+  || { echo "$flushes"; echo "FAIL: want the engines' only non-test flush in coordinator/mod.rs's flush_and_collect (no collection flushes)"; exit 1; }
+# One cadence: host.rs declares one collection-threshold constant,
+# GC_RECORDS, for every protocol log it collects. A second one (the
+# participant-only PART_GC_RECORDS was the first) is a log collected by
+# a cadence of its own.
+threshold='const [A-Z_]*GC[A-Z_]*: u64'
+echo 'const PART_GC_RECORDS: u64 = 128;' | grep -qE "$threshold" \
+  || { echo "FAIL: the threshold guard misses its control line"; exit 1; }
+thresholds="$(awk '/^#\[cfg\(test\)\]/ { exit } { print }' crates/net/src/host.rs | grep -oE "$threshold")"
+[ "$thresholds" = 'const GC_RECORDS: u64' ] \
+  || { echo "$thresholds"; echo "FAIL: want exactly one collection-threshold constant in crates/net/src/host.rs, GC_RECORDS"; exit 1; }
 nontest_lines crates/net/src
 nontest_lines crates/core/src
 nontest_lines crates/wal/src
