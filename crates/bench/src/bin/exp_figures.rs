@@ -1,87 +1,22 @@
-//! E1–E4: regenerate the protocol schedules of Figures 1–4 as traces,
-//! and render the full figure artifact set (ASCII schedules, Mermaid
-//! sequence diagrams, raw event streams, cost metrics) from the typed
-//! `acp-obs` event stream into `results/figures/`.
+//! E1–E4: render the protocol schedules of Figures 1–4 (ASCII
+//! schedules, Mermaid sequence diagrams, raw event streams, cost
+//! metrics) from the typed `acp-obs` event stream into
+//! `results/figures/`.
 //!
 //! ```sh
 //! cargo run -p acp-bench --bin exp_figures
 //! ```
 //!
-//! stdout keeps the historical simulator-trace format (captured in
-//! `results/exp_figures.txt`); the files under `results/figures/` are
-//! the observability-layer renderings, byte-stable across runs and
-//! thread counts (pinned by the `obs_figures` golden test and the
-//! `scripts/verify.sh` drift check).
+//! The files are byte-stable across runs and thread counts (pinned by
+//! the `obs_figures` golden test and the `scripts/verify.sh` drift
+//! check). The same eight schedules in an older text format are frozen
+//! in `results/frozen/exp_figures.txt`.
 
+use acp_bench::default_threads;
 use acp_bench::figures::render_paper_figures;
-use acp_bench::{default_threads, one_txn_scenario};
-use acp_core::harness::run_scenario;
-use acp_types::{CoordinatorKind, ProtocolKind, SelectionPolicy};
 use std::path::Path;
 
-fn show(title: &str, kind: CoordinatorKind, protos: &[ProtocolKind], abort: bool) {
-    println!("==== {title} ====");
-    let mut s = one_txn_scenario(kind, protos, abort);
-    s.max_events = 10_000;
-    let out = run_scenario(&s);
-    print!("{}", out.trace.render());
-    println!();
-}
-
 fn main() {
-    // Figure 2: basic 2PC / presumed nothing.
-    show(
-        "Figure 2 — PrN, commit",
-        CoordinatorKind::Single(ProtocolKind::PrN),
-        &[ProtocolKind::PrN; 2],
-        false,
-    );
-    show(
-        "Figure 2 — PrN, abort",
-        CoordinatorKind::Single(ProtocolKind::PrN),
-        &[ProtocolKind::PrN; 2],
-        true,
-    );
-    // Figure 3: presumed abort.
-    show(
-        "Figure 3 — PrA, commit",
-        CoordinatorKind::Single(ProtocolKind::PrA),
-        &[ProtocolKind::PrA; 2],
-        false,
-    );
-    show(
-        "Figure 3 — PrA, abort",
-        CoordinatorKind::Single(ProtocolKind::PrA),
-        &[ProtocolKind::PrA; 2],
-        true,
-    );
-    // Figure 4: presumed commit.
-    show(
-        "Figure 4a — PrC, commit",
-        CoordinatorKind::Single(ProtocolKind::PrC),
-        &[ProtocolKind::PrC; 2],
-        false,
-    );
-    show(
-        "Figure 4b — PrC, abort",
-        CoordinatorKind::Single(ProtocolKind::PrC),
-        &[ProtocolKind::PrC; 2],
-        true,
-    );
-    // Figure 1: Presumed Any over a PrA + PrC population.
-    show(
-        "Figure 1a — PrAny (PrA + PrC participants), commit",
-        CoordinatorKind::PrAny(SelectionPolicy::PaperStrict),
-        &[ProtocolKind::PrA, ProtocolKind::PrC],
-        false,
-    );
-    show(
-        "Figure 1b — PrAny (PrA + PrC participants), abort",
-        CoordinatorKind::PrAny(SelectionPolicy::PaperStrict),
-        &[ProtocolKind::PrA, ProtocolKind::PrC],
-        true,
-    );
-
     // Render the observability-layer figure set into results/figures/.
     let arts = render_paper_figures(default_threads());
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/figures");

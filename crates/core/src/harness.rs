@@ -1,6 +1,6 @@
 //! Scenario harness: runs the protocol engines inside the deterministic
-//! simulator and hands the resulting ACTA history, trace and final
-//! garbage-collection state to the correctness checkers.
+//! simulator and hands the resulting ACTA history, typed event stream
+//! and final garbage-collection state to the correctness checkers.
 //!
 //! This is the main entry point for experiments, integration tests and
 //! examples: describe a [`Scenario`] (coordinator kind or Paxos Commit
@@ -19,7 +19,7 @@ use crate::engine::AnyEngine;
 use crate::participant::Participant;
 use acp_acta::{ActaEvent, FinalState, History};
 use acp_obs::{FanoutSink, NullSink, ProtoLabel, ProtocolEvent, TraceSink, VecSink};
-use acp_sim::{Context, FailureSchedule, NetworkConfig, Process, SimTime, Trace, TraceKind, World};
+use acp_sim::{Context, FailureSchedule, NetworkConfig, Process, SimTime, World};
 use acp_types::{
     CoordinatorKind, CostCounters, Message, Outcome, Payload, ProtocolKind, SiteId, TxnId, Vote,
 };
@@ -251,8 +251,6 @@ impl Scenario {
 pub struct ScenarioOutcome {
     /// The complete ACTA history.
     pub history: History,
-    /// The simulator trace (messages, crashes, protocol notes).
-    pub trace: Trace,
     /// End-of-run GC state for the operational-correctness checker.
     pub final_state: FinalState,
     /// Outcomes enforced per (site, txn).
@@ -410,9 +408,7 @@ impl SiteProc {
                     }
                     ctx.send(to, payload);
                 }
-                Action::Enforce { txn, outcome } => {
-                    ctx.note("enforce", format!("{txn} {outcome}"));
-                }
+                Action::Enforce { .. } => {}
                 Action::SetTimer {
                     token,
                     purpose,
@@ -448,8 +444,6 @@ impl SiteProc {
                 }
                 Action::Acta(event) => {
                     self.emit_acta(&event, ctx);
-                    let (tag, detail) = note_for(&event);
-                    ctx.note(tag, detail);
                     self.history.borrow_mut().push(event);
                 }
                 Action::Gc {
@@ -551,38 +545,6 @@ fn outcome_name(outcome: Outcome) -> &'static str {
     match outcome {
         Outcome::Commit => "commit",
         Outcome::Abort => "abort",
-    }
-}
-
-/// Derive the machine-matchable trace tag for an ACTA event (the
-/// figure experiments assert on these schedules).
-fn note_for(event: &ActaEvent) -> (String, String) {
-    match event {
-        ActaEvent::LogWrite {
-            txn, kind, forced, ..
-        } => {
-            let mode = if *forced { "force" } else { "write" };
-            (format!("{mode}:{kind}"), txn.to_string())
-        }
-        ActaEvent::Decide { txn, outcome, .. } => (format!("decide:{outcome}"), txn.to_string()),
-        ActaEvent::DeletePt { txn, .. } => ("forget".to_string(), txn.to_string()),
-        ActaEvent::Respond {
-            txn,
-            outcome,
-            by_presumption,
-            ..
-        } => {
-            let suffix = if *by_presumption { ":presumed" } else { "" };
-            (format!("respond:{outcome}{suffix}"), txn.to_string())
-        }
-        ActaEvent::Prepared { txn, .. } => ("prepared".to_string(), txn.to_string()),
-        ActaEvent::Inquire { txn, protocol, .. } => {
-            ("inquire".to_string(), format!("{txn} {protocol}"))
-        }
-        ActaEvent::Enforce { txn, outcome, .. } => (format!("enforce:{outcome}"), txn.to_string()),
-        ActaEvent::ForgetPart { txn, .. } => ("forget-part".to_string(), txn.to_string()),
-        ActaEvent::Crash { site } => ("crash".to_string(), site.to_string()),
-        ActaEvent::Recover { site } => ("recover".to_string(), site.to_string()),
     }
 }
 
@@ -796,16 +758,18 @@ pub fn run_scenario_with_sink(scenario: &Scenario, sink: Arc<dyn TraceSink>) -> 
 
     // ---- collect ----
     // Costs are observed, not self-reported: a message is charged to its
-    // sender when the network is handed it (the trace's sends), a log
-    // record to its writer when the history records it. Each site's log
-    // must agree with its `LogWrite` events on appends and on forces, so
-    // a record claimed forced but appended lazily fails the run.
+    // sender when the network is handed it (the world's `MsgSend`), a
+    // log record to its writer when the history records it. Each site's
+    // log must agree with its `LogWrite` events on appends and on
+    // forces, so a record claimed forced but appended lazily fails the
+    // run.
     let history = history.borrow().clone();
+    let events = recorder.take();
     let mut costs: BTreeMap<(SiteId, TxnId), CostCounters> = BTreeMap::new();
-    for entry in world.trace().entries() {
-        if let TraceKind::Sent(m) = &entry.kind {
-            let kind = m.payload.kind_name();
-            costs.entry((m.from, m.payload.txn())).or_default().count_message_kind(kind);
+    for event in &events {
+        if let ProtocolEvent::MsgSend { site, kind, txn: Some(txn), .. } = *event {
+            let key = (SiteId::new(site), TxnId::new(txn));
+            costs.entry(key).or_default().count_message_kind(kind);
         }
     }
     let mut writes: BTreeMap<SiteId, CostCounters> = BTreeMap::new();
@@ -888,7 +852,6 @@ pub fn run_scenario_with_sink(scenario: &Scenario, sink: Arc<dyn TraceSink>) -> 
 
     ScenarioOutcome {
         history,
-        trace: world.trace().clone(),
         final_state,
         enforced,
         in_doubt,
@@ -903,7 +866,7 @@ pub fn run_scenario_with_sink(scenario: &Scenario, sink: Arc<dyn TraceSink>) -> 
         acceptor_table_sizes,
         acceptor_log_retained,
         events_processed: world.events_processed(),
-        events: recorder.take(),
+        events,
         group_commit,
     }
 }
@@ -1088,7 +1051,7 @@ mod tests {
             s.seed = 99;
             s.add_txn(TxnId::new(1), SimTime::from_millis(1));
             s.add_txn(TxnId::new(2), SimTime::from_millis(2));
-            run_scenario(&s).trace.render()
+            run_scenario(&s).events
         };
         assert_eq!(run(), run());
     }

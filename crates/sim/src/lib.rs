@@ -26,7 +26,6 @@ pub mod event;
 pub mod network;
 pub mod process;
 pub mod time;
-pub mod trace;
 pub mod world;
 
 pub use crash::FailureSchedule;
@@ -34,5 +33,4 @@ pub use event::SimEvent;
 pub use network::{Network, NetworkConfig};
 pub use process::{Context, Process};
 pub use time::SimTime;
-pub use trace::{Trace, TraceEntry, TraceKind};
 pub use world::World;

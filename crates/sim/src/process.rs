@@ -5,8 +5,8 @@ use crate::time::SimTime;
 use acp_types::{Message, Payload, SiteId};
 
 /// Collects the outputs of one event-handler invocation: messages to
-/// send, timers to set and trace notes. The world drains it after the
-/// handler returns.
+/// send and timers to set. The world drains it after the handler
+/// returns.
 #[derive(Debug)]
 pub struct Context {
     /// Current virtual time.
@@ -15,7 +15,6 @@ pub struct Context {
     pub self_id: SiteId,
     pub(crate) outbox: Vec<Message>,
     pub(crate) timers: Vec<(SimTime, u64)>,
-    pub(crate) notes: Vec<(String, String)>,
 }
 
 impl Context {
@@ -25,7 +24,6 @@ impl Context {
             self_id,
             outbox: Vec::new(),
             timers: Vec::new(),
-            notes: Vec::new(),
         }
     }
 
@@ -38,11 +36,6 @@ impl Context {
     /// token — unless this site crashes first.
     pub fn set_timer(&mut self, delay: SimTime, token: u64) {
         self.timers.push((delay, token));
-    }
-
-    /// Emit a protocol-level trace note (e.g. `"force:commit"`).
-    pub fn note(&mut self, tag: impl Into<String>, detail: impl Into<String>) {
-        self.notes.push((tag.into(), detail.into()));
     }
 }
 
@@ -82,10 +75,8 @@ mod tests {
         let mut ctx = Context::new(SimTime(10), SiteId::new(1));
         ctx.send(SiteId::new(2), Payload::Ack { txn: TxnId::new(1) });
         ctx.set_timer(SimTime(100), 7);
-        ctx.note("force:prepared", "T1");
         assert_eq!(ctx.outbox.len(), 1);
         assert_eq!(ctx.outbox[0].from, SiteId::new(1));
         assert_eq!(ctx.timers, vec![(SimTime(100), 7)]);
-        assert_eq!(ctx.notes[0].0, "force:prepared");
     }
 }

@@ -4,7 +4,6 @@ use crate::event::{Scheduled, SimEvent};
 use crate::network::{Fate, Network, NetworkConfig};
 use crate::process::{Context, Process};
 use crate::time::SimTime;
-use crate::trace::{Trace, TraceKind};
 use acp_obs::{ProtoLabel, ProtocolEvent, TraceSink};
 use acp_types::{Message, SiteId};
 use rand::rngs::StdRng;
@@ -17,7 +16,7 @@ use std::sync::Arc;
 /// Determinism: all nondeterminism (latencies, losses) is drawn from a
 /// single seeded RNG; simultaneous events fire in insertion order; site
 /// containers are `BTreeMap`s. Two worlds built identically with the
-/// same seed produce byte-identical traces.
+/// same seed emit identical event streams.
 pub struct World<P: Process> {
     now: SimTime,
     seq: u64,
@@ -27,7 +26,6 @@ pub struct World<P: Process> {
     incarnation: BTreeMap<SiteId, u64>,
     network: Network,
     rng: StdRng,
-    trace: Trace,
     events_processed: u64,
     /// Optional typed-event sink (transport-level events: sends,
     /// deliveries, crashes, recoveries). Protocol-level events are the
@@ -50,7 +48,6 @@ impl<P: Process> World<P> {
             incarnation: BTreeMap::new(),
             network: Network::new(config),
             rng: StdRng::seed_from_u64(seed),
-            trace: Trace::new(),
             events_processed: 0,
             sink: None,
             labels: BTreeMap::new(),
@@ -124,12 +121,6 @@ impl<P: Process> World<P> {
         self.procs.get_mut(&site).expect("unknown site")
     }
 
-    /// The execution trace so far.
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
     /// Number of events processed so far.
     #[must_use]
     pub fn events_processed(&self) -> u64 {
@@ -157,16 +148,6 @@ impl<P: Process> World<P> {
         self.push(at, SimEvent::Recover { site });
     }
 
-    /// Crash a site immediately (takes effect before the next event).
-    pub fn crash_now(&mut self, site: SiteId) {
-        self.apply_crash(site);
-    }
-
-    /// Recover a site immediately (takes effect before the next event).
-    pub fn recover_now(&mut self, site: SiteId) {
-        self.apply_recover(site);
-    }
-
     /// Invoke `on_start` on every site, collecting initial messages.
     pub fn start(&mut self) {
         let sites: Vec<SiteId> = self.procs.keys().copied().collect();
@@ -177,26 +158,14 @@ impl<P: Process> World<P> {
         }
     }
 
-    /// Route one handler's outputs into the queue and the trace.
+    /// Route one handler's outputs into the queue and the sink.
     fn drain(&mut self, site: SiteId, ctx: Context) {
-        let Context {
-            outbox,
-            timers,
-            notes,
-            ..
-        } = ctx;
-        for (tag, detail) in notes {
-            self.trace
-                .push(self.now, TraceKind::Note { site, tag, detail });
-        }
+        let Context { outbox, timers, .. } = ctx;
         for msg in outbox {
-            self.trace.push(self.now, TraceKind::Sent(msg.clone()));
             self.emit_send(&msg);
-            match self.network.fate(msg.from, msg.to, self.now, &mut self.rng) {
-                Fate::Deliver(at) => {
-                    self.push(at, SimEvent::Deliver(msg));
-                }
-                Fate::Drop => self.trace.push(self.now, TraceKind::Dropped(msg)),
+            let fate = self.network.fate(msg.from, msg.to, self.now, &mut self.rng);
+            if let Fate::Deliver(at) = fate {
+                self.push(at, SimEvent::Deliver(msg));
             }
         }
         let inc = self.incarnation[&site];
@@ -217,7 +186,6 @@ impl<P: Process> World<P> {
         if !self.down.insert(site) {
             return; // already down
         }
-        self.trace.push(self.now, TraceKind::Crashed(site));
         self.emit(ProtocolEvent::CrashObserved {
             at_us: self.now.as_micros(),
             site: site.raw(),
@@ -231,7 +199,6 @@ impl<P: Process> World<P> {
             return; // not down
         }
         *self.incarnation.get_mut(&site).expect("site") += 1;
-        self.trace.push(self.now, TraceKind::Recovered(site));
         self.emit(ProtocolEvent::RecoveryStep {
             at_us: self.now.as_micros(),
             site: site.raw(),
@@ -256,10 +223,7 @@ impl<P: Process> World<P> {
         self.events_processed += 1;
         match event {
             SimEvent::Deliver(msg) => {
-                if self.down.contains(&msg.to) {
-                    self.trace.push(self.now, TraceKind::Dropped(msg));
-                } else {
-                    self.trace.push(self.now, TraceKind::Delivered(msg.clone()));
+                if !self.down.contains(&msg.to) {
                     if self.sink.is_some() {
                         self.emit(ProtocolEvent::MsgRecv {
                             at_us: self.now.as_micros(),
@@ -333,6 +297,7 @@ impl<P: Process> World<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acp_obs::VecSink;
     use acp_types::{Message, Payload, TxnId};
 
     /// A ping-pong process: replies to every `Prepare` with an `Ack`,
@@ -415,24 +380,53 @@ mod tests {
         w
     }
 
+    /// Attach a fresh recording sink to `w`.
+    fn record(w: &mut World<Proc>) -> Arc<VecSink> {
+        let sink = Arc::new(VecSink::new());
+        w.set_sink(Arc::clone(&sink) as _);
+        sink
+    }
+
+    /// `(kind of event, message kind)` for each transport event.
+    fn transport(events: &[ProtocolEvent]) -> Vec<(&'static str, &'static str)> {
+        events
+            .iter()
+            .filter_map(|e| match e {
+                ProtocolEvent::MsgSend { kind, .. } => Some(("send", *kind)),
+                ProtocolEvent::MsgRecv { kind, .. } => Some(("recv", *kind)),
+                ProtocolEvent::CrashObserved { .. } => Some(("crash", "")),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn message_roundtrip() {
         let mut w = two_site_world();
+        let sink = record(&mut w);
         w.start();
         w.run_until_quiescent(100);
         match w.process(SiteId::new(1)) {
             Proc::Pong(p) => assert_eq!(p.received, 1),
             _ => unreachable!(),
         }
-        // Trace: prepare sent+delivered, ack sent+delivered.
-        assert_eq!(w.trace().entries().len(), 4);
+        assert_eq!(
+            transport(&sink.take()),
+            [
+                ("send", "prepare"),
+                ("recv", "prepare"),
+                ("send", "ack"),
+                ("recv", "ack")
+            ]
+        );
         assert_eq!(w.now(), SimTime::from_micros(200));
     }
 
     #[test]
     fn messages_to_crashed_site_are_dropped() {
         let mut w = two_site_world();
-        w.crash_now(SiteId::new(1));
+        let sink = record(&mut w);
+        w.schedule_crash(SiteId::new(1), w.now());
         w.start();
         w.run_until_quiescent(100);
         match w.process(SiteId::new(1)) {
@@ -442,17 +436,17 @@ mod tests {
             }
             _ => unreachable!(),
         }
-        assert!(w
-            .trace()
-            .entries()
-            .iter()
-            .any(|e| matches!(e.kind, TraceKind::Dropped(_))));
+        // Sent, never received.
+        assert_eq!(
+            transport(&sink.take()),
+            [("send", "prepare"), ("crash", "")]
+        );
     }
 
     #[test]
     fn recovery_invokes_on_recover_and_resumes_delivery() {
         let mut w = two_site_world();
-        w.crash_now(SiteId::new(1));
+        w.schedule_crash(SiteId::new(1), w.now());
         w.schedule_recover(SiteId::new(1), SimTime::from_millis(1));
         w.start();
         w.run_until_quiescent(100);
@@ -486,16 +480,19 @@ mod tests {
     }
 
     #[test]
-    fn identical_seeds_produce_identical_traces() {
+    fn identical_seeds_produce_identical_event_streams() {
         let run = |seed: u64| {
             let mut w = World::new(NetworkConfig::lan(), seed);
+            let sink = record(&mut w);
             w.add(SiteId::new(0), Proc::Start(Starter));
             w.add(SiteId::new(1), Proc::Pong(PingPong::default()));
             w.start();
             w.run_until_quiescent(1000);
-            w.trace().render()
+            sink.take()
         };
-        assert_eq!(run(7), run(7));
+        let events = run(7);
+        assert_eq!(transport(&events).len(), 4);
+        assert_eq!(events, run(7));
     }
 
     #[test]

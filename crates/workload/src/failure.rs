@@ -23,15 +23,6 @@ impl FailurePlan {
         }
     }
 
-    /// A harsh plan for correctness campaigns.
-    #[must_use]
-    pub fn harsh() -> Self {
-        FailurePlan {
-            crashes_per_second: 20.0,
-            max_outage: SimTime::from_millis(100),
-        }
-    }
-
     /// Materialize into a schedule over `sites` for a run of length
     /// `horizon`.
     pub fn schedule(

@@ -6,7 +6,9 @@
 //! cargo run --example quickstart
 //! ```
 
+use presumed_any::obs::render_ascii;
 use presumed_any::prelude::*;
+use std::collections::BTreeMap;
 
 fn main() {
     // A two-site multidatabase: site 1 speaks presumed abort, site 2
@@ -62,9 +64,15 @@ fn main() {
         predicted.messages
     );
 
-    // And the full message/log trace, exactly like the paper's Figure 1.
-    println!("\n--- trace ---");
-    print!("{}", out.trace.render());
+    // And the full message/log schedule, exactly like the paper's
+    // Figure 1.
+    let labels = BTreeMap::from([
+        (0, "coordinator (PrAny)".to_string()),
+        (1, "S1 (PrA)".to_string()),
+        (2, "S2 (PrC)".to_string()),
+    ]);
+    let title = "PrAny over a PrA and a PrC participant: commit";
+    print!("\n{}", render_ascii(title, &out.events, &labels));
 
     assert!(atomicity.is_empty() && operational.is_empty() && unsafe_states.is_empty());
     println!("\nall checks passed");

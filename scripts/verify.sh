@@ -5,7 +5,8 @@
 # log, observed costs, one copy per write, state leaves with its
 # transaction, one force per prepare, one read per restart, one
 # collection rule and cadence, one owner
-# one table, a byte-coded history, one encoder, one instrument),
+# one table, a byte-coded history, one encoder, one instrument, one
+# record per run),
 # warning-free rustdoc, the benchmark's smoke suite, and a regeneration
 # of every committed result with a diff against it. No step's pass/fail depends
 # on a wall-clock rate; the perf figures printed are information.
@@ -499,6 +500,48 @@ if grep -rnE 'struct (SharedGroupLog|LifecycleLedger)\b' crates --include='*.rs'
   echo "FAIL: SharedGroupLog or LifecycleLedger reappeared under crates/"; exit 1
 fi
 nontest_lines crates/bench/src
+
+echo "== one record per run: the harness keeps the typed event stream"
+# The simulator used to record every run twice: acp_sim::Trace cloned
+# each message into Sent/Delivered entries and the harness formatted
+# every ACTA event into Context::note strings, beside the ProtocolEvent
+# stream the figures, the cost count and the tests now read. Any of
+# these names is that second record coming back. As above, each
+# pattern first meets its control line.
+record_guards=(
+  '\bTraceKind\b'                  'TraceKind::Sent(m) => write!(f, "send     {m}"),'
+  'struct Trace\b'                  'pub struct Trace {'
+  'fn tag_schedule\b'               'pub fn tag_schedule(&self, site: SiteId) -> Vec<String> {'
+  '\b(ctx\.note|Context::note)\b'  'ctx.note(tag, detail);'
+)
+for ((i = 0; i < ${#record_guards[@]}; i += 2)); do
+  pattern="${record_guards[i]}" control="${record_guards[i + 1]}"
+  echo "$control" | grep -qE "$pattern" \
+    || { echo "FAIL: the guard '$pattern' misses its control line '$control'"; exit 1; }
+  if grep -rnE "$pattern" crates src tests examples --include='*.rs'; then
+    echo "FAIL: '$pattern': a second record of a simulated run beside its ProtocolEvent stream"; exit 1
+  fi
+done
+# A timed number is a perf workload or frozen evidence: the criterion
+# benches and the vendored shim behind their two environment switches
+# are gone, and no manifest declares a bench target or names criterion.
+bench_guards=(
+  '^\[\[bench\]\]'  '[[bench]]'
+  '\bcriterion\b'   'criterion.workspace = true'
+)
+for ((i = 0; i < ${#bench_guards[@]}; i += 2)); do
+  pattern="${bench_guards[i]}" control="${bench_guards[i + 1]}"
+  echo "$control" | grep -qE "$pattern" \
+    || { echo "FAIL: the guard '$pattern' misses its control line '$control'"; exit 1; }
+  if grep -nE "$pattern" Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml benchmarks/Cargo.toml; then
+    echo "FAIL: '$pattern' in a manifest: a criterion bench beside the perf workloads"; exit 1
+  fi
+done
+if [ -e vendor/criterion ]; then
+  echo "FAIL: vendor/criterion is back"; exit 1
+fi
+nontest_lines crates/sim/src
+nontest_lines crates/sim/src crates/core/src
 
 echo "== benchmark package: offline build + perf suite --smoke"
 # benchmarks/ is its own workspace and is not edited alongside the

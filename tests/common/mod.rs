@@ -8,8 +8,6 @@ pub mod engines;
 pub mod runtime;
 
 use presumed_any::prelude::*;
-use presumed_any::sim::{Trace, TraceKind};
-use presumed_any::types::Payload;
 
 /// The coordinator's site in every harness scenario.
 pub fn coord() -> SiteId {
@@ -21,35 +19,26 @@ pub fn site(n: u32) -> SiteId {
     SiteId::new(n)
 }
 
-/// The log-write schedule of one site: trace note tags starting with
-/// `force:` or `write:`, in order.
-pub fn log_tags(trace: &Trace, s: SiteId) -> Vec<String> {
-    trace
-        .tag_schedule(s)
-        .into_iter()
-        .filter(|t| t.starts_with("force:") || t.starts_with("write:"))
-        .collect()
-}
-
-/// Sites that *sent* an `Ack`, in first-ack order.
-pub fn ack_senders(trace: &Trace) -> Vec<SiteId> {
+/// Sites that *sent* an `ack`, in first-ack order.
+pub fn ack_senders(events: &[ProtocolEvent]) -> Vec<SiteId> {
     let mut out = Vec::new();
-    for e in trace.entries() {
-        if let TraceKind::Sent(m) = &e.kind {
-            if matches!(m.payload, Payload::Ack { .. }) && !out.contains(&m.from) {
-                out.push(m.from);
-            }
+    for e in events {
+        let ProtocolEvent::MsgSend { site, kind, .. } = *e else {
+            continue;
+        };
+        let site = SiteId::new(site);
+        if kind == "ack" && !out.contains(&site) {
+            out.push(site);
         }
     }
     out
 }
 
 /// Count sent messages of a payload kind.
-pub fn sent_count(trace: &Trace, kind: &str) -> usize {
-    trace
-        .entries()
+pub fn sent_count(events: &[ProtocolEvent], kind: &str) -> usize {
+    events
         .iter()
-        .filter(|e| matches!(&e.kind, TraceKind::Sent(m) if m.payload.kind_name() == kind))
+        .filter(|e| matches!(e, ProtocolEvent::MsgSend { kind: k, .. } if *k == kind))
         .count()
 }
 

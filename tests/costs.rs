@@ -5,15 +5,15 @@
 //! execution must agree *record for record* in failure-free runs. This
 //! pins down every protocol's logging discipline — any accidental extra
 //! force would show up here. "Measured" means observed by the harness,
-//! not reported by the engines: messages are the sends in the run's
-//! trace, log records and forces the `LogWrite` events in its history,
-//! and every site's log must agree with those on appends and forces.
+//! not reported by the engines: messages are the `MsgSend` events in
+//! the run's event stream, log records and forces the `LogWrite` events
+//! in its history, and every site's log must agree with those on
+//! appends and forces.
 
 mod common;
 
 use common::*;
 use presumed_any::prelude::*;
-use presumed_any::sim::TraceKind;
 
 const T: TxnId = TxnId(1);
 
@@ -240,7 +240,7 @@ fn costs_off_the_clean_path_are_pinned() {
     );
     let out = run_scenario(&s);
     assert!(
-        sent_count(&out.trace, "inquiry") > 0 && sent_count(&out.trace, "inquiry-response") > 0
+        sent_count(&out.events, "inquiry") > 0 && sent_count(&out.events, "inquiry-response") > 0
     );
     assert_fully_correct(&out);
     assert_eq!(
@@ -266,11 +266,29 @@ fn costs_off_the_clean_path_are_pinned() {
         SimTime::from_micros(1_500),
     ));
     let out = run_scenario(&s);
-    assert!(out
-        .trace
-        .entries()
-        .iter()
-        .any(|e| matches!(&e.kind, TraceKind::Dropped(m) if m.payload.kind_name() == "decision")));
+    // A decision sent to S1 with no matching receipt at S1.
+    let (mut sent, mut received) = (0, 0);
+    for e in &out.events {
+        match *e {
+            ProtocolEvent::MsgSend {
+                site: 0,
+                to: 1,
+                kind: "decision",
+                ..
+            } => sent += 1,
+            ProtocolEvent::MsgRecv {
+                site: 1,
+                from: 0,
+                kind: "decision",
+                ..
+            } => received += 1,
+            _ => {}
+        }
+    }
+    assert!(
+        sent > received,
+        "decisions to S1: {sent} sent, {received} received"
+    );
     assert_fully_correct(&out);
     assert_eq!(
         cost_rows(&out),

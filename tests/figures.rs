@@ -16,6 +16,7 @@
 mod common;
 
 use common::*;
+use presumed_any::obs::render::log_write_schedule;
 use presumed_any::prelude::*;
 
 const T: TxnId = TxnId(1);
@@ -37,23 +38,23 @@ fn e1_fig2_prn_commit_schedule() {
     // Coordinator: "Force Write Decision Record" … "Write non-forced End
     // Record".
     assert_eq!(
-        log_tags(&out.trace, coord()),
+        log_write_schedule(&out.events, coord().raw()),
         vec!["force:commit", "write:end"]
     );
     // Each participant: "Force Write Prepared Record" … "Force Write
     // Decision Record" (+ our GC marker).
     for p in [site(1), site(2)] {
         assert_eq!(
-            log_tags(&out.trace, p),
+            log_write_schedule(&out.events, p.raw()),
             vec!["force:prepared", "force:part-commit", "write:part-end"],
             "{p}"
         );
     }
     // Four message rounds of two messages each.
-    assert_eq!(sent_count(&out.trace, "prepare"), 2);
-    assert_eq!(sent_count(&out.trace, "vote"), 2);
-    assert_eq!(sent_count(&out.trace, "decision"), 2);
-    assert_eq!(sent_count(&out.trace, "ack"), 2);
+    assert_eq!(sent_count(&out.events, "prepare"), 2);
+    assert_eq!(sent_count(&out.events, "vote"), 2);
+    assert_eq!(sent_count(&out.events, "decision"), 2);
+    assert_eq!(sent_count(&out.events, "ack"), 2);
 }
 
 #[test]
@@ -70,20 +71,20 @@ fn e1_fig2_prn_abort_schedule() {
     assert_fully_correct(&out);
 
     assert_eq!(
-        log_tags(&out.trace, coord()),
+        log_write_schedule(&out.events, coord().raw()),
         vec!["force:abort", "write:end"]
     );
     for p in [site(1), site(2)] {
         assert_eq!(
-            log_tags(&out.trace, p),
+            log_write_schedule(&out.events, p.raw()),
             vec!["force:prepared", "force:part-abort", "write:part-end"],
             "{p}"
         );
     }
     // The No-voter wrote nothing durable.
-    assert!(log_tags(&out.trace, site(3)).is_empty());
+    assert!(log_write_schedule(&out.events, site(3).raw()).is_empty());
     // PrN acks aborts: both prepared participants acknowledged.
-    assert_eq!(ack_senders(&out.trace), vec![site(1), site(2)]);
+    assert_eq!(ack_senders(&out.events), vec![site(1), site(2)]);
 }
 
 // ---------------------------------------------------------------------
@@ -100,16 +101,20 @@ fn e2_fig3_pra_commit_schedule() {
     assert_eq!(out.decided[&T], Outcome::Commit);
     assert_fully_correct(&out);
     assert_eq!(
-        log_tags(&out.trace, coord()),
+        log_write_schedule(&out.events, coord().raw()),
         vec!["force:commit", "write:end"]
     );
     for p in [site(1), site(2)] {
         assert_eq!(
-            log_tags(&out.trace, p),
+            log_write_schedule(&out.events, p.raw()),
             vec!["force:prepared", "force:part-commit", "write:part-end"]
         );
     }
-    assert_eq!(sent_count(&out.trace, "ack"), 2, "commits are acknowledged");
+    assert_eq!(
+        sent_count(&out.events, "ack"),
+        2,
+        "commits are acknowledged"
+    );
 }
 
 #[test]
@@ -125,12 +130,12 @@ fn e2_fig3_pra_abort_schedule() {
 
     // "The coordinator of an aborted transaction does not have to write
     // any log records or wait for acknowledgments."
-    assert!(log_tags(&out.trace, coord()).is_empty());
-    assert_eq!(sent_count(&out.trace, "ack"), 0);
+    assert!(log_write_schedule(&out.events, coord().raw()).is_empty());
+    assert_eq!(sent_count(&out.events, "ack"), 0);
     // Participants write the abort record non-forced.
     for p in [site(1), site(2)] {
         assert_eq!(
-            log_tags(&out.trace, p),
+            log_write_schedule(&out.events, p.raw()),
             vec!["force:prepared", "write:part-abort", "write:part-end"],
             "{p}"
         );
@@ -155,17 +160,21 @@ fn e3_fig4a_prc_commit_schedule() {
     // "Force Write Initiation Record" … "Force Write Commit Record"
     // (+ our GC marker, which the figure omits).
     assert_eq!(
-        log_tags(&out.trace, coord()),
+        log_write_schedule(&out.events, coord().raw()),
         vec!["force:initiation", "force:commit", "write:end"]
     );
     // Participants: non-forced commit record, no acknowledgment.
     for p in [site(1), site(2)] {
         assert_eq!(
-            log_tags(&out.trace, p),
+            log_write_schedule(&out.events, p.raw()),
             vec!["force:prepared", "write:part-commit", "write:part-end"]
         );
     }
-    assert_eq!(sent_count(&out.trace, "ack"), 0, "PrC commits need no acks");
+    assert_eq!(
+        sent_count(&out.events, "ack"),
+        0,
+        "PrC commits need no acks"
+    );
 }
 
 #[test]
@@ -182,17 +191,17 @@ fn e3_fig4b_prc_abort_schedule() {
     // No abort decision record — only the initiation record plus the end
     // record after the acks.
     assert_eq!(
-        log_tags(&out.trace, coord()),
+        log_write_schedule(&out.events, coord().raw()),
         vec!["force:initiation", "write:end"]
     );
     for p in [site(1), site(2)] {
         assert_eq!(
-            log_tags(&out.trace, p),
+            log_write_schedule(&out.events, p.raw()),
             vec!["force:prepared", "force:part-abort", "write:part-end"]
         );
     }
     assert_eq!(
-        ack_senders(&out.trace),
+        ack_senders(&out.events),
         vec![site(1), site(2)],
         "aborts are acknowledged"
     );
@@ -213,21 +222,21 @@ fn e4_fig1a_prany_commit_schedule() {
     assert_fully_correct(&out);
 
     assert_eq!(
-        log_tags(&out.trace, coord()),
+        log_write_schedule(&out.events, coord().raw()),
         vec!["force:initiation", "force:commit", "write:end"]
     );
     // PrA participant: forced commit record + ack (left lane of Fig. 1a).
     assert_eq!(
-        log_tags(&out.trace, site(1)),
+        log_write_schedule(&out.events, site(1).raw()),
         vec!["force:prepared", "force:part-commit", "write:part-end"]
     );
     // PrC participant: non-forced commit record, no ack (right lane).
     assert_eq!(
-        log_tags(&out.trace, site(2)),
+        log_write_schedule(&out.events, site(2).raw()),
         vec!["force:prepared", "write:part-commit", "write:part-end"]
     );
     assert_eq!(
-        ack_senders(&out.trace),
+        ack_senders(&out.events),
         vec![site(1)],
         "only the PrA participant acks"
     );
@@ -249,22 +258,22 @@ fn e4_fig1b_prany_abort_schedule() {
 
     // No decision record for aborts.
     assert_eq!(
-        log_tags(&out.trace, coord()),
+        log_write_schedule(&out.events, coord().raw()),
         vec!["force:initiation", "write:end"]
     );
     // PrA participant: non-forced abort record, no ack (left lane of
     // Fig. 1b).
     assert_eq!(
-        log_tags(&out.trace, site(1)),
+        log_write_schedule(&out.events, site(1).raw()),
         vec!["force:prepared", "write:part-abort", "write:part-end"]
     );
     // PrC participant: forced abort record + ack (right lane).
     assert_eq!(
-        log_tags(&out.trace, site(2)),
+        log_write_schedule(&out.events, site(2).raw()),
         vec!["force:prepared", "force:part-abort", "write:part-end"]
     );
     assert_eq!(
-        ack_senders(&out.trace),
+        ack_senders(&out.events),
         vec![site(2)],
         "only the PrC participant acks"
     );
@@ -279,15 +288,18 @@ fn e4_initiation_record_lists_participant_protocols() {
         &[ProtocolKind::PrA, ProtocolKind::PrC],
     );
     let out = run_scenario(&s);
-    let initiation = out
-        .trace
-        .notes_of(coord(), "force:initiation")
-        .next()
-        .expect("initiation note present");
-    // The note detail carries the txn; the protocols were checked in the
-    // engine unit tests — here we assert the record was the *first*
-    // thing the coordinator did.
-    let first_tag = &out.trace.tag_schedule(coord())[0];
-    assert_eq!(first_tag, "force:initiation");
-    let _ = initiation;
+    // The record's contents were checked in the engine unit tests —
+    // here we assert the record was the *first* thing the coordinator
+    // did.
+    let first = out.events.iter().find(|e| e.site() == coord().raw());
+    assert!(
+        matches!(
+            first,
+            Some(ProtocolEvent::ForceWrite {
+                record: "initiation",
+                ..
+            })
+        ),
+        "{first:?}"
+    );
 }

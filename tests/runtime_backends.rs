@@ -118,18 +118,35 @@ fn pipeline_of_transactions_commits_atomically() {
 fn no_vote_aborts_the_whole_transaction() {
     on_every_backend(|backend| {
         let mut cluster = backend.spawn(&mixed_cluster(), None);
-        let txn = cluster.next_txn();
         let parts = cluster.participants();
-        for &p in &parts {
-            cluster.apply(p, txn, b"k", b"v");
+        // The PrN participant vetoes, then the PrC one, then a
+        // transaction commits, all over the same connections.
+        for (key, veto, want) in [
+            (b"k1", Some(parts[0]), Outcome::Abort),
+            (b"k2", Some(parts[2]), Outcome::Abort),
+            (b"k3", None, Outcome::Commit),
+        ] {
+            let txn = cluster.next_txn();
+            for &p in &parts {
+                cluster.apply(p, txn, key, b"v");
+            }
+            if let Some(site) = veto {
+                cluster.set_intent(site, txn, Vote::No);
+            }
+            assert_eq!(cluster.commit(txn, &parts), Some(want), "{veto:?}");
         }
-        cluster.set_intent(parts[0], txn, Vote::No);
-        assert_eq!(cluster.commit(txn, &parts), Some(Outcome::Abort));
         cluster.settle(Duration::from_millis(300));
         let report = cluster.shutdown();
         assert_atomic(&report);
+        // No aborted write lands anywhere; the commit lands everywhere.
         for s in &report.sites {
-            assert!(s.committed.is_empty(), "no data may commit at {}", s.site);
+            let keys: Vec<&[u8]> = s.committed.keys().map(Vec::as_slice).collect();
+            let want: &[&[u8]] = if s.site == Running::COORDINATOR {
+                &[]
+            } else {
+                &[b"k3"]
+            };
+            assert_eq!(keys, want, "site {}", s.site);
         }
     });
 }

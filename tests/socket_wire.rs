@@ -1,7 +1,10 @@
 //! End-to-end tests of the socket wire backend (experiment E15):
 //! multiple nodes in one process exchanging real loopback TCP frames,
 //! with trace parity against the in-process reactor, WAL-only restart
-//! recovery, reconnect churn, and backpressure shedding.
+//! recovery, reconnect churn, backpressure shedding and the waker. The
+//! protocol scenarios every host must pass run on a socket pair in
+//! `tests/runtime_backends.rs`; a cluster split over more than two
+//! nodes runs in `tests/socket_paxos.rs`.
 #![cfg(unix)]
 
 mod common;
@@ -79,91 +82,6 @@ fn socket_trace_is_byte_identical_to_reactor() {
             lines, &socket[site],
             "site {site}: trace diverged between reactor and socket backends"
         );
-    }
-}
-
-/// A mixed-protocol cluster split across three processes-worth of
-/// nodes stays atomic across commits and aborts, and committed data
-/// lands at every participant (verified from the merged reports).
-#[test]
-fn multi_node_mixed_protocols_stay_atomic() {
-    let dir = TempDir::new("socket-atomic").expect("tempdir");
-    let peers = dir.path().join("peers");
-    let cluster = ClusterConfig::new(
-        CoordinatorKind::PrAny(SelectionPolicy::PaperStrict),
-        &[ProtocolKind::PrN, ProtocolKind::PrA, ProtocolKind::PrC],
-    );
-    let history = shared_history();
-    let mut coord = SocketNode::spawn_with(
-        node_config(&cluster, &[0], &peers, dir.path().join("n0")),
-        None,
-        Arc::clone(&history),
-    )
-    .expect("coord node");
-    let node_b = SocketNode::spawn_with(
-        node_config(&cluster, &[1, 2], &peers, dir.path().join("nb")),
-        None,
-        Arc::clone(&history),
-    )
-    .expect("node b");
-    let node_c = SocketNode::spawn_with(
-        node_config(&cluster, &[3], &peers, dir.path().join("nc")),
-        None,
-        Arc::clone(&history),
-    )
-    .expect("node c");
-    write_peers(
-        &peers,
-        &[
-            (0, coord.local_addr()),
-            (1, node_b.local_addr()),
-            (2, node_b.local_addr()),
-            (3, node_c.local_addr()),
-        ],
-    );
-
-    let parts = coord.participants();
-    for round in 0..6u64 {
-        let txn = coord.next_txn();
-        for &p in &parts {
-            coord.apply(p, txn, format!("k{round}").as_bytes(), b"v");
-        }
-        let veto = round % 3 == 2;
-        if veto {
-            coord.set_intent(parts[round as usize % parts.len()], txn, Vote::No);
-        }
-        let outcome = coord.commit(txn, &parts).expect("decision");
-        assert_eq!(
-            outcome,
-            if veto { Outcome::Abort } else { Outcome::Commit },
-            "round {round}"
-        );
-    }
-    coord.settle(Duration::from_millis(400));
-    let _ = coord.shutdown();
-    let rb = node_b.shutdown();
-    let rc = node_c.shutdown();
-    assert!(check_atomicity(&history.lock().clone()).is_empty());
-    for report in [&rb, &rc] {
-        for s in &report.cluster.sites {
-            for round in [0u64, 1, 3, 4] {
-                assert_eq!(
-                    s.committed
-                        .get(format!("k{round}").as_bytes())
-                        .map(Vec::as_slice),
-                    Some(b"v".as_slice()),
-                    "site {} round {round}",
-                    s.site
-                );
-            }
-            for round in [2u64, 5] {
-                assert!(
-                    !s.committed.contains_key(format!("k{round}").as_bytes()),
-                    "site {} leaked aborted round {round}",
-                    s.site
-                );
-            }
-        }
     }
 }
 

@@ -231,19 +231,35 @@ fn violation_rate_sweep_u2pc_vs_prany() {
 #[test]
 fn inquiry_carries_the_inquirers_protocol() {
     // The PrAny fix depends on the inquiry identifying the inquirer's
-    // protocol (§4.2). Verify the wire messages carry it.
+    // protocol (§4.2). The event stream names a message's kind only, so
+    // check the payload the PrC participant's engine emits when it
+    // recovers in doubt.
+    let mut part = Participant::new(site(2), ProtocolKind::PrC, MemLog::new());
+    let _ = part.on_prepare(coord(), T);
+    part.crash();
+    let inquiry = part.recover().into_iter().find_map(|a| match a {
+        Action::Send {
+            to,
+            payload: Payload::Inquiry { txn, protocol },
+        } if to == coord() && txn == T => Some(protocol),
+        _ => None,
+    });
+    assert_eq!(inquiry, Some(ProtocolKind::PrC));
+
+    // And in a run, that inquiry reaches the wire.
     let mut s = one_txn(
         CoordinatorKind::PrAny(SelectionPolicy::PaperStrict),
         &[ProtocolKind::PrA, ProtocolKind::PrC],
     );
     crash_through_decision(&mut s, site(2));
     let out = run_scenario(&s);
-    let inquiry = out.trace.entries().iter().find_map(|e| match &e.kind {
-        presumed_any::sim::TraceKind::Sent(m) => match m.payload {
-            Payload::Inquiry { protocol, .. } if m.from == site(2) => Some(protocol),
-            _ => None,
-        },
-        _ => None,
-    });
-    assert_eq!(inquiry, Some(ProtocolKind::PrC));
+    assert!(out.events.iter().any(|e| matches!(
+        e,
+        ProtocolEvent::MsgSend {
+            site: 2,
+            to: 0,
+            kind: "inquiry",
+            ..
+        }
+    )));
 }
