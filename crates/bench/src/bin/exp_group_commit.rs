@@ -172,8 +172,7 @@ fn main() {
 
     let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     std::fs::create_dir_all(&results).expect("results dir");
-    std::fs::write(results.join("exp_group_commit.txt"), &doc)
-        .expect("write exp_group_commit.txt");
+    std::fs::write(results.join("exp_group_commit.txt"), &doc).expect("write exp_group_commit.txt");
     eprintln!("wrote results/exp_group_commit.txt");
 
     if mismatches > 0 {

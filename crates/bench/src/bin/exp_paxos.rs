@@ -47,8 +47,7 @@
 #[cfg(unix)]
 mod run {
     use acp_bench::procnode::{
-        epoch_us, flag_value, merged_mutations, parse_done, read_prefixed, serve, write_peers,
-        Node,
+        epoch_us, flag_value, merged_mutations, parse_done, read_prefixed, serve, write_peers, Node,
     };
     use acp_bench::trace_check::{check_merged, load_merged, Ev};
     use acp_bench::{row, sep};
@@ -131,9 +130,15 @@ mod run {
              sim counters vs predict_paxos (forces/records per role, total messages)\n"
         );
         let widths = [10, 12, 14, 14, 10, 10];
-        let header =
-            ["cluster", "leader f/r", "acceptors f/r", "parts f/r", "messages", "model"]
-                .map(String::from);
+        let header = [
+            "cluster",
+            "leader f/r",
+            "acceptors f/r",
+            "parts f/r",
+            "messages",
+            "model",
+        ]
+        .map(String::from);
         println!("{}", row(&header, &widths));
         println!("{}", sep(&widths));
 
@@ -150,8 +155,8 @@ mod run {
                 let mut s = Scenario::paxos(n, f);
                 s.add_txn(txn, SimTime::from_millis(1));
                 let out = run_scenario(&s);
-                let decided = out.decided.get(&txn) == Some(&Outcome::Commit)
-                    && out.in_doubt.is_empty();
+                let decided =
+                    out.decided.get(&txn) == Some(&Outcome::Commit) && out.in_doubt.is_empty();
                 let model = predict_paxos(n, f, Outcome::Commit);
                 let leader = out.coordinator_costs[&txn];
                 let acc = sum(out.acceptor_costs.values());
@@ -175,7 +180,11 @@ mod run {
                             format!("{}/{}", acc.forced_writes, acc.log_records),
                             format!("{}/{}", parts.forced_writes, parts.log_records),
                             messages.to_string(),
-                            if exact { "exact".into() } else { "MISMATCH".into() },
+                            if exact {
+                                "exact".into()
+                            } else {
+                                "MISMATCH".into()
+                            },
                         ],
                         &widths
                     )
@@ -234,8 +243,7 @@ mod run {
         let mut leader = spawn(exe, &dir, "leader", &[0], f, epoch_us, true);
         let p1 = spawn(exe, &dir, "part-1", &[1], f, epoch_us, false);
         let p2 = spawn(exe, &dir, "part-2", &[2], f, epoch_us, false);
-        let acceptors =
-            (f > 0).then(|| spawn(exe, &dir, "acceptors", &[3, 4], f, epoch_us, false));
+        let acceptors = (f > 0).then(|| spawn(exe, &dir, "acceptors", &[3, 4], f, epoch_us, false));
         let mut members: Vec<&Node> = vec![&leader, &p1, &p2];
         if let Some(a) = &acceptors {
             members.push(a);
@@ -375,7 +383,9 @@ mod run {
                     c.failures += 1;
                 }
                 if c.failover_decider.is_none() {
-                    println!("  !! f=1: no decision_reached from a surviving acceptor in the trace");
+                    println!(
+                        "  !! f=1: no decision_reached from a surviving acceptor in the trace"
+                    );
                     c.failures += 1;
                 }
             }
@@ -408,18 +418,27 @@ mod run {
             } else {
                 format!(
                     "commit via failover @{}",
-                    c.failover_decider.map_or_else(|| "?".to_string(), |s| s.to_string())
+                    c.failover_decider
+                        .map_or_else(|| "?".to_string(), |s| s.to_string())
                 )
             };
             println!(
                 "{}",
                 row(
                     &[
-                        if f == 0 { "f=0 (2PC)".into() } else { format!("f={f} (3 acc)") },
+                        if f == 0 {
+                            "f=0 (2PC)".into()
+                        } else {
+                            format!("f={f} (3 acc)")
+                        },
                         while_dead,
                         format!("enforced @{:?}", c.enforced_final),
                         format!("{}/{}/{}", c.clean.0, c.clean.1, c.clean.2),
-                        if c.failures == 0 { "ok".into() } else { format!("{} FAIL", c.failures) },
+                        if c.failures == 0 {
+                            "ok".into()
+                        } else {
+                            format!("{} FAIL", c.failures)
+                        },
                     ],
                     &widths
                 )
@@ -434,7 +453,11 @@ mod run {
         let f1 = &campaigns[1];
         for (name, mutated) in merged_mutations(&f1.merged) {
             let caught = !check_merged(&mutated).is_empty();
-            println!("  {:44} {}", name, if caught { "flagged" } else { "MISSED" });
+            println!(
+                "  {:44} {}",
+                name,
+                if caught { "flagged" } else { "MISSED" }
+            );
             failures += u64::from(!caught);
         }
         for c in &campaigns {

@@ -18,7 +18,12 @@ use rand::SeedableRng;
 /// pair. Each cell owns its RNG (fixed seed), so cells are independent
 /// and are fanned across the thread pool by `main`; the rendered row is
 /// identical to a serial run.
-fn distribution(mix: PopulationMix, policy: SelectionPolicy, label: &str, widths: &[usize]) -> String {
+fn distribution(
+    mix: PopulationMix,
+    policy: SelectionPolicy,
+    label: &str,
+    widths: &[usize],
+) -> String {
     let mut rng = StdRng::seed_from_u64(7);
     let mut counts = [0u32; 4]; // PrN, PrA, PrC, PrAny
     let trials = 20_000;

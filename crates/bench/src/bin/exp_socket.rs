@@ -39,7 +39,6 @@
 //! cargo run --release -p acp-bench --bin exp_socket
 //! ```
 
-
 #[cfg(unix)]
 mod run {
     use acp_bench::procnode::{
@@ -178,11 +177,17 @@ mod run {
             s
         };
 
-        println!("\nMerged trace: {} events across 3 process files ({torn} torn/partial lines skipped)", merged.len());
+        println!(
+            "\nMerged trace: {} events across 3 process files ({torn} torn/partial lines skipped)",
+            merged.len()
+        );
         println!("  wire coord : {coord_report}");
         println!("  wire part-a: {a_report}");
         println!("  wire part-b: {b_report}");
-        println!("\nCross-process ACTA predicates: {} violation(s)", violations.len());
+        println!(
+            "\nCross-process ACTA predicates: {} violation(s)",
+            violations.len()
+        );
         for v in &violations {
             println!("    !! {v}");
         }
@@ -191,7 +196,11 @@ mod run {
         let mut failures = violations.len() as u64;
         for (name, mutated) in merged_mutations(&merged) {
             let caught = !check_merged(&mutated).is_empty();
-            println!("  {:44} {}", name, if caught { "flagged" } else { "MISSED" });
+            println!(
+                "  {:44} {}",
+                name,
+                if caught { "flagged" } else { "MISSED" }
+            );
             failures += u64::from(!caught);
         }
 
@@ -226,7 +235,6 @@ mod run {
             totals.1
         );
     }
-
 }
 
 #[cfg(unix)]

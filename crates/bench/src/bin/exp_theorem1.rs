@@ -66,7 +66,10 @@ fn main() {
     ];
 
     println!("E5 / Theorem 1 — atomicity of integrated coordinators over a PrA+PrC population");
-    println!("(checker threads: {}; identical output at any count)\n", default_threads());
+    println!(
+        "(checker threads: {}; identical output at any count)\n",
+        default_threads()
+    );
     let widths = [12, 22, 26, 22];
     println!(
         "{}",

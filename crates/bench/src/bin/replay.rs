@@ -90,7 +90,10 @@ fn main() {
     let widths = [22, 8, 12];
     println!(
         "{}",
-        row(&["panel".into(), "events".into(), "violations".into()], &widths)
+        row(
+            &["panel".into(), "events".into(), "violations".into()],
+            &widths
+        )
     );
     println!("{}", sep(&widths));
 
@@ -103,7 +106,11 @@ fn main() {
         println!(
             "{}",
             row(
-                &[p.slug.clone(), p.events.len().to_string(), v.len().to_string()],
+                &[
+                    p.slug.clone(),
+                    p.events.len().to_string(),
+                    v.len().to_string()
+                ],
                 &widths
             )
         );
@@ -127,7 +134,11 @@ fn main() {
     for (name, mutated) in mutations(clean) {
         controls += 1;
         let caught = !check_panel(&mutated).is_empty();
-        println!("  {:36} {}", name, if caught { "flagged" } else { "MISSED" });
+        println!(
+            "  {:36} {}",
+            name,
+            if caught { "flagged" } else { "MISSED" }
+        );
         if !caught {
             failures += 1;
         }
@@ -136,7 +147,11 @@ fn main() {
         for (name, mutated) in overload_mutations(&overload.events) {
             controls += 1;
             let caught = !check_overload_panel(&mutated).is_empty();
-            println!("  {:36} {}", name, if caught { "flagged" } else { "MISSED" });
+            println!(
+                "  {:36} {}",
+                name,
+                if caught { "flagged" } else { "MISSED" }
+            );
             if !caught {
                 failures += 1;
             }
@@ -148,7 +163,9 @@ fn main() {
 
     // Theorem 1 counterexample traces: the incompatible-presumption
     // coordinator must produce flagged histories, PrAny must not.
-    println!("\nTheorem 1 counterexample replay (13-point crash sweep x 2 victims x 2 outcomes):\n");
+    println!(
+        "\nTheorem 1 counterexample replay (13-point crash sweep x 2 victims x 2 outcomes):\n"
+    );
     let (v_bad, flagged, unsafe_bad, runs) =
         theorem1_sweep(CoordinatorKind::U2pc(ProtocolKind::PrC));
     println!(
@@ -156,9 +173,7 @@ fn main() {
     );
     let (v_ok, _, unsafe_ok, runs_ok) =
         theorem1_sweep(CoordinatorKind::PrAny(SelectionPolicy::PaperStrict));
-    println!(
-        "  PrAny    : {v_ok}/{runs_ok} violating runs, {unsafe_ok} safe-state violations"
-    );
+    println!("  PrAny    : {v_ok}/{runs_ok} violating runs, {unsafe_ok} safe-state violations");
     if v_bad == 0 || flagged != v_bad {
         println!("!! U2PC/PrC sweep must regenerate flagged counterexample traces");
         failures += 1;

@@ -223,7 +223,11 @@ pub fn overload_panel_events() -> Vec<ProtocolEvent> {
     let out = run_scenario(&s);
     for (txn, want) in [(1u64, "commit"), (2, "abort"), (3, "commit"), (4, "commit")] {
         let got = out.decided[&TxnId::new(txn)];
-        let got = if got == acp_types::Outcome::Commit { "commit" } else { "abort" };
+        let got = if got == acp_types::Outcome::Commit {
+            "commit"
+        } else {
+            "abort"
+        };
         assert_eq!(got, want, "overload panel: T{txn} outcome drifted");
     }
 

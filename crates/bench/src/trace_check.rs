@@ -79,8 +79,8 @@ pub struct Panel {
 /// never torn, so damage here is a repo problem, not a runtime one.
 #[must_use]
 pub fn load_panels(path: &Path) -> Vec<Panel> {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     let mut panels: Vec<Panel> = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let map = parse_flat_json(line)
@@ -91,7 +91,10 @@ pub fn load_panels(path: &Path) -> Vec<Panel> {
                 .and_then(|v| v.as_str())
                 .expect("panel meta has slug")
                 .to_string();
-            panels.push(Panel { slug, events: Vec::new() });
+            panels.push(Panel {
+                slug,
+                events: Vec::new(),
+            });
         } else {
             panels
                 .last_mut()
@@ -209,7 +212,10 @@ pub fn check_panel(events: &[Ev]) -> Vec<String> {
             .map(|p| di + p)
             .unwrap_or(events.len());
         let forced = events[di..first_send].iter().any(|e| {
-            e.ty() == "force_write" && e.site() == 0 && e.txn() == txn && e.str("record") == *outcome
+            e.ty() == "force_write"
+                && e.site() == 0
+                && e.txn() == txn
+                && e.str("record") == *outcome
         });
         if !forced {
             v.push(format!(
@@ -450,8 +456,13 @@ pub fn mutations(clean: &[Ev]) -> Vec<(&'static str, Vec<Ev>)> {
     let mut m = clean.to_vec();
     if let Some(i) = m.iter().position(|e| e.ty() == "decision_reached") {
         let mut dup = m[i].clone();
-        let flipped = if dup.str("outcome") == "commit" { "abort" } else { "commit" };
-        dup.0.insert("outcome".into(), JsonValue::Str(flipped.into()));
+        let flipped = if dup.str("outcome") == "commit" {
+            "abort"
+        } else {
+            "commit"
+        };
+        dup.0
+            .insert("outcome".into(), JsonValue::Str(flipped.into()));
         m.insert(i + 1, dup);
         out.push(("contradictory second decision", m));
     }
@@ -459,9 +470,10 @@ pub fn mutations(clean: &[Ev]) -> Vec<(&'static str, Vec<Ev>)> {
     // d. Strip the coordinator's forced decision record (write-ahead
     //    violation for a commit decision).
     let mut m = clean.to_vec();
-    if let Some(i) = m.iter().position(|e| {
-        e.ty() == "force_write" && e.site() == 0 && e.str("record") == "commit"
-    }) {
+    if let Some(i) = m
+        .iter()
+        .position(|e| e.ty() == "force_write" && e.site() == 0 && e.str("record") == "commit")
+    {
         m.remove(i);
         out.push(("commit externalised without force", m));
     }
@@ -714,7 +726,8 @@ mod tests {
         h.push(dup);
         let v = check_merged(&h);
         assert!(
-            v.iter().any(|m| m.contains("decided commit and then abort")),
+            v.iter()
+                .any(|m| m.contains("decided commit and then abort")),
             "{v:?}"
         );
     }

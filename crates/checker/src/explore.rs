@@ -179,7 +179,9 @@ fn successors(state: &CheckState, quiescent_timers: bool) -> Vec<CheckState> {
         let msg = s.in_flight.remove(idx);
         s.trail
             .push(format!("deliver {}", CheckState::describe_message(&msg)));
-        s.step(msg.to, |e, out| e.on_message_into(msg.from, &msg.payload, out));
+        s.step(msg.to, |e, out| {
+            e.on_message_into(msg.from, &msg.payload, out)
+        });
         next.push(s);
     }
 
@@ -422,7 +424,10 @@ fn process_chunk(
             // Live-site residency: a killed site holds its table
             // forever by construction, which is not a leak.
             let live = state.coords.iter().filter(|(s, _)| !state.dead.contains(s));
-            let table = live.map(|(_, e)| e.protocol_table_size()).max().unwrap_or(0);
+            let table = live
+                .map(|(_, e)| e.protocol_table_size())
+                .max()
+                .unwrap_or(0);
             out.max_terminal_table = out.max_terminal_table.max(table);
             if table == 0 {
                 out.fully_forgotten += 1;
@@ -757,7 +762,11 @@ mod tests {
         let classic = check(&classic_cfg);
 
         assert!(!paxos.truncated && !classic.truncated);
-        assert_eq!(paxos.clean(), classic.clean(), "paxos={paxos} classic={classic}");
+        assert_eq!(
+            paxos.clean(),
+            classic.clean(),
+            "paxos={paxos} classic={classic}"
+        );
         assert!(paxos.clean());
         assert!(paxos.terminal_states > 0 && classic.terminal_states > 0);
         assert_eq!(

@@ -183,7 +183,10 @@ impl CheckState {
         site: SiteId,
         input: impl FnOnce(&mut AnyEngine<MemLog>, &mut Vec<Action>),
     ) {
-        let engine = self.coords.get_mut(&site).or_else(|| self.parts.get_mut(&site));
+        let engine = self
+            .coords
+            .get_mut(&site)
+            .or_else(|| self.parts.get_mut(&site));
         let mut actions = Vec::new();
         input(engine.expect("site"), &mut actions);
         self.absorb(site, actions);
@@ -286,7 +289,8 @@ impl CheckState {
         // In-flight messages: order only matters per link (FIFO), so
         // hash each link's queue separately in a canonical link order,
         // each behind its length so no two queues' bytes run together.
-        let mut links: Vec<(SiteId, SiteId)> = self.in_flight.iter().map(|m| (m.from, m.to)).collect();
+        let mut links: Vec<(SiteId, SiteId)> =
+            self.in_flight.iter().map(|m| (m.from, m.to)).collect();
         links.sort_unstable();
         links.dedup();
         for &(from, to) in &links {
@@ -299,7 +303,12 @@ impl CheckState {
         for t in &self.timers {
             (t.site, t.token).hash(&mut h);
         }
-        let budgets = (self.kills_left, self.crashes_left, self.drops_left, self.timers_left);
+        let budgets = (
+            self.kills_left,
+            self.crashes_left,
+            self.drops_left,
+            self.timers_left,
+        );
         budgets.hash(&mut h);
         h.finish()
     }
@@ -316,7 +325,8 @@ impl CheckState {
             let _ = write!(s, "#{site}:{}", e.fingerprint());
         }
         let _ = write!(s, "#dead{:?}#", self.dead);
-        let mut links: Vec<(SiteId, SiteId)> = self.in_flight.iter().map(|m| (m.from, m.to)).collect();
+        let mut links: Vec<(SiteId, SiteId)> =
+            self.in_flight.iter().map(|m| (m.from, m.to)).collect();
         links.sort_unstable();
         links.dedup();
         for &(from, to) in &links {

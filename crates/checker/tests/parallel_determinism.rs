@@ -9,8 +9,14 @@ use acp_types::{CoordinatorKind, ProtocolKind, SelectionPolicy};
 
 /// Compare every observable field of two reports.
 fn assert_identical(a: &CheckReport, b: &CheckReport, what: &str) {
-    assert_eq!(a.states_explored, b.states_explored, "{what}: states_explored");
-    assert_eq!(a.terminal_states, b.terminal_states, "{what}: terminal_states");
+    assert_eq!(
+        a.states_explored, b.states_explored,
+        "{what}: states_explored"
+    );
+    assert_eq!(
+        a.terminal_states, b.terminal_states,
+        "{what}: terminal_states"
+    );
     assert_eq!(
         a.terminal_states_fully_forgotten, b.terminal_states_fully_forgotten,
         "{what}: terminal_states_fully_forgotten"
@@ -26,7 +32,10 @@ fn assert_identical(a: &CheckReport, b: &CheckReport, what: &str) {
         "{what}: counterexample count"
     );
     for (i, (ca, cb)) in a.counterexamples.iter().zip(&b.counterexamples).enumerate() {
-        assert_eq!(ca.violation, cb.violation, "{what}: counterexample {i} violation");
+        assert_eq!(
+            ca.violation, cb.violation,
+            "{what}: counterexample {i} violation"
+        );
         assert_eq!(ca.trail, cb.trail, "{what}: counterexample {i} trail");
         assert_eq!(ca.history, cb.history, "{what}: counterexample {i} history");
         assert_eq!(ca.count, cb.count, "{what}: counterexample {i} count");

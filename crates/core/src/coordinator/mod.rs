@@ -546,9 +546,7 @@ impl<L: StableLog> Coordinator<L> {
         let logged = plan.write_initiation;
         let state = TxnState::new(participants, slots, plan, Phase::Voting, logged);
         self.table.insert(txn, state);
-        appended
-            .transpose()
-            .expect("coordinator log append");
+        appended.transpose().expect("coordinator log append");
 
         for &site in sites {
             out.push(Action::send(site, Payload::Prepare { txn }));
@@ -760,7 +758,10 @@ impl<L: StableLog> Coordinator<L> {
                     outcome,
                     by_presumption: false,
                 }));
-                out.push(Action::send(from, Payload::InquiryResponse { txn, outcome }));
+                out.push(Action::send(
+                    from,
+                    Payload::InquiryResponse { txn, outcome },
+                ));
                 return;
             }
             None => {}
@@ -773,7 +774,10 @@ impl<L: StableLog> Coordinator<L> {
             outcome,
             by_presumption,
         }));
-        out.push(Action::send(from, Payload::InquiryResponse { txn, outcome }));
+        out.push(Action::send(
+            from,
+            Payload::InquiryResponse { txn, outcome },
+        ));
     }
 
     /// Answer for a transaction with no protocol-table entry. Returns
@@ -801,7 +805,9 @@ impl<L: StableLog> Coordinator<L> {
                 // it in place, summarizing nothing.
                 let mut decision = None;
                 let mut find = |rec: &acp_wal::LogRecord| match rec.payload {
-                    LogPayload::CoordDecision { txn: t, outcome, .. } if t == txn => {
+                    LogPayload::CoordDecision {
+                        txn: t, outcome, ..
+                    } if t == txn => {
                         decision = Some(outcome);
                     }
                     _ => {}

@@ -1057,7 +1057,10 @@ mod gc {
     /// dec(T5) | end(T4) end(T5)`, durable below LSN 8.
     fn buffered_ends_around_a_pinned_txn() -> Coordinator<MemLog> {
         let kind = CoordinatorKind::PrAny(SelectionPolicy::PaperStrict);
-        let mut c = coordinator(kind, &[ProtocolKind::PrN, ProtocolKind::PrA, ProtocolKind::PrC]);
+        let mut c = coordinator(
+            kind,
+            &[ProtocolKind::PrN, ProtocolKind::PrA, ProtocolKind::PrC],
+        );
         c.auto_gc = false;
         let decide = |c: &mut Coordinator<MemLog>, txn: TxnId| {
             for s in 1..=3 {
@@ -1112,7 +1115,10 @@ mod gc {
         resent.sort_unstable();
         // T4 and T5 commit to PrN and PrA; T6 aborts to PrN and PrC.
         let expect = [(4, 1, true), (4, 2, true), (5, 1, true), (5, 2, true)];
-        assert_eq!(resent, [&expect[..], &[(6, 1, false), (6, 3, false)]].concat());
+        assert_eq!(
+            resent,
+            [&expect[..], &[(6, 1, false), (6, 3, false)]].concat()
+        );
         for t in [4, 5] {
             let txn = TxnId::new(t);
             assert!(c.in_flight(txn), "T{t} re-driven");
@@ -1139,7 +1145,11 @@ mod gc {
     fn the_participants_cut_splits_it_and_recovery_panics() {
         let mut c = buffered_ends_around_a_pinned_txn();
         let cut = c.gc.releasable().min(c.log().durable_end());
-        assert_eq!(cut, acp_wal::Lsn(5), "below T6, above T4's and T5's initiations");
+        assert_eq!(
+            cut,
+            acp_wal::Lsn(5),
+            "below T6, above T4's and T5's initiations"
+        );
         c.log_mut().truncate_prefix(cut).unwrap();
         c.crash();
         let _ = c.recover();

@@ -197,7 +197,9 @@ impl BatchedPrediction {
     /// workspace's cost arithmetic is float-free).
     #[must_use]
     pub fn forces_per_txn_x1000(&self, n_txns: u64) -> u64 {
-        (self.physical_forces * 1000).checked_div(n_txns).unwrap_or(0)
+        (self.physical_forces * 1000)
+            .checked_div(n_txns)
+            .unwrap_or(0)
     }
 
     /// Amortization factor ×1000: logical forces per physical force.
@@ -429,7 +431,10 @@ mod tests {
         let per_txn = predict(kind, Outcome::Commit, pop);
         let b = predict_batched(kind, Outcome::Commit, pop, 16, 16);
         assert_eq!(b.physical_forces, per_txn.total_forces());
-        assert_eq!(b.forces_per_txn_x1000(16), per_txn.total_forces() * 1000 / 16);
+        assert_eq!(
+            b.forces_per_txn_x1000(16),
+            per_txn.total_forces() * 1000 / 16
+        );
         assert_eq!(b.amortization_x1000(), 16_000, "ideal 16× amortization");
     }
 

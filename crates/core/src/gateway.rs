@@ -252,7 +252,13 @@ impl<L: StableLog> GatewayParticipant<L> {
     /// directly into `h` (the model checker's hot path).
     pub fn hash_state<H: std::hash::Hasher>(&self, h: &mut H) {
         use std::hash::Hash;
-        (self.declared, &self.txns, &self.reservations, &self.enforced).hash(h);
+        (
+            self.declared,
+            &self.txns,
+            &self.reservations,
+            &self.enforced,
+        )
+            .hash(h);
         self.log
             .for_each_record(&mut |rec| rec.payload.hash(h))
             .expect("records");
@@ -298,7 +304,13 @@ impl<L: StableLog> GatewayParticipant<L> {
         }));
     }
 
-    fn arm_timer(&mut self, txn: TxnId, purpose: TimerPurpose, attempt: u32, out: &mut Vec<Action>) {
+    fn arm_timer(
+        &mut self,
+        txn: TxnId,
+        purpose: TimerPurpose,
+        attempt: u32,
+        out: &mut Vec<Action>,
+    ) {
         let token = self.next_token;
         self.next_token += 1;
         self.timers.insert(token, txn);

@@ -450,9 +450,7 @@ impl SiteProc {
                     released_up_to,
                     records_released,
                 } => {
-                    let since_decision_us = self
-                        .last_decision
-                        .map(|d| (ctx.now - d).as_micros());
+                    let since_decision_us = self.last_decision.map(|d| (ctx.now - d).as_micros());
                     self.sink.record(&ProtocolEvent::LogGc {
                         at_us: ctx.now.as_micros(),
                         site: ctx.self_id.raw(),
@@ -518,7 +516,11 @@ impl SiteProc {
                 by_presumption,
                 ..
             } => {
-                let how = if *by_presumption { " by presumption" } else { "" };
+                let how = if *by_presumption {
+                    " by presumption"
+                } else {
+                    ""
+                };
                 self.sink.record(&ProtocolEvent::RecoveryStep {
                     at_us,
                     site,
@@ -701,7 +703,10 @@ pub fn run_scenario_with_sink(scenario: &Scenario, sink: Arc<dyn TraceSink>) -> 
         let site = engine.site();
         world.set_label(site, coord_label);
         // Site 0 comes first and takes every start; the rest get none.
-        world.add(site, site_proc(engine, coord_label, std::mem::take(&mut starts)));
+        world.add(
+            site,
+            site_proc(engine, coord_label, std::mem::take(&mut starts)),
+        );
         coord_side.push(site);
     }
 
@@ -751,7 +756,11 @@ pub fn run_scenario_with_sink(scenario: &Scenario, sink: Arc<dyn TraceSink>) -> 
     // protocol event, which is when the batch would have been forced)
     // and aggregate the per-site group-commit accounting.
     let mut group_commit = GroupCommitStats::default();
-    for site in coord_side.iter().copied().chain(scenario.participant_sites()) {
+    for site in coord_side
+        .iter()
+        .copied()
+        .chain(scenario.participant_sites())
+    {
         let stats = world.process_mut(site).finish_batches();
         group_commit.merge(&stats);
     }
@@ -767,19 +776,35 @@ pub fn run_scenario_with_sink(scenario: &Scenario, sink: Arc<dyn TraceSink>) -> 
     let events = recorder.take();
     let mut costs: BTreeMap<(SiteId, TxnId), CostCounters> = BTreeMap::new();
     for event in &events {
-        if let ProtocolEvent::MsgSend { site, kind, txn: Some(txn), .. } = *event {
+        if let ProtocolEvent::MsgSend {
+            site,
+            kind,
+            txn: Some(txn),
+            ..
+        } = *event
+        {
             let key = (SiteId::new(site), TxnId::new(txn));
             costs.entry(key).or_default().count_message_kind(kind);
         }
     }
     let mut writes: BTreeMap<SiteId, CostCounters> = BTreeMap::new();
     for event in history.events() {
-        if let ActaEvent::LogWrite { site, txn, forced, .. } = event {
-            costs.entry((site, txn)).or_default().count_log_write(forced);
+        if let ActaEvent::LogWrite {
+            site, txn, forced, ..
+        } = event
+        {
+            costs
+                .entry((site, txn))
+                .or_default()
+                .count_log_write(forced);
             writes.entry(site).or_default().count_log_write(forced);
         }
     }
-    for site in coord_side.iter().copied().chain(scenario.participant_sites()) {
+    for site in coord_side
+        .iter()
+        .copied()
+        .chain(scenario.participant_sites())
+    {
         let log = world.process(site).engine().log().stats();
         let w = writes.get(&site).copied().unwrap_or_default();
         assert_eq!(
@@ -797,7 +822,12 @@ pub fn run_scenario_with_sink(scenario: &Scenario, sink: Arc<dyn TraceSink>) -> 
     // transaction the lowest deciding site's: the coordinator's first.
     let mut decided_by_site = BTreeMap::new();
     for event in history.events() {
-        if let ActaEvent::Decide { coordinator, txn, outcome } = event {
+        if let ActaEvent::Decide {
+            coordinator,
+            txn,
+            outcome,
+        } = event
+        {
             decided_by_site.insert((coordinator, txn), outcome);
         }
     }
@@ -835,7 +865,11 @@ pub fn run_scenario_with_sink(scenario: &Scenario, sink: Arc<dyn TraceSink>) -> 
     let coordinator_log_retained_bytes = coord.log().inner().retained_bytes();
 
     for site in scenario.participant_sites() {
-        let p = world.process(site).engine().as_participant().expect("participant site");
+        let p = world
+            .process(site)
+            .engine()
+            .as_participant()
+            .expect("participant site");
         for txn in p.log_pinned() {
             final_state.log_pinned.push((site, txn));
         }
@@ -931,7 +965,10 @@ mod tests {
             CoordinatorKind::PrAny(SP::PaperStrict),
         ];
         for (i, kind) in kinds.into_iter().enumerate() {
-            let mut s = Scenario::new(kind, &[ProtocolKind::PrN, ProtocolKind::PrA, ProtocolKind::PrC]);
+            let mut s = Scenario::new(
+                kind,
+                &[ProtocolKind::PrN, ProtocolKind::PrA, ProtocolKind::PrC],
+            );
             s.network = NetworkConfig::lossy(0.2);
             s.seed = 42 + i as u64;
             s.add_txn(TxnId::new(1), SimTime::from_millis(1));
@@ -1209,8 +1246,14 @@ mod tests {
             Some(&Outcome::Commit)
         );
         // Both participants enforced commit; nobody is in doubt.
-        assert_eq!(out.enforced.get(&(SiteId::new(1), t)), Some(&Outcome::Commit));
-        assert_eq!(out.enforced.get(&(SiteId::new(2), t)), Some(&Outcome::Commit));
+        assert_eq!(
+            out.enforced.get(&(SiteId::new(1), t)),
+            Some(&Outcome::Commit)
+        );
+        assert_eq!(
+            out.enforced.get(&(SiteId::new(2), t)),
+            Some(&Outcome::Commit)
+        );
         assert!(out.in_doubt.is_empty());
         // The survivors' protocol tables and logs are fully reclaimed.
         assert_eq!(out.acceptor_table_sizes[&SiteId::new(3)], 0);
@@ -1228,7 +1271,12 @@ mod tests {
         let mut s = Scenario::paxos(2, 1);
         s.add_txn(t, ms(1));
         let minority = SiteId::new(4);
-        for site in [SiteId::new(0), SiteId::new(1), SiteId::new(2), SiteId::new(3)] {
+        for site in [
+            SiteId::new(0),
+            SiteId::new(1),
+            SiteId::new(2),
+            SiteId::new(3),
+        ] {
             s.partitions
                 .push((minority, site, SimTime::from_micros(500), ms(5_000)));
         }
@@ -1253,8 +1301,14 @@ mod tests {
             FailureSchedule::single(s.coordinator_site(), SimTime::from_micros(1700), ms(50));
         let out = run_scenario(&s);
         assert_eq!(out.decided.get(&t), Some(&Outcome::Commit));
-        assert_eq!(out.enforced.get(&(SiteId::new(1), t)), Some(&Outcome::Commit));
-        assert_eq!(out.enforced.get(&(SiteId::new(2), t)), Some(&Outcome::Commit));
+        assert_eq!(
+            out.enforced.get(&(SiteId::new(1), t)),
+            Some(&Outcome::Commit)
+        );
+        assert_eq!(
+            out.enforced.get(&(SiteId::new(2), t)),
+            Some(&Outcome::Commit)
+        );
         assert!(out.in_doubt.is_empty());
         assert_eq!(out.coordinator_table_size, 0);
         assert_eq!(out.coordinator_log_retained, 0);
@@ -1273,7 +1327,10 @@ mod tests {
             assert_clean(&out);
             assert!(out.in_doubt.is_empty(), "seed {seed}: {:?}", out.in_doubt);
             for txn in [TxnId::new(1), TxnId::new(2)] {
-                assert!(out.decided.contains_key(&txn), "seed {seed}: {txn} undecided");
+                assert!(
+                    out.decided.contains_key(&txn),
+                    "seed {seed}: {txn} undecided"
+                );
             }
             assert!(
                 out.coordinator_table_size == 0
@@ -1325,7 +1382,10 @@ mod tests {
                 paxos.participant_costs, prn.participant_costs,
                 "case {i}: participant costs diverge"
             );
-            assert_eq!(paxos.coordinator_table_size, prn.coordinator_table_size, "case {i}");
+            assert_eq!(
+                paxos.coordinator_table_size, prn.coordinator_table_size,
+                "case {i}"
+            );
             assert_eq!(
                 paxos.coordinator_log_retained, prn.coordinator_log_retained,
                 "case {i}"

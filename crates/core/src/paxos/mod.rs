@@ -135,9 +135,7 @@ enum Role {
     /// Passive acceptor: watching for completion.
     Idle,
     /// Initial leader collecting votes at ballot 0.
-    Voting {
-        votes: BTreeMap<SiteId, Vote>,
-    },
+    Voting { votes: BTreeMap<SiteId, Vote> },
     /// Failover candidate collecting phase-1b promises at `my_ballot`.
     Phase1 {
         /// Promiser -> accepted `(instance site, ballot, prepared)`.
@@ -377,7 +375,13 @@ impl<L: StableLog> PaxosNode<L> {
         }));
     }
 
-    fn arm_timer(&mut self, txn: TxnId, purpose: TimerPurpose, attempt: u32, out: &mut Vec<Action>) {
+    fn arm_timer(
+        &mut self,
+        txn: TxnId,
+        purpose: TimerPurpose,
+        attempt: u32,
+        out: &mut Vec<Action>,
+    ) {
         let token = self.next_token;
         self.next_token += 1;
         self.timers.insert(token, (txn, purpose));
@@ -583,7 +587,11 @@ impl<L: StableLog> PaxosNode<L> {
                     } = &mut st.role
                     {
                         *resends += 1;
-                        Some((*resends, *outcome, pending.iter().copied().collect::<Vec<_>>()))
+                        Some((
+                            *resends,
+                            *outcome,
+                            pending.iter().copied().collect::<Vec<_>>(),
+                        ))
                     } else {
                         None
                     }
@@ -633,7 +641,10 @@ impl<L: StableLog> PaxosNode<L> {
     /// Build the bundle from the votes seen so far (Yes/ReadOnly →
     /// Prepared, No or missing → Aborted) and propose it.
     fn propose_from_votes(&mut self, txn: TxnId, out: &mut Vec<Action>) {
-        let st = self.txns.remove(&txn).expect("propose_from_votes on live txn");
+        let st = self
+            .txns
+            .remove(&txn)
+            .expect("propose_from_votes on live txn");
         let proposal: Vec<(SiteId, bool)> = match &st.role {
             Role::Voting { votes } => st
                 .participants
@@ -1159,7 +1170,10 @@ impl<L: StableLog> PaxosNode<L> {
                 outcome,
                 by_presumption,
             }));
-            out.push(Action::send(from, Payload::InquiryResponse { txn, outcome }));
+            out.push(Action::send(
+                from,
+                Payload::InquiryResponse { txn, outcome },
+            ));
         }
     }
 

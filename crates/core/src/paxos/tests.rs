@@ -97,7 +97,14 @@ impl Net {
     fn commit_yes(&mut self, txn: TxnId) {
         self.begin(txn, &[s(1), s(2)]);
         for p in [s(1), s(2)] {
-            self.inject(p, s(0), Payload::Vote { txn, vote: Vote::Yes });
+            self.inject(
+                p,
+                s(0),
+                Payload::Vote {
+                    txn,
+                    vote: Vote::Yes,
+                },
+            );
         }
         assert_eq!(self.node(s(0)).decided(txn), Some(Outcome::Commit));
         self.drain_to_parts();
@@ -146,7 +153,9 @@ impl Net {
 }
 
 fn count_kind(msgs: &[(SiteId, SiteId, Payload)], kind: &str) -> usize {
-    msgs.iter().filter(|(_, _, p)| p.kind_name() == kind).count()
+    msgs.iter()
+        .filter(|(_, _, p)| p.kind_name() == kind)
+        .count()
 }
 
 #[test]
@@ -173,9 +182,23 @@ fn f0_clean_commit_matches_prn_shape() {
     let msgs = net.drain_to_parts();
     assert_eq!(count_kind(&msgs, "prepare"), 2);
 
-    net.inject(s(1), s(0), Payload::Vote { txn: t(), vote: Vote::Yes });
+    net.inject(
+        s(1),
+        s(0),
+        Payload::Vote {
+            txn: t(),
+            vote: Vote::Yes,
+        },
+    );
     assert_eq!(net.node(s(0)).decided(t()), None, "one vote is not enough");
-    net.inject(s(2), s(0), Payload::Vote { txn: t(), vote: Vote::Yes });
+    net.inject(
+        s(2),
+        s(0),
+        Payload::Vote {
+            txn: t(),
+            vote: Vote::Yes,
+        },
+    );
     assert_eq!(net.node(s(0)).decided(t()), Some(Outcome::Commit));
     let msgs = net.drain_to_parts();
     assert_eq!(count_kind(&msgs, "decision"), 2);
@@ -201,7 +224,14 @@ fn f0_no_vote_aborts_and_excludes_the_no_voter() {
     net.begin(t(), &[s(1), s(2)]);
     net.drain_to_parts();
 
-    net.inject(s(1), s(0), Payload::Vote { txn: t(), vote: Vote::No });
+    net.inject(
+        s(1),
+        s(0),
+        Payload::Vote {
+            txn: t(),
+            vote: Vote::No,
+        },
+    );
     assert_eq!(net.node(s(0)).decided(t()), Some(Outcome::Abort));
     let msgs = net.drain_to_parts();
     let decisions: Vec<SiteId> = msgs
@@ -263,7 +293,11 @@ fn leader_kill_after_phase2a_fails_over_to_commit() {
     net.fire(s(3), TimerPurpose::PaxosCompletion);
     assert_eq!(net.node(s(3)).decided(t()), Some(Outcome::Commit));
     let msgs = net.drain_to_parts();
-    assert_eq!(count_kind(&msgs, "decision"), 2, "re-driven to both participants");
+    assert_eq!(
+        count_kind(&msgs, "decision"),
+        2,
+        "re-driven to both participants"
+    );
     assert!(msgs.iter().all(|&(from, _, _)| from == s(3)));
 
     // Participant acks flow to the new leader; the cluster forgets.
@@ -302,7 +336,14 @@ fn stale_phase2a_is_ignored() {
     let config = PaxosConfig::new(vec![s(0), s(3), s(4)]);
     let mut net = Net::new(&config);
     // Acceptor 3 promises ballot 2049 to a candidate...
-    net.inject(s(4), s(3), Payload::Phase1a { txn: t(), ballot: 2049 });
+    net.inject(
+        s(4),
+        s(3),
+        Payload::Phase1a {
+            txn: t(),
+            ballot: 2049,
+        },
+    );
     let records_after_promise = net.node(s(3)).log().retained();
     assert_eq!(records_after_promise, 1, "the promise is durable");
     // ...after which the old leader's ballot-0 bundle must be refused.
@@ -368,21 +409,33 @@ fn forgotten_acceptor_answers_phase1a_with_forgotten() {
     let mut net = Net::new(&config);
     // Complete a transaction so site 0 has forgotten it.
     net.begin(t(), &[s(1)]);
-    net.inject(s(1), s(0), Payload::Vote { txn: t(), vote: Vote::Yes });
+    net.inject(
+        s(1),
+        s(0),
+        Payload::Vote {
+            txn: t(),
+            vote: Vote::Yes,
+        },
+    );
     net.inject(s(1), s(0), Payload::Ack { txn: t() });
     assert_eq!(net.node(s(0)).protocol_table_size(), 0);
 
     // A candidate probing the forgotten transaction is told so.
-    let actions = net
-        .nodes
-        .get_mut(&s(0))
-        .unwrap()
-        .on_message(s(3), &Payload::Phase1a { txn: t(), ballot: 3072 });
+    let actions = net.nodes.get_mut(&s(0)).unwrap().on_message(
+        s(3),
+        &Payload::Phase1a {
+            txn: t(),
+            ballot: 3072,
+        },
+    );
     let forgotten = actions.iter().any(|a| {
         matches!(
             a,
             Action::Send {
-                payload: Payload::Phase1b { forgotten: true, .. },
+                payload: Payload::Phase1b {
+                    forgotten: true,
+                    ..
+                },
                 ..
             }
         )
@@ -449,11 +502,21 @@ fn a_reopened_acceptor_keeps_its_open_transactions_pinned() {
     assert!(!net.node(s(0)).in_flight(second));
 
     let node = net.node(s(0));
-    assert_eq!(node.log_pinned(), vec![t()], "the first transaction is open");
-    let accept_kept = node.log().records().unwrap().iter().any(|r| {
-        matches!(r.payload, LogPayload::PaxosAccept { txn, .. } if txn == t())
-    });
-    assert!(accept_kept, "the open transaction's acceptance was collected");
+    assert_eq!(
+        node.log_pinned(),
+        vec![t()],
+        "the first transaction is open"
+    );
+    let accept_kept = node
+        .log()
+        .records()
+        .unwrap()
+        .iter()
+        .any(|r| matches!(r.payload, LogPayload::PaxosAccept { txn, .. } if txn == t()));
+    assert!(
+        accept_kept,
+        "the open transaction's acceptance was collected"
+    );
 }
 
 #[test]
@@ -465,21 +528,44 @@ fn inquiry_answers_follow_decision_then_presumption() {
     // Voting phase: silence (the participant retries).
     let acts = net.nodes.get_mut(&s(0)).unwrap().on_message(
         s(1),
-        &Payload::Inquiry { txn: t(), protocol: acp_types::ProtocolKind::PrN },
+        &Payload::Inquiry {
+            txn: t(),
+            protocol: acp_types::ProtocolKind::PrN,
+        },
     );
     assert!(acts.iter().all(|a| !matches!(a, Action::Send { .. })));
 
     // After the decision: the real outcome.
-    net.inject(s(1), s(0), Payload::Vote { txn: t(), vote: Vote::Yes });
-    net.inject(s(2), s(0), Payload::Vote { txn: t(), vote: Vote::Yes });
+    net.inject(
+        s(1),
+        s(0),
+        Payload::Vote {
+            txn: t(),
+            vote: Vote::Yes,
+        },
+    );
+    net.inject(
+        s(2),
+        s(0),
+        Payload::Vote {
+            txn: t(),
+            vote: Vote::Yes,
+        },
+    );
     let acts = net.nodes.get_mut(&s(0)).unwrap().on_message(
         s(1),
-        &Payload::Inquiry { txn: t(), protocol: acp_types::ProtocolKind::PrN },
+        &Payload::Inquiry {
+            txn: t(),
+            protocol: acp_types::ProtocolKind::PrN,
+        },
     );
     assert!(acts.iter().any(|a| matches!(
         a,
         Action::Send {
-            payload: Payload::InquiryResponse { outcome: Outcome::Commit, .. },
+            payload: Payload::InquiryResponse {
+                outcome: Outcome::Commit,
+                ..
+            },
             ..
         }
     )));
@@ -495,7 +581,10 @@ fn inquiry_answers_follow_decision_then_presumption() {
     assert!(acts.iter().any(|a| matches!(
         a,
         Action::Send {
-            payload: Payload::InquiryResponse { outcome: Outcome::Abort, .. },
+            payload: Payload::InquiryResponse {
+                outcome: Outcome::Abort,
+                ..
+            },
             ..
         }
     )));

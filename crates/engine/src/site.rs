@@ -107,7 +107,12 @@ impl<L: StableLog> SiteEngine<L> {
         self.write(txn, key.into(), None)
     }
 
-    fn write(&mut self, txn: TxnId, key: Vec<u8>, after: Option<Vec<u8>>) -> Result<(), EngineError> {
+    fn write(
+        &mut self,
+        txn: TxnId,
+        key: Vec<u8>,
+        after: Option<Vec<u8>>,
+    ) -> Result<(), EngineError> {
         let ctx = self.txns.get(&txn).ok_or(EngineError::UnknownTxn(txn))?;
         if ctx.phase != TxnPhase::Active {
             return Err(EngineError::WrongPhase { txn, op: "write" });

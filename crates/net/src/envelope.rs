@@ -103,9 +103,9 @@ impl Envelope {
         }
         match self {
             Envelope::Protocol(msg) => Some(shard_of(msg.payload.txn(), n_shards)),
-            Envelope::ProtocolBatch(msgs) => msgs
-                .first()
-                .map(|m| shard_of(m.payload.txn(), n_shards)),
+            Envelope::ProtocolBatch(msgs) => {
+                msgs.first().map(|m| shard_of(m.payload.txn(), n_shards))
+            }
             Envelope::Apply { txn, .. }
             | Envelope::SetIntent { txn, .. }
             | Envelope::Commit { txn, .. } => Some(shard_of(*txn, n_shards)),

@@ -1622,7 +1622,10 @@ mod tests {
         let bound = 2 * live + acp_wal::RECLAIM_FLOOR + 16;
         assert!(len <= bound, "{len} B on disk, {live} B live");
         let reopened = acp_wal::FileLog::open(&path).expect("coordinator wal");
-        assert_eq!(acp_wal::StableLog::records(&reopened).expect("records"), records);
+        assert_eq!(
+            acp_wal::StableLog::records(&reopened).expect("records"),
+            records
+        );
     }
 
     /// Every site forgets, and no commit is lost to it. 400 commits one
@@ -1776,10 +1779,20 @@ mod tests {
         let (next, durable) = (log.next_lsn(), log.durable_end());
         let tail = next.raw() - durable.raw();
         let lazy_ends = |e: ProtocolEvent| match e {
-            ProtocolEvent::NonForcedWrite { site: 0, record: "end", txn, .. } => txn,
+            ProtocolEvent::NonForcedWrite {
+                site: 0,
+                record: "end",
+                txn,
+                ..
+            } => txn,
             _ => None,
         };
-        let ends: Vec<u64> = r.sink.snapshot().into_iter().filter_map(lazy_ends).collect();
+        let ends: Vec<u64> = r
+            .sink
+            .snapshot()
+            .into_iter()
+            .filter_map(lazy_ends)
+            .collect();
         let buffered: BTreeSet<u64> = ends[ends.len() - tail as usize..].iter().copied().collect();
         assert!(buffered.len() >= 2, "several buffered ends: {buffered:?}");
         assert!(buffered.iter().all(|n| batch.contains(n)));
@@ -1793,12 +1806,20 @@ mod tests {
         let after: Vec<ProtocolEvent> = r.sink.snapshot().split_off(mark);
         let at_coordinator = |kind: &str, sites: &[u32]| -> BTreeSet<(u64, u32)> {
             let seen = |e: &ProtocolEvent| match *e {
-                ProtocolEvent::MsgSend { site: 0, to, kind: k, txn, .. } if k == kind => {
-                    Some((txn?, to))
-                }
-                ProtocolEvent::MsgRecv { site: 0, from, kind: k, txn, .. } if k == kind => {
-                    Some((txn?, from))
-                }
+                ProtocolEvent::MsgSend {
+                    site: 0,
+                    to,
+                    kind: k,
+                    txn,
+                    ..
+                } if k == kind => Some((txn?, to)),
+                ProtocolEvent::MsgRecv {
+                    site: 0,
+                    from,
+                    kind: k,
+                    txn,
+                    ..
+                } if k == kind => Some((txn?, from)),
                 _ => None,
             };
             let seen = after.iter().filter_map(seen);
@@ -1806,7 +1827,11 @@ mod tests {
         };
         let prn_and_pra: BTreeSet<(u64, u32)> =
             buffered.iter().flat_map(|&n| [(n, 1), (n, 2)]).collect();
-        assert_eq!(at_coordinator("decision", &[1, 2, 3]), prn_and_pra, "re-sent");
+        assert_eq!(
+            at_coordinator("decision", &[1, 2, 3]),
+            prn_and_pra,
+            "re-sent"
+        );
         assert_eq!(at_coordinator("ack", &[1, 2, 3]), prn_and_pra, "answered");
         assert_eq!(r.coordinator().protocol_table_size(), 0);
         for site in PARTS {
@@ -1822,7 +1847,11 @@ mod tests {
         assert!(c.log_pinned().is_empty());
         assert!(c.releasable_records() < GC_RECORDS);
         let held = acp_wal::StableLog::records(c.log()).expect("records").len() as u64;
-        assert_eq!(held, c.releasable_records() + 2, "and the last commit's two");
+        assert_eq!(
+            held,
+            c.releasable_records() + 2,
+            "and the last commit's two"
+        );
     }
 
     /// A crash between a participant's two collection steps: its store

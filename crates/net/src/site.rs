@@ -267,7 +267,11 @@ pub(crate) fn observe_acta(
             by_presumption,
             ..
         } => {
-            let how = if *by_presumption { " by presumption" } else { "" };
+            let how = if *by_presumption {
+                " by presumption"
+            } else {
+                ""
+            };
             obs.sink.record(&ProtocolEvent::RecoveryStep {
                 at_us,
                 site,
@@ -368,7 +372,10 @@ mod tests {
                     assert_eq!(j, d.delay_jittered(p, attempt, salt), "reproducible");
                     let off = (j.as_micros() as i128 - base).abs();
                     // ±12.5% of the backed-off delay, rounded.
-                    assert!(off <= base / 8 + 1, "{p:?}@{attempt}: off={off} base={base}");
+                    assert!(
+                        off <= base / 8 + 1,
+                        "{p:?}@{attempt}: off={off} base={base}"
+                    );
                     // Never below the un-backed-off base delay.
                     assert!(j >= d.delay(p, 0));
                 }

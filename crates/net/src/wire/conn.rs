@@ -239,7 +239,9 @@ mod tests {
         for seq in 0..n {
             encode_wire_frame_into(&mut conn.buf, seq, &apply(seq));
         }
-        let frames = (0..n).map(|seq| encode_wire_frame(seq, &apply(seq))).collect();
+        let frames = (0..n)
+            .map(|seq| encode_wire_frame(seq, &apply(seq)))
+            .collect();
         (conn, frames)
     }
 

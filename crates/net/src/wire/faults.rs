@@ -195,7 +195,7 @@ mod tests {
         assert_eq!(faults.decide(SiteId::new(2), &msg), Some(FaultAction::Drop));
         assert_eq!(faults.decide(SiteId::new(2), &msg), Some(FaultAction::Drop));
         assert_eq!(faults.decide(SiteId::new(2), &msg), None); // spent
-        // Other destinations never matched.
+                                                               // Other destinations never matched.
         assert_eq!(faults.decide(SiteId::new(3), &prepare_to(3)), None);
     }
 

@@ -118,18 +118,24 @@ fn put_vote(out: &mut Vec<u8>, v: Vote) {
 }
 
 fn put_outcome(out: &mut Vec<u8>, o: Outcome) {
-    put_u8(out, match o {
-        Outcome::Commit => 0,
-        Outcome::Abort => 1,
-    });
+    put_u8(
+        out,
+        match o {
+            Outcome::Commit => 0,
+            Outcome::Abort => 1,
+        },
+    );
 }
 
 fn put_protocol(out: &mut Vec<u8>, p: ProtocolKind) {
-    put_u8(out, match p {
-        ProtocolKind::PrN => 0,
-        ProtocolKind::PrA => 1,
-        ProtocolKind::PrC => 2,
-    });
+    put_u8(
+        out,
+        match p {
+            ProtocolKind::PrN => 0,
+            ProtocolKind::PrA => 1,
+            ProtocolKind::PrC => 2,
+        },
+    );
 }
 
 fn bad(what: &str, value: u8) -> WalError {

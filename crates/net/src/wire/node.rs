@@ -261,8 +261,7 @@ impl Sockets {
             Ok(pending) => {
                 if pending != conn.want_writable {
                     if let (Some(stream), Some(token)) = (&conn.stream, conn.token) {
-                        let interest =
-                            EPOLLIN | EPOLLRDHUP | if pending { EPOLLOUT } else { 0 };
+                        let interest = EPOLLIN | EPOLLRDHUP | if pending { EPOLLOUT } else { 0 };
                         let _ = self.epoll.modify(stream.as_raw_fd(), interest, token);
                         conn.want_writable = pending;
                     }
@@ -454,7 +453,10 @@ impl Waker {
         node.set_nonblocking(true)?;
         handle.set_nonblocking(true)?;
         let rung = Arc::new(AtomicBool::new(false));
-        let node = Waker { pipe: node, rung: Arc::clone(&rung) };
+        let node = Waker {
+            pipe: node,
+            rung: Arc::clone(&rung),
+        };
         Ok((node, Waker { pipe: handle, rung }))
     }
 
@@ -515,7 +517,12 @@ impl Transport for Tcp {
         let msg = match envelope {
             Envelope::Protocol(m) => WireMsg::Protocol(m),
             Envelope::ProtocolBatch(ms) => WireMsg::ProtocolBatch(ms),
-            Envelope::Apply { txn, key, value } => WireMsg::Apply { to, txn, key, value },
+            Envelope::Apply { txn, key, value } => WireMsg::Apply {
+                to,
+                txn,
+                key,
+                value,
+            },
             Envelope::SetIntent { txn, vote } => WireMsg::SetIntent { to, txn, vote },
             Envelope::Commit { .. } | Envelope::Crash { .. } | Envelope::Shutdown => return None,
         };
@@ -619,7 +626,11 @@ impl Tcp {
                     let token = sockets.next_token;
                     sockets.next_token += 1;
                     let interest = EPOLLIN | EPOLLRDHUP;
-                    if sockets.epoll.add(stream.as_raw_fd(), interest, token).is_err() {
+                    if sockets
+                        .epoll
+                        .add(stream.as_raw_fd(), interest, token)
+                        .is_err()
+                    {
                         continue;
                     }
                     self.inbound.insert(token, InConn::new(stream));
@@ -637,7 +648,11 @@ impl Tcp {
     /// EOF/reset.
     fn out_event(&mut self, now: Instant, token: u64, flags: u32) {
         let Wire { out, sockets, .. } = &mut self.wire;
-        let Some(conn) = sockets.out_tokens.get(&token).and_then(|to| out.get_mut(to)) else {
+        let Some(conn) = sockets
+            .out_tokens
+            .get(&token)
+            .and_then(|to| out.get_mut(to))
+        else {
             return;
         };
         let mut dead = flags & (EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0;
@@ -646,9 +661,10 @@ impl Tcp {
             dead = match conn.stream.as_mut().map(|s| s.read(&mut [0u8; 64])) {
                 None | Some(Ok(1..)) => false,
                 Some(Ok(0)) => true,
-                Some(Err(e)) => {
-                    !matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted)
-                }
+                Some(Err(e)) => !matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+                ),
             };
         }
         if dead {
@@ -715,7 +731,9 @@ fn deliver(hosted: &BTreeSet<SiteId>, msg: WireMsg, ready: &mut VecDeque<Mail>) 
     let (to, env) = match msg {
         WireMsg::Protocol(m) => (m.to, Envelope::Protocol(m)),
         WireMsg::ProtocolBatch(ms) => {
-            let Some(to) = ms.first().map(|m| m.to) else { return };
+            let Some(to) = ms.first().map(|m| m.to) else {
+                return;
+            };
             (to, Envelope::ProtocolBatch(ms))
         }
         WireMsg::Apply {
@@ -739,7 +757,9 @@ fn deliver(hosted: &BTreeSet<SiteId>, msg: WireMsg, ready: &mut VecDeque<Mail>) 
 /// share one time axis (modulo clock skew — loopback-demo scale).
 fn t0_from_epoch(epoch_unix_us: Option<u64>) -> Instant {
     let now = Instant::now();
-    let Some(epoch) = epoch_unix_us else { return now };
+    let Some(epoch) = epoch_unix_us else {
+        return now;
+    };
     let unix_now = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .unwrap_or_default();

@@ -42,8 +42,7 @@ fn arb_payload() -> impl Strategy<Value = Payload> {
     prop_oneof![
         txn.clone().prop_map(|txn| Payload::Prepare { txn }),
         (txn.clone(), arb_vote()).prop_map(|(txn, vote)| Payload::Vote { txn, vote }),
-        (txn.clone(), arb_outcome())
-            .prop_map(|(txn, outcome)| Payload::Decision { txn, outcome }),
+        (txn.clone(), arb_outcome()).prop_map(|(txn, outcome)| Payload::Decision { txn, outcome }),
         txn.clone().prop_map(|txn| Payload::Ack { txn }),
         (txn.clone(), protocol).prop_map(|(txn, protocol)| Payload::Inquiry { txn, protocol }),
         (txn.clone(), arb_outcome())
@@ -113,7 +112,10 @@ fn pull(
     lens: &[usize],
     out: &mut Vec<(u64, WireMsg)>,
 ) -> Result<(), TestCaseError> {
-    while let Some(frame) = dec.next_frame().map_err(|e| TestCaseError::new(e.to_string()))? {
+    while let Some(frame) = dec
+        .next_frame()
+        .map_err(|e| TestCaseError::new(e.to_string()))?
+    {
         *owed -= lens[out.len()];
         out.push(frame);
         prop_assert_eq!(dec.buffered(), *owed);

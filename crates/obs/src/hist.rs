@@ -85,7 +85,9 @@ pub struct HistogramSnapshot {
 
 impl Default for HistogramSnapshot {
     fn default() -> Self {
-        HistogramSnapshot { buckets: [0; N_BUCKETS] }
+        HistogramSnapshot {
+            buckets: [0; N_BUCKETS],
+        }
     }
 }
 
@@ -199,7 +201,11 @@ mod tests {
         let b = LatencyHistogram::new();
         let whole = LatencyHistogram::new();
         for v in 0..1000u64 {
-            if v % 2 == 0 { a.record(v * 7) } else { b.record(v * 7) }
+            if v % 2 == 0 {
+                a.record(v * 7)
+            } else {
+                b.record(v * 7)
+            }
             whole.record(v * 7);
         }
         let (sa, sb) = (a.snapshot(), b.snapshot());

@@ -50,7 +50,9 @@ pub fn event_to_json(ev: &ProtocolEvent) -> String {
             let _ = write!(s, ",\"to\":{},\"kind\":\"{}\"", to, escape(kind));
             push_txn(&mut s, *txn);
         }
-        ProtocolEvent::MsgRecv { from, kind, txn, .. } => {
+        ProtocolEvent::MsgRecv {
+            from, kind, txn, ..
+        } => {
             let _ = write!(s, ",\"from\":{},\"kind\":\"{}\"", from, escape(kind));
             push_txn(&mut s, *txn);
         }

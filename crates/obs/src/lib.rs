@@ -52,5 +52,7 @@ pub use hist::{HistogramSnapshot, LatencyHistogram};
 pub use json::{event_to_json, parse_flat_json, JsonValue};
 pub use metrics::{Counter, MetricsRegistry, MetricsSnapshot};
 pub use render::{render_ascii, render_mermaid};
-pub use sink::{CountingSink, FanoutSink, JsonLinesSink, NullSink, RingBufferSink, TraceSink, VecSink};
+pub use sink::{
+    CountingSink, FanoutSink, JsonLinesSink, NullSink, RingBufferSink, TraceSink, VecSink,
+};
 pub use wire::{WireMetrics, WireSnapshot};

@@ -405,7 +405,14 @@ mod tests {
     #[test]
     fn message_kinds_feed_the_cost_projection() {
         let r = MetricsRegistry::new();
-        for kind in ["prepare", "vote", "decision", "ack", "inquiry", "inquiry-response"] {
+        for kind in [
+            "prepare",
+            "vote",
+            "decision",
+            "ack",
+            "inquiry",
+            "inquiry-response",
+        ] {
             r.record(&ProtocolEvent::MsgSend {
                 at_us: 0,
                 site: 0,
@@ -450,7 +457,11 @@ mod tests {
     #[test]
     fn retries_are_bucketed_by_purpose() {
         let r = MetricsRegistry::new();
-        for (purpose, attempt) in [("inquiry-retry", 1), ("inquiry-retry", 2), ("ack-resend", 1)] {
+        for (purpose, attempt) in [
+            ("inquiry-retry", 1),
+            ("inquiry-retry", 2),
+            ("ack-resend", 1),
+        ] {
             r.record(&ProtocolEvent::RetryScheduled {
                 at_us: 0,
                 site: 1,

@@ -34,8 +34,14 @@ pub fn describe(ev: &ProtocolEvent, labels: &BTreeMap<u32, String>) -> String {
         ProtocolEvent::MsgSend { to, kind, txn, .. } => {
             format!("send {kind} -> {}{}", label(labels, *to), txn_suffix(*txn))
         }
-        ProtocolEvent::MsgRecv { from, kind, txn, .. } => {
-            format!("recv {kind} <- {}{}", label(labels, *from), txn_suffix(*txn))
+        ProtocolEvent::MsgRecv {
+            from, kind, txn, ..
+        } => {
+            format!(
+                "recv {kind} <- {}{}",
+                label(labels, *from),
+                txn_suffix(*txn)
+            )
         }
         ProtocolEvent::VoteCast { vote, txn, .. } => {
             format!("cast vote {vote}{}", txn_suffix(*txn))
@@ -69,7 +75,10 @@ pub fn describe(ev: &ProtocolEvent, labels: &BTreeMap<u32, String>) -> String {
             inflight,
             limit,
             ..
-        } => format!("SHED at door ({inflight}/{limit} in flight){}", txn_suffix(*txn)),
+        } => format!(
+            "SHED at door ({inflight}/{limit} in flight){}",
+            txn_suffix(*txn)
+        ),
         ProtocolEvent::CrashObserved { .. } => "CRASH".to_string(),
         ProtocolEvent::RecoveryStep { detail, .. } => format!("recover: {detail}"),
     }
@@ -193,7 +202,10 @@ pub fn render_mermaid(
             ProtocolEvent::LogGc {
                 records_released, ..
             } => {
-                let _ = writeln!(out, "    Note over S{s}: gc reclaims {records_released} records");
+                let _ = writeln!(
+                    out,
+                    "    Note over S{s}: gc reclaims {records_released} records"
+                );
             }
             ProtocolEvent::RetryScheduled {
                 purpose, attempt, ..
@@ -206,7 +218,10 @@ pub fn render_mermaid(
             ProtocolEvent::AdmissionShed {
                 inflight, limit, ..
             } => {
-                let _ = writeln!(out, "    Note over S{s}: shed ({inflight}/{limit} in flight)");
+                let _ = writeln!(
+                    out,
+                    "    Note over S{s}: shed ({inflight}/{limit} in flight)"
+                );
             }
             ProtocolEvent::CrashObserved { .. } => {
                 let _ = writeln!(out, "    Note over S{s}: CRASH");

@@ -56,7 +56,10 @@ impl VecSink {
 
 impl TraceSink for VecSink {
     fn record(&self, ev: &ProtocolEvent) {
-        self.events.lock().expect("VecSink poisoned").push(ev.clone());
+        self.events
+            .lock()
+            .expect("VecSink poisoned")
+            .push(ev.clone());
     }
 }
 
@@ -230,7 +233,10 @@ mod tests {
             s.record(&ev(t));
         }
         let got = s.snapshot();
-        assert_eq!(got.iter().map(ProtocolEvent::at_us).collect::<Vec<_>>(), [4, 5]);
+        assert_eq!(
+            got.iter().map(ProtocolEvent::at_us).collect::<Vec<_>>(),
+            [4, 5]
+        );
     }
 
     #[test]

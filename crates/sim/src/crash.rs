@@ -93,7 +93,10 @@ impl FailureSchedule {
         redo_window: SimTime,
         second_outage: SimTime,
     ) -> Self {
-        assert!(second_outage > SimTime::ZERO, "second outage must be nonempty");
+        assert!(
+            second_outage > SimTime::ZERO,
+            "second outage must be nonempty"
+        );
         let mut s = Self::single(site, crash_at, first_recover);
         let second_crash = first_recover + redo_window;
         s.push(site, second_crash, second_crash + second_outage);
@@ -255,8 +258,13 @@ mod tests {
             ]
         );
         // Zero redo window: the boundary recovery never happens.
-        let sched =
-            FailureSchedule::double_crash(s, SimTime(100), SimTime(200), SimTime::ZERO, SimTime(80));
+        let sched = FailureSchedule::double_crash(
+            s,
+            SimTime(100),
+            SimTime(200),
+            SimTime::ZERO,
+            SimTime(80),
+        );
         assert_eq!(
             sched.merged(),
             vec![Outage {
@@ -288,7 +296,10 @@ mod tests {
         // Without normalization the recovery at 30 would resurrect the
         // site inside the second outage.
         w.run_until(SimTime(35));
-        assert!(!w.is_up(s), "site must still be down at t=35 (union of outages)");
+        assert!(
+            !w.is_up(s),
+            "site must still be down at t=35 (union of outages)"
+        );
         w.run_until(SimTime(60));
         assert!(w.is_up(s));
     }

@@ -207,12 +207,20 @@ impl fmt::Display for Payload {
                 txn,
                 ballot,
                 instances,
-            } => write!(f, "phase2a({txn}, b{ballot}, {} instances)", instances.len()),
+            } => write!(
+                f,
+                "phase2a({txn}, b{ballot}, {} instances)",
+                instances.len()
+            ),
             Payload::Phase2b {
                 txn,
                 ballot,
                 instances,
-            } => write!(f, "phase2b({txn}, b{ballot}, {} instances)", instances.len()),
+            } => write!(
+                f,
+                "phase2b({txn}, b{ballot}, {} instances)",
+                instances.len()
+            ),
             Payload::PaxosForget { txn } => write!(f, "paxos-forget({txn})"),
         }
     }

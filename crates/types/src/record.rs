@@ -227,7 +227,11 @@ impl fmt::Display for LogPayload {
                 if instances.is_empty() {
                     write!(f, "paxos-promise({txn}, b{ballot})")
                 } else {
-                    write!(f, "paxos-accept({txn}, b{ballot}, {} instances)", instances.len())
+                    write!(
+                        f,
+                        "paxos-accept({txn}, b{ballot}, {} instances)",
+                        instances.len()
+                    )
                 }
             }
             LogPayload::Prepared { txn, coordinator } => {

@@ -322,7 +322,11 @@ mod tests {
             log.flush().unwrap();
         });
         let on_disk = std::fs::read(file.path()).unwrap();
-        assert_eq!(faulty.image(), &on_disk[..], "byte image diverged from FileLog");
+        assert_eq!(
+            faulty.image(),
+            &on_disk[..],
+            "byte image diverged from FileLog"
+        );
     }
 
     #[test]
@@ -377,7 +381,10 @@ mod tests {
                 f.write_all(&bytes).unwrap();
             }
 
-            faulty.inject(Fault::BitFlip { offset: off, mask: 0x40 });
+            faulty.inject(Fault::BitFlip {
+                offset: off,
+                mask: 0x40,
+            });
             faulty.crash_and_recover().unwrap();
             let reopened = FileLog::open(&path).unwrap();
             assert_eq!(
@@ -408,13 +415,19 @@ mod tests {
         let on_disk = std::fs::read(file.path()).unwrap();
         assert_eq!(faulty.image(), &on_disk[..]);
 
-        let f = std::fs::OpenOptions::new().write(true).open(file.path()).unwrap();
+        let f = std::fs::OpenOptions::new()
+            .write(true)
+            .open(file.path())
+            .unwrap();
         f.set_len(on_disk.len() as u64 - 7).unwrap();
         drop(f);
         faulty.inject(Fault::TornTail { bytes: 7 });
         let report = faulty.recover().unwrap();
         assert_eq!(file.recover().unwrap(), report);
-        assert_eq!((report.lost_buffered, report.lost_durable, report.survivors), (1, 1, 4));
+        assert_eq!(
+            (report.lost_buffered, report.lost_durable, report.survivors),
+            (1, 1, 4)
+        );
         assert_eq!(file.records().unwrap(), faulty.records().unwrap());
         assert_eq!(file.low_water_mark(), Lsn(3));
 
@@ -445,7 +458,10 @@ mod tests {
             log.recover().unwrap();
             let recovered = log.records().unwrap();
             for rec in &reported {
-                assert!(recovered.contains(rec), "{fault:?}: {rec} reported durable, then lost");
+                assert!(
+                    recovered.contains(rec),
+                    "{fault:?}: {rec} reported durable, then lost"
+                );
             }
             assert!(
                 recovered.windows(2).all(|w| w[0].lsn < w[1].lsn),
@@ -469,7 +485,11 @@ mod tests {
         assert!(matches!(log.append(end(4), true), Err(WalError::Io(_))));
         assert!(matches!(log.flush(), Err(WalError::Io(_))));
         assert!(matches!(log.truncate_prefix(Lsn(1)), Err(WalError::Io(_))));
-        assert_eq!(log.records().unwrap().len(), 1, "nothing more reported durable");
+        assert_eq!(
+            log.records().unwrap().len(),
+            1,
+            "nothing more reported durable"
+        );
         assert_eq!(log.image(), &image[..]);
 
         // The failed sync's bytes did reach the image: recovery finds
@@ -499,8 +519,19 @@ mod tests {
         };
         let cases = [
             (Fault::TornTail { bytes: 5 }, 4, report(0, 1, 25, 3)),
-            (Fault::PartialFsync { drop_bytes: 4 }, 4, report(0, 1, 26, 3)),
-            (Fault::BitFlip { offset: 56, mask: 1 }, 4, report(0, 3, 90, 1)),
+            (
+                Fault::PartialFsync { drop_bytes: 4 },
+                4,
+                report(0, 1, 26, 3),
+            ),
+            (
+                Fault::BitFlip {
+                    offset: 56,
+                    mask: 1,
+                },
+                4,
+                report(0, 3, 90, 1),
+            ),
             (Fault::WriteError { after_bytes: 5 }, 2, report(2, 0, 5, 2)),
             (Fault::SyncError, 2, report(2, 0, 0, 4)),
         ];
@@ -538,10 +569,21 @@ mod tests {
         log.inject(Fault::PartialFsync { drop_bytes: 30 });
         log.append(end(1), true).unwrap(); // the whole frame never lands
         log.append(end(2), true).unwrap(); // lands behind the hole
-        assert_eq!(log.records().unwrap().len(), 3, "all three reported durable");
+        assert_eq!(
+            log.records().unwrap().len(),
+            3,
+            "all three reported durable"
+        );
 
         let report = log.crash_and_recover().unwrap();
-        assert_eq!((report.survivors, report.lost_durable, report.truncated_bytes), (1, 2, 30));
+        assert_eq!(
+            (
+                report.survivors,
+                report.lost_durable,
+                report.truncated_bytes
+            ),
+            (1, 2, 30)
+        );
         assert_eq!(log.records().unwrap()[0].payload, end(0));
         assert_eq!(log.append(end(9), true).unwrap(), Lsn(1));
         assert_eq!(log.crash_and_recover().unwrap().survivors, 2);
@@ -586,7 +628,10 @@ mod tests {
             mask: 0x01,
         });
         let report = log.crash_and_recover().unwrap();
-        assert_eq!(report.survivors, 1, "only the first record is a valid prefix");
+        assert_eq!(
+            report.survivors, 1,
+            "only the first record is a valid prefix"
+        );
         assert_eq!(report.lost_durable, 4);
         assert!(report.truncated_bytes > 0);
         // Appends resume from the surviving tail.
@@ -792,7 +837,10 @@ mod tests {
     fn header_corruption_is_fatal() {
         let mut log = FaultyLog::new();
         log.append(end(1), true).unwrap();
-        log.inject(Fault::BitFlip { offset: 0, mask: 0xFF });
+        log.inject(Fault::BitFlip {
+            offset: 0,
+            mask: 0xFF,
+        });
         assert!(log.crash_and_recover().is_err());
     }
 }

@@ -397,7 +397,10 @@ mod tests {
         assert_eq!(log.low_water_mark(), Lsn(7));
         let recs = log.records().unwrap();
         assert_eq!(recs.len(), 3);
-        assert!(recs.iter().all(|r| r.lsn >= Lsn(7)), "no resurrected records");
+        assert!(
+            recs.iter().all(|r| r.lsn >= Lsn(7)),
+            "no resurrected records"
+        );
     }
 
     #[test]

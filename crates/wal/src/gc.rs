@@ -138,7 +138,8 @@ impl GcTracker {
         let pending = self.ending.iter().rev();
         let pending = pending.take_while(|&&(end, _)| end >= durable);
         let pin = pending.map(|&(_, first)| first).min();
-        pin.into_iter().fold(self.releasable().min(durable), Lsn::min)
+        pin.into_iter()
+            .fold(self.releasable().min(durable), Lsn::min)
     }
 
     /// Records of `log` below the cut [`GcTracker::collect`] would make
@@ -270,7 +271,13 @@ mod tests {
             t.note_pending(Lsn(lsn), &p, Lsn(0));
         }
         // init(T4), init(T5), init(T6), dec(T4), dec(T5): forced.
-        for (lsn, p) in [(2, dec(4)), (3, dec(5)), (4, dec(6)), (5, dec(4)), (6, dec(5))] {
+        for (lsn, p) in [
+            (2, dec(4)),
+            (3, dec(5)),
+            (4, dec(6)),
+            (5, dec(4)),
+            (6, dec(5)),
+        ] {
             t.note_pending(Lsn(lsn), &p, Lsn(lsn));
         }
         t.note_pending(Lsn(7), &end(4), durable);
@@ -279,7 +286,11 @@ mod tests {
         assert_eq!(t.releasable_at(durable), Lsn(2), "T4's end is buffered");
         assert_eq!(t.releasable_at(Lsn(8)), Lsn(3), "T5's end is buffered");
         assert_eq!(t.releasable_at(Lsn(9)), Lsn(4), "both ends are durable");
-        assert_eq!(t.releasable_at(Lsn(1)), Lsn(1), "never past the durable end");
+        assert_eq!(
+            t.releasable_at(Lsn(1)),
+            Lsn(1),
+            "never past the durable end"
+        );
         assert_eq!(t.pinned(), vec![TxnId::new(6)]);
     }
 
@@ -323,7 +334,11 @@ mod tests {
         for k in 0..n {
             let durable = Lsn(2 * k + 1);
             let expect = if k <= 3 { 0 } else { 2 * k };
-            assert_eq!(t.releasable_at(durable), Lsn(expect), "durable below {durable}");
+            assert_eq!(
+                t.releasable_at(durable),
+                Lsn(expect),
+                "durable below {durable}"
+            );
         }
         assert_eq!(t.releasable_at(Lsn(2 * n)), Lsn(2 * n));
     }

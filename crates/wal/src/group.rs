@@ -515,8 +515,20 @@ mod tests {
         assert_eq!(log.records().unwrap().len(), 4);
         let closed: Vec<_> = log.take_closed().collect();
         assert_eq!(closed.len(), 2);
-        assert_eq!(closed[0], ClosedBatch { opened_at_us: 1_000, occupancy: 3 });
-        assert_eq!(closed[1], ClosedBatch { opened_at_us: 1_200, occupancy: 1 });
+        assert_eq!(
+            closed[0],
+            ClosedBatch {
+                opened_at_us: 1_000,
+                occupancy: 3
+            }
+        );
+        assert_eq!(
+            closed[1],
+            ClosedBatch {
+                opened_at_us: 1_200,
+                occupancy: 1
+            }
+        );
     }
 
     #[test]

@@ -259,19 +259,37 @@ mod tests {
         let coordinator = SiteId::new(0);
         let mut log = FaultyLog::new();
         for payload in [
-            LogPayload::Prepared { txn: t1, coordinator },
-            LogPayload::Prepared { txn: t2, coordinator },
-            LogPayload::PartDecision { txn: t2, outcome: Outcome::Commit },
-            LogPayload::PartDecision { txn: t2, outcome: Outcome::Commit },
+            LogPayload::Prepared {
+                txn: t1,
+                coordinator,
+            },
+            LogPayload::Prepared {
+                txn: t2,
+                coordinator,
+            },
+            LogPayload::PartDecision {
+                txn: t2,
+                outcome: Outcome::Commit,
+            },
+            LogPayload::PartDecision {
+                txn: t2,
+                outcome: Outcome::Commit,
+            },
             LogPayload::PartEnd { txn: t2 },
         ] {
             log.append(payload, true).unwrap();
         }
         let (summaries, gc) = analyze_log(&log).unwrap();
         assert_eq!(summaries, analyze(&log.records().unwrap()));
-        assert_eq!(summaries[&t2].part_decision, Some((Outcome::Commit, Lsn(2))));
+        assert_eq!(
+            summaries[&t2].part_decision,
+            Some((Outcome::Commit, Lsn(2)))
+        );
         let rebuilt = GcTracker::from_log(&log).unwrap();
-        assert_eq!((gc.pinned(), gc.releasable()), (rebuilt.pinned(), rebuilt.releasable()));
+        assert_eq!(
+            (gc.pinned(), gc.releasable()),
+            (rebuilt.pinned(), rebuilt.releasable())
+        );
         assert_eq!(gc.pinned(), vec![t1]);
     }
 

@@ -327,7 +327,11 @@ fn a_restart_allocates_within_its_budget_per_retained_record() {
         // Every fourth transaction stays in doubt; of the rest, every
         // third aborts.
         if n % 4 != 0 {
-            let outcome = if n % 3 == 0 { Outcome::Abort } else { Outcome::Commit };
+            let outcome = if n % 3 == 0 {
+                Outcome::Abort
+            } else {
+                Outcome::Commit
+            };
             let actions = part.on_message(coordinator, &Payload::Decision { txn, outcome });
             enforce(&mut engine, actions);
         }
@@ -347,7 +351,11 @@ fn a_restart_allocates_within_its_budget_per_retained_record() {
     let per_record = (MINE.get() - before) as f64 / retained as f64;
 
     assert_eq!(part.in_doubt_txns().len() as u64, BURST);
-    assert_eq!(engine.locked_keys() as u64, 2 * BURST, "in-doubt writes re-staged");
+    assert_eq!(
+        engine.locked_keys() as u64,
+        2 * BURST,
+        "in-doubt writes re-staged"
+    );
     println!("restart: {per_record:.2} allocations per retained record ({retained} records)");
     assert!(
         per_record <= 2.2,

@@ -46,11 +46,20 @@ fn double_crash_sweep(
         );
         let out = run_scenario(&s);
         let a = check_atomicity(&out.history);
-        assert!(a.is_empty(), "double crash at {crash_us}us of {victim}: {a:?}");
+        assert!(
+            a.is_empty(),
+            "double crash at {crash_us}us of {victim}: {a:?}"
+        );
         let o = check_operational(&out.history, &out.final_state);
-        assert!(o.is_empty(), "double crash at {crash_us}us of {victim}: {o:?}");
+        assert!(
+            o.is_empty(),
+            "double crash at {crash_us}us of {victim}: {o:?}"
+        );
         let ss = check_all_safe_states(&out.history, coord());
-        assert!(ss.is_empty(), "double crash at {crash_us}us of {victim}: {ss:?}");
+        assert!(
+            ss.is_empty(),
+            "double crash at {crash_us}us of {victim}: {ss:?}"
+        );
     }
 }
 
@@ -245,7 +254,10 @@ mod gc_bytes {
             let torn = &image[..image.len() - j];
             let torn_path = path.with_extension(format!("j{j}"));
             fs::write(&torn_path, torn).unwrap();
-            let whole = ends[1..].iter().filter(|&&e| e <= torn.len() as u64).count();
+            let whole = ends[1..]
+                .iter()
+                .filter(|&&e| e <= torn.len() as u64)
+                .count();
 
             // Second restart: the retained suffix and the whole frames,
             // from the preserved low water on.

@@ -267,7 +267,10 @@ mod socket {
     fn clean_tcp_is_fifo_and_correct() {
         let out = run(WireFaults::none());
         assert_eq!(out.outcome, Outcome::Abort);
-        assert_eq!(out.part_wire.seq_regressions, 0, "TCP must deliver in order");
+        assert_eq!(
+            out.part_wire.seq_regressions, 0,
+            "TCP must deliver in order"
+        );
         assert!(
             !out.site1_enforced.contains(&Outcome::Commit),
             "no participant may enforce commit: {:?}",

@@ -39,20 +39,25 @@ fn arb_payload() -> impl Strategy<Value = LogPayload> {
             txn,
             coordinator: SiteId::new(c)
         }),
-        (txn.clone(), prop_oneof![Just(Outcome::Commit), Just(Outcome::Abort)])
+        (
+            txn.clone(),
+            prop_oneof![Just(Outcome::Commit), Just(Outcome::Abort)]
+        )
             .prop_map(|(txn, outcome)| LogPayload::PartDecision { txn, outcome }),
         txn.clone().prop_map(|txn| LogPayload::End { txn }),
         txn.clone().prop_map(|txn| LogPayload::PartEnd { txn }),
-        (txn.clone(), prop_oneof![Just(Outcome::Commit), Just(Outcome::Abort)]).prop_map(
-            |(txn, outcome)| LogPayload::CoordDecision {
+        (
+            txn.clone(),
+            prop_oneof![Just(Outcome::Commit), Just(Outcome::Abort)]
+        )
+            .prop_map(|(txn, outcome)| LogPayload::CoordDecision {
                 txn,
                 outcome,
                 participants: vec![
                     ParticipantEntry::new(SiteId::new(1), ProtocolKind::PrN),
                     ParticipantEntry::new(SiteId::new(2), ProtocolKind::PrC),
                 ],
-            }
-        ),
+            }),
         (txn, prop::collection::vec(any::<u8>(), 0..16)).prop_map(|(txn, key)| {
             LogPayload::Update {
                 txn,
@@ -91,10 +96,10 @@ fn arb_txn_scripts() -> impl Strategy<Value = (Vec<Vec<LogPayload>>, Vec<u8>)> {
                 outcome: Outcome::Commit,
             };
             match kind {
-                0 => vec![decision],                                     // open coordinator
-                1 => vec![decision, LogPayload::End { txn }],            // finished coordinator
-                2 => vec![prepared],                                     // in doubt
-                3 => vec![prepared, part_dec],                           // decided participant
+                0 => vec![decision],                                        // open coordinator
+                1 => vec![decision, LogPayload::End { txn }],               // finished coordinator
+                2 => vec![prepared],                                        // in doubt
+                3 => vec![prepared, part_dec],                              // decided participant
                 _ => vec![prepared, part_dec, LogPayload::PartEnd { txn }], // finished
             }
         }

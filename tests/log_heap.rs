@@ -143,7 +143,10 @@ fn the_engines_keep_only_their_decision_memos_per_transaction() {
     let mut run = |txn: TxnId| {
         engines.commit(txn);
         if txn.raw().is_multiple_of(BURST) {
-            engines.coordinator.collect_garbage().expect("coordinator gc");
+            engines
+                .coordinator
+                .collect_garbage()
+                .expect("coordinator gc");
             engines.coordinator.drain_cancelled_timers().for_each(drop);
             for p in &mut engines.participants {
                 p.log_mut().flush().expect("flush");

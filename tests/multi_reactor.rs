@@ -126,7 +126,10 @@ fn stress_outcomes_and_cost_counters_identical_1_vs_n_reactors() {
 
     let (outcomes_1, registry_1, _) = run(1);
     assert_eq!(
-        outcomes_1.iter().filter(|(_, o)| *o == Outcome::Abort).count(),
+        outcomes_1
+            .iter()
+            .filter(|(_, o)| *o == Outcome::Abort)
+            .count(),
         (0..TXNS).filter(|i| i % 7 == 3).count(),
         "forced aborts present in the baseline"
     );
@@ -328,18 +331,30 @@ fn paxos_commit_runs_sliced_across_reactors() {
         for &p in &parts {
             cluster.apply(p, txn, format!("k{i}").as_bytes(), b"v");
         }
-        assert_eq!(cluster.commit(txn, &parts), Some(Outcome::Commit), "txn {i}");
+        assert_eq!(
+            cluster.commit(txn, &parts),
+            Some(Outcome::Commit),
+            "txn {i}"
+        );
     }
     cluster.settle(Duration::from_millis(300));
     let report = cluster.shutdown();
     assert!(check_atomicity(&report.cluster.history).is_empty());
-    assert!(report.stats.mailbox_sends > 0, "the acceptors sit on both shards");
+    assert!(
+        report.stats.mailbox_sends > 0,
+        "the acceptors sit on both shards"
+    );
     assert_eq!(report.stats.timers_fired, 0, "clean run fired a timer");
     assert_eq!(report.cluster.coordinator_table_size, 0);
     for s in &report.cluster.sites {
         if parts.contains(&s.site) {
             assert_eq!(s.committed.len(), TXNS, "site {}", s.site);
         }
-        assert!(s.log_pinned.is_empty(), "site {} pins {:?}", s.site, s.log_pinned);
+        assert!(
+            s.log_pinned.is_empty(),
+            "site {} pins {:?}",
+            s.site,
+            s.log_pinned
+        );
     }
 }

@@ -112,7 +112,12 @@ fn clean_trace_is_byte_identical_across_backends() {
 /// collected).
 fn assert_collected_by_the_kernel_rule(report: &ClusterReport) {
     for s in &report.sites {
-        assert!(s.log_pinned.is_empty(), "site {} pins {:?}", s.site, s.log_pinned);
+        assert!(
+            s.log_pinned.is_empty(),
+            "site {} pins {:?}",
+            s.site,
+            s.log_pinned
+        );
     }
     let coordinator = &report.sites[0];
     assert_eq!(coordinator.site, ReactorCluster::COORDINATOR);
@@ -345,12 +350,21 @@ fn reactor_hosts_a_paxos_commit_coordinator() {
     cluster.settle(Duration::from_millis(300));
     let report = cluster.shutdown();
     assert!(check_atomicity(&report.cluster.history).is_empty());
-    assert_eq!(report.cluster.sites.len(), 5, "leader, 2 participants, 2 acceptors");
+    assert_eq!(
+        report.cluster.sites.len(),
+        5,
+        "leader, 2 participants, 2 acceptors"
+    );
     for s in &report.cluster.sites {
         if parts.contains(&s.site) {
             assert_eq!(s.committed.len(), 4, "site {}", s.site);
         }
-        assert!(s.log_pinned.is_empty(), "site {} pins {:?}", s.site, s.log_pinned);
+        assert!(
+            s.log_pinned.is_empty(),
+            "site {} pins {:?}",
+            s.site,
+            s.log_pinned
+        );
     }
     assert_eq!(report.cluster.coordinator_table_size, 0);
     assert_eq!(report.stats.timers_fired, 0, "clean run fired a timer");
@@ -392,8 +406,14 @@ fn paxos_f0_trace_is_the_prn_coordinator_trace() {
     };
     let (prn_sites, prn_decisions, prn_rest) = trace(None);
     let (paxos_sites, paxos_decisions, paxos_rest) = trace(Some(0));
-    assert_eq!(prn_sites, paxos_sites, "the participant cannot tell the difference");
+    assert_eq!(
+        prn_sites, paxos_sites,
+        "the participant cannot tell the difference"
+    );
     assert_eq!(prn_decisions.len(), 1);
     assert_eq!(prn_decisions, paxos_decisions);
-    assert_eq!(prn_rest, paxos_rest, "same messages and log writes, in the same order");
+    assert_eq!(
+        prn_rest, paxos_rest,
+        "same messages and log writes, in the same order"
+    );
 }
