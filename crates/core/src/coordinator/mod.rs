@@ -359,7 +359,7 @@ impl<L: StableLog> Coordinator<L> {
     /// Transactions still pinning the log (no end record).
     #[must_use]
     pub fn log_pinned(&self) -> Vec<TxnId> {
-        self.gc.pinned()
+        self.gc.surviving(&self.log).pinned()
     }
 
     /// Borrow the stable log.
@@ -889,14 +889,16 @@ impl<L: StableLog> Coordinator<L> {
         self.timers.clear();
         self.cancelled.clear();
         self.log.lose_unflushed().expect("log crash");
-        self.gc = GcTracker::from_log(&self.log).expect("records");
+        // The GC view is volatile too: the restart's one read of the
+        // log rebuilds it.
+        self.gc = GcTracker::lost();
     }
 
     /// Records below the durable releasable point that the log still
     /// holds: what [`Coordinator::collect_garbage`] would reclaim now.
     #[must_use]
     pub fn releasable_records(&self) -> u64 {
-        self.gc.releasable_records(&self.log)
+        self.gc.surviving(&self.log).releasable_records(&self.log)
     }
 
     /// Garbage-collect the *durable* part of the releasable log prefix

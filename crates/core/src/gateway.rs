@@ -225,7 +225,7 @@ impl<L: StableLog> GatewayParticipant<L> {
     /// Transactions still pinning the redo log.
     #[must_use]
     pub fn log_pinned(&self) -> Vec<TxnId> {
-        self.gc.pinned()
+        self.gc.surviving(&self.log).pinned()
     }
 
     /// Canonical semantic-state rendering for the model checker (see
@@ -575,7 +575,9 @@ impl<L: StableLog> GatewayParticipant<L> {
         self.reservations.clear();
         self.timers.clear();
         self.log.lose_unflushed().expect("log crash");
-        self.gc = GcTracker::from_log(&self.log).expect("records");
+        // The GC view is volatile too: the restart's one read of the
+        // log rebuilds it.
+        self.gc = GcTracker::lost();
     }
 
     /// Recovery: rebuild simulated-prepared and applying transactions

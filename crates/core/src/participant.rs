@@ -220,7 +220,7 @@ impl<L: StableLog> Participant<L> {
     /// Transactions still pinning this site's log.
     #[must_use]
     pub fn log_pinned(&self) -> Vec<TxnId> {
-        self.gc.pinned()
+        self.gc.surviving(&self.log).pinned()
     }
 
     /// Borrow the stable log (for assertions and GC inspection).
@@ -533,8 +533,9 @@ impl<L: StableLog> Participant<L> {
         self.timers.clear();
         self.cancelled.clear();
         self.log.lose_unflushed().expect("log crash");
-        // Rebuild GC view from what actually survived.
-        self.gc = GcTracker::from_log(&self.log).expect("records");
+        // The GC view is volatile too: the restart's one read of the
+        // log rebuilds it.
+        self.gc = GcTracker::lost();
     }
 
     /// Restart: analyze the log; re-enter the prepared state for
@@ -590,7 +591,8 @@ impl<L: StableLog> Participant<L> {
     /// buffered ones are forced.
     #[must_use]
     pub fn releasable_records(&self) -> u64 {
-        let (releasable, low) = (self.gc.releasable(), self.log.low_water_mark());
+        let releasable = self.gc.surviving(&self.log).releasable();
+        let low = self.log.low_water_mark();
         releasable.raw().saturating_sub(low.raw())
     }
 
@@ -1003,6 +1005,19 @@ mod tests {
         assert!(!p.in_doubt(t()));
         assert!(p.log_pinned().is_empty());
         assert_eq!(log_kinds(&p).last().unwrap().0, "part-end");
+    }
+
+    /// A crash reads no log to rebuild the GC view, so a down site's
+    /// pinned set is read off its log when asked (the harness asks).
+    #[test]
+    fn a_down_participant_reports_what_its_log_pins() {
+        let mut p = participant(ProtocolKind::PrN);
+        p.on_prepare(coord(), t());
+        p.crash();
+        assert_eq!(p.log_pinned(), [t()]);
+        assert_eq!(p.releasable_records(), 0);
+        p.recover();
+        assert_eq!(p.log_pinned(), [t()]);
     }
 
     #[test]

@@ -304,7 +304,7 @@ impl<L: StableLog> PaxosNode<L> {
     /// Transactions still pinning the log (no end record).
     #[must_use]
     pub fn log_pinned(&self) -> Vec<TxnId> {
-        self.gc.pinned()
+        self.gc.surviving(&self.log).pinned()
     }
 
     /// Enable eager timer retirement (see
@@ -434,7 +434,7 @@ impl<L: StableLog> PaxosNode<L> {
     /// holds: what [`PaxosNode::collect_garbage`] would reclaim now.
     #[must_use]
     pub fn releasable_records(&self) -> u64 {
-        self.gc.releasable_records(&self.log)
+        self.gc.surviving(&self.log).releasable_records(&self.log)
     }
 
     /// Garbage-collect the *durable* part of the releasable log prefix,
@@ -1187,7 +1187,9 @@ impl<L: StableLog> PaxosNode<L> {
         self.timers.clear();
         self.cancelled.clear();
         self.log.lose_unflushed().expect("log crash");
-        self.gc = GcTracker::from_log(&self.log).expect("records");
+        // The GC view is volatile too: the restart's one read of the
+        // log rebuilds it.
+        self.gc = GcTracker::lost();
     }
 
     /// Rebuild acceptor state from the log's `paxos-accept` records and

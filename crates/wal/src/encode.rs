@@ -19,6 +19,8 @@
 //! The CRC covers `length‖lsn‖forced‖payload`. A scan treats a record
 //! that fails magic/CRC validation at the *tail* of the log as a torn
 //! write (truncated, not an error) and corruption elsewhere as fatal.
+//! A frame check validates a frame and hands back its payload still
+//! encoded; [`decode_frame`] also decodes it.
 //!
 //! ## One encoder
 //!
@@ -517,19 +519,34 @@ pub fn encode_frame(record: &LogRecord) -> Vec<u8> {
     out
 }
 
-/// Result of attempting to decode one frame from a byte stream.
-pub enum FrameOutcome {
+/// Result of attempting to read one frame from a byte stream: a
+/// [`LogRecord`] from [`decode_frame`], or a frame checked but not
+/// decoded.
+pub enum FrameOutcome<R = LogRecord> {
     /// A valid record plus the number of bytes it consumed.
-    Record(LogRecord, usize),
+    Record(R, usize),
     /// The remaining bytes are a torn (incomplete or tail-corrupted)
     /// write; scanning should stop here and truncate.
     Torn,
 }
 
-/// Decode the frame starting at `buf[offset..]`.
+/// A frame that passed [`check_frame`]: its header fields, and its
+/// payload still encoded ([`decode_payload`] reads it).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Frame<'a> {
+    /// The record's log sequence number.
+    pub lsn: Lsn,
+    /// Whether the record was appended forced.
+    pub forced: bool,
+    /// The encoded payload.
+    pub payload: &'a [u8],
+}
+
+/// Check the frame starting at `buf[offset..]` — magic, length, CRC and
+/// forced flag — without decoding its payload, so it allocates nothing.
 ///
 /// `offset` is used only for error reporting.
-pub fn decode_frame(buf: &[u8], offset: u64) -> Result<FrameOutcome, WalError> {
+pub(crate) fn check_frame(buf: &[u8], offset: u64) -> Result<FrameOutcome<Frame<'_>>, WalError> {
     // Header: magic + length.
     if buf.len() < 8 {
         return Ok(FrameOutcome::Torn);
@@ -541,7 +558,7 @@ pub fn decode_frame(buf: &[u8], offset: u64) -> Result<FrameOutcome, WalError> {
         return Ok(FrameOutcome::Torn);
     }
     let len = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes")) as usize;
-    let total = 4 + 4 + 8 + 1 + len + 4; // magic+len+lsn+forced+payload+crc
+    let total = FRAME_OVERHEAD + len;
     if buf.len() < total {
         return Ok(FrameOutcome::Torn);
     }
@@ -561,15 +578,30 @@ pub fn decode_frame(buf: &[u8], offset: u64) -> Result<FrameOutcome, WalError> {
             })
         }
     };
-    let payload = decode_payload(&body[13..])?;
-    Ok(FrameOutcome::Record(
-        LogRecord {
-            lsn,
-            forced,
-            payload,
-        },
-        total,
-    ))
+    let frame = Frame {
+        lsn,
+        forced,
+        payload: &body[13..],
+    };
+    Ok(FrameOutcome::Record(frame, total))
+}
+
+/// Decode the frame starting at `buf[offset..]`: the frame check
+/// (magic, length, CRC, forced flag), then [`decode_payload`].
+///
+/// `offset` is used only for error reporting.
+pub fn decode_frame(buf: &[u8], offset: u64) -> Result<FrameOutcome, WalError> {
+    Ok(match check_frame(buf, offset)? {
+        FrameOutcome::Record(frame, total) => {
+            let record = LogRecord {
+                lsn: frame.lsn,
+                forced: frame.forced,
+                payload: decode_payload(frame.payload)?,
+            };
+            FrameOutcome::Record(record, total)
+        }
+        FrameOutcome::Torn => FrameOutcome::Torn,
+    })
 }
 
 #[cfg(test)]

@@ -5,9 +5,12 @@
 //! encode buffer, its counters and one payload length (a `u32`) per live
 //! record, from which a frame's place in the image is summed;
 //! [`StableLog::records`] and [`StableLog::for_each_record`] read the
-//! live frames back from the medium and decode them with the recovery
-//! scan, so what a caller reads is what a restart would find (less a
-//! lying sync's damage, which only a crash exposes).
+//! live frames back from the medium through the recovery scan, so what
+//! a caller reads is what a restart would find (less a lying sync's
+//! damage, which only a crash exposes). A crash or an open checks
+//! frames and decodes none: it keeps each live frame's length and
+//! allocates a constant per log. Only the reads decode, so a restart
+//! decodes each live record once, in the analysis that reads the log.
 //!
 //! Appends are encoded at once into a process-memory buffer; a force
 //! (or flush) hands the buffer to the store to append and sync, so a
@@ -34,7 +37,9 @@
 //! bytes in memory with scripted damage — so every injected fault runs
 //! under the code that commits.
 
-use crate::encode::{decode_frame, encode_frame_into, FrameOutcome, FRAME_OVERHEAD};
+use crate::encode::{
+    check_frame, decode_payload, encode_frame_into, Frame, FrameOutcome, FRAME_OVERHEAD,
+};
 use crate::error::WalError;
 use crate::record::{LogRecord, Lsn, WalStats};
 use crate::StableLog;
@@ -82,23 +87,24 @@ fn decode_header(buf: &[u8]) -> Result<Lsn, WalError> {
 }
 
 /// The recovery scan over `bytes`, the part of an image that starts at
-/// image offset `base`. Frames below `low_water` are dead and skipped;
+/// image offset `base`. It checks frames ([`check_frame`]) and decodes
+/// no payload. Frames below `low_water` are dead and skipped;
 /// before the first live frame a bad one may be dead bytes no record
 /// needs, so the scan resumes at the frame that carries the mark if one
 /// follows (CRC-checked, damaged bytes cannot pass for it). Each live
-/// record goes to `live` with its frame's length, for as long as
+/// frame goes to `live` with its length, for as long as
 /// the frames are whole and their LSNs run on from `low_water` one by
 /// one: a frame behind a hole (a lying sync dropped whole frames before
 /// it) ends the valid prefix as a torn one does. Returns where the
 /// valid frames end in `bytes` and the dead bytes before the first live
-/// frame.
-fn scan(
-    bytes: &[u8],
+/// frame, or the first error `live` returns.
+fn scan<'b>(
+    bytes: &'b [u8],
     base: u64,
     low_water: Lsn,
-    live: &mut dyn FnMut(LogRecord, usize),
+    live: &mut dyn FnMut(Frame<'b>, usize) -> Result<(), WalError>,
 ) -> Result<(usize, u64), WalError> {
-    let frame_at = |at: usize| decode_frame(&bytes[at..], base + at as u64);
+    let frame_at = |at: usize| check_frame(&bytes[at..], base + at as u64);
     // The LSN the next live frame must carry.
     let mut expect = low_water;
     let mut dead = 0;
@@ -106,19 +112,19 @@ fn scan(
     while offset < bytes.len() {
         let none_live = expect == low_water;
         match frame_at(offset)? {
-            FrameOutcome::Record(rec, consumed) if none_live && rec.lsn < low_water => {
+            FrameOutcome::Record(frame, consumed) if none_live && frame.lsn < low_water => {
                 dead += consumed as u64;
                 offset += consumed;
             }
-            FrameOutcome::Record(rec, consumed) if rec.lsn == expect => {
+            FrameOutcome::Record(frame, consumed) if frame.lsn == expect => {
                 expect = expect.next();
-                live(rec, consumed);
+                live(frame, consumed)?;
                 offset += consumed;
             }
             FrameOutcome::Record(..) => break,
             FrameOutcome::Torn if none_live => {
                 let carries_mark = |at: &usize| match frame_at(*at) {
-                    Ok(FrameOutcome::Record(rec, _)) => rec.lsn == low_water,
+                    Ok(FrameOutcome::Record(frame, _)) => frame.lsn == low_water,
                     _ => false,
                 };
                 match (offset + 1..bytes.len()).find(carries_mark) {
@@ -264,16 +270,23 @@ impl<S: Store> FramedLog<S> {
         self.live_start() + self.frames
     }
 
-    /// Adopt the longest valid prefix of live records in the store's
-    /// image ([`scan`]) and cut the rest. Returns the image bytes kept
-    /// and the bytes cut.
+    /// Adopt the longest valid prefix of live frames in the store's
+    /// image ([`scan`]) and cut the rest. Only the frames' lengths are
+    /// kept, in `lens`'s own buffer. Returns the image bytes kept and
+    /// the bytes cut.
     fn load(&mut self) -> Result<(u64, u64), WalError> {
         let image = self.store.restart()?;
         let low_water = decode_header(&image)?;
-        let mut lens = VecDeque::new();
         let frames = &image[HEADER_LEN as usize..];
+        // The lengths and the counters disagree until the load ends: an
+        // error on the way leaves the log refusing writes until a
+        // `recover` succeeds.
+        self.failed = true;
+        self.lens.clear();
+        let lens = &mut self.lens;
         let (valid, dead) = scan(frames, HEADER_LEN, low_water, &mut |_, len| {
             lens.push_back(payload_len(len));
+            Ok(())
         })?;
         let end = HEADER_LEN + valid as u64;
         // Physically drop the torn tail so future appends start clean.
@@ -281,21 +294,28 @@ impl<S: Store> FramedLog<S> {
             self.store.cut(end)?;
         }
         self.low_water = low_water;
-        self.next = Lsn(low_water.raw() + lens.len() as u64);
-        self.lens = lens;
+        self.next = Lsn(low_water.raw() + self.lens.len() as u64);
         self.frames = end - HEADER_LEN - dead;
         self.dead = dead;
         self.failed = false;
         Ok((end, (frames.len() - valid) as u64))
     }
 
-    /// Read the live frames back from the store and hand their records
-    /// to `visit` in order.
+    /// Read the live frames back from the store, decode them and hand
+    /// their records to `visit` in order: the log's one decode.
     fn read_live(&self, visit: &mut dyn FnMut(LogRecord)) -> Result<(), WalError> {
         let start = self.live_start();
         let mut bytes = vec![0; self.frames as usize];
         self.store.read_at(start, &mut bytes)?;
-        let (valid, _) = scan(&bytes, start, self.low_water, &mut |rec, _| visit(rec))?;
+        let (valid, _) = scan(&bytes, start, self.low_water, &mut |frame, _| {
+            let payload = decode_payload(frame.payload)?;
+            visit(LogRecord {
+                lsn: frame.lsn,
+                forced: frame.forced,
+                payload,
+            });
+            Ok(())
+        })?;
         if valid < bytes.len() {
             return Err(WalError::Corrupt {
                 offset: start + valid as u64,
@@ -508,6 +528,69 @@ mod tests {
         log.recover().unwrap();
         assert_eq!(log.records().unwrap(), Vec::new());
         assert_eq!(log.low_water_mark(), Lsn(2 * txns));
+    }
+
+    /// A frame with a valid CRC around arbitrary payload bytes, laid out
+    /// as `encode_frame_into` lays a record out.
+    fn raw_frame(lsn: u64, payload: &[u8]) -> Vec<u8> {
+        let mut f = crate::encode::MAGIC.to_le_bytes().to_vec();
+        f.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        f.extend_from_slice(&lsn.to_le_bytes());
+        f.push(1);
+        f.extend_from_slice(payload);
+        let crc = crate::crc::crc32(&f[4..]);
+        f.extend_from_slice(&crc.to_le_bytes());
+        f
+    }
+
+    fn end(txn: u64) -> Vec<u8> {
+        crate::encode::encode_payload(&LogPayload::End {
+            txn: TxnId::new(txn),
+        })
+    }
+
+    fn over(low_water: u64, frames: &[Vec<u8>]) -> FramedLog<Counting> {
+        let mut image = encode_header(Lsn(low_water)).to_vec();
+        frames.iter().for_each(|f| image.extend_from_slice(f));
+        FramedLog::recovered(Counting { image, replaces: 0 }).expect("header and frames check")
+    }
+
+    /// A crash or an open checks frames and decodes none, so a live
+    /// frame whose CRC holds but whose payload does not decode passes
+    /// it; a read still refuses it, so a restart's analysis does.
+    #[test]
+    fn an_undecodable_live_frame_passes_the_crash_and_fails_the_read() {
+        let mut trailing = end(2);
+        trailing.push(0xAB);
+        let frames = [
+            raw_frame(0, &end(1)),
+            raw_frame(1, &trailing),
+            raw_frame(2, &end(3)),
+        ];
+        let mut log = over(0, &frames);
+        assert_eq!(log.next_lsn(), Lsn(3), "all three frames are live");
+        let report = log.recover().unwrap();
+        assert_eq!((report.survivors, report.truncated_bytes), (3, 0));
+        let corrupt = |e: Option<WalError>| matches!(e, Some(WalError::Corrupt { .. }));
+        assert!(corrupt(log.records().err()), "records() decodes the frame");
+        assert!(corrupt(log.for_each_record(&mut |_| {}).err()));
+    }
+
+    /// A dead frame (below the low-water mark) is skipped by the crash's
+    /// check and is behind every read's start: no read decodes it, so a
+    /// payload it cannot decode costs nothing.
+    #[test]
+    fn an_undecodable_dead_frame_is_decoded_by_no_read() {
+        let frames = [raw_frame(0, &[0x7F]), raw_frame(1, &end(1))];
+        let mut log = over(1, &frames);
+        let live = vec![LogRecord {
+            lsn: Lsn(1),
+            forced: true,
+            payload: LogPayload::End { txn: TxnId::new(1) },
+        }];
+        assert_eq!(log.records().unwrap(), live);
+        assert_eq!(log.recover().unwrap().survivors, 1);
+        assert_eq!(log.records().unwrap(), live);
     }
 
     /// The integration tests that bound an image by the floor

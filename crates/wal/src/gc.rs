@@ -25,6 +25,7 @@ use crate::error::WalError;
 use crate::record::{LogRecord, Lsn};
 use crate::StableLog;
 use acp_types::{LogPayload, TxnId};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Ended transactions [`GcTracker`] remembers while their end records
@@ -45,6 +46,8 @@ pub struct GcTracker {
     ending: VecDeque<(Lsn, Lsn)>,
     /// LSN one past the last record observed.
     tail: Lsn,
+    /// The view went with a crash ([`GcTracker::lost`]).
+    lost: bool,
 }
 
 impl GcTracker {
@@ -52,6 +55,33 @@ impl GcTracker {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The tracker of a crashed site. Its view was volatile, so it went
+    /// with the crash, and the crash reads no log to rebuild it: it
+    /// releases nothing, and [`GcTracker::surviving`] reads a down
+    /// site's log instead, until the restart's analysis replaces it.
+    #[must_use]
+    pub fn lost() -> Self {
+        Self {
+            lost: true,
+            ..Self::default()
+        }
+    }
+
+    /// This tracker, or for one [`GcTracker::lost`] in a crash the one
+    /// `log`'s durable records rebuild: what a down site's log pins.
+    ///
+    /// # Panics
+    ///
+    /// If a lost tracker's log cannot be read back.
+    #[must_use]
+    pub fn surviving<L: StableLog + ?Sized>(&self, log: &L) -> Cow<'_, Self> {
+        if self.lost {
+            Cow::Owned(Self::from_log(log).expect("records"))
+        } else {
+            Cow::Borrowed(self)
+        }
     }
 
     /// Rebuild a tracker from a scanned log (used after recovery).

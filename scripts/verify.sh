@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Tier-1 verification: offline release build, every workspace test, a
-# warning-free clippy run, the structural guards (one kernel, one
+# Tier-1 verification: rustfmt-clean sources, offline release build,
+# every workspace test, a warning-free clippy run, the structural
+# guards (one kernel, one
 # in-process host, one engine enum, one metrics path, one harness, one
 # log, observed costs, one copy per write, state leaves with its
-# transaction, one force per prepare, one read per restart, one
-# collection rule and cadence, one owner
+# transaction, one force per prepare, one read per restart, one decode
+# per restart, one collection rule and cadence, one owner
 # one table, a byte-coded history, one encoder, one instrument, one
 # record per run),
 # warning-free rustdoc, the benchmark's smoke suite, and a regeneration
@@ -22,6 +23,11 @@ nontest_lines() {
   find "$@" -name '*.rs' | sort \
     | xargs awk -v label="${label// / + }" 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print label " non-test lines:", n }'
 }
+
+echo "== cargo fmt --check"
+# The workspace is rustfmt-clean (benchmarks/ is its own workspace and
+# is not covered); a diff here is formatting drift.
+cargo fmt --check
 
 echo "== cargo build --release --offline"
 cargo build --release --offline
@@ -126,15 +132,17 @@ echo "== one log: FileLog and FaultyLog are one FramedLog over two stores"
 # write-out, GC staging, recovery scan), so every injected storage fault
 # ran under the copy. They are now stores under crates/wal/src/framed.rs;
 # a struct of either name — or of the ObservedLog wrapper nothing used —
-# is that fork coming back, and so is a second recovery scan.
+# is that fork coming back, and so is a second recovery scan: a second
+# call of a frame reader (check_frame, or decode_frame, which wraps it)
+# outside encode.rs.
 if grep -rnE 'struct (FileLog|FaultyLog|ObservedLog)\b' crates --include='*.rs'; then
   echo "FAIL: FileLog, FaultyLog or ObservedLog is a struct again (they are aliases of FramedLog<S>)"; exit 1
 fi
-scans="$(find crates/wal/src -name '*.rs' | sort \
+scans="$(find crates/wal/src -name '*.rs' ! -name encode.rs | sort \
   | xargs awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
-               !test && /decode_frame\(/ && !/fn decode_frame\(/ { print FILENAME ":" FNR ": " $0 }')"
+               !test && /(check|decode)_frame\(/ { print FILENAME ":" FNR ": " $0 }')"
 [ "$(echo "$scans" | grep -c .)" = 1 ] \
-  || { echo "$scans"; echo "FAIL: want exactly one decode_frame( call in non-test crates/wal/src (FramedLog's recovery scan)"; exit 1; }
+  || { echo "$scans"; echo "FAIL: want exactly one check_frame( or decode_frame( call in non-test crates/wal/src outside encode.rs (FramedLog's recovery scan)"; exit 1; }
 # The store is the only copy of a FramedLog's records: the log keeps its
 # encode buffer, its counters and one payload length per live record. A
 # LogRecord-typed field in framed.rs (the `durable: Vec<LogRecord>`
@@ -402,6 +410,44 @@ reads="$(echo "$bodies" | grep -cE 'analyze_log\(' || true)"
 [ "$reads" = 4 ] \
   || { echo "$bodies" | grep -E 'analyze_log\('; echo "FAIL: want one analyze_log call in each engine's recover_into (4), found $reads"; exit 1; }
 nontest_lines crates/wal/src crates/core/src crates/engine/src crates/net/src
+
+echo "== one decode per restart: a crash checks frames, only a read decodes"
+# A crash or an open used to decode every frame of every log it
+# re-scanned (FramedLog::load through scan and decode_frame) and keep
+# only the frames' lengths; the restart's analysis then decoded them all
+# again. The scan now checks frames (encode::check_frame), and
+# FramedLog::read_live, behind records() and for_each_record, is the
+# one place the log decodes a payload. A decode_frame call in the
+# non-test lines of framed.rs, or a decode_payload call there outside
+# read_live's body, is the crash path decoding again. As above, each
+# pattern and the body filter first meet their control lines.
+# The non-test lines of the files given (or of stdin) outside the body
+# of `fn read_live`, which ends at its closing brace at method depth.
+outside_read_live() {
+  awk 'FNR == 1 { test = 0; body = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
+       !test && /fn read_live\(/ { body = 1 }
+       !test && !body { print FILENAME ":" FNR ": " $0 }
+       body && /^    }$/ { body = 0 }' "$@"
+}
+frame_guard='\bdecode_frame\('
+payload_guard='\bdecode_payload\('
+echo '    let frame_at = |at: usize| decode_frame(&bytes[at..], base + at as u64);' \
+  | grep -qE "$frame_guard" \
+  || { echo "FAIL: the guard '$frame_guard' misses its control line"; exit 1; }
+control_fns='    fn load(&mut self) -> Result<(u64, u64), WalError> {
+        lens.push_back(payload_len(decode_payload(frame.payload)?.len()));
+    }
+    fn read_live(&self, visit: &mut dyn FnMut(LogRecord)) -> Result<(), WalError> {
+        let payload = decode_payload(frame.payload)?;
+    }'
+[ "$(echo "$control_fns" | outside_read_live | grep -cE "$payload_guard")" = 1 ] \
+  || { echo "FAIL: the read_live filter or '$payload_guard' misses its control functions"; exit 1; }
+if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/wal/src/framed.rs \
+    | grep -E "$frame_guard" \
+  || outside_read_live crates/wal/src/framed.rs | grep -E "$payload_guard"; then
+  echo "FAIL: crates/wal/src/framed.rs decodes a payload outside read_live: a crash's scan decodes again"; exit 1
+fi
+nontest_lines crates/wal/src
 
 echo "== one owner, one table: the coordinator's protocol table is a plain map"
 # The protocol table used to be 64 Mutex-guarded shards and an atomic

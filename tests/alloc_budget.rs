@@ -288,20 +288,14 @@ fn a_storage_engine_read_allocates_only_its_value() {
     );
 }
 
-/// A restart of a participant and its storage engine, composed as the
-/// kernel composes them — the write set's redo staged in the
-/// participant's `FileLog` ahead of its prepared record, decisions
-/// enforced on the engine, one store-file checkpoint — over a log that
-/// holds committed, aborted and in-doubt transactions and was never
-/// collected. Crash both, then count what the restart allocates: the
-/// participant's recovery and the engine's redo from it. A record's
-/// images are decoded once and moved into the summaries, the store and
-/// the re-staged write sets, so what is counted is about one allocation
-/// per image, per summary and per restored entry.
-#[test]
-fn a_restart_allocates_within_its_budget_per_retained_record() {
-    DRIVER.with(|d| d.set(true));
-    let dir = TempDir::new("alloc-budget-restart").expect("tempdir");
+/// A participant and its storage engine, composed as the kernel
+/// composes them — the write set's redo staged in the participant's
+/// `FileLog` ahead of its prepared record, decisions enforced on the
+/// engine, one store-file checkpoint half way — after `txns`
+/// transactions: a quarter left in doubt, a third of the rest aborted,
+/// the log never collected. Returns both and the records the
+/// participant's log retains.
+fn participant_site(dir: &TempDir, txns: u64) -> (Participant<FileLog>, SiteEngine<FileLog>, u64) {
     let coordinator = SiteId::new(0);
     let log = FileLog::create(dir.path().join("part.wal")).expect("log");
     let mut part = Participant::new(SiteId::new(1), ProtocolKind::PrN, log);
@@ -313,7 +307,7 @@ fn a_restart_allocates_within_its_budget_per_retained_record() {
             }
         }
     };
-    for n in 1..=4 * BURST {
+    for n in 1..=txns {
         let txn = TxnId::new(n);
         engine.begin(txn);
         for site in 0..2 {
@@ -335,12 +329,27 @@ fn a_restart_allocates_within_its_budget_per_retained_record() {
             let actions = part.on_message(coordinator, &Payload::Decision { txn, outcome });
             enforce(&mut engine, actions);
         }
-        if n == 2 * BURST {
+        if n == txns / 2 {
             engine.checkpoint_installed().expect("store file");
         }
     }
     part.log_mut().flush().expect("flush");
     let retained = part.log().records().expect("records").len() as u64;
+    (part, engine, retained)
+}
+
+/// A restart of a participant and its storage engine
+/// ([`participant_site`] after 256 transactions). Crash both, then
+/// count what the restart allocates: the participant's recovery and
+/// the engine's redo from it. A record's images are decoded once and
+/// moved into the summaries, the store and the re-staged write sets, so
+/// what is counted is about one allocation per image, per summary and
+/// per restored entry.
+#[test]
+fn a_restart_allocates_within_its_budget_per_retained_record() {
+    DRIVER.with(|d| d.set(true));
+    let dir = TempDir::new("alloc-budget-restart").expect("tempdir");
+    let (mut part, mut engine, retained) = participant_site(&dir, 4 * BURST);
     part.crash();
     engine.crash();
 
@@ -360,5 +369,44 @@ fn a_restart_allocates_within_its_budget_per_retained_record() {
     assert!(
         per_record <= 2.2,
         "{per_record:.2} allocations per retained record in a restart (budget 2.2)"
+    );
+}
+
+/// The crash itself, counted: it loses the volatile state and checks
+/// each log's frames without decoding a payload, so it allocates the
+/// same few buffers per log however long the logs are, and crash plus
+/// restart stays within the restart's budget — the restart's analysis
+/// is the one decode of each record.
+#[test]
+fn a_crash_allocates_a_constant_per_log_and_crash_plus_restart_stays_in_budget() {
+    DRIVER.with(|d| d.set(true));
+    let crash_and_restart = |txns: u64| {
+        let dir = TempDir::new("alloc-budget-crash").expect("tempdir");
+        let (mut part, mut engine, retained) = participant_site(&dir, txns);
+        let mut out = Vec::with_capacity(txns as usize);
+        let before = MINE.get();
+        part.crash();
+        engine.crash();
+        let crashed = MINE.get() - before;
+        let protocol = part.recover_into(&mut out);
+        engine.recover(protocol).expect("storage recovery");
+        assert_eq!(part.in_doubt_txns().len() as u64, txns / 4);
+        let per_record = (MINE.get() - before) as f64 / retained as f64;
+        (crashed, per_record, retained)
+    };
+    let (short, _, short_records) = crash_and_restart(BURST);
+    let (long, per_record, long_records) = crash_and_restart(4 * BURST);
+    println!(
+        "crash: {short} allocations over {short_records} records, {long} over {long_records}; \
+         crash + restart: {per_record:.2} per retained record"
+    );
+    assert_eq!(short, long, "a crash's allocations grow with the log");
+    assert!(
+        long <= 8,
+        "{long} allocations in a crash of two logs (budget 8)"
+    );
+    assert!(
+        per_record <= 2.2,
+        "{per_record:.2} allocations per retained record in a crash and restart (budget 2.2)"
     );
 }
