@@ -207,6 +207,7 @@ pub struct FramedLog<S> {
     /// all of them or none. A retry would land behind a partial frame
     /// (the scan stops there and drops everything later) or a whole one
     /// (duplicate LSNs): nothing is written until `recover` re-reads.
+    /// A load that failed half way leaves it set too.
     failed: bool,
 }
 
@@ -278,9 +279,7 @@ impl<S: Store> FramedLog<S> {
         let image = self.store.restart()?;
         let low_water = decode_header(&image)?;
         let frames = &image[HEADER_LEN as usize..];
-        // The lengths and the counters disagree until the load ends: an
-        // error on the way leaves the log refusing writes until a
-        // `recover` succeeds.
+        // The lengths and the counters disagree until the load ends.
         self.failed = true;
         self.lens.clear();
         let lens = &mut self.lens;
@@ -327,7 +326,7 @@ impl<S: Store> FramedLog<S> {
 
     fn check_writable(&self) -> Result<(), WalError> {
         if self.failed {
-            let refused = "an earlier write-out failed: recover the log before writing";
+            let refused = "an earlier write-out or load failed: recover the log before writing";
             return Err(WalError::Io(std::io::Error::other(refused)));
         }
         Ok(())
@@ -591,6 +590,29 @@ mod tests {
         assert_eq!(log.records().unwrap(), live);
         assert_eq!(log.recover().unwrap().survivors, 1);
         assert_eq!(log.records().unwrap(), live);
+    }
+
+    /// A load that fails half way (here a live frame whose CRC holds
+    /// around a forced flag of 2) has refilled the lengths but not the
+    /// counters, so the log refuses writes until a `recover` succeeds.
+    #[test]
+    fn a_load_that_fails_half_way_refuses_writes_until_a_recover() {
+        let mut bad = raw_frame(1, &end(2));
+        bad[16] = 2;
+        let crc_at = bad.len() - 4;
+        let crc = crate::crc::crc32(&bad[4..crc_at]);
+        bad[crc_at..].copy_from_slice(&crc.to_le_bytes());
+        let mut log = over(0, &[raw_frame(0, &end(1))]);
+        log.store.image.extend_from_slice(&bad);
+        assert!(log.recover().is_err());
+        let payload = LogPayload::End { txn: TxnId::new(3) };
+        assert!(log.append_ref(&payload, true).is_err());
+
+        let good = log.store.image.len() - bad.len();
+        log.store.image.truncate(good);
+        assert_eq!(log.recover().unwrap().survivors, 1);
+        assert_eq!(log.append_ref(&payload, true).unwrap(), Lsn(1));
+        assert_eq!(log.records().unwrap().len(), 2);
     }
 
     /// The integration tests that bound an image by the floor
