@@ -18,6 +18,9 @@
 //!   lent, as update records with before/after images, to the
 //!   participant's protocol log ahead of its prepared record, whose
 //!   force makes both durable — the point at which it may vote "Yes";
+//! * **a committed store in one arena** ([`store`]): keys and values
+//!   back to back in one byte buffer under an open-addressed index, so
+//!   neither a commit nor a restart allocates per entry;
 //! * **redo recovery** ([`site::SiteEngine::recover`]): rebuilds the
 //!   store from its own log, a store file of checkpoints, and from the
 //!   committed write sets the participant's analysis of its protocol
@@ -34,6 +37,9 @@ pub mod lock;
 pub mod site;
 pub mod store;
 pub mod txn;
+
+#[cfg(test)]
+mod model_tests;
 
 pub use error::EngineError;
 pub use lock::{LockMode, LockTable};

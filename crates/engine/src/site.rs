@@ -30,12 +30,10 @@ pub struct SiteEngine<L: StableLog> {
     spare: Vec<TxnContext>,
     /// The store file.
     log: L,
-    /// Copies of the values installed since the store file's last
-    /// record, for the next [`SiteEngine::checkpoint_installed`]. A
-    /// `Checkpoint` record owns its entries, so each is a copy, made
-    /// into buffers the last checkpoint left in `spare_entries`.
+    /// The values installed since the store file's last record, for
+    /// the next [`SiteEngine::checkpoint_installed`]: the committed
+    /// writes' own buffers, which the store has copied into its arena.
     installed: Vec<(Vec<u8>, Vec<u8>)>,
-    spare_entries: Vec<(Vec<u8>, Vec<u8>)>,
     /// Frame bytes of the store file's records since its last
     /// whole-store checkpoint, that one included.
     file_bytes: u64,
@@ -51,7 +49,6 @@ impl<L: StableLog> SiteEngine<L> {
             spare: Vec::new(),
             log,
             installed: Vec::new(),
-            spare_entries: Vec::new(),
             file_bytes: 0,
         }
     }
@@ -90,9 +87,9 @@ impl<L: StableLog> SiteEngine<L> {
 
     /// Transactional write (upsert). The engine takes ownership of key
     /// and value: the write set holds these buffers, prepare lends them
-    /// to the log records it stages, and a commit hands them to the
-    /// store, so a `Vec` passed in is never copied. A borrowed slice is
-    /// copied once, here.
+    /// to the log records it stages, and a commit copies them once, into
+    /// the store's arena, and hands them to the next store-file record.
+    /// A borrowed slice is copied once more, here.
     pub fn put(
         &mut self,
         txn: TxnId,
@@ -118,9 +115,9 @@ impl<L: StableLog> SiteEngine<L> {
             return Err(EngineError::WrongPhase { txn, op: "write" });
         }
         self.locks.acquire(txn, &key, LockMode::Exclusive)?;
-        let before = self.store.get(&key).map(<[u8]>::to_vec);
         let ctx = self.txns.get_mut(&txn).expect("checked above");
-        ctx.buffer_write(key, before, after);
+        let store = &self.store;
+        ctx.buffer_write(key, |key| store.get(key).map(<[u8]>::to_vec), after);
         Ok(())
     }
 
@@ -181,8 +178,8 @@ impl<L: StableLog> SiteEngine<L> {
         };
         self.release_locks(txn, &ctx);
         if outcome == Outcome::Commit {
-            // The context is done with its write set: the store takes
-            // the buffers over.
+            // The context is done with its write set: the store copies
+            // each write, and its buffers go on to the store file.
             for w in ctx.writes.drain(..) {
                 self.install(w.key, w.after);
             }
@@ -195,20 +192,13 @@ impl<L: StableLog> SiteEngine<L> {
     /// commit decision installs, so the store file holds nothing a
     /// transaction could still abort.
     fn install(&mut self, key: Vec<u8>, value: Option<Vec<u8>>) {
-        match &value {
-            Some(v) => {
-                let (mut k, mut copy) = self.spare_entries.pop().unwrap_or_default();
-                k.clear();
-                k.extend_from_slice(&key);
-                copy.clear();
-                copy.extend_from_slice(v);
-                self.installed.push((k, copy));
-            }
+        self.store.install(&key, value.as_deref());
+        match value {
+            Some(value) => self.installed.push((key, value)),
             // A delta entry cannot delete: count the file all dead, so
             // the next checkpoint rewrites it whole.
             None => self.file_bytes = u64::MAX,
         }
-        self.store.install(key, value);
     }
 
     /// Release every lock `txn` holds: each is on a key it wrote or read.
@@ -253,7 +243,7 @@ impl<L: StableLog> SiteEngine<L> {
             };
             self.installed = entries;
             self.file_bytes = self.file_bytes.saturating_add(written? as u64);
-            self.spare_entries.append(&mut self.installed);
+            self.installed.clear();
         }
         let live = self.store_frame_len();
         if self.file_bytes.saturating_sub(live) > live.max(RECLAIM_FLOOR) {
@@ -282,7 +272,7 @@ impl<L: StableLog> SiteEngine<L> {
             self.log.truncate_prefix(at)?;
         }
         self.file_bytes = len;
-        self.spare_entries.append(&mut self.installed);
+        self.installed.clear();
         Ok(())
     }
 
@@ -319,15 +309,14 @@ impl<L: StableLog> SiteEngine<L> {
     }
 
     /// Crash: volatile state (store cache, lock table, active
-    /// transactions, spare contexts and entries) is lost; only what the
-    /// logs made durable survives.
+    /// transactions, spare contexts, values not yet in the store file)
+    /// is lost; only what the logs made durable survives.
     pub fn crash(&mut self) {
         self.store = KvStore::new();
         self.locks = LockTable::new();
         self.txns = HashMap::new();
         self.spare = Vec::new();
         self.installed = Vec::new();
-        self.spare_entries = Vec::new();
         self.file_bytes = 0;
         self.log.lose_unflushed().expect("log crash");
     }
@@ -336,11 +325,15 @@ impl<L: StableLog> SiteEngine<L> {
     /// the committed write sets the participant's log still holds in the
     /// order of their decision records, and re-stage the ones
     /// [`TxnLogSummary::in_doubt`](acp_wal::scan::TxnLogSummary::in_doubt)
-    /// names under their exclusive locks. `protocol` is that log's
-    /// analysis, the one read of it a restart makes
-    /// (`Participant::recover_into` returns it); its images are moved,
-    /// not copied, and a write set without its prepared record never
-    /// voted Yes, so it is neither redone nor re-staged.
+    /// names under their exclusive locks. The store file lends its
+    /// entries ([`StableLog::read_checkpoints`]) and the store, reserved
+    /// once from their totals, copies them into its arena, so the
+    /// rebuild allocates a constant however many entries it restores.
+    /// `protocol` is the participant's log's analysis, the one read of
+    /// it a restart makes (`Participant::recover_into` returns it); its
+    /// images move into the re-staged write sets, or, redone, into the
+    /// next store-file record, and a write set without its prepared
+    /// record never voted Yes, so it is neither redone nor re-staged.
     ///
     /// A value reaches the store file only after its transaction's
     /// commit decision ([`SiteEngine::resolve`]). So a transaction in
@@ -349,14 +342,7 @@ impl<L: StableLog> SiteEngine<L> {
     /// from readers, and the commit its inquiry learns installs them
     /// again. Installing an after-image is idempotent.
     pub fn recover(&mut self, protocol: Summaries) -> Result<(), EngineError> {
-        for rec in self.log.records()? {
-            self.file_bytes += frame_len(&rec.payload) as u64;
-            if let LogPayload::Checkpoint { entries } = rec.payload {
-                for (key, value) in entries {
-                    self.store.install(key, Some(value));
-                }
-            }
-        }
+        self.file_bytes += self.log.read_checkpoints(&mut self.store)?;
         let mut committed = Vec::new();
         for (txn, s) in protocol {
             if s.in_doubt() {
@@ -366,7 +352,7 @@ impl<L: StableLog> SiteEngine<L> {
                     self.locks
                         .acquire(txn, &key, LockMode::Exclusive)
                         .expect("recovery lock acquisition cannot conflict");
-                    ctx.buffer_write(key, before, after);
+                    ctx.buffer_write(key, |_| before, after);
                 }
                 self.txns.insert(txn, ctx);
             } else if let Some((Outcome::Commit, at)) = s.part_decision {
@@ -684,9 +670,8 @@ mod tests {
         assert_eq!(e.locked_keys(), 2);
     }
 
-    /// The spare contexts and entries are volatile state: a crash drops
-    /// them with the lock table's spare keys, and recovery starts from
-    /// none.
+    /// The spare contexts are volatile state: a crash drops them with
+    /// the lock table's spare keys, and recovery starts from none.
     #[test]
     fn a_crash_drops_the_spare_contexts_and_keys() {
         let mut s = Site::new();
@@ -700,11 +685,10 @@ mod tests {
         }
         s.e.checkpoint_installed().unwrap();
         assert_eq!(s.e.spare.len(), 3);
-        assert_eq!(s.e.spare_entries.len(), 3);
         assert_eq!(s.e.locks.spare_keys().len(), 3);
 
         s.crash_and_recover();
-        assert!(s.e.spare.is_empty() && s.e.spare_entries.is_empty());
+        assert!(s.e.spare.is_empty());
         assert_eq!(s.e.locks.spare_keys().len(), 0);
         assert_eq!(s.e.committed_get(b"k3"), Some(b"v".as_slice()));
     }
@@ -881,21 +865,19 @@ mod store_file_tests {
         assert_eq!(e.committed_get(b"k7"), Some(value.as_slice()));
     }
 
-    /// After warm-up, noting a commit for the store file and writing it
-    /// there refill buffers a checkpoint left behind.
+    /// A commit copies each write once, into the store's arena: the
+    /// store file's next delta carries the write's own buffers.
     #[test]
-    fn a_delta_reuses_the_last_ones_buffers() {
+    fn a_delta_carries_the_writes_own_buffers() {
         let mut e = SiteEngine::new(MemLog::new());
-        for n in 0..4 {
-            commit_one(&mut e, n, format!("k{n}").as_bytes(), b"v");
-        }
-        e.checkpoint_installed().unwrap();
-        let spare: Vec<*const u8> = e.spare_entries.iter().map(|(k, _)| k.as_ptr()).collect();
-        for n in 4..8 {
-            commit_one(&mut e, n, format!("k{n}").as_bytes(), b"v");
-        }
-        let mut reused: Vec<*const u8> = e.installed.iter().map(|(k, _)| k.as_ptr()).collect();
-        reused.reverse();
-        assert_eq!(reused, spare);
+        let (key, value) = (b"k".to_vec(), b"v".to_vec());
+        let given = (key.as_ptr(), value.as_ptr());
+        e.begin(t(1));
+        e.put(t(1), key, value).unwrap();
+        e.prepare(t(1), |_| Ok(())).unwrap();
+        e.resolve(t(1), Outcome::Commit).unwrap();
+        let (key, value) = &e.installed[0];
+        assert_eq!((key.as_ptr(), value.as_ptr()), given);
+        assert_eq!(e.committed_get(b"k"), Some(b"v".as_slice()));
     }
 }

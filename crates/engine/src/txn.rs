@@ -76,12 +76,21 @@ impl TxnContext {
         self.reads.push(owned);
     }
 
-    /// Buffer a write, taking over its buffers. `before` is the
-    /// committed value at first touch.
-    pub fn buffer_write(&mut self, key: Vec<u8>, before: Option<Vec<u8>>, after: Option<Vec<u8>>) {
+    /// Buffer a write, taking over its buffers. `before` gives the
+    /// committed value of the key, and is called only on the key's
+    /// first write: a later one keeps the first before image.
+    pub fn buffer_write(
+        &mut self,
+        key: Vec<u8>,
+        before: impl FnOnce(&[u8]) -> Option<Vec<u8>>,
+        after: Option<Vec<u8>>,
+    ) {
         match self.position(&key) {
-            Ok(i) => self.writes[i].after = after, // keep original before image
-            Err(i) => self.writes.insert(i, BufferedWrite { key, before, after }),
+            Ok(i) => self.writes[i].after = after,
+            Err(i) => {
+                let before = before(&key);
+                self.writes.insert(i, BufferedWrite { key, before, after });
+            }
         }
     }
 
@@ -111,8 +120,13 @@ mod tests {
     #[test]
     fn rewrites_keep_first_before_image() {
         let mut t = TxnContext::new(TxnId::new(1));
-        t.buffer_write(b"k".to_vec(), Some(b"old".to_vec()), Some(b"v1".to_vec()));
-        t.buffer_write(b"k".to_vec(), Some(b"v1".to_vec()), Some(b"v2".to_vec()));
+        t.buffer_write(
+            b"k".to_vec(),
+            |_| Some(b"old".to_vec()),
+            Some(b"v1".to_vec()),
+        );
+        let second = |_: &[u8]| unreachable!("a rewrite reads no before image");
+        t.buffer_write(b"k".to_vec(), second, Some(b"v2".to_vec()));
         let w = t.own_view(b"k").unwrap();
         assert_eq!(w.before.as_deref(), Some(b"old".as_slice()));
         assert_eq!(w.after.as_deref(), Some(b"v2".as_slice()));
@@ -122,7 +136,7 @@ mod tests {
     fn read_only_detection() {
         let mut t = TxnContext::new(TxnId::new(1));
         assert!(t.is_read_only());
-        t.buffer_write(b"k".to_vec(), None, Some(b"v".to_vec()));
+        t.buffer_write(b"k".to_vec(), |_| None, Some(b"v".to_vec()));
         assert!(!t.is_read_only());
     }
 }

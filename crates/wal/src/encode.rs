@@ -166,8 +166,13 @@ impl<'a> Reader<'a> {
 
     /// Read a length-prefixed byte string.
     pub fn bytes(&mut self, what: &str) -> Result<Vec<u8>, WalError> {
+        Ok(self.slice(what)?.to_vec())
+    }
+
+    /// Read a length-prefixed byte string in place.
+    pub fn slice(&mut self, what: &str) -> Result<&'a [u8], WalError> {
         let len = self.u32(what)? as usize;
-        Ok(self.take(len, what)?.to_vec())
+        self.take(len, what)
     }
 
     /// Read an optional byte string (presence byte, then the string).
@@ -459,14 +464,11 @@ pub fn decode_payload(buf: &[u8]) -> Result<LogPayload, WalError> {
             }
         }
         TAG_CHECKPOINT => {
-            let n = r.u32("checkpoint entry count")? as usize;
-            let mut entries = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let k = r.bytes("checkpoint key")?;
-                let v = r.bytes("checkpoint value")?;
-                entries.push((k, v));
-            }
-            LogPayload::Checkpoint { entries }
+            // The borrowed read checks the whole payload, trailing
+            // bytes included, before it lends an entry.
+            let entries = checkpoint_entries(buf)?.expect("a checkpoint's tag");
+            let entries = entries.map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+            return Ok(LogPayload::Checkpoint { entries });
         }
         t => return Err(WalError::UnknownTag(t)),
     };
@@ -477,6 +479,62 @@ pub fn decode_payload(buf: &[u8]) -> Result<LogPayload, WalError> {
         });
     }
     Ok(payload)
+}
+
+/// The entries of an encoded `Checkpoint` payload, lent in place: what
+/// [`checkpoint_entries`] returns.
+pub struct CheckpointEntries<'a> {
+    /// How many entries the payload holds.
+    pub count: usize,
+    /// Their key and value bytes, summed.
+    pub bytes: usize,
+    /// Entries not yet lent.
+    left: usize,
+    rest: Reader<'a>,
+}
+
+impl<'a> Iterator for CheckpointEntries<'a> {
+    type Item = (&'a [u8], &'a [u8]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.left = self.left.checked_sub(1)?;
+        let key = self.rest.slice("checkpoint key").expect("checked");
+        let value = self.rest.slice("checkpoint value").expect("checked");
+        Some((key, value))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+/// Check an encoded payload as [`decode_payload`] checks it if it is a
+/// `Checkpoint`, and lend its entries in place without allocating;
+/// `None` for a payload of any other kind, which is not read further.
+pub fn checkpoint_entries(buf: &[u8]) -> Result<Option<CheckpointEntries<'_>>, WalError> {
+    let mut r = Reader::new(buf);
+    if r.u8("tag")? != TAG_CHECKPOINT {
+        return Ok(None);
+    }
+    let count = r.u32("checkpoint entry count")? as usize;
+    let rest = Reader::new(&buf[r.pos..]);
+    for _ in 0..count {
+        r.slice("checkpoint key")?;
+        r.slice("checkpoint value")?;
+    }
+    if !r.done() {
+        return Err(WalError::Corrupt {
+            offset: r.pos as u64,
+            detail: format!("{} trailing bytes after payload", buf.len() - r.pos),
+        });
+    }
+    let bytes = rest.buf.len() - 8 * count;
+    Ok(Some(CheckpointEntries {
+        count,
+        bytes,
+        left: count,
+        rest,
+    }))
 }
 
 // ---------------------------------------------------------------------
@@ -691,6 +749,33 @@ mod tests {
                     assert_eq!(consumed, enc.len());
                 }
                 FrameOutcome::Torn => panic!("valid frame decoded as torn"),
+            }
+        }
+    }
+
+    /// The borrowed read of a `Checkpoint` lends what the decoder
+    /// returns, passes other kinds by, and refuses what the decoder
+    /// refuses.
+    #[test]
+    fn checkpoint_entries_lend_what_decode_returns() {
+        for p in samples() {
+            let buf = encode_payload(&p);
+            let lent = checkpoint_entries(&buf).unwrap();
+            match p {
+                LogPayload::Checkpoint { entries } => {
+                    let lent = lent.expect("a checkpoint");
+                    let bytes = entries.iter().map(|(k, v)| k.len() + v.len()).sum();
+                    assert_eq!((lent.count, lent.bytes), (entries.len(), bytes));
+                    let decoded: Vec<_> = entries.iter().map(|(k, v)| (&k[..], &v[..])).collect();
+                    assert_eq!(lent.collect::<Vec<_>>(), decoded);
+                    for cut in 1..buf.len() {
+                        assert!(checkpoint_entries(&buf[..cut]).is_err(), "cut at {cut}");
+                    }
+                    let mut trailing = buf.clone();
+                    trailing.push(0);
+                    assert!(checkpoint_entries(&trailing).is_err());
+                }
+                _ => assert!(lent.is_none()),
             }
         }
     }

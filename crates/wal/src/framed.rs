@@ -38,11 +38,12 @@
 //! under the code that commits.
 
 use crate::encode::{
-    check_frame, decode_payload, encode_frame_into, Frame, FrameOutcome, FRAME_OVERHEAD,
+    check_frame, checkpoint_entries, decode_payload, encode_frame_into, Frame, FrameOutcome,
+    FRAME_OVERHEAD,
 };
 use crate::error::WalError;
 use crate::record::{LogRecord, Lsn, WalStats};
-use crate::StableLog;
+use crate::{CheckpointSink, StableLog};
 use acp_types::LogPayload;
 use std::collections::VecDeque;
 
@@ -300,21 +301,19 @@ impl<S: Store> FramedLog<S> {
         Ok((end, (frames.len() - valid) as u64))
     }
 
-    /// Read the live frames back from the store, decode them and hand
-    /// their records to `visit` in order: the log's one decode.
-    fn read_live(&self, visit: &mut dyn FnMut(LogRecord)) -> Result<(), WalError> {
+    /// Read the live frames back from the store into `bytes` and hand
+    /// each to `visit` in order, checked by the recovery scan: what a
+    /// restart would find, or an error for a frame read back damaged.
+    fn read_live_frames<'b>(
+        &self,
+        bytes: &'b mut Vec<u8>,
+        visit: &mut dyn FnMut(Frame<'b>) -> Result<(), WalError>,
+    ) -> Result<(), WalError> {
         let start = self.live_start();
-        let mut bytes = vec![0; self.frames as usize];
-        self.store.read_at(start, &mut bytes)?;
-        let (valid, _) = scan(&bytes, start, self.low_water, &mut |frame, _| {
-            let payload = decode_payload(frame.payload)?;
-            visit(LogRecord {
-                lsn: frame.lsn,
-                forced: frame.forced,
-                payload,
-            });
-            Ok(())
-        })?;
+        bytes.resize(self.frames as usize, 0);
+        self.store.read_at(start, bytes)?;
+        let bytes: &'b [u8] = bytes;
+        let (valid, _) = scan(bytes, start, self.low_water, &mut |frame, _| visit(frame))?;
         if valid < bytes.len() {
             return Err(WalError::Corrupt {
                 offset: start + valid as u64,
@@ -322,6 +321,20 @@ impl<S: Store> FramedLog<S> {
             });
         }
         Ok(())
+    }
+
+    /// Decode the live frames and hand their records to `visit` in
+    /// order: the log's one decode.
+    fn read_live(&self, visit: &mut dyn FnMut(LogRecord)) -> Result<(), WalError> {
+        self.read_live_frames(&mut Vec::new(), &mut |frame| {
+            let payload = decode_payload(frame.payload)?;
+            visit(LogRecord {
+                lsn: frame.lsn,
+                forced: frame.forced,
+                payload,
+            });
+            Ok(())
+        })
     }
 
     fn check_writable(&self) -> Result<(), WalError> {
@@ -384,6 +397,29 @@ impl<S: Store> StableLog for FramedLog<S> {
 
     fn for_each_record(&self, f: &mut dyn FnMut(&LogRecord)) -> Result<(), WalError> {
         self.read_live(&mut |rec| f(&rec))
+    }
+
+    /// Lends slices of the live frames, read back into one buffer and
+    /// checked as [`StableLog::records`] checks them: one buffer for the
+    /// frames and one for the checked `Checkpoint` payloads, however
+    /// many entries they hold.
+    fn read_checkpoints(&self, sink: &mut dyn CheckpointSink) -> Result<u64, WalError> {
+        let mut bytes = Vec::new();
+        let mut records = Vec::with_capacity(self.durable());
+        let (mut entries, mut held) = (0, 0);
+        self.read_live_frames(&mut bytes, &mut |frame| {
+            if let Some(record) = checkpoint_entries(frame.payload)? {
+                entries += record.count;
+                held += record.bytes;
+                records.push(record);
+            }
+            Ok(())
+        })?;
+        sink.reserve(entries, held);
+        for (key, value) in records.into_iter().flatten() {
+            sink.entry(key, value);
+        }
+        Ok(self.frames)
     }
 
     fn truncate_prefix(&mut self, lsn: Lsn) -> Result<(), WalError> {

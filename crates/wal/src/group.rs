@@ -29,7 +29,7 @@
 
 use crate::error::WalError;
 use crate::record::{LogRecord, Lsn, WalStats};
-use crate::StableLog;
+use crate::{CheckpointSink, StableLog};
 use acp_types::LogPayload;
 
 /// Batching effectiveness counters.
@@ -302,6 +302,10 @@ impl<L: StableLog> StableLog for GroupCommitLog<L> {
 
     fn for_each_record(&self, f: &mut dyn FnMut(&LogRecord)) -> Result<(), WalError> {
         self.inner.for_each_record(f)
+    }
+
+    fn read_checkpoints(&self, sink: &mut dyn CheckpointSink) -> Result<u64, WalError> {
+        self.inner.read_checkpoints(sink)
     }
 
     fn truncate_prefix(&mut self, lsn: Lsn) -> Result<(), WalError> {

@@ -111,6 +111,16 @@ pub trait StableLog {
         Ok(())
     }
 
+    /// Lend the entries of the durable `Checkpoint` records to `sink`
+    /// in append order, each record's in its order, after telling it
+    /// their totals; records of other kinds are skipped. Returns the
+    /// frame bytes of all the durable records. A [`FramedLog`] lends
+    /// slices of the frames it reads back, checked as
+    /// [`StableLog::records`] checks them, so a store rebuilt from its
+    /// file costs no allocation per entry; a [`MemLog`] lends its
+    /// decoded records.
+    fn read_checkpoints(&self, sink: &mut dyn CheckpointSink) -> Result<u64, WalError>;
+
     /// Discard all records with LSN strictly below `lsn` (garbage
     /// collection). `lsn` becomes the new low-water mark: neither
     /// `records()` nor a recovery returns a discarded record again.
@@ -139,6 +149,18 @@ pub trait StableLog {
     /// records were lost. Volatile protocol state is the caller's to
     /// clear; this method only handles the log's buffered tail.
     fn lose_unflushed(&mut self) -> Result<usize, WalError>;
+}
+
+/// What [`StableLog::read_checkpoints`] lends a log's `Checkpoint`
+/// entries to.
+pub trait CheckpointSink {
+    /// Called once, before any entry: how many entries the records hold
+    /// (a key in several records counts once per record) and their key
+    /// and value bytes, summed.
+    fn reserve(&mut self, entries: usize, bytes: usize);
+
+    /// One entry, lent for the call.
+    fn entry(&mut self, key: &[u8], value: &[u8]);
 }
 
 #[cfg(test)]

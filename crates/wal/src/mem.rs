@@ -10,7 +10,7 @@
 use crate::encode::frame_len;
 use crate::error::WalError;
 use crate::record::{LogRecord, Lsn, WalStats};
-use crate::StableLog;
+use crate::{CheckpointSink, StableLog};
 use acp_types::LogPayload;
 use std::collections::VecDeque;
 
@@ -122,6 +122,23 @@ impl StableLog for MemLog {
             f(r);
         }
         Ok(())
+    }
+
+    fn read_checkpoints(&self, sink: &mut dyn CheckpointSink) -> Result<u64, WalError> {
+        let entries = || {
+            let records = self.durable.iter().filter_map(|r| match &r.payload {
+                LogPayload::Checkpoint { entries } => Some(entries),
+                _ => None,
+            });
+            records.flatten()
+        };
+        let (count, bytes) =
+            entries().fold((0, 0), |(n, b), (k, v)| (n + 1, b + k.len() + v.len()));
+        sink.reserve(count, bytes);
+        for (key, value) in entries() {
+            sink.entry(key, value);
+        }
+        Ok(self.retained_bytes())
     }
 
     fn truncate_prefix(&mut self, lsn: Lsn) -> Result<(), WalError> {

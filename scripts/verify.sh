@@ -417,7 +417,9 @@ echo "== one decode per restart: a crash checks frames, only a read decodes"
 # only the frames' lengths; the restart's analysis then decoded them all
 # again. The scan now checks frames (encode::check_frame), and
 # FramedLog::read_live, behind records() and for_each_record, is the
-# one place the log decodes a payload. A decode_frame call in the
+# one place the log decodes a payload. (read_checkpoints, the store
+# file's restart read, lends Checkpoint entries in place through
+# encode::checkpoint_entries and decodes nothing.) A decode_frame call in the
 # non-test lines of framed.rs, or a decode_payload call there outside
 # read_live's body, is the crash path decoding again. As above, each
 # pattern and the body filter first meet their control lines.
@@ -448,6 +450,25 @@ if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/
   echo "FAIL: crates/wal/src/framed.rs decodes a payload outside read_live: a crash's scan decodes again"; exit 1
 fi
 nontest_lines crates/wal/src
+
+echo "== one arena per store: a committed entry owns no buffer of its own"
+# The committed store used to be a BTreeMap<Vec<u8>, Vec<u8>>: every
+# commit moved a key and a value buffer into it and allocated a share of
+# a tree node, and every restart decoded each store-file entry into two
+# new buffers, about two allocations per entry. KvStore now keeps keys
+# and values back to back in one arena under an open-addressed index,
+# and a restart copies the store file's entries into it from slices.
+# That map type in store.rs's non-test lines is an owned key and value
+# per entry coming back. As above, the pattern first meets its control
+# line.
+store_guard='BTreeMap<Vec<u8>, *Vec<u8>>'
+echo '    map: BTreeMap<Vec<u8>, Vec<u8>>,' | grep -qE "$store_guard" \
+  || { echo "FAIL: the guard '$store_guard' misses its control line"; exit 1; }
+if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/engine/src/store.rs \
+    | grep -E "$store_guard"; then
+  echo "FAIL: crates/engine/src/store.rs keeps an owned key and value per entry"; exit 1
+fi
+nontest_lines crates/engine/src
 
 echo "== one owner, one table: the coordinator's protocol table is a plain map"
 # The protocol table used to be 64 Mutex-guarded shards and an atomic
