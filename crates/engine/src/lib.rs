@@ -13,7 +13,9 @@
 //!   and the caller votes "No"/aborts;
 //! * **buffered writes (no-steal)** ([`txn`]): updates live in the
 //!   transaction's write set until commit, so crash recovery never needs
-//!   to undo — only redo winners;
+//!   to undo — only redo winners; a write is copied into buffers the
+//!   transaction's context keeps across reuse, so the caller keeps its
+//!   own (a new context keeps a buffer its caller lends instead);
 //! * **write-ahead logging** ([`site`]): at *prepare*, the write set is
 //!   lent, as update records with before/after images, to the
 //!   participant's protocol log ahead of its prepared record, whose
@@ -45,4 +47,4 @@ pub use error::EngineError;
 pub use lock::{LockMode, LockTable};
 pub use site::SiteEngine;
 pub use store::KvStore;
-pub use txn::{TxnContext, TxnPhase};
+pub use txn::{TxnContext, TxnPhase, WriteBytes};

@@ -109,9 +109,9 @@ fn run_engine<L: StableLog>(
             for _ in 0..rng.random_range(1..4) {
                 let key = key(&mut rng, keys);
                 let value = (burst % 5 != 4 || rng.random_range(0..4) > 0).then(|| value(&mut rng));
-                match value.clone() {
-                    Some(v) => e.put(txn, key.clone(), v).unwrap(),
-                    None => e.delete(txn, key.clone()).unwrap(),
+                match &value {
+                    Some(v) => e.put(txn, &key, v).unwrap(),
+                    None => e.delete(txn, &key).unwrap(),
                 }
                 writes.push((key, value));
             }

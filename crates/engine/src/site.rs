@@ -6,11 +6,10 @@
 use crate::error::EngineError;
 use crate::lock::{LockMode, LockTable};
 use crate::store::KvStore;
-use crate::txn::{TxnContext, TxnPhase};
+use crate::txn::{TxnContext, TxnPhase, WriteBytes};
 use acp_types::{LogPayload, Outcome, TxnId};
-use acp_wal::encode::frame_len;
 use acp_wal::scan::Summaries;
-use acp_wal::{StableLog, WalError, RECLAIM_FLOOR};
+use acp_wal::{CheckpointDelta, StableLog, WalError, RECLAIM_FLOOR};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -31,9 +30,10 @@ pub struct SiteEngine<L: StableLog> {
     /// The store file.
     log: L,
     /// The values installed since the store file's last record, for
-    /// the next [`SiteEngine::checkpoint_installed`]: the committed
-    /// writes' own buffers, which the store has copied into its arena.
-    installed: Vec<(Vec<u8>, Vec<u8>)>,
+    /// the next [`SiteEngine::checkpoint_installed`], copied in as the
+    /// store copies them into its arena: one buffer, refilled by every
+    /// record.
+    delta: CheckpointDelta,
     /// Frame bytes of the store file's records since its last
     /// whole-store checkpoint, that one included.
     file_bytes: u64,
@@ -48,7 +48,7 @@ impl<L: StableLog> SiteEngine<L> {
             txns: HashMap::new(),
             spare: Vec::new(),
             log,
-            installed: Vec::new(),
+            delta: CheckpointDelta::new(),
             file_bytes: 0,
         }
     }
@@ -85,39 +85,60 @@ impl<L: StableLog> SiteEngine<L> {
         Ok(value.map(<[u8]>::to_vec))
     }
 
-    /// Transactional write (upsert). The engine takes ownership of key
-    /// and value: the write set holds these buffers, prepare lends them
-    /// to the log records it stages, and a commit copies them once, into
-    /// the store's arena, and hands them to the next store-file record.
-    /// A borrowed slice is copied once more, here.
+    /// Transactional write (upsert). The engine copies key and value
+    /// into buffers the transaction's context keeps across reuse, and
+    /// the key's before image too, so the caller keeps its own buffers:
+    /// prepare lends the copies to the log records it stages, and a
+    /// commit copies them once more, into the store's arena and the next
+    /// store-file record.
     pub fn put(
         &mut self,
         txn: TxnId,
-        key: impl Into<Vec<u8>>,
-        value: impl Into<Vec<u8>>,
+        key: impl AsRef<[u8]>,
+        value: impl AsRef<[u8]>,
     ) -> Result<(), EngineError> {
-        self.write(txn, key.into(), Some(value.into()))
+        let (key, value) = (key.as_ref(), value.as_ref());
+        self.write(
+            txn,
+            WriteBytes::Borrowed(key),
+            Some(WriteBytes::Borrowed(value)),
+        )
+    }
+
+    /// [`SiteEngine::put`] of buffers the caller lends: copied from when
+    /// the transaction's context has buffers of its own to spare, and
+    /// otherwise kept, with empty buffers left in their place, so a new
+    /// context (as every one is after a crash) allocates none. The
+    /// kernel lends an `Apply` envelope's key and value this way.
+    pub fn put_lent(
+        &mut self,
+        txn: TxnId,
+        key: &mut Vec<u8>,
+        value: &mut Vec<u8>,
+    ) -> Result<(), EngineError> {
+        self.write(txn, WriteBytes::Lent(key), Some(WriteBytes::Lent(value)))
     }
 
     /// Transactional delete.
-    pub fn delete(&mut self, txn: TxnId, key: impl Into<Vec<u8>>) -> Result<(), EngineError> {
-        self.write(txn, key.into(), None)
+    pub fn delete(&mut self, txn: TxnId, key: impl AsRef<[u8]>) -> Result<(), EngineError> {
+        self.write(txn, WriteBytes::Borrowed(key.as_ref()), None)
     }
 
     fn write(
         &mut self,
         txn: TxnId,
-        key: Vec<u8>,
-        after: Option<Vec<u8>>,
+        key: WriteBytes<'_>,
+        after: Option<WriteBytes<'_>>,
     ) -> Result<(), EngineError> {
         let ctx = self.txns.get(&txn).ok_or(EngineError::UnknownTxn(txn))?;
         if ctx.phase != TxnPhase::Active {
             return Err(EngineError::WrongPhase { txn, op: "write" });
         }
-        self.locks.acquire(txn, &key, LockMode::Exclusive)?;
+        self.locks
+            .acquire(txn, key.as_slice(), LockMode::Exclusive)?;
         let ctx = self.txns.get_mut(&txn).expect("checked above");
         let store = &self.store;
-        ctx.buffer_write(key, |key| store.get(key).map(<[u8]>::to_vec), after);
+        ctx.buffer_write(key, |key| store.get(key), after);
         Ok(())
     }
 
@@ -173,28 +194,26 @@ impl<L: StableLog> SiteEngine<L> {
     /// Idempotent for unknown transactions (already resolved and
     /// forgotten — footnote 5's engine-side counterpart).
     pub fn resolve(&mut self, txn: TxnId, outcome: Outcome) -> Result<(), EngineError> {
-        let Some(mut ctx) = self.txns.remove(&txn) else {
+        let Some(ctx) = self.txns.remove(&txn) else {
             return Ok(());
         };
         self.release_locks(txn, &ctx);
         if outcome == Outcome::Commit {
-            // The context is done with its write set: the store copies
-            // each write, and its buffers go on to the store file.
-            for w in ctx.writes.drain(..) {
-                self.install(w.key, w.after);
+            for w in &ctx.writes {
+                self.install(&w.key, w.after.as_deref());
             }
         }
         self.retire(ctx);
         Ok(())
     }
 
-    /// Install a committed value, noting it for the store file. Only a
-    /// commit decision installs, so the store file holds nothing a
-    /// transaction could still abort.
-    fn install(&mut self, key: Vec<u8>, value: Option<Vec<u8>>) {
-        self.store.install(&key, value.as_deref());
+    /// Install a committed value, copying it into the store and the
+    /// store file's next delta. Only a commit decision installs, so the
+    /// store file holds nothing a transaction could still abort.
+    fn install(&mut self, key: &[u8], value: Option<&[u8]>) {
+        self.store.install(key, value);
         match value {
-            Some(value) => self.installed.push((key, value)),
+            Some(value) => self.delta.push(key, value),
             // A delta entry cannot delete: count the file all dead, so
             // the next checkpoint rewrites it whole.
             None => self.file_bytes = u64::MAX,
@@ -234,16 +253,11 @@ impl<L: StableLog> SiteEngine<L> {
     /// [`RECLAIM_FLOOR`]), it is rewritten as one whole-store
     /// checkpoint. A refused write keeps its entries for the next call.
     pub fn checkpoint_installed(&mut self) -> Result<(), EngineError> {
-        if !self.installed.is_empty() {
-            let entries = std::mem::take(&mut self.installed);
-            let delta = LogPayload::Checkpoint { entries };
-            let written = self.log.append_ref(&delta, true).map(|_| frame_len(&delta));
-            let LogPayload::Checkpoint { entries } = delta else {
-                unreachable!("built above")
-            };
-            self.installed = entries;
-            self.file_bytes = self.file_bytes.saturating_add(written? as u64);
-            self.installed.clear();
+        if !self.delta.is_empty() {
+            self.log.append_checkpoint(&self.delta, true)?;
+            let written = self.delta.frame_len() as u64;
+            self.file_bytes = self.file_bytes.saturating_add(written);
+            self.delta.clear();
         }
         let live = self.store_frame_len();
         if self.file_bytes.saturating_sub(live) > live.max(RECLAIM_FLOOR) {
@@ -255,24 +269,29 @@ impl<L: StableLog> SiteEngine<L> {
     /// The frame bytes of a checkpoint of the whole store: an empty
     /// one's, and per entry two 4-byte lengths, its key and its value.
     fn store_frame_len(&self) -> u64 {
-        let empty = frame_len(&LogPayload::Checkpoint { entries: vec![] });
+        let empty = CheckpointDelta::new().frame_len();
         (empty + 8 * self.store.len() + self.store.bytes()) as u64
     }
 
     /// Rewrite the store file as one forced checkpoint of the whole
     /// store, releasing every record before it (the file compacts once
-    /// what is released passes its reclaim floor).
+    /// what is released passes its reclaim floor). The store's entries
+    /// are encoded into the delta, which the last record left empty,
+    /// after one reservation, so the rewrite allocates a constant
+    /// however many entries it holds.
     fn checkpoint(&mut self) -> Result<(), EngineError> {
-        let entries = self.store.iter();
-        let entries = entries.map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
-        let whole = LogPayload::Checkpoint { entries };
-        let len = frame_len(&whole) as u64;
-        let at = self.log.append(whole, true)?;
+        self.delta.reserve(self.store.len(), self.store.bytes());
+        for (key, value) in self.store.iter() {
+            self.delta.push(key, value);
+        }
+        let len = self.delta.frame_len() as u64;
+        let appended = self.log.append_checkpoint(&self.delta, true);
+        self.delta.clear();
+        let at = appended?;
         if at > self.log.low_water_mark() {
             self.log.truncate_prefix(at)?;
         }
         self.file_bytes = len;
-        self.installed.clear();
         Ok(())
     }
 
@@ -316,7 +335,7 @@ impl<L: StableLog> SiteEngine<L> {
         self.locks = LockTable::new();
         self.txns = HashMap::new();
         self.spare = Vec::new();
-        self.installed = Vec::new();
+        self.delta = CheckpointDelta::new();
         self.file_bytes = 0;
         self.log.lose_unflushed().expect("log crash");
     }
@@ -331,9 +350,10 @@ impl<L: StableLog> SiteEngine<L> {
     /// rebuild allocates a constant however many entries it restores.
     /// `protocol` is the participant's log's analysis, the one read of
     /// it a restart makes (`Participant::recover_into` returns it); its
-    /// images move into the re-staged write sets, or, redone, into the
-    /// next store-file record, and a write set without its prepared
-    /// record never voted Yes, so it is neither redone nor re-staged.
+    /// images move into the re-staged write sets, or, redone, are copied
+    /// into the store and the next store-file record, and a write set
+    /// without its prepared record never voted Yes, so it is neither
+    /// redone nor re-staged.
     ///
     /// A value reaches the store file only after its transaction's
     /// commit decision ([`SiteEngine::resolve`]). So a transaction in
@@ -352,7 +372,7 @@ impl<L: StableLog> SiteEngine<L> {
                     self.locks
                         .acquire(txn, &key, LockMode::Exclusive)
                         .expect("recovery lock acquisition cannot conflict");
-                    ctx.buffer_write(key, |_| before, after);
+                    ctx.restage(key, before, after);
                 }
                 self.txns.insert(txn, ctx);
             } else if let Some((Outcome::Commit, at)) = s.part_decision {
@@ -360,8 +380,8 @@ impl<L: StableLog> SiteEngine<L> {
             }
         }
         committed.sort_unstable_by_key(|&(at, _)| at);
-        for (key, _, after) in committed.into_iter().flat_map(|(_, images)| images) {
-            self.install(key, after);
+        for (key, _, after) in committed.iter().flat_map(|(_, images)| images) {
+            self.install(key, after.as_deref());
         }
         Ok(())
     }
@@ -725,8 +745,8 @@ mod lending_tests {
         redo.inject(Fault::WriteError { after_bytes: 0 });
         let mut e = SiteEngine::new(FaultyLog::new());
         e.begin(t(1));
-        e.put(t(1), b"b".to_vec(), b"2".to_vec()).unwrap();
-        e.put(t(1), b"a".to_vec(), b"1".to_vec()).unwrap();
+        e.put(t(1), b"b", b"2").unwrap();
+        e.put(t(1), b"a", b"1").unwrap();
         let staged = e.prepare(t(1), |u| redo.append_ref(u, true).map(drop));
         assert!(staged.is_err(), "the force was refused");
         assert_eq!(redo.faults_applied(), 1);
@@ -763,6 +783,7 @@ mod lending_tests {
 #[cfg(test)]
 mod store_file_tests {
     use super::*;
+    use acp_wal::encode::frame_len;
     use acp_wal::MemLog;
 
     fn t(n: u64) -> TxnId {
@@ -816,7 +837,7 @@ mod store_file_tests {
         commit_one(&mut e, 2, b"b", b"2");
         e.checkpoint_installed().unwrap();
         e.begin(t(3));
-        e.delete(t(3), b"a".to_vec()).unwrap();
+        e.delete(t(3), b"a").unwrap();
         e.prepare(t(3), |_| Ok(())).unwrap();
         e.resolve(t(3), Outcome::Commit).unwrap();
         e.checkpoint_installed().unwrap();
@@ -865,19 +886,40 @@ mod store_file_tests {
         assert_eq!(e.committed_get(b"k7"), Some(value.as_slice()));
     }
 
-    /// A commit copies each write once, into the store's arena: the
-    /// store file's next delta carries the write's own buffers.
+    /// A write is copied into the context's buffers, not taken from the
+    /// caller; a commit copies it into the store and the store file's
+    /// next delta, and the next transaction in the context refills the
+    /// same buffers.
     #[test]
-    fn a_delta_carries_the_writes_own_buffers() {
+    fn a_commit_leaves_its_write_buffers_to_the_next_transaction() {
         let mut e = SiteEngine::new(MemLog::new());
         let (key, value) = (b"k".to_vec(), b"v".to_vec());
-        let given = (key.as_ptr(), value.as_ptr());
         e.begin(t(1));
-        e.put(t(1), key, value).unwrap();
+        e.put(t(1), &key, &value).unwrap();
+        let w = &e.txns[&t(1)].writes[0];
+        let held = [w.key.as_ptr(), w.after.as_ref().unwrap().as_ptr()];
+        assert!(!held.contains(&key.as_ptr()) && !held.contains(&value.as_ptr()));
         e.prepare(t(1), |_| Ok(())).unwrap();
         e.resolve(t(1), Outcome::Commit).unwrap();
-        let (key, value) = &e.installed[0];
-        assert_eq!((key.as_ptr(), value.as_ptr()), given);
+        let delta: Vec<_> = e.delta.entries().collect();
+        assert_eq!(delta, [(b"k".as_slice(), b"v".as_slice())]);
         assert_eq!(e.committed_get(b"k"), Some(b"v".as_slice()));
+
+        e.begin(t(2));
+        e.put(t(2), b"k", b"w").unwrap();
+        let w = &e.txns[&t(2)].writes[0];
+        let refilled = [
+            &w.key,
+            w.before.as_ref().unwrap(),
+            w.after.as_ref().unwrap(),
+        ];
+        let refilled: Vec<_> = refilled.iter().map(|b| b.as_ptr()).collect();
+        assert!(
+            held.iter().all(|p| refilled.contains(p)),
+            "T1's buffers refilled"
+        );
+        assert_eq!(w.key, b"k");
+        assert_eq!(w.before.as_deref(), Some(b"v".as_slice()));
+        assert_eq!(w.after.as_deref(), Some(b"w".as_slice()));
     }
 }

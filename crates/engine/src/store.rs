@@ -117,10 +117,11 @@ impl KvStore {
     }
 
     /// Iterate over committed entries in key order. Only this call
-    /// sorts: it collects the live entries' offsets and sorts them by
-    /// key.
+    /// sorts: it collects the live entries' offsets, into one
+    /// allocation, and sorts them by key.
     pub fn iter(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
-        let mut order: Vec<u32> = self.live().collect();
+        let mut order = Vec::with_capacity(self.len);
+        order.extend(self.live());
         order.sort_unstable_by(|&a, &b| self.entry_at(a).0.cmp(self.entry_at(b).0));
         order.into_iter().map(|at| self.entry_at(at))
     }

@@ -109,6 +109,12 @@ pub(crate) trait Transport {
     /// A hosted site fail-stopped.
     fn site_crashed(&mut self, _now: Instant) {}
 
+    /// Take back a buffer of an envelope the kernel is done with (an
+    /// `Apply`'s key or value, once the storage engine has copied it):
+    /// a transport that decoded the envelope into buffers of its own
+    /// refills them. The default drops it.
+    fn recycle(&mut self, _buf: Vec<u8>) {}
+
     /// Shutdown: push out what is still owed to other hosts.
     fn drain(&mut self) {}
 }
@@ -790,19 +796,39 @@ impl<T: Transport> Kernel<T> {
                     self.ctx.transport.site_crashed(now);
                 }
             }
-            // Omission: dropped, and counted.
-            _ if st.host.is_down(now) => self.ctx.stats.dropped_while_down += 1,
-            // The envelope's buffers move into the write set.
-            Envelope::Apply { txn, key, value } => match (&mut st.data, &mut st.engine) {
-                (Some(d), _) => {
-                    d.storage.begin(txn);
-                    if d.storage.put(txn, key, value).is_err() {
-                        d.poisoned.insert(txn);
-                    }
+            // Omission: dropped, and counted; an Apply's buffers go back.
+            _ if st.host.is_down(now) => {
+                self.ctx.stats.dropped_while_down += 1;
+                if let Envelope::Apply { key, value, .. } = envelope {
+                    self.ctx.transport.recycle(value);
+                    self.ctx.transport.recycle(key);
                 }
-                (None, AnyEngine::Gateway(g)) => g.stage_write(txn, key, value),
-                (None, _) => {}
-            },
+            }
+            // The storage engine (or a gateway) copies the envelope's key
+            // and value (a new transaction context keeps them, leaving
+            // empty buffers), and the buffers go back to the transport,
+            // the value first, so that the next key decoded refills this
+            // key's buffer.
+            Envelope::Apply {
+                txn,
+                mut key,
+                mut value,
+            } => {
+                match (&mut st.data, &mut st.engine) {
+                    (Some(d), _) => {
+                        d.storage.begin(txn);
+                        if d.storage.put_lent(txn, &mut key, &mut value).is_err() {
+                            d.poisoned.insert(txn);
+                        }
+                    }
+                    (None, AnyEngine::Gateway(g)) => {
+                        g.stage_write(txn, key.as_slice(), value.as_slice());
+                    }
+                    (None, _) => {}
+                }
+                self.ctx.transport.recycle(value);
+                self.ctx.transport.recycle(key);
+            }
             Envelope::SetIntent { txn, vote } => {
                 if let Some(d) = &mut st.data {
                     d.forced_intents.insert(txn, vote);

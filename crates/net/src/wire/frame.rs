@@ -423,7 +423,21 @@ fn encode_body_into(out: &mut Vec<u8>, msg: &WireMsg) {
     }
 }
 
-fn decode_body(buf: &[u8]) -> Result<WireMsg, WalError> {
+/// Reject a body the reader has not consumed whole.
+fn check_done(r: &Reader<'_>) -> Result<(), WalError> {
+    if r.done() {
+        return Ok(());
+    }
+    Err(WalError::Corrupt {
+        offset: 0,
+        detail: "wire frame: trailing bytes after body".to_string(),
+    })
+}
+
+/// Decode one body. An `Apply`'s key and value are copied into buffers
+/// lent from `spare`, once the whole body has checked, so a frame that
+/// fails lends none.
+fn decode_body(buf: &[u8], spare: &mut SpareBufs) -> Result<WireMsg, WalError> {
     let mut r = Reader::new(buf);
     let msg = match r.u8("wire tag")? {
         TAG_PROTOCOL => WireMsg::Protocol(read_message(&mut r)?),
@@ -442,12 +456,18 @@ fn decode_body(buf: &[u8]) -> Result<WireMsg, WalError> {
             }
             WireMsg::ProtocolBatch(ms)
         }
-        TAG_APPLY => WireMsg::Apply {
-            to: SiteId::new(r.u32("to")?),
-            txn: TxnId::new(r.u64("txn")?),
-            key: r.bytes("key")?,
-            value: r.bytes("value")?,
-        },
+        TAG_APPLY => {
+            let to = SiteId::new(r.u32("to")?);
+            let txn = TxnId::new(r.u64("txn")?);
+            let (key, value) = (r.slice("key")?, r.slice("value")?);
+            check_done(&r)?;
+            WireMsg::Apply {
+                to,
+                txn,
+                key: spare.lend(key),
+                value: spare.lend(value),
+            }
+        }
         TAG_SET_INTENT => WireMsg::SetIntent {
             to: SiteId::new(r.u32("to")?),
             txn: TxnId::new(r.u64("txn")?),
@@ -455,12 +475,7 @@ fn decode_body(buf: &[u8]) -> Result<WireMsg, WalError> {
         },
         t => return Err(bad("wire tag", t)),
     };
-    if !r.done() {
-        return Err(WalError::Corrupt {
-            offset: 0,
-            detail: "wire frame: trailing bytes after body".to_string(),
-        });
-    }
+    check_done(&r)?;
     Ok(msg)
 }
 
@@ -501,6 +516,57 @@ pub(crate) fn frame_boundary(buf: &[u8], limit: usize) -> usize {
     at
 }
 
+/// The buffers a decoder copies an `Apply`'s key and value into, and
+/// the kernel gives back once the storage engine has copied them in
+/// turn ([`crate::host`]'s `Transport::recycle`). It is bounded without
+/// a knob: a buffer given back is kept only while the decoder has lent
+/// more than it has had back, so it never holds more buffers than were
+/// out at once, and a node whose `Apply`s all come from its own clients
+/// keeps none.
+#[derive(Debug, Default)]
+pub(crate) struct SpareBufs {
+    bufs: Vec<Vec<u8>>,
+    /// Buffers lent and not had back.
+    lent: usize,
+}
+
+impl SpareBufs {
+    /// `bytes` in a spare buffer, or in a new one when none is spare.
+    fn lend(&mut self, bytes: &[u8]) -> Vec<u8> {
+        let mut buf = self.bufs.pop().unwrap_or_default();
+        buf.clear();
+        buf.extend_from_slice(bytes);
+        self.lent += 1;
+        buf
+    }
+
+    /// Take a buffer back: kept if one lent is still out and it holds
+    /// memory (a storage engine that kept the lent buffer gives back an
+    /// empty one), else dropped. The last given back is the next lent,
+    /// so an `Apply`'s value given back before its key keeps each buffer
+    /// refilled by the field it was sized for.
+    pub(crate) fn give_back(&mut self, buf: Vec<u8>) {
+        if self.lent > 0 {
+            self.lent -= 1;
+            if buf.capacity() > 0 {
+                self.bufs.push(buf);
+            }
+        }
+    }
+
+    /// Buffers held for the next `Apply`s.
+    #[cfg(test)]
+    pub(crate) fn spare(&self) -> usize {
+        self.bufs.len()
+    }
+
+    /// Buffers lent and not had back.
+    #[cfg(test)]
+    pub(crate) fn lent(&self) -> usize {
+        self.lent
+    }
+}
+
 /// Streaming frame decoder: feed it arbitrary byte chunks, pull whole
 /// frames out. One instance per connection — `seq` interpretation and
 /// framing state are connection-scoped.
@@ -534,8 +600,18 @@ impl FrameDecoder {
 
     /// Pull the next complete frame: `Ok(Some((seq, msg)))` when one is
     /// ready, `Ok(None)` when more bytes are needed, `Err` when the
-    /// stream is corrupt (drop the connection — framing is lost).
+    /// stream is corrupt (drop the connection — framing is lost). An
+    /// `Apply`'s key and value are new buffers.
     pub fn next_frame(&mut self) -> Result<Option<(u64, WireMsg)>, WalError> {
+        self.next_frame_from(&mut SpareBufs::default())
+    }
+
+    /// [`FrameDecoder::next_frame`], decoding an `Apply`'s key and value
+    /// into buffers lent from `spare`.
+    pub(crate) fn next_frame_from(
+        &mut self,
+        spare: &mut SpareBufs,
+    ) -> Result<Option<(u64, WireMsg)>, WalError> {
         let buf = &self.buf[self.pos..];
         if buf.len() < HEADER_LEN {
             return Ok(None);
@@ -570,7 +646,7 @@ impl FrameDecoder {
             });
         }
         let seq = u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes"));
-        let msg = decode_body(&buf[HEADER_LEN..total - CRC_LEN])?;
+        let msg = decode_body(&buf[HEADER_LEN..total - CRC_LEN], spare)?;
         self.pos += total;
         Ok(Some((seq, msg)))
     }
@@ -633,6 +709,94 @@ mod tests {
             assert_eq!(got, msg);
             assert_eq!(dec.buffered(), 0);
         }
+    }
+
+    /// A decode into spare buffers returns what `next_frame` returns, for
+    /// every sample, whatever the spare buffers held: dirty ones, longer
+    /// and shorter than the field they are refilled with.
+    #[test]
+    fn a_pooled_decode_equals_next_frame() {
+        let mut msgs = sample_msgs();
+        msgs.push(WireMsg::Apply {
+            to: SiteId::new(1),
+            txn: TxnId::new(10),
+            key: b"a-key-longer-than-any-spare-buffer".to_vec(),
+            value: Vec::new(),
+        });
+        for (i, msg) in msgs.into_iter().enumerate() {
+            let frame = encode_wire_frame(i as u64, &msg);
+            let mut plain = FrameDecoder::new();
+            plain.feed(&frame);
+            let expected = plain.next_frame().expect("valid").expect("complete");
+            let mut spare = SpareBufs {
+                bufs: vec![vec![0xee; 64], vec![0xdd; 1], vec![0xcc; 2]],
+                lent: 0,
+            };
+            let mut pooled = FrameDecoder::new();
+            pooled.feed(&frame);
+            let got = pooled.next_frame_from(&mut spare).expect("valid");
+            assert_eq!(got.as_ref(), Some(&expected), "{msg:?}");
+            let lent = usize::from(matches!(msg, WireMsg::Apply { .. })) * 2;
+            assert_eq!((spare.lent(), spare.spare()), (lent, 3 - lent));
+        }
+    }
+
+    /// A frame that fails to decode after its key was read lends no
+    /// buffer: the key is copied only once the whole body has checked.
+    #[test]
+    fn a_frame_that_fails_after_its_key_lends_nothing() {
+        let framed = |body: &[u8]| {
+            let mut frame = Vec::new();
+            put_u32(&mut frame, WIRE_MAGIC);
+            put_u32(&mut frame, u32::try_from(body.len()).expect("body"));
+            put_u64(&mut frame, 0);
+            frame.extend_from_slice(body);
+            let crc = crc32(&frame[4..]);
+            put_u32(&mut frame, crc);
+            frame
+        };
+        let mut head = Vec::new();
+        put_u8(&mut head, TAG_APPLY);
+        put_u32(&mut head, 1);
+        put_u64(&mut head, 9);
+        put_bytes(&mut head, b"key");
+        let mut short_value = head.clone();
+        put_u32(&mut short_value, 100);
+        short_value.extend_from_slice(b"abc");
+        let mut trailing = head.clone();
+        put_bytes(&mut trailing, b"value");
+        trailing.push(0);
+        for body in [head, short_value, trailing] {
+            let mut spare = SpareBufs::default();
+            spare.bufs.push(vec![1, 2, 3]);
+            let mut dec = FrameDecoder::new();
+            dec.feed(&framed(&body));
+            assert!(dec.next_frame_from(&mut spare).is_err());
+            assert_eq!((spare.lent(), spare.spare()), (0, 1));
+        }
+    }
+
+    /// The spare list keeps a buffer given back only while one lent is
+    /// out, and only if it holds memory: buffers that never came from
+    /// it, and the empty one left where a lent buffer was kept, are
+    /// dropped.
+    #[test]
+    fn the_spare_list_holds_no_more_than_was_lent() {
+        let mut spare = SpareBufs::default();
+        spare.give_back(b"a client's buffer".to_vec());
+        assert_eq!((spare.lent(), spare.spare()), (0, 0));
+        let (key, value) = (spare.lend(b"k"), spare.lend(b"v"));
+        let kept = spare.lend(b"kept by the engine");
+        assert_eq!((spare.lent(), spare.spare()), (3, 0));
+        drop(kept);
+        for buf in [key, value, Vec::new(), b"one more".to_vec()] {
+            spare.give_back(buf);
+        }
+        assert_eq!(
+            (spare.lent(), spare.spare()),
+            (0, 2),
+            "the empty one dropped"
+        );
     }
 
     #[test]

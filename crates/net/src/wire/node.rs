@@ -33,7 +33,7 @@
 
 use super::conn::{InConn, OutConn};
 use super::faults::{FaultAction, WireFaults};
-use super::frame::{encode_wire_frame_into, WireMsg};
+use super::frame::{encode_wire_frame_into, SpareBufs, WireMsg};
 use crate::client::{deref_to_client, ClientHandle};
 use crate::cluster::{ClusterConfig, ClusterReport};
 use crate::envelope::Envelope;
@@ -503,6 +503,9 @@ struct Tcp {
     /// What `in_event` reads a socket into, 16 KiB: zeroed once, when
     /// the node starts, and reused for every readiness event after.
     read_buf: Box<[u8]>,
+    /// The buffers inbound `Apply` frames are decoded into, back from
+    /// the kernel once the storage engine has copied them.
+    spare: SpareBufs,
 }
 
 impl Transport for Tcp {
@@ -564,6 +567,10 @@ impl Transport for Tcp {
         }
     }
 
+    fn recycle(&mut self, buf: Vec<u8>) {
+        self.spare.give_back(buf);
+    }
+
     /// Best-effort flush of everything still owed to the network before
     /// shutdown (final acks and decisions), for at most half a second.
     fn drain(&mut self) {
@@ -592,6 +599,46 @@ fn poll_ms(timeout: Duration) -> i32 {
 }
 
 impl Tcp {
+    /// The transport of a node configured by `config`, listening and
+    /// registered with a new epoll instance, and the client handle's
+    /// end of its waker.
+    fn bind(
+        config: &NodeConfig,
+        metrics: Arc<WireMetrics>,
+        t0: Instant,
+    ) -> io::Result<(Tcp, Waker)> {
+        let listener = TcpListener::bind(config.listen)?;
+        listener.set_nonblocking(true)?;
+        let (waker, handle) = Waker::pair()?;
+        let epoll = Epoll::new()?;
+        epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
+        epoll.add(waker.pipe.as_raw_fd(), EPOLLIN, TOKEN_WAKER)?;
+        let tcp = Tcp {
+            wire: Wire {
+                out: BTreeMap::new(),
+                sockets: Sockets {
+                    epoll,
+                    out_tokens: BTreeMap::new(),
+                    next_token: TOKEN_FIRST_CONN,
+                    peers: config.peers.clone(),
+                    metrics,
+                    max_queue: config.max_conn_queue_bytes,
+                },
+                faults: config.faults.clone(),
+                t0,
+                delayed: Vec::new(),
+            },
+            hosted: config.hosted.iter().copied().collect(),
+            listener,
+            waker,
+            inbound: BTreeMap::new(),
+            events: Vec::with_capacity(64),
+            read_buf: vec![0; 16 * 1024].into_boxed_slice(),
+            spare: SpareBufs::default(),
+        };
+        Ok((tcp, handle))
+    }
+
     /// One `epoll_wait` plus event dispatch.
     fn poll_events(&mut self, timeout_ms: i32, ready: &mut VecDeque<Mail>) {
         let sockets = &self.wire.sockets;
@@ -685,7 +732,7 @@ impl Tcp {
             return;
         };
         let metrics = &self.wire.sockets.metrics;
-        let buf = &mut self.read_buf;
+        let (buf, spare) = (&mut self.read_buf, &mut self.spare);
         let close = 'read: loop {
             match conn.stream.read(buf) {
                 Ok(0) => break true,
@@ -693,7 +740,7 @@ impl Tcp {
                     metrics.add(&metrics.bytes_recv, n as u64);
                     conn.decoder.feed(&buf[..n]);
                     loop {
-                        match conn.decoder.next_frame() {
+                        match conn.decoder.next_frame_from(spare) {
                             Ok(Some((seq, msg))) => {
                                 metrics.inc(&metrics.frames_recv);
                                 if conn.last_seq.is_some_and(|p| seq <= p) {
@@ -701,7 +748,7 @@ impl Tcp {
                                 } else {
                                     conn.last_seq = Some(seq);
                                 }
-                                deliver(&self.hosted, msg, ready);
+                                deliver(&self.hosted, msg, ready, spare);
                             }
                             Ok(None) => break,
                             Err(_) => {
@@ -726,8 +773,14 @@ impl Tcp {
 
 /// Turn one wire message into an envelope on the ready queue. Frames
 /// for sites this node does not host are dropped (stale routing — e.g.
-/// a frame that raced a topology change).
-fn deliver(hosted: &BTreeSet<SiteId>, msg: WireMsg, ready: &mut VecDeque<Mail>) {
+/// a frame that raced a topology change), an `Apply`'s buffers given
+/// back to `spare`.
+fn deliver(
+    hosted: &BTreeSet<SiteId>,
+    msg: WireMsg,
+    ready: &mut VecDeque<Mail>,
+    spare: &mut SpareBufs,
+) {
     let (to, env) = match msg {
         WireMsg::Protocol(m) => (m.to, Envelope::Protocol(m)),
         WireMsg::ProtocolBatch(ms) => {
@@ -746,6 +799,9 @@ fn deliver(hosted: &BTreeSet<SiteId>, msg: WireMsg, ready: &mut VecDeque<Mail>) 
     };
     if hosted.contains(&to) {
         ready.push_back((to, env));
+    } else if let Envelope::Apply { key, value, .. } = env {
+        spare.give_back(value);
+        spare.give_back(key);
     }
 }
 
@@ -800,15 +856,10 @@ impl SocketNode {
             !config.hosted.is_empty(),
             "a node must host at least one site"
         );
-        let listener = TcpListener::bind(config.listen)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-        let (waker_node, waker_handle) = Waker::pair()?;
-        let epoll = Epoll::new()?;
-        epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
-        epoll.add(waker_node.pipe.as_raw_fd(), EPOLLIN, TOKEN_WAKER)?;
         let t0 = t0_from_epoch(config.epoch_unix_us);
         let metrics = Arc::new(WireMetrics::new());
+        let (tcp, waker_handle) = Tcp::bind(&config, Arc::clone(&metrics), t0)?;
+        let local_addr = tcp.listener.local_addr()?;
 
         let (tx, rx) = unbounded();
         let wake = move || waker_handle.ring();
@@ -820,28 +871,6 @@ impl SocketNode {
             inflight: Arc::new(InflightGauge::new()),
             sink,
             t0,
-        };
-        let tcp = Tcp {
-            wire: Wire {
-                out: BTreeMap::new(),
-                sockets: Sockets {
-                    epoll,
-                    out_tokens: BTreeMap::new(),
-                    next_token: TOKEN_FIRST_CONN,
-                    peers: config.peers,
-                    metrics: Arc::clone(&metrics),
-                    max_queue: config.max_conn_queue_bytes,
-                },
-                faults: config.faults,
-                t0,
-                delayed: Vec::new(),
-            },
-            hosted: config.hosted.iter().copied().collect(),
-            listener,
-            waker: waker_node,
-            inbound: BTreeMap::new(),
-            events: Vec::with_capacity(64),
-            read_buf: vec![0; 16 * 1024].into_boxed_slice(),
         };
         let kernel = Kernel::build(env, &config.hosted, &config.wal_dir, 0, tcp)?;
         let wire_metrics = Arc::clone(&metrics);
@@ -897,7 +926,113 @@ impl SocketNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acp_types::TxnId;
+    use crate::host::HostEnv;
+    use crate::site::NetDelays;
+    use acp_types::{CoordinatorKind, ProtocolKind, SelectionPolicy, TxnId};
+    use acp_wal::tempdir::TempDir;
+    use crossbeam::channel::Sender;
+    use std::path::Path;
+
+    /// A kernel over the TCP transport, hosting `hosted` of a PrAny
+    /// cluster over PrN, PrA and PrC with no peers and timers that never
+    /// fire; its injector, its wire counters, its listening address and
+    /// the client handle's end of its waker.
+    fn tcp_kernel(
+        hosted: &[SiteId],
+        dir: &Path,
+    ) -> (
+        Kernel<Tcp>,
+        Sender<Mail>,
+        Arc<WireMetrics>,
+        SocketAddr,
+        Waker,
+    ) {
+        let protocols = [ProtocolKind::PrN, ProtocolKind::PrA, ProtocolKind::PrC];
+        let kind = CoordinatorKind::PrAny(SelectionPolicy::PaperStrict);
+        let mut cluster = ClusterConfig::new(kind, &protocols);
+        let minute = Duration::from_secs(60);
+        cluster.delays = NetDelays {
+            vote_timeout: minute,
+            ack_resend: minute,
+            inquiry_retry: minute,
+            apply_retry: minute,
+            paxos_completion: minute,
+        };
+        let peers = AddressBook::Static(BTreeMap::new());
+        let config = NodeConfig::new(cluster.clone(), hosted.to_vec(), peers, dir);
+        let (metrics, t0) = (Arc::new(WireMetrics::new()), Instant::now());
+        let (tcp, waker) = Tcp::bind(&config, Arc::clone(&metrics), t0).expect("bind");
+        let addr = tcp.listener.local_addr().expect("address");
+        let (tx, rx) = unbounded();
+        let env = HostEnv {
+            config: cluster.into(),
+            rx,
+            history: shared_history(),
+            inflight: Arc::new(InflightGauge::new()),
+            sink: None,
+            t0,
+        };
+        let kernel = Kernel::build(env, hosted, dir, 0, tcp).expect("kernel");
+        (kernel, tx, metrics, addr, waker)
+    }
+
+    /// An `Apply` from this node's own clients carries buffers the client
+    /// made. The kernel gives them back once the storage engine has
+    /// copied them (each key is written twice, and the rewrite is copied
+    /// from, not kept), and a node that hosts every site, whose decoder
+    /// lends nothing, keeps none of them.
+    #[test]
+    fn a_node_hosting_every_site_keeps_no_buffer_after_local_applies() {
+        let dir = TempDir::new("node-local-applies").expect("tempdir");
+        let parts = [SiteId::new(1), SiteId::new(2), SiteId::new(3)];
+        let hosted = [COORDINATOR, parts[0], parts[1], parts[2]];
+        let (kernel, tx, _, _, _waker) = tcp_kernel(&hosted, dir.path());
+        for n in 1..=8 {
+            for &site in parts.iter().chain(&parts) {
+                let txn = TxnId::new(n);
+                let (key, value) = (format!("k{n}").into_bytes(), b"v".to_vec());
+                let sent = tx.send((site, Envelope::Apply { txn, key, value }));
+                assert!(sent.is_ok(), "injector closed");
+            }
+        }
+        assert!(tx.send((COORDINATOR, Envelope::Shutdown)).is_ok());
+        let (report, tcp) = kernel.run();
+        assert_eq!(report.stats.envelopes, 8 * 6 + 1, "every Apply dispatched");
+        assert_eq!((tcp.spare.spare(), tcp.spare.lent()), (0, 0));
+    }
+
+    /// An `Apply` frame for a site inside its outage is dropped, and the
+    /// buffers it was decoded into go back to the transport's spare list.
+    #[test]
+    fn an_apply_dropped_inside_an_outage_is_recycled() {
+        let dir = TempDir::new("node-outage-apply").expect("tempdir");
+        let site = SiteId::new(1);
+        let (kernel, tx, metrics, addr, _waker) = tcp_kernel(&[site], dir.path());
+        // The first turn takes the crash, before any connection exists
+        // for it to sever.
+        let down_for = Duration::from_secs(60);
+        assert!(tx.send((site, Envelope::Crash { down_for })).is_ok());
+        let node = std::thread::spawn(move || kernel.run());
+        let apply = WireMsg::Apply {
+            to: site,
+            txn: TxnId::new(1),
+            key: b"key".to_vec(),
+            value: b"value".to_vec(),
+        };
+        let mut peer = TcpStream::connect(addr).expect("connect");
+        let frame = super::super::frame::encode_wire_frame(0, &apply);
+        peer.write_all(&frame).expect("write");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while metrics.snapshot().frames_recv == 0 {
+            assert!(Instant::now() < deadline, "the frame never arrived");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The decoded Apply is queued ahead of anything injected now.
+        assert!(tx.send((site, Envelope::Shutdown)).is_ok());
+        let (report, tcp) = node.join().expect("node thread");
+        assert_eq!(report.stats.dropped_while_down, 1);
+        assert_eq!((tcp.spare.spare(), tcp.spare.lent()), (2, 0));
+    }
 
     #[test]
     fn poll_ms_never_wakes_early_and_never_sleeps_on_a_due_deadline() {

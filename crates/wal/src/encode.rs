@@ -537,6 +537,85 @@ pub fn checkpoint_entries(buf: &[u8]) -> Result<Option<CheckpointEntries<'_>>, W
     }))
 }
 
+/// The entries of a `Checkpoint` record, encoded as they are added: an
+/// entry count and the entries' bytes, laid out by the codec's own
+/// [`put_bytes`]. A writer that refills one delta needs no buffer per
+/// entry, and [`crate::StableLog::append_checkpoint`] frames it as
+/// [`crate::StableLog::append_ref`] frames a
+/// [`LogPayload::Checkpoint`] with the same entries, byte for byte.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct CheckpointDelta {
+    count: u32,
+    entries: Vec<u8>,
+}
+
+impl CheckpointDelta {
+    /// An empty delta.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Append one entry.
+    pub fn push(&mut self, key: &[u8], value: &[u8]) {
+        self.count = self.count.checked_add(1).expect("checkpoint too large");
+        put_bytes(&mut self.entries, key);
+        put_bytes(&mut self.entries, value);
+    }
+
+    /// Make room for `entries` more entries of `bytes` key and value
+    /// bytes, summed, in one allocation at most.
+    pub fn reserve(&mut self, entries: usize, bytes: usize) {
+        self.entries.reserve(8 * entries + bytes);
+    }
+
+    /// Does it hold no entry?
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Drop every entry, keeping the buffer.
+    pub fn clear(&mut self) {
+        self.count = 0;
+        self.entries.clear();
+    }
+
+    /// Lend the entries in the order they were pushed.
+    #[must_use]
+    pub fn entries(&self) -> CheckpointEntries<'_> {
+        let count = self.count as usize;
+        CheckpointEntries {
+            count,
+            bytes: self.entries.len() - 8 * count,
+            left: count,
+            rest: Reader::new(&self.entries),
+        }
+    }
+
+    /// The owned payload with the same entries.
+    #[must_use]
+    pub fn to_payload(&self) -> LogPayload {
+        let entries = self.entries().map(|(k, v)| (k.to_vec(), v.to_vec()));
+        LogPayload::Checkpoint {
+            entries: entries.collect(),
+        }
+    }
+
+    /// The length of its frame.
+    #[must_use]
+    pub fn frame_len(&self) -> usize {
+        FRAME_OVERHEAD + 1 + 4 + self.entries.len()
+    }
+
+    /// Encode the payload: tag, entry count, entries.
+    fn encode_into(&self, out: &mut impl Sink) {
+        put_u8(out, TAG_CHECKPOINT);
+        put_u32(out, self.count);
+        out.put(&self.entries);
+    }
+}
+
 // ---------------------------------------------------------------------
 // record framing
 // ---------------------------------------------------------------------
@@ -556,13 +635,29 @@ pub fn frame_len(payload: &LogPayload) -> usize {
 /// the end of `out`: the length is back-patched once the payload is
 /// written and the CRC taken over the bytes just appended.
 pub fn encode_frame_into(out: &mut Vec<u8>, lsn: Lsn, forced: bool, payload: &LogPayload) {
+    frame_into(out, lsn, forced, |out| encode_payload_into(out, payload));
+}
+
+/// [`encode_frame_into`] for a `Checkpoint` record of `delta`'s entries:
+/// the same bytes as for a [`LogPayload::Checkpoint`] holding them.
+pub fn encode_checkpoint_frame_into(
+    out: &mut Vec<u8>,
+    lsn: Lsn,
+    forced: bool,
+    delta: &CheckpointDelta,
+) {
+    frame_into(out, lsn, forced, |out| delta.encode_into(out));
+}
+
+/// The one frame layout around a payload that `payload` writes.
+fn frame_into(out: &mut Vec<u8>, lsn: Lsn, forced: bool, payload: impl FnOnce(&mut Vec<u8>)) {
     put_u32(out, MAGIC);
     let body = out.len();
     put_u32(out, 0);
     put_u64(out, lsn.raw());
     put_u8(out, u8::from(forced));
     let start = out.len();
-    encode_payload_into(out, payload);
+    payload(out);
     let len = u32::try_from(out.len() - start).expect("payload too long");
     out[body..body + 4].copy_from_slice(&len.to_le_bytes());
     let crc = crc32(&out[body..]);
@@ -777,6 +872,29 @@ mod tests {
                 }
                 _ => assert!(lent.is_none()),
             }
+        }
+    }
+
+    /// A delta frames its entries as the payload codec frames a
+    /// `Checkpoint` holding them, and gives them back as pushed.
+    #[test]
+    fn a_checkpoint_delta_frames_as_its_payload_does() {
+        for p in samples() {
+            let LogPayload::Checkpoint { entries } = &p else {
+                continue;
+            };
+            let mut delta = CheckpointDelta::new();
+            delta.push(b"stale", b"entry");
+            delta.clear();
+            for (k, v) in entries {
+                delta.push(k, v);
+            }
+            let (mut framed, mut owned) = (Vec::new(), Vec::new());
+            encode_checkpoint_frame_into(&mut framed, Lsn(7), true, &delta);
+            encode_frame_into(&mut owned, Lsn(7), true, &p);
+            assert_eq!(framed, owned);
+            assert_eq!(delta.frame_len(), frame_len(&p));
+            assert_eq!(delta.to_payload(), p);
         }
     }
 

@@ -38,8 +38,8 @@
 //! under the code that commits.
 
 use crate::encode::{
-    check_frame, checkpoint_entries, decode_payload, encode_frame_into, Frame, FrameOutcome,
-    FRAME_OVERHEAD,
+    check_frame, checkpoint_entries, decode_payload, encode_checkpoint_frame_into,
+    encode_frame_into, CheckpointDelta, Frame, FrameOutcome, FRAME_OVERHEAD,
 };
 use crate::error::WalError;
 use crate::record::{LogRecord, Lsn, WalStats};
@@ -362,6 +362,29 @@ impl<S: Store> FramedLog<S> {
     }
 }
 
+impl<S: Store> FramedLog<S> {
+    /// Append the frame `encode` writes onto the write buffer under the
+    /// next LSN, and write it out if `force`.
+    fn append_frame(
+        &mut self,
+        force: bool,
+        encode: impl FnOnce(&mut Vec<u8>, Lsn),
+    ) -> Result<Lsn, WalError> {
+        let lsn = self.next;
+        self.next = self.next.next();
+        self.stats.appends += 1;
+        let start = self.buffer.len();
+        encode(&mut self.buffer, lsn);
+        self.lens.push_back(payload_len(self.buffer.len() - start));
+        self.buffered += 1;
+        if force {
+            self.stats.forces += 1;
+            self.write_out()?;
+        }
+        Ok(lsn)
+    }
+}
+
 /// The payload length of a frame `len` bytes long. The encoder writes a
 /// payload's length as a `u32`, so it fits one.
 fn payload_len(len: usize) -> u32 {
@@ -370,18 +393,18 @@ fn payload_len(len: usize) -> u32 {
 
 impl<S: Store> StableLog for FramedLog<S> {
     fn append_ref(&mut self, payload: &LogPayload, force: bool) -> Result<Lsn, WalError> {
-        let lsn = self.next;
-        self.next = self.next.next();
-        self.stats.appends += 1;
-        let start = self.buffer.len();
-        encode_frame_into(&mut self.buffer, lsn, force, payload);
-        self.lens.push_back(payload_len(self.buffer.len() - start));
-        self.buffered += 1;
-        if force {
-            self.stats.forces += 1;
-            self.write_out()?;
-        }
-        Ok(lsn)
+        self.append_frame(force, |out, lsn| {
+            encode_frame_into(out, lsn, force, payload);
+        })
+    }
+
+    /// Reserves the frame's length first, so the write buffer grows once
+    /// at most however many entries the delta holds.
+    fn append_checkpoint(&mut self, delta: &CheckpointDelta, force: bool) -> Result<Lsn, WalError> {
+        self.append_frame(force, |out, lsn| {
+            out.reserve(delta.frame_len());
+            encode_checkpoint_frame_into(out, lsn, force, delta);
+        })
     }
 
     fn flush(&mut self) -> Result<(), WalError> {

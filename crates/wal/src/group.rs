@@ -27,6 +27,7 @@
 //!   force in a turn leads the round, the rest follow, and the round is
 //!   sealed at the turn boundary.
 
+use crate::encode::CheckpointDelta;
 use crate::error::WalError;
 use crate::record::{LogRecord, Lsn, WalStats};
 use crate::{CheckpointSink, StableLog};
@@ -284,6 +285,14 @@ impl<L: StableLog> StableLog for GroupCommitLog<L> {
             self.force_batched(|log, force| log.append(payload, force))
         } else {
             self.inner.append(payload, false)
+        }
+    }
+
+    fn append_checkpoint(&mut self, delta: &CheckpointDelta, force: bool) -> Result<Lsn, WalError> {
+        if force {
+            self.force_batched(|log, force| log.append_checkpoint(delta, force))
+        } else {
+            self.inner.append_checkpoint(delta, false)
         }
     }
 

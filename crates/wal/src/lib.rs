@@ -49,6 +49,7 @@ pub mod record;
 pub mod scan;
 pub mod tempdir;
 
+pub use encode::CheckpointDelta;
 pub use error::WalError;
 pub use fault::{Fault, FaultyImage, FaultyLog};
 pub use file::{Disk, FileLog};
@@ -90,6 +91,14 @@ pub trait StableLog {
     fn append(&mut self, payload: LogPayload, force: bool) -> Result<Lsn, WalError> {
         self.append_ref(&payload, force)
     }
+
+    /// Append a `Checkpoint` record of `delta`'s entries: the record
+    /// [`StableLog::append_ref`] appends for a
+    /// [`LogPayload::Checkpoint`] holding them, byte for byte. A
+    /// [`FramedLog`] encodes the frame from the delta's bytes in place,
+    /// so a writer that refills one delta pays no buffer per entry; a
+    /// [`MemLog`] keeps the owned record.
+    fn append_checkpoint(&mut self, delta: &CheckpointDelta, force: bool) -> Result<Lsn, WalError>;
 
     /// Make all buffered records durable.
     fn flush(&mut self) -> Result<(), WalError>;
@@ -206,5 +215,38 @@ mod trait_tests {
     fn faulty_log_satisfies_contract() {
         let mut log = FaultyLog::new();
         contract(&mut log);
+    }
+
+    /// A delta appended through `append_checkpoint` is the record
+    /// `append_ref` appends for its payload: the same bytes on a framed
+    /// log, directly or behind a pass-through group commit, and the same
+    /// record on a `MemLog`.
+    #[test]
+    fn a_checkpoint_delta_appends_as_its_payload() {
+        let mut delta = CheckpointDelta::new();
+        delta.push(b"a", b"1");
+        delta.push(b"bb", b"");
+        let payload = delta.to_payload();
+        let end = LogPayload::End { txn: TxnId::new(3) };
+
+        let (mut by_delta, mut by_payload) = (FaultyLog::new(), FaultyLog::new());
+        by_delta.append_ref(&end, false).unwrap();
+        by_payload.append_ref(&end, false).unwrap();
+        by_delta.append_checkpoint(&delta, true).unwrap();
+        by_payload.append_ref(&payload, true).unwrap();
+        assert_eq!(by_delta.image(), by_payload.image());
+
+        let mut grouped = GroupCommitLog::passthrough(FaultyLog::new());
+        grouped.append_ref(&end, false).unwrap();
+        grouped.append_checkpoint(&delta, true).unwrap();
+        grouped.flush().unwrap();
+        assert_eq!(grouped.inner().image(), by_payload.image());
+
+        let mut mem = MemLog::new();
+        mem.append_checkpoint(&delta, true).unwrap();
+        let records = mem.records().unwrap();
+        assert_eq!(records.len(), 1);
+        assert!(records[0].forced);
+        assert_eq!(records[0].payload, payload);
     }
 }

@@ -7,7 +7,7 @@
 //! paper's proofs assume ("a force-write ensures that a log record is
 //! written into a stable storage that survives system failures").
 
-use crate::encode::frame_len;
+use crate::encode::{frame_len, CheckpointDelta};
 use crate::error::WalError;
 use crate::record::{LogRecord, Lsn, WalStats};
 use crate::{CheckpointSink, StableLog};
@@ -105,6 +105,10 @@ impl StableLog for MemLog {
             self.make_durable();
         }
         Ok(lsn)
+    }
+
+    fn append_checkpoint(&mut self, delta: &CheckpointDelta, force: bool) -> Result<Lsn, WalError> {
+        self.append(delta.to_payload(), force)
     }
 
     fn flush(&mut self) -> Result<(), WalError> {

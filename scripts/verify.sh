@@ -263,9 +263,10 @@ for ((i = 0; i < ${#cost_guards[@]}; i += 2)); do
 done
 nontest_lines crates/core/src
 
-echo "== one copy per write: the client's buffers move, log records borrow them"
-# A write's key and value move from the Apply envelope into the write
-# set and on into the store; prepare lends them to their update
+echo "== one copy per write: writes fill reused buffers, log records borrow them"
+# A write's key and value are copied into buffers the storage engine
+# reuses (the transaction's context, the store's arena, the store
+# file's one delta); prepare lends them to their update
 # records, and the coordinator lends its participant list to the
 # initiation and decision records, because a log encodes from a
 # reference (StableLog::append_ref). A clone of a key, an image or a
@@ -469,6 +470,30 @@ if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/
   echo "FAIL: crates/engine/src/store.rs keeps an owned key and value per entry"; exit 1
 fi
 nontest_lines crates/engine/src
+
+echo "== a forwarded write allocates nothing: decoded into recycled buffers, copied by the engine"
+# A forwarded Apply's key and value used to be decoded into new
+# buffers (Reader::bytes, a to_vec) that moved into the write set, and
+# a commit moved them on into an owned (key, value) pair per entry for
+# the store file's next record. The socket transport now decodes them
+# into buffers the kernel gives back (Transport::recycle) once the
+# storage engine has copied them into its own reused buffers, and a
+# commit appends each write to one reused CheckpointDelta. Either
+# pattern, in its file's non-test lines, is the old layout coming back;
+# each first meets its control line.
+recycle_guards=(
+  crates/net/src/wire/frame.rs  '\.bytes\("(key|value)"\)'               '            key: r.bytes("key")?,'
+  crates/engine/src/site.rs     'installed: Vec<\(Vec<u8>, *Vec<u8>\)>'  '    installed: Vec<(Vec<u8>, Vec<u8>)>,'
+)
+for ((i = 0; i < ${#recycle_guards[@]}; i += 3)); do
+  where="${recycle_guards[i]}" pattern="${recycle_guards[i + 1]}" control="${recycle_guards[i + 2]}"
+  echo "$control" | grep -qE "$pattern" \
+    || { echo "FAIL: the guard '$pattern' misses its control line '$control'"; exit 1; }
+  if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$where" | grep -E "$pattern"; then
+    echo "FAIL: '$pattern' in $where: a write's bytes in a buffer of their own again"; exit 1
+  fi
+done
+nontest_lines crates/net/src crates/engine/src
 
 echo "== one owner, one table: the coordinator's protocol table is a plain map"
 # The protocol table used to be 64 Mutex-guarded shards and an atomic
